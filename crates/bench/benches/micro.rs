@@ -1,6 +1,7 @@
 //! Criterion microbenchmarks of the computational kernels underneath the
 //! simulation: GF(2^8) slice arithmetic, Reed-Solomon encode, SipHash
-//! capability MACs, and raw discrete-event engine throughput.
+//! capability MACs, raw discrete-event engine throughput (empty queue and
+//! with parked timers standing), and one packet's trip across the fabric.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -163,6 +164,130 @@ fn engine_throughput(c: &mut Criterion) {
     });
 }
 
+/// Schedule + dispatch with timers parked in the queue: what a packet
+/// event pays when thousands of open messages each hold a 1 ms cleanup
+/// check (`des_engine_100k_events` above measures an empty queue).
+fn engine_at_standing_depth(c: &mut Criterion) {
+    use nadfs_simnet::{Component, Ctx, Dur, Engine};
+    use std::any::Any;
+    struct Null;
+    struct Tick;
+    impl Component for Null {
+        fn handle(&mut self, _ctx: &mut Ctx<'_>, ev: Box<dyn Any>) {
+            black_box(ev);
+        }
+    }
+    let mut g = c.benchmark_group("des_engine_100k_events_at_depth");
+    for depth in [16u64, 2 << 10, 16 << 10] {
+        g.bench_with_input(BenchmarkId::from_parameter(depth), &depth, |b, &depth| {
+            let mut e = Engine::new();
+            let id = e.add_component(Box::new(Null));
+            // Parked far enough out that no measured batch reaches them.
+            for i in 0..depth {
+                e.schedule(
+                    Dur::from_ms(3_600_000) + Dur::from_ns(i),
+                    id,
+                    Box::new(Tick),
+                );
+            }
+            b.iter(|| {
+                for i in 0..100_000u64 {
+                    // Packet-scale delays: a cycle, a link, a serialization.
+                    let delay = [1, 20, 41][i as usize % 3];
+                    e.schedule(Dur::from_ns(delay), id, Box::new(Tick));
+                    e.step();
+                }
+                black_box(e.events_dispatched())
+            });
+        });
+    }
+    g.finish();
+}
+
+/// One packet across the fabric — submit, uplink, switch, downlink,
+/// arrive: five engine events plus the egress-credit wake — with the
+/// packet's box recycled from sink to source.
+fn fabric_one_hop(c: &mut Criterion) {
+    use nadfs_simnet::{
+        Component, Ctx, Dur, Engine, Fabric, FabricConfig, NodePort, PacketEvent, PacketPool,
+        Payload, SharedPacketPool,
+    };
+    use std::any::Any;
+    #[derive(Clone, Debug)]
+    struct Raw(u32);
+    impl Payload for Raw {
+        fn wire_bytes(&self) -> u32 {
+            self.0
+        }
+    }
+    struct Kick;
+    struct Source {
+        port: NodePort,
+        dst: usize,
+        pool: SharedPacketPool<Raw>,
+    }
+    impl Component for Source {
+        fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Box<dyn Any>) {
+            if ev.downcast::<Kick>().is_ok() {
+                assert!(self.port.egress_gate.borrow_mut().try_take());
+                let pkt = self
+                    .pool
+                    .borrow_mut()
+                    .submit(self.port.node, self.dst, Raw(2048));
+                ctx.schedule(Dur::ZERO, self.port.fabric, pkt);
+            }
+        }
+    }
+    struct Sink {
+        port: NodePort,
+        pool: SharedPacketPool<Raw>,
+        arrived: u64,
+    }
+    impl Component for Sink {
+        fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Box<dyn Any>) {
+            let pkt = ev.downcast::<PacketEvent<Raw>>().expect("a packet");
+            self.arrived += 1;
+            self.port.ingress_gate.borrow_mut().release(ctx);
+            self.pool.borrow_mut().recycle(pkt);
+        }
+    }
+    c.bench_function("fabric_one_hop_10k_packets", |b| {
+        let mut e = Engine::new();
+        let fid = e.reserve_id();
+        let src = e.reserve_id();
+        let snk = e.reserve_id();
+        let mut fab: Fabric<Raw> = Fabric::new(FabricConfig::default(), fid);
+        let sport = fab.register_node(src, None);
+        let dport = fab.register_node(snk, None);
+        let dst = dport.node;
+        e.install(fid, Box::new(fab));
+        let pool = PacketPool::shared();
+        e.install(
+            src,
+            Box::new(Source {
+                port: sport,
+                dst,
+                pool: pool.clone(),
+            }),
+        );
+        e.install(
+            snk,
+            Box::new(Sink {
+                port: dport,
+                pool,
+                arrived: 0,
+            }),
+        );
+        b.iter(|| {
+            for _ in 0..10_000 {
+                e.schedule(Dur::ZERO, src, Box::new(Kick));
+                e.run_to_completion();
+            }
+            black_box(e.events_dispatched())
+        });
+    });
+}
+
 fn e2e_write_sim(c: &mut Criterion) {
     use nadfs_core::{ClusterSpec, FilePolicy, Job, SimCluster, StorageMode, WriteProtocol};
     c.bench_function("simulate_one_64KiB_spin_write", |b| {
@@ -191,6 +316,7 @@ criterion_group! {
     targets = gf_mul_acc, gf_mul_acc_scalar_baseline, gf_xor_wide,
               rs_encode, rs_encode_fused, rs_reconstruct,
               stream_packet_pooled, siphash_capability,
-              engine_throughput, e2e_write_sim
+              engine_throughput, engine_at_standing_depth, fabric_one_hop,
+              e2e_write_sim
 }
 criterion_main!(benches);

@@ -20,8 +20,8 @@ use nadfs_simnet::{
     TENANT_REPAIR,
 };
 use nadfs_wire::{
-    payload_checksum, AckPkt, Capability, DfsHeader, DfsOp, EcInfo, EcRole, Frame, GatherCopy,
-    GatherReadHeader, GatherReconstruct, GatherSegment, HlConfigPkt, MsgId, ReadReqHeader,
+    payload_checksum, AckPkt, Capability, DfsHeader, DfsOp, EcInfo, EcRole, GatherCopy,
+    GatherReadHeader, GatherReconstruct, GatherSegment, HlConfigPkt, MsgId, Pkt, ReadReqHeader,
     ReplicaCoord, Resiliency, Rights, RpcBody, RsScheme, Status, WriteReqHeader, MAX_GATHER_SEGS,
 };
 
@@ -1129,13 +1129,20 @@ impl ClientApp {
             // A range covered by an in-flight background readahead parks
             // here instead of double-fetching: the waiter resumes from
             // the cache (or the full miss path) when the fill lands.
-            let covering = self.reads_in_flight.iter().find_map(|(id, op)| {
-                (op.background
-                    && op.file == file
-                    && op.offset <= offset
-                    && offset + len as u64 <= op.offset + op.len as u64)
-                    .then_some(*id)
-            });
+            // Lowest covering op id: `reads_in_flight` is a hash map, and
+            // with two overlapping readaheads in flight "first found"
+            // would differ from run to run.
+            let covering = self
+                .reads_in_flight
+                .iter()
+                .filter(|(_, op)| {
+                    op.background
+                        && op.file == file
+                        && op.offset <= offset
+                        && offset + len as u64 <= op.offset + op.len as u64
+                })
+                .map(|(&id, _)| id)
+                .min();
             if let Some(op_id) = covering {
                 self.span_mark(span, phase::READAHEAD, start);
                 self.parked_reads += 1;
@@ -2244,10 +2251,14 @@ impl ClientApp {
                         len,
                         resiliency: Resiliency::None,
                     };
-                    let (msg, mut frames) =
-                        nic.build_write_frames(Some(dfs), wrh, data.slice(..len as usize));
-                    frames.truncate(1);
-                    nic.send_frames(ctx, target.node as NodeId, frames);
+                    let (msg, mut pkts) = nic.build_write_pkts(
+                        target.node as NodeId,
+                        Some(dfs),
+                        wrh,
+                        data.slice(..len as usize),
+                    );
+                    pkts.truncate(1);
+                    nic.send_pkts(ctx, pkts);
                     pending.msgs.push(msg);
                     pending.acks_needed = u32::MAX; // never completes
                 } else if placement.stripes.len() > 1 {
@@ -2424,7 +2435,7 @@ impl ClientApp {
                 // windows into the block; only a ragged tail chunk needs
                 // staging (zero-padded), and that buffer comes from the
                 // NIC's recycled ring.
-                let mut per_chunk_frames: Vec<(NodeId, Vec<Frame>)> = Vec::with_capacity(k);
+                let mut per_chunk_pkts: Vec<Vec<Pkt>> = Vec::with_capacity(k);
                 for (j, coord) in placement.data_chunks.iter().enumerate() {
                     let startb = (j as u32 * chunk_len).min(size) as usize;
                     let endb = ((j as u32 + 1) * chunk_len).min(size) as usize;
@@ -2445,30 +2456,26 @@ impl ClientApp {
                             parity_coords: placement.parities.clone(),
                         }),
                     };
-                    let (msg, frames) = nic.build_write_frames(Some(dfs), wrh, chunk_data);
+                    let (msg, pkts) =
+                        nic.build_write_pkts(coord.node as NodeId, Some(dfs), wrh, chunk_data);
                     pending.msgs.push(msg);
-                    per_chunk_frames.push((coord.node as NodeId, frames));
+                    per_chunk_pkts.push(pkts);
                 }
                 if interleave {
                     // §VI-B-1: interleave packets across chunks so the
-                    // parity node can aggregate as streams progress.
-                    let mut mixed = Vec::new();
-                    let max_len = per_chunk_frames
-                        .iter()
-                        .map(|(_, f)| f.len())
-                        .max()
-                        .unwrap_or(0);
-                    for i in 0..max_len {
-                        for (dst, frames) in &per_chunk_frames {
-                            if let Some(f) = frames.get(i) {
-                                mixed.push((*dst, f.clone()));
-                            }
-                        }
+                    // parity node can aggregate as streams progress: one
+                    // packet of each chunk per round, in chunk order.
+                    let total = per_chunk_pkts.iter().map(Vec::len).sum();
+                    let mut chunks: Vec<_> =
+                        per_chunk_pkts.into_iter().map(Vec::into_iter).collect();
+                    let mut mixed = Vec::with_capacity(total);
+                    while mixed.len() < total {
+                        mixed.extend(chunks.iter_mut().filter_map(Iterator::next));
                     }
-                    nic.send_mixed(ctx, mixed);
+                    nic.send_pkts(ctx, mixed);
                 } else {
-                    for (dst, frames) in per_chunk_frames {
-                        nic.send_frames(ctx, dst, frames);
+                    for pkts in per_chunk_pkts {
+                        nic.send_pkts(ctx, pkts);
                     }
                 }
             }

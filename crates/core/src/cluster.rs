@@ -9,9 +9,9 @@ use nadfs_host::SharedMemory;
 use nadfs_pspin::{ExecutionContext, Telemetry};
 use nadfs_rdma::{AppTimer, EcEngine, Nic, NicApp, SharedNicStats};
 use nadfs_simnet::{
-    ComponentId, CreditConfig, Dur, Engine, Fabric, FabricStats, FlowStats, MetricsSnapshot,
-    NodeId, ObsHub, SharedFlowStats, SharedObs, SharedTenantLedgers, SharedTrace, TenantId,
-    TenantLedger, Time, Trace, TENANT_REPAIR,
+    BufPool, ComponentId, CreditConfig, Dur, Engine, Fabric, FabricStats, FlowStats,
+    MetricsSnapshot, NodeId, ObsHub, PacketPool, SharedFlowStats, SharedObs, SharedTenantLedgers,
+    SharedTrace, TenantId, TenantLedger, Time, Trace, DEFAULT_MAX_RETAINED_BYTES, TENANT_REPAIR,
 };
 use nadfs_wire::Frame;
 
@@ -188,9 +188,11 @@ pub struct SimCluster {
     /// Flow-control counters for every NIC (clients then storage, in
     /// fabric-node order).
     pub flow_stats: Vec<SharedFlowStats>,
-    /// Buffer-pool handles for every NIC (clients then storage, in
-    /// fabric-node order) — long-horizon harnesses audit these for
-    /// leak/boundedness at checkpoints.
+    /// Every distinct payload-buffer pool in the cluster, each once —
+    /// long-horizon harnesses audit these for leak/boundedness at
+    /// checkpoints, benchmarks sum their counters. All NICs draw from one
+    /// shared pool (a host-side artefact, not a modelled resource), so
+    /// this holds exactly that pool.
     pub buf_pools: Vec<nadfs_simnet::SharedBufPool>,
     /// Per-tenant service ledgers of every QoS scheduling point (storage
     /// read streams + storage RPC service); empty when QoS is off.
@@ -262,7 +264,18 @@ impl SimCluster {
         let mut client_read_stats = Vec::new();
         let mut client_tenants = Vec::new();
         let mut flow_stats = Vec::new();
-        let mut buf_pools = Vec::new();
+        // One buffer ring and one packet-box pool for the whole cluster:
+        // with per-NIC pools, nodes that only consume buffers (parity
+        // nodes, ring tails) overflow theirs while the nodes that only
+        // produce (data nodes, clients) allocate every time. The caps
+        // (limits, not reservations) cover each NIC's packet ring plus
+        // its accumulator budget.
+        let n_nics = spec.n_clients + spec.n_storage;
+        let bufs = Rc::new(RefCell::new(BufPool::with_byte_cap(
+            n_nics * (256 + spec.accumulator_pool),
+            4 * DEFAULT_MAX_RETAINED_BYTES,
+        )));
+        let pkts = PacketPool::shared();
         for (&comp, port) in client_components.iter().zip(client_ports) {
             let plan: SharedPlan = Rc::new(RefCell::new(VecDeque::new()));
             plans.push(plan.clone());
@@ -277,9 +290,9 @@ impl SimCluster {
             client_read_stats.push(app.read_stats.clone());
             client_tenants.push(app.tenant.clone());
             let mut nic = Nic::new(spec.cost.nic.clone(), port, comp, Box::new(app));
+            nic.core.share_pools(bufs.clone(), pkts.clone());
             nic.core.set_credit_config(spec.qos.credit);
             flow_stats.push(nic.core.flow_stats());
-            buf_pools.push(nic.core.buf_pool());
             engine.install(comp, Box::new(nic));
         }
 
@@ -309,6 +322,7 @@ impl SimCluster {
                 comp,
                 Box::new(app) as Box<dyn NicApp>,
             );
+            nic.core.share_pools(bufs.clone(), pkts.clone());
             nic.core.set_credit_config(spec.qos.credit);
             if spec.qos.enabled {
                 nic.core.install_read_qos(
@@ -321,7 +335,6 @@ impl SimCluster {
                 tenant_ledgers.push(qos.scheduler().ledgers_handle());
             }
             flow_stats.push(nic.core.flow_stats());
-            buf_pools.push(nic.core.buf_pool());
             // NIC-side read validation: every storage NIC authenticates
             // DFS-level read requests against the service key before a
             // byte leaves the node (one-sided reads never touch the CPU).
@@ -335,7 +348,7 @@ impl SimCluster {
                     // accumulator/parity buffers recycle through the device.
                     let mut state = DfsNicState::with_buf_pool(
                         key,
-                        spec.cost.handlers.clone(),
+                        spec.cost.handlers,
                         spec.accumulator_pool,
                         nic.core.buf_pool(),
                     );
@@ -382,7 +395,7 @@ impl SimCluster {
             client_read_stats,
             nic_stats,
             flow_stats,
-            buf_pools,
+            buf_pools: vec![bufs],
             tenant_ledgers,
             client_tenants,
             pspin_telemetry,
@@ -598,6 +611,7 @@ impl SimCluster {
             self.fabric_stats.borrow().switch_holds,
         );
         m.counter_set("engine.events_dispatched", self.engine.events_dispatched());
+        m.counter_set("engine.order_digest", self.engine.order_digest());
         // DES dispatch profile: the measured baseline for the per-packet
         // boxing overhead item (ROADMAP) — dispatches and host-side busy
         // time per component kind.

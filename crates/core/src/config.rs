@@ -13,7 +13,7 @@ use nadfs_rdma::{EcEngineConfig, NicConfig};
 use nadfs_simnet::{Bandwidth, Dur, FabricConfig};
 
 /// Instruction/IPC model for the DFS sPIN handlers (Tables I & II).
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct HandlerCosts {
     /// Header handler: request validation + descriptor setup.
     /// Paper: 120 instructions, IPC 0.57 ⇒ 211 ns (Table I), matching the

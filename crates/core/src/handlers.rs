@@ -12,13 +12,16 @@
 //! [`crate::config::HandlerCosts`].
 
 use std::any::Any;
-use std::collections::HashMap;
+use std::cell::Cell;
+use std::rc::Rc;
 
 use bytes::Bytes;
 use nadfs_gfec::ReedSolomon;
 use nadfs_pspin::{HandlerArgs, HandlerSet, Ops};
 use nadfs_simnet::telemetry::phase;
-use nadfs_simnet::{BufPool, NodeId, ObsHub, SharedBufPool, SharedObs, SharedTrace, Time, Trace};
+use nadfs_simnet::{
+    BufPool, IdMap, NodeId, ObsHub, SharedBufPool, SharedObs, SharedTrace, Time, Trace,
+};
 use nadfs_wire::{
     bcast_children, AckPkt, CreditGrant, DfsHeader, EcInfo, EcRole, Frame, GatherReadHeader,
     GatherReqPkt, MacKey, MsgId, Resiliency, Rights, RsScheme, Status, WritePkt, WriteReqHeader,
@@ -45,8 +48,10 @@ struct FwdStream {
     wrh: WriteReqHeader,
 }
 
-/// Per-request NIC state — the paper's 77-byte write descriptor.
-#[derive(Clone, Debug)]
+/// Per-request NIC state — the paper's 77-byte write descriptor. Shared
+/// (`Rc`) so a payload handler can hold it while it updates other state;
+/// the one field that changes per packet is a `Cell`.
+#[derive(Debug)]
 struct ReqEntry {
     greq: u64,
     accept: bool,
@@ -61,7 +66,17 @@ struct ReqEntry {
     /// header packet).
     data_pkts: u32,
     /// Data packets forwarded so far (slot counter for outgoing streams).
-    fwd_sent: u32,
+    fwd_sent: Cell<u32>,
+}
+
+impl ReqEntry {
+    /// Claim the next outgoing stream slot: 0 is the HH's header packet;
+    /// data packets take the next free slot (arrival order — offsets carry
+    /// the placement, so slot order is bookkeeping only).
+    fn next_fwd_slot(&self) -> u32 {
+        self.fwd_sent.set(self.fwd_sent.get() + 1);
+        self.fwd_sent.get()
+    }
 }
 
 /// Aggregation state for one stripe at a parity node.
@@ -117,18 +132,18 @@ pub struct PendingGather {
 pub struct DfsNicState {
     pub key: MacKey,
     pub costs: HandlerCosts,
-    req_table: HashMap<MsgId, ReqEntry>,
+    req_table: IdMap<MsgId, Rc<ReqEntry>>,
     next_fwd_seq: u64,
-    rs_cache: HashMap<(u8, u8), ReedSolomon>,
-    stripes: HashMap<u64, StripeState>,
-    accs: HashMap<(u64, u32), AccEntry>,
+    rs_cache: IdMap<(u8, u8), ReedSolomon>,
+    stripes: IdMap<u64, StripeState>,
+    accs: IdMap<(u64, u32), AccEntry>,
     /// Free accumulators remaining in the pool.
     acc_free: usize,
     /// Validated gather reads keyed by a NIC-local id; the completion
     /// handler signals the host with `EVT_GATHER | id` and the host hands
     /// the entry to the gather engine.
-    pending_gathers: HashMap<u64, PendingGather>,
-    gather_ids: HashMap<MsgId, u64>,
+    pending_gathers: IdMap<u64, PendingGather>,
+    gather_ids: IdMap<MsgId, u64>,
     next_gather_id: u64,
     /// Recycled byte buffers for accumulators and intermediate-parity
     /// products (shared with the PsPIN device, which returns DMA-write
@@ -158,14 +173,14 @@ impl DfsNicState {
         DfsNicState {
             key,
             costs,
-            req_table: HashMap::new(),
+            req_table: IdMap::default(),
             next_fwd_seq: 0,
-            rs_cache: HashMap::new(),
-            stripes: HashMap::new(),
-            accs: HashMap::new(),
+            rs_cache: IdMap::default(),
+            stripes: IdMap::default(),
+            accs: IdMap::default(),
             acc_free: accumulator_pool,
-            pending_gathers: HashMap::new(),
-            gather_ids: HashMap::new(),
+            pending_gathers: IdMap::default(),
+            gather_ids: IdMap::default(),
             next_gather_id: 0,
             buf_pool,
             counters: DfsCounters::default(),
@@ -292,7 +307,7 @@ impl HandlerSet for DfsHandlers {
     /// `DFS_request_init` (Listing 1): authenticate and set up state.
     fn header(&mut self, a: HandlerArgs<'_>) {
         let st = state_of(a.state);
-        let costs = st.costs.clone();
+        let costs = st.costs;
         a.ops.charge_instrs(costs.hh_instrs, costs.hh_ipc);
         if let Frame::GatherReq(g) = a.frame {
             gather_header(st, g, a.src, a.now, a.ops);
@@ -321,7 +336,7 @@ impl HandlerSet for DfsHandlers {
             st.counters.auth_failures += 1;
             st.req_table.insert(
                 w.msg,
-                ReqEntry {
+                Rc::new(ReqEntry {
                     greq: dfs.greq_id,
                     accept: false,
                     client: dfs.client as NodeId,
@@ -329,8 +344,8 @@ impl HandlerSet for DfsHandlers {
                     wrh,
                     fwd: Vec::new(),
                     data_pkts,
-                    fwd_sent: 0,
-                },
+                    fwd_sent: Cell::new(0),
+                }),
             );
             // DFS_request_init sends NACK if request auth fails.
             a.ops.send(
@@ -478,7 +493,7 @@ impl HandlerSet for DfsHandlers {
 
         st.req_table.insert(
             w.msg,
-            ReqEntry {
+            Rc::new(ReqEntry {
                 greq: dfs.greq_id,
                 accept: true,
                 client: dfs.client as NodeId,
@@ -486,15 +501,15 @@ impl HandlerSet for DfsHandlers {
                 wrh,
                 fwd,
                 data_pkts,
-                fwd_sent: 0,
-            },
+                fwd_sent: Cell::new(0),
+            }),
         );
     }
 
     /// `DFS_request_process_pkt` (Listing 1): commit and enforce policies.
     fn payload(&mut self, a: HandlerArgs<'_>) {
         let st = state_of(a.state);
-        let costs = st.costs.clone();
+        let costs = st.costs;
         if let Frame::GatherReq(g) = a.frame {
             // One fetch/DMA descriptor posted per segment (plus one per
             // reconstruction copy when the EC engine is involved).
@@ -541,14 +556,7 @@ impl HandlerSet for DfsHandlers {
                 if w.data.is_empty() {
                     return; // forwarded stream-header packet: no data
                 }
-                // Outgoing stream slot: 0 is the HH's header packet; data
-                // packets take the next free slot (arrival order — offsets
-                // carry the placement, so slot order is bookkeeping only).
-                let slot = {
-                    let e = st.req_table.get_mut(&a.msg).expect("live request");
-                    e.fwd_sent += 1;
-                    e.fwd_sent
-                };
+                let slot = entry.next_fwd_slot();
                 for f in &entry.fwd {
                     a.ops.send(
                         f.dst,
@@ -578,12 +586,8 @@ impl HandlerSet for DfsHandlers {
                     }
                     // Per-packet streaming encode (§VI-B): multiply by the
                     // parity coefficient, forward the product into the next
-                    // stream slot (slot 0 is the HH's header packet).
-                    let slot = {
-                        let e = st.req_table.get_mut(&a.msg).expect("live request");
-                        e.fwd_sent += 1;
-                        e.fwd_sent
-                    };
+                    // stream slot.
+                    let slot = entry.next_fwd_slot();
                     let scheme = info.scheme;
                     for (p, f) in entry.fwd.iter().enumerate() {
                         let coef = st.rs(scheme).parity_coef(p, chunk_idx as usize);
@@ -656,7 +660,7 @@ impl HandlerSet for DfsHandlers {
     /// `DFS_request_fini` (Listing 1): flush, acknowledge, release state.
     fn completion(&mut self, a: HandlerArgs<'_>) {
         let st = state_of(a.state);
-        let costs = st.costs.clone();
+        let costs = st.costs;
         if matches!(a.frame, Frame::GatherReq(_)) {
             a.ops.charge_instrs(costs.ch_instrs, costs.ch_ipc);
             // Hand the validated gather to the NIC core's gather engine
@@ -731,7 +735,7 @@ impl HandlerSet for DfsHandlers {
     /// Cleanup handler (§VII): reclaim dangling state, tell the host.
     fn cleanup(&mut self, state: &mut dyn Any, msg: MsgId, ops: &mut Ops) {
         let st = state_of(state);
-        let costs = st.costs.clone();
+        let costs = st.costs;
         ops.charge_instrs(costs.cleanup_instrs, 1.0);
         st.req_table.remove(&msg);
         if let Some(id) = st.gather_ids.remove(&msg) {

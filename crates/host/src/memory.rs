@@ -8,8 +8,9 @@
 //! are byte-identical and parity chunks are algebraically correct.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
+
+use nadfs_simnet::IdMap;
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
@@ -22,7 +23,7 @@ const DEVICE_BASE: u64 = 1 << 48;
 
 /// Sparse byte-addressable memory with a bump allocator.
 pub struct HostMemory {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    pages: IdMap<u64, Box<[u8; PAGE_SIZE]>>,
     next_alloc: u64,
     next_device: u64,
     bytes_written: u64,
@@ -31,7 +32,7 @@ pub struct HostMemory {
 impl Default for HostMemory {
     fn default() -> Self {
         HostMemory {
-            pages: HashMap::new(),
+            pages: IdMap::default(),
             next_alloc: PAGE_SIZE as u64,
             next_device: DEVICE_BASE,
             bytes_written: 0,

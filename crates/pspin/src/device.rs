@@ -12,15 +12,23 @@
 //! The device is not itself a [`nadfs_simnet::Component`]; it is owned by a
 //! NIC component which forwards it matching packets ([`PsPinDevice::ingest`])
 //! and its wrapped self-events ([`PsPinDevice::on_event`]).
+//!
+//! Nothing here copies a frame: a packet stays in the box it arrived in,
+//! held in a slot arena, and the handler tasks that read it hold the slot
+//! key. The pipeline-stage event of a packet is likewise one box,
+//! re-scheduled from stage to stage.
 
 use std::any::Any;
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use nadfs_host::DmaEngine;
-use nadfs_simnet::{ComponentId, Ctx, Dur, NetPacket, NodeId, NodePort, SharedBufPool, Time};
-use nadfs_wire::{AckPkt, CreditGrant, Frame, MsgId, Status};
+use nadfs_simnet::{
+    ComponentId, Ctx, Dur, IdMap, NetPacket, NodeId, NodePort, PacketPool, SharedBufPool,
+    SharedPacketPool, Slab, Time,
+};
+use nadfs_wire::{AckPkt, CreditGrant, Frame, MsgId, Pkt, Status};
 
 use crate::config::PsPinConfig;
 use crate::handler::{ExecutionContext, HandlerArgs, HandlerKind, Op, Ops};
@@ -39,18 +47,27 @@ pub struct HostNotify {
     pub tag: u64,
 }
 
+/// `token` is a key into the held-packet arena, `run` one into the run
+/// arena.
+#[derive(Clone, Copy)]
 pub(crate) enum Inner {
-    BufCopied { token: u64 },
-    AtCluster { token: u64 },
-    L1Copied { token: u64 },
-    HpuReady { token: u64 },
-    RunDone { run: u64 },
+    BufCopied { token: usize },
+    AtCluster { token: usize },
+    L1Copied { token: usize },
+    HpuReady { token: usize },
+    RunDone { run: usize },
     CleanupCheck { msg: MsgId },
 }
 
-struct PendingPkt {
-    pkt: NetPacket<Frame>,
+/// A packet inside the device, in the box it arrived in.
+struct HeldPkt {
+    ev: Pkt,
+    /// Cluster whose L1 holds this packet (assigned round-robin per packet
+    /// by the inter-cluster scheduler, so one message's stream spreads over
+    /// all HPUs — the premise of the paper's 1310 ns budget math, §VI-C).
     cluster: usize,
+    /// Tasks (and the message's completion slot) still to read the frame.
+    refs: u32,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -70,43 +87,38 @@ struct MsgState {
     ph_done: u32,
     /// Tasks parked until the header handler completes.
     parked: Vec<Task>,
-    /// The completion packet's frame, kept for the completion handler.
-    completion_frame: Option<(Frame, NodeId)>,
+    /// The completion (last) packet, kept for the completion handler.
+    completion_pkt: Option<usize>,
     completion_dispatched: bool,
     dma_horizon: Time,
     last_activity: Time,
     src: NodeId,
 }
 
-/// A unit of HPU work: which handlers to run on which frame.
+/// A unit of HPU work: one handler to run on one held packet.
 struct Task {
     msg: MsgId,
     src: NodeId,
-    frame: Frame,
-    kinds: &'static [HandlerKind],
-    /// Cluster whose L1 holds this packet (assigned round-robin per packet
-    /// by the inter-cluster scheduler, so one message's stream spreads over
-    /// all HPUs — the premise of the paper's 1310 ns budget math, §VI-C).
+    /// Key of the packet whose frame the handler reads; the task owns one
+    /// reference to it. `None` for cleanup, which has no triggering frame.
+    pkt: Option<usize>,
+    kind: HandlerKind,
     cluster: usize,
     /// Time the packet became ready for an HPU (for queue-wait telemetry).
     ready_at: Time,
 }
 
-const HH_ONLY: &[HandlerKind] = &[HandlerKind::Header];
-const PH_ONLY: &[HandlerKind] = &[HandlerKind::Payload];
-const CH_ONLY: &[HandlerKind] = &[HandlerKind::Completion];
-const CL_ONLY: &[HandlerKind] = &[HandlerKind::Cleanup];
-
 /// A recorded handler execution being replayed over simulated time.
 struct HpuRun {
+    /// `usize::MAX` for a synthetic run that occupies no HPU.
     cluster: usize,
     msg: MsgId,
-    /// Per-kind recorded segments: (kind, ops, instrs).
-    segments: Vec<(HandlerKind, Vec<Op>, u64)>,
-    seg: usize,
+    kind: HandlerKind,
+    ops: Ops,
+    /// Next op to replay.
     op: usize,
     t: Time,
-    seg_start: Time,
+    start: Time,
 }
 
 struct Cluster {
@@ -123,16 +135,14 @@ pub struct PsPinDevice {
     owner: ComponentId,
     ctx_installed: Option<ExecutionContext>,
     clusters: Vec<Cluster>,
-    msgs: HashMap<MsgId, MsgState>,
-    pending: HashMap<u64, PendingPkt>,
-    runs: HashMap<u64, HpuRun>,
-    next_token: u64,
-    next_run: u64,
+    msgs: IdMap<MsgId, MsgState>,
+    held: Slab<HeldPkt>,
+    runs: Slab<HpuRun>,
     pkt_rr: usize,
     pktbuf_engine_free: Time,
     l1_engine_free: Vec<Time>,
     /// Runs parked on egress credits, FIFO.
-    egress_waiters: VecDeque<u64>,
+    egress_waiters: VecDeque<usize>,
     /// Memory accounting: descriptor bytes in use vs budget.
     desc_bytes_used: u64,
     desc_bytes_budget: u64,
@@ -140,6 +150,14 @@ pub struct PsPinDevice {
     /// their run retires — closing the handler-side buffer loop (the NIC's
     /// packet-buffer ring). The execution context shares the same pool.
     buf_pool: Option<SharedBufPool>,
+    /// Boxes for packets handlers send; consumed packets' boxes return.
+    pkt_pool: SharedPacketPool<Frame>,
+    /// Retired self-event boxes and op recorders, reused by the next
+    /// packet and the next run. (Boxes, because the engine schedules
+    /// `Box<dyn Any>`: keeping the allocation is the point.)
+    #[allow(clippy::vec_box)]
+    spare_events: Vec<Box<PsPinEvent>>,
+    spare_ops: Vec<Ops>,
     telemetry: Rc<RefCell<Telemetry>>,
 }
 
@@ -165,17 +183,18 @@ impl PsPinDevice {
             owner,
             ctx_installed: None,
             clusters,
-            msgs: HashMap::new(),
-            pending: HashMap::new(),
-            runs: HashMap::new(),
-            next_token: 0,
-            next_run: 0,
+            msgs: IdMap::default(),
+            held: Slab::new(),
+            runs: Slab::new(),
             pkt_rr: 0,
             pktbuf_engine_free: Time::ZERO,
             l1_engine_free,
             egress_waiters: VecDeque::new(),
             desc_bytes_used: 0,
             buf_pool: None,
+            pkt_pool: PacketPool::shared(),
+            spare_events: Vec::new(),
+            spare_ops: Vec::new(),
             telemetry: Rc::new(RefCell::new(Telemetry::default())),
         }
     }
@@ -185,6 +204,12 @@ impl PsPinDevice {
     /// same ring).
     pub fn set_buf_pool(&mut self, pool: SharedBufPool) {
         self.buf_pool = Some(pool);
+    }
+
+    /// Attach the packet-box pool of the owning NIC: handler sends take
+    /// their box from it, consumed packets' boxes return to it.
+    pub fn set_packet_pool(&mut self, pool: SharedPacketPool<Frame>) {
+        self.pkt_pool = pool;
     }
 
     /// Shared handle to the device telemetry (Tables I/II, Figs 7/11/16).
@@ -234,16 +259,18 @@ impl PsPinDevice {
     /// here, at arrival order: the per-cluster copy engines further down
     /// the pipeline can legally reorder a small packet ahead of a large
     /// predecessor, so arrival is the only safe place to spot headers.
-    pub fn ingest(&mut self, ctx: &mut Ctx<'_>, pkt: NetPacket<Frame>) {
+    pub fn ingest(&mut self, ctx: &mut Ctx<'_>, ev: Pkt) {
         debug_assert!(self.has_context(), "ingest without installed context");
         let now = ctx.now();
-        let bytes = pkt.wire_bytes() as u64;
-        self.open_message(ctx, &pkt, now);
-        let token = self.next_token;
-        self.next_token += 1;
+        let bytes = ev.pkt.wire_bytes() as u64;
+        self.open_message(ctx, &ev.pkt, now);
         let cluster = self.pkt_rr % self.cfg.n_clusters;
         self.pkt_rr += 1;
-        self.pending.insert(token, PendingPkt { pkt, cluster });
+        let token = self.held.insert(HeldPkt {
+            ev,
+            cluster,
+            refs: 0,
+        });
         // Packet-buffer copy engine: serializing.
         let start = now.max(self.pktbuf_engine_free);
         let dur = self.cfg.pktbuf_copy_time(bytes);
@@ -307,30 +334,55 @@ impl PsPinDevice {
                 pkts_seen: 1,
                 ph_done: 0,
                 parked: Vec::new(),
-                completion_frame: None,
+                completion_pkt: None,
                 completion_dispatched: false,
                 dma_horizon: Time::ZERO,
                 last_activity: now,
                 src,
             },
         );
-        self.schedule_cleanup(ctx, msg, now);
+        self.emit(ctx, self.cfg.cleanup_timeout, Inner::CleanupCheck { msg });
     }
 
-    fn emit(&self, ctx: &mut Ctx<'_>, delay: Dur, ev: Inner) {
-        ctx.schedule(delay, self.owner, Box::new(PsPinEvent(ev)));
+    /// Schedule a device self-event to the owning component, in a retired
+    /// event's box when there is one.
+    fn emit(&mut self, ctx: &mut Ctx<'_>, delay: Dur, ev: Inner) {
+        let boxed = match self.spare_events.pop() {
+            Some(mut b) => {
+                b.0 = ev;
+                b
+            }
+            None => Box::new(PsPinEvent(ev)),
+        };
+        ctx.schedule(delay, self.owner, boxed);
     }
 
-    /// Entry point for wrapped self-events from the owning component.
-    pub fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: PsPinEvent) {
-        match ev.0 {
-            Inner::BufCopied { token } => self.on_buf_copied(ctx, token),
-            Inner::AtCluster { token } => self.on_at_cluster(ctx, token),
-            Inner::L1Copied { token } => self.on_l1_copied(ctx, token),
-            Inner::HpuReady { token } => self.on_hpu_ready(ctx, token),
-            Inner::RunDone { run } => self.on_run_done(ctx, run),
-            Inner::CleanupCheck { msg } => self.on_cleanup_check(ctx, msg),
-        }
+    /// Entry point for wrapped self-events from the owning component. A
+    /// packet's stage event moves through the pipeline in the one box.
+    pub fn on_event(&mut self, ctx: &mut Ctx<'_>, mut ev: Box<PsPinEvent>) {
+        let (delay, next) = match ev.0 {
+            Inner::BufCopied { token } => (self.on_buf_copied(), Inner::AtCluster { token }),
+            Inner::AtCluster { token } => (
+                self.on_at_cluster(ctx.now(), token),
+                Inner::L1Copied { token },
+            ),
+            Inner::L1Copied { token } => (self.on_l1_copied(ctx), Inner::HpuReady { token }),
+            Inner::HpuReady { token } => {
+                self.spare_events.push(ev);
+                return self.on_hpu_ready(ctx, token);
+            }
+            Inner::RunDone { run } => {
+                self.spare_events.push(ev);
+                return self.on_run_done(ctx, run);
+            }
+            Inner::CleanupCheck { msg } => match self.on_cleanup_check(ctx, msg) {
+                // Still active: look again when the timeout could expire.
+                Some(remaining) => (remaining, ev.0),
+                None => return self.spare_events.push(ev),
+            },
+        };
+        ev.0 = next;
+        ctx.schedule(delay, self.owner, ev);
     }
 
     /// The owner must call this whenever the egress gate wakes it.
@@ -338,21 +390,20 @@ impl PsPinDevice {
         self.retry_egress(ctx);
     }
 
-    fn on_buf_copied(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+    fn on_buf_copied(&mut self) -> Dur {
         let d = self.cfg.cycles(self.cfg.inter_sched_cycles);
         self.telemetry
             .borrow_mut()
             .pipeline
             .inter_sched_ns
             .record_dur_ns(d);
-        self.emit(ctx, d, Inner::AtCluster { token });
+        d
     }
 
-    fn on_at_cluster(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        let now = ctx.now();
+    fn on_at_cluster(&mut self, now: Time, token: usize) -> Dur {
         let (bytes, cluster) = {
-            let p = self.pending.get(&token).expect("pending packet");
-            (p.pkt.wire_bytes() as u64, p.cluster)
+            let p = self.held.get(token).expect("held packet");
+            (p.ev.pkt.wire_bytes() as u64, p.cluster)
         };
         let start = now.max(self.l1_engine_free[cluster]);
         let dur = self.cfg.l1_copy_time(bytes);
@@ -362,11 +413,10 @@ impl PsPinDevice {
             .pipeline
             .l1_copy_ns
             .record_dur_ns(dur);
-        let delay = (start + dur).since(now);
-        self.emit(ctx, delay, Inner::L1Copied { token });
+        (start + dur).since(now)
     }
 
-    fn on_l1_copied(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+    fn on_l1_copied(&mut self, ctx: &mut Ctx<'_>) -> Dur {
         // Packet left the packet buffer: return the ingress credit so the
         // fabric can deliver the next packet.
         self.port.ingress_gate.borrow_mut().release(ctx);
@@ -376,59 +426,86 @@ impl PsPinDevice {
             .pipeline
             .intra_sched_ns
             .record_dur_ns(d);
-        self.emit(ctx, d, Inner::HpuReady { token });
+        d
     }
 
-    fn on_hpu_ready(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+    /// Drop one reference to a held packet. The last one retires it: a
+    /// write payload nobody else holds (an intermediate parity consumed
+    /// here, say) returns to the buffer ring, and the box to the packet
+    /// pool.
+    fn release_pkt(&mut self, token: usize) {
+        let p = self.held.get_mut(token).expect("held packet");
+        p.refs = p.refs.saturating_sub(1);
+        if p.refs > 0 {
+            return;
+        }
+        let mut p = self.held.remove(token).expect("held packet");
+        if let (Frame::Write(w), Some(pool)) = (&mut p.ev.pkt.payload, &self.buf_pool) {
+            if !w.data.is_empty() {
+                if let Ok(v) = std::mem::take(&mut w.data).try_unwrap() {
+                    pool.borrow_mut().put(v);
+                }
+            }
+        }
+        self.pkt_pool.borrow_mut().recycle(p.ev);
+    }
+
+    fn on_hpu_ready(&mut self, ctx: &mut Ctx<'_>, token: usize) {
         let now = ctx.now();
-        let p = self.pending.remove(&token).expect("pending packet");
         self.telemetry.borrow_mut().pkts_processed += 1;
-        let src = p.pkt.src;
+        let p = self.held.get(token).expect("held packet");
+        let src = p.ev.pkt.src;
         let cluster = p.cluster;
-        let frame = p.pkt.payload;
-        let (msg, is_first, is_last) = match &frame {
+        let (msg, is_first, is_last) = match &p.ev.pkt.payload {
             Frame::Write(w) => (w.msg, w.is_first(), w.is_last()),
             other => (other.msg(), true, true),
         };
-        let Some(st) = self.msgs.get_mut(&msg) else {
-            return; // message already closed (e.g. cleaned up)
+        let st = match self.msgs.get_mut(&msg) {
+            // Closed already (e.g. cleaned up), or denied at arrival (the
+            // client was NACKed then): drop silently.
+            None => return self.release_pkt(token),
+            Some(st) => {
+                st.last_activity = now;
+                if st.phase == MsgPhase::Denied {
+                    return self.release_pkt(token);
+                }
+                st
+            }
         };
-        st.last_activity = now;
-        if st.phase == MsgPhase::Denied {
-            return; // drop silently; the client was NACKed at arrival
-        }
-        if is_last {
-            // Keep a clone of the completion frame for the CH.
-            st.completion_frame = Some((frame.clone(), src));
-        }
-        let ph = Task {
+        let task = |kind| Task {
             msg,
             src,
-            frame: frame.clone(),
-            kinds: PH_ONLY,
+            pkt: Some(token),
+            kind,
             cluster,
             ready_at: now,
         };
-        if is_first {
+        // One reference per reader: the payload handler, the header handler
+        // on a first packet, the completion handler on a last one.
+        let mut refs = 1;
+        let mut stale_completion = None;
+        if is_last {
+            stale_completion = st.completion_pkt.replace(token);
+            refs += 1;
+        }
+        let run_now = if is_first {
             // The header handler alone is the ordering barrier; the header
             // packet's own payload handler is parked like any other PH.
-            st.parked.push(ph);
-            self.enqueue(
-                ctx,
-                cluster,
-                Task {
-                    msg,
-                    src,
-                    frame,
-                    kinds: HH_ONLY,
-                    cluster,
-                    ready_at: now,
-                },
-            );
+            st.parked.push(task(HandlerKind::Payload));
+            refs += 1;
+            Some(task(HandlerKind::Header))
         } else if st.phase == MsgPhase::Opening {
-            st.parked.push(ph);
+            st.parked.push(task(HandlerKind::Payload));
+            None
         } else {
-            self.enqueue(ctx, cluster, ph);
+            Some(task(HandlerKind::Payload))
+        };
+        self.held.get_mut(token).expect("held packet").refs = refs;
+        if let Some(stale) = stale_completion {
+            self.release_pkt(stale);
+        }
+        if let Some(t) = run_now {
+            self.enqueue(ctx, cluster, t);
         }
     }
 
@@ -436,21 +513,24 @@ impl PsPinDevice {
     /// egress gate is full the NACK is sent via the parked-run machinery of
     /// a zero-cost synthetic run.
     fn try_send_now(&mut self, ctx: &mut Ctx<'_>, dst: NodeId, frame: Frame) {
-        let run_id = self.next_run;
-        self.next_run += 1;
-        let mut ops = Ops::new();
+        let mut ops = self.fresh_ops();
         ops.send(dst, frame);
-        let run = HpuRun {
+        let run_id = self.runs.insert(HpuRun {
             cluster: usize::MAX, // not occupying an HPU
-            msg: MsgId::new(u32::MAX, run_id),
-            segments: vec![(HandlerKind::Cleanup, ops.items, 0)],
-            seg: 0,
+            msg: MsgId::new(u32::MAX, 0),
+            kind: HandlerKind::Cleanup,
+            ops,
             op: 0,
             t: ctx.now(),
-            seg_start: ctx.now(),
-        };
-        self.runs.insert(run_id, run);
+            start: ctx.now(),
+        });
         self.advance_run(ctx, run_id);
+    }
+
+    fn fresh_ops(&mut self) -> Ops {
+        self.spare_ops
+            .pop()
+            .unwrap_or_else(|| Ops::on_node(self.port.node, self.pkt_pool.clone()))
     }
 
     fn enqueue(&mut self, ctx: &mut Ctx<'_>, cluster: usize, task: Task) {
@@ -475,125 +555,91 @@ impl PsPinDevice {
             .pipeline
             .hpu_wait_ns
             .record_dur_ns(now.since(task.ready_at));
+        let mut ops = self.fresh_ops();
         let ec = self.ctx_installed.as_mut().expect("installed context");
-        let mut segments = Vec::with_capacity(task.kinds.len());
-        for &kind in task.kinds {
-            let mut ops = Ops::new();
-            if kind == HandlerKind::Cleanup {
-                // The cleanup handler takes the state directly, without
-                // the HandlerArgs wrapper (it has no triggering frame).
-                ec.handlers.cleanup(&mut *ec.state, task.msg, &mut ops);
-            } else {
+        match task.pkt {
+            // The cleanup handler takes the state directly, without the
+            // HandlerArgs wrapper (it has no triggering frame).
+            None => ec.handlers.cleanup(&mut *ec.state, task.msg, &mut ops),
+            Some(token) => {
                 let args = HandlerArgs {
                     state: &mut *ec.state,
-                    frame: &task.frame,
+                    frame: &self.held.get(token).expect("held packet").ev.pkt.payload,
                     msg: task.msg,
                     src: task.src,
                     local: self.port.node,
                     now,
                     ops: &mut ops,
                 };
-                match kind {
+                match task.kind {
                     HandlerKind::Header => ec.handlers.header(args),
                     HandlerKind::Payload => ec.handlers.payload(args),
                     HandlerKind::Completion => ec.handlers.completion(args),
-                    HandlerKind::Cleanup => unreachable!("handled above"),
+                    HandlerKind::Cleanup => unreachable!("cleanup has no frame"),
                 }
+                // The handler has read the frame; its ops own what they
+                // need of it.
+                self.release_pkt(token);
             }
-            segments.push((kind, ops.items, ops.instrs));
         }
-        let run_id = self.next_run;
-        self.next_run += 1;
-        self.runs.insert(
-            run_id,
-            HpuRun {
-                cluster,
-                msg: task.msg,
-                segments,
-                seg: 0,
-                op: 0,
-                t: now,
-                seg_start: now,
-            },
-        );
+        let run_id = self.runs.insert(HpuRun {
+            cluster,
+            msg: task.msg,
+            kind: task.kind,
+            ops,
+            op: 0,
+            t: now,
+            start: now,
+        });
         self.advance_run(ctx, run_id);
     }
 
     /// Replay ops until done or parked on an egress credit.
-    fn advance_run(&mut self, ctx: &mut Ctx<'_>, run_id: u64) {
+    fn advance_run(&mut self, ctx: &mut Ctx<'_>, run_id: usize) {
         let now = ctx.now();
-        let mut run = self.runs.remove(&run_id).expect("live run");
+        let run = self.runs.get_mut(run_id).expect("live run");
         run.t = run.t.max(now);
-        loop {
-            if run.seg == run.segments.len() {
-                // All segments executed; completion bookkeeping at t.
-                let delay = run.t.since(now);
-                self.runs.insert(run_id, run);
-                self.emit(ctx, delay, Inner::RunDone { run: run_id });
-                return;
-            }
-            if run.op == run.segments[run.seg].1.len() {
-                // Segment boundary: record telemetry.
-                let (kind, _, instrs) = &run.segments[run.seg];
-                self.telemetry.borrow_mut().record_handler(
-                    *kind,
-                    run.t.since(run.seg_start),
-                    *instrs,
-                );
-                run.seg += 1;
-                run.op = 0;
-                run.seg_start = run.t;
-                continue;
-            }
-            let op = &run.segments[run.seg].1[run.op];
+        while let Some(op) = run.ops.items.get_mut(run.op) {
             match op {
-                Op::Charge { cycles } => {
-                    run.t += self.cfg.cycles(*cycles);
-                    run.op += 1;
-                }
-                Op::Send { dst, frame } => {
-                    let granted = self.port.egress_gate.borrow_mut().try_take();
-                    if granted {
-                        let pkt = NetPacket::new(self.port.node, *dst, frame.clone());
-                        let delay = run.t.since(now);
-                        let fabric = self.port.fabric;
-                        ctx.schedule(delay, fabric, Box::new(nadfs_simnet::Submit { pkt }));
-                        run.op += 1;
-                    } else {
+                Op::Charge { cycles } => run.t += self.cfg.cycles(*cycles),
+                Op::Send { pkt } => {
+                    let mut gate = self.port.egress_gate.borrow_mut();
+                    if !gate.try_take() {
                         // Park: HPU blocks holding the run.
-                        self.port
-                            .egress_gate
-                            .borrow_mut()
-                            .register_waiter(self.owner, u64::MAX);
+                        gate.register_waiter(self.owner, u64::MAX);
                         self.egress_waiters.push_back(run_id);
-                        self.runs.insert(run_id, run);
                         return;
                     }
+                    let ev = pkt.take().expect("packet sent twice");
+                    ctx.schedule(run.t.since(now), self.port.fabric, ev);
                 }
                 Op::DmaWrite { addr, data } => {
                     let done = self.dma.borrow_mut().write(run.t, *addr, data);
                     if let Some(st) = self.msgs.get_mut(&run.msg) {
                         st.dma_horizon = st.dma_horizon.max(done);
                     }
-                    run.op += 1;
                 }
                 Op::WaitFlush => {
                     if let Some(st) = self.msgs.get(&run.msg) {
                         run.t = run.t.max(st.dma_horizon);
                     }
-                    run.op += 1;
                 }
                 Op::HostEvent { tag } => {
-                    let delay = run.t.since(now);
                     let note = HostNotify {
                         node: self.port.node,
                         tag: *tag,
                     };
-                    ctx.schedule(delay, self.owner, Box::new(note));
-                    run.op += 1;
+                    ctx.schedule(run.t.since(now), self.owner, Box::new(note));
                 }
             }
+            run.op += 1;
         }
+        // Every op replayed: completion bookkeeping at `t`.
+        let (t, took) = (run.t, run.t.since(run.start));
+        self.telemetry
+            .borrow_mut()
+            .record_handler(run.kind, took, run.ops.instrs);
+        self.emit(ctx, t.since(now), Inner::RunDone { run: run_id });
     }
 
     fn retry_egress(&mut self, ctx: &mut Ctx<'_>) {
@@ -618,158 +664,139 @@ impl PsPinDevice {
         }
     }
 
-    fn on_run_done(&mut self, ctx: &mut Ctx<'_>, run_id: u64) {
-        let mut run = self.runs.remove(&run_id).expect("live run");
-        if run.cluster != usize::MAX {
-            self.clusters[run.cluster].free_hpus += 1;
+    fn on_run_done(&mut self, ctx: &mut Ctx<'_>, run_id: usize) {
+        let HpuRun {
+            cluster,
+            msg,
+            kind,
+            mut ops,
+            ..
+        } = self.runs.remove(run_id).expect("live run");
+        if cluster != usize::MAX {
+            self.clusters[cluster].free_hpus += 1;
         }
-        let kinds: Vec<HandlerKind> = run.segments.iter().map(|s| s.0).collect();
-        let msg = run.msg;
         // The run's recorded ops die here; recycle any DMA-write payload
         // this NIC was the last owner of (pooled accumulators, landed
         // packet data whose frames have all been dropped) back into the
-        // packet-buffer ring.
-        if let Some(pool) = &self.buf_pool {
-            let mut pool = pool.borrow_mut();
-            for (_, ops, _) in run.segments.drain(..) {
-                for op in ops {
-                    if let Op::DmaWrite { data, .. } = op {
-                        if let Ok(v) = data.try_unwrap() {
-                            pool.put(v);
-                        }
-                    }
-                }
-            }
-        }
-        let mut close = false;
-        let mut enqueue_ch: Option<Task> = None;
+        // packet-buffer ring, and keep the recorder for the next run.
+        ops.reset(self.buf_pool.as_ref());
+        self.spare_ops.push(ops);
+        let close = matches!(kind, HandlerKind::Completion | HandlerKind::Cleanup);
         if let Some(st) = self.msgs.get_mut(&msg) {
             st.last_activity = ctx.now();
-            for k in &kinds {
-                match k {
-                    HandlerKind::Header => {
-                        st.phase = MsgPhase::Streaming;
+            match kind {
+                HandlerKind::Header => {
+                    st.phase = MsgPhase::Streaming;
+                    // Release the payload handlers parked behind the header.
+                    let parked = std::mem::take(&mut st.parked);
+                    let mut touched = Vec::new();
+                    for t in parked {
+                        if !touched.contains(&t.cluster) {
+                            touched.push(t.cluster);
+                        }
+                        self.clusters[t.cluster].runq.push_back(t);
                     }
-                    HandlerKind::Payload => {
-                        st.ph_done += 1;
-                    }
-                    HandlerKind::Completion | HandlerKind::Cleanup => {
-                        close = true;
+                    for c in touched {
+                        self.dispatch(ctx, c);
                     }
                 }
-            }
-            if kinds.contains(&HandlerKind::Header) && !st.parked.is_empty() {
-                let parked = std::mem::take(&mut st.parked);
-                let mut touched = Vec::new();
-                for t in parked {
-                    if !touched.contains(&t.cluster) {
-                        touched.push(t.cluster);
-                    }
-                    self.clusters[t.cluster].runq.push_back(t);
-                }
-                for c in touched {
-                    self.dispatch(ctx, c);
-                }
-            }
-        }
-        // Completion-handler release check.
-        if !close {
-            if let Some(st) = self.msgs.get_mut(&msg) {
-                if !st.completion_dispatched
-                    && st.ph_done == st.total_pkts
-                    && st.completion_frame.is_some()
-                {
-                    st.completion_dispatched = true;
-                    let (frame, src) = st.completion_frame.clone().expect("completion frame");
-                    let cluster = self.pkt_rr % self.cfg.n_clusters;
-                    self.pkt_rr += 1;
-                    enqueue_ch = Some(Task {
-                        msg,
-                        src,
-                        frame,
-                        kinds: CH_ONLY,
-                        cluster,
-                        ready_at: ctx.now(),
-                    });
-                }
-            }
-            if let Some(t) = enqueue_ch {
-                let cluster = t.cluster;
-                self.enqueue(ctx, cluster, t);
+                HandlerKind::Payload => st.ph_done += 1,
+                HandlerKind::Completion | HandlerKind::Cleanup => {}
             }
         }
         if close {
-            self.close_msg(msg, kinds.contains(&HandlerKind::Cleanup));
+            self.close_msg(msg, kind == HandlerKind::Cleanup);
+        } else if let Some(st) = self.msgs.get_mut(&msg) {
+            // Completion-handler release check.
+            if !st.completion_dispatched && st.ph_done == st.total_pkts {
+                if let Some(token) = st.completion_pkt.take() {
+                    st.completion_dispatched = true;
+                    let src = self.held.get(token).expect("held packet").ev.pkt.src;
+                    let cluster = self.pkt_rr % self.cfg.n_clusters;
+                    self.pkt_rr += 1;
+                    // The message's reference to the packet passes to the
+                    // completion task.
+                    self.enqueue(
+                        ctx,
+                        cluster,
+                        Task {
+                            msg,
+                            src,
+                            pkt: Some(token),
+                            kind: HandlerKind::Completion,
+                            cluster,
+                            ready_at: ctx.now(),
+                        },
+                    );
+                }
+            }
         }
-        if run.cluster != usize::MAX {
-            self.dispatch(ctx, run.cluster);
+        if cluster != usize::MAX {
+            self.dispatch(ctx, cluster);
         }
     }
 
+    /// Forget a message, dropping the packet references it still holds.
+    fn forget_msg(&mut self, msg: MsgId) -> Option<MsgPhase> {
+        let st = self.msgs.remove(&msg)?;
+        let parked = st.parked.iter().filter_map(|t| t.pkt);
+        for token in parked.chain(st.completion_pkt) {
+            self.release_pkt(token);
+        }
+        Some(st.phase)
+    }
+
     fn close_msg(&mut self, msg: MsgId, cleaned: bool) {
-        if let Some(st) = self.msgs.remove(&msg) {
-            if st.phase != MsgPhase::Denied {
-                let desc = self
-                    .ctx_installed
-                    .as_ref()
-                    .expect("installed context")
-                    .descriptor_bytes as u64;
-                self.desc_bytes_used = self.desc_bytes_used.saturating_sub(desc);
-                if cleaned {
-                    self.telemetry.borrow_mut().msgs_cleaned += 1;
-                } else {
-                    self.telemetry.borrow_mut().msgs_completed += 1;
-                }
+        let Some(phase) = self.forget_msg(msg) else {
+            return;
+        };
+        if phase != MsgPhase::Denied {
+            let desc = self
+                .ctx_installed
+                .as_ref()
+                .expect("installed context")
+                .descriptor_bytes as u64;
+            self.desc_bytes_used = self.desc_bytes_used.saturating_sub(desc);
+            if cleaned {
+                self.telemetry.borrow_mut().msgs_cleaned += 1;
+            } else {
+                self.telemetry.borrow_mut().msgs_completed += 1;
             }
         }
     }
 
-    fn schedule_cleanup(&mut self, ctx: &mut Ctx<'_>, msg: MsgId, _now: Time) {
-        self.emit(ctx, self.cfg.cleanup_timeout, Inner::CleanupCheck { msg });
-    }
-
-    fn on_cleanup_check(&mut self, ctx: &mut Ctx<'_>, msg: MsgId) {
+    /// A message's inactivity check fired. Returns how long until the
+    /// next check when the message is still active; `None` when the
+    /// check is spent (message closed, forgotten, or handed to cleanup).
+    fn on_cleanup_check(&mut self, ctx: &mut Ctx<'_>, msg: MsgId) -> Option<Dur> {
         let now = ctx.now();
-        let Some(st) = self.msgs.get(&msg) else {
-            return; // completed normally
-        };
+        let st = self.msgs.get(&msg)?; // else completed normally
         let idle = now.since(st.last_activity);
         if idle < self.cfg.cleanup_timeout {
-            let remaining = self.cfg.cleanup_timeout - idle;
-            ctx.schedule(
-                remaining,
-                self.owner,
-                Box::new(PsPinEvent(Inner::CleanupCheck { msg })),
-            );
-            return;
+            return Some(self.cfg.cleanup_timeout - idle);
         }
         if st.phase == MsgPhase::Denied {
             // Denied messages hold no descriptor; just forget them.
-            self.msgs.remove(&msg);
-            return;
+            self.forget_msg(msg);
+            return None;
         }
         // Run the cleanup handler on the next round-robin cluster.
         let cluster = self.pkt_rr % self.cfg.n_clusters;
         self.pkt_rr += 1;
         let src = st.src;
-        let frame = Frame::Ack(AckPkt {
-            credit: CreditGrant::ZERO,
-            msg,
-            greq_id: None,
-            status: Status::Rejected,
-        }); // placeholder frame; cleanup handlers only see the msg id
         self.enqueue(
             ctx,
             cluster,
             Task {
                 msg,
                 src,
-                frame,
-                kinds: CL_ONLY,
+                pkt: None,
+                kind: HandlerKind::Cleanup,
                 cluster,
                 ready_at: now,
             },
         );
+        None
     }
 }
 
@@ -779,7 +806,7 @@ mod tests {
     use crate::handler::HandlerSet;
     use bytes::Bytes;
     use nadfs_host::{DmaConfig, HostMemory};
-    use nadfs_simnet::{Arrive, Component, Engine, Fabric, FabricConfig, GateWake};
+    use nadfs_simnet::{Component, Engine, Fabric, FabricConfig, GateWake, PacketEvent};
     use nadfs_wire::{split_payload, WritePkt};
 
     /// Minimal handler set: validate-ish HH, PH DMAs payload (and forwards
@@ -845,16 +872,16 @@ mod tests {
     impl Component for TestNic {
         fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Box<dyn Any>) {
             let dev = self.dev.as_mut().expect("device");
-            let ev = match ev.downcast::<Arrive<Frame>>() {
+            let ev = match ev.downcast::<PacketEvent<Frame>>() {
                 Ok(a) => {
-                    dev.ingest(ctx, a.pkt);
+                    dev.ingest(ctx, a);
                     return;
                 }
                 Err(e) => e,
             };
             let ev = match ev.downcast::<PsPinEvent>() {
                 Ok(p) => {
-                    dev.on_event(ctx, *p);
+                    dev.on_event(ctx, p);
                     return;
                 }
                 Err(e) => e,
@@ -926,7 +953,7 @@ mod tests {
     }
     impl Component for TestClient {
         fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Box<dyn Any>) {
-            let ev = match ev.downcast::<Arrive<Frame>>() {
+            let ev = match ev.downcast::<PacketEvent<Frame>>() {
                 Ok(a) => {
                     if let Frame::Ack(ack) = a.pkt.payload {
                         self.acks.borrow_mut().push((ctx.now(), ack.status));
@@ -1001,7 +1028,7 @@ mod tests {
         }
         impl Component for Silent {
             fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Box<dyn Any>) {
-                if ev.downcast::<Arrive<Frame>>().is_ok() {
+                if ev.downcast::<PacketEvent<Frame>>().is_ok() {
                     let port = self.port.as_ref().expect("port");
                     port.ingress_gate.borrow_mut().release(ctx);
                 }

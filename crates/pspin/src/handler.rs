@@ -12,8 +12,8 @@
 use std::any::Any;
 
 use bytes::Bytes;
-use nadfs_simnet::{NodeId, Time};
-use nadfs_wire::{Frame, MsgId};
+use nadfs_simnet::{NetPacket, NodeId, PacketEvent, SharedBufPool, SharedPacketPool, Time};
+use nadfs_wire::{Frame, MsgId, Pkt};
 
 /// Which handler of the triple (plus cleanup) a record refers to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
@@ -37,11 +37,13 @@ impl HandlerKind {
 
 /// One operation in a handler's recorded execution.
 #[derive(Debug)]
-pub enum Op {
+pub(crate) enum Op {
     /// Burn `cycles` of HPU time.
     Charge { cycles: u64 },
     /// Emit a packet (blocks the HPU while the NIC egress queue is full).
-    Send { dst: NodeId, frame: Frame },
+    /// The packet is boxed when recorded and leaves in that box; `None`
+    /// once sent.
+    Send { pkt: Option<Pkt> },
     /// Post a DMA write toward host memory (asynchronous).
     DmaWrite { addr: u64, data: Bytes },
     /// Block until every DMA write of this *message* is durable — the
@@ -58,11 +60,42 @@ pub enum Op {
 pub struct Ops {
     pub(crate) items: Vec<Op>,
     pub(crate) instrs: u64,
+    /// The node sent packets originate from.
+    node: NodeId,
+    /// Where boxes for sent packets come from (fresh ones when unset).
+    pkts: Option<SharedPacketPool<Frame>>,
 }
 
 impl Ops {
     pub fn new() -> Ops {
         Ops::default()
+    }
+
+    /// A recorder for handlers running on `node`, boxing the packets
+    /// they send out of `pkts`.
+    pub(crate) fn on_node(node: NodeId, pkts: SharedPacketPool<Frame>) -> Ops {
+        Ops {
+            node,
+            pkts: Some(pkts),
+            ..Ops::default()
+        }
+    }
+
+    /// Forget the recording, keeping its storage for the next run.
+    /// Uniquely-owned DMA-write payloads retire into `bufs`.
+    pub(crate) fn reset(&mut self, bufs: Option<&SharedBufPool>) {
+        if let Some(bufs) = bufs {
+            let mut bufs = bufs.borrow_mut();
+            for op in self.items.drain(..) {
+                if let Op::DmaWrite { data, .. } = op {
+                    if let Ok(v) = data.try_unwrap() {
+                        bufs.put(v);
+                    }
+                }
+            }
+        }
+        self.items.clear();
+        self.instrs = 0;
     }
 
     /// Burn raw cycles (no instruction accounting).
@@ -82,7 +115,11 @@ impl Ops {
     }
 
     pub fn send(&mut self, dst: NodeId, frame: Frame) {
-        self.items.push(Op::Send { dst, frame });
+        let pkt = match &self.pkts {
+            Some(pool) => pool.borrow_mut().submit(self.node, dst, frame),
+            None => Box::new(PacketEvent::submit(NetPacket::new(self.node, dst, frame))),
+        };
+        self.items.push(Op::Send { pkt: Some(pkt) });
     }
 
     pub fn dma_write(&mut self, addr: u64, data: Bytes) {

@@ -1,8 +1,6 @@
 //! Handler and pipeline telemetry: the measurements behind Tables I & II
 //! and Figures 7, 11, and 16 of the paper.
 
-use std::collections::HashMap;
-
 use nadfs_simnet::stats::Sampler;
 use nadfs_simnet::Dur;
 
@@ -39,7 +37,8 @@ pub struct PipelineStats {
 /// Device telemetry.
 #[derive(Debug, Default)]
 pub struct Telemetry {
-    by_kind: HashMap<HandlerKind, KindStats>,
+    /// Indexed by `HandlerKind as usize`; `None` until first recorded.
+    by_kind: [Option<KindStats>; 4],
     pub pipeline: PipelineStats,
     pub pkts_processed: u64,
     pub msgs_opened: u64,
@@ -51,18 +50,18 @@ pub struct Telemetry {
 
 impl Telemetry {
     pub fn record_handler(&mut self, kind: HandlerKind, dur: Dur, instrs: u64) {
-        let s = self.by_kind.entry(kind).or_default();
+        let s = self.by_kind[kind as usize].get_or_insert_with(KindStats::default);
         s.duration_ns.record_dur_ns(dur);
         s.instructions.record(instrs as f64);
     }
 
     pub fn kind(&self, kind: HandlerKind) -> Option<&KindStats> {
-        self.by_kind.get(&kind)
+        self.by_kind[kind as usize].as_ref()
     }
 
     /// (mean duration ns, mean instructions, mean IPC) for a handler kind.
     pub fn summary(&self, kind: HandlerKind, clock_ghz: f64) -> Option<(f64, f64, f64)> {
-        self.by_kind.get(&kind).map(|s| {
+        self.kind(kind).map(|s| {
             (
                 s.duration_ns.mean(),
                 s.instructions.mean(),
@@ -72,7 +71,7 @@ impl Telemetry {
     }
 
     pub fn clear_handler_stats(&mut self) {
-        self.by_kind.clear();
+        self.by_kind = Default::default();
     }
 }
 

@@ -5,7 +5,7 @@
 
 use std::any::Any;
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -13,13 +13,13 @@ use nadfs_host::{Cpu, CpuCosts, DmaConfig, DmaEngine, HostMemory, SharedMemory};
 use nadfs_pspin::{HostNotify, PsPinConfig, PsPinDevice, PsPinEvent};
 use nadfs_simnet::telemetry::phase;
 use nadfs_simnet::{
-    Arrive, BufPool, Component, ComponentId, CreditConfig, Ctx, Dur, FlowController, GateWake,
-    NetPacket, NodeId, NodePort, ObsHub, SharedBufPool, SharedFlowStats, SharedObs, SharedTrace,
-    TenantId, TenantScheduler, Time, Trace, WrClass,
+    BufPool, Component, ComponentId, CreditConfig, Ctx, Dur, FlowController, GateWake, IdMap,
+    IdSet, NodeId, NodePort, ObsHub, PacketEvent, PacketPool, SharedBufPool, SharedFlowStats,
+    SharedObs, SharedPacketPool, SharedTrace, TenantId, TenantScheduler, Time, Trace, WrClass,
 };
 use nadfs_wire::{
     split_payload, write_payload_caps, AckPkt, CreditGrant, DfsHeader, Frame, GatherReadHeader,
-    GatherReqPkt, HlConfigPkt, MacKey, MsgId, ReadReqHeader, ReadReqPkt, ReadRespPkt, Rights,
+    GatherReqPkt, HlConfigPkt, MacKey, MsgId, Pkt, ReadReqHeader, ReadReqPkt, ReadRespPkt, Rights,
     RpcBody, SendPkt, Status, WritePkt, WriteReqHeader,
 };
 
@@ -68,10 +68,9 @@ pub(crate) struct DeferredWrites {
     pub sends: Vec<(NodeId, WriteReqHeader, Bytes)>,
     pub dfs: Option<DfsHeader>,
 }
-/// Self-event: enqueue frames at a deferred time (read-response pacing).
+/// Self-event: enqueue packets at a deferred time (read-response pacing).
 struct DeferredSend {
-    dst: NodeId,
-    frames: Vec<Frame>,
+    pkts: Vec<Pkt>,
 }
 /// Self-event: start streaming a collected gather (fires at EC-engine
 /// reconstruction-ready time for degraded gathers).
@@ -208,7 +207,7 @@ pub struct ReadQos {
     sched: TenantScheduler<QueuedRead>,
     /// Response streams currently running that were admitted through the
     /// scheduler (transport-level reads bypass and are not tracked).
-    streams: std::collections::HashSet<MsgId>,
+    streams: IdSet<MsgId>,
     pub max_streams: usize,
     /// Reentrancy guard: short streams complete inside `respond_read`,
     /// which would otherwise recurse back into the admission pump.
@@ -219,7 +218,7 @@ impl ReadQos {
     pub fn new(sched: TenantScheduler<QueuedRead>, max_streams: usize) -> ReadQos {
         ReadQos {
             sched,
-            streams: std::collections::HashSet::new(),
+            streams: IdSet::default(),
             max_streams: max_streams.max(1),
             pumping: false,
         }
@@ -250,26 +249,34 @@ pub struct NicCore {
     /// write payloads retire here and the EC engine / handlers draw
     /// intermediate-parity and accumulator buffers from it.
     pub(crate) pool: SharedBufPool,
-    out_q: VecDeque<(NodeId, Frame, Option<WrClass>)>,
+    /// Boxes packets travel in: a frame is boxed once when it is queued
+    /// for egress, and the box of every packet this NIC consumes comes
+    /// back here for the next one.
+    pkts: SharedPacketPool<Frame>,
+    /// Egress queue. The marker on a WR's last packet names the class
+    /// whose local credit returns when it leaves the NIC.
+    out_q: VecDeque<(Pkt, Option<WrClass>)>,
     /// Credit-based WR flow control (SF-Zhou discipline): bounded per-class
     /// send budgets per peer, recv-credit returns piggybacked on acks.
     pub flow: FlowController,
     /// WRs waiting for credit, per peer per WR class (FIFO within class).
-    pending_wrs: HashMap<NodeId, [VecDeque<Vec<Frame>>; 4]>,
+    /// Ordered by peer: released credit is handed out in peer order, so
+    /// the egress order it produces is the same in every run.
+    pending_wrs: BTreeMap<NodeId, [VecDeque<Vec<Pkt>>; 4]>,
     /// In-flight Read-class WRs: request msg → peer. Read credits return
     /// at response completion (or cancellation), not at egress.
-    credited_reads: HashMap<MsgId, NodeId>,
+    credited_reads: IdMap<MsgId, NodeId>,
     /// Optional per-tenant fair queueing of DFS read streams (the
     /// storage-side QoS stage): admitted streams are bounded and the
     /// backlog drains in deficit-round-robin order.
     pub read_qos: Option<ReadQos>,
     next_seq: u64,
-    raw_writes: HashMap<MsgId, RawWriteState>,
-    sends: HashMap<MsgId, SendState>,
-    pending_reads: HashMap<MsgId, PendingRead>,
-    responders: HashMap<MsgId, ReadResponder>,
-    pub(crate) gathers: HashMap<u64, GatherState>,
-    gather_responders: HashMap<MsgId, GatherResponder>,
+    raw_writes: IdMap<MsgId, RawWriteState>,
+    sends: IdMap<MsgId, SendState>,
+    pending_reads: IdMap<MsgId, PendingRead>,
+    responders: IdMap<MsgId, ReadResponder>,
+    pub(crate) gathers: IdMap<u64, GatherState>,
+    gather_responders: IdMap<MsgId, GatherResponder>,
     next_gather: u64,
     mrs: Vec<(u64, u64)>,
     /// Service MAC key for NIC-side read validation: when installed,
@@ -342,6 +349,22 @@ impl NicCore {
         self.pool.clone()
     }
 
+    /// Draw payload buffers and packet boxes from `bufs` and `pkts`
+    /// instead of this NIC's own pools. Both are host-side artefacts, not
+    /// modelled resources: a cluster shares one of each between all its
+    /// NICs so that nodes which only consume (parity nodes, ring tails)
+    /// feed the nodes which only produce. Call before installing PsPIN.
+    pub fn share_pools(&mut self, bufs: SharedBufPool, pkts: SharedPacketPool<Frame>) {
+        assert!(self.pspin.is_none(), "share pools before installing PsPIN");
+        self.pool = bufs;
+        self.pkts = pkts;
+    }
+
+    /// Box `frame` for sending to `dst`.
+    pub fn pkt(&self, dst: NodeId, frame: Frame) -> Pkt {
+        self.pkts.borrow_mut().submit(self.port.node, dst, frame)
+    }
+
     /// Shared handle to this NIC's offload counters (survives the NIC
     /// being moved into the engine at cluster build).
     pub fn nic_stats(&self) -> SharedNicStats {
@@ -382,6 +405,7 @@ impl NicCore {
     pub fn install_pspin(&mut self, cfg: PsPinConfig, ec: nadfs_pspin::ExecutionContext) {
         let mut dev = PsPinDevice::new(cfg, self.port.clone(), self.dma.clone(), self.self_id);
         dev.set_buf_pool(self.pool.clone());
+        dev.set_packet_pool(self.pkts.clone());
         dev.install_context(ec);
         self.pspin = Some(dev);
     }
@@ -413,41 +437,42 @@ impl NicCore {
         m
     }
 
-    /// Queue frames for transmission, bypassing WR credit accounting
+    /// Queue packets for transmission, bypassing WR credit accounting
     /// (egress link flow control still applies). Responder-side traffic —
     /// acks, read-response streams, gather flows — goes through here: it
     /// is modelled as hardware-generated, like AETH acks, and must never
-    /// block on requester credit or the credit cycle would deadlock.
-    pub fn send_frames(&mut self, ctx: &mut Ctx<'_>, dst: NodeId, frames: Vec<Frame>) {
-        for f in frames {
-            self.out_q.push_back((dst, f, None));
-        }
+    /// block on requester credit or the credit cycle would deadlock. The
+    /// TriEC client's interleaved chunk writes (§VI-B-1) also enter here:
+    /// the interleave is already shaped by the caller.
+    pub fn send_pkts(&mut self, ctx: &mut Ctx<'_>, pkts: impl IntoIterator<Item = Pkt>) {
+        self.out_q.extend(pkts.into_iter().map(|p| (p, None)));
         self.pump(ctx);
     }
 
-    /// Post one work request (a message's frames) under the credit
-    /// discipline: if local (and, for two-sided classes, remote) credit is
-    /// available the frames enter the egress queue now; otherwise the WR
-    /// parks in the per-peer pending queue and is released when credit
-    /// returns. Read-class WRs additionally register in `credited_reads`
-    /// so their local credit returns at response completion.
-    fn post_wr(&mut self, ctx: &mut Ctx<'_>, dst: NodeId, frames: Vec<Frame>, class: WrClass) {
+    /// Post one work request (a message's packets, all to `dst`) under
+    /// the credit discipline: if local (and, for two-sided classes,
+    /// remote) credit is available the packets enter the egress queue
+    /// now; otherwise the WR parks in the per-peer pending queue and is
+    /// released when credit returns. Read-class WRs additionally register
+    /// in `credited_reads` so their local credit returns at response
+    /// completion.
+    fn post_wr(&mut self, ctx: &mut Ctx<'_>, dst: NodeId, pkts: Vec<Pkt>, class: WrClass) {
         if self.flow.try_acquire(dst, class) {
-            self.enqueue_wr(dst, frames, class);
+            self.enqueue_wr(dst, pkts, class);
             self.pump(ctx);
         } else {
             self.flow.note_queued();
-            self.pending_wrs.entry(dst).or_default()[class.index()].push_back(frames);
+            self.pending_wrs.entry(dst).or_default()[class.index()].push_back(pkts);
         }
     }
 
-    /// Move an acquired WR's frames into the egress queue. Egress-completed
-    /// classes (Data/Imm/Write) carry a marker on their last frame: the
-    /// local credit returns when that frame leaves the NIC. Read-class
+    /// Move an acquired WR's packets into the egress queue. Egress-completed
+    /// classes (Data/Imm/Write) carry a marker on their last packet: the
+    /// local credit returns when that packet leaves the NIC. Read-class
     /// completion is the response, tracked via `credited_reads`.
-    fn enqueue_wr(&mut self, dst: NodeId, frames: Vec<Frame>, class: WrClass) {
+    fn enqueue_wr(&mut self, dst: NodeId, pkts: Vec<Pkt>, class: WrClass) {
         if class == WrClass::Read {
-            match frames.first() {
+            match pkts.first().map(|p| &p.pkt.payload) {
                 Some(Frame::ReadReq(r)) => {
                     self.credited_reads.insert(r.msg, dst);
                 }
@@ -457,19 +482,19 @@ impl NicCore {
                 _ => {}
             }
         }
-        let last = frames.len().saturating_sub(1);
-        for (i, f) in frames.into_iter().enumerate() {
+        let last = pkts.len().saturating_sub(1);
+        for (i, p) in pkts.into_iter().enumerate() {
             let marker = if i == last && class != WrClass::Read {
                 Some(class)
             } else {
                 None
             };
-            self.out_q.push_back((dst, f, marker));
+            self.out_q.push_back((p, marker));
         }
     }
 
-    /// Release pending WRs that now have credit, appending their frames to
-    /// the egress queue (the caller pumps). FIFO within each peer/class.
+    /// Release pending WRs that now have credit, appending their packets
+    /// to the egress queue (the caller pumps). FIFO within each peer/class.
     fn release_pending(&mut self) {
         let peers: Vec<NodeId> = self
             .pending_wrs
@@ -488,11 +513,11 @@ impl NicCore {
                         self.flow.try_acquire(peer, class),
                         "can_post implies acquire"
                     );
-                    let frames = self.pending_wrs.get_mut(&peer).expect("listed")[class.index()]
+                    let pkts = self.pending_wrs.get_mut(&peer).expect("listed")[class.index()]
                         .pop_front()
                         .expect("nonempty");
                     self.flow.note_released();
-                    self.enqueue_wr(peer, frames, class);
+                    self.enqueue_wr(peer, pkts, class);
                 }
             }
         }
@@ -511,24 +536,19 @@ impl NicCore {
     }
 
     fn pump(&mut self, ctx: &mut Ctx<'_>) {
-        while let Some((dst, _, _)) = self.out_q.front() {
-            let dst = *dst;
-            let granted = self.port.egress_gate.borrow_mut().try_take();
-            if !granted {
-                let id = self.self_id;
-                self.port.egress_gate.borrow_mut().register_waiter(id, 0);
+        while !self.out_q.is_empty() {
+            let mut gate = self.port.egress_gate.borrow_mut();
+            if !gate.try_take() {
+                gate.register_waiter(self.self_id, 0);
                 return;
             }
-            let (_, frame, marker) = self.out_q.pop_front().expect("nonempty");
+            drop(gate);
+            let (pkt, marker) = self.out_q.pop_front().expect("nonempty");
             self.frames_sent += 1;
-            let pkt = NetPacket::new(self.port.node, dst, frame);
-            ctx.schedule(
-                Dur::ZERO,
-                self.port.fabric,
-                Box::new(nadfs_simnet::Submit { pkt }),
-            );
+            let dst = pkt.pkt.dst;
+            ctx.schedule(Dur::ZERO, self.port.fabric, pkt);
             if let Some(class) = marker {
-                // The WR's last frame left the NIC: its send-queue slot
+                // The WR's last packet left the NIC: its send-queue slot
                 // frees, which may release queued WRs into the egress
                 // queue (the loop keeps draining them).
                 self.flow.on_local_complete(dst, class);
@@ -550,23 +570,15 @@ impl NicCore {
             .sum()
     }
 
-    /// Queue frames with per-frame destinations (used by the TriEC client
-    /// to interleave the packets of k chunk writes, §VI-B-1). The
-    /// interleave is already shaped by the caller; it bypasses WR credit.
-    pub fn send_mixed(&mut self, ctx: &mut Ctx<'_>, frames: Vec<(NodeId, Frame)>) {
-        for (dst, f) in frames {
-            self.out_q.push_back((dst, f, None));
-        }
-        self.pump(ctx);
-    }
-
-    /// Build the packets of an RDMA write message without sending them.
-    pub fn build_write_frames(
+    /// Build the packets of an RDMA write message to `dst` without sending
+    /// them.
+    pub fn build_write_pkts(
         &mut self,
+        dst: NodeId,
         dfs: Option<DfsHeader>,
         wrh: WriteReqHeader,
         data: Bytes,
-    ) -> (MsgId, Vec<Frame>) {
+    ) -> (MsgId, Vec<Pkt>) {
         let msg = self.alloc_msg();
         let (mut first_cap, rest_cap) = write_payload_caps(&wrh);
         if dfs.is_none() {
@@ -574,22 +586,24 @@ impl NicCore {
         }
         let parts = split_payload(data.len() as u32, first_cap, rest_cap);
         let total = parts.len() as u32;
-        let frames = parts
+        let mut wrh = Some(wrh);
+        let pkts = parts
             .into_iter()
             .enumerate()
             .map(|(i, (off, len))| {
-                Frame::Write(WritePkt {
+                let frame = Frame::Write(WritePkt {
                     msg,
                     pkt_idx: i as u32,
                     total_pkts: total,
                     dfs: if i == 0 { dfs } else { None },
-                    wrh: if i == 0 { Some(wrh.clone()) } else { None },
+                    wrh: if i == 0 { wrh.take() } else { None },
                     offset: off,
                     data: data.slice(off as usize..(off + len) as usize),
-                })
+                });
+                self.pkt(dst, frame)
             })
             .collect();
-        (msg, frames)
+        (msg, pkts)
     }
 
     /// One-sided RDMA write of `data` to `dst`.
@@ -601,8 +615,8 @@ impl NicCore {
         wrh: WriteReqHeader,
         data: Bytes,
     ) -> MsgId {
-        let (msg, frames) = self.build_write_frames(dfs, wrh, data);
-        self.post_wr(ctx, dst, frames, WrClass::Write);
+        let (msg, pkts) = self.build_write_pkts(dst, dfs, wrh, data);
+        self.post_wr(ctx, dst, pkts, WrClass::Write);
         msg
     }
 
@@ -624,21 +638,23 @@ impl NicCore {
             nadfs_wire::sizes::MTU - nadfs_wire::sizes::RDMA_HEADER - nadfs_wire::sizes::RPC_HEADER;
         let parts = split_payload(data.len() as u32, first_cap, rest_cap);
         let total = parts.len() as u32;
-        let frames = parts
+        let mut body = Some(body);
+        let pkts = parts
             .into_iter()
             .enumerate()
             .map(|(i, (off, len))| {
-                Frame::Send(SendPkt {
+                let frame = Frame::Send(SendPkt {
                     msg,
                     pkt_idx: i as u32,
                     total_pkts: total,
-                    rpc: if i == 0 { Some(body.clone()) } else { None },
+                    rpc: if i == 0 { body.take() } else { None },
                     offset: off,
                     data: data.slice(off as usize..(off + len) as usize),
-                })
+                });
+                self.pkt(dst, frame)
             })
             .collect();
-        self.post_wr(ctx, dst, frames, WrClass::Data);
+        self.post_wr(ctx, dst, pkts, WrClass::Data);
         msg
     }
 
@@ -655,7 +671,7 @@ impl NicCore {
     ) -> MsgId {
         let msg = self.alloc_msg();
         self.expect_read_resp(msg, local_addr, token);
-        let frames = vec![Frame::ReadReq(ReadReqPkt { msg, dfs, rrh })];
+        let pkts = vec![self.pkt(dst, Frame::ReadReq(ReadReqPkt { msg, dfs, rrh }))];
         // Gather coordinators fetch remote segments NIC-to-NIC on the
         // response path. These are requester-side WRs like any other
         // one-sided read and consume Read credit toward the survivor peer
@@ -664,7 +680,7 @@ impl NicCore {
         // against flow-controlled peers. A stalled fetch parks in the
         // pending queue and releases when an earlier fetch's response
         // returns its credit — bounded in-flight, no wedge.
-        self.post_wr(ctx, dst, frames, WrClass::Read);
+        self.post_wr(ctx, dst, pkts, WrClass::Read);
         msg
     }
 
@@ -683,12 +699,8 @@ impl NicCore {
     ) -> MsgId {
         let msg = self.alloc_msg();
         self.expect_read_resp(msg, local_addr, token);
-        self.post_wr(
-            ctx,
-            dst,
-            vec![Frame::GatherReq(GatherReqPkt { msg, dfs, grh })],
-            WrClass::Read,
-        );
+        let pkts = vec![self.pkt(dst, Frame::GatherReq(GatherReqPkt { msg, dfs, grh }))];
+        self.post_wr(ctx, dst, pkts, WrClass::Read);
         msg
     }
 
@@ -755,7 +767,8 @@ impl NicCore {
     /// that flows anyway, in the AETH bytes already charged by the frame).
     pub fn send_ack(&mut self, ctx: &mut Ctx<'_>, dst: NodeId, mut ack: AckPkt) {
         ack.credit = self.flow.take_grant(dst, false);
-        self.send_frames(ctx, dst, vec![Frame::Ack(ack)]);
+        let pkt = self.pkt(dst, Frame::Ack(ack));
+        self.send_pkts(ctx, [pkt]);
     }
 
     /// Flush a standalone credit ack to `peer` if returns are pending —
@@ -766,16 +779,16 @@ impl NicCore {
         if grant.is_zero() {
             return;
         }
-        self.send_frames(
-            ctx,
+        let pkt = self.pkt(
             peer,
-            vec![Frame::Ack(AckPkt {
+            Frame::Ack(AckPkt {
                 credit: grant,
                 msg: CREDIT_MSG,
                 greq_id: None,
                 status: Status::Ok,
-            })],
+            }),
         );
+        self.send_pkts(ctx, [pkt]);
     }
 
     /// Configure a HyperLoop forwarding chain on a remote NIC. Large
@@ -790,14 +803,14 @@ impl NicCore {
         let msg = self.alloc_msg();
         cfg.msg = msg;
         cfg.total_frags = cfg.frags_needed();
-        let frames = (0..cfg.total_frags)
+        let pkts = (0..cfg.total_frags)
             .map(|frag| {
                 let mut f = cfg.clone();
                 f.frag = frag;
-                Frame::HlConfig(f)
+                self.pkt(dst, Frame::HlConfig(f))
             })
             .collect();
-        self.post_wr(ctx, dst, frames, WrClass::Write);
+        self.post_wr(ctx, dst, pkts, WrClass::Write);
         msg
     }
 
@@ -812,10 +825,12 @@ impl NicCore {
         self.port.ingress_gate.borrow_mut().release(ctx);
     }
 
-    fn on_write_pkt(&mut self, ctx: &mut Ctx<'_>, src: NodeId, w: WritePkt) {
+    /// Land one packet of a raw write. The frame is consumed in place:
+    /// its header and payload are taken out of the arriving box.
+    fn on_write_pkt(&mut self, ctx: &mut Ctx<'_>, src: NodeId, w: &mut WritePkt) {
         let now = ctx.now();
         if w.is_first() {
-            let wrh = w.wrh.clone().expect("first packet carries WRH");
+            let wrh = w.wrh.take().expect("first packet carries WRH");
             if !self.mr_ok(wrh.target_addr, wrh.len as u64) {
                 let nack = AckPkt {
                     credit: CreditGrant::ZERO,
@@ -851,7 +866,7 @@ impl NicCore {
         st.bytes += w.data.len() as u32;
         // Payload is durable; if this was the last live reference to the
         // message's backing buffer, recycle it into the NIC's ring.
-        if let Ok(v) = w.data.try_unwrap() {
+        if let Ok(v) = std::mem::take(&mut w.data).try_unwrap() {
             self.pool.borrow_mut().put(v);
         }
         let complete = st.pkts_seen == st.total;
@@ -887,7 +902,7 @@ impl NicCore {
         }
     }
 
-    fn on_read_req(&mut self, ctx: &mut Ctx<'_>, src: NodeId, r: ReadReqPkt) {
+    fn on_read_req(&mut self, ctx: &mut Ctx<'_>, src: NodeId, r: &ReadReqPkt) {
         if !self.mr_ok(r.rrh.addr, r.rrh.len as u64) {
             let nack = AckPkt {
                 credit: CreditGrant::ZERO,
@@ -991,7 +1006,7 @@ impl NicCore {
     /// machine. (With PsPIN installed the request is routed through the
     /// HPU handlers instead and lands in [`NicCore::start_gather`] via the
     /// handler's host event.)
-    fn on_gather_req(&mut self, ctx: &mut Ctx<'_>, src: NodeId, g: GatherReqPkt) {
+    fn on_gather_req(&mut self, ctx: &mut Ctx<'_>, src: NodeId, g: &GatherReqPkt) {
         if let Some(key) = self.service_key.as_ref() {
             if g.dfs
                 .capability
@@ -1026,7 +1041,7 @@ impl NicCore {
                     g.grh.total_len
                 )
             });
-        self.start_gather(ctx, src, g.msg, g.dfs.greq_id, g.grh);
+        self.start_gather(ctx, src, g.msg, g.dfs.greq_id, g.grh.clone());
     }
 
     /// Run a validated gather: resolve local segments, fetch remote ones
@@ -1249,17 +1264,21 @@ impl NicCore {
         let payload_cap = nadfs_wire::sizes::max_payload_plain();
         let dst = r.dst;
         let greq = r.greq;
-        let mut frames = Vec::new();
+        let src = self.port.node;
+        let mut boxes = self.pkts.borrow_mut();
+        let mut pkts = Vec::new();
         let mut ready = now;
         let mut batch_bytes = 0u64;
         if r.segs.is_empty() {
-            frames.push(Frame::ReadResp(ReadRespPkt {
+            let empty = Frame::ReadResp(ReadRespPkt {
                 msg,
                 pkt_idx: 0,
                 total_pkts: 1,
                 offset: 0,
                 data: Bytes::new(),
-            }));
+            });
+            pkts.push(boxes.submit(src, dst, empty));
+            drop(boxes);
             let r = self.gather_responders.remove(&msg).expect("just looked up");
             self.release_gather_staging(r.staging, r.staging_len);
         } else {
@@ -1276,13 +1295,14 @@ impl NicCore {
                 let mut off = 0u32;
                 while off < take {
                     let l = payload_cap.min(take - off);
-                    frames.push(Frame::ReadResp(ReadRespPkt {
+                    let frame = Frame::ReadResp(ReadRespPkt {
                         msg,
                         pkt_idx: r.next_idx,
                         total_pkts: r.total_pkts,
                         offset: dest_off + r.seg_off + off,
                         data: data.slice(off as usize..(off + l) as usize),
-                    }));
+                    });
+                    pkts.push(boxes.submit(src, dst, frame));
                     r.next_idx += 1;
                     budget -= 1;
                     off += l;
@@ -1294,6 +1314,7 @@ impl NicCore {
                     r.seg_off = 0;
                 }
             }
+            drop(boxes);
             let more = r.seg_idx < r.segs.len();
             if more {
                 ctx.schedule_self(ready.since(now), Box::new(GatherStreamNext { msg }));
@@ -1309,7 +1330,7 @@ impl NicCore {
             .borrow_mut()
             .spans
             .mark_corr(greq, phase::STREAMED, ready);
-        ctx.schedule_self(ready.since(now), Box::new(DeferredSend { dst, frames }));
+        ctx.schedule_self(ready.since(now), Box::new(DeferredSend { pkts }));
     }
 
     /// Stream the next response batch: DMA-read up to 32 packets' worth
@@ -1325,17 +1346,20 @@ impl NicCore {
         let payload_cap = nadfs_wire::sizes::max_payload_plain();
         let remaining = r.len - r.next_off.min(r.len);
         let chunk = (payload_cap * BATCH_PKTS).min(remaining);
-        let mut frames = Vec::new();
+        let src = self.port.node;
+        let mut boxes = self.pkts.borrow_mut();
+        let mut pkts = Vec::new();
         let dst = r.dst;
         let ready;
         if r.len == 0 {
-            frames.push(Frame::ReadResp(ReadRespPkt {
+            let empty = Frame::ReadResp(ReadRespPkt {
                 msg: r.msg,
                 pkt_idx: 0,
                 total_pkts: 1,
                 offset: 0,
                 data: Bytes::new(),
-            }));
+            });
+            pkts.push(boxes.submit(src, dst, empty));
             ready = now;
             self.responders.remove(&msg);
         } else {
@@ -1348,13 +1372,14 @@ impl NicCore {
             let mut off = 0u32;
             while off < chunk {
                 let len = payload_cap.min(chunk - off);
-                frames.push(Frame::ReadResp(ReadRespPkt {
+                let frame = Frame::ReadResp(ReadRespPkt {
                     msg: r.msg,
                     pkt_idx: r.next_idx,
                     total_pkts: r.total_pkts,
                     offset: base_off + off,
                     data: data.slice(off as usize..(off + len) as usize),
-                }));
+                });
+                pkts.push(boxes.submit(src, dst, frame));
                 r.next_idx += 1;
                 off += len;
             }
@@ -1366,7 +1391,8 @@ impl NicCore {
                 self.responders.remove(&msg);
             }
         }
-        ctx.schedule_self(ready.since(now), Box::new(DeferredSend { dst, frames }));
+        drop(boxes);
+        ctx.schedule_self(ready.since(now), Box::new(DeferredSend { pkts }));
         if !self.responders.contains_key(&msg) {
             // Last batch queued: the stream's QoS slot (if any) frees and
             // the next tenant-scheduled read can start.
@@ -1374,7 +1400,7 @@ impl NicCore {
         }
     }
 
-    fn on_read_resp(&mut self, ctx: &mut Ctx<'_>, r: ReadRespPkt) {
+    fn on_read_resp(&mut self, ctx: &mut Ctx<'_>, r: &ReadRespPkt) {
         let now = ctx.now();
         let Some(p) = self.pending_reads.get_mut(&r.msg) else {
             return;
@@ -1421,18 +1447,19 @@ impl Nic {
                 // retained-capacity budget (recycled whole-block payloads
                 // can be large); bounds pool memory like a real RX ring.
                 pool: BufPool::shared(256),
+                pkts: PacketPool::shared(),
                 out_q: VecDeque::new(),
                 flow: FlowController::new(CreditConfig::default()),
-                pending_wrs: HashMap::new(),
-                credited_reads: HashMap::new(),
+                pending_wrs: BTreeMap::new(),
+                credited_reads: IdMap::default(),
                 read_qos: None,
                 next_seq: 0,
-                raw_writes: HashMap::new(),
-                sends: HashMap::new(),
-                pending_reads: HashMap::new(),
-                responders: HashMap::new(),
-                gathers: HashMap::new(),
-                gather_responders: HashMap::new(),
+                raw_writes: IdMap::default(),
+                sends: IdMap::default(),
+                pending_reads: IdMap::default(),
+                responders: IdMap::default(),
+                gathers: IdMap::default(),
+                gather_responders: IdMap::default(),
                 next_gather: 0,
                 mrs: Vec::new(),
                 service_key: None,
@@ -1454,18 +1481,23 @@ impl Component for Nic {
         let core = &mut self.core;
         let app = &mut *self.app;
 
-        let ev = match ev.downcast::<Arrive<Frame>>() {
-            Ok(a) => {
-                let src = a.pkt.src;
-                match a.pkt.payload {
+        let ev = match ev.downcast::<PacketEvent<Frame>>() {
+            Ok(mut arrived) => {
+                // The frame is read (and its owned parts taken) in place;
+                // the box then goes back to the pool, or on into PsPIN.
+                let src = arrived.pkt.src;
+                match &mut arrived.pkt.payload {
+                    Frame::Write(_) | Frame::GatherReq(_) if core.pspin.is_some() => {
+                        // PsPIN matches all incoming RDMA write traffic; it
+                        // owns the ingress credit until L1 copy. Gather
+                        // requests are sPIN-processed where available: the
+                        // HPU header handler validates the flow and hands
+                        // the plan to the firmware.
+                        let dev = core.pspin.as_mut().expect("checked");
+                        dev.ingest(ctx, arrived);
+                        return;
+                    }
                     Frame::Write(w) => {
-                        if let Some(dev) = core.pspin.as_mut() {
-                            // PsPIN matches all incoming RDMA write traffic;
-                            // it owns the ingress credit until L1 copy.
-                            let pkt = NetPacket::new(src, core.port.node, Frame::Write(w));
-                            dev.ingest(ctx, pkt);
-                            return;
-                        }
                         core.on_write_pkt(ctx, src, w);
                         core.release_ingress(ctx);
                     }
@@ -1474,14 +1506,6 @@ impl Component for Nic {
                         core.release_ingress(ctx);
                     }
                     Frame::GatherReq(g) => {
-                        if let Some(dev) = core.pspin.as_mut() {
-                            // Gather requests are sPIN-processed where
-                            // available: the HPU header handler validates
-                            // the flow and hands the plan to the firmware.
-                            let pkt = NetPacket::new(src, core.port.node, Frame::GatherReq(g));
-                            dev.ingest(ctx, pkt);
-                            return;
-                        }
                         core.on_gather_req(ctx, src, g);
                         core.release_ingress(ctx);
                     }
@@ -1511,7 +1535,7 @@ impl Component for Nic {
                                     s.msg,
                                     SendState {
                                         src,
-                                        body: s.rpc.clone().expect("first packet carries body"),
+                                        body: s.rpc.take().expect("first packet carries body"),
                                         data: buf,
                                         pkts_seen: 0,
                                         total: s.total_pkts,
@@ -1559,7 +1583,7 @@ impl Component for Nic {
                         core.flow.on_grant(src, ackp.credit);
                         core.release_pending();
                         if ackp.msg != CREDIT_MSG {
-                            app.on_ack(core, ctx, src, ackp);
+                            app.on_ack(core, ctx, src, *ackp);
                         }
                         core.pump(ctx);
                     }
@@ -1567,7 +1591,7 @@ impl Component for Nic {
                         let msg = cfgp.msg;
                         let last = cfgp.is_last_frag();
                         if last {
-                            core.chains.install(cfgp, src);
+                            core.chains.install(cfgp.clone(), src);
                         }
                         core.release_ingress(ctx);
                         if last {
@@ -1586,6 +1610,7 @@ impl Component for Nic {
                         }
                     }
                 }
+                core.pkts.borrow_mut().recycle(arrived);
                 return;
             }
             Err(e) => e,
@@ -1593,7 +1618,7 @@ impl Component for Nic {
         let ev = match ev.downcast::<PsPinEvent>() {
             Ok(p) => {
                 let dev = core.pspin.as_mut().expect("pspin installed");
-                dev.on_event(ctx, *p);
+                dev.on_event(ctx, p);
                 return;
             }
             Err(e) => e,
@@ -1624,7 +1649,7 @@ impl Component for Nic {
         };
         let ev = match ev.downcast::<DeferredSend>() {
             Ok(d) => {
-                core.send_frames(ctx, d.dst, d.frames);
+                core.send_pkts(ctx, d.pkts);
                 return;
             }
             Err(e) => e,

@@ -6,9 +6,9 @@
 //! FIFO order and every run with the same inputs is bit-identical.
 
 use std::any::Any;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
+use crate::hash::fold;
+use crate::queue::{EventQueue, Scheduled};
 use crate::time::{Dur, Time};
 
 /// Index of a component registered with the [`Engine`].
@@ -21,30 +21,6 @@ pub trait Component {
     /// Human-readable name used in traces and panics.
     fn name(&self) -> String {
         "component".to_owned()
-    }
-}
-
-struct Scheduled {
-    at: Time,
-    seq: u64,
-    target: ComponentId,
-    ev: Box<dyn Any>,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
     }
 }
 
@@ -88,7 +64,9 @@ struct Sched {
     now: Time,
     seq: u64,
     dispatched: u64,
-    queue: BinaryHeap<Reverse<Scheduled>>,
+    /// Rolling digest of every dispatched `(time, target, seq)`.
+    order_digest: u64,
+    queue: EventQueue,
 }
 
 impl Sched {
@@ -96,13 +74,20 @@ impl Sched {
         debug_assert!(at >= self.now, "cannot schedule into the past");
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Reverse(Scheduled {
+        let s = Scheduled {
             at,
             seq,
             target,
             ev,
-        }));
+        };
+        self.queue.push(self.now, s);
     }
+}
+
+/// Fold one dispatched event into the dispatch-order digest.
+#[inline]
+fn fold_order(digest: u64, at: Time, target: ComponentId, seq: u64) -> u64 {
+    [at.0, target as u64, seq].into_iter().fold(digest, fold)
 }
 
 /// Per-component dispatch profile (see [`Engine::enable_profiling`]).
@@ -141,7 +126,8 @@ impl Engine {
                 now: Time::ZERO,
                 seq: 0,
                 dispatched: 0,
-                queue: BinaryHeap::new(),
+                order_digest: 0,
+                queue: EventQueue::new(),
             },
             components: Vec::new(),
             profiling: false,
@@ -217,6 +203,14 @@ impl Engine {
         self.sched.dispatched
     }
 
+    /// Rolling 64-bit digest of the dispatch order so far: every event's
+    /// `(time, target, seq)` folded in as it is dispatched. Two runs of
+    /// one seeded scenario must agree on it bit for bit — determinism as
+    /// an assertion rather than an assumption.
+    pub fn order_digest(&self) -> u64 {
+        self.sched.order_digest
+    }
+
     /// Schedule an event from outside any component (e.g. test or driver).
     pub fn schedule(&mut self, delay: Dur, target: ComponentId, ev: Box<dyn Any>) {
         self.sched.push(self.sched.now + delay, target, ev);
@@ -224,14 +218,15 @@ impl Engine {
 
     /// Dispatch a single event; returns false when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some(Reverse(s)) = self.sched.queue.pop() else {
+        let Some(s) = self.sched.queue.pop(self.sched.now) else {
             return false;
         };
         debug_assert!(s.at >= self.sched.now, "time went backwards");
         self.sched.now = s.at;
         self.sched.dispatched += 1;
-        let mut comp = self.components[s.target]
-            .take()
+        self.sched.order_digest = fold_order(self.sched.order_digest, s.at, s.target, s.seq);
+        let comp = self.components[s.target]
+            .as_deref_mut()
             .unwrap_or_else(|| panic!("event for missing component {}", s.target));
         let t0 = self.profiling.then(std::time::Instant::now);
         {
@@ -253,7 +248,6 @@ impl Engine {
             p.dispatches += 1;
             p.busy_host_ns += t0.elapsed().as_nanos() as u64;
         }
-        self.components[s.target] = Some(comp);
         true
     }
 
@@ -263,14 +257,15 @@ impl Engine {
     }
 
     /// Run until the queue drains or simulated time exceeds `deadline`.
-    /// Returns true if the queue drained.
+    /// Returns true if the queue drained; otherwise the clock is left at
+    /// `deadline` (it never moves backwards).
     pub fn run_until(&mut self, deadline: Time) -> bool {
         loop {
-            let Some(Reverse(head)) = self.sched.queue.peek() else {
+            let Some(next) = self.sched.queue.next_time(self.sched.now) else {
                 return true;
             };
-            if head.at > deadline {
-                self.sched.now = deadline;
+            if next > deadline {
+                self.sched.now = self.sched.now.max(deadline);
                 return false;
             }
             self.step();

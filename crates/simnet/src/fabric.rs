@@ -27,7 +27,7 @@ use std::rc::Rc;
 
 use crate::engine::{Component, ComponentId, Ctx};
 use crate::gate::{Gate, GateWake, SharedGate};
-use crate::packet::{Arrive, NetPacket, NodeId, Payload};
+use crate::packet::{Hop, NetPacket, NodeId, PacketEvent, Payload};
 use crate::time::{Bandwidth, Dur};
 
 /// Fabric configuration; defaults follow §III-D of the paper.
@@ -62,9 +62,9 @@ impl Default for FabricConfig {
 pub struct NodePort {
     pub node: NodeId,
     pub fabric: ComponentId,
-    /// Credits for the node's uplink queue. Take one, then send
-    /// [`Submit`]; the fabric returns the credit when the packet has left
-    /// the uplink.
+    /// Credits for the node's uplink queue. Take one, then schedule the
+    /// packet's [`PacketEvent`] (at [`Hop::Submit`]) to `fabric`; the
+    /// fabric returns the credit when the packet has left the uplink.
     pub egress_gate: SharedGate,
     /// Credits for the NIC's own ingress buffer. The fabric takes one per
     /// delivered packet; the NIC must release it once the packet has been
@@ -78,17 +78,12 @@ impl NodePort {
     /// waiter on `egress_gate` and retry on wake).
     pub fn try_submit<P: Payload>(&self, ctx: &mut Ctx<'_>, pkt: NetPacket<P>) -> bool {
         if self.egress_gate.borrow_mut().try_take() {
-            ctx.schedule(Dur::ZERO, self.fabric, Box::new(Submit { pkt }));
+            ctx.schedule(Dur::ZERO, self.fabric, Box::new(PacketEvent::submit(pkt)));
             true
         } else {
             false
         }
     }
-}
-
-/// NIC → fabric: inject a packet (an egress credit must have been taken).
-pub struct Submit<P: Payload> {
-    pub pkt: NetPacket<P>,
 }
 
 /// Byte/packet accounting per node, for goodput measurements.
@@ -107,36 +102,67 @@ pub struct FabricStats {
     pub switch_holds: u64,
 }
 
-struct UpLink<P: Payload> {
-    q: VecDeque<NetPacket<P>>,
-    busy: bool,
+#[derive(Clone, Copy)]
+enum Dir {
+    Up,
+    Down,
 }
 
-struct DownLink<P: Payload> {
-    q: VecDeque<NetPacket<P>>,
+/// Self-event: the packet at the head of a link's queue finished
+/// serializing. A link has at most one in flight, so its box is kept and
+/// re-scheduled for the next packet.
+struct TxDone {
+    node: NodeId,
+    dir: Dir,
+}
+
+/// One direction of a node's link: the packet events queued on it (each
+/// in the box it travels in) and whether the head is serializing.
+struct Link<P: Payload> {
+    q: VecDeque<Box<PacketEvent<P>>>,
     busy: bool,
+    /// Wire size of the packet being serialized (for the byte counters).
+    tx_bytes: u64,
+    done: Option<Box<TxDone>>,
+}
+
+impl<P: Payload> Link<P> {
+    fn new() -> Link<P> {
+        Link {
+            q: VecDeque::new(),
+            busy: false,
+            tx_bytes: 0,
+            done: None,
+        }
+    }
+
+    /// Mark the link busy with a `bytes`-sized packet and hand out its
+    /// completion event.
+    fn start_tx(&mut self, node: NodeId, dir: Dir, bytes: u64) -> Box<TxDone> {
+        self.busy = true;
+        self.tx_bytes = bytes;
+        self.done
+            .take()
+            .unwrap_or_else(|| Box::new(TxDone { node, dir }))
+    }
+
+    /// The head packet left the link; keep the completion event's box.
+    fn finish_tx(&mut self, done: Box<TxDone>) -> Box<PacketEvent<P>> {
+        self.busy = false;
+        self.done = Some(done);
+        self.q.pop_front().expect("TxDone with empty queue")
+    }
 }
 
 struct NodeState<P: Payload> {
     delivery: ComponentId,
-    up: UpLink<P>,
-    down: DownLink<P>,
+    up: Link<P>,
+    down: Link<P>,
     egress_gate: SharedGate,
     ingress_gate: SharedGate,
     /// Uplinks (by node id) whose head packet targets this node and is
     /// waiting for `down.q` space.
     hol_waiters: Vec<NodeId>,
-}
-
-// Internal self-events.
-struct UpTxDone {
-    node: NodeId,
-}
-struct SwArrive<P: Payload> {
-    pkt: NetPacket<P>,
-}
-struct DownTxDone {
-    node: NodeId,
 }
 
 /// The fabric component. Register all nodes before adding it to the engine.
@@ -175,14 +201,8 @@ impl<P: Payload> Fabric<P> {
         let ingress_gate = Gate::new(ingress_cap.unwrap_or(self.cfg.ingress_cap));
         self.nodes.push(NodeState {
             delivery,
-            up: UpLink {
-                q: VecDeque::new(),
-                busy: false,
-            },
-            down: DownLink {
-                q: VecDeque::new(),
-                busy: false,
-            },
+            up: Link::new(),
+            down: Link::new(),
             egress_gate: egress_gate.clone(),
             ingress_gate: ingress_gate.clone(),
             hol_waiters: Vec::new(),
@@ -207,7 +227,8 @@ impl<P: Payload> Fabric<P> {
         let Some(head) = self.nodes[n].up.q.front() else {
             return;
         };
-        let dst = head.dst;
+        let dst = head.pkt.dst;
+        let bytes = head.pkt.wire_bytes() as u64;
         // PFC-like hold: don't serialize into a full destination queue.
         if dst != n && self.nodes[dst].down.q.len() >= self.cfg.down_queue_cap {
             self.stats.borrow_mut().switch_holds += 1;
@@ -216,74 +237,55 @@ impl<P: Payload> Fabric<P> {
             }
             return;
         }
-        let bytes = head.wire_bytes() as u64;
-        self.nodes[n].up.busy = true;
-        let t = self.cfg.link_bw.tx_time(bytes);
-        ctx.schedule_self(t, Box::new(UpTxDone { node: n }));
+        let done = self.nodes[n].up.start_tx(n, Dir::Up, bytes);
+        ctx.schedule_self(self.cfg.link_bw.tx_time(bytes), done);
     }
 
     fn try_start_downlink(&mut self, ctx: &mut Ctx<'_>, n: NodeId) {
-        if self.nodes[n].down.busy {
+        let node = &mut self.nodes[n];
+        if node.down.busy {
             return;
         }
-        let Some(head) = self.nodes[n].down.q.front() else {
+        let Some(head) = node.down.q.front() else {
             return;
         };
+        let bytes = head.pkt.wire_bytes() as u64;
         // Credit-based delivery into the NIC ingress buffer.
-        let granted = self.nodes[n].ingress_gate.borrow_mut().try_take();
-        if !granted {
-            let fid = self.self_id;
-            self.nodes[n]
-                .ingress_gate
-                .borrow_mut()
-                .register_waiter(fid, n as u64);
+        let mut gate = node.ingress_gate.borrow_mut();
+        if !gate.try_take() {
+            gate.register_waiter(self.self_id, n as u64);
             return;
         }
-        let bytes = head.wire_bytes() as u64;
-        self.nodes[n].down.busy = true;
-        let t = self.cfg.link_bw.tx_time(bytes);
-        ctx.schedule_self(t, Box::new(DownTxDone { node: n }));
+        drop(gate);
+        let done = node.down.start_tx(n, Dir::Down, bytes);
+        ctx.schedule_self(self.cfg.link_bw.tx_time(bytes), done);
     }
 
-    fn on_up_tx_done(&mut self, ctx: &mut Ctx<'_>, n: NodeId) {
-        let pkt = self.nodes[n]
-            .up
-            .q
-            .pop_front()
-            .expect("UpTxDone with empty queue");
-        self.nodes[n].up.busy = false;
+    fn on_up_tx_done(&mut self, ctx: &mut Ctx<'_>, done: Box<TxDone>) {
+        let n = done.node;
+        let mut ev = self.nodes[n].up.finish_tx(done);
         {
             let mut st = self.stats.borrow_mut();
             st.per_node[n].tx_pkts += 1;
-            st.per_node[n].tx_bytes += pkt.wire_bytes() as u64;
+            st.per_node[n].tx_bytes += self.nodes[n].up.tx_bytes;
         }
         // The uplink queue freed a slot: return the egress credit.
         self.nodes[n].egress_gate.borrow_mut().release(ctx);
-        let flight = self.cfg.link_latency + self.cfg.switch_delay;
-        ctx.schedule_self(flight, Box::new(SwArrive { pkt }));
+        ev.hop = Hop::AtSwitch;
+        ctx.schedule_self(self.cfg.link_latency + self.cfg.switch_delay, ev);
         self.try_start_uplink(ctx, n);
     }
 
-    fn on_sw_arrive(&mut self, ctx: &mut Ctx<'_>, pkt: NetPacket<P>) {
-        let dst = pkt.dst;
-        self.nodes[dst].down.q.push_back(pkt);
-        self.try_start_downlink(ctx, dst);
-    }
-
-    fn on_down_tx_done(&mut self, ctx: &mut Ctx<'_>, n: NodeId) {
-        let pkt = self.nodes[n]
-            .down
-            .q
-            .pop_front()
-            .expect("DownTxDone with empty queue");
-        self.nodes[n].down.busy = false;
+    fn on_down_tx_done(&mut self, ctx: &mut Ctx<'_>, done: Box<TxDone>) {
+        let n = done.node;
+        let mut ev = self.nodes[n].down.finish_tx(done);
         {
             let mut st = self.stats.borrow_mut();
             st.per_node[n].rx_pkts += 1;
-            st.per_node[n].rx_bytes += pkt.wire_bytes() as u64;
+            st.per_node[n].rx_bytes += self.nodes[n].down.tx_bytes;
         }
-        let delivery = self.nodes[n].delivery;
-        ctx.schedule(self.cfg.link_latency, delivery, Box::new(Arrive { pkt }));
+        ev.hop = Hop::Arrive;
+        ctx.schedule(self.cfg.link_latency, self.nodes[n].delivery, ev);
         // A down-queue slot freed: retry uplinks that were held on it.
         let waiters = std::mem::take(&mut self.nodes[n].hol_waiters);
         for w in waiters {
@@ -295,36 +297,34 @@ impl<P: Payload> Fabric<P> {
 
 impl<P: Payload> Component for Fabric<P> {
     fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Box<dyn Any>) {
-        let ev = match ev.downcast::<Submit<P>>() {
-            Ok(s) => {
-                let n = s.pkt.src;
-                debug_assert!(
-                    self.nodes[n].up.q.len() < self.cfg.up_queue_cap,
-                    "Submit without egress credit"
-                );
-                self.nodes[n].up.q.push_back(s.pkt);
-                self.try_start_uplink(ctx, n);
+        let ev = match ev.downcast::<PacketEvent<P>>() {
+            Ok(p) => {
+                let n = match p.hop {
+                    Hop::Submit => {
+                        let n = p.pkt.src;
+                        debug_assert!(
+                            self.nodes[n].up.q.len() < self.cfg.up_queue_cap,
+                            "Submit without egress credit"
+                        );
+                        self.nodes[n].up.q.push_back(p);
+                        self.try_start_uplink(ctx, n);
+                        return;
+                    }
+                    Hop::AtSwitch => p.pkt.dst,
+                    Hop::Arrive => panic!("fabric: packet event past its last hop"),
+                };
+                self.nodes[n].down.q.push_back(p);
+                self.try_start_downlink(ctx, n);
                 return;
             }
             Err(e) => e,
         };
-        let ev = match ev.downcast::<UpTxDone>() {
-            Ok(u) => {
-                self.on_up_tx_done(ctx, u.node);
-                return;
-            }
-            Err(e) => e,
-        };
-        let ev = match ev.downcast::<SwArrive<P>>() {
-            Ok(a) => {
-                self.on_sw_arrive(ctx, a.pkt);
-                return;
-            }
-            Err(e) => e,
-        };
-        let ev = match ev.downcast::<DownTxDone>() {
+        let ev = match ev.downcast::<TxDone>() {
             Ok(d) => {
-                self.on_down_tx_done(ctx, d.node);
+                match d.dir {
+                    Dir::Up => self.on_up_tx_done(ctx, d),
+                    Dir::Down => self.on_down_tx_done(ctx, d),
+                }
                 return;
             }
             Err(e) => e,
@@ -378,8 +378,9 @@ mod tests {
     }
     impl Component for Sink {
         fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Box<dyn Any>) {
-            let ev = match ev.downcast::<Arrive<Raw>>() {
+            let ev = match ev.downcast::<PacketEvent<Raw>>() {
                 Ok(a) => {
+                    assert_eq!(a.hop, Hop::Arrive);
                     self.log
                         .borrow_mut()
                         .push((ctx.now().ps(), a.pkt.wire_bytes()));

@@ -15,22 +15,27 @@ pub mod engine;
 pub mod fabric;
 pub mod flow;
 pub mod gate;
+pub mod hash;
 pub mod packet;
 pub mod pool;
+mod queue;
+pub mod slab;
 pub mod stats;
 pub mod telemetry;
 pub mod time;
 pub mod trace;
 
 pub use engine::{Component, ComponentId, ComponentProfile, Ctx, Engine};
-pub use fabric::{Fabric, FabricConfig, FabricStats, NodePort, Submit};
+pub use fabric::{Fabric, FabricConfig, FabricStats, NodePort};
 pub use flow::{
     CreditConfig, CreditGrant, FlowController, FlowStats, SharedFlowStats, SharedTenantLedgers,
     TenantId, TenantLedger, TenantScheduler, WrClass, TENANT_REPAIR,
 };
 pub use gate::{Gate, GateWake, SharedGate};
-pub use packet::{Arrive, NetPacket, NodeId, Payload};
+pub use hash::{IdMap, IdSet};
+pub use packet::{Hop, NetPacket, NodeId, PacketEvent, PacketPool, Payload, SharedPacketPool};
 pub use pool::{BufPool, PoolStats, SharedBufPool, DEFAULT_MAX_RETAINED_BYTES};
+pub use slab::Slab;
 pub use telemetry::{
     HistSummary, Log2Hist, MetricsHub, MetricsSnapshot, ObsHub, OpKind, OpSpan, SharedObs,
     SpanBook, SpanId, SNAPSHOT_SCHEMA,

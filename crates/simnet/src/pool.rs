@@ -48,15 +48,31 @@ impl PoolStats {
 /// payloads (which can be many MiB each) accumulate without bound.
 pub const DEFAULT_MAX_RETAINED_BYTES: usize = 16 << 20;
 
+/// Free buffers of one exact capacity, most recently retired last.
+#[derive(Debug)]
+struct SizeClass {
+    cap: usize,
+    bufs: Vec<Vec<u8>>,
+}
+
+/// Emptied size classes are pruned once the class list grows past this,
+/// so a class that drains and refills every packet keeps its storage
+/// while a long run's one-off tail sizes do not pile up.
+const MAX_IDLE_CLASSES: usize = 64;
+
 /// A pool of recycled byte buffers. Single-threaded (the simulator is a
 /// single-threaded event loop); share it as a [`SharedBufPool`].
 ///
-/// The free list is kept sorted by capacity, so `get` is a binary search
-/// (best fit) rather than a scan — it sits on the per-packet path.
+/// Free buffers are grouped by capacity and the groups kept sorted, so
+/// `get` is a binary search over the handful of distinct capacities in
+/// play (best fit) and `put` a push — neither moves the thousands of
+/// same-sized packet buffers a cluster-wide ring holds.
 #[derive(Debug)]
 pub struct BufPool {
-    /// Free buffers, sorted by ascending capacity.
-    free: Vec<Vec<u8>>,
+    /// Size classes by ascending capacity; a class may be empty.
+    free: Vec<SizeClass>,
+    /// Free buffers over all classes.
+    available: usize,
     /// Maximum retired buffers retained; beyond this, `put` drops.
     max_retained: usize,
     /// Maximum total capacity retained (bounds memory when block-sized
@@ -67,7 +83,8 @@ pub struct BufPool {
     stats: PoolStats,
 }
 
-/// Shared handle; one per NIC (or per benchmark loop).
+/// Shared handle; one per cluster (or per stand-alone NIC or benchmark
+/// loop).
 pub type SharedBufPool = Rc<RefCell<BufPool>>;
 
 impl BufPool {
@@ -81,6 +98,7 @@ impl BufPool {
     pub fn with_byte_cap(max_retained: usize, max_retained_bytes: usize) -> BufPool {
         BufPool {
             free: Vec::new(),
+            available: 0,
             max_retained,
             max_retained_bytes,
             retained_bytes: 0,
@@ -93,15 +111,13 @@ impl BufPool {
         Rc::new(RefCell::new(BufPool::new(max_retained)))
     }
 
-    /// Best-fit take: the smallest free buffer with capacity ≥ `len`
-    /// (binary search on the sorted free list), so a handful of jumbo
+    /// Best-fit take: a free buffer of the smallest capacity ≥ `len`
+    /// (binary search over the size classes), so a handful of jumbo
     /// buffers don't get nibbled away by small requests.
     fn take_fit(&mut self, len: usize) -> Option<Vec<u8>> {
-        let i = self.free.partition_point(|b| b.capacity() < len);
-        if i == self.free.len() {
-            return None;
-        }
-        let buf = self.free.remove(i);
+        let i = self.free.partition_point(|c| c.cap < len);
+        let buf = self.free[i..].iter_mut().find_map(|c| c.bufs.pop())?;
+        self.available -= 1;
         self.retained_bytes -= buf.capacity();
         Some(buf)
     }
@@ -168,26 +184,42 @@ impl BufPool {
     /// freed instead.
     pub fn put(&mut self, buf: Vec<u8>) {
         self.stats.puts += 1;
-        if buf.capacity() == 0
-            || self.free.len() >= self.max_retained
-            || self.retained_bytes + buf.capacity() > self.max_retained_bytes
+        let cap = buf.capacity();
+        if cap == 0
+            || self.available >= self.max_retained
+            || self.retained_bytes + cap > self.max_retained_bytes
         {
             self.stats.dropped += 1;
             return;
         }
-        self.retained_bytes += buf.capacity();
-        let i = self.free.partition_point(|b| b.capacity() < buf.capacity());
-        self.free.insert(i, buf);
+        self.available += 1;
+        self.retained_bytes += cap;
+        let mut i = self.free.partition_point(|c| c.cap < cap);
+        if self.free.get(i).is_some_and(|c| c.cap == cap) {
+            self.free[i].bufs.push(buf);
+            return;
+        }
+        if self.free.len() >= MAX_IDLE_CLASSES {
+            self.free.retain(|c| !c.bufs.is_empty());
+            i = self.free.partition_point(|c| c.cap < cap);
+        }
+        let bufs = vec![buf];
+        self.free.insert(i, SizeClass { cap, bufs });
     }
 
     /// Buffers currently available for reuse.
     pub fn available(&self) -> usize {
-        self.free.len()
+        self.available
     }
 
     /// Total capacity (bytes) currently retained on the free list.
     pub fn retained_bytes(&self) -> usize {
         self.retained_bytes
+    }
+
+    /// The retained-capacity budget this pool was built with.
+    pub fn max_retained_bytes(&self) -> usize {
+        self.max_retained_bytes
     }
 
     pub fn stats(&self) -> PoolStats {
@@ -307,6 +339,32 @@ mod tests {
         assert_eq!(b.len(), 1024);
         assert_eq!(p.stats().misses, 1);
         assert_eq!(p.available(), 1, "small buffer stays pooled");
+    }
+
+    #[test]
+    fn idle_size_classes_are_pruned_not_accumulated() {
+        let mut p = BufPool::new(4096);
+        // A long run's one-off tail sizes: each retires once and is
+        // taken again, leaving its class empty.
+        for cap in 1..=1000usize {
+            p.put(Vec::with_capacity(cap));
+            assert_eq!(p.get_spare(cap).capacity(), cap);
+        }
+        assert_eq!(p.available(), 0);
+        assert!(p.free.len() <= MAX_IDLE_CLASSES, "{} classes", p.free.len());
+        // Live classes survive the pruning, in capacity order.
+        for cap in [300usize, 100, 200] {
+            p.put(Vec::with_capacity(cap));
+        }
+        for cap in 1001..=1100usize {
+            p.put(Vec::with_capacity(cap));
+            p.get_spare(cap);
+        }
+        assert_eq!(p.available(), 3);
+        assert_eq!(p.get_spare(150).capacity(), 200);
+        assert_eq!(p.get_spare(1).capacity(), 100);
+        assert_eq!(p.get_spare(1).capacity(), 300);
+        assert_eq!(p.retained_bytes(), 0);
     }
 
     #[test]

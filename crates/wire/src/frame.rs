@@ -288,7 +288,22 @@ impl nadfs_simnet::Payload for Frame {
         debug_assert!(sz <= sizes::MTU, "frame exceeds MTU: {sz} ({self:?})");
         sz
     }
+
+    fn vacate(&mut self) {
+        if !matches!(self, Frame::Ack(_)) {
+            *self = Frame::Ack(AckPkt {
+                msg: MsgId::new(0, 0),
+                greq_id: None,
+                status: Status::Ok,
+                credit: CreditGrant::ZERO,
+            });
+        }
+    }
 }
+
+/// A frame in the box it travels in: built once at the sender, queued and
+/// re-scheduled by pointer, read in place at the receiver.
+pub type Pkt = Box<nadfs_simnet::PacketEvent<Frame>>;
 
 /// Split a payload of `total` bytes into per-packet `(offset, len)` ranges,
 /// where the first packet can carry `first_cap` bytes and subsequent packets

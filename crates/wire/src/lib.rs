@@ -15,8 +15,8 @@ pub mod sizes;
 
 pub use capability::{AuthError, Capability, Rights};
 pub use frame::{
-    split_payload, write_payload_caps, AckPkt, Frame, GatherReqPkt, HlConfigPkt, MsgId, ReadReqPkt,
-    ReadRespPkt, RpcBody, SendPkt, Status, WritePkt,
+    split_payload, write_payload_caps, AckPkt, Frame, GatherReqPkt, HlConfigPkt, MsgId, Pkt,
+    ReadReqPkt, ReadRespPkt, RpcBody, SendPkt, Status, WritePkt,
 };
 pub use headers::{
     bcast_children, bcast_depth, BcastStrategy, DfsHeader, DfsOp, EcInfo, EcRole, GatherCopy,

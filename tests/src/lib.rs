@@ -338,11 +338,11 @@ pub fn assert_hosted_conserved(cluster: &SimCluster, ctx: &str) {
     );
 }
 
-/// Buffer-pool hygiene on every NIC: internal counters consistent and
-/// retention bounded. (`gets` and `puts` are deliberately unrelated:
-/// reassembled payloads leave a pool as `Bytes` and recycle into the
-/// *receiver's* pool when the last reference drops, so buffers migrate
-/// between pools. Leak detection is retention boundedness.)
+/// Buffer-pool hygiene: internal counters consistent and retention
+/// bounded. (`gets` and `puts` are deliberately unrelated: payloads the
+/// pool never handed out — client write buffers, DMA reads — retire into
+/// it when their last reference drops. Leak detection is retention
+/// boundedness.)
 pub fn assert_pool_hygiene(cluster: &SimCluster, ctx: &str) {
     for (i, pool) in cluster.buf_pools.iter().enumerate() {
         let p = pool.borrow();
@@ -353,7 +353,7 @@ pub fn assert_pool_hygiene(cluster: &SimCluster, ctx: &str) {
             "[{ctx}] pool {i}: gets != hits + misses"
         );
         assert!(
-            p.retained_bytes() <= nadfs_simnet::DEFAULT_MAX_RETAINED_BYTES,
+            p.retained_bytes() <= p.max_retained_bytes(),
             "[{ctx}] pool {i}: retention cap breached ({} bytes)",
             p.retained_bytes()
         );

@@ -344,3 +344,55 @@ fn raw_read_returns_written_bytes() {
     assert_eq!(reads.len(), 1);
     assert_eq!(reads[0].token, 42);
 }
+
+/// The buffer ring closes its loop in the real TriEC path, not only in
+/// the micro-loop: intermediate-parity buffers drawn on the data nodes
+/// are consumed on the parity nodes, and with one pool per NIC the
+/// former allocated forever while the latter overflowed. After the first
+/// op has sized the cluster's shared ring, no later op may allocate.
+#[test]
+fn triec_buffer_ring_has_no_misses_after_the_first_op() {
+    let scheme = RsScheme::new(6, 3);
+    let mut c = SimCluster::build(ClusterSpec::new(1, 9, StorageMode::Spin));
+    let file = c
+        .control
+        .borrow_mut()
+        .create_file(0, FilePolicy::ErasureCoded { scheme })
+        .id;
+    assert_eq!(c.buf_pools.len(), 1, "one shared ring, listed once");
+    let pool = c.buf_pools[0].clone();
+    let mut misses_after = Vec::new();
+    let mut gets_after = Vec::new();
+    for i in 0..6u64 {
+        c.submit(
+            0,
+            Job::Write {
+                file,
+                size: 6 * (64 << 10) - 1000, // ragged tail chunk
+                protocol: WriteProtocol::SpinTriec { interleave: true },
+                seed: 100 + i,
+            },
+        );
+        c.start();
+        let done = i as usize + 1;
+        assert_eq!(
+            c.run_until_writes(done, 1_000),
+            done,
+            "write {i} incomplete"
+        );
+        assert_eq!(c.results.borrow().writes[i as usize].status, Status::Ok);
+        misses_after.push(pool.borrow().stats().misses);
+        gets_after.push(pool.borrow().stats().gets);
+    }
+    let stats = pool.borrow().stats();
+    assert!(misses_after[0] > 0, "the first op sizes the ring");
+    assert!(
+        gets_after[5] > 5 * gets_after[0] / 2,
+        "later ops use the ring"
+    );
+    assert_eq!(
+        misses_after[0], misses_after[5],
+        "ops after the first allocated buffers: {misses_after:?}"
+    );
+    assert_eq!(stats.dropped, 0, "ring overflowed: {stats:?}");
+}

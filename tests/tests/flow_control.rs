@@ -323,7 +323,7 @@ fn bulk_meta_spans_stop_storms_from_saturating_the_ring() {
 
 /// Gather NIC-to-NIC fetches are requester-side reads and must consume
 /// Read credit like any other one-sided read. Pre-fix they rode the
-/// credit-exempt responder path (`send_frames`), so a degraded gather
+/// credit-exempt responder path (`send_pkts`), so a degraded gather
 /// storm posted unbounded fetches at survivor nodes and monopolized a
 /// 2-WR-budget link against flow-controlled peers. Now the storm stalls,
 /// cycles, and conserves: storage NICs post (and complete) Read WRs,

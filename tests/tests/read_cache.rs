@@ -435,3 +435,85 @@ fn own_append_invalidates_and_extends_served_eof() {
     assert_eq!(&r3.data[..8_192], &a[..]);
     assert_eq!(&r3.data[8_192..], &b[..]);
 }
+
+/// Which background readahead a parking read waits on must not depend on
+/// hash-map iteration order: with window 2 and reads that straddle stripe
+/// boundaries, two overlapping readaheads can both cover a request, and
+/// "first found" differed between two runs of one seed. Two runs must
+/// agree on every completion and on the engine's dispatch order.
+#[test]
+fn overlapping_readaheads_park_deterministically() {
+    use nadfs_core::{ReadPattern, ReadProtocol, SizeDist, Workload};
+
+    fn run() -> (Vec<(u64, u64, u64, u64)>, u64) {
+        let spec = ClusterSpec::new(2, 4, StorageMode::Spin).with_window(2);
+        let mut cl = SimCluster::build(spec);
+        cl.control.borrow_mut().mkdir_p("/ra", 0).expect("mkdir");
+        let files: Vec<u64> = (0..2)
+            .map(|c| {
+                cl.control
+                    .borrow_mut()
+                    .create_file_at(
+                        &format!("/ra/f{c}"),
+                        LayoutSpec::striped(4, 16 << 10),
+                        FilePolicy::Plain,
+                    )
+                    .expect("fresh path")
+                    .id
+            })
+            .collect();
+        for (c, &file) in files.iter().enumerate() {
+            for job in Workload::new(file, WriteProtocol::Spin, SizeDist::Fixed(64 << 10))
+                .with_writes(64)
+                .with_seed(7)
+                .jobs_for_client(c)
+            {
+                cl.submit(c, job);
+            }
+        }
+        cl.start();
+        assert_eq!(cl.run_until_writes(128, 1_000), 128, "preload incomplete");
+        for cache in &cl.read_caches {
+            cache.borrow_mut().clear();
+        }
+        // An unaligned 60 KiB scan of the 4 MiB just written: two reads
+        // in flight miss in quick succession while the window ramps, and
+        // their readahead tails overlap.
+        let mut n = 0;
+        for (c, &file) in files.iter().enumerate() {
+            // The generator sizes the read region from its own write
+            // phase (68 x 60 KiB < 4 MiB); only the reads are kept.
+            for job in Workload::new(file, WriteProtocol::Spin, SizeDist::Fixed(60 << 10))
+                .with_writes(68)
+                .with_reads(200, ReadProtocol::Rdma)
+                .with_read_pattern(ReadPattern::Sequential)
+                .with_seed(7)
+                .jobs_for_client(c)
+                .into_iter()
+                .filter(|j| matches!(j, Job::Read { .. }))
+            {
+                cl.submit(c, job);
+                n += 1;
+            }
+        }
+        cl.start();
+        assert_eq!(cl.run_until_file_reads(n, 1_000), n, "reads incomplete");
+        let done = cl
+            .results
+            .borrow()
+            .file_reads
+            .iter()
+            .map(|r| (r.token, r.checksum, r.start.ps(), r.end.ps()))
+            .collect();
+        (done, cl.engine.order_digest())
+    }
+
+    // Every map gets its own hash keys, so a pick that leaks iteration
+    // order shows up within a handful of runs in one process.
+    let (first, first_digest) = run();
+    for _ in 0..3 {
+        let (again, digest) = run();
+        assert_eq!(first, again, "completion lists diverged between runs");
+        assert_eq!(first_digest, digest, "dispatch order diverged between runs");
+    }
+}
