@@ -1,13 +1,17 @@
 //! Determinism as an assertion: the engine folds every dispatched
-//! `(time, target, seq)` into `Engine::order_digest()`, and three seeded
-//! scenarios pin its value. The constants were recorded on the
-//! `BinaryHeap<Reverse<Scheduled>>` engine that preceded the tiered
-//! queue; any change to the engine, the fabric, the NIC, the PsPIN device
-//! or the handlers that reorders, adds or drops a single event moves them.
+//! `(time, target, seq)` into `Engine::order_digest()`, and five seeded
+//! scenarios pin its value. The first three constants were recorded on
+//! the `BinaryHeap<Reverse<Scheduled>>` engine that preceded the tiered
+//! queue; the last two on the single-`impl` client that preceded the
+//! per-op state machines, and cover the client paths the benchmark does
+//! not drive (client-side reconstruction, repair, the CPU and RDMA
+//! baselines, striped layouts, raw reads, metadata ops). Any change to
+//! the engine, the fabric, the NIC, the PsPIN device, the handlers or the
+//! client that reorders, adds or drops a single event moves them.
 
 use nadfs_core::{
-    ClusterSpec, FilePolicy, Job, ReadPattern, ReadProtocol, SimCluster, SizeDist, StorageMode,
-    Workload, WriteProtocol,
+    ClusterSpec, FilePolicy, Job, LayoutSpec, MetaWorkload, ReadPattern, ReadProtocol,
+    RepairDriver, RepairOutcome, SimCluster, SizeDist, StorageMode, Workload, WriteProtocol,
 };
 use nadfs_wire::{BcastStrategy, RsScheme, Status};
 
@@ -153,6 +157,214 @@ fn offloaded_degraded_rs32() -> u64 {
     digest(&cl)
 }
 
+/// Writes the storage NICs NACKed `Busy` (descriptor exhaustion).
+fn denied(cl: &SimCluster) -> u64 {
+    let nics = cl.pspin_telemetry.iter().flatten();
+    nics.map(|t| t.borrow().msgs_denied).sum()
+}
+
+/// Client `c`'s `n` writes of `protocol` to `file`.
+fn writes(file: u64, protocol: WriteProtocol, sizes: &SizeDist, n: usize, c: usize) -> Vec<Job> {
+    Workload::new(file, protocol, sizes.clone())
+        .with_writes(n)
+        .with_seed(SEED)
+        .jobs_for_client(c)
+}
+
+/// 2 clients x window 2 over 6 storage nodes: RS(3,2) stripes plus a
+/// k=3 replicated file, one data node marked failed; fan-out reads
+/// (one-sided on client 0 with the cache off, RPC on client 1 with
+/// cache and readahead on) reconstruct on the client CPU; then the
+/// repair driver rebuilds EC shards and clones replicas to spares.
+fn client_degraded_reads_then_repair() -> u64 {
+    let spec = ClusterSpec::new(2, 6, StorageMode::Spin).with_window(2);
+    let mut first = true;
+    let mut cl = SimCluster::build_with(spec, |app| {
+        app.read_cache_enabled = !std::mem::take(&mut first);
+    });
+    let ec = files(
+        &cl,
+        2,
+        FilePolicy::ErasureCoded {
+            scheme: RsScheme::new(3, 2),
+        },
+    );
+    let replicated = files(
+        &cl,
+        1,
+        FilePolicy::Replicated {
+            k: 3,
+            strategy: BcastStrategy::Ring,
+        },
+    )[0];
+    let stripes = SizeDist::Uniform {
+        min: 64 << 10,
+        max: 66 << 10,
+    };
+    let triec = WriteProtocol::SpinTriec { interleave: true };
+    let mut n = submit(&cl, &ec, |c, file| writes(file, triec, &stripes, 16, c));
+    for job in writes(replicated, WriteProtocol::SpinReplicated, &stripes, 6, 0) {
+        cl.submit(0, job);
+        n += 1;
+    }
+    run_writes(&mut cl, n);
+    // Files are homed round-robin: node 2 holds a data chunk of both EC
+    // files and a replica of the third.
+    let victim = cl.storage_nodes[2] as u32;
+    cl.control.borrow_mut().mark_node_failed(victim);
+    // Client 1's writes filled its cache; drop them so its sequential
+    // scan misses, overfetches and parks on its own readahead.
+    cl.read_caches[1].borrow_mut().clear();
+    let n = submit(&cl, &ec, |c, file| {
+        let protocol = [ReadProtocol::Rdma, ReadProtocol::Rpc][c];
+        Workload::new(file, WriteProtocol::Spin, SizeDist::Fixed(48 << 10))
+            .with_writes(16)
+            .with_reads(24, protocol)
+            .with_read_pattern(ReadPattern::Sequential)
+            .with_seed(SEED)
+            .jobs_for_client(c)
+            .into_iter()
+            .filter(|j| matches!(j, Job::Read { .. }))
+            .collect()
+    });
+    cl.start();
+    assert_eq!(
+        cl.run_until_file_reads(n, DEADLINE_MS),
+        n,
+        "reads incomplete"
+    );
+    let reads = std::mem::take(&mut cl.results.borrow_mut().file_reads);
+    assert!(reads.iter().all(|r| r.status == Status::Ok));
+    for (c, stats) in cl.client_read_stats.iter().enumerate() {
+        assert!(
+            stats.borrow().reconstructed_stripes > 0,
+            "client {c} must reconstruct on its own CPU"
+        );
+    }
+    let report = RepairDriver::new(0).drain(&mut cl);
+    assert!(report.converged(), "{report:?}");
+    let did = |f: fn(&RepairOutcome) -> bool| report.outcomes.iter().any(|r| f(&r.outcome));
+    assert!(did(|o| matches!(o, RepairOutcome::Rebuilt { .. })));
+    assert!(did(|o| matches!(o, RepairOutcome::Cloned { .. })));
+    assert_eq!(denied(&cl), 0, "no Busy retries in a pinned scenario");
+    digest(&cl)
+}
+
+/// One client per baseline protocol at window 2, six ~48 KiB writes
+/// each, over the storage mode the protocol needs; then raw reads of
+/// what the RpcRdma client stored and a metadata mix with the cache on.
+/// The three clusters' digests fold into one value.
+fn baseline_protocols_raw_reads_and_meta() -> u64 {
+    let sizes = SizeDist::Uniform {
+        min: 40 << 10,
+        max: 56 << 10,
+    };
+    let replicated = FilePolicy::Replicated {
+        k: 3,
+        strategy: BcastStrategy::Ring,
+    };
+    let striped = |cl: &SimCluster, name: &str, width: u32| {
+        let mut control = cl.control.borrow_mut();
+        control.mkdir_p("/pin", 0).expect("mkdir");
+        let spec = LayoutSpec::striped(width, 16 << 10);
+        let path = format!("/pin/{name}");
+        control
+            .create_file_at(&path, spec, FilePolicy::Plain)
+            .expect("create")
+            .id
+    };
+
+    // Plain NICs: the RDMA and CPU baselines.
+    let mut cl = SimCluster::build(ClusterSpec::new(6, 4, StorageMode::Plain).with_window(2));
+    let plain = files(&cl, 1, FilePolicy::Plain)[0];
+    let repl = files(&cl, 3, replicated);
+    let plan = [
+        (repl[0], WriteProtocol::HyperLoop { chunk: 16 << 10 }),
+        (repl[1], WriteProtocol::CpuBcast { chunk: 16 << 10 }),
+        (repl[2], WriteProtocol::RdmaFlat),
+        (striped(&cl, "rpc", 2), WriteProtocol::Rpc),
+        (plain, WriteProtocol::RpcRdma),
+        (striped(&cl, "raw", 3), WriteProtocol::Raw),
+    ];
+    let mut n = 0;
+    for (c, &(file, protocol)) in plan.iter().enumerate() {
+        for job in writes(file, protocol, &sizes, 6, c) {
+            cl.submit(c, job);
+            n += 1;
+        }
+    }
+    cl.start();
+    assert_eq!(cl.run_until_writes(n, DEADLINE_MS), n, "writes incomplete");
+    let written = std::mem::take(&mut cl.results.borrow_mut().writes);
+    assert!(written.iter().all(|w| w.status == Status::Ok));
+    let stored: Vec<_> = written
+        .iter()
+        .filter(|w| w.protocol == WriteProtocol::RpcRdma)
+        .collect();
+    for (i, w) in stored.iter().enumerate() {
+        cl.submit(
+            4,
+            Job::RawRead {
+                node: w.placement.primary.node as usize,
+                addr: w.placement.primary.addr,
+                len: w.size,
+                token: i as u64,
+            },
+        );
+    }
+    let meta = MetaWorkload::new("/pin/meta")
+        .with_dirs(2, 4)
+        .with_storm(24)
+        .with_seed(SEED);
+    meta.prepare(&cl.control);
+    for c in 0..2 {
+        for job in meta.jobs_for_client(c) {
+            cl.submit(c, job);
+        }
+    }
+    let n_meta = 2 * meta.ops_per_client();
+    cl.start();
+    assert_eq!(
+        cl.run_until_metas(n_meta, DEADLINE_MS),
+        n_meta,
+        "metadata ops incomplete"
+    );
+    cl.run_ms(1);
+    {
+        let results = cl.results.borrow();
+        assert!(results.metas.iter().all(|m| m.result.is_ok()));
+        assert!(results.metas.iter().any(|m| m.cache_hit));
+        assert_eq!(results.reads.len(), stored.len(), "raw reads incomplete");
+        for r in &results.reads {
+            assert_eq!(r.checksum, stored[r.token as usize].checksum);
+        }
+    }
+    let plain_digest = digest(&cl);
+
+    // PsPIN NICs: a width-3 striped layout through the handlers.
+    let mut cl = SimCluster::build(ClusterSpec::new(1, 3, StorageMode::Spin).with_window(2));
+    let jobs = writes(striped(&cl, "spin", 3), WriteProtocol::Spin, &sizes, 6, 0);
+    let n = submit(&cl, &[0], |_, _| jobs.clone());
+    run_writes(&mut cl, n);
+    assert_eq!(denied(&cl), 0, "no Busy retries in a pinned scenario");
+    let spin_digest = digest(&cl);
+
+    // Firmware EC engines: per-chunk INEC-TriEC.
+    let mut cl = SimCluster::build(ClusterSpec::new(1, 5, StorageMode::FirmwareEc).with_window(2));
+    let ec = files(
+        &cl,
+        1,
+        FilePolicy::ErasureCoded {
+            scheme: RsScheme::new(3, 2),
+        },
+    );
+    let n = submit(&cl, &ec, |c, file| {
+        writes(file, WriteProtocol::InecTriec, &sizes, 6, c)
+    });
+    run_writes(&mut cl, n);
+    plain_digest ^ spin_digest.rotate_left(21) ^ digest(&cl).rotate_left(42)
+}
+
 #[test]
 fn spin_ring_k4_order_is_pinned() {
     assert_eq!(
@@ -177,5 +389,23 @@ fn offloaded_degraded_rs32_order_is_pinned() {
         offloaded_degraded_rs32(),
         13_975_960_838_316_632_043,
         "offloaded degraded RS(3,2) read dispatch order moved"
+    );
+}
+
+#[test]
+fn client_degraded_reads_then_repair_order_is_pinned() {
+    assert_eq!(
+        client_degraded_reads_then_repair(),
+        5_311_052_681_256_813_017,
+        "client-side degraded read / repair dispatch order moved"
+    );
+}
+
+#[test]
+fn baseline_protocols_raw_reads_and_meta_order_is_pinned() {
+    assert_eq!(
+        baseline_protocols_raw_reads_and_meta(),
+        4_546_098_169_953_595_814,
+        "baseline-protocol / raw-read / metadata dispatch order moved"
     );
 }
