@@ -150,8 +150,10 @@ struct StreamState {
 }
 
 /// The per-client read cache. One instance hangs off each
-/// [`crate::client::ClientApp`] and is registered with the control plane
-/// for generation callbacks at cluster build time.
+/// [`crate::client::ClientApp`] (probed and filled by the read op in
+/// `client/read.rs`, filled write-through by `client/write.rs`) and is
+/// registered with the control plane for generation callbacks at cluster
+/// build time.
 pub struct ReadCache {
     pub config: ReadCacheConfig,
     pub stats: ReadCacheStats,

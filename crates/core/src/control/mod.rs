@@ -20,12 +20,12 @@
 //! The metadata plane is **sharded** (ROADMAP item 1): per-file state is
 //! hash-partitioned over N [`shard::MetaShard`]s by a stateless
 //! [`router::ShardRouter`], mutations ack after a per-shard op-log append
-//! (AsyncFS-style async updates — [`shard`]), and operations whose
+//! (AsyncFS-style async updates — `shard`), and operations whose
 //! participants hash to different shards run a two-phase intent/commit
 //! protocol the fault harness can kill mid-flight. `ControlPlane` itself
-//! is a thin façade over the focused submodules: [`placement`] (where
-//! bytes go), [`resolution`] (read planning + compaction), and
-//! [`repair_queue`] (background re-protection).
+//! is a thin façade over the focused submodules: `placement` (where
+//! bytes go), `resolution` (read planning + compaction), and
+//! `repair_queue` (background re-protection).
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet, VecDeque};

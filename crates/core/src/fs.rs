@@ -7,13 +7,16 @@
 //! `write_at`/`read_at`/`stat`/`close` move real bytes through the
 //! simulated cluster underneath.
 //!
-//! Each operation is submitted to the owning client's driver as a typed
-//! job carrying a oneshot completion slot ([`crate::client::WriteSlot`] /
+//! Each operation is submitted to the owning client's driver
+//! ([`crate::client::ClientApp`]) as a typed job carrying a oneshot
+//! completion slot ([`crate::client::WriteSlot`] /
 //! [`crate::client::ReadSlot`]); the facade then drives the event
-//! simulator in bounded slices until the slot fills. Completions are
-//! per-op and typed — no digging through the shared [`ResultSink`]
-//! grab-bags — and reads return the payload with a checksum so callers
-//! can verify end-to-end integrity against the write's checksum.
+//! simulator in bounded slices until the slot fills. The facade reads
+//! only its slot: per-op and typed. (The driver also appends every
+//! completion to the shared [`ResultSink`], which is what plan-driven
+//! harnesses and the benchmark tally; this module never looks there.)
+//! Reads return the payload with a checksum so callers can verify
+//! end-to-end integrity against the write's checksum.
 //!
 //! [`ResultSink`]: crate::client::ResultSink
 

@@ -1,0 +1,243 @@
+//! The client's op table from the outside: a write in `Busy` back-off
+//! keeps its window slot, and events for an op that already retired are
+//! ignored.
+
+use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::rc::Rc;
+
+use nadfs_core::client::{SharedPlan, SharedResults, KICK};
+use nadfs_core::{
+    ClientApp, ClusterSpec, ControlPlane, CostModel, FilePolicy, Job, MetaOp, ReadProtocol,
+    ResultSink, SimCluster, StorageApp, StorageMode, WriteProtocol,
+};
+use nadfs_rdma::{AppTimer, Nic, NicApp, NicCore};
+use nadfs_simnet::{ComponentId, Ctx, Dur, Engine, Fabric, NodeId, ObsHub, Time};
+use nadfs_wire::{AckPkt, Frame, Status};
+
+/// Four clients at window 2 against one storage NIC with two descriptors:
+/// `Busy` NACKs are certain. A write waiting out its back-off is still one
+/// of its client's two — the next completion must not pull a third job in.
+///
+/// Occupancy is read off the op spans, not `WriteResult.start`: a retried
+/// write's recorded start is its last issue, while its span covers the
+/// whole job, back-offs included. A slot is free from the ack on, one
+/// completion poll before the op's recorded end.
+#[test]
+fn busy_backoff_holds_its_window_slot() {
+    let mut cost = CostModel::paper();
+    cost.pspin_state_bytes = cost.pspin.total_mem_bytes() - 2 * 77;
+    let poll = cost.nic.cpu.poll_notify;
+    let spec = ClusterSpec::new(4, 1, StorageMode::Spin)
+        .with_cost(cost)
+        .with_window(2);
+    let mut c = SimCluster::build(spec);
+    let file = c.control.borrow_mut().create_file(0, FilePolicy::Plain).id;
+    for client in 0..4 {
+        for i in 0..8u64 {
+            let job = Job::Write {
+                file,
+                size: 256 << 10,
+                protocol: WriteProtocol::Spin,
+                seed: (client as u64) << 8 | i,
+            };
+            c.submit(client, job);
+        }
+    }
+    c.start();
+    assert_eq!(c.run_until_writes(32, 20_000), 32, "retries must converge");
+    let results = c.results.borrow();
+    assert!(results.writes.iter().all(|w| w.status == Status::Ok));
+    let retries: u32 = results.writes.iter().map(|w| w.retries).sum();
+    assert!(retries > 0, "the tiny descriptor budget must force retries");
+    let obs = c.obs.borrow();
+    for client in &c.client_nodes {
+        let track = format!("client-{client}");
+        let jobs: Vec<_> = obs.spans.done().filter(|s| s.track == track).collect();
+        assert_eq!(jobs.len(), 8, "one span per job on {track}");
+        let held_at = |t: Time| {
+            jobs.iter()
+                .filter(move |s| s.start <= t && t + poll < s.end)
+        };
+        let peak = jobs.iter().map(|s| held_at(s.start).count()).max();
+        assert_eq!(peak, Some(2), "{track} must fill, never overfill, window 2");
+    }
+}
+
+/// Timer tag that makes the probe replay stale events into the client.
+const INJECT: u64 = u64::MAX;
+
+/// Forwards everything to the client it wraps, remembers every ack, and on
+/// [`INJECT`] hands the client events no live op is waiting for.
+struct Probe {
+    client: ClientApp,
+    acks: Vec<(NodeId, AckPkt)>,
+}
+
+impl NicApp for Probe {
+    fn on_ack(&mut self, nic: &mut NicCore, ctx: &mut Ctx<'_>, src: NodeId, ack: AckPkt) {
+        self.acks.push((src, ack));
+        self.client.on_ack(nic, ctx, src, ack);
+    }
+
+    fn on_read_done(&mut self, nic: &mut NicCore, ctx: &mut Ctx<'_>, token: u64) {
+        self.client.on_read_done(nic, ctx, token);
+    }
+
+    fn on_timer(&mut self, nic: &mut NicCore, ctx: &mut Ctx<'_>, tag: u64) {
+        if tag != INJECT {
+            return self.client.on_timer(nic, ctx, tag);
+        }
+        // Every ack the client ever saw, again — as it came, and as the
+        // NACKs that would restart or fail a live write.
+        for &(src, ack) in &self.acks.clone() {
+            for status in [ack.status, Status::Busy, Status::Rejected] {
+                self.client.on_ack(nic, ctx, src, AckPkt { status, ..ack });
+            }
+        }
+        // Ids are handed out from 1 and never reused: everything the
+        // finished ops were known by, as a read-done token and as a timer.
+        for id in 1..256 {
+            self.client.on_read_done(nic, ctx, id);
+            self.client.on_timer(nic, ctx, id);
+        }
+    }
+}
+
+struct Rig {
+    engine: Engine,
+    client: ComponentId,
+    plan: SharedPlan,
+    results: SharedResults,
+}
+
+impl Rig {
+    /// Submit `jobs`, kick the client and run until the queue drains.
+    fn run(&mut self, jobs: Vec<Job>) {
+        self.plan.borrow_mut().extend(jobs);
+        self.kick(KICK);
+    }
+
+    fn kick(&mut self, tag: u64) {
+        let timer = Box::new(AppTimer { tag });
+        self.engine.schedule(Dur::ZERO, self.client, timer);
+        let deadline = self.engine.now() + Dur::from_ms(50);
+        assert!(self.engine.run_until(deadline), "the simulation must drain");
+    }
+
+    /// Completions delivered so far, per kind.
+    fn delivered(&self) -> [usize; 4] {
+        let r = self.results.borrow();
+        [
+            r.writes.len(),
+            r.file_reads.len(),
+            r.reads.len(),
+            r.metas.len(),
+        ]
+    }
+}
+
+/// An ack, a read-done token and a timer that arrive after their op
+/// retired (the "ack after cleanup-driven completion" case) find nothing:
+/// no panic, no second completion, and the window neither gains nor loses
+/// a slot.
+#[test]
+fn stale_events_for_a_retired_op_are_ignored() {
+    let cost = CostModel::paper();
+    let mut engine = Engine::new();
+    let [fabric_id, client_id, storage_id] = [(); 3].map(|()| engine.reserve_id());
+    let mut fabric: Fabric<Frame> = Fabric::new(cost.fabric.clone(), fabric_id);
+    let client_port = fabric.register_node(client_id, None);
+    let storage_port = fabric.register_node(storage_id, None);
+    engine.install(fabric_id, Box::new(fabric));
+    let control = ControlPlane::new(7, vec![storage_port.node]);
+    let key = control.borrow().service_key();
+    let results: SharedResults = Rc::new(RefCell::new(ResultSink::default()));
+    let plan: SharedPlan = Rc::new(RefCell::new(VecDeque::new()));
+    let mut client = ClientApp::new(control.clone(), results.clone(), plan.clone(), 1);
+    // Live spans, so the table's leak check also covers correlations.
+    client.obs = ObsHub::new(64);
+    let probe = Probe {
+        client,
+        acks: Vec::new(),
+    };
+    let nic = Nic::new(cost.nic.clone(), client_port, client_id, Box::new(probe));
+    engine.install(client_id, Box::new(nic));
+    let storage = StorageApp::new(key, cost.fabric.link_bw);
+    let mut nic = Nic::new(
+        cost.nic.clone(),
+        storage_port,
+        storage_id,
+        Box::new(storage),
+    );
+    nic.core.install_service_key(key);
+    engine.install(storage_id, Box::new(nic));
+    let mut rig = Rig {
+        engine,
+        client: client_id,
+        plan,
+        results,
+    };
+
+    // One op of every kind runs to completion and retires.
+    let file = control.borrow_mut().create_file(0, FilePolicy::Plain).id;
+    let write = |protocol, seed| Job::Write {
+        file,
+        size: 48 << 10,
+        protocol,
+        seed,
+    };
+    let read = |token| Job::Read {
+        file,
+        offset: 0,
+        len: 32 << 10,
+        protocol: ReadProtocol::Rdma,
+        token,
+        slot: None,
+    };
+    // The second read is served from the cache the first one filled.
+    rig.run(vec![
+        write(WriteProtocol::Raw, 1),
+        write(WriteProtocol::Rpc, 2),
+        read(1),
+        read(2),
+    ]);
+    let stored = rig.results.borrow().writes[0].placement.primary;
+    let raw_read = Job::RawRead {
+        node: stored.node as NodeId,
+        addr: stored.addr,
+        len: 4 << 10,
+        token: 9,
+    };
+    let mkdir = Job::Meta {
+        op: MetaOp::Mkdir {
+            path: "/d".to_string(),
+        },
+        token: 3,
+    };
+    rig.run(vec![raw_read, mkdir]);
+    let before = rig.delivered();
+    assert_eq!(before, [2, 2, 1, 1], "every kind of op completed once");
+    let cached: Vec<bool> = rig
+        .results
+        .borrow()
+        .file_reads
+        .iter()
+        .map(|r| r.from_cache)
+        .collect();
+    assert_eq!(cached, [false, true], "a wire read and a cache hit");
+
+    rig.kick(INJECT);
+    assert_eq!(rig.delivered(), before, "a stale event completed something");
+
+    // The window (1) still holds exactly one op at a time: each write
+    // starts the instant its predecessor is acknowledged, one completion
+    // poll before the predecessor's recorded end.
+    rig.run((3..6).map(|seed| write(WriteProtocol::Rpc, seed)).collect());
+    let results = rig.results.borrow();
+    assert_eq!(results.writes.len(), 5);
+    assert!(results.writes.iter().all(|w| w.status == Status::Ok));
+    for pair in results.writes[2..].windows(2) {
+        assert_eq!(pair[1].start + cost.nic.cpu.poll_notify, pair[0].end);
+    }
+}

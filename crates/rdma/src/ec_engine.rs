@@ -17,9 +17,9 @@
 use std::collections::HashMap;
 
 use bytes::Bytes;
-use nadfs_gfec::ReedSolomon;
+use nadfs_gfec::{ReedSolomon, RsError};
 use nadfs_simnet::telemetry::phase;
-use nadfs_simnet::{Bandwidth, Ctx, Dur, NodeId, Time};
+use nadfs_simnet::{Bandwidth, Ctx, Dur, NodeId, SharedBufPool, Time};
 use nadfs_wire::{
     AckPkt, CreditGrant, DfsHeader, EcInfo, EcRole, MsgId, ReplicaCoord, Resiliency, Status,
     WriteReqHeader,
@@ -125,6 +125,51 @@ impl EcEngine {
     /// Does this write carry an EC role the engine should consume?
     pub fn wants(&self, wrh: &WriteReqHeader) -> bool {
         self.consume_writes && matches!(wrh.resiliency, Resiliency::ErasureCode(_))
+    }
+}
+
+/// The one pooled reconstruction path (NIC gather, client degraded read,
+/// client repair): stage one survivor per entry of `survivors` (its shard
+/// index; `load(slot, buf)` fills slot `slot`'s `chunk_len` bytes), rebuild
+/// the `want` shards into pooled buffers and hand the survivor buffers
+/// back to the pool. The caller owns the returned buffers (one per `want`
+/// entry, in order) and what loading and rebuilding cost on its clock.
+/// On error nothing is retained.
+pub fn rebuild_pooled(
+    rs: &ReedSolomon,
+    pool: &SharedBufPool,
+    chunk_len: usize,
+    survivors: &[usize],
+    mut load: impl FnMut(usize, &mut [u8]),
+    want: &[usize],
+) -> Result<Vec<Vec<u8>>, RsError> {
+    let mut staged: Vec<Vec<u8>> = Vec::with_capacity(survivors.len());
+    for slot in 0..survivors.len() {
+        let mut buf = pool.borrow_mut().get_dirty(chunk_len);
+        load(slot, &mut buf);
+        staged.push(buf);
+    }
+    // A shard index past k+m (a malformed plan off the wire) stages
+    // nothing, and the codec rejects the short survivor set.
+    let mut shards: Vec<Option<&[u8]>> = vec![None; rs.k() + rs.m()];
+    for (&idx, buf) in survivors.iter().zip(&staged) {
+        if let Some(shard) = shards.get_mut(idx) {
+            *shard = Some(buf);
+        }
+    }
+    let mut outs: Vec<Vec<u8>> = {
+        let mut p = pool.borrow_mut();
+        want.iter().map(|_| p.get_dirty(chunk_len)).collect()
+    };
+    let rebuilt = rs.reconstruct_into(&shards, want, &mut outs);
+    let mut p = pool.borrow_mut();
+    staged.into_iter().for_each(|buf| p.put(buf));
+    match rebuilt {
+        Ok(()) => Ok(outs),
+        Err(e) => {
+            outs.into_iter().for_each(|buf| p.put(buf));
+            Err(e)
+        }
     }
 }
 
@@ -332,8 +377,6 @@ impl EcEngine {
                 let Some(rec) = g.grh.reconstruct.as_ref() else {
                     return;
                 };
-                let k = rec.scheme.k as usize;
-                let m = rec.scheme.m as usize;
                 let clen = rec.chunk_len as usize;
                 // Rebuild exactly the chunks the copy list needs that no
                 // survivor segment provides.
@@ -357,46 +400,22 @@ impl EcEngine {
                 }
                 // DMA-read the k survivor shards back from host memory
                 // (their own chunk addresses, or staging for remote ones)
-                // into pooled buffers — store-and-forward like Encode.
+                // — store-and-forward like Encode — and rebuild.
                 let mut ready = now;
-                let mut survivors: Vec<(usize, Vec<u8>)> = Vec::with_capacity(g.grh.segments.len());
-                for (i, s) in g.grh.segments.iter().enumerate() {
-                    let mut buf = core.pool.borrow_mut().get_dirty(clen);
-                    ready = core
-                        .dma
-                        .borrow_mut()
-                        .read_into(ready, g.seg_addr[i], &mut buf);
-                    survivors.push((s.shard as usize, buf));
-                }
-                let shards: Vec<Option<&[u8]>> = (0..k + m)
-                    .map(|i| {
-                        survivors
-                            .iter()
-                            .find(|(s, _)| *s == i)
-                            .map(|(_, b)| b.as_slice())
-                    })
-                    .collect();
-                let mut outs: Vec<Vec<u8>> = {
-                    let mut pool = core.pool.borrow_mut();
-                    want.iter().map(|_| pool.get_dirty(clen)).collect()
-                };
+                let survivors: Vec<usize> =
+                    g.grh.segments.iter().map(|s| s.shard as usize).collect();
                 let engine = core.ec.as_mut().expect("engine enabled");
-                let ok = engine
-                    .rs(rec.scheme.k, rec.scheme.m)
-                    .reconstruct_into(&shards, &want, &mut outs)
-                    .is_ok();
-                drop(shards);
-                if !ok {
+                let rebuilt = rebuild_pooled(
+                    engine.rs(rec.scheme.k, rec.scheme.m),
+                    &core.pool,
+                    clen,
+                    &survivors,
+                    |i, buf| ready = core.dma.borrow_mut().read_into(ready, g.seg_addr[i], buf),
+                    &want,
+                );
+                let Ok(outs) = rebuilt else {
                     // Malformed gather plan (wrong shard count/sizes):
                     // reject the flow rather than stream garbage.
-                    let mut pool = core.pool.borrow_mut();
-                    for (_, b) in survivors {
-                        pool.put(b);
-                    }
-                    for b in outs {
-                        pool.put(b);
-                    }
-                    drop(pool);
                     if let Some(g) = core.gathers.remove(&gather) {
                         core.release_gather_staging(g.staging, g.staging_len);
                     }
@@ -411,7 +430,7 @@ impl EcEngine {
                         },
                     );
                     return;
-                }
+                };
                 // Engine compute: each rebuilt byte is a k-way
                 // coefficient-multiply accumulate, same channel as encode.
                 let engine = core.ec.as_mut().expect("engine enabled");
@@ -429,9 +448,6 @@ impl EcEngine {
                 core.stats.borrow_mut().chunks_reconstructed += want.len() as u64;
                 {
                     let mut pool = core.pool.borrow_mut();
-                    for (_, b) in survivors {
-                        pool.put(b);
-                    }
                     for b in outs {
                         pool.put(b);
                     }

@@ -17,5 +17,5 @@ pub mod nic;
 
 pub use app::{NicApp, NullApp, RawWriteDone};
 pub use chains::Chains;
-pub use ec_engine::{EcEngine, EcEngineConfig};
+pub use ec_engine::{rebuild_pooled, EcEngine, EcEngineConfig};
 pub use nic::{AppTimer, Nic, NicConfig, NicCore, NicStats, SharedNicStats};

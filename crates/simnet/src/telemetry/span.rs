@@ -248,6 +248,13 @@ impl SpanBook {
         self.corr.get(&key).copied()
     }
 
+    /// Correlation keys that still point at an open span on `track`. A
+    /// component with nothing in flight should hold none (leak check).
+    pub fn correlated_on(&self, track: &str) -> usize {
+        let open_on_track = |id| self.open.get(id).is_some_and(|sp| sp.track == track);
+        self.corr.values().filter(|id| open_on_track(id)).count()
+    }
+
     /// Mark a phase on the span correlated with `key`.
     pub fn mark_corr(&mut self, key: u64, name: &'static str, at: Time) {
         if let Some(id) = self.corr.get(&key).copied() {
