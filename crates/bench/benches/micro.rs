@@ -121,6 +121,51 @@ fn rs_reconstruct(c: &mut Criterion) {
     });
 }
 
+fn rs32_decode(c: &mut Criterion) {
+    // One lost 64 KiB chunk of an RS(3,2) stripe, rebuilt two ways from
+    // the same survivors: block decode into a reused buffer, and the
+    // degraded gather's inner loop — `d_i · payload` absorbed packet by
+    // packet into a reused accumulator.
+    let (k, len, mtu) = (3usize, 64usize << 10, 1978usize);
+    let rs = nadfs_gfec::ReedSolomon::new(k, 2).expect("params");
+    let chunks: Vec<Vec<u8>> = (0..k).map(|j| vec![j as u8 + 1; len]).collect();
+    let refs: Vec<&[u8]> = chunks.iter().map(|c| c.as_slice()).collect();
+    let parities = rs.encode(&refs).expect("encode");
+    let survivors = [1usize, 2, 3];
+    let shards: Vec<Option<&[u8]>> = vec![
+        None,
+        Some(&chunks[1]),
+        Some(&chunks[2]),
+        Some(&parities[0]),
+        None,
+    ];
+    let mut g = c.benchmark_group("rs32_decode");
+    g.throughput(Throughput::Bytes(len as u64));
+    let mut out = vec![Vec::new()];
+    g.bench_function("rs32_reconstruct_64k", |b| {
+        b.iter(|| {
+            rs.reconstruct_into(black_box(&shards), &[0], &mut out)
+                .expect("reconstruct")
+        });
+    });
+    let row = rs.decode_rows(&survivors, &[0]).expect("decode row");
+    let mut acc = nadfs_gfec::Accumulator::new(mtu, k as u32);
+    g.bench_function("rs32_stream_decode_64k", |b| {
+        b.iter(|| {
+            for start in (0..len).step_by(mtu) {
+                let end = (start + mtu).min(len);
+                acc.reset(k as u32);
+                for (&coef, &shard) in row.iter().zip(&survivors) {
+                    let survivor = shards[shard].expect("survivor");
+                    acc.absorb_scaled(coef, black_box(&survivor[start..end]));
+                }
+                black_box(acc.finish(end - start));
+            }
+        });
+    });
+    g.finish();
+}
+
 fn siphash_capability(c: &mut Criterion) {
     let key = nadfs_wire::MacKey::from_seed(7);
     c.bench_function("capability_issue_and_verify", |b| {
@@ -314,7 +359,7 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = gf_mul_acc, gf_mul_acc_scalar_baseline, gf_xor_wide,
-              rs_encode, rs_encode_fused, rs_reconstruct,
+              rs_encode, rs_encode_fused, rs_reconstruct, rs32_decode,
               stream_packet_pooled, siphash_capability,
               engine_throughput, engine_at_standing_depth, fabric_one_hop,
               e2e_write_sim

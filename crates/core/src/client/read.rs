@@ -385,8 +385,9 @@ impl ClientApp {
 
     /// Build the wire program for one read op: per-piece fetches for the
     /// fan-out protocols, or per-node gather requests for the offloaded
-    /// path (a degraded stripe becomes one gather to the first survivor's
-    /// node, which reconstructs on its firmware EC engine). `rebase`
+    /// path (a degraded stripe becomes one gather to the survivor the
+    /// plan names coordinator, whose NIC decodes the lost ranges as the
+    /// other survivors stream in). `rebase`
     /// shifts plan-relative offsets into a background tail op's own
     /// destination window.
     fn build_read_issue(
@@ -429,11 +430,12 @@ impl ClientApp {
                     ReadPiece::Degraded {
                         scheme,
                         chunk_len,
+                        coordinator,
                         fetch,
                         copy,
                         ..
                     } => {
-                        let coordinator = fetch[0].1.node as NodeId;
+                        let coordinator = fetch[*coordinator].1.node as NodeId;
                         let segments = fetch
                             .iter()
                             .map(|(shard, coord)| GatherSegment {

@@ -5,7 +5,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use nadfs_host::SharedMemory;
+use nadfs_host::{DmaEngine, SharedMemory};
 use nadfs_pspin::{ExecutionContext, Telemetry};
 use nadfs_rdma::{AppTimer, EcEngine, Nic, NicApp, SharedNicStats};
 use nadfs_simnet::{
@@ -175,6 +175,9 @@ pub struct SimCluster {
     client_components: Vec<ComponentId>,
     pub plans: Vec<SharedPlan>,
     pub storage_mems: Vec<SharedMemory>,
+    /// Per-storage-NIC DMA engines (index-aligned with `storage_nodes`):
+    /// byte, op and channel-occupancy counters.
+    pub storage_dmas: Vec<Rc<RefCell<DmaEngine>>>,
     pub storage_stats: Vec<SharedStorageStats>,
     /// Per-client metadata caches (index-aligned with `client_nodes`).
     pub client_caches: Vec<Rc<RefCell<nadfs_meta::MetaCache>>>,
@@ -297,6 +300,7 @@ impl SimCluster {
         }
 
         let mut storage_mems = Vec::new();
+        let mut storage_dmas = Vec::new();
         let mut storage_stats = Vec::new();
         let mut pspin_telemetry = Vec::new();
         let mut nic_stats = Vec::new();
@@ -369,6 +373,7 @@ impl SimCluster {
                 }
             }
             storage_mems.push(nic.core.memory());
+            storage_dmas.push(nic.core.dma());
             pspin_telemetry.push(nic.core.pspin().map(|d| d.telemetry()));
             nic_stats.push(nic.core.nic_stats());
             engine.install(comp, Box::new(nic));
@@ -389,6 +394,7 @@ impl SimCluster {
             client_components,
             plans,
             storage_mems,
+            storage_dmas,
             storage_stats,
             client_caches,
             read_caches,
@@ -504,6 +510,12 @@ impl SimCluster {
                 &format!("{pre}.chunks_reconstructed"),
                 s.chunks_reconstructed,
             );
+            // Occupancy of the NIC's serial resources: a busy figure near
+            // the run's length names the bottleneck.
+            m.counter_set(&format!("nic.{i}.ec.busy_ps"), s.ec_busy_ps);
+            let dma = self.storage_dmas[i].borrow();
+            m.counter_set(&format!("nic.{i}.dma.read_busy_ps"), dma.read_busy_ps);
+            m.counter_set(&format!("nic.{i}.dma.write_busy_ps"), dma.write_busy_ps);
         }
         for (i, t) in self.pspin_telemetry.iter().enumerate() {
             let Some(t) = t else { continue };

@@ -324,40 +324,12 @@ impl ReedSolomon {
             return Ok(());
         }
 
-        // Decode matrix: rows of `enc` for the first k survivors. The
-        // inversion is memoized per erasure pattern — repeated repairs with
-        // the same missing set skip Gauss-Jordan entirely.
+        // The first k survivors, in shard order, and the coefficients
+        // that combine them into each wanted shard: one fused pass reads
+        // each survivor once while updating every output.
         let use_rows: Vec<usize> = present.iter().copied().take(self.k).collect();
-        let dec = self
-            .decode_cache
-            .lock()
-            .expect("decode cache poisoned")
-            .get_or_insert_with(&use_rows, || {
-                let sub = self.enc.select_rows(&use_rows);
-                sub.invert().expect("any k rows of an MDS matrix invert")
-            });
-
-        // Every wanted shard is a GF-linear combination of the k chosen
-        // survivors: data row d is dec[d], parity row p is (parity_row(p)
-        // × dec). Resolving the combined coefficients up front lets one
-        // fused pass read each survivor once while updating every output.
         let w = want.len();
-        // Column-major: cols[s*w + o] multiplies survivor s into output o.
-        let mut cols = vec![0u8; self.k * w];
-        for (o, &shard) in want.iter().enumerate() {
-            for s in 0..self.k {
-                cols[s * w + o] = if shard < self.k {
-                    dec[(shard, s)]
-                } else {
-                    let p = shard - self.k;
-                    let mut c = 0u8;
-                    for j in 0..self.k {
-                        c ^= gf256::mul(self.parity_rows[p * self.k + j], dec[(j, s)]);
-                    }
-                    c
-                };
-            }
-        }
+        let cols = self.decode_cols(&use_rows, want);
         for buf in out.iter_mut() {
             buf.clear();
             buf.resize(n, 0);
@@ -373,6 +345,74 @@ impl ReedSolomon {
             off = end;
         }
         Ok(())
+    }
+
+    /// Coefficients rebuilding each `want` shard from the survivors in
+    /// `use_rows` (k distinct shard indices, ascending), column-major:
+    /// `cols[s * want.len() + o]` multiplies survivor `use_rows[s]` into
+    /// output `o`. Data row d is `dec[d]`, parity row p is
+    /// `parity_row(p) × dec`, with `dec` the inverse of the survivors'
+    /// rows of the encoding matrix — memoized per survivor set, so a
+    /// repeated erasure pattern skips Gauss-Jordan entirely.
+    fn decode_cols(&self, use_rows: &[usize], want: &[usize]) -> Vec<u8> {
+        let dec = self
+            .decode_cache
+            .lock()
+            .expect("decode cache poisoned")
+            .get_or_insert_with(use_rows, || {
+                let sub = self.enc.select_rows(use_rows);
+                sub.invert().expect("any k rows of an MDS matrix invert")
+            });
+        let w = want.len();
+        let mut cols = vec![0u8; self.k * w];
+        for (o, &shard) in want.iter().enumerate() {
+            for s in 0..self.k {
+                cols[s * w + o] = if shard < self.k {
+                    dec[(shard, s)]
+                } else {
+                    let p = shard - self.k;
+                    let mut c = 0u8;
+                    for j in 0..self.k {
+                        c ^= gf256::mul(self.parity_rows[p * self.k + j], dec[(j, s)]);
+                    }
+                    c
+                };
+            }
+        }
+        cols
+    }
+
+    /// The decode rows [`Self::reconstruct_into`] applies, for callers
+    /// that decode as survivors stream in rather than block by block:
+    /// `rows[o * k + s]` is the coefficient of `survivors[s]` in wanted
+    /// shard `want[o]`, so `want[o] = Σ_s rows[o * k + s] · survivors[s]`
+    /// byte for byte (and therefore packet for packet). `survivors` names
+    /// k distinct shard indices in the caller's order. Shares the
+    /// per-pattern inversion memo with the block path.
+    pub fn decode_rows(&self, survivors: &[usize], want: &[usize]) -> Result<Vec<u8>, RsError> {
+        if survivors.len() != self.k {
+            return Err(RsError::WrongChunkCount {
+                expected: self.k,
+                got: survivors.len(),
+            });
+        }
+        let n = self.k + self.m;
+        let mut sorted = survivors.to_vec();
+        sorted.sort_unstable();
+        let distinct = sorted.windows(2).all(|p| p[0] != p[1]);
+        if !distinct || survivors.iter().chain(want).any(|&i| i >= n) {
+            return Err(RsError::InvalidParams);
+        }
+        let w = want.len();
+        let cols = self.decode_cols(&sorted, want);
+        let mut rows = vec![0u8; w * self.k];
+        for (s, shard) in survivors.iter().enumerate() {
+            let pos = sorted.binary_search(shard).expect("sorted copy");
+            for o in 0..w {
+                rows[o * self.k + s] = cols[pos * w + o];
+            }
+        }
+        Ok(rows)
     }
 
     /// Incrementally update parities after data chunk `j` changes from
@@ -646,6 +686,19 @@ mod tests {
         let (hits, misses) = rs.decode_cache_stats();
         assert_eq!(misses, 1, "one inversion for a repeated pattern");
         assert_eq!(hits, 4, "subsequent repairs reuse it");
+    }
+
+    #[test]
+    fn decode_rows_share_the_block_paths_cache_and_reject_bad_survivor_sets() {
+        let rs = ReedSolomon::new(3, 2).expect("params");
+        rs.decode_rows(&[4, 1, 2], &[0]).expect("rows");
+        rs.decode_rows(&[1, 2, 4], &[0])
+            .expect("same set, other order");
+        assert_eq!(rs.decode_cache_stats(), (1, 1), "one inversion, one hit");
+        assert!(rs.decode_rows(&[1, 2], &[0]).is_err(), "too few");
+        assert!(rs.decode_rows(&[1, 1, 2], &[0]).is_err(), "duplicate");
+        assert!(rs.decode_rows(&[1, 2, 5], &[0]).is_err(), "no such shard");
+        assert!(rs.decode_rows(&[1, 2, 3], &[7]).is_err(), "no such want");
     }
 
     #[test]

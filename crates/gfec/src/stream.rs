@@ -7,6 +7,14 @@
 //! accumulators ("aggregation sequences", Fig 14). Because the code is
 //! linear, the aggregated result equals the block encode of the whole
 //! chunks — asserted by the tests here and relied on by the simulator.
+//!
+//! Decode is the same sequence run backwards: a lost chunk is a linear
+//! combination of any k survivors ([`ReedSolomon::decode_rows`]), so a
+//! node absorbing `d_i · payload` from survivor `i`, packet index by
+//! packet index ([`Accumulator::absorb_scaled`]), holds the rebuilt
+//! packet the moment its k-th contribution lands — over any byte range of
+//! the chunk, as long as every survivor is cut into packets from the same
+//! offset.
 
 use crate::gf256;
 use crate::rs::ReedSolomon;
@@ -93,6 +101,21 @@ impl Accumulator {
         );
         assert!(self.received < self.expected, "sequence over-complete");
         gf256::xor_slice(data, &mut self.buf[..data.len()]);
+        self.received += 1;
+        self.received == self.expected
+    }
+
+    /// Multiply-accumulate one contribution in (`coef · data`, the
+    /// wide-word kernel, no scaled intermediate): the decode-side absorb,
+    /// where `coef` is the survivor's entry in the lost chunk's decode
+    /// row. Same length and completion rules as [`Self::absorb`].
+    pub fn absorb_scaled(&mut self, coef: u8, data: &[u8]) -> bool {
+        assert!(
+            data.len() <= self.buf.len(),
+            "contribution exceeds capacity"
+        );
+        assert!(self.received < self.expected, "sequence over-complete");
+        gf256::mul_acc_slice(coef, data, &mut self.buf[..data.len()]);
         self.received += 1;
         self.received == self.expected
     }
@@ -201,6 +224,61 @@ mod tests {
             parity.extend_from_slice(acc.finish(packets(&chunks[0], mtu)[i].len()));
         }
         assert_eq!(parity, expect[0]);
+    }
+
+    /// Streaming decode equals block decode: for every loss pattern of
+    /// up to m shards, absorbing `d_i · survivor_i[lo..hi]` packet by
+    /// packet (cut from `lo`, which sits mid-packet, as does `hi`)
+    /// rebuilds exactly `reconstruct_into(..)[lo..hi]` of every lost
+    /// shard.
+    fn streaming_decode_matches_block(k: usize, m: usize, chunk_len: usize, mtu: usize) {
+        let rs = ReedSolomon::new(k, m).expect("params");
+        let data = data_chunks(k, chunk_len);
+        let full: Vec<Vec<u8>> = data
+            .iter()
+            .cloned()
+            .chain(block_parities(&rs, &data))
+            .collect();
+        let (lo, hi) = (mtu / 3, chunk_len - mtu / 2);
+        let n = k + m;
+        let mut patterns: Vec<Vec<usize>> = (0..n).map(|a| vec![a]).collect();
+        patterns.extend((0..n).flat_map(|a| (a + 1..n).map(move |b| vec![a, b])));
+        for lost in patterns {
+            // The last k survivors, listed backwards: the rows must
+            // follow the caller's order, not shard order.
+            let survivors: Vec<usize> =
+                (0..n).rev().filter(|i| !lost.contains(i)).take(k).collect();
+            let shards: Vec<Option<&[u8]>> = (0..n)
+                .map(|i| survivors.contains(&i).then_some(full[i].as_slice()))
+                .collect();
+            let mut block = vec![Vec::new(); lost.len()];
+            rs.reconstruct_into(&shards, &lost, &mut block)
+                .expect("block decode");
+            let rows = rs.decode_rows(&survivors, &lost).expect("decode rows");
+            for (o, want) in block.iter().enumerate() {
+                assert_eq!(want, &full[lost[o]], "block decode of {lost:?}");
+                let mut rebuilt = Vec::with_capacity(hi - lo);
+                for start in (lo..hi).step_by(mtu) {
+                    let end = (start + mtu).min(hi);
+                    let mut acc = Accumulator::new(mtu, k as u32);
+                    for (s, &shard) in survivors.iter().enumerate() {
+                        acc.absorb_scaled(rows[o * k + s], &full[shard][start..end]);
+                    }
+                    rebuilt.extend_from_slice(acc.finish(end - start));
+                }
+                assert_eq!(rebuilt, want[lo..hi], "lost {lost:?}, shard {}", lost[o]);
+            }
+        }
+    }
+
+    #[test]
+    fn streaming_decode_equals_block_decode_rs_3_2() {
+        streaming_decode_matches_block(3, 2, 5000, 1978);
+    }
+
+    #[test]
+    fn streaming_decode_equals_block_decode_rs_6_3() {
+        streaming_decode_matches_block(6, 3, 12_345, 1978);
     }
 
     #[test]

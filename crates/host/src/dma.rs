@@ -59,6 +59,10 @@ pub struct DmaEngine {
     pub reads_issued: u64,
     pub bytes_written: u64,
     pub bytes_read: u64,
+    /// Time each channel was occupied (what `write_busy_until` and
+    /// `read_busy_until` integrate), in picoseconds.
+    pub write_busy_ps: u64,
+    pub read_busy_ps: u64,
 }
 
 impl DmaEngine {
@@ -73,6 +77,8 @@ impl DmaEngine {
             reads_issued: 0,
             bytes_written: 0,
             bytes_read: 0,
+            write_busy_ps: 0,
+            read_busy_ps: 0,
         }
     }
 
@@ -87,10 +93,12 @@ impl DmaEngine {
     /// Issue a DMA write of `data` to host `addr` at time `now`.
     /// Returns the time at which the data is durably in host memory.
     pub fn write(&mut self, now: Time, addr: u64, data: &[u8]) -> Time {
+        let transfer = self.cfg.write_bw.tx_time(data.len() as u64);
         let start = now.max(self.write_busy_until) + self.cfg.per_op;
-        let done = start + self.cfg.write_bw.tx_time(data.len() as u64) + self.cfg.latency;
+        let done = start + transfer + self.cfg.latency;
         // The channel is occupied for the transfer (not the flight latency).
-        self.write_busy_until = start + self.cfg.write_bw.tx_time(data.len() as u64);
+        self.write_busy_until = start + transfer;
+        self.write_busy_ps += (self.cfg.per_op + transfer).ps();
         self.last_write_done = self.last_write_done.max(done);
         self.writes_issued += 1;
         self.bytes_written += data.len() as u64;
@@ -101,25 +109,29 @@ impl DmaEngine {
     /// Issue a DMA read of `len` bytes from host `addr` at time `now`.
     /// Returns the fetched bytes and the time they are available at the NIC.
     pub fn read(&mut self, now: Time, addr: u64, len: usize) -> (Bytes, Time) {
-        let start = now.max(self.read_busy_until) + self.cfg.per_op + self.cfg.latency;
-        let done = start + self.cfg.read_bw.tx_time(len as u64);
-        self.read_busy_until = done;
-        self.reads_issued += 1;
-        self.bytes_read += len as u64;
+        let done = self.occupy_read(now, len);
         let data = Bytes::from(self.mem.borrow().read(addr, len));
         (data, done)
+    }
+
+    /// Queue a `len`-byte transfer on the read channel at `now`: the
+    /// channel is held from when it frees up through issue, PCIe latency
+    /// and transfer. Returns when the bytes are at the NIC.
+    fn occupy_read(&mut self, now: Time, len: usize) -> Time {
+        let held = self.cfg.per_op + self.cfg.latency + self.cfg.read_bw.tx_time(len as u64);
+        let done = now.max(self.read_busy_until) + held;
+        self.read_busy_until = done;
+        self.read_busy_ps += held.ps();
+        self.reads_issued += 1;
+        self.bytes_read += len as u64;
+        done
     }
 
     /// DMA-read `out.len()` bytes from host `addr` into a caller-owned
     /// (e.g. pooled) buffer — same cost model as [`Self::read`], no
     /// allocation. Returns the time the bytes are available at the NIC.
     pub fn read_into(&mut self, now: Time, addr: u64, out: &mut [u8]) -> Time {
-        let len = out.len();
-        let start = now.max(self.read_busy_until) + self.cfg.per_op + self.cfg.latency;
-        let done = start + self.cfg.read_bw.tx_time(len as u64);
-        self.read_busy_until = done;
-        self.reads_issued += 1;
-        self.bytes_read += len as u64;
+        let done = self.occupy_read(now, out.len());
         self.mem.borrow().read_into(addr, out);
         done
     }

@@ -15,17 +15,10 @@ use nadfs_simnet::IdMap;
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 
-/// Base of the device arena: transient NIC-owned allocations (gather
-/// staging, reconstruction slots) live far above the data arena, so
-/// however long a run gets, device scratch can never bump into
-/// addresses the control plane handed out for chunk placement.
-const DEVICE_BASE: u64 = 1 << 48;
-
 /// Sparse byte-addressable memory with a bump allocator.
 pub struct HostMemory {
     pages: IdMap<u64, Box<[u8; PAGE_SIZE]>>,
     next_alloc: u64,
-    next_device: u64,
     bytes_written: u64,
 }
 
@@ -34,7 +27,6 @@ impl Default for HostMemory {
         HostMemory {
             pages: IdMap::default(),
             next_alloc: PAGE_SIZE as u64,
-            next_device: DEVICE_BASE,
             bytes_written: 0,
         }
     }
@@ -58,29 +50,6 @@ impl HostMemory {
         let pages = len.div_ceil(PAGE_SIZE as u64).max(1);
         self.next_alloc += pages * PAGE_SIZE as u64;
         base
-    }
-
-    /// Allocate `len` bytes of device scratch (NIC staging): same bump
-    /// discipline as [`Self::alloc`] but in the device arena, disjoint
-    /// from every data-arena and placement address by construction.
-    /// Pair with [`Self::release`] when the transient use ends.
-    pub fn alloc_device(&mut self, len: u64) -> u64 {
-        let base = self.next_device;
-        let pages = len.div_ceil(PAGE_SIZE as u64).max(1);
-        self.next_device += pages * PAGE_SIZE as u64;
-        base
-    }
-
-    /// Drop the resident pages backing `[addr, addr + len)`. Allocations
-    /// are page-aligned and disjoint, so releasing the rounded-up page
-    /// span of an allocation can only touch that allocation's pages.
-    /// Released ranges read as zero again.
-    pub fn release(&mut self, addr: u64, len: u64) {
-        let pages = len.div_ceil(PAGE_SIZE as u64).max(1);
-        let first = addr >> PAGE_SHIFT;
-        for page in first..first + pages {
-            self.pages.remove(&page);
-        }
     }
 
     /// Write `data` at `addr`, creating pages on demand.

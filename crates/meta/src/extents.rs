@@ -134,13 +134,16 @@ pub enum ReadPiece {
         dest_off: u32,
     },
     /// Degraded erasure-coded stripe: fetch the k surviving shards listed
-    /// in `fetch` (shard index, coordinate), reconstruct, then serve the
-    /// `copy` ranges from the recovered data chunks. `rec` identifies the
-    /// underlying extent record so the repair queue can promote it.
+    /// in `fetch` (shard index, coordinate; shard order), reconstruct,
+    /// then serve the `copy` ranges from the recovered data chunks. `rec`
+    /// identifies the underlying extent record so the repair queue can
+    /// promote it; `fetch[coordinator]` is the survivor whose node an
+    /// offloaded read asks to run the decode.
     Degraded {
         rec: usize,
         scheme: RsScheme,
         chunk_len: u32,
+        coordinator: usize,
         fetch: Vec<(usize, ReplicaCoord)>,
         copy: Vec<ChunkCopy>,
     },
@@ -516,26 +519,36 @@ impl ExtentMap {
                     }
                 }
                 if !copy.is_empty() {
-                    // Reconstruction inputs: the first k surviving shards
-                    // in shard-index order (data first, then parity).
+                    // Reconstruction inputs: every surviving data shard
+                    // (their nodes serve the stripe's healthy ranges
+                    // anyway), completed to k by surviving parities
+                    // picked round-robin from the record id, so a file's
+                    // degraded stripes spread their parity fetches — and,
+                    // by the same rotation, their coordinators — over
+                    // the nodes instead of piling onto the first.
                     let k = scheme.k as usize;
-                    let fetch: Vec<(usize, ReplicaCoord)> = data
-                        .iter()
-                        .chain(parities)
-                        .enumerate()
-                        .filter(|(_, c)| !failed.contains(&c.node))
-                        .map(|(i, c)| (i, *c))
-                        .take(k)
-                        .collect();
-                    if fetch.len() < k {
+                    let alive = |shards: &[ReplicaCoord], base: usize| {
+                        let live = shards.iter().enumerate();
+                        live.filter(|(_, c)| !failed.contains(&c.node))
+                            .map(|(i, c)| (base + i, *c))
+                            .collect::<Vec<_>>()
+                    };
+                    let mut fetch = alive(data, 0);
+                    let spare = alive(parities, k);
+                    let need = k.saturating_sub(fetch.len());
+                    if spare.len() < need {
                         return Err(MetaError::TooManyFailures {
                             stripe_offset: *offset,
                         });
                     }
+                    let first = fetch.len();
+                    fetch.extend((0..need).map(|i| spare[(rec_id + i) % spare.len()]));
+                    fetch[first..].sort_unstable_by_key(|&(shard, _)| shard);
                     pieces.push(ReadPiece::Degraded {
                         rec: rec_id,
                         scheme: *scheme,
                         chunk_len: *chunk_len,
+                        coordinator: rec_id % k,
                         fetch,
                         copy,
                     });
@@ -748,7 +761,7 @@ mod tests {
             .expect("degraded piece");
         let (fetch, copy) = deg;
         let idxs: Vec<usize> = fetch.iter().map(|(i, _)| *i).collect();
-        assert_eq!(idxs, vec![0, 2, 3], "first k survivors, shard order");
+        assert_eq!(idxs, vec![0, 2, 3], "data survivors, then parity");
         assert_eq!(
             copy,
             vec![ChunkCopy {
@@ -758,6 +771,62 @@ mod tests {
                 dest_off: 1000
             }]
         );
+    }
+
+    /// Which parities complete the survivor set, and which survivor
+    /// coordinates an offloaded decode, rotate with the record id — a
+    /// pure function of the record, so every resolve of it agrees.
+    #[test]
+    fn degraded_survivor_choice_rotates_with_the_record_id() {
+        let mut m = ExtentMap::new();
+        for r in 0..6u64 {
+            m.record(ExtentRecord::Ec {
+                offset: r * 3000,
+                len: 3000,
+                chunk_len: 1000,
+                scheme: RsScheme::new(3, 2),
+                data: vec![coord(1, 0x1000), coord(2, 0x2000), coord(3, 0x3000)],
+                parities: vec![coord(4, 0x4000), coord(5, 0x5000)],
+            });
+        }
+        let failed: HashSet<u32> = [1].into();
+        let choice = |r: u64| {
+            let plan = m.resolve(r * 3000, 3000, &failed).expect("resolve");
+            let pick = plan.pieces.iter().find_map(|p| match p {
+                ReadPiece::Degraded {
+                    rec,
+                    coordinator,
+                    fetch,
+                    ..
+                } => Some((
+                    *rec,
+                    fetch.iter().map(|f| f.0).collect::<Vec<_>>(),
+                    *coordinator,
+                )),
+                _ => None,
+            });
+            pick.expect("degraded piece")
+        };
+        for r in 0..6 {
+            let (rec, shards, coordinator) = choice(r);
+            assert_eq!(rec, r as usize);
+            assert_eq!(shards, vec![1, 2, 3 + rec % 2], "record {rec}");
+            assert_eq!(coordinator, rec % 3, "record {rec}");
+            assert_eq!(choice(r), (rec, shards, coordinator), "stable");
+        }
+        // Two data shards down: both parities are needed, in shard order,
+        // whatever the rotation's starting point.
+        let failed: HashSet<u32> = [1, 3].into();
+        for r in 0..2u64 {
+            let plan = m.resolve(r * 3000, 3000, &failed).expect("resolve");
+            let shards = plan.pieces.iter().find_map(|p| match p {
+                ReadPiece::Degraded { fetch, .. } => {
+                    Some(fetch.iter().map(|f| f.0).collect::<Vec<_>>())
+                }
+                _ => None,
+            });
+            assert_eq!(shards.expect("degraded piece"), vec![1, 3, 4]);
+        }
     }
 
     #[test]

@@ -13,19 +13,35 @@
 //!
 //! The contrast with sPIN-TriEC (per-packet streaming, no host round trips)
 //! is the entire point of Fig 15.
+//!
+//! # Degraded gathers: decode as it arrives
+//!
+//! The read side runs the paper's aggregation sequence (§VI, Fig 14)
+//! backwards, per packet and in NIC memory. A degraded gather names the k
+//! survivors of one stripe and the lost ranges the client wants. For each
+//! range the coordinator asks every remote survivor for exactly that range
+//! of its chunk, DMA-reads its own once, and multiply-accumulates every
+//! arriving packet (`d_i · payload`, `d` the lost chunk's decode row) into
+//! the pooled accumulator of its packet index. The moment an index has its
+//! k contributions it passes through the engine and leaves for the sink;
+//! its buffer travels with it. No survivor byte and no rebuilt byte touches
+//! host memory on the coordinator. The engine is armed once per gather, at
+//! acceptance, so its trigger overlaps the survivor round trip, and it is
+//! occupied per rebuilt packet, so concurrent gathers interleave packet by
+//! packet on its queue.
 
 use std::collections::HashMap;
 
 use bytes::Bytes;
-use nadfs_gfec::{ReedSolomon, RsError};
+use nadfs_gfec::{Accumulator, ReedSolomon, RsError};
 use nadfs_simnet::telemetry::phase;
 use nadfs_simnet::{Bandwidth, Ctx, Dur, NodeId, SharedBufPool, Time};
 use nadfs_wire::{
-    AckPkt, CreditGrant, DfsHeader, EcInfo, EcRole, MsgId, ReplicaCoord, Resiliency, Status,
-    WriteReqHeader,
+    AckPkt, CreditGrant, DfsHeader, EcInfo, EcRole, Frame, GatherReconstruct, GatherSegment, MsgId,
+    ReadReqHeader, ReadRespPkt, ReplicaCoord, Resiliency, Status, WriteReqHeader,
 };
 
-use crate::nic::NicCore;
+use crate::nic::{DeferredPkt, NicCore, ReadSink};
 
 /// Firmware EC engine parameters.
 #[derive(Clone, Debug)]
@@ -76,9 +92,18 @@ pub enum EcEngineEvent {
     },
     /// Aggregate the staged intermediate parities for (stripe, parity_idx).
     Aggregate { stripe: u64, parity_idx: u8 },
-    /// Rebuild the missing chunks of a collected degraded gather read
-    /// (survivor shards are already local — in place or staged).
-    Reconstruct { gather: u64 },
+    /// The trigger of degraded gather `gather` elapsed: rebuilt packets
+    /// may enter the engine.
+    DecodeArmed { gather: u64 },
+    /// A DMA-read batch of the coordinator's own survivor is at the NIC:
+    /// packets `first_idx..` of segment `seg` of stream `stream`.
+    DecodeLocal {
+        gather: u64,
+        stream: u16,
+        seg: u8,
+        first_idx: u32,
+        data: Bytes,
+    },
 }
 
 /// The engine state on one NIC.
@@ -108,7 +133,7 @@ impl EcEngine {
         }
     }
 
-    /// A read-only engine: reconstructs degraded gathers but does not
+    /// A read-only engine: decodes degraded gathers but does not
     /// hijack EC write handling from the node software.
     pub fn for_reads() -> EcEngine {
         let mut e = EcEngine::new(EcEngineConfig::default());
@@ -117,9 +142,16 @@ impl EcEngine {
     }
 
     fn rs(&mut self, k: u8, m: u8) -> &ReedSolomon {
-        self.rs_cache
-            .entry((k, m))
-            .or_insert_with(|| ReedSolomon::new(k as usize, m as usize).expect("valid RS params"))
+        self.try_rs(k, m).expect("valid RS params")
+    }
+
+    /// The code for a scheme read off the wire, which may name none.
+    fn try_rs(&mut self, k: u8, m: u8) -> Result<&ReedSolomon, RsError> {
+        use std::collections::hash_map::Entry;
+        Ok(match self.rs_cache.entry((k, m)) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(v) => v.insert(ReedSolomon::new(k as usize, m as usize)?),
+        })
     }
 
     /// Does this write carry an EC role the engine should consume?
@@ -128,8 +160,8 @@ impl EcEngine {
     }
 }
 
-/// The one pooled reconstruction path (NIC gather, client degraded read,
-/// client repair): stage one survivor per entry of `survivors` (its shard
+/// The pooled block reconstruction path (client degraded read, client
+/// repair): stage one survivor per entry of `survivors` (its shard
 /// index; `load(slot, buf)` fills slot `slot`'s `chunk_len` bytes), rebuild
 /// the `want` shards into pooled buffers and hand the survivor buffers
 /// back to the pool. The caller owns the returned buffers (one per `want`
@@ -206,9 +238,8 @@ pub(crate) fn on_ec_write_landed(
                 delay,
                 Box::new(crate::nic::DeferredAck { dst: client, ack }),
             );
-            let engine = core.ec.as_mut().expect("engine enabled");
-            let start = flush.max(engine.busy_until) + engine.cfg.trigger;
-            engine.busy_until = start;
+            let trigger = core.ec.as_ref().expect("engine enabled").cfg.trigger;
+            let start = core.ec_occupy(flush, trigger);
             let ev = EcEngineEvent::Encode {
                 addr: wrh.target_addr,
                 len: wrh.len,
@@ -245,8 +276,8 @@ pub(crate) fn on_ec_write_landed(
                 st.staged_count += 1;
             }
             if st.staged_count == st.k {
-                let start = st.flush.max(engine.busy_until) + engine.cfg.trigger;
-                engine.busy_until = start;
+                let (staged, trigger) = (st.flush, engine.cfg.trigger);
+                let start = core.ec_occupy(staged, trigger);
                 let ev = EcEngineEvent::Aggregate {
                     stripe: info.stripe,
                     parity_idx,
@@ -282,11 +313,11 @@ impl EcEngine {
                 // Engine compute: m coefficient-multiplied outputs.
                 let compute = engine.cfg.encode_bw.tx_time(len as u64 * m as u64);
                 let send_at = ready + compute;
-                engine.busy_until = engine.busy_until.max(send_at);
                 engine.chunks_encoded += 1;
                 let coefs: Vec<u8> = (0..m)
                     .map(|p| engine.rs(k, m).parity_coef(p as usize, chunk_idx as usize))
                     .collect();
+                core.ec_hold(now, send_at);
                 // Build and (deferred to send_at) emit the intermediate
                 // parity writes to each parity node. Each product lands in
                 // a pooled buffer via the in-place wide-word kernel.
@@ -370,102 +401,343 @@ impl EcEngine {
                     }),
                 );
             }
-            EcEngineEvent::Reconstruct { gather } => {
-                let Some(g) = core.gathers.get(&gather) else {
+            EcEngineEvent::DecodeArmed { gather } => {
+                let Some(g) = core.decodes.get_mut(&gather) else {
                     return;
                 };
-                let Some(rec) = g.grh.reconstruct.as_ref() else {
-                    return;
-                };
-                let clen = rec.chunk_len as usize;
-                // Rebuild exactly the chunks the copy list needs that no
-                // survivor segment provides.
-                let mut want: Vec<usize> = rec
-                    .copy
-                    .iter()
-                    .map(|c| c.chunk as usize)
-                    .filter(|c| !g.grh.segments.iter().any(|s| s.shard as usize == *c))
-                    .collect();
-                want.sort_unstable();
-                want.dedup();
-                let greq = g.greq;
-                let client = g.client;
-                let msg = g.msg;
-                let rec_base = g.rec_base;
-                if want.is_empty() {
-                    // The requested ranges all live on survivors; nothing
-                    // to rebuild — stream straight from the shards.
-                    ctx.schedule_self(Dur::ZERO, Box::new(crate::nic::GatherStream { id: gather }));
-                    return;
+                g.armed = true;
+                for (stream, idx) in std::mem::take(&mut g.parked) {
+                    emit(core, ctx, gather, stream, idx);
                 }
-                // DMA-read the k survivor shards back from host memory
-                // (their own chunk addresses, or staging for remote ones)
-                // — store-and-forward like Encode — and rebuild.
-                let mut ready = now;
-                let survivors: Vec<usize> =
-                    g.grh.segments.iter().map(|s| s.shard as usize).collect();
-                let engine = core.ec.as_mut().expect("engine enabled");
-                let rebuilt = rebuild_pooled(
-                    engine.rs(rec.scheme.k, rec.scheme.m),
-                    &core.pool,
-                    clen,
-                    &survivors,
-                    |i, buf| ready = core.dma.borrow_mut().read_into(ready, g.seg_addr[i], buf),
-                    &want,
-                );
-                let Ok(outs) = rebuilt else {
-                    // Malformed gather plan (wrong shard count/sizes):
-                    // reject the flow rather than stream garbage.
-                    if let Some(g) = core.gathers.remove(&gather) {
-                        core.release_gather_staging(g.staging, g.staging_len);
-                    }
-                    core.send_ack(
-                        ctx,
-                        client,
-                        AckPkt {
-                            credit: CreditGrant::ZERO,
-                            msg,
-                            greq_id: Some(greq),
-                            status: Status::Rejected,
-                        },
-                    );
-                    return;
-                };
-                // Engine compute: each rebuilt byte is a k-way
-                // coefficient-multiply accumulate, same channel as encode.
-                let engine = core.ec.as_mut().expect("engine enabled");
-                let compute = engine.cfg.encode_bw.tx_time((clen * want.len()) as u64);
-                // Land the rebuilt chunks in staging so the responder can
-                // stream them alongside the survivor ranges.
-                let mut done = ready + compute;
-                for (w, out) in want.iter().zip(&outs) {
-                    done =
-                        core.dma
-                            .borrow_mut()
-                            .write(done, rec_base + *w as u64 * clen as u64, out);
+            }
+            EcEngineEvent::DecodeLocal {
+                gather,
+                stream,
+                seg,
+                first_idx,
+                data,
+            } => {
+                let cap = nadfs_wire::sizes::max_payload_plain() as usize;
+                for (i, pkt) in data.chunks(cap).enumerate() {
+                    absorb(core, ctx, gather, stream, seg, first_idx + i as u32, pkt);
                 }
-                engine.busy_until = engine.busy_until.max(done);
-                core.stats.borrow_mut().chunks_reconstructed += want.len() as u64;
-                {
-                    let mut pool = core.pool.borrow_mut();
-                    for b in outs {
-                        pool.put(b);
-                    }
-                }
-                core.obs
-                    .borrow_mut()
-                    .spans
-                    .mark_corr_once(greq, phase::NIC_RECONSTRUCTED, done);
-                core.trace
-                    .borrow_mut()
-                    .emit_from(done, "nic", Some(core.node()), || {
-                        format!("gather-reconstruct greq={greq} chunks={}", want.len())
-                    });
-                ctx.schedule_self(
-                    done.since(now),
-                    Box::new(crate::nic::GatherStream { id: gather }),
-                );
+                let next = first_idx + data.len().div_ceil(cap) as u32;
+                read_local(core, ctx, gather, stream, seg, next);
             }
         }
     }
+}
+
+// --- streaming decode (degraded gathers) ---------------------------------
+
+/// Where a decode's rebuilt packets go. A read sends them to the client
+/// that asked; repair-as-a-gather would add a spare node's memory.
+#[derive(Clone, Copy)]
+pub(crate) enum DecodeSink {
+    /// The response flow of gather request `msg` from `dst`: each rebuilt
+    /// packet is a `ReadResp` at its range's destination offset.
+    ReadResp { dst: NodeId, msg: MsgId },
+}
+
+/// One lost range being rebuilt — one `copy` entry of the gather header.
+struct DecodeStream {
+    /// Which of the gather's decode rows (lost chunks) this range is of.
+    row: usize,
+    /// The range is `[lo, lo + len)` of the chunk. Every survivor is read
+    /// over exactly that range and cut into packets from `lo`, so packet
+    /// index i means the same bytes on all of them.
+    lo: u32,
+    len: u32,
+    /// Flow offset and packet index of the range's first packet.
+    dest_off: u32,
+    first_pkt: u32,
+    /// Aggregation sequences by packet index: drawn from the pool at the
+    /// first contribution, gone with the packet at the k-th.
+    accs: Vec<Option<Accumulator>>,
+}
+
+/// A degraded gather decoding on its coordinator NIC.
+pub(crate) struct DecodeGather {
+    greq: u64,
+    sink: DecodeSink,
+    /// The k survivors, in the header's order.
+    segments: Vec<GatherSegment>,
+    /// `rows[row * k + seg]`: coefficient of survivor `seg` in lost chunk
+    /// `row` (`ReedSolomon::decode_rows`).
+    rows: Vec<u8>,
+    streams: Vec<DecodeStream>,
+    /// Packets the sink's flow carries in all.
+    total_pkts: u32,
+    /// Remote fetches issued; cancelled if the gather aborts.
+    fetches: Vec<MsgId>,
+    /// Survivor packets still to absorb / rebuilt packets still to emit.
+    contributions_left: u32,
+    pkts_left: u32,
+    /// Set once the engine's trigger, counted from acceptance, elapsed;
+    /// packets complete before that wait in `parked`.
+    armed: bool,
+    parked: Vec<(u16, u32)>,
+}
+
+/// Accept degraded gather `greq` — rebuild the `rec.copy` ranges from the
+/// k survivors in `segments` and stream them to `sink` — or refuse it
+/// (`false`: nothing drawn, nothing sent) when the plan is malformed:
+/// survivors that are not k distinct shards of the scheme, a wanted chunk
+/// that is not lost, a range past the chunk.
+pub(crate) fn start_decode(
+    core: &mut NicCore,
+    ctx: &mut Ctx<'_>,
+    greq: u64,
+    segments: &[GatherSegment],
+    rec: &GatherReconstruct,
+    sink: DecodeSink,
+) -> bool {
+    let cap = nadfs_wire::sizes::max_payload_plain();
+    let survivors: Vec<usize> = segments.iter().map(|s| s.shard as usize).collect();
+    let copies = || rec.copy.iter().filter(|c| c.len > 0);
+    let mut want: Vec<usize> = copies().map(|c| c.chunk as usize).collect();
+    want.sort_unstable();
+    want.dedup();
+    let in_chunk = |end: u32| end <= rec.chunk_len && segments.iter().all(|s| end <= s.len);
+    let sound = copies().all(|c| c.chunk_off.checked_add(c.len).is_some_and(in_chunk))
+        && want.iter().all(|w| !survivors.contains(w))
+        && copies().count() <= u16::MAX as usize;
+    let engine = core.ec.get_or_insert_with(EcEngine::for_reads);
+    let trigger = engine.cfg.trigger;
+    let rows = engine
+        .try_rs(rec.scheme.k, rec.scheme.m)
+        .and_then(|rs| rs.decode_rows(&survivors, &want));
+    let (true, Ok(rows)) = (sound, rows) else {
+        return false;
+    };
+
+    let mut total_pkts = 0;
+    let streams: Vec<DecodeStream> = copies()
+        .map(|c| {
+            let n_pkts = c.len.div_ceil(cap);
+            let first_pkt = total_pkts;
+            total_pkts += n_pkts;
+            DecodeStream {
+                row: want.binary_search(&(c.chunk as usize)).expect("collected"),
+                lo: c.chunk_off,
+                len: c.len,
+                dest_off: c.dest_off,
+                first_pkt,
+                accs: (0..n_pkts).map(|_| None).collect(),
+            }
+        })
+        .collect();
+    let gather = core.next_decode;
+    core.next_decode += 1;
+    let me = core.node() as u32;
+    // Transport-level NIC-to-NIC fetches (no DFS header: the client's
+    // capability was validated once for the flow).
+    let mut fetches = Vec::new();
+    for (stream, st) in streams.iter().enumerate() {
+        for (seg, s) in segments.iter().enumerate() {
+            if s.coord.node != me {
+                let rrh = ReadReqHeader {
+                    addr: s.coord.addr + st.lo as u64,
+                    len: st.len,
+                };
+                let sink = ReadSink::Decode {
+                    gather,
+                    stream: stream as u16,
+                    seg: seg as u8,
+                };
+                fetches.push(core.post_read(ctx, s.coord.node as NodeId, rrh, None, sink));
+            }
+        }
+    }
+    core.stats.borrow_mut().gather_remote_fetches += fetches.len() as u64;
+    let n_streams = streams.len();
+    core.decodes.insert(
+        gather,
+        DecodeGather {
+            greq,
+            sink,
+            segments: segments.to_vec(),
+            rows,
+            streams,
+            total_pkts,
+            fetches,
+            contributions_left: total_pkts * segments.len() as u32,
+            pkts_left: total_pkts,
+            armed: false,
+            parked: Vec::new(),
+        },
+    );
+    for stream in 0..n_streams {
+        for (seg, s) in segments.iter().enumerate() {
+            if s.coord.node == me {
+                read_local(core, ctx, gather, stream as u16, seg as u8, 0);
+            }
+        }
+    }
+    ctx.schedule_self(trigger, Box::new(EcEngineEvent::DecodeArmed { gather }));
+    true
+}
+
+/// DMA-read the next batch of the coordinator's own survivor `seg` for
+/// `stream`, from packet `first_idx` on: once, in batches that amortize
+/// the PCIe latency like any response stream's.
+fn read_local(
+    core: &mut NicCore,
+    ctx: &mut Ctx<'_>,
+    gather: u64,
+    stream: u16,
+    seg: u8,
+    first_idx: u32,
+) {
+    let Some(g) = core.decodes.get(&gather) else {
+        return;
+    };
+    let cap = nadfs_wire::sizes::max_payload_plain();
+    let st = &g.streams[stream as usize];
+    let off = first_idx * cap;
+    if off >= st.len {
+        return;
+    }
+    let take = (st.len - off).min(cap * crate::nic::DMA_BATCH_PKTS);
+    let addr = g.segments[seg as usize].coord.addr + (st.lo + off) as u64;
+    let now = ctx.now();
+    let (data, ready) = core.dma.borrow_mut().read(now, addr, take as usize);
+    let ev = EcEngineEvent::DecodeLocal {
+        gather,
+        stream,
+        seg,
+        first_idx,
+        data,
+    };
+    ctx.schedule_self(ready.since(now), Box::new(ev));
+}
+
+/// Survivor `seg`'s packet `idx` of `stream` is at the NIC: scale it by
+/// its decode coefficient into the packet index's accumulator. The k-th
+/// contribution completes the rebuilt packet, which enters the engine
+/// (or waits for the gather's trigger to elapse).
+pub(crate) fn absorb(
+    core: &mut NicCore,
+    ctx: &mut Ctx<'_>,
+    gather: u64,
+    stream: u16,
+    seg: u8,
+    idx: u32,
+    data: &[u8],
+) {
+    let Some(g) = core.decodes.get_mut(&gather) else {
+        return;
+    };
+    let cap = nadfs_wire::sizes::max_payload_plain();
+    let k = g.segments.len();
+    let st = &mut g.streams[stream as usize];
+    let expect = st.len.saturating_sub(idx.saturating_mul(cap)).min(cap) as usize;
+    if expect == 0 || data.len() != expect {
+        // Not a packet of the range that was asked for.
+        abort(core, ctx, gather, Status::Rejected);
+        return;
+    }
+    let acc = st.accs[idx as usize].get_or_insert_with(|| {
+        Accumulator::with_buf(core.pool.borrow_mut().get_dirty(expect), k as u32)
+    });
+    let complete = acc.absorb_scaled(g.rows[st.row * k + seg as usize], data);
+    g.contributions_left -= 1;
+    if g.contributions_left == 0 {
+        let spans = &mut core.obs.borrow_mut().spans;
+        spans.mark_corr_once(g.greq, phase::GATHERED, ctx.now());
+    }
+    if complete && g.armed {
+        emit(core, ctx, gather, stream, idx);
+    } else if complete {
+        g.parked.push((stream, idx));
+    }
+}
+
+/// Rebuilt packet `idx` of `stream` has its k contributions: occupy the
+/// engine for it, behind whatever it is already doing, and send it to the
+/// sink when it comes out. Its accumulator's buffer is its payload.
+fn emit(core: &mut NicCore, ctx: &mut Ctx<'_>, gather: u64, stream: u16, idx: u32) {
+    let g = core.decodes.get_mut(&gather).expect("live gather");
+    let st = &mut g.streams[stream as usize];
+    let buf = st.accs[idx as usize]
+        .take()
+        .expect("complete sequence")
+        .into_buf();
+    let offset = st.dest_off + idx * nadfs_wire::sizes::max_payload_plain();
+    let pkt_idx = st.first_pkt + idx;
+    let (sink, total_pkts) = (g.sink, g.total_pkts);
+    g.pkts_left -= 1;
+    let last = g.pkts_left == 0;
+
+    let now = ctx.now();
+    let engine = core.ec.as_ref().expect("armed engine");
+    let compute = engine.cfg.encode_bw.tx_time(buf.len() as u64);
+    let done = core.ec_occupy(now, compute);
+    core.stats.borrow_mut().gather_bytes_streamed += buf.len() as u64;
+    let pkt = match sink {
+        DecodeSink::ReadResp { dst, msg } => core.pkt(
+            dst,
+            Frame::ReadResp(ReadRespPkt {
+                msg,
+                pkt_idx,
+                total_pkts,
+                offset,
+                data: Bytes::from(buf),
+            }),
+        ),
+    };
+    ctx.schedule_self(done.since(now), Box::new(DeferredPkt { pkt }));
+    if last {
+        let g = core.decodes.remove(&gather).expect("live gather");
+        let chunks = g.rows.len() / g.segments.len();
+        core.stats.borrow_mut().chunks_reconstructed += chunks as u64;
+        let spans = &mut core.obs.borrow_mut().spans;
+        spans.mark_corr_once(g.greq, phase::NIC_RECONSTRUCTED, done);
+        spans.mark_corr(g.greq, phase::STREAMED, done);
+        core.trace
+            .borrow_mut()
+            .emit_from(done, "nic", Some(core.node()), || {
+                format!("gather-reconstruct greq={} chunks={chunks}", g.greq)
+            });
+    }
+}
+
+/// Give up on `gather`: cancel its outstanding fetches (their Read credit
+/// returns), hand every live accumulator back to the pool, and tell the
+/// sink with `status`. Packets already sent stay sent; the requester
+/// drops them once it sees the NACK.
+fn abort(core: &mut NicCore, ctx: &mut Ctx<'_>, gather: u64, status: Status) {
+    let Some(g) = core.decodes.remove(&gather) else {
+        return;
+    };
+    for msg in g.fetches {
+        core.cancel_read(msg);
+    }
+    {
+        let mut pool = core.pool.borrow_mut();
+        let live = g.streams.into_iter().flat_map(|st| st.accs).flatten();
+        live.for_each(|acc| pool.put(acc.into_buf()));
+    }
+    let DecodeSink::ReadResp { dst, msg } = g.sink;
+    let nack = AckPkt {
+        credit: CreditGrant::ZERO,
+        msg,
+        greq_id: Some(g.greq),
+        status,
+    };
+    core.send_ack(ctx, dst, nack);
+}
+
+/// A NACK for one of this NIC's own decode fetches (a survivor refused
+/// the range): the gather cannot complete. Returns whether `ack` was one.
+pub(crate) fn on_fetch_nack(core: &mut NicCore, ctx: &mut Ctx<'_>, ack: &AckPkt) -> bool {
+    let Some(ReadSink::Decode { gather, .. }) = core.read_sink(ack.msg) else {
+        return false;
+    };
+    let status = match ack.status {
+        Status::Ok => Status::Rejected,
+        refused => refused,
+    };
+    abort(core, ctx, gather, status);
+    true
 }

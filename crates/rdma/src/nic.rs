@@ -19,13 +19,13 @@ use nadfs_simnet::{
 };
 use nadfs_wire::{
     split_payload, write_payload_caps, AckPkt, CreditGrant, DfsHeader, Frame, GatherReadHeader,
-    GatherReqPkt, HlConfigPkt, MacKey, MsgId, Pkt, ReadReqHeader, ReadReqPkt, ReadRespPkt, Rights,
-    RpcBody, SendPkt, Status, WritePkt, WriteReqHeader,
+    GatherReqPkt, GatherSegment, HlConfigPkt, MacKey, MsgId, Pkt, ReadReqHeader, ReadReqPkt,
+    ReadRespPkt, Rights, RpcBody, SendPkt, Status, WritePkt, WriteReqHeader,
 };
 
 use crate::app::NicApp;
 use crate::chains::{self, ChainEvent, Chains};
-use crate::ec_engine::{self, EcEngine, EcEngineEvent};
+use crate::ec_engine::{self, DecodeGather, DecodeSink, EcEngine, EcEngineEvent};
 
 /// Per-NIC configuration.
 #[derive(Clone, Debug, Default)]
@@ -72,21 +72,19 @@ pub(crate) struct DeferredWrites {
 struct DeferredSend {
     pkts: Vec<Pkt>,
 }
-/// Self-event: start streaming a collected gather (fires at EC-engine
-/// reconstruction-ready time for degraded gathers).
-pub(crate) struct GatherStream {
-    pub(crate) id: u64,
+/// Self-event: enqueue one packet at a deferred time (a rebuilt packet
+/// leaving the EC engine).
+pub(crate) struct DeferredPkt {
+    pub(crate) pkt: Pkt,
 }
 /// Self-event: stream the next batch of a gather response.
 struct GatherStreamNext {
     msg: MsgId,
 }
 
-/// Token namespace for NIC-internal gather fetches ("GTRF" tag in the
-/// high 32 bits): read completions in this range belong to the gather
-/// state machine, not the node software.
-const GATHER_FETCH_BASE: u64 = 0x4754_5246_0000_0000;
-const GATHER_FETCH_TAG_MASK: u64 = 0xFFFF_FFFF_0000_0000;
+/// Packets per DMA read of a response stream: the batch amortizes the
+/// per-op PCIe latency so streaming runs at the read channel's bandwidth.
+pub(crate) const DMA_BATCH_PKTS: u32 = 32;
 
 // --- reassembly states --------------------------------------------------
 
@@ -109,10 +107,20 @@ struct SendState {
     total: u32,
 }
 
+/// Where the response packets of a read this node issued go.
+#[derive(Clone, Copy)]
+pub(crate) enum ReadSink {
+    /// Host memory at `local_addr` plus each packet's offset;
+    /// `on_read_done(token)` follows the last one.
+    Host { local_addr: u64, token: u64 },
+    /// Survivor `seg` of stream `stream` of degraded gather `gather`:
+    /// absorbed into the decode's accumulators in NIC memory.
+    Decode { gather: u64, stream: u16, seg: u8 },
+}
+
 /// Pending read this node issued (initiator side).
 struct PendingRead {
-    local_addr: u64,
-    token: u64,
+    sink: ReadSink,
     pkts_seen: u32,
     flush: Time,
 }
@@ -128,27 +136,7 @@ struct ReadResponder {
     next_idx: u32,
 }
 
-/// An offloaded gather read collecting its segments on the responder NIC.
-pub(crate) struct GatherState {
-    pub(crate) client: NodeId,
-    pub(crate) msg: MsgId,
-    pub(crate) greq: u64,
-    pub(crate) grh: GatherReadHeader,
-    /// Resolved local source address per segment: the segment's own host
-    /// address when it lives on this node, a staging slot otherwise.
-    pub(crate) seg_addr: Vec<u64>,
-    /// Staging base for reconstructed chunks (degraded gathers): slot
-    /// `chunk * chunk_len` holds rebuilt data chunk `chunk`.
-    pub(crate) rec_base: u64,
-    /// Device-arena staging region backing remote fetches and rebuilt
-    /// chunks; released once the response stream (or a reject) retires
-    /// the gather.
-    pub(crate) staging: u64,
-    pub(crate) staging_len: u64,
-    remote_left: u32,
-}
-
-/// A collected gather streaming back to the client as one response flow:
+/// A healthy gather streaming back to the client as one response flow:
 /// a multi-segment generalization of [`ReadResponder`] whose packet
 /// offsets are the (possibly sparse) destination offsets of the flow.
 struct GatherResponder {
@@ -160,9 +148,6 @@ struct GatherResponder {
     seg_off: u32,
     total_pkts: u32,
     next_idx: u32,
-    /// Staging region inherited from the gather, released with the flow.
-    staging: u64,
-    staging_len: u64,
 }
 
 /// Offload counters shared with the metrics registry (the NIC itself is
@@ -178,8 +163,12 @@ pub struct NicStats {
     pub gather_remote_fetches: u64,
     /// Response-flow bytes streamed by gather responders.
     pub gather_bytes_streamed: u64,
-    /// Data chunks rebuilt by the on-NIC EC engine for degraded gathers.
+    /// Lost data chunks rebuilt, wholly or in part, by the on-NIC EC
+    /// engine for degraded gathers.
     pub chunks_reconstructed: u64,
+    /// Time the EC engine was occupied (what its `busy_until` queue
+    /// integrates), in picoseconds.
+    pub ec_busy_ps: u64,
 }
 
 pub type SharedNicStats = Rc<RefCell<NicStats>>;
@@ -275,9 +264,10 @@ pub struct NicCore {
     sends: IdMap<MsgId, SendState>,
     pending_reads: IdMap<MsgId, PendingRead>,
     responders: IdMap<MsgId, ReadResponder>,
-    pub(crate) gathers: IdMap<u64, GatherState>,
+    /// Degraded gathers decoding on this NIC, by NIC-local id.
+    pub(crate) decodes: IdMap<u64, DecodeGather>,
+    pub(crate) next_decode: u64,
     gather_responders: IdMap<MsgId, GatherResponder>,
-    next_gather: u64,
     mrs: Vec<(u64, u64)>,
     /// Service MAC key for NIC-side read validation: when installed,
     /// incoming read requests carrying a DFS header are authenticated on
@@ -425,6 +415,26 @@ impl NicCore {
 
     pub fn firmware_ec(&self) -> Option<&EcEngine> {
         self.ec.as_ref()
+    }
+
+    /// Keep the EC engine busy until `until`, from `from` or from when it
+    /// frees up if that is later (no-op if it is busy past `until`
+    /// already).
+    pub(crate) fn ec_hold(&mut self, from: Time, until: Time) {
+        let engine = self.ec.as_mut().expect("engine enabled");
+        let from = from.max(engine.busy_until);
+        if until > from {
+            engine.busy_until = until;
+            self.stats.borrow_mut().ec_busy_ps += until.since(from).ps();
+        }
+    }
+
+    /// Queue `work` on the EC engine, ready at `from`: it starts when the
+    /// engine frees up. Returns when it is done.
+    pub(crate) fn ec_occupy(&mut self, from: Time, work: Dur) -> Time {
+        let start = from.max(self.ec.as_ref().expect("engine enabled").busy_until);
+        self.ec_hold(start, start + work);
+        start + work
     }
 
     pub fn hyperloop_chains(&self) -> &Chains {
@@ -669,10 +679,22 @@ impl NicCore {
         local_addr: u64,
         token: u64,
     ) -> MsgId {
+        self.post_read(ctx, dst, rrh, dfs, ReadSink::Host { local_addr, token })
+    }
+
+    /// Post a one-sided read whose response packets go to `sink`.
+    pub(crate) fn post_read(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        dst: NodeId,
+        rrh: ReadReqHeader,
+        dfs: Option<DfsHeader>,
+        sink: ReadSink,
+    ) -> MsgId {
         let msg = self.alloc_msg();
-        self.expect_read_resp(msg, local_addr, token);
+        self.arm_read(msg, sink);
         let pkts = vec![self.pkt(dst, Frame::ReadReq(ReadReqPkt { msg, dfs, rrh }))];
-        // Gather coordinators fetch remote segments NIC-to-NIC on the
+        // Gather coordinators fetch survivor ranges NIC-to-NIC on the
         // response path. These are requester-side WRs like any other
         // one-sided read and consume Read credit toward the survivor peer
         // (the response *stream* stays exempt, so credit still cycles):
@@ -685,7 +707,7 @@ impl NicCore {
     }
 
     /// Offloaded gather read: ask `dst`'s NIC to collect the ranges named
-    /// by `grh` (reconstructing on-NIC when degraded) and stream them back
+    /// by `grh` (decoding lost ranges on-NIC when degraded) and stream them back
     /// as one response flow landing at `local_addr` plus each packet's
     /// destination offset; `on_read_done(token)` follows.
     pub fn send_gather(
@@ -710,15 +732,23 @@ impl NicCore {
     /// request goes out as a SEND but the data comes back as ReadResp
     /// frames keyed to the request's message id.
     pub fn expect_read_resp(&mut self, msg: MsgId, local_addr: u64, token: u64) {
+        self.arm_read(msg, ReadSink::Host { local_addr, token });
+    }
+
+    fn arm_read(&mut self, msg: MsgId, sink: ReadSink) {
         self.pending_reads.insert(
             msg,
             PendingRead {
-                local_addr,
-                token,
+                sink,
                 pkts_seen: 0,
                 flush: Time::ZERO,
             },
         );
+    }
+
+    /// Where the response of read `msg` goes, while it is outstanding.
+    pub(crate) fn read_sink(&self, msg: MsgId) -> Option<ReadSink> {
+        self.pending_reads.get(&msg).map(|p| p.sink)
     }
 
     /// Forget an armed read (e.g. after its request was NACKed): no
@@ -1044,10 +1074,15 @@ impl NicCore {
         self.start_gather(ctx, src, g.msg, g.dfs.greq_id, g.grh.clone());
     }
 
-    /// Run a validated gather: resolve local segments, fetch remote ones
-    /// NIC-to-NIC into staging, then reconstruct (if degraded) and stream.
-    /// Public to the crate's callers because the PsPIN handler path enters
-    /// here after HPU validation.
+    /// Run a validated gather. A healthy plan names ranges on this node
+    /// only (the client batches healthy pieces per node) and streams them
+    /// straight from host memory; a degraded plan names the k survivors
+    /// of one stripe, and the lost ranges stream out of the decode as the
+    /// survivors arrive ([`ec_engine::start_decode`]). A plan that is
+    /// neither — or whose local ranges cross the MR protection boundary
+    /// one-sided reads honour — is answered `Rejected`. Public to the
+    /// crate's callers because the PsPIN handler path enters here after
+    /// HPU validation.
     pub fn start_gather(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -1057,198 +1092,68 @@ impl NicCore {
         grh: GatherReadHeader,
     ) {
         let me = self.port.node as u32;
-        // Local source ranges cross the same MR protection boundary as
-        // one-sided reads.
-        for s in &grh.segments {
-            if s.coord.node == me && !self.mr_ok(s.coord.addr, s.len as u64) {
-                let nack = AckPkt {
-                    credit: CreditGrant::ZERO,
-                    msg,
-                    greq_id: Some(greq),
-                    status: Status::Rejected,
-                };
-                self.send_ack(ctx, client, nack);
-                return;
-            }
-        }
-        self.stats.borrow_mut().gather_reads += 1;
-        // Staging: one slot per remote segment, then one chunk_len slot
-        // per data chunk for reconstruction outputs.
-        let remote_bytes: u64 = grh
-            .segments
-            .iter()
-            .filter(|s| s.coord.node != me)
-            .map(|s| s.len as u64)
-            .sum();
-        let rec_bytes = grh
-            .reconstruct
-            .as_ref()
-            .map_or(0, |r| r.scheme.k as u64 * r.chunk_len as u64);
-        // Staging lives in the device arena: the data arena holds
-        // placement-addressed chunks, and a long run's worth of gather
-        // scratch bumping into them would corrupt live shards (it did —
-        // the churn harness flushed exactly that: the third degraded
-        // gather's reconstruction slot crossed the placement base and
-        // overwrote the first page of a live chunk).
-        let staging_len = remote_bytes + rec_bytes;
-        let staging = if staging_len > 0 {
-            self.mem.borrow_mut().alloc_device(staging_len)
+        let local = |s: &GatherSegment| s.coord.node == me;
+        let in_mrs = |s: &GatherSegment| !local(s) || self.mr_ok(s.coord.addr, s.len as u64);
+        let accepted = grh.segments.iter().all(in_mrs)
+            && match &grh.reconstruct {
+                None if grh.segments.iter().all(local) => {
+                    let ranges = grh.segments.iter().filter(|s| s.len > 0);
+                    let segs = ranges.map(|s| (s.coord.addr, s.len, s.dest_off)).collect();
+                    self.respond_gather(ctx, client, msg, greq, segs);
+                    true
+                }
+                None => false,
+                Some(rec) if rec.copy.iter().all(|c| c.len == 0) => {
+                    self.respond_gather(ctx, client, msg, greq, Vec::new());
+                    true
+                }
+                Some(rec) => {
+                    let sink = DecodeSink::ReadResp { dst: client, msg };
+                    ec_engine::start_decode(self, ctx, greq, &grh.segments, rec, sink)
+                }
+            };
+        if accepted {
+            self.stats.borrow_mut().gather_reads += 1;
         } else {
-            0
-        };
-        let id = self.next_gather;
-        self.next_gather += 1;
-        let mut seg_addr = Vec::with_capacity(grh.segments.len());
-        let mut cursor = staging;
-        let mut fetches = Vec::new();
-        for s in &grh.segments {
-            if s.coord.node == me {
-                seg_addr.push(s.coord.addr);
-            } else {
-                seg_addr.push(cursor);
-                fetches.push((
-                    s.coord.node as NodeId,
-                    ReadReqHeader {
-                        addr: s.coord.addr,
-                        len: s.len,
-                    },
-                    cursor,
-                ));
-                cursor += s.len as u64;
-            }
-        }
-        let rec_base = cursor;
-        let remote_left = fetches.len() as u32;
-        self.gathers.insert(
-            id,
-            GatherState {
-                client,
+            let nack = AckPkt {
+                credit: CreditGrant::ZERO,
                 msg,
-                greq,
-                grh,
-                seg_addr,
-                rec_base,
-                staging,
-                staging_len,
-                remote_left,
-            },
-        );
-        if remote_left == 0 {
-            self.gather_collected(ctx, id);
-        } else {
-            self.stats.borrow_mut().gather_remote_fetches += remote_left as u64;
-            for (node, rrh, dst_addr) in fetches {
-                // Transport-level NIC-to-NIC fetch (no DFS header: the
-                // client capability was already validated for the flow).
-                self.send_read(ctx, node, rrh, None, dst_addr, GATHER_FETCH_BASE | id);
-            }
+                greq_id: Some(greq),
+                status: Status::Rejected,
+            };
+            self.send_ack(ctx, client, nack);
         }
     }
 
-    /// One NIC-to-NIC segment fetch of gather `id` landed in staging.
-    fn on_gather_fetch_done(&mut self, ctx: &mut Ctx<'_>, id: u64) {
-        let Some(g) = self.gathers.get_mut(&id) else {
-            return;
-        };
-        g.remote_left -= 1;
-        if g.remote_left > 0 {
-            return;
-        }
-        let greq = g.greq;
-        let now = ctx.now();
-        self.obs
-            .borrow_mut()
-            .spans
-            .mark_corr_once(greq, phase::GATHERED, now);
-        self.gather_collected(ctx, id);
-    }
-
-    /// All segments of gather `id` are local: reconstruct on the EC engine
-    /// if degraded, else stream immediately.
-    fn gather_collected(&mut self, ctx: &mut Ctx<'_>, id: u64) {
-        let now = ctx.now();
-        let degraded = self
-            .gathers
-            .get(&id)
-            .is_some_and(|g| g.grh.reconstruct.is_some());
-        if degraded {
-            // Route survivors through the firmware EC engine; NICs that
-            // never see EC writes bring one up lazily in read-only mode.
-            let engine = self.ec.get_or_insert_with(EcEngine::for_reads);
-            let start = now.max(engine.busy_until) + engine.cfg.trigger;
-            engine.busy_until = start;
-            ctx.schedule_self(
-                start.since(now),
-                Box::new(EcEngineEvent::Reconstruct { gather: id }),
-            );
-        } else {
-            self.gather_stream(ctx, id);
-        }
-    }
-
-    /// Turn the collected gather into a streaming response flow. For
-    /// degraded gathers the EC engine calls this (via [`GatherStream`])
-    /// after reconstruction landed in staging; the copy list resolves to
-    /// survivor segments where possible and staged rebuilt chunks else.
-    ///
-    /// Return a retired gather's staging pages to the host: transient
-    /// device scratch must not accumulate across a long run.
-    pub(crate) fn release_gather_staging(&mut self, staging: u64, staging_len: u64) {
-        if staging_len > 0 {
-            self.mem.borrow_mut().release(staging, staging_len);
-        }
-    }
-
-    pub(crate) fn gather_stream(&mut self, ctx: &mut Ctx<'_>, id: u64) {
-        let Some(g) = self.gathers.remove(&id) else {
-            return;
-        };
+    /// Stream `segs` — `(local_addr, len, dest_off)` ranges of this
+    /// node's memory — back to `dst` as the response flow of gather `msg`.
+    pub(crate) fn respond_gather(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        dst: NodeId,
+        msg: MsgId,
+        greq: u64,
+        segs: Vec<(u64, u32, u32)>,
+    ) {
         let payload_cap = nadfs_wire::sizes::max_payload_plain();
-        let segs: Vec<(u64, u32, u32)> = match &g.grh.reconstruct {
-            None => g
-                .grh
-                .segments
-                .iter()
-                .zip(&g.seg_addr)
-                .filter(|(s, _)| s.len > 0)
-                .map(|(s, &addr)| (addr, s.len, s.dest_off))
-                .collect(),
-            Some(rec) => rec
-                .copy
-                .iter()
-                .filter(|c| c.len > 0)
-                .map(|c| {
-                    let base = g
-                        .grh
-                        .segments
-                        .iter()
-                        .position(|s| s.shard == c.chunk)
-                        .map(|i| g.seg_addr[i])
-                        .unwrap_or_else(|| g.rec_base + c.chunk as u64 * rec.chunk_len as u64);
-                    (base + c.chunk_off as u64, c.len, c.dest_off)
-                })
-                .collect(),
-        };
         let total_pkts = segs
             .iter()
             .map(|&(_, len, _)| len.div_ceil(payload_cap))
             .sum::<u32>()
             .max(1);
         self.gather_responders.insert(
-            g.msg,
+            msg,
             GatherResponder {
-                dst: g.client,
-                greq: g.greq,
+                dst,
+                greq,
                 segs,
                 seg_idx: 0,
                 seg_off: 0,
                 total_pkts,
                 next_idx: 0,
-                staging: g.staging,
-                staging_len: g.staging_len,
             },
         );
-        self.stream_gather(ctx, g.msg);
+        self.stream_gather(ctx, msg);
     }
 
     /// Stream the next response batch of a gather flow: like
@@ -1256,7 +1161,6 @@ impl NicCore {
     /// destination segments, with a per-batch phase mark so the op span
     /// records pipeline progress.
     fn stream_gather(&mut self, ctx: &mut Ctx<'_>, msg: MsgId) {
-        const BATCH_PKTS: u32 = 32;
         let now = ctx.now();
         let Some(r) = self.gather_responders.get_mut(&msg) else {
             return;
@@ -1279,10 +1183,9 @@ impl NicCore {
             });
             pkts.push(boxes.submit(src, dst, empty));
             drop(boxes);
-            let r = self.gather_responders.remove(&msg).expect("just looked up");
-            self.release_gather_staging(r.staging, r.staging_len);
+            self.gather_responders.remove(&msg);
         } else {
-            let mut budget = BATCH_PKTS;
+            let mut budget = DMA_BATCH_PKTS;
             while budget > 0 && r.seg_idx < r.segs.len() {
                 let (addr, len, dest_off) = r.segs[r.seg_idx];
                 let left = len - r.seg_off;
@@ -1319,10 +1222,7 @@ impl NicCore {
             if more {
                 ctx.schedule_self(ready.since(now), Box::new(GatherStreamNext { msg }));
             } else {
-                // The final batch's DMA reads copied the bytes out; the
-                // staging pages are dead even while frames are in flight.
-                let r = self.gather_responders.remove(&msg).expect("just looked up");
-                self.release_gather_staging(r.staging, r.staging_len);
+                self.gather_responders.remove(&msg);
             }
         }
         self.stats.borrow_mut().gather_bytes_streamed += batch_bytes;
@@ -1333,19 +1233,17 @@ impl NicCore {
         ctx.schedule_self(ready.since(now), Box::new(DeferredSend { pkts }));
     }
 
-    /// Stream the next response batch: DMA-read up to 32 packets' worth
-    /// from host memory, emit the packets at DMA-ready time, reschedule.
-    /// The batch amortizes the per-op PCIe latency so streaming reads run
-    /// at the DMA-read channel bandwidth.
+    /// Stream the next response batch: DMA-read up to [`DMA_BATCH_PKTS`]
+    /// packets' worth from host memory, emit the packets at DMA-ready
+    /// time, reschedule.
     fn stream_read(&mut self, ctx: &mut Ctx<'_>, msg: MsgId) {
-        const BATCH_PKTS: u32 = 32;
         let now = ctx.now();
         let Some(r) = self.responders.get_mut(&msg) else {
             return;
         };
         let payload_cap = nadfs_wire::sizes::max_payload_plain();
         let remaining = r.len - r.next_off.min(r.len);
-        let chunk = (payload_cap * BATCH_PKTS).min(remaining);
+        let chunk = (payload_cap * DMA_BATCH_PKTS).min(remaining);
         let src = self.port.node;
         let mut boxes = self.pkts.borrow_mut();
         let mut pkts = Vec::new();
@@ -1400,21 +1298,48 @@ impl NicCore {
         }
     }
 
-    fn on_read_resp(&mut self, ctx: &mut Ctx<'_>, r: &ReadRespPkt) {
+    fn on_read_resp(&mut self, ctx: &mut Ctx<'_>, r: &mut ReadRespPkt) {
         let now = ctx.now();
-        let Some(p) = self.pending_reads.get_mut(&r.msg) else {
-            return;
-        };
-        let addr = p.local_addr + r.offset as u64;
-        let done = self.dma.borrow_mut().write(now, addr, &r.data);
-        p.flush = p.flush.max(done);
-        p.pkts_seen += 1;
-        if p.pkts_seen == r.total_pkts {
-            let p = self.pending_reads.remove(&r.msg).expect("present");
-            ctx.schedule_at(p.flush, self.self_id, Box::new(ReadDone { token: p.token }));
-            // The read WR completed (response fully landed): its read-queue
-            // slot frees now, possibly releasing queued reads.
-            self.return_read_credit(ctx, r.msg);
+        if let Some(sink) = self.read_sink(r.msg) {
+            let landed = match sink {
+                ReadSink::Host { local_addr, .. } => {
+                    let addr = local_addr + r.offset as u64;
+                    self.dma.borrow_mut().write(now, addr, &r.data)
+                }
+                ReadSink::Decode {
+                    gather,
+                    stream,
+                    seg,
+                } => {
+                    let idx = r.offset / nadfs_wire::sizes::max_payload_plain();
+                    ec_engine::absorb(self, ctx, gather, stream, seg, idx, &r.data);
+                    now
+                }
+            };
+            // An absorb that aborted its gather cancelled this read too.
+            if let Some(p) = self.pending_reads.get_mut(&r.msg) {
+                p.flush = p.flush.max(landed);
+                p.pkts_seen += 1;
+                if p.pkts_seen == r.total_pkts {
+                    let p = self.pending_reads.remove(&r.msg).expect("present");
+                    if let ReadSink::Host { token, .. } = p.sink {
+                        ctx.schedule_at(p.flush, self.self_id, Box::new(ReadDone { token }));
+                    }
+                    // The read WR completed (response fully landed): its
+                    // read-queue slot frees now, possibly releasing
+                    // queued reads.
+                    self.return_read_credit(ctx, r.msg);
+                }
+            }
+        }
+        // The payload is consumed (or its read was abandoned). One that is
+        // a whole buffer of its own, not a window into a DMA batch, is a
+        // packet buffer — a rebuilt packet travels in the accumulator it
+        // was decoded in — and goes back to the ring.
+        let len = r.data.len();
+        match std::mem::take(&mut r.data).try_unwrap() {
+            Ok(v) if len > 0 && v.len() == len => self.pool.borrow_mut().put(v),
+            _ => {}
         }
     }
 }
@@ -1458,9 +1383,9 @@ impl Nic {
                 sends: IdMap::default(),
                 pending_reads: IdMap::default(),
                 responders: IdMap::default(),
-                gathers: IdMap::default(),
+                decodes: IdMap::default(),
+                next_decode: 0,
                 gather_responders: IdMap::default(),
-                next_gather: 0,
                 mrs: Vec::new(),
                 service_key: None,
                 writes_acked: 0,
@@ -1582,7 +1507,9 @@ impl Component for Nic {
                         // before the app runs so WRs freed by it release.
                         core.flow.on_grant(src, ackp.credit);
                         core.release_pending();
-                        if ackp.msg != CREDIT_MSG {
+                        // A survivor refusing a decode's fetch is the
+                        // NIC's business, not the node software's.
+                        if ackp.msg != CREDIT_MSG && !ec_engine::on_fetch_nack(core, ctx, ackp) {
                             app.on_ack(core, ctx, src, *ackp);
                         }
                         core.pump(ctx);
@@ -1679,18 +1606,14 @@ impl Component for Nic {
         };
         let ev = match ev.downcast::<ReadDone>() {
             Ok(r) => {
-                if r.token & GATHER_FETCH_TAG_MASK == GATHER_FETCH_BASE {
-                    core.on_gather_fetch_done(ctx, r.token & !GATHER_FETCH_TAG_MASK);
-                } else {
-                    app.on_read_done(core, ctx, r.token);
-                }
+                app.on_read_done(core, ctx, r.token);
                 return;
             }
             Err(e) => e,
         };
-        let ev = match ev.downcast::<GatherStream>() {
-            Ok(g) => {
-                core.gather_stream(ctx, g.id);
+        let ev = match ev.downcast::<DeferredPkt>() {
+            Ok(d) => {
+                core.send_pkts(ctx, [d.pkt]);
                 return;
             }
             Err(e) => e,

@@ -1,5 +1,7 @@
 //! End-to-end NIC behavior tests: raw writes, RPC, one-sided reads,
-//! HyperLoop chains, the firmware EC engine, and MR protection.
+//! HyperLoop chains, the firmware EC engine, MR protection, and the
+//! streaming decode of degraded gathers (its refusals, its survivor-NACK
+//! and client-abandon paths, and what it leaves behind on each).
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -7,12 +9,16 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use nadfs_gfec::ReedSolomon;
-use nadfs_host::SharedMemory;
+use nadfs_host::{DmaEngine, SharedMemory};
 use nadfs_rdma::{AppTimer, EcEngine, EcEngineConfig, Nic, NicApp, NicConfig, NicCore};
-use nadfs_simnet::{Ctx, Dur, Engine, Fabric, FabricConfig, NodeId, Time};
+use nadfs_simnet::{
+    BufPool, CreditConfig, Ctx, Dur, Engine, Fabric, FabricConfig, NodeId, PacketPool,
+    SharedBufPool, SharedFlowStats, Time, WrClass,
+};
 use nadfs_wire::{
-    AckPkt, Capability, DfsHeader, DfsOp, EcInfo, EcRole, HlConfigPkt, MacKey, MsgId,
-    ReadReqHeader, ReplicaCoord, Resiliency, Rights, RpcBody, RsScheme, Status, WriteReqHeader,
+    AckPkt, Capability, DfsHeader, DfsOp, EcInfo, EcRole, GatherCopy, GatherReadHeader,
+    GatherReconstruct, GatherSegment, HlConfigPkt, MacKey, MsgId, ReadReqHeader, ReplicaCoord,
+    Resiliency, Rights, RpcBody, RsScheme, Status, WriteReqHeader,
 };
 
 type Action = Box<dyn FnMut(&mut NicCore, &mut Ctx<'_>)>;
@@ -490,4 +496,269 @@ fn mr_protection_rejects_out_of_region_writes() {
         vec![0u8; 4],
         "rejected write leaked into memory"
     );
+}
+
+// --- degraded gathers ------------------------------------------------------
+
+/// Chunk size of the RS(2,1) stripe the decode tests read: six packets,
+/// the last one short.
+const CHUNK: u32 = 10_000;
+const CHUNK_ADDR: u64 = 0x40_000;
+
+/// A degraded RS(2,1) stripe: node 0 is the client, data chunk 0 is
+/// lost, node 1 holds data chunk 1 and coordinates, node 2 holds the
+/// parity. All three NICs draw from one buffer ring, as a cluster's do,
+/// and hold one Read credit per peer: a gather's fetches from a survivor
+/// go out one after the other, so a refusal can follow ranges already
+/// absorbed.
+struct DecodeRig {
+    c: Cluster,
+    /// The lost chunk's bytes.
+    lost: Vec<u8>,
+    pool: SharedBufPool,
+    dmas: Rc<RefCell<Vec<Rc<RefCell<DmaEngine>>>>>,
+    flows: Rc<RefCell<Vec<SharedFlowStats>>>,
+}
+
+/// The plan a client would send for `copy` ranges of the lost chunk.
+fn degraded_plan(copy: Vec<GatherCopy>) -> GatherReadHeader {
+    let segment = |node: u32, shard: u8| GatherSegment {
+        coord: ReplicaCoord {
+            node,
+            addr: CHUNK_ADDR,
+        },
+        len: CHUNK,
+        dest_off: 0,
+        shard,
+    };
+    GatherReadHeader {
+        total_len: copy.iter().map(|c| c.len).sum(),
+        segments: vec![segment(1, 1), segment(2, 2)],
+        reconstruct: Some(GatherReconstruct {
+            scheme: RsScheme::new(2, 1),
+            chunk_len: CHUNK,
+            copy,
+        }),
+    }
+}
+
+/// Build the rig; the client's timer 1 sends `plan` (landing at
+/// 0x100_000, token 9) and then runs `after_send` on its NIC.
+fn decode_rig(
+    plan: GatherReadHeader,
+    after_send: fn(&mut NicCore, MsgId),
+    cfg: NicConfig,
+) -> DecodeRig {
+    let rs = ReedSolomon::new(2, 1).expect("params");
+    let lost = pattern(CHUNK as usize, 11);
+    let kept = pattern(CHUNK as usize, 12);
+    let parity = rs.encode(&[&lost, &kept]).expect("encode").remove(0);
+    let pool = BufPool::shared(256);
+    let pkts = PacketPool::shared();
+    let dmas = Rc::new(RefCell::new(Vec::new()));
+    let flows = Rc::new(RefCell::new(Vec::new()));
+    let setups = [None, Some(kept), Some(parity)]
+        .into_iter()
+        .map(|chunk| {
+            let (pool, pkts) = (pool.clone(), pkts.clone());
+            let (dmas, flows) = (dmas.clone(), flows.clone());
+            Some(Box::new(move |nic: &mut NicCore| {
+                nic.share_pools(pool, pkts);
+                nic.set_credit_config(CreditConfig {
+                    max_send_read: 1,
+                    ..Default::default()
+                });
+                dmas.borrow_mut().push(nic.dma());
+                flows.borrow_mut().push(nic.flow_stats());
+                if let Some(chunk) = chunk {
+                    nic.memory().borrow_mut().write(CHUNK_ADDR, &chunk);
+                    nic.register_mr(CHUNK_ADDR, CHUNK as u64);
+                }
+            }) as Setup)
+        })
+        .collect();
+    let send = Box::new(move |nic: &mut NicCore, ctx: &mut Ctx<'_>| {
+        let msg = nic.send_gather(ctx, 1, dfs_header(5, 0), plan.clone(), 0x100_000, 9);
+        after_send(nic, msg);
+    }) as Action;
+    let actions = vec![
+        HashMap::from([(1u64, send)]),
+        HashMap::new(),
+        HashMap::new(),
+    ];
+    let mut c = build(3, actions, setups, cfg);
+    kick(&mut c, 0, 1, Dur::ZERO);
+    run(&mut c, 10);
+    DecodeRig {
+        c,
+        lost,
+        pool,
+        dmas,
+        flows,
+    }
+}
+
+impl DecodeRig {
+    /// Every buffer the ring lent came back, and every Read credit the
+    /// coordinator spent on survivor fetches returned.
+    fn assert_nothing_outstanding(&self) {
+        let s = self.pool.borrow().stats();
+        assert_eq!(s.gets, s.puts, "ring lent {} got back {}", s.gets, s.puts);
+        let f = *self.flows.borrow()[1].borrow();
+        let read = WrClass::Read.index();
+        assert_eq!(f.posted[read], f.completed[read], "coordinator Read credit");
+    }
+}
+
+fn no_follow_up(_: &mut NicCore, _: MsgId) {}
+
+/// The lost range comes back byte-exact; the survivors are read over
+/// exactly that range, once; nothing is staged in the coordinator's host
+/// memory; and the accumulators go back to the ring.
+#[test]
+fn degraded_gather_decodes_the_wanted_range_in_nic_memory() {
+    // Starts and ends mid-packet, and a second range ending in the
+    // chunk's short last packet.
+    let copy = vec![
+        GatherCopy {
+            chunk: 0,
+            chunk_off: 1_000,
+            len: 5_000,
+            dest_off: 0,
+        },
+        GatherCopy {
+            chunk: 0,
+            chunk_off: 7_500,
+            len: 2_500,
+            dest_off: 5_000,
+        },
+    ];
+    let rig = decode_rig(degraded_plan(copy), no_follow_up, NicConfig::default());
+    let done: Vec<u64> = rig.c.records[0]
+        .reads
+        .borrow()
+        .iter()
+        .map(|r| r.1)
+        .collect();
+    assert_eq!(done, vec![9]);
+    let got = rig.c.memories[0].borrow().read(0x100_000, 7_500);
+    assert_eq!(got[..5_000], rig.lost[1_000..6_000]);
+    assert_eq!(got[5_000..], rig.lost[7_500..]);
+    let dmas = rig.dmas.borrow();
+    for survivor in [1, 2] {
+        let d = dmas[survivor].borrow();
+        assert_eq!(
+            d.bytes_read, 7_500,
+            "survivor {survivor} reads the ranges only"
+        );
+        assert_eq!(d.bytes_written, 0, "survivor {survivor} stages nothing");
+    }
+    assert_eq!(
+        rig.pool.borrow().stats().gets,
+        5,
+        "one accumulator per packet"
+    );
+    rig.assert_nothing_outstanding();
+}
+
+/// Plans the decode must refuse before drawing a buffer or sending a
+/// fetch: a wanted chunk that is not lost, a range past the chunk, a
+/// survivor set that is not k distinct shards, a scheme that names no
+/// code, and a healthy plan naming a remote segment.
+#[test]
+fn malformed_gather_plans_are_rejected_at_acceptance() {
+    let whole = |chunk: u8, chunk_off: u32| {
+        vec![GatherCopy {
+            chunk,
+            chunk_off,
+            len: CHUNK,
+            dest_off: 0,
+        }]
+    };
+    let mut twice = degraded_plan(whole(0, 0));
+    twice.segments[1].shard = 1;
+    let mut no_code = degraded_plan(whole(0, 0));
+    no_code.reconstruct.as_mut().expect("degraded").scheme = RsScheme::new(2, 0);
+    let mut remote = degraded_plan(whole(0, 0));
+    remote.reconstruct = None;
+    for (why, plan) in [
+        ("survivor wanted", degraded_plan(whole(1, 0))),
+        ("past the chunk", degraded_plan(whole(0, 1))),
+        ("duplicate survivor", twice),
+        ("no such code", no_code),
+        ("healthy but remote", remote),
+    ] {
+        let rig = decode_rig(plan, no_follow_up, NicConfig::default());
+        let acks = rig.c.records[0].acks.borrow();
+        assert_eq!(acks.len(), 1, "{why}");
+        assert_eq!(acks[0].2.status, Status::Rejected, "{why}");
+        assert!(rig.c.records[0].reads.borrow().is_empty(), "{why}");
+        assert_eq!(rig.pool.borrow().stats().gets, 0, "{why}: nothing drawn");
+        assert_eq!(
+            rig.flows.borrow()[1].borrow().posted[WrClass::Read.index()],
+            0,
+            "{why}"
+        );
+    }
+}
+
+/// A survivor that refuses a fetch (the range is outside its MRs) fails
+/// the gather: the client is NACKed with the survivor's status, the
+/// accumulators of the ranges already absorbed go back to the ring, and
+/// the fetches' Read credit returns.
+#[test]
+fn survivor_nack_aborts_the_gather_and_leaks_nothing() {
+    let range = |chunk_off: u32, dest_off: u32| GatherCopy {
+        chunk: 0,
+        chunk_off,
+        len: 4_000,
+        dest_off,
+    };
+    let cfg = NicConfig {
+        enforce_mr: true,
+        ..Default::default()
+    };
+    let mut plan = degraded_plan(vec![range(0, 0), range(6_000, 4_000)]);
+    // The parity node's registered region ends where this plan's first
+    // range does: it serves that one and refuses the second.
+    plan.segments[1].coord.addr += 6_000;
+    let rig = decode_rig(plan, no_follow_up, cfg);
+    let acks = rig.c.records[0].acks.borrow();
+    assert_eq!(acks.len(), 1);
+    assert_eq!(acks[0].2.status, Status::Rejected);
+    assert_eq!(acks[0].2.greq_id, Some(5));
+    assert!(rig.c.records[0].reads.borrow().is_empty());
+    assert!(
+        rig.c.records[1].acks.borrow().is_empty(),
+        "not the node software's ack"
+    );
+    assert!(
+        rig.pool.borrow().stats().gets >= 3,
+        "the first range was absorbed"
+    );
+    rig.assert_nothing_outstanding();
+}
+
+/// A client that gives up on its gather while it decodes gets no
+/// completion; the rebuilt packets it no longer wants still hand their
+/// buffers back.
+#[test]
+fn abandoned_gather_returns_its_buffers() {
+    let copy = vec![GatherCopy {
+        chunk: 0,
+        chunk_off: 0,
+        len: CHUNK,
+        dest_off: 0,
+    }];
+    let abandon = |nic: &mut NicCore, msg: MsgId| nic.cancel_read(msg);
+    let rig = decode_rig(degraded_plan(copy), abandon, NicConfig::default());
+    assert!(rig.c.records[0].reads.borrow().is_empty());
+    assert!(rig.c.records[0].acks.borrow().is_empty());
+    assert_eq!(rig.c.memories[0].borrow().read(0x100_000, 8), vec![0u8; 8]);
+    assert_eq!(
+        rig.pool.borrow().stats().gets,
+        6,
+        "the decode ran to the end"
+    );
+    rig.assert_nothing_outstanding();
 }

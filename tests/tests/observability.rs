@@ -8,7 +8,10 @@
 //! - spans never leak: rejected jobs, expired capabilities, mid-op node
 //!   deaths under a [`FaultPlan`], and cache-hit short-circuits all close
 //!   their span;
-//! - the `nadfs-metrics-v1` snapshot schema stays stable.
+//! - the `nadfs-metrics-v1` snapshot schema stays stable;
+//! - a NIC's serial resources (DMA read and write channels, EC engine)
+//!   export their occupancy, so the next hot spot is found by reading the
+//!   snapshot.
 
 use std::collections::BTreeMap;
 
@@ -373,6 +376,10 @@ fn metrics_snapshot_schema_is_stable() {
         "repair.committed",
         "fabric.switch_holds",
         "engine.events_dispatched",
+        "nic.0.gather.chunks_reconstructed",
+        "nic.0.dma.read_busy_ps",
+        "nic.0.dma.write_busy_ps",
+        "nic.0.ec.busy_ps",
     ] {
         assert!(
             snap.counter(counter).is_some(),
@@ -386,6 +393,66 @@ fn metrics_snapshot_schema_is_stable() {
         assert!(snap.gauge(gauge).is_some(), "snapshot lost gauge {gauge}");
     }
     assert_eq!(snap.gauge("spans.open"), Some(0.0));
+}
+
+/// The occupancy counters on a degraded gather: the coordinator's DMA
+/// write channel does not move (nothing is staged), its read channel is
+/// busy for one pass over the survivor bytes it owns, and its EC engine
+/// for the rebuilt bytes at its rate. No other NIC's engine runs.
+#[test]
+fn degraded_gather_occupancy_is_in_the_snapshot() {
+    let spec = ClusterSpec::new(1, 6, StorageMode::Spin);
+    let (dma, engine) = (spec.cost.nic.dma.clone(), spec.cost.ec_engine.clone());
+    let cluster = SimCluster::build_with(spec, |app| app.read_cache_enabled = false);
+    let mut fs = FsClient::new(cluster);
+    fs.mkdir_p("/obs").expect("mkdir");
+    let scheme = RsScheme::new(3, 2);
+    let h = fs
+        .create_with_policy(
+            "/obs/g",
+            LayoutSpec::SINGLE,
+            FilePolicy::ErasureCoded { scheme },
+        )
+        .expect("create");
+    let data = payload(9, 64 << 10);
+    let w = fs.append(&h, &data).expect("write");
+    let lost = w.placement.data_chunks[0].node as usize;
+    fs.fail_storage_node(fs.cluster.storage_index(lost));
+    let chunk_len = w.placement.chunk_len;
+
+    // Exactly the lost chunk: the coordinator serves the decode only.
+    let before = fs.metrics_snapshot();
+    let h = h.with_read_protocol(ReadProtocol::Offloaded);
+    let r = fs.read_at(&h, 0, chunk_len).expect("degraded read");
+    assert_eq!(r.data.as_ref(), &data[..chunk_len as usize]);
+    let delta = fs.metrics_snapshot().delta(&before);
+
+    let moved = |i: usize, what: &str| delta.counter(&format!("nic.{i}.{what}")).unwrap_or(0);
+    let coordinators: Vec<usize> = (0..6)
+        .filter(|&i| moved(i, "gather.chunks_reconstructed") > 0)
+        .collect();
+    let [c] = coordinators[..] else {
+        panic!("one coordinator, got {coordinators:?}");
+    };
+    assert_eq!(moved(c, "dma.write_busy_ps"), 0, "nothing staged");
+    let one_pass = dma.read_bw.tx_time(chunk_len as u64) + dma.per_op + dma.latency;
+    let read_busy = moved(c, "dma.read_busy_ps");
+    assert!(
+        0 < read_busy && read_busy <= one_pass.ps(),
+        "coordinator read channel busy {read_busy} ps, one pass is {} ps",
+        one_pass.ps()
+    );
+    // Occupied per rebuilt packet, each rounded up to a picosecond.
+    let compute = engine.encode_bw.tx_time(chunk_len as u64).ps();
+    let ec_busy = moved(c, "ec.busy_ps");
+    assert!(
+        compute <= ec_busy && ec_busy <= compute + 16,
+        "engine busy {ec_busy} ps for {compute} ps of decode"
+    );
+    for i in (0..6).filter(|&i| i != c) {
+        assert_eq!(moved(i, "ec.busy_ps"), 0, "nic {i} decodes nothing");
+        assert_eq!(moved(i, "dma.write_busy_ps"), 0, "nic {i} stages nothing");
+    }
 }
 
 /// Engine profiling (off by default) lands dispatch counts and per-kind

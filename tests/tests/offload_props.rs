@@ -5,9 +5,16 @@
 //! fills against overwrites — is byte-identical to the CPU fan-out path
 //! and to a shadow model of the file. Generation-keyed fills may lose
 //! the race to an overwrite, but must then miss, never serve stale.
+//!
+//! The deterministic cases below it pin what the streaming decode can get
+//! wrong and a random scenario rarely hits: ranges that graze a lost
+//! chunk by a byte, end beside a packet boundary or in the chunk's short
+//! last packet, or cross stripes; two lost chunks in one stripe; a lone
+//! surviving parity; two decodes sharing a coordinator.
 
 use nadfs_core::{
-    ClusterSpec, FilePolicy, FsClient, LayoutSpec, ReadProtocol, SimCluster, StorageMode,
+    ClusterSpec, FileHandle, FilePolicy, FsClient, Job, LayoutSpec, ReadProtocol, SimCluster,
+    StorageMode,
 };
 use nadfs_tests::{
     assert_bytes_converged, assert_hosted_conserved, drain_repairs_with_faults, seed_from_env,
@@ -169,4 +176,160 @@ proptest! {
         }
         assert_hosted_conserved(&fsc.cluster, "post-drain offload");
     }
+}
+
+/// Bytes of one RS(3,2) stripe in the deterministic cases: chunks of
+/// 20 000 bytes, ten full 1978-byte packets and a 220-byte last one.
+const STRIPE: usize = 60_000;
+const CHUNK: u64 = 20_000;
+const PKT: u64 = 1978;
+
+/// An RS(3,2) file of `stripes` stripes on 1 client x 6 nodes, cache off
+/// (every read goes to the wire), with the nodes holding `lose` — shard
+/// slots of the file's placement, data 0..3 then parity 3..5 — failed.
+fn degraded_file(stripes: usize, lose: &[usize]) -> (FsClient, FileHandle, Vec<u8>) {
+    let spec = ClusterSpec::new(1, 6, StorageMode::Spin).with_window(2);
+    let cl = SimCluster::build_with(spec, |app| app.read_cache_enabled = false);
+    let mut fsc = FsClient::new(cl);
+    fsc.mkdir_p("/d").expect("mkdir");
+    let policy = FilePolicy::ErasureCoded {
+        scheme: RsScheme::new(3, 2),
+    };
+    let h = fsc
+        .create_with_policy("/d/f", LayoutSpec::SINGLE, policy)
+        .expect("create");
+    let data: Vec<u8> = (0..stripes * STRIPE)
+        .map(|i| (i as u64).wrapping_mul(0x9E37_79B9).to_le_bytes()[3])
+        .collect();
+    let mut placement = None;
+    for stripe in data.chunks(STRIPE) {
+        let w = fsc.append(&h, stripe).expect("write").placement;
+        let shards: Vec<u32> = w
+            .data_chunks
+            .iter()
+            .chain(&w.parities)
+            .map(|c| c.node)
+            .collect();
+        assert_eq!(
+            *placement.get_or_insert(shards.clone()),
+            shards,
+            "one placement per file"
+        );
+    }
+    for &slot in lose {
+        let node = placement.as_ref().expect("written")[slot];
+        fsc.fail_storage_node(fsc.cluster.storage_index(node as usize));
+    }
+    (fsc, h, data)
+}
+
+/// `[off, off + len)` through the NIC decode and through the client-side
+/// fan-out, both against the bytes written.
+fn assert_offload_equals_fanout(
+    fsc: &mut FsClient,
+    h: &FileHandle,
+    data: &[u8],
+    off: u64,
+    len: u64,
+) {
+    let want = &data[off as usize..(off + len) as usize];
+    let rebuilt_before: u64 = nic_chunks_rebuilt(fsc);
+    let gather = h.clone().with_read_protocol(ReadProtocol::Offloaded);
+    let g = fsc.read_at(&gather, off, len as u32).expect("offloaded");
+    assert_eq!(g.data.as_ref(), want, "offloaded ≠ written at {off}+{len}");
+    assert!(
+        g.degraded_stripes > 0,
+        "{off}+{len} must touch a lost chunk"
+    );
+    assert!(nic_chunks_rebuilt(fsc) > rebuilt_before, "decoded on a NIC");
+    let fanout = h.clone().with_read_protocol(ReadProtocol::Rdma);
+    let f = fsc.read_at(&fanout, off, len as u32).expect("fan-out");
+    assert_eq!(f.data.as_ref(), want, "fan-out ≠ written at {off}+{len}");
+    assert_eq!(g.checksum, f.checksum);
+}
+
+fn nic_chunks_rebuilt(fsc: &FsClient) -> u64 {
+    let stats = fsc.cluster.nic_stats.iter();
+    stats.map(|s| s.borrow().chunks_reconstructed).sum()
+}
+
+#[test]
+fn reads_that_graze_a_lost_chunk_decode_exactly() {
+    // Data chunk 1 of every stripe is lost: bytes [20 000, 40 000) of it.
+    let (mut fsc, h, data) = degraded_file(2, &[1]);
+    let (cs, ce) = (CHUNK, 2 * CHUNK);
+    for (off, len) in [
+        (cs - 100, 101),                         // one byte of the lost chunk, at its head
+        (ce - 1, 101),                           // one byte, at its tail
+        (cs, 2 * PKT - 1),                       // ends a byte short of a packet boundary
+        (cs + 2 * PKT - 1, 2),                   // straddles that boundary
+        (cs + 9 * PKT + 7, CHUNK - 9 * PKT - 7), // into the short last packet
+        (ce - 220, 220),                         // the short last packet alone
+        (cs + 5_000, STRIPE as u64),             // two stripes, both lost chunks
+        (0, 2 * STRIPE as u64),                  // everything
+    ] {
+        assert_offload_equals_fanout(&mut fsc, &h, &data, off, len);
+    }
+}
+
+#[test]
+fn two_failed_nodes_decode_two_rows_or_lean_on_the_last_parity() {
+    // Two data chunks lost: one gather, two decode rows, both parities
+    // among the survivors.
+    let (mut fsc, h, data) = degraded_file(3, &[0, 2]);
+    assert_offload_equals_fanout(&mut fsc, &h, &data, 0, data.len() as u64);
+    assert_offload_equals_fanout(&mut fsc, &h, &data, CHUNK - 1, 2 + CHUNK);
+    // A data chunk and a parity lost: the surviving parity is the only
+    // one the rotation can pick, whatever the record id.
+    let (mut fsc, h, data) = degraded_file(3, &[1, 3]);
+    assert_offload_equals_fanout(&mut fsc, &h, &data, 0, data.len() as u64);
+    let (mut fsc, h, data) = degraded_file(3, &[1, 4]);
+    assert_offload_equals_fanout(&mut fsc, &h, &data, 0, data.len() as u64);
+}
+
+#[test]
+fn two_decodes_in_flight_on_one_coordinator_stay_apart() {
+    // Two disjoint ranges of one stripe's lost chunk, issued together:
+    // same extent record, so the same coordinator runs both decodes.
+    let (fsc, h, data) = degraded_file(1, &[1]);
+    let mut cl = fsc.into_cluster();
+    let ranges = [(CHUNK + 100, 9_000u32), (CHUNK + 9_100, 10_000u32)];
+    for (i, &(offset, len)) in ranges.iter().enumerate() {
+        cl.submit(
+            0,
+            Job::Read {
+                file: h.id(),
+                offset,
+                len,
+                protocol: ReadProtocol::Offloaded,
+                token: i as u64,
+                slot: None,
+            },
+        );
+    }
+    cl.start();
+    assert_eq!(cl.run_until_file_reads(2, 1_000), 2);
+    let reads = cl.results.borrow().file_reads.clone();
+    for r in &reads {
+        let (off, len) = ranges[r.token as usize];
+        assert_eq!(
+            r.data.as_ref(),
+            &data[off as usize..off as usize + len as usize]
+        );
+    }
+    assert!(
+        reads[0].start < reads[1].end && reads[1].start < reads[0].end,
+        "the two reads must overlap in time"
+    );
+    let per_nic: Vec<u64> = cl
+        .nic_stats
+        .iter()
+        .map(|s| s.borrow().chunks_reconstructed)
+        .collect();
+    assert_eq!(per_nic.iter().sum::<u64>(), 2);
+    assert_eq!(
+        per_nic.iter().filter(|&&n| n > 0).count(),
+        1,
+        "one coordinator: {per_nic:?}"
+    );
 }

@@ -226,3 +226,100 @@ fn readahead_fills_complete_after_the_triggering_miss_returns() {
         );
     }
 }
+
+/// One unloaded 64 KiB read of stripe `stripe` of a two-stripe RS(3,2)
+/// file on 1 client x 6 nodes (cache off), in ps of simulated time, with
+/// the node holding data chunk 0 failed when `degraded`.
+fn unloaded_read_ps(protocol: ReadProtocol, degraded: bool, stripe: u64) -> u64 {
+    let (mut fs, h, data) = two_stripe_file(degraded);
+    let h = h.with_read_protocol(protocol);
+    let r = fs.read_at(&h, stripe * BLOCK, BLOCK as u32).expect("read");
+    let at = (stripe * BLOCK) as usize;
+    assert_eq!(r.data.as_ref(), &data[at..at + BLOCK as usize]);
+    r.end.since(r.start).ps()
+}
+
+const BLOCK: u64 = 64 << 10;
+
+fn two_stripe_file(degraded: bool) -> (FsClient, nadfs_core::FileHandle, Vec<u8>) {
+    let spec = ClusterSpec::new(1, 6, StorageMode::Spin);
+    let cluster = SimCluster::build_with(spec, |app| app.read_cache_enabled = false);
+    let mut fs = FsClient::new(cluster);
+    fs.mkdir_p("/off").expect("mkdir");
+    let policy = FilePolicy::ErasureCoded {
+        scheme: RsScheme::new(3, 2),
+    };
+    let h = fs
+        .create_with_policy("/off/u", LayoutSpec::SINGLE, policy)
+        .expect("create");
+    let data = payload(24, 2 * BLOCK as usize);
+    let mut victim = 0;
+    for stripe in data.chunks(BLOCK as usize) {
+        victim = fs.append(&h, stripe).expect("write").placement.data_chunks[0].node;
+    }
+    if degraded {
+        let idx = fs.cluster.storage_index(victim as usize);
+        fs.fail_storage_node(idx);
+    }
+    (fs, h, data)
+}
+
+/// The unloaded read latencies, as numbers. The healthy paths and the
+/// client-side degraded paths are the parent commit's to the picosecond
+/// (stripe 0: extent record 0, where the survivor rotation picks what
+/// "the first k survivors" used to); the offloaded degraded read, which
+/// the parent store-and-forwarded through host memory in 17.027 µs, is
+/// held to 0.65x of that. Stripe 1 is extent record 1, where the
+/// rotation picks the other parity and another coordinator.
+#[test]
+fn unloaded_read_latencies_are_pinned() {
+    use ReadProtocol::{Offloaded, Rdma, Rpc};
+    let ps = unloaded_read_ps;
+    assert_eq!(ps(Rdma, false, 0), 3_653_099);
+    assert_eq!(ps(Rpc, false, 0), 4_653_619);
+    assert_eq!(ps(Offloaded, false, 0), 4_072_699);
+    assert_eq!(ps(Rdma, true, 0), 7_096_496);
+    assert_eq!(ps(Rpc, true, 0), 8_097_016);
+    let decoded = ps(Offloaded, true, 0);
+    assert!(decoded * 100 <= 17_026_857 * 65 && decoded <= 11_000_000);
+    assert_eq!(decoded, 9_144_362);
+    // Unloaded, the nodes are interchangeable: which parity is fetched
+    // and which survivor coordinates moves no latency.
+    assert_eq!(ps(Rdma, true, 1), 7_096_496);
+    assert_eq!(ps(Rpc, true, 1), 8_097_016);
+    assert_eq!(ps(Offloaded, true, 1), 9_144_362);
+}
+
+/// A 4 KiB read that overlaps a lost chunk by 100 bytes moves those 100
+/// bytes from each of the k survivors — not their chunks — and stages
+/// nothing anywhere.
+#[test]
+fn a_small_degraded_read_fetches_the_lost_range_not_the_chunk() {
+    let (mut fs, h, data) = two_stripe_file(true);
+    let chunk_len = BLOCK.div_ceil(3);
+    let h = h.with_read_protocol(ReadProtocol::Offloaded);
+    let dma = |fs: &FsClient| -> Vec<(u64, u64)> {
+        let dmas = fs.cluster.storage_dmas.iter();
+        dmas.map(|d| (d.borrow().bytes_read, d.borrow().bytes_written))
+            .collect()
+    };
+    let before = dma(&fs);
+    // The last 100 bytes of lost data chunk 0, then 3996 of chunk 1.
+    let off = chunk_len - 100;
+    let r = fs.read_at(&h, off, 4096).expect("read");
+    assert_eq!(r.data.as_ref(), &data[off as usize..off as usize + 4096]);
+    let mut read: Vec<u64> = dma(&fs)
+        .iter()
+        .zip(&before)
+        .map(|(now, was)| {
+            assert_eq!(now.1, was.1, "nothing is staged in host memory");
+            now.0 - was.0
+        })
+        .collect();
+    read.sort_unstable();
+    // The failed node, the parity not picked and the node outside the
+    // stripe serve nothing; two survivors serve the 100-byte range; the
+    // third also holds the read's healthy bytes.
+    let expect = vec![0, 0, 0, 100, 100, 100 + 3996];
+    assert_eq!(read, expect, "k x 100 bytes, not k x {chunk_len}");
+}
