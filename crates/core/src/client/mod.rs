@@ -119,9 +119,9 @@ pub enum ReadProtocol {
     /// the bytes back (the CPU baseline).
     Rpc,
     /// NIC-offloaded gather: one request per storage node; sPIN handlers
-    /// validate once, the NIC collects the node's segments (fetching
-    /// remote survivors NIC-to-NIC and reconstructing degraded stripes on
-    /// the firmware EC engine), and streams them back as a single flow.
+    /// validate once, the NIC streams the node's segments back as a single
+    /// flow; for a degraded stripe one survivor's NIC fetches the others'
+    /// lost ranges NIC-to-NIC and streams the decode instead.
     Offloaded,
 }
 

@@ -729,15 +729,12 @@ fn abort(core: &mut NicCore, ctx: &mut Ctx<'_>, gather: u64, status: Status) {
 }
 
 /// A NACK for one of this NIC's own decode fetches (a survivor refused
-/// the range): the gather cannot complete. Returns whether `ack` was one.
-pub(crate) fn on_fetch_nack(core: &mut NicCore, ctx: &mut Ctx<'_>, ack: &AckPkt) -> bool {
-    let Some(ReadSink::Decode { gather, .. }) = core.read_sink(ack.msg) else {
+/// the range): the gather cannot complete, and its client hears the
+/// survivor's reason. Returns whether `nack` was one.
+pub(crate) fn on_fetch_nack(core: &mut NicCore, ctx: &mut Ctx<'_>, nack: &AckPkt) -> bool {
+    let Some(ReadSink::Decode { gather, .. }) = core.read_sink(nack.msg) else {
         return false;
     };
-    let status = match ack.status {
-        Status::Ok => Status::Rejected,
-        refused => refused,
-    };
-    abort(core, ctx, gather, status);
+    abort(core, ctx, gather, nack.status);
     true
 }

@@ -1078,7 +1078,7 @@ impl NicCore {
     /// only (the client batches healthy pieces per node) and streams them
     /// straight from host memory; a degraded plan names the k survivors
     /// of one stripe, and the lost ranges stream out of the decode as the
-    /// survivors arrive ([`ec_engine::start_decode`]). A plan that is
+    /// survivors arrive (`ec_engine::start_decode`). A plan that is
     /// neither — or whose local ranges cross the MR protection boundary
     /// one-sided reads honour — is answered `Rejected`. Public to the
     /// crate's callers because the PsPIN handler path enters here after
@@ -1300,36 +1300,34 @@ impl NicCore {
 
     fn on_read_resp(&mut self, ctx: &mut Ctx<'_>, r: &mut ReadRespPkt) {
         let now = ctx.now();
-        if let Some(sink) = self.read_sink(r.msg) {
-            let landed = match sink {
-                ReadSink::Host { local_addr, .. } => {
-                    let addr = local_addr + r.offset as u64;
-                    self.dma.borrow_mut().write(now, addr, &r.data)
-                }
-                ReadSink::Decode {
-                    gather,
-                    stream,
-                    seg,
-                } => {
-                    let idx = r.offset / nadfs_wire::sizes::max_payload_plain();
-                    ec_engine::absorb(self, ctx, gather, stream, seg, idx, &r.data);
-                    now
-                }
-            };
+        let mut pending = self.pending_reads.get_mut(&r.msg);
+        if let Some(ReadSink::Decode {
+            gather,
+            stream,
+            seg,
+        }) = pending.as_ref().map(|p| p.sink)
+        {
+            let idx = r.offset / nadfs_wire::sizes::max_payload_plain();
+            ec_engine::absorb(self, ctx, gather, stream, seg, idx, &r.data);
             // An absorb that aborted its gather cancelled this read too.
-            if let Some(p) = self.pending_reads.get_mut(&r.msg) {
-                p.flush = p.flush.max(landed);
-                p.pkts_seen += 1;
-                if p.pkts_seen == r.total_pkts {
-                    let p = self.pending_reads.remove(&r.msg).expect("present");
-                    if let ReadSink::Host { token, .. } = p.sink {
-                        ctx.schedule_at(p.flush, self.self_id, Box::new(ReadDone { token }));
-                    }
-                    // The read WR completed (response fully landed): its
-                    // read-queue slot frees now, possibly releasing
-                    // queued reads.
-                    self.return_read_credit(ctx, r.msg);
+            pending = self.pending_reads.get_mut(&r.msg);
+        }
+        if let Some(p) = pending {
+            if let ReadSink::Host { local_addr, .. } = p.sink {
+                let addr = local_addr + r.offset as u64;
+                let done = self.dma.borrow_mut().write(now, addr, &r.data);
+                p.flush = p.flush.max(done);
+            }
+            p.pkts_seen += 1;
+            if p.pkts_seen == r.total_pkts {
+                let p = self.pending_reads.remove(&r.msg).expect("present");
+                if let ReadSink::Host { token, .. } = p.sink {
+                    ctx.schedule_at(p.flush, self.self_id, Box::new(ReadDone { token }));
                 }
+                // The read WR completed (response fully landed): its
+                // read-queue slot frees now, possibly releasing queued
+                // reads.
+                self.return_read_credit(ctx, r.msg);
             }
         }
         // The payload is consumed (or its read was abandoned). One that is
@@ -1509,7 +1507,9 @@ impl Component for Nic {
                         core.release_pending();
                         // A survivor refusing a decode's fetch is the
                         // NIC's business, not the node software's.
-                        if ackp.msg != CREDIT_MSG && !ec_engine::on_fetch_nack(core, ctx, ackp) {
+                        let refused = ackp.status != Status::Ok;
+                        let own = refused && ec_engine::on_fetch_nack(core, ctx, ackp);
+                        if ackp.msg != CREDIT_MSG && !own {
                             app.on_ack(core, ctx, src, *ackp);
                         }
                         core.pump(ctx);

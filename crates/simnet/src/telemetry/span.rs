@@ -36,15 +36,17 @@ pub mod phase {
     pub const CACHE_HIT: &str = "cache-hit";
     /// A stripe needed erasure-coded reconstruction on the read path.
     pub const DEGRADED: &str = "degraded";
-    /// A storage NIC finished collecting all segments of an offloaded
-    /// gather read (remote survivor fetches landed in staging).
+    /// The last survivor packet of a degraded gather reached its
+    /// coordinator NIC.
     pub const GATHERED: &str = "gathered";
-    /// The firmware EC engine reconstructed missing chunks on the NIC.
+    /// The last rebuilt packet of a degraded gather left the coordinator's
+    /// EC engine.
     pub const NIC_RECONSTRUCTED: &str = "nic-reconstructed";
     /// One packet moved through a NIC handler pipeline (recorded per
     /// packet, not per op — fine-grained pipeline phase accounting).
     pub const NIC_PKT: &str = "nic-pkt";
-    /// A gather responder pushed one DMA batch of response packets.
+    /// A gather responder pushed one DMA batch of response packets, or a
+    /// degraded gather sent its last rebuilt one.
     pub const STREAMED: &str = "streamed";
     /// The readahead tail was split off into a background fill; the
     /// miss-critical span excludes it from this point on.

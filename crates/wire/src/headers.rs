@@ -157,9 +157,11 @@ impl ReadReqHeader {
 /// the first (only) packet of the request alongside the DFS header.
 pub const MAX_GATHER_SEGS: usize = 32;
 
-/// One contiguous source range of an offloaded gather read. `coord.node`
-/// equal to the coordinator means a local DMA read; other nodes are
-/// fetched NIC-to-NIC into staging before streaming.
+/// One contiguous source range of an offloaded gather read. In a healthy
+/// gather every segment is on the coordinator and is streamed from its
+/// memory. In a degraded one the segments are the stripe's k survivor
+/// chunks (`len` = chunk length): the coordinator DMA-reads its own and
+/// fetches the others' lost ranges NIC-to-NIC, decoding as they arrive.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GatherSegment {
     pub coord: ReplicaCoord,
@@ -183,8 +185,9 @@ pub struct GatherCopy {
 
 /// Reconstruction directive of a degraded gather read: the request's
 /// segments are the k surviving shards (tagged by `GatherSegment::shard`);
-/// the NIC-side EC engine rebuilds the chunks named by `copy` and the
-/// responder streams exactly those ranges.
+/// the coordinator rebuilds exactly the `copy` ranges of the lost chunks —
+/// reading no more than those ranges from any survivor — and streams
+/// them to their destination offsets.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GatherReconstruct {
     pub scheme: RsScheme,

@@ -6,8 +6,9 @@
 //! `read_at` transparently reconstructs the missing chunk from the k
 //! surviving data + parity shards using the cached decode matrices.
 //! The same stripe is then read with `ReadProtocol::Offloaded`, which
-//! moves the reconstruction onto the storage NIC's firmware EC engine —
-//! the metrics delta proves the client decoded nothing. The failure
+//! moves the reconstruction onto a storage NIC, which decodes the
+//! survivors as they stream in — the metrics delta proves the client
+//! decoded nothing. The failure
 //! also queues the extent for background repair: draining the queue
 //! rebuilds the lost shard onto a spare node, after which reads resolve
 //! through the normal path even with the node still dead.
@@ -98,11 +99,12 @@ fn main() {
         (healthy.end - healthy.start).as_us()
     );
 
-    // The same degraded stripe can instead reconstruct ON the storage
-    // NIC: an offloaded gather read fetches the survivors NIC-to-NIC
-    // and rebuilds the lost chunk on the firmware EC engine, streaming
-    // the finished stripe back as one validated flow. The client never
-    // touches parity math — the counter delta proves it.
+    // The same degraded stripe can instead reconstruct ON a storage
+    // NIC: an offloaded gather read has one survivor's NIC fetch the
+    // others' lost ranges NIC-to-NIC and decode them packet by packet
+    // as they arrive, each rebuilt packet leaving for the client the
+    // moment it is complete. The client never touches parity math —
+    // the counter delta proves it.
     fs.drop_read_cache();
     let before = fs.metrics_snapshot();
     let gather_handle = file.clone().with_read_protocol(ReadProtocol::Offloaded);

@@ -17,10 +17,11 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use nadfs_core::{
-    FileHandle, FsClient, Job, RepairDriver, RepairReport, RepairResult, SimCluster, WriteResult,
-    WriteSlot,
+    ClusterSpec, FileHandle, FilePolicy, FsClient, Job, LayoutSpec, RepairDriver, RepairReport,
+    RepairResult, SimCluster, StorageMode, WriteResult, WriteSlot,
 };
 use nadfs_simnet::Dur;
+use nadfs_wire::RsScheme;
 
 pub mod churn;
 
@@ -257,6 +258,46 @@ pub fn dump_trace_if_requested(fsc: &FsClient, tag: &str) -> Option<std::path::P
     std::fs::write(&path, fsc.export_chrome_trace()).ok()?;
     eprintln!("[nadfs] timeline dumped to {}", path.display());
     Some(path)
+}
+
+/// The fixture of the degraded-read tests: an RS(3,2) file of `stripes`
+/// appends of `stripe_len` seeded bytes on 1 client x 6 sPIN nodes
+/// (window 2, read cache off: every read goes to the wire), then the
+/// nodes holding shard slots `lose` of the file's placement — data
+/// 0..3, parity 3..5 — failed. Returns the client, the handle and the
+/// bytes written.
+pub fn degraded_rs32_file(
+    stripe_len: usize,
+    stripes: usize,
+    lose: &[usize],
+) -> (FsClient, FileHandle, Vec<u8>) {
+    let spec = ClusterSpec::new(1, 6, StorageMode::Spin).with_window(2);
+    let cluster = SimCluster::build_with(spec, |app| app.read_cache_enabled = false);
+    let mut fsc = FsClient::new(cluster);
+    fsc.mkdir_p("/d").expect("mkdir");
+    let policy = FilePolicy::ErasureCoded {
+        scheme: RsScheme::new(3, 2),
+    };
+    let h = fsc
+        .create_with_policy("/d/f", LayoutSpec::SINGLE, policy)
+        .expect("create");
+    let mut rng = SplitMix::new(stripe_len as u64);
+    let data: Vec<u8> = (0..stripes * stripe_len)
+        .map(|_| rng.next_u64() as u8)
+        .collect();
+    let mut placement = None;
+    for stripe in data.chunks(stripe_len) {
+        let w = fsc.append(&h, stripe).expect("write").placement;
+        let shards = w.data_chunks.iter().chain(&w.parities);
+        let nodes: Vec<u32> = shards.map(|c| c.node).collect();
+        let first = placement.get_or_insert(nodes.clone());
+        assert_eq!(*first, nodes, "a file's stripes share one placement");
+    }
+    for &slot in lose {
+        let node = placement.as_ref().expect("written")[slot];
+        fsc.fail_storage_node(fsc.cluster.storage_index(node as usize));
+    }
+    (fsc, h, data)
 }
 
 // ---------------------------------------------------------------------

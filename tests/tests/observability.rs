@@ -22,7 +22,8 @@ use nadfs_core::{
 use nadfs_simnet::telemetry::json::{self, Json};
 use nadfs_simnet::{Dur, SNAPSHOT_SCHEMA};
 use nadfs_tests::{
-    drain_repairs_with_faults, write_then_fail_midway, FaultAction, FaultPlan, FaultPoint, SplitMix,
+    degraded_rs32_file, drain_repairs_with_faults, write_then_fail_midway, FaultAction, FaultPlan,
+    FaultPoint, SplitMix,
 };
 use nadfs_wire::RsScheme;
 
@@ -401,24 +402,10 @@ fn metrics_snapshot_schema_is_stable() {
 /// for the rebuilt bytes at its rate. No other NIC's engine runs.
 #[test]
 fn degraded_gather_occupancy_is_in_the_snapshot() {
-    let spec = ClusterSpec::new(1, 6, StorageMode::Spin);
-    let (dma, engine) = (spec.cost.nic.dma.clone(), spec.cost.ec_engine.clone());
-    let cluster = SimCluster::build_with(spec, |app| app.read_cache_enabled = false);
-    let mut fs = FsClient::new(cluster);
-    fs.mkdir_p("/obs").expect("mkdir");
-    let scheme = RsScheme::new(3, 2);
-    let h = fs
-        .create_with_policy(
-            "/obs/g",
-            LayoutSpec::SINGLE,
-            FilePolicy::ErasureCoded { scheme },
-        )
-        .expect("create");
-    let data = payload(9, 64 << 10);
-    let w = fs.append(&h, &data).expect("write");
-    let lost = w.placement.data_chunks[0].node as usize;
-    fs.fail_storage_node(fs.cluster.storage_index(lost));
-    let chunk_len = w.placement.chunk_len;
+    let (mut fs, h, data) = degraded_rs32_file(64 << 10, 1, &[0]);
+    let cost = &fs.cluster.spec.cost;
+    let (dma, engine) = (cost.nic.dma.clone(), cost.ec_engine.clone());
+    let chunk_len = (64u32 << 10).div_ceil(3);
 
     // Exactly the lost chunk: the coordinator serves the decode only.
     let before = fs.metrics_snapshot();

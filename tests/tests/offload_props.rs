@@ -17,8 +17,8 @@ use nadfs_core::{
     StorageMode,
 };
 use nadfs_tests::{
-    assert_bytes_converged, assert_hosted_conserved, drain_repairs_with_faults, seed_from_env,
-    FaultAction, FaultPlan, FaultPoint,
+    assert_bytes_converged, assert_hosted_conserved, degraded_rs32_file, drain_repairs_with_faults,
+    seed_from_env, FaultAction, FaultPlan, FaultPoint,
 };
 use nadfs_wire::{BcastStrategy, RsScheme};
 use proptest::prelude::*;
@@ -184,43 +184,8 @@ const STRIPE: usize = 60_000;
 const CHUNK: u64 = 20_000;
 const PKT: u64 = 1978;
 
-/// An RS(3,2) file of `stripes` stripes on 1 client x 6 nodes, cache off
-/// (every read goes to the wire), with the nodes holding `lose` — shard
-/// slots of the file's placement, data 0..3 then parity 3..5 — failed.
 fn degraded_file(stripes: usize, lose: &[usize]) -> (FsClient, FileHandle, Vec<u8>) {
-    let spec = ClusterSpec::new(1, 6, StorageMode::Spin).with_window(2);
-    let cl = SimCluster::build_with(spec, |app| app.read_cache_enabled = false);
-    let mut fsc = FsClient::new(cl);
-    fsc.mkdir_p("/d").expect("mkdir");
-    let policy = FilePolicy::ErasureCoded {
-        scheme: RsScheme::new(3, 2),
-    };
-    let h = fsc
-        .create_with_policy("/d/f", LayoutSpec::SINGLE, policy)
-        .expect("create");
-    let data: Vec<u8> = (0..stripes * STRIPE)
-        .map(|i| (i as u64).wrapping_mul(0x9E37_79B9).to_le_bytes()[3])
-        .collect();
-    let mut placement = None;
-    for stripe in data.chunks(STRIPE) {
-        let w = fsc.append(&h, stripe).expect("write").placement;
-        let shards: Vec<u32> = w
-            .data_chunks
-            .iter()
-            .chain(&w.parities)
-            .map(|c| c.node)
-            .collect();
-        assert_eq!(
-            *placement.get_or_insert(shards.clone()),
-            shards,
-            "one placement per file"
-        );
-    }
-    for &slot in lose {
-        let node = placement.as_ref().expect("written")[slot];
-        fsc.fail_storage_node(fsc.cluster.storage_index(node as usize));
-    }
-    (fsc, h, data)
+    degraded_rs32_file(STRIPE, stripes, lose)
 }
 
 /// `[off, off + len)` through the NIC decode and through the client-side

@@ -9,7 +9,7 @@ use nadfs_core::{
 };
 use nadfs_simnet::telemetry::phase;
 use nadfs_simnet::Dur;
-use nadfs_tests::SplitMix;
+use nadfs_tests::{degraded_rs32_file, SplitMix};
 use nadfs_wire::RsScheme;
 
 fn payload(seed: u64, len: usize) -> Vec<u8> {
@@ -242,26 +242,8 @@ fn unloaded_read_ps(protocol: ReadProtocol, degraded: bool, stripe: u64) -> u64 
 const BLOCK: u64 = 64 << 10;
 
 fn two_stripe_file(degraded: bool) -> (FsClient, nadfs_core::FileHandle, Vec<u8>) {
-    let spec = ClusterSpec::new(1, 6, StorageMode::Spin);
-    let cluster = SimCluster::build_with(spec, |app| app.read_cache_enabled = false);
-    let mut fs = FsClient::new(cluster);
-    fs.mkdir_p("/off").expect("mkdir");
-    let policy = FilePolicy::ErasureCoded {
-        scheme: RsScheme::new(3, 2),
-    };
-    let h = fs
-        .create_with_policy("/off/u", LayoutSpec::SINGLE, policy)
-        .expect("create");
-    let data = payload(24, 2 * BLOCK as usize);
-    let mut victim = 0;
-    for stripe in data.chunks(BLOCK as usize) {
-        victim = fs.append(&h, stripe).expect("write").placement.data_chunks[0].node;
-    }
-    if degraded {
-        let idx = fs.cluster.storage_index(victim as usize);
-        fs.fail_storage_node(idx);
-    }
-    (fs, h, data)
+    let lose: &[usize] = if degraded { &[0] } else { &[] };
+    degraded_rs32_file(BLOCK as usize, 2, lose)
 }
 
 /// The unloaded read latencies, as numbers. The healthy paths and the
