@@ -6,8 +6,7 @@
 //! excluded from the measured write latency ("the write latency is the time
 //! spanning from issuing the write request to receiving the respective
 //! write response", §IV) — so the services here are shared state consulted
-//! synchronously by the drivers, with an optional RPC front used by the
-//! full-system examples.
+//! synchronously by the drivers.
 //!
 //! The metadata service is a real hierarchical namespace
 //! ([`nadfs_meta::MetadataService`]): files live at paths, carry striped

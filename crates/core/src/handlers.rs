@@ -16,15 +16,15 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use nadfs_gfec::ReedSolomon;
+use nadfs_gfec::{Accumulator, ReedSolomon};
 use nadfs_pspin::{HandlerArgs, HandlerSet, Ops};
 use nadfs_simnet::telemetry::phase;
 use nadfs_simnet::{
     BufPool, IdMap, NodeId, ObsHub, SharedBufPool, SharedObs, SharedTrace, Time, Trace,
 };
 use nadfs_wire::{
-    bcast_children, AckPkt, CreditGrant, DfsHeader, EcInfo, EcRole, Frame, GatherReadHeader,
-    GatherReqPkt, MacKey, MsgId, Resiliency, Rights, RsScheme, Status, WritePkt, WriteReqHeader,
+    bcast_children, AckPkt, DfsHeader, EcInfo, EcRole, Frame, GatherReadHeader, GatherReqPkt,
+    MacKey, MsgId, Resiliency, Rights, RsScheme, Status, WritePkt, WriteReqHeader,
 };
 
 use crate::config::HandlerCosts;
@@ -56,9 +56,6 @@ struct ReqEntry {
     greq: u64,
     accept: bool,
     client: NodeId,
-    /// Kept whole for forwarded-stream headers (re-validation downstream).
-    #[allow(dead_code)]
-    dfs: DfsHeader,
     wrh: WriteReqHeader,
     fwd: Vec<FwdStream>,
     /// Packets of this message that carry data (client-origin messages
@@ -99,12 +96,6 @@ struct StripeState {
     reserved: usize,
 }
 
-/// An in-flight accumulator (one aggregation sequence, Fig 14).
-struct AccEntry {
-    buf: Vec<u8>,
-    got: u8,
-}
-
 /// Counters exposed to tests and the host software.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DfsCounters {
@@ -136,7 +127,8 @@ pub struct DfsNicState {
     next_fwd_seq: u64,
     rs_cache: IdMap<(u8, u8), ReedSolomon>,
     stripes: IdMap<u64, StripeState>,
-    accs: IdMap<(u64, u32), AccEntry>,
+    /// In-flight aggregation sequences (Fig 14), by stripe and offset.
+    accs: IdMap<(u64, u32), Accumulator>,
     /// Free accumulators remaining in the pool.
     acc_free: usize,
     /// Validated gather reads keyed by a NIC-local id; the completion
@@ -202,17 +194,13 @@ impl DfsNicState {
         self.req_table.len()
     }
 
-    /// Stripe info needed by the host for CPU-fallback aggregation.
-    pub fn fallback_stripe_info(&self, stripe: u64) -> Option<(u8, u32, u64, u64, NodeId)> {
-        self.stripes
-            .get(&stripe)
-            .filter(|s| s.fallback)
-            .map(|s| (s.k, s.chunk_len, s.final_addr, s.greq, s.client))
-    }
-
-    /// Host finished fallback aggregation; drop the stripe state.
-    pub fn complete_fallback(&mut self, stripe: u64) {
-        self.stripes.remove(&stripe);
+    /// Hand `stripe` over to the host for CPU-fallback aggregation, if it
+    /// is one the NIC staged: `(k, chunk_len, final_addr, greq, client)`.
+    /// The stripe's state is dropped.
+    pub fn take_fallback_stripe(&mut self, stripe: u64) -> Option<(u8, u32, u64, u64, NodeId)> {
+        self.stripes.get(&stripe).filter(|s| s.fallback)?;
+        let s = self.stripes.remove(&stripe)?;
+        Some((s.k, s.chunk_len, s.final_addr, s.greq, s.client))
     }
 
     /// Claim a validated gather read announced via [`EVT_GATHER`].
@@ -228,6 +216,32 @@ impl DfsNicState {
             .or_insert_with(|| {
                 ReedSolomon::new(scheme.k as usize, scheme.m as usize).expect("valid RS")
             })
+    }
+
+    /// Authenticate the request `msg` that `dfs` heads — signature,
+    /// expiry, `rights` (§IV threat model: untrusted clients, trusted
+    /// network). One that passes is marked `nic-validated` on the
+    /// originating client op's span (greq-correlated); `Err` is the NACK
+    /// to send for one that does not.
+    fn validate(
+        &mut self,
+        msg: MsgId,
+        dfs: &DfsHeader,
+        rights: Rights,
+        now: Time,
+        describe: impl FnOnce() -> String,
+    ) -> Result<(), AckPkt> {
+        let cap = &dfs.capability;
+        if cap.verify(&self.key, now.as_ns() as u64, rights).is_err() {
+            self.counters.auth_failures += 1;
+            return Err(AckPkt::new(msg, Some(dfs.greq_id), Status::AuthFailed));
+        }
+        let spans = &mut self.obs.borrow_mut().spans;
+        spans.mark_corr_once(dfs.greq_id, phase::NIC_VALIDATED, now);
+        self.trace
+            .borrow_mut()
+            .emit_from(now, "nic", self.node, describe);
+        Ok(())
     }
 
     fn alloc_fwd_msg(&mut self, node: NodeId) -> MsgId {
@@ -258,37 +272,19 @@ fn write_pkt(frame: &Frame) -> Option<&WritePkt> {
 /// the pipeline retires.
 fn gather_header(st: &mut DfsNicState, g: &GatherReqPkt, src: NodeId, now: Time, ops: &mut Ops) {
     st.counters.requests_seen += 1;
-    let ok = g
-        .dfs
-        .capability
-        .verify(&st.key, now.as_ns() as u64, Rights::READ)
-        .is_ok();
-    if !ok {
-        st.counters.auth_failures += 1;
-        ops.send(
-            src,
-            Frame::Ack(AckPkt {
-                credit: CreditGrant::ZERO,
-                msg: g.msg,
-                greq_id: Some(g.dfs.greq_id),
-                status: Status::AuthFailed,
-            }),
-        );
-        return;
-    }
-    st.counters.gather_reqs += 1;
-    st.obs
-        .borrow_mut()
-        .spans
-        .mark_corr_once(g.dfs.greq_id, phase::NIC_VALIDATED, now);
-    st.trace.borrow_mut().emit_from(now, "nic", st.node, || {
+    let describe = || {
         format!(
             "gather-validate greq={} segs={} len={}",
             g.dfs.greq_id,
             g.grh.segments.len(),
             g.grh.total_len
         )
-    });
+    };
+    if let Err(nack) = st.validate(g.msg, &g.dfs, Rights::READ, now, describe) {
+        ops.send(src, Frame::Ack(nack));
+        return;
+    }
+    st.counters.gather_reqs += 1;
     let id = st.next_gather_id & 0xFFFF_FFFF;
     st.next_gather_id += 1;
     st.gather_ids.insert(g.msg, id);
@@ -326,21 +322,14 @@ impl HandlerSet for DfsHandlers {
             w.total_pkts
         };
 
-        // Authenticate: signature, expiry, rights (§IV threat model:
-        // untrusted clients, trusted network).
-        let ok = dfs
-            .capability
-            .verify(&st.key, a.now.as_ns() as u64, Rights::WRITE)
-            .is_ok();
-        if !ok {
-            st.counters.auth_failures += 1;
+        let describe = || format!("hdr-validate greq={}", dfs.greq_id);
+        if let Err(nack) = st.validate(w.msg, &dfs, Rights::WRITE, a.now, describe) {
             st.req_table.insert(
                 w.msg,
                 Rc::new(ReqEntry {
                     greq: dfs.greq_id,
                     accept: false,
                     client: dfs.client as NodeId,
-                    dfs,
                     wrh,
                     fwd: Vec::new(),
                     data_pkts,
@@ -348,26 +337,9 @@ impl HandlerSet for DfsHandlers {
                 }),
             );
             // DFS_request_init sends NACK if request auth fails.
-            a.ops.send(
-                dfs.client as NodeId,
-                Frame::Ack(AckPkt {
-                    credit: CreditGrant::ZERO,
-                    msg: w.msg,
-                    greq_id: Some(dfs.greq_id),
-                    status: Status::AuthFailed,
-                }),
-            );
+            a.ops.send(dfs.client as NodeId, Frame::Ack(nack));
             return;
         }
-        // First packet of a request validated on the NIC: mark the phase
-        // on the originating client op's span (greq-correlated).
-        st.obs
-            .borrow_mut()
-            .spans
-            .mark_corr_once(dfs.greq_id, phase::NIC_VALIDATED, a.now);
-        st.trace.borrow_mut().emit_from(a.now, "nic", st.node, || {
-            format!("hdr-validate greq={}", dfs.greq_id)
-        });
 
         let mut fwd = Vec::new();
         match &wrh.resiliency {
@@ -459,8 +431,9 @@ impl HandlerSet for DfsHandlers {
                 EcRole::Parity { .. } => {
                     // Parity node: make sure the stripe state exists and
                     // decide NIC vs host aggregation for this stripe.
+                    // (A stripe of no chunks aggregates nothing: no state.)
                     let stripe = info.stripe;
-                    if !st.stripes.contains_key(&stripe) {
+                    if info.scheme.k > 0 && !st.stripes.contains_key(&stripe) {
                         let needed = wrh
                             .len
                             .div_ceil(nadfs_wire::sizes::max_payload_plain())
@@ -497,7 +470,6 @@ impl HandlerSet for DfsHandlers {
                 greq: dfs.greq_id,
                 accept: true,
                 client: dfs.client as NodeId,
-                dfs,
                 wrh,
                 fwd,
                 data_pkts,
@@ -637,20 +609,18 @@ impl HandlerSet for DfsHandlers {
                     // comes from the recycled ring (the device returns it
                     // after the final parity's DMA write retires).
                     let key = (stripe, w.offset);
-                    let acc = st.accs.entry(key).or_insert_with(|| AccEntry {
-                        buf: st.buf_pool.borrow_mut().get(bytes),
-                        got: 0,
+                    let acc = st.accs.entry(key).or_insert_with(|| {
+                        let buf = st.buf_pool.borrow_mut().get_dirty(bytes);
+                        Accumulator::with_buf(buf, k as u32)
                     });
-                    if acc.buf.len() < bytes {
-                        acc.buf.resize(bytes, 0);
+                    if bytes > acc.capacity() {
+                        return; // longer than the packet that opened the sequence
                     }
-                    nadfs_gfec::gf256::xor_slice(&w.data, &mut acc.buf[..bytes]);
-                    acc.got += 1;
-                    if acc.got == k {
+                    if acc.absorb(&w.data) {
                         let acc = st.accs.remove(&key).expect("present");
                         st.acc_free += 1;
-                        a.ops
-                            .dma_write(final_addr + w.offset as u64, Bytes::from(acc.buf));
+                        let parity = Bytes::from(acc.into_buf());
+                        a.ops.dma_write(final_addr + w.offset as u64, parity);
                     }
                 }
             },
@@ -688,15 +658,8 @@ impl HandlerSet for DfsHandlers {
         if !is_parity_stream {
             // Explicit flush before acknowledging (§III-B-1).
             a.ops.wait_flush();
-            a.ops.send(
-                entry.client,
-                Frame::Ack(AckPkt {
-                    credit: CreditGrant::ZERO,
-                    msg: a.msg,
-                    greq_id: Some(entry.greq),
-                    status: Status::Ok,
-                }),
-            );
+            let ack = AckPkt::new(a.msg, Some(entry.greq), Status::Ok);
+            a.ops.send(entry.client, Frame::Ack(ack));
             return;
         }
         // Parity node: ack the client only when all k streams completed.
@@ -719,15 +682,8 @@ impl HandlerSet for DfsHandlers {
                 st.stripes.remove(&stripe);
                 st.acc_free += reserved;
                 a.ops.wait_flush();
-                a.ops.send(
-                    client,
-                    Frame::Ack(AckPkt {
-                        credit: CreditGrant::ZERO,
-                        msg: a.msg,
-                        greq_id: Some(greq),
-                        status: Status::Ok,
-                    }),
-                );
+                let ack = AckPkt::new(a.msg, Some(greq), Status::Ok);
+                a.ops.send(client, Frame::Ack(ack));
             }
         }
     }

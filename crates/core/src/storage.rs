@@ -22,11 +22,12 @@ use nadfs_pspin::HostNotify;
 use nadfs_rdma::{NicApp, NicCore};
 use nadfs_simnet::telemetry::phase;
 use nadfs_simnet::{
-    Ctx, NodeId, ObsHub, SharedObs, SharedTrace, TenantId, TenantScheduler, Time, Trace,
+    Ctx, IdMap, NodeId, ObsHub, SharedObs, SharedTrace, Slab, TenantId, TenantScheduler, Time,
+    Trace,
 };
 use nadfs_wire::{
-    bcast_children, AckPkt, CreditGrant, DfsHeader, MacKey, MsgId, ReadReqHeader, Resiliency,
-    Rights, RpcBody, Status, WriteReqHeader,
+    bcast_children, AckPkt, DfsHeader, MacKey, MsgId, ReadReqHeader, Resiliency, Rights, RpcBody,
+    Status, WriteReqHeader,
 };
 
 use crate::handlers::{DfsNicState, EVT_CLEANUP, EVT_EC_FALLBACK, EVT_GATHER};
@@ -42,7 +43,6 @@ pub struct StorageStats {
     pub auth_failures: u64,
     pub fallback_aggregations: u64,
     pub cleanup_events: u64,
-    pub meta_lookups: u64,
     /// Stripe units the metadata service placed on this node (filled in
     /// by the control plane at placement time; striped plain writes
     /// only — replication/EC fan-out is counted by their own fields).
@@ -90,7 +90,6 @@ enum AfterCpu {
         addr: u64,
         len: u32,
     },
-    FinishFallback,
     /// A QoS-admitted RPC's synchronous service drained: free its
     /// concurrency slot and admit the next scheduled request.
     ServiceDone,
@@ -99,8 +98,8 @@ enum AfterCpu {
 /// One in-progress RPC+RDMA write awaiting its data fetch.
 struct PendingFetch {
     client: NodeId,
-    msg: MsgId,
-    greq: u64,
+    /// The ack the client gets once the data is here.
+    done: AckPkt,
 }
 
 /// An RPC held back by the per-tenant scheduler.
@@ -128,12 +127,8 @@ impl StorageQos {
         weights: &[(TenantId, u32)],
         max_concurrency: usize,
     ) -> StorageQos {
-        let mut sched = TenantScheduler::new(quantum, default_weight);
-        for &(t, w) in weights {
-            sched.set_weight(t, w);
-        }
         StorageQos {
-            sched,
+            sched: TenantScheduler::with_weights(quantum, default_weight, weights),
             active: 0,
             max_concurrency: max_concurrency.max(1),
         }
@@ -145,6 +140,11 @@ impl StorageQos {
     }
 }
 
+/// The DFS handler state on `nic`, where PsPIN runs the DFS context.
+fn nic_state(nic: &mut NicCore) -> Option<&mut DfsNicState> {
+    nic.pspin_mut()?.context_state_mut()?.downcast_mut()
+}
+
 /// The storage node software.
 pub struct StorageApp {
     key: MacKey,
@@ -153,11 +153,14 @@ pub struct StorageApp {
     /// long SEND is still arriving, the CPU copies the already-received
     /// prefix, so only the residual is serial after the last packet.
     wire_bw: nadfs_simnet::Bandwidth,
-    deferred: Vec<(u64, AfterCpu)>,
-    next_tag: u64,
-    fetches: Vec<(u64, PendingFetch)>,
-    /// Per-(greq) progress of chunked replicated writes at this node.
-    progress: Vec<(u64, u32)>,
+    /// CPU continuations by slot; a continuation's timer tag is
+    /// `TAG_BASE | slot`.
+    deferred: Slab<AfterCpu>,
+    /// RPC+RDMA writes whose data fetch is out, by slot: the slot is the
+    /// fetch's read-done token.
+    fetches: Slab<PendingFetch>,
+    /// Bytes landed so far of each chunked replicated write, by greq.
+    progress: IdMap<u64, u32>,
     /// Observability: span phase marks (greq-correlated) + trace ring.
     /// Both default disabled; the cluster build installs the live hubs.
     pub obs: SharedObs,
@@ -175,28 +178,50 @@ impl StorageApp {
             key,
             stats: Rc::new(RefCell::new(StorageStats::default())),
             wire_bw,
-            deferred: Vec::new(),
-            next_tag: 0,
-            fetches: Vec::new(),
-            progress: Vec::new(),
+            deferred: Slab::new(),
+            fetches: Slab::new(),
+            progress: IdMap::default(),
             obs: ObsHub::disabled(),
             trace: Trace::disabled(),
             qos: None,
         }
     }
 
-    /// Mark `cpu-validated` on the greq-correlated span and note the
-    /// validation on this node's storage track.
-    fn note_cpu_validated(&self, nic: &NicCore, greq: u64, at: Time) {
-        self.obs
-            .borrow_mut()
-            .spans
-            .mark_corr_once(greq, phase::CPU_VALIDATED, at);
+    /// The CPU wakes up, dispatches request `msg` from `src` and checks
+    /// its capability for `rights`. Returns when it is done, having
+    /// marked `cpu-validated` on the greq-correlated span and noted the
+    /// validation on this node's storage track — or `None`, with the
+    /// `AuthFailed` NACK on its way.
+    fn validate(
+        &mut self,
+        nic: &mut NicCore,
+        ctx: &mut Ctx<'_>,
+        src: NodeId,
+        msg: MsgId,
+        dfs: &DfsHeader,
+        rights: Rights,
+    ) -> Option<Time> {
+        let now = ctx.now();
+        let costs = nic.cpu.costs.clone();
+        let t_val = nic
+            .cpu
+            .exec(now + costs.poll_notify, costs.rpc_dispatch + costs.validate);
+        let greq = dfs.greq_id;
+        let cap = &dfs.capability;
+        if cap.verify(&self.key, now.as_ns() as u64, rights).is_err() {
+            self.stats.borrow_mut().auth_failures += 1;
+            let ack = AckPkt::new(msg, Some(greq), Status::AuthFailed);
+            self.defer(nic, ctx, t_val, AfterCpu::AckClient { dst: src, ack });
+            return None;
+        }
+        let spans = &mut self.obs.borrow_mut().spans;
+        spans.mark_corr_once(greq, phase::CPU_VALIDATED, t_val);
         self.trace
             .borrow_mut()
-            .emit_from(at, "storage", Some(nic.node()), || {
+            .emit_from(t_val, "storage", Some(nic.node()), || {
                 format!("cpu-validate greq={greq}")
             });
+        Some(t_val)
     }
 
     /// Serial copy time left after the last packet of an inline write:
@@ -214,19 +239,21 @@ impl StorageApp {
     }
 
     fn defer(&mut self, nic: &mut NicCore, ctx: &mut Ctx<'_>, at: Time, what: AfterCpu) {
-        let tag = TAG_BASE | self.next_tag;
-        self.next_tag += 1;
-        self.deferred.push((tag, what));
+        let tag = TAG_BASE | self.deferred.insert(what) as u64;
         nic.set_timer(ctx, at.since(ctx.now()), tag);
     }
 
-    fn progress_add(&mut self, greq: u64, bytes: u32) -> u32 {
-        if let Some(e) = self.progress.iter_mut().find(|(g, _)| *g == greq) {
-            e.1 += bytes;
-            return e.1;
-        }
-        self.progress.push((greq, bytes));
-        bytes
+    /// Post `ack` to `dst`, from `after` on the CPU.
+    fn post_ack(
+        &mut self,
+        nic: &mut NicCore,
+        ctx: &mut Ctx<'_>,
+        after: Time,
+        dst: NodeId,
+        ack: AckPkt,
+    ) {
+        let t_ack = nic.cpu.exec(after, nic.cpu.costs.post_send);
+        self.defer(nic, ctx, t_ack, AfterCpu::AckClient { dst, ack });
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -244,43 +271,17 @@ impl StorageApp {
         full_len: u32,
         data: Bytes,
     ) {
-        let now = ctx.now();
-        // CPU wakes up, dispatches, validates the capability.
-        let costs = nic.cpu.costs.clone();
-        let t_val = nic
-            .cpu
-            .exec(now + costs.poll_notify, costs.rpc_dispatch + costs.validate);
-        let valid = dfs
-            .capability
-            .verify(&self.key, now.as_ns() as u64, Rights::WRITE)
-            .is_ok();
-        if !valid {
-            self.stats.borrow_mut().auth_failures += 1;
-            let ack = AckPkt {
-                credit: CreditGrant::ZERO,
-                msg,
-                greq_id: Some(dfs.greq_id),
-                status: Status::AuthFailed,
-            };
-            self.defer(nic, ctx, t_val, AfterCpu::AckClient { dst: src, ack });
+        let Some(t_val) = self.validate(nic, ctx, src, msg, &dfs, Rights::WRITE) else {
             return;
-        }
-        self.note_cpu_validated(nic, dfs.greq_id, t_val);
+        };
+        let done = AckPkt::new(msg, Some(dfs.greq_id), Status::Ok);
 
         if !inline_data {
             // RPC+RDMA: fetch the payload from the client with a one-sided
             // read; completion continues in `on_read_done`.
             self.stats.borrow_mut().rpc_rdma_writes += 1;
-            let token = TAG_BASE | self.next_tag;
-            self.next_tag += 1;
-            self.fetches.push((
-                token,
-                PendingFetch {
-                    client: src,
-                    msg,
-                    greq: dfs.greq_id,
-                },
-            ));
+            let fetch = PendingFetch { client: src, done };
+            let token = self.fetches.insert(fetch) as u64;
             self.defer(
                 nic,
                 ctx,
@@ -309,15 +310,10 @@ impl StorageApp {
         nic.memory().borrow_mut().write(wrh.target_addr, &data);
 
         match &wrh.resiliency {
-            Resiliency::None => {
-                let ack = AckPkt {
-                    credit: CreditGrant::ZERO,
-                    msg,
-                    greq_id: Some(dfs.greq_id),
-                    status: Status::Ok,
-                };
-                let t_ack = nic.cpu.exec(t_store, nic.cpu.costs.post_send);
-                self.defer(nic, ctx, t_ack, AfterCpu::AckClient { dst: src, ack });
+            // (CPU-side EC is not one of the paper's baselines; treat as
+            // a plain store.)
+            Resiliency::None | Resiliency::ErasureCode(_) => {
+                self.post_ack(nic, ctx, t_store, src, done);
             }
             Resiliency::Replicate {
                 strategy,
@@ -325,25 +321,11 @@ impl StorageApp {
                 coords,
             } => {
                 // Ack the client once every chunk of the write landed here.
-                let done = self.progress_add(dfs.greq_id, data.len() as u32);
-                if done >= full_len {
-                    self.progress.retain(|(g, _)| *g != dfs.greq_id);
-                    let ack = AckPkt {
-                        credit: CreditGrant::ZERO,
-                        msg,
-                        greq_id: Some(dfs.greq_id),
-                        status: Status::Ok,
-                    };
-                    let t_ack = nic.cpu.exec(t_store, nic.cpu.costs.post_send);
-                    self.defer(
-                        nic,
-                        ctx,
-                        t_ack,
-                        AfterCpu::AckClient {
-                            dst: dfs.client as NodeId,
-                            ack,
-                        },
-                    );
+                let landed = self.progress.entry(dfs.greq_id).or_insert(0);
+                *landed += data.len() as u32;
+                if *landed >= full_len {
+                    self.progress.remove(&dfs.greq_id);
+                    self.post_ack(nic, ctx, t_store, dfs.client as NodeId, done);
                 }
                 // Forward the chunk to our children: a second CPU copy into
                 // the send staging buffer plus a post per child.
@@ -381,23 +363,9 @@ impl StorageApp {
                     );
                 }
             }
-            Resiliency::ErasureCode(_) => {
-                // CPU-side EC is not one of the paper's baselines; treat as
-                // a plain store.
-                let ack = AckPkt {
-                    credit: CreditGrant::ZERO,
-                    msg,
-                    greq_id: Some(dfs.greq_id),
-                    status: Status::Ok,
-                };
-                let t_ack = nic.cpu.exec(t_store, nic.cpu.costs.post_send);
-                self.defer(nic, ctx, t_ack, AfterCpu::AckClient { dst: src, ack });
-            }
         }
     }
-}
 
-impl StorageApp {
     /// Admit queued RPCs up to the service-concurrency limit, in DRR
     /// order. Each admission holds its slot until the CPU dispatch
     /// pipeline drains past it (the deferred `ServiceDone`).
@@ -457,41 +425,18 @@ impl StorageApp {
                 // dispatches, verifies the capability, then posts the
                 // response stream through the NIC's read responder —
                 // zero-copy out of the storage target.
-                let now = ctx.now();
-                let costs = nic.cpu.costs.clone();
-                let t_val = nic
-                    .cpu
-                    .exec(now + costs.poll_notify, costs.rpc_dispatch + costs.validate);
-                let valid = dfs
-                    .capability
-                    .verify(&self.key, now.as_ns() as u64, Rights::READ)
-                    .is_ok();
-                if !valid {
-                    self.stats.borrow_mut().auth_failures += 1;
-                    let ack = AckPkt {
-                        credit: CreditGrant::ZERO,
-                        msg,
-                        greq_id: Some(dfs.greq_id),
-                        status: Status::AuthFailed,
-                    };
-                    self.defer(nic, ctx, t_val, AfterCpu::AckClient { dst: src, ack });
+                let Some(t_val) = self.validate(nic, ctx, src, msg, &dfs, Rights::READ) else {
                     return;
-                }
+                };
                 // Same protection boundary as the one-sided path: a read
                 // outside a registered region is rejected, not streamed.
-                if !nic.mr_allows(rrh.addr, rrh.len as u64) {
-                    let ack = AckPkt {
-                        credit: CreditGrant::ZERO,
-                        msg,
-                        greq_id: Some(dfs.greq_id),
-                        status: Status::Rejected,
-                    };
+                if !nic.mr_ok(rrh.addr, rrh.len as u64) {
+                    let ack = AckPkt::new(msg, Some(dfs.greq_id), Status::Rejected);
                     self.defer(nic, ctx, t_val, AfterCpu::AckClient { dst: src, ack });
                     return;
                 }
                 self.stats.borrow_mut().rpc_reads += 1;
-                self.note_cpu_validated(nic, dfs.greq_id, t_val);
-                let t_post = nic.cpu.exec(t_val, costs.post_send);
+                let t_post = nic.cpu.exec(t_val, nic.cpu.costs.post_send);
                 self.defer(
                     nic,
                     ctx,
@@ -504,20 +449,6 @@ impl StorageApp {
                     },
                 );
             }
-            RpcBody::MetaLookupReq { file } => {
-                self.stats.borrow_mut().meta_lookups += 1;
-                let now = ctx.now();
-                let costs = nic.cpu.costs.clone();
-                let t = nic.cpu.exec(now + costs.poll_notify, costs.rpc_dispatch);
-                let _ = t;
-                nic.send_rpc(
-                    ctx,
-                    src,
-                    RpcBody::MetaLookupResp { file, ok: true },
-                    Bytes::new(),
-                );
-            }
-            RpcBody::MetaLookupResp { .. } => {}
         }
     }
 }
@@ -532,21 +463,16 @@ impl NicApp for StorageApp {
         body: RpcBody,
         data: Bytes,
     ) {
-        // Write/read service goes through the per-tenant scheduler when
-        // QoS is on; metadata lookups stay out of band (they are latency
-        // critical and tiny).
-        let qos_eligible = matches!(body, RpcBody::WriteReq { .. } | RpcBody::ReadReq { .. })
-            && self.qos.is_some();
-        if !qos_eligible {
+        // Service goes through the per-tenant scheduler when QoS is on.
+        let Some(qos) = self.qos.as_mut() else {
             self.dispatch_rpc(nic, ctx, src, msg, body, data);
             return;
-        }
+        };
         let (tenant, cost) = match &body {
             RpcBody::WriteReq { dfs, wrh, .. } => (dfs.tenant, wrh.len.max(1) as u64),
             RpcBody::ReadReq { dfs, rrh } => (dfs.tenant, rrh.len.max(1) as u64),
-            _ => unreachable!("eligibility checked above"),
         };
-        self.qos.as_mut().expect("checked").sched.push(
+        qos.sched.push(
             tenant,
             cost,
             QueuedRpc {
@@ -561,19 +487,10 @@ impl NicApp for StorageApp {
 
     fn on_read_done(&mut self, nic: &mut NicCore, ctx: &mut Ctx<'_>, token: u64) {
         // RPC+RDMA data fetch completed: acknowledge the client.
-        let Some(idx) = self.fetches.iter().position(|(t, _)| *t == token) else {
+        let Some(f) = self.fetches.remove(token as usize) else {
             return;
         };
-        let (_, f) = self.fetches.remove(idx);
-        let now = ctx.now();
-        let t_ack = nic.cpu.exec(now, nic.cpu.costs.post_send);
-        let ack = AckPkt {
-            credit: CreditGrant::ZERO,
-            msg: f.msg,
-            greq_id: Some(f.greq),
-            status: Status::Ok,
-        };
-        self.defer(nic, ctx, t_ack, AfterCpu::AckClient { dst: f.client, ack });
+        self.post_ack(nic, ctx, ctx.now(), f.client, f.done);
     }
 
     fn on_host_notify(&mut self, nic: &mut NicCore, ctx: &mut Ctx<'_>, note: HostNotify) {
@@ -586,12 +503,7 @@ impl NicApp for StorageApp {
             // hand it straight to the NIC core's gather engine (the host
             // CPU never touches the data path).
             let id = note.tag & 0xFFFF_FFFF;
-            let pending = nic
-                .pspin_mut()
-                .and_then(|d| d.context_state_mut())
-                .and_then(|s| s.downcast_mut::<DfsNicState>())
-                .and_then(|s| s.take_pending_gather(id));
-            if let Some(g) = pending {
+            if let Some(g) = nic_state(nic).and_then(|s| s.take_pending_gather(id)) {
                 nic.start_gather(ctx, g.client, g.msg, g.greq, g.grh);
             }
             return;
@@ -599,37 +511,27 @@ impl NicApp for StorageApp {
         if note.tag & EVT_EC_FALLBACK == EVT_EC_FALLBACK {
             // The NIC staged intermediate parities; finish on the CPU.
             let stripe = note.tag & 0xFFFF_FFFF;
-            let info = nic
-                .pspin_mut()
-                .and_then(|d| d.context_state_mut())
-                .and_then(|s| s.downcast_mut::<DfsNicState>())
-                .and_then(|s| s.fallback_stripe_info(stripe));
+            let info = nic_state(nic).and_then(|s| s.take_fallback_stripe(stripe));
             let Some((k, chunk_len, final_addr, greq, client)) = info else {
                 return;
             };
             self.stats.borrow_mut().fallback_aggregations += 1;
-            // XOR k staged buffers into the final parity chunk.
-            let mem = nic.memory();
-            {
-                let mut m = mem.borrow_mut();
-                let mut acc = vec![0u8; chunk_len as usize];
-                for j in 0..k {
-                    let staged = m.read(
-                        final_addr + (1 + j as u64) * chunk_len as u64,
-                        chunk_len as usize,
-                    );
-                    for (a, b) in acc.iter_mut().zip(staged) {
-                        *a ^= b;
-                    }
-                }
-                m.write(final_addr, &acc);
+            // XOR the k staged buffers into the final parity chunk.
+            let (pool, mem) = (nic.buf_pool(), nic.memory());
+            let (mut acc, mut staged) = {
+                let mut p = pool.borrow_mut();
+                (p.get(chunk_len as usize), p.get_dirty(chunk_len as usize))
+            };
+            for j in 0..k {
+                let staging = final_addr + (1 + j as u64) * chunk_len as u64;
+                mem.borrow().read_into(staging, &mut staged);
+                nadfs_gfec::gf256::xor_slice(&staged, &mut acc);
             }
-            if let Some(st) = nic
-                .pspin_mut()
-                .and_then(|d| d.context_state_mut())
-                .and_then(|s| s.downcast_mut::<DfsNicState>())
+            mem.borrow_mut().write(final_addr, &acc);
             {
-                st.complete_fallback(stripe);
+                let mut p = pool.borrow_mut();
+                p.put(staged);
+                p.put(acc);
             }
             let now = ctx.now();
             let costs = nic.cpu.costs.clone();
@@ -637,23 +539,17 @@ impl NicApp for StorageApp {
             let t = nic
                 .cpu
                 .exec(now + costs.poll_notify, xor_cost + costs.post_send);
-            self.defer(nic, ctx, t, AfterCpu::FinishFallback);
-            // Stash ack info alongside.
-            let ack = AckPkt {
-                credit: CreditGrant::ZERO,
-                msg: MsgId::new(nic.node() as u32, greq),
-                greq_id: Some(greq),
-                status: Status::Ok,
-            };
+            let msg = MsgId::new(nic.node() as u32, greq);
+            let ack = AckPkt::new(msg, Some(greq), Status::Ok);
             self.defer(nic, ctx, t, AfterCpu::AckClient { dst: client, ack });
         }
     }
 
     fn on_timer(&mut self, nic: &mut NicCore, ctx: &mut Ctx<'_>, tag: u64) {
-        let Some(idx) = self.deferred.iter().position(|(t, _)| *t == tag) else {
+        // (A tag that is not `TAG_BASE | slot` names no slot.)
+        let Some(what) = self.deferred.remove((tag ^ TAG_BASE) as usize) else {
             return;
         };
-        let (_, what) = self.deferred.remove(idx);
         match what {
             AfterCpu::AckClient { dst, ack } => {
                 nic.send_ack(ctx, dst, ack);
@@ -681,9 +577,6 @@ impl NicApp for StorageApp {
                 len,
             } => {
                 nic.respond_read(ctx, dst, msg, addr, len);
-            }
-            AfterCpu::FinishFallback => {
-                // Bookkeeping only; the paired AckClient does the talking.
             }
             AfterCpu::ServiceDone => {
                 if let Some(q) = self.qos.as_mut() {

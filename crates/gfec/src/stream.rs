@@ -90,6 +90,11 @@ impl Accumulator {
         self.buf
     }
 
+    /// The longest contribution the sequence can take.
+    pub fn capacity(&self) -> usize {
+        self.buf.len()
+    }
+
     /// XOR one contribution in; returns true when the sequence is complete.
     /// Contributions may have different lengths (the final packets of a
     /// chunk can be short); the accumulator tracks the longest. The XOR is

@@ -28,7 +28,7 @@ use nadfs_simnet::{
     ComponentId, Ctx, Dur, IdMap, NetPacket, NodeId, NodePort, PacketPool, SharedBufPool,
     SharedPacketPool, Slab, Time,
 };
-use nadfs_wire::{AckPkt, CreditGrant, Frame, MsgId, Pkt, Status};
+use nadfs_wire::{AckPkt, Frame, MsgId, Pkt, Status};
 
 use crate::config::PsPinConfig;
 use crate::handler::{ExecutionContext, HandlerArgs, HandlerKind, Op, Ops};
@@ -310,12 +310,7 @@ impl PsPinDevice {
         if denied {
             self.telemetry.borrow_mut().msgs_denied += 1;
             // NACK the client so it retries later.
-            let nack = Frame::Ack(AckPkt {
-                credit: CreditGrant::ZERO,
-                msg,
-                greq_id: None,
-                status: Status::Busy,
-            });
+            let nack = Frame::Ack(AckPkt::new(msg, None, Status::Busy));
             self.try_send_now(ctx, src, nack);
         } else {
             self.desc_bytes_used += desc;
@@ -847,15 +842,8 @@ mod tests {
             st.completions_seen += 1;
             a.ops.charge_instrs(66, 0.62);
             a.ops.wait_flush();
-            a.ops.send(
-                a.src,
-                Frame::Ack(AckPkt {
-                    credit: CreditGrant::ZERO,
-                    msg: a.msg,
-                    greq_id: Some(1),
-                    status: Status::Ok,
-                }),
-            );
+            a.ops
+                .send(a.src, Frame::Ack(AckPkt::new(a.msg, Some(1), Status::Ok)));
         }
         fn cleanup(&mut self, state: &mut dyn Any, _msg: MsgId, ops: &mut Ops) {
             let st = state.downcast_mut::<TestState>().expect("state");

@@ -9,19 +9,9 @@
 use bytes::Bytes;
 use nadfs_pspin::HostNotify;
 use nadfs_simnet::{Ctx, NodeId};
-use nadfs_wire::{AckPkt, DfsHeader, MsgId, RpcBody, WriteReqHeader};
+use nadfs_wire::{AckPkt, MsgId, RpcBody};
 
 use crate::nic::NicCore;
-
-/// Raw (one-sided) write fully landed and flushed on this node.
-#[derive(Debug, Clone)]
-pub struct RawWriteDone {
-    pub msg: MsgId,
-    pub src: NodeId,
-    pub dfs: Option<DfsHeader>,
-    pub wrh: WriteReqHeader,
-    pub bytes: u32,
-}
 
 /// Node software above a NIC.
 ///
@@ -42,10 +32,6 @@ pub trait NicApp {
 
     /// An ACK/NACK frame arrived.
     fn on_ack(&mut self, nic: &mut NicCore, ctx: &mut Ctx<'_>, src: NodeId, ack: AckPkt) {}
-
-    /// A one-sided write completed locally (data flushed to host memory).
-    /// Not called for writes consumed by PsPIN or by a triggered chain.
-    fn on_raw_write(&mut self, nic: &mut NicCore, ctx: &mut Ctx<'_>, done: RawWriteDone) {}
 
     /// A one-sided read issued by this node completed (data in host memory).
     fn on_read_done(&mut self, nic: &mut NicCore, ctx: &mut Ctx<'_>, token: u64) {}

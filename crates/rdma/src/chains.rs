@@ -12,12 +12,12 @@
 //! serialization. Configuration cost is on the wire: the config frame grows
 //! with the WQE count (16 B per chunk).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use nadfs_simnet::{Ctx, Dur, NodeId, Time};
-use nadfs_wire::{AckPkt, CreditGrant, HlConfigPkt, MsgId, Resiliency, Status, WriteReqHeader};
+use nadfs_wire::{AckPkt, HlConfigPkt, MsgId, Resiliency, Status, WriteReqHeader};
 
-use crate::nic::NicCore;
+use crate::nic::{NicCore, NicEvent};
 
 /// Per-chunk WQE trigger latency (doorbell + WQE fetch on the NIC).
 pub const WQE_TRIGGER: Dur = Dur::from_ns(150);
@@ -35,22 +35,14 @@ pub(crate) struct ChainState {
     flush: Time,
 }
 
-/// All chains installed on one NIC, keyed by target address range.
+/// All chains installed on one NIC, keyed by the base of their target
+/// address range. Ordered: which chain an address hits is a range lookup,
+/// the same in every process.
 #[derive(Default)]
 pub struct Chains {
-    by_addr: HashMap<u64, ChainState>,
+    by_addr: BTreeMap<u64, ChainState>,
     pub installed_total: u64,
     pub chunks_forwarded: u64,
-}
-
-/// Self-event for chain progress on a NIC.
-#[derive(Debug, Clone, Copy)]
-pub enum ChainEvent {
-    /// The DMA read for `chunk` of the chain at `addr` completed; emit the
-    /// forward write and continue.
-    FwdReady { addr: u64, chunk: u32 },
-    /// All data landed and flushed; ack the client if configured.
-    Complete { addr: u64 },
 }
 
 impl Chains {
@@ -71,21 +63,14 @@ impl Chains {
 
     /// Does an incoming write belong to an installed chain?
     pub fn matches(&self, wrh: &WriteReqHeader) -> bool {
-        if !matches!(wrh.resiliency, Resiliency::None) {
-            return false;
-        }
-        self.by_addr.iter().any(|(&base, st)| {
-            wrh.target_addr >= base && wrh.target_addr < base + st.cfg.total_len.max(1) as u64
-        })
+        matches!(wrh.resiliency, Resiliency::None) && self.key_for(wrh).is_some()
     }
 
+    /// Base of the chain whose range holds the write's target: the
+    /// nearest base at or below it, if the target is within its length.
     fn key_for(&self, wrh: &WriteReqHeader) -> Option<u64> {
-        self.by_addr
-            .iter()
-            .find(|(&base, st)| {
-                wrh.target_addr >= base && wrh.target_addr < base + st.cfg.total_len.max(1) as u64
-            })
-            .map(|(&base, _)| base)
+        let (&base, st) = self.by_addr.range(..=wrh.target_addr).next_back()?;
+        (wrh.target_addr < base + st.cfg.total_len.max(1) as u64).then_some(base)
     }
 
     pub fn chains_open(&self) -> usize {
@@ -147,14 +132,11 @@ fn try_forward(core: &mut NicCore, ctx: &mut Ctx<'_>, key: u64) {
         .dma
         .borrow_mut()
         .read(trigger_done, read_addr, read_len as usize);
-    let delay = ready.since(now);
-    ctx.schedule_self(
-        delay,
-        Box::new(ChainEvent::FwdReady {
-            addr: key,
-            chunk: chunk_idx,
-        }),
-    );
+    let ev = NicEvent::ChainFwdReady {
+        addr: key,
+        chunk: chunk_idx,
+    };
+    ctx.schedule_self(ready.since(now), Box::new(ev));
 }
 
 fn try_complete(core: &mut NicCore, ctx: &mut Ctx<'_>, key: u64) {
@@ -170,60 +152,52 @@ fn try_complete(core: &mut NicCore, ctx: &mut Ctx<'_>, key: u64) {
     };
     if done {
         let delay = flush.since(ctx.now()).max(Dur::ZERO);
-        ctx.schedule_self(delay, Box::new(ChainEvent::Complete { addr: key }));
+        ctx.schedule_self(delay, Box::new(NicEvent::ChainComplete { addr: key }));
     }
 }
 
-impl Chains {
-    /// Dispatch a chain self-event on `core`.
-    pub fn step(core: &mut NicCore, ctx: &mut Ctx<'_>, ev: ChainEvent) {
-        match ev {
-            ChainEvent::FwdReady { addr, chunk } => {
-                let now = ctx.now();
-                let (dst, wrh, data) = {
-                    let Some(st) = core.chains.by_addr.get_mut(&addr) else {
-                        return;
-                    };
-                    let next = st.cfg.next.expect("forwarding chain has next");
-                    let chunk_sz = st.cfg.chunk.max(1);
-                    let start = chunk * chunk_sz;
-                    let len = chunk_sz.min(st.cfg.total_len - start);
-                    st.next_fwd = chunk + 1;
-                    st.busy = false;
-                    // Forward buffer from the NIC's recycled ring: the
-                    // incoming write payloads this chunk was assembled
-                    // from retire into the same pool, so steady-state
-                    // forwarding never touches the allocator (the last
-                    // remaining alloc-per-hop on the HyperLoop path).
-                    let mut buf = core.pool.borrow_mut().get_dirty(len as usize);
-                    core.mem.borrow().read_into(addr + start as u64, &mut buf);
-                    let wrh = WriteReqHeader {
-                        target_addr: next.addr + start as u64,
-                        len,
-                        resiliency: Resiliency::None,
-                    };
-                    (next.node as NodeId, wrh, bytes::Bytes::from(buf))
-                };
-                core.chains.chunks_forwarded += 1;
-                let _ = now;
-                core.send_write(ctx, dst, None, wrh, data);
-                try_forward(core, ctx, addr);
-                try_complete(core, ctx, addr);
-            }
-            ChainEvent::Complete { addr } => {
-                let Some(st) = core.chains.by_addr.remove(&addr) else {
-                    return;
-                };
-                if st.cfg.ack_client {
-                    let ack = AckPkt {
-                        credit: CreditGrant::ZERO,
-                        msg: MsgId::new(core.node() as u32, st.cfg.greq_id),
-                        greq_id: Some(st.cfg.greq_id),
-                        status: Status::Ok,
-                    };
-                    core.send_ack(ctx, st.client, ack);
-                }
-            }
-        }
+/// The DMA read for `chunk` of the chain at `addr` completed: emit the
+/// forward write and continue.
+pub(crate) fn fwd_ready(core: &mut NicCore, ctx: &mut Ctx<'_>, addr: u64, chunk: u32) {
+    let (dst, wrh, data) = {
+        let Some(st) = core.chains.by_addr.get_mut(&addr) else {
+            return;
+        };
+        let next = st.cfg.next.expect("forwarding chain has next");
+        let chunk_sz = st.cfg.chunk.max(1);
+        let start = chunk * chunk_sz;
+        let len = chunk_sz.min(st.cfg.total_len - start);
+        st.next_fwd = chunk + 1;
+        st.busy = false;
+        // Forward buffer from the NIC's recycled ring: the
+        // incoming write payloads this chunk was assembled
+        // from retire into the same pool, so steady-state
+        // forwarding never touches the allocator (the last
+        // remaining alloc-per-hop on the HyperLoop path).
+        let mut buf = core.pool.borrow_mut().get_dirty(len as usize);
+        core.mem.borrow().read_into(addr + start as u64, &mut buf);
+        let wrh = WriteReqHeader {
+            target_addr: next.addr + start as u64,
+            len,
+            resiliency: Resiliency::None,
+        };
+        (next.node as NodeId, wrh, bytes::Bytes::from(buf))
+    };
+    core.chains.chunks_forwarded += 1;
+    core.send_write(ctx, dst, None, wrh, data);
+    try_forward(core, ctx, addr);
+    try_complete(core, ctx, addr);
+}
+
+/// All of the chain at `addr` landed and flushed: retire it, and ack the
+/// client if configured.
+pub(crate) fn complete(core: &mut NicCore, ctx: &mut Ctx<'_>, addr: u64) {
+    let Some(st) = core.chains.by_addr.remove(&addr) else {
+        return;
+    };
+    if st.cfg.ack_client {
+        let msg = MsgId::new(core.node() as u32, st.cfg.greq_id);
+        let ack = AckPkt::new(msg, Some(st.cfg.greq_id), Status::Ok);
+        core.send_ack(ctx, st.client, ack);
     }
 }

@@ -30,18 +30,16 @@
 //! occupied per rebuilt packet, so concurrent gathers interleave packet by
 //! packet on its queue.
 
-use std::collections::HashMap;
-
 use bytes::Bytes;
 use nadfs_gfec::{Accumulator, ReedSolomon, RsError};
 use nadfs_simnet::telemetry::phase;
-use nadfs_simnet::{Bandwidth, Ctx, Dur, NodeId, SharedBufPool, Time};
+use nadfs_simnet::{Bandwidth, Ctx, Dur, IdMap, NodeId, SharedBufPool, Time};
 use nadfs_wire::{
-    AckPkt, CreditGrant, DfsHeader, EcInfo, EcRole, Frame, GatherReconstruct, GatherSegment, MsgId,
+    AckPkt, DfsHeader, EcInfo, EcRole, Frame, GatherReconstruct, GatherSegment, MsgId,
     ReadReqHeader, ReadRespPkt, ReplicaCoord, Resiliency, Status, WriteReqHeader,
 };
 
-use crate::nic::{DeferredPkt, NicCore, ReadSink};
+use crate::nic::{NicCore, NicEvent, Ranges, ReadSink, StreamSink};
 
 /// Firmware EC engine parameters.
 #[derive(Clone, Debug)]
@@ -78,39 +76,11 @@ struct AggState {
     flush: Time,
 }
 
-/// Deferred engine work.
-#[derive(Debug)]
-pub enum EcEngineEvent {
-    /// Encode the data chunk that landed at `addr` and forward intermediate
-    /// parities.
-    Encode {
-        addr: u64,
-        len: u32,
-        info: EcInfo,
-        dfs: Option<DfsHeader>,
-        client: NodeId,
-    },
-    /// Aggregate the staged intermediate parities for (stripe, parity_idx).
-    Aggregate { stripe: u64, parity_idx: u8 },
-    /// The trigger of degraded gather `gather` elapsed: rebuilt packets
-    /// may enter the engine.
-    DecodeArmed { gather: u64 },
-    /// A DMA-read batch of the coordinator's own survivor is at the NIC:
-    /// packets `first_idx..` of segment `seg` of stream `stream`.
-    DecodeLocal {
-        gather: u64,
-        stream: u16,
-        seg: u8,
-        first_idx: u32,
-        data: Bytes,
-    },
-}
-
 /// The engine state on one NIC.
 pub struct EcEngine {
     pub(crate) cfg: EcEngineConfig,
-    rs_cache: HashMap<(u8, u8), ReedSolomon>,
-    agg: HashMap<(u64, u8), AggState>,
+    rs_cache: IdMap<(u8, u8), ReedSolomon>,
+    agg: IdMap<(u64, u8), AggState>,
     pub(crate) busy_until: Time,
     /// Whether this engine consumes landed EC writes (the write-path
     /// encode/aggregate offload). Engines brought up lazily for degraded
@@ -124,8 +94,8 @@ impl EcEngine {
     pub fn new(cfg: EcEngineConfig) -> EcEngine {
         EcEngine {
             cfg,
-            rs_cache: HashMap::new(),
-            agg: HashMap::new(),
+            rs_cache: IdMap::default(),
+            agg: IdMap::default(),
             busy_until: Time::ZERO,
             consume_writes: true,
             chunks_encoded: 0,
@@ -141,10 +111,6 @@ impl EcEngine {
         e
     }
 
-    fn rs(&mut self, k: u8, m: u8) -> &ReedSolomon {
-        self.try_rs(k, m).expect("valid RS params")
-    }
-
     /// The code for a scheme read off the wire, which may name none.
     fn try_rs(&mut self, k: u8, m: u8) -> Result<&ReedSolomon, RsError> {
         use std::collections::hash_map::Entry;
@@ -152,6 +118,12 @@ impl EcEngine {
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(v) => v.insert(ReedSolomon::new(k as usize, m as usize)?),
         })
+    }
+
+    /// Stripes with intermediate parities staged and their aggregation
+    /// still to run (diagnostic).
+    pub fn stripes_open(&self) -> usize {
+        self.agg.len()
     }
 
     /// Does this write carry an EC role the engine should consume?
@@ -205,48 +177,48 @@ pub fn rebuild_pooled(
     }
 }
 
-/// A fully-landed EC write on a firmware-EC NIC. Returns the deferred work
-/// to schedule, if any, plus whether the client should get a data-chunk ack.
+/// A fully-landed EC write (message `msg` from `src`) on a firmware-EC
+/// NIC: a data chunk is acked and queued for its encode pass, an
+/// intermediate parity is staged for its aggregation. A scheme, chunk
+/// index or parity list off the wire that does not fit together is
+/// refused.
 pub(crate) fn on_ec_write_landed(
     core: &mut NicCore,
     ctx: &mut Ctx<'_>,
     src: NodeId,
+    msg: MsgId,
     dfs: Option<DfsHeader>,
-    wrh: &WriteReqHeader,
+    wrh: WriteReqHeader,
     flush: Time,
 ) {
     let Resiliency::ErasureCode(info) = &wrh.resiliency else {
         return;
     };
-    let info = info.clone();
+    let greq = dfs.map(|d| d.greq_id);
+    let engine = core.ec.as_mut().expect("engine enabled");
+    let trigger = engine.cfg.trigger;
+    let (k, m) = (info.scheme.k, info.scheme.m);
+    let sound = match info.role {
+        EcRole::Data { chunk_idx } => {
+            chunk_idx < k && info.parity_coords.len() >= m as usize && engine.try_rs(k, m).is_ok()
+        }
+        EcRole::Parity { src_chunk, .. } => src_chunk < k,
+    };
+    if !sound {
+        core.send_ack(ctx, src, AckPkt::new(msg, greq, Status::Rejected));
+        return;
+    }
     match info.role {
         EcRole::Data { .. } => {
-            // Ack the client for the durable data chunk, then trigger the
-            // encode pass (store-and-forward: data must be in host memory
-            // first — that is the INEC model).
-            let greq = dfs.map(|d| d.greq_id);
-            let ack = AckPkt {
-                credit: CreditGrant::ZERO,
-                msg: MsgId::new(core.node() as u32, greq.unwrap_or(0)),
-                greq_id: greq,
-                status: Status::Ok,
-            };
-            let client = src;
-            // Ack at flush time.
+            // Ack the client for the durable data chunk (at flush time),
+            // then trigger the encode pass (store-and-forward: data must
+            // be in host memory first — that is the INEC model).
+            let ack_msg = MsgId::new(core.node() as u32, greq.unwrap_or(0));
+            let ack = AckPkt::new(ack_msg, greq, Status::Ok);
             let delay = flush.since(ctx.now());
-            ctx.schedule_self(
-                delay,
-                Box::new(crate::nic::DeferredAck { dst: client, ack }),
-            );
-            let trigger = core.ec.as_ref().expect("engine enabled").cfg.trigger;
+            ctx.schedule_self(delay, Box::new(NicEvent::Ack { dst: src, ack }));
             let start = core.ec_occupy(flush, trigger);
-            let ev = EcEngineEvent::Encode {
-                addr: wrh.target_addr,
-                len: wrh.len,
-                info,
-                dfs,
-                client,
-            };
+            let ev = NicEvent::Encode(Box::new((wrh, dfs)));
             ctx.schedule_self(start.since(ctx.now()), Box::new(ev));
         }
         EcRole::Parity {
@@ -258,27 +230,30 @@ pub(crate) fn on_ec_write_landed(
                 .first()
                 .copied()
                 .unwrap_or(ReplicaCoord { node: 0, addr: 0 });
-            let engine = core.ec.as_mut().expect("engine enabled");
             let key = (info.stripe, parity_idx);
             let st = engine.agg.entry(key).or_insert_with(|| AggState {
-                k: info.scheme.k,
+                k,
                 chunk_len: wrh.len,
-                staged: vec![false; info.scheme.k as usize],
+                staged: vec![false; k as usize],
                 staged_count: 0,
                 final_addr: final_coord.addr,
-                greq: dfs.map(|d| d.greq_id).unwrap_or(0),
+                greq: greq.unwrap_or(0),
                 client: dfs.map(|d| d.client as NodeId).unwrap_or(0),
                 flush: Time::ZERO,
             });
             st.flush = st.flush.max(flush);
-            if !st.staged[src_chunk as usize] {
-                st.staged[src_chunk as usize] = true;
-                st.staged_count += 1;
+            // (A write whose k disagrees with the one that opened the
+            // stripe may name a slot it does not have: it stages nothing.)
+            if let Some(slot) = st.staged.get_mut(src_chunk as usize) {
+                if !*slot {
+                    *slot = true;
+                    st.staged_count += 1;
+                }
             }
             if st.staged_count == st.k {
-                let (staged, trigger) = (st.flush, engine.cfg.trigger);
+                let staged = st.flush;
                 let start = core.ec_occupy(staged, trigger);
-                let ev = EcEngineEvent::Aggregate {
+                let ev = NicEvent::Aggregate {
                     stripe: info.stripe,
                     parity_idx,
                 };
@@ -288,143 +263,126 @@ pub(crate) fn on_ec_write_landed(
     }
 }
 
-impl EcEngine {
-    /// Dispatch deferred engine work on `core`.
-    pub fn step(core: &mut NicCore, ctx: &mut Ctx<'_>, ev: EcEngineEvent) {
-        let now = ctx.now();
-        match ev {
-            EcEngineEvent::Encode {
-                addr,
-                len,
-                info,
-                dfs,
-                client: _,
-            } => {
-                let EcRole::Data { chunk_idx } = info.role else {
-                    return;
-                };
-                // DMA-read the chunk back from host memory into a pooled
-                // staging buffer (store-and-forward, no fresh allocation).
-                let mut chunk_buf = core.pool.borrow_mut().get_dirty(len as usize);
-                let ready = core.dma.borrow_mut().read_into(now, addr, &mut chunk_buf);
-                let engine = core.ec.as_mut().expect("engine enabled");
-                let m = info.scheme.m;
-                let k = info.scheme.k;
-                // Engine compute: m coefficient-multiplied outputs.
-                let compute = engine.cfg.encode_bw.tx_time(len as u64 * m as u64);
-                let send_at = ready + compute;
-                engine.chunks_encoded += 1;
-                let coefs: Vec<u8> = (0..m)
-                    .map(|p| engine.rs(k, m).parity_coef(p as usize, chunk_idx as usize))
-                    .collect();
-                core.ec_hold(now, send_at);
-                // Build and (deferred to send_at) emit the intermediate
-                // parity writes to each parity node. Each product lands in
-                // a pooled buffer via the in-place wide-word kernel.
-                let mut sends = Vec::new();
-                for (p, coef) in coefs.into_iter().enumerate() {
-                    let mut ipar = core.pool.borrow_mut().get_dirty(chunk_buf.len());
-                    nadfs_gfec::intermediate_parity_into(coef, &chunk_buf, &mut ipar);
-                    let coord = info.parity_coords[p];
-                    // Staging layout at the parity node: final parity chunk
-                    // at `coord.addr`, then k staging slots of chunk_len.
-                    let staging = coord.addr + (1 + chunk_idx as u64) * len as u64;
-                    let wrh = WriteReqHeader {
-                        target_addr: staging,
-                        len,
-                        resiliency: Resiliency::ErasureCode(EcInfo {
-                            scheme: info.scheme,
-                            role: EcRole::Parity {
-                                parity_idx: p as u8,
-                                src_chunk: chunk_idx,
-                            },
-                            stripe: info.stripe,
-                            parity_coords: vec![coord],
-                        }),
-                    };
-                    sends.push((coord.node as NodeId, wrh, Bytes::from(ipar)));
-                }
-                core.pool.borrow_mut().put(chunk_buf);
-                ctx.schedule_self(
-                    send_at.since(now),
-                    Box::new(crate::nic::DeferredWrites { sends, dfs }),
-                );
-            }
-            EcEngineEvent::Aggregate { stripe, parity_idx } => {
-                let engine = core.ec.as_mut().expect("engine enabled");
-                let Some(st) = engine.agg.remove(&(stripe, parity_idx)) else {
-                    return;
-                };
-                let xor_cost = engine.cfg.xor_bw.tx_time(st.chunk_len as u64 * st.k as u64);
-                engine.parities_written += 1;
-                // Read back the k staged chunks (DMA read channel) into a
-                // pooled scratch buffer, XOR wide-word into a pooled
-                // accumulator, write the final parity. Zero allocations in
-                // steady state.
-                let (mut acc, mut scratch) = {
-                    let mut pool = core.pool.borrow_mut();
-                    (
-                        pool.get(st.chunk_len as usize),
-                        pool.get_dirty(st.chunk_len as usize),
-                    )
-                };
-                let mut ready = now;
-                for j in 0..st.k {
-                    let staging = st.final_addr + (1 + j as u64) * st.chunk_len as u64;
-                    ready = core
-                        .dma
-                        .borrow_mut()
-                        .read_into(ready, staging, &mut scratch);
-                    nadfs_gfec::gf256::xor_slice(&scratch, &mut acc);
-                }
-                let write_done = core
-                    .dma
-                    .borrow_mut()
-                    .write(ready + xor_cost, st.final_addr, &acc);
-                {
-                    let mut pool = core.pool.borrow_mut();
-                    pool.put(scratch);
-                    pool.put(acc);
-                }
-                // Ack the client once the final parity is durable.
-                let ack = AckPkt {
-                    credit: CreditGrant::ZERO,
-                    msg: MsgId::new(core.node() as u32, st.greq),
-                    greq_id: Some(st.greq),
-                    status: Status::Ok,
-                };
-                ctx.schedule_self(
-                    write_done.since(now),
-                    Box::new(crate::nic::DeferredAck {
-                        dst: st.client,
-                        ack,
-                    }),
-                );
-            }
-            EcEngineEvent::DecodeArmed { gather } => {
-                let Some(g) = core.decodes.get_mut(&gather) else {
-                    return;
-                };
-                g.armed = true;
-                for (stream, idx) in std::mem::take(&mut g.parked) {
-                    emit(core, ctx, gather, stream, idx);
-                }
-            }
-            EcEngineEvent::DecodeLocal {
-                gather,
-                stream,
-                seg,
-                first_idx,
-                data,
-            } => {
-                let cap = nadfs_wire::sizes::max_payload_plain() as usize;
-                for (i, pkt) in data.chunks(cap).enumerate() {
-                    absorb(core, ctx, gather, stream, seg, first_idx + i as u32, pkt);
-                }
-                let next = first_idx + data.len().div_ceil(cap) as u32;
-                read_local(core, ctx, gather, stream, seg, next);
-            }
-        }
+/// Encode the data chunk whose write (`wrh`, `dfs`) landed and forward
+/// the intermediate parities.
+pub(crate) fn encode(
+    core: &mut NicCore,
+    ctx: &mut Ctx<'_>,
+    wrh: &WriteReqHeader,
+    dfs: Option<DfsHeader>,
+) {
+    let now = ctx.now();
+    let Resiliency::ErasureCode(info) = &wrh.resiliency else {
+        return;
+    };
+    let EcRole::Data { chunk_idx } = info.role else {
+        return;
+    };
+    let len = wrh.len;
+    // DMA-read the chunk back from host memory into a pooled
+    // staging buffer (store-and-forward, no fresh allocation).
+    let mut chunk_buf = core.pool.borrow_mut().get_dirty(len as usize);
+    let ready = core
+        .dma
+        .borrow_mut()
+        .read_into(now, wrh.target_addr, &mut chunk_buf);
+    let engine = core.ec.as_mut().expect("engine enabled");
+    let (k, m) = (info.scheme.k, info.scheme.m);
+    // Engine compute: m coefficient-multiplied outputs.
+    let compute = engine.cfg.encode_bw.tx_time(len as u64 * m as u64);
+    let send_at = ready + compute;
+    engine.chunks_encoded += 1;
+    let rs = engine.try_rs(k, m).expect("checked when the chunk landed");
+    let coefs: Vec<u8> = (0..m as usize)
+        .map(|p| rs.parity_coef(p, chunk_idx as usize))
+        .collect();
+    core.ec_hold(now, send_at);
+    // Build and (deferred to send_at) emit the intermediate
+    // parity writes to each parity node. Each product lands in
+    // a pooled buffer via the in-place wide-word kernel.
+    let mut writes = Vec::new();
+    for (p, (coef, &coord)) in coefs.into_iter().zip(&info.parity_coords).enumerate() {
+        let mut ipar = core.pool.borrow_mut().get_dirty(chunk_buf.len());
+        nadfs_gfec::intermediate_parity_into(coef, &chunk_buf, &mut ipar);
+        // Staging layout at the parity node: final parity chunk
+        // at `coord.addr`, then k staging slots of chunk_len.
+        let staging = coord.addr + (1 + chunk_idx as u64) * len as u64;
+        let wrh = WriteReqHeader {
+            target_addr: staging,
+            len,
+            resiliency: Resiliency::ErasureCode(EcInfo {
+                scheme: info.scheme,
+                role: EcRole::Parity {
+                    parity_idx: p as u8,
+                    src_chunk: chunk_idx,
+                },
+                stripe: info.stripe,
+                parity_coords: vec![coord],
+            }),
+        };
+        writes.push((coord.node as NodeId, dfs, wrh, Bytes::from(ipar)));
+    }
+    core.pool.borrow_mut().put(chunk_buf);
+    ctx.schedule_self(send_at.since(now), Box::new(NicEvent::Writes(writes)));
+}
+
+/// Aggregate the staged intermediate parities for (stripe, parity_idx).
+pub(crate) fn aggregate(core: &mut NicCore, ctx: &mut Ctx<'_>, stripe: u64, parity_idx: u8) {
+    let now = ctx.now();
+    let engine = core.ec.as_mut().expect("engine enabled");
+    let Some(st) = engine.agg.remove(&(stripe, parity_idx)) else {
+        return;
+    };
+    let xor_cost = engine.cfg.xor_bw.tx_time(st.chunk_len as u64 * st.k as u64);
+    engine.parities_written += 1;
+    // Read back the k staged chunks (DMA read channel) into a
+    // pooled scratch buffer, XOR wide-word into a pooled
+    // accumulator, write the final parity. Zero allocations in
+    // steady state.
+    let (mut acc, mut scratch) = {
+        let mut pool = core.pool.borrow_mut();
+        (
+            pool.get(st.chunk_len as usize),
+            pool.get_dirty(st.chunk_len as usize),
+        )
+    };
+    let mut ready = now;
+    for j in 0..st.k {
+        let staging = st.final_addr + (1 + j as u64) * st.chunk_len as u64;
+        ready = core
+            .dma
+            .borrow_mut()
+            .read_into(ready, staging, &mut scratch);
+        nadfs_gfec::gf256::xor_slice(&scratch, &mut acc);
+    }
+    let write_done = core
+        .dma
+        .borrow_mut()
+        .write(ready + xor_cost, st.final_addr, &acc);
+    {
+        let mut pool = core.pool.borrow_mut();
+        pool.put(scratch);
+        pool.put(acc);
+    }
+    // Ack the client once the final parity is durable.
+    let ack_msg = MsgId::new(core.node() as u32, st.greq);
+    let ack = AckPkt::new(ack_msg, Some(st.greq), Status::Ok);
+    let ev = NicEvent::Ack {
+        dst: st.client,
+        ack,
+    };
+    ctx.schedule_self(write_done.since(now), Box::new(ev));
+}
+
+/// The trigger of degraded gather `gather` elapsed: the packets that
+/// completed while it ran enter the engine.
+pub(crate) fn decode_armed(core: &mut NicCore, ctx: &mut Ctx<'_>, gather: u64) {
+    let Some(g) = core.decodes.get_mut(&gather) else {
+        return;
+    };
+    g.armed = true;
+    for (stream, idx) in std::mem::take(&mut g.parked) {
+        emit(core, ctx, gather, stream, idx);
     }
 }
 
@@ -439,14 +397,23 @@ pub(crate) enum DecodeSink {
     ReadResp { dst: NodeId, msg: MsgId },
 }
 
+/// Survivor `seg` of stream `stream` of degraded gather `gather`: whose
+/// packets a fetch's response, or a batch read from this node's own
+/// memory, carries.
+#[derive(Clone, Copy)]
+pub(crate) struct Survivor {
+    pub(crate) gather: u64,
+    pub(crate) stream: u16,
+    pub(crate) seg: u8,
+}
+
 /// One lost range being rebuilt — one `copy` entry of the gather header.
 struct DecodeStream {
     /// Which of the gather's decode rows (lost chunks) this range is of.
     row: usize,
-    /// The range is `[lo, lo + len)` of the chunk. Every survivor is read
-    /// over exactly that range and cut into packets from `lo`, so packet
-    /// index i means the same bytes on all of them.
-    lo: u32,
+    /// Length of the range. Every survivor is read over exactly that
+    /// range of its chunk and cut into packets from the range's start, so
+    /// packet index i means the same bytes on all of them.
     len: u32,
     /// Flow offset and packet index of the range's first packet.
     dest_off: u32,
@@ -519,7 +486,6 @@ pub(crate) fn start_decode(
             total_pkts += n_pkts;
             DecodeStream {
                 row: want.binary_search(&(c.chunk as usize)).expect("collected"),
-                lo: c.chunk_off,
                 len: c.len,
                 dest_off: c.dest_off,
                 first_pkt,
@@ -530,27 +496,27 @@ pub(crate) fn start_decode(
     let gather = core.next_decode;
     core.next_decode += 1;
     let me = core.node() as u32;
+    let leg = |stream: usize, seg: usize| Survivor {
+        gather,
+        stream: stream as u16,
+        seg: seg as u8,
+    };
     // Transport-level NIC-to-NIC fetches (no DFS header: the client's
     // capability was validated once for the flow).
     let mut fetches = Vec::new();
-    for (stream, st) in streams.iter().enumerate() {
+    for (stream, c) in copies().enumerate() {
         for (seg, s) in segments.iter().enumerate() {
             if s.coord.node != me {
                 let rrh = ReadReqHeader {
-                    addr: s.coord.addr + st.lo as u64,
-                    len: st.len,
+                    addr: s.coord.addr + c.chunk_off as u64,
+                    len: c.len,
                 };
-                let sink = ReadSink::Decode {
-                    gather,
-                    stream: stream as u16,
-                    seg: seg as u8,
-                };
+                let sink = ReadSink::Decode(leg(stream, seg));
                 fetches.push(core.post_read(ctx, s.coord.node as NodeId, rrh, None, sink));
             }
         }
     }
     core.stats.borrow_mut().gather_remote_fetches += fetches.len() as u64;
-    let n_streams = streams.len();
     core.decodes.insert(
         gather,
         DecodeGather {
@@ -567,64 +533,31 @@ pub(crate) fn start_decode(
             parked: Vec::new(),
         },
     );
-    for stream in 0..n_streams {
+    // The coordinator's own survivors are DMA-read once, in batches that
+    // amortize the PCIe latency like any response stream's.
+    for (stream, c) in copies().enumerate() {
         for (seg, s) in segments.iter().enumerate() {
             if s.coord.node == me {
-                read_local(core, ctx, gather, stream as u16, seg as u8, 0);
+                let range = (s.coord.addr + c.chunk_off as u64, c.len, 0);
+                let sink = StreamSink::Decode(leg(stream, seg));
+                core.start_stream(ctx, Ranges::One(range), sink);
             }
         }
     }
-    ctx.schedule_self(trigger, Box::new(EcEngineEvent::DecodeArmed { gather }));
+    ctx.schedule_self(trigger, Box::new(NicEvent::DecodeArmed { gather }));
     true
 }
 
-/// DMA-read the next batch of the coordinator's own survivor `seg` for
-/// `stream`, from packet `first_idx` on: once, in batches that amortize
-/// the PCIe latency like any response stream's.
-fn read_local(
-    core: &mut NicCore,
-    ctx: &mut Ctx<'_>,
-    gather: u64,
-    stream: u16,
-    seg: u8,
-    first_idx: u32,
-) {
-    let Some(g) = core.decodes.get(&gather) else {
-        return;
-    };
-    let cap = nadfs_wire::sizes::max_payload_plain();
-    let st = &g.streams[stream as usize];
-    let off = first_idx * cap;
-    if off >= st.len {
-        return;
-    }
-    let take = (st.len - off).min(cap * crate::nic::DMA_BATCH_PKTS);
-    let addr = g.segments[seg as usize].coord.addr + (st.lo + off) as u64;
-    let now = ctx.now();
-    let (data, ready) = core.dma.borrow_mut().read(now, addr, take as usize);
-    let ev = EcEngineEvent::DecodeLocal {
+/// Packet `idx` of survivor `of` is at the NIC: scale it by its decode
+/// coefficient into the packet index's accumulator. The k-th
+/// contribution completes the rebuilt packet, which enters the engine
+/// (or waits for the gather's trigger to elapse).
+pub(crate) fn absorb(core: &mut NicCore, ctx: &mut Ctx<'_>, of: Survivor, idx: u32, data: &[u8]) {
+    let Survivor {
         gather,
         stream,
         seg,
-        first_idx,
-        data,
-    };
-    ctx.schedule_self(ready.since(now), Box::new(ev));
-}
-
-/// Survivor `seg`'s packet `idx` of `stream` is at the NIC: scale it by
-/// its decode coefficient into the packet index's accumulator. The k-th
-/// contribution completes the rebuilt packet, which enters the engine
-/// (or waits for the gather's trigger to elapse).
-pub(crate) fn absorb(
-    core: &mut NicCore,
-    ctx: &mut Ctx<'_>,
-    gather: u64,
-    stream: u16,
-    seg: u8,
-    idx: u32,
-    data: &[u8],
-) {
+    } = of;
     let Some(g) = core.decodes.get_mut(&gather) else {
         return;
     };
@@ -686,7 +619,7 @@ fn emit(core: &mut NicCore, ctx: &mut Ctx<'_>, gather: u64, stream: u16, idx: u3
             }),
         ),
     };
-    ctx.schedule_self(done.since(now), Box::new(DeferredPkt { pkt }));
+    ctx.schedule_self(done.since(now), Box::new(NicEvent::SendOne(pkt)));
     if last {
         let g = core.decodes.remove(&gather).expect("live gather");
         let chunks = g.rows.len() / g.segments.len();
@@ -719,22 +652,16 @@ fn abort(core: &mut NicCore, ctx: &mut Ctx<'_>, gather: u64, status: Status) {
         live.for_each(|acc| pool.put(acc.into_buf()));
     }
     let DecodeSink::ReadResp { dst, msg } = g.sink;
-    let nack = AckPkt {
-        credit: CreditGrant::ZERO,
-        msg,
-        greq_id: Some(g.greq),
-        status,
-    };
-    core.send_ack(ctx, dst, nack);
+    core.send_ack(ctx, dst, AckPkt::new(msg, Some(g.greq), status));
 }
 
 /// A NACK for one of this NIC's own decode fetches (a survivor refused
 /// the range): the gather cannot complete, and its client hears the
 /// survivor's reason. Returns whether `nack` was one.
 pub(crate) fn on_fetch_nack(core: &mut NicCore, ctx: &mut Ctx<'_>, nack: &AckPkt) -> bool {
-    let Some(ReadSink::Decode { gather, .. }) = core.read_sink(nack.msg) else {
+    let Some(ReadSink::Decode(of)) = core.read_sink(nack.msg) else {
         return false;
     };
-    abort(core, ctx, gather, nack.status);
+    abort(core, ctx, of.gather, nack.status);
     true
 }

@@ -15,7 +15,7 @@ pub mod chains;
 pub mod ec_engine;
 pub mod nic;
 
-pub use app::{NicApp, NullApp, RawWriteDone};
+pub use app::{NicApp, NullApp};
 pub use chains::Chains;
 pub use ec_engine::{rebuild_pooled, EcEngine, EcEngineConfig};
 pub use nic::{AppTimer, Nic, NicConfig, NicCore, NicStats, SharedNicStats};

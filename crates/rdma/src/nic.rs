@@ -15,17 +15,18 @@ use nadfs_simnet::telemetry::phase;
 use nadfs_simnet::{
     BufPool, Component, ComponentId, CreditConfig, Ctx, Dur, FlowController, GateWake, IdMap,
     IdSet, NodeId, NodePort, ObsHub, PacketEvent, PacketPool, SharedBufPool, SharedFlowStats,
-    SharedObs, SharedPacketPool, SharedTrace, TenantId, TenantScheduler, Time, Trace, WrClass,
+    SharedObs, SharedPacketPool, SharedTrace, Slab, TenantId, TenantScheduler, Time, Trace,
+    WrClass,
 };
 use nadfs_wire::{
-    split_payload, write_payload_caps, AckPkt, CreditGrant, DfsHeader, Frame, GatherReadHeader,
-    GatherReqPkt, GatherSegment, HlConfigPkt, MacKey, MsgId, Pkt, ReadReqHeader, ReadReqPkt,
-    ReadRespPkt, Rights, RpcBody, SendPkt, Status, WritePkt, WriteReqHeader,
+    split_payload, write_payload_caps, AckPkt, DfsHeader, Frame, GatherReadHeader, GatherReqPkt,
+    GatherSegment, HlConfigPkt, MacKey, MsgId, Pkt, ReadReqHeader, ReadReqPkt, ReadRespPkt, Rights,
+    RpcBody, SendPkt, Status, WritePkt, WriteReqHeader,
 };
 
 use crate::app::NicApp;
-use crate::chains::{self, ChainEvent, Chains};
-use crate::ec_engine::{self, DecodeGather, DecodeSink, EcEngine, EcEngineEvent};
+use crate::chains::{self, Chains};
+use crate::ec_engine::{self, DecodeGather, DecodeSink, EcEngine, Survivor};
 
 /// Per-NIC configuration.
 #[derive(Clone, Debug, Default)]
@@ -38,53 +39,59 @@ pub struct NicConfig {
 
 // --- internal events ----------------------------------------------------
 
-/// Self-event: a raw write message has fully flushed; emit its ack.
-struct RawAck {
-    msg: MsgId,
-    dst: NodeId,
-    greq_id: Option<u64>,
-}
-/// Self-event: a locally-issued read completed.
-struct ReadDone {
-    token: u64,
-}
-/// Self-event: stream the next chunk of a read response.
-struct ReadStream {
-    msg: MsgId,
-}
 /// Self-event: app timer. Also usable from outside the component (e.g.
 /// test or experiment drivers) to bootstrap the app:
 /// `engine.schedule(delay, nic_id, Box::new(AppTimer { tag }))`.
 pub struct AppTimer {
     pub tag: u64,
 }
-/// Self-event: send an ack at a deferred (flush) time.
-pub(crate) struct DeferredAck {
-    pub dst: NodeId,
-    pub ack: AckPkt,
+
+/// Everything else the NIC schedules on itself: work deferred to the time
+/// a DMA, a flush or an engine pass it waits on is done.
+pub(crate) enum NicEvent {
+    /// Enqueue the packets of a response batch (read-response pacing).
+    Send(Vec<Pkt>),
+    /// Enqueue one packet (a rebuilt packet leaving the EC engine).
+    SendOne(Pkt),
+    /// Read the next batch of response stream `.0`.
+    StreamNext(usize),
+    /// Send an ack at a deferred (flush) time.
+    Ack { dst: NodeId, ack: AckPkt },
+    /// A locally-issued read completed.
+    ReadDone { token: u64 },
+    /// Issue writes at a deferred (engine-ready) time.
+    Writes(Vec<(NodeId, Option<DfsHeader>, WriteReqHeader, Bytes)>),
+    /// The DMA read for `chunk` of the chain at `addr` completed; emit the
+    /// forward write and continue.
+    ChainFwdReady { addr: u64, chunk: u32 },
+    /// All of the chain's data landed and flushed; ack the client if
+    /// configured.
+    ChainComplete { addr: u64 },
+    /// Encode the data chunk whose write (these headers) landed and
+    /// forward intermediate parities.
+    Encode(Box<(WriteReqHeader, Option<DfsHeader>)>),
+    /// Aggregate the staged intermediate parities for (stripe, parity_idx).
+    Aggregate { stripe: u64, parity_idx: u8 },
+    /// The trigger of degraded gather `gather` elapsed: rebuilt packets
+    /// may enter the engine.
+    DecodeArmed { gather: u64 },
+    /// A DMA-read batch of the coordinator's own survivor is at the NIC:
+    /// packets `first_idx..` of `of`; stream `next` has more to read.
+    DecodeLocal {
+        of: Survivor,
+        first_idx: u32,
+        data: Bytes,
+        next: Option<usize>,
+    },
 }
-/// Self-event: issue writes at a deferred (engine-ready) time.
-pub(crate) struct DeferredWrites {
-    pub sends: Vec<(NodeId, WriteReqHeader, Bytes)>,
-    pub dfs: Option<DfsHeader>,
-}
-/// Self-event: enqueue packets at a deferred time (read-response pacing).
-struct DeferredSend {
-    pkts: Vec<Pkt>,
-}
-/// Self-event: enqueue one packet at a deferred time (a rebuilt packet
-/// leaving the EC engine).
-pub(crate) struct DeferredPkt {
-    pub(crate) pkt: Pkt,
-}
-/// Self-event: stream the next batch of a gather response.
-struct GatherStreamNext {
-    msg: MsgId,
-}
+
+// Every self-event is boxed; the cold `Encode`'s headers are boxed again
+// so the hot ones (a batch of packets, a stream key) stay small.
+const _: () = assert!(std::mem::size_of::<NicEvent>() <= 64);
 
 /// Packets per DMA read of a response stream: the batch amortizes the
 /// per-op PCIe latency so streaming runs at the read channel's bandwidth.
-pub(crate) const DMA_BATCH_PKTS: u32 = 32;
+const DMA_BATCH_PKTS: u32 = 32;
 
 // --- reassembly states --------------------------------------------------
 
@@ -113,9 +120,9 @@ pub(crate) enum ReadSink {
     /// Host memory at `local_addr` plus each packet's offset;
     /// `on_read_done(token)` follows the last one.
     Host { local_addr: u64, token: u64 },
-    /// Survivor `seg` of stream `stream` of degraded gather `gather`:
-    /// absorbed into the decode's accumulators in NIC memory.
-    Decode { gather: u64, stream: u16, seg: u8 },
+    /// A remote survivor of a degraded gather: absorbed into the decode's
+    /// accumulators in NIC memory.
+    Decode(Survivor),
 }
 
 /// Pending read this node issued (initiator side).
@@ -123,31 +130,61 @@ struct PendingRead {
     sink: ReadSink,
     pkts_seen: u32,
     flush: Time,
+    /// The peer whose Read credit the request holds (none for a read whose
+    /// request travelled as a SEND). It returns when the response has
+    /// landed or the read is cancelled, whichever is first.
+    credit_from: Option<NodeId>,
 }
 
-/// Read response being streamed (responder side).
-struct ReadResponder {
-    dst: NodeId,
-    msg: MsgId,
-    addr: u64,
-    len: u32,
-    next_off: u32,
-    total_pkts: u32,
-    next_idx: u32,
+/// `len` bytes of this node's memory at `addr`, landing at `dest_off` of
+/// the flow they are streamed in: `(addr, len, dest_off)`.
+pub(crate) type Range = (u64, u32, u32);
+
+/// The ranges one response stream walks, in order, none of them empty.
+/// One range is every plain read and every local survivor; it is held
+/// inline so those streams allocate no list.
+pub(crate) enum Ranges {
+    One(Range),
+    Many(Vec<Range>),
 }
 
-/// A healthy gather streaming back to the client as one response flow:
-/// a multi-segment generalization of [`ReadResponder`] whose packet
-/// offsets are the (possibly sparse) destination offsets of the flow.
-struct GatherResponder {
-    dst: NodeId,
-    greq: u64,
-    /// `(local_addr, len, dest_off)` source ranges, streamed in order.
-    segs: Vec<(u64, u32, u32)>,
-    seg_idx: usize,
-    seg_off: u32,
-    total_pkts: u32,
+impl Ranges {
+    fn as_slice(&self) -> &[Range] {
+        match self {
+            Ranges::One(r) => std::slice::from_ref(r),
+            Ranges::Many(v) => v,
+        }
+    }
+}
+
+/// What is done with each batch of a response stream.
+#[derive(Clone, Copy)]
+pub(crate) enum StreamSink {
+    /// Cut into the `ReadResp` packets of request `msg` and sent to `dst`,
+    /// each at its range's (possibly sparse) flow offset. A gather has the
+    /// `greq` of the op it serves: every batch marks `streamed` on that
+    /// op's span and counts toward `gather_bytes_streamed`.
+    Wire {
+        dst: NodeId,
+        msg: MsgId,
+        greq: Option<u64>,
+        total_pkts: u32,
+    },
+    /// Absorbed into a decode on this NIC as its own survivor's packets.
+    Decode(Survivor),
+}
+
+/// Ranges of this node's memory streaming out through the DMA read
+/// channel (responder side): a one-sided or CPU-validated read, a healthy
+/// gather, or the coordinator's own survivor of a degraded one.
+struct ResponseStream {
+    ranges: Ranges,
+    /// Cursor: the range being read, the offset within it, and the index
+    /// of the next packet.
+    range: usize,
+    off: u32,
     next_idx: u32,
+    sink: StreamSink,
 }
 
 /// Offload counters shared with the metrics registry (the NIC itself is
@@ -174,8 +211,9 @@ pub struct NicStats {
 pub type SharedNicStats = Rc<RefCell<NicStats>>;
 
 /// Message id reserved for standalone credit-return acks: pure flow-control
-/// frames carrying a [`CreditGrant`] and no app-visible completion. The
-/// receiving NIC applies the grant and swallows the frame before `on_ack`.
+/// frames carrying a [`nadfs_simnet::CreditGrant`] and no app-visible
+/// completion. The receiving NIC applies the grant and swallows the frame
+/// before `on_ack`.
 pub const CREDIT_MSG: MsgId = MsgId {
     node: u32::MAX,
     seq: u64::MAX,
@@ -252,9 +290,6 @@ pub struct NicCore {
     /// Ordered by peer: released credit is handed out in peer order, so
     /// the egress order it produces is the same in every run.
     pending_wrs: BTreeMap<NodeId, [VecDeque<Vec<Pkt>>; 4]>,
-    /// In-flight Read-class WRs: request msg → peer. Read credits return
-    /// at response completion (or cancellation), not at egress.
-    credited_reads: IdMap<MsgId, NodeId>,
     /// Optional per-tenant fair queueing of DFS read streams (the
     /// storage-side QoS stage): admitted streams are bounded and the
     /// backlog drains in deficit-round-robin order.
@@ -263,11 +298,11 @@ pub struct NicCore {
     raw_writes: IdMap<MsgId, RawWriteState>,
     sends: IdMap<MsgId, SendState>,
     pending_reads: IdMap<MsgId, PendingRead>,
-    responders: IdMap<MsgId, ReadResponder>,
+    /// Response streams in progress, by the key their self-events carry.
+    streams: Slab<ResponseStream>,
     /// Degraded gathers decoding on this NIC, by NIC-local id.
     pub(crate) decodes: IdMap<u64, DecodeGather>,
     pub(crate) next_decode: u64,
-    gather_responders: IdMap<MsgId, GatherResponder>,
     mrs: Vec<(u64, u64)>,
     /// Service MAC key for NIC-side read validation: when installed,
     /// incoming read requests carrying a DFS header are authenticated on
@@ -317,21 +352,17 @@ impl NicCore {
         self.service_key = Some(key);
     }
 
-    fn mr_ok(&self, addr: u64, len: u64) -> bool {
+    /// Whether one-sided access to `[addr, addr + len)` is permitted
+    /// (always true unless MR enforcement is on). Public so software
+    /// read/write paths (e.g. the CPU-validated RPC read) enforce the
+    /// same protection boundary as the NIC's one-sided handlers.
+    pub fn mr_ok(&self, addr: u64, len: u64) -> bool {
         if !self.cfg.enforce_mr {
             return true;
         }
         self.mrs
             .iter()
             .any(|&(a, l)| addr >= a && addr + len <= a + l)
-    }
-
-    /// Whether one-sided access to `[addr, addr + len)` is permitted
-    /// (always true unless MR enforcement is on). Exposed so software
-    /// read/write paths (e.g. the CPU-validated RPC read) enforce the
-    /// same protection boundary as the NIC's one-sided handlers.
-    pub fn mr_allows(&self, addr: u64, len: u64) -> bool {
-        self.mr_ok(addr, len)
     }
 
     /// This NIC's recycled payload-buffer ring.
@@ -382,10 +413,7 @@ impl NicCore {
         weights: &[(TenantId, u32)],
         max_streams: usize,
     ) {
-        let mut sched = TenantScheduler::new(quantum, default_weight);
-        for &(t, w) in weights {
-            sched.set_weight(t, w);
-        }
+        let sched = TenantScheduler::with_weights(quantum, default_weight, weights);
         self.read_qos = Some(ReadQos::new(sched, max_streams));
     }
 
@@ -463,12 +491,10 @@ impl NicCore {
     /// the credit discipline: if local (and, for two-sided classes,
     /// remote) credit is available the packets enter the egress queue
     /// now; otherwise the WR parks in the per-peer pending queue and is
-    /// released when credit returns. Read-class WRs additionally register
-    /// in `credited_reads` so their local credit returns at response
-    /// completion.
+    /// released when credit returns.
     fn post_wr(&mut self, ctx: &mut Ctx<'_>, dst: NodeId, pkts: Vec<Pkt>, class: WrClass) {
         if self.flow.try_acquire(dst, class) {
-            self.enqueue_wr(dst, pkts, class);
+            self.enqueue_wr(pkts, class);
             self.pump(ctx);
         } else {
             self.flow.note_queued();
@@ -479,19 +505,8 @@ impl NicCore {
     /// Move an acquired WR's packets into the egress queue. Egress-completed
     /// classes (Data/Imm/Write) carry a marker on their last packet: the
     /// local credit returns when that packet leaves the NIC. Read-class
-    /// completion is the response, tracked via `credited_reads`.
-    fn enqueue_wr(&mut self, dst: NodeId, pkts: Vec<Pkt>, class: WrClass) {
-        if class == WrClass::Read {
-            match pkts.first().map(|p| &p.pkt.payload) {
-                Some(Frame::ReadReq(r)) => {
-                    self.credited_reads.insert(r.msg, dst);
-                }
-                Some(Frame::GatherReq(g)) => {
-                    self.credited_reads.insert(g.msg, dst);
-                }
-                _ => {}
-            }
-        }
+    /// completion is the response: the request's `PendingRead` returns it.
+    fn enqueue_wr(&mut self, pkts: Vec<Pkt>, class: WrClass) {
         let last = pkts.len().saturating_sub(1);
         for (i, p) in pkts.into_iter().enumerate() {
             let marker = if i == last && class != WrClass::Read {
@@ -527,21 +542,22 @@ impl NicCore {
                         .pop_front()
                         .expect("nonempty");
                     self.flow.note_released();
-                    self.enqueue_wr(peer, pkts, class);
+                    self.enqueue_wr(pkts, class);
                 }
             }
         }
     }
 
-    /// Return the local Read credit held by request `msg`. Every
-    /// requester-side read — client reads, gather requests, and gather
-    /// NIC-to-NIC fetches alike — registers in `credited_reads`, so the
-    /// no-op branch only covers cancelled/unknown messages.
-    fn return_read_credit(&mut self, ctx: &mut Ctx<'_>, msg: MsgId) {
-        if let Some(peer) = self.credited_reads.remove(&msg) {
+    /// A read that is over (landed or cancelled) hands back the Read
+    /// credit its request holds, which may release queued reads (the
+    /// caller pumps). A request still parked for credit when its read is
+    /// cancelled has none yet: what is handed back here is the credit it
+    /// takes when it is released — at once, if it is first in line — so
+    /// the books balance.
+    fn return_read_credit(&mut self, read: PendingRead) {
+        if let Some(peer) = read.credit_from {
             self.flow.on_local_complete(peer, WrClass::Read);
             self.release_pending();
-            self.pump(ctx);
         }
     }
 
@@ -565,6 +581,12 @@ impl NicCore {
                 self.release_pending();
             }
         }
+    }
+
+    /// Messages this NIC holds state for: writes and SENDs in reassembly,
+    /// reads awaiting their response (diagnostic).
+    pub fn open_messages(&self) -> usize {
+        self.raw_writes.len() + self.sends.len() + self.pending_reads.len()
     }
 
     /// Packets queued but not yet injected (diagnostic).
@@ -692,7 +714,7 @@ impl NicCore {
         sink: ReadSink,
     ) -> MsgId {
         let msg = self.alloc_msg();
-        self.arm_read(msg, sink);
+        self.arm_read(msg, sink, Some(dst));
         let pkts = vec![self.pkt(dst, Frame::ReadReq(ReadReqPkt { msg, dfs, rrh }))];
         // Gather coordinators fetch survivor ranges NIC-to-NIC on the
         // response path. These are requester-side WRs like any other
@@ -720,7 +742,7 @@ impl NicCore {
         token: u64,
     ) -> MsgId {
         let msg = self.alloc_msg();
-        self.expect_read_resp(msg, local_addr, token);
+        self.arm_read(msg, ReadSink::Host { local_addr, token }, Some(dst));
         let pkts = vec![self.pkt(dst, Frame::GatherReq(GatherReqPkt { msg, dfs, grh }))];
         self.post_wr(ctx, dst, pkts, WrClass::Read);
         msg
@@ -732,16 +754,17 @@ impl NicCore {
     /// request goes out as a SEND but the data comes back as ReadResp
     /// frames keyed to the request's message id.
     pub fn expect_read_resp(&mut self, msg: MsgId, local_addr: u64, token: u64) {
-        self.arm_read(msg, ReadSink::Host { local_addr, token });
+        self.arm_read(msg, ReadSink::Host { local_addr, token }, None);
     }
 
-    fn arm_read(&mut self, msg: MsgId, sink: ReadSink) {
+    fn arm_read(&mut self, msg: MsgId, sink: ReadSink, credit_from: Option<NodeId>) {
         self.pending_reads.insert(
             msg,
             PendingRead {
                 sink,
                 pkts_seen: 0,
                 flush: Time::ZERO,
+                credit_from,
             },
         );
     }
@@ -756,10 +779,8 @@ impl NicCore {
     /// credit the request held returns to the pool. (No `ctx` here — the
     /// released credit admits queued WRs at the next pump.)
     pub fn cancel_read(&mut self, msg: MsgId) {
-        self.pending_reads.remove(&msg);
-        if let Some(peer) = self.credited_reads.remove(&msg) {
-            self.flow.on_local_complete(peer, WrClass::Read);
-            self.release_pending();
+        if let Some(read) = self.pending_reads.remove(&msg) {
+            self.return_read_credit(read);
         }
     }
 
@@ -775,21 +796,11 @@ impl NicCore {
         addr: u64,
         len: u32,
     ) {
-        let payload_cap = nadfs_wire::sizes::max_payload_plain();
-        let total_pkts = len.div_ceil(payload_cap).max(1);
-        self.responders.insert(
-            msg,
-            ReadResponder {
-                dst,
-                msg,
-                addr,
-                len,
-                next_off: 0,
-                total_pkts,
-                next_idx: 0,
-            },
-        );
-        self.stream_read(ctx, msg);
+        let ranges = match len {
+            0 => Ranges::Many(Vec::new()),
+            _ => Ranges::One((addr, len, 0)),
+        };
+        self.respond(ctx, dst, msg, None, ranges);
     }
 
     /// Send a protocol ack, piggybacking any pending recv-credit return
@@ -809,15 +820,9 @@ impl NicCore {
         if grant.is_zero() {
             return;
         }
-        let pkt = self.pkt(
-            peer,
-            Frame::Ack(AckPkt {
-                credit: grant,
-                msg: CREDIT_MSG,
-                greq_id: None,
-                status: Status::Ok,
-            }),
-        );
+        let mut ack = AckPkt::new(CREDIT_MSG, None, Status::Ok);
+        ack.credit = grant;
+        let pkt = self.pkt(peer, Frame::Ack(ack));
         self.send_pkts(ctx, [pkt]);
     }
 
@@ -860,17 +865,15 @@ impl NicCore {
     fn on_write_pkt(&mut self, ctx: &mut Ctx<'_>, src: NodeId, w: &mut WritePkt) {
         let now = ctx.now();
         if w.is_first() {
-            let wrh = w.wrh.take().expect("first packet carries WRH");
-            if !self.mr_ok(wrh.target_addr, wrh.len as u64) {
-                let nack = AckPkt {
-                    credit: CreditGrant::ZERO,
-                    msg: w.msg,
-                    greq_id: w.dfs.map(|d| d.greq_id),
-                    status: Status::Rejected,
-                };
-                self.send_ack(ctx, src, nack);
+            // A first packet without its WRH is malformed; one aimed
+            // outside every MR is refused. Either way nothing of the
+            // message is kept and its later packets drop below.
+            let target_ok = |h: &WriteReqHeader| self.mr_ok(h.target_addr, h.len as u64);
+            let Some(wrh) = w.wrh.take().filter(target_ok) else {
+                let greq = w.dfs.map(|d| d.greq_id);
+                self.send_ack(ctx, src, AckPkt::new(w.msg, greq, Status::Rejected));
                 return;
-            }
+            };
             let chain_write = self.chains.matches(&wrh);
             self.raw_writes.insert(
                 w.msg,
@@ -916,75 +919,123 @@ impl NicCore {
             let st = self.raw_writes.remove(&w.msg).expect("just updated");
             let is_ec = self.ec.as_ref().is_some_and(|e| e.wants(&st.wrh));
             if is_ec {
-                ec_engine::on_ec_write_landed(self, ctx, src, st.dfs, &st.wrh, st.flush);
+                ec_engine::on_ec_write_landed(self, ctx, src, w.msg, st.dfs, st.wrh, st.flush);
                 return;
             }
             // Plain raw write: ack the initiator once durable.
-            ctx.schedule_at(
-                st.flush,
-                self.self_id,
-                Box::new(RawAck {
-                    msg: w.msg,
-                    dst: st.src,
-                    greq_id: st.dfs.map(|d| d.greq_id),
-                }),
+            self.writes_acked += 1;
+            let ack = AckPkt::new(w.msg, st.dfs.map(|d| d.greq_id), Status::Ok);
+            let ev = NicEvent::Ack { dst: st.src, ack };
+            ctx.schedule_at(st.flush, self.self_id, Box::new(ev));
+        }
+    }
+
+    /// Land one packet of a SEND; returns the message (its sender, body
+    /// and data) once it is whole.
+    fn on_send_pkt(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        src: NodeId,
+        s: &mut SendPkt,
+    ) -> Option<(NodeId, RpcBody, Bytes)> {
+        if s.is_first() {
+            // A first packet without a body is malformed: refuse the
+            // message; its later packets find no state and drop below.
+            let Some(body) = s.rpc.take() else {
+                self.send_ack(ctx, src, AckPkt::new(s.msg, None, Status::Rejected));
+                return None;
+            };
+            // Reassembly buffer from the recycled ring: capacity for the
+            // whole message up front (per-packet payload is MTU-bounded),
+            // so the extends below never reallocate and the SEND path
+            // stays off the allocator.
+            let cap = if s.total_pkts <= 1 {
+                s.data.len()
+            } else {
+                s.total_pkts as usize
+                    * (nadfs_wire::sizes::MTU
+                        - nadfs_wire::sizes::RDMA_HEADER
+                        - nadfs_wire::sizes::RPC_HEADER) as usize
+            };
+            let data = self.pool.borrow_mut().get_spare(cap);
+            self.sends.insert(
+                s.msg,
+                SendState {
+                    src,
+                    body,
+                    data,
+                    pkts_seen: 0,
+                    total: s.total_pkts,
+                },
             );
         }
+        // (No state: the first packet was refused, or never arrived.)
+        let st = self.sends.get_mut(&s.msg)?;
+        // Landing in the receive buffer costs a DMA write.
+        let now = ctx.now();
+        self.dma
+            .borrow_mut()
+            .write(now, 0xFEED_0000 + s.offset as u64, &s.data);
+        st.data.extend_from_slice(&s.data);
+        st.pkts_seen += 1;
+        if st.pkts_seen < st.total {
+            return None;
+        }
+        let st = self.sends.remove(&s.msg).expect("just updated");
+        Some((st.src, st.body, Bytes::from(st.data)))
+    }
+
+    /// NIC-side validation of a DFS-level read (the read-side analog of
+    /// the sPIN write validation): check the capability against the
+    /// service key, where one is installed, before a byte is streamed.
+    /// `Err` is the NACK to answer request `msg` with.
+    fn validate(
+        &mut self,
+        msg: MsgId,
+        dfs: &DfsHeader,
+        now: Time,
+        describe: impl FnOnce() -> String,
+    ) -> Result<(), AckPkt> {
+        if let Some(key) = self.service_key.as_ref() {
+            let cap = &dfs.capability;
+            if cap.verify(key, now.as_ns() as u64, Rights::READ).is_err() {
+                self.read_auth_failures += 1;
+                return Err(AckPkt::new(msg, Some(dfs.greq_id), Status::AuthFailed));
+            }
+        }
+        self.reads_validated += 1;
+        let spans = &mut self.obs.borrow_mut().spans;
+        spans.mark_corr_once(dfs.greq_id, phase::NIC_VALIDATED, now);
+        self.trace
+            .borrow_mut()
+            .emit_from(now, "nic", Some(self.port.node), describe);
+        Ok(())
     }
 
     fn on_read_req(&mut self, ctx: &mut Ctx<'_>, src: NodeId, r: &ReadReqPkt) {
         if !self.mr_ok(r.rrh.addr, r.rrh.len as u64) {
-            let nack = AckPkt {
-                credit: CreditGrant::ZERO,
-                msg: r.msg,
-                greq_id: r.dfs.map(|d| d.greq_id),
-                status: Status::Rejected,
-            };
-            self.send_ack(ctx, src, nack);
+            let greq = r.dfs.map(|d| d.greq_id);
+            self.send_ack(ctx, src, AckPkt::new(r.msg, greq, Status::Rejected));
             return;
         }
-        // NIC-side read validation: DFS-level reads present a capability
-        // in their DFS header; with the service key installed the NIC
-        // checks it before streaming a single byte. Header-less reads
-        // (e.g. the RPC+RDMA data fetch from a client) are transport-level
-        // and pass through, as do nodes without the key.
-        if let (Some(key), Some(dfs)) = (self.service_key.as_ref(), r.dfs.as_ref()) {
-            if dfs
-                .capability
-                .verify(key, ctx.now().as_ns() as u64, Rights::READ)
-                .is_err()
-            {
-                self.read_auth_failures += 1;
-                let nack = AckPkt {
-                    credit: CreditGrant::ZERO,
-                    msg: r.msg,
-                    greq_id: Some(dfs.greq_id),
-                    status: Status::AuthFailed,
-                };
+        // DFS-level reads present a capability in their DFS header.
+        // Header-less reads (e.g. the RPC+RDMA data fetch from a client)
+        // are transport-level and pass through, as do nodes without the
+        // service key.
+        if let (Some(_), Some(dfs)) = (self.service_key.as_ref(), r.dfs.as_ref()) {
+            let describe = || format!("read-validate greq={} len={}", dfs.greq_id, r.rrh.len);
+            if let Err(nack) = self.validate(r.msg, dfs, ctx.now(), describe) {
                 self.send_ack(ctx, src, nack);
                 return;
             }
-            self.reads_validated += 1;
-            let now = ctx.now();
-            self.obs
-                .borrow_mut()
-                .spans
-                .mark_corr_once(dfs.greq_id, phase::NIC_VALIDATED, now);
-            self.trace
-                .borrow_mut()
-                .emit_from(now, "nic", Some(self.port.node), || {
-                    format!("read-validate greq={} len={}", dfs.greq_id, r.rrh.len)
-                });
         }
         // DFS reads pass through the per-tenant scheduler when QoS is on;
         // transport-level reads (e.g. gather segment fetches) bypass it —
         // they are part of an already-admitted flow and queueing them
         // behind tenant backlog would invert the dependency.
-        if self.read_qos.is_some() && r.dfs.is_some() {
-            let tenant = r.dfs.as_ref().map_or(0, |d| d.tenant);
-            let q = self.read_qos.as_mut().expect("checked");
+        if let (Some(q), Some(dfs)) = (self.read_qos.as_mut(), r.dfs.as_ref()) {
             q.sched.push(
-                tenant,
+                dfs.tenant,
                 r.rrh.len.max(1) as u64,
                 QueuedRead {
                     dst: src,
@@ -1037,40 +1088,19 @@ impl NicCore {
     /// HPU handlers instead and lands in [`NicCore::start_gather`] via the
     /// handler's host event.)
     fn on_gather_req(&mut self, ctx: &mut Ctx<'_>, src: NodeId, g: &GatherReqPkt) {
-        if let Some(key) = self.service_key.as_ref() {
-            if g.dfs
-                .capability
-                .verify(key, ctx.now().as_ns() as u64, Rights::READ)
-                .is_err()
-            {
-                self.read_auth_failures += 1;
-                self.stats.borrow_mut().gather_auth_failures += 1;
-                let nack = AckPkt {
-                    credit: CreditGrant::ZERO,
-                    msg: g.msg,
-                    greq_id: Some(g.dfs.greq_id),
-                    status: Status::AuthFailed,
-                };
-                self.send_ack(ctx, src, nack);
-                return;
-            }
+        let describe = || {
+            format!(
+                "gather-validate greq={} segs={} len={}",
+                g.dfs.greq_id,
+                g.grh.segments.len(),
+                g.grh.total_len
+            )
+        };
+        if let Err(nack) = self.validate(g.msg, &g.dfs, ctx.now(), describe) {
+            self.stats.borrow_mut().gather_auth_failures += 1;
+            self.send_ack(ctx, src, nack);
+            return;
         }
-        self.reads_validated += 1;
-        let now = ctx.now();
-        self.obs
-            .borrow_mut()
-            .spans
-            .mark_corr_once(g.dfs.greq_id, phase::NIC_VALIDATED, now);
-        self.trace
-            .borrow_mut()
-            .emit_from(now, "nic", Some(self.port.node), || {
-                format!(
-                    "gather-validate greq={} segs={} len={}",
-                    g.dfs.greq_id,
-                    g.grh.segments.len(),
-                    g.grh.total_len
-                )
-            });
         self.start_gather(ctx, src, g.msg, g.dfs.greq_id, g.grh.clone());
     }
 
@@ -1099,12 +1129,12 @@ impl NicCore {
                 None if grh.segments.iter().all(local) => {
                     let ranges = grh.segments.iter().filter(|s| s.len > 0);
                     let segs = ranges.map(|s| (s.coord.addr, s.len, s.dest_off)).collect();
-                    self.respond_gather(ctx, client, msg, greq, segs);
+                    self.respond(ctx, client, msg, Some(greq), Ranges::Many(segs));
                     true
                 }
                 None => false,
                 Some(rec) if rec.copy.iter().all(|c| c.len == 0) => {
-                    self.respond_gather(ctx, client, msg, greq, Vec::new());
+                    self.respond(ctx, client, msg, Some(greq), Ranges::Many(Vec::new()));
                     true
                 }
                 Some(rec) => {
@@ -1115,200 +1145,167 @@ impl NicCore {
         if accepted {
             self.stats.borrow_mut().gather_reads += 1;
         } else {
-            let nack = AckPkt {
-                credit: CreditGrant::ZERO,
-                msg,
-                greq_id: Some(greq),
-                status: Status::Rejected,
-            };
+            let nack = AckPkt::new(msg, Some(greq), Status::Rejected);
             self.send_ack(ctx, client, nack);
         }
     }
 
-    /// Stream `segs` — `(local_addr, len, dest_off)` ranges of this
-    /// node's memory — back to `dst` as the response flow of gather `msg`.
-    pub(crate) fn respond_gather(
+    /// Stream `ranges` back to `dst` as the response flow of request
+    /// `msg` (of op `greq`, when it is a gather): one packet per
+    /// `max_payload_plain()` bytes of each range, or a lone empty packet
+    /// when there is nothing to read.
+    fn respond(
         &mut self,
         ctx: &mut Ctx<'_>,
         dst: NodeId,
         msg: MsgId,
-        greq: u64,
-        segs: Vec<(u64, u32, u32)>,
+        greq: Option<u64>,
+        ranges: Ranges,
     ) {
-        let payload_cap = nadfs_wire::sizes::max_payload_plain();
-        let total_pkts = segs
-            .iter()
-            .map(|&(_, len, _)| len.div_ceil(payload_cap))
-            .sum::<u32>()
-            .max(1);
-        self.gather_responders.insert(
+        let cap = nadfs_wire::sizes::max_payload_plain();
+        let pkts = ranges.as_slice().iter().map(|r| r.1.div_ceil(cap));
+        let total_pkts = pkts.sum::<u32>().max(1);
+        let sink = StreamSink::Wire {
+            dst,
             msg,
-            GatherResponder {
-                dst,
-                greq,
-                segs,
-                seg_idx: 0,
-                seg_off: 0,
-                total_pkts,
-                next_idx: 0,
-            },
-        );
-        self.stream_gather(ctx, msg);
+            greq,
+            total_pkts,
+        };
+        self.start_stream(ctx, ranges, sink);
     }
 
-    /// Stream the next response batch of a gather flow: like
-    /// [`NicCore::stream_read`] but walking the (possibly sparse)
-    /// destination segments, with a per-batch phase mark so the op span
-    /// records pipeline progress.
-    fn stream_gather(&mut self, ctx: &mut Ctx<'_>, msg: MsgId) {
+    pub(crate) fn start_stream(&mut self, ctx: &mut Ctx<'_>, ranges: Ranges, sink: StreamSink) {
+        let key = self.streams.insert(ResponseStream {
+            ranges,
+            range: 0,
+            off: 0,
+            next_idx: 0,
+            sink,
+        });
+        self.stream_step(ctx, key);
+    }
+
+    /// Read the next batch of stream `key`: at most [`DMA_BATCH_PKTS`]
+    /// packets' worth, one DMA read per range it touches, handed to the
+    /// stream's sink when the last of them is at the NIC. The event that
+    /// reads the batch after it is scheduled before the hand-off.
+    pub(crate) fn stream_step(&mut self, ctx: &mut Ctx<'_>, key: usize) {
         let now = ctx.now();
-        let Some(r) = self.gather_responders.get_mut(&msg) else {
+        let Some(s) = self.streams.get_mut(key) else {
             return;
         };
-        let payload_cap = nadfs_wire::sizes::max_payload_plain();
-        let dst = r.dst;
-        let greq = r.greq;
+        if let StreamSink::Decode(of) = s.sink {
+            if !self.decodes.contains_key(&of.gather) {
+                self.streams.remove(key); // the gather was aborted
+                return;
+            }
+        }
+        let cap = nadfs_wire::sizes::max_payload_plain();
         let src = self.port.node;
-        let mut boxes = self.pkts.borrow_mut();
+        let first_idx = s.next_idx;
         let mut pkts = Vec::new();
+        let mut whole = Bytes::new();
         let mut ready = now;
         let mut batch_bytes = 0u64;
-        if r.segs.is_empty() {
-            let empty = Frame::ReadResp(ReadRespPkt {
+        let mut budget = DMA_BATCH_PKTS;
+        while budget > 0 {
+            let Some(&(addr, len, dest_off)) = s.ranges.as_slice().get(s.range) else {
+                break;
+            };
+            let take = (len - s.off).min(cap * budget);
+            let from = addr + s.off as u64;
+            let (data, dma_ready) = self.dma.borrow_mut().read(now, from, take as usize);
+            ready = ready.max(dma_ready);
+            match s.sink {
+                StreamSink::Wire {
+                    dst,
+                    msg,
+                    total_pkts,
+                    ..
+                } => {
+                    let mut boxes = self.pkts.borrow_mut();
+                    for (i, at) in (0..take).step_by(cap as usize).enumerate() {
+                        let frame = Frame::ReadResp(ReadRespPkt {
+                            msg,
+                            pkt_idx: s.next_idx + i as u32,
+                            total_pkts,
+                            offset: dest_off + s.off + at,
+                            data: data.slice(at as usize..(at + cap).min(take) as usize),
+                        });
+                        pkts.push(boxes.submit(src, dst, frame));
+                    }
+                }
+                // A survivor is one range, so one read is the batch.
+                StreamSink::Decode(_) => whole = data,
+            }
+            let n = take.div_ceil(cap);
+            s.next_idx += n;
+            budget -= n;
+            batch_bytes += take as u64;
+            s.off += take;
+            if s.off == len {
+                s.range += 1;
+                s.off = 0;
+            }
+        }
+        let more = s.range < s.ranges.as_slice().len();
+        let sink = s.sink;
+        if !more {
+            self.streams.remove(key);
+        }
+        let wait = ready.since(now);
+        match sink {
+            StreamSink::Wire {
+                dst,
                 msg,
-                pkt_idx: 0,
-                total_pkts: 1,
-                offset: 0,
-                data: Bytes::new(),
-            });
-            pkts.push(boxes.submit(src, dst, empty));
-            drop(boxes);
-            self.gather_responders.remove(&msg);
-        } else {
-            let mut budget = DMA_BATCH_PKTS;
-            while budget > 0 && r.seg_idx < r.segs.len() {
-                let (addr, len, dest_off) = r.segs[r.seg_idx];
-                let left = len - r.seg_off;
-                let take = left.min(payload_cap * budget);
-                let (data, dma_ready) =
-                    self.dma
-                        .borrow_mut()
-                        .read(now, addr + r.seg_off as u64, take as usize);
-                ready = ready.max(dma_ready);
-                let mut off = 0u32;
-                while off < take {
-                    let l = payload_cap.min(take - off);
-                    let frame = Frame::ReadResp(ReadRespPkt {
+                greq,
+                total_pkts,
+            } => {
+                if more {
+                    ctx.schedule_self(wait, Box::new(NicEvent::StreamNext(key)));
+                }
+                if pkts.is_empty() {
+                    let empty = Frame::ReadResp(ReadRespPkt {
                         msg,
-                        pkt_idx: r.next_idx,
-                        total_pkts: r.total_pkts,
-                        offset: dest_off + r.seg_off + off,
-                        data: data.slice(off as usize..(off + l) as usize),
+                        pkt_idx: 0,
+                        total_pkts,
+                        offset: 0,
+                        data: Bytes::new(),
                     });
-                    pkts.push(boxes.submit(src, dst, frame));
-                    r.next_idx += 1;
-                    budget -= 1;
-                    off += l;
+                    pkts.push(self.pkt(dst, empty));
                 }
-                batch_bytes += take as u64;
-                r.seg_off += take;
-                if r.seg_off == len {
-                    r.seg_idx += 1;
-                    r.seg_off = 0;
+                if let Some(greq) = greq {
+                    // Per-batch phase mark: the op span records pipeline
+                    // progress.
+                    self.stats.borrow_mut().gather_bytes_streamed += batch_bytes;
+                    let spans = &mut self.obs.borrow_mut().spans;
+                    spans.mark_corr(greq, phase::STREAMED, ready);
+                }
+                ctx.schedule_self(wait, Box::new(NicEvent::Send(pkts)));
+                if !more {
+                    // Last batch queued: the stream's QoS slot (if any)
+                    // frees and the next tenant-scheduled read can start.
+                    self.read_qos_stream_done(ctx, msg);
                 }
             }
-            drop(boxes);
-            let more = r.seg_idx < r.segs.len();
-            if more {
-                ctx.schedule_self(ready.since(now), Box::new(GatherStreamNext { msg }));
-            } else {
-                self.gather_responders.remove(&msg);
+            StreamSink::Decode(of) => {
+                let ev = NicEvent::DecodeLocal {
+                    of,
+                    first_idx,
+                    data: whole,
+                    next: more.then_some(key),
+                };
+                ctx.schedule_self(wait, Box::new(ev));
             }
-        }
-        self.stats.borrow_mut().gather_bytes_streamed += batch_bytes;
-        self.obs
-            .borrow_mut()
-            .spans
-            .mark_corr(greq, phase::STREAMED, ready);
-        ctx.schedule_self(ready.since(now), Box::new(DeferredSend { pkts }));
-    }
-
-    /// Stream the next response batch: DMA-read up to [`DMA_BATCH_PKTS`]
-    /// packets' worth from host memory, emit the packets at DMA-ready
-    /// time, reschedule.
-    fn stream_read(&mut self, ctx: &mut Ctx<'_>, msg: MsgId) {
-        let now = ctx.now();
-        let Some(r) = self.responders.get_mut(&msg) else {
-            return;
-        };
-        let payload_cap = nadfs_wire::sizes::max_payload_plain();
-        let remaining = r.len - r.next_off.min(r.len);
-        let chunk = (payload_cap * DMA_BATCH_PKTS).min(remaining);
-        let src = self.port.node;
-        let mut boxes = self.pkts.borrow_mut();
-        let mut pkts = Vec::new();
-        let dst = r.dst;
-        let ready;
-        if r.len == 0 {
-            let empty = Frame::ReadResp(ReadRespPkt {
-                msg: r.msg,
-                pkt_idx: 0,
-                total_pkts: 1,
-                offset: 0,
-                data: Bytes::new(),
-            });
-            pkts.push(boxes.submit(src, dst, empty));
-            ready = now;
-            self.responders.remove(&msg);
-        } else {
-            let (data, dma_ready) =
-                self.dma
-                    .borrow_mut()
-                    .read(now, r.addr + r.next_off as u64, chunk as usize);
-            ready = dma_ready;
-            let base_off = r.next_off;
-            let mut off = 0u32;
-            while off < chunk {
-                let len = payload_cap.min(chunk - off);
-                let frame = Frame::ReadResp(ReadRespPkt {
-                    msg: r.msg,
-                    pkt_idx: r.next_idx,
-                    total_pkts: r.total_pkts,
-                    offset: base_off + off,
-                    data: data.slice(off as usize..(off + len) as usize),
-                });
-                pkts.push(boxes.submit(src, dst, frame));
-                r.next_idx += 1;
-                off += len;
-            }
-            r.next_off += chunk;
-            let more = r.next_off < r.len;
-            if more {
-                ctx.schedule_self(ready.since(now), Box::new(ReadStream { msg }));
-            } else {
-                self.responders.remove(&msg);
-            }
-        }
-        drop(boxes);
-        ctx.schedule_self(ready.since(now), Box::new(DeferredSend { pkts }));
-        if !self.responders.contains_key(&msg) {
-            // Last batch queued: the stream's QoS slot (if any) frees and
-            // the next tenant-scheduled read can start.
-            self.read_qos_stream_done(ctx, msg);
         }
     }
 
     fn on_read_resp(&mut self, ctx: &mut Ctx<'_>, r: &mut ReadRespPkt) {
         let now = ctx.now();
         let mut pending = self.pending_reads.get_mut(&r.msg);
-        if let Some(ReadSink::Decode {
-            gather,
-            stream,
-            seg,
-        }) = pending.as_ref().map(|p| p.sink)
-        {
+        if let Some(ReadSink::Decode(of)) = pending.as_ref().map(|p| p.sink) {
             let idx = r.offset / nadfs_wire::sizes::max_payload_plain();
-            ec_engine::absorb(self, ctx, gather, stream, seg, idx, &r.data);
+            ec_engine::absorb(self, ctx, of, idx, &r.data);
             // An absorb that aborted its gather cancelled this read too.
             pending = self.pending_reads.get_mut(&r.msg);
         }
@@ -1322,12 +1319,16 @@ impl NicCore {
             if p.pkts_seen == r.total_pkts {
                 let p = self.pending_reads.remove(&r.msg).expect("present");
                 if let ReadSink::Host { token, .. } = p.sink {
-                    ctx.schedule_at(p.flush, self.self_id, Box::new(ReadDone { token }));
+                    let done = NicEvent::ReadDone { token };
+                    ctx.schedule_at(p.flush, self.self_id, Box::new(done));
                 }
                 // The read WR completed (response fully landed): its
                 // read-queue slot frees now, possibly releasing queued
                 // reads.
-                self.return_read_credit(ctx, r.msg);
+                if p.credit_from.is_some() {
+                    self.return_read_credit(p);
+                    self.pump(ctx);
+                }
             }
         }
         // The payload is consumed (or its read was abandoned). One that is
@@ -1374,16 +1375,14 @@ impl Nic {
                 out_q: VecDeque::new(),
                 flow: FlowController::new(CreditConfig::default()),
                 pending_wrs: BTreeMap::new(),
-                credited_reads: IdMap::default(),
                 read_qos: None,
                 next_seq: 0,
                 raw_writes: IdMap::default(),
                 sends: IdMap::default(),
                 pending_reads: IdMap::default(),
-                responders: IdMap::default(),
+                streams: Slab::new(),
                 decodes: IdMap::default(),
                 next_decode: 0,
-                gather_responders: IdMap::default(),
                 mrs: Vec::new(),
                 service_key: None,
                 writes_acked: 0,
@@ -1404,149 +1403,15 @@ impl Component for Nic {
         let core = &mut self.core;
         let app = &mut *self.app;
 
+        // Six event types reach a NIC; tried hottest first.
         let ev = match ev.downcast::<PacketEvent<Frame>>() {
-            Ok(mut arrived) => {
-                // The frame is read (and its owned parts taken) in place;
-                // the box then goes back to the pool, or on into PsPIN.
-                let src = arrived.pkt.src;
-                match &mut arrived.pkt.payload {
-                    Frame::Write(_) | Frame::GatherReq(_) if core.pspin.is_some() => {
-                        // PsPIN matches all incoming RDMA write traffic; it
-                        // owns the ingress credit until L1 copy. Gather
-                        // requests are sPIN-processed where available: the
-                        // HPU header handler validates the flow and hands
-                        // the plan to the firmware.
-                        let dev = core.pspin.as_mut().expect("checked");
-                        dev.ingest(ctx, arrived);
-                        return;
-                    }
-                    Frame::Write(w) => {
-                        core.on_write_pkt(ctx, src, w);
-                        core.release_ingress(ctx);
-                    }
-                    Frame::ReadReq(r) => {
-                        core.on_read_req(ctx, src, r);
-                        core.release_ingress(ctx);
-                    }
-                    Frame::GatherReq(g) => {
-                        core.on_gather_req(ctx, src, g);
-                        core.release_ingress(ctx);
-                    }
-                    Frame::ReadResp(r) => {
-                        core.on_read_resp(ctx, r);
-                        core.release_ingress(ctx);
-                    }
-                    Frame::Send(s) => {
-                        let complete = {
-                            if s.is_first() {
-                                // Reassembly buffer from the recycled ring:
-                                // capacity for the whole message up front
-                                // (per-packet payload is MTU-bounded), so
-                                // the extends below never reallocate and
-                                // the SEND path stays off the allocator.
-                                let cap = if s.total_pkts <= 1 {
-                                    s.data.len()
-                                } else {
-                                    s.total_pkts as usize
-                                        * (nadfs_wire::sizes::MTU
-                                            - nadfs_wire::sizes::RDMA_HEADER
-                                            - nadfs_wire::sizes::RPC_HEADER)
-                                            as usize
-                                };
-                                let buf = core.pool.borrow_mut().get_spare(cap);
-                                core.sends.insert(
-                                    s.msg,
-                                    SendState {
-                                        src,
-                                        body: s.rpc.take().expect("first packet carries body"),
-                                        data: buf,
-                                        pkts_seen: 0,
-                                        total: s.total_pkts,
-                                    },
-                                );
-                            }
-                            let st = core.sends.get_mut(&s.msg).expect("send state");
-                            // Landing in the receive buffer costs a DMA write.
-                            let now = ctx.now();
-                            core.dma.borrow_mut().write(
-                                now,
-                                0xFEED_0000 + s.offset as u64,
-                                &s.data,
-                            );
-                            st.data.extend_from_slice(&s.data);
-                            st.pkts_seen += 1;
-                            st.pkts_seen == st.total
-                        };
-                        core.release_ingress(ctx);
-                        if complete {
-                            // One SEND message absorbed = one recv WR
-                            // consumed and reposted: a credit return for
-                            // `src` is now pending (piggybacks on the next
-                            // ack, or flushes standalone at threshold).
-                            let flush = core.flow.on_recv(src, WrClass::Data);
-                            let st = core.sends.remove(&s.msg).expect("send state");
-                            let data = Bytes::from(st.data);
-                            app.on_rpc(core, ctx, st.src, s.msg, st.body, data.clone());
-                            // If the app released its reference, the
-                            // backing buffer recycles into the ring.
-                            if let Ok(v) = data.try_unwrap() {
-                                core.pool.borrow_mut().put(v);
-                            }
-                            if flush {
-                                // After on_rpc so a synchronous protocol
-                                // ack gets first chance to carry the grant.
-                                core.send_credit_ack(ctx, src);
-                            }
-                        }
-                    }
-                    Frame::Ack(ackp) => {
-                        core.release_ingress(ctx);
-                        // Every ack may carry a recv-credit grant; apply it
-                        // before the app runs so WRs freed by it release.
-                        core.flow.on_grant(src, ackp.credit);
-                        core.release_pending();
-                        // A survivor refusing a decode's fetch is the
-                        // NIC's business, not the node software's.
-                        let refused = ackp.status != Status::Ok;
-                        let own = refused && ec_engine::on_fetch_nack(core, ctx, ackp);
-                        if ackp.msg != CREDIT_MSG && !own {
-                            app.on_ack(core, ctx, src, *ackp);
-                        }
-                        core.pump(ctx);
-                    }
-                    Frame::HlConfig(cfgp) => {
-                        let msg = cfgp.msg;
-                        let last = cfgp.is_last_frag();
-                        if last {
-                            core.chains.install(cfgp.clone(), src);
-                        }
-                        core.release_ingress(ctx);
-                        if last {
-                            // Config acknowledgement: the client must know
-                            // the ring is armed before pushing data.
-                            core.send_ack(
-                                ctx,
-                                src,
-                                AckPkt {
-                                    credit: CreditGrant::ZERO,
-                                    msg,
-                                    greq_id: None,
-                                    status: Status::Ok,
-                                },
-                            );
-                        }
-                    }
-                }
-                core.pkts.borrow_mut().recycle(arrived);
-                return;
-            }
+            Ok(arrived) => return Self::on_packet(core, app, ctx, arrived),
             Err(e) => e,
         };
         let ev = match ev.downcast::<PsPinEvent>() {
             Ok(p) => {
                 let dev = core.pspin.as_mut().expect("pspin installed");
-                dev.on_event(ctx, p);
-                return;
+                return dev.on_event(ctx, p);
             }
             Err(e) => e,
         };
@@ -1560,76 +1425,8 @@ impl Component for Nic {
             }
             Err(e) => e,
         };
-        let ev = match ev.downcast::<RawAck>() {
-            Ok(a) => {
-                core.writes_acked += 1;
-                let ack = AckPkt {
-                    credit: CreditGrant::ZERO,
-                    msg: a.msg,
-                    greq_id: a.greq_id,
-                    status: Status::Ok,
-                };
-                core.send_ack(ctx, a.dst, ack);
-                return;
-            }
-            Err(e) => e,
-        };
-        let ev = match ev.downcast::<DeferredSend>() {
-            Ok(d) => {
-                core.send_pkts(ctx, d.pkts);
-                return;
-            }
-            Err(e) => e,
-        };
-        let ev = match ev.downcast::<DeferredAck>() {
-            Ok(d) => {
-                core.send_ack(ctx, d.dst, d.ack);
-                return;
-            }
-            Err(e) => e,
-        };
-        let ev = match ev.downcast::<DeferredWrites>() {
-            Ok(d) => {
-                for (dst, wrh, data) in d.sends {
-                    core.send_write(ctx, dst, d.dfs, wrh, data);
-                }
-                return;
-            }
-            Err(e) => e,
-        };
-        let ev = match ev.downcast::<ReadStream>() {
-            Ok(r) => {
-                core.stream_read(ctx, r.msg);
-                return;
-            }
-            Err(e) => e,
-        };
-        let ev = match ev.downcast::<ReadDone>() {
-            Ok(r) => {
-                app.on_read_done(core, ctx, r.token);
-                return;
-            }
-            Err(e) => e,
-        };
-        let ev = match ev.downcast::<DeferredPkt>() {
-            Ok(d) => {
-                core.send_pkts(ctx, [d.pkt]);
-                return;
-            }
-            Err(e) => e,
-        };
-        let ev = match ev.downcast::<GatherStreamNext>() {
-            Ok(g) => {
-                core.stream_gather(ctx, g.msg);
-                return;
-            }
-            Err(e) => e,
-        };
-        let ev = match ev.downcast::<HostNotify>() {
-            Ok(n) => {
-                app.on_host_notify(core, ctx, *n);
-                return;
-            }
+        let ev = match ev.downcast::<NicEvent>() {
+            Ok(e) => return Self::on_self_event(core, app, ctx, *e),
             Err(e) => e,
         };
         let ev = match ev.downcast::<AppTimer>() {
@@ -1637,27 +1434,141 @@ impl Component for Nic {
                 app.on_timer(core, ctx, t.tag);
                 // Timer handlers may cancel reads (returning credit) —
                 // drain anything the freed credit admitted.
-                core.pump(ctx);
-                return;
+                return core.pump(ctx);
             }
             Err(e) => e,
         };
-        let ev = match ev.downcast::<ChainEvent>() {
-            Ok(c) => {
-                Chains::step(core, ctx, *c);
-                return;
-            }
-            Err(e) => e,
-        };
-        match ev.downcast::<EcEngineEvent>() {
-            Ok(e) => {
-                EcEngine::step(core, ctx, *e);
-            }
+        match ev.downcast::<HostNotify>() {
+            Ok(n) => app.on_host_notify(core, ctx, *n),
             Err(_) => panic!("nic {}: unknown event", core.port.node),
         }
     }
 
     fn name(&self) -> String {
         format!("nic-{}", self.core.port.node)
+    }
+}
+
+impl Nic {
+    /// A frame off the wire. It is read (and its owned parts taken) in
+    /// place; the box then goes back to the pool, or on into PsPIN.
+    fn on_packet(core: &mut NicCore, app: &mut dyn NicApp, ctx: &mut Ctx<'_>, mut arrived: Pkt) {
+        let src = arrived.pkt.src;
+        match &mut arrived.pkt.payload {
+            Frame::Write(_) | Frame::GatherReq(_) if core.pspin.is_some() => {
+                // PsPIN matches all incoming RDMA write traffic; it
+                // owns the ingress credit until L1 copy. Gather
+                // requests are sPIN-processed where available: the
+                // HPU header handler validates the flow and hands
+                // the plan to the firmware.
+                let dev = core.pspin.as_mut().expect("checked");
+                dev.ingest(ctx, arrived);
+                return;
+            }
+            Frame::Write(w) => {
+                core.on_write_pkt(ctx, src, w);
+                core.release_ingress(ctx);
+            }
+            Frame::ReadReq(r) => {
+                core.on_read_req(ctx, src, r);
+                core.release_ingress(ctx);
+            }
+            Frame::GatherReq(g) => {
+                core.on_gather_req(ctx, src, g);
+                core.release_ingress(ctx);
+            }
+            Frame::ReadResp(r) => {
+                core.on_read_resp(ctx, r);
+                core.release_ingress(ctx);
+            }
+            Frame::Send(s) => {
+                let whole = core.on_send_pkt(ctx, src, s);
+                core.release_ingress(ctx);
+                if let Some((from, body, data)) = whole {
+                    // One SEND message absorbed = one recv WR
+                    // consumed and reposted: a credit return for
+                    // `src` is now pending (piggybacks on the next
+                    // ack, or flushes standalone at threshold).
+                    let flush = core.flow.on_recv(src, WrClass::Data);
+                    app.on_rpc(core, ctx, from, s.msg, body, data.clone());
+                    // If the app released its reference, the
+                    // backing buffer recycles into the ring.
+                    if let Ok(v) = data.try_unwrap() {
+                        core.pool.borrow_mut().put(v);
+                    }
+                    if flush {
+                        // After on_rpc so a synchronous protocol
+                        // ack gets first chance to carry the grant.
+                        core.send_credit_ack(ctx, src);
+                    }
+                }
+            }
+            Frame::Ack(ackp) => {
+                core.release_ingress(ctx);
+                // Every ack may carry a recv-credit grant; apply it
+                // before the app runs so WRs freed by it release.
+                core.flow.on_grant(src, ackp.credit);
+                core.release_pending();
+                // A survivor refusing a decode's fetch is the
+                // NIC's business, not the node software's.
+                let refused = ackp.status != Status::Ok;
+                let own = refused && ec_engine::on_fetch_nack(core, ctx, ackp);
+                if ackp.msg != CREDIT_MSG && !own {
+                    app.on_ack(core, ctx, src, *ackp);
+                }
+                core.pump(ctx);
+            }
+            Frame::HlConfig(cfgp) => {
+                let msg = cfgp.msg;
+                let last = cfgp.is_last_frag();
+                if last {
+                    core.chains.install(cfgp.clone(), src);
+                }
+                core.release_ingress(ctx);
+                if last {
+                    // Config acknowledgement: the client must know
+                    // the ring is armed before pushing data.
+                    core.send_ack(ctx, src, AckPkt::new(msg, None, Status::Ok));
+                }
+            }
+        }
+        core.pkts.borrow_mut().recycle(arrived);
+    }
+
+    /// Deferred work this NIC scheduled on itself.
+    fn on_self_event(core: &mut NicCore, app: &mut dyn NicApp, ctx: &mut Ctx<'_>, ev: NicEvent) {
+        match ev {
+            NicEvent::Send(pkts) => core.send_pkts(ctx, pkts),
+            NicEvent::SendOne(pkt) => core.send_pkts(ctx, [pkt]),
+            NicEvent::StreamNext(key) => core.stream_step(ctx, key),
+            NicEvent::Ack { dst, ack } => core.send_ack(ctx, dst, ack),
+            NicEvent::ReadDone { token } => app.on_read_done(core, ctx, token),
+            NicEvent::Writes(writes) => {
+                for (dst, dfs, wrh, data) in writes {
+                    core.send_write(ctx, dst, dfs, wrh, data);
+                }
+            }
+            NicEvent::ChainFwdReady { addr, chunk } => chains::fwd_ready(core, ctx, addr, chunk),
+            NicEvent::ChainComplete { addr } => chains::complete(core, ctx, addr),
+            NicEvent::Encode(landed) => ec_engine::encode(core, ctx, &landed.0, landed.1),
+            NicEvent::Aggregate { stripe, parity_idx } => {
+                ec_engine::aggregate(core, ctx, stripe, parity_idx)
+            }
+            NicEvent::DecodeArmed { gather } => ec_engine::decode_armed(core, ctx, gather),
+            NicEvent::DecodeLocal {
+                of,
+                first_idx,
+                data,
+                next,
+            } => {
+                let cap = nadfs_wire::sizes::max_payload_plain() as usize;
+                for (i, pkt) in data.chunks(cap).enumerate() {
+                    ec_engine::absorb(core, ctx, of, first_idx + i as u32, pkt);
+                }
+                if let Some(key) = next {
+                    core.stream_step(ctx, key);
+                }
+            }
+        }
     }
 }

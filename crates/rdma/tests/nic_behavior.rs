@@ -1,9 +1,11 @@
 //! End-to-end NIC behavior tests: raw writes, RPC, one-sided reads,
-//! HyperLoop chains, the firmware EC engine, MR protection, and the
+//! HyperLoop chains, the firmware EC engine, MR protection, the
 //! streaming decode of degraded gathers (its refusals, its survivor-NACK
-//! and client-abandon paths, and what it leaves behind on each).
+//! and client-abandon paths, and what it leaves behind on each), the
+//! response stream reads and gathers share, and malformed frames.
 
-use std::cell::RefCell;
+use std::any::Any;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -11,14 +13,18 @@ use bytes::Bytes;
 use nadfs_gfec::ReedSolomon;
 use nadfs_host::{DmaEngine, SharedMemory};
 use nadfs_rdma::{AppTimer, EcEngine, EcEngineConfig, Nic, NicApp, NicConfig, NicCore};
+use nadfs_simnet::telemetry::phase;
 use nadfs_simnet::{
-    BufPool, CreditConfig, Ctx, Dur, Engine, Fabric, FabricConfig, NodeId, PacketPool,
-    SharedBufPool, SharedFlowStats, Time, WrClass,
+    BufPool, Component, CreditConfig, Ctx, Dur, Engine, Fabric, FabricConfig, NetPacket, NodeId,
+    NodePort, ObsHub, OpKind, PacketEvent, PacketPool, SharedBufPool, SharedFlowStats, SharedGate,
+    Time, WrClass,
 };
+use nadfs_wire::sizes::max_payload_plain;
 use nadfs_wire::{
-    AckPkt, Capability, DfsHeader, DfsOp, EcInfo, EcRole, GatherCopy, GatherReadHeader,
-    GatherReconstruct, GatherSegment, HlConfigPkt, MacKey, MsgId, ReadReqHeader, ReplicaCoord,
-    Resiliency, Rights, RpcBody, RsScheme, Status, WriteReqHeader,
+    AckPkt, Capability, DfsHeader, DfsOp, EcInfo, EcRole, Frame, GatherCopy, GatherReadHeader,
+    GatherReconstruct, GatherReqPkt, GatherSegment, HlConfigPkt, MacKey, MsgId, ReadReqHeader,
+    ReadReqPkt, ReadRespPkt, ReplicaCoord, Resiliency, Rights, RpcBody, RsScheme, SendPkt, Status,
+    WritePkt, WriteReqHeader,
 };
 
 type Action = Box<dyn FnMut(&mut NicCore, &mut Ctx<'_>)>;
@@ -78,9 +84,53 @@ type Setup = Box<dyn FnOnce(&mut NicCore)>;
 
 fn build(
     n: usize,
+    actions: Vec<HashMap<u64, Action>>,
+    setups: Vec<Option<Setup>>,
+    cfg: NicConfig,
+) -> Cluster {
+    build_nodes(n, actions, setups, cfg, None)
+}
+
+/// What reached a [`Tap`], and when.
+type Seen = Rc<RefCell<Vec<(Time, Frame)>>>;
+
+/// A bare node in place of a NIC: submits the frames it is handed and
+/// records every packet that reaches it.
+struct Tap {
+    port: NodePort,
+    seen: Seen,
+}
+
+/// Event for a [`Tap`]: send these frames, each to its node.
+struct Inject(Vec<(NodeId, Frame)>);
+
+impl Component for Tap {
+    fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Box<dyn Any>) {
+        let ev = match ev.downcast::<Inject>() {
+            Ok(inject) => {
+                for (dst, frame) in inject.0 {
+                    let pkt = NetPacket::new(self.port.node, dst, frame);
+                    assert!(self.port.try_submit(ctx, pkt), "uplink queue full");
+                }
+                return;
+            }
+            Err(ev) => ev,
+        };
+        let arrived = ev.downcast::<PacketEvent<Frame>>().expect("a packet");
+        self.seen
+            .borrow_mut()
+            .push((ctx.now(), arrived.pkt.payload.clone()));
+        self.port.ingress_gate.borrow_mut().release(ctx);
+    }
+}
+
+/// Like [`build`], with node 0 a [`Tap`] recording into `tap` when given.
+fn build_nodes(
+    n: usize,
     mut actions: Vec<HashMap<u64, Action>>,
     mut setups: Vec<Option<Setup>>,
     cfg: NicConfig,
+    tap: Option<Seen>,
 ) -> Cluster {
     let mut e = Engine::new();
     let fid = e.reserve_id();
@@ -93,6 +143,12 @@ fn build(
     for (i, (&id, port)) in ids.iter().zip(ports).enumerate() {
         let rec = Record::default();
         records.push(rec.clone());
+        if let (0, Some(seen)) = (i, &tap) {
+            memories.push(nadfs_host::HostMemory::new());
+            let seen = seen.clone();
+            e.install(id, Box::new(Tap { port, seen }));
+            continue;
+        }
         let app = ScriptApp {
             rec: records[i].clone(),
             actions: actions.get_mut(i).map(std::mem::take).unwrap_or_default(),
@@ -761,4 +817,468 @@ fn abandoned_gather_returns_its_buffers() {
         "the decode ran to the end"
     );
     rig.assert_nothing_outstanding();
+}
+
+// --- the response stream ---------------------------------------------------
+
+const STREAM_ADDR: u64 = 0x300_000;
+
+/// A healthy gather plan over `ranges` — `(addr, len, dest_off)` — of
+/// node 1's memory.
+fn local_plan(ranges: &[(u64, u32, u32)]) -> GatherReadHeader {
+    let segment = |&(addr, len, dest_off): &(u64, u32, u32)| GatherSegment {
+        coord: ReplicaCoord { node: 1, addr },
+        len,
+        dest_off,
+        shard: 0,
+    };
+    GatherReadHeader {
+        total_len: ranges.iter().map(|r| r.1).sum(),
+        segments: ranges.iter().map(segment).collect(),
+        reconstruct: None,
+    }
+}
+
+/// The `ReadResp` packets a tap saw, in arrival order.
+fn responses(seen: &Seen) -> Vec<(Time, ReadRespPkt)> {
+    let as_resp = |(at, frame): &(Time, Frame)| match frame {
+        Frame::ReadResp(r) => Some((*at, r.clone())),
+        _ => None,
+    };
+    seen.borrow().iter().filter_map(as_resp).collect()
+}
+
+/// Node 1 holds `mem_len` patterned bytes at [`STREAM_ADDR`] and runs
+/// `respond` at time zero; returns what reached node 0 (a tap), the
+/// cluster, and node 1's DMA engine.
+fn stream_rig(
+    mem_len: usize,
+    respond: impl FnMut(&mut NicCore, &mut Ctx<'_>) + 'static,
+) -> (Seen, Cluster, Rc<RefCell<DmaEngine>>) {
+    let seen = Seen::default();
+    let dma = Rc::new(RefCell::new(None));
+    let dma2 = dma.clone();
+    let setup1: Setup = Box::new(move |nic: &mut NicCore| {
+        let bytes = pattern(mem_len, 5);
+        nic.memory().borrow_mut().write(STREAM_ADDR, &bytes);
+        *dma2.borrow_mut() = Some(nic.dma());
+    });
+    let actions = vec![
+        HashMap::new(),
+        HashMap::from([(1u64, Box::new(respond) as Action)]),
+    ];
+    let setups = vec![None, Some(setup1)];
+    let mut c = build_nodes(2, actions, setups, NicConfig::default(), Some(seen.clone()));
+    kick(&mut c, 1, 1, Dur::ZERO);
+    run(&mut c, 10);
+    let dma = dma.borrow_mut().take().expect("captured");
+    (seen, c, dma)
+}
+
+/// A read of `[addr, addr + len)` and a one-range gather of the same
+/// bytes are the same stream: the same packets — index, count, offset,
+/// payload — leaving at the same times, for lengths around every packet
+/// and batch boundary.
+#[test]
+fn read_and_one_range_gather_stream_the_same_packets() {
+    let cap = max_payload_plain();
+    for len in [0, 1, cap, cap + 1, 32 * cap, 32 * cap + 1, 100_000] {
+        let msg = MsgId::new(0, 1);
+        let (read, ..) = stream_rig(len as usize, move |nic, ctx| {
+            nic.respond_read(ctx, 0, msg, STREAM_ADDR, len);
+        });
+        let (gather, ..) = stream_rig(len as usize, move |nic, ctx| {
+            nic.start_gather(ctx, 0, msg, 7, local_plan(&[(STREAM_ADDR, len, 0)]));
+        });
+        let (read, gather) = (responses(&read), responses(&gather));
+        assert_eq!(read.len() as u32, len.div_ceil(cap).max(1), "len {len}");
+        assert_eq!(read.len(), gather.len(), "len {len}");
+        let mut bytes = Vec::new();
+        for (i, ((t_r, r), (t_g, g))) in read.iter().zip(&gather).enumerate() {
+            assert_eq!(t_r, t_g, "len {len}: departure of packet {i}");
+            assert_eq!(
+                (r.msg, r.pkt_idx, r.total_pkts, r.offset),
+                (msg, i as u32, read.len() as u32, i as u32 * cap),
+                "len {len}"
+            );
+            assert_eq!(
+                (g.msg, g.pkt_idx, g.total_pkts, g.offset),
+                (r.msg, r.pkt_idx, r.total_pkts, r.offset),
+                "len {len}"
+            );
+            assert_eq!(r.data[..], g.data[..], "len {len}: payload of packet {i}");
+            bytes.extend_from_slice(&r.data);
+        }
+        assert_eq!(bytes, pattern(len as usize, 5), "len {len}");
+    }
+}
+
+/// A gather whose ranges cross a batch boundary mid-range issues one DMA
+/// read per range per batch, lands every byte at its destination offset,
+/// and marks `streamed` on its op's span once per batch.
+#[test]
+fn gather_batches_cross_ranges_and_mark_each_batch() {
+    let cap = max_payload_plain();
+    // 1 + 40 + 1 + 3 packets: the first batch ends 31 packets into the
+    // second range. Sources are back to back; destinations are not.
+    let lens = [3, 40 * cap, 1, 2 * cap + 7];
+    let dests = [50_000, 60_000, 10, 200_000];
+    let mut ranges = Vec::new();
+    let mut addr = STREAM_ADDR;
+    for (len, dest_off) in lens.into_iter().zip(dests) {
+        ranges.push((addr, len, dest_off));
+        addr += len as u64;
+    }
+    let total: u32 = lens.iter().sum();
+    let obs = ObsHub::new(4);
+    let span = {
+        let spans = &mut obs.borrow_mut().spans;
+        let span = spans.begin(OpKind::Read, "client-0", "gather", Time::ZERO);
+        spans.correlate(7, span);
+        span
+    };
+    let (obs2, plan) = (obs.clone(), local_plan(&ranges));
+    let (seen, _c, dma) = stream_rig(total as usize, move |nic, ctx| {
+        nic.obs = obs2.clone();
+        nic.start_gather(ctx, 0, MsgId::new(0, 1), 7, plan.clone());
+    });
+    let got = responses(&seen);
+    assert_eq!(got.len(), 45);
+    let mut flow = vec![0u8; 210_000];
+    for (i, (_, r)) in got.iter().enumerate() {
+        assert_eq!((r.pkt_idx, r.total_pkts), (i as u32, 45));
+        flow[r.offset as usize..][..r.data.len()].copy_from_slice(&r.data);
+    }
+    let src = pattern(total as usize, 5);
+    let mut from = 0;
+    for (len, dest_off) in lens.into_iter().zip(dests) {
+        let (len, dest_off) = (len as usize, dest_off as usize);
+        assert_eq!(flow[dest_off..][..len], src[from..][..len], "at {dest_off}");
+        from += len;
+    }
+    // Batch one reads ranges 0 and 1 (in part), batch two 1, 2 and 3.
+    assert_eq!(dma.borrow().reads_issued, 5);
+    assert_eq!(dma.borrow().bytes_read, total as u64);
+    // The second batch is read when the first is at the NIC, and leaves
+    // when its own last DMA read is.
+    assert!(got[31].0 < got[32].0);
+    let spans = &mut obs.borrow_mut().spans;
+    let op = spans
+        .end(span, Time(Dur::from_ms(10).ps()), true)
+        .expect("open");
+    let streamed = op.marks.iter().filter(|m| m.0 == phase::STREAMED);
+    assert_eq!(streamed.count(), 2, "one mark per batch: {:?}", op.marks);
+}
+
+/// With read QoS admitting one stream at a time, a queued read starts
+/// when the stream before it has queued its last batch — not when that
+/// batch has left — and a gather streams alongside without a slot.
+#[test]
+fn qos_slot_frees_when_the_last_batch_is_queued_and_gathers_take_none() {
+    let cap = max_payload_plain();
+    let len = 40 * cap; // two batches: 32 packets, then 8
+    let setup: Setup = Box::new(move |nic: &mut NicCore| {
+        nic.memory()
+            .borrow_mut()
+            .write(STREAM_ADDR, &pattern(len as usize, 5));
+        nic.install_read_qos(1 << 20, 1, &[], 1);
+    });
+    let read = |seq: u64| {
+        let rrh = ReadReqHeader {
+            addr: STREAM_ADDR,
+            len,
+        };
+        Frame::ReadReq(ReadReqPkt {
+            msg: MsgId::new(0, seq),
+            dfs: Some(dfs_header(seq, 0)),
+            rrh,
+        })
+    };
+    let gather = Frame::GatherReq(GatherReqPkt {
+        msg: MsgId::new(0, 2),
+        dfs: dfs_header(2, 0),
+        grh: local_plan(&[(STREAM_ADDR, len, 0)]),
+    });
+    let seen = Seen::default();
+    let mut c = build_nodes(
+        2,
+        Vec::new(),
+        vec![None, Some(setup)],
+        NicConfig::default(),
+        Some(seen.clone()),
+    );
+    let requests = vec![(1, read(1)), (1, gather), (1, read(3))];
+    c.engine
+        .schedule(Dur::ZERO, c.nic_ids[0], Box::new(Inject(requests)));
+    run(&mut c, 10);
+    // Runs of packets of one request, in arrival order.
+    let mut runs: Vec<(u64, u32)> = Vec::new();
+    for (_, r) in responses(&seen) {
+        match runs.last_mut() {
+            Some((seq, n)) if *seq == r.msg.seq => *n += 1,
+            _ => runs.push((r.msg.seq, 1)),
+        }
+    }
+    // Read 1 and the gather start on arrival and share the DMA read
+    // channel batch by batch. Read 3 waits for read 1's slot; its first
+    // DMA read is queued in the same instant as read 1's last, so ahead
+    // of the gather's second batch, which is read only once the gather's
+    // first is at the NIC.
+    assert_eq!(
+        runs,
+        vec![(1, 32), (2, 32), (1, 8), (3, 32), (2, 8), (3, 8)],
+        "batch order on the wire"
+    );
+}
+
+/// A read's Read credit comes back exactly once: when the response has
+/// landed, or when the read is cancelled — before its response, after it,
+/// or while its request is still parked for credit.
+#[test]
+fn cancelled_reads_return_their_credit_exactly_once() {
+    let flows: Rc<RefCell<Vec<SharedFlowStats>>> = Rc::default();
+    let credit_left = Rc::new(Cell::new(0));
+    let open = Rc::new(Cell::new(usize::MAX));
+    let msgs: Rc<RefCell<Vec<MsgId>>> = Rc::default();
+    let (f2, m2, m3) = (flows.clone(), msgs.clone(), msgs.clone());
+    let (credit2, open2) = (credit_left.clone(), open.clone());
+    let setups: Vec<Option<Setup>> = vec![
+        Some(Box::new(move |nic: &mut NicCore| {
+            nic.set_credit_config(CreditConfig {
+                max_send_read: 1,
+                ..Default::default()
+            });
+            f2.borrow_mut().push(nic.flow_stats());
+        })),
+        Some(Box::new(|nic: &mut NicCore| {
+            nic.memory().borrow_mut().write(0x9000, &pattern(50_000, 1));
+        })),
+    ];
+    let actions: Vec<HashMap<u64, Action>> = vec![
+        HashMap::from([
+            (
+                1u64,
+                Box::new(move |nic: &mut NicCore, ctx: &mut Ctx<'_>| {
+                    let rrh = ReadReqHeader {
+                        addr: 0x9000,
+                        len: 50_000,
+                    };
+                    // Three reads under a budget of one: the first holds
+                    // the credit, the others park.
+                    for token in [10, 11, 12] {
+                        let local = 0x100_000 * (token - 9);
+                        let msg = nic.send_read(ctx, 1, rrh, None, local, token);
+                        m2.borrow_mut().push(msg);
+                    }
+                    // The first is cancelled with its response on the way,
+                    // the second while parked.
+                    nic.cancel_read(m2.borrow()[0]);
+                    nic.cancel_read(m2.borrow()[1]);
+                }) as Action,
+            ),
+            (
+                2u64,
+                Box::new(move |nic: &mut NicCore, _: &mut Ctx<'_>| {
+                    // Everything is over: cancelling again returns nothing.
+                    for &msg in m3.borrow().iter() {
+                        nic.cancel_read(msg);
+                    }
+                    credit2.set(nic.flow.local_credit(1, WrClass::Read));
+                    open2.set(nic.open_messages());
+                }) as Action,
+            ),
+        ]),
+        HashMap::new(),
+    ];
+    let mut c = build(2, actions, setups, NicConfig::default());
+    kick(&mut c, 0, 1, Dur::ZERO);
+    kick(&mut c, 0, 2, Dur::from_ms(5));
+    run(&mut c, 10);
+    let done: Vec<u64> = c.records[0].reads.borrow().iter().map(|r| r.1).collect();
+    assert_eq!(done, vec![12], "only the read that was not cancelled");
+    assert_eq!(c.memories[0].borrow().read(0x100_000, 8), vec![0u8; 8]);
+    let f = *flows.borrow()[0].borrow();
+    let read = WrClass::Read.index();
+    assert_eq!(f.posted[read], 3, "every request went out");
+    assert_eq!(f.completed[read], 3, "each credit came back once");
+    assert_eq!(credit_left.get(), 1, "the budget is whole again");
+    assert_eq!(open.get(), 0);
+}
+
+// --- malformed frames --------------------------------------------------------
+
+/// What node 1 is left with after a test's frames.
+struct Aftermath {
+    c: Cluster,
+    /// Node 1's ingress buffer.
+    ingress: SharedGate,
+    /// Messages node 1 still holds state for, and EC stripes it has open.
+    open_messages: usize,
+    stripes_open: usize,
+    chunks_encoded: u64,
+}
+
+impl Aftermath {
+    /// Nothing of the frames is left on node 1, and every ingress credit
+    /// they took is back.
+    fn assert_clean(&self) {
+        assert_eq!(self.open_messages, 0, "reassembly state left behind");
+        assert_eq!(self.stripes_open, 0, "stripe state left behind");
+        let gate = self.ingress.borrow();
+        assert_eq!(gate.available(), gate.capacity(), "ingress credit");
+    }
+
+    fn acks(&self) -> Vec<AckPkt> {
+        self.c.records[0]
+            .acks
+            .borrow()
+            .iter()
+            .map(|a| a.2)
+            .collect()
+    }
+}
+
+/// Node 0 sends `frames` to node 1 (a firmware-EC NIC) as they are,
+/// outside any work request.
+fn send_raw(frames: Vec<Frame>) -> Aftermath {
+    let ingress: Rc<RefCell<Option<SharedGate>>> = Rc::default();
+    let left = Rc::new(Cell::new((usize::MAX, usize::MAX, u64::MAX)));
+    let (ingress2, left2) = (ingress.clone(), left.clone());
+    let setup: Setup = Box::new(move |nic: &mut NicCore| {
+        nic.enable_firmware_ec(EcEngine::new(EcEngineConfig::default()));
+        *ingress2.borrow_mut() = Some(nic.port().ingress_gate.clone());
+    });
+    let send = Box::new(move |nic: &mut NicCore, ctx: &mut Ctx<'_>| {
+        let pkts: Vec<_> = frames.iter().map(|f| nic.pkt(1, f.clone())).collect();
+        nic.send_pkts(ctx, pkts);
+    }) as Action;
+    let look = Box::new(move |nic: &mut NicCore, _: &mut Ctx<'_>| {
+        let ec = nic.firmware_ec().expect("enabled");
+        left2.set((nic.open_messages(), ec.stripes_open(), ec.chunks_encoded));
+    }) as Action;
+    let actions = vec![HashMap::from([(1u64, send)]), HashMap::from([(2u64, look)])];
+    let mut c = build(2, actions, vec![None, Some(setup)], NicConfig::default());
+    kick(&mut c, 0, 1, Dur::ZERO);
+    kick(&mut c, 1, 2, Dur::from_ms(5));
+    run(&mut c, 10);
+    let (open_messages, stripes_open, chunks_encoded) = left.get();
+    let ingress = ingress.borrow_mut().take().expect("captured");
+    Aftermath {
+        c,
+        ingress,
+        open_messages,
+        stripes_open,
+        chunks_encoded,
+    }
+}
+
+/// One packet of a two-packet raw write to 0x20_000 on node 1.
+fn write_pkt(pkt_idx: u32, wrh: Option<WriteReqHeader>) -> Frame {
+    Frame::Write(WritePkt {
+        msg: MsgId::new(0, 77),
+        pkt_idx,
+        total_pkts: 2,
+        dfs: (pkt_idx == 0).then(|| dfs_header(42, 0)),
+        wrh,
+        offset: pkt_idx * 100,
+        data: Bytes::from(vec![0xAB; 100]),
+    })
+}
+
+/// An EC write of one 100-byte packet to node 1 in role `role` of an
+/// RS(2,1) stripe with `parity_coords`.
+fn ec_write(role: EcRole, parity_coords: Vec<ReplicaCoord>) -> Frame {
+    let resiliency = Resiliency::ErasureCode(EcInfo {
+        scheme: RsScheme::new(2, 1),
+        role,
+        stripe: 9,
+        parity_coords,
+    });
+    let wrh = WriteReqHeader {
+        target_addr: 0x20_000,
+        len: 100,
+        resiliency,
+    };
+    let Frame::Write(mut w) = write_pkt(0, Some(wrh)) else {
+        unreachable!()
+    };
+    w.total_pkts = 1;
+    Frame::Write(w)
+}
+
+#[test]
+fn first_write_packet_without_a_wrh_is_refused() {
+    let after = send_raw(vec![write_pkt(0, None), write_pkt(1, None)]);
+    let acks = after.acks();
+    assert_eq!(acks.len(), 1, "the message is refused once: {acks:?}");
+    assert_eq!(acks[0].status, Status::Rejected);
+    assert_eq!(
+        (acks[0].msg, acks[0].greq_id),
+        (MsgId::new(0, 77), Some(42))
+    );
+    let landed = after.c.memories[1].borrow().read(0x20_000, 200);
+    assert_eq!(landed, vec![0u8; 200], "nothing of it lands");
+    after.assert_clean();
+}
+
+/// One packet of a two-packet SEND.
+fn send_pkt(pkt_idx: u32, rpc: Option<RpcBody>) -> Frame {
+    Frame::Send(SendPkt {
+        msg: MsgId::new(0, 78),
+        pkt_idx,
+        total_pkts: 2,
+        rpc,
+        offset: pkt_idx * 100,
+        data: Bytes::from(vec![0xCD; 100]),
+    })
+}
+
+#[test]
+fn first_send_packet_without_a_body_is_refused() {
+    let after = send_raw(vec![send_pkt(0, None), send_pkt(1, None)]);
+    let acks = after.acks();
+    assert_eq!(acks.len(), 1, "the message is refused once: {acks:?}");
+    assert_eq!(acks[0].status, Status::Rejected);
+    assert_eq!(acks[0].msg, MsgId::new(0, 78));
+    assert!(after.c.records[1].rpcs.borrow().is_empty());
+    after.assert_clean();
+}
+
+#[test]
+fn send_continuation_without_a_first_packet_is_dropped() {
+    let after = send_raw(vec![send_pkt(1, None)]);
+    assert!(after.acks().is_empty());
+    assert!(after.c.records[1].rpcs.borrow().is_empty());
+    after.assert_clean();
+}
+
+#[test]
+fn ec_parity_write_from_a_chunk_past_k_is_refused() {
+    let role = EcRole::Parity {
+        parity_idx: 0,
+        src_chunk: 2,
+    };
+    let coords = vec![ReplicaCoord {
+        node: 1,
+        addr: 0x20_000,
+    }];
+    let after = send_raw(vec![ec_write(role, coords)]);
+    let acks = after.acks();
+    assert_eq!(acks.len(), 1, "{acks:?}");
+    assert_eq!(acks[0].status, Status::Rejected);
+    assert_eq!(
+        (acks[0].msg, acks[0].greq_id),
+        (MsgId::new(0, 77), Some(42))
+    );
+    after.assert_clean();
+}
+
+#[test]
+fn ec_data_write_with_too_few_parity_coords_is_refused() {
+    let after = send_raw(vec![ec_write(EcRole::Data { chunk_idx: 0 }, Vec::new())]);
+    let acks = after.acks();
+    assert_eq!(acks.len(), 1, "refused, not acked as durable: {acks:?}");
+    assert_eq!(acks[0].status, Status::Rejected);
+    assert_eq!(after.chunks_encoded, 0, "no encode pass runs");
+    after.assert_clean();
 }

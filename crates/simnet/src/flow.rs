@@ -426,6 +426,19 @@ impl<T> TenantScheduler<T> {
         }
     }
 
+    /// [`Self::new`] with per-tenant weight overrides applied.
+    pub fn with_weights(
+        quantum: u64,
+        default_weight: u32,
+        weights: &[(TenantId, u32)],
+    ) -> TenantScheduler<T> {
+        let mut sched = TenantScheduler::new(quantum, default_weight);
+        for &(t, w) in weights {
+            sched.set_weight(t, w);
+        }
+        sched
+    }
+
     pub fn set_weight(&mut self, tenant: TenantId, weight: u32) {
         self.weights.insert(tenant, weight.max(1));
     }

@@ -8,8 +8,9 @@
 //! durations therefore sum exactly — in sim-clock picoseconds, not
 //! approximately — to the op's end-to-end latency.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
+use crate::hash::IdMap;
 use crate::time::{Dur, Time};
 
 /// Identifier of one operation span. `0` is the invalid/no-op id (what a
@@ -144,7 +145,7 @@ pub struct SpanBook {
     done: VecDeque<OpSpan>,
     cap: usize,
     dropped: u64,
-    corr: HashMap<u64, SpanId>,
+    corr: IdMap<u64, SpanId>,
 }
 
 impl SpanBook {
@@ -157,7 +158,7 @@ impl SpanBook {
             done: VecDeque::new(),
             cap: cap.max(1),
             dropped: 0,
-            corr: HashMap::new(),
+            corr: IdMap::default(),
         }
     }
 

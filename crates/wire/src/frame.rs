@@ -116,14 +116,6 @@ pub enum RpcBody {
         dfs: DfsHeader,
         rrh: ReadReqHeader,
     },
-    /// Control-plane metadata lookup (used by full-system examples).
-    MetaLookupReq {
-        file: u64,
-    },
-    MetaLookupResp {
-        file: u64,
-        ok: bool,
-    },
 }
 
 impl RpcBody {
@@ -132,8 +124,6 @@ impl RpcBody {
         match self {
             RpcBody::WriteReq { wrh, .. } => DfsHeader::wire_size() + wrh.wire_size() + 17,
             RpcBody::ReadReq { .. } => DfsHeader::wire_size() + ReadReqHeader::wire_size(),
-            RpcBody::MetaLookupReq { .. } => 8,
-            RpcBody::MetaLookupResp { .. } => 9,
         }
     }
 }
@@ -174,6 +164,18 @@ pub struct AckPkt {
     /// [`sizes::ACK_FRAME`]). Stamped by the sending NIC's credit layer;
     /// construction sites leave it zero.
     pub credit: CreditGrant,
+}
+
+impl AckPkt {
+    /// An ack with no credit on it yet (the sending NIC stamps that).
+    pub fn new(msg: MsgId, greq_id: Option<u64>, status: Status) -> AckPkt {
+        AckPkt {
+            msg,
+            greq_id,
+            status,
+            credit: CreditGrant::ZERO,
+        }
+    }
 }
 
 /// HyperLoop configuration: the client remotely writes pre-posted WQE
@@ -291,12 +293,7 @@ impl nadfs_simnet::Payload for Frame {
 
     fn vacate(&mut self) {
         if !matches!(self, Frame::Ack(_)) {
-            *self = Frame::Ack(AckPkt {
-                msg: MsgId::new(0, 0),
-                greq_id: None,
-                status: Status::Ok,
-                credit: CreditGrant::ZERO,
-            });
+            *self = Frame::Ack(AckPkt::new(MsgId::new(0, 0), None, Status::Ok));
         }
     }
 }
@@ -458,12 +455,7 @@ mod tests {
 
     #[test]
     fn ack_is_fixed_size() {
-        let a = Frame::Ack(AckPkt {
-            credit: CreditGrant::ZERO,
-            msg: MsgId::new(1, 2),
-            greq_id: Some(7),
-            status: Status::Ok,
-        });
+        let a = Frame::Ack(AckPkt::new(MsgId::new(1, 2), Some(7), Status::Ok));
         assert_eq!(a.wire_bytes(), sizes::ACK_FRAME);
     }
 }
