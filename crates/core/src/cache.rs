@@ -39,7 +39,10 @@
 //! [`MetaEvent::LayoutChanged`]: nadfs_meta::MetaEvent
 //! [`ReadPlan`]: nadfs_meta::ReadPlan
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+
+use bytes::Bytes;
+use nadfs_simnet::IdMap;
 
 /// Tuning knobs for a client's [`ReadCache`].
 #[derive(Clone, Copy, Debug)]
@@ -71,6 +74,10 @@ impl Default for ReadCacheConfig {
 pub struct ReadCacheStats {
     /// Lookups served entirely from client memory.
     pub hits: u64,
+    /// Hits that had to copy: the range straddled cached spans, so the
+    /// bytes were stitched into a fresh buffer. Every other hit is a
+    /// slice of the span's own buffer.
+    pub stitched_hits: u64,
     /// Lookups that had to go to the network.
     pub misses: u64,
     /// Bytes served from cache (EOF-clamped: what the caller got).
@@ -111,8 +118,10 @@ impl ReadCacheStats {
 #[derive(Clone, Debug)]
 pub struct CachedRead {
     /// The bytes (possibly shorter than requested when the cached EOF
-    /// clamps the range, exactly like a short `pread`).
-    pub data: Vec<u8>,
+    /// clamps the range, exactly like a short `pread`): a slice of the
+    /// cached span's buffer, or a stitched copy when the range straddles
+    /// spans.
+    pub data: Bytes,
     /// Generation of the extent map the bytes were fetched under.
     pub generation: u64,
 }
@@ -125,7 +134,7 @@ struct FileCache {
     /// exactly-adjacent fills (the sequential-readahead shape) stay
     /// separate so a long stream never re-copies what it accumulated —
     /// lookups stitch across abutting spans.
-    spans: BTreeMap<u64, Vec<u8>>,
+    spans: BTreeMap<u64, Bytes>,
     bytes: usize,
     /// Committed size, once a clamped read has revealed it. Valid for as
     /// long as the generation holds (size only moves with a commit, and
@@ -157,16 +166,22 @@ struct StreamState {
 pub struct ReadCache {
     pub config: ReadCacheConfig,
     pub stats: ReadCacheStats,
-    files: HashMap<u64, FileCache>,
+    /// `enforce_capacity` picks its victim by iterating this table, and
+    /// the pick does not depend on the iteration order: every `touched`
+    /// is a distinct tick of `clock` (one tick per lookup or fill, stamped
+    /// on one file), so the minimum is unique.
+    files: IdMap<u64, FileCache>,
+    /// Cached payload bytes over all files (the sum of their `bytes`).
+    total_bytes: usize,
     /// Newest generation heard per file — survives invalidation (and even
     /// full eviction) so an in-flight fill from before the bump can never
     /// re-populate stale bytes.
-    latest_gen: HashMap<u64, u64>,
-    streams: HashMap<u64, StreamState>,
+    latest_gen: IdMap<u64, u64>,
+    streams: IdMap<u64, StreamState>,
     /// Control-plane prefetch advisories: per file, the range some client
     /// (maybe this one) is about to scan. Consumed by the next
     /// [`ReadCache::plan_readahead`] for the file.
-    hints: HashMap<u64, (u64, u32)>,
+    hints: IdMap<u64, (u64, u32)>,
     clock: u64,
 }
 
@@ -181,17 +196,27 @@ impl ReadCache {
         ReadCache {
             config,
             stats: ReadCacheStats::default(),
-            files: HashMap::new(),
-            latest_gen: HashMap::new(),
-            streams: HashMap::new(),
-            hints: HashMap::new(),
+            files: IdMap::default(),
+            total_bytes: 0,
+            latest_gen: IdMap::default(),
+            streams: IdMap::default(),
+            hints: IdMap::default(),
             clock: 0,
         }
     }
 
     /// Cached payload bytes currently held.
     pub fn cached_bytes(&self) -> usize {
-        self.files.values().map(|f| f.bytes).sum()
+        self.total_bytes
+    }
+
+    /// Drop everything cached for `file`; false when nothing was.
+    fn drop_file(&mut self, file: u64) -> bool {
+        let Some(f) = self.files.remove(&file) else {
+            return false;
+        };
+        self.total_bytes -= f.bytes;
+        true
     }
 
     /// Number of files with cached data.
@@ -206,9 +231,9 @@ impl ReadCache {
 
     /// Serve `[offset, offset + len)` of `file` from cache, or report a
     /// miss. A hit requires every byte up to the (possibly EOF-clamped)
-    /// end to be covered by one cached span; reads entirely past a known
-    /// EOF hit with zero bytes. Updates hit/miss stats and the
-    /// sequential-stream tracker.
+    /// end to be cached, in one span or in exactly-abutting ones; reads
+    /// entirely past a known EOF hit with zero bytes. Updates hit/miss
+    /// stats and the sequential-stream tracker.
     pub fn lookup(&mut self, file: u64, offset: u64, len: u32) -> Option<CachedRead> {
         let now = self.tick();
         let result = self.try_serve(file, offset, len, now);
@@ -238,37 +263,43 @@ impl ReadCache {
             // answerable with no data at all.
             f.touched = now;
             return Some(CachedRead {
-                data: Vec::new(),
+                data: Bytes::new(),
                 generation: f.generation,
             });
         }
-        // Stitch across spans: adjacent fills are stored separately (so
-        // sequential streams never pay a re-coalescing copy), so a hit
-        // may cross several exactly-abutting spans.
         let (&start, span) = f.spans.range(..=offset).next_back()?;
         let span_end = start + span.len() as u64;
         if span_end <= offset {
             return None;
         }
-        let mut data = Vec::with_capacity(served);
         let lo = (offset - start) as usize;
-        let take = (span_end.min(end) - offset) as usize;
-        data.extend_from_slice(&span[lo..lo + take]);
-        let mut pos = offset + take as u64;
-        for (&s, v) in f.spans.range(span_end..) {
-            if pos >= end {
-                break;
+        let data = if span_end >= end {
+            // Inside one span: hand out a slice of its buffer.
+            span.slice(lo..lo + served)
+        } else {
+            // Stitch across spans: adjacent fills are stored separately
+            // (so sequential streams never pay a re-coalescing copy), so
+            // a hit may cross several exactly-abutting spans.
+            let mut data = Vec::with_capacity(served);
+            data.extend_from_slice(&span[lo..]);
+            let mut pos = span_end;
+            for (&s, v) in f.spans.range(span_end..) {
+                if pos >= end {
+                    break;
+                }
+                if s != pos {
+                    return None; // gap inside the requested range
+                }
+                let take = ((end - pos) as usize).min(v.len());
+                data.extend_from_slice(&v[..take]);
+                pos += take as u64;
             }
-            if s != pos {
-                return None; // gap inside the requested range
+            if pos < end {
+                return None;
             }
-            let take = ((end - pos) as usize).min(v.len());
-            data.extend_from_slice(&v[..take]);
-            pos += take as u64;
-        }
-        if pos < end {
-            return None;
-        }
+            self.stats.stitched_hits += 1;
+            Bytes::from(data)
+        };
         f.touched = now;
         Some(CachedRead {
             data,
@@ -342,22 +373,38 @@ impl ReadCache {
     /// Write-through population: the payload of a locally acknowledged
     /// write enters the cache under the post-commit generation, so
     /// read-after-write is a local hit without a network round trip.
-    pub fn fill_from_write(&mut self, file: u64, generation: u64, offset: u64, data: &[u8]) {
+    pub fn fill_from_write(&mut self, file: u64, generation: u64, offset: u64, data: Bytes) {
         self.stats.write_fills += 1;
-        self.fill(file, generation, offset, data, data.len() as u32);
+        let len = data.len() as u32;
+        self.fill_shared(file, generation, offset, data, len);
     }
 
-    /// Fill the cache with bytes fetched under `generation`.
-    /// `requested_len` is what the fetch asked for; when `data` came back
-    /// shorter, the clamp proves the committed EOF at `offset +
-    /// data.len()`. Stale fills (older than the newest generation heard
-    /// for the file) are discarded.
+    /// [`Self::fill_shared`] for a caller that only has the bytes on
+    /// loan: copies them into a buffer the cache can keep.
     pub fn fill(
         &mut self,
         file: u64,
         generation: u64,
         offset: u64,
         data: &[u8],
+        requested_len: u32,
+    ) {
+        let data = Bytes::copy_from_slice(data);
+        self.fill_shared(file, generation, offset, data, requested_len);
+    }
+
+    /// Fill the cache with bytes fetched under `generation`; the cache
+    /// keeps a reference to `data`'s buffer, not a copy.
+    /// `requested_len` is what the fetch asked for; when `data` came back
+    /// shorter, the clamp proves the committed EOF at `offset +
+    /// data.len()`. Stale fills (older than the newest generation heard
+    /// for the file) are discarded.
+    pub fn fill_shared(
+        &mut self,
+        file: u64,
+        generation: u64,
+        offset: u64,
+        data: Bytes,
         requested_len: u32,
     ) {
         let latest = self.latest_gen.get(&file).copied().unwrap_or(0);
@@ -378,6 +425,7 @@ impl ReadCache {
             // A newer fill supersedes everything cached at the old
             // generation (the invalidation event may still be in flight).
             f.spans.clear();
+            self.total_bytes -= f.bytes;
             f.bytes = 0;
             f.eof = None;
             f.generation = generation;
@@ -397,8 +445,10 @@ impl ReadCache {
             f.eof = Some(f.eof.map_or(cand, |e| e.min(cand)));
         }
         if !data.is_empty() {
-            Self::insert_span(f, offset, data);
             self.stats.inserted_bytes += data.len() as u64;
+            self.total_bytes -= f.bytes;
+            Self::insert_span(f, offset, data);
+            self.total_bytes += f.bytes;
         }
         self.enforce_capacity(file);
     }
@@ -408,59 +458,54 @@ impl ReadCache {
     /// identical anyway). Exactly-adjacent spans are left separate:
     /// sequential readahead fills abut their predecessor, and merging
     /// would re-copy the whole accumulated stream on every fill. Lookups
-    /// stitch across adjacent spans instead.
-    fn insert_span(f: &mut FileCache, offset: u64, data: &[u8]) {
+    /// stitch across adjacent spans instead. A fill that overlaps nothing,
+    /// or covers everything it overlaps, is stored as it came; only one
+    /// that leaves part of an old span sticking out copies.
+    fn insert_span(f: &mut FileCache, offset: u64, data: Bytes) {
         let end = offset + data.len() as u64;
-        // Gather every span that overlaps the new range.
-        let mut absorb: Vec<u64> = Vec::new();
-        if let Some((&s, v)) = f.spans.range(..=offset).next_back() {
-            if s + v.len() as u64 > offset {
-                absorb.push(s);
-            }
-        }
-        for (&s, _) in f.spans.range(offset..end) {
-            if !absorb.contains(&s) {
-                absorb.push(s);
-            }
-        }
-        if absorb.is_empty() {
-            f.bytes += data.len();
-            f.spans.insert(offset, data.to_vec());
-            return;
-        }
-        let mut new_start = offset;
-        let mut new_end = end;
-        for &s in &absorb {
-            let v = &f.spans[&s];
-            new_start = new_start.min(s);
-            new_end = new_end.max(s + v.len() as u64);
-        }
-        let mut merged = vec![0u8; (new_end - new_start) as usize];
-        for &s in &absorb {
+        // Every span that overlaps the new range: the one starting at or
+        // before `offset` if it reaches past it, and all starting inside.
+        let first = match f.spans.range(..=offset).next_back() {
+            Some((&s, v)) if s + v.len() as u64 > offset => s,
+            _ => offset,
+        };
+        let absorb: Vec<u64> = f.spans.range(first..end).map(|(&s, _)| s).collect();
+        // What the old spans hold outside the new range.
+        let (mut head, mut tail) = (Bytes::new(), Bytes::new());
+        for s in absorb {
             let v = f.spans.remove(&s).expect("absorbed span");
             f.bytes -= v.len();
-            let lo = (s - new_start) as usize;
-            merged[lo..lo + v.len()].copy_from_slice(&v);
+            if s < offset {
+                head = v.slice(..(offset - s) as usize);
+            }
+            if s + v.len() as u64 > end {
+                tail = v.slice((end - s) as usize..);
+            }
         }
-        // New data last: it wins any overlap.
-        let lo = (offset - new_start) as usize;
-        merged[lo..lo + data.len()].copy_from_slice(data);
-        f.bytes += merged.len();
-        f.spans.insert(new_start, merged);
+        let start = offset - head.len() as u64;
+        let span = if head.is_empty() && tail.is_empty() {
+            data
+        } else {
+            let mut merged = Vec::with_capacity(head.len() + data.len() + tail.len());
+            merged.extend_from_slice(&head);
+            merged.extend_from_slice(&data);
+            merged.extend_from_slice(&tail);
+            Bytes::from(merged)
+        };
+        f.bytes += span.len();
+        f.spans.insert(start, span);
     }
 
     /// Evict least-recently-touched *other* files until under the cap;
     /// if the just-filled file alone busts it, shed its coldest bytes —
     /// lowest offsets first, the bytes a forward stream left behind.
-    /// (Sequential fills coalesce into ONE span, so head-trimming that
-    /// span is what keeps a long scan's footprint bounded.)
+    /// (Sequential fills stay one span each, so a long scan sheds whole
+    /// spans from its head and trims at most one. The trimmed span still
+    /// pins its whole buffer, so the footprint is bounded by the cap plus
+    /// one fill.)
     fn enforce_capacity(&mut self, just_filled: u64) {
         let cap = self.config.capacity_bytes;
-        loop {
-            let total = self.cached_bytes();
-            if total <= cap {
-                return;
-            }
+        while self.total_bytes > cap {
             let victim = self
                 .files
                 .iter()
@@ -468,25 +513,25 @@ impl ReadCache {
                 .min_by_key(|(_, f)| f.touched)
                 .map(|(&id, _)| id);
             if let Some(id) = victim {
-                self.files.remove(&id);
+                self.drop_file(id);
                 self.stats.evictions += 1;
                 continue;
             }
-            let excess = total - cap;
+            let excess = self.total_bytes - cap;
             let Some(f) = self.files.get_mut(&just_filled) else {
                 return;
             };
-            let Some((&s, _)) = f.spans.iter().next() else {
+            let Some((s, v)) = f.spans.pop_first() else {
                 return;
             };
-            let v = f.spans.remove(&s).expect("span");
-            f.bytes -= v.len();
-            if v.len() > excess {
-                // Trim exactly the head; the hot tail stays cached.
-                let tail = v[excess..].to_vec();
-                f.bytes += tail.len();
-                f.spans.insert(s + excess as u64, tail);
+            // Shed the whole span, or trim exactly the head so the hot
+            // tail stays cached.
+            let shed = v.len().min(excess);
+            if shed < v.len() {
+                f.spans.insert(s + shed as u64, v.slice(shed..));
             }
+            f.bytes -= shed;
+            self.total_bytes -= shed;
             // Each pass sheds at least one byte, so this terminates.
         }
     }
@@ -496,7 +541,7 @@ impl ReadCache {
     /// `u64::MAX` means the file's data is gone (unlink/rename-replace).
     pub fn note_generation(&mut self, file: u64, generation: u64) {
         if generation == u64::MAX {
-            if self.files.remove(&file).is_some() {
+            if self.drop_file(file) {
                 self.stats.invalidations += 1;
             }
             // Tombstone, not removal: a fill from a read that was in
@@ -513,7 +558,7 @@ impl ReadCache {
         }
         if let Some(f) = self.files.get(&file) {
             if f.generation < generation {
-                self.files.remove(&file);
+                self.drop_file(file);
                 self.stats.invalidations += 1;
             }
         }
@@ -525,6 +570,7 @@ impl ReadCache {
     /// traffic, and manual drops (measurements, tests) are not that.
     pub fn clear(&mut self) {
         self.files.clear();
+        self.total_bytes = 0;
         self.streams.clear();
         self.hints.clear();
     }
@@ -545,7 +591,7 @@ mod tests {
         let d = bytes(200, 7);
         c.fill(1, 3, 0, &d, 200);
         let r = c.lookup(1, 50, 100).expect("hit");
-        assert_eq!(r.data, &d[50..150]);
+        assert_eq!(r.data[..], d[50..150]);
         assert_eq!(r.generation, 3);
         assert_eq!(c.stats.hits, 1);
         assert_eq!(c.stats.misses, 1);
@@ -691,26 +737,51 @@ mod tests {
     }
 
     #[test]
-    fn capacity_bounds_a_single_file_stream() {
-        // A lone streaming file must still respect the cap: cold spans
-        // (the bytes the stream left behind) are shed head-first.
+    fn sequential_scan_of_twice_the_capacity_stays_bounded() {
+        // A lone streaming file must still respect the cap: the bytes the
+        // stream left behind are shed head-first.
+        const FILL: usize = 64 << 10;
         let mut c = ReadCache::new(ReadCacheConfig {
-            capacity_bytes: 1000,
+            capacity_bytes: 10 * FILL + FILL / 2,
             readahead_init: 0,
             readahead_max: 0,
         });
-        for i in 0..10u64 {
-            c.fill(1, 1, i * 500, &bytes(500, i as u8), 500);
+        let cap = c.config.capacity_bytes;
+        for i in 0..(2 * cap).div_ceil(FILL) {
+            c.fill(1, 1, (i * FILL) as u64, &bytes(FILL, i as u8), FILL as u32);
+            assert!(c.cached_bytes() <= cap, "fill {i}: {}", c.cached_bytes());
+            let f = &c.files[&1];
+            assert_eq!(f.bytes, c.cached_bytes(), "running total drifted");
+            assert_eq!(f.spans.values().map(Bytes::len).sum::<usize>(), f.bytes);
+            // Each span pins the buffer of the one fill it came from, so
+            // the footprint is at most one fill beyond the cap.
+            assert!(f.spans.len() * FILL <= cap + FILL, "fill {i} pins too much");
         }
         assert!(
-            c.cached_bytes() <= 1000,
-            "cap violated: {} bytes cached",
-            c.cached_bytes()
+            c.cached_bytes() > cap - FILL,
+            "the trim sheds only the excess"
         );
         // The hot tail (the most recent fill) survives; the cold head
-        // was trimmed.
-        assert!(c.lookup(1, 4_500, 500).is_some(), "hot tail kept");
-        assert!(c.lookup(1, 0, 500).is_none(), "cold head trimmed");
+        // was shed.
+        let last = (2 * cap).div_ceil(FILL) - 1;
+        assert!(c.lookup(1, (last * FILL) as u64, FILL as u32).is_some());
+        assert!(c.lookup(1, 0, FILL as u32).is_none(), "cold head trimmed");
+    }
+
+    #[test]
+    fn hit_inside_one_span_is_a_slice_of_its_buffer() {
+        let mut c = ReadCache::default();
+        c.fill(1, 1, 0, &bytes(100, 2), 100);
+        c.fill(1, 1, 100, &bytes(100, 3), 100);
+        let r = c.lookup(1, 110, 50).expect("hit");
+        let span = c.files[&1].spans[&100].as_ptr_range();
+        assert!(span.contains(&r.data.as_ptr()), "a copy, not a slice");
+        assert_eq!(r.data[..], bytes(100, 3)[10..60]);
+        assert_eq!(c.stats.stitched_hits, 0);
+        let r = c.lookup(1, 90, 50).expect("hit across the seam");
+        assert!(!span.contains(&r.data.as_ptr()));
+        assert_eq!(c.stats.stitched_hits, 1);
+        assert_eq!(c.stats.hits, 2);
     }
 
     #[test]
@@ -754,7 +825,7 @@ mod tests {
     #[test]
     fn write_fill_serves_read_after_write() {
         let mut c = ReadCache::default();
-        c.fill_from_write(1, 3, 0, &bytes(100, 6));
+        c.fill_from_write(1, 3, 0, Bytes::from(bytes(100, 6)));
         let r = c.lookup(1, 0, 100).expect("read-after-write hit");
         assert_eq!(r.data, bytes(100, 6));
         assert_eq!(r.generation, 3);

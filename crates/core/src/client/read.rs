@@ -195,7 +195,7 @@ impl ClientApp {
         };
         self.span_mark(req.span, phase::CACHE_HIT, ctx.now());
         let id = self.ops.next_id();
-        let data = Bytes::from(hit.data);
+        let data = hit.data;
         self.ops.insert(id, Op::CacheHit(CacheHit { req, data }));
         nic.set_timer(ctx, self.meta_costs.cache_probe, id);
         None
@@ -656,9 +656,14 @@ impl ClientApp {
             }
         }
         let ok = status == Status::Ok;
-        let mut fetched = Vec::new();
+        let mut data = Bytes::new();
         if ok {
-            fetched = nic.memory().borrow().read(r.dest, r.fetch_len as usize);
+            let fetched = Bytes::from(nic.memory().borrow().read(r.dest, r.fetch_len as usize));
+            // The caller gets a slice of the one buffer the cache keeps.
+            // A fetch only runs past `serve_len` for readahead, which
+            // only happens with the cache on, so the slice pins nothing
+            // the cache does not already hold.
+            data = fetched.slice(..r.serve_len as usize);
             if self.read_cache_enabled {
                 // Everything fetched — the caller's range, the readahead
                 // tail, and any degraded-reconstructed bytes — populates
@@ -668,7 +673,7 @@ impl ClientApp {
                 // cache where the committed size is.
                 let mut rc = self.read_cache.borrow_mut();
                 let at = r.req.offset;
-                rc.fill(r.req.file, r.generation, at, &fetched, r.fetch_want);
+                rc.fill_shared(r.req.file, r.generation, at, fetched, r.fetch_want);
                 rc.stats.readahead_bytes += (r.fetch_len - r.serve_len) as u64;
             }
         }
@@ -686,14 +691,6 @@ impl ClientApp {
             }
             return Step::Done(r.routes);
         }
-        // Shed the readahead tail before handing the payload out:
-        // slicing (or truncating without shrinking) would pin the
-        // whole overfetch allocation for as long as the completion
-        // lives, and ResultSink retains every completion for the run.
-        if r.fetch_len > r.serve_len {
-            fetched.truncate(r.serve_len as usize);
-            fetched.shrink_to_fit();
-        }
         // The application observes completion one poll interval later
         // (CQ polling cost, same as the write path).
         let end = ctx.now() + nic.cpu.costs.poll_notify;
@@ -704,8 +701,7 @@ impl ClientApp {
         self.span_end(r.req.span, end, ok);
         let completion = ReadCompletion {
             degraded_stripes,
-            ..r.req
-                .completion(nic.node(), end, status, Bytes::from(fetched))
+            ..r.req.completion(nic.node(), end, status, data)
         };
         self.deliver_read(r.req.slot, completion);
         Step::Done(r.routes)

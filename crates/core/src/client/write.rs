@@ -525,7 +525,7 @@ impl ClientApp {
                     file,
                     generation,
                     w.placement.offset,
-                    &w.req.data,
+                    w.req.data.clone(),
                 );
             }
             self.span_mark(w.span, phase::COMMITTED, ctx.now());

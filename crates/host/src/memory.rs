@@ -72,17 +72,16 @@ impl HostMemory {
 
     /// Read `len` bytes at `addr`; untouched bytes read as zero.
     pub fn read(&self, addr: u64, len: usize) -> Vec<u8> {
-        let mut out = vec![0u8; len];
-        let mut off = 0usize;
-        while off < len {
-            let a = addr + off as u64;
+        let mut out = Vec::with_capacity(len);
+        while out.len() < len {
+            let a = addr + out.len() as u64;
             let page = a >> PAGE_SHIFT;
             let in_page = (a as usize) & (PAGE_SIZE - 1);
-            let n = (PAGE_SIZE - in_page).min(len - off);
-            if let Some(p) = self.pages.get(&page) {
-                out[off..off + n].copy_from_slice(&p[in_page..in_page + n]);
+            let n = (PAGE_SIZE - in_page).min(len - out.len());
+            match self.pages.get(&page) {
+                Some(p) => out.extend_from_slice(&p[in_page..in_page + n]),
+                None => out.resize(out.len() + n, 0),
             }
-            off += n;
         }
         out
     }

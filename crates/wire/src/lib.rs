@@ -2,11 +2,13 @@
 //!
 //! Wire formats for the network-accelerated DFS: transport/DFS headers and
 //! packet layouts following Fig 3 of the paper, capability tickets with a
-//! real keyed MAC (SipHash-2-4, implemented in [`siphash`]), byte codecs
+//! real keyed MAC (SipHash-2-4, implemented in [`siphash`]), the unkeyed
+//! payload checksum (XXH64, implemented in [`checksum`]), byte codecs
 //! pinning the layouts, and the [`frame::Frame`] type every simulated packet
 //! carries.
 
 pub mod capability;
+pub mod checksum;
 pub mod codec;
 pub mod frame;
 pub mod headers;
@@ -14,6 +16,7 @@ pub mod siphash;
 pub mod sizes;
 
 pub use capability::{AuthError, Capability, Rights};
+pub use checksum::payload_checksum;
 pub use frame::{
     split_payload, write_payload_caps, AckPkt, Frame, GatherReqPkt, HlConfigPkt, MsgId, Pkt,
     ReadReqPkt, ReadRespPkt, RpcBody, SendPkt, Status, WritePkt,
@@ -24,4 +27,4 @@ pub use headers::{
     RsScheme, WriteReqHeader, MAX_GATHER_SEGS,
 };
 pub use nadfs_simnet::CreditGrant;
-pub use siphash::{payload_checksum, siphash24, siphash24_words, MacKey};
+pub use siphash::{siphash24, siphash24_words, MacKey};

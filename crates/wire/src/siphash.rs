@@ -85,19 +85,6 @@ pub fn siphash24(key: &MacKey, data: &[u8]) -> u64 {
     v[0] ^ v[1] ^ v[2] ^ v[3]
 }
 
-/// Fixed (non-secret) key for payload checksums: integrity tagging of
-/// read/write payloads in completion records, not authentication.
-const CHECKSUM_KEY: MacKey = MacKey([
-    0x6e, 0x61, 0x64, 0x66, 0x73, 0x2d, 0x63, 0x6b, 0x73, 0x75, 0x6d, 0x2d, 0x6b, 0x65, 0x79, 0x31,
-]);
-
-/// Checksum of a request/response payload, carried in completion records
-/// so end-to-end tests can compare read-back bytes against written bytes
-/// without hauling both buffers around.
-pub fn payload_checksum(data: &[u8]) -> u64 {
-    siphash24(&CHECKSUM_KEY, data)
-}
-
 /// Streaming-friendly MAC over a sequence of u64 words (used for signing
 /// fixed-layout structs without serializing them first).
 pub fn siphash24_words(key: &MacKey, words: &[u64]) -> u64 {

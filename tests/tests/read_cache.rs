@@ -370,6 +370,54 @@ fn sequential_stream_reaches_steady_state_hit_rate() {
     );
 }
 
+/// A block-aligned scan leaves one cached span per fetch, on block
+/// boundaries, so every later block read lies inside one span and is
+/// served as a window into that span's buffer: no hit copies a byte.
+#[test]
+fn aligned_hits_are_slices_of_the_cached_spans() {
+    const BLOCK: usize = 16 << 10;
+    const BLOCKS: usize = 32;
+    let mut fsc = FsClient::new(SimCluster::build(ClusterSpec::new(1, 4, StorageMode::Spin)));
+    fsc.mkdir_p("/s").expect("mkdir");
+    let h = fsc
+        .create("/s/scan", LayoutSpec::striped(4, BLOCK as u32))
+        .expect("create");
+    let data = payload(seed_from_env() ^ 0x511CE, BLOCKS * BLOCK);
+    fsc.append(&h, &data).expect("write");
+    fsc.drop_read_cache();
+
+    let block_at = |b: usize| (b * BLOCK) as u64;
+    for b in 0..BLOCKS {
+        let r = fsc.read_at(&h, block_at(b), BLOCK as u32).expect("scan");
+        assert_eq!(r.data.as_ref(), &data[b * BLOCK..(b + 1) * BLOCK]);
+    }
+    let scan = fsc.read_cache_stats();
+    assert!(scan.hits > 0 && scan.misses > 0, "readahead never engaged");
+
+    for b in 0..BLOCKS {
+        // Held together, so equal addresses mean one shared buffer and
+        // not an allocation freed and handed out again.
+        let first = fsc.read_at(&h, block_at(b), BLOCK as u32).expect("re-read");
+        let again = fsc.read_at(&h, block_at(b), BLOCK as u32).expect("re-read");
+        let half = fsc
+            .read_at(&h, block_at(b) + (BLOCK / 2) as u64, (BLOCK / 2) as u32)
+            .expect("re-read the second half");
+        assert!(first.from_cache && again.from_cache && half.from_cache);
+        assert_eq!(first.data.as_ref(), &data[b * BLOCK..(b + 1) * BLOCK]);
+        assert_eq!(first.checksum, payload_checksum(&first.data));
+        assert_eq!(first.data.as_ptr(), again.data.as_ptr(), "block {b} copied");
+        assert!(
+            first.data.as_ptr_range().contains(&half.data.as_ptr()),
+            "block {b}: a sub-range hit lies outside the span's buffer"
+        );
+        assert_eq!(half.data.as_ref(), &first.data[BLOCK / 2..]);
+    }
+    let stats = fsc.read_cache_stats();
+    assert_eq!(stats.hits, scan.hits + 3 * BLOCKS as u64);
+    assert_eq!(stats.misses, scan.misses, "the scan cached every block");
+    assert_eq!(stats.stitched_hits, 0, "an aligned hit had to stitch");
+}
+
 /// Write-through population: a committed write lands in the read cache
 /// under the post-commit generation, so read-after-write is a local hit
 /// (no resolve, no fan-out) and byte-identical to the written data.

@@ -6,8 +6,17 @@
 //! invalidation never serves stale bytes, degraded reconstructions that
 //! populate the cache are exact, and repair re-homing invalidates
 //! precisely.
+//!
+//! A second property drives [`ReadCache`] directly against a flat
+//! per-byte shadow: whatever mix of abutting, overlapping and covering
+//! fills built the spans, a lookup hits exactly when every byte of its
+//! range is cached and returns exactly those bytes — whether it was
+//! served as a slice of one span or stitched across several.
 
-use nadfs_core::{ClusterSpec, FilePolicy, FsClient, LayoutSpec, SimCluster, StorageMode};
+use bytes::Bytes;
+use nadfs_core::{
+    ClusterSpec, FilePolicy, FsClient, LayoutSpec, ReadCache, SimCluster, StorageMode,
+};
 use nadfs_tests::{drain_repairs_with_faults, seed_from_env, FaultAction, FaultPlan, FaultPoint};
 use nadfs_wire::{BcastStrategy, RsScheme};
 use proptest::prelude::*;
@@ -150,5 +159,93 @@ proptest! {
             prop_assert_eq!(fresh.data.as_ref(), &model[..], "uncached ≠ model");
             prop_assert_eq!(cached.checksum, fresh.checksum);
         }
+    }
+}
+
+/// One step against a bare [`ReadCache`] holding a single small file.
+#[derive(Clone, Debug)]
+enum CacheStep {
+    /// Fill `[offset, offset + len)` at the current generation.
+    Fill {
+        offset: u64,
+        len: usize,
+    },
+    /// The file's generation moves: everything cached is invalidated.
+    Invalidate,
+    Lookup {
+        offset: u64,
+        len: u32,
+    },
+}
+
+/// Fills land on a 16-byte grid so that they often abut or cover one
+/// another exactly; lookups fall anywhere.
+fn cache_step() -> impl Strategy<Value = CacheStep> {
+    (0u8..8, 0u64..1024, 1usize..256).prop_map(|(kind, offset, len)| match kind {
+        0..=2 => CacheStep::Fill {
+            offset: offset / 16 * 16,
+            len: len.div_ceil(16) * 16,
+        },
+        3 => CacheStep::Invalidate,
+        _ => CacheStep::Lookup {
+            offset,
+            len: len as u32,
+        },
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn sliced_and_stitched_hits_equal_a_flat_shadow(
+        steps in proptest::collection::vec(cache_step(), 1..80)
+    ) {
+        const FILE: u64 = 7;
+        let mut cache = ReadCache::default();
+        let mut shadow: Vec<Option<u8>> = vec![None; 1024 + 256];
+        let mut generation = 1u64;
+        for (i, step) in steps.iter().enumerate() {
+            match *step {
+                CacheStep::Fill { offset, len } => {
+                    let data: Vec<u8> = (0..len).map(|b| (b ^ i.wrapping_mul(37)) as u8).collect();
+                    for (slot, &b) in shadow[offset as usize..].iter_mut().zip(&data) {
+                        *slot = Some(b);
+                    }
+                    // Both ways in: on loan, and handing the buffer over.
+                    if i % 2 == 0 {
+                        cache.fill(FILE, generation, offset, &data, len as u32);
+                    } else {
+                        cache.fill_shared(FILE, generation, offset, Bytes::from(data), len as u32);
+                    }
+                }
+                CacheStep::Invalidate => {
+                    generation += 1;
+                    cache.note_generation(FILE, generation);
+                    shadow.fill(None);
+                }
+                CacheStep::Lookup { offset, len } => {
+                    let range = offset as usize..offset as usize + len as usize;
+                    let want: Option<Vec<u8>> = shadow[range].iter().copied().collect();
+                    let stitched = cache.stats.stitched_hits;
+                    let got = cache.lookup(FILE, offset, len);
+                    prop_assert_eq!(
+                        got.as_ref().map(|r| r.data.to_vec()),
+                        want,
+                        "step {}: lookup @{}+{} (stitched: {})",
+                        i,
+                        offset,
+                        len,
+                        cache.stats.stitched_hits > stitched
+                    );
+                    if let Some(r) = got {
+                        prop_assert_eq!(r.generation, generation);
+                    }
+                }
+            }
+            let cached = shadow.iter().flatten().count();
+            prop_assert_eq!(cache.cached_bytes(), cached, "byte ledger drifted at step {}", i);
+        }
+        prop_assert!(cache.stats.stitched_hits <= cache.stats.hits);
     }
 }
