@@ -16,25 +16,39 @@
 //! inode number, and [`ControlPlane::create_file`] parks legacy files
 //! under `/.volatile/`.
 //!
-//! The metadata plane is **sharded** (ROADMAP item 1): per-file state is
-//! hash-partitioned over N [`shard::MetaShard`]s by a stateless
-//! [`router::ShardRouter`], mutations ack after a per-shard op-log append
-//! (AsyncFS-style async updates — `shard`), and operations whose
-//! participants hash to different shards run a two-phase intent/commit
-//! protocol the fault harness can kill mid-flight. `ControlPlane` itself
-//! is a thin façade over the focused submodules: `placement` (where
-//! bytes go), `resolution` (read planning + compaction), and
-//! `repair_queue` (background re-protection).
+//! The metadata plane is **sharded**: per-file state is hash-partitioned
+//! over N [`shard::MetaShard`]s by a stateless [`router::ShardRouter`],
+//! and mutations ack after a per-shard op-log append (AsyncFS-style
+//! async updates). The plane keeps three kinds of record and nothing
+//! beside them — one per file, one per storage node, one per shard — and
+//! this file only wires them together: construction, the shard doorway,
+//! the cache-callback fan-out, and the namespace operations, each of
+//! which is a participant set plus an apply step handed to
+//! `ControlPlane::transact`. What the records are and what is done with
+//! them lives in the submodules:
+//!
+//! - `shard`: the per-file record (`FileState`) and the shard that owns
+//!   it; the op log; `transact`, the one mutation path (routing, 2PC
+//!   across shards, the single log append and its crash switch);
+//!   admission and recovery.
+//! - `placement`: what clients are handed ([`FileMeta`],
+//!   [`WritePlacement`], [`StripeTarget`]); the per-node record
+//!   (`NodeState`: allocator, stats sink, orphan ledger); placing and
+//!   committing writes.
+//! - `resolution`: read planning, the scan detector, compaction.
+//! - `repair_queue`: failure and recovery reconciliation, the repair
+//!   queue, repair planning and commit.
+//! - `router`: ino → shard.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use nadfs_meta::{
     ExtentMap, ExtentRecord, InodeAttr, LayoutSpec, MetaCache, MetaError, MetaEvent,
     MetadataService, ReadPiece, ReadPlan, StripedLayout,
 };
-use nadfs_simnet::NodeId;
+use nadfs_simnet::{IdMap, IdSet, NodeId};
 use nadfs_wire::{Capability, MacKey, ReplicaCoord, Rights, RsScheme};
 
 use crate::cache::ReadCache;
@@ -47,100 +61,16 @@ mod resolution;
 mod router;
 mod shard;
 
+use placement::NodeState;
+pub use placement::{FileMeta, StripeTarget, WritePlacement};
 pub use repair_queue::{RepairPlan, RepairQueue, RepairStats, RepairTask};
 pub use router::ShardRouter;
-pub use shard::{
-    CrashPoint, LogEntry, MetaMutation, MetaShard, OpLog, ServiceClass, ShardStats, TxRecovery,
-};
+use shard::FileState;
+pub use shard::{LogEntry, MetaMutation, MetaShard, OpLog, ServiceClass, ShardStats, TxRecovery};
 
 // Policies now live with the rest of the file metadata in `nadfs-meta`;
 // re-exported here so existing call sites keep working.
 pub use nadfs_meta::FilePolicy;
-
-/// A file's metadata, as handed to clients.
-#[derive(Clone, Debug)]
-pub struct FileMeta {
-    /// The file id (its inode number in the namespace).
-    pub id: u64,
-    /// Committed (durable) bytes: advanced when a write's placement is
-    /// committed into the extent map, never by placement alone. This is
-    /// what `stat` reflects and what read planning clamps against — a
-    /// write that is rejected or never acknowledged must not create
-    /// phantom EOF state.
-    pub size: u64,
-    /// The placement cursor: appends place at this offset, and it
-    /// advances at *placement* time so pipelined appends never overlap.
-    /// Runs ahead of `size` while writes are in flight; a rejected write
-    /// leaves a permanent gap between the two (the file is sparse there
-    /// if a later write commits past it).
-    pub cursor: u64,
-    pub policy: FilePolicy,
-    /// Index (into the storage-node list) of the stripe's first node.
-    pub home: usize,
-    /// Where the file's bytes go.
-    pub layout: StripedLayout,
-}
-
-/// One striped piece of a plain write: a concrete (node, addr) target.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StripeTarget {
-    pub coord: ReplicaCoord,
-    pub len: u32,
-    /// Logical byte offset within the file.
-    pub file_offset: u64,
-}
-
-/// Placement of one write: where every byte (and parity) goes.
-#[derive(Clone, Debug)]
-pub struct WritePlacement {
-    pub greq: u64,
-    /// Primary target (node, address).
-    pub primary: ReplicaCoord,
-    /// All replica coordinates including the primary, in virtual-rank
-    /// order (replication only).
-    pub replicas: Vec<ReplicaCoord>,
-    /// Data-chunk coordinates (EC only), one per data node.
-    pub data_chunks: Vec<ReplicaCoord>,
-    /// Parity coordinates (EC only).
-    pub parities: Vec<ReplicaCoord>,
-    /// EC chunk length (bytes per data chunk).
-    pub chunk_len: u32,
-    /// Logical file offset this placement writes at.
-    pub offset: u64,
-    /// Bytes by which this placement advanced the file's placement
-    /// cursor (0 for retries and pure overwrites). Informational — the
-    /// attr write-back uses the committed-size growth `commit_write`
-    /// reports, not this placement-time figure.
-    pub appended: u64,
-    /// Striped plain-write targets, in file order (width > 1 layouts
-    /// only; empty means "single extent at `primary`").
-    pub stripes: Vec<StripeTarget>,
-}
-
-impl WritePlacement {
-    /// Placement for a request that was rejected before placement (the
-    /// failed-job record still carries a `WritePlacement`).
-    pub fn rejected(greq: u64) -> WritePlacement {
-        WritePlacement {
-            greq,
-            primary: ReplicaCoord { node: 0, addr: 0 },
-            replicas: vec![],
-            data_chunks: vec![],
-            parities: vec![],
-            chunk_len: 0,
-            offset: 0,
-            appended: 0,
-            stripes: vec![],
-        }
-    }
-}
-
-/// Chunk/byte tally of stale copies awaiting reclamation on one node.
-#[derive(Clone, Copy, Debug, Default)]
-struct NodeLedger {
-    chunks: u64,
-    bytes: u64,
-}
 
 /// The control plane: management (authentication) + metadata (namespace,
 /// layout, placement) services, fronting the shard set.
@@ -153,17 +83,15 @@ pub struct ControlPlane {
     next_nonce: u64,
     /// Cross-shard transaction id allocator.
     next_txid: u64,
-    /// Storage nodes, by fabric node id.
-    storage_nodes: Vec<NodeId>,
-    /// Bump allocator per storage node for write placement.
-    next_addr: HashMap<NodeId, u64>,
+    /// One record per storage node, in layout order.
+    nodes: Vec<NodeState>,
     /// Client metadata caches subscribed to invalidation callbacks.
     caches: Vec<Rc<RefCell<MetaCache>>>,
     /// Client read caches subscribed to extent-generation callbacks (the
     /// same event channel; these consume `LayoutChanged`).
     read_caches: Vec<Rc<RefCell<ReadCache>>>,
-    /// The metadata shards: partitioned FileMeta/ExtentMap state, op
-    /// logs, and the per-shard admission queues.
+    /// The metadata shards: one record per file, the op logs, and the
+    /// per-shard admission queues.
     shards: Vec<MetaShard>,
     /// Stateless ino → shard map.
     router: ShardRouter,
@@ -175,34 +103,26 @@ pub struct ControlPlane {
     /// op, so a client admitting right after its call always charges the
     /// op it just made.
     last_route: Option<(usize, ServiceClass)>,
-    /// Armed mid-transaction kill switch (fault harness).
-    crash_point: Option<CrashPoint>,
+    /// Transaction-record appends left before the armed crash switch
+    /// fires (fault harness); 0 when disarmed.
+    crash_after: u32,
     /// Storage nodes currently marked failed (degraded-read routing).
-    failed_nodes: HashSet<u32>,
-    /// Stale physical copies stranded on failed nodes: shards whose
-    /// extents were re-homed (or whose file was unlinked) during the
-    /// outage. The live hosted gauges are decremented at re-home/unlink
-    /// time; this ledger remembers the dead bytes still physically
-    /// occupying the node so recovery reconciliation can reclaim them.
-    orphaned: HashMap<u32, NodeLedger>,
+    failed_nodes: FailedNodes,
     /// Extents awaiting background re-protection.
     pub repair_queue: RepairQueue,
     /// Tasks popped from the queue but not yet committed, requeued, or
     /// abandoned — compaction must not shift record indices under them.
-    inflight_repairs: HashSet<RepairTask>,
+    inflight_repairs: IdSet<RepairTask>,
     /// Rotates spare-node selection so repair placements spread.
     next_spare: usize,
-    /// Per-storage-node stats sinks (index-aligned with `storage_nodes`),
-    /// attached by the cluster builder so placement decisions are
-    /// observable on the nodes they land on.
-    storage_stats: Vec<SharedStorageStats>,
-    /// Per-file sequential-scan detector over resolve traffic: when a
-    /// file's resolves run back-to-back, the control plane publishes
-    /// prefetch advisories to every registered read cache.
-    scan_tracker: HashMap<u64, (u64, u32)>,
 }
 
 pub type SharedControl = Rc<RefCell<ControlPlane>>;
+
+/// The one `std` hash table in the control plane, because it is the type
+/// `ExtentMap::resolve` takes. It is probed and `any()`-ed, never
+/// iterated into an order.
+pub type FailedNodes = std::collections::HashSet<u32>; // membership only
 
 /// The parent path of `path` ("/" for top-level entries and the root).
 fn parent_of(path: &str) -> &str {
@@ -227,7 +147,6 @@ impl ControlPlane {
         n_shards: usize,
     ) -> SharedControl {
         let n_shards = n_shards.max(1);
-        let next_addr = storage_nodes.iter().map(|&n| (n, 0x10_0000u64)).collect();
         let meta = MetadataService::new(storage_nodes.iter().map(|&n| n as u32).collect());
         Rc::new(RefCell::new(ControlPlane {
             key: MacKey::from_seed(key_seed),
@@ -236,22 +155,18 @@ impl ControlPlane {
             next_greq: 1,
             next_nonce: 1,
             next_txid: 1,
-            storage_nodes,
-            next_addr,
+            nodes: storage_nodes.into_iter().map(NodeState::new).collect(),
             caches: Vec::new(),
             read_caches: Vec::new(),
             shards: (0..n_shards).map(MetaShard::new).collect(),
             router: ShardRouter::new(n_shards),
             service_costs: MetaCosts::default(),
             last_route: None,
-            crash_point: None,
-            failed_nodes: HashSet::new(),
-            orphaned: HashMap::new(),
+            crash_after: 0,
+            failed_nodes: Default::default(),
             repair_queue: RepairQueue::default(),
-            inflight_repairs: HashSet::new(),
+            inflight_repairs: IdSet::default(),
             next_spare: 0,
-            storage_stats: Vec::new(),
-            scan_tracker: HashMap::new(),
         }))
     }
 
@@ -266,10 +181,6 @@ impl ControlPlane {
         self.key
     }
 
-    pub fn storage_nodes(&self) -> &[NodeId] {
-        &self.storage_nodes
-    }
-
     /// Subscribe a client cache to invalidation callbacks.
     pub fn register_cache(&mut self, cache: Rc<RefCell<MetaCache>>) {
         self.caches.push(cache);
@@ -281,10 +192,13 @@ impl ControlPlane {
         self.read_caches.push(cache);
     }
 
-    /// Attach per-node stats sinks (index-aligned with `storage_nodes`).
+    /// Attach per-node stats sinks (one per storage node, in the order
+    /// the nodes were given).
     pub fn attach_storage_stats(&mut self, stats: Vec<SharedStorageStats>) {
-        assert_eq!(stats.len(), self.storage_nodes.len());
-        self.storage_stats = stats;
+        assert_eq!(stats.len(), self.nodes.len());
+        for (node, sink) in self.nodes.iter_mut().zip(stats) {
+            node.stats = Some(sink);
+        }
     }
 
     // ---- shard accessors (the partitioned state's only doorway) ----
@@ -294,37 +208,30 @@ impl ControlPlane {
         self.router.route(ino)
     }
 
-    fn file(&self, ino: u64) -> Option<&FileMeta> {
+    fn file(&self, ino: u64) -> Option<&FileState> {
         self.shards[self.router.route(ino)].files.get(&ino)
     }
 
-    fn file_mut(&mut self, ino: u64) -> Option<&mut FileMeta> {
+    /// Every file's record, across all shards. The order is shard-major
+    /// and table order within a shard, which means nothing: every caller
+    /// either sorts what it collects (`mark_node_failed`) or folds it
+    /// commutatively (the recovery and conservation sums).
+    fn all_files(&self) -> impl Iterator<Item = (u64, &FileState)> {
+        self.shards
+            .iter()
+            .flat_map(|s| s.files.iter().map(|(&ino, f)| (ino, f)))
+    }
+
+    /// A file or directory left the namespace (unlink, rename-replace):
+    /// drop its record, un-hosting every extent, and tell the read caches.
+    fn forget(&mut self, ino: u64) {
         let s = self.router.route(ino);
-        self.shards[s].files.get_mut(&ino)
-    }
-
-    fn extent_map(&self, ino: u64) -> Option<&ExtentMap> {
-        self.shards[self.router.route(ino)].extents.get(&ino)
-    }
-
-    /// Every file's extent map, across all shards (iteration order is
-    /// shard-major and hash-arbitrary within a shard — callers needing
-    /// determinism must sort, as `mark_node_failed` does).
-    fn all_extent_maps(&self) -> impl Iterator<Item = (&u64, &ExtentMap)> {
-        self.shards.iter().flat_map(|s| s.extents.iter())
-    }
-
-    /// Drop a vanished file's per-shard state (unlink, rename-replace):
-    /// FileMeta, extent map (un-hosting every record), compaction floor.
-    fn remove_file_state(&mut self, ino: u64) {
-        let s = self.router.route(ino);
-        self.shards[s].files.remove(&ino);
-        self.shards[s].compact_floor.remove(&ino);
-        if let Some(map) = self.shards[s].extents.remove(&ino) {
-            for rec in map.records() {
+        if let Some(f) = self.shards[s].files.remove(&ino) {
+            for rec in f.extents.records() {
                 self.unhost_record(rec);
             }
         }
+        self.meta.note_extents_gone(ino);
     }
 
     /// The shard owning `path`'s parent directory — where namespace
@@ -332,11 +239,11 @@ impl ControlPlane {
     /// they contend on). Unresolvable parents (first mkdir_p level)
     /// route to shard 0.
     fn route_parent(&self, path: &str) -> usize {
-        self.meta
-            .ns
-            .resolve(parent_of(path))
-            .map(|ino| self.shard_of(ino))
-            .unwrap_or(0)
+        self.shard_of_path(parent_of(path)).unwrap_or(0)
+    }
+
+    fn shard_of_path(&self, path: &str) -> Option<usize> {
+        Some(self.shard_of(self.meta.ns.resolve(path).ok()?))
     }
 
     /// Fan the metadata service's mutation events out to every registered
@@ -373,60 +280,88 @@ impl ControlPlane {
         }
     }
 
-    fn install_file(&mut self, attr: &InodeAttr, layout: StripedLayout, policy: FilePolicy) {
-        let meta = FileMeta {
-            id: attr.ino,
-            size: attr.size,
-            cursor: attr.size,
-            policy,
-            home: self.home_of(&layout),
-            layout,
-        };
-        let s = self.router.route(attr.ino);
-        self.shards[s].files.insert(attr.ino, meta);
-    }
-
     /// Create a file with the given policy (legacy flat API): parked under
     /// `/.volatile/`, single-node layout assigned round-robin.
     pub fn create_file(&mut self, size: u64, policy: FilePolicy) -> FileMeta {
         let name = format!("/.volatile/f{}", self.next_legacy);
         self.next_legacy += 1;
         self.meta.ns.mkdir_p("/.volatile", 0).expect("legacy dir");
-        let meta = self
+        let id = self
             .create_file_at(&name, LayoutSpec::SINGLE, policy)
-            .expect("fresh legacy path");
+            .expect("fresh legacy path")
+            .id;
         // Legacy callers pre-declare the size; advance both the committed
         // size and the cursor so the first placement appends after it,
         // matching the seed behavior.
-        let m = self.file_mut(meta.id).expect("just created");
+        let s = self.router.route(id);
+        let m = &mut self.shards[s]
+            .files
+            .get_mut(&id)
+            .expect("just created")
+            .meta;
         m.size = size;
         m.cursor = size;
         m.clone()
     }
 
     /// Create a file at `path` with a striped layout. The parent
-    /// directory must exist (`mkdir`/`mkdir_p` first). Routed to the
-    /// parent directory's shard; the ack point is that shard's op-log
-    /// append (the attr/callback fan-out below is off the ack path).
+    /// directory must exist (`mkdir`/`mkdir_p` first), and the cluster
+    /// must be able to hold the policy: `1 ≤ k ≤ nodes` replicas, or
+    /// `k, m ≥ 1` and `k + m ≤ nodes` shards — placement relies on it.
+    /// Routed to the parent directory's shard; the ack point is that
+    /// shard's op-log append.
     pub fn create_file_at(
         &mut self,
         path: &str,
         spec: LayoutSpec,
         policy: FilePolicy,
     ) -> Result<FileMeta, MetaError> {
+        let n = self.nodes.len();
+        let fits = match policy {
+            FilePolicy::Plain => true,
+            FilePolicy::Replicated { k, .. } => (1..=n).contains(&(k as usize)),
+            FilePolicy::ErasureCoded { scheme } => {
+                scheme.k >= 1 && scheme.m >= 1 && scheme.k as usize + scheme.m as usize <= n
+            }
+        };
+        if !fits {
+            return Err(MetaError::InvalidPolicy);
+        }
         let parent = self.route_parent(path);
-        self.note_route(parent, ServiceClass::Mutation);
-        let (attr, layout) = self.meta.create(path, spec, policy.clone(), 0)?;
-        self.install_file(&attr, layout, policy);
-        self.log_apply(parent, MetaMutation::Create { ino: attr.ino });
-        self.publish_invalidations();
-        Ok(self.file(attr.ino).expect("just installed").clone())
+        self.transact(
+            parent,
+            [None; 2],
+            MetaMutation::Create { ino: 0 },
+            |cp, op| {
+                let (attr, layout) = cp.meta.create(path, spec, policy.clone(), 0)?;
+                *op = MetaMutation::Create { ino: attr.ino };
+                let meta = FileMeta {
+                    id: attr.ino,
+                    size: attr.size,
+                    cursor: attr.size,
+                    policy,
+                    home: cp.home_of(&layout),
+                    layout,
+                };
+                let state = FileState {
+                    meta: meta.clone(),
+                    extents: ExtentMap::new(),
+                    compact_floor: 0,
+                    scan: (0, 0),
+                };
+                let s = cp.router.route(attr.ino);
+                cp.shards[s].files.insert(attr.ino, state);
+                Ok(meta)
+            },
+        )
     }
 
     /// Metadata lookup by file id. A miss is a typed error, not a panic
     /// or a silent `None`.
     pub fn lookup(&self, file: u64) -> Result<&FileMeta, MetaError> {
-        self.file(file).ok_or(MetaError::UnknownFile(file))
+        self.file(file)
+            .map(|f| &f.meta)
+            .ok_or(MetaError::UnknownFile(file))
     }
 
     /// Path lookup (counts as one metadata round-trip). Routed to the
@@ -465,130 +400,68 @@ impl ControlPlane {
     }
 
     pub fn mkdir(&mut self, path: &str, now_ns: u64) -> Result<InodeAttr, MetaError> {
-        let parent = self.route_parent(path);
-        self.note_route(parent, ServiceClass::Mutation);
-        let r = self.meta.mkdir(path, now_ns);
-        if let Ok(attr) = &r {
-            self.log_apply(parent, MetaMutation::Mkdir { ino: attr.ino });
-        }
-        self.publish_invalidations();
-        r
+        self.make_dir(path, |cp| cp.meta.mkdir(path, now_ns))
     }
 
     pub fn mkdir_p(&mut self, path: &str, now_ns: u64) -> Result<InodeAttr, MetaError> {
+        self.make_dir(path, |cp| cp.meta.mkdir_p(path, now_ns))
+    }
+
+    fn make_dir(
+        &mut self,
+        path: &str,
+        make: impl FnOnce(&mut Self) -> Result<InodeAttr, MetaError>,
+    ) -> Result<InodeAttr, MetaError> {
         let parent = self.route_parent(path);
-        self.note_route(parent, ServiceClass::Mutation);
-        let r = self.meta.mkdir_p(path, now_ns);
-        if let Ok(attr) = &r {
-            self.log_apply(parent, MetaMutation::Mkdir { ino: attr.ino });
-        }
-        self.publish_invalidations();
-        r
+        self.transact(
+            parent,
+            [None; 2],
+            MetaMutation::Mkdir { ino: 0 },
+            |cp, op| {
+                let attr = make(cp)?;
+                *op = MetaMutation::Mkdir { ino: attr.ino };
+                Ok(attr)
+            },
+        )
     }
 
     pub fn readdir(&mut self, path: &str) -> Result<Vec<(String, InodeAttr)>, MetaError> {
-        let shard = self
-            .meta
-            .ns
-            .resolve(path)
-            .map(|ino| self.shard_of(ino))
-            .unwrap_or(0);
+        let shard = self.shard_of_path(path).unwrap_or(0);
         self.note_route(shard, ServiceClass::Resolve);
         self.meta.readdir(path)
     }
 
-    /// Rename. The participant set is {shard(from-parent),
-    /// shard(to-parent), shard(replaced target)}; when it spans shards
-    /// the op runs the two-phase intent/commit protocol, and the armed
-    /// [`CrashPoint`] (if any) kills it mid-flight — leaving dangling
-    /// intents for [`ControlPlane::recover_shards`] to resolve.
+    /// Rename. Participants: the shards of both parent directories and of
+    /// a target the rename replaces (a POSIX replace deletes the target
+    /// inode, so its record goes too, exactly like an unlink).
     pub fn rename(&mut self, from: &str, to: &str, now_ns: u64) -> Result<(), MetaError> {
-        let coordinator = self.route_parent(from);
-        let to_parent = self.route_parent(to);
-        let replaced_shard = self.meta.ns.resolve(to).ok().map(|ino| self.shard_of(ino));
-        let mut participants = vec![coordinator, to_parent];
-        participants.extend(replaced_shard);
-        participants.sort_unstable();
-        participants.dedup();
-        self.note_route(coordinator, ServiceClass::Mutation);
+        let others = [Some(self.route_parent(to)), self.shard_of_path(to)];
         let op = MetaMutation::Rename {
             from: from.to_string(),
             to: to.to_string(),
         };
-        let txid = if participants.len() > 1 {
-            let txid = self.alloc_txid();
-            self.tx_intent(txid, &participants, op.clone())?;
-            Some(txid)
-        } else {
-            None
-        };
-        let r = self.meta.rename(from, to, now_ns);
-        if let Ok(Some(replaced)) = r {
-            // A POSIX replace deletes the target inode: drop its
-            // placement state too, exactly like an unlink.
-            self.remove_file_state(replaced);
-            self.meta.note_extents_gone(replaced);
-        }
-        self.publish_invalidations();
-        match (&r, txid) {
-            (Ok(_), Some(txid)) => {
-                self.tx_applied(txid, coordinator)?;
-                self.tx_commit(txid, &participants, coordinator);
+        self.transact(self.route_parent(from), others, op, |cp, _| {
+            if let Some(replaced) = cp.meta.rename(from, to, now_ns)? {
+                cp.forget(replaced);
             }
-            (Err(_), Some(txid)) => {
-                // Validation rejected the op: the intents are dead on
-                // arrival — abort them so recovery has nothing to do.
-                for &s in &participants {
-                    self.shards[s].log.append(LogEntry::Abort { txid });
-                }
-            }
-            (Ok(_), None) => self.log_apply(coordinator, op),
-            (Err(_), None) => {}
-        }
-        r.map(|_| ())
+            Ok(())
+        })
     }
 
-    /// Unlink a file or empty directory; a removed file's placement state
-    /// is dropped with it. Participants: {shard(parent), shard(target)} —
-    /// cross-shard when they hash apart (two-phase, like rename).
+    /// Unlink a file or empty directory; a removed file's record is
+    /// dropped with it. Participants: the shards of the parent directory
+    /// and of the target.
     pub fn unlink(&mut self, path: &str, now_ns: u64) -> Result<InodeAttr, MetaError> {
-        let coordinator = self.route_parent(path);
         let target = self.meta.ns.resolve(path).ok();
-        let mut participants = vec![coordinator];
-        participants.extend(target.map(|ino| self.shard_of(ino)));
-        participants.sort_unstable();
-        participants.dedup();
-        self.note_route(coordinator, ServiceClass::Mutation);
+        let others = [target.map(|ino| self.shard_of(ino)), None];
         let op = MetaMutation::Unlink {
             ino: target.unwrap_or(0),
         };
-        let txid = if participants.len() > 1 {
-            let txid = self.alloc_txid();
-            self.tx_intent(txid, &participants, op.clone())?;
-            Some(txid)
-        } else {
-            None
-        };
-        let r = self.meta.unlink(path, now_ns);
-        if let Ok(attr) = &r {
-            self.remove_file_state(attr.ino);
-            self.meta.note_extents_gone(attr.ino);
-        }
-        self.publish_invalidations();
-        match (&r, txid) {
-            (Ok(_), Some(txid)) => {
-                self.tx_applied(txid, coordinator)?;
-                self.tx_commit(txid, &participants, coordinator);
-            }
-            (Err(_), Some(txid)) => {
-                for &s in &participants {
-                    self.shards[s].log.append(LogEntry::Abort { txid });
-                }
-            }
-            (Ok(_), None) => self.log_apply(coordinator, op),
-            (Err(_), None) => {}
-        }
-        r
+        self.transact(self.route_parent(path), others, op, |cp, _| {
+            let attr = cp.meta.unlink(path, now_ns)?;
+            cp.forget(attr.ino);
+            Ok(attr)
+        })
     }
 
     /// Apply a client's write-back attribute flush. Applied updates
@@ -599,10 +472,7 @@ impl ControlPlane {
         &mut self,
         updates: &[(u64, nadfs_meta::DirtyAttr)],
     ) -> Result<(), MetaError> {
-        let shard = updates
-            .first()
-            .map(|(ino, _)| self.shard_of(*ino))
-            .unwrap_or(0);
+        let shard = updates.first().map_or(0, |(ino, _)| self.shard_of(*ino));
         self.note_route(shard, ServiceClass::Mutation);
         for (ino, _) in updates {
             let s = self.shard_of(*ino);
@@ -1364,58 +1234,63 @@ mod tests {
         }
     }
 
-    #[test]
-    fn crash_after_intent_rolls_back_and_leaves_namespace_untouched() {
+    /// A 4-shard plane with `/a/f`, where `/a` and the returned directory
+    /// hash to different shards (so renaming `/a/f` into it is a
+    /// two-participant transaction).
+    fn cross_shard_rename_fixture() -> (SharedControl, String) {
         let cp = sharded(4);
         cp.borrow_mut().mkdir_p("/a", 0).expect("mkdir");
-        cp.borrow_mut().mkdir_p("/b", 0).expect("mkdir");
         cp.borrow_mut()
             .create_file_at("/a/f", LayoutSpec::SINGLE, FilePolicy::Plain)
             .expect("create");
-        let a_ino = cp.borrow().meta.ns.resolve("/a").expect("a");
-        let b_ino = cp.borrow().meta.ns.resolve("/b").expect("b");
-        if cp.borrow().shard_of(a_ino) == cp.borrow().shard_of(b_ino) {
-            return; // single-participant rename: no transaction to kill
-        }
-        cp.borrow_mut().set_crash_point(CrashPoint::AfterIntent);
+        let shard_of = |cp: &SharedControl, p: &str| {
+            let c = cp.borrow();
+            c.shard_of(c.meta.ns.resolve(p).expect("dir"))
+        };
+        let to = (0..8)
+            .map(|i| format!("/b{i}"))
+            .find(|d| {
+                cp.borrow_mut().mkdir_p(d, 0).expect("mkdir");
+                shard_of(&cp, d) != shard_of(&cp, "/a")
+            })
+            .expect("eight directories cover more than one of four shards");
+        (cp, format!("{to}/f"))
+    }
+
+    #[test]
+    fn crash_after_intent_rolls_back_and_leaves_namespace_untouched() {
+        let (cp, to) = cross_shard_rename_fixture();
+        // Two participants: the second append is the last `Intent`.
+        cp.borrow_mut().crash_after_appends(2);
         assert_eq!(
-            cp.borrow_mut().rename("/a/f", "/b/f", 1).unwrap_err(),
+            cp.borrow_mut().rename("/a/f", &to, 1).unwrap_err(),
             MetaError::TxAborted
         );
         // The op never applied: source intact, destination absent.
         assert!(cp.borrow_mut().lookup_path("/a/f").is_ok());
-        assert!(cp.borrow_mut().lookup_path("/b/f").is_err());
+        assert!(cp.borrow_mut().lookup_path(&to).is_err());
         let rec = cp.borrow_mut().recover_shards();
         assert_eq!(rec.rolled_back, 1);
         assert_eq!(rec.rolled_forward, 0);
         // Recovery is idempotent.
         assert_eq!(cp.borrow_mut().recover_shards(), TxRecovery::default());
         // And the namespace still works after recovery.
-        cp.borrow_mut().rename("/a/f", "/b/f", 2).expect("rename");
-        assert!(cp.borrow_mut().lookup_path("/b/f").is_ok());
+        cp.borrow_mut().rename("/a/f", &to, 2).expect("rename");
+        assert!(cp.borrow_mut().lookup_path(&to).is_ok());
     }
 
     #[test]
     fn crash_after_apply_rolls_forward() {
-        let cp = sharded(4);
-        cp.borrow_mut().mkdir_p("/a", 0).expect("mkdir");
-        cp.borrow_mut().mkdir_p("/b", 0).expect("mkdir");
-        cp.borrow_mut()
-            .create_file_at("/a/f", LayoutSpec::SINGLE, FilePolicy::Plain)
-            .expect("create");
-        let a_ino = cp.borrow().meta.ns.resolve("/a").expect("a");
-        let b_ino = cp.borrow().meta.ns.resolve("/b").expect("b");
-        if cp.borrow().shard_of(a_ino) == cp.borrow().shard_of(b_ino) {
-            return;
-        }
-        cp.borrow_mut().set_crash_point(CrashPoint::AfterApply);
-        // The coordinator died before acking — the client sees an
-        // aborted transaction, but the mutation is durably applied.
+        let (cp, to) = cross_shard_rename_fixture();
+        // The third append is the coordinator's `Applied`: it died before
+        // acking — the client sees an aborted transaction, but the
+        // mutation is durably applied.
+        cp.borrow_mut().crash_after_appends(3);
         assert_eq!(
-            cp.borrow_mut().rename("/a/f", "/b/f", 1).unwrap_err(),
+            cp.borrow_mut().rename("/a/f", &to, 1).unwrap_err(),
             MetaError::TxAborted
         );
-        assert!(cp.borrow_mut().lookup_path("/b/f").is_ok());
+        assert!(cp.borrow_mut().lookup_path(&to).is_ok());
         assert!(cp.borrow_mut().lookup_path("/a/f").is_err());
         let rec = cp.borrow_mut().recover_shards();
         assert_eq!(rec.rolled_forward, 1, "Applied witness → roll forward");

@@ -1,11 +1,127 @@
-//! Write placement and commit: where every byte (and parity) goes, plus
-//! the hosted-capacity ledgers that track what each storage node holds.
+//! Write placement and commit: what a client is told about a file and a
+//! write ([`FileMeta`], [`WritePlacement`]), where every byte (and
+//! parity) goes, and the per-node record ([`NodeState`]) that allocates
+//! the addresses and keeps the hosted-capacity ledgers.
 
 use super::*;
 
+/// A file's metadata, as handed to clients.
+#[derive(Clone, Debug)]
+pub struct FileMeta {
+    /// The file id (its inode number in the namespace).
+    pub id: u64,
+    /// Committed (durable) bytes: advanced when a write's placement is
+    /// committed into the extent map, never by placement alone. This is
+    /// what `stat` reflects and what read planning clamps against — a
+    /// write that is rejected or never acknowledged must not create
+    /// phantom EOF state.
+    pub size: u64,
+    /// The placement cursor: appends place at this offset, and it
+    /// advances at *placement* time so pipelined appends never overlap.
+    /// Runs ahead of `size` while writes are in flight; a rejected write
+    /// leaves a permanent gap between the two (the file is sparse there
+    /// if a later write commits past it).
+    pub cursor: u64,
+    pub policy: FilePolicy,
+    /// Index (into the storage-node list) of the stripe's first node.
+    pub home: usize,
+    /// Where the file's bytes go.
+    pub layout: StripedLayout,
+}
+
+/// One striped piece of a plain write: a concrete (node, addr) target.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct StripeTarget {
+    pub coord: ReplicaCoord,
+    pub len: u32,
+    /// Logical byte offset within the file.
+    pub file_offset: u64,
+}
+
+/// Placement of one write: where every byte (and parity) goes.
+#[derive(Clone, Debug)]
+pub struct WritePlacement {
+    pub greq: u64,
+    /// Primary target (node, address).
+    pub primary: ReplicaCoord,
+    /// All replica coordinates including the primary, in virtual-rank
+    /// order (replication only).
+    pub replicas: Vec<ReplicaCoord>,
+    /// Data-chunk coordinates (EC only), one per data node.
+    pub data_chunks: Vec<ReplicaCoord>,
+    /// Parity coordinates (EC only).
+    pub parities: Vec<ReplicaCoord>,
+    /// EC chunk length (bytes per data chunk).
+    pub chunk_len: u32,
+    /// Logical file offset this placement writes at.
+    pub offset: u64,
+    /// Bytes by which this placement advanced the file's placement
+    /// cursor (0 for retries and pure overwrites). Informational — the
+    /// attr write-back uses the committed-size growth `commit_write`
+    /// reports, not this placement-time figure.
+    pub appended: u64,
+    /// Striped plain-write targets, in file order (width > 1 layouts
+    /// only; empty means "single extent at `primary`").
+    pub stripes: Vec<StripeTarget>,
+}
+
+impl WritePlacement {
+    /// A placement with no coordinates yet: each policy fills in its own.
+    fn empty(greq: u64, offset: u64, appended: u64) -> WritePlacement {
+        WritePlacement {
+            greq,
+            primary: ReplicaCoord { node: 0, addr: 0 },
+            replicas: vec![],
+            data_chunks: vec![],
+            parities: vec![],
+            chunk_len: 0,
+            offset,
+            appended,
+            stripes: vec![],
+        }
+    }
+
+    /// Placement for a request that was rejected before placement (the
+    /// failed-job record still carries a `WritePlacement`).
+    pub fn rejected(greq: u64) -> WritePlacement {
+        WritePlacement::empty(greq, 0, 0)
+    }
+}
+
+/// Everything the control plane holds about one storage node. The list
+/// is in layout order: a file's `home` and every round-robin run index
+/// into it, and [`ControlPlane::node_index`] is the one id → index scan.
+pub(super) struct NodeState {
+    pub id: NodeId,
+    /// Bump allocator for write and repair placement.
+    next_addr: u64,
+    /// Stale copies stranded here as `(chunks, bytes)`: shards whose
+    /// extents were re-homed (or whose file was unlinked) while the node
+    /// was failed. The live hosted gauges are decremented at
+    /// re-home/unlink time; this remembers the dead bytes still
+    /// physically on the node so recovery reconciliation can reclaim them.
+    pub orphaned: (u64, u64),
+    /// The node's stats sink, attached by the cluster builder so
+    /// placement decisions are observable on the nodes they land on
+    /// (unit tests build planes without sinks; every ledger update
+    /// degrades to a no-op there).
+    pub stats: Option<SharedStorageStats>,
+}
+
+impl NodeState {
+    pub fn new(id: NodeId) -> NodeState {
+        NodeState {
+            id,
+            next_addr: 0x10_0000,
+            orphaned: (0, 0),
+            stats: None,
+        }
+    }
+}
+
 /// How a placement relates to the file's cursor.
 #[derive(Clone, Copy, Debug)]
-pub(super) enum PlaceMode {
+enum PlaceMode {
     /// Append at the cursor (the cursor advances by `len`).
     Append,
     /// Explicit offset; the cursor advances only past `offset + len`.
@@ -15,28 +131,39 @@ pub(super) enum PlaceMode {
 }
 
 impl ControlPlane {
+    pub(super) fn node_index(&self, id: u32) -> Option<usize> {
+        self.nodes.iter().position(|n| n.id as u32 == id)
+    }
+
     pub(super) fn home_of(&self, layout: &StripedLayout) -> usize {
-        self.storage_nodes
-            .iter()
-            .position(|&n| n as u32 == layout.nodes[0])
-            .expect("layout node")
+        self.node_index(layout.nodes[0]).expect("layout node")
     }
 
-    pub(super) fn alloc_on(&mut self, node: NodeId, len: u64) -> u64 {
-        let a = self.next_addr.get_mut(&node).expect("storage node");
-        let addr = *a;
+    /// Allocate `len` bytes on the node at `index`.
+    pub(super) fn alloc_on(&mut self, index: usize, len: u64) -> ReplicaCoord {
+        let node = &mut self.nodes[index];
+        let addr = node.next_addr;
         // Page-align so concurrent placements never overlap.
-        *a += len.div_ceil(4096).max(1) * 4096;
-        addr
+        node.next_addr += len.div_ceil(4096).max(1) * 4096;
+        ReplicaCoord {
+            node: node.id as u32,
+            addr,
+        }
     }
 
-    fn count_stripe_placement(&mut self, node: NodeId) {
-        if self.storage_stats.is_empty() {
-            return;
-        }
-        if let Some(i) = self.storage_nodes.iter().position(|&n| n == node) {
-            self.storage_stats[i].borrow_mut().stripe_chunks_placed += 1;
-        }
+    /// `count` allocations of `span` bytes on consecutive nodes, starting
+    /// `first` nodes after `home`.
+    fn place_run(
+        &mut self,
+        home: usize,
+        first: usize,
+        count: usize,
+        span: u64,
+    ) -> Vec<ReplicaCoord> {
+        let n = self.nodes.len();
+        (first..first + count)
+            .map(|r| self.alloc_on((home + r) % n, span))
+            .collect()
     }
 
     /// Allocate a fresh request id.
@@ -84,15 +211,15 @@ impl ControlPlane {
         len: u32,
         mode: PlaceMode,
     ) -> Result<WritePlacement, MetaError> {
-        let meta = self.lookup(file)?.clone();
-        self.note_route(self.shard_of(file), ServiceClass::Mutation);
-        let greq = self.alloc_greq();
-        let n = self.storage_nodes.len();
-        let home = meta.home;
+        let shard = self.shard_of(file);
+        let f = self.shards[shard]
+            .files
+            .get_mut(&file)
+            .ok_or(MetaError::UnknownFile(file))?;
+        let meta = &mut f.meta;
         let base = match mode {
             PlaceMode::Append => meta.cursor,
-            PlaceMode::At(o) => o,
-            PlaceMode::Retry(o) => o,
+            PlaceMode::At(o) | PlaceMode::Retry(o) => o,
         };
         // Cursor: appends and extending writes advance it; retries never
         // do (their original placement already did). Only the cursor
@@ -103,102 +230,62 @@ impl ControlPlane {
             PlaceMode::Retry(_) => 0,
             _ => (base + len as u64).saturating_sub(meta.cursor),
         };
-        if appended > 0 {
-            if let Some(f) = self.file_mut(file) {
-                f.cursor += appended;
-            }
-        }
-        let placement = match meta.policy {
+        meta.cursor += appended;
+        let home = meta.home;
+        let policy = meta.policy.clone();
+        // Striped placement: split the extent over the file's layout;
+        // width-1 layouts degenerate to the seed's single-node placement.
+        let extents = match policy {
+            FilePolicy::Plain => meta.layout.extents(base, len),
+            _ => vec![],
+        };
+        self.note_route(shard, ServiceClass::Mutation);
+        let mut p = WritePlacement::empty(self.alloc_greq(), base, appended);
+        let n = self.nodes.len();
+        match policy {
             FilePolicy::Plain => {
-                // Striped placement: split the extent over the file's
-                // layout; width-1 layouts degenerate to the seed's
-                // single-node placement.
-                let extents = meta.layout.extents(base, len);
                 let mut stripes = Vec::with_capacity(extents.len());
                 for e in &extents {
-                    let node = e.node as NodeId;
-                    let addr = self.alloc_on(node, e.len.max(1) as u64);
-                    self.count_stripe_placement(node);
+                    let index = self.node_index(e.node).expect("layout node");
+                    if let Some(stats) = &self.nodes[index].stats {
+                        stats.borrow_mut().stripe_chunks_placed += 1;
+                    }
                     stripes.push(StripeTarget {
-                        coord: ReplicaCoord { node: e.node, addr },
+                        coord: self.alloc_on(index, e.len as u64),
                         len: e.len,
                         file_offset: e.file_offset,
                     });
                 }
-                let primary = stripes[0].coord;
-                WritePlacement {
-                    greq,
-                    primary,
-                    replicas: vec![primary],
-                    data_chunks: vec![],
-                    parities: vec![],
-                    chunk_len: 0,
-                    offset: base,
-                    appended,
-                    stripes: if stripes.len() > 1 { stripes } else { vec![] },
+                p.primary = stripes[0].coord;
+                p.replicas = vec![p.primary];
+                if stripes.len() > 1 {
+                    p.stripes = stripes;
                 }
             }
             FilePolicy::Replicated { k, .. } => {
-                assert!(k as usize <= n, "replication factor exceeds cluster");
-                let mut replicas = Vec::with_capacity(k as usize);
-                for r in 0..k as usize {
-                    let node = self.storage_nodes[(home + r) % n];
-                    let addr = self.alloc_on(node, len as u64);
-                    replicas.push(ReplicaCoord {
-                        node: node as u32,
-                        addr,
-                    });
-                }
-                WritePlacement {
-                    greq,
-                    primary: replicas[0],
-                    replicas,
-                    data_chunks: vec![],
-                    parities: vec![],
-                    chunk_len: 0,
-                    offset: base,
-                    appended,
-                    stripes: vec![],
-                }
+                assert!(
+                    (1..=n).contains(&(k as usize)),
+                    "create_file_at admits 1 <= k <= nodes"
+                );
+                p.replicas = self.place_run(home, 0, k as usize, len as u64);
+                p.primary = p.replicas[0];
             }
             FilePolicy::ErasureCoded { scheme } => {
                 let (k, m) = (scheme.k as usize, scheme.m as usize);
-                assert!(k + m <= n, "RS(k,m) needs k+m storage nodes");
-                let chunk_len = (len as u64).div_ceil(k as u64).max(1) as u32;
-                let mut data_chunks = Vec::with_capacity(k);
-                for j in 0..k {
-                    let node = self.storage_nodes[(home + j) % n];
-                    let addr = self.alloc_on(node, chunk_len as u64);
-                    data_chunks.push(ReplicaCoord {
-                        node: node as u32,
-                        addr,
-                    });
-                }
-                let mut parities = Vec::with_capacity(m);
-                for p in 0..m {
-                    let node = self.storage_nodes[(home + k + p) % n];
-                    // Parity region: final parity plus k staging slots
-                    // (used by the INEC firmware path).
-                    let addr = self.alloc_on(node, chunk_len as u64 * (1 + k as u64));
-                    parities.push(ReplicaCoord {
-                        node: node as u32,
-                        addr,
-                    });
-                }
-                WritePlacement {
-                    greq,
-                    primary: data_chunks[0],
-                    replicas: vec![],
-                    data_chunks,
-                    parities,
-                    chunk_len,
-                    offset: base,
-                    appended,
-                    stripes: vec![],
-                }
+                assert!(
+                    k >= 1 && m >= 1 && k + m <= n,
+                    "create_file_at admits k, m >= 1 and k + m <= nodes"
+                );
+                p.chunk_len = (len as u64).div_ceil(k as u64).max(1) as u32;
+                let chunk = p.chunk_len as u64;
+                p.data_chunks = self.place_run(home, 0, k, chunk);
+                // Parity region: final parity plus k staging slots (used
+                // by the INEC firmware path).
+                p.parities = self.place_run(home, k, m, chunk * (1 + k as u64));
+                p.primary = p.data_chunks[0];
             }
-        };
-        Ok(placement)
+        }
+        Ok(p)
     }
 
     /// Commit a completed write's placement into the file's extent map
@@ -212,15 +299,10 @@ impl ControlPlane {
     /// when an earlier placement was abandoned and never committed).
     pub fn commit_write(&mut self, file: u64, placement: &WritePlacement, len: u32) -> u64 {
         let shard = self.shard_of(file);
-        if len == 0 || !self.shards[shard].files.contains_key(&file) {
+        let Some(f) = self.shards[shard].files.get_mut(&file).filter(|_| len > 0) else {
             return 0;
-        }
-        self.note_route(shard, ServiceClass::Mutation);
-        let scheme = match self.file(file).map(|m| &m.policy) {
-            Some(FilePolicy::ErasureCoded { scheme }) => Some(*scheme),
-            _ => None,
         };
-        let map = self.shards[shard].extents.entry(file).or_default();
+        let map = &mut f.extents;
         let first_new = map.len();
         if !placement.stripes.is_empty() {
             for st in &placement.stripes {
@@ -231,7 +313,9 @@ impl ControlPlane {
                 });
             }
         } else if !placement.data_chunks.is_empty() {
-            let scheme = scheme.expect("EC placement on a non-EC file");
+            let FilePolicy::ErasureCoded { scheme } = f.meta.policy else {
+                panic!("EC placement on a non-EC file");
+            };
             map.record(ExtentRecord::Ec {
                 offset: placement.offset,
                 len,
@@ -254,55 +338,32 @@ impl ControlPlane {
             });
         }
         let generation = map.generation();
-        self.log_apply(
-            shard,
-            MetaMutation::ExtentCommit {
-                ino: file,
-                generation,
-            },
-        );
         // The bytes are durable now: this (and only this) advances the
         // committed size the read path clamps against.
-        let mut growth = 0;
-        if let Some(f) = self.file_mut(file) {
-            let new_size = f.size.max(placement.offset + len as u64);
-            growth = new_size - f.size;
-            f.size = new_size;
-        }
-        // The committed shards are live on their nodes now: charge the
-        // hosted-capacity gauges per coordinate.
-        {
-            let map = &self.shards[shard].extents[&file];
-            let mut adds: Vec<(u32, u64)> = Vec::new();
-            for rec in first_new..map.len() {
-                let r = &map.records()[rec];
-                let bytes = r.shard_len() as u64;
-                for (_, coord) in r.shard_coords() {
-                    adds.push((coord.node, bytes));
-                }
+        let growth = (placement.offset + len as u64).saturating_sub(f.meta.size);
+        f.meta.size += growth;
+        self.note_route(shard, ServiceClass::Mutation);
+        let op = MetaMutation::ExtentCommit {
+            ino: file,
+            generation,
+        };
+        self.log_apply(shard, op);
+        let new = &self.shards[shard].files[&file].extents.records()[first_new..];
+        for (i, rec) in new.iter().enumerate() {
+            // The committed shards are live on their nodes now: charge
+            // the hosted-capacity gauges per coordinate.
+            let bytes = rec.shard_len() as u64;
+            for (_, coord) in rec.shard_coords() {
+                self.hosted_add(coord.node, bytes);
             }
-            for (node, bytes) in adds {
-                self.hosted_add(node, bytes);
-            }
-        }
-        // A write that raced a failure commits an extent referencing an
-        // already-failed node (the placement predates `mark_node_failed`,
-        // whose scan could not see this record): queue it now, or the
-        // mid-write kill would leave a permanently degraded extent.
-        if !self.failed_nodes.is_empty() {
-            let map = &self.shards[shard].extents[&file];
-            let mut racing: Vec<RepairTask> = Vec::new();
-            for rec in first_new..map.len() {
-                if self
-                    .failed_nodes
-                    .iter()
-                    .any(|&n| map.records()[rec].references_node(n))
-                {
-                    racing.push(RepairTask { file, rec });
-                }
-            }
-            for t in racing {
-                self.repair_queue.push_back(t);
+            // A write that raced a failure commits an extent referencing
+            // an already-failed node (the placement predates
+            // `mark_node_failed`, whose scan could not see this record):
+            // queue it now, or the mid-write kill would leave a
+            // permanently degraded extent.
+            if self.failed_nodes.iter().any(|&n| rec.references_node(n)) {
+                let rec = first_new + i;
+                self.repair_queue.push_back(RepairTask { file, rec });
             }
         }
         // Fan the generation bump out to client read caches (same
@@ -315,14 +376,8 @@ impl ControlPlane {
         growth
     }
 
-    /// The stats sink for storage node `node`, if one is attached (unit
-    /// tests build planes without sinks; every ledger update degrades to
-    /// a no-op there).
     pub(super) fn node_stats(&self, node: u32) -> Option<&SharedStorageStats> {
-        self.storage_nodes
-            .iter()
-            .position(|&n| n as u32 == node)
-            .and_then(|i| self.storage_stats.get(i))
+        self.nodes[self.node_index(node)?].stats.as_ref()
     }
 
     /// A shard became live on `node`: bump its hosted gauges.
@@ -335,38 +390,32 @@ impl ControlPlane {
     }
 
     /// A shard stopped being live on `node` (re-homed away, or its file
-    /// unlinked): drop it from the hosted gauges. The gauges track what
-    /// the extent maps currently say, so this happens at the metadata
-    /// mutation — even while the node is down (the stale physical copy
-    /// moves to the orphan ledger via [`Self::orphan_add`]).
-    pub(super) fn hosted_sub(&self, node: u32, bytes: u64) {
-        if let Some(stats) = self.node_stats(node) {
+    /// unlinked). The gauges track what the extent maps currently say,
+    /// so this happens at the metadata mutation — even while the node is
+    /// down, when the stale physical copy is also remembered as an
+    /// orphan for recovery reconciliation to reclaim.
+    pub(super) fn hosted_sub(&mut self, node: u32, bytes: u64) {
+        let Some(index) = self.node_index(node) else {
+            return;
+        };
+        let state = &mut self.nodes[index];
+        if let Some(stats) = &state.stats {
             let mut s = stats.borrow_mut();
             s.chunks_hosted = s.chunks_hosted.saturating_sub(1);
             s.bytes_hosted = s.bytes_hosted.saturating_sub(bytes);
         }
-    }
-
-    /// Record a stale copy stranded on failed node `node`: the metadata
-    /// no longer references it, but the node was down when it died, so
-    /// the physical chunk sits there until recovery reconciliation.
-    pub(super) fn orphan_add(&mut self, node: u32, bytes: u64) {
-        let led = self.orphaned.entry(node).or_default();
-        led.chunks += 1;
-        led.bytes += bytes;
+        if self.failed_nodes.contains(&node) {
+            state.orphaned.0 += 1;
+            state.orphaned.1 += bytes;
+        }
     }
 
     /// Un-home one extent record's shards after the record leaves the
-    /// metadata (unlink / rename-replace / compaction): every coordinate
-    /// drops off the hosted gauges, and coordinates on currently-failed
-    /// nodes are remembered as orphans for recovery-time reclamation.
+    /// metadata (unlink / rename-replace / compaction).
     pub(super) fn unhost_record(&mut self, rec: &ExtentRecord) {
         let bytes = rec.shard_len() as u64;
         for (_, coord) in rec.shard_coords() {
             self.hosted_sub(coord.node, bytes);
-            if self.failed_nodes.contains(&coord.node) {
-                self.orphan_add(coord.node, bytes);
-            }
         }
     }
 }

@@ -43,7 +43,7 @@ pub struct RepairStats {
 #[derive(Debug, Default)]
 pub struct RepairQueue {
     q: VecDeque<RepairTask>,
-    queued: HashSet<RepairTask>,
+    queued: IdSet<RepairTask>,
     pub stats: RepairStats,
 }
 
@@ -153,17 +153,14 @@ impl ControlPlane {
         if !self.failed_nodes.insert(node) {
             return; // already failed; extents are already queued
         }
-        // The extent tables are HashMaps spread over metadata shards;
-        // enqueue in sorted (file, rec) order so the repair queue — and
+        // Enqueue in sorted (file, rec) order so the repair queue — and
         // everything downstream of it (placement, bandwidth throttling
         // cut points) — is identical across runs with the same seed,
         // regardless of the shard count.
         let mut tasks: Vec<RepairTask> = Vec::new();
-        for shard in &self.shards {
-            for (&file, map) in &shard.extents {
-                for rec in map.affected_records(node) {
-                    tasks.push(RepairTask { file, rec });
-                }
+        for (file, f) in self.all_files() {
+            for rec in f.extents.affected_records(node) {
+                tasks.push(RepairTask { file, rec });
             }
         }
         tasks.sort_unstable_by_key(|t| (t.file, t.rec));
@@ -188,70 +185,76 @@ impl ControlPlane {
         if !self.failed_nodes.remove(&node) {
             return; // not failed; nothing to reconcile
         }
-        if let Some(led) = self.orphaned.remove(&node) {
-            if let Some(stats) = self.node_stats(node) {
+        if let Some(index) = self.node_index(node) {
+            let state = &mut self.nodes[index];
+            let (chunks, bytes) = std::mem::take(&mut state.orphaned);
+            if let Some(stats) = &state.stats {
                 let mut s = stats.borrow_mut();
-                s.stale_chunks_reclaimed += led.chunks;
-                s.stale_bytes_reclaimed += led.bytes;
+                s.stale_chunks_reclaimed += chunks;
+                s.stale_bytes_reclaimed += bytes;
             }
         }
-        let readopted: u64 = self
-            .all_extent_maps()
-            .flat_map(|(_, m)| m.records())
-            .map(|r| {
-                r.shard_coords()
-                    .iter()
-                    .filter(|(_, c)| c.node == node)
-                    .count() as u64
-            })
-            .sum();
-        self.repair_queue.stats.shards_readopted += readopted;
+        let readopted = self
+            .all_records()
+            .flat_map(|r| r.shard_coords())
+            .filter(|(_, c)| c.node == node)
+            .count();
+        self.repair_queue.stats.shards_readopted += readopted as u64;
         let shards = &self.shards;
         let router = &self.router;
         let failed = &self.failed_nodes;
         let dropped = self.repair_queue.retain_tasks(|t| {
             shards[router.route(t.file)]
-                .extents
+                .files
                 .get(&t.file)
-                .and_then(|m| m.records().get(t.rec))
+                .and_then(|f| f.extents.records().get(t.rec))
                 .is_some_and(|r| failed.iter().any(|&n| r.references_node(n)))
         });
         self.repair_queue.stats.dropped_on_recovery += dropped;
     }
 
-    pub fn failed_nodes(&self) -> &HashSet<u32> {
+    pub fn failed_nodes(&self) -> &FailedNodes {
         &self.failed_nodes
-    }
-
-    /// Pick a spare node for a repair placement: healthy, not already
-    /// hosting a shard of the extent, rotating so consecutive repairs
-    /// spread. `None` when the cluster has no eligible node.
-    fn choose_spare(&mut self, exclude: &HashSet<u32>) -> Option<NodeId> {
-        let n = self.storage_nodes.len();
-        for i in 0..n {
-            let node = self.storage_nodes[(self.next_spare + i) % n];
-            let id = node as u32;
-            if !self.failed_nodes.contains(&id) && !exclude.contains(&id) {
-                self.next_spare = (self.next_spare + i + 1) % n;
-                return Some(node);
-            }
-        }
-        None
-    }
-
-    fn count_repair_placement(&mut self, node: u32) {
-        if let Some(i) = self.storage_nodes.iter().position(|&n| n as u32 == node) {
-            if let Some(stats) = self.storage_stats.get(i) {
-                stats.borrow_mut().repair_chunks_hosted += 1;
-            }
-        }
     }
 
     /// Stale copies currently stranded on `node` as `(chunks, bytes)` —
     /// nonzero only while the node is failed.
     pub fn orphaned_on(&self, node: u32) -> (u64, u64) {
-        let led = self.orphaned.get(&node).copied().unwrap_or_default();
-        (led.chunks, led.bytes)
+        self.node_index(node)
+            .map_or((0, 0), |i| self.nodes[i].orphaned)
+    }
+
+    /// Allocate a spare coordinate for every shard of `coords` that sits
+    /// on a failed node: a healthy node not already hosting a shard of
+    /// the extent (nor chosen for an earlier slot), rotating so
+    /// consecutive repairs spread. `span(slot)` is the slot's allocation
+    /// size. [`MetaError::NoSpareNode`] when the cluster has no eligible
+    /// node left.
+    fn plan_spares(
+        &mut self,
+        coords: &[(usize, ReplicaCoord)],
+        span: impl Fn(usize) -> u64,
+    ) -> Result<Vec<(usize, ReplicaCoord)>, MetaError> {
+        let n = self.nodes.len();
+        let mut in_use: Vec<u32> = coords.iter().map(|(_, c)| c.node).collect();
+        let mut spares = Vec::new();
+        for &(slot, lost) in coords {
+            if !self.failed_nodes.contains(&lost.node) {
+                continue;
+            }
+            let index = (0..n)
+                .map(|i| (self.next_spare + i) % n)
+                .find(|&i| {
+                    let id = self.nodes[i].id as u32;
+                    !self.failed_nodes.contains(&id) && !in_use.contains(&id)
+                })
+                .ok_or(MetaError::NoSpareNode)?;
+            self.next_spare = (index + 1) % n;
+            let spare = self.alloc_on(index, span(slot));
+            in_use.push(spare.node);
+            spares.push((slot, spare));
+        }
+        Ok(spares)
     }
 
     /// Plan the repair of one queued extent: which surviving shards to
@@ -264,119 +267,55 @@ impl ControlPlane {
     /// nowhere to re-protect to ([`MetaError::NoSpareNode`]).
     pub fn plan_repair(&mut self, task: RepairTask) -> Result<RepairPlan, MetaError> {
         let record = self
-            .extent_map(task.file)
-            .and_then(|m| m.records().get(task.rec))
-            .ok_or(MetaError::UnknownFile(task.file))?
-            .clone();
-        let failed = self.failed_nodes.clone();
-        match record {
+            .file(task.file)
+            .and_then(|f| f.extents.records().get(task.rec))
+            .ok_or(MetaError::UnknownFile(task.file))?;
+        let coords = record.shard_coords();
+        let mut survivors = coords.clone();
+        survivors.retain(|(_, c)| !self.failed_nodes.contains(&c.node));
+        if survivors.len() == coords.len() {
+            return Ok(RepairPlan::AlreadyHealthy);
+        }
+        match *record {
             ExtentRecord::Plain { coord, .. } => {
-                if failed.contains(&coord.node) {
-                    Err(MetaError::DataUnavailable { node: coord.node })
-                } else {
-                    Ok(RepairPlan::AlreadyHealthy)
-                }
+                Err(MetaError::DataUnavailable { node: coord.node })
             }
-            ExtentRecord::Replicated { len, replicas, .. } => {
-                let missing: Vec<usize> = replicas
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, c)| failed.contains(&c.node))
-                    .map(|(i, _)| i)
-                    .collect();
-                if missing.is_empty() {
-                    return Ok(RepairPlan::AlreadyHealthy);
-                }
-                let Some(src) = replicas.iter().find(|c| !failed.contains(&c.node)) else {
-                    return Err(MetaError::DataUnavailable {
-                        node: replicas.first().map_or(0, |c| c.node),
-                    });
+            ExtentRecord::Replicated { len, .. } => {
+                let Some(&(_, src)) = survivors.first() else {
+                    let node = coords[0].1.node;
+                    return Err(MetaError::DataUnavailable { node });
                 };
-                let mut in_use: HashSet<u32> = replicas
-                    .iter()
-                    .filter(|c| !failed.contains(&c.node))
-                    .map(|c| c.node)
-                    .collect();
-                let mut dest = Vec::with_capacity(missing.len());
-                for slot in missing {
-                    let node = self.choose_spare(&in_use).ok_or(MetaError::NoSpareNode)?;
-                    in_use.insert(node as u32);
-                    let addr = self.alloc_on(node, len.max(1) as u64);
-                    dest.push((
-                        slot,
-                        ReplicaCoord {
-                            node: node as u32,
-                            addr,
-                        },
-                    ));
-                }
-                Ok(RepairPlan::ReplicaClone {
-                    len,
-                    src: *src,
-                    dest,
-                })
+                let dest = self.plan_spares(&coords, |_| len as u64)?;
+                Ok(RepairPlan::ReplicaClone { len, src, dest })
             }
             ExtentRecord::Ec {
                 offset,
                 chunk_len,
                 scheme,
-                data,
-                parities,
                 ..
             } => {
                 let k = scheme.k as usize;
-                let shards: Vec<ReplicaCoord> = data.iter().chain(&parities).copied().collect();
-                let missing: Vec<usize> = shards
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, c)| failed.contains(&c.node))
-                    .map(|(i, _)| i)
-                    .collect();
-                if missing.is_empty() {
-                    return Ok(RepairPlan::AlreadyHealthy);
-                }
-                let fetch: Vec<(usize, ReplicaCoord)> = shards
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, c)| !failed.contains(&c.node))
-                    .map(|(i, c)| (i, *c))
-                    .take(k)
-                    .collect();
-                if fetch.len() < k {
+                if survivors.len() < k {
                     return Err(MetaError::TooManyFailures {
                         stripe_offset: offset,
                     });
                 }
-                let mut in_use: HashSet<u32> = shards
-                    .iter()
-                    .filter(|c| !failed.contains(&c.node))
-                    .map(|c| c.node)
-                    .collect();
-                let mut rebuild = Vec::with_capacity(missing.len());
-                for slot in missing {
-                    let node = self.choose_spare(&in_use).ok_or(MetaError::NoSpareNode)?;
-                    in_use.insert(node as u32);
-                    // Parity spares keep the (1 + k)-slot staging region
-                    // the INEC firmware path expects for this address
-                    // range, matching the original placement.
-                    let span = if slot >= k {
-                        chunk_len as u64 * (1 + k as u64)
+                survivors.truncate(k);
+                // Parity spares keep the (1 + k)-slot staging region the
+                // INEC firmware path expects for this address range,
+                // matching the original placement.
+                let chunk = chunk_len as u64;
+                let rebuild = self.plan_spares(&coords, |slot| {
+                    if slot >= k {
+                        chunk * (1 + k as u64)
                     } else {
-                        chunk_len as u64
-                    };
-                    let addr = self.alloc_on(node, span.max(1));
-                    rebuild.push((
-                        slot,
-                        ReplicaCoord {
-                            node: node as u32,
-                            addr,
-                        },
-                    ));
-                }
+                        chunk
+                    }
+                })?;
                 Ok(RepairPlan::EcRebuild {
                     scheme,
                     chunk_len,
-                    fetch,
+                    fetch: survivors,
                     rebuild,
                 })
             }
@@ -397,43 +336,36 @@ impl ControlPlane {
         // errors out below — either way it stops blocking compaction.
         self.inflight_repairs.remove(&task);
         let shard = self.shard_of(task.file);
-        let map = self.shards[shard]
-            .extents
+        let map = &mut self.shards[shard]
+            .files
             .get_mut(&task.file)
-            .ok_or(MetaError::UnknownFile(task.file))?;
+            .ok_or(MetaError::UnknownFile(task.file))?
+            .extents;
         // Snapshot the coordinates being replaced BEFORE the rehome
         // rewrites them: those copies stop being live data the moment the
         // map points elsewhere, and the ones on failed nodes become
         // orphans to reclaim at recovery.
-        let (old_coords, shard_bytes) = {
-            let rec = map.records().get(task.rec).ok_or(MetaError::NotFound)?;
-            let coords = rec.shard_coords();
-            let old: Vec<ReplicaCoord> = replacements
-                .iter()
-                .filter_map(|&(slot, _)| coords.iter().find(|(s, _)| *s == slot).map(|&(_, c)| c))
-                .collect();
-            (old, rec.shard_len() as u64)
-        };
+        let rec = map.records().get(task.rec).ok_or(MetaError::NotFound)?;
+        let shard_bytes = rec.shard_len() as u64;
+        let mut old_coords = rec.shard_coords();
+        old_coords.retain(|(slot, _)| replacements.iter().any(|(s, _)| s == slot));
         map.rehome(task.rec, replacements)?;
         let generation = map.generation();
-        self.log_apply(
-            shard,
-            MetaMutation::RepairRehome {
-                ino: task.file,
-                rec: task.rec,
-            },
-        );
+        let op = MetaMutation::RepairRehome {
+            ino: task.file,
+            rec: task.rec,
+        };
+        self.log_apply(shard, op);
         self.repair_queue.stats.committed += 1;
         self.repair_queue.stats.shards_rehomed += replacements.len() as u64;
         for &(_, coord) in replacements {
-            self.count_repair_placement(coord.node);
+            if let Some(stats) = self.node_stats(coord.node) {
+                stats.borrow_mut().repair_chunks_hosted += 1;
+            }
             self.hosted_add(coord.node, shard_bytes);
         }
-        for coord in old_coords {
+        for (_, coord) in old_coords {
             self.hosted_sub(coord.node, shard_bytes);
-            if self.failed_nodes.contains(&coord.node) {
-                self.orphan_add(coord.node, shard_bytes);
-            }
         }
         // A spare can itself fail while the repair's data movement is in
         // flight; the failure scan ran before this rehome so it could not

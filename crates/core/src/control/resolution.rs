@@ -21,40 +21,42 @@ impl ControlPlane {
         offset: u64,
         len: u32,
     ) -> Result<ReadPlan, MetaError> {
-        let meta = self.lookup(file)?;
+        let shard = self.shard_of(file);
+        let f = self.shards[shard]
+            .files
+            .get_mut(&file)
+            .ok_or(MetaError::UnknownFile(file))?;
         // Saturate: `offset + len` can exceed u64::MAX (a hostile or
         // buggy offset) — the overflow would panic in debug builds and
         // wrap in release, turning an out-of-range read into a bogus
         // plan. Saturating yields `end == size`, hence a clean
         // zero-length short read.
-        let end = offset.saturating_add(len as u64).min(meta.size);
+        let end = offset.saturating_add(len as u64).min(f.meta.size);
         let clamped = end.saturating_sub(offset) as u32;
+        // Nothing committed yet: the whole (clamped) range is a hole.
+        let plan = f.extents.resolve(offset, clamped, &self.failed_nodes);
+        // Sequential-scan detector over resolve traffic: two back-to-back
+        // resolves of the same file advertise the region ahead of the
+        // reader to every subscribed read cache (including other clients,
+        // which is where an advisory beats purely local detection).
+        let mut scanning = false;
+        if plan.is_ok() && clamped > 0 {
+            let sequential = f.scan.1 > 0 && offset == f.scan.0;
+            f.scan = (end, if sequential { f.scan.1 + 1 } else { 1 });
+            scanning = sequential && f.scan.1 >= 3;
+        }
         self.meta.stats.resolves += 1;
-        self.note_route(self.shard_of(file), ServiceClass::Resolve);
-        let plan = match self.extent_map(file) {
-            Some(map) => map.resolve(offset, clamped, &self.failed_nodes),
-            // Nothing committed yet: the whole (clamped) range is a hole.
-            None => ExtentMap::new().resolve(offset, clamped, &self.failed_nodes),
-        }?;
+        self.note_route(shard, ServiceClass::Resolve);
+        let plan = plan?;
         for piece in &plan.pieces {
             if let ReadPiece::Degraded { rec, .. } = piece {
                 self.repair_queue.promote(RepairTask { file, rec: *rec });
             }
         }
-        // Sequential-scan detector over resolve traffic: two back-to-back
-        // resolves of the same file advertise the region ahead of the
-        // reader to every subscribed read cache (including other clients,
-        // which is where an advisory beats purely local detection).
-        if clamped > 0 {
-            let entry = self.scan_tracker.entry(file).or_insert((0, 0));
-            let sequential = entry.1 > 0 && offset == entry.0;
-            entry.1 = if sequential { entry.1 + 1 } else { 1 };
-            entry.0 = end;
-            if sequential && entry.1 >= 3 {
-                let hint_len = (clamped as u64 * 4).min(1 << 20) as u32;
-                self.meta.note_prefetch_hint(file, end, hint_len);
-                self.publish_invalidations();
-            }
+        if scanning {
+            let hint_len = (clamped as u64 * 4).min(1 << 20) as u32;
+            self.meta.note_prefetch_hint(file, end, hint_len);
+            self.publish_invalidations();
         }
         Ok(plan)
     }
@@ -62,15 +64,20 @@ impl ControlPlane {
     /// The extent-map generation of `file` (bumped by commits, repair
     /// re-homing, and compaction; 0 before the first commit).
     pub fn extent_generation(&self, file: u64) -> u64 {
-        self.extent_map(file).map_or(0, |m| m.generation())
+        self.file(file).map_or(0, |f| f.extents.generation())
+    }
+
+    /// Every committed extent record in the cluster (see
+    /// `ControlPlane::all_files` on order).
+    pub(super) fn all_records(&self) -> impl Iterator<Item = &ExtentRecord> {
+        self.all_files().flat_map(|(_, f)| f.extents.records())
     }
 
     /// Bytes the extent maps currently place across the cluster — the
     /// conservation target for the hosted gauges: at any point,
     /// `sum(bytes_hosted) == live_extent_bytes()`.
     pub fn live_extent_bytes(&self) -> u64 {
-        self.all_extent_maps()
-            .flat_map(|(_, m)| m.records())
+        self.all_records()
             .map(|r| r.shard_len() as u64 * r.shard_coords().len() as u64)
             .sum()
     }
@@ -78,8 +85,7 @@ impl ControlPlane {
     /// Shards the extent maps currently place across the cluster — the
     /// conservation target for the `chunks_hosted` gauges.
     pub fn live_extent_shards(&self) -> u64 {
-        self.all_extent_maps()
-            .flat_map(|(_, m)| m.records())
+        self.all_records()
             .map(|r| r.shard_coords().len() as u64)
             .sum()
     }
@@ -100,33 +106,25 @@ impl ControlPlane {
         {
             return;
         }
-        let shard = self.shard_of(file);
-        let floor = self.shards[shard]
-            .compact_floor
-            .get(&file)
-            .copied()
-            .unwrap_or(0);
-        let threshold = COMPACT_MIN.max(2 * floor);
-        let Some(map) = self.shards[shard].extents.get_mut(&file) else {
+        let shard = &mut self.shards[self.router.route(file)];
+        let Some(f) = shard.files.get_mut(&file) else {
             return;
         };
-        if map.len() < threshold {
+        if f.extents.len() < COMPACT_MIN.max(2 * f.compact_floor) {
             return;
         }
-        let before: Vec<ExtentRecord> = map.records().to_vec();
-        let result = map.compact();
-        let new_len = map.len();
-        let generation = map.generation();
-        self.shards[shard].compact_floor.insert(file, new_len);
+        let before: Vec<ExtentRecord> = f.extents.records().to_vec();
+        let result = f.extents.compact();
+        f.compact_floor = f.extents.len();
+        let generation = f.extents.generation();
         if result.dropped == 0 {
             return;
         }
-        self.shards[shard].stats.compactions += 1;
-        self.shards[shard].stats.records_dropped += result.dropped as u64;
-        for (i, slot) in result.remap.iter().enumerate() {
+        shard.stats.compactions += 1;
+        shard.stats.records_dropped += result.dropped as u64;
+        for (rec, slot) in before.iter().zip(&result.remap) {
             if slot.is_none() {
-                let rec = before[i].clone();
-                self.unhost_record(&rec);
+                self.unhost_record(rec);
             }
         }
         self.meta.note_extent_commit(file, generation);

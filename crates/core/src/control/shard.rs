@@ -1,7 +1,6 @@
-//! Metadata shards, per-shard op logs, and the cross-shard transaction
-//! protocol.
+//! Metadata shards, per-shard op logs, and the one mutation path.
 //!
-//! Each shard owns the `FileMeta` / `ExtentMap` state for the inos the
+//! Each shard owns one [`FileState`] record per file the
 //! [`super::router::ShardRouter`] maps to it, plus an append-only op log.
 //! Mutations are *asynchronous* (AsyncFS-style): the owning shard appends
 //! the mutation to its log and the client is acked after the append — the
@@ -9,14 +8,17 @@
 //! The log is therefore the unit of durability, and (ROADMAP item 3) the
 //! natural unit of replication for a per-shard consensus group.
 //!
-//! Operations whose participants span shards (rename across parent
-//! directories, unlink whose parent and target hash apart) run a
-//! two-phase intent/commit protocol: every participant logs an `Intent`,
-//! the coordinator applies and logs `Applied`, then all participants log
-//! `Commit`. [`super::ControlPlane::recover_shards`] replays the logs
-//! after a crash: a dangling intent rolls forward iff some shard logged
-//! `Applied`, and rolls back otherwise — exercised by the fault harness
-//! via [`CrashPoint`].
+//! Every namespace mutation runs through `ControlPlane::transact`: a
+//! participant set plus an apply step. One participant logs `Apply` and
+//! is done. Several (rename across parent directories, unlink whose
+//! parent and target hash apart) run a two-phase intent/commit protocol:
+//! every participant logs an `Intent`, the coordinator applies and logs
+//! `Applied`, then all participants log `Commit`.
+//! [`ControlPlane::recover_shards`] replays the logs after a crash: a
+//! dangling intent rolls forward iff some shard logged `Applied`, and
+//! rolls back otherwise. Every log record goes through
+//! `ControlPlane::append`, which is also where the fault harness's
+//! [`ControlPlane::crash_after_appends`] switch kills the coordinator.
 
 use super::*;
 
@@ -45,7 +47,8 @@ pub enum LogEntry {
     /// Cross-shard transaction phase 2: the transaction is durable
     /// everywhere; recovery ignores it.
     Commit { txid: u64 },
-    /// Recovery rolled the transaction back (no `Applied` witness).
+    /// The transaction never happened: validation refused it, or
+    /// recovery rolled it back (no `Applied` witness).
     Abort { txid: u64 },
 }
 
@@ -116,36 +119,45 @@ pub struct ShardStats {
     pub records_dropped: u64,
 }
 
-/// One metadata shard: the partition's file/extent state, its op log,
-/// and the single-server queue the admission model charges against.
+/// Everything the control plane holds about one file, under one key:
+/// create installs it, unlink and rename-replace remove it, and nothing
+/// about a file lives anywhere else.
+#[derive(Debug)]
+pub struct FileState {
+    pub meta: FileMeta,
+    /// Committed extents (empty until the first commit).
+    pub extents: ExtentMap,
+    /// The map's length after its last compaction, so the next one only
+    /// triggers after real growth.
+    pub compact_floor: usize,
+    /// Sequential-scan detector over resolve traffic: where the last
+    /// resolve ended, and how many have run back-to-back.
+    pub scan: (u64, u32),
+}
+
+/// One metadata shard: the partition's files, its op log, and the
+/// single-server queue the admission model charges against.
 #[derive(Debug)]
 pub struct MetaShard {
     pub id: usize,
-    /// FileMeta for inos this shard owns.
-    pub files: HashMap<u64, FileMeta>,
-    /// Committed extent maps for files this shard owns.
-    pub extents: HashMap<u64, ExtentMap>,
+    /// One record per file this shard owns, by ino.
+    pub files: IdMap<u64, FileState>,
     /// The shard's append-only mutation log.
     pub log: OpLog,
     /// When this shard next becomes free (simulated ps) — the
     /// single-server queue behind which routed ops wait.
     pub busy_until_ps: u64,
     pub stats: ShardStats,
-    /// Per-file compaction watermark: the map length after the last
-    /// compaction, so the next one only triggers after real growth.
-    pub compact_floor: HashMap<u64, usize>,
 }
 
 impl MetaShard {
     pub fn new(id: usize) -> MetaShard {
         MetaShard {
             id,
-            files: HashMap::new(),
-            extents: HashMap::new(),
+            files: IdMap::default(),
             log: OpLog::default(),
             busy_until_ps: 0,
             stats: ShardStats::default(),
-            compact_floor: HashMap::new(),
         }
     }
 }
@@ -157,19 +169,6 @@ pub enum ServiceClass {
     Resolve,
 }
 
-/// Deterministic mid-transaction kill switch for the fault harness: the
-/// next cross-shard transaction dies at the given point (the switch
-/// clears itself — one kill per arm).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CrashPoint {
-    /// Die after every participant logged `Intent`, before the apply:
-    /// recovery must roll the transaction back.
-    AfterIntent,
-    /// Die after the apply and the coordinator's `Applied` record,
-    /// before any `Commit`: recovery must roll the transaction forward.
-    AfterApply,
-}
-
 /// What [`ControlPlane::recover_shards`] did with the dangling intents
 /// it found.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -179,10 +178,16 @@ pub struct TxRecovery {
 }
 
 impl ControlPlane {
-    /// Arm the deterministic crash switch: the next cross-shard
-    /// transaction dies at `point` (and disarms it).
-    pub fn set_crash_point(&mut self, point: CrashPoint) {
-        self.crash_point = Some(point);
+    /// Arm the deterministic crash switch (fault harness): the
+    /// coordinator dies right after the `n`-th transaction record it
+    /// appends from now on — `Intent`, `Applied`, `Commit` or `Abort`;
+    /// single-shard `Apply` records are acked in place and do not count.
+    /// The op in flight returns [`MetaError::TxAborted`] whatever it had
+    /// applied by then, and the switch disarms itself. A cross-shard op
+    /// that succeeds appends `2 × participants + 1` records, so sweeping
+    /// `n` over that range visits every crash boundary of the protocol.
+    pub fn crash_after_appends(&mut self, n: u32) {
+        self.crash_after = n;
     }
 
     /// Admission control for the most recent routed operation: charge
@@ -218,61 +223,90 @@ impl ControlPlane {
         self.last_route = Some((shard, class));
     }
 
+    /// The one op-log append, and the one place the crash switch is
+    /// checked: `Err(TxAborted)` means the coordinator died with `entry`
+    /// durable and nothing after it.
+    fn append(&mut self, shard: usize, entry: LogEntry) -> Result<(), MetaError> {
+        let in_transaction = !matches!(entry, LogEntry::Apply { .. });
+        self.shards[shard].log.append(entry);
+        if in_transaction && self.crash_after > 0 {
+            self.crash_after -= 1;
+            if self.crash_after == 0 {
+                return Err(MetaError::TxAborted);
+            }
+        }
+        Ok(())
+    }
+
     /// Log a single-shard mutation on `shard` (the async-ack point).
     pub(super) fn log_apply(&mut self, shard: usize, op: MetaMutation) {
-        self.shards[shard].log.append(LogEntry::Apply { op });
+        self.append(shard, LogEntry::Apply { op })
+            .expect("Apply records are outside the crash switch");
     }
 
-    pub(super) fn alloc_txid(&mut self) -> u64 {
-        let t = self.next_txid;
-        self.next_txid += 1;
-        t
-    }
-
-    /// Phase 1 of a cross-shard transaction: log `Intent` on every
-    /// participant. Returns `Err(TxAborted)` if the armed crash point
-    /// kills the coordinator here (namespace untouched; recovery will
-    /// roll back).
-    pub(super) fn tx_intent(
+    /// The one namespace-mutation path: route to `coordinator`, run
+    /// `apply`, log, publish the invalidations the apply queued.
+    ///
+    /// The participant set is `coordinator` plus whichever of `others`
+    /// are distinct shards (at most three in all — a rename's two parent
+    /// directories and a replaced target — so it lives on the stack),
+    /// visited in shard order. One participant: `apply`, then an `Apply`
+    /// record if it succeeded. Several: `Intent` on each, `apply`, then
+    /// `Applied` on the coordinator and `Commit` on each — or `Abort` on
+    /// each when validation refused the op, so recovery has nothing to
+    /// do. A crash (see `append`) leaves whatever was logged so far for
+    /// [`Self::recover_shards`].
+    ///
+    /// `op` is what the log records. A create or mkdir learns its ino
+    /// only by applying, so `apply` may rewrite `op` before it is logged;
+    /// an `Intent` is logged first and records `op` as passed.
+    pub(super) fn transact<T>(
         &mut self,
-        txid: u64,
-        participants: &[usize],
-        op: MetaMutation,
-    ) -> Result<(), MetaError> {
-        for &s in participants {
-            self.shards[s].log.append(LogEntry::Intent {
-                txid,
-                op: op.clone(),
-            });
+        coordinator: usize,
+        others: [Option<usize>; 2],
+        mut op: MetaMutation,
+        apply: impl FnOnce(&mut Self, &mut MetaMutation) -> Result<T, MetaError>,
+    ) -> Result<T, MetaError> {
+        let mut set = [coordinator; 3];
+        let mut n = 1;
+        for s in others.into_iter().flatten() {
+            if !set[..n].contains(&s) {
+                set[n] = s;
+                n += 1;
+            }
         }
-        if self.crash_point == Some(CrashPoint::AfterIntent) {
-            self.crash_point = None;
-            return Err(MetaError::TxAborted);
+        let participants = &mut set[..n];
+        participants.sort_unstable();
+        self.note_route(coordinator, ServiceClass::Mutation);
+        let txid = (n > 1).then(|| {
+            self.next_txid += 1;
+            self.next_txid - 1
+        });
+        if let Some(txid) = txid {
+            for &s in participants.iter() {
+                let op = op.clone();
+                self.append(s, LogEntry::Intent { txid, op })?;
+            }
         }
-        Ok(())
-    }
-
-    /// Phase 2: the coordinator witnessed the apply. Returns
-    /// `Err(TxAborted)` if the armed crash point kills the coordinator
-    /// here (mutation applied but unacked; recovery rolls forward).
-    pub(super) fn tx_applied(&mut self, txid: u64, coordinator: usize) -> Result<(), MetaError> {
-        self.shards[coordinator]
-            .log
-            .append(LogEntry::Applied { txid });
-        if self.crash_point == Some(CrashPoint::AfterApply) {
-            self.crash_point = None;
-            return Err(MetaError::TxAborted);
+        let r = apply(self, &mut op);
+        self.publish_invalidations();
+        match (txid, &r) {
+            (None, Ok(_)) => self.log_apply(coordinator, op),
+            (None, Err(_)) => {}
+            (Some(txid), Ok(_)) => {
+                self.append(coordinator, LogEntry::Applied { txid })?;
+                for &s in participants.iter() {
+                    self.append(s, LogEntry::Commit { txid })?;
+                }
+                self.shards[coordinator].stats.cross_shard_txns += 1;
+            }
+            (Some(txid), Err(_)) => {
+                for &s in participants.iter() {
+                    self.append(s, LogEntry::Abort { txid })?;
+                }
+            }
         }
-        Ok(())
-    }
-
-    /// Phase 3: commit everywhere; the coordinator counts the
-    /// transaction.
-    pub(super) fn tx_commit(&mut self, txid: u64, participants: &[usize], coordinator: usize) {
-        for &s in participants {
-            self.shards[s].log.append(LogEntry::Commit { txid });
-        }
-        self.shards[coordinator].stats.cross_shard_txns += 1;
+        r
     }
 
     /// Crash recovery for the shard logs: resolve every dangling intent.
@@ -281,29 +315,31 @@ impl ControlPlane {
     /// (append `Abort`s — the namespace mutation never happened, per
     /// the intent-before-apply protocol order).
     pub fn recover_shards(&mut self) -> TxRecovery {
-        let mut dangling: Vec<u64> = self
+        // This is the restart: a switch still armed belonged to the
+        // process that died.
+        self.crash_after = 0;
+        let mut dangling: Vec<(u64, usize)> = self
             .shards
             .iter()
-            .flat_map(|s| s.log.dangling_intents())
+            .flat_map(|s| s.log.dangling_intents().into_iter().map(|t| (t, s.id)))
             .collect();
         dangling.sort_unstable();
-        dangling.dedup();
         let mut rec = TxRecovery::default();
-        for txid in dangling {
+        for group in dangling.chunk_by(|a, b| a.0 == b.0) {
+            let txid = group[0].0;
             let applied = self.shards.iter().any(|s| s.log.has_applied(txid));
-            for s in &mut self.shards {
-                if s.log.dangling_intents().contains(&txid) {
-                    s.log.append(if applied {
-                        LogEntry::Commit { txid }
-                    } else {
-                        LogEntry::Abort { txid }
-                    });
-                }
-            }
             if applied {
                 rec.rolled_forward += 1;
             } else {
                 rec.rolled_back += 1;
+            }
+            for &(_, shard) in group {
+                let entry = if applied {
+                    LogEntry::Commit { txid }
+                } else {
+                    LogEntry::Abort { txid }
+                };
+                self.append(shard, entry).expect("switch disarmed above");
             }
         }
         rec

@@ -30,8 +30,8 @@ pub use client::{
 pub use cluster::{ClusterSpec, QosConfig, SimCluster, StorageMode};
 pub use config::{CostModel, HandlerCosts, MetaCosts};
 pub use control::{
-    ControlPlane, CrashPoint, FileMeta, FilePolicy, MetaShard, RepairPlan, RepairQueue,
-    RepairStats, RepairTask, ShardRouter, ShardStats, StripeTarget, TxRecovery, WritePlacement,
+    ControlPlane, FileMeta, FilePolicy, MetaShard, RepairPlan, RepairQueue, RepairStats,
+    RepairTask, ShardRouter, ShardStats, StripeTarget, TxRecovery, WritePlacement,
 };
 pub use experiments::{
     ec_encode_latency_us, ec_encode_throughput_gbit, handler_report, pipeline_breakdown_ns,

@@ -33,6 +33,9 @@ pub enum MetaError {
     /// Repair needs a spare storage node, but every node is either failed
     /// or already hosts a shard of the extent being re-protected.
     NoSpareNode,
+    /// The file's resiliency policy cannot be placed on this cluster:
+    /// zero replicas or shards, or more of them than storage nodes.
+    InvalidPolicy,
     /// A cross-shard metadata transaction died mid-protocol (the
     /// coordinator crashed between the intent and commit records); shard
     /// recovery rolls the intent back and the operation never applied.
@@ -63,6 +66,9 @@ impl fmt::Display for MetaError {
             }
             MetaError::NoSpareNode => {
                 write!(f, "no spare storage node available for repair placement")
+            }
+            MetaError::InvalidPolicy => {
+                write!(f, "resiliency policy does not fit the cluster")
             }
             MetaError::TxAborted => {
                 write!(f, "cross-shard metadata transaction aborted mid-flight")

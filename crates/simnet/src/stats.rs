@@ -1,19 +1,29 @@
-//! Measurement helpers: samplers with percentiles, counters, and
-//! time-weighted utilization tracking.
+//! Measurement helpers: running scalar summaries.
 
-use std::cell::RefCell;
+use crate::time::Dur;
 
-use crate::time::{Dur, Time};
-
-/// Collects scalar samples and answers summary queries.
+/// A running summary of scalar samples: count, sum, minimum, maximum.
 ///
-/// Percentile queries sort lazily into an interior cache that recording
-/// invalidates, so a multi-percentile summary sorts once instead of
-/// cloning and re-sorting the sample vector per query.
-#[derive(Clone, Debug, Default)]
+/// Nothing reads back individual samples, so none are kept — a pSPIN
+/// packet records seven of these. The sum accumulates in arrival order,
+/// so `mean()` is bit-for-bit what summing a stored vector would give.
+#[derive(Clone, Debug)]
 pub struct Sampler {
-    samples: Vec<f64>,
-    sorted: RefCell<Option<Vec<f64>>>,
+    n: usize,
+    sum: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Default for Sampler {
+    fn default() -> Sampler {
+        Sampler {
+            n: 0,
+            sum: 0.0,
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
+        }
+    }
 }
 
 impl Sampler {
@@ -22,8 +32,10 @@ impl Sampler {
     }
 
     pub fn record(&mut self, v: f64) {
-        self.samples.push(v);
-        self.sorted.borrow_mut().take();
+        self.n += 1;
+        self.sum += v;
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
     }
 
     pub fn record_dur_ns(&mut self, d: Dur) {
@@ -31,101 +43,27 @@ impl Sampler {
     }
 
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.n
     }
 
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.n == 0
     }
 
+    /// NaN when nothing was recorded.
     pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
+        if self.n == 0 {
             return f64::NAN;
         }
-        self.samples.iter().sum::<f64>() / self.samples.len() as f64
+        self.sum / self.n as f64
     }
 
     pub fn min(&self) -> f64 {
-        self.samples.iter().copied().fold(f64::INFINITY, f64::min)
+        self.min
     }
 
     pub fn max(&self) -> f64 {
-        self.samples
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Percentile by nearest-rank (q in [0, 100]). The first query after a
-    /// record sorts into the cache; subsequent queries are O(1).
-    pub fn percentile(&self, q: f64) -> f64 {
-        if self.samples.is_empty() {
-            return f64::NAN;
-        }
-        let mut cache = self.sorted.borrow_mut();
-        let v = cache.get_or_insert_with(|| {
-            let mut v = self.samples.clone();
-            v.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
-            v
-        });
-        let rank = ((q / 100.0) * (v.len() - 1) as f64).round() as usize;
-        v[rank.min(v.len() - 1)]
-    }
-
-    /// Multi-percentile summary in one pass: at most one sort, then an
-    /// indexed lookup per requested quantile.
-    pub fn percentiles(&self, qs: &[f64]) -> Vec<f64> {
-        qs.iter().map(|&q| self.percentile(q)).collect()
-    }
-
-    pub fn median(&self) -> f64 {
-        self.percentile(50.0)
-    }
-
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
-
-    pub fn clear(&mut self) {
-        self.samples.clear();
-        self.sorted.borrow_mut().take();
-    }
-}
-
-/// Tracks the fraction of time a resource was busy.
-#[derive(Clone, Debug, Default)]
-pub struct Utilization {
-    busy: Dur,
-    busy_since: Option<Time>,
-}
-
-impl Utilization {
-    pub fn set_busy(&mut self, now: Time) {
-        if self.busy_since.is_none() {
-            self.busy_since = Some(now);
-        }
-    }
-
-    pub fn set_idle(&mut self, now: Time) {
-        if let Some(s) = self.busy_since.take() {
-            self.busy += now.since(s);
-        }
-    }
-
-    /// Busy time accumulated so far (closing any open interval at `now`).
-    pub fn busy_time(&self, now: Time) -> Dur {
-        match self.busy_since {
-            Some(s) => self.busy + now.since(s),
-            None => self.busy,
-        }
-    }
-
-    pub fn fraction(&self, now: Time, since: Time) -> f64 {
-        let total = now.since(since);
-        if total == Dur::ZERO {
-            return 0.0;
-        }
-        self.busy_time(now).as_ns() / total.as_ns()
+        self.max
     }
 }
 
@@ -143,49 +81,26 @@ mod tests {
         assert!((s.mean() - 3.0).abs() < 1e-12);
         assert_eq!(s.min(), 1.0);
         assert_eq!(s.max(), 5.0);
-        assert_eq!(s.median(), 3.0);
-        assert_eq!(s.percentile(0.0), 1.0);
-        assert_eq!(s.percentile(100.0), 5.0);
     }
 
     #[test]
     fn sampler_empty_is_nan() {
         let s = Sampler::new();
         assert!(s.mean().is_nan());
-        assert!(s.percentile(50.0).is_nan());
         assert!(s.is_empty());
+        assert_eq!((s.min(), s.max()), (f64::INFINITY, f64::NEG_INFINITY));
     }
 
     #[test]
-    fn percentile_cache_invalidated_by_record() {
+    fn mean_matches_summing_the_samples_in_arrival_order() {
+        // Values whose sum depends on the order of additions: the running
+        // sum must round exactly as a left-to-right sum of the vector.
+        let vs = [1e16, 3.0, -1e16, 0.1, 2106.0, 1e-9, 7.25];
         let mut s = Sampler::new();
-        s.record(10.0);
-        assert_eq!(s.percentile(50.0), 10.0); // fills the sorted cache
-        s.record(1.0); // must invalidate it
-        assert_eq!(s.percentile(0.0), 1.0);
-        assert_eq!(s.percentiles(&[0.0, 50.0, 100.0]), vec![1.0, 10.0, 10.0]);
-        s.clear();
-        assert!(s.percentile(50.0).is_nan());
-    }
-
-    #[test]
-    fn utilization_accumulates_intervals() {
-        let mut u = Utilization::default();
-        u.set_busy(Time(100));
-        u.set_idle(Time(300));
-        u.set_busy(Time(500));
-        u.set_idle(Time(600));
-        assert_eq!(u.busy_time(Time(600)), Dur(300));
-        assert!((u.fraction(Time(600), Time(100)) - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn utilization_open_interval_counts() {
-        let mut u = Utilization::default();
-        u.set_busy(Time(0));
-        assert_eq!(u.busy_time(Time(250)), Dur(250));
-        // Double set_busy is idempotent.
-        u.set_busy(Time(100));
-        assert_eq!(u.busy_time(Time(250)), Dur(250));
+        for v in vs {
+            s.record(v);
+        }
+        let stored = vs.iter().sum::<f64>() / vs.len() as f64;
+        assert_eq!(s.mean().to_bits(), stored.to_bits());
     }
 }

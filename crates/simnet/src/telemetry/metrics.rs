@@ -1,10 +1,11 @@
 //! The central metrics registry: named counters, gauges, and fixed-bucket
 //! log2 histograms, snapshotted into a stable serialized schema.
 //!
-//! Unlike [`crate::stats::Sampler`], the histogram here never stores raw
-//! samples: recording is O(1) into one of 64 power-of-two buckets, and
-//! percentile queries walk the bucket array. That makes it safe to leave
-//! metrics on in hot paths and to snapshot at any time.
+//! The histogram here never stores raw samples: recording is O(1) into
+//! one of 64 power-of-two buckets, and percentile queries walk the bucket
+//! array. That makes it safe to leave metrics on in hot paths and to
+//! snapshot at any time. ([`crate::stats::Sampler`] is the cheaper
+//! sibling for a series only ever read as a mean.)
 
 use std::collections::BTreeMap;
 

@@ -396,3 +396,68 @@ fn triec_buffer_ring_has_no_misses_after_the_first_op() {
     );
     assert_eq!(stats.dropped, 0, "ring overflowed: {stats:?}");
 }
+
+/// §VI-B-3: a parity node that cannot reserve NIC accumulators for a
+/// stripe (one per packet of a chunk) aggregates it on the host CPU
+/// instead. A one-accumulator pool cannot hold a 50 000-byte chunk's, so
+/// both parity nodes fall back — and the parities must come out the same.
+#[test]
+fn accumulator_exhaustion_falls_back_to_cpu_aggregation() {
+    let scheme = RsScheme::new(3, 2);
+    for interleave in [true, false] {
+        let spec = ClusterSpec::new(1, 5, StorageMode::Spin).with_accumulator_pool(1);
+        let mut c = SimCluster::build(spec);
+        let file = c
+            .control
+            .borrow_mut()
+            .create_file(0, FilePolicy::ErasureCoded { scheme })
+            .id;
+        c.submit(
+            0,
+            Job::Write {
+                file,
+                size: 150_000,
+                protocol: WriteProtocol::SpinTriec { interleave },
+                seed: 77,
+            },
+        );
+        c.start();
+        assert_eq!(c.run_until_writes(1, 1_000), 1, "interleave={interleave}");
+        let r = c.results.borrow().writes[0].clone();
+        assert_eq!(r.status, Status::Ok, "interleave={interleave}");
+
+        let chunk_len = r.placement.chunk_len as usize;
+        let stored = |coord: &nadfs_wire::ReplicaCoord| {
+            let idx = c.storage_index(coord.node as usize);
+            c.storage_mems[idx].borrow().read(coord.addr, chunk_len)
+        };
+        let data: Vec<Vec<u8>> = r.placement.data_chunks.iter().map(stored).collect();
+        let data: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+        let expect = ReedSolomon::new(3, 2)
+            .expect("params")
+            .encode(&data)
+            .expect("encode");
+        for (p, coord) in r.placement.parities.iter().enumerate() {
+            assert_eq!(
+                stored(coord),
+                expect[p],
+                "interleave={interleave} parity {p}"
+            );
+            let idx = c.storage_index(coord.node as usize);
+            assert_eq!(
+                c.storage_stats[idx].borrow().fallback_aggregations,
+                1,
+                "interleave={interleave}: parity node {p} fell back once"
+            );
+        }
+        let fallbacks: u64 = c
+            .storage_stats
+            .iter()
+            .map(|s| s.borrow().fallback_aggregations)
+            .sum();
+        assert_eq!(
+            fallbacks, 2,
+            "interleave={interleave}: and no other node did"
+        );
+    }
+}

@@ -1,7 +1,8 @@
 //! Sharded-metadata-plane integration tests: cross-shard rename/unlink
-//! racing foreground I/O, mid-transaction kills (the 2PC crash points)
-//! resolved by shard-log recovery, workload spread across the shard
-//! space, and the `meta.shard.N.*` telemetry surface.
+//! racing foreground I/O, mid-transaction kills resolved by shard-log
+//! recovery (swept over every op-log append of the 2PC protocol),
+//! workload spread across the shard space, and the `meta.shard.N.*`
+//! telemetry surface.
 //!
 //! Runs under the CI fault-seed matrix (`NADFS_FAULT_SEED`): victim
 //! selection in the kill tests is seed-driven, so a failing interleaving
@@ -11,8 +12,8 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use nadfs_core::{
-    ClusterSpec, ControlPlane, CrashPoint, FilePolicy, FsClient, Job, LayoutSpec, MetaError,
-    MetaOp, MetaWorkload, SimCluster, StorageMode, TxRecovery, WriteProtocol,
+    ClusterSpec, ControlPlane, FilePolicy, FsClient, InodeAttr, InodeKind, Job, LayoutSpec,
+    MetaError, MetaOp, MetaWorkload, SimCluster, StorageMode, TxRecovery, WriteProtocol,
 };
 use nadfs_tests::{
     assert_bytes_converged, assert_hosted_conserved, assert_span_hygiene,
@@ -125,10 +126,10 @@ fn cross_shard_rename_races_a_concurrent_write() {
 #[test]
 fn mid_rename_kill_rolls_back_and_the_cluster_converges() {
     // The full fault-harness interleaving: a replicated file under
-    // writes, a cross-shard rename killed AfterIntent (client sees
-    // TxAborted, namespace untouched), a seed-chosen storage-node kill
-    // racing the whole thing, then repair drain + shard-log recovery.
-    // Every invariant must hold at quiesce.
+    // writes, a cross-shard rename killed after its last `Intent` (client
+    // sees TxAborted, namespace untouched), a seed-chosen storage-node
+    // kill racing the whole thing, then repair drain + shard-log
+    // recovery. Every invariant must hold at quiesce.
     let seed = seed_from_env();
     let cluster = sharded_cluster(1, 5, 4);
     let dirs = make_dirs(&cluster, 8);
@@ -152,11 +153,9 @@ fn mid_rename_kill_rolls_back_and_the_cluster_converges() {
     fsc.write_at(&h, 0, &payload).expect("write");
     plan.note_write(&mut fsc); // a storage node dies here
 
-    // The rename dies between intent and apply.
-    fsc.cluster
-        .control
-        .borrow_mut()
-        .set_crash_point(CrashPoint::AfterIntent);
+    // The rename dies between intent and apply: two participants, so
+    // the second append is the last `Intent`.
+    fsc.cluster.control.borrow_mut().crash_after_appends(2);
     let from = format!("{}/f", pair.0);
     let to = format!("{}/f", pair.1);
     let err = fsc
@@ -168,7 +167,7 @@ fn mid_rename_kill_rolls_back_and_the_cluster_converges() {
     assert_eq!(err, MetaError::TxAborted);
     assert!(
         fsc.cluster.control.borrow_mut().lookup_path(&from).is_ok(),
-        "AfterIntent: the namespace never moved"
+        "killed before the apply: the namespace never moved"
     );
 
     // Recovery rolls the dangling intents back, repair re-protects the
@@ -198,9 +197,10 @@ fn mid_rename_kill_rolls_back_and_the_cluster_converges() {
 
 #[test]
 fn crash_after_apply_is_durable_despite_the_lost_ack() {
-    // The other 2PC crash point, driven through a live cluster: the
-    // mutation applied but the ack was lost. Recovery must roll forward
-    // — the client's retry then observes the rename already done.
+    // A kill on the other side of the apply, driven through a live
+    // cluster: the mutation applied but the ack was lost. Recovery must
+    // roll forward — the client's retry then observes the rename
+    // already done.
     let cluster = sharded_cluster(1, 3, 4);
     let dirs = make_dirs(&cluster, 8);
     let pair = cross_shard_dir_pair(&cluster, &dirs).expect("8 dirs over 4 shards");
@@ -213,10 +213,8 @@ fn crash_after_apply_is_durable_despite_the_lost_ack() {
             FilePolicy::Plain,
         )
         .expect("create");
-    cluster
-        .control
-        .borrow_mut()
-        .set_crash_point(CrashPoint::AfterApply);
+    // Two `Intent`s, then the coordinator's `Applied` is the third append.
+    cluster.control.borrow_mut().crash_after_appends(3);
     let from = format!("{}/f", pair.0);
     let to = format!("{}/f", pair.1);
     assert_eq!(
@@ -326,6 +324,216 @@ fn shard_metrics_are_exported_per_shard() {
         .filter_map(|i| snap.gauge(&format!("meta.shard.{i}.log_len")))
         .sum();
     assert!(total_log >= 5.0, "every mutation logged: {total_log}");
+}
+
+// ---------------------------------------------------------------------
+// The crash sweep: kill each kind of cross-shard transaction after every
+// one of its op-log appends, and hold recovery to the single-shard
+// shadow that did (or did not) run the op.
+// ---------------------------------------------------------------------
+
+const SWEEP_DIRS: usize = 8;
+const SWEEP_FILES: usize = 4;
+
+/// Eight directories of four files, each file with one committed 4 KiB
+/// extent, on a cluster whose storage nodes carry the hosted gauges. The
+/// namespace does not depend on the shard count, so a 1-shard build is
+/// the shadow of a 4-shard one.
+fn sweep_fixture(shards: usize) -> SimCluster {
+    let cl = sharded_cluster(1, 4, shards);
+    for d in make_dirs(&cl, SWEEP_DIRS) {
+        for f in 0..SWEEP_FILES {
+            let mut c = cl.control.borrow_mut();
+            let id = c
+                .create_file_at(&format!("{d}/f{f}"), LayoutSpec::SINGLE, FilePolicy::Plain)
+                .expect("create")
+                .id;
+            let p = c.place_write(id, 4096).expect("place");
+            c.commit_write(id, &p, 4096);
+        }
+    }
+    cl
+}
+
+/// Every entry under `/`, depth first, with its full attributes.
+fn listing(cl: &SimCluster) -> Vec<(String, InodeAttr)> {
+    let mut out = Vec::new();
+    let mut stack = vec![String::new()];
+    while let Some(dir) = stack.pop() {
+        let at = if dir.is_empty() { "/" } else { dir.as_str() };
+        for (name, attr) in cl.control.borrow_mut().readdir(at).expect("readdir") {
+            let path = format!("{dir}/{name}");
+            if attr.kind == InodeKind::Dir {
+                stack.push(path.clone());
+            }
+            out.push((path, attr));
+        }
+    }
+    out.sort_by(|a, b| a.0.cmp(&b.0));
+    out
+}
+
+/// One transaction under the sweep: a rename (`to` set) or an unlink of
+/// `path`, and the file it deletes.
+struct Swept {
+    name: &'static str,
+    participants: u32,
+    path: String,
+    to: Option<String>,
+    /// The ino the applied op removes (replaced or unlinked), if any.
+    removes: Option<u64>,
+}
+
+impl Swept {
+    fn run(&self, cl: &SimCluster) -> Result<(), MetaError> {
+        let mut c = cl.control.borrow_mut();
+        match &self.to {
+            Some(to) => c.rename(&self.path, to, 9),
+            None => c.unlink(&self.path, 9).map(|_| ()),
+        }
+    }
+}
+
+/// Pick each op's paths off a 4-shard fixture so that its participants
+/// hash to `participants` distinct shards.
+fn swept_ops() -> Vec<Swept> {
+    let cl = sweep_fixture(4);
+    let dirs: Vec<String> = (0..SWEEP_DIRS).map(|i| format!("/t{i}")).collect();
+    let ino = |p: &str| cl.control.borrow().meta.ns.resolve(p).expect("exists");
+    let shard = |p: &str| cl.control.borrow().shard_of(ino(p));
+    let files =
+        |d: &str| -> Vec<String> { (0..SWEEP_FILES).map(|f| format!("{d}/f{f}")).collect() };
+
+    let (from_dir, to_dir) = cross_shard_dir_pair(&cl, &dirs).expect("8 dirs over 4 shards");
+    let rename = Swept {
+        name: "rename",
+        participants: 2,
+        path: format!("{from_dir}/f0"),
+        to: Some(format!("{to_dir}/moved")),
+        removes: None,
+    };
+
+    // A target whose own shard is neither parent's: three participants.
+    let over = files(&to_dir)
+        .into_iter()
+        .find(|t| ![shard(&from_dir), shard(&to_dir)].contains(&shard(t)))
+        .expect("a file of the target directory on a third shard");
+    let replace = Swept {
+        name: "rename-replace",
+        participants: 3,
+        path: format!("{from_dir}/f1"),
+        removes: Some(ino(&over)),
+        to: Some(over),
+    };
+
+    let gone = dirs
+        .iter()
+        .flat_map(|d| files(d).into_iter().map(move |f| (d, f)))
+        .find(|(d, f)| shard(d) != shard(f))
+        .map(|(_, f)| f)
+        .expect("a file hashed apart from its directory");
+    let unlink = Swept {
+        name: "unlink",
+        participants: 2,
+        removes: Some(ino(&gone)),
+        path: gone,
+        to: None,
+    };
+    vec![rename, replace, unlink]
+}
+
+#[test]
+fn every_append_of_a_cross_shard_transaction_is_a_survivable_crash_point() {
+    for op in swept_ops() {
+        let p = op.participants;
+        let before = listing(&sweep_fixture(1));
+        let after = {
+            let shadow = sweep_fixture(1);
+            op.run(&shadow).expect("the shadow runs the op");
+            listing(&shadow)
+        };
+        assert_ne!(
+            before, after,
+            "{}: the op must change the namespace",
+            op.name
+        );
+
+        let logged =
+            |cl: &SimCluster| -> usize { cl.control.borrow().shard_log_lens().iter().sum() };
+        let mut kills = 0;
+        for n in 1.. {
+            let ctx = format!("{} killed after append {n}", op.name);
+            let cl = sweep_fixture(4);
+            let logged_before = logged(&cl);
+            cl.control.borrow_mut().crash_after_appends(n);
+            match op.run(&cl) {
+                Ok(()) => {
+                    assert_eq!(listing(&cl), after, "{ctx}: survived, so applied");
+                    break;
+                }
+                Err(e) => assert_eq!(e, MetaError::TxAborted, "{ctx}"),
+            }
+            kills += 1;
+            assert_eq!(logged(&cl) - logged_before, n as usize, "{ctx}: died there");
+
+            // p `Intent`s, then `Applied`, then p `Commit`s: the op took
+            // effect iff the kill came after `Applied`, and something is
+            // left dangling unless the kill came after the last `Commit`
+            // (only the ack was lost).
+            let applied = n > p;
+            let expect = match n {
+                _ if n <= p => TxRecovery {
+                    rolled_forward: 0,
+                    rolled_back: 1,
+                },
+                _ if n <= 2 * p => TxRecovery {
+                    rolled_forward: 1,
+                    rolled_back: 0,
+                },
+                _ => TxRecovery::default(),
+            };
+            assert_eq!(cl.control.borrow_mut().recover_shards(), expect, "{ctx}");
+            assert_eq!(
+                cl.control.borrow_mut().recover_shards(),
+                TxRecovery::default(),
+                "{ctx}: recovery is idempotent"
+            );
+
+            // The namespace is the shadow's, and the per-file records
+            // follow it: one for every live file, none for a removed one,
+            // and the removed one's extents left the hosted gauges once.
+            let now = listing(&cl);
+            assert_eq!(&now, if applied { &after } else { &before }, "{ctx}");
+            for (path, attr) in &now {
+                if attr.kind == InodeKind::File {
+                    let c = cl.control.borrow();
+                    assert_eq!(
+                        c.lookup(attr.ino).map(|m| m.id),
+                        Ok(attr.ino),
+                        "{ctx}: {path}"
+                    );
+                }
+            }
+            if let Some(ino) = op.removes {
+                let known = cl.control.borrow().lookup(ino).is_ok();
+                assert_eq!(known, !applied, "{ctx}: the removed file's record");
+            }
+            assert_hosted_conserved(&cl, &ctx);
+
+            // And the plane is whole: a rolled-back op simply runs again.
+            if !applied {
+                op.run(&cl).expect("retry after rollback");
+                assert_eq!(listing(&cl), after, "{ctx}: retried");
+                assert_hosted_conserved(&cl, &ctx);
+            }
+        }
+        assert_eq!(
+            kills,
+            2 * p + 1,
+            "{}: every append was a kill point",
+            op.name
+        );
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -439,7 +647,7 @@ proptest! {
     fn killed_transactions_recover_to_a_consistent_namespace(
         ops in vec(ns_op(), 4..24),
         kill_at in 0usize..24,
-        after_apply in 0usize..2,
+        crash_after in 1u32..9,
     ) {
         let sharded = ControlPlane::new_sharded(7, vec![4, 5, 6], 4);
         for d in 0..DIRS {
@@ -449,11 +657,7 @@ proptest! {
         let mut killed_outcomes: Vec<String> = Vec::new();
         for (t, op) in ops.iter().enumerate() {
             if t == kill_at {
-                sharded.borrow_mut().set_crash_point(if after_apply == 1 {
-                    CrashPoint::AfterApply
-                } else {
-                    CrashPoint::AfterIntent
-                });
+                sharded.borrow_mut().crash_after_appends(crash_after);
             }
             let r = apply(&sharded, op, t as u64);
             if t == kill_at {

@@ -5,9 +5,10 @@
 //! propagation as failed jobs.
 
 use nadfs_core::{
-    ClusterSpec, FilePolicy, Job, LayoutSpec, MetaError, MetaOp, MetaOpKind, MetaWorkload,
-    SimCluster, StorageMode, WriteProtocol,
+    ClusterSpec, FilePolicy, FsClient, FsError, Job, LayoutSpec, MetaError, MetaOp, MetaOpKind,
+    MetaWorkload, SimCluster, StorageMode, WriteProtocol,
 };
+use nadfs_wire::{BcastStrategy, RsScheme};
 
 fn cluster(n_clients: usize, n_storage: usize) -> SimCluster {
     SimCluster::build(ClusterSpec::new(n_clients, n_storage, StorageMode::Plain))
@@ -420,4 +421,52 @@ fn meta_storm_mixed_over_simulated_cluster_all_ops_succeed() {
         v.iter().sum::<u64>() as f64 / v.len().max(1) as f64
     };
     assert!(avg(MetaOpKind::Rename) > avg(MetaOpKind::Lookup));
+}
+
+#[test]
+fn a_policy_the_cluster_cannot_place_is_refused_at_create() {
+    // Each of these used to be accepted and then panic in placement on
+    // the file's first write: more replicas or shards than nodes, or none.
+    let replicated = |k| FilePolicy::Replicated {
+        k,
+        strategy: BcastStrategy::Ring,
+    };
+    let coded = |k, m| FilePolicy::ErasureCoded {
+        scheme: RsScheme::new(k, m),
+    };
+    let mut fsc = FsClient::new(SimCluster::build(ClusterSpec::new(1, 4, StorageMode::Spin)));
+    fsc.mkdir_p("/d").expect("mkdir");
+    let seq = fsc.cluster.control.borrow().meta.ns.change_seq;
+    for (i, policy) in [replicated(5), replicated(0), coded(3, 2), coded(0, 2)]
+        .into_iter()
+        .enumerate()
+    {
+        let path = format!("/d/f{i}");
+        let refused = fsc.create_with_policy(&path, LayoutSpec::SINGLE, policy.clone());
+        assert_eq!(
+            refused.err(),
+            Some(FsError::Meta(MetaError::InvalidPolicy)),
+            "{policy:?}"
+        );
+        assert_eq!(
+            fsc.open(&path).err(),
+            Some(FsError::Meta(MetaError::NotFound)),
+            "{policy:?}: nothing was created"
+        );
+    }
+    assert_eq!(
+        fsc.cluster.control.borrow().meta.ns.change_seq,
+        seq,
+        "a refused create does not touch the namespace"
+    );
+    // The largest policies that do fit are placed and written.
+    for (i, policy) in [replicated(4), coded(2, 2), coded(3, 1)]
+        .into_iter()
+        .enumerate()
+    {
+        let h = fsc
+            .create_with_policy(&format!("/d/ok{i}"), LayoutSpec::SINGLE, policy)
+            .expect("fits four nodes");
+        fsc.write_at(&h, 0, &[7u8; 8192]).expect("write");
+    }
 }
