@@ -632,7 +632,9 @@ impl ClientApp {
     fn payload(seed: u64, len: u32) -> Bytes {
         // Deterministic, seed-dependent content (splitmix-ish stream).
         let mut x = seed ^ 0x9E37_79B9_7F4A_7C15;
-        let mut v = Vec::with_capacity(len as usize);
+        // Room for the last whole word: the buffer never reallocates, and
+        // storage memory keeps it after the write completes.
+        let mut v = Vec::with_capacity((len as usize).next_multiple_of(8));
         while v.len() < len as usize {
             x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let mut z = x;
@@ -761,7 +763,7 @@ impl ClientApp {
     }
 
     fn finish_raw_read(&mut self, nic: &NicCore, ctx: &Ctx<'_>, r: RawRead) -> Step {
-        let bytes = nic.memory().borrow().read(r.local, r.len as usize);
+        let bytes = nic.memory().borrow_mut().take(r.local, r.len as usize);
         let result = ReadResult {
             token: r.token,
             end: ctx.now(),
@@ -844,6 +846,28 @@ impl NicApp for ClientApp {
             self.fill(nic, ctx);
         } else {
             self.dispatch(nic, ctx, tag, Event::Timer);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::ClientApp;
+
+    /// A payload's buffer is sized once: whatever its length, the vector
+    /// behind it has room for less than one more word. (Reserving exactly
+    /// `len` and pushing whole words doubled every length that is not a
+    /// multiple of 8.)
+    #[test]
+    fn payload_buffer_is_not_reallocated() {
+        for len in (1..=64).chain([4095, 65_535, 1_572_861]) {
+            let v = ClientApp::payload(7, len).try_unwrap().expect("sole owner");
+            assert_eq!(v.len(), len as usize);
+            assert!(
+                v.capacity() < len as usize + 8,
+                "len {len}: capacity {}",
+                v.capacity()
+            );
         }
     }
 }

@@ -656,9 +656,24 @@ impl ClientApp {
             }
         }
         let ok = status == Status::Ok;
+        let fetched = {
+            // The op's client-memory regions go back: its staged
+            // survivors, and its destination window, whose bytes move
+            // into the result.
+            let mem = nic.memory();
+            let mut mem = mem.borrow_mut();
+            for d in &r.degraded {
+                mem.free(d.scratch, d.fetched.len() as u64 * d.chunk_len as u64);
+            }
+            if ok {
+                mem.take(r.dest, r.fetch_len as usize)
+            } else {
+                mem.free(r.dest, r.fetch_len as u64);
+                Bytes::new()
+            }
+        };
         let mut data = Bytes::new();
         if ok {
-            let fetched = Bytes::from(nic.memory().borrow().read(r.dest, r.fetch_len as usize));
             // The caller gets a slice of the one buffer the cache keeps.
             // A fetch only runs past `serve_len` for readahead, which
             // only happens with the cache on, so the slice pins nothing

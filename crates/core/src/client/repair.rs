@@ -239,7 +239,7 @@ impl ClientApp {
         let writes: Vec<(ReplicaCoord, Bytes)> = match &r.plan {
             RepairPlan::AlreadyHealthy => vec![],
             RepairPlan::ReplicaClone { len, dest, .. } => {
-                let data = Bytes::from(nic.memory().borrow().read(r.scratch, *len as usize));
+                let data = nic.memory().borrow().read_bytes(r.scratch, *len as usize);
                 dest.iter().map(|&(_, c)| (c, data.clone())).collect()
             }
             RepairPlan::EcRebuild {

@@ -346,8 +346,9 @@ impl ClientApp {
                 let chunk_len = placement.chunk_len;
                 // Split the block into k chunks. Full chunks are zero-copy
                 // windows into the block; only a ragged tail chunk needs
-                // staging (zero-padded), and that buffer comes from the
-                // NIC's recycled ring.
+                // staging (zero-padded). Its buffer is a plain allocation,
+                // not one from the NIC's ring: the data node's memory
+                // keeps it, so it would never return there.
                 let mut per_chunk_pkts: Vec<Vec<Pkt>> = Vec::with_capacity(k);
                 for (j, coord) in placement.data_chunks.iter().enumerate() {
                     let startb = (j as u32 * chunk_len).min(size) as usize;
@@ -355,7 +356,7 @@ impl ClientApp {
                     let chunk_data = if endb - startb == chunk_len as usize {
                         data.slice(startb..endb)
                     } else {
-                        let mut staged = nic.buf_pool().borrow_mut().get(chunk_len as usize);
+                        let mut staged = vec![0u8; chunk_len as usize];
                         staged[..endb - startb].copy_from_slice(&data[startb..endb]);
                         Bytes::from(staged)
                     };

@@ -12,10 +12,9 @@
 //! convergence deterministically.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
-use nadfs_simnet::{Dur, Time};
+use nadfs_simnet::{Dur, IdMap, Time};
 use nadfs_wire::Status;
 
 use crate::client::{Job, RepairOutcome, RepairResult, RepairSlot};
@@ -73,7 +72,7 @@ pub struct RepairDriver {
     pub bandwidth_cap: Option<u64>,
     /// Length of the throttle window in simulated milliseconds.
     pub throttle_window_ms: u64,
-    attempts: HashMap<RepairTask, u32>,
+    attempts: IdMap<RepairTask, u32>,
     next_token: u64,
     window_start: Option<Time>,
     window_bytes: u64,
@@ -89,7 +88,7 @@ impl RepairDriver {
             op_deadline_ms: 10_000,
             bandwidth_cap: None,
             throttle_window_ms: 10,
-            attempts: HashMap::new(),
+            attempts: IdMap::default(),
             next_token: 0x5250_0000,
             window_start: None,
             window_bytes: 0,

@@ -1,16 +1,18 @@
 //! The client's op table from the outside: a write in `Busy` back-off
-//! keeps its window slot, and events for an op that already retired are
-//! ignored.
+//! keeps its window slot, events for an op that already retired are
+//! ignored, and a finished read leaves nothing in client memory.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
 use nadfs_core::client::{SharedPlan, SharedResults, KICK};
+use nadfs_core::control::SharedControl;
 use nadfs_core::{
     ClientApp, ClusterSpec, ControlPlane, CostModel, FilePolicy, Job, MetaOp, ReadProtocol,
     ResultSink, SimCluster, StorageApp, StorageMode, WriteProtocol,
 };
+use nadfs_host::SharedMemory;
 use nadfs_rdma::{AppTimer, Nic, NicApp, NicCore};
 use nadfs_simnet::{ComponentId, Ctx, Dur, Engine, Fabric, NodeId, ObsHub, Time};
 use nadfs_wire::{AckPkt, Frame, Status};
@@ -137,13 +139,14 @@ impl Rig {
     }
 }
 
-/// An ack, a read-done token and a timer that arrive after their op
-/// retired (the "ack after cleanup-driven completion" case) find nothing:
-/// no panic, no second completion, and the window neither gains nor loses
-/// a slot.
-#[test]
-fn stale_events_for_a_retired_op_are_ignored() {
-    let cost = CostModel::paper();
+/// One client (inside a [`Probe`], with live spans so the op table's leak
+/// check also covers correlations, and `tweak` applied) and one storage
+/// node on one fabric. Also hands back the control plane and the client
+/// NIC's host memory.
+fn probe_rig(
+    cost: &CostModel,
+    tweak: impl FnOnce(&mut ClientApp),
+) -> (Rig, SharedControl, SharedMemory) {
     let mut engine = Engine::new();
     let [fabric_id, client_id, storage_id] = [(); 3].map(|()| engine.reserve_id());
     let mut fabric: Fabric<Frame> = Fabric::new(cost.fabric.clone(), fabric_id);
@@ -155,13 +158,14 @@ fn stale_events_for_a_retired_op_are_ignored() {
     let results: SharedResults = Rc::new(RefCell::new(ResultSink::default()));
     let plan: SharedPlan = Rc::new(RefCell::new(VecDeque::new()));
     let mut client = ClientApp::new(control.clone(), results.clone(), plan.clone(), 1);
-    // Live spans, so the table's leak check also covers correlations.
     client.obs = ObsHub::new(64);
+    tweak(&mut client);
     let probe = Probe {
         client,
         acks: Vec::new(),
     };
     let nic = Nic::new(cost.nic.clone(), client_port, client_id, Box::new(probe));
+    let client_mem = nic.core.memory();
     engine.install(client_id, Box::new(nic));
     let storage = StorageApp::new(key, cost.fabric.link_bw);
     let mut nic = Nic::new(
@@ -172,12 +176,23 @@ fn stale_events_for_a_retired_op_are_ignored() {
     );
     nic.core.install_service_key(key);
     engine.install(storage_id, Box::new(nic));
-    let mut rig = Rig {
+    let rig = Rig {
         engine,
         client: client_id,
         plan,
         results,
     };
+    (rig, control, client_mem)
+}
+
+/// An ack, a read-done token and a timer that arrive after their op
+/// retired (the "ack after cleanup-driven completion" case) find nothing:
+/// no panic, no second completion, and the window neither gains nor loses
+/// a slot.
+#[test]
+fn stale_events_for_a_retired_op_are_ignored() {
+    let cost = CostModel::paper();
+    let (mut rig, control, _) = probe_rig(&cost, |_| {});
 
     // One op of every kind runs to completion and retires.
     let file = control.borrow_mut().create_file(0, FilePolicy::Plain).id;
@@ -240,4 +255,41 @@ fn stale_events_for_a_retired_op_are_ignored() {
     for pair in results.writes[2..].windows(2) {
         assert_eq!(pair[1].start + cost.nic.cpu.poll_notify, pair[0].end);
     }
+}
+
+/// A read lands in a fresh client-memory window; once the read completes
+/// the window is given back (its bytes live on in the completion), so
+/// uncached reads leave no trace however many run.
+#[test]
+fn finished_reads_give_their_client_memory_back() {
+    let cost = CostModel::paper();
+    let (mut rig, control, client_mem) = probe_rig(&cost, |c| c.read_cache_enabled = false);
+    let file = control.borrow_mut().create_file(0, FilePolicy::Plain).id;
+    let len = 48 << 10;
+    rig.run(vec![Job::Write {
+        file,
+        size: len,
+        protocol: WriteProtocol::Raw,
+        seed: 1,
+    }]);
+    let reads = (0..64u64).map(|token| Job::Read {
+        file,
+        offset: 0,
+        len,
+        protocol: ReadProtocol::Rdma,
+        token,
+        slot: None,
+    });
+    rig.run(reads.collect());
+    let results = rig.results.borrow();
+    assert_eq!(results.file_reads.len(), 64);
+    assert!(results
+        .file_reads
+        .iter()
+        .all(|r| r.status == Status::Ok && !r.from_cache));
+    assert_eq!(
+        client_mem.borrow().resident_pages(),
+        0,
+        "read windows leaked"
+    );
 }

@@ -90,10 +90,28 @@ impl DmaEngine {
         self.mem.clone()
     }
 
-    /// Issue a DMA write of `data` to host `addr` at time `now`.
+    /// Issue a DMA write of a copy of `data` to host `addr` at time `now`.
     /// Returns the time at which the data is durably in host memory.
     pub fn write(&mut self, now: Time, addr: u64, data: &[u8]) -> Time {
-        let transfer = self.cfg.write_bw.tx_time(data.len() as u64);
+        let done = self.occupy_write(now, data.len());
+        self.mem.borrow_mut().write(addr, data);
+        done
+    }
+
+    /// Land a packet's (or batch's) buffer at host `addr` at time `now` —
+    /// the cost of [`Self::write`]; memory keeps the buffer itself when
+    /// other handles share it and copies it when the caller's handle is
+    /// the only one, so a pooled buffer can go back to its ring.
+    pub fn land(&mut self, now: Time, addr: u64, data: &Bytes) -> Time {
+        let done = self.occupy_write(now, data.len());
+        self.mem.borrow_mut().land(addr, data);
+        done
+    }
+
+    /// Queue a `len`-byte transfer on the write channel at `now`. Returns
+    /// when the bytes are durable.
+    fn occupy_write(&mut self, now: Time, len: usize) -> Time {
+        let transfer = self.cfg.write_bw.tx_time(len as u64);
         let start = now.max(self.write_busy_until) + self.cfg.per_op;
         let done = start + transfer + self.cfg.latency;
         // The channel is occupied for the transfer (not the flight latency).
@@ -101,17 +119,16 @@ impl DmaEngine {
         self.write_busy_ps += (self.cfg.per_op + transfer).ps();
         self.last_write_done = self.last_write_done.max(done);
         self.writes_issued += 1;
-        self.bytes_written += data.len() as u64;
-        self.mem.borrow_mut().write(addr, data);
+        self.bytes_written += len as u64;
         done
     }
 
     /// Issue a DMA read of `len` bytes from host `addr` at time `now`.
-    /// Returns the fetched bytes and the time they are available at the NIC.
+    /// Returns the fetched bytes — a slice of the stored buffer when one
+    /// extent holds them — and the time they are available at the NIC.
     pub fn read(&mut self, now: Time, addr: u64, len: usize) -> (Bytes, Time) {
         let done = self.occupy_read(now, len);
-        let data = Bytes::from(self.mem.borrow().read(addr, len));
-        (data, done)
+        (self.mem.borrow().read_bytes(addr, len), done)
     }
 
     /// Queue a `len`-byte transfer on the read channel at `now`: the
@@ -160,6 +177,21 @@ mod tests {
         let expect = cfg.per_op + cfg.write_bw.tx_time(4096) + cfg.latency;
         assert_eq!(done, Time::ZERO + expect);
         assert_eq!(e.memory().borrow().read(0x1000, 4096), vec![7u8; 4096]);
+    }
+
+    #[test]
+    fn land_costs_what_write_costs() {
+        let (mut e, mut e2) = (engine(), engine());
+        let payload = Bytes::from(vec![3u8; 3000]);
+        for at in [Time::ZERO, Time(5_000)] {
+            let landed = e.land(at, 0x1000, &payload.slice(..1500));
+            assert_eq!(landed, e2.write(at, 0x1000, &payload[..1500]));
+        }
+        assert_eq!((e.writes_issued, e.bytes_written), (2, 3000));
+        assert_eq!(e.write_busy_ps, e2.write_busy_ps);
+        assert_eq!(e.flush_horizon(), e2.flush_horizon());
+        let (read, _) = e.read(Time::ZERO, 0x1000, 1500);
+        assert_eq!(read.as_ptr(), payload.as_ptr(), "a read slices what landed");
     }
 
     #[test]

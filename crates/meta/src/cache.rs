@@ -17,7 +17,7 @@
 //! batches, so a write storm does not pay one metadata round-trip per
 //! write.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use crate::inode::{InodeAttr, InodeId, InodeKind};
 use crate::layout::StripedLayout;
@@ -67,11 +67,17 @@ pub struct CacheStats {
     pub writeback_flushes: u64,
 }
 
+/// Cached entries by path. Probed by path; `invalidate_subtree`'s
+/// `retain` and `clear` remove without depending on the order they visit.
+type Entries = std::collections::HashMap<String, CachedEntry>; // membership only
+
 /// The per-client cache.
 #[derive(Default)]
 pub struct MetaCache {
-    entries: HashMap<String, CachedEntry>,
-    dirty: HashMap<InodeId, DirtyAttr>,
+    entries: Entries,
+    /// Ordered: a flush hands the batch over in ino order, and the
+    /// control plane charges it to the first ino's shard.
+    dirty: BTreeMap<InodeId, DirtyAttr>,
     pub stats: CacheStats,
 }
 
@@ -159,13 +165,14 @@ impl MetaCache {
         self.dirty.len()
     }
 
-    /// Drain buffered attr updates for flushing to the control plane.
+    /// Drain buffered attr updates for flushing to the control plane,
+    /// in ino order.
     pub fn take_dirty(&mut self) -> Vec<(InodeId, DirtyAttr)> {
         if self.dirty.is_empty() {
             return Vec::new();
         }
         self.stats.writeback_flushes += 1;
-        self.dirty.drain().collect()
+        std::mem::take(&mut self.dirty).into_iter().collect()
     }
 
     pub fn clear(&mut self) {
@@ -232,9 +239,8 @@ mod tests {
         c.buffer_append(7, 100, 2);
         c.buffer_append(8, 50, 3);
         assert_eq!(c.dirty_count(), 2);
-        let mut d = c.take_dirty();
-        d.sort_by_key(|(ino, _)| *ino);
-        assert_eq!(d[0].0, 7);
+        let d = c.take_dirty();
+        assert_eq!(d[0].0, 7, "ino order");
         assert_eq!(d[0].1.appended, 200);
         assert_eq!(d[1].1.appended, 50);
         assert_eq!(c.stats.writeback_absorbed, 3);

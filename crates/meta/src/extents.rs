@@ -19,11 +19,13 @@
 //! to their re-protected spare locations, bumping the map's generation so
 //! cached read plans can be recognized as stale.
 
-use std::collections::HashSet;
-
 use nadfs_wire::{ReplicaCoord, RsScheme};
 
 use crate::error::MetaError;
+
+/// The failed storage nodes a resolve routes around: only probed, never
+/// iterated into an order.
+pub type FailedSet = std::collections::HashSet<u32>; // membership only
 
 /// One committed write, as the read path needs to see it.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -359,7 +361,7 @@ impl ExtentMap {
         &self,
         offset: u64,
         len: u32,
-        failed: &HashSet<u32>,
+        failed: &FailedSet,
     ) -> Result<ReadPlan, MetaError> {
         if len == 0 {
             // Zero-length request (e.g. clamped entirely past EOF): an
@@ -440,7 +442,7 @@ impl ExtentMap {
         rec_id: usize,
         segments: &[(u64, u64)],
         base: u64,
-        failed: &HashSet<u32>,
+        failed: &FailedSet,
         pieces: &mut Vec<ReadPiece>,
         degraded_stripes: &mut u32,
     ) -> Result<(), MetaError> {
@@ -568,8 +570,8 @@ mod tests {
         ReplicaCoord { node, addr }
     }
 
-    fn no_failures() -> HashSet<u32> {
-        HashSet::new()
+    fn no_failures() -> FailedSet {
+        FailedSet::new()
     }
 
     /// Every byte of the request is covered by exactly one piece.
@@ -671,7 +673,7 @@ mod tests {
             len: 10,
             coord: coord(7, 0),
         });
-        let failed: HashSet<u32> = [7].into();
+        let failed: FailedSet = [7].into();
         assert_eq!(
             m.resolve(0, 10, &failed).unwrap_err(),
             MetaError::DataUnavailable { node: 7 }
@@ -686,13 +688,13 @@ mod tests {
             len: 100,
             replicas: vec![coord(4, 0x100), coord(5, 0x200), coord(6, 0x300)],
         });
-        let failed: HashSet<u32> = [4].into();
+        let failed: FailedSet = [4].into();
         let plan = m.resolve(10, 50, &failed).expect("resolve");
         let ReadPiece::Direct { coord: c, .. } = &plan.pieces[0] else {
             panic!("direct piece");
         };
         assert_eq!((c.node, c.addr), (5, 0x200 + 10));
-        let all: HashSet<u32> = [4, 5, 6].into();
+        let all: FailedSet = [4, 5, 6].into();
         assert_eq!(
             m.resolve(0, 1, &all).unwrap_err(),
             MetaError::DataUnavailable { node: 4 }
@@ -747,7 +749,7 @@ mod tests {
             data: vec![coord(1, 0x1000), coord(2, 0x2000), coord(3, 0x3000)],
             parities: vec![coord(4, 0x4000), coord(5, 0x5000)],
         });
-        let failed: HashSet<u32> = [2].into();
+        let failed: FailedSet = [2].into();
         let plan = m.resolve(0, 3000, &failed).expect("resolve");
         assert_partition(&plan);
         assert_eq!(plan.degraded_stripes, 1);
@@ -789,7 +791,7 @@ mod tests {
                 parities: vec![coord(4, 0x4000), coord(5, 0x5000)],
             });
         }
-        let failed: HashSet<u32> = [1].into();
+        let failed: FailedSet = [1].into();
         let choice = |r: u64| {
             let plan = m.resolve(r * 3000, 3000, &failed).expect("resolve");
             let pick = plan.pieces.iter().find_map(|p| match p {
@@ -816,7 +818,7 @@ mod tests {
         }
         // Two data shards down: both parities are needed, in shard order,
         // whatever the rotation's starting point.
-        let failed: HashSet<u32> = [1, 3].into();
+        let failed: FailedSet = [1, 3].into();
         for r in 0..2u64 {
             let plan = m.resolve(r * 3000, 3000, &failed).expect("resolve");
             let shards = plan.pieces.iter().find_map(|p| match p {
@@ -840,7 +842,7 @@ mod tests {
             data: vec![coord(1, 0x1000), coord(2, 0x2000)],
             parities: vec![coord(3, 0x3000)],
         });
-        let failed: HashSet<u32> = [3].into();
+        let failed: FailedSet = [3].into();
         let plan = m.resolve(0, 2000, &failed).expect("resolve");
         assert_eq!(plan.degraded_stripes, 0);
         assert_partition(&plan);
@@ -857,7 +859,7 @@ mod tests {
             data: vec![coord(1, 0x1000), coord(2, 0x2000)],
             parities: vec![coord(3, 0x3000)],
         });
-        let failed: HashSet<u32> = [1, 3].into();
+        let failed: FailedSet = [1, 3].into();
         assert_eq!(
             m.resolve(0, 2000, &failed).unwrap_err(),
             MetaError::TooManyFailures { stripe_offset: 0 }
@@ -883,7 +885,7 @@ mod tests {
             len: 400,
             coord: coord(6, 0x6000),
         });
-        let failed: HashSet<u32> = [1].into();
+        let failed: FailedSet = [1].into();
         let plan = m.resolve(0, 3000, &failed).expect("resolve");
         assert_partition(&plan);
         assert_eq!(plan.degraded_stripes, 1, "one physical stripe degraded");
@@ -958,7 +960,7 @@ mod tests {
         m.rehome(0, &[(1, coord(7, 0x7000)), (2, coord(8, 0x8000))])
             .expect("rehome");
         assert_eq!(m.generation(), g0 + 1, "repair commit bumps generation");
-        let failed: HashSet<u32> = [2].into();
+        let failed: FailedSet = [2].into();
         let plan = m.resolve(0, 2000, &failed).expect("resolve");
         assert_eq!(plan.degraded_stripes, 0, "shard no longer on node 2");
         assert!(plan.pieces.iter().any(
@@ -983,7 +985,7 @@ mod tests {
             MetaError::NotFound
         );
         assert_eq!(m.generation(), g, "partial application never happens");
-        let plan = m.resolve(0, 2000, &HashSet::new()).expect("resolve");
+        let plan = m.resolve(0, 2000, &FailedSet::new()).expect("resolve");
         assert!(
             !plan
                 .pieces
@@ -1009,7 +1011,7 @@ mod tests {
             data: vec![coord(1, 0x1000), coord(2, 0x2000)],
             parities: vec![coord(3, 0x3000)],
         });
-        let failed: HashSet<u32> = [1].into();
+        let failed: FailedSet = [1].into();
         let plan = m.resolve(100, 2000, &failed).expect("resolve");
         let rec = plan
             .pieces

@@ -7,8 +7,6 @@
 //! POSIX: the target may be replaced if it is a file or an empty
 //! directory, and a directory can never be moved into its own subtree.
 
-use std::collections::HashMap;
-
 use crate::error::MetaError;
 use crate::inode::{FilePolicy, Inode, InodeAttr, InodeBody, InodeId, InodeKind, ROOT_INO};
 use crate::layout::StripedLayout;
@@ -43,9 +41,12 @@ fn split_parent(path: &str) -> Result<(Vec<&str>, String)> {
     Ok((parts, last.to_string()))
 }
 
+/// Inodes by number: probed, inserted and removed by key, never iterated.
+type Inodes = std::collections::HashMap<InodeId, Inode>; // membership only
+
 /// The namespace service state.
 pub struct Namespace {
-    inodes: HashMap<InodeId, Inode>,
+    inodes: Inodes,
     next_ino: InodeId,
     /// Global mutation counter; bumped once per successful mutation.
     pub change_seq: u64,
@@ -59,7 +60,7 @@ impl Default for Namespace {
 
 impl Namespace {
     pub fn new() -> Namespace {
-        let mut inodes = HashMap::new();
+        let mut inodes = Inodes::new();
         inodes.insert(ROOT_INO, Inode::new_dir(ROOT_INO, ROOT_INO, 0));
         Namespace {
             inodes,

@@ -609,7 +609,7 @@ impl PsPinDevice {
                     ctx.schedule(run.t.since(now), self.port.fabric, ev);
                 }
                 Op::DmaWrite { addr, data } => {
-                    let done = self.dma.borrow_mut().write(run.t, *addr, data);
+                    let done = self.dma.borrow_mut().land(run.t, *addr, data);
                     if let Some(st) = self.msgs.get_mut(&run.msg) {
                         st.dma_horizon = st.dma_horizon.max(done);
                     }

@@ -169,19 +169,18 @@ pub(crate) fn fwd_ready(core: &mut NicCore, ctx: &mut Ctx<'_>, addr: u64, chunk:
         let len = chunk_sz.min(st.cfg.total_len - start);
         st.next_fwd = chunk + 1;
         st.busy = false;
-        // Forward buffer from the NIC's recycled ring: the
-        // incoming write payloads this chunk was assembled
-        // from retire into the same pool, so steady-state
-        // forwarding never touches the allocator (the last
-        // remaining alloc-per-hop on the HyperLoop path).
-        let mut buf = core.pool.borrow_mut().get_dirty(len as usize);
-        core.mem.borrow().read_into(addr + start as u64, &mut buf);
+        // The chunk as it landed: a slice of the buffer the previous hop
+        // sent, so every hop of the chain forwards the same bytes.
+        let data = core
+            .mem
+            .borrow()
+            .read_bytes(addr + start as u64, len as usize);
         let wrh = WriteReqHeader {
             target_addr: next.addr + start as u64,
             len,
             resiliency: Resiliency::None,
         };
-        (next.node as NodeId, wrh, bytes::Bytes::from(buf))
+        (next.node as NodeId, wrh, data)
     };
     core.chains.chunks_forwarded += 1;
     core.send_write(ctx, dst, None, wrh, data);

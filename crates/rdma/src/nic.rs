@@ -893,7 +893,7 @@ impl NicCore {
             return; // message was rejected at its first packet
         };
         let addr = st.wrh.target_addr + w.offset as u64;
-        let done = self.dma.borrow_mut().write(now, addr, &w.data);
+        let done = self.dma.borrow_mut().land(now, addr, &w.data);
         st.flush = st.flush.max(done);
         st.pkts_seen += 1;
         st.bytes += w.data.len() as u32;
@@ -975,7 +975,7 @@ impl NicCore {
         let now = ctx.now();
         self.dma
             .borrow_mut()
-            .write(now, 0xFEED_0000 + s.offset as u64, &s.data);
+            .land(now, 0xFEED_0000 + s.offset as u64, &s.data);
         st.data.extend_from_slice(&s.data);
         st.pkts_seen += 1;
         if st.pkts_seen < st.total {
@@ -1312,7 +1312,7 @@ impl NicCore {
         if let Some(p) = pending {
             if let ReadSink::Host { local_addr, .. } = p.sink {
                 let addr = local_addr + r.offset as u64;
-                let done = self.dma.borrow_mut().write(now, addr, &r.data);
+                let done = self.dma.borrow_mut().land(now, addr, &r.data);
                 p.flush = p.flush.max(done);
             }
             p.pkts_seen += 1;

@@ -117,6 +117,50 @@ fn replication_strategies_agree_on_replica_content() {
     }
 }
 
+/// Landing keeps the bytes the wire carried: the four replicas of a Ring
+/// write are one buffer — the client's payload — not four copies. TriEC
+/// chunks land whole too: a data chunk is its payload window, and a parity
+/// chunk, copied out of its per-packet accumulators as they retire, grows
+/// into one extent.
+#[test]
+fn landed_bytes_are_stored_once() {
+    let size = 300_000u32;
+    let policy = FilePolicy::Replicated {
+        k: 4,
+        strategy: BcastStrategy::Ring,
+    };
+    let protocol = WriteProtocol::SpinReplicated;
+    let (c, r) = write_once(StorageMode::Spin, policy, protocol, size, 4, 31);
+    assert_eq!(r.status, Status::Ok);
+    let stored: Vec<_> = r
+        .placement
+        .replicas
+        .iter()
+        .map(|coord| {
+            let idx = c.storage_index(coord.node as usize);
+            c.storage_mems[idx]
+                .borrow()
+                .read_bytes(coord.addr, size as usize)
+        })
+        .collect();
+    assert_eq!(stored.len(), 4);
+    assert_eq!(&stored[0][..], &payload(31, size)[..]);
+    for s in &stored {
+        assert_eq!(s.as_ptr(), stored[0].as_ptr(), "a replica holds a copy");
+    }
+
+    let scheme = RsScheme::new(6, 3);
+    let policy = FilePolicy::ErasureCoded { scheme };
+    let protocol = WriteProtocol::SpinTriec { interleave: true };
+    let (c, r) = write_once(StorageMode::Spin, policy, protocol, 6 * 50_000, 9, 55);
+    assert_eq!(r.status, Status::Ok);
+    for coord in r.placement.data_chunks.iter().chain(&r.placement.parities) {
+        let idx = c.storage_index(coord.node as usize);
+        let m = c.storage_mems[idx].borrow();
+        assert_eq!(m.extent_count(), 1, "node {}'s chunk", coord.node);
+    }
+}
+
 #[test]
 fn ec_write_survives_m_failures_and_recovers_bytes() {
     for (spin, scheme) in [

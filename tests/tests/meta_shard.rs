@@ -281,6 +281,50 @@ fn meta_storm_spreads_over_the_shard_space() {
     assert!(mutations > 0);
 }
 
+/// A cache-on client's write-back flush hands the control plane its dirty
+/// inos in the same order in every run, so the shard the batch is charged
+/// to (the first ino's) and the engine's schedule repeat. Three clusters
+/// built in one process hash a `std` table three ways: that is how the
+/// unordered drain showed.
+#[test]
+fn writeback_flush_is_charged_to_the_same_shard_every_run() {
+    let run = || {
+        let mut cl = sharded_cluster(1, 4, 4);
+        let files: Vec<u64> = (0..8)
+            .map(|_| cl.control.borrow_mut().create_file(0, FilePolicy::Plain).id)
+            .collect();
+        let shards: std::collections::BTreeSet<usize> = files
+            .iter()
+            .map(|&f| cl.control.borrow().shard_of(f))
+            .collect();
+        assert!(shards.len() >= 2, "the 8 files span shards: {shards:?}");
+        for (seed, &file) in files.iter().enumerate() {
+            let size = 4096;
+            let protocol = WriteProtocol::Raw;
+            let seed = seed as u64;
+            cl.submit(
+                0,
+                Job::Write {
+                    file,
+                    size,
+                    protocol,
+                    seed,
+                },
+            );
+        }
+        cl.start();
+        assert_eq!(cl.run_until_writes(8, 1_000), 8);
+        let flushes = cl.client_caches[0].borrow().stats.writeback_flushes;
+        assert_eq!(flushes, 1, "the eighth dirty file flushes the batch");
+        let stats = format!("{:?}", cl.control.borrow().shard_stats());
+        (stats, cl.engine.order_digest())
+    };
+    let first = run();
+    for _ in 0..2 {
+        assert_eq!(run(), first);
+    }
+}
+
 #[test]
 fn shard_metrics_are_exported_per_shard() {
     let cluster = sharded_cluster(1, 3, 4);
