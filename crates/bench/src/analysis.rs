@@ -27,7 +27,7 @@ pub fn max_concurrent_writes() -> u64 {
 /// including per-packet bookkeeping state (4 B per expected packet of the
 /// message, tracking arrival/commit status).
 ///
-/// Interpretation note (recorded in EXPERIMENTS.md): the paper's Fig 4
+/// Interpretation note: the paper's Fig 4
 /// shows size-dependent curves but §III-B's text quantifies only the 77 B
 /// descriptor and the 6 MiB budget; pure descriptor memory is
 /// size-independent. We reproduce the quantified claims exactly

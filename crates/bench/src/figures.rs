@@ -5,17 +5,41 @@
 //! them), so the paper-vs-measured comparison is immediate. Absolute
 //! microseconds are not expected to match a different testbed; the *shape*
 //! (who wins, crossovers, asymptotic bandwidths) is the reproduction
-//! target — see EXPERIMENTS.md.
+//! target.
 
+use nadfs_core::experiments::{mode_for, nodes_for};
 use nadfs_core::{
-    analysis, ec_encode_latency_us, ec_encode_throughput_gbit, handler_report,
-    pipeline_breakdown_ns, storage_goodput_gbit, write_latency_best_chunk, write_latency_us,
-    CostModel, FilePolicy, ReplStrategy, WriteProtocol,
+    replication_latency_us, storage_goodput_gbit, write_latency_us, ClusterSpec, CostModel,
+    FilePolicy, Job, ReplStrategy, SimCluster, StorageMode, WriteProtocol,
 };
+use nadfs_pspin::HandlerKind;
 use nadfs_simnet::Bandwidth;
 use nadfs_wire::{BcastStrategy, RsScheme};
 
+use crate::analysis;
 use crate::report::{f, sz, Table};
+
+/// A table or figure: its name and the function that renders it.
+pub type Figure = (&'static str, fn() -> String);
+
+/// Every table and figure, in paper order, under the name the
+/// `all_figures` binary filters on.
+pub const ALL: [Figure; 14] = [
+    ("fig04", fig04),
+    ("fig06", fig06),
+    ("fig07", fig07),
+    ("fig09_k2", || fig09_latency(2)),
+    ("fig09_k4", || fig09_latency(4)),
+    ("fig09_goodput", fig09_goodput),
+    ("fig10", fig10),
+    ("fig11_table1", fig11_table1),
+    ("fig15", fig15),
+    ("fig16_table2", fig16_table2),
+    ("table3", table3),
+    ("ablation_interleave", ablation_interleave),
+    ("ablation_chunk_size", ablation_chunk_size),
+    ("ablation_queues", ablation_queues),
+];
 
 /// Write sizes swept by the latency figures (1 KiB – 1 MiB, log scale).
 pub const SIZES: [u32; 11] = [
@@ -61,7 +85,7 @@ pub fn fig04() -> String {
         analysis::DESCRIPTOR_BUDGET_BYTES / 1024,
         analysis::max_concurrent_writes()
     ));
-    t.note("size-dependent columns add per-packet bookkeeping state (see EXPERIMENTS.md interpretation note)");
+    t.note("size-dependent columns add 4 B of arrival/commit state per expected packet; the paper quantifies only the 77 B descriptor and the 6 MiB budget");
     t.render()
 }
 
@@ -142,8 +166,7 @@ pub fn fig09_latency(k: u8) -> String {
     for &size in &SIZES_COARSE {
         let mut cells = vec![sz(size)];
         for s in &strategies {
-            let (lat, _) = write_latency_best_chunk(s.protocol(), s.policy(k), size, &cost);
-            cells.push(f(lat));
+            cells.push(f(replication_latency_us(*s, k, size, &cost)));
         }
         t.row(cells);
     }
@@ -211,8 +234,7 @@ pub fn fig10() -> String {
         for k in [2u8, 4, 6, 8] {
             let mut cells = vec![k.to_string()];
             for s in ReplStrategy::ALL {
-                let (lat, _) = write_latency_best_chunk(s.protocol(), s.policy(k), size, &cost);
-                cells.push(f(lat));
+                cells.push(f(replication_latency_us(s, k, size, &cost)));
             }
             t.row(cells);
         }
@@ -365,7 +387,7 @@ pub fn fig16_table2() -> String {
         ]);
     }
     t.note("paper Table II (data-node encode PH on full packets): RS(3,2) 16681 ns / 11672 ins; RS(6,3) 23018 ns / 16028 ins @ IPC 0.7");
-    t.note("our PH mean mixes data-node encode and parity-node XOR handlers; see per-kind breakdown in EXPERIMENTS.md");
+    t.note("our PH mean averages data-node encode and parity-node XOR handlers; the paper's value is the data-node encode handler alone");
     out.push_str(&t.render());
     out.push('\n');
 
@@ -517,28 +539,122 @@ pub fn ablation_queues() -> String {
     t.render()
 }
 
-/// Run every harness, in paper order.
-pub fn run_all() -> String {
-    let mut out = String::new();
-    for (name, text) in [
-        ("fig04", fig04()),
-        ("fig06", fig06()),
-        ("fig07", fig07()),
-        ("fig09_k2", fig09_latency(2)),
-        ("fig09_k4", fig09_latency(4)),
-        ("fig09_goodput", fig09_goodput()),
-        ("fig10", fig10()),
-        ("fig11_table1", fig11_table1()),
-        ("fig15", fig15()),
-        ("fig16_table2", fig16_table2()),
-        ("table3", table3()),
-        ("ablation_interleave", ablation_interleave()),
-        ("ablation_chunk_size", ablation_chunk_size()),
-        ("ablation_queues", ablation_queues()),
-    ] {
-        let _ = name;
-        out.push_str(&text);
-        out.push('\n');
+// ---------------------------------------------------------------------
+// Measurement procedures only the figures above use
+// ---------------------------------------------------------------------
+
+/// Mean handler statistics gathered from the primary storage node while
+/// serving writes (Table I/II, Fig 11/16): (duration ns, instructions, IPC)
+/// per handler kind.
+struct HandlerReport {
+    hh: Option<(f64, f64, f64)>,
+    ph: Option<(f64, f64, f64)>,
+    ch: Option<(f64, f64, f64)>,
+}
+
+fn handler_report(
+    protocol: WriteProtocol,
+    policy: FilePolicy,
+    size: u32,
+    cost: &CostModel,
+    n_writes: usize,
+    window: usize,
+) -> HandlerReport {
+    let spec = ClusterSpec::new(1, nodes_for(&policy), mode_for(protocol))
+        .with_cost(cost.clone())
+        .with_window(window);
+    let mut c = SimCluster::build(spec);
+    let file = c.control.borrow_mut().create_file(0, policy);
+    for i in 0..n_writes {
+        c.submit(
+            0,
+            Job::Write {
+                file: file.id,
+                size,
+                protocol,
+                seed: i as u64,
+            },
+        );
     }
-    out
+    c.start();
+    c.run_until_writes(n_writes, 60_000);
+    let clock = cost.pspin.clock_ghz;
+    // Primary storage node telemetry.
+    let tel = c.pspin_telemetry[0]
+        .as_ref()
+        .expect("spin mode required for handler reports")
+        .borrow();
+    HandlerReport {
+        hh: tel.summary(HandlerKind::Header, clock),
+        ph: tel.summary(HandlerKind::Payload, clock),
+        ch: tel.summary(HandlerKind::Completion, clock),
+    }
+}
+
+/// Fig 7: per-stage pipeline latencies observed for one 2 KiB-packet write.
+fn pipeline_breakdown_ns(cost: &CostModel) -> [(String, f64); 5] {
+    let spec = ClusterSpec::new(1, 1, StorageMode::Spin).with_cost(cost.clone());
+    let mut c = SimCluster::build(spec);
+    let file = c.control.borrow_mut().create_file(0, FilePolicy::Plain);
+    c.submit(
+        0,
+        Job::Write {
+            file: file.id,
+            // One full-MTU packet's worth of payload.
+            size: nadfs_wire::sizes::MTU
+                - nadfs_wire::sizes::RDMA_HEADER
+                - nadfs_wire::sizes::DFS_HEADER
+                - nadfs_wire::sizes::WRH_FIXED,
+            protocol: WriteProtocol::Spin,
+            seed: 0,
+        },
+    );
+    c.start();
+    c.run_until_writes(1, 1_000);
+    let tel = c.pspin_telemetry[0].as_ref().expect("pspin").borrow();
+    let p = &tel.pipeline;
+    [
+        ("copy to packet buffer".into(), p.pktbuf_copy_ns.mean()),
+        ("inter-cluster scheduling".into(), p.inter_sched_ns.mean()),
+        ("copy to fast memory (L1)".into(), p.l1_copy_ns.mean()),
+        ("intra-cluster scheduling".into(), p.intra_sched_ns.mean()),
+        (
+            "handler execution (HH)".into(),
+            tel.summary(HandlerKind::Header, cost.pspin.clock_ghz)
+                .map(|(d, ..)| d)
+                .unwrap_or(f64::NAN),
+        ),
+    ]
+}
+
+/// EC encoding latency (Fig 15 left): client write latency of one
+/// erasure-coded block with chunk size `chunk` under RS(k, m).
+fn ec_encode_latency_us(spin: bool, scheme: RsScheme, chunk: u32, cost: &CostModel) -> f64 {
+    let policy = FilePolicy::ErasureCoded { scheme };
+    let size = chunk * scheme.k as u32;
+    write_latency_us(triec(spin), policy, size, cost, 3)
+}
+
+/// EC encoding throughput (Fig 15 right): window-based, INEC methodology —
+/// bandwidth = generated data / elapsed time.
+fn ec_encode_throughput_gbit(
+    spin: bool,
+    scheme: RsScheme,
+    chunk: u32,
+    cost: &CostModel,
+    n_writes: usize,
+    window: usize,
+) -> f64 {
+    let policy = FilePolicy::ErasureCoded { scheme };
+    let size = chunk * scheme.k as u32;
+    storage_goodput_gbit(triec(spin), policy, size, cost, n_writes, window)
+}
+
+/// The TriEC write protocol on a sPIN NIC or on the INEC firmware engine.
+fn triec(spin: bool) -> WriteProtocol {
+    if spin {
+        WriteProtocol::SpinTriec { interleave: true }
+    } else {
+        WriteProtocol::InecTriec
+    }
 }

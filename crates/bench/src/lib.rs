@@ -1,18 +1,14 @@
 //! # nadfs-bench
 //!
-//! Harnesses that regenerate every table and figure of the paper's
-//! evaluation. Each `figures::figXX` function runs the corresponding
-//! experiment on the simulator and returns the formatted rows, annotated
-//! with the paper's reference values so paper-vs-measured is visible at a
-//! glance. `cargo bench` runs all of them (through the `figures` bench
-//! target) plus Criterion microbenchmarks of the computational kernels.
+//! Regenerates every table and figure of the paper's evaluation. Each
+//! entry of [`figures::ALL`] runs the corresponding experiment on the
+//! simulator and returns the formatted rows, annotated with the paper's
+//! reference values so paper-vs-measured is visible at a glance; the
+//! `all_figures` binary prints them. The analytical models the figures
+//! plot beside the simulation (descriptor memory, the HPU budget, the DFS
+//! survey) live in [`analysis`]. `benches/micro.rs` holds Criterion
+//! microbenchmarks of the computational kernels.
 
-pub mod dir_ops;
-pub mod ec_throughput;
+pub mod analysis;
 pub mod figures;
-pub mod flow_control;
-pub mod meta_shard;
-pub mod read_cache;
-pub mod report;
-
-pub use report::Table;
+mod report;

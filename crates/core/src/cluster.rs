@@ -517,6 +517,9 @@ impl SimCluster {
             m.counter_set(&format!("nic.{i}.dma.read_busy_ps"), dma.read_busy_ps);
             m.counter_set(&format!("nic.{i}.dma.write_busy_ps"), dma.write_busy_ps);
         }
+        // The one un-indexed pspin gauge is the cluster's: the largest
+        // descriptor footprint any storage NIC reached.
+        let mut descriptor_peak = None;
         for (i, t) in self.pspin_telemetry.iter().enumerate() {
             let Some(t) = t else { continue };
             let t = t.borrow();
@@ -526,10 +529,10 @@ impl SimCluster {
             m.counter_set(&format!("{pre}.msgs_completed"), t.msgs_completed);
             m.counter_set(&format!("{pre}.msgs_denied"), t.msgs_denied);
             m.counter_set(&format!("{pre}.msgs_cleaned"), t.msgs_cleaned);
-            m.gauge_set(
-                "pspin.descriptor_peak_bytes",
-                t.descriptor_peak_bytes as f64,
-            );
+            descriptor_peak = descriptor_peak.max(Some(t.descriptor_peak_bytes));
+        }
+        if let Some(peak) = descriptor_peak {
+            m.gauge_set("pspin.descriptor_peak_bytes", peak as f64);
         }
         {
             let r = self.control.borrow().repair_queue.stats;

@@ -1,11 +1,10 @@
-//! Experiment runners: the measurement procedures behind every figure.
+//! Experiment runners: the write-latency and goodput procedures the
+//! paper's figures, the benchmark's anchors and the calibration tests share.
 //!
 //! Each function builds a fresh deterministic cluster, drives the workload
 //! the paper describes, and extracts the series the figures plot.
 
-use nadfs_pspin::HandlerKind;
-use nadfs_simnet::Time;
-use nadfs_wire::{BcastStrategy, RsScheme, Status};
+use nadfs_wire::{BcastStrategy, Status};
 
 use crate::client::{Job, WriteProtocol};
 use crate::cluster::{ClusterSpec, SimCluster, StorageMode};
@@ -76,37 +75,6 @@ pub fn write_latency_us(
 /// Chunk sizes tried when the paper says "optimal chunk size" (§V-B).
 pub const CHUNK_CANDIDATES: [u32; 6] =
     [8 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10, 256 << 10];
-
-/// Latency with the best chunk size for chunked protocols; pass-through
-/// otherwise. Returns (latency_us, chunk_used).
-pub fn write_latency_best_chunk(
-    protocol: WriteProtocol,
-    policy: FilePolicy,
-    size: u32,
-    cost: &CostModel,
-) -> (f64, u32) {
-    let chunked = |chunk: u32| match protocol {
-        WriteProtocol::HyperLoop { .. } => WriteProtocol::HyperLoop { chunk },
-        WriteProtocol::CpuBcast { .. } => WriteProtocol::CpuBcast { chunk },
-        p => p,
-    };
-    match protocol {
-        WriteProtocol::HyperLoop { .. } | WriteProtocol::CpuBcast { .. } => {
-            let mut best = (f64::INFINITY, 0u32);
-            for &chunk in CHUNK_CANDIDATES
-                .iter()
-                .filter(|&&ch| ch <= size.max(8 << 10))
-            {
-                let l = write_latency_us(chunked(chunk), policy.clone(), size, cost, 3);
-                if l < best.0 {
-                    best = (l, chunk);
-                }
-            }
-            best
-        }
-        p => (write_latency_us(p, policy, size, cost, 3), 0),
-    }
-}
 
 /// Sustained goodput of the primary storage node (Fig 9 right): one client
 /// keeps `window` writes outstanding; goodput is payload delivered over the
@@ -207,130 +175,21 @@ impl ReplStrategy {
     }
 }
 
-/// Replication latency with per-point chunk optimization (Figs 9/10).
+/// Replication write latency (Figs 9/10). The chunked protocols (CPU
+/// forwarding, HyperLoop) run at the best of [`CHUNK_CANDIDATES`] for the
+/// point, as the paper's "optimal chunk size" does (§V-B).
 pub fn replication_latency_us(strategy: ReplStrategy, k: u8, size: u32, cost: &CostModel) -> f64 {
-    write_latency_best_chunk(strategy.protocol(), strategy.policy(k), size, cost).0
-}
-
-/// Mean handler statistics gathered from the primary storage node while
-/// serving writes (Table I/II, Fig 11/16): (duration ns, instructions, IPC)
-/// per handler kind.
-pub struct HandlerReport {
-    pub hh: Option<(f64, f64, f64)>,
-    pub ph: Option<(f64, f64, f64)>,
-    pub ch: Option<(f64, f64, f64)>,
-}
-
-pub fn handler_report(
-    protocol: WriteProtocol,
-    policy: FilePolicy,
-    size: u32,
-    cost: &CostModel,
-    n_writes: usize,
-    window: usize,
-) -> HandlerReport {
-    let spec = ClusterSpec::new(1, nodes_for(&policy), mode_for(protocol))
-        .with_cost(cost.clone())
-        .with_window(window);
-    let mut c = SimCluster::build(spec);
-    let file = c.control.borrow_mut().create_file(0, policy);
-    for i in 0..n_writes {
-        c.submit(
-            0,
-            Job::Write {
-                file: file.id,
-                size,
-                protocol,
-                seed: i as u64,
-            },
-        );
-    }
-    c.start();
-    c.run_until_writes(n_writes, 60_000);
-    let clock = cost.pspin.clock_ghz;
-    // Primary storage node telemetry.
-    let tel = c.pspin_telemetry[0]
-        .as_ref()
-        .expect("spin mode required for handler reports")
-        .borrow();
-    HandlerReport {
-        hh: tel.summary(HandlerKind::Header, clock),
-        ph: tel.summary(HandlerKind::Payload, clock),
-        ch: tel.summary(HandlerKind::Completion, clock),
-    }
-}
-
-/// Fig 7: per-stage pipeline latencies observed for one 2 KiB-packet write.
-pub fn pipeline_breakdown_ns(cost: &CostModel) -> [(String, f64); 5] {
-    let spec = ClusterSpec::new(1, 1, StorageMode::Spin).with_cost(cost.clone());
-    let mut c = SimCluster::build(spec);
-    let file = c.control.borrow_mut().create_file(0, FilePolicy::Plain);
-    c.submit(
-        0,
-        Job::Write {
-            file: file.id,
-            // One full-MTU packet's worth of payload.
-            size: nadfs_wire::sizes::MTU
-                - nadfs_wire::sizes::RDMA_HEADER
-                - nadfs_wire::sizes::DFS_HEADER
-                - nadfs_wire::sizes::WRH_FIXED,
-            protocol: WriteProtocol::Spin,
-            seed: 0,
-        },
-    );
-    c.start();
-    c.run_until_writes(1, 1_000);
-    let tel = c.pspin_telemetry[0].as_ref().expect("pspin").borrow();
-    let p = &tel.pipeline;
-    [
-        ("copy to packet buffer".into(), p.pktbuf_copy_ns.mean()),
-        ("inter-cluster scheduling".into(), p.inter_sched_ns.mean()),
-        ("copy to fast memory (L1)".into(), p.l1_copy_ns.mean()),
-        ("intra-cluster scheduling".into(), p.intra_sched_ns.mean()),
-        (
-            "handler execution (HH)".into(),
-            tel.summary(HandlerKind::Header, cost.pspin.clock_ghz)
-                .map(|(d, ..)| d)
-                .unwrap_or(f64::NAN),
-        ),
-    ]
-}
-
-/// EC encoding latency (Fig 15 left): client write latency of one
-/// erasure-coded block with chunk size `chunk` under RS(k, m).
-pub fn ec_encode_latency_us(spin: bool, scheme: RsScheme, chunk: u32, cost: &CostModel) -> f64 {
-    let protocol = if spin {
-        WriteProtocol::SpinTriec { interleave: true }
-    } else {
-        WriteProtocol::InecTriec
+    let latency = |protocol| write_latency_us(protocol, strategy.policy(k), size, cost, 3);
+    let best = |chunked: fn(u32) -> WriteProtocol| {
+        CHUNK_CANDIDATES
+            .iter()
+            .filter(|&&chunk| chunk <= size.max(8 << 10))
+            .map(|&chunk| latency(chunked(chunk)))
+            .fold(f64::INFINITY, f64::min)
     };
-    let policy = FilePolicy::ErasureCoded { scheme };
-    let size = chunk * scheme.k as u32;
-    write_latency_us(protocol, policy, size, cost, 3)
-}
-
-/// EC encoding throughput (Fig 15 right): window-based, INEC methodology —
-/// bandwidth = generated data / elapsed time.
-pub fn ec_encode_throughput_gbit(
-    spin: bool,
-    scheme: RsScheme,
-    chunk: u32,
-    cost: &CostModel,
-    n_writes: usize,
-    window: usize,
-) -> f64 {
-    let protocol = if spin {
-        WriteProtocol::SpinTriec { interleave: true }
-    } else {
-        WriteProtocol::InecTriec
-    };
-    let policy = FilePolicy::ErasureCoded { scheme };
-    let size = chunk * scheme.k as u32;
-    storage_goodput_gbit(protocol, policy, size, cost, n_writes, window)
-}
-
-/// The latency from write start to the completion time as observed by the
-/// cluster clock (diagnostic helper for tests).
-pub fn span_us(start: Time, end: Time) -> f64 {
-    (end - start).as_us()
+    match strategy.protocol() {
+        WriteProtocol::HyperLoop { .. } => best(|chunk| WriteProtocol::HyperLoop { chunk }),
+        WriteProtocol::CpuBcast { .. } => best(|chunk| WriteProtocol::CpuBcast { chunk }),
+        p => latency(p),
+    }
 }

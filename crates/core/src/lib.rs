@@ -8,7 +8,6 @@
 //! the offloaded policies (authentication §IV, replication §V, streaming
 //! erasure coding §VI).
 
-pub mod analysis;
 pub mod cache;
 pub mod client;
 pub mod cluster;
@@ -34,9 +33,7 @@ pub use control::{
     RepairTask, ShardRouter, ShardStats, StripeTarget, TxRecovery, WritePlacement,
 };
 pub use experiments::{
-    ec_encode_latency_us, ec_encode_throughput_gbit, handler_report, pipeline_breakdown_ns,
-    replication_latency_us, storage_goodput_gbit, write_latency_best_chunk, write_latency_us,
-    HandlerReport, ReplStrategy,
+    replication_latency_us, storage_goodput_gbit, write_latency_us, ReplStrategy,
 };
 pub use fs::{default_read_protocol, default_write_protocol, FileHandle, FsClient, FsError};
 pub use handlers::{DfsCounters, DfsHandlers, DfsNicState};

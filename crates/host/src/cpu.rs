@@ -8,7 +8,7 @@
 
 use nadfs_simnet::{Bandwidth, Dur, Time};
 
-/// CPU cost parameters (defaults documented in DESIGN.md §3.3).
+/// CPU cost parameters (the defaults are the `Default` impl below).
 #[derive(Clone, Debug)]
 pub struct CpuCosts {
     /// NIC completion → CPU notices (interrupt/poll latency).

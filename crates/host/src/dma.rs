@@ -39,7 +39,8 @@ impl Default for DmaConfig {
             // 64 GB/s write direction: does not bottleneck a 400 Gbit/s NIC.
             write_bw: Bandwidth::from_gbyte_per_sec(64),
             // ~26 GB/s effective read direction (typical RNIC host-fetch;
-            // calibrated to the paper's RPC-family asymptotes, DESIGN.md).
+            // calibrated to the paper's RPC-family asymptotes: Fig 6 labels
+            // RPC and RPC+RDMA at 26 GB/s for 1 MiB writes).
             read_bw: Bandwidth::from_gbyte_per_sec(26),
             latency: Dur::from_ns(200),
             per_op: Dur::from_ns(10),

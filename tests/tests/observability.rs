@@ -442,6 +442,24 @@ fn degraded_gather_occupancy_is_in_the_snapshot() {
     }
 }
 
+/// `pspin.descriptor_peak_bytes` is the cluster's peak: the largest any
+/// storage NIC reached, not whichever NIC the snapshot visited last.
+#[test]
+fn descriptor_peak_gauge_is_the_maximum_over_the_nics() {
+    let mut fs = FsClient::new(SimCluster::build(ClusterSpec::new(1, 3, StorageMode::Spin)));
+    fs.mkdir_p("/p").expect("mkdir");
+    let h = fs.create("/p/f", LayoutSpec::SINGLE).expect("create");
+    fs.append(&h, &payload(7, 64 << 10)).expect("write");
+    let peaks: Vec<u64> = (fs.cluster.pspin_telemetry.iter())
+        .map(|t| t.as_ref().expect("spin NIC").borrow().descriptor_peak_bytes)
+        .collect();
+    assert_eq!(peaks.last(), Some(&0), "the write must miss the last NIC");
+    let max = *peaks.iter().max().expect("three NICs");
+    assert!(max > 0, "no NIC held a write descriptor: {peaks:?}");
+    let gauge = fs.metrics_snapshot().gauge("pspin.descriptor_peak_bytes");
+    assert_eq!(gauge, Some(max as f64), "per-NIC peaks {peaks:?}");
+}
+
 /// Engine profiling (off by default) lands dispatch counts and per-kind
 /// host busy time in the snapshot — the measured baseline for the
 /// dispatch-overhead ROADMAP item.

@@ -55,9 +55,10 @@ fn cache_hits_are_byte_identical_and_absorb_resolves() {
     assert_eq!(r2.data.as_ref(), &data[10_000..60_000]);
     assert_eq!(r2.data.as_ref(), r1.data.as_ref(), "cached ≡ uncached");
     assert_eq!(r2.checksum, r1.checksum);
+    let (miss, hit) = (r1.end.since(r1.start), r2.end.since(r2.start));
     assert!(
-        r2.end.since(r2.start) < r1.end.since(r1.start),
-        "a hit is faster than the fan-out it replaced"
+        hit.ps() * 5 <= miss.ps(),
+        "a hit is at least 5x faster than the fan-out it replaced: {hit:?} vs {miss:?}"
     );
     // A strict subrange of the cached span also hits.
     let r3 = fsc.read_at(&h, 25_000, 10_000).expect("read 3");
@@ -351,13 +352,18 @@ fn sequential_stream_reaches_steady_state_hit_rate() {
     }
     let stats = fsc.read_cache_stats();
     assert!(
-        stats.hit_rate() >= 0.7,
+        stats.hit_rate() >= 0.8,
         "steady-state hit rate regressed: {:.2} ({} hits / {} misses)",
         stats.hit_rate(),
         stats.hits,
         stats.misses
     );
     assert!(stats.readahead_bytes > 0, "readahead never engaged");
+    assert_eq!(
+        stats.readahead_bytes + stats.misses * block as u64,
+        data.len() as u64,
+        "readahead fetches what the misses did not, once, and nothing past EOF"
+    );
     let resolves = fsc.cluster.control.borrow().meta.stats.resolves;
     assert!(
         resolves <= stats.misses + 2,
@@ -365,8 +371,8 @@ fn sequential_stream_reaches_steady_state_hit_rate() {
         stats.misses
     );
     assert!(
-        (resolves as f64) < n as f64 * 0.5,
-        "control-RPC reduction regressed: {resolves}/{n}"
+        resolves < n / 4,
+        "control-RPC reduction regressed: {resolves} resolves for {n} reads"
     );
 }
 
