@@ -227,6 +227,35 @@ mod tests {
         assert!((n as f64 - 82_000.0).abs() / 82_000.0 < 0.005);
     }
 
+    /// Fig 4's printed capacity is the one the simulated NIC enforces: a
+    /// PsPIN device carrying the DFS context at paper cost admits exactly
+    /// `max_concurrent_writes()` open requests.
+    #[test]
+    fn fig4_capacity_is_what_the_nic_enforces() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+
+        use nadfs_core::{CostModel, DfsHandlers};
+        use nadfs_host::{DmaConfig, DmaEngine, HostMemory};
+        use nadfs_pspin::{ExecutionContext, PsPinDevice};
+        use nadfs_simnet::{Fabric, FabricConfig};
+        use nadfs_wire::Frame;
+
+        let cost = CostModel::paper();
+        let mut fabric: Fabric<Frame> = Fabric::new(FabricConfig::default(), 0);
+        let port = fabric.register_node(1, None);
+        let dma = DmaEngine::new(DmaConfig::default(), HostMemory::new());
+        let mut dev = PsPinDevice::new(cost.pspin.clone(), port, Rc::new(RefCell::new(dma)), 1);
+        dev.install_context(ExecutionContext {
+            handlers: Box::new(DfsHandlers),
+            state: Box::new(()),
+            state_bytes: cost.pspin_state_bytes,
+            descriptor_bytes: cost.descriptor_bytes,
+        });
+        assert_eq!(dev.max_concurrent_requests(), max_concurrent_writes());
+        assert_eq!(max_concurrent_writes(), 81_707, "§III-B: ~82 K");
+    }
+
     #[test]
     fn descriptor_memory_is_linear() {
         assert_eq!(descriptor_memory_bytes(0), 0);

@@ -1,6 +1,7 @@
 //! Cauchy-matrix Reed-Solomon construction — the standard alternative to
 //! Vandermonde-derived systematic codes (used by e.g. Jerasure and several
-//! DFS EC implementations the paper surveys in Table III).
+//! DFS EC implementations the paper surveys in Table III). Test-only: a
+//! reference code the tests cross-check [`crate::ReedSolomon`] against.
 //!
 //! A Cauchy matrix `C[i][j] = 1/(x_i + y_j)` with all x_i, y_j distinct has
 //! the property that *every* square submatrix is invertible, which gives
@@ -12,37 +13,37 @@ use crate::matrix::Matrix;
 
 /// Build an m×k Cauchy parity matrix with x_i = i + k, y_j = j
 /// (all 2^8 > k + m elements distinct by construction).
-pub fn cauchy_parity_matrix(k: usize, m: usize) -> Matrix {
+pub(crate) fn cauchy_parity_matrix(k: usize, m: usize) -> Matrix {
     assert!(k + m <= 256, "k+m must fit the field");
     let mut out = Matrix::zero(m, k);
     for i in 0..m {
         for j in 0..k {
             let x = (i + k) as u8;
             let y = j as u8;
-            out[(i, j)] = gf256::inv(gf256::add(x, y));
+            out[(i, j)] = gf256::inv(x ^ y);
         }
     }
     out
 }
 
 /// Full systematic encoding matrix: identity on top, Cauchy parity below.
-pub fn cauchy_encoding_matrix(k: usize, m: usize) -> Matrix {
+pub(crate) fn cauchy_encoding_matrix(k: usize, m: usize) -> Matrix {
     let parity = cauchy_parity_matrix(k, m);
-    let mut rows = Vec::with_capacity(k + m);
+    let mut out = Matrix::zero(k + m, k);
     for i in 0..k {
-        let mut r = vec![0u8; k];
-        r[i] = 1;
-        rows.push(r);
+        out[(i, i)] = 1;
     }
     for i in 0..m {
-        rows.push(parity.row(i).to_vec());
+        for j in 0..k {
+            out[(k + i, j)] = parity[(i, j)];
+        }
     }
-    Matrix::from_rows(rows)
+    out
 }
 
 /// Encode parities with a Cauchy matrix (reference implementation used to
 /// cross-check the Vandermonde-based [`crate::ReedSolomon`]).
-pub fn cauchy_encode(k: usize, m: usize, data: &[&[u8]]) -> Vec<Vec<u8>> {
+pub(crate) fn cauchy_encode(k: usize, m: usize, data: &[&[u8]]) -> Vec<Vec<u8>> {
     assert_eq!(data.len(), k);
     let n = data[0].len();
     assert!(data.iter().all(|d| d.len() == n), "equal chunk sizes");

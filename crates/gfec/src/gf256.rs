@@ -20,25 +20,23 @@
 //! `mul_slice`, `mul_acc_slice` and `xor_slice` are the per-packet hot
 //! loops; they check `src.len() == dst.len()` only under
 //! `debug_assertions` and in release operate on the common prefix (the
-//! zipped length). Callers must pass equal-length slices; use the
-//! `*_checked` wrappers at API boundaries where lengths come from the
-//! wire.
+//! zipped length). Callers must pass equal-length slices.
 
 use std::sync::OnceLock;
 
 /// Reducing polynomial (without the x^8 term): x^4+x^3+x^2+1.
 const POLY: u16 = 0x11D;
 
-pub struct Tables {
-    pub exp: [u8; 512],
-    pub log: [u8; 256],
+pub(crate) struct Tables {
+    pub(crate) exp: [u8; 512],
+    pub(crate) log: [u8; 256],
     /// Full product table: `mul_table[a][b] = a*b` in GF(2^8). 64 KiB.
-    pub mul: Box<[[u8; 256]; 256]>,
+    pub(crate) mul: Box<[[u8; 256]; 256]>,
     /// Nibble-split products for the shuffle kernels: for coefficient `c`,
     /// `nib_lo[c][x] = c * x` (x < 16) and `nib_hi[c][x] = c * (x << 4)`.
     /// `c*b = nib_lo[c][b & 0xF] ^ nib_hi[c][b >> 4]`. 2 × 4 KiB.
-    pub nib_lo: Box<[[u8; 16]; 256]>,
-    pub nib_hi: Box<[[u8; 16]; 256]>,
+    pub(crate) nib_lo: Box<[[u8; 16]; 256]>,
+    pub(crate) nib_hi: Box<[[u8; 16]; 256]>,
 }
 
 fn build_tables() -> Tables {
@@ -80,44 +78,27 @@ fn build_tables() -> Tables {
 }
 
 /// Access the (lazily built, process-wide) tables.
-pub fn tables() -> &'static Tables {
+pub(crate) fn tables() -> &'static Tables {
     static T: OnceLock<Tables> = OnceLock::new();
     T.get_or_init(build_tables)
 }
 
-/// Addition = subtraction = XOR.
-#[inline(always)]
-pub fn add(a: u8, b: u8) -> u8 {
-    a ^ b
-}
-
 /// Multiply in GF(2^8).
 #[inline(always)]
-pub fn mul(a: u8, b: u8) -> u8 {
+pub(crate) fn mul(a: u8, b: u8) -> u8 {
     tables().mul[a as usize][b as usize]
 }
 
 /// Multiplicative inverse; panics on zero.
 #[inline]
-pub fn inv(a: u8) -> u8 {
+pub(crate) fn inv(a: u8) -> u8 {
     assert!(a != 0, "zero has no inverse");
     let t = tables();
     t.exp[255 - t.log[a as usize] as usize]
 }
 
-/// Division a/b; panics when b = 0.
-#[inline]
-pub fn div(a: u8, b: u8) -> u8 {
-    assert!(b != 0, "division by zero");
-    if a == 0 {
-        return 0;
-    }
-    let t = tables();
-    t.exp[(t.log[a as usize] as usize + 255 - t.log[b as usize] as usize) % 255]
-}
-
 /// a^n by log-domain multiplication.
-pub fn pow(a: u8, n: u32) -> u8 {
+pub(crate) fn pow(a: u8, n: u32) -> u8 {
     if n == 0 {
         return 1;
     }
@@ -130,7 +111,7 @@ pub fn pow(a: u8, n: u32) -> u8 {
 }
 
 /// The field generator α = 2.
-pub const GENERATOR: u8 = 2;
+pub(crate) const GENERATOR: u8 = 2;
 
 /// Byte-at-a-time reference kernels: the seed implementation, kept both as
 /// the portable fallback and as the baseline the `ec_throughput` benchmark
@@ -188,13 +169,13 @@ mod x86 {
 
     /// Which instruction set the running CPU offers; detected once.
     #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-    pub enum Level {
+    pub(crate) enum Level {
         Scalar,
         Ssse3,
         Avx2,
     }
 
-    pub fn level() -> Level {
+    pub(crate) fn level() -> Level {
         use std::sync::OnceLock;
         static L: OnceLock<Level> = OnceLock::new();
         *L.get_or_init(|| {
@@ -215,7 +196,7 @@ mod x86 {
     /// # Safety
     /// Caller must ensure SSSE3 is available.
     #[target_feature(enable = "ssse3")]
-    pub unsafe fn mul_blocks_ssse3<const ACC: bool>(
+    pub(crate) unsafe fn mul_blocks_ssse3<const ACC: bool>(
         lo: &[u8; 16],
         hi: &[u8; 16],
         src: &[u8],
@@ -242,7 +223,7 @@ mod x86 {
     /// # Safety
     /// Caller must ensure AVX2 is available.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn mul_blocks_avx2<const ACC: bool>(
+    pub(crate) unsafe fn mul_blocks_avx2<const ACC: bool>(
         lo: &[u8; 16],
         hi: &[u8; 16],
         src: &[u8],
@@ -362,32 +343,11 @@ pub fn xor_slice(src: &[u8], dst: &mut [u8]) {
     }
 }
 
-/// Length-checked wrapper over [`mul_acc_slice`]; panics on mismatch in
-/// every build. Use at boundaries where lengths come from untrusted input.
-pub fn mul_acc_slice_checked(c: u8, src: &[u8], dst: &mut [u8]) {
-    assert_eq!(src.len(), dst.len(), "mul_acc_slice: length mismatch");
-    mul_acc_slice(c, src, dst);
-}
-
-/// Length-checked wrapper over [`mul_slice`]; panics on mismatch in every
-/// build.
-pub fn mul_slice_checked(c: u8, src: &[u8], dst: &mut [u8]) {
-    assert_eq!(src.len(), dst.len(), "mul_slice: length mismatch");
-    mul_slice(c, src, dst);
-}
-
-/// Length-checked wrapper over [`xor_slice`]; panics on mismatch in every
-/// build.
-pub fn xor_slice_checked(src: &[u8], dst: &mut [u8]) {
-    assert_eq!(src.len(), dst.len(), "xor_slice: length mismatch");
-    xor_slice(src, dst);
-}
-
 /// Source-tile size for the fused multi-row kernel: big enough to amortize
 /// the per-row call overhead, small enough that the source tile plus `m`
 /// accumulator tiles stay L1/L2-resident while all rows consume them.
 /// `ReedSolomon::encode_into` walks stripes at this granularity too.
-pub const FUSE_TILE: usize = 16 << 10;
+pub(crate) const FUSE_TILE: usize = 16 << 10;
 
 /// Fused multi-parity accumulate: `dsts[p][i] ^= coefs[p] * src[i]` for
 /// every row `p`, walking `src` in cache-resident tiles so each source tile
@@ -459,8 +419,19 @@ mod tests {
         for a in [1u8, 2, 7, 19, 133, 255] {
             for b in [0u8, 1, 3, 97, 254] {
                 for c in [5u8, 88, 201] {
-                    assert_eq!(mul(a, add(b, c)), add(mul(a, b), mul(a, c)));
+                    // Field addition is XOR.
+                    assert_eq!(mul(a, b ^ c), mul(a, b) ^ mul(a, c));
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn div_is_mul_inverse() {
+        // a / b = a · b⁻¹, so multiplying back by b returns a.
+        for a in [0u8, 1, 9, 77, 255] {
+            for b in [1u8, 2, 13, 254] {
+                assert_eq!(mul(mul(a, inv(b)), b), a);
             }
         }
     }
@@ -473,15 +444,6 @@ mod tests {
                 for c in [11u8, 123] {
                     assert_eq!(mul(mul(a, b), c), mul(a, mul(b, c)));
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn div_is_mul_inverse() {
-        for a in [0u8, 1, 9, 77, 255] {
-            for b in [1u8, 2, 13, 254] {
-                assert_eq!(mul(div(a, b), b), a);
             }
         }
     }
@@ -587,15 +549,6 @@ mod tests {
         let mut dst = vec![0u8; 9];
         xor_slice(&src, &mut dst);
         assert_eq!(dst, vec![0xFF; 9], "every prefix byte must be XORed");
-    }
-
-    #[test]
-    fn checked_wrappers_panic_on_mismatch() {
-        let r = std::panic::catch_unwind(|| {
-            let mut d = vec![0u8; 3];
-            mul_acc_slice_checked(2, &[1, 2], &mut d);
-        });
-        assert!(r.is_err(), "checked wrapper must reject length mismatch");
     }
 
     #[test]

@@ -22,7 +22,7 @@ impl std::fmt::Debug for Matrix {
 }
 
 impl Matrix {
-    pub fn zero(rows: usize, cols: usize) -> Matrix {
+    pub(crate) fn zero(rows: usize, cols: usize) -> Matrix {
         Matrix {
             rows,
             cols,
@@ -30,7 +30,7 @@ impl Matrix {
         }
     }
 
-    pub fn identity(n: usize) -> Matrix {
+    pub(crate) fn identity(n: usize) -> Matrix {
         let mut m = Matrix::zero(n, n);
         for i in 0..n {
             m[(i, i)] = 1;
@@ -38,20 +38,9 @@ impl Matrix {
         m
     }
 
-    pub fn from_rows(rows: Vec<Vec<u8>>) -> Matrix {
-        let r = rows.len();
-        let c = rows.first().map_or(0, |x| x.len());
-        assert!(rows.iter().all(|x| x.len() == c), "ragged rows");
-        Matrix {
-            rows: r,
-            cols: c,
-            data: rows.into_iter().flatten().collect(),
-        }
-    }
-
     /// Vandermonde matrix `v[i][j] = α^(i·j)`: any k of its rows are linearly
     /// independent, the property RS erasure tolerance rests on.
-    pub fn vandermonde(rows: usize, cols: usize) -> Matrix {
+    pub(crate) fn vandermonde(rows: usize, cols: usize) -> Matrix {
         assert!(rows <= 255, "at most 255 distinct evaluation points");
         let mut m = Matrix::zero(rows, cols);
         for i in 0..rows {
@@ -65,14 +54,7 @@ impl Matrix {
         m
     }
 
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    pub fn row(&self, r: usize) -> &[u8] {
+    pub(crate) fn row(&self, r: usize) -> &[u8] {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
@@ -81,7 +63,7 @@ impl Matrix {
     }
 
     /// Select a subset of rows (e.g. the surviving shards' rows).
-    pub fn select_rows(&self, which: &[usize]) -> Matrix {
+    pub(crate) fn select_rows(&self, which: &[usize]) -> Matrix {
         let mut out = Matrix::zero(which.len(), self.cols);
         for (i, &r) in which.iter().enumerate() {
             out.row_mut(i).copy_from_slice(self.row(r));
@@ -89,7 +71,7 @@ impl Matrix {
         out
     }
 
-    pub fn mul(&self, rhs: &Matrix) -> Matrix {
+    pub(crate) fn mul(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(self.cols, rhs.rows, "dimension mismatch");
         let mut out = Matrix::zero(self.rows, rhs.cols);
         for i in 0..self.rows {
@@ -107,7 +89,7 @@ impl Matrix {
     }
 
     /// Gauss-Jordan inverse; `None` when singular.
-    pub fn invert(&self) -> Option<Matrix> {
+    pub(crate) fn invert(&self) -> Option<Matrix> {
         assert_eq!(self.rows, self.cols, "inverse of non-square matrix");
         let n = self.rows;
         let mut a = self.clone();
@@ -190,6 +172,15 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
 mod tests {
     use super::*;
 
+    /// A matrix with the given rows (all of one length).
+    fn from_rows(rows: &[&[u8]]) -> Matrix {
+        let mut m = Matrix::zero(rows.len(), rows[0].len());
+        for (r, row) in rows.iter().enumerate() {
+            m.row_mut(r).copy_from_slice(row);
+        }
+        m
+    }
+
     #[test]
     fn identity_is_multiplicative_unit() {
         let m = Matrix::vandermonde(4, 4);
@@ -209,7 +200,7 @@ mod tests {
 
     #[test]
     fn singular_matrix_returns_none() {
-        let m = Matrix::from_rows(vec![vec![1, 2], vec![1, 2]]);
+        let m = from_rows(&[&[1, 2], &[1, 2]]);
         assert!(m.invert().is_none());
         let z = Matrix::zero(3, 3);
         assert!(z.invert().is_none());
@@ -218,7 +209,7 @@ mod tests {
     #[test]
     fn inverse_with_row_swaps() {
         // Leading zero forces pivoting.
-        let m = Matrix::from_rows(vec![vec![0, 1, 2], vec![3, 4, 5], vec![6, 7, 1]]);
+        let m = from_rows(&[&[0, 1, 2], &[3, 4, 5], &[6, 7, 1]]);
         let mi = m.invert().expect("invertible");
         assert_eq!(m.mul(&mi), Matrix::identity(3));
         assert_eq!(mi.mul(&m), Matrix::identity(3));
@@ -245,7 +236,7 @@ mod tests {
                 assert!(s.invert().is_some(), "singular subset {subset:?}");
                 return;
             }
-            for i in start..v.rows() {
+            for i in start..v.rows {
                 subset[depth] = i;
                 rec(v, k, i + 1, depth + 1, subset);
             }
@@ -255,10 +246,10 @@ mod tests {
 
     #[test]
     fn mul_dimensions_and_content() {
-        let a = Matrix::from_rows(vec![vec![1, 0], vec![0, 2]]);
-        let b = Matrix::from_rows(vec![vec![5, 6, 7], vec![8, 9, 10]]);
+        let a = from_rows(&[&[1, 0], &[0, 2]]);
+        let b = from_rows(&[&[5, 6, 7], &[8, 9, 10]]);
         let c = a.mul(&b);
-        assert_eq!((c.rows(), c.cols()), (2, 3));
+        assert_eq!((c.rows, c.cols), (2, 3));
         assert_eq!(c.row(0), &[5, 6, 7]);
         assert_eq!(
             c.row(1),

@@ -7,7 +7,7 @@
 //! the first k rows become the identity (data chunks are stored verbatim,
 //! "k of k+m encoded chunks are identical to the original k data chunks").
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use crate::gf256;
@@ -18,13 +18,14 @@ use crate::matrix::Matrix;
 /// same dead node's chunks), so a small LRU absorbs nearly all inversions.
 const DECODE_CACHE_CAP: usize = 16;
 
-/// LRU-ish memo of survivor-row-set → inverted decode matrix.
+/// LRU-ish memo of survivor-row-set → inverted decode matrix. Ordered,
+/// not hashed: eviction iterates it.
 #[derive(Debug, Default)]
 struct DecodeCache {
-    map: HashMap<Vec<usize>, (u64, Matrix)>,
+    map: BTreeMap<Vec<usize>, (u64, Matrix)>,
     tick: u64,
-    pub hits: u64,
-    pub misses: u64,
+    hits: u64,
+    misses: u64,
 }
 
 impl DecodeCache {
@@ -154,11 +155,6 @@ impl ReedSolomon {
         self.parity_rows[p * self.k + j]
     }
 
-    /// Row of coefficients for parity `p`.
-    pub fn parity_row(&self, p: usize) -> &[u8] {
-        &self.parity_rows[p * self.k..(p + 1) * self.k]
-    }
-
     /// Encode: compute the m parity chunks for `data` (k equal-size chunks).
     pub fn encode(&self, data: &[&[u8]]) -> Result<Vec<Vec<u8>>, RsError> {
         let mut parities = vec![Vec::new(); self.m];
@@ -227,7 +223,8 @@ impl ReedSolomon {
     }
 
     /// Verify that `shards` (k data followed by m parity) are consistent.
-    pub fn verify(&self, shards: &[&[u8]]) -> Result<bool, RsError> {
+    #[cfg(test)]
+    fn verify(&self, shards: &[&[u8]]) -> Result<bool, RsError> {
         if shards.len() != self.k + self.m {
             return Err(RsError::WrongChunkCount {
                 expected: self.k + self.m,
@@ -418,7 +415,8 @@ impl ReedSolomon {
     /// Incrementally update parities after data chunk `j` changes from
     /// `old` to `new`: `P_p += coef[p][j] · (old ⊕ new)`. This is the
     /// small-write optimization DFSs use to avoid re-reading the stripe.
-    pub fn update_parities(
+    #[cfg(test)]
+    fn update_parities(
         &self,
         j: usize,
         old: &[u8],
@@ -440,7 +438,8 @@ impl ReedSolomon {
 
     /// Split a byte buffer into k equal chunks, zero-padding the tail.
     /// Returns (chunks, chunk_len).
-    pub fn split(&self, data: &[u8]) -> (Vec<Vec<u8>>, usize) {
+    #[cfg(test)]
+    fn split(&self, data: &[u8]) -> (Vec<Vec<u8>>, usize) {
         let chunk_len = data.len().div_ceil(self.k).max(1);
         let mut out = Vec::with_capacity(self.k);
         for j in 0..self.k {
@@ -776,7 +775,6 @@ mod tests {
         for p in 0..3 {
             for j in 0..5 {
                 assert_eq!(rs.parity_coef(p, j), rs.enc[(5 + p, j)]);
-                assert_eq!(rs.parity_row(p)[j], rs.enc[(5 + p, j)]);
             }
         }
     }

@@ -129,10 +129,6 @@ impl Accumulator {
         self.received == self.expected
     }
 
-    pub fn received(&self) -> u32 {
-        self.received
-    }
-
     /// Final bytes (valid once complete); `len` trims to the real packet
     /// length.
     pub fn finish(&self, len: usize) -> &[u8] {

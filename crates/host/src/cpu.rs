@@ -42,8 +42,8 @@ impl Default for CpuCosts {
 pub struct Cpu {
     pub costs: CpuCosts,
     busy_until: Time,
-    pub tasks_run: u64,
-    pub busy_time: Dur,
+    pub(crate) tasks_run: u64,
+    pub(crate) busy_time: Dur,
 }
 
 impl Cpu {
@@ -70,15 +70,6 @@ impl Cpu {
     /// Copy cost for `len` bytes at the configured memcpy bandwidth.
     pub fn memcpy_cost(&self, len: u64) -> Dur {
         self.costs.memcpy_bw.tx_time(len)
-    }
-
-    /// Convenience: notification + dispatch latency for NIC → CPU handoff.
-    pub fn wakeup_cost(&self) -> Dur {
-        self.costs.poll_notify + self.costs.rpc_dispatch
-    }
-
-    pub fn busy_until(&self) -> Time {
-        self.busy_until
     }
 }
 

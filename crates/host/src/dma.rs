@@ -24,7 +24,7 @@ use crate::memory::SharedMemory;
 pub struct DmaConfig {
     /// NIC → host (ingress writes). Provisioned at/above line rate per the
     /// paper's "storage ingests at network bandwidth" assumption.
-    pub write_bw: Bandwidth,
+    pub(crate) write_bw: Bandwidth,
     /// Host → NIC (egress reads / fetch for forwarding).
     pub read_bw: Bandwidth,
     /// One-way PCIe latency per operation.
@@ -54,8 +54,6 @@ pub struct DmaEngine {
     mem: SharedMemory,
     write_busy_until: Time,
     read_busy_until: Time,
-    /// Completion time of the latest write issued (flush horizon).
-    last_write_done: Time,
     pub writes_issued: u64,
     pub reads_issued: u64,
     pub bytes_written: u64,
@@ -73,7 +71,6 @@ impl DmaEngine {
             mem,
             write_busy_until: Time::ZERO,
             read_busy_until: Time::ZERO,
-            last_write_done: Time::ZERO,
             writes_issued: 0,
             reads_issued: 0,
             bytes_written: 0,
@@ -81,14 +78,6 @@ impl DmaEngine {
             write_busy_ps: 0,
             read_busy_ps: 0,
         }
-    }
-
-    pub fn config(&self) -> &DmaConfig {
-        &self.cfg
-    }
-
-    pub fn memory(&self) -> SharedMemory {
-        self.mem.clone()
     }
 
     /// Issue a DMA write of a copy of `data` to host `addr` at time `now`.
@@ -118,7 +107,6 @@ impl DmaEngine {
         // The channel is occupied for the transfer (not the flight latency).
         self.write_busy_until = start + transfer;
         self.write_busy_ps += (self.cfg.per_op + transfer).ps();
-        self.last_write_done = self.last_write_done.max(done);
         self.writes_issued += 1;
         self.bytes_written += len as u64;
         done
@@ -153,12 +141,6 @@ impl DmaEngine {
         self.mem.borrow().read_into(addr, out);
         done
     }
-
-    /// Time at which every write issued so far is durable (the "RDMA flush"
-    /// point the paper discusses under data persistence, §III-B-1).
-    pub fn flush_horizon(&self) -> Time {
-        self.last_write_done
-    }
 }
 
 #[cfg(test)]
@@ -173,11 +155,11 @@ mod tests {
     #[test]
     fn write_completion_includes_latency_and_serialization() {
         let mut e = engine();
-        let cfg = e.config().clone();
+        let cfg = e.cfg.clone();
         let done = e.write(Time::ZERO, 0x1000, &[7u8; 4096]);
         let expect = cfg.per_op + cfg.write_bw.tx_time(4096) + cfg.latency;
         assert_eq!(done, Time::ZERO + expect);
-        assert_eq!(e.memory().borrow().read(0x1000, 4096), vec![7u8; 4096]);
+        assert_eq!(e.mem.borrow().read(0x1000, 4096), vec![7u8; 4096]);
     }
 
     #[test]
@@ -190,7 +172,6 @@ mod tests {
         }
         assert_eq!((e.writes_issued, e.bytes_written), (2, 3000));
         assert_eq!(e.write_busy_ps, e2.write_busy_ps);
-        assert_eq!(e.flush_horizon(), e2.flush_horizon());
         let (read, _) = e.read(Time::ZERO, 0x1000, 1500);
         assert_eq!(read.as_ptr(), payload.as_ptr(), "a read slices what landed");
     }
@@ -202,7 +183,7 @@ mod tests {
         let d2 = e.write(Time::ZERO, 1 << 20, &[0u8; 1 << 20]);
         assert!(d2 > d1);
         // Second transfer must start after the first's serialization.
-        let cfg = e.config().clone();
+        let cfg = e.cfg.clone();
         let ser = cfg.write_bw.tx_time(1 << 20);
         assert!(d2 >= Time::ZERO + ser + ser);
     }
@@ -213,7 +194,7 @@ mod tests {
         e.write(Time::ZERO, 64, b"abcdef");
         let (data, done) = e.read(Time(1_000_000), 64, 6);
         assert_eq!(&data[..], b"abcdef");
-        let cfg = e.config().clone();
+        let cfg = e.cfg.clone();
         assert_eq!(
             done,
             Time(1_000_000) + cfg.per_op + cfg.latency + cfg.read_bw.tx_time(6)
@@ -245,17 +226,6 @@ mod tests {
             r.since(Time::ZERO).ps() > w.since(Time::ZERO).ps(),
             "DMA read must cost more than DMA write for equal size"
         );
-    }
-
-    #[test]
-    fn flush_horizon_tracks_latest_write() {
-        let mut e = engine();
-        assert_eq!(e.flush_horizon(), Time::ZERO);
-        let d1 = e.write(Time::ZERO, 0, &[1u8; 100]);
-        assert_eq!(e.flush_horizon(), d1);
-        let d2 = e.write(d1, 200, &[2u8; 100]);
-        assert_eq!(e.flush_horizon(), d2);
-        assert!(d2 > d1);
     }
 
     #[test]

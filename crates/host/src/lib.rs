@@ -4,9 +4,11 @@
 //! storage target), the PCIe/DMA engine connecting NIC and memory, and a
 //! serially-occupied CPU cost model used by the CPU-based baselines.
 
-pub mod cpu;
-pub mod dma;
-pub mod memory;
+#![warn(unreachable_pub)]
+
+mod cpu;
+mod dma;
+mod memory;
 
 pub use cpu::{Cpu, CpuCosts};
 pub use dma::{DmaConfig, DmaEngine};

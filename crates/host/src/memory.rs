@@ -261,16 +261,6 @@ impl HostMemory {
         self.clear(addr, addr + len);
     }
 
-    /// XOR `data` into memory at `addr` (used by CPU-side EC aggregation
-    /// fallback and by the firmware EC engine model).
-    pub fn xor_in(&mut self, addr: u64, data: &[u8]) {
-        let mut cur = self.read(addr, data.len());
-        for (c, d) in cur.iter_mut().zip(data) {
-            *c ^= d;
-        }
-        self.write(addr, &cur);
-    }
-
     /// Total bytes ever written (diagnostic).
     pub fn bytes_written(&self) -> u64 {
         self.bytes_written
@@ -338,14 +328,6 @@ mod tests {
         m.borrow_mut().write(b, &[0xBB]);
         assert_eq!(m.borrow().read(a, 5000), vec![0xAA; 5000]);
         assert_eq!(m.borrow().read(b, 1), vec![0xBB]);
-    }
-
-    #[test]
-    fn xor_in_accumulates() {
-        let m = HostMemory::new();
-        m.borrow_mut().xor_in(64, &[0b1010, 0b1111]);
-        m.borrow_mut().xor_in(64, &[0b0110, 0b1111]);
-        assert_eq!(m.borrow().read(64, 2), vec![0b1100, 0b0000]);
     }
 
     #[test]

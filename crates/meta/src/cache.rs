@@ -19,16 +19,14 @@
 
 use std::collections::BTreeMap;
 
-use crate::inode::{InodeAttr, InodeId, InodeKind};
+use crate::inode::{InodeAttr, InodeId};
 use crate::layout::StripedLayout;
 
 /// One cached path resolution.
 #[derive(Clone, Debug)]
 pub struct CachedEntry {
-    pub ino: InodeId,
-    pub kind: InodeKind,
     /// Inode version observed when the entry was filled.
-    pub version: u64,
+    pub(crate) version: u64,
     pub size: u64,
     /// File layout, if the entry is a file.
     pub layout: Option<StripedLayout>,
@@ -37,8 +35,6 @@ pub struct CachedEntry {
 impl CachedEntry {
     pub fn from_attr(attr: &InodeAttr, layout: Option<StripedLayout>) -> CachedEntry {
         CachedEntry {
-            ino: attr.ino,
-            kind: attr.kind,
             version: attr.version,
             size: attr.size,
             layout,
@@ -84,14 +80,6 @@ pub struct MetaCache {
 impl MetaCache {
     pub fn new() -> MetaCache {
         MetaCache::default()
-    }
-
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Look up a path; counts a hit or a miss.
@@ -174,23 +162,14 @@ impl MetaCache {
         self.stats.writeback_flushes += 1;
         std::mem::take(&mut self.dirty).into_iter().collect()
     }
-
-    pub fn clear(&mut self) {
-        let n = self.entries.len();
-        self.entries.clear();
-        self.stats.invalidations += n as u64;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inode::InodeKind;
 
-    fn entry(ino: u64, version: u64) -> CachedEntry {
+    fn entry(version: u64) -> CachedEntry {
         CachedEntry {
-            ino,
-            kind: InodeKind::File,
             version,
             size: 0,
             layout: None,
@@ -201,7 +180,7 @@ mod tests {
     fn hits_and_misses_counted() {
         let mut c = MetaCache::new();
         assert!(c.get("/a").is_none());
-        c.insert("/a", entry(2, 1));
+        c.insert("/a", entry(1));
         assert!(c.get("/a").is_some());
         assert_eq!(c.stats.hits, 1);
         assert_eq!(c.stats.misses, 1);
@@ -210,7 +189,7 @@ mod tests {
     #[test]
     fn newer_version_evicts() {
         let mut c = MetaCache::new();
-        c.insert("/a", entry(2, 3));
+        c.insert("/a", entry(3));
         assert!(!c.note_version("/a", 3), "same version keeps the entry");
         assert!(c.note_version("/a", 4), "newer version evicts");
         assert!(c.peek("/a").is_none());
@@ -220,10 +199,10 @@ mod tests {
     #[test]
     fn subtree_invalidation_respects_component_boundaries() {
         let mut c = MetaCache::new();
-        c.insert("/a", entry(2, 1));
-        c.insert("/a/f", entry(3, 1));
-        c.insert("/a/sub/g", entry(4, 1));
-        c.insert("/ab", entry(5, 1));
+        c.insert("/a", entry(1));
+        c.insert("/a/f", entry(1));
+        c.insert("/a/sub/g", entry(1));
+        c.insert("/ab", entry(1));
         c.invalidate_subtree("/a");
         assert!(c.peek("/a").is_none());
         assert!(c.peek("/a/f").is_none());

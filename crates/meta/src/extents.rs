@@ -25,7 +25,7 @@ use crate::error::MetaError;
 
 /// The failed storage nodes a resolve routes around: only probed, never
 /// iterated into an order.
-pub type FailedSet = std::collections::HashSet<u32>; // membership only
+pub(crate) type FailedSet = std::collections::HashSet<u32>; // membership only
 
 /// One committed write, as the read path needs to see it.
 #[derive(Clone, Debug, PartialEq, Eq)]

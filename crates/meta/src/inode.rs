@@ -11,11 +11,11 @@ use std::collections::BTreeMap;
 use crate::layout::StripedLayout;
 use nadfs_wire::{BcastStrategy, RsScheme};
 
-/// Stable inode id. The root directory is always [`ROOT_INO`].
+/// Stable inode id. The root directory is always inode 1.
 pub type InodeId = u64;
 
 /// The root directory's inode id.
-pub const ROOT_INO: InodeId = 1;
+pub(crate) const ROOT_INO: InodeId = 1;
 
 /// What kind of object an inode names.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -48,16 +48,16 @@ pub struct InodeAttr {
     /// Bumped on every mutation of this inode.
     pub version: u64,
     /// Directories: entry count. Files: always 1 (no hard links yet).
-    pub nlink: u32,
+    pub(crate) nlink: u32,
     /// Last-mutation timestamp, nanoseconds of simulated time.
-    pub mtime_ns: u64,
+    pub(crate) mtime_ns: u64,
 }
 
 /// Directory payload.
 #[derive(Clone, Debug, Default)]
-pub struct DirNode {
+pub(crate) struct DirNode {
     /// Sorted so `readdir` is deterministic.
-    pub entries: BTreeMap<String, InodeId>,
+    pub(crate) entries: BTreeMap<String, InodeId>,
 }
 
 /// File payload: where the bytes live and under which policy.
@@ -69,7 +69,7 @@ pub struct FileNode {
 
 /// Kind-specific inode payload.
 #[derive(Clone, Debug)]
-pub enum InodeBody {
+pub(crate) enum InodeBody {
     Dir(DirNode),
     File(FileNode),
 }
@@ -78,16 +78,16 @@ pub enum InodeBody {
 /// carries its parent and entry name, so paths reconstruct in O(depth).
 #[derive(Clone, Debug)]
 pub struct Inode {
-    pub attr: InodeAttr,
-    pub body: InodeBody,
+    pub(crate) attr: InodeAttr,
+    pub(crate) body: InodeBody,
     /// Parent directory (the root's parent is itself).
-    pub parent: InodeId,
+    pub(crate) parent: InodeId,
     /// This inode's entry name in the parent ("" for the root).
-    pub name: String,
+    pub(crate) name: String,
 }
 
 impl Inode {
-    pub fn new_dir(ino: InodeId, parent: InodeId, now_ns: u64) -> Inode {
+    pub(crate) fn new_dir(ino: InodeId, parent: InodeId, now_ns: u64) -> Inode {
         Inode {
             attr: InodeAttr {
                 ino,
@@ -105,7 +105,12 @@ impl Inode {
         }
     }
 
-    pub fn new_file(ino: InodeId, layout: StripedLayout, policy: FilePolicy, now_ns: u64) -> Inode {
+    pub(crate) fn new_file(
+        ino: InodeId,
+        layout: StripedLayout,
+        policy: FilePolicy,
+        now_ns: u64,
+    ) -> Inode {
         Inode {
             attr: InodeAttr {
                 ino,
@@ -121,14 +126,14 @@ impl Inode {
         }
     }
 
-    pub fn dir(&self) -> Option<&DirNode> {
+    pub(crate) fn dir(&self) -> Option<&DirNode> {
         match &self.body {
             InodeBody::Dir(d) => Some(d),
             InodeBody::File(_) => None,
         }
     }
 
-    pub fn dir_mut(&mut self) -> Option<&mut DirNode> {
+    pub(crate) fn dir_mut(&mut self) -> Option<&mut DirNode> {
         match &mut self.body {
             InodeBody::Dir(d) => Some(d),
             InodeBody::File(_) => None,

@@ -10,9 +10,9 @@
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LayoutSpec {
     /// Number of storage nodes the file stripes over (≥ 1).
-    pub stripe_width: u32,
+    pub(crate) stripe_width: u32,
     /// Bytes per stripe unit.
-    pub chunk_size: u32,
+    pub(crate) chunk_size: u32,
 }
 
 impl LayoutSpec {
@@ -40,7 +40,7 @@ impl Default for LayoutSpec {
 /// A concrete layout: the spec bound to an ordered set of storage nodes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StripedLayout {
-    pub chunk_size: u32,
+    pub(crate) chunk_size: u32,
     /// Storage node ids in stripe order; `len()` is the stripe width.
     pub nodes: Vec<u32>,
 }
@@ -84,7 +84,7 @@ impl StripedLayout {
     }
 
     /// Node holding the stripe unit at `stripe_index`.
-    pub fn node_of(&self, stripe_index: u64) -> u32 {
+    pub(crate) fn node_of(&self, stripe_index: u64) -> u32 {
         self.nodes[(stripe_index % self.nodes.len() as u64) as usize]
     }
 

@@ -1,11 +1,11 @@
 //! # nadfs-meta
 //!
 //! The metadata subsystem of the network-accelerated DFS: a hierarchical,
-//! versioned namespace ([`namespace::Namespace`]) with POSIX-flavored
-//! directory operations, striped per-file layouts ([`layout`])
-//! generalizing the seed's single-node placement, a client-side metadata
-//! cache with version-based invalidation ([`cache::MetaCache`]), and the
-//! control-node service tying them together ([`service::MetadataService`]).
+//! versioned namespace ([`Namespace`]) with POSIX-flavored directory
+//! operations, striped per-file layouts ([`StripedLayout`]) generalizing
+//! the seed's single-node placement, a client-side metadata cache with
+//! version-based invalidation ([`MetaCache`]), and the control-node
+//! service tying them together ([`MetadataService`]).
 //!
 //! The paper's offload building blocks (capabilities §IV, replication §V,
 //! erasure coding §VI) assume a metadata service that resolves paths to
@@ -13,18 +13,20 @@
 //! sharded-metadata / in-network-coordination work (SwitchFS, AsyncFS —
 //! arXiv:2410.08618) on the roadmap.
 
-pub mod cache;
-pub mod error;
-pub mod extents;
-pub mod inode;
-pub mod layout;
-pub mod namespace;
-pub mod service;
+#![warn(unreachable_pub)]
+
+mod cache;
+mod error;
+mod extents;
+mod inode;
+mod layout;
+mod namespace;
+mod service;
 
 pub use cache::{CacheStats, CachedEntry, DirtyAttr, MetaCache};
 pub use error::MetaError;
 pub use extents::{ChunkCopy, CompactionResult, ExtentMap, ExtentRecord, ReadPiece, ReadPlan};
-pub use inode::{FilePolicy, Inode, InodeAttr, InodeId, InodeKind, ROOT_INO};
+pub use inode::{FilePolicy, Inode, InodeAttr, InodeId, InodeKind};
 pub use layout::{LayoutSpec, StripeExtent, StripedLayout};
-pub use namespace::{split_path, Namespace};
+pub use namespace::Namespace;
 pub use service::{MetaEvent, MetaOpStats, MetadataService};

@@ -14,7 +14,7 @@ use crate::layout::StripedLayout;
 type Result<T> = std::result::Result<T, MetaError>;
 
 /// Split and validate an absolute path into components.
-pub fn split_path(path: &str) -> Result<Vec<&str>> {
+pub(crate) fn split_path(path: &str) -> Result<Vec<&str>> {
     if !path.starts_with('/') {
         return Err(MetaError::InvalidPath);
     }
@@ -93,14 +93,6 @@ impl Namespace {
     pub fn lookup(&self, path: &str) -> Result<InodeAttr> {
         let ino = self.resolve(path)?;
         Ok(self.inode(ino)?.attr.clone())
-    }
-
-    /// Attributes plus layout/policy for a file path.
-    pub fn lookup_file(&self, path: &str) -> Result<(InodeAttr, StripedLayout, FilePolicy)> {
-        let ino = self.resolve(path)?;
-        let node = self.inode(ino)?;
-        let f = node.file().ok_or(MetaError::IsADirectory)?;
-        Ok((node.attr.clone(), f.layout.clone(), f.policy.clone()))
     }
 
     fn touch(&mut self, ino: InodeId, now_ns: u64) {
@@ -184,7 +176,7 @@ impl Namespace {
     }
 
     /// List a directory: (name, attributes) in name order.
-    pub fn readdir(&self, path: &str) -> Result<Vec<(String, InodeAttr)>> {
+    pub(crate) fn readdir(&self, path: &str) -> Result<Vec<(String, InodeAttr)>> {
         let ino = self.resolve(path)?;
         let node = self.inode(ino)?;
         let dir = node.dir().ok_or(MetaError::NotADirectory)?;
@@ -282,7 +274,7 @@ impl Namespace {
 
     /// Full path of an inode, if it is still linked: walks the parent
     /// chain upward, O(depth).
-    pub fn path_of(&self, ino: InodeId) -> Option<String> {
+    pub(crate) fn path_of(&self, ino: InodeId) -> Option<String> {
         if ino == ROOT_INO {
             return Some("/".to_string());
         }
@@ -301,7 +293,7 @@ impl Namespace {
     }
 
     /// Remove a file or an *empty* directory. Returns the removed attrs.
-    pub fn unlink(&mut self, path: &str, now_ns: u64) -> Result<InodeAttr> {
+    pub(crate) fn unlink(&mut self, path: &str, now_ns: u64) -> Result<InodeAttr> {
         let (parents, name) = split_parent(path)?;
         let parent = self.resolve_parts(&parents)?;
         let target = {
@@ -328,7 +320,7 @@ impl Namespace {
 
     /// Grow a file's logical size (placement appends bytes). Returns the
     /// offset the appended extent starts at and the new version.
-    pub fn append(&mut self, ino: InodeId, len: u64, now_ns: u64) -> Result<(u64, u64)> {
+    pub(crate) fn append(&mut self, ino: InodeId, len: u64, now_ns: u64) -> Result<(u64, u64)> {
         let n = self.inode_mut(ino)?;
         if n.file().is_none() {
             return Err(MetaError::IsADirectory);

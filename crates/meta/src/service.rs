@@ -19,12 +19,12 @@ type Result<T> = std::result::Result<T, MetaError>;
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MetaOpStats {
     pub lookups: u64,
-    pub creates: u64,
-    pub mkdirs: u64,
-    pub readdirs: u64,
-    pub renames: u64,
-    pub unlinks: u64,
-    pub attr_flushes: u64,
+    pub(crate) creates: u64,
+    pub(crate) mkdirs: u64,
+    pub(crate) readdirs: u64,
+    pub(crate) renames: u64,
+    pub(crate) unlinks: u64,
+    pub(crate) attr_flushes: u64,
     /// Read-plan resolutions (the per-read control round-trip a client
     /// read cache exists to absorb).
     pub resolves: u64,
@@ -69,7 +69,6 @@ pub struct MetadataService {
     /// Rotates so consecutive creates start their stripes on different
     /// nodes (same role as the seed's round-robin `home`).
     next_home: usize,
-    pub default_layout: LayoutSpec,
     pub stats: MetaOpStats,
     events: Vec<MetaEvent>,
 }
@@ -81,7 +80,6 @@ impl MetadataService {
             ns: Namespace::new(),
             storage_nodes,
             next_home: 0,
-            default_layout: LayoutSpec::SINGLE,
             stats: MetaOpStats::default(),
             events: Vec::new(),
         }
@@ -89,7 +87,7 @@ impl MetadataService {
 
     /// Build a concrete layout for a new file: `spec.stripe_width` nodes,
     /// round-robin from a rotating start.
-    pub fn alloc_layout(&mut self, spec: LayoutSpec) -> StripedLayout {
+    pub(crate) fn alloc_layout(&mut self, spec: LayoutSpec) -> StripedLayout {
         let n = self.storage_nodes.len();
         let width = (spec.stripe_width as usize).min(n);
         let home = self.next_home;
@@ -123,12 +121,6 @@ impl MetadataService {
     pub fn lookup(&mut self, path: &str) -> Result<InodeAttr> {
         self.stats.lookups += 1;
         self.ns.lookup(path)
-    }
-
-    /// Lookup returning the layout too (what a client needs to write).
-    pub fn lookup_file(&mut self, path: &str) -> Result<(InodeAttr, StripedLayout, FilePolicy)> {
-        self.stats.lookups += 1;
-        self.ns.lookup_file(path)
     }
 
     pub fn mkdir(&mut self, path: &str, now_ns: u64) -> Result<InodeAttr> {

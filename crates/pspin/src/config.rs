@@ -10,25 +10,25 @@ use nadfs_simnet::Dur;
 
 #[derive(Clone, Debug)]
 pub struct PsPinConfig {
-    pub n_clusters: usize,
-    pub hpus_per_cluster: usize,
+    pub(crate) n_clusters: usize,
+    pub(crate) hpus_per_cluster: usize,
     /// Core clock in GHz; 1.0 makes one cycle = 1 ns.
     pub clock_ghz: f64,
     /// Per-cluster L1 bytes (descriptor + state storage).
-    pub l1_bytes_per_cluster: u64,
+    pub(crate) l1_bytes_per_cluster: u64,
     /// Off-cluster L2 bytes (descriptor swap-out area).
-    pub l2_bytes: u64,
+    pub(crate) l2_bytes: u64,
     /// Packet-buffer capacity in packets; doubles as the NIC ingress credit
     /// count, so a full buffer backpressures the network losslessly.
     pub pktbuf_slots: usize,
     /// Packet-buffer copy throughput (Fig 7: 32 cycles for a 2 KiB packet).
-    pub pktbuf_bytes_per_cycle: u64,
+    pub(crate) pktbuf_bytes_per_cycle: u64,
     /// Cluster L1 copy throughput (Fig 7: 43 cycles for a 2 KiB packet).
-    pub l1_bytes_per_cycle: u64,
+    pub(crate) l1_bytes_per_cycle: u64,
     /// Inter-cluster scheduling latency in cycles (Fig 7: 2).
-    pub inter_sched_cycles: u64,
+    pub(crate) inter_sched_cycles: u64,
     /// Intra-cluster (HPU) scheduling latency in cycles (Fig 7: 1).
-    pub intra_sched_cycles: u64,
+    pub(crate) intra_sched_cycles: u64,
     /// Inactivity timeout after which the cleanup handler fires for an
     /// incomplete message (§VII, client-failure discussion).
     pub cleanup_timeout: Dur,
@@ -53,23 +53,18 @@ impl Default for PsPinConfig {
 }
 
 impl PsPinConfig {
-    /// Total HPU count (paper device: 32).
-    pub fn total_hpus(&self) -> usize {
-        self.n_clusters * self.hpus_per_cluster
-    }
-
     /// Convert cycles to simulated time at the configured clock.
-    pub fn cycles(&self, c: u64) -> Dur {
+    pub(crate) fn cycles(&self, c: u64) -> Dur {
         Dur::from_ns_f64(c as f64 / self.clock_ghz)
     }
 
     /// Packet-buffer copy-in time for a packet of `bytes`.
-    pub fn pktbuf_copy_time(&self, bytes: u64) -> Dur {
+    pub(crate) fn pktbuf_copy_time(&self, bytes: u64) -> Dur {
         self.cycles(bytes.div_ceil(self.pktbuf_bytes_per_cycle))
     }
 
     /// L1 copy time for a packet of `bytes`.
-    pub fn l1_copy_time(&self, bytes: u64) -> Dur {
+    pub(crate) fn l1_copy_time(&self, bytes: u64) -> Dur {
         self.cycles(bytes.div_ceil(self.l1_bytes_per_cycle))
     }
 
@@ -87,7 +82,7 @@ mod tests {
     #[test]
     fn paper_device_shape() {
         let c = PsPinConfig::default();
-        assert_eq!(c.total_hpus(), 32);
+        assert_eq!(c.n_clusters * c.hpus_per_cluster, 32);
         assert_eq!(c.total_mem_bytes(), 8 << 20);
     }
 

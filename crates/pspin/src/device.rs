@@ -43,7 +43,6 @@ pub struct PsPinEvent(pub(crate) Inner);
 /// queues).
 #[derive(Debug, Clone, Copy)]
 pub struct HostNotify {
-    pub node: NodeId,
     pub tag: u64,
 }
 
@@ -229,7 +228,7 @@ impl PsPinDevice {
         self.ctx_installed = Some(ec);
     }
 
-    pub fn has_context(&self) -> bool {
+    pub(crate) fn has_context(&self) -> bool {
         self.ctx_installed.is_some()
     }
 
@@ -245,10 +244,6 @@ impl PsPinDevice {
     /// writing NIC memory, §III-C — e.g. rotating MAC keys).
     pub fn context_state_mut(&mut self) -> Option<&mut dyn Any> {
         self.ctx_installed.as_mut().map(|ec| &mut *ec.state)
-    }
-
-    pub fn open_messages(&self) -> usize {
-        self.msgs.len()
     }
 
     /// Ingest a packet that matched the execution context. The caller (NIC)
@@ -620,10 +615,7 @@ impl PsPinDevice {
                     }
                 }
                 Op::HostEvent { tag } => {
-                    let note = HostNotify {
-                        node: self.port.node,
-                        tag: *tag,
-                    };
+                    let note = HostNotify { tag: *tag };
                     ctx.schedule(run.t.since(now), self.owner, Box::new(note));
                 }
             }

@@ -24,17 +24,6 @@ pub enum HandlerKind {
     Cleanup,
 }
 
-impl HandlerKind {
-    pub fn short(&self) -> &'static str {
-        match self {
-            HandlerKind::Header => "HH",
-            HandlerKind::Payload => "PH",
-            HandlerKind::Completion => "CH",
-            HandlerKind::Cleanup => "CL",
-        }
-    }
-}
-
 /// One operation in a handler's recorded execution.
 #[derive(Debug)]
 pub(crate) enum Op {
@@ -67,10 +56,6 @@ pub struct Ops {
 }
 
 impl Ops {
-    pub fn new() -> Ops {
-        Ops::default()
-    }
-
     /// A recorder for handlers running on `node`, boxing the packets
     /// they send out of `pkts`.
     pub(crate) fn on_node(node: NodeId, pkts: SharedPacketPool<Frame>) -> Ops {
@@ -99,7 +84,7 @@ impl Ops {
     }
 
     /// Burn raw cycles (no instruction accounting).
-    pub fn charge_cycles(&mut self, cycles: u64) {
+    pub(crate) fn charge_cycles(&mut self, cycles: u64) {
         if cycles > 0 {
             self.items.push(Op::Charge { cycles });
         }
@@ -132,14 +117,6 @@ impl Ops {
 
     pub fn host_event(&mut self, tag: u64) {
         self.items.push(Op::HostEvent { tag });
-    }
-
-    pub fn instr_count(&self) -> u64 {
-        self.instrs
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
     }
 }
 
@@ -191,9 +168,9 @@ mod tests {
 
     #[test]
     fn charge_instrs_converts_with_ipc() {
-        let mut o = Ops::new();
+        let mut o = Ops::default();
         o.charge_instrs(120, 0.57);
-        assert_eq!(o.instr_count(), 120);
+        assert_eq!(o.instrs, 120);
         match &o.items[0] {
             Op::Charge { cycles } => assert_eq!(*cycles, 211), // 120/0.57
             other => panic!("unexpected {other:?}"),
@@ -202,14 +179,14 @@ mod tests {
 
     #[test]
     fn zero_charge_is_elided() {
-        let mut o = Ops::new();
+        let mut o = Ops::default();
         o.charge_cycles(0);
-        assert!(o.is_empty());
+        assert!(o.items.is_empty());
     }
 
     #[test]
     fn ops_record_in_order() {
-        let mut o = Ops::new();
+        let mut o = Ops::default();
         o.charge_cycles(5);
         o.wait_flush();
         o.host_event(9);

@@ -5,15 +5,17 @@
 //! at 1 GHz in four clusters, per-cluster 1 MiB L1, 4 MiB L2, a hardware
 //! packet scheduler and DMA engines.
 //!
-//! Handlers ([`handler::HandlerSet`]) are real Rust functions doing the
+//! Handlers ([`HandlerSet`]) are real Rust functions doing the
 //! functional work; their cost is charged through the paper's own model
 //! (instructions ÷ IPC, plus pipeline stage latencies from Fig 7), and
 //! stalls — egress backpressure, DMA flushes — are simulated, not assumed.
 
-pub mod config;
-pub mod device;
-pub mod handler;
-pub mod telemetry;
+#![warn(unreachable_pub)]
+
+mod config;
+mod device;
+mod handler;
+mod telemetry;
 
 pub use config::PsPinConfig;
 pub use device::{HostNotify, PsPinDevice, PsPinEvent};

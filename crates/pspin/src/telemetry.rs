@@ -10,13 +10,13 @@ use crate::handler::HandlerKind;
 #[derive(Debug, Default)]
 pub struct KindStats {
     pub duration_ns: Sampler,
-    pub instructions: Sampler,
+    pub(crate) instructions: Sampler,
 }
 
 impl KindStats {
     /// Mean instructions per cycle: instructions ÷ duration (1 cycle = 1 ns
     /// at the default 1 GHz clock). IPC degrades when handlers stall.
-    pub fn mean_ipc(&self, clock_ghz: f64) -> f64 {
+    pub(crate) fn mean_ipc(&self, clock_ghz: f64) -> f64 {
         let cycles = self.duration_ns.mean() * clock_ghz;
         self.instructions.mean() / cycles
     }
@@ -31,7 +31,7 @@ pub struct PipelineStats {
     pub intra_sched_ns: Sampler,
     /// HPU queueing delay (waiting for a free HPU), not part of Fig 7's
     /// minimum pipeline but useful diagnostically.
-    pub hpu_wait_ns: Sampler,
+    pub(crate) hpu_wait_ns: Sampler,
 }
 
 /// Device telemetry.
@@ -49,7 +49,7 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    pub fn record_handler(&mut self, kind: HandlerKind, dur: Dur, instrs: u64) {
+    pub(crate) fn record_handler(&mut self, kind: HandlerKind, dur: Dur, instrs: u64) {
         let s = self.by_kind[kind as usize].get_or_insert_with(KindStats::default);
         s.duration_ns.record_dur_ns(dur);
         s.instructions.record(instrs as f64);

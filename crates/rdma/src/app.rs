@@ -42,7 +42,3 @@ pub trait NicApp {
     /// A timer set with [`NicCore::set_timer`] fired.
     fn on_timer(&mut self, nic: &mut NicCore, ctx: &mut Ctx<'_>, tag: u64) {}
 }
-
-/// An app that ignores every callback (useful for pure-sink nodes).
-pub struct NullApp;
-impl NicApp for NullApp {}

@@ -20,7 +20,7 @@ use nadfs_wire::{AckPkt, HlConfigPkt, MsgId, Resiliency, Status, WriteReqHeader}
 use crate::nic::{NicCore, NicEvent};
 
 /// Per-chunk WQE trigger latency (doorbell + WQE fetch on the NIC).
-pub const WQE_TRIGGER: Dur = Dur::from_ns(150);
+pub(crate) const WQE_TRIGGER: Dur = Dur::from_ns(150);
 
 pub(crate) struct ChainState {
     cfg: HlConfigPkt,
@@ -39,14 +39,14 @@ pub(crate) struct ChainState {
 /// address range. Ordered: which chain an address hits is a range lookup,
 /// the same in every process.
 #[derive(Default)]
-pub struct Chains {
+pub(crate) struct Chains {
     by_addr: BTreeMap<u64, ChainState>,
-    pub installed_total: u64,
-    pub chunks_forwarded: u64,
+    pub(crate) installed_total: u64,
+    pub(crate) chunks_forwarded: u64,
 }
 
 impl Chains {
-    pub fn install(&mut self, cfg: HlConfigPkt, client: NodeId) {
+    pub(crate) fn install(&mut self, cfg: HlConfigPkt, client: NodeId) {
         self.installed_total += 1;
         self.by_addr.insert(
             cfg.local_addr,
@@ -62,7 +62,7 @@ impl Chains {
     }
 
     /// Does an incoming write belong to an installed chain?
-    pub fn matches(&self, wrh: &WriteReqHeader) -> bool {
+    pub(crate) fn matches(&self, wrh: &WriteReqHeader) -> bool {
         matches!(wrh.resiliency, Resiliency::None) && self.key_for(wrh).is_some()
     }
 
@@ -71,10 +71,6 @@ impl Chains {
     fn key_for(&self, wrh: &WriteReqHeader) -> Option<u64> {
         let (&base, st) = self.by_addr.range(..=wrh.target_addr).next_back()?;
         (wrh.target_addr < base + st.cfg.total_len.max(1) as u64).then_some(base)
-    }
-
-    pub fn chains_open(&self) -> usize {
-        self.by_addr.len()
     }
 }
 

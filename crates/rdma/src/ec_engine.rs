@@ -47,9 +47,9 @@ pub struct EcEngineConfig {
     /// Coefficient-multiply throughput of the engine (per output byte).
     pub encode_bw: Bandwidth,
     /// XOR aggregation throughput (per input byte).
-    pub xor_bw: Bandwidth,
+    pub(crate) xor_bw: Bandwidth,
     /// Trigger/launch overhead per engine operation (WQE chain wakeup).
-    pub trigger: Dur,
+    pub(crate) trigger: Dur,
 }
 
 impl Default for EcEngineConfig {
@@ -87,7 +87,7 @@ pub struct EcEngine {
     /// gather reads leave write handling to the host software.
     consume_writes: bool,
     pub chunks_encoded: u64,
-    pub parities_written: u64,
+    pub(crate) parities_written: u64,
 }
 
 impl EcEngine {
@@ -105,7 +105,7 @@ impl EcEngine {
 
     /// A read-only engine: decodes degraded gathers but does not
     /// hijack EC write handling from the node software.
-    pub fn for_reads() -> EcEngine {
+    pub(crate) fn for_reads() -> EcEngine {
         let mut e = EcEngine::new(EcEngineConfig::default());
         e.consume_writes = false;
         e
@@ -127,7 +127,7 @@ impl EcEngine {
     }
 
     /// Does this write carry an EC role the engine should consume?
-    pub fn wants(&self, wrh: &WriteReqHeader) -> bool {
+    pub(crate) fn wants(&self, wrh: &WriteReqHeader) -> bool {
         self.consume_writes && matches!(wrh.resiliency, Resiliency::ErasureCode(_))
     }
 }

@@ -2,20 +2,20 @@
 //!
 //! Simulated RDMA NIC for the reproduction: one-sided WRITE/READ with MR
 //! protection, SEND/RECV RPC transport, per-node egress/ingress flow
-//! control, HyperLoop-style pre-posted triggered chains ([`chains`]), an
-//! INEC-style firmware erasure-coding engine ([`ec_engine`]), and the
-//! optional PsPIN accelerator attachment point.
+//! control, HyperLoop-style pre-posted triggered chains, an INEC-style
+//! firmware erasure-coding engine ([`EcEngine`]), and the optional PsPIN
+//! accelerator attachment point.
 //!
-//! Each simulated node is one [`nic::Nic`] component: the hardware core
-//! ([`nic::NicCore`]) plus a boxed [`app::NicApp`] implementing the node's
-//! software.
+//! Each simulated node is one [`Nic`] component: the hardware core
+//! ([`NicCore`]) plus a boxed [`NicApp`] implementing the node's software.
 
-pub mod app;
-pub mod chains;
-pub mod ec_engine;
-pub mod nic;
+#![warn(unreachable_pub)]
 
-pub use app::{NicApp, NullApp};
-pub use chains::Chains;
+mod app;
+mod chains;
+mod ec_engine;
+mod nic;
+
+pub use app::NicApp;
 pub use ec_engine::{rebuild_pooled, EcEngine, EcEngineConfig};
 pub use nic::{AppTimer, Nic, NicConfig, NicCore, NicStats, SharedNicStats};

@@ -214,7 +214,7 @@ pub type SharedNicStats = Rc<RefCell<NicStats>>;
 /// frames carrying a [`nadfs_simnet::CreditGrant`] and no app-visible
 /// completion. The receiving NIC applies the grant and swallows the frame
 /// before `on_ack`.
-pub const CREDIT_MSG: MsgId = MsgId {
+pub(crate) const CREDIT_MSG: MsgId = MsgId {
     node: u32::MAX,
     seq: u64::MAX,
 };
@@ -235,14 +235,14 @@ pub struct ReadQos {
     /// Response streams currently running that were admitted through the
     /// scheduler (transport-level reads bypass and are not tracked).
     streams: IdSet<MsgId>,
-    pub max_streams: usize,
+    pub(crate) max_streams: usize,
     /// Reentrancy guard: short streams complete inside `respond_read`,
     /// which would otherwise recurse back into the admission pump.
     pumping: bool,
 }
 
 impl ReadQos {
-    pub fn new(sched: TenantScheduler<QueuedRead>, max_streams: usize) -> ReadQos {
+    pub(crate) fn new(sched: TenantScheduler<QueuedRead>, max_streams: usize) -> ReadQos {
         ReadQos {
             sched,
             streams: IdSet::default(),
@@ -255,15 +255,11 @@ impl ReadQos {
     pub fn scheduler(&self) -> &TenantScheduler<QueuedRead> {
         &self.sched
     }
-
-    pub fn scheduler_mut(&mut self) -> &mut TenantScheduler<QueuedRead> {
-        &mut self.sched
-    }
 }
 
 /// The hardware/firmware half of a node, exposed to the app.
 pub struct NicCore {
-    pub cfg: NicConfig,
+    pub(crate) cfg: NicConfig,
     port: NodePort,
     pub(crate) mem: SharedMemory,
     pub(crate) dma: Rc<RefCell<DmaEngine>>,
@@ -309,13 +305,13 @@ pub struct NicCore {
     /// the NIC (the read-side analog of the sPIN write validation).
     service_key: Option<MacKey>,
     /// Diagnostics.
-    pub writes_acked: u64,
-    pub frames_sent: u64,
+    pub(crate) writes_acked: u64,
+    pub(crate) frames_sent: u64,
     /// Read requests whose capability the NIC validated / rejected.
-    pub reads_validated: u64,
-    pub read_auth_failures: u64,
+    pub(crate) reads_validated: u64,
+    pub(crate) read_auth_failures: u64,
     /// Gather/offload counters, shared with snapshot code.
-    pub stats: SharedNicStats,
+    pub(crate) stats: SharedNicStats,
     /// Observability: span phase marks keyed by wire-level request id,
     /// plus the shared trace ring. Both default disabled; the cluster
     /// build installs the live hubs.
@@ -465,10 +461,6 @@ impl NicCore {
         start + work
     }
 
-    pub fn hyperloop_chains(&self) -> &Chains {
-        &self.chains
-    }
-
     fn alloc_msg(&mut self) -> MsgId {
         let m = MsgId::new(self.port.node as u32, self.next_seq);
         self.next_seq += 1;
@@ -587,19 +579,6 @@ impl NicCore {
     /// reads awaiting their response (diagnostic).
     pub fn open_messages(&self) -> usize {
         self.raw_writes.len() + self.sends.len() + self.pending_reads.len()
-    }
-
-    /// Packets queued but not yet injected (diagnostic).
-    pub fn egress_backlog(&self) -> usize {
-        self.out_q.len()
-    }
-
-    /// WRs parked waiting for credit (diagnostic).
-    pub fn pending_wr_backlog(&self) -> usize {
-        self.pending_wrs
-            .values()
-            .map(|q| q.iter().map(|c| c.len()).sum::<usize>())
-            .sum()
     }
 
     /// Build the packets of an RDMA write message to `dst` without sending
@@ -1346,7 +1325,7 @@ impl NicCore {
 /// The per-node component: hardware core plus node software.
 pub struct Nic {
     pub core: NicCore,
-    pub app: Box<dyn NicApp>,
+    pub(crate) app: Box<dyn NicApp>,
 }
 
 impl Nic {

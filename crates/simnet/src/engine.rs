@@ -53,11 +53,6 @@ impl Ctx<'_> {
     pub fn schedule_self(&mut self, delay: Dur, ev: Box<dyn Any>) {
         self.schedule(delay, self.self_id, ev);
     }
-
-    /// Number of events dispatched so far (diagnostic).
-    pub fn events_dispatched(&self) -> u64 {
-        self.sched.dispatched
-    }
 }
 
 struct Sched {
@@ -139,17 +134,6 @@ impl Engine {
     /// two host-clock reads per event, which perturbs wall-clock benches).
     pub fn enable_profiling(&mut self) {
         self.profiling = true;
-    }
-
-    pub fn profiling_enabled(&self) -> bool {
-        self.profiling
-    }
-
-    /// Per-component profiles gathered so far (empty unless profiling).
-    /// Indexed by [`ComponentId`]; components that never handled an event
-    /// have zero dispatches and an empty name.
-    pub fn profiles(&self) -> &[ComponentProfile] {
-        &self.profiles
     }
 
     /// Profiles aggregated by component *kind* — the name with any
@@ -271,33 +255,6 @@ impl Engine {
             self.step();
         }
     }
-
-    /// Run while `pred` (evaluated between events) returns false.
-    /// Returns true if the predicate became true, false if the queue drained.
-    pub fn run_while<F: FnMut() -> bool>(&mut self, mut done: F) -> bool {
-        loop {
-            if done() {
-                return true;
-            }
-            if !self.step() {
-                return false;
-            }
-        }
-    }
-
-    /// Immutable access to a component (for test inspection).
-    pub fn component(&self, id: ComponentId) -> &dyn Component {
-        self.components[id]
-            .as_deref()
-            .expect("component missing (mid-dispatch?)")
-    }
-
-    /// Mutable access to a component between events.
-    pub fn component_mut(&mut self, id: ComponentId) -> &mut dyn Component {
-        self.components[id]
-            .as_deref_mut()
-            .expect("component missing (mid-dispatch?)")
-    }
 }
 
 #[cfg(test)]
@@ -390,31 +347,14 @@ mod tests {
         assert!(!drained);
         assert_eq!(log.borrow().len(), 1);
         assert_eq!(e.now(), Time(2_000_000));
-        assert!(e.run_until(Time::MAX));
+        assert!(e.run_until(Time(u64::MAX)));
         assert_eq!(log.borrow().len(), 2);
-    }
-
-    #[test]
-    fn run_while_predicate() {
-        let mut e = Engine::new();
-        let log = Rc::new(RefCell::new(vec![]));
-        let a = e.add_component(Box::new(Probe {
-            log: log.clone(),
-            echo_to: None,
-        }));
-        for i in 0..10 {
-            e.schedule(Dur::from_ns(i as u64), a, Box::new(Tick(i)));
-        }
-        let l2 = log.clone();
-        let hit = e.run_while(move || l2.borrow().len() >= 5);
-        assert!(hit);
-        assert_eq!(log.borrow().len(), 5);
     }
 
     #[test]
     fn profiling_counts_dispatches_and_aggregates_by_kind() {
         let mut e = Engine::new();
-        assert!(!e.profiling_enabled());
+        assert!(!e.profiling);
         e.enable_profiling();
         let log = Rc::new(RefCell::new(vec![]));
         struct Named(Probe, &'static str);
@@ -445,9 +385,9 @@ mod tests {
         }
         e.schedule(Dur::from_ns(9), b, Box::new(Tick(9)));
         e.run_to_completion();
-        assert_eq!(e.profiles()[a].dispatches, 3);
-        assert_eq!(e.profiles()[a].name, "nic-0");
-        assert_eq!(e.profiles()[b].dispatches, 1);
+        assert_eq!(e.profiles[a].dispatches, 3);
+        assert_eq!(e.profiles[a].name, "nic-0");
+        assert_eq!(e.profiles[b].dispatches, 1);
         let kinds = e.profiles_by_kind();
         assert_eq!(kinds.len(), 1);
         assert_eq!(kinds[0].name, "nic");

@@ -34,14 +34,14 @@ use crate::time::{Bandwidth, Dur};
 #[derive(Clone, Debug)]
 pub struct FabricConfig {
     pub link_bw: Bandwidth,
-    pub link_latency: Dur,
-    pub switch_delay: Dur,
+    pub(crate) link_latency: Dur,
+    pub(crate) switch_delay: Dur,
     /// NIC egress queue depth (packets) — credits of the egress gate.
     pub up_queue_cap: usize,
     /// Switch per-output-port queue depth (packets).
-    pub down_queue_cap: usize,
+    pub(crate) down_queue_cap: usize,
     /// Default NIC ingress buffer depth (packets) — credits of ingress gate.
-    pub ingress_cap: usize,
+    pub(crate) ingress_cap: usize,
 }
 
 impl Default for FabricConfig {
@@ -63,8 +63,9 @@ pub struct NodePort {
     pub node: NodeId,
     pub fabric: ComponentId,
     /// Credits for the node's uplink queue. Take one, then schedule the
-    /// packet's [`PacketEvent`] (at [`Hop::Submit`]) to `fabric`; the
-    /// fabric returns the credit when the packet has left the uplink.
+    /// packet's [`PacketEvent`] (from [`PacketEvent::submit`]) to
+    /// `fabric`; the fabric returns the credit when the packet has left the
+    /// uplink.
     pub egress_gate: SharedGate,
     /// Credits for the NIC's own ingress buffer. The fabric takes one per
     /// delivered packet; the NIC must release it once the packet has been
@@ -89,10 +90,10 @@ impl NodePort {
 /// Byte/packet accounting per node, for goodput measurements.
 #[derive(Clone, Debug, Default)]
 pub struct NodeStats {
-    pub tx_pkts: u64,
+    pub(crate) tx_pkts: u64,
     pub tx_bytes: u64,
-    pub rx_pkts: u64,
-    pub rx_bytes: u64,
+    pub(crate) rx_pkts: u64,
+    pub(crate) rx_bytes: u64,
 }
 
 #[derive(Debug, Default)]
@@ -185,10 +186,6 @@ impl<P: Payload> Fabric<P> {
         }
     }
 
-    pub fn config(&self) -> &FabricConfig {
-        &self.cfg
-    }
-
     pub fn stats(&self) -> Rc<RefCell<FabricStats>> {
         self.stats.clone()
     }
@@ -214,10 +211,6 @@ impl<P: Payload> Fabric<P> {
             egress_gate,
             ingress_gate,
         }
-    }
-
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
     }
 
     fn try_start_uplink(&mut self, ctx: &mut Ctx<'_>, n: NodeId) {

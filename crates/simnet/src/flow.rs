@@ -78,9 +78,9 @@ impl WrClass {
 }
 
 /// Per-class send-WR budgets for one queue pair. The recv queue is sized
-/// to `max_recv_wr()` — every data/immediate send the peers can have in
-/// flight finds a posted buffer, which is what makes a pure credit-return
-/// message safe to send without consuming credit itself.
+/// to `max_send_data + max_send_imm` — every data/immediate send the
+/// peers can have in flight finds a posted buffer, which is what makes a
+/// pure credit-return message safe to send without consuming credit itself.
 #[derive(Clone, Copy, Debug)]
 pub struct CreditConfig {
     pub max_send_data: u16,
@@ -112,15 +112,9 @@ impl CreditConfig {
         }
     }
 
-    /// Recv-queue depth: one posted buffer per possible in-flight
-    /// data/immediate send from the peer.
-    pub fn max_recv_wr(&self) -> u32 {
-        self.max_send_data as u32 + self.max_send_imm as u32
-    }
-
     /// Consumed-recv threshold past which the receiver stops waiting for
     /// a piggyback opportunity and returns credit in a standalone ack.
-    pub fn ack_threshold(&self, class: WrClass) -> u16 {
+    pub(crate) fn ack_threshold(&self, class: WrClass) -> u16 {
         (self.max_for(class) / 2).max(1)
     }
 }
@@ -216,10 +210,6 @@ impl FlowController {
             peers: BTreeMap::new(),
             stats: Rc::new(RefCell::new(FlowStats::default())),
         }
-    }
-
-    pub fn config(&self) -> &CreditConfig {
-        &self.cfg
     }
 
     /// Shared handle to the counters (for metrics registration).
@@ -443,7 +433,7 @@ impl<T> TenantScheduler<T> {
         self.weights.insert(tenant, weight.max(1));
     }
 
-    pub fn weight(&self, tenant: TenantId) -> u32 {
+    pub(crate) fn weight(&self, tenant: TenantId) -> u32 {
         self.weights
             .get(&tenant)
             .copied()
@@ -520,11 +510,6 @@ impl<T> TenantScheduler<T> {
             .get(&tenant)
             .copied()
             .unwrap_or_default()
-    }
-
-    /// Items currently queued for `tenant`.
-    pub fn queued_for(&self, tenant: TenantId) -> usize {
-        self.queues.get(&tenant).map_or(0, VecDeque::len)
     }
 }
 

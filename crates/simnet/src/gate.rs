@@ -21,7 +21,7 @@ use crate::time::Dur;
 /// wait on several gates and tell the wake-ups apart.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GateWake {
-    pub token: u64,
+    pub(crate) token: u64,
 }
 
 #[derive(Debug)]
@@ -30,7 +30,7 @@ pub struct Gate {
     capacity: usize,
     waiters: Vec<(ComponentId, u64)>,
     /// Diagnostics: how many times a take failed (stall events).
-    pub stalls: u64,
+    pub(crate) stalls: u64,
 }
 
 /// Shared handle to a gate. The simulator is single-threaded; `Rc<RefCell>`
@@ -38,7 +38,7 @@ pub struct Gate {
 pub type SharedGate = Rc<RefCell<Gate>>;
 
 impl Gate {
-    pub fn new(capacity: usize) -> SharedGate {
+    pub(crate) fn new(capacity: usize) -> SharedGate {
         Rc::new(RefCell::new(Gate {
             credits: capacity,
             capacity,
@@ -65,11 +65,6 @@ impl Gate {
 
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Current occupancy (capacity minus available credits).
-    pub fn in_use(&self) -> usize {
-        self.capacity - self.credits
     }
 
     /// Register to be woken (via [`GateWake`]) when a credit is released.
@@ -182,7 +177,6 @@ mod tests {
         let gate = Gate::new(3);
         assert!(gate.borrow_mut().try_take());
         assert!(gate.borrow_mut().try_take());
-        assert_eq!(gate.borrow().in_use(), 2);
         assert_eq!(gate.borrow().available(), 1);
         assert_eq!(gate.borrow().capacity(), 3);
     }

@@ -43,7 +43,7 @@ impl<P: Payload> NetPacket<P> {
 
 /// Where on its trip a [`PacketEvent`] is — who is to handle it next.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Hop {
+pub(crate) enum Hop {
     /// NIC → fabric: queue on the source's uplink (an egress credit must
     /// have been taken).
     Submit,
@@ -61,7 +61,7 @@ pub enum Hop {
 /// reads the payload in place and returns the box to a [`PacketPool`].
 #[derive(Debug)]
 pub struct PacketEvent<P: Payload> {
-    pub hop: Hop,
+    pub(crate) hop: Hop,
     pub pkt: NetPacket<P>,
 }
 
@@ -96,7 +96,7 @@ impl<P: Payload> PacketPool<P> {
         Rc::new(RefCell::new(PacketPool { spare: Vec::new() }))
     }
 
-    /// Box a packet for injection ([`Hop::Submit`]), reusing a spare box
+    /// Box a packet for injection, reusing a spare box
     /// when there is one.
     pub fn submit(&mut self, src: NodeId, dst: NodeId, payload: P) -> Box<PacketEvent<P>> {
         match self.spare.pop() {
@@ -117,11 +117,6 @@ impl<P: Payload> PacketPool<P> {
             ev.pkt.payload.vacate();
             self.spare.push(ev);
         }
-    }
-
-    /// Boxes currently waiting for reuse.
-    pub fn spare(&self) -> usize {
-        self.spare.len()
     }
 }
 
@@ -159,7 +154,7 @@ mod tests {
         ev.hop = Hop::Arrive;
         pool.borrow_mut().recycle(ev);
         assert_eq!(Rc::strong_count(&owned), 1, "spare box pins nothing");
-        assert_eq!(pool.borrow().spare(), 1);
+        assert_eq!(pool.borrow().spare.len(), 1);
         let again = pool.borrow_mut().submit(5, 6, Blob(7, None));
         assert_eq!(&*again as *const PacketEvent<Blob>, addr, "same box");
         assert_eq!(again.hop, Hop::Submit);
@@ -167,6 +162,6 @@ mod tests {
             (again.pkt.src, again.pkt.dst, again.pkt.payload.0),
             (5, 6, 7)
         );
-        assert_eq!(pool.borrow().spare(), 0);
+        assert_eq!(pool.borrow().spare.len(), 0);
     }
 }

@@ -33,16 +33,6 @@ pub struct PoolStats {
     pub dropped: u64,
 }
 
-impl PoolStats {
-    /// Fraction of `get`s served without allocating.
-    pub fn hit_rate(&self) -> f64 {
-        if self.gets == 0 {
-            return 1.0;
-        }
-        self.hits as f64 / self.gets as f64
-    }
-}
-
 /// Default cap on bytes retained per pool: enough for a deep ring of
 /// chunk-sized staging buffers without letting recycled whole-block
 /// payloads (which can be many MiB each) accumulate without bound.
@@ -207,11 +197,6 @@ impl BufPool {
         self.free.insert(i, SizeClass { cap, bufs });
     }
 
-    /// Buffers currently available for reuse.
-    pub fn available(&self) -> usize {
-        self.available
-    }
-
     /// Total capacity (bytes) currently retained on the free list.
     pub fn retained_bytes(&self) -> usize {
         self.retained_bytes
@@ -224,12 +209,6 @@ impl BufPool {
 
     pub fn stats(&self) -> PoolStats {
         self.stats
-    }
-
-    /// Reset the counters (buffers stay pooled) — lets a benchmark measure
-    /// the steady state separately from warmup.
-    pub fn reset_stats(&mut self) {
-        self.stats = PoolStats::default();
     }
 }
 
@@ -280,7 +259,7 @@ mod tests {
         for _ in 0..4 {
             p.put(Vec::with_capacity(10));
         }
-        assert_eq!(p.available(), 2);
+        assert_eq!(p.available, 2);
         assert_eq!(p.stats().dropped, 2);
     }
 
@@ -289,14 +268,14 @@ mod tests {
         let mut p = BufPool::with_byte_cap(256, 1000);
         p.put(Vec::with_capacity(600));
         p.put(Vec::with_capacity(600)); // would exceed 1000 retained bytes
-        assert_eq!(p.available(), 1);
+        assert_eq!(p.available, 1);
         assert_eq!(p.stats().dropped, 1);
         assert!(p.retained_bytes() <= 1000);
         // Draining the pool frees the budget again.
         let b = p.get(600);
         assert_eq!(p.retained_bytes(), 0);
         p.put(b);
-        assert_eq!(p.available(), 1);
+        assert_eq!(p.available, 1);
     }
 
     #[test]
@@ -338,7 +317,7 @@ mod tests {
         let b = p.get(1024);
         assert_eq!(b.len(), 1024);
         assert_eq!(p.stats().misses, 1);
-        assert_eq!(p.available(), 1, "small buffer stays pooled");
+        assert_eq!(p.available, 1, "small buffer stays pooled");
     }
 
     #[test]
@@ -350,7 +329,7 @@ mod tests {
             p.put(Vec::with_capacity(cap));
             assert_eq!(p.get_spare(cap).capacity(), cap);
         }
-        assert_eq!(p.available(), 0);
+        assert_eq!(p.available, 0);
         assert!(p.free.len() <= MAX_IDLE_CLASSES, "{} classes", p.free.len());
         // Live classes survive the pruning, in capacity order.
         for cap in [300usize, 100, 200] {
@@ -360,22 +339,10 @@ mod tests {
             p.put(Vec::with_capacity(cap));
             p.get_spare(cap);
         }
-        assert_eq!(p.available(), 3);
+        assert_eq!(p.available, 3);
         assert_eq!(p.get_spare(150).capacity(), 200);
         assert_eq!(p.get_spare(1).capacity(), 100);
         assert_eq!(p.get_spare(1).capacity(), 300);
         assert_eq!(p.retained_bytes(), 0);
-    }
-
-    #[test]
-    fn hit_rate_reporting() {
-        let mut p = BufPool::new(8);
-        assert_eq!(p.stats().hit_rate(), 1.0, "vacuous before any get");
-        let a = p.get(10);
-        p.put(a);
-        let _b = p.get(10);
-        assert_eq!(p.stats().hit_rate(), 0.5);
-        p.reset_stats();
-        assert_eq!(p.stats().gets, 0);
     }
 }

@@ -23,10 +23,10 @@ use crate::engine::ComponentId;
 use crate::time::Time;
 
 pub(crate) struct Scheduled {
-    pub at: Time,
-    pub seq: u64,
-    pub target: ComponentId,
-    pub ev: Box<dyn Any>,
+    pub(crate) at: Time,
+    pub(crate) seq: u64,
+    pub(crate) target: ComponentId,
+    pub(crate) ev: Box<dyn Any>,
 }
 
 impl Scheduled {
@@ -158,7 +158,7 @@ pub(crate) struct EventQueue {
 }
 
 impl EventQueue {
-    pub fn new() -> EventQueue {
+    pub(crate) fn new() -> EventQueue {
         EventQueue {
             due_now: VecDeque::new(),
             wheel: Wheel::new(),
@@ -167,7 +167,7 @@ impl EventQueue {
     }
 
     /// Queue `s`; `now` is the clock (`s.at >= now`).
-    pub fn push(&mut self, now: Time, s: Scheduled) {
+    pub(crate) fn push(&mut self, now: Time, s: Scheduled) {
         if s.at == now {
             self.due_now.push_back(s);
         } else if Wheel::covers(now, s.at) {
@@ -188,7 +188,7 @@ impl EventQueue {
     }
 
     /// Time of the next event in `(time, seq)` order.
-    pub fn next_time(&self, now: Time) -> Option<Time> {
+    pub(crate) fn next_time(&self, now: Time) -> Option<Time> {
         if !self.due_now.is_empty() {
             return Some(now);
         }
@@ -196,7 +196,7 @@ impl EventQueue {
     }
 
     /// Remove and return the next event in `(time, seq)` order.
-    pub fn pop(&mut self, now: Time) -> Option<Scheduled> {
+    pub(crate) fn pop(&mut self, now: Time) -> Option<Scheduled> {
         match self.timed_head(now) {
             Some((tier, at)) if at == now || self.due_now.is_empty() => Some(match tier {
                 Timed::Wheel(i) => self.wheel.pop(i),

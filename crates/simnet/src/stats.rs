@@ -2,40 +2,21 @@
 
 use crate::time::Dur;
 
-/// A running summary of scalar samples: count, sum, minimum, maximum.
+/// A running summary of scalar samples: count and sum.
 ///
 /// Nothing reads back individual samples, so none are kept — a pSPIN
 /// packet records seven of these. The sum accumulates in arrival order,
 /// so `mean()` is bit-for-bit what summing a stored vector would give.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Sampler {
     n: usize,
     sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Default for Sampler {
-    fn default() -> Sampler {
-        Sampler {
-            n: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
 }
 
 impl Sampler {
-    pub fn new() -> Sampler {
-        Sampler::default()
-    }
-
     pub fn record(&mut self, v: f64) {
         self.n += 1;
         self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
     }
 
     pub fn record_dur_ns(&mut self, d: Dur) {
@@ -57,14 +38,6 @@ impl Sampler {
         }
         self.sum / self.n as f64
     }
-
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    pub fn max(&self) -> f64 {
-        self.max
-    }
 }
 
 #[cfg(test)]
@@ -73,22 +46,19 @@ mod tests {
 
     #[test]
     fn sampler_summary() {
-        let mut s = Sampler::new();
+        let mut s = Sampler::default();
         for v in [5.0, 1.0, 3.0, 2.0, 4.0] {
             s.record(v);
         }
         assert_eq!(s.len(), 5);
         assert!((s.mean() - 3.0).abs() < 1e-12);
-        assert_eq!(s.min(), 1.0);
-        assert_eq!(s.max(), 5.0);
     }
 
     #[test]
     fn sampler_empty_is_nan() {
-        let s = Sampler::new();
+        let s = Sampler::default();
         assert!(s.mean().is_nan());
         assert!(s.is_empty());
-        assert_eq!((s.min(), s.max()), (f64::INFINITY, f64::NEG_INFINITY));
     }
 
     #[test]
@@ -96,7 +66,7 @@ mod tests {
         // Values whose sum depends on the order of additions: the running
         // sum must round exactly as a left-to-right sum of the vector.
         let vs = [1e16, 3.0, -1e16, 0.1, 2106.0, 1e-9, 7.25];
-        let mut s = Sampler::new();
+        let mut s = Sampler::default();
         for v in vs {
             s.record(v);
         }

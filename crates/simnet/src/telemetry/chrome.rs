@@ -162,7 +162,7 @@ mod tests {
             });
         trace
             .borrow_mut()
-            .emit(Time(4_000_000), "control", "commit f1");
+            .emit_with(Time(4_000_000), "control", || "commit f1".to_owned());
 
         let out = chrome_trace_json(book.done(), &trace.borrow());
         let doc = json::parse(&out).expect("chrome JSON parses");

@@ -4,7 +4,7 @@
 //! layer carries its own minimal, dependency-free JSON plumbing.
 
 /// Append `s` to `out` as a JSON string literal (with surrounding quotes).
-pub fn push_str_lit(out: &mut String, s: &str) {
+pub(crate) fn push_str_lit(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

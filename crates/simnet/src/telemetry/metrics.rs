@@ -19,7 +19,7 @@ pub const SNAPSHOT_SCHEMA: &str = "nadfs-metrics-v1";
 /// (typically nanoseconds or bytes). Bucket `b` holds values in
 /// `[2^b, 2^(b+1))`, with bucket 0 also holding 0.
 #[derive(Clone, Debug)]
-pub struct Log2Hist {
+pub(crate) struct Log2Hist {
     buckets: [u64; 64],
     count: u64,
     sum: u128,
@@ -40,7 +40,7 @@ impl Default for Log2Hist {
 }
 
 impl Log2Hist {
-    pub fn new() -> Log2Hist {
+    pub(crate) fn new() -> Log2Hist {
         Log2Hist::default()
     }
 
@@ -52,7 +52,7 @@ impl Log2Hist {
         }
     }
 
-    pub fn record(&mut self, v: u64) {
+    pub(crate) fn record(&mut self, v: u64) {
         self.buckets[Self::bucket_of(v)] += 1;
         self.count += 1;
         self.sum += v as u128;
@@ -60,15 +60,7 @@ impl Log2Hist {
         self.max = self.max.max(v);
     }
 
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    pub fn sum(&self) -> u128 {
-        self.sum
-    }
-
-    pub fn min(&self) -> u64 {
+    pub(crate) fn min(&self) -> u64 {
         if self.count == 0 {
             0
         } else {
@@ -76,11 +68,11 @@ impl Log2Hist {
         }
     }
 
-    pub fn max(&self) -> u64 {
+    pub(crate) fn max(&self) -> u64 {
         self.max
     }
 
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
@@ -91,7 +83,7 @@ impl Log2Hist {
     /// bucket cumulative counts, answering with the bucket's upper bound
     /// clamped into the observed `[min, max]` range. Resolution is a
     /// factor of two — the histogram trades exactness for O(1) recording.
-    pub fn percentile(&self, q: f64) -> u64 {
+    pub(crate) fn percentile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -117,7 +109,7 @@ impl Log2Hist {
         self.max
     }
 
-    pub fn summary(&self) -> HistSummary {
+    pub(crate) fn summary(&self) -> HistSummary {
         HistSummary {
             count: self.count,
             sum: u64::try_from(self.sum).unwrap_or(u64::MAX),
@@ -136,12 +128,12 @@ impl Log2Hist {
 pub struct HistSummary {
     pub count: u64,
     pub sum: u64,
-    pub min: u64,
-    pub max: u64,
-    pub mean: f64,
-    pub p50: u64,
-    pub p90: u64,
-    pub p99: u64,
+    pub(crate) min: u64,
+    pub(crate) max: u64,
+    pub(crate) mean: f64,
+    pub(crate) p50: u64,
+    pub(crate) p90: u64,
+    pub(crate) p99: u64,
 }
 
 /// The central registry. Names are dotted paths
@@ -155,11 +147,11 @@ pub struct MetricsHub {
 }
 
 impl MetricsHub {
-    pub fn new() -> MetricsHub {
+    pub(crate) fn new() -> MetricsHub {
         MetricsHub::default()
     }
 
-    pub fn counter_add(&mut self, name: &str, v: u64) {
+    pub(crate) fn counter_add(&mut self, name: &str, v: u64) {
         *self.ensure_counter(name) += v;
     }
 
@@ -180,23 +172,11 @@ impl MetricsHub {
         self.gauges.insert(name.to_owned(), v);
     }
 
-    pub fn hist_record(&mut self, name: &str, v: u64) {
+    pub(crate) fn hist_record(&mut self, name: &str, v: u64) {
         if !self.hists.contains_key(name) {
             self.hists.insert(name.to_owned(), Log2Hist::new());
         }
         self.hists.get_mut(name).expect("just ensured").record(v);
-    }
-
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
-    pub fn hist(&self, name: &str) -> Option<&Log2Hist> {
-        self.hists.get(name)
     }
 
     pub fn snapshot(&self) -> MetricsSnapshot {
@@ -249,12 +229,11 @@ impl MetricsSnapshot {
         self.hists.iter().find(|(k, _)| k == name).map(|(_, h)| h)
     }
 
-    /// Serialize with the stable `nadfs-metrics-v1` schema. Indented with
-    /// `indent` spaces per level so it embeds cleanly in bench JSON.
-    pub fn to_json_indented(&self, base_indent: usize) -> String {
-        let pad = " ".repeat(base_indent);
-        let pad1 = " ".repeat(base_indent + 2);
-        let pad2 = " ".repeat(base_indent + 4);
+    /// Serialize with the stable `nadfs-metrics-v1` schema, two spaces per
+    /// level.
+    pub fn to_json(&self) -> String {
+        let pad1 = "  ";
+        let pad2 = "    ";
         let mut s = String::new();
         s.push_str("{\n");
         s.push_str(&format!(
@@ -309,13 +288,8 @@ impl MetricsSnapshot {
         if !self.hists.is_empty() {
             s.push_str(&format!("\n{pad1}"));
         }
-        s.push_str("}\n");
-        s.push_str(&format!("{pad}}}"));
+        s.push_str("}\n}");
         s
-    }
-
-    pub fn to_json(&self) -> String {
-        self.to_json_indented(0)
     }
 
     /// Phase-local view: what changed between `earlier` and `self`.
@@ -378,10 +352,10 @@ mod tests {
         for v in [0, 1, 2, 3, 4, 100, 1000] {
             h.record(v);
         }
-        assert_eq!(h.count(), 7);
+        assert_eq!(h.count, 7);
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 1000);
-        assert_eq!(h.sum(), 1110);
+        assert_eq!(h.sum, 1110);
         assert!((h.mean() - 1110.0 / 7.0).abs() < 1e-9);
         assert_eq!(h.percentile(0.0), 0); // clamped to min
         assert_eq!(h.percentile(100.0), 1000); // clamped to max

@@ -4,27 +4,27 @@
 //! The pieces compose through [`ObsHub`], one shared (single-threaded
 //! `Rc<RefCell<...>>`) hub that every component gets a handle to:
 //!
-//! - [`span::SpanBook`] — per-op spans minted at client op start, phase
+//! - [`SpanBook`] — per-op spans minted at client op start, phase
 //!   marks recorded as the op crosses the control plane, NIC handlers, and
 //!   storage completion. Phase durations telescope exactly to end-to-end
 //!   latency.
-//! - [`metrics::MetricsHub`] — named counters/gauges/log2-histograms with
-//!   a stable [`metrics::MetricsSnapshot`] schema. Closing a span
+//! - [`MetricsHub`] — named counters/gauges/log2-histograms with
+//!   a stable [`MetricsSnapshot`] schema. Closing a span
 //!   automatically feeds the `op.<kind>.*` histograms.
-//! - [`chrome`] — spans plus the [`crate::trace::Trace`] ring rendered as
+//! - [`chrome_trace_json`] — spans plus the [`crate::Trace`] ring rendered as
 //!   Perfetto-loadable trace-event JSON on the simulated clock.
 
-pub mod chrome;
+mod chrome;
 pub mod json;
-pub mod metrics;
-pub mod span;
+mod metrics;
+mod span;
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use crate::time::Time;
 pub use chrome::chrome_trace_json;
-pub use metrics::{HistSummary, Log2Hist, MetricsHub, MetricsSnapshot, SNAPSHOT_SCHEMA};
+pub use metrics::{HistSummary, MetricsHub, MetricsSnapshot, SNAPSHOT_SCHEMA};
 pub use span::{phase, OpKind, OpSpan, SpanBook, SpanId};
 
 /// The shared observability hub: span book + metrics registry.
@@ -107,13 +107,14 @@ mod tests {
         let id = h.spans.begin(OpKind::Read, "client-0", "read f1", Time(0));
         h.spans.mark(id, phase::CACHE_HIT, Time(500_000));
         h.end_span(id, Time(1_000_000), true);
-        assert_eq!(h.metrics.counter("op.read.completed"), 1);
-        assert_eq!(h.metrics.counter("op.read.cache_hits"), 1);
-        let e2e = h.metrics.hist("op.read.e2e_ns").expect("hist");
-        assert_eq!(e2e.count(), 1);
-        assert_eq!(e2e.min(), 1_000); // 1 µs
-        assert!(h.metrics.hist("op.read.phase.cache-hit_ns").is_some());
-        assert!(h.metrics.hist("op.read.phase.completed_ns").is_some());
+        let snap = h.metrics.snapshot();
+        assert_eq!(snap.counter("op.read.completed"), Some(1));
+        assert_eq!(snap.counter("op.read.cache_hits"), Some(1));
+        let e2e = snap.hist("op.read.e2e_ns").expect("hist");
+        assert_eq!(e2e.count, 1);
+        assert_eq!(e2e.min, 1_000); // 1 µs
+        assert!(snap.hist("op.read.phase.cache-hit_ns").is_some());
+        assert!(snap.hist("op.read.phase.completed_ns").is_some());
     }
 
     #[test]
@@ -124,7 +125,8 @@ mod tests {
             .spans
             .begin(OpKind::Write, "client-0", "write f1", Time(0));
         h.end_span(id, Time(10), false);
-        assert_eq!(h.metrics.counter("op.write.rejected"), 1);
-        assert_eq!(h.metrics.counter("op.write.completed"), 0);
+        let snap = h.metrics.snapshot();
+        assert_eq!(snap.counter("op.write.rejected"), Some(1));
+        assert_eq!(snap.counter("op.write.completed"), None);
     }
 }

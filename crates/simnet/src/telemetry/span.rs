@@ -20,8 +20,6 @@ pub type SpanId = u64;
 /// Canonical phase-mark names. Call sites may add their own, but the
 /// standard lifecycle uses these so exports and tests agree on naming.
 pub mod phase {
-    /// Implicit first phase: time from span start to the first mark.
-    pub const QUEUED: &str = "queued";
     /// Control-plane placement/resolve finished.
     pub const RESOLVED: &str = "resolved";
     /// Request(s) handed to the NIC / fanned out to storage nodes.
@@ -59,9 +57,9 @@ pub mod phase {
     /// Control-plane commit (write/repair) done.
     pub const COMMITTED: &str = "committed";
     /// Terminal mark of a successful span.
-    pub const COMPLETED: &str = "completed";
+    pub(crate) const COMPLETED: &str = "completed";
     /// Terminal mark of a failed/rejected span.
-    pub const REJECTED: &str = "rejected";
+    pub(crate) const REJECTED: &str = "rejected";
 }
 
 /// What kind of client operation a span covers.
@@ -150,7 +148,7 @@ pub struct SpanBook {
 
 impl SpanBook {
     /// An enabled book retaining the most recent `cap` completed spans.
-    pub fn new(cap: usize) -> SpanBook {
+    pub(crate) fn new(cap: usize) -> SpanBook {
         SpanBook {
             enabled: true,
             next_id: 1,
@@ -164,7 +162,7 @@ impl SpanBook {
 
     /// A disabled book: `begin` returns the invalid id and everything else
     /// is a cheap no-op.
-    pub fn disabled() -> SpanBook {
+    pub(crate) fn disabled() -> SpanBook {
         let mut b = SpanBook::new(1);
         b.enabled = false;
         b
@@ -246,11 +244,6 @@ impl SpanBook {
         self.corr.remove(&key)
     }
 
-    /// Span currently correlated with `key`, if any.
-    pub fn corr_span(&self, key: u64) -> Option<SpanId> {
-        self.corr.get(&key).copied()
-    }
-
     /// Correlation keys that still point at an open span on `track`. A
     /// component with nothing in flight should hold none (leak check).
     pub fn correlated_on(&self, track: &str) -> usize {
@@ -305,11 +298,6 @@ impl SpanBook {
     /// Open spans (should be 0 at quiesce — asserted by lifecycle tests).
     pub fn open_count(&self) -> usize {
         self.open.len()
-    }
-
-    /// Ids of the currently open spans (diagnostics).
-    pub fn open_ids(&self) -> impl Iterator<Item = SpanId> + '_ {
-        self.open.keys().copied()
     }
 
     /// Completed spans, oldest first.

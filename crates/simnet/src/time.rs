@@ -17,8 +17,6 @@ pub struct Dur(pub u64);
 
 impl Time {
     pub const ZERO: Time = Time(0);
-    /// Largest representable time; used as an "infinitely far" sentinel.
-    pub const MAX: Time = Time(u64::MAX);
 
     #[inline]
     pub fn ps(self) -> u64 {
@@ -31,10 +29,6 @@ impl Time {
     #[inline]
     pub fn as_us(self) -> f64 {
         self.0 as f64 / 1e6
-    }
-    #[inline]
-    pub fn as_secs(self) -> f64 {
-        self.0 as f64 / 1e12
     }
     /// Duration elapsed since `earlier`, saturating at zero.
     #[inline]
@@ -78,10 +72,6 @@ impl Dur {
     #[inline]
     pub fn as_us(self) -> f64 {
         self.0 as f64 / 1e6
-    }
-    #[inline]
-    pub fn as_secs(self) -> f64 {
-        self.0 as f64 / 1e12
     }
 }
 
@@ -185,20 +175,8 @@ impl Bandwidth {
         }
     }
     #[inline]
-    pub const fn from_bits_per_sec(bps: u64) -> Bandwidth {
-        Bandwidth { bits_per_sec: bps }
-    }
-    #[inline]
-    pub fn bits_per_sec(self) -> u64 {
-        self.bits_per_sec
-    }
-    #[inline]
     pub fn gbit_per_sec(self) -> f64 {
         self.bits_per_sec as f64 / 1e9
-    }
-    #[inline]
-    pub fn gbyte_per_sec(self) -> f64 {
-        self.bits_per_sec as f64 / 8e9
     }
 
     /// Time to transmit `bytes` at this rate (rounded up to a picosecond).
@@ -211,8 +189,8 @@ impl Bandwidth {
     }
 
     /// Bytes transferable in `d` (rounded down).
-    #[inline]
-    pub fn bytes_in(self, d: Dur) -> u64 {
+    #[cfg(test)]
+    fn bytes_in(self, d: Dur) -> u64 {
         let bits = d.0 as u128 * self.bits_per_sec as u128 / 1_000_000_000_000u128;
         (bits / 8) as u64
     }
@@ -223,7 +201,7 @@ pub fn achieved_gbit_per_sec(bytes: u64, elapsed: Dur) -> f64 {
     if elapsed == Dur::ZERO {
         return f64::INFINITY;
     }
-    (bytes as f64 * 8.0) / elapsed.as_secs() / 1e9
+    (bytes as f64 * 8.0) / (elapsed.0 as f64 / 1e12) / 1e9
 }
 
 #[cfg(test)]
@@ -245,7 +223,7 @@ mod tests {
     #[test]
     fn tx_time_rounds_up() {
         // 3 bits/s: 1 byte = 8 bits -> 8/3 s, must round up.
-        let bw = Bandwidth::from_bits_per_sec(3);
+        let bw = Bandwidth { bits_per_sec: 3 };
         assert_eq!(bw.tx_time(1).0, 8_000_000_000_000u64.div_ceil(3));
     }
 
@@ -261,14 +239,14 @@ mod tests {
         let t = Time::ZERO + Dur::from_ns(5) + Dur::from_us(1);
         assert_eq!(t.ps(), 1_005_000);
         assert_eq!((t - Time(5_000)).ps(), 1_000_000);
-        assert_eq!(t.since(Time::MAX), Dur::ZERO);
+        assert_eq!(t.since(Time(u64::MAX)), Dur::ZERO);
     }
 
     #[test]
     fn gbyte_units_are_decimal() {
         let bw = Bandwidth::from_gbyte_per_sec(50);
-        assert_eq!(bw.bits_per_sec(), 400_000_000_000);
-        assert!((bw.gbyte_per_sec() - 50.0).abs() < 1e-12);
+        assert_eq!(bw.bits_per_sec, 400_000_000_000);
+        assert_eq!(bw.tx_time(50), Dur::from_ns(1), "50 B at 50 GB/s is 1 ns");
     }
 
     #[test]

@@ -11,14 +11,14 @@ use crate::time::Time;
 
 /// One trace record.
 #[derive(Clone, Debug, PartialEq)]
-pub struct TraceEntry {
-    pub at: Time,
+pub(crate) struct TraceEntry {
+    pub(crate) at: Time,
     /// Component or subsystem that emitted the record.
-    pub who: &'static str,
+    pub(crate) who: &'static str,
     /// Node instance for per-node subsystems (`nic`, `storage`); exports
     /// render `who-node` as the track name.
-    pub node: Option<NodeId>,
-    pub what: String,
+    pub(crate) node: Option<NodeId>,
+    pub(crate) what: String,
 }
 
 /// A bounded, shareable trace sink. Disabled traces cost one branch.
@@ -26,7 +26,6 @@ pub struct Trace {
     enabled: bool,
     cap: usize,
     entries: VecDeque<TraceEntry>,
-    dropped: u64,
 }
 
 pub type SharedTrace = Rc<RefCell<Trace>>;
@@ -38,7 +37,6 @@ impl Trace {
             enabled: true,
             cap: cap.max(1),
             entries: VecDeque::new(),
-            dropped: 0,
         }))
     }
 
@@ -48,21 +46,7 @@ impl Trace {
             enabled: false,
             cap: 1,
             entries: VecDeque::new(),
-            dropped: 0,
         }))
-    }
-
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Eager emit. Prefer [`Trace::emit_with`] on hot paths: this variant
-    /// makes the caller build `what` even when the trace is disabled.
-    pub fn emit(&mut self, at: Time, who: &'static str, what: impl Into<String>) {
-        if !self.enabled {
-            return;
-        }
-        self.push(at, who, None, what.into());
     }
 
     /// Lazy emit: `what` is only built when the trace is enabled, so a
@@ -92,7 +76,6 @@ impl Trace {
     fn push(&mut self, at: Time, who: &'static str, node: Option<NodeId>, what: String) {
         if self.entries.len() == self.cap {
             self.entries.pop_front();
-            self.dropped += 1;
         }
         self.entries.push_back(TraceEntry {
             at,
@@ -102,39 +85,9 @@ impl Trace {
         });
     }
 
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Entries oldest-first.
-    pub fn entries(&self) -> impl Iterator<Item = &TraceEntry> {
+    pub(crate) fn entries(&self) -> impl Iterator<Item = &TraceEntry> {
         self.entries.iter()
-    }
-
-    /// Records evicted by the ring bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Render the trace as one line per record.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for e in &self.entries {
-            out.push_str(&format!(
-                "[{:>14}] {:<12} {}\n",
-                format!("{}", e.at),
-                e.who,
-                e.what
-            ));
-        }
-        if self.dropped > 0 {
-            out.push_str(&format!("  ({} earlier records dropped)\n", self.dropped));
-        }
-        out
     }
 }
 
@@ -145,8 +98,10 @@ mod tests {
     #[test]
     fn records_in_order() {
         let t = Trace::new(10);
-        t.borrow_mut().emit(Time(100), "nic-0", "tx pkt 1");
-        t.borrow_mut().emit(Time(200), "fabric", "deliver");
+        t.borrow_mut()
+            .emit_with(Time(100), "nic-0", || "tx pkt 1".to_owned());
+        t.borrow_mut()
+            .emit_with(Time(200), "fabric", || "deliver".to_owned());
         let tr = t.borrow();
         let v: Vec<_> = tr.entries().collect();
         assert_eq!(v.len(), 2);
@@ -158,20 +113,19 @@ mod tests {
     fn ring_bound_drops_oldest() {
         let t = Trace::new(3);
         for i in 0..5 {
-            t.borrow_mut().emit(Time(i), "x", format!("e{i}"));
+            t.borrow_mut().emit_with(Time(i), "x", || format!("e{i}"));
         }
         let tr = t.borrow();
-        assert_eq!(tr.len(), 3);
-        assert_eq!(tr.dropped(), 2);
+        assert_eq!(tr.entries.len(), 3);
         assert_eq!(tr.entries().next().expect("entry").what, "e2");
-        assert!(tr.render().contains("2 earlier records dropped"));
     }
 
     #[test]
     fn disabled_trace_records_nothing() {
         let t = Trace::disabled();
-        t.borrow_mut().emit(Time(1), "x", "ignored");
-        assert!(t.borrow().is_empty());
+        t.borrow_mut()
+            .emit_with(Time(1), "x", || "ignored".to_owned());
+        assert!(t.borrow().entries.is_empty());
     }
 
     #[test]
@@ -183,7 +137,7 @@ mod tests {
             "never".to_owned()
         });
         assert!(!built, "closure must not run when trace is disabled");
-        assert!(t.borrow().is_empty());
+        assert!(t.borrow().entries.is_empty());
 
         let t = Trace::new(4);
         t.borrow_mut()

@@ -18,27 +18,22 @@ impl Rights {
     pub const RW: Rights = Rights(0b11);
 
     #[inline]
-    pub fn allows(self, needed: Rights) -> bool {
+    pub(crate) fn allows(self, needed: Rights) -> bool {
         self.0 & needed.0 == needed.0
-    }
-
-    #[inline]
-    pub fn union(self, other: Rights) -> Rights {
-        Rights(self.0 | other.0)
     }
 }
 
 /// A signed capability descriptor (37 B on the wire, see [`crate::sizes`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Capability {
-    pub client: u32,
+    pub(crate) client: u32,
     pub file: u64,
-    pub rights: Rights,
+    pub(crate) rights: Rights,
     /// Absolute simulated-time expiry in nanoseconds.
     pub expires_at_ns: u64,
     /// Freshness nonce chosen by the issuer.
     pub nonce: u64,
-    pub mac: u64,
+    pub(crate) mac: u64,
 }
 
 impl Capability {
@@ -87,7 +82,9 @@ impl Capability {
         Ok(())
     }
 
-    /// Verify against a specific file id as well.
+    /// Verify against a specific file id as well. No storage path calls
+    /// this yet: they check signature, expiry and rights, but not that the
+    /// target belongs to `self.file`.
     pub fn verify_for_file(
         &self,
         key: &MacKey,
@@ -200,6 +197,5 @@ mod tests {
         assert!(Rights::RW.allows(Rights::READ));
         assert!(Rights::RW.allows(Rights::WRITE));
         assert!(!Rights::READ.allows(Rights::WRITE));
-        assert_eq!(Rights::READ.union(Rights::WRITE), Rights::RW);
     }
 }

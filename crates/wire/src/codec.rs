@@ -30,7 +30,7 @@ fn need(buf: &impl Buf, n: usize) -> Result<()> {
     }
 }
 
-pub fn encode_capability(c: &Capability, out: &mut BytesMut) {
+pub(crate) fn encode_capability(c: &Capability, out: &mut BytesMut) {
     out.put_u32_le(c.client);
     out.put_u64_le(c.file);
     out.put_u8(c.rights.0);
@@ -39,7 +39,7 @@ pub fn encode_capability(c: &Capability, out: &mut BytesMut) {
     out.put_u64_le(c.mac);
 }
 
-pub fn decode_capability(buf: &mut Bytes) -> Result<Capability> {
+pub(crate) fn decode_capability(buf: &mut Bytes) -> Result<Capability> {
     need(buf, 37)?;
     Ok(Capability {
         client: buf.get_u32_le(),

@@ -145,10 +145,6 @@ impl SendPkt {
     pub fn is_first(&self) -> bool {
         self.pkt_idx == 0
     }
-    #[inline]
-    pub fn is_last(&self) -> bool {
-        self.pkt_idx + 1 == self.total_pkts
-    }
 }
 
 /// Acknowledgement (or negative acknowledgement) frame.
@@ -161,7 +157,7 @@ pub struct AckPkt {
     pub status: Status,
     /// Piggybacked recv-credit return to the ack's destination (two u16
     /// counts riding the AETH reserved/MSN bytes already charged in
-    /// [`sizes::ACK_FRAME`]). Stamped by the sending NIC's credit layer;
+    /// the ack frame's size). Stamped by the sending NIC's credit layer;
     /// construction sites leave it zero.
     pub credit: CreditGrant,
 }
@@ -202,7 +198,7 @@ pub struct HlConfigPkt {
 }
 
 impl HlConfigPkt {
-    pub fn num_chunks(&self) -> u32 {
+    pub(crate) fn num_chunks(&self) -> u32 {
         if self.total_len == 0 {
             1
         } else {
@@ -212,7 +208,7 @@ impl HlConfigPkt {
 
     /// Total configuration bytes: 64 B of group/doorbell state plus 16 B
     /// per WQE update.
-    pub fn config_bytes(&self) -> u32 {
+    pub(crate) fn config_bytes(&self) -> u32 {
         64 + 16 * self.num_chunks()
     }
 
@@ -223,7 +219,7 @@ impl HlConfigPkt {
     }
 
     /// Bytes carried by fragment `frag`.
-    pub fn frag_bytes(&self) -> u32 {
+    pub(crate) fn frag_bytes(&self) -> u32 {
         let cap = sizes::MTU - sizes::RDMA_HEADER;
         let total = self.config_bytes();
         let start = self.frag as u32 * cap;

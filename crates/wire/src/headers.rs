@@ -50,16 +50,6 @@ pub enum BcastStrategy {
     Pbt,
 }
 
-impl BcastStrategy {
-    /// Maximum children a node has under this schedule (tree arity).
-    pub fn arity(self) -> usize {
-        match self {
-            BcastStrategy::Ring => 1,
-            BcastStrategy::Pbt => 2,
-        }
-    }
-}
-
 /// Reed-Solomon scheme parameters RS(k, m).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct RsScheme {
@@ -148,7 +138,7 @@ pub struct ReadReqHeader {
 }
 
 impl ReadReqHeader {
-    pub const fn wire_size() -> u32 {
+    pub(crate) const fn wire_size() -> u32 {
         sizes::RRH
     }
 }
@@ -208,7 +198,7 @@ pub struct GatherReadHeader {
 }
 
 impl GatherReadHeader {
-    pub fn wire_size(&self) -> u32 {
+    pub(crate) fn wire_size(&self) -> u32 {
         let rec = self.reconstruct.as_ref().map_or(0, |r| {
             sizes::GRH_REC_FIXED + r.copy.len() as u32 * sizes::GATHER_COPY
         });
@@ -239,22 +229,6 @@ pub fn bcast_children(strategy: BcastStrategy, vrank: u8, n: usize) -> Vec<u8> {
         }
     }
     out
-}
-
-/// Depth of rank `r` in the broadcast tree (hops from the primary).
-pub fn bcast_depth(strategy: BcastStrategy, vrank: u8) -> u32 {
-    match strategy {
-        BcastStrategy::Ring => vrank as u32,
-        BcastStrategy::Pbt => {
-            let mut d = 0;
-            let mut r = vrank as usize;
-            while r > 0 {
-                r = (r - 1) / 2;
-                d += 1;
-            }
-            d
-        }
-    }
 }
 
 #[cfg(test)]
@@ -362,14 +336,29 @@ mod tests {
         }
     }
 
+    /// Hops from the primary to `vrank`, following `bcast_children` over
+    /// `n` nodes.
+    fn depth(strategy: BcastStrategy, vrank: u8, n: usize) -> u32 {
+        let (mut d, mut level) = (0, vec![0u8]);
+        while !level.contains(&vrank) {
+            level = level
+                .iter()
+                .flat_map(|&r| bcast_children(strategy, r, n))
+                .collect();
+            assert!(!level.is_empty(), "rank {vrank} unreachable");
+            d += 1;
+        }
+        d
+    }
+
     #[test]
     fn depths() {
-        assert_eq!(bcast_depth(BcastStrategy::Ring, 3), 3);
-        assert_eq!(bcast_depth(BcastStrategy::Pbt, 0), 0);
-        assert_eq!(bcast_depth(BcastStrategy::Pbt, 1), 1);
-        assert_eq!(bcast_depth(BcastStrategy::Pbt, 2), 1);
-        assert_eq!(bcast_depth(BcastStrategy::Pbt, 5), 2);
-        assert_eq!(bcast_depth(BcastStrategy::Pbt, 6), 2);
+        assert_eq!(depth(BcastStrategy::Ring, 3, 8), 3);
+        assert_eq!(depth(BcastStrategy::Pbt, 0, 8), 0);
+        assert_eq!(depth(BcastStrategy::Pbt, 1, 8), 1);
+        assert_eq!(depth(BcastStrategy::Pbt, 2, 8), 1);
+        assert_eq!(depth(BcastStrategy::Pbt, 5, 8), 2);
+        assert_eq!(depth(BcastStrategy::Pbt, 6, 8), 2);
     }
 
     #[test]
@@ -377,8 +366,9 @@ mod tests {
         // Max depth over k nodes should be ceil(log2(k+1)) - 1-ish; just
         // verify it is strictly smaller than ring depth for k >= 4.
         for k in 4..=8u8 {
-            let ring_max = bcast_depth(BcastStrategy::Ring, k - 1);
-            let pbt_max = (0..k).map(|r| bcast_depth(BcastStrategy::Pbt, r)).max();
+            let n = k as usize;
+            let ring_max = depth(BcastStrategy::Ring, k - 1, n);
+            let pbt_max = (0..k).map(|r| depth(BcastStrategy::Pbt, r, n)).max();
             assert!(pbt_max.expect("nonempty") < ring_max);
         }
     }

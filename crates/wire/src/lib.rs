@@ -2,17 +2,19 @@
 //!
 //! Wire formats for the network-accelerated DFS: transport/DFS headers and
 //! packet layouts following Fig 3 of the paper, capability tickets with a
-//! real keyed MAC (SipHash-2-4, implemented in [`siphash`]), the unkeyed
-//! payload checksum (XXH64, implemented in [`checksum`]), byte codecs
-//! pinning the layouts, and the [`frame::Frame`] type every simulated packet
+//! real keyed MAC (SipHash-2-4 under a [`MacKey`]), the unkeyed payload
+//! checksum (XXH64, [`payload_checksum`]), byte codecs pinning the layouts
+//! ([`codec`], [`sizes`]), and the [`Frame`] type every simulated packet
 //! carries.
 
-pub mod capability;
-pub mod checksum;
+#![warn(unreachable_pub)]
+
+mod capability;
+mod checksum;
 pub mod codec;
-pub mod frame;
-pub mod headers;
-pub mod siphash;
+mod frame;
+mod headers;
+mod siphash;
 pub mod sizes;
 
 pub use capability::{AuthError, Capability, Rights};
@@ -22,9 +24,9 @@ pub use frame::{
     ReadReqPkt, ReadRespPkt, RpcBody, SendPkt, Status, WritePkt,
 };
 pub use headers::{
-    bcast_children, bcast_depth, BcastStrategy, DfsHeader, DfsOp, EcInfo, EcRole, GatherCopy,
-    GatherReadHeader, GatherReconstruct, GatherSegment, ReadReqHeader, ReplicaCoord, Resiliency,
-    RsScheme, WriteReqHeader, MAX_GATHER_SEGS,
+    bcast_children, BcastStrategy, DfsHeader, DfsOp, EcInfo, EcRole, GatherCopy, GatherReadHeader,
+    GatherReconstruct, GatherSegment, ReadReqHeader, ReplicaCoord, Resiliency, RsScheme,
+    WriteReqHeader, MAX_GATHER_SEGS,
 };
 pub use nadfs_simnet::CreditGrant;
-pub use siphash::{siphash24, siphash24_words, MacKey};
+pub use siphash::MacKey;

@@ -49,7 +49,7 @@ fn sipround(v: &mut [u64; 4]) {
 }
 
 /// SipHash-2-4 of `data` under `key`.
-pub fn siphash24(key: &MacKey, data: &[u8]) -> u64 {
+pub(crate) fn siphash24(key: &MacKey, data: &[u8]) -> u64 {
     let k0 = u64::from_le_bytes(key.0[0..8].try_into().expect("key half"));
     let k1 = u64::from_le_bytes(key.0[8..16].try_into().expect("key half"));
     let mut v = [
@@ -87,7 +87,7 @@ pub fn siphash24(key: &MacKey, data: &[u8]) -> u64 {
 
 /// Streaming-friendly MAC over a sequence of u64 words (used for signing
 /// fixed-layout structs without serializing them first).
-pub fn siphash24_words(key: &MacKey, words: &[u64]) -> u64 {
+pub(crate) fn siphash24_words(key: &MacKey, words: &[u64]) -> u64 {
     let mut buf = Vec::with_capacity(words.len() * 8);
     for w in words {
         buf.extend_from_slice(&w.to_le_bytes());
