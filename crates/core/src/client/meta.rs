@@ -61,6 +61,7 @@ impl ClientApp {
         let costs = self.meta_costs.clone();
         let mut cost = Dur::ZERO;
         let mut cache_hit = false;
+        self.control.borrow_mut().clear_route();
         let result: Result<(), MetaError> = match &op {
             MetaOp::Lookup { path } => {
                 // A lookup must observe our own buffered appends: flush
@@ -137,8 +138,9 @@ impl ClientApp {
         // Async metadata updates (AsyncFS-style): a mutation acks after
         // its shard's op-log append — `mutate_service` is shard occupancy
         // paid through the admission model, not ack latency. Every routed
-        // op (mutation or resolve miss) queues behind its shard; cache
-        // hits never routed, so `admit_last` is a no-op for them.
+        // op (mutation or resolve miss) queues behind its shard; a cache
+        // hit routed nothing (unless its write-back flush did), so
+        // `admit_last` is a no-op for it.
         let wait = self.control.borrow_mut().admit_last(start.ps());
         cost += Dur::from_ps(wait);
         if cache_hit {

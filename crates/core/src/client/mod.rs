@@ -651,7 +651,9 @@ impl ClientApp {
     /// fetched into client memory at `scratch`, slot after slot
     /// (`survivors[slot]` is the slot's shard index). Buffers come from
     /// the NIC's recycled ring, the decode matrix from the codec's
-    /// per-pattern cache; the caller charges the CPU time.
+    /// per-pattern cache. The caller owns the returned buffers (one per
+    /// `want` entry, in order) and charges the CPU time; on error nothing
+    /// is retained.
     fn rebuild_staged(
         &mut self,
         nic: &NicCore,
@@ -667,11 +669,34 @@ impl ClientApp {
             .or_insert_with(|| {
                 ReedSolomon::new(scheme.k as usize, scheme.m as usize).expect("valid RS scheme")
             });
-        let (mem, clen) = (nic.memory(), chunk_len as usize);
-        let load = |slot: usize, buf: &mut [u8]| {
-            mem.borrow().read_into(scratch + (slot * clen) as u64, buf)
-        };
-        nadfs_rdma::rebuild_pooled(rs, &nic.buf_pool(), clen, survivors, load, want)
+        let (pool, mem, clen) = (nic.buf_pool(), nic.memory(), chunk_len as usize);
+        let mut p = pool.borrow_mut();
+        let staged: Vec<Vec<u8>> = (0..survivors.len())
+            .map(|slot| {
+                let mut buf = p.get_dirty(clen);
+                mem.borrow()
+                    .read_into(scratch + (slot * clen) as u64, &mut buf);
+                buf
+            })
+            .collect();
+        // A shard index past k+m (a malformed plan) stages nothing, and
+        // the codec rejects the short survivor set.
+        let mut shards: Vec<Option<&[u8]>> = vec![None; rs.k() + rs.m()];
+        for (&idx, buf) in survivors.iter().zip(&staged) {
+            if let Some(shard) = shards.get_mut(idx) {
+                *shard = Some(buf);
+            }
+        }
+        let mut outs: Vec<Vec<u8>> = want.iter().map(|_| p.get_dirty(clen)).collect();
+        let rebuilt = rs.reconstruct_into(&shards, want, &mut outs);
+        staged.into_iter().for_each(|buf| p.put(buf));
+        match rebuilt {
+            Ok(()) => Ok(outs),
+            Err(e) => {
+                outs.into_iter().for_each(|buf| p.put(buf));
+                Err(e)
+            }
+        }
     }
 
     /// Keep the window full from the plan.

@@ -235,6 +235,7 @@ impl ClientApp {
             0
         };
         let mut fetch_want = len.saturating_add(ra);
+        self.control.borrow_mut().clear_route();
         let mut plan = self
             .control
             .borrow_mut()
@@ -244,7 +245,8 @@ impl ClientApp {
             plan = self.control.borrow_mut().resolve_read(file, offset, len);
         }
         // The resolve queued behind its metadata shard: the fan-out below
-        // cannot start until the shard served it.
+        // cannot start until the shard served it. (A resolve of an unknown
+        // file routed nothing and waits for nothing.)
         let resolve_wait = Dur::from_ps(self.control.borrow_mut().admit_last(ctx.now().ps()));
         let Ok(plan) = plan else {
             // Unknown file, failed-node range, unrecoverable stripe:

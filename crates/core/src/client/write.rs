@@ -67,6 +67,10 @@ pub(super) struct WriteOp {
     retries: u32,
     status: Status,
     routes: Routes,
+    /// Client-memory regions an RPC+RDMA write staged for the storage
+    /// CPU's one-sided reads, as `(addr, len)`; freed when the write
+    /// retires.
+    staged: Vec<(u64, u64)>,
 }
 
 impl ClientApp {
@@ -138,6 +142,7 @@ impl ClientApp {
             retries: 0,
             status: Status::Ok,
             routes,
+            staged: Vec::new(),
         };
         self.ops.insert(id, Op::Write(Box::new(op)));
         nic.set_timer(ctx, t_post.since(start), id);
@@ -158,6 +163,15 @@ impl ClientApp {
             }
             _ => Over::No,
         };
+        if !matches!(over, Over::No) {
+            // Retiring: a storage CPU acks an RPC+RDMA extent only after
+            // its read of the staged copy completed.
+            let mem = nic.memory();
+            let mut mem = mem.borrow_mut();
+            for (addr, len) in w.staged.drain(..) {
+                mem.free(addr, len);
+            }
+        }
         match over {
             Over::No => Step::Pending(Op::Write(w)),
             Over::Settled => self.finish_write(nic, ctx, *w),
@@ -194,7 +208,7 @@ impl ClientApp {
         };
         let (data, placement) = (&w.req.data, &w.placement);
         let greq = placement.greq;
-        let msgs = &mut w.routes.msgs;
+        let (msgs, staged) = (&mut w.routes.msgs, &mut w.staged);
         // Replicated files only: the header that makes the primary forward.
         let replicate = || match &policy {
             FilePolicy::Replicated { strategy, .. } => Resiliency::Replicate {
@@ -248,8 +262,11 @@ impl ClientApp {
                     } else {
                         // Stage the extent in client memory for the
                         // storage-side RDMA read.
-                        let a = nic.memory().borrow_mut().alloc(len as u64);
-                        nic.memory().borrow_mut().write(a, &slice);
+                        let mem = nic.memory();
+                        let mut mem = mem.borrow_mut();
+                        let a = mem.alloc(len as u64);
+                        mem.write(a, &slice);
+                        staged.push((a, len as u64));
                         a
                     };
                     let body = RpcBody::WriteReq {

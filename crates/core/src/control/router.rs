@@ -19,10 +19,6 @@ impl ShardRouter {
         }
     }
 
-    pub fn n_shards(&self) -> usize {
-        self.n_shards
-    }
-
     /// The shard owning `ino`. Sequentially-allocated inos (the common
     /// namespace pattern) must spread: a bare `ino % n` would put every
     /// other create on the same shard pair, so mix first.

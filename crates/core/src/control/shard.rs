@@ -63,16 +63,8 @@ impl OpLog {
         self.entries.push(e);
     }
 
-    pub fn entries(&self) -> &[LogEntry] {
-        &self.entries
-    }
-
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Transaction ids with an `Intent` on this shard but no terminal
@@ -209,6 +201,13 @@ impl ControlPlane {
         sh.busy_until_ps = now_ps + wait + service_ps;
         sh.stats.queue_wait_ps += wait;
         wait
+    }
+
+    /// Forget the route an earlier call left without admitting it (write
+    /// placement and commit, namespace set-up): a client op calls this
+    /// before it routes, so if it routes nothing it admits nothing.
+    pub fn clear_route(&mut self) {
+        self.last_route = None;
     }
 
     /// Record that a public op was routed to `shard` (stats + the
@@ -353,9 +352,5 @@ impl ControlPlane {
     /// Per-shard op-log lengths (index = shard id).
     pub fn shard_log_lens(&self) -> Vec<usize> {
         self.shards.iter().map(|s| s.log.len()).collect()
-    }
-
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
     }
 }

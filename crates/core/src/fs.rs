@@ -345,7 +345,9 @@ impl FsClient {
             file: meta.id,
             path: path.to_string(),
             write_protocol: default_write_protocol(mode, &meta.policy),
-            read_protocol: default_read_protocol(mode),
+            // One-sided reads in every mode: the storage NIC validates
+            // them (the service key is installed cluster-wide).
+            read_protocol: ReadProtocol::Rdma,
             closed: false,
         }
     }
@@ -403,10 +405,4 @@ pub fn default_write_protocol(mode: StorageMode, policy: &FilePolicy) -> WritePr
         // unwritten), so degraded reads require a capable mode.
         (_, FilePolicy::ErasureCoded { .. }) => WriteProtocol::InecTriec,
     }
-}
-
-/// One-sided reads everywhere: validation happens on the storage NIC in
-/// every mode (the service key is installed cluster-wide).
-pub fn default_read_protocol(_mode: StorageMode) -> ReadProtocol {
-    ReadProtocol::Rdma
 }

@@ -19,9 +19,7 @@ use bytes::Bytes;
 use nadfs_gfec::{Accumulator, ReedSolomon};
 use nadfs_pspin::{HandlerArgs, HandlerSet, Ops};
 use nadfs_simnet::telemetry::phase;
-use nadfs_simnet::{
-    BufPool, IdMap, NodeId, ObsHub, SharedBufPool, SharedObs, SharedTrace, Time, Trace,
-};
+use nadfs_simnet::{IdMap, NodeId, ObsHub, SharedBufPool, SharedObs, SharedTrace, Time, Trace};
 use nadfs_wire::{
     bcast_children, AckPkt, DfsHeader, EcInfo, EcRole, Frame, GatherReadHeader, GatherReqPkt,
     MacKey, MsgId, Resiliency, Rights, RsScheme, Status, WritePkt, WriteReqHeader,
@@ -96,19 +94,6 @@ struct StripeState {
     reserved: usize,
 }
 
-/// Counters exposed to tests and the host software.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DfsCounters {
-    pub requests_seen: u64,
-    pub auth_failures: u64,
-    pub packets_committed: u64,
-    pub packets_forwarded: u64,
-    pub parity_packets_sent: u64,
-    pub accumulator_fallbacks: u64,
-    pub cleanups: u64,
-    pub gather_reqs: u64,
-}
-
 /// A gather-read request validated by the header handler and awaiting
 /// pickup by the NIC core's gather engine (handed off via [`EVT_GATHER`]).
 #[derive(Clone, Debug)]
@@ -141,7 +126,8 @@ pub struct DfsNicState {
     /// products (shared with the PsPIN device, which returns DMA-write
     /// payloads here once their run retires).
     buf_pool: SharedBufPool,
-    pub counters: DfsCounters,
+    /// Requests whose capability the header handler refused.
+    auth_failures: u64,
     /// Observability: span phase marks keyed by greq, the shared trace
     /// ring, and which node this context runs on. Defaults disabled; the
     /// cluster build installs the live hubs via [`DfsNicState::set_obs`].
@@ -151,11 +137,8 @@ pub struct DfsNicState {
 }
 
 impl DfsNicState {
-    pub fn new(key: MacKey, costs: HandlerCosts, accumulator_pool: usize) -> DfsNicState {
-        DfsNicState::with_buf_pool(key, costs, accumulator_pool, BufPool::shared(256))
-    }
-
-    /// Variant sharing an existing buffer pool (the owning NIC's ring).
+    /// A context drawing accumulator and product buffers from `buf_pool`
+    /// (the owning NIC's ring).
     pub fn with_buf_pool(
         key: MacKey,
         costs: HandlerCosts,
@@ -175,7 +158,7 @@ impl DfsNicState {
             gather_ids: IdMap::default(),
             next_gather_id: 0,
             buf_pool,
-            counters: DfsCounters::default(),
+            auth_failures: 0,
             obs: ObsHub::disabled(),
             trace: Trace::disabled(),
             node: None,
@@ -188,10 +171,6 @@ impl DfsNicState {
         self.obs = obs;
         self.trace = trace;
         self.node = Some(node);
-    }
-
-    pub fn open_requests(&self) -> usize {
-        self.req_table.len()
     }
 
     /// Hand `stripe` over to the host for CPU-fallback aggregation, if it
@@ -233,7 +212,7 @@ impl DfsNicState {
     ) -> Result<(), AckPkt> {
         let cap = &dfs.capability;
         if cap.verify(&self.key, now.as_ns() as u64, rights).is_err() {
-            self.counters.auth_failures += 1;
+            self.auth_failures += 1;
             return Err(AckPkt::new(msg, Some(dfs.greq_id), Status::AuthFailed));
         }
         let spans = &mut self.obs.borrow_mut().spans;
@@ -271,7 +250,6 @@ fn write_pkt(frame: &Frame) -> Option<&WritePkt> {
 /// it for the gather engine. The completion handler signals the host after
 /// the pipeline retires.
 fn gather_header(st: &mut DfsNicState, g: &GatherReqPkt, src: NodeId, now: Time, ops: &mut Ops) {
-    st.counters.requests_seen += 1;
     let describe = || {
         format!(
             "gather-validate greq={} segs={} len={}",
@@ -284,7 +262,6 @@ fn gather_header(st: &mut DfsNicState, g: &GatherReqPkt, src: NodeId, now: Time,
         ops.send(src, Frame::Ack(nack));
         return;
     }
-    st.counters.gather_reqs += 1;
     let id = st.next_gather_id & 0xFFFF_FFFF;
     st.next_gather_id += 1;
     st.gather_ids.insert(g.msg, id);
@@ -315,7 +292,6 @@ impl HandlerSet for DfsHandlers {
         let (Some(dfs), Some(wrh)) = (w.dfs, w.wrh.clone()) else {
             return; // malformed: no headers; drop silently
         };
-        st.counters.requests_seen += 1;
         let data_pkts = if w.data.is_empty() {
             w.total_pkts.saturating_sub(1)
         } else {
@@ -440,7 +416,6 @@ impl HandlerSet for DfsHandlers {
                             .max(1) as usize;
                         let fallback = st.acc_free < needed;
                         let reserved = if fallback {
-                            st.counters.accumulator_fallbacks += 1;
                             0
                         } else {
                             st.acc_free -= needed;
@@ -514,7 +489,6 @@ impl HandlerSet for DfsHandlers {
                 a.ops.charge_instrs(costs.ph_instrs, costs.ph_ipc);
                 a.ops
                     .dma_write(entry.wrh.target_addr + w.offset as u64, w.data.clone());
-                st.counters.packets_committed += 1;
             }
             Resiliency::Replicate { strategy, .. } => {
                 let (instrs, ipc) = match strategy {
@@ -524,7 +498,6 @@ impl HandlerSet for DfsHandlers {
                 a.ops.charge_instrs(instrs, ipc);
                 a.ops
                     .dma_write(entry.wrh.target_addr + w.offset as u64, w.data.clone());
-                st.counters.packets_committed += 1;
                 if w.data.is_empty() {
                     return; // forwarded stream-header packet: no data
                 }
@@ -542,7 +515,6 @@ impl HandlerSet for DfsHandlers {
                             data: w.data.clone(),
                         }),
                     );
-                    st.counters.packets_forwarded += 1;
                 }
             }
             Resiliency::ErasureCode(info) => match info.role {
@@ -552,7 +524,6 @@ impl HandlerSet for DfsHandlers {
                         .charge_instrs(costs.ec_ph_instrs(m, w.data.len()), costs.ec_ph_ipc);
                     a.ops
                         .dma_write(entry.wrh.target_addr + w.offset as u64, w.data.clone());
-                    st.counters.packets_committed += 1;
                     if w.data.is_empty() {
                         return; // stream-header packet: nothing to encode
                     }
@@ -579,7 +550,6 @@ impl HandlerSet for DfsHandlers {
                                 data: Bytes::from(ipar),
                             }),
                         );
-                        st.counters.parity_packets_sent += 1;
                     }
                 }
                 EcRole::Parity { src_chunk, .. } => {
@@ -697,7 +667,6 @@ impl HandlerSet for DfsHandlers {
         if let Some(id) = st.gather_ids.remove(&msg) {
             st.pending_gathers.remove(&id);
         }
-        st.counters.cleanups += 1;
         ops.host_event(EVT_CLEANUP | (msg.seq & 0xFFFF_FFFF));
     }
 }

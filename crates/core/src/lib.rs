@@ -35,8 +35,8 @@ pub use control::{
 pub use experiments::{
     replication_latency_us, storage_goodput_gbit, write_latency_us, ReplStrategy,
 };
-pub use fs::{default_read_protocol, default_write_protocol, FileHandle, FsClient, FsError};
-pub use handlers::{DfsCounters, DfsHandlers, DfsNicState};
+pub use fs::{default_write_protocol, FileHandle, FsClient, FsError};
+pub use handlers::{DfsHandlers, DfsNicState};
 pub use repair::{RepairDriver, RepairReport};
 // The metadata subsystem's vocabulary, re-exported for callers.
 pub use nadfs_meta::{

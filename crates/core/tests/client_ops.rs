@@ -1,6 +1,7 @@
 //! The client's op table from the outside: a write in `Busy` back-off
 //! keeps its window slot, events for an op that already retired are
-//! ignored, and a finished read leaves nothing in client memory.
+//! ignored, a finished read or RPC+RDMA write leaves nothing in client
+//! memory, and a metadata-cache hit queues no one behind a shard.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -9,8 +10,8 @@ use std::rc::Rc;
 use nadfs_core::client::{SharedPlan, SharedResults, KICK};
 use nadfs_core::control::SharedControl;
 use nadfs_core::{
-    ClientApp, ClusterSpec, ControlPlane, CostModel, FilePolicy, Job, MetaOp, ReadProtocol,
-    ResultSink, SimCluster, StorageApp, StorageMode, WriteProtocol,
+    ClientApp, ClusterSpec, ControlPlane, CostModel, FilePolicy, Job, LayoutSpec, MetaOp,
+    ReadProtocol, ResultSink, SimCluster, StorageApp, StorageMode, WriteProtocol,
 };
 use nadfs_host::SharedMemory;
 use nadfs_rdma::{AppTimer, Nic, NicApp, NicCore};
@@ -292,4 +293,87 @@ fn finished_reads_give_their_client_memory_back() {
         0,
         "read windows leaked"
     );
+}
+
+/// An RPC+RDMA write stages each extent in client memory for the storage
+/// CPU's one-sided read; once the write retires the region is given back.
+#[test]
+fn rpc_rdma_writes_give_their_staging_back() {
+    let cost = CostModel::paper();
+    let (mut rig, control, client_mem) = probe_rig(&cost, |_| {});
+    let file = control.borrow_mut().create_file(0, FilePolicy::Plain).id;
+    let before = client_mem.borrow().resident_pages();
+    let writes = (0..8u64).map(|seed| Job::Write {
+        file,
+        size: 48 << 10,
+        protocol: WriteProtocol::RpcRdma,
+        seed,
+    });
+    rig.run(writes.collect());
+    let results = rig.results.borrow();
+    assert_eq!(results.writes.len(), 8);
+    assert!(results.writes.iter().all(|w| w.status == Status::Ok));
+    assert_eq!(
+        client_mem.borrow().resident_pages(),
+        before,
+        "staging regions leaked"
+    );
+}
+
+/// A lookup served from the metadata cache routes nothing, so it admits
+/// nothing: the route another client's write left behind (placement and
+/// commit are never admitted) must not occupy its shard. A routed op
+/// issued beside the hit then finds the shard idle.
+#[test]
+fn a_metadata_cache_hit_occupies_no_shard() {
+    let mut cl = SimCluster::build(ClusterSpec::new(2, 1, StorageMode::Plain).with_window(2));
+    let file = {
+        let mut control = cl.control.borrow_mut();
+        control.mkdir_p("/d", 0).expect("mkdir");
+        let created = control.create_file_at("/d/f", LayoutSpec::SINGLE, FilePolicy::Plain);
+        created.expect("create").id
+    };
+    let lookup = |token| Job::Meta {
+        op: MetaOp::Lookup {
+            path: "/d/f".to_string(),
+        },
+        token,
+    };
+    // Client 0 caches the entry; client 1 then writes the file.
+    cl.submit(0, lookup(1));
+    cl.start();
+    assert_eq!(cl.run_until_metas(1, 1_000), 1);
+    let write = Job::Write {
+        file,
+        size: 4096,
+        protocol: WriteProtocol::Raw,
+        seed: 1,
+    };
+    cl.submit(1, write);
+    cl.start();
+    assert_eq!(cl.run_until_writes(1, 1_000), 1);
+
+    // The hit and a readdir of the same (only) shard, issued together.
+    let control = cl.control.clone();
+    let waited = || control.borrow().shard_stats()[0].queue_wait_ps;
+    let before = waited();
+    cl.submit(0, lookup(2));
+    let readdir = MetaOp::Readdir {
+        path: "/d".to_string(),
+    };
+    cl.submit(
+        0,
+        Job::Meta {
+            op: readdir,
+            token: 3,
+        },
+    );
+    cl.start();
+    assert_eq!(cl.run_until_metas(3, 1_000), 3);
+    let results = cl.results.borrow();
+    let (hit, listed) = (&results.metas[1], &results.metas[2]);
+    assert!(hit.cache_hit && !listed.cache_hit);
+    assert_eq!(hit.start, listed.start, "issued together");
+    assert_eq!(waited(), before, "the readdir queued behind the hit");
+    assert_eq!(listed.end, listed.start + cl.spec.cost.meta.control_rtt);
 }

@@ -12,8 +12,6 @@
 
 #![warn(unreachable_pub)]
 
-#[cfg(test)]
-mod cauchy;
 pub mod gf256;
 mod matrix;
 mod rs;

@@ -411,46 +411,6 @@ impl ReedSolomon {
         }
         Ok(rows)
     }
-
-    /// Incrementally update parities after data chunk `j` changes from
-    /// `old` to `new`: `P_p += coef[p][j] · (old ⊕ new)`. This is the
-    /// small-write optimization DFSs use to avoid re-reading the stripe.
-    #[cfg(test)]
-    fn update_parities(
-        &self,
-        j: usize,
-        old: &[u8],
-        new: &[u8],
-        parities: &mut [Vec<u8>],
-    ) -> Result<(), RsError> {
-        if j >= self.k || parities.len() != self.m {
-            return Err(RsError::InvalidParams);
-        }
-        if old.len() != new.len() || parities.iter().any(|p| p.len() != old.len()) {
-            return Err(RsError::ChunkSizeMismatch);
-        }
-        let delta: Vec<u8> = old.iter().zip(new).map(|(a, b)| a ^ b).collect();
-        for (p, parity) in parities.iter_mut().enumerate() {
-            gf256::mul_acc_slice(self.parity_coef(p, j), &delta, parity);
-        }
-        Ok(())
-    }
-
-    /// Split a byte buffer into k equal chunks, zero-padding the tail.
-    /// Returns (chunks, chunk_len).
-    #[cfg(test)]
-    fn split(&self, data: &[u8]) -> (Vec<Vec<u8>>, usize) {
-        let chunk_len = data.len().div_ceil(self.k).max(1);
-        let mut out = Vec::with_capacity(self.k);
-        for j in 0..self.k {
-            let start = (j * chunk_len).min(data.len());
-            let end = ((j + 1) * chunk_len).min(data.len());
-            let mut c = data[start..end].to_vec();
-            c.resize(chunk_len, 0);
-            out.push(c);
-        }
-        (out, chunk_len)
-    }
 }
 
 #[cfg(test)]
@@ -568,72 +528,6 @@ mod tests {
             rs.encode(&[&a, &b]).unwrap_err(),
             RsError::ChunkSizeMismatch
         );
-    }
-
-    #[test]
-    fn split_pads_and_covers() {
-        let rs = ReedSolomon::new(3, 2).expect("params");
-        let data: Vec<u8> = (0..10).collect();
-        let (chunks, len) = rs.split(&data);
-        assert_eq!(len, 4);
-        assert_eq!(chunks.len(), 3);
-        assert_eq!(chunks[0], vec![0, 1, 2, 3]);
-        assert_eq!(chunks[1], vec![4, 5, 6, 7]);
-        assert_eq!(chunks[2], vec![8, 9, 0, 0]);
-    }
-
-    #[test]
-    fn incremental_update_matches_full_reencode() {
-        let rs = ReedSolomon::new(4, 2).expect("params");
-        let mut data = sample_data(4, 333, 8);
-        let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-        let mut parities = rs.encode(&refs).expect("encode");
-        // Mutate chunk 2 and update incrementally.
-        let old = data[2].clone();
-        for (i, b) in data[2].iter_mut().enumerate() {
-            *b = b.wrapping_add(i as u8 ^ 0x5A);
-        }
-        rs.update_parities(2, &old, &data[2], &mut parities)
-            .expect("update");
-        let refs2: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-        let full = rs.encode(&refs2).expect("encode");
-        assert_eq!(parities, full, "incremental must equal re-encode");
-    }
-
-    #[test]
-    fn incremental_update_rejects_bad_args() {
-        let rs = ReedSolomon::new(2, 1).expect("params");
-        let mut p = vec![vec![0u8; 4]];
-        assert_eq!(
-            rs.update_parities(5, &[0; 4], &[0; 4], &mut p),
-            Err(RsError::InvalidParams)
-        );
-        assert_eq!(
-            rs.update_parities(0, &[0; 3], &[0; 4], &mut p),
-            Err(RsError::ChunkSizeMismatch)
-        );
-    }
-
-    #[test]
-    fn vandermonde_and_cauchy_codes_both_recover() {
-        // Same data, two constructions: both recover from m erasures.
-        let data = sample_data(3, 100, 5);
-        let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-        let rs = ReedSolomon::new(3, 2).expect("params");
-        let vp = rs.encode(&refs).expect("vandermonde encode");
-        let cp = crate::cauchy::cauchy_encode(3, 2, &refs);
-        // The matrices differ, so parities differ; both must verify & decode.
-        assert_ne!(vp, cp, "distinct constructions");
-        let mut shards: Vec<Option<Vec<u8>>> = data
-            .iter()
-            .cloned()
-            .map(Some)
-            .chain(vp.into_iter().map(Some))
-            .collect();
-        shards[0] = None;
-        shards[4] = None;
-        rs.reconstruct(&mut shards).expect("recover");
-        assert_eq!(shards[0].as_ref().expect("chunk"), &data[0]);
     }
 
     #[test]

@@ -41,13 +41,10 @@ pub(crate) struct ChainState {
 #[derive(Default)]
 pub(crate) struct Chains {
     by_addr: BTreeMap<u64, ChainState>,
-    pub(crate) installed_total: u64,
-    pub(crate) chunks_forwarded: u64,
 }
 
 impl Chains {
     pub(crate) fn install(&mut self, cfg: HlConfigPkt, client: NodeId) {
-        self.installed_total += 1;
         self.by_addr.insert(
             cfg.local_addr,
             ChainState {
@@ -178,7 +175,6 @@ pub(crate) fn fwd_ready(core: &mut NicCore, ctx: &mut Ctx<'_>, addr: u64, chunk:
         };
         (next.node as NodeId, wrh, data)
     };
-    core.chains.chunks_forwarded += 1;
     core.send_write(ctx, dst, None, wrh, data);
     try_forward(core, ctx, addr);
     try_complete(core, ctx, addr);

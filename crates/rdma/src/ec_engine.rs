@@ -23,7 +23,7 @@
 //! of its chunk, DMA-reads its own once, and multiply-accumulates every
 //! arriving packet (`d_i · payload`, `d` the lost chunk's decode row) into
 //! the pooled accumulator of its packet index. The moment an index has its
-//! k contributions it passes through the engine and leaves for the sink;
+//! k contributions it passes through the engine and leaves for the client;
 //! its buffer travels with it. No survivor byte and no rebuilt byte touches
 //! host memory on the coordinator. The engine is armed once per gather, at
 //! acceptance, so its trigger overlaps the survivor round trip, and it is
@@ -33,7 +33,7 @@
 use bytes::Bytes;
 use nadfs_gfec::{Accumulator, ReedSolomon, RsError};
 use nadfs_simnet::telemetry::phase;
-use nadfs_simnet::{Bandwidth, Ctx, Dur, IdMap, NodeId, SharedBufPool, Time};
+use nadfs_simnet::{Bandwidth, Ctx, Dur, IdMap, NodeId, Time};
 use nadfs_wire::{
     AckPkt, DfsHeader, EcInfo, EcRole, Frame, GatherReconstruct, GatherSegment, MsgId,
     ReadReqHeader, ReadRespPkt, ReplicaCoord, Resiliency, Status, WriteReqHeader,
@@ -87,7 +87,6 @@ pub struct EcEngine {
     /// gather reads leave write handling to the host software.
     consume_writes: bool,
     pub chunks_encoded: u64,
-    pub(crate) parities_written: u64,
 }
 
 impl EcEngine {
@@ -99,7 +98,6 @@ impl EcEngine {
             busy_until: Time::ZERO,
             consume_writes: true,
             chunks_encoded: 0,
-            parities_written: 0,
         }
     }
 
@@ -129,51 +127,6 @@ impl EcEngine {
     /// Does this write carry an EC role the engine should consume?
     pub(crate) fn wants(&self, wrh: &WriteReqHeader) -> bool {
         self.consume_writes && matches!(wrh.resiliency, Resiliency::ErasureCode(_))
-    }
-}
-
-/// The pooled block reconstruction path (client degraded read, client
-/// repair): stage one survivor per entry of `survivors` (its shard
-/// index; `load(slot, buf)` fills slot `slot`'s `chunk_len` bytes), rebuild
-/// the `want` shards into pooled buffers and hand the survivor buffers
-/// back to the pool. The caller owns the returned buffers (one per `want`
-/// entry, in order) and what loading and rebuilding cost on its clock.
-/// On error nothing is retained.
-pub fn rebuild_pooled(
-    rs: &ReedSolomon,
-    pool: &SharedBufPool,
-    chunk_len: usize,
-    survivors: &[usize],
-    mut load: impl FnMut(usize, &mut [u8]),
-    want: &[usize],
-) -> Result<Vec<Vec<u8>>, RsError> {
-    let mut staged: Vec<Vec<u8>> = Vec::with_capacity(survivors.len());
-    for slot in 0..survivors.len() {
-        let mut buf = pool.borrow_mut().get_dirty(chunk_len);
-        load(slot, &mut buf);
-        staged.push(buf);
-    }
-    // A shard index past k+m (a malformed plan off the wire) stages
-    // nothing, and the codec rejects the short survivor set.
-    let mut shards: Vec<Option<&[u8]>> = vec![None; rs.k() + rs.m()];
-    for (&idx, buf) in survivors.iter().zip(&staged) {
-        if let Some(shard) = shards.get_mut(idx) {
-            *shard = Some(buf);
-        }
-    }
-    let mut outs: Vec<Vec<u8>> = {
-        let mut p = pool.borrow_mut();
-        want.iter().map(|_| p.get_dirty(chunk_len)).collect()
-    };
-    let rebuilt = rs.reconstruct_into(&shards, want, &mut outs);
-    let mut p = pool.borrow_mut();
-    staged.into_iter().for_each(|buf| p.put(buf));
-    match rebuilt {
-        Ok(()) => Ok(outs),
-        Err(e) => {
-            outs.into_iter().for_each(|buf| p.put(buf));
-            Err(e)
-        }
     }
 }
 
@@ -334,7 +287,6 @@ pub(crate) fn aggregate(core: &mut NicCore, ctx: &mut Ctx<'_>, stripe: u64, pari
         return;
     };
     let xor_cost = engine.cfg.xor_bw.tx_time(st.chunk_len as u64 * st.k as u64);
-    engine.parities_written += 1;
     // Read back the k staged chunks (DMA read channel) into a
     // pooled scratch buffer, XOR wide-word into a pooled
     // accumulator, write the final parity. Zero allocations in
@@ -388,15 +340,6 @@ pub(crate) fn decode_armed(core: &mut NicCore, ctx: &mut Ctx<'_>, gather: u64) {
 
 // --- streaming decode (degraded gathers) ---------------------------------
 
-/// Where a decode's rebuilt packets go. A read sends them to the client
-/// that asked; repair-as-a-gather would add a spare node's memory.
-#[derive(Clone, Copy)]
-pub(crate) enum DecodeSink {
-    /// The response flow of gather request `msg` from `dst`: each rebuilt
-    /// packet is a `ReadResp` at its range's destination offset.
-    ReadResp { dst: NodeId, msg: MsgId },
-}
-
 /// Survivor `seg` of stream `stream` of degraded gather `gather`: whose
 /// packets a fetch's response, or a batch read from this node's own
 /// memory, carries.
@@ -426,14 +369,17 @@ struct DecodeStream {
 /// A degraded gather decoding on its coordinator NIC.
 pub(crate) struct DecodeGather {
     greq: u64,
-    sink: DecodeSink,
+    /// The client that asked and its gather request: each rebuilt packet
+    /// is a `ReadResp` of flow `msg` at its range's destination offset.
+    dst: NodeId,
+    msg: MsgId,
     /// The k survivors, in the header's order.
     segments: Vec<GatherSegment>,
     /// `rows[row * k + seg]`: coefficient of survivor `seg` in lost chunk
     /// `row` (`ReedSolomon::decode_rows`).
     rows: Vec<u8>,
     streams: Vec<DecodeStream>,
-    /// Packets the sink's flow carries in all.
+    /// Packets the response flow carries in all.
     total_pkts: u32,
     /// Remote fetches issued; cancelled if the gather aborts.
     fetches: Vec<MsgId>,
@@ -447,17 +393,19 @@ pub(crate) struct DecodeGather {
 }
 
 /// Accept degraded gather `greq` — rebuild the `rec.copy` ranges from the
-/// k survivors in `segments` and stream them to `sink` — or refuse it
+/// k survivors in `segments` and stream them to `dst` as the response flow
+/// of its request `msg` — or refuse it
 /// (`false`: nothing drawn, nothing sent) when the plan is malformed:
 /// survivors that are not k distinct shards of the scheme, a wanted chunk
 /// that is not lost, a range past the chunk.
 pub(crate) fn start_decode(
     core: &mut NicCore,
     ctx: &mut Ctx<'_>,
+    dst: NodeId,
+    msg: MsgId,
     greq: u64,
     segments: &[GatherSegment],
     rec: &GatherReconstruct,
-    sink: DecodeSink,
 ) -> bool {
     let cap = nadfs_wire::sizes::max_payload_plain();
     let survivors: Vec<usize> = segments.iter().map(|s| s.shard as usize).collect();
@@ -521,7 +469,8 @@ pub(crate) fn start_decode(
         gather,
         DecodeGather {
             greq,
-            sink,
+            dst,
+            msg,
             segments: segments.to_vec(),
             rows,
             streams,
@@ -588,7 +537,7 @@ pub(crate) fn absorb(core: &mut NicCore, ctx: &mut Ctx<'_>, of: Survivor, idx: u
 
 /// Rebuilt packet `idx` of `stream` has its k contributions: occupy the
 /// engine for it, behind whatever it is already doing, and send it to the
-/// sink when it comes out. Its accumulator's buffer is its payload.
+/// client when it comes out. Its accumulator's buffer is its payload.
 fn emit(core: &mut NicCore, ctx: &mut Ctx<'_>, gather: u64, stream: u16, idx: u32) {
     let g = core.decodes.get_mut(&gather).expect("live gather");
     let st = &mut g.streams[stream as usize];
@@ -598,7 +547,7 @@ fn emit(core: &mut NicCore, ctx: &mut Ctx<'_>, gather: u64, stream: u16, idx: u3
         .into_buf();
     let offset = st.dest_off + idx * nadfs_wire::sizes::max_payload_plain();
     let pkt_idx = st.first_pkt + idx;
-    let (sink, total_pkts) = (g.sink, g.total_pkts);
+    let (dst, msg, total_pkts) = (g.dst, g.msg, g.total_pkts);
     g.pkts_left -= 1;
     let last = g.pkts_left == 0;
 
@@ -607,18 +556,16 @@ fn emit(core: &mut NicCore, ctx: &mut Ctx<'_>, gather: u64, stream: u16, idx: u3
     let compute = engine.cfg.encode_bw.tx_time(buf.len() as u64);
     let done = core.ec_occupy(now, compute);
     core.stats.borrow_mut().gather_bytes_streamed += buf.len() as u64;
-    let pkt = match sink {
-        DecodeSink::ReadResp { dst, msg } => core.pkt(
-            dst,
-            Frame::ReadResp(ReadRespPkt {
-                msg,
-                pkt_idx,
-                total_pkts,
-                offset,
-                data: Bytes::from(buf),
-            }),
-        ),
-    };
+    let pkt = core.pkt(
+        dst,
+        Frame::ReadResp(ReadRespPkt {
+            msg,
+            pkt_idx,
+            total_pkts,
+            offset,
+            data: Bytes::from(buf),
+        }),
+    );
     ctx.schedule_self(done.since(now), Box::new(NicEvent::SendOne(pkt)));
     if last {
         let g = core.decodes.remove(&gather).expect("live gather");
@@ -637,7 +584,7 @@ fn emit(core: &mut NicCore, ctx: &mut Ctx<'_>, gather: u64, stream: u16, idx: u3
 
 /// Give up on `gather`: cancel its outstanding fetches (their Read credit
 /// returns), hand every live accumulator back to the pool, and tell the
-/// sink with `status`. Packets already sent stay sent; the requester
+/// client with `status`. Packets already sent stay sent; the requester
 /// drops them once it sees the NACK.
 fn abort(core: &mut NicCore, ctx: &mut Ctx<'_>, gather: u64, status: Status) {
     let Some(g) = core.decodes.remove(&gather) else {
@@ -651,8 +598,7 @@ fn abort(core: &mut NicCore, ctx: &mut Ctx<'_>, gather: u64, status: Status) {
         let live = g.streams.into_iter().flat_map(|st| st.accs).flatten();
         live.for_each(|acc| pool.put(acc.into_buf()));
     }
-    let DecodeSink::ReadResp { dst, msg } = g.sink;
-    core.send_ack(ctx, dst, AckPkt::new(msg, Some(g.greq), status));
+    core.send_ack(ctx, g.dst, AckPkt::new(g.msg, Some(g.greq), status));
 }
 
 /// A NACK for one of this NIC's own decode fetches (a survivor refused

@@ -26,7 +26,7 @@ use nadfs_wire::{
 
 use crate::app::NicApp;
 use crate::chains::{self, Chains};
-use crate::ec_engine::{self, DecodeGather, DecodeSink, EcEngine, Survivor};
+use crate::ec_engine::{self, DecodeGather, EcEngine, Survivor};
 
 /// Per-NIC configuration.
 #[derive(Clone, Debug, Default)]
@@ -304,11 +304,7 @@ pub struct NicCore {
     /// incoming read requests carrying a DFS header are authenticated on
     /// the NIC (the read-side analog of the sPIN write validation).
     service_key: Option<MacKey>,
-    /// Diagnostics.
-    pub(crate) writes_acked: u64,
-    pub(crate) frames_sent: u64,
-    /// Read requests whose capability the NIC validated / rejected.
-    pub(crate) reads_validated: u64,
+    /// Read requests whose capability the NIC rejected.
     pub(crate) read_auth_failures: u64,
     /// Gather/offload counters, shared with snapshot code.
     pub(crate) stats: SharedNicStats,
@@ -562,7 +558,6 @@ impl NicCore {
             }
             drop(gate);
             let (pkt, marker) = self.out_q.pop_front().expect("nonempty");
-            self.frames_sent += 1;
             let dst = pkt.pkt.dst;
             ctx.schedule(Dur::ZERO, self.port.fabric, pkt);
             if let Some(class) = marker {
@@ -902,7 +897,6 @@ impl NicCore {
                 return;
             }
             // Plain raw write: ack the initiator once durable.
-            self.writes_acked += 1;
             let ack = AckPkt::new(w.msg, st.dfs.map(|d| d.greq_id), Status::Ok);
             let ev = NicEvent::Ack { dst: st.src, ack };
             ctx.schedule_at(st.flush, self.self_id, Box::new(ev));
@@ -982,7 +976,6 @@ impl NicCore {
                 return Err(AckPkt::new(msg, Some(dfs.greq_id), Status::AuthFailed));
             }
         }
-        self.reads_validated += 1;
         let spans = &mut self.obs.borrow_mut().spans;
         spans.mark_corr_once(dfs.greq_id, phase::NIC_VALIDATED, now);
         self.trace
@@ -1117,8 +1110,7 @@ impl NicCore {
                     true
                 }
                 Some(rec) => {
-                    let sink = DecodeSink::ReadResp { dst: client, msg };
-                    ec_engine::start_decode(self, ctx, greq, &grh.segments, rec, sink)
+                    ec_engine::start_decode(self, ctx, client, msg, greq, &grh.segments, rec)
                 }
             };
         if accepted {
@@ -1364,9 +1356,6 @@ impl Nic {
                 next_decode: 0,
                 mrs: Vec::new(),
                 service_key: None,
-                writes_acked: 0,
-                frames_sent: 0,
-                reads_validated: 0,
                 read_auth_failures: 0,
                 stats: Rc::new(RefCell::new(NicStats::default())),
                 obs: ObsHub::disabled(),

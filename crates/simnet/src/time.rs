@@ -187,13 +187,6 @@ impl Bandwidth {
         let ps = (bits * 1_000_000_000_000u128).div_ceil(self.bits_per_sec as u128);
         Dur(ps as u64)
     }
-
-    /// Bytes transferable in `d` (rounded down).
-    #[cfg(test)]
-    fn bytes_in(self, d: Dur) -> u64 {
-        let bits = d.0 as u128 * self.bits_per_sec as u128 / 1_000_000_000_000u128;
-        (bits / 8) as u64
-    }
 }
 
 /// Compute an achieved rate from a byte count and elapsed time.
@@ -225,13 +218,6 @@ mod tests {
         // 3 bits/s: 1 byte = 8 bits -> 8/3 s, must round up.
         let bw = Bandwidth { bits_per_sec: 3 };
         assert_eq!(bw.tx_time(1).0, 8_000_000_000_000u64.div_ceil(3));
-    }
-
-    #[test]
-    fn bytes_in_inverts_tx_time() {
-        let bw = Bandwidth::from_gbit_per_sec(100);
-        let d = bw.tx_time(1 << 20);
-        assert_eq!(bw.bytes_in(d), 1 << 20);
     }
 
     #[test]
