@@ -6,7 +6,7 @@ use nadfs_rdma::NicCore;
 use nadfs_simnet::telemetry::phase;
 use nadfs_simnet::{Ctx, Dur, OpKind, SpanId};
 
-use super::{deliver, ClientApp, Job, MetaOp, MetaResult, Op, Routes, Step};
+use super::{deliver, ClientApp, MetaOp, MetaResult, Op, Routes, Step};
 use crate::control::FilePolicy;
 
 /// A metadata op whose (already-determined) outcome is waiting out its
@@ -47,16 +47,7 @@ impl ClientApp {
         token: u64,
     ) {
         let start = ctx.now();
-        let span = if self.bulk_meta_spans {
-            if self.bulk_meta_span == 0 {
-                self.bulk_meta_span =
-                    self.span_begin(OpKind::MetaBulk, nic, start, || "meta-bulk".to_string());
-            }
-            self.bulk_meta_ops += 1;
-            0
-        } else {
-            self.span_begin(OpKind::Meta, nic, start, || format!("meta {:?}", op.kind()))
-        };
+        let span = self.span_begin(OpKind::Meta, nic, start, || format!("meta {:?}", op.kind()));
         let now_ns = start.as_ns() as u64;
         let costs = self.meta_costs.clone();
         let mut cost = Dur::ZERO;
@@ -165,31 +156,7 @@ impl ClientApp {
         let MetaDone { mut result, span } = m;
         result.end = ctx.now();
         self.span_end(span, result.end, result.result.is_ok());
-        if self.bulk_meta_span != 0 && result.result.is_err() {
-            self.bulk_meta_errs += 1;
-        }
         deliver(None, &mut self.results.borrow_mut().metas, result);
         Step::Done(Routes::default())
-    }
-
-    /// Close the open bulk-meta span once the storm drains: no meta op in
-    /// flight and none left in the plan. Stamps the final op count into
-    /// the label so the single span still attributes the whole batch.
-    pub(super) fn finish_bulk_meta_span(&mut self, ctx: &Ctx<'_>) {
-        let is_meta_job = |j: &Job| matches!(j, Job::Meta { .. });
-        if self.bulk_meta_span == 0
-            || self.ops.ops.values().any(|op| matches!(op, Op::Meta(_)))
-            || self.plan.borrow().iter().any(is_meta_job)
-        {
-            return;
-        }
-        let id = std::mem::take(&mut self.bulk_meta_span);
-        let n = std::mem::take(&mut self.bulk_meta_ops);
-        let errs = std::mem::take(&mut self.bulk_meta_errs);
-        self.obs
-            .borrow_mut()
-            .spans
-            .relabel(id, format!("meta-bulk n={n}"));
-        self.span_end(id, ctx.now(), errs == 0);
     }
 }

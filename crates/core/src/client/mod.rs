@@ -178,7 +178,7 @@ pub enum Job {
     Repair {
         task: RepairTask,
         token: u64,
-        slot: Option<RepairSlot>,
+        slot: RepairSlot,
     },
     /// One-sided read of a raw region (verification / read-path latency).
     RawRead {
@@ -304,8 +304,6 @@ pub struct ResultSink {
     /// its oneshot slot, when the job carried one).
     pub file_reads: Vec<ReadCompletion>,
     pub metas: Vec<MetaResult>,
-    /// Repair-task completions (also delivered through oneshot slots).
-    pub repairs: Vec<RepairResult>,
 }
 
 pub type SharedResults = Rc<RefCell<ResultSink>>;
@@ -470,17 +468,6 @@ pub struct ClientApp {
     pub read_cache_enabled: bool,
     /// Latency model for metadata traffic.
     pub meta_costs: MetaCosts,
-    /// When true, a storm of [`Job::Meta`] ops shares one
-    /// [`OpKind::MetaBulk`] span carrying op-count attribution in its
-    /// label instead of minting one span per op, so bulk namespace
-    /// workloads cannot saturate the completed-span ring.
-    pub bulk_meta_spans: bool,
-    /// Open bulk span (0 when none is active).
-    bulk_meta_span: SpanId,
-    /// Ops attributed to the open bulk span.
-    bulk_meta_ops: u64,
-    /// Failed ops among them (a bulk span closes `ok` only if all passed).
-    bulk_meta_errs: u64,
     /// Observability hub: op spans + metrics. Constructed disabled; the
     /// cluster build replaces it with the shared, enabled hub.
     pub obs: SharedObs,
@@ -524,10 +511,6 @@ impl ClientApp {
             read_cache,
             read_cache_enabled: true,
             meta_costs: MetaCosts::default(),
-            bulk_meta_spans: false,
-            bulk_meta_span: 0,
-            bulk_meta_ops: 0,
-            bulk_meta_errs: 0,
             obs: ObsHub::disabled(),
             trace: Trace::disabled(),
             tenant: Rc::new(Cell::new(None)),
@@ -828,7 +811,6 @@ impl ClientApp {
                     nic.node()
                 );
                 self.fill(nic, ctx);
-                self.finish_bulk_meta_span(ctx);
             }
         }
     }

@@ -9,14 +9,14 @@ use nadfs_simnet::{Ctx, NodeId, OpKind, SpanId, Time, TENANT_REPAIR};
 use nadfs_wire::{AckPkt, DfsOp, ReadReqHeader, ReplicaCoord, Status};
 
 use super::write::plain_wrh;
-use super::{deliver, ClientApp, Event, Op, RepairOutcome, RepairResult, RepairSlot, Routes, Step};
+use super::{ClientApp, Event, Op, RepairOutcome, RepairResult, RepairSlot, Routes, Step};
 use crate::control::{RepairPlan, RepairTask};
 
 /// One repair task as asked for, with its open span.
 struct RepairReq {
     token: u64,
     task: RepairTask,
-    slot: Option<RepairSlot>,
+    slot: RepairSlot,
     span: SpanId,
     start: Time,
 }
@@ -71,7 +71,7 @@ impl ClientApp {
             bytes_moved,
         };
         self.span_end(req.span, result.end, status == Status::Ok);
-        deliver(req.slot, &mut self.results.borrow_mut().repairs, result);
+        *req.slot.borrow_mut() = Some(result);
     }
 
     /// Start one repair task: plan it against the control plane, then
@@ -83,7 +83,7 @@ impl ClientApp {
         ctx: &mut Ctx<'_>,
         task: RepairTask,
         token: u64,
-        slot: Option<RepairSlot>,
+        slot: RepairSlot,
     ) {
         let start = ctx.now();
         let span = self.span_begin(OpKind::Repair, nic, start, || {

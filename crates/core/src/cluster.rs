@@ -11,7 +11,8 @@ use nadfs_rdma::{AppTimer, EcEngine, Nic, NicApp, SharedNicStats};
 use nadfs_simnet::{
     BufPool, ComponentId, CreditConfig, Dur, Engine, Fabric, FabricStats, FlowStats,
     MetricsSnapshot, NodeId, ObsHub, PacketPool, SharedFlowStats, SharedObs, SharedTenantLedgers,
-    SharedTrace, TenantId, TenantLedger, Time, Trace, DEFAULT_MAX_RETAINED_BYTES, TENANT_REPAIR,
+    SharedTrace, TenantId, TenantLedger, TenantScheduler, Time, Trace, DEFAULT_MAX_RETAINED_BYTES,
+    TENANT_REPAIR,
 };
 use nadfs_wire::Frame;
 
@@ -61,23 +62,18 @@ pub struct ClusterSpec {
 /// RPC dispatch and DFS read streams, weighted by tenant. Disabled by
 /// default (first-come service, the pre-QoS behavior); the credit-based
 /// WR flow control on every NIC is always on and configured by `credit`.
+/// A tenant `weights` does not name weighs 1, the repair pseudo-tenant
+/// ([`TENANT_REPAIR`]) included.
 #[derive(Clone, Debug)]
 pub struct QosConfig {
     /// Turn on the per-tenant schedulers at storage nodes.
     pub enabled: bool,
     /// Per-peer WR budgets for every NIC's credit layer.
     pub credit: CreditConfig,
-    /// Concurrent DFS read response streams per storage NIC.
-    pub max_read_streams: usize,
     /// Concurrently serviced RPCs per storage node.
     pub rpc_concurrency: usize,
     /// DRR quantum in cost units (bytes) per visit at weight 1.
     pub quantum: u64,
-    /// Weight for tenants without an explicit override.
-    pub default_weight: u32,
-    /// Weight for the background repair pseudo-tenant ([`TENANT_REPAIR`]);
-    /// kept low so drains cannot starve foreground I/O.
-    pub repair_weight: u32,
     /// Explicit per-tenant weight overrides.
     pub weights: Vec<(TenantId, u32)>,
 }
@@ -87,24 +83,15 @@ impl Default for QosConfig {
         QosConfig {
             enabled: false,
             credit: CreditConfig::default(),
-            max_read_streams: 8,
             rpc_concurrency: 8,
             quantum: 64 << 10,
-            default_weight: 1,
-            repair_weight: 1,
             weights: Vec::new(),
         }
     }
 }
 
-impl QosConfig {
-    /// All tenant weights including the repair pseudo-tenant.
-    fn all_weights(&self) -> Vec<(TenantId, u32)> {
-        let mut w = self.weights.clone();
-        w.push((TENANT_REPAIR, self.repair_weight));
-        w
-    }
-}
+/// Concurrent DFS read response streams per storage NIC under QoS.
+const READ_STREAMS: usize = 8;
 
 /// Completed-span ring capacity for clusters built with observability.
 const SPAN_CAP: usize = 4096;
@@ -310,14 +297,10 @@ impl SimCluster {
             app.obs = obs.clone();
             app.trace = trace.clone();
             storage_stats.push(app.stats.clone());
-            if spec.qos.enabled {
-                let q = crate::storage::StorageQos::new(
-                    spec.qos.quantum,
-                    spec.qos.default_weight,
-                    &spec.qos.all_weights(),
-                    spec.qos.rpc_concurrency,
-                );
-                tenant_ledgers.push(q.scheduler().ledgers_handle());
+            let qos = &spec.qos;
+            if qos.enabled {
+                let q = TenantScheduler::new(qos.quantum, &qos.weights, qos.rpc_concurrency);
+                tenant_ledgers.push(q.ledgers_handle());
                 app.qos = Some(q);
             }
             let mut nic = Nic::new(
@@ -328,15 +311,11 @@ impl SimCluster {
             );
             nic.core.share_pools(bufs.clone(), pkts.clone());
             nic.core.set_credit_config(spec.qos.credit);
-            if spec.qos.enabled {
-                nic.core.install_read_qos(
-                    spec.qos.quantum,
-                    spec.qos.default_weight,
-                    &spec.qos.all_weights(),
-                    spec.qos.max_read_streams,
-                );
-                let qos = nic.core.read_qos.as_ref().expect("just installed");
-                tenant_ledgers.push(qos.scheduler().ledgers_handle());
+            if qos.enabled {
+                let ledgers = nic
+                    .core
+                    .install_read_qos(qos.quantum, &qos.weights, READ_STREAMS);
+                tenant_ledgers.push(ledgers);
             }
             flow_stats.push(nic.core.flow_stats());
             // NIC-side read validation: every storage NIC authenticates
@@ -607,7 +586,6 @@ impl SimCluster {
                     e.enqueued += l.enqueued;
                     e.dispatched += l.dispatched;
                     e.cost_dispatched += l.cost_dispatched;
-                    e.queued += l.queued;
                 }
             }
             for (t, l) in by_tenant {

@@ -17,12 +17,14 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use nadfs_gfec::{Accumulator, ReedSolomon};
-use nadfs_pspin::{HandlerArgs, HandlerSet, Ops};
+use nadfs_pspin::{HandlerArgs, HandlerSet, HostNotify, Ops};
 use nadfs_simnet::telemetry::phase;
-use nadfs_simnet::{IdMap, NodeId, ObsHub, SharedBufPool, SharedObs, SharedTrace, Time, Trace};
+use nadfs_simnet::{
+    IdMap, IdSet, NodeId, ObsHub, SharedBufPool, SharedObs, SharedTrace, Time, Trace,
+};
 use nadfs_wire::{
-    bcast_children, AckPkt, DfsHeader, EcInfo, EcRole, Frame, GatherReadHeader, GatherReqPkt,
-    MacKey, MsgId, Resiliency, Rights, RsScheme, Status, WritePkt, WriteReqHeader,
+    bcast_children, AckPkt, DfsHeader, EcInfo, EcRole, Frame, GatherReqPkt, MacKey, MsgId,
+    Resiliency, Rights, RsScheme, Status, WritePkt, WriteReqHeader,
 };
 
 use crate::config::HandlerCosts;
@@ -32,10 +34,6 @@ use crate::config::HandlerCosts;
 pub const EVT_EC_FALLBACK: u64 = 0x4543_0000_0000_0000;
 /// Host-event tag for cleanup notifications.
 pub const EVT_CLEANUP: u64 = 0xC1EA_0000_0000_0000;
-/// Host-event tag for validated gather-read requests handed off to the
-/// NIC core's gather engine; the pending-gather id is OR-ed into the low
-/// bits.
-pub const EVT_GATHER: u64 = 0x4754_0000_0000_0000;
 
 /// One forwarded stream (replication child or EC parity stream).
 #[derive(Clone, Debug)]
@@ -94,16 +92,6 @@ struct StripeState {
     reserved: usize,
 }
 
-/// A gather-read request validated by the header handler and awaiting
-/// pickup by the NIC core's gather engine (handed off via [`EVT_GATHER`]).
-#[derive(Clone, Debug)]
-pub struct PendingGather {
-    pub client: NodeId,
-    pub msg: MsgId,
-    pub greq: u64,
-    pub grh: GatherReadHeader,
-}
-
 /// Execution-context state living in NIC memory (`task->mem`).
 pub struct DfsNicState {
     pub key: MacKey,
@@ -116,12 +104,9 @@ pub struct DfsNicState {
     accs: IdMap<(u64, u32), Accumulator>,
     /// Free accumulators remaining in the pool.
     acc_free: usize,
-    /// Validated gather reads keyed by a NIC-local id; the completion
-    /// handler signals the host with `EVT_GATHER | id` and the host hands
-    /// the entry to the gather engine.
-    pending_gathers: IdMap<u64, PendingGather>,
-    gather_ids: IdMap<MsgId, u64>,
-    next_gather_id: u64,
+    /// Gather reads the header handler validated; the completion handler
+    /// hands each to the NIC's gather engine.
+    gathers: IdSet<MsgId>,
     /// Recycled byte buffers for accumulators and intermediate-parity
     /// products (shared with the PsPIN device, which returns DMA-write
     /// payloads here once their run retires).
@@ -154,9 +139,7 @@ impl DfsNicState {
             stripes: IdMap::default(),
             accs: IdMap::default(),
             acc_free: accumulator_pool,
-            pending_gathers: IdMap::default(),
-            gather_ids: IdMap::default(),
-            next_gather_id: 0,
+            gathers: IdSet::default(),
             buf_pool,
             auth_failures: 0,
             obs: ObsHub::disabled(),
@@ -180,13 +163,6 @@ impl DfsNicState {
         self.stripes.get(&stripe).filter(|s| s.fallback)?;
         let s = self.stripes.remove(&stripe)?;
         Some((s.k, s.chunk_len, s.final_addr, s.greq, s.client))
-    }
-
-    /// Claim a validated gather read announced via [`EVT_GATHER`].
-    pub fn take_pending_gather(&mut self, id: u64) -> Option<PendingGather> {
-        let g = self.pending_gathers.remove(&id)?;
-        self.gather_ids.remove(&g.msg);
-        Some(g)
     }
 
     fn rs(&mut self, scheme: RsScheme) -> &ReedSolomon {
@@ -246,8 +222,8 @@ fn write_pkt(frame: &Frame) -> Option<&WritePkt> {
     }
 }
 
-/// `DFS_gather_init`: authenticate a gather read once on the NIC and park
-/// it for the gather engine. The completion handler signals the host after
+/// `DFS_gather_init`: authenticate a gather read once on the NIC and mark
+/// it valid. The completion handler hands it to the gather engine after
 /// the pipeline retires.
 fn gather_header(st: &mut DfsNicState, g: &GatherReqPkt, src: NodeId, now: Time, ops: &mut Ops) {
     let describe = || {
@@ -258,22 +234,12 @@ fn gather_header(st: &mut DfsNicState, g: &GatherReqPkt, src: NodeId, now: Time,
             g.grh.total_len
         )
     };
-    if let Err(nack) = st.validate(g.msg, &g.dfs, Rights::READ, now, describe) {
-        ops.send(src, Frame::Ack(nack));
-        return;
+    match st.validate(g.msg, &g.dfs, Rights::READ, now, describe) {
+        Ok(()) => {
+            st.gathers.insert(g.msg);
+        }
+        Err(nack) => ops.send(src, Frame::Ack(nack)),
     }
-    let id = st.next_gather_id & 0xFFFF_FFFF;
-    st.next_gather_id += 1;
-    st.gather_ids.insert(g.msg, id);
-    st.pending_gathers.insert(
-        id,
-        PendingGather {
-            client: src,
-            msg: g.msg,
-            greq: g.dfs.greq_id,
-            grh: g.grh.clone(),
-        },
-    );
 }
 
 impl HandlerSet for DfsHandlers {
@@ -601,12 +567,13 @@ impl HandlerSet for DfsHandlers {
     fn completion(&mut self, a: HandlerArgs<'_>) {
         let st = state_of(a.state);
         let costs = st.costs;
-        if matches!(a.frame, Frame::GatherReq(_)) {
+        if let Frame::GatherReq(g) = a.frame {
             a.ops.charge_instrs(costs.ch_instrs, costs.ch_ipc);
-            // Hand the validated gather to the NIC core's gather engine
-            // once the pipeline retires (denied requests never registered).
-            if let Some(id) = st.gather_ids.get(&a.msg) {
-                a.ops.host_event(EVT_GATHER | *id);
+            // Hand the validated gather to the NIC's gather engine once
+            // the pipeline retires (refused requests were never marked).
+            if st.gathers.remove(&a.msg) {
+                let req = g.clone();
+                a.ops.notify(HostNotify::Gather { client: a.src, req });
             }
             return;
         }
@@ -644,7 +611,8 @@ impl HandlerSet for DfsHandlers {
         if sst.ch_done == sst.k {
             if sst.fallback {
                 // Host finishes the aggregation; it will ack the client.
-                a.ops.host_event(EVT_EC_FALLBACK | (stripe & 0xFFFF_FFFF));
+                let tag = EVT_EC_FALLBACK | (stripe & 0xFFFF_FFFF);
+                a.ops.notify(HostNotify::Tag(tag));
             } else {
                 let client = sst.client;
                 let greq = sst.greq;
@@ -664,9 +632,7 @@ impl HandlerSet for DfsHandlers {
         let costs = st.costs;
         ops.charge_instrs(costs.cleanup_instrs, 1.0);
         st.req_table.remove(&msg);
-        if let Some(id) = st.gather_ids.remove(&msg) {
-            st.pending_gathers.remove(&id);
-        }
-        ops.host_event(EVT_CLEANUP | (msg.seq & 0xFFFF_FFFF));
+        st.gathers.remove(&msg);
+        ops.notify(HostNotify::Tag(EVT_CLEANUP | (msg.seq & 0xFFFF_FFFF)));
     }
 }

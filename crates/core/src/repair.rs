@@ -136,7 +136,7 @@ impl RepairDriver {
             Job::Repair {
                 task,
                 token,
-                slot: Some(slot.clone()),
+                slot: slot.clone(),
             },
         );
         cluster.start();

@@ -18,19 +18,17 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use nadfs_pspin::HostNotify;
 use nadfs_rdma::{NicApp, NicCore};
 use nadfs_simnet::telemetry::phase;
 use nadfs_simnet::{
-    Ctx, IdMap, NodeId, ObsHub, SharedObs, SharedTrace, Slab, TenantId, TenantScheduler, Time,
-    Trace,
+    Ctx, Dur, IdMap, NodeId, ObsHub, SharedObs, SharedTrace, Slab, TenantScheduler, Time, Trace,
 };
 use nadfs_wire::{
     bcast_children, AckPkt, DfsHeader, MacKey, MsgId, ReadReqHeader, Resiliency, Rights, RpcBody,
     Status, WriteReqHeader,
 };
 
-use crate::handlers::{DfsNicState, EVT_CLEANUP, EVT_EC_FALLBACK, EVT_GATHER};
+use crate::handlers::{DfsNicState, EVT_CLEANUP, EVT_EC_FALLBACK};
 
 /// Observable storage-node statistics (shared with tests/harnesses).
 #[derive(Debug, Default)]
@@ -103,41 +101,11 @@ struct PendingFetch {
 }
 
 /// An RPC held back by the per-tenant scheduler.
-pub struct QueuedRpc {
+pub(crate) struct QueuedRpc {
     src: NodeId,
     msg: MsgId,
     body: RpcBody,
     data: Bytes,
-}
-
-/// Per-tenant weighted fair queueing of storage RPC service: incoming
-/// write/read RPCs drain in deficit-round-robin order with a bound on
-/// concurrently-serviced requests, so one tenant's burst cannot occupy
-/// the whole CPU dispatch pipeline.
-pub struct StorageQos {
-    sched: TenantScheduler<QueuedRpc>,
-    active: usize,
-    pub max_concurrency: usize,
-}
-
-impl StorageQos {
-    pub fn new(
-        quantum: u64,
-        default_weight: u32,
-        weights: &[(TenantId, u32)],
-        max_concurrency: usize,
-    ) -> StorageQos {
-        StorageQos {
-            sched: TenantScheduler::with_weights(quantum, default_weight, weights),
-            active: 0,
-            max_concurrency: max_concurrency.max(1),
-        }
-    }
-
-    /// Tenant backlog + dispatch ledgers (exported by cluster snapshots).
-    pub fn scheduler(&self) -> &TenantScheduler<QueuedRpc> {
-        &self.sched
-    }
 }
 
 /// The DFS handler state on `nic`, where PsPIN runs the DFS context.
@@ -166,8 +134,11 @@ pub struct StorageApp {
     pub obs: SharedObs,
     pub trace: SharedTrace,
     /// Per-tenant fair queueing of RPC service (None = first-come
-    /// dispatch, the pre-QoS behavior).
-    pub qos: Option<StorageQos>,
+    /// dispatch, the pre-QoS behavior): incoming write/read RPCs drain in
+    /// deficit-round-robin order, each holding a service slot until the
+    /// CPU dispatch pipeline drains past it, so one tenant's burst cannot
+    /// occupy the whole pipeline.
+    pub(crate) qos: Option<TenantScheduler<QueuedRpc>>,
 }
 
 const TAG_BASE: u64 = 0x5347_0000_0000_0000;
@@ -366,26 +337,16 @@ impl StorageApp {
         }
     }
 
-    /// Admit queued RPCs up to the service-concurrency limit, in DRR
-    /// order. Each admission holds its slot until the CPU dispatch
-    /// pipeline drains past it (the deferred `ServiceDone`).
-    fn pump_qos(&mut self, nic: &mut NicCore, ctx: &mut Ctx<'_>) {
-        loop {
-            let Some(q) = self.qos.as_mut() else {
-                return;
-            };
-            if q.active >= q.max_concurrency {
-                return;
-            }
-            let Some((_tenant, rpc)) = q.sched.pop() else {
-                return;
-            };
-            q.active += 1;
+    /// Dispatch queued RPCs, in DRR order, while service slots are free.
+    /// Each holds its slot until the CPU dispatch pipeline drains past it
+    /// (the deferred `ServiceDone`).
+    fn admit_rpcs(&mut self, nic: &mut NicCore, ctx: &mut Ctx<'_>) {
+        while let Some((_, rpc)) = self.qos.as_mut().and_then(TenantScheduler::admit) {
             self.dispatch_rpc(nic, ctx, rpc.src, rpc.msg, rpc.body, rpc.data);
             // The CPU frontier after dispatching is when this request's
             // synchronous service (validate/copy/post) ends: free the
             // slot there. Zero-cost exec reads the frontier.
-            let done = nic.cpu.exec(ctx.now(), nadfs_simnet::Dur::ZERO);
+            let done = nic.cpu.exec(ctx.now(), Dur::ZERO);
             self.defer(nic, ctx, done, AfterCpu::ServiceDone);
         }
     }
@@ -472,7 +433,7 @@ impl NicApp for StorageApp {
             RpcBody::WriteReq { dfs, wrh, .. } => (dfs.tenant, wrh.len.max(1) as u64),
             RpcBody::ReadReq { dfs, rrh } => (dfs.tenant, rrh.len.max(1) as u64),
         };
-        qos.sched.push(
+        qos.push(
             tenant,
             cost,
             QueuedRpc {
@@ -482,7 +443,7 @@ impl NicApp for StorageApp {
                 data,
             },
         );
-        self.pump_qos(nic, ctx);
+        self.admit_rpcs(nic, ctx);
     }
 
     fn on_read_done(&mut self, nic: &mut NicCore, ctx: &mut Ctx<'_>, token: u64) {
@@ -493,24 +454,14 @@ impl NicApp for StorageApp {
         self.post_ack(nic, ctx, ctx.now(), f.client, f.done);
     }
 
-    fn on_host_notify(&mut self, nic: &mut NicCore, ctx: &mut Ctx<'_>, note: HostNotify) {
-        if note.tag & EVT_CLEANUP == EVT_CLEANUP {
+    fn on_host_notify(&mut self, nic: &mut NicCore, ctx: &mut Ctx<'_>, tag: u64) {
+        if tag & EVT_CLEANUP == EVT_CLEANUP {
             self.stats.borrow_mut().cleanup_events += 1;
             return;
         }
-        if note.tag & EVT_GATHER == EVT_GATHER {
-            // The sPIN header handler already authenticated the request;
-            // hand it straight to the NIC core's gather engine (the host
-            // CPU never touches the data path).
-            let id = note.tag & 0xFFFF_FFFF;
-            if let Some(g) = nic_state(nic).and_then(|s| s.take_pending_gather(id)) {
-                nic.start_gather(ctx, g.client, g.msg, g.greq, g.grh);
-            }
-            return;
-        }
-        if note.tag & EVT_EC_FALLBACK == EVT_EC_FALLBACK {
+        if tag & EVT_EC_FALLBACK == EVT_EC_FALLBACK {
             // The NIC staged intermediate parities; finish on the CPU.
-            let stripe = note.tag & 0xFFFF_FFFF;
+            let stripe = tag & 0xFFFF_FFFF;
             let info = nic_state(nic).and_then(|s| s.take_fallback_stripe(stripe));
             let Some((k, chunk_len, final_addr, greq, client)) = info else {
                 return;
@@ -580,9 +531,9 @@ impl NicApp for StorageApp {
             }
             AfterCpu::ServiceDone => {
                 if let Some(q) = self.qos.as_mut() {
-                    q.active = q.active.saturating_sub(1);
+                    q.release();
                 }
-                self.pump_qos(nic, ctx);
+                self.admit_rpcs(nic, ctx);
             }
         }
     }

@@ -38,14 +38,6 @@ use crate::telemetry::Telemetry;
 /// and calls [`PsPinDevice::on_event`].
 pub struct PsPinEvent(pub(crate) Inner);
 
-/// Host notification emitted by a handler's `host_event` op; the owning NIC
-/// component receives it and surfaces it to the DFS software (§III-C event
-/// queues).
-#[derive(Debug, Clone, Copy)]
-pub struct HostNotify {
-    pub tag: u64,
-}
-
 /// `token` is a key into the held-packet arena, `run` one into the run
 /// arena.
 #[derive(Clone, Copy)]
@@ -614,9 +606,9 @@ impl PsPinDevice {
                         run.t = run.t.max(st.dma_horizon);
                     }
                 }
-                Op::HostEvent { tag } => {
-                    let note = HostNotify { tag: *tag };
-                    ctx.schedule(run.t.since(now), self.owner, Box::new(note));
+                Op::Notify { note } => {
+                    let note = note.take().expect("notification delivered twice");
+                    ctx.schedule(run.t.since(now), self.owner, note);
                 }
             }
             run.op += 1;
@@ -790,7 +782,7 @@ impl PsPinDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::handler::HandlerSet;
+    use crate::handler::{HandlerSet, HostNotify};
     use bytes::Bytes;
     use nadfs_host::{DmaConfig, HostMemory};
     use nadfs_simnet::{Component, Engine, Fabric, FabricConfig, GateWake, PacketEvent};
@@ -841,7 +833,7 @@ mod tests {
             let st = state.downcast_mut::<TestState>().expect("state");
             st.cleanups_seen += 1;
             ops.charge_cycles(50);
-            ops.host_event(0xC1EA);
+            ops.notify(HostNotify::Tag(0xC1EA));
         }
     }
 

@@ -13,7 +13,7 @@ use std::any::Any;
 
 use bytes::Bytes;
 use nadfs_simnet::{NetPacket, NodeId, PacketEvent, SharedBufPool, SharedPacketPool, Time};
-use nadfs_wire::{Frame, MsgId, Pkt};
+use nadfs_wire::{Frame, GatherReqPkt, MsgId, Pkt};
 
 /// Which handler of the triple (plus cleanup) a record refers to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
@@ -39,9 +39,21 @@ pub(crate) enum Op {
     /// explicit flush the paper highlights under data persistence
     /// (§III-B-1).
     WaitFlush,
-    /// Notify the host DFS software through the event queue (§III-C);
-    /// delivered to the NIC owner's component with this tag.
-    HostEvent { tag: u64 },
+    /// Hand the NIC owner's component a [`HostNotify`], in the box it is
+    /// delivered in; `None` once delivered.
+    Notify { note: Option<Box<HostNotify>> },
+}
+
+/// What a handler hands the NIC it runs on, delivered as one event at the
+/// instant the handler's replay reaches it.
+#[derive(Debug)]
+pub enum HostNotify {
+    /// An event for the host DFS software, through its event queue
+    /// (§III-C).
+    Tag(u64),
+    /// A gather read the handlers validated, from `client`: the NIC's
+    /// gather engine runs it without the host.
+    Gather { client: NodeId, req: GatherReqPkt },
 }
 
 /// Recorder handed to handler code.
@@ -115,8 +127,9 @@ impl Ops {
         self.items.push(Op::WaitFlush);
     }
 
-    pub fn host_event(&mut self, tag: u64) {
-        self.items.push(Op::HostEvent { tag });
+    pub fn notify(&mut self, note: HostNotify) {
+        let note = Some(Box::new(note));
+        self.items.push(Op::Notify { note });
     }
 }
 
@@ -189,10 +202,13 @@ mod tests {
         let mut o = Ops::default();
         o.charge_cycles(5);
         o.wait_flush();
-        o.host_event(9);
+        o.notify(HostNotify::Tag(9));
         assert_eq!(o.items.len(), 3);
         assert!(matches!(o.items[0], Op::Charge { cycles: 5 }));
         assert!(matches!(o.items[1], Op::WaitFlush));
-        assert!(matches!(o.items[2], Op::HostEvent { tag: 9 }));
+        match &o.items[2] {
+            Op::Notify { note: Some(note) } => assert!(matches!(**note, HostNotify::Tag(9))),
+            other => panic!("unexpected {other:?}"),
+        }
     }
 }

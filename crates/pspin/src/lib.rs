@@ -18,6 +18,6 @@ mod handler;
 mod telemetry;
 
 pub use config::PsPinConfig;
-pub use device::{HostNotify, PsPinDevice, PsPinEvent};
-pub use handler::{ExecutionContext, HandlerArgs, HandlerKind, HandlerSet, Ops};
+pub use device::{PsPinDevice, PsPinEvent};
+pub use handler::{ExecutionContext, HandlerArgs, HandlerKind, HandlerSet, HostNotify, Ops};
 pub use telemetry::Telemetry;

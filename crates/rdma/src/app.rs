@@ -7,7 +7,6 @@
 //! points; the app models its own CPU costs via [`nadfs_host::Cpu`].
 
 use bytes::Bytes;
-use nadfs_pspin::HostNotify;
 use nadfs_simnet::{Ctx, NodeId};
 use nadfs_wire::{AckPkt, MsgId, RpcBody};
 
@@ -36,8 +35,8 @@ pub trait NicApp {
     /// A one-sided read issued by this node completed (data in host memory).
     fn on_read_done(&mut self, nic: &mut NicCore, ctx: &mut Ctx<'_>, token: u64) {}
 
-    /// A PsPIN handler emitted a host event (§III-C event queues).
-    fn on_host_notify(&mut self, nic: &mut NicCore, ctx: &mut Ctx<'_>, note: HostNotify) {}
+    /// A PsPIN handler sent the host event `tag` (§III-C event queues).
+    fn on_host_notify(&mut self, nic: &mut NicCore, ctx: &mut Ctx<'_>, tag: u64) {}
 
     /// A timer set with [`NicCore::set_timer`] fired.
     fn on_timer(&mut self, nic: &mut NicCore, ctx: &mut Ctx<'_>, tag: u64) {}

@@ -14,9 +14,9 @@ use nadfs_pspin::{HostNotify, PsPinConfig, PsPinDevice, PsPinEvent};
 use nadfs_simnet::telemetry::phase;
 use nadfs_simnet::{
     BufPool, Component, ComponentId, CreditConfig, Ctx, Dur, FlowController, GateWake, IdMap,
-    IdSet, NodeId, NodePort, ObsHub, PacketEvent, PacketPool, SharedBufPool, SharedFlowStats,
-    SharedObs, SharedPacketPool, SharedTrace, Slab, TenantId, TenantScheduler, Time, Trace,
-    WrClass,
+    NodeId, NodePort, ObsHub, PacketEvent, PacketPool, SharedBufPool, SharedFlowStats, SharedObs,
+    SharedPacketPool, SharedTenantLedgers, SharedTrace, Slab, TenantId, TenantScheduler, Time,
+    Trace, WrClass,
 };
 use nadfs_wire::{
     split_payload, write_payload_caps, AckPkt, DfsHeader, Frame, GatherReadHeader, GatherReqPkt,
@@ -149,6 +149,15 @@ pub(crate) enum Ranges {
 }
 
 impl Ranges {
+    /// The ranges of a read of `len` bytes at `addr`: none when it is
+    /// empty.
+    fn of_read(addr: u64, len: u32) -> Ranges {
+        match len {
+            0 => Ranges::Many(Vec::new()),
+            _ => Ranges::One((addr, len, 0)),
+        }
+    }
+
     fn as_slice(&self) -> &[Range] {
         match self {
             Ranges::One(r) => std::slice::from_ref(r),
@@ -163,12 +172,14 @@ pub(crate) enum StreamSink {
     /// Cut into the `ReadResp` packets of request `msg` and sent to `dst`,
     /// each at its range's (possibly sparse) flow offset. A gather has the
     /// `greq` of the op it serves: every batch marks `streamed` on that
-    /// op's span and counts toward `gather_bytes_streamed`.
+    /// op's span and counts toward `gather_bytes_streamed`. A read the
+    /// read QoS admitted holds one of its `slot`s until the last batch.
     Wire {
         dst: NodeId,
         msg: MsgId,
         greq: Option<u64>,
         total_pkts: u32,
+        slot: bool,
     },
     /// Absorbed into a decode on this NIC as its own survivor's packets.
     Decode(Survivor),
@@ -220,41 +231,11 @@ pub(crate) const CREDIT_MSG: MsgId = MsgId {
 };
 
 /// A DFS read waiting for a response-stream slot.
-pub struct QueuedRead {
+struct QueuedRead {
     dst: NodeId,
     msg: MsgId,
     addr: u64,
     len: u32,
-}
-
-/// Per-tenant weighted fair queueing of DFS read streams at a storage NIC:
-/// at most `max_streams` response flows run concurrently; the backlog is
-/// drained in deficit-round-robin order weighted by tenant.
-pub struct ReadQos {
-    sched: TenantScheduler<QueuedRead>,
-    /// Response streams currently running that were admitted through the
-    /// scheduler (transport-level reads bypass and are not tracked).
-    streams: IdSet<MsgId>,
-    pub(crate) max_streams: usize,
-    /// Reentrancy guard: short streams complete inside `respond_read`,
-    /// which would otherwise recurse back into the admission pump.
-    pumping: bool,
-}
-
-impl ReadQos {
-    pub(crate) fn new(sched: TenantScheduler<QueuedRead>, max_streams: usize) -> ReadQos {
-        ReadQos {
-            sched,
-            streams: IdSet::default(),
-            max_streams: max_streams.max(1),
-            pumping: false,
-        }
-    }
-
-    /// Tenant backlog + dispatch ledgers (exported by cluster snapshots).
-    pub fn scheduler(&self) -> &TenantScheduler<QueuedRead> {
-        &self.sched
-    }
 }
 
 /// The hardware/firmware half of a node, exposed to the app.
@@ -287,9 +268,10 @@ pub struct NicCore {
     /// the egress order it produces is the same in every run.
     pending_wrs: BTreeMap<NodeId, [VecDeque<Vec<Pkt>>; 4]>,
     /// Optional per-tenant fair queueing of DFS read streams (the
-    /// storage-side QoS stage): admitted streams are bounded and the
-    /// backlog drains in deficit-round-robin order.
-    pub read_qos: Option<ReadQos>,
+    /// storage-side QoS stage): a read's response stream holds one of
+    /// the scheduler's slots, and the backlog drains in deficit-round-robin
+    /// order.
+    read_qos: Option<TenantScheduler<QueuedRead>>,
     next_seq: u64,
     raw_writes: IdMap<MsgId, RawWriteState>,
     sends: IdMap<MsgId, SendState>,
@@ -396,17 +378,20 @@ impl NicCore {
         self.flow = FlowController::new(cfg);
     }
 
-    /// Install per-tenant fair queueing of DFS read streams on this NIC
-    /// (storage nodes; cluster build time).
+    /// Install per-tenant fair queueing of DFS read streams on this NIC,
+    /// with at most `max_streams` of them streaming at once (storage
+    /// nodes; cluster build time). Returns the scheduler's per-tenant
+    /// ledgers.
     pub fn install_read_qos(
         &mut self,
         quantum: u64,
-        default_weight: u32,
         weights: &[(TenantId, u32)],
         max_streams: usize,
-    ) {
-        let sched = TenantScheduler::with_weights(quantum, default_weight, weights);
-        self.read_qos = Some(ReadQos::new(sched, max_streams));
+    ) -> SharedTenantLedgers {
+        let sched = TenantScheduler::new(quantum, weights, max_streams);
+        let ledgers = sched.ledgers_handle();
+        self.read_qos = Some(sched);
+        ledgers
     }
 
     /// Install PsPIN with an execution context on this NIC. The device
@@ -770,11 +755,7 @@ impl NicCore {
         addr: u64,
         len: u32,
     ) {
-        let ranges = match len {
-            0 => Ranges::Many(Vec::new()),
-            _ => Ranges::One((addr, len, 0)),
-        };
-        self.respond(ctx, dst, msg, None, ranges);
+        self.respond(ctx, dst, msg, None, Ranges::of_read(addr, len), false);
     }
 
     /// Send a protocol ack, piggybacking any pending recv-credit return
@@ -1006,7 +987,7 @@ impl NicCore {
         // they are part of an already-admitted flow and queueing them
         // behind tenant backlog would invert the dependency.
         if let (Some(q), Some(dfs)) = (self.read_qos.as_mut(), r.dfs.as_ref()) {
-            q.sched.push(
+            q.push(
                 dfs.tenant,
                 r.rrh.len.max(1) as u64,
                 QueuedRead {
@@ -1016,49 +997,26 @@ impl NicCore {
                     len: r.rrh.len,
                 },
             );
-            self.pump_read_qos(ctx);
+            self.admit_reads(ctx);
         } else {
             self.respond_read(ctx, src, r.msg, r.rrh.addr, r.rrh.len);
         }
     }
 
-    /// Admit queued DFS reads up to the stream limit, in DRR order.
-    fn pump_read_qos(&mut self, ctx: &mut Ctx<'_>) {
-        match self.read_qos.as_mut() {
-            Some(q) if !q.pumping => q.pumping = true,
-            _ => return, // no QoS, or an outer pump is already draining
-        }
-        loop {
-            let q = self.read_qos.as_mut().expect("guarded");
-            if q.streams.len() >= q.max_streams {
-                break;
-            }
-            let Some((_tenant, rd)) = q.sched.pop() else {
-                break;
-            };
-            q.streams.insert(rd.msg);
-            self.respond_read(ctx, rd.dst, rd.msg, rd.addr, rd.len);
-        }
-        self.read_qos.as_mut().expect("guarded").pumping = false;
-    }
-
-    /// A response stream finished; if it held a QoS stream slot, free it
-    /// and admit the next queued read.
-    fn read_qos_stream_done(&mut self, ctx: &mut Ctx<'_>, msg: MsgId) {
-        let freed = self
-            .read_qos
-            .as_mut()
-            .is_some_and(|q| q.streams.remove(&msg));
-        if freed {
-            self.pump_read_qos(ctx);
+    /// Start queued DFS reads, in DRR order, while stream slots are free.
+    /// (A read that streams in one batch frees its slot before `respond`
+    /// returns; this loop hands it on.)
+    fn admit_reads(&mut self, ctx: &mut Ctx<'_>) {
+        while let Some((_, rd)) = self.read_qos.as_mut().and_then(TenantScheduler::admit) {
+            let ranges = Ranges::of_read(rd.addr, rd.len);
+            self.respond(ctx, rd.dst, rd.msg, None, ranges, true);
         }
     }
 
     /// Gather read arriving on a NIC without PsPIN: the firmware validates
     /// the capability once for the whole flow, then runs the gather state
-    /// machine. (With PsPIN installed the request is routed through the
-    /// HPU handlers instead and lands in [`NicCore::start_gather`] via the
-    /// handler's host event.)
+    /// machine. (With PsPIN installed the HPU header handler validates it,
+    /// and the completion handler hands it over as a [`HostNotify`].)
     fn on_gather_req(&mut self, ctx: &mut Ctx<'_>, src: NodeId, g: &GatherReqPkt) {
         let describe = || {
             format!(
@@ -1073,26 +1031,19 @@ impl NicCore {
             self.send_ack(ctx, src, nack);
             return;
         }
-        self.start_gather(ctx, src, g.msg, g.dfs.greq_id, g.grh.clone());
+        self.start_gather(ctx, src, g);
     }
 
-    /// Run a validated gather. A healthy plan names ranges on this node
-    /// only (the client batches healthy pieces per node) and streams them
-    /// straight from host memory; a degraded plan names the k survivors
-    /// of one stripe, and the lost ranges stream out of the decode as the
-    /// survivors arrive (`ec_engine::start_decode`). A plan that is
-    /// neither — or whose local ranges cross the MR protection boundary
-    /// one-sided reads honour — is answered `Rejected`. Public to the
-    /// crate's callers because the PsPIN handler path enters here after
-    /// HPU validation.
-    pub fn start_gather(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        client: NodeId,
-        msg: MsgId,
-        greq: u64,
-        grh: GatherReadHeader,
-    ) {
+    /// Run gather `g` from `client`, validated. A healthy plan names
+    /// ranges on this node only (the client batches healthy pieces per
+    /// node) and streams them straight from host memory; a degraded plan
+    /// names the k survivors of one stripe, and the lost ranges stream out
+    /// of the decode as the survivors arrive (`ec_engine::start_decode`).
+    /// A plan that is neither — or whose local ranges cross the MR
+    /// protection boundary one-sided reads honour — is answered
+    /// `Rejected`.
+    fn start_gather(&mut self, ctx: &mut Ctx<'_>, client: NodeId, g: &GatherReqPkt) {
+        let (msg, greq, grh) = (g.msg, g.dfs.greq_id, &g.grh);
         let me = self.port.node as u32;
         let local = |s: &GatherSegment| s.coord.node == me;
         let in_mrs = |s: &GatherSegment| !local(s) || self.mr_ok(s.coord.addr, s.len as u64);
@@ -1101,12 +1052,13 @@ impl NicCore {
                 None if grh.segments.iter().all(local) => {
                     let ranges = grh.segments.iter().filter(|s| s.len > 0);
                     let segs = ranges.map(|s| (s.coord.addr, s.len, s.dest_off)).collect();
-                    self.respond(ctx, client, msg, Some(greq), Ranges::Many(segs));
+                    self.respond(ctx, client, msg, Some(greq), Ranges::Many(segs), false);
                     true
                 }
                 None => false,
                 Some(rec) if rec.copy.iter().all(|c| c.len == 0) => {
-                    self.respond(ctx, client, msg, Some(greq), Ranges::Many(Vec::new()));
+                    let empty = Ranges::Many(Vec::new());
+                    self.respond(ctx, client, msg, Some(greq), empty, false);
                     true
                 }
                 Some(rec) => {
@@ -1122,7 +1074,8 @@ impl NicCore {
     }
 
     /// Stream `ranges` back to `dst` as the response flow of request
-    /// `msg` (of op `greq`, when it is a gather): one packet per
+    /// `msg` (of op `greq`, when it is a gather; holding a read-QoS
+    /// `slot`, when admitted through it): one packet per
     /// `max_payload_plain()` bytes of each range, or a lone empty packet
     /// when there is nothing to read.
     fn respond(
@@ -1132,6 +1085,7 @@ impl NicCore {
         msg: MsgId,
         greq: Option<u64>,
         ranges: Ranges,
+        slot: bool,
     ) {
         let cap = nadfs_wire::sizes::max_payload_plain();
         let pkts = ranges.as_slice().iter().map(|r| r.1.div_ceil(cap));
@@ -1141,6 +1095,7 @@ impl NicCore {
             msg,
             greq,
             total_pkts,
+            slot,
         };
         self.start_stream(ctx, ranges, sink);
     }
@@ -1159,7 +1114,9 @@ impl NicCore {
     /// Read the next batch of stream `key`: at most [`DMA_BATCH_PKTS`]
     /// packets' worth, one DMA read per range it touches, handed to the
     /// stream's sink when the last of them is at the NIC. The event that
-    /// reads the batch after it is scheduled before the hand-off.
+    /// reads the batch after it is scheduled before the hand-off. A read
+    /// whose last batch this is releases its QoS slot; the caller admits
+    /// the next read.
     pub(crate) fn stream_step(&mut self, ctx: &mut Ctx<'_>, key: usize) {
         let now = ctx.now();
         let Some(s) = self.streams.get_mut(key) else {
@@ -1231,6 +1188,7 @@ impl NicCore {
                 msg,
                 greq,
                 total_pkts,
+                slot,
             } => {
                 if more {
                     ctx.schedule_self(wait, Box::new(NicEvent::StreamNext(key)));
@@ -1253,10 +1211,10 @@ impl NicCore {
                     spans.mark_corr(greq, phase::STREAMED, ready);
                 }
                 ctx.schedule_self(wait, Box::new(NicEvent::Send(pkts)));
-                if !more {
-                    // Last batch queued: the stream's QoS slot (if any)
-                    // frees and the next tenant-scheduled read can start.
-                    self.read_qos_stream_done(ctx, msg);
+                if slot && !more {
+                    // Last batch queued: the next tenant-scheduled read
+                    // may start.
+                    self.read_qos.as_mut().expect("admitted").release();
                 }
             }
             StreamSink::Decode(of) => {
@@ -1406,8 +1364,10 @@ impl Component for Nic {
             }
             Err(e) => e,
         };
-        match ev.downcast::<HostNotify>() {
-            Ok(n) => app.on_host_notify(core, ctx, *n),
+        match ev.downcast::<HostNotify>().map(|n| *n) {
+            // The handlers validated the gather: it never reaches the host.
+            Ok(HostNotify::Gather { client, req }) => core.start_gather(ctx, client, &req),
+            Ok(HostNotify::Tag(tag)) => app.on_host_notify(core, ctx, tag),
             Err(_) => panic!("nic {}: unknown event", core.port.node),
         }
     }
@@ -1427,8 +1387,8 @@ impl Nic {
                 // PsPIN matches all incoming RDMA write traffic; it
                 // owns the ingress credit until L1 copy. Gather
                 // requests are sPIN-processed where available: the
-                // HPU header handler validates the flow and hands
-                // the plan to the firmware.
+                // HPU header handler validates the flow and the
+                // completion handler hands the plan to the firmware.
                 let dev = core.pspin.as_mut().expect("checked");
                 dev.ingest(ctx, arrived);
                 return;
@@ -1508,7 +1468,10 @@ impl Nic {
         match ev {
             NicEvent::Send(pkts) => core.send_pkts(ctx, pkts),
             NicEvent::SendOne(pkt) => core.send_pkts(ctx, [pkt]),
-            NicEvent::StreamNext(key) => core.stream_step(ctx, key),
+            NicEvent::StreamNext(key) => {
+                core.stream_step(ctx, key);
+                core.admit_reads(ctx);
+            }
             NicEvent::Ack { dst, ack } => core.send_ack(ctx, dst, ack),
             NicEvent::ReadDone { token } => app.on_read_done(core, ctx, token),
             NicEvent::Writes(writes) => {

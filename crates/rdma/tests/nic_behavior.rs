@@ -12,6 +12,7 @@ use std::rc::Rc;
 use bytes::Bytes;
 use nadfs_gfec::ReedSolomon;
 use nadfs_host::{DmaEngine, SharedMemory};
+use nadfs_pspin::HostNotify;
 use nadfs_rdma::{AppTimer, EcEngine, EcEngineConfig, Nic, NicApp, NicConfig, NicCore};
 use nadfs_simnet::telemetry::phase;
 use nadfs_simnet::{
@@ -831,6 +832,18 @@ fn local_plan(ranges: &[(u64, u32, u32)]) -> GatherReadHeader {
     }
 }
 
+/// Hand this NIC's gather engine the validated gather `msg` of op 7 from
+/// node 0, the way the sPIN completion handler does.
+fn hand_off_gather(ctx: &mut Ctx<'_>, msg: MsgId, grh: GatherReadHeader) {
+    let req = GatherReqPkt {
+        msg,
+        dfs: dfs_header(7, 0),
+        grh,
+    };
+    let note = HostNotify::Gather { client: 0, req };
+    ctx.schedule_self(Dur::ZERO, Box::new(note));
+}
+
 /// The `ReadResp` packets a tap saw, in arrival order.
 fn responses(seen: &Seen) -> Vec<(Time, ReadRespPkt)> {
     let as_resp = |(at, frame): &(Time, Frame)| match frame {
@@ -879,8 +892,8 @@ fn read_and_one_range_gather_stream_the_same_packets() {
         let (read, ..) = stream_rig(len as usize, move |nic, ctx| {
             nic.respond_read(ctx, 0, msg, STREAM_ADDR, len);
         });
-        let (gather, ..) = stream_rig(len as usize, move |nic, ctx| {
-            nic.start_gather(ctx, 0, msg, 7, local_plan(&[(STREAM_ADDR, len, 0)]));
+        let (gather, ..) = stream_rig(len as usize, move |_, ctx| {
+            hand_off_gather(ctx, msg, local_plan(&[(STREAM_ADDR, len, 0)]));
         });
         let (read, gather) = (responses(&read), responses(&gather));
         assert_eq!(read.len() as u32, len.div_ceil(cap).max(1), "len {len}");
@@ -932,7 +945,7 @@ fn gather_batches_cross_ranges_and_mark_each_batch() {
     let (obs2, plan) = (obs.clone(), local_plan(&ranges));
     let (seen, _c, dma) = stream_rig(total as usize, move |nic, ctx| {
         nic.obs = obs2.clone();
-        nic.start_gather(ctx, 0, MsgId::new(0, 1), 7, plan.clone());
+        hand_off_gather(ctx, MsgId::new(0, 1), plan.clone());
     });
     let got = responses(&seen);
     assert_eq!(got.len(), 45);
@@ -973,7 +986,7 @@ fn qos_slot_frees_when_the_last_batch_is_queued_and_gathers_take_none() {
         nic.memory()
             .borrow_mut()
             .write(STREAM_ADDR, &pattern(len as usize, 5));
-        nic.install_read_qos(1 << 20, 1, &[], 1);
+        nic.install_read_qos(1 << 20, &[], 1);
     });
     let read = |seq: u64| {
         let rrh = ReadReqHeader {

@@ -360,9 +360,14 @@ impl FlowController {
 /// background services get reserved ids.
 pub type TenantId = u16;
 
-/// Reserved tenant for background repair traffic (scheduled at low
-/// weight so drains cannot starve foreground I/O).
+/// Reserved tenant for background repair traffic: its own tenant, with
+/// its own service ledger, at the weight of any tenant without an
+/// override (1). What keeps a drain from crowding out foreground I/O is
+/// the repair driver's bandwidth cap, not its weight.
 pub const TENANT_REPAIR: TenantId = 0xFFFF;
+
+/// Weight of a tenant the scheduler has no override for.
+const DEFAULT_WEIGHT: u32 = 1;
 
 /// Per-tenant service counters at one scheduling point.
 #[derive(Clone, Copy, Debug, Default)]
@@ -373,26 +378,28 @@ pub struct TenantLedger {
     pub dispatched: u64,
     /// Cost units (bytes) dispatched.
     pub cost_dispatched: u64,
-    /// Items that found the service point busy and waited in the queue.
-    pub queued: u64,
 }
 
-/// Deficit round-robin scheduler over per-tenant FIFO queues.
+/// Deficit round-robin scheduler over per-tenant FIFO queues, in front of
+/// a service point with a bounded number of slots.
 ///
 /// Each visit tops a tenant's deficit counter up by `quantum × weight`;
 /// an item dispatches when its cost fits the deficit. Per-tenant order
 /// is FIFO (protocols that rely on in-order chunk arrival keep working);
 /// across tenants, throughput converges to the weight ratio regardless
-/// of who floods the queue.
+/// of who floods the queue. An admitted item holds a service slot until
+/// its owner releases it; no item is admitted while every slot is held.
 pub struct TenantScheduler<T> {
     quantum: u64,
-    default_weight: u32,
     weights: BTreeMap<TenantId, u32>,
     queues: BTreeMap<TenantId, VecDeque<(u64, T)>>,
     deficit: BTreeMap<TenantId, u64>,
     /// Active-tenant ring (tenants with a nonempty queue), DRR order.
     ring: VecDeque<TenantId>,
     len: usize,
+    /// Admitted items not yet released, and the bound on them.
+    in_service: usize,
+    max_in_service: usize,
     /// Service accounting per tenant, exported by the metrics snapshot
     /// (shared: the scheduler's owner is consumed by the engine at
     /// cluster build, snapshot code holds this handle).
@@ -401,43 +408,29 @@ pub struct TenantScheduler<T> {
 
 impl<T> TenantScheduler<T> {
     /// `quantum` is the per-visit deficit refill in cost units (bytes)
-    /// for weight 1; `default_weight` applies to tenants without an
-    /// explicit override.
-    pub fn new(quantum: u64, default_weight: u32) -> TenantScheduler<T> {
+    /// at weight 1; `weights` overrides the weight (1) of the tenants it
+    /// names; at most `max_in_service` admitted items (at least one) are
+    /// in service at once.
+    pub fn new(
+        quantum: u64,
+        weights: &[(TenantId, u32)],
+        max_in_service: usize,
+    ) -> TenantScheduler<T> {
         TenantScheduler {
             quantum: quantum.max(1),
-            default_weight: default_weight.max(1),
-            weights: BTreeMap::new(),
+            weights: weights.iter().map(|&(t, w)| (t, w.max(1))).collect(),
             queues: BTreeMap::new(),
             deficit: BTreeMap::new(),
             ring: VecDeque::new(),
             len: 0,
+            in_service: 0,
+            max_in_service: max_in_service.max(1),
             ledgers: Rc::new(RefCell::new(BTreeMap::new())),
         }
     }
 
-    /// [`Self::new`] with per-tenant weight overrides applied.
-    pub fn with_weights(
-        quantum: u64,
-        default_weight: u32,
-        weights: &[(TenantId, u32)],
-    ) -> TenantScheduler<T> {
-        let mut sched = TenantScheduler::new(quantum, default_weight);
-        for &(t, w) in weights {
-            sched.set_weight(t, w);
-        }
-        sched
-    }
-
-    pub fn set_weight(&mut self, tenant: TenantId, weight: u32) {
-        self.weights.insert(tenant, weight.max(1));
-    }
-
-    pub(crate) fn weight(&self, tenant: TenantId) -> u32 {
-        self.weights
-            .get(&tenant)
-            .copied()
-            .unwrap_or(self.default_weight)
+    fn weight(&self, tenant: TenantId) -> u32 {
+        self.weights.get(&tenant).copied().unwrap_or(DEFAULT_WEIGHT)
     }
 
     pub fn len(&self) -> usize {
@@ -460,16 +453,16 @@ impl<T> TenantScheduler<T> {
         q.push_back((cost, item));
         self.len += 1;
         let mut ledgers = self.ledgers.borrow_mut();
-        let l = ledgers.entry(tenant).or_default();
-        l.enqueued += 1;
-        l.queued += 1;
+        ledgers.entry(tenant).or_default().enqueued += 1;
     }
 
-    /// Dispatch the next item by deficit round-robin. `None` iff empty.
-    pub fn pop(&mut self) -> Option<(TenantId, T)> {
-        if self.len == 0 {
+    /// Dispatch the next item by deficit round-robin into a service slot.
+    /// `None` when nothing is queued or every slot is held.
+    pub fn admit(&mut self) -> Option<(TenantId, T)> {
+        if self.len == 0 || self.in_service == self.max_in_service {
             return None;
         }
+        self.in_service += 1;
         loop {
             let t = *self.ring.front().expect("nonempty scheduler has a ring");
             let w = self.weight(t) as u64;
@@ -496,6 +489,11 @@ impl<T> TenantScheduler<T> {
             *d += self.quantum * w;
             self.ring.rotate_left(1);
         }
+    }
+
+    /// An admitted item left service: its slot frees for the next.
+    pub fn release(&mut self) {
+        self.in_service = self.in_service.saturating_sub(1);
     }
 
     /// Shared handle to the per-tenant service ledgers.
@@ -609,8 +607,7 @@ mod tests {
 
     #[test]
     fn drr_respects_weights() {
-        let mut s: TenantScheduler<u32> = TenantScheduler::new(1024, 1);
-        s.set_weight(7, 3);
+        let mut s: TenantScheduler<u32> = TenantScheduler::new(1024, &[(7, 3)], usize::MAX);
         // Two tenants flood equally with unit-cost items.
         for i in 0..100 {
             s.push(7, 1024, i);
@@ -618,7 +615,7 @@ mod tests {
         }
         let mut got = [0u32; 2];
         for _ in 0..40 {
-            let (t, _) = s.pop().expect("items queued");
+            let (t, _) = s.admit().expect("items queued");
             got[if t == 7 { 0 } else { 1 }] += 1;
         }
         // Weight 3 tenant gets ~3x the service of weight 1.
@@ -631,14 +628,14 @@ mod tests {
 
     #[test]
     fn drr_is_fifo_within_a_tenant_and_drains_fully() {
-        let mut s: TenantScheduler<u32> = TenantScheduler::new(64, 1);
+        let mut s: TenantScheduler<u32> = TenantScheduler::new(64, &[], usize::MAX);
         for i in 0..10 {
             s.push(1, 64, i);
         }
         s.push(2, 4096, 100); // expensive item still dispatches
         let mut seen1 = Vec::new();
         let mut total = 0;
-        while let Some((t, v)) = s.pop() {
+        while let Some((t, v)) = s.admit() {
             total += 1;
             if t == 1 {
                 seen1.push(v);
@@ -653,15 +650,29 @@ mod tests {
 
     #[test]
     fn idle_tenant_does_not_bank_deficit() {
-        let mut s: TenantScheduler<u32> = TenantScheduler::new(10, 1);
+        let mut s: TenantScheduler<u32> = TenantScheduler::new(10, &[], usize::MAX);
         s.push(1, 10, 0);
-        assert!(s.pop().is_some());
+        assert!(s.admit().is_some());
         // Tenant 1 left the ring; rejoining starts from deficit 0, so a
         // long absence earns nothing.
         s.push(2, 10, 0);
         s.push(1, 10, 1);
-        let order: Vec<TenantId> = std::iter::from_fn(|| s.pop().map(|(t, _)| t)).collect();
+        let order: Vec<TenantId> = std::iter::from_fn(|| s.admit().map(|(t, _)| t)).collect();
         assert_eq!(order.len(), 2);
         assert_eq!(s.ledger(1).dispatched, 2);
+    }
+
+    #[test]
+    fn admitted_items_hold_their_slot_until_released() {
+        let mut s: TenantScheduler<u32> = TenantScheduler::new(10, &[], 2);
+        for i in 0..3 {
+            s.push(1, 10, i);
+        }
+        assert_eq!(s.admit().map(|(_, v)| v), Some(0));
+        assert_eq!(s.admit().map(|(_, v)| v), Some(1));
+        assert!(s.admit().is_none(), "both slots held");
+        s.release();
+        assert_eq!(s.admit().map(|(_, v)| v), Some(2));
+        assert!(s.admit().is_none(), "nothing queued");
     }
 }

@@ -69,10 +69,6 @@ pub enum OpKind {
     Read,
     Repair,
     Meta,
-    /// One span covering a whole batch of metadata ops (a `MetaWorkload`
-    /// storm): op-count attribution in the label instead of one span per
-    /// op, so storms do not saturate the completed ring.
-    MetaBulk,
 }
 
 impl OpKind {
@@ -82,7 +78,6 @@ impl OpKind {
             OpKind::Read => "read",
             OpKind::Repair => "repair",
             OpKind::Meta => "meta",
-            OpKind::MetaBulk => "meta-bulk",
         }
     }
 }
@@ -221,14 +216,6 @@ impl SpanBook {
         match sp.marks.last() {
             Some(&(_, last)) if at < last => last,
             _ => at,
-        }
-    }
-
-    /// Replace an open span's label (e.g. a bulk span stamping its final
-    /// op count at completion time).
-    pub fn relabel(&mut self, id: SpanId, label: impl Into<String>) {
-        if let Some(sp) = self.open.get_mut(&id) {
-            sp.label = label.into();
         }
     }
 

@@ -2,15 +2,14 @@
 //! cycle cleanly on real traffic (posted == completed at quiesce, queued
 //! == released), tight budgets backpressure without losing work, the
 //! per-tenant DRR schedulers give weighted tenants their share under
-//! contention, repair traffic rides the low-weight repair pseudo-tenant
-//! with an optional windowed bandwidth cap, and bulk-meta spans keep
-//! namespace storms from saturating the completed-span ring.
+//! contention, and repair traffic rides its own pseudo-tenant with an
+//! optional windowed bandwidth cap.
 
 use nadfs_core::{
-    ClusterSpec, FilePolicy, FsClient, LayoutSpec, MetaWorkload, QosConfig, RepairDriver,
-    SimCluster, SizeDist, StorageMode, Workload, WriteProtocol,
+    ClusterSpec, FilePolicy, FsClient, LayoutSpec, QosConfig, RepairDriver, SimCluster, SizeDist,
+    StorageMode, Workload, WriteProtocol,
 };
-use nadfs_simnet::{CreditConfig, MetricsSnapshot, OpKind};
+use nadfs_simnet::{CreditConfig, MetricsSnapshot};
 use nadfs_wire::{RsScheme, Status};
 
 /// Counter lookup with a zero default (all asserted names are exported
@@ -232,7 +231,7 @@ fn ec_cluster_with_backlog() -> (FsClient, usize) {
 #[test]
 fn repair_rides_its_own_tenant_and_the_cap_throttles_it() {
     // Uncapped drain: repair converges and shows up in the repair
-    // tenant's ledger (classified, low-weight traffic).
+    // tenant's ledger (classified apart from every client's).
     let (mut fsc, _) = ec_cluster_with_backlog();
     let mut driver = RepairDriver::new(0);
     let report = driver.drain(&mut fsc.cluster);
@@ -265,60 +264,6 @@ fn repair_rides_its_own_tenant_and_the_cap_throttles_it() {
         fsc2.cluster.engine.now() > uncapped_end,
         "a throttled drain takes longer in simulated time"
     );
-}
-
-fn storm() -> MetaWorkload {
-    MetaWorkload::new("/storm")
-        .with_dirs(2, 4)
-        .with_storm(4200)
-        .with_seed(13)
-}
-
-/// A 4200-op metadata storm saturates the 4096-entry completed-span ring
-/// in per-op mode; with bulk spans the whole storm collapses into one
-/// `meta-bulk` span carrying the op count, and nothing is dropped.
-#[test]
-fn bulk_meta_spans_stop_storms_from_saturating_the_ring() {
-    let run = |bulk: bool| -> SimCluster {
-        let spec = ClusterSpec::new(1, 2, StorageMode::Plain);
-        let mut cl = SimCluster::build_with(spec, |app| app.bulk_meta_spans = bulk);
-        let w = storm();
-        w.prepare(&cl.control);
-        let mut n = 0;
-        for j in w.jobs_for_client(0) {
-            cl.submit(0, j);
-            n += 1;
-        }
-        assert_eq!(n, w.ops_per_client());
-        cl.start();
-        let done = cl.run_until_metas(n, 120_000);
-        assert_eq!(done, n, "storm completes");
-        cl
-    };
-
-    let per_op = run(false);
-    {
-        let hub = per_op.obs.borrow();
-        assert!(
-            hub.spans.dropped() > 0,
-            "per-op spans must overflow the ring on a >4096-op storm"
-        );
-        assert_eq!(hub.spans.done_count(), 4096);
-    }
-
-    let bulk = run(true);
-    let hub = bulk.obs.borrow();
-    assert_eq!(hub.spans.dropped(), 0, "bulk mode drops nothing");
-    assert_eq!(hub.spans.open_count(), 0, "the bulk span closed");
-    let bulk_spans: Vec<_> = hub
-        .spans
-        .done()
-        .filter(|s| s.kind == OpKind::MetaBulk)
-        .collect();
-    assert_eq!(bulk_spans.len(), 1, "one span for the whole storm");
-    let expect = storm().ops_per_client();
-    assert_eq!(bulk_spans[0].label, format!("meta-bulk n={expect}"));
-    assert!(bulk_spans[0].ok, "all ops in the storm succeeded");
 }
 
 /// Gather NIC-to-NIC fetches are requester-side reads and must consume

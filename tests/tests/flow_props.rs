@@ -234,17 +234,15 @@ proptest! {
         quantum in 1u64..100_000,
         weights in proptest::collection::vec(1u32..8, 5),
     ) {
-        let mut s: TenantScheduler<usize> = TenantScheduler::new(quantum, 1);
-        for (t, &w) in weights.iter().enumerate() {
-            s.set_weight(t as u16, w);
-        }
+        let weights: Vec<(u16, u32)> = (0..).zip(weights).collect();
+        let mut s: TenantScheduler<usize> = TenantScheduler::new(quantum, &weights, usize::MAX);
         for (seq, &(t, cost)) in items.iter().enumerate() {
             s.push(t, cost, seq);
         }
         prop_assert_eq!(s.len(), items.len());
         let mut last_seq = [None::<usize>; 5];
         let mut popped = 0;
-        while let Some((t, seq)) = s.pop() {
+        while let Some((t, seq)) = s.admit() {
             popped += 1;
             prop_assert_eq!(items[seq].0, t, "item came back under its tenant");
             if let Some(prev) = last_seq[t as usize] {
@@ -265,9 +263,7 @@ proptest! {
     // any long-enough prefix track the configured weights.
     #[test]
     fn drr_service_tracks_weight_ratio(w1 in 1u32..8, w2 in 1u32..8) {
-        let mut s: TenantScheduler<u32> = TenantScheduler::new(1024, 1);
-        s.set_weight(1, w1);
-        s.set_weight(2, w2);
+        let mut s: TenantScheduler<u32> = TenantScheduler::new(1024, &[(1, w1), (2, w2)], usize::MAX);
         let rounds = 200 * (w1 + w2) as usize;
         for i in 0..rounds {
             s.push(1, 1024, i as u32);
@@ -276,7 +272,7 @@ proptest! {
         let take = 50 * (w1 + w2) as usize;
         let mut got = [0f64; 2];
         for _ in 0..take {
-            let (t, _) = s.pop().expect("backlogged");
+            let (t, _) = s.admit().expect("backlogged");
             got[t as usize - 1] += 1.0;
         }
         let expect1 = take as f64 * w1 as f64 / (w1 + w2) as f64;

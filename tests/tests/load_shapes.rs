@@ -272,10 +272,7 @@ struct ShardPoint {
 fn shard_point(shards: usize) -> ShardPoint {
     const CLIENTS: usize = 16;
     let spec = ClusterSpec::new(CLIENTS, 4, StorageMode::Plain).with_meta_shards(shards);
-    let mut cl = SimCluster::build_with(spec, |app| {
-        app.cache_enabled = false;
-        app.bulk_meta_spans = true;
-    });
+    let mut cl = SimCluster::build_with(spec, |app| app.cache_enabled = false);
     let w = MetaWorkload::new("/bench")
         .with_dirs(4, 8)
         .with_storm(32)

@@ -305,11 +305,19 @@ fn replicated_read_fails_over() {
 }
 
 /// Expired read capabilities are rejected before any byte moves — on the
-/// NIC for one-sided reads, on the CPU for RPC reads.
+/// NIC for one-sided reads, on the CPU for RPC reads, and for offloaded
+/// gathers by the sPIN header handler (`Spin`) or the NIC firmware
+/// (`Plain`) — and the refused read leaves no span open.
 #[test]
 fn capability_expired_reads_rejected_on_nic_and_cpu_paths() {
-    for read_protocol in [ReadProtocol::Rdma, ReadProtocol::Rpc] {
-        let spec = ClusterSpec::new(1, 1, StorageMode::Spin);
+    let cases = [
+        (StorageMode::Spin, ReadProtocol::Rdma),
+        (StorageMode::Spin, ReadProtocol::Rpc),
+        (StorageMode::Spin, ReadProtocol::Offloaded),
+        (StorageMode::Plain, ReadProtocol::Offloaded),
+    ];
+    for (mode, read_protocol) in cases {
+        let spec = ClusterSpec::new(1, 1, mode);
         let cluster = SimCluster::build_with(spec, |app| {
             // Read capabilities are issued already expired; write
             // capabilities stay valid so the data lands first.
@@ -327,12 +335,16 @@ fn capability_expired_reads_rejected_on_nic_and_cpu_paths() {
         assert_eq!(
             err,
             FsError::Io(Status::AuthFailed),
-            "{read_protocol:?} must reject expired read capabilities"
+            "{mode:?}/{read_protocol:?} must reject expired read capabilities"
         );
+        assert_eq!(fsc.open_spans(), 0, "{mode:?}/{read_protocol:?}");
         // Storage-side accounting: the rejection happened at the server.
-        if read_protocol == ReadProtocol::Rpc {
-            assert_eq!(fsc.cluster.storage_stats[0].borrow().auth_failures, 1);
-        }
+        let refusals = match (mode, read_protocol) {
+            (_, ReadProtocol::Rpc) => fsc.cluster.storage_stats[0].borrow().auth_failures,
+            (StorageMode::Plain, _) => fsc.cluster.nic_stats[0].borrow().gather_auth_failures,
+            _ => continue,
+        };
+        assert_eq!(refusals, 1, "{mode:?}/{read_protocol:?}");
     }
 }
 
