@@ -235,22 +235,29 @@ mod tests {
         use std::cell::RefCell;
         use std::rc::Rc;
 
-        use nadfs_core::{CostModel, DfsHandlers};
+        use nadfs_core::{CostModel, DfsNicState};
         use nadfs_host::{DmaConfig, DmaEngine, HostMemory};
         use nadfs_pspin::{ExecutionContext, PsPinDevice};
-        use nadfs_simnet::{Fabric, FabricConfig};
-        use nadfs_wire::Frame;
+        use nadfs_simnet::{BufPool, Fabric, FabricConfig, ObsHub, Trace};
+        use nadfs_wire::{sizes::WRITE_DESCRIPTOR, Frame, MacKey};
 
         let cost = CostModel::paper();
         let mut fabric: Fabric<Frame> = Fabric::new(FabricConfig::default(), 0);
         let port = fabric.register_node(1, None);
         let dma = DmaEngine::new(DmaConfig::default(), HostMemory::new());
         let mut dev = PsPinDevice::new(cost.pspin.clone(), port, Rc::new(RefCell::new(dma)), 1);
+        let handlers = DfsNicState::new(
+            MacKey::from_seed(1),
+            0,
+            BufPool::shared(0),
+            ObsHub::disabled(),
+            Trace::disabled(),
+            1,
+        );
         dev.install_context(ExecutionContext {
-            handlers: Box::new(DfsHandlers),
-            state: Box::new(()),
+            handlers: Box::new(handlers),
             state_bytes: cost.pspin_state_bytes,
-            descriptor_bytes: cost.descriptor_bytes,
+            descriptor_bytes: WRITE_DESCRIPTOR,
         });
         assert_eq!(dev.max_concurrent_requests(), max_concurrent_writes());
         assert_eq!(max_concurrent_writes(), 81_707, "§III-B: ~82 K");

@@ -7,6 +7,7 @@ use nadfs_simnet::telemetry::phase;
 use nadfs_simnet::{Ctx, Dur, OpKind, SpanId};
 
 use super::{deliver, ClientApp, MetaOp, MetaResult, Op, Routes, Step};
+use crate::config::{CACHE_PROBE, CONTROL_RTT, OPLOG_APPEND};
 use crate::control::FilePolicy;
 
 /// A metadata op whose (already-determined) outcome is waiting out its
@@ -49,7 +50,6 @@ impl ClientApp {
         let start = ctx.now();
         let span = self.span_begin(OpKind::Meta, nic, start, || format!("meta {:?}", op.kind()));
         let now_ns = start.as_ns() as u64;
-        let costs = self.meta_costs.clone();
         let mut cost = Dur::ZERO;
         let mut cache_hit = false;
         self.control.borrow_mut().clear_route();
@@ -59,7 +59,7 @@ impl ClientApp {
                 // write-back state first (counts as its own round-trip).
                 if self.cache_enabled && self.meta_cache.borrow().dirty_count() > 0 {
                     self.flush_writeback();
-                    cost += costs.control_rtt;
+                    cost += CONTROL_RTT;
                 }
                 let cached = if self.cache_enabled {
                     self.meta_cache.borrow_mut().get(path)
@@ -69,22 +69,22 @@ impl ClientApp {
                 match cached {
                     Some(_) => {
                         cache_hit = true;
-                        cost += costs.cache_probe;
+                        cost += CACHE_PROBE;
                         Ok(())
                     }
                     None => {
-                        cost += costs.control_rtt;
+                        cost += CONTROL_RTT;
                         let found = self.control.borrow_mut().lookup_entry(path);
                         found.map(|entry| self.cache_entry(path, entry))
                     }
                 }
             }
             MetaOp::Mkdir { path } => {
-                cost = cost + costs.control_rtt + costs.oplog_append;
+                cost = cost + CONTROL_RTT + OPLOG_APPEND;
                 self.control.borrow_mut().mkdir(path, now_ns).map(|_| ())
             }
             MetaOp::Create { path, spec } => {
-                cost = cost + costs.control_rtt + costs.oplog_append;
+                cost = cost + CONTROL_RTT + OPLOG_APPEND;
                 let created =
                     self.control
                         .borrow_mut()
@@ -102,7 +102,7 @@ impl ClientApp {
                 })
             }
             MetaOp::Readdir { path } => {
-                cost += costs.control_rtt;
+                cost += CONTROL_RTT;
                 let listed = self.control.borrow_mut().readdir(path);
                 listed.map(|entries| {
                     if self.cache_enabled {
@@ -118,11 +118,11 @@ impl ClientApp {
                 })
             }
             MetaOp::Rename { from, to } => {
-                cost = cost + costs.control_rtt + costs.oplog_append;
+                cost = cost + CONTROL_RTT + OPLOG_APPEND;
                 self.control.borrow_mut().rename(from, to, now_ns)
             }
             MetaOp::Unlink { path } => {
-                cost = cost + costs.control_rtt + costs.oplog_append;
+                cost = cost + CONTROL_RTT + OPLOG_APPEND;
                 self.control.borrow_mut().unlink(path, now_ns).map(|_| ())
             }
         };

@@ -35,7 +35,6 @@ use nadfs_wire::{
 };
 
 use crate::cache::ReadCache;
-use crate::config::MetaCosts;
 use crate::control::{RepairTask, SharedControl, WritePlacement};
 
 use meta::MetaDone;
@@ -466,8 +465,6 @@ pub struct ClientApp {
     /// Disable to measure the uncached read path (every `read_at` pays a
     /// resolve plus the full fan-out).
     pub read_cache_enabled: bool,
-    /// Latency model for metadata traffic.
-    pub meta_costs: MetaCosts,
     /// Observability hub: op spans + metrics. Constructed disabled; the
     /// cluster build replaces it with the shared, enabled hub.
     pub obs: SharedObs,
@@ -510,7 +507,6 @@ impl ClientApp {
             cache_enabled: true,
             read_cache,
             read_cache_enabled: true,
-            meta_costs: MetaCosts::default(),
             obs: ObsHub::disabled(),
             trace: Trace::disabled(),
             tenant: Rc::new(Cell::new(None)),

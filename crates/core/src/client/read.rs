@@ -14,6 +14,7 @@ use nadfs_wire::{
 };
 
 use super::{deliver, ClientApp, Event, Op, ReadCompletion, ReadProtocol, ReadSlot, Routes, Step};
+use crate::config::CACHE_PROBE;
 
 /// One file-level read request (original parameters + its open span):
 /// the unit the miss path consumes, and what parks on an in-flight
@@ -197,7 +198,7 @@ impl ClientApp {
         let id = self.ops.next_id();
         let data = hit.data;
         self.ops.insert(id, Op::CacheHit(CacheHit { req, data }));
-        nic.set_timer(ctx, self.meta_costs.cache_probe, id);
+        nic.set_timer(ctx, CACHE_PROBE, id);
         None
     }
 

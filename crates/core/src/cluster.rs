@@ -14,12 +14,13 @@ use nadfs_simnet::{
     SharedTrace, TenantId, TenantLedger, TenantScheduler, Time, Trace, DEFAULT_MAX_RETAINED_BYTES,
     TENANT_REPAIR,
 };
+use nadfs_wire::sizes::WRITE_DESCRIPTOR;
 use nadfs_wire::Frame;
 
 use crate::client::{ClientApp, Job, ResultSink, SharedPlan, SharedResults, KICK};
 use crate::config::CostModel;
 use crate::control::{ControlPlane, SharedControl};
-use crate::handlers::{DfsHandlers, DfsNicState};
+use crate::handlers::DfsNicState;
 use crate::storage::{SharedStorageStats, StorageApp};
 
 /// How storage-node NICs are provisioned.
@@ -244,7 +245,6 @@ impl SimCluster {
         let client_nodes: Vec<NodeId> = client_ports.iter().map(|p| p.node).collect();
         let storage_nodes: Vec<NodeId> = storage_ports.iter().map(|p| p.node).collect();
         let control = ControlPlane::new_sharded(0xD15C, storage_nodes.clone(), spec.meta_shards);
-        control.borrow_mut().set_meta_costs(spec.cost.meta.clone());
         let key = control.borrow().service_key();
 
         let results: SharedResults = Rc::new(RefCell::new(ResultSink::default()));
@@ -271,7 +271,6 @@ impl SimCluster {
             plans.push(plan.clone());
             let mut app =
                 ClientApp::new(control.clone(), results.clone(), plan, spec.client_window);
-            app.meta_costs = spec.cost.meta.clone();
             app.obs = obs.clone();
             app.trace = trace.clone();
             tweak(&mut app);
@@ -327,28 +326,27 @@ impl SimCluster {
             match spec.mode {
                 StorageMode::Plain => {}
                 StorageMode::Spin => {
-                    // Handler state shares the NIC's buffer ring so
+                    // The handlers share the NIC's buffer ring so
                     // accumulator/parity buffers recycle through the device.
-                    let mut state = DfsNicState::with_buf_pool(
+                    let handlers = DfsNicState::new(
                         key,
-                        spec.cost.handlers,
                         spec.accumulator_pool,
                         nic.core.buf_pool(),
+                        obs.clone(),
+                        trace.clone(),
+                        nic.core.node(),
                     );
-                    state.set_obs(obs.clone(), trace.clone(), nic.core.node());
                     nic.core.install_pspin(
                         spec.cost.pspin.clone(),
                         ExecutionContext {
-                            handlers: Box::new(DfsHandlers),
-                            state: Box::new(state),
+                            handlers: Box::new(handlers),
                             state_bytes: spec.cost.pspin_state_bytes,
-                            descriptor_bytes: spec.cost.descriptor_bytes,
+                            descriptor_bytes: WRITE_DESCRIPTOR,
                         },
                     );
                 }
                 StorageMode::FirmwareEc => {
-                    nic.core
-                        .enable_firmware_ec(EcEngine::new(spec.cost.ec_engine.clone()));
+                    nic.core.enable_firmware_ec(EcEngine::new());
                 }
             }
             storage_mems.push(nic.core.memory());

@@ -1,120 +1,43 @@
 //! The calibrated cost model for the reproduction.
 //!
-//! Every constant the simulation charges lives here, with its provenance.
 //! `CostModel::paper()` reproduces the paper's configuration (§III-D:
-//! 400 Gbit/s network, 2048 B MTU, 20 ns links; Fig 7 pipeline stages;
-//! Tables I/II instruction counts and IPCs). The EC comparison (Fig 15)
-//! uses [`CostModel::with_network_gbit`] at 100 Gbit/s, matching the INEC
-//! paper's testbed as the authors did.
+//! 400 Gbit/s network, 2048 B MTU, 20 ns links; Fig 7 pipeline stages).
+//! The EC comparison (Fig 15) uses [`CostModel::with_network_gbit`] at
+//! 100 Gbit/s, matching the INEC paper's testbed as the authors did. What
+//! no experiment varies is a constant: the handlers' Tables I/II
+//! instruction counts and IPCs in [`crate::handlers`], the firmware EC
+//! engine's rates in `nadfs_rdma`, and the metadata latencies below.
 
 use nadfs_host::{CpuCosts, DmaConfig};
 use nadfs_pspin::PsPinConfig;
-use nadfs_rdma::{EcEngineConfig, NicConfig};
+use nadfs_rdma::NicConfig;
 use nadfs_simnet::{Bandwidth, Dur, FabricConfig};
 
-/// Instruction/IPC model for the DFS sPIN handlers (Tables I & II).
-#[derive(Clone, Copy, Debug)]
-pub struct HandlerCosts {
-    /// Header handler: request validation + descriptor setup.
-    /// Paper: 120 instructions, IPC 0.57 ⇒ 211 ns (Table I), matching the
-    /// "DFS handler that validates client requests takes 200 cycles" of
-    /// Fig 7 plus bookkeeping.
-    pub hh_instrs: u64,
-    pub hh_ipc: f64,
-    /// Payload handler, plain write (k = 1): 55 instructions @ 0.60.
-    pub ph_instrs: u64,
-    pub ph_ipc: f64,
-    /// Payload handler, ring forward: 105 instructions @ 0.54 (Table I).
-    pub ph_ring_instrs: u64,
-    pub ph_ring_ipc: f64,
-    /// Payload handler, PBT forward: 130 instructions (Table I). The
-    /// *duration* (2106 ns) is not charged: it emerges from egress stalls.
-    pub ph_pbt_instrs: u64,
-    pub ph_pbt_ipc: f64,
-    /// Completion handler: 66 instructions @ 0.62 ⇒ 107 ns (Table I); the
-    /// flush wait lengthens it naturally.
-    pub ch_instrs: u64,
-    pub ch_ipc: f64,
-    /// Cleanup handler (not measured in the paper; small bookkeeping).
-    pub cleanup_instrs: u64,
-    /// EC payload handler: base + per-byte encode loop. Paper §VI-C: "5
-    /// instructions per byte for RS(3,2) and 7 for RS(6,3)"; Table II's
-    /// totals fit instrs = base + 2(m+1)·payload at IPC 0.7.
-    pub ec_ph_base_instrs: u64,
-    pub ec_ph_ipc: f64,
-    /// XOR-aggregation payload handler at the parity node (per byte).
-    /// Word-wise XOR accumulate; not separately reported by the paper.
-    pub ec_agg_instrs_per_byte: f64,
-}
+// Latency model for metadata traffic (client ↔ control node).
+//
+// The paper excludes control-plane interactions from the measured write
+// latency, so these are not calibrated against it; the round-trip is
+// sized like a small two-sided RPC on the same 400 Gbit/s fabric
+// (propagation + rpc dispatch + reply), in the same few-µs regime
+// SwitchFS/AsyncFS report for conventional metadata servers.
 
-impl Default for HandlerCosts {
-    fn default() -> Self {
-        HandlerCosts {
-            hh_instrs: 120,
-            hh_ipc: 0.57,
-            ph_instrs: 55,
-            ph_ipc: 0.60,
-            ph_ring_instrs: 105,
-            ph_ring_ipc: 0.54,
-            ph_pbt_instrs: 130,
-            ph_pbt_ipc: 0.60,
-            ch_instrs: 66,
-            ch_ipc: 0.62,
-            cleanup_instrs: 80,
-            ec_ph_base_instrs: 120,
-            ec_ph_ipc: 0.7,
-            ec_agg_instrs_per_byte: 1.0,
-        }
-    }
-}
-
-impl HandlerCosts {
-    /// Instructions of the EC encode payload handler for a payload of
-    /// `bytes` under RS(k, m): 2(m+1) instructions per byte (§VI-C).
-    pub fn ec_ph_instrs(&self, m: u8, bytes: usize) -> u64 {
-        self.ec_ph_base_instrs + 2 * (m as u64 + 1) * bytes as u64
-    }
-}
-
-/// Latency model for metadata traffic (client ↔ control node).
-///
-/// The paper excludes control-plane interactions from the measured write
-/// latency, so these are not calibrated against it; the round-trip is
-/// sized like a small two-sided RPC on the same 400 Gbit/s fabric
-/// (propagation + rpc dispatch + reply), in the same few-µs regime
-/// SwitchFS/AsyncFS report for conventional metadata servers.
-#[derive(Clone, Debug)]
-pub struct MetaCosts {
-    /// Local client-cache probe (hash lookup + version check).
-    pub cache_probe: Dur,
-    /// Client → control node RPC round trip (miss or mutation).
-    pub control_rtt: Dur,
-    /// Extra service time a namespace mutation spends under the tree
-    /// lock (create/rename/unlink vs. a read-only lookup). With async
-    /// metadata acks this is *shard occupancy* — it serializes ops on
-    /// the owning shard but no longer sits on the client's critical
-    /// path (the ack returns after the op-log append).
-    pub mutate_service: Dur,
-    /// Appending the mutation to the owning shard's op log — the only
-    /// persistence cost left on the ack path (AsyncFS-style async
-    /// update: log-and-ack, apply/fan-out off the critical path).
-    pub oplog_append: Dur,
-    /// Shard service time for a read-side resolve (extent-map walk);
-    /// like `mutate_service` it occupies the shard, not the ack path.
-    pub resolve_service: Dur,
-}
-
-impl Default for MetaCosts {
-    fn default() -> MetaCosts {
-        MetaCosts {
-            cache_probe: Dur::from_ns(120),
-            control_rtt: Dur::from_ns(2_400),
-            mutate_service: Dur::from_ns(850),
-            oplog_append: Dur::from_ns(300),
-            resolve_service: Dur::from_ns(250),
-        }
-    }
-}
+/// Local client-cache probe (hash lookup + version check).
+pub(crate) const CACHE_PROBE: Dur = Dur::from_ns(120);
+/// Client → control node RPC round trip (miss or mutation).
+pub const CONTROL_RTT: Dur = Dur::from_ns(2_400);
+/// Extra service time a namespace mutation spends under the tree lock
+/// (create/rename/unlink vs. a read-only lookup). With async metadata
+/// acks this is *shard occupancy* — it serializes ops on the owning shard
+/// but no longer sits on the client's critical path (the ack returns
+/// after the op-log append).
+pub(crate) const MUTATE_SERVICE: Dur = Dur::from_ns(850);
+/// Appending the mutation to the owning shard's op log — the only
+/// persistence cost left on the ack path (AsyncFS-style async update:
+/// log-and-ack, apply/fan-out off the critical path).
+pub(crate) const OPLOG_APPEND: Dur = Dur::from_ns(300);
+/// Shard service time for a read-side resolve (extent-map walk); like
+/// `MUTATE_SERVICE` it occupies the shard, not the ack path.
+pub(crate) const RESOLVE_SERVICE: Dur = Dur::from_ns(250);
 
 /// Full simulation cost model.
 #[derive(Clone, Debug)]
@@ -122,15 +45,9 @@ pub struct CostModel {
     pub fabric: FabricConfig,
     pub nic: NicConfig,
     pub pspin: PsPinConfig,
-    pub handlers: HandlerCosts,
-    pub ec_engine: EcEngineConfig,
-    /// Metadata operation latencies.
-    pub meta: MetaCosts,
     /// Per-request DFS-wide NIC state reserved at context install
     /// (§III-B: 2 MiB, leaving 6 MiB of descriptor memory).
     pub pspin_state_bytes: u64,
-    /// Write descriptor size (§III-B: 77 B).
-    pub descriptor_bytes: u32,
 }
 
 impl CostModel {
@@ -144,11 +61,7 @@ impl CostModel {
                 enforce_mr: false,
             },
             pspin: PsPinConfig::default(),
-            handlers: HandlerCosts::default(),
-            ec_engine: EcEngineConfig::default(),
-            meta: MetaCosts::default(),
             pspin_state_bytes: 2 << 20,
-            descriptor_bytes: nadfs_wire::sizes::WRITE_DESCRIPTOR,
         }
     }
 
@@ -169,28 +82,27 @@ impl Default for CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::handlers::{
+        ec_ph_instrs, CH_INSTRS, CH_IPC, HH_INSTRS, HH_IPC, PH_INSTRS, PH_IPC, PH_RING_INSTRS,
+        PH_RING_IPC,
+    };
 
     #[test]
     fn paper_model_matches_published_handler_times() {
-        let h = HandlerCosts::default();
         // Table I checkpoints (duration = instrs / IPC at 1 GHz).
-        assert_eq!((h.hh_instrs as f64 / h.hh_ipc).round() as u64, 211);
-        assert_eq!((h.ph_instrs as f64 / h.ph_ipc).round() as u64, 92);
-        assert_eq!(
-            (h.ph_ring_instrs as f64 / h.ph_ring_ipc).round() as u64,
-            194
-        );
-        assert_eq!((h.ch_instrs as f64 / h.ch_ipc).round() as u64, 106);
+        assert_eq!((HH_INSTRS as f64 / HH_IPC).round() as u64, 211);
+        assert_eq!((PH_INSTRS as f64 / PH_IPC).round() as u64, 92);
+        assert_eq!((PH_RING_INSTRS as f64 / PH_RING_IPC).round() as u64, 194);
+        assert_eq!((CH_INSTRS as f64 / CH_IPC).round() as u64, 106);
     }
 
     #[test]
     fn ec_instruction_model_matches_table_ii() {
-        let h = HandlerCosts::default();
         // Full payload packet: 1978 B. RS(3,2): 2*(2+1) = 6 instrs/byte.
-        let rs32 = h.ec_ph_instrs(2, 1978);
+        let rs32 = ec_ph_instrs(2, 1978);
         assert_eq!(rs32, 120 + 6 * 1978); // 11_988 ≈ Table II's 11_672
         assert!((rs32 as f64 - 11_672.0).abs() / 11_672.0 < 0.05);
-        let rs63 = h.ec_ph_instrs(3, 1978);
+        let rs63 = ec_ph_instrs(3, 1978);
         assert_eq!(rs63, 120 + 8 * 1978); // 15_944 ≈ Table II's 16_028
         assert!((rs63 as f64 - 16_028.0).abs() / 16_028.0 < 0.05);
     }

@@ -52,7 +52,6 @@ use nadfs_simnet::{IdMap, IdSet, NodeId};
 use nadfs_wire::{Capability, MacKey, ReplicaCoord, Rights, RsScheme};
 
 use crate::cache::ReadCache;
-use crate::config::MetaCosts;
 use crate::storage::SharedStorageStats;
 
 mod placement;
@@ -95,9 +94,6 @@ pub struct ControlPlane {
     shards: Vec<MetaShard>,
     /// Stateless ino → shard map.
     router: ShardRouter,
-    /// Shard service times for the admission model (set from the
-    /// cluster's cost model; defaults match `MetaCosts::default`).
-    service_costs: MetaCosts,
     /// The shard + service class of the most recent routed op — what
     /// [`ControlPlane::admit_last`] charges. Overwritten by every routed
     /// op, so a client admitting right after its call always charges the
@@ -160,7 +156,6 @@ impl ControlPlane {
             read_caches: Vec::new(),
             shards: (0..n_shards).map(MetaShard::new).collect(),
             router: ShardRouter::new(n_shards),
-            service_costs: MetaCosts::default(),
             last_route: None,
             crash_after: 0,
             failed_nodes: Default::default(),
@@ -168,12 +163,6 @@ impl ControlPlane {
             inflight_repairs: IdSet::default(),
             next_spare: 0,
         }))
-    }
-
-    /// Install the cluster's metadata cost model (shard service times
-    /// for the admission model).
-    pub fn set_meta_costs(&mut self, costs: MetaCosts) {
-        self.service_costs = costs;
     }
 
     /// The service-shared MAC key (installed into storage-node NIC memory).
@@ -1310,7 +1299,7 @@ mod tests {
         let w1 = cp.borrow_mut().admit_last(0);
         assert_eq!(
             w1,
-            MetaCosts::default().mutate_service.ps(),
+            crate::config::MUTATE_SERVICE.ps(),
             "second op waits out the first's service time"
         );
         let stats = cp.borrow().shard_stats();

@@ -21,6 +21,7 @@
 //! [`ControlPlane::crash_after_appends`] switch kills the coordinator.
 
 use super::*;
+use crate::config::{MUTATE_SERVICE, RESOLVE_SERVICE};
 
 /// A namespace mutation as recorded in a shard's op log.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -193,8 +194,8 @@ impl ControlPlane {
             return 0;
         };
         let service_ps = match class {
-            ServiceClass::Mutation => self.service_costs.mutate_service.ps(),
-            ServiceClass::Resolve => self.service_costs.resolve_service.ps(),
+            ServiceClass::Mutation => MUTATE_SERVICE.ps(),
+            ServiceClass::Resolve => RESOLVE_SERVICE.ps(),
         };
         let sh = &mut self.shards[shard];
         let wait = sh.busy_until_ps.saturating_sub(now_ps);

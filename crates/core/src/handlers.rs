@@ -8,32 +8,58 @@
 //! and the cleanup handler (§VII) reclaiming state after client failure.
 //!
 //! Handlers do the *functional* work (bytes really move, parities are real
-//! GF(2^8) algebra) and charge the calibrated instruction/IPC model from
-//! [`crate::config::HandlerCosts`].
+//! GF(2^8) algebra) and charge the instruction/IPC model of Tables I & II,
+//! whose constants follow: a handler run lasts instructions ÷ IPC cycles.
 
-use std::any::Any;
 use std::cell::Cell;
 use std::rc::Rc;
 
 use bytes::Bytes;
 use nadfs_gfec::{Accumulator, ReedSolomon};
-use nadfs_pspin::{HandlerArgs, HandlerSet, HostNotify, Ops};
+use nadfs_pspin::{HandlerArgs, HandlerSet, HostEvent, HostNotify, Ops};
 use nadfs_simnet::telemetry::phase;
-use nadfs_simnet::{
-    IdMap, IdSet, NodeId, ObsHub, SharedBufPool, SharedObs, SharedTrace, Time, Trace,
-};
+use nadfs_simnet::{IdMap, IdSet, NodeId, SharedBufPool, SharedObs, SharedTrace, Time};
 use nadfs_wire::{
     bcast_children, AckPkt, DfsHeader, EcInfo, EcRole, Frame, GatherReqPkt, MacKey, MsgId,
     Resiliency, Rights, RsScheme, Status, WritePkt, WriteReqHeader,
 };
 
-use crate::config::HandlerCosts;
+/// Header handler: request validation + descriptor setup. Paper: 120
+/// instructions, IPC 0.57 ⇒ 211 ns (Table I), matching the "DFS handler
+/// that validates client requests takes 200 cycles" of Fig 7 plus
+/// bookkeeping.
+pub(crate) const HH_INSTRS: u64 = 120;
+pub(crate) const HH_IPC: f64 = 0.57;
+/// Payload handler, plain write (k = 1): 55 instructions @ 0.60.
+pub(crate) const PH_INSTRS: u64 = 55;
+pub(crate) const PH_IPC: f64 = 0.60;
+/// Payload handler, ring forward: 105 instructions @ 0.54 (Table I).
+pub(crate) const PH_RING_INSTRS: u64 = 105;
+pub(crate) const PH_RING_IPC: f64 = 0.54;
+/// Payload handler, PBT forward: 130 instructions (Table I). The
+/// *duration* (2106 ns) is not charged: it emerges from egress stalls.
+const PH_PBT_INSTRS: u64 = 130;
+const PH_PBT_IPC: f64 = 0.60;
+/// Completion handler: 66 instructions @ 0.62 ⇒ 107 ns (Table I); the
+/// flush wait lengthens it naturally.
+pub(crate) const CH_INSTRS: u64 = 66;
+pub(crate) const CH_IPC: f64 = 0.62;
+/// Cleanup handler (not measured in the paper; small bookkeeping).
+const CLEANUP_INSTRS: u64 = 80;
+/// EC payload handler: base + per-byte encode loop. Paper §VI-C: "5
+/// instructions per byte for RS(3,2) and 7 for RS(6,3)"; Table II's
+/// totals fit instrs = base + 2(m+1)·payload at IPC 0.7.
+const EC_PH_BASE_INSTRS: u64 = 120;
+const EC_PH_IPC: f64 = 0.7;
+/// XOR-aggregation payload handler at the parity node (per byte).
+/// Word-wise XOR accumulate; not separately reported by the paper.
+const EC_AGG_INSTRS_PER_BYTE: f64 = 1.0;
 
-/// Host-event tag base for CPU-fallback EC aggregation; the stripe id is
-/// OR-ed into the low bits.
-pub const EVT_EC_FALLBACK: u64 = 0x4543_0000_0000_0000;
-/// Host-event tag for cleanup notifications.
-pub const EVT_CLEANUP: u64 = 0xC1EA_0000_0000_0000;
+/// Instructions of the EC encode payload handler for a payload of
+/// `bytes` under RS(k, m): 2(m+1) instructions per byte (§VI-C).
+pub(crate) fn ec_ph_instrs(m: u8, bytes: usize) -> u64 {
+    EC_PH_BASE_INSTRS + 2 * (m as u64 + 1) * bytes as u64
+}
 
 /// One forwarded stream (replication child or EC parity stream).
 #[derive(Clone, Debug)]
@@ -92,10 +118,10 @@ struct StripeState {
     reserved: usize,
 }
 
-/// Execution-context state living in NIC memory (`task->mem`).
+/// The handler set installed on storage-node NICs, and the execution
+/// context's state it works on in NIC memory (`task->mem`).
 pub struct DfsNicState {
-    pub key: MacKey,
-    pub costs: HandlerCosts,
+    key: MacKey,
     req_table: IdMap<MsgId, Rc<ReqEntry>>,
     next_fwd_seq: u64,
     rs_cache: IdMap<(u8, u8), ReedSolomon>,
@@ -114,25 +140,27 @@ pub struct DfsNicState {
     /// Requests whose capability the header handler refused.
     auth_failures: u64,
     /// Observability: span phase marks keyed by greq, the shared trace
-    /// ring, and which node this context runs on. Defaults disabled; the
-    /// cluster build installs the live hubs via [`DfsNicState::set_obs`].
+    /// ring, and which node this context runs on.
     obs: SharedObs,
     trace: SharedTrace,
-    node: Option<NodeId>,
+    node: NodeId,
 }
 
 impl DfsNicState {
-    /// A context drawing accumulator and product buffers from `buf_pool`
-    /// (the owning NIC's ring).
-    pub fn with_buf_pool(
+    /// The context on storage node `node`, authenticating with `key`,
+    /// with `accumulator_pool` accumulators, drawing accumulator and
+    /// product buffers from `buf_pool` (the owning NIC's ring) and
+    /// reporting to `obs` and `trace`.
+    pub fn new(
         key: MacKey,
-        costs: HandlerCosts,
         accumulator_pool: usize,
         buf_pool: SharedBufPool,
+        obs: SharedObs,
+        trace: SharedTrace,
+        node: NodeId,
     ) -> DfsNicState {
         DfsNicState {
             key,
-            costs,
             req_table: IdMap::default(),
             next_fwd_seq: 0,
             rs_cache: IdMap::default(),
@@ -142,27 +170,10 @@ impl DfsNicState {
             gathers: IdSet::default(),
             buf_pool,
             auth_failures: 0,
-            obs: ObsHub::disabled(),
-            trace: Trace::disabled(),
-            node: None,
+            obs,
+            trace,
+            node,
         }
-    }
-
-    /// Install the shared observability hub + trace ring, tagging this
-    /// context with the storage node it runs on.
-    pub fn set_obs(&mut self, obs: SharedObs, trace: SharedTrace, node: NodeId) {
-        self.obs = obs;
-        self.trace = trace;
-        self.node = Some(node);
-    }
-
-    /// Hand `stripe` over to the host for CPU-fallback aggregation, if it
-    /// is one the NIC staged: `(k, chunk_len, final_addr, greq, client)`.
-    /// The stripe's state is dropped.
-    pub fn take_fallback_stripe(&mut self, stripe: u64) -> Option<(u8, u32, u64, u64, NodeId)> {
-        self.stripes.get(&stripe).filter(|s| s.fallback)?;
-        let s = self.stripes.remove(&stripe)?;
-        Some((s.k, s.chunk_len, s.final_addr, s.greq, s.client))
     }
 
     fn rs(&mut self, scheme: RsScheme) -> &ReedSolomon {
@@ -195,7 +206,7 @@ impl DfsNicState {
         spans.mark_corr_once(dfs.greq_id, phase::NIC_VALIDATED, now);
         self.trace
             .borrow_mut()
-            .emit_from(now, "nic", self.node, describe);
+            .emit_from(now, "nic", Some(self.node), describe);
         Ok(())
     }
 
@@ -205,14 +216,6 @@ impl DfsNicState {
         self.next_fwd_seq += 1;
         m
     }
-}
-
-/// The handler set installed on storage-node NICs.
-pub struct DfsHandlers;
-
-fn state_of(any: &mut dyn Any) -> &mut DfsNicState {
-    any.downcast_mut::<DfsNicState>()
-        .expect("execution context state is DfsNicState")
 }
 
 fn write_pkt(frame: &Frame) -> Option<&WritePkt> {
@@ -242,14 +245,12 @@ fn gather_header(st: &mut DfsNicState, g: &GatherReqPkt, src: NodeId, now: Time,
     }
 }
 
-impl HandlerSet for DfsHandlers {
+impl HandlerSet for DfsNicState {
     /// `DFS_request_init` (Listing 1): authenticate and set up state.
     fn header(&mut self, a: HandlerArgs<'_>) {
-        let st = state_of(a.state);
-        let costs = st.costs;
-        a.ops.charge_instrs(costs.hh_instrs, costs.hh_ipc);
+        a.ops.charge_instrs(HH_INSTRS, HH_IPC);
         if let Frame::GatherReq(g) = a.frame {
-            gather_header(st, g, a.src, a.now, a.ops);
+            gather_header(self, g, a.src, a.now, a.ops);
             return;
         }
         let Some(w) = write_pkt(a.frame) else {
@@ -265,8 +266,8 @@ impl HandlerSet for DfsHandlers {
         };
 
         let describe = || format!("hdr-validate greq={}", dfs.greq_id);
-        if let Err(nack) = st.validate(w.msg, &dfs, Rights::WRITE, a.now, describe) {
-            st.req_table.insert(
+        if let Err(nack) = self.validate(w.msg, &dfs, Rights::WRITE, a.now, describe) {
+            self.req_table.insert(
                 w.msg,
                 Rc::new(ReqEntry {
                     greq: dfs.greq_id,
@@ -299,7 +300,7 @@ impl HandlerSet for DfsHandlers {
                 // first.
                 for child in bcast_children(*strategy, *vrank, coords.len()) {
                     let dst = coords[child as usize].node as NodeId;
-                    let msg = st.alloc_fwd_msg(a.local);
+                    let msg = self.alloc_fwd_msg(a.local);
                     let stream = FwdStream {
                         msg,
                         dst,
@@ -337,7 +338,7 @@ impl HandlerSet for DfsHandlers {
                     // parity could overtake the stream header on the wire —
                     // sPIN requires headers to arrive first.
                     for (p, coord) in info.parity_coords.iter().enumerate() {
-                        let msg = st.alloc_fwd_msg(a.local);
+                        let msg = self.alloc_fwd_msg(a.local);
                         let stream = FwdStream {
                             msg,
                             dst: coord.node as NodeId,
@@ -375,19 +376,19 @@ impl HandlerSet for DfsHandlers {
                     // decide NIC vs host aggregation for this stripe.
                     // (A stripe of no chunks aggregates nothing: no state.)
                     let stripe = info.stripe;
-                    if info.scheme.k > 0 && !st.stripes.contains_key(&stripe) {
+                    if info.scheme.k > 0 && !self.stripes.contains_key(&stripe) {
                         let needed = wrh
                             .len
                             .div_ceil(nadfs_wire::sizes::max_payload_plain())
                             .max(1) as usize;
-                        let fallback = st.acc_free < needed;
+                        let fallback = self.acc_free < needed;
                         let reserved = if fallback {
                             0
                         } else {
-                            st.acc_free -= needed;
+                            self.acc_free -= needed;
                             needed
                         };
-                        st.stripes.insert(
+                        self.stripes.insert(
                             stripe,
                             StripeState {
                                 k: info.scheme.k,
@@ -405,7 +406,7 @@ impl HandlerSet for DfsHandlers {
             },
         }
 
-        st.req_table.insert(
+        self.req_table.insert(
             w.msg,
             Rc::new(ReqEntry {
                 greq: dfs.greq_id,
@@ -421,21 +422,18 @@ impl HandlerSet for DfsHandlers {
 
     /// `DFS_request_process_pkt` (Listing 1): commit and enforce policies.
     fn payload(&mut self, a: HandlerArgs<'_>) {
-        let st = state_of(a.state);
-        let costs = st.costs;
         if let Frame::GatherReq(g) = a.frame {
             // One fetch/DMA descriptor posted per segment (plus one per
             // reconstruction copy when the EC engine is involved).
             let descs =
                 g.grh.segments.len() + g.grh.reconstruct.as_ref().map_or(0, |r| r.copy.len());
-            a.ops
-                .charge_instrs(costs.ph_instrs * descs.max(1) as u64, costs.ph_ipc);
+            a.ops.charge_instrs(PH_INSTRS * descs.max(1) as u64, PH_IPC);
             return;
         }
         let Some(w) = write_pkt(a.frame) else {
             return;
         };
-        let Some(entry) = st.req_table.get(&a.msg).cloned() else {
+        let Some(entry) = self.req_table.get(&a.msg).cloned() else {
             a.ops.charge_instrs(5, 1.0);
             return; // unknown message (e.g. cleaned up): drop
         };
@@ -445,21 +443,21 @@ impl HandlerSet for DfsHandlers {
         }
         // Per-packet phase mark: one `nic-pkt` mark per payload-handler run
         // on the request's span, so traces show the intra-message pipeline.
-        st.obs
+        self.obs
             .borrow_mut()
             .spans
             .mark_corr(entry.greq, phase::NIC_PKT, a.now);
 
         match &entry.wrh.resiliency {
             Resiliency::None => {
-                a.ops.charge_instrs(costs.ph_instrs, costs.ph_ipc);
+                a.ops.charge_instrs(PH_INSTRS, PH_IPC);
                 a.ops
                     .dma_write(entry.wrh.target_addr + w.offset as u64, w.data.clone());
             }
             Resiliency::Replicate { strategy, .. } => {
                 let (instrs, ipc) = match strategy {
-                    nadfs_wire::BcastStrategy::Ring => (costs.ph_ring_instrs, costs.ph_ring_ipc),
-                    nadfs_wire::BcastStrategy::Pbt => (costs.ph_pbt_instrs, costs.ph_pbt_ipc),
+                    nadfs_wire::BcastStrategy::Ring => (PH_RING_INSTRS, PH_RING_IPC),
+                    nadfs_wire::BcastStrategy::Pbt => (PH_PBT_INSTRS, PH_PBT_IPC),
                 };
                 a.ops.charge_instrs(instrs, ipc);
                 a.ops
@@ -487,7 +485,7 @@ impl HandlerSet for DfsHandlers {
                 EcRole::Data { chunk_idx } => {
                     let m = info.scheme.m;
                     a.ops
-                        .charge_instrs(costs.ec_ph_instrs(m, w.data.len()), costs.ec_ph_ipc);
+                        .charge_instrs(ec_ph_instrs(m, w.data.len()), EC_PH_IPC);
                     a.ops
                         .dma_write(entry.wrh.target_addr + w.offset as u64, w.data.clone());
                     if w.data.is_empty() {
@@ -499,10 +497,10 @@ impl HandlerSet for DfsHandlers {
                     let slot = entry.next_fwd_slot();
                     let scheme = info.scheme;
                     for (p, f) in entry.fwd.iter().enumerate() {
-                        let coef = st.rs(scheme).parity_coef(p, chunk_idx as usize);
+                        let coef = self.rs(scheme).parity_coef(p, chunk_idx as usize);
                         // Pooled product buffer + in-place wide-word
                         // multiply: no allocation once the ring warms up.
-                        let mut ipar = st.buf_pool.borrow_mut().get_dirty(w.data.len());
+                        let mut ipar = self.buf_pool.borrow_mut().get_dirty(w.data.len());
                         nadfs_gfec::intermediate_parity_into(coef, &w.data, &mut ipar);
                         a.ops.send(
                             f.dst,
@@ -520,13 +518,13 @@ impl HandlerSet for DfsHandlers {
                 }
                 EcRole::Parity { src_chunk, .. } => {
                     let bytes = w.data.len();
-                    let instrs = (bytes as f64 * costs.ec_agg_instrs_per_byte) as u64 + 20;
-                    a.ops.charge_instrs(instrs, costs.ec_ph_ipc);
+                    let instrs = (bytes as f64 * EC_AGG_INSTRS_PER_BYTE) as u64 + 20;
+                    a.ops.charge_instrs(instrs, EC_PH_IPC);
                     if bytes == 0 {
                         return; // stream-header packet: nothing to XOR
                     }
                     let stripe = info.stripe;
-                    let Some(sst) = st.stripes.get(&stripe) else {
+                    let Some(sst) = self.stripes.get(&stripe) else {
                         return;
                     };
                     let k = sst.k;
@@ -545,16 +543,16 @@ impl HandlerSet for DfsHandlers {
                     // comes from the recycled ring (the device returns it
                     // after the final parity's DMA write retires).
                     let key = (stripe, w.offset);
-                    let acc = st.accs.entry(key).or_insert_with(|| {
-                        let buf = st.buf_pool.borrow_mut().get_dirty(bytes);
+                    let acc = self.accs.entry(key).or_insert_with(|| {
+                        let buf = self.buf_pool.borrow_mut().get_dirty(bytes);
                         Accumulator::with_buf(buf, k as u32)
                     });
                     if bytes > acc.capacity() {
                         return; // longer than the packet that opened the sequence
                     }
                     if acc.absorb(&w.data) {
-                        let acc = st.accs.remove(&key).expect("present");
-                        st.acc_free += 1;
+                        let acc = self.accs.remove(&key).expect("present");
+                        self.acc_free += 1;
                         let parity = Bytes::from(acc.into_buf());
                         a.ops.dma_write(final_addr + w.offset as u64, parity);
                     }
@@ -565,23 +563,21 @@ impl HandlerSet for DfsHandlers {
 
     /// `DFS_request_fini` (Listing 1): flush, acknowledge, release state.
     fn completion(&mut self, a: HandlerArgs<'_>) {
-        let st = state_of(a.state);
-        let costs = st.costs;
         if let Frame::GatherReq(g) = a.frame {
-            a.ops.charge_instrs(costs.ch_instrs, costs.ch_ipc);
+            a.ops.charge_instrs(CH_INSTRS, CH_IPC);
             // Hand the validated gather to the NIC's gather engine once
             // the pipeline retires (refused requests were never marked).
-            if st.gathers.remove(&a.msg) {
+            if self.gathers.remove(&a.msg) {
                 let req = g.clone();
                 a.ops.notify(HostNotify::Gather { client: a.src, req });
             }
             return;
         }
-        let Some(entry) = st.req_table.remove(&a.msg) else {
+        let Some(entry) = self.req_table.remove(&a.msg) else {
             a.ops.charge_instrs(5, 1.0);
             return;
         };
-        a.ops.charge_instrs(costs.ch_instrs, costs.ch_ipc);
+        a.ops.charge_instrs(CH_INSTRS, CH_IPC);
         if !entry.accept {
             return; // NACK already sent by the header handler
         }
@@ -604,35 +600,36 @@ impl HandlerSet for DfsHandlers {
             unreachable!();
         };
         let stripe = info.stripe;
-        let Some(sst) = st.stripes.get_mut(&stripe) else {
+        let Some(sst) = self.stripes.get_mut(&stripe) else {
             return;
         };
         sst.ch_done += 1;
-        if sst.ch_done == sst.k {
-            if sst.fallback {
-                // Host finishes the aggregation; it will ack the client.
-                let tag = EVT_EC_FALLBACK | (stripe & 0xFFFF_FFFF);
-                a.ops.notify(HostNotify::Tag(tag));
-            } else {
-                let client = sst.client;
-                let greq = sst.greq;
-                let reserved = sst.reserved;
-                st.stripes.remove(&stripe);
-                st.acc_free += reserved;
-                a.ops.wait_flush();
-                let ack = AckPkt::new(a.msg, Some(greq), Status::Ok);
-                a.ops.send(client, Frame::Ack(ack));
-            }
+        if sst.ch_done < sst.k {
+            return;
+        }
+        let sst = self.stripes.remove(&stripe).expect("present");
+        self.acc_free += sst.reserved;
+        if sst.fallback {
+            // The host finishes the aggregation and acks the client.
+            a.ops.notify(HostNotify::Host(HostEvent::Aggregate {
+                k: sst.k,
+                chunk_len: sst.chunk_len,
+                final_addr: sst.final_addr,
+                greq: sst.greq,
+                client: sst.client,
+            }));
+        } else {
+            a.ops.wait_flush();
+            let ack = AckPkt::new(a.msg, Some(sst.greq), Status::Ok);
+            a.ops.send(sst.client, Frame::Ack(ack));
         }
     }
 
     /// Cleanup handler (§VII): reclaim dangling state, tell the host.
-    fn cleanup(&mut self, state: &mut dyn Any, msg: MsgId, ops: &mut Ops) {
-        let st = state_of(state);
-        let costs = st.costs;
-        ops.charge_instrs(costs.cleanup_instrs, 1.0);
-        st.req_table.remove(&msg);
-        st.gathers.remove(&msg);
-        ops.notify(HostNotify::Tag(EVT_CLEANUP | (msg.seq & 0xFFFF_FFFF)));
+    fn cleanup(&mut self, msg: MsgId, ops: &mut Ops) {
+        ops.charge_instrs(CLEANUP_INSTRS, 1.0);
+        self.req_table.remove(&msg);
+        self.gathers.remove(&msg);
+        ops.notify(HostNotify::Host(HostEvent::Cleanup));
     }
 }

@@ -27,7 +27,7 @@ pub use client::{
     SharedClientReadStats, WriteProtocol, WriteResult, WriteSlot,
 };
 pub use cluster::{ClusterSpec, QosConfig, SimCluster, StorageMode};
-pub use config::{CostModel, HandlerCosts, MetaCosts};
+pub use config::CostModel;
 pub use control::{
     ControlPlane, FileMeta, FilePolicy, MetaShard, RepairPlan, RepairQueue, RepairStats,
     RepairTask, ShardRouter, ShardStats, StripeTarget, TxRecovery, WritePlacement,
@@ -36,7 +36,7 @@ pub use experiments::{
     replication_latency_us, storage_goodput_gbit, write_latency_us, ReplStrategy,
 };
 pub use fs::{default_write_protocol, FileHandle, FsClient, FsError};
-pub use handlers::{DfsHandlers, DfsNicState};
+pub use handlers::DfsNicState;
 pub use repair::{RepairDriver, RepairReport};
 // The metadata subsystem's vocabulary, re-exported for callers.
 pub use nadfs_meta::{

@@ -18,6 +18,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use bytes::Bytes;
+use nadfs_pspin::HostEvent;
 use nadfs_rdma::{NicApp, NicCore};
 use nadfs_simnet::telemetry::phase;
 use nadfs_simnet::{
@@ -27,8 +28,6 @@ use nadfs_wire::{
     bcast_children, AckPkt, DfsHeader, MacKey, MsgId, ReadReqHeader, Resiliency, Rights, RpcBody,
     Status, WriteReqHeader,
 };
-
-use crate::handlers::{DfsNicState, EVT_CLEANUP, EVT_EC_FALLBACK};
 
 /// Observable storage-node statistics (shared with tests/harnesses).
 #[derive(Debug, Default)]
@@ -106,11 +105,6 @@ pub(crate) struct QueuedRpc {
     msg: MsgId,
     body: RpcBody,
     data: Bytes,
-}
-
-/// The DFS handler state on `nic`, where PsPIN runs the DFS context.
-fn nic_state(nic: &mut NicCore) -> Option<&mut DfsNicState> {
-    nic.pspin_mut()?.context_state_mut()?.downcast_mut()
 }
 
 /// The storage node software.
@@ -454,45 +448,45 @@ impl NicApp for StorageApp {
         self.post_ack(nic, ctx, ctx.now(), f.client, f.done);
     }
 
-    fn on_host_notify(&mut self, nic: &mut NicCore, ctx: &mut Ctx<'_>, tag: u64) {
-        if tag & EVT_CLEANUP == EVT_CLEANUP {
-            self.stats.borrow_mut().cleanup_events += 1;
-            return;
-        }
-        if tag & EVT_EC_FALLBACK == EVT_EC_FALLBACK {
-            // The NIC staged intermediate parities; finish on the CPU.
-            let stripe = tag & 0xFFFF_FFFF;
-            let info = nic_state(nic).and_then(|s| s.take_fallback_stripe(stripe));
-            let Some((k, chunk_len, final_addr, greq, client)) = info else {
-                return;
-            };
-            self.stats.borrow_mut().fallback_aggregations += 1;
-            // XOR the k staged buffers into the final parity chunk.
-            let (pool, mem) = (nic.buf_pool(), nic.memory());
-            let (mut acc, mut staged) = {
-                let mut p = pool.borrow_mut();
-                (p.get(chunk_len as usize), p.get_dirty(chunk_len as usize))
-            };
-            for j in 0..k {
-                let staging = final_addr + (1 + j as u64) * chunk_len as u64;
-                mem.borrow().read_into(staging, &mut staged);
-                nadfs_gfec::gf256::xor_slice(&staged, &mut acc);
+    fn on_host_notify(&mut self, nic: &mut NicCore, ctx: &mut Ctx<'_>, ev: HostEvent) {
+        match ev {
+            HostEvent::Cleanup => self.stats.borrow_mut().cleanup_events += 1,
+            HostEvent::Aggregate {
+                k,
+                chunk_len,
+                final_addr,
+                greq,
+                client,
+            } => {
+                // The NIC staged the stripe's intermediate parities; XOR
+                // the k staged buffers into the final parity chunk.
+                self.stats.borrow_mut().fallback_aggregations += 1;
+                let (pool, mem) = (nic.buf_pool(), nic.memory());
+                let (mut acc, mut staged) = {
+                    let mut p = pool.borrow_mut();
+                    (p.get(chunk_len as usize), p.get_dirty(chunk_len as usize))
+                };
+                for j in 0..k {
+                    let staging = final_addr + (1 + j as u64) * chunk_len as u64;
+                    mem.borrow().read_into(staging, &mut staged);
+                    nadfs_gfec::gf256::xor_slice(&staged, &mut acc);
+                }
+                mem.borrow_mut().write(final_addr, &acc);
+                {
+                    let mut p = pool.borrow_mut();
+                    p.put(staged);
+                    p.put(acc);
+                }
+                let now = ctx.now();
+                let costs = nic.cpu.costs.clone();
+                let xor_cost = nic.cpu.memcpy_cost(k as u64 * chunk_len as u64);
+                let t = nic
+                    .cpu
+                    .exec(now + costs.poll_notify, xor_cost + costs.post_send);
+                let msg = MsgId::new(nic.node() as u32, greq);
+                let ack = AckPkt::new(msg, Some(greq), Status::Ok);
+                self.defer(nic, ctx, t, AfterCpu::AckClient { dst: client, ack });
             }
-            mem.borrow_mut().write(final_addr, &acc);
-            {
-                let mut p = pool.borrow_mut();
-                p.put(staged);
-                p.put(acc);
-            }
-            let now = ctx.now();
-            let costs = nic.cpu.costs.clone();
-            let xor_cost = nic.cpu.memcpy_cost(k as u64 * chunk_len as u64);
-            let t = nic
-                .cpu
-                .exec(now + costs.poll_notify, xor_cost + costs.post_send);
-            let msg = MsgId::new(nic.node() as u32, greq);
-            let ack = AckPkt::new(msg, Some(greq), Status::Ok);
-            self.defer(nic, ctx, t, AfterCpu::AckClient { dst: client, ack });
         }
     }
 

@@ -375,5 +375,5 @@ fn a_metadata_cache_hit_occupies_no_shard() {
     assert!(hit.cache_hit && !listed.cache_hit);
     assert_eq!(hit.start, listed.start, "issued together");
     assert_eq!(waited(), before, "the readdir queued behind the hit");
-    assert_eq!(listed.end, listed.start + cl.spec.cost.meta.control_rtt);
+    assert_eq!(listed.end, listed.start + nadfs_core::config::CONTROL_RTT);
 }

@@ -18,7 +18,6 @@
 //! key. The pipeline-stage event of a packet is likewise one box,
 //! re-scheduled from stage to stage.
 
-use std::any::Any;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -230,12 +229,6 @@ impl PsPinDevice {
             Some(ec) => self.desc_bytes_budget / ec.descriptor_bytes as u64,
             None => 0,
         }
-    }
-
-    /// Mutable access to the installed context state (host-side DFS software
-    /// writing NIC memory, §III-C — e.g. rotating MAC keys).
-    pub fn context_state_mut(&mut self) -> Option<&mut dyn Any> {
-        self.ctx_installed.as_mut().map(|ec| &mut *ec.state)
     }
 
     /// Ingest a packet that matched the execution context. The caller (NIC)
@@ -540,12 +533,10 @@ impl PsPinDevice {
         let mut ops = self.fresh_ops();
         let ec = self.ctx_installed.as_mut().expect("installed context");
         match task.pkt {
-            // The cleanup handler takes the state directly, without the
-            // HandlerArgs wrapper (it has no triggering frame).
-            None => ec.handlers.cleanup(&mut *ec.state, task.msg, &mut ops),
+            // The cleanup handler has no triggering frame.
+            None => ec.handlers.cleanup(task.msg, &mut ops),
             Some(token) => {
                 let args = HandlerArgs {
-                    state: &mut *ec.state,
                     frame: &self.held.get(token).expect("held packet").ev.pkt.payload,
                     msg: task.msg,
                     src: task.src,
@@ -782,11 +773,12 @@ impl PsPinDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::handler::{HandlerSet, HostNotify};
+    use crate::handler::{HandlerSet, HostEvent, HostNotify};
     use bytes::Bytes;
     use nadfs_host::{DmaConfig, HostMemory};
     use nadfs_simnet::{Component, Engine, Fabric, FabricConfig, GateWake, PacketEvent};
     use nadfs_wire::{split_payload, WritePkt};
+    use std::any::Any;
 
     /// Minimal handler set: validate-ish HH, PH DMAs payload (and forwards
     /// a copy when `fanout > 0`), CH flushes and acks the client.
@@ -794,23 +786,12 @@ mod tests {
         fanout: usize,
         fwd_to: NodeId,
     }
-    #[derive(Default)]
-    struct TestState {
-        headers_seen: u32,
-        payloads_seen: u32,
-        completions_seen: u32,
-        cleanups_seen: u32,
-    }
 
     impl HandlerSet for TestHandlers {
         fn header(&mut self, a: HandlerArgs<'_>) {
-            let st = a.state.downcast_mut::<TestState>().expect("state");
-            st.headers_seen += 1;
             a.ops.charge_instrs(120, 0.57);
         }
         fn payload(&mut self, a: HandlerArgs<'_>) {
-            let st = a.state.downcast_mut::<TestState>().expect("state");
-            st.payloads_seen += 1;
             a.ops.charge_instrs(55, 0.60);
             if let Frame::Write(w) = a.frame {
                 a.ops.dma_write(0x10_000 + w.offset as u64, w.data.clone());
@@ -822,18 +803,14 @@ mod tests {
             }
         }
         fn completion(&mut self, a: HandlerArgs<'_>) {
-            let st = a.state.downcast_mut::<TestState>().expect("state");
-            st.completions_seen += 1;
             a.ops.charge_instrs(66, 0.62);
             a.ops.wait_flush();
             a.ops
                 .send(a.src, Frame::Ack(AckPkt::new(a.msg, Some(1), Status::Ok)));
         }
-        fn cleanup(&mut self, state: &mut dyn Any, _msg: MsgId, ops: &mut Ops) {
-            let st = state.downcast_mut::<TestState>().expect("state");
-            st.cleanups_seen += 1;
+        fn cleanup(&mut self, _msg: MsgId, ops: &mut Ops) {
             ops.charge_cycles(50);
-            ops.notify(HostNotify::Tag(0xC1EA));
+            ops.notify(HostNotify::Host(HostEvent::Cleanup));
         }
     }
 
@@ -866,7 +843,7 @@ mod tests {
                 Err(e) => e,
             };
             if ev.downcast::<HostNotify>().is_ok() {
-                return; // logged implicitly via cleanup counter
+                return; // the cleanup handler's event: nothing to do
             }
             panic!("unexpected event at TestNic");
         }
@@ -976,7 +953,6 @@ mod tests {
                 fanout,
                 fwd_to: sport.node,
             }),
-            state: Box::new(TestState::default()),
             state_bytes: 2 << 20,
             descriptor_bytes: 77,
         });

@@ -2,14 +2,13 @@
 //!
 //! Applications define header / payload / completion handlers (plus the
 //! cleanup handler this work adds, §VII). Handlers are real Rust functions
-//! that perform the *functional* work on the execution context's NIC-memory
-//! state and record an operation list ([`Ops`]) describing what the HPU
-//! does over simulated time: cycles burned, packets sent, DMA issued.
+//! that perform the *functional* work on their handler set's own state
+//! (the context's NIC memory) and record an operation list ([`Ops`])
+//! describing what the HPU does over simulated time: cycles burned,
+//! packets sent, DMA issued.
 //! The device replays the list, blocking on egress credits and DMA flushes,
 //! so handler *duration* includes real stalls (this is how the paper's
 //! PBT IPC collapse emerges rather than being scripted).
-
-use std::any::Any;
 
 use bytes::Bytes;
 use nadfs_simnet::{NetPacket, NodeId, PacketEvent, SharedBufPool, SharedPacketPool, Time};
@@ -50,10 +49,29 @@ pub(crate) enum Op {
 pub enum HostNotify {
     /// An event for the host DFS software, through its event queue
     /// (§III-C).
-    Tag(u64),
+    Host(HostEvent),
     /// A gather read the handlers validated, from `client`: the NIC's
     /// gather engine runs it without the host.
     Gather { client: NodeId, req: GatherReqPkt },
+}
+
+/// Work the handlers pass to the host CPU, carrying what it needs.
+#[derive(Debug)]
+pub enum HostEvent {
+    /// The accumulator pool could not cover a stripe (§VI-B-3): its `k`
+    /// intermediate parities are staged in host memory right after the
+    /// final parity chunk at `final_addr`, `chunk_len` bytes each. The
+    /// CPU XORs them into place and acknowledges `client`'s request
+    /// `greq`.
+    Aggregate {
+        k: u8,
+        chunk_len: u32,
+        final_addr: u64,
+        greq: u64,
+        client: NodeId,
+    },
+    /// The cleanup handler reclaimed an abandoned message's state (§VII).
+    Cleanup,
 }
 
 /// Recorder handed to handler code.
@@ -133,12 +151,8 @@ impl Ops {
     }
 }
 
-/// Arguments a handler receives: the execution context state (NIC memory),
-/// the triggering frame, and identifiers.
+/// Arguments a handler receives: the triggering frame and identifiers.
 pub struct HandlerArgs<'a> {
-    /// Execution-context state living in NIC memory (`task->mem` in the
-    /// paper's Listing 1). Downcast to the DFS state type.
-    pub state: &'a mut dyn Any,
     pub frame: &'a Frame,
     pub msg: MsgId,
     /// Source node of the packet.
@@ -151,7 +165,8 @@ pub struct HandlerArgs<'a> {
 
 /// A set of sPIN handlers for one execution context (paper Listing 1:
 /// `header_handler`, `payload_handler`, `tail_handler`; §VII adds the
-/// cleanup handler).
+/// cleanup handler). The implementing type is the context's state in NIC
+/// memory (`task->mem` in Listing 1): every handler works on `self`.
 pub trait HandlerSet {
     /// Runs on the first packet of a message, before any payload handler.
     fn header(&mut self, a: HandlerArgs<'_>);
@@ -160,13 +175,12 @@ pub trait HandlerSet {
     /// Runs on the last packet, after all payload handlers completed.
     fn completion(&mut self, a: HandlerArgs<'_>);
     /// Runs when an open message has been inactive past the timeout.
-    fn cleanup(&mut self, state: &mut dyn Any, msg: MsgId, ops: &mut Ops);
+    fn cleanup(&mut self, msg: MsgId, ops: &mut Ops);
 }
 
-/// An installed execution context: handlers plus their NIC-memory state.
+/// An installed execution context: the handler set, which owns its state.
 pub struct ExecutionContext {
     pub handlers: Box<dyn HandlerSet>,
-    pub state: Box<dyn Any>,
     /// NIC memory reserved for DFS-wide state (e.g. the 64 KiB GF table,
     /// accumulator pool). Charged against device memory at install.
     pub state_bytes: u64,
@@ -202,12 +216,14 @@ mod tests {
         let mut o = Ops::default();
         o.charge_cycles(5);
         o.wait_flush();
-        o.notify(HostNotify::Tag(9));
+        o.notify(HostNotify::Host(HostEvent::Cleanup));
         assert_eq!(o.items.len(), 3);
         assert!(matches!(o.items[0], Op::Charge { cycles: 5 }));
         assert!(matches!(o.items[1], Op::WaitFlush));
         match &o.items[2] {
-            Op::Notify { note: Some(note) } => assert!(matches!(**note, HostNotify::Tag(9))),
+            Op::Notify { note: Some(note) } => {
+                assert!(matches!(**note, HostNotify::Host(HostEvent::Cleanup)))
+            }
             other => panic!("unexpected {other:?}"),
         }
     }

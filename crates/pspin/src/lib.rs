@@ -19,5 +19,7 @@ mod telemetry;
 
 pub use config::PsPinConfig;
 pub use device::{PsPinDevice, PsPinEvent};
-pub use handler::{ExecutionContext, HandlerArgs, HandlerKind, HandlerSet, HostNotify, Ops};
+pub use handler::{
+    ExecutionContext, HandlerArgs, HandlerKind, HandlerSet, HostEvent, HostNotify, Ops,
+};
 pub use telemetry::Telemetry;

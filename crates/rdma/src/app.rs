@@ -7,6 +7,7 @@
 //! points; the app models its own CPU costs via [`nadfs_host::Cpu`].
 
 use bytes::Bytes;
+use nadfs_pspin::HostEvent;
 use nadfs_simnet::{Ctx, NodeId};
 use nadfs_wire::{AckPkt, MsgId, RpcBody};
 
@@ -35,8 +36,8 @@ pub trait NicApp {
     /// A one-sided read issued by this node completed (data in host memory).
     fn on_read_done(&mut self, nic: &mut NicCore, ctx: &mut Ctx<'_>, token: u64) {}
 
-    /// A PsPIN handler sent the host event `tag` (§III-C event queues).
-    fn on_host_notify(&mut self, nic: &mut NicCore, ctx: &mut Ctx<'_>, tag: u64) {}
+    /// A PsPIN handler passed the host `ev` (§III-C event queues).
+    fn on_host_notify(&mut self, nic: &mut NicCore, ctx: &mut Ctx<'_>, ev: HostEvent) {}
 
     /// A timer set with [`NicCore::set_timer`] fired.
     fn on_timer(&mut self, nic: &mut NicCore, ctx: &mut Ctx<'_>, tag: u64) {}

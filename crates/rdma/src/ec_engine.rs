@@ -41,29 +41,17 @@ use nadfs_wire::{
 
 use crate::nic::{NicCore, NicEvent, Ranges, ReadSink, StreamSink};
 
-/// Firmware EC engine parameters.
-#[derive(Clone, Debug)]
-pub struct EcEngineConfig {
-    /// Coefficient-multiply throughput of the engine (per output byte).
-    pub encode_bw: Bandwidth,
-    /// XOR aggregation throughput (per input byte).
-    pub(crate) xor_bw: Bandwidth,
-    /// Trigger/launch overhead per engine operation (WQE chain wakeup).
-    pub(crate) trigger: Dur,
-}
+// Rates of a TriEC/INEC-class firmware engine on a ConnectX NIC: it
+// encodes in the ~tens of Gbit/s range (Shi & Lu report single-digit GB/s
+// per NIC), and a triggered-WQE chain costs microseconds to fire.
 
-impl Default for EcEngineConfig {
-    fn default() -> Self {
-        EcEngineConfig {
-            // TriEC/INEC-class firmware engines on ConnectX NICs encode in
-            // the ~tens of Gbit/s range (Shi & Lu report single-digit GB/s
-            // per NIC); triggered-WQE chains cost microseconds to fire.
-            encode_bw: Bandwidth::from_gbyte_per_sec(10),
-            xor_bw: Bandwidth::from_gbyte_per_sec(20),
-            trigger: Dur::from_ns(5_000),
-        }
-    }
-}
+/// Coefficient-multiply throughput of the firmware EC engine (per output
+/// byte).
+pub const EC_ENCODE_BW: Bandwidth = Bandwidth::from_gbyte_per_sec(10);
+/// XOR aggregation throughput (per input byte).
+const XOR_BW: Bandwidth = Bandwidth::from_gbyte_per_sec(20);
+/// Trigger/launch overhead per engine operation (WQE chain wakeup).
+const TRIGGER: Dur = Dur::from_ns(5_000);
 
 struct AggState {
     k: u8,
@@ -77,36 +65,30 @@ struct AggState {
 }
 
 /// The engine state on one NIC.
+#[derive(Default)]
 pub struct EcEngine {
-    pub(crate) cfg: EcEngineConfig,
     rs_cache: IdMap<(u8, u8), ReedSolomon>,
     agg: IdMap<(u64, u8), AggState>,
     pub(crate) busy_until: Time,
-    /// Whether this engine consumes landed EC writes (the write-path
-    /// encode/aggregate offload). Engines brought up lazily for degraded
-    /// gather reads leave write handling to the host software.
-    consume_writes: bool,
+    /// Set on engines brought up lazily for degraded gather reads: they
+    /// leave EC write handling (the write-path encode/aggregate offload)
+    /// to the host software.
+    reads_only: bool,
     pub chunks_encoded: u64,
 }
 
 impl EcEngine {
-    pub fn new(cfg: EcEngineConfig) -> EcEngine {
-        EcEngine {
-            cfg,
-            rs_cache: IdMap::default(),
-            agg: IdMap::default(),
-            busy_until: Time::ZERO,
-            consume_writes: true,
-            chunks_encoded: 0,
-        }
+    pub fn new() -> EcEngine {
+        EcEngine::default()
     }
 
     /// A read-only engine: decodes degraded gathers but does not
     /// hijack EC write handling from the node software.
     pub(crate) fn for_reads() -> EcEngine {
-        let mut e = EcEngine::new(EcEngineConfig::default());
-        e.consume_writes = false;
-        e
+        EcEngine {
+            reads_only: true,
+            ..EcEngine::default()
+        }
     }
 
     /// The code for a scheme read off the wire, which may name none.
@@ -126,7 +108,7 @@ impl EcEngine {
 
     /// Does this write carry an EC role the engine should consume?
     pub(crate) fn wants(&self, wrh: &WriteReqHeader) -> bool {
-        self.consume_writes && matches!(wrh.resiliency, Resiliency::ErasureCode(_))
+        !self.reads_only && matches!(wrh.resiliency, Resiliency::ErasureCode(_))
     }
 }
 
@@ -149,7 +131,6 @@ pub(crate) fn on_ec_write_landed(
     };
     let greq = dfs.map(|d| d.greq_id);
     let engine = core.ec.as_mut().expect("engine enabled");
-    let trigger = engine.cfg.trigger;
     let (k, m) = (info.scheme.k, info.scheme.m);
     let sound = match info.role {
         EcRole::Data { chunk_idx } => {
@@ -170,7 +151,7 @@ pub(crate) fn on_ec_write_landed(
             let ack = AckPkt::new(ack_msg, greq, Status::Ok);
             let delay = flush.since(ctx.now());
             ctx.schedule_self(delay, Box::new(NicEvent::Ack { dst: src, ack }));
-            let start = core.ec_occupy(flush, trigger);
+            let start = core.ec_occupy(flush, TRIGGER);
             let ev = NicEvent::Encode(Box::new((wrh, dfs)));
             ctx.schedule_self(start.since(ctx.now()), Box::new(ev));
         }
@@ -205,7 +186,7 @@ pub(crate) fn on_ec_write_landed(
             }
             if st.staged_count == st.k {
                 let staged = st.flush;
-                let start = core.ec_occupy(staged, trigger);
+                let start = core.ec_occupy(staged, TRIGGER);
                 let ev = NicEvent::Aggregate {
                     stripe: info.stripe,
                     parity_idx,
@@ -242,7 +223,7 @@ pub(crate) fn encode(
     let engine = core.ec.as_mut().expect("engine enabled");
     let (k, m) = (info.scheme.k, info.scheme.m);
     // Engine compute: m coefficient-multiplied outputs.
-    let compute = engine.cfg.encode_bw.tx_time(len as u64 * m as u64);
+    let compute = EC_ENCODE_BW.tx_time(len as u64 * m as u64);
     let send_at = ready + compute;
     engine.chunks_encoded += 1;
     let rs = engine.try_rs(k, m).expect("checked when the chunk landed");
@@ -286,7 +267,7 @@ pub(crate) fn aggregate(core: &mut NicCore, ctx: &mut Ctx<'_>, stripe: u64, pari
     let Some(st) = engine.agg.remove(&(stripe, parity_idx)) else {
         return;
     };
-    let xor_cost = engine.cfg.xor_bw.tx_time(st.chunk_len as u64 * st.k as u64);
+    let xor_cost = XOR_BW.tx_time(st.chunk_len as u64 * st.k as u64);
     // Read back the k staged chunks (DMA read channel) into a
     // pooled scratch buffer, XOR wide-word into a pooled
     // accumulator, write the final parity. Zero allocations in
@@ -418,7 +399,6 @@ pub(crate) fn start_decode(
         && want.iter().all(|w| !survivors.contains(w))
         && copies().count() <= u16::MAX as usize;
     let engine = core.ec.get_or_insert_with(EcEngine::for_reads);
-    let trigger = engine.cfg.trigger;
     let rows = engine
         .try_rs(rec.scheme.k, rec.scheme.m)
         .and_then(|rs| rs.decode_rows(&survivors, &want));
@@ -493,7 +473,7 @@ pub(crate) fn start_decode(
             }
         }
     }
-    ctx.schedule_self(trigger, Box::new(NicEvent::DecodeArmed { gather }));
+    ctx.schedule_self(TRIGGER, Box::new(NicEvent::DecodeArmed { gather }));
     true
 }
 
@@ -552,8 +532,7 @@ fn emit(core: &mut NicCore, ctx: &mut Ctx<'_>, gather: u64, stream: u16, idx: u3
     let last = g.pkts_left == 0;
 
     let now = ctx.now();
-    let engine = core.ec.as_ref().expect("armed engine");
-    let compute = engine.cfg.encode_bw.tx_time(buf.len() as u64);
+    let compute = EC_ENCODE_BW.tx_time(buf.len() as u64);
     let done = core.ec_occupy(now, compute);
     core.stats.borrow_mut().gather_bytes_streamed += buf.len() as u64;
     let pkt = core.pkt(

@@ -17,5 +17,5 @@ mod ec_engine;
 mod nic;
 
 pub use app::NicApp;
-pub use ec_engine::{EcEngine, EcEngineConfig};
+pub use ec_engine::{EcEngine, EC_ENCODE_BW};
 pub use nic::{AppTimer, Nic, NicConfig, NicCore, NicStats, SharedNicStats};

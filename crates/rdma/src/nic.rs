@@ -409,10 +409,6 @@ impl NicCore {
         self.pspin.as_ref()
     }
 
-    pub fn pspin_mut(&mut self) -> Option<&mut PsPinDevice> {
-        self.pspin.as_mut()
-    }
-
     /// Enable the INEC-style firmware EC engine on this NIC.
     pub fn enable_firmware_ec(&mut self, engine: EcEngine) {
         self.ec = Some(engine);
@@ -1367,7 +1363,7 @@ impl Component for Nic {
         match ev.downcast::<HostNotify>().map(|n| *n) {
             // The handlers validated the gather: it never reaches the host.
             Ok(HostNotify::Gather { client, req }) => core.start_gather(ctx, client, &req),
-            Ok(HostNotify::Tag(tag)) => app.on_host_notify(core, ctx, tag),
+            Ok(HostNotify::Host(ev)) => app.on_host_notify(core, ctx, ev),
             Err(_) => panic!("nic {}: unknown event", core.port.node),
         }
     }

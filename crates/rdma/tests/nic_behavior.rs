@@ -13,7 +13,7 @@ use bytes::Bytes;
 use nadfs_gfec::ReedSolomon;
 use nadfs_host::{DmaEngine, SharedMemory};
 use nadfs_pspin::HostNotify;
-use nadfs_rdma::{AppTimer, EcEngine, EcEngineConfig, Nic, NicApp, NicConfig, NicCore};
+use nadfs_rdma::{AppTimer, EcEngine, Nic, NicApp, NicConfig, NicCore};
 use nadfs_simnet::telemetry::phase;
 use nadfs_simnet::{
     BufPool, Component, CreditConfig, Ctx, Dur, Engine, Fabric, FabricConfig, NetPacket, NodeId,
@@ -439,13 +439,13 @@ fn firmware_ec_builds_correct_parity_rs_2_1() {
         })
     };
     let ec_setup: Setup = Box::new(|nic: &mut NicCore| {
-        nic.enable_firmware_ec(EcEngine::new(EcEngineConfig::default()));
+        nic.enable_firmware_ec(EcEngine::new());
     });
     let ec_setup2: Setup = Box::new(|nic: &mut NicCore| {
-        nic.enable_firmware_ec(EcEngine::new(EcEngineConfig::default()));
+        nic.enable_firmware_ec(EcEngine::new());
     });
     let ec_setup3: Setup = Box::new(|nic: &mut NicCore| {
-        nic.enable_firmware_ec(EcEngine::new(EcEngineConfig::default()));
+        nic.enable_firmware_ec(EcEngine::new());
     });
     let actions: Vec<HashMap<u64, Action>> = vec![
         HashMap::from([(
@@ -1150,7 +1150,7 @@ fn send_raw(frames: Vec<Frame>) -> Aftermath {
     let left = Rc::new(Cell::new((usize::MAX, usize::MAX, u64::MAX)));
     let (ingress2, left2) = (ingress.clone(), left.clone());
     let setup: Setup = Box::new(move |nic: &mut NicCore| {
-        nic.enable_firmware_ec(EcEngine::new(EcEngineConfig::default()));
+        nic.enable_firmware_ec(EcEngine::new());
         *ingress2.borrow_mut() = Some(nic.port().ingress_gate.clone());
     });
     let send = Box::new(move |nic: &mut NicCore, ctx: &mut Ctx<'_>| {

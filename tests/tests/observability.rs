@@ -403,8 +403,7 @@ fn metrics_snapshot_schema_is_stable() {
 #[test]
 fn degraded_gather_occupancy_is_in_the_snapshot() {
     let (mut fs, h, data) = degraded_rs32_file(64 << 10, 1, &[0]);
-    let cost = &fs.cluster.spec.cost;
-    let (dma, engine) = (cost.nic.dma.clone(), cost.ec_engine.clone());
+    let dma = fs.cluster.spec.cost.nic.dma.clone();
     let chunk_len = (64u32 << 10).div_ceil(3);
 
     // Exactly the lost chunk: the coordinator serves the decode only.
@@ -430,7 +429,7 @@ fn degraded_gather_occupancy_is_in_the_snapshot() {
         one_pass.ps()
     );
     // Occupied per rebuilt packet, each rounded up to a picosecond.
-    let compute = engine.encode_bw.tx_time(chunk_len as u64).ps();
+    let compute = nadfs_rdma::EC_ENCODE_BW.tx_time(chunk_len as u64).ps();
     let ec_busy = moved(c, "ec.busy_ps");
     assert!(
         compute <= ec_busy && ec_busy <= compute + 16,
