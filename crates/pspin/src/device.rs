@@ -148,6 +148,9 @@ pub struct PsPinDevice {
     #[allow(clippy::vec_box)]
     spare_events: Vec<Box<PsPinEvent>>,
     spare_ops: Vec<Ops>,
+    /// Scratch for a header run's release: the clusters its parked payload
+    /// handlers went to, in first-seen order (the order they dispatch in).
+    touched: Vec<usize>,
     telemetry: Rc<RefCell<Telemetry>>,
 }
 
@@ -185,6 +188,7 @@ impl PsPinDevice {
             pkt_pool: PacketPool::shared(),
             spare_events: Vec::new(),
             spare_ops: Vec::new(),
+            touched: Vec::new(),
             telemetry: Rc::new(RefCell::new(Telemetry::default())),
         }
     }
@@ -659,16 +663,18 @@ impl PsPinDevice {
                     st.phase = MsgPhase::Streaming;
                     // Release the payload handlers parked behind the header.
                     let parked = std::mem::take(&mut st.parked);
-                    let mut touched = Vec::new();
+                    let mut touched = std::mem::take(&mut self.touched);
                     for t in parked {
                         if !touched.contains(&t.cluster) {
                             touched.push(t.cluster);
                         }
                         self.clusters[t.cluster].runq.push_back(t);
                     }
-                    for c in touched {
+                    for &c in &touched {
                         self.dispatch(ctx, c);
                     }
+                    touched.clear();
+                    self.touched = touched;
                 }
                 HandlerKind::Payload => st.ph_done += 1,
                 HandlerKind::Completion | HandlerKind::Cleanup => {}
@@ -776,7 +782,7 @@ mod tests {
     use crate::handler::{HandlerSet, HostEvent, HostNotify};
     use bytes::Bytes;
     use nadfs_host::{DmaConfig, HostMemory};
-    use nadfs_simnet::{Component, Engine, Fabric, FabricConfig, GateWake, PacketEvent};
+    use nadfs_simnet::{Component, Engine, Fabric, FabricConfig, PacketEvent};
     use nadfs_wire::{split_payload, WritePkt};
     use std::any::Any;
 
@@ -835,17 +841,13 @@ mod tests {
                 }
                 Err(e) => e,
             };
-            let ev = match ev.downcast::<GateWake>() {
-                Ok(_) => {
-                    dev.on_gate_wake(ctx);
-                    return;
-                }
-                Err(e) => e,
-            };
             if ev.downcast::<HostNotify>().is_ok() {
                 return; // the cleanup handler's event: nothing to do
             }
             panic!("unexpected event at TestNic");
+        }
+        fn wake(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+            self.dev.as_mut().expect("device").on_gate_wake(ctx);
         }
     }
 
@@ -913,10 +915,17 @@ mod tests {
                 }
                 Err(e) => e,
             };
-            if ev.downcast::<Go>().is_ok() && self.queued.is_none() {
+            assert!(
+                ev.downcast::<Go>().is_ok(),
+                "unexpected event at TestClient"
+            );
+            if self.queued.is_none() {
                 self.queued = Some(self.build_packets());
             }
-            self.pump(ctx); // Go and GateWake both pump
+            self.pump(ctx);
+        }
+        fn wake(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+            self.pump(ctx);
         }
     }
 

@@ -13,8 +13,8 @@ use nadfs_host::{Cpu, CpuCosts, DmaConfig, DmaEngine, HostMemory, SharedMemory};
 use nadfs_pspin::{HostNotify, PsPinConfig, PsPinDevice, PsPinEvent};
 use nadfs_simnet::telemetry::phase;
 use nadfs_simnet::{
-    BufPool, Component, ComponentId, CreditConfig, Ctx, Dur, FlowController, GateWake, IdMap,
-    NodeId, NodePort, ObsHub, PacketEvent, PacketPool, SharedBufPool, SharedFlowStats, SharedObs,
+    BufPool, Component, ComponentId, CreditConfig, Ctx, Dur, FlowController, IdMap, NodeId,
+    NodePort, ObsHub, PacketEvent, PacketPool, SharedBufPool, SharedFlowStats, SharedObs,
     SharedPacketPool, SharedTenantLedgers, SharedTrace, Slab, TenantId, TenantScheduler, Time,
     Trace, WrClass,
 };
@@ -1325,7 +1325,7 @@ impl Component for Nic {
         let core = &mut self.core;
         let app = &mut *self.app;
 
-        // Six event types reach a NIC; tried hottest first.
+        // Five boxed event types reach a NIC; tried hottest first.
         let ev = match ev.downcast::<PacketEvent<Frame>>() {
             Ok(arrived) => return Self::on_packet(core, app, ctx, arrived),
             Err(e) => e,
@@ -1334,16 +1334,6 @@ impl Component for Nic {
             Ok(p) => {
                 let dev = core.pspin.as_mut().expect("pspin installed");
                 return dev.on_event(ctx, p);
-            }
-            Err(e) => e,
-        };
-        let ev = match ev.downcast::<GateWake>() {
-            Ok(_) => {
-                core.pump(ctx);
-                if let Some(dev) = core.pspin.as_mut() {
-                    dev.on_gate_wake(ctx);
-                }
-                return;
             }
             Err(e) => e,
         };
@@ -1365,6 +1355,15 @@ impl Component for Nic {
             Ok(HostNotify::Gather { client, req }) => core.start_gather(ctx, client, &req),
             Ok(HostNotify::Host(ev)) => app.on_host_notify(core, ctx, ev),
             Err(_) => panic!("nic {}: unknown event", core.port.node),
+        }
+    }
+
+    /// The egress gate released a credit: both the NIC's own queue and
+    /// the sPIN runs parked on it retry.
+    fn wake(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+        self.core.pump(ctx);
+        if let Some(dev) = self.core.pspin.as_mut() {
+            dev.on_gate_wake(ctx);
         }
     }
 

@@ -1,5 +1,5 @@
 //! The discrete-event engine: a time-ordered event queue dispatching boxed
-//! events to registered [`Component`]s.
+//! events and gate wakes to registered [`Component`]s.
 //!
 //! Determinism: events are ordered by `(time, sequence)` where the sequence
 //! number is assigned at scheduling time, so same-timestamp events run in
@@ -8,7 +8,7 @@
 use std::any::Any;
 
 use crate::hash::fold;
-use crate::queue::{EventQueue, Scheduled};
+use crate::queue::{Event, EventQueue, Scheduled};
 use crate::time::{Dur, Time};
 
 /// Index of a component registered with the [`Engine`].
@@ -18,6 +18,15 @@ pub type ComponentId = usize;
 pub trait Component {
     /// Handle one event addressed to this component.
     fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Box<dyn Any>);
+    /// Handle a gate wake: a credit came back to a [`Gate`](crate::Gate)
+    /// this component waits on, with the `token` it registered. A
+    /// component that registers on a gate must implement this.
+    fn wake(&mut self, _ctx: &mut Ctx<'_>, token: u64) {
+        panic!(
+            "{} was woken (token {token}) but does not implement `wake`",
+            self.name()
+        );
+    }
     /// Human-readable name used in traces and panics.
     fn name(&self) -> String {
         "component".to_owned()
@@ -40,13 +49,20 @@ impl Ctx<'_> {
 
     /// Schedule `ev` for `target` after `delay`.
     pub fn schedule(&mut self, delay: Dur, target: ComponentId, ev: Box<dyn Any>) {
-        self.sched.push(self.sched.now + delay, target, ev);
+        self.sched
+            .push(self.sched.now + delay, target, Event::Boxed(ev));
     }
 
     /// Schedule `ev` for `target` at absolute time `at` (clamped to now).
     pub fn schedule_at(&mut self, at: Time, target: ComponentId, ev: Box<dyn Any>) {
         let at = at.max(self.sched.now);
-        self.sched.push(at, target, ev);
+        self.sched.push(at, target, Event::Boxed(ev));
+    }
+
+    /// Wake `target` now with `token` ([`Component::wake`]). A wake is an
+    /// event like any other, ordered by `(time, seq)`, but it needs no box.
+    pub fn wake(&mut self, target: ComponentId, token: u64) {
+        self.sched.push(self.sched.now, target, Event::Wake(token));
     }
 
     /// Schedule an event to this component itself.
@@ -65,7 +81,7 @@ struct Sched {
 }
 
 impl Sched {
-    fn push(&mut self, at: Time, target: ComponentId, ev: Box<dyn Any>) {
+    fn push(&mut self, at: Time, target: ComponentId, ev: Event) {
         debug_assert!(at >= self.now, "cannot schedule into the past");
         let seq = self.seq;
         self.seq += 1;
@@ -197,7 +213,8 @@ impl Engine {
 
     /// Schedule an event from outside any component (e.g. test or driver).
     pub fn schedule(&mut self, delay: Dur, target: ComponentId, ev: Box<dyn Any>) {
-        self.sched.push(self.sched.now + delay, target, ev);
+        self.sched
+            .push(self.sched.now + delay, target, Event::Boxed(ev));
     }
 
     /// Dispatch a single event; returns false when the queue is empty.
@@ -218,7 +235,10 @@ impl Engine {
                 sched: &mut self.sched,
                 self_id: s.target,
             };
-            comp.handle(&mut ctx, s.ev);
+            match s.ev {
+                Event::Boxed(ev) => comp.handle(&mut ctx, ev),
+                Event::Wake(token) => comp.wake(&mut ctx, token),
+            }
         }
         if let Some(t0) = t0 {
             if self.profiles.len() <= s.target {
@@ -392,6 +412,63 @@ mod tests {
         assert_eq!(kinds.len(), 1);
         assert_eq!(kinds[0].name, "nic");
         assert_eq!(kinds[0].dispatches, 4);
+    }
+
+    /// Logs boxed ticks and wakes; each tick below 2 wakes itself, then
+    /// schedules the next tick, both for now.
+    struct Waking {
+        log: Rc<RefCell<Vec<(&'static str, u64)>>>,
+    }
+    impl Component for Waking {
+        fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Box<dyn Any>) {
+            let t = ev.downcast::<Tick>().expect("a tick").0;
+            self.log.borrow_mut().push(("tick", t.into()));
+            if t < 2 {
+                ctx.wake(ctx.self_id, t.into());
+                ctx.schedule_self(Dur::ZERO, Box::new(Tick(t + 1)));
+            }
+        }
+        fn wake(&mut self, _ctx: &mut Ctx<'_>, token: u64) {
+            self.log.borrow_mut().push(("wake", token));
+        }
+    }
+
+    #[test]
+    fn wakes_reach_wake_in_fifo_order_with_boxed_events() {
+        let mut e = Engine::new();
+        let log = Rc::new(RefCell::new(vec![]));
+        let a = e.add_component(Box::new(Waking { log: log.clone() }));
+        e.schedule(Dur::from_ns(5), a, Box::new(Tick(0)));
+        e.run_to_completion();
+        let expect = [
+            ("tick", 0),
+            ("wake", 0),
+            ("tick", 1),
+            ("wake", 1),
+            ("tick", 2),
+        ];
+        assert_eq!(*log.borrow(), expect);
+        assert_eq!(e.events_dispatched(), 5, "a wake is one event");
+        assert_eq!(e.now(), Time(5_000));
+    }
+
+    #[test]
+    #[should_panic(expected = "component was woken (token 7) but does not implement `wake`")]
+    fn waking_a_component_without_wake_panics() {
+        struct Waker(ComponentId);
+        impl Component for Waker {
+            fn handle(&mut self, ctx: &mut Ctx<'_>, _ev: Box<dyn Any>) {
+                ctx.wake(self.0, 7);
+            }
+        }
+        let mut e = Engine::new();
+        let probe = e.add_component(Box::new(Probe {
+            log: Rc::new(RefCell::new(vec![])),
+            echo_to: None,
+        }));
+        let waker = e.add_component(Box::new(Waker(probe)));
+        e.schedule(Dur::ZERO, waker, Box::new(Tick(0)));
+        e.run_to_completion();
     }
 
     #[test]

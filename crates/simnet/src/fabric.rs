@@ -26,7 +26,7 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use crate::engine::{Component, ComponentId, Ctx};
-use crate::gate::{Gate, GateWake, SharedGate};
+use crate::gate::{Gate, SharedGate};
 use crate::packet::{Hop, NetPacket, NodeId, PacketEvent, Payload};
 use crate::time::{Bandwidth, Dur};
 
@@ -172,6 +172,9 @@ pub struct Fabric<P: Payload> {
     nodes: Vec<NodeState<P>>,
     stats: Rc<RefCell<FabricStats>>,
     self_id: ComponentId,
+    /// An empty head-of-line waiter list, swapped in for the one being
+    /// retried so neither list gives up its capacity.
+    spare_hol: Vec<NodeId>,
 }
 
 impl<P: Payload> Fabric<P> {
@@ -183,6 +186,7 @@ impl<P: Payload> Fabric<P> {
             nodes: Vec::new(),
             stats: Rc::new(RefCell::new(FabricStats::default())),
             self_id,
+            spare_hol: Vec::new(),
         }
     }
 
@@ -280,10 +284,13 @@ impl<P: Payload> Fabric<P> {
         ev.hop = Hop::Arrive;
         ctx.schedule(self.cfg.link_latency, self.nodes[n].delivery, ev);
         // A down-queue slot freed: retry uplinks that were held on it.
-        let waiters = std::mem::take(&mut self.nodes[n].hol_waiters);
-        for w in waiters {
+        let spare = std::mem::take(&mut self.spare_hol);
+        let mut waiters = std::mem::replace(&mut self.nodes[n].hol_waiters, spare);
+        for &w in &waiters {
             self.try_start_uplink(ctx, w);
         }
+        waiters.clear();
+        self.spare_hol = waiters;
         self.try_start_downlink(ctx, n);
     }
 }
@@ -312,23 +319,18 @@ impl<P: Payload> Component for Fabric<P> {
             }
             Err(e) => e,
         };
-        let ev = match ev.downcast::<TxDone>() {
-            Ok(d) => {
-                match d.dir {
-                    Dir::Up => self.on_up_tx_done(ctx, d),
-                    Dir::Down => self.on_down_tx_done(ctx, d),
-                }
-                return;
-            }
-            Err(e) => e,
-        };
-        match ev.downcast::<GateWake>() {
-            Ok(w) => {
-                // An ingress gate released a credit; retry that downlink.
-                self.try_start_downlink(ctx, w.token as NodeId);
-            }
+        match ev.downcast::<TxDone>() {
+            Ok(d) => match d.dir {
+                Dir::Up => self.on_up_tx_done(ctx, d),
+                Dir::Down => self.on_down_tx_done(ctx, d),
+            },
             Err(_) => panic!("fabric: unknown event type"),
         }
+    }
+
+    /// An ingress gate released a credit; retry that node's downlink.
+    fn wake(&mut self, ctx: &mut Ctx<'_>, node: u64) {
+        self.try_start_downlink(ctx, node as NodeId);
     }
 
     fn name(&self) -> String {
@@ -416,8 +418,12 @@ mod tests {
         }
     }
     impl Component for Source {
-        fn handle(&mut self, ctx: &mut Ctx<'_>, _ev: Box<dyn Any>) {
-            self.pump(ctx); // Kick and GateWake both just pump.
+        fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Box<dyn Any>) {
+            assert!(ev.downcast::<Kick>().is_ok(), "source: unknown event");
+            self.pump(ctx);
+        }
+        fn wake(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+            self.pump(ctx);
         }
     }
 

@@ -4,7 +4,7 @@
 //! A [`Gate`] models a finite buffer. Producers call [`Gate::try_take`]
 //! before injecting work; when it fails they register themselves as waiters
 //! and retry when woken. Consumers call [`Gate::release`] as they drain,
-//! which schedules a [`GateWake`] event to every registered waiter.
+//! which wakes every registered waiter ([`Component::wake`](crate::Component::wake)).
 //!
 //! This is the mechanism behind all lossless-network backpressure in the
 //! simulator (PFC-like pause, PsPIN packet-buffer admission, NIC egress
@@ -14,15 +14,6 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use crate::engine::{ComponentId, Ctx};
-use crate::time::Dur;
-
-/// Event delivered to a waiter when gate credits become available.
-/// The token is the value the waiter registered with, so one component can
-/// wait on several gates and tell the wake-ups apart.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GateWake {
-    pub(crate) token: u64,
-}
 
 #[derive(Debug)]
 pub struct Gate {
@@ -67,7 +58,9 @@ impl Gate {
         self.capacity
     }
 
-    /// Register to be woken (via [`GateWake`]) when a credit is released.
+    /// Register to be woken when a credit is released. The wake carries
+    /// `token`, so one component can wait on several gates and tell the
+    /// wake-ups apart.
     pub fn register_waiter(&mut self, who: ComponentId, token: u64) {
         if !self.waiters.iter().any(|&(c, t)| c == who && t == token) {
             self.waiters.push((who, token));
@@ -88,7 +81,7 @@ impl Gate {
         );
         self.credits += 1;
         for (who, token) in self.waiters.drain(..) {
-            ctx.schedule(Dur::ZERO, who, Box::new(GateWake { token }));
+            ctx.wake(who, token);
         }
     }
 }
@@ -97,6 +90,7 @@ impl Gate {
 mod tests {
     use super::*;
     use crate::engine::{Component, Engine};
+    use crate::time::Dur;
     use std::any::Any;
 
     /// A consumer that releases one credit per `Drain` event it receives.
@@ -119,9 +113,8 @@ mod tests {
         want: usize,
     }
     struct Go;
-    impl Component for Producer {
-        fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Box<dyn Any>) {
-            let _wake_or_go: &dyn Any = &*ev; // either Go or GateWake
+    impl Producer {
+        fn take_all(&mut self, ctx: &mut Ctx<'_>) {
             while self.want > 0 {
                 let ok = self.gate.borrow_mut().try_take();
                 if ok {
@@ -132,6 +125,16 @@ mod tests {
                     break;
                 }
             }
+        }
+    }
+    impl Component for Producer {
+        fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Box<dyn Any>) {
+            assert!(ev.downcast::<Go>().is_ok(), "producer: unknown event");
+            self.take_all(ctx);
+        }
+        fn wake(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+            assert_eq!(token, 0, "registered with token 0");
+            self.take_all(ctx);
         }
     }
 

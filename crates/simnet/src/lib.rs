@@ -33,7 +33,7 @@ pub use flow::{
     CreditConfig, CreditGrant, FlowController, FlowStats, SharedFlowStats, SharedTenantLedgers,
     TenantId, TenantLedger, TenantScheduler, WrClass, TENANT_REPAIR,
 };
-pub use gate::{Gate, GateWake, SharedGate};
+pub use gate::{Gate, SharedGate};
 pub use hash::{IdMap, IdSet};
 pub use packet::{NetPacket, NodeId, PacketEvent, PacketPool, Payload, SharedPacketPool};
 pub use pool::{BufPool, PoolStats, SharedBufPool, DEFAULT_MAX_RETAINED_BYTES};

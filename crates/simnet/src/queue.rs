@@ -22,11 +22,23 @@ use std::collections::{BinaryHeap, VecDeque};
 use crate::engine::ComponentId;
 use crate::time::Time;
 
+/// What a queued entry delivers: a boxed event for
+/// [`Component::handle`](crate::Component::handle), or a gate wake for
+/// [`Component::wake`](crate::Component::wake), which needs no box.
+pub(crate) enum Event {
+    Boxed(Box<dyn Any>),
+    Wake(u64),
+}
+
+// The wake rides in the fat pointer's niche: queue entries stay as small
+// as when every event was boxed.
+const _: () = assert!(std::mem::size_of::<Event>() == 16);
+
 pub(crate) struct Scheduled {
     pub(crate) at: Time,
     pub(crate) seq: u64,
     pub(crate) target: ComponentId,
-    pub(crate) ev: Box<dyn Any>,
+    pub(crate) ev: Event,
 }
 
 impl Scheduled {
@@ -203,6 +215,58 @@ impl EventQueue {
                 Timed::Far => self.far.pop().expect("peeked").0,
             }),
             _ => self.due_now.pop_front(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::time::Dur;
+
+    /// Odd `seq`s are wakes carrying their `seq` as the token, even ones
+    /// boxed events carrying it as the payload.
+    fn entry(at: Time, seq: u64) -> Scheduled {
+        let ev = match seq % 2 {
+            1 => Event::Wake(seq),
+            _ => Event::Boxed(Box::new(seq)),
+        };
+        Scheduled {
+            at,
+            seq,
+            target: 0,
+            ev,
+        }
+    }
+
+    #[test]
+    fn wakes_and_boxed_events_at_one_instant_pop_in_seq_order_from_every_tier() {
+        let now = Time(1 << 30);
+        for ahead in [Dur::ZERO, Dur::from_ns(100), Dur::from_ms(1)] {
+            let at = now + ahead;
+            let mut q = EventQueue::new();
+            for seq in 0..6 {
+                q.push(now, entry(at, seq));
+            }
+            let (due_now, far) = (q.due_now.len(), q.far.len());
+            match ahead.ps() {
+                0 => assert_eq!((due_now, far), (6, 0), "due now"),
+                100_000 => assert_eq!((due_now, far), (0, 0), "on the wheel"),
+                _ => assert_eq!((due_now, far), (0, 6), "in the far heap"),
+            }
+            let mut clock = now;
+            let mut order = Vec::new();
+            while let Some(s) = q.pop(clock) {
+                assert_eq!(s.at, at);
+                clock = s.at;
+                let carried = match s.ev {
+                    Event::Wake(token) => token,
+                    Event::Boxed(ev) => *ev.downcast::<u64>().expect("boxed seq"),
+                };
+                assert_eq!(carried, s.seq, "payload stays with its entry");
+                order.push(s.seq);
+            }
+            assert_eq!(order, (0..6).collect::<Vec<_>>(), "{ahead:?} ahead");
         }
     }
 }

@@ -17,9 +17,9 @@ fn fig6_protocol_ordering_small_writes() {
     assert!(raw < spin, "raw is the speed-of-light baseline");
     assert!(spin < rpc, "NIC validation beats CPU validation");
     assert!(rpc < rr, "extra round trip hurts RPC+RDMA at small sizes");
-    // sPIN overhead over raw is bounded (paper: up to ~27%; we accept <60%
-    // to keep the guard robust across cost-model tweaks).
-    assert!(spin / raw < 1.6, "spin {spin} vs raw {raw}");
+    // sPIN overhead over raw is bounded (paper: up to ~27%; the model
+    // gives 29%, and the guard leaves a few points for cost-model tweaks).
+    assert!(spin / raw < 1.35, "spin {spin} vs raw {raw}");
 }
 
 #[test]

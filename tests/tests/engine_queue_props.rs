@@ -1,6 +1,7 @@
 //! The engine's tiered event queue against a reference
 //! `BinaryHeap<(time, seq)>`: under random interleavings of `schedule`,
-//! `schedule_at`, `step` and `run_until` — zero-delay bursts, equal
+//! `schedule_at`, `Ctx::wake`, `step` and `run_until` — zero-delay
+//! bursts, unboxed wakes among boxed events, equal
 //! timestamps, delays straddling the calendar's slot and horizon
 //! boundaries, timers a millisecond out, deadlines exactly on an event
 //! time — both dispatch the same events in the same order at the same
@@ -15,12 +16,14 @@ use std::rc::Rc;
 use nadfs_simnet::{Component, Ctx, Dur, Engine, Time};
 use proptest::prelude::*;
 
-/// A follow-up a handled event schedules: relative (`schedule`) or
-/// absolute (`schedule_at`, clamped to now).
+/// A follow-up a handled event schedules: relative (`schedule`),
+/// absolute (`schedule_at`, clamped to now), or a wake (`Ctx::wake`,
+/// due now and unboxed).
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum When {
     After(u64),
     At(u64),
+    Wake,
 }
 
 #[derive(Clone, Debug)]
@@ -40,15 +43,23 @@ impl Component for Probe {
         let ev = ev.downcast::<Ev>().expect("probe event");
         self.log.borrow_mut().push((ctx.now().ps(), ev.id));
         for &(when, id) in &ev.spawn {
-            let child = Box::new(Ev {
-                id,
-                spawn: Vec::new(),
-            });
+            let child = || {
+                Box::new(Ev {
+                    id,
+                    spawn: Vec::new(),
+                })
+            };
             match when {
-                When::After(d) => ctx.schedule_self(Dur::from_ps(d), child),
-                When::At(t) => ctx.schedule_at(Time(t), ctx.self_id, child),
+                When::After(d) => ctx.schedule_self(Dur::from_ps(d), child()),
+                When::At(t) => ctx.schedule_at(Time(t), ctx.self_id, child()),
+                When::Wake => ctx.wake(ctx.self_id, id.into()),
             }
         }
+    }
+
+    fn wake(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+        let id = u32::try_from(token).expect("tokens are event ids");
+        self.log.borrow_mut().push((ctx.now().ps(), id));
     }
 }
 
@@ -81,6 +92,7 @@ impl Model {
             let at = match when {
                 When::After(d) => self.now + d,
                 When::At(t) => t.max(self.now),
+                When::Wake => self.now,
             };
             self.push(at, child, Vec::new());
         }
@@ -135,8 +147,9 @@ fn delay() -> impl Strategy<Value = u64> {
 }
 
 fn when() -> impl Strategy<Value = When> {
-    (0u8..4, delay(), 0u64..3_000_000).prop_map(|(kind, d, abs)| match kind {
+    (0u8..5, delay(), 0u64..3_000_000).prop_map(|(kind, d, abs)| match kind {
         0 => When::At(abs), // often in the past: clamps to now
+        1 => When::Wake,
         _ => When::After(d),
     })
 }
