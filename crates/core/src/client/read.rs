@@ -4,6 +4,7 @@
 //! A cache hit is its own tiny op: one timer, the probe latency.
 
 use bytes::Bytes;
+use nadfs_host::{POLL_NOTIFY, POST_SEND};
 use nadfs_meta::{ChunkCopy, ReadPiece};
 use nadfs_rdma::NicCore;
 use nadfs_simnet::telemetry::phase;
@@ -208,7 +209,7 @@ impl ClientApp {
 
     /// The probe latency elapsed: deliver the cached bytes.
     pub(super) fn finish_cache_hit(&mut self, nic: &NicCore, ctx: &Ctx<'_>, hit: CacheHit) -> Step {
-        let end = ctx.now() + nic.cpu.costs.poll_notify;
+        let end = ctx.now() + POLL_NOTIFY;
         self.span_end(hit.req.span, end, true);
         let completion = ReadCompletion {
             from_cache: true,
@@ -306,9 +307,7 @@ impl ClientApp {
         // the current time plus the resolve's shard-queue wait, not
         // `start`: a parked read resumes here after its original request
         // time.
-        let t_post = nic
-            .cpu
-            .exec(ctx.now() + resolve_wait, nic.cpu.costs.post_send);
+        let t_post = nic.cpu.exec(ctx.now() + resolve_wait, POST_SEND);
         op.phase = Phase::Posting(
             self.build_read_issue(nic, &mut op, &critical_pieces, 0),
             dfs,
@@ -348,7 +347,7 @@ impl ClientApp {
             self.read_stats.borrow_mut().background_readaheads += 1;
             // Second doorbell for the background fan-out, chained after
             // the critical one on the same CPU.
-            let t_tail = nic.cpu.exec(t_post, nic.cpu.costs.post_send);
+            let t_tail = nic.cpu.exec(t_post, POST_SEND);
             let issue = self.build_read_issue(nic, &mut tail_op, &tail_pieces, critical_len);
             tail_op.phase = Phase::Posting(issue, tail_dfs);
             self.spawn_read_op(nic, ctx, tail_op, t_tail);
@@ -711,7 +710,7 @@ impl ClientApp {
         }
         // The application observes completion one poll interval later
         // (CQ polling cost, same as the write path).
-        let end = ctx.now() + nic.cpu.costs.poll_notify;
+        let end = ctx.now() + POLL_NOTIFY;
         if degraded_stripes > 0 {
             self.span_mark(r.req.span, phase::DEGRADED, ctx.now());
         }

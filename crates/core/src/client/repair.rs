@@ -3,6 +3,7 @@
 //! the reconstruction cost between the fetch and write phases.
 
 use bytes::Bytes;
+use nadfs_host::POLL_NOTIFY;
 use nadfs_rdma::NicCore;
 use nadfs_simnet::telemetry::phase;
 use nadfs_simnet::{Ctx, NodeId, OpKind, SpanId, Time, TENANT_REPAIR};
@@ -67,7 +68,7 @@ impl ClientApp {
             status,
             outcome,
             start: req.start,
-            end: ctx.now() + nic.cpu.costs.poll_notify,
+            end: ctx.now() + POLL_NOTIFY,
             bytes_moved,
         };
         self.span_end(req.span, result.end, status == Status::Ok);

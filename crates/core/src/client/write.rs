@@ -3,6 +3,7 @@
 //! NACK) the retry back-off.
 
 use bytes::Bytes;
+use nadfs_host::{POLL_NOTIFY, POST_SEND};
 use nadfs_rdma::NicCore;
 use nadfs_simnet::telemetry::phase;
 use nadfs_simnet::{Ctx, Dur, NodeId, OpKind, SpanId, Time};
@@ -129,7 +130,7 @@ impl ClientApp {
         self.trace.borrow_mut().emit_with(start, "control", || {
             format!("place-write f{file} {size}B greq={}", placement.greq)
         });
-        let t_post = nic.cpu.exec(start, nic.cpu.costs.post_send);
+        let t_post = nic.cpu.exec(start, POST_SEND);
         let op = WriteOp {
             checksum: payload_checksum(&req.data),
             req,
@@ -498,7 +499,7 @@ impl ClientApp {
         let (file, size, greq) = (w.req.file, w.req.size(), w.placement.greq);
         // The application observes completion one poll interval after the
         // ack reaches the NIC (CQ polling cost, charged to every protocol).
-        let end = ctx.now() + nic.cpu.costs.poll_notify;
+        let end = ctx.now() + POLL_NOTIFY;
         if w.status == Status::Ok {
             // The bytes are durable: commit the placement into the file's
             // extent map so reads can find them. The commit reports how

@@ -8,7 +8,6 @@
 //! instruction counts and IPCs in [`crate::handlers`], the firmware EC
 //! engine's rates in `nadfs_rdma`, and the metadata latencies below.
 
-use nadfs_host::{CpuCosts, DmaConfig};
 use nadfs_pspin::PsPinConfig;
 use nadfs_rdma::NicConfig;
 use nadfs_simnet::{Bandwidth, Dur, FabricConfig};
@@ -55,11 +54,7 @@ impl CostModel {
     pub fn paper() -> CostModel {
         CostModel {
             fabric: FabricConfig::default(),
-            nic: NicConfig {
-                dma: DmaConfig::default(),
-                cpu: CpuCosts::default(),
-                enforce_mr: false,
-            },
+            nic: NicConfig::default(),
             pspin: PsPinConfig::default(),
             pspin_state_bytes: 2 << 20,
         }

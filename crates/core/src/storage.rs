@@ -18,6 +18,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use bytes::Bytes;
+use nadfs_host::{POLL_NOTIFY, POST_SEND, RPC_DISPATCH, VALIDATE};
 use nadfs_pspin::HostEvent;
 use nadfs_rdma::{NicApp, NicCore};
 use nadfs_simnet::telemetry::phase;
@@ -167,10 +168,7 @@ impl StorageApp {
         rights: Rights,
     ) -> Option<Time> {
         let now = ctx.now();
-        let costs = nic.cpu.costs.clone();
-        let t_val = nic
-            .cpu
-            .exec(now + costs.poll_notify, costs.rpc_dispatch + costs.validate);
+        let t_val = nic.cpu.exec(now + POLL_NOTIFY, RPC_DISPATCH + VALIDATE);
         let greq = dfs.greq_id;
         let cap = &dfs.capability;
         if cap.verify(&self.key, now.as_ns() as u64, rights).is_err() {
@@ -217,7 +215,7 @@ impl StorageApp {
         dst: NodeId,
         ack: AckPkt,
     ) {
-        let t_ack = nic.cpu.exec(after, nic.cpu.costs.post_send);
+        let t_ack = nic.cpu.exec(after, POST_SEND);
         self.defer(nic, ctx, t_ack, AfterCpu::AckClient { dst, ack });
     }
 
@@ -298,7 +296,7 @@ impl StorageApp {
                 for child in children {
                     self.stats.borrow_mut().chunks_forwarded += 1;
                     let copy2 = nic.cpu.memcpy_cost(data.len() as u64);
-                    let t_fwd = nic.cpu.exec(t_store, copy2 + nic.cpu.costs.post_send);
+                    let t_fwd = nic.cpu.exec(t_store, copy2 + POST_SEND);
                     let child_wrh = WriteReqHeader {
                         target_addr: coords[child as usize].addr + chunk_off as u64,
                         len: data.len() as u32,
@@ -391,7 +389,7 @@ impl StorageApp {
                     return;
                 }
                 self.stats.borrow_mut().rpc_reads += 1;
-                let t_post = nic.cpu.exec(t_val, nic.cpu.costs.post_send);
+                let t_post = nic.cpu.exec(t_val, POST_SEND);
                 self.defer(
                     nic,
                     ctx,
@@ -478,11 +476,8 @@ impl NicApp for StorageApp {
                     p.put(acc);
                 }
                 let now = ctx.now();
-                let costs = nic.cpu.costs.clone();
                 let xor_cost = nic.cpu.memcpy_cost(k as u64 * chunk_len as u64);
-                let t = nic
-                    .cpu
-                    .exec(now + costs.poll_notify, xor_cost + costs.post_send);
+                let t = nic.cpu.exec(now + POLL_NOTIFY, xor_cost + POST_SEND);
                 let msg = MsgId::new(nic.node() as u32, greq);
                 let ack = AckPkt::new(msg, Some(greq), Status::Ok);
                 self.defer(nic, ctx, t, AfterCpu::AckClient { dst: client, ack });

@@ -13,7 +13,7 @@ use nadfs_core::{
     ClientApp, ClusterSpec, ControlPlane, CostModel, FilePolicy, Job, LayoutSpec, MetaOp,
     ReadProtocol, ResultSink, SimCluster, StorageApp, StorageMode, WriteProtocol,
 };
-use nadfs_host::SharedMemory;
+use nadfs_host::{SharedMemory, POLL_NOTIFY};
 use nadfs_rdma::{AppTimer, Nic, NicApp, NicCore};
 use nadfs_simnet::{ComponentId, Ctx, Dur, Engine, Fabric, NodeId, ObsHub, Time};
 use nadfs_wire::{AckPkt, Frame, Status};
@@ -30,7 +30,6 @@ use nadfs_wire::{AckPkt, Frame, Status};
 fn busy_backoff_holds_its_window_slot() {
     let mut cost = CostModel::paper();
     cost.pspin_state_bytes = cost.pspin.total_mem_bytes() - 2 * 77;
-    let poll = cost.nic.cpu.poll_notify;
     let spec = ClusterSpec::new(4, 1, StorageMode::Spin)
         .with_cost(cost)
         .with_window(2);
@@ -60,7 +59,7 @@ fn busy_backoff_holds_its_window_slot() {
         assert_eq!(jobs.len(), 8, "one span per job on {track}");
         let held_at = |t: Time| {
             jobs.iter()
-                .filter(move |s| s.start <= t && t + poll < s.end)
+                .filter(move |s| s.start <= t && t + POLL_NOTIFY < s.end)
         };
         let peak = jobs.iter().map(|s| held_at(s.start).count()).max();
         assert_eq!(peak, Some(2), "{track} must fill, never overfill, window 2");
@@ -254,7 +253,7 @@ fn stale_events_for_a_retired_op_are_ignored() {
     assert_eq!(results.writes.len(), 5);
     assert!(results.writes.iter().all(|w| w.status == Status::Ok));
     for pair in results.writes[2..].windows(2) {
-        assert_eq!(pair[1].start + cost.nic.cpu.poll_notify, pair[0].end);
+        assert_eq!(pair[1].start + POLL_NOTIFY, pair[0].end);
     }
 }
 

@@ -2,54 +2,38 @@
 //!
 //! The CPU-based baselines (RPC, RPC+RDMA, CPU-Ring/PBT forwarding) pay for
 //! notification latency, per-request software processing, and memory copies.
-//! This module models a single serially-occupied core per storage node with
-//! parameterized costs; the protocol drivers in `nadfs-core` sequence their
-//! events through it.
+//! This module models a single serially-occupied core per storage node: the
+//! fixed per-step costs are the constants below, and only the memcpy
+//! bandwidth is configured (`NicConfig.memcpy_bw`). The protocol drivers in
+//! `nadfs-core` sequence their events through it.
 
 use nadfs_simnet::{Bandwidth, Dur, Time};
 
-/// CPU cost parameters (the defaults are the `Default` impl below).
-#[derive(Clone, Debug)]
-pub struct CpuCosts {
-    /// NIC completion → CPU notices (interrupt/poll latency).
-    pub poll_notify: Dur,
-    /// Dispatch an RPC request to its handler.
-    pub rpc_dispatch: Dur,
-    /// Validate a client request (capability check) in software.
-    /// The NIC handler equivalent costs 200 cycles; software pays the same
-    /// work plus cache misses — we charge the same 200 ns by default so the
-    /// comparison isolates *data-path placement*, not code quality.
-    pub validate: Dur,
-    /// Post a send/RDMA work request (doorbell, WQE build).
-    pub post_send: Dur,
-    /// Effective single-copy memcpy bandwidth for buffered data paths.
-    pub memcpy_bw: Bandwidth,
-}
-
-impl Default for CpuCosts {
-    fn default() -> Self {
-        CpuCosts {
-            poll_notify: Dur::from_ns(400),
-            rpc_dispatch: Dur::from_ns(150),
-            validate: Dur::from_ns(200),
-            post_send: Dur::from_ns(250),
-            memcpy_bw: Bandwidth::from_gbyte_per_sec(26),
-        }
-    }
-}
+/// NIC completion → CPU notices (interrupt/poll latency).
+pub const POLL_NOTIFY: Dur = Dur::from_ns(400);
+/// Dispatch an RPC request to its handler.
+pub const RPC_DISPATCH: Dur = Dur::from_ns(150);
+/// Validate a client request (capability check) in software.
+/// The NIC handler equivalent costs 200 cycles; software pays the same
+/// work plus cache misses — we charge the same 200 ns so the comparison
+/// isolates *data-path placement*, not code quality.
+pub const VALIDATE: Dur = Dur::from_ns(200);
+/// Post a send/RDMA work request (doorbell, WQE build).
+pub const POST_SEND: Dur = Dur::from_ns(250);
 
 /// A serially-occupied CPU core.
 pub struct Cpu {
-    pub costs: CpuCosts,
+    /// Effective single-copy memcpy bandwidth for buffered data paths.
+    memcpy_bw: Bandwidth,
     busy_until: Time,
     pub(crate) tasks_run: u64,
     pub(crate) busy_time: Dur,
 }
 
 impl Cpu {
-    pub fn new(costs: CpuCosts) -> Cpu {
+    pub fn new(memcpy_bw: Bandwidth) -> Cpu {
         Cpu {
-            costs,
+            memcpy_bw,
             busy_until: Time::ZERO,
             tasks_run: 0,
             busy_time: Dur::ZERO,
@@ -69,7 +53,7 @@ impl Cpu {
 
     /// Copy cost for `len` bytes at the configured memcpy bandwidth.
     pub fn memcpy_cost(&self, len: u64) -> Dur {
-        self.costs.memcpy_bw.tx_time(len)
+        self.memcpy_bw.tx_time(len)
     }
 }
 
@@ -79,7 +63,7 @@ mod tests {
 
     #[test]
     fn tasks_serialize() {
-        let mut cpu = Cpu::new(CpuCosts::default());
+        let mut cpu = Cpu::new(Bandwidth::from_gbyte_per_sec(26));
         let a = cpu.exec(Time::ZERO, Dur::from_ns(100));
         let b = cpu.exec(Time::ZERO, Dur::from_ns(50));
         assert_eq!(a, Time(100_000));
@@ -90,7 +74,7 @@ mod tests {
 
     #[test]
     fn idle_gap_not_charged() {
-        let mut cpu = Cpu::new(CpuCosts::default());
+        let mut cpu = Cpu::new(Bandwidth::from_gbyte_per_sec(26));
         cpu.exec(Time::ZERO, Dur::from_ns(10));
         let done = cpu.exec(Time(1_000_000), Dur::from_ns(10));
         assert_eq!(done, Time(1_010_000));
@@ -99,7 +83,7 @@ mod tests {
 
     #[test]
     fn memcpy_cost_scales_linearly() {
-        let cpu = Cpu::new(CpuCosts::default());
+        let cpu = Cpu::new(Bandwidth::from_gbyte_per_sec(26));
         let one = cpu.memcpy_cost(1 << 20);
         let two = cpu.memcpy_cost(2 << 20);
         // tx_time rounds up per call, so allow 1 ps of slack.

@@ -10,6 +10,6 @@ mod cpu;
 mod dma;
 mod memory;
 
-pub use cpu::{Cpu, CpuCosts};
+pub use cpu::{Cpu, POLL_NOTIFY, POST_SEND, RPC_DISPATCH, VALIDATE};
 pub use dma::{DmaConfig, DmaEngine};
 pub use memory::{HostMemory, SharedMemory};

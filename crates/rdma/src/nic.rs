@@ -9,12 +9,12 @@ use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 use bytes::Bytes;
-use nadfs_host::{Cpu, CpuCosts, DmaConfig, DmaEngine, HostMemory, SharedMemory};
+use nadfs_host::{Cpu, DmaConfig, DmaEngine, HostMemory, SharedMemory};
 use nadfs_pspin::{HostNotify, PsPinConfig, PsPinDevice, PsPinEvent};
 use nadfs_simnet::telemetry::phase;
 use nadfs_simnet::{
-    BufPool, Component, ComponentId, CreditConfig, Ctx, Dur, FlowController, IdMap, NodeId,
-    NodePort, ObsHub, PacketEvent, PacketPool, SharedBufPool, SharedFlowStats, SharedObs,
+    Bandwidth, BufPool, Component, ComponentId, CreditConfig, Ctx, Dur, FlowController, IdMap,
+    NodeId, NodePort, ObsHub, PacketEvent, PacketPool, SharedBufPool, SharedFlowStats, SharedObs,
     SharedPacketPool, SharedTenantLedgers, SharedTrace, Slab, TenantId, TenantScheduler, Time,
     Trace, WrClass,
 };
@@ -29,12 +29,24 @@ use crate::chains::{self, Chains};
 use crate::ec_engine::{self, DecodeGather, EcEngine, Survivor};
 
 /// Per-NIC configuration.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct NicConfig {
     pub dma: DmaConfig,
-    pub cpu: CpuCosts,
+    /// Effective single-copy memcpy bandwidth of the host CPU behind the
+    /// NIC, for buffered data paths.
+    pub memcpy_bw: Bandwidth,
     /// Enforce memory-region protection on one-sided ops.
     pub enforce_mr: bool,
+}
+
+impl Default for NicConfig {
+    fn default() -> Self {
+        NicConfig {
+            dma: DmaConfig::default(),
+            memcpy_bw: Bandwidth::from_gbyte_per_sec(26),
+            enforce_mr: false,
+        }
+    }
 }
 
 // --- internal events ----------------------------------------------------
@@ -1280,7 +1292,7 @@ impl Nic {
     pub fn new(cfg: NicConfig, port: NodePort, self_id: ComponentId, app: Box<dyn NicApp>) -> Nic {
         let mem = HostMemory::new();
         let dma = Rc::new(RefCell::new(DmaEngine::new(cfg.dma.clone(), mem.clone())));
-        let cpu = Cpu::new(cfg.cpu.clone());
+        let cpu = Cpu::new(cfg.memcpy_bw);
         Nic {
             core: NicCore {
                 cfg,

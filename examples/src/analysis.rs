@@ -11,15 +11,15 @@ use nadfs_wire::sizes;
 
 /// NIC memory available for write descriptors (§III-B: 4×1 MiB L1 plus
 /// 4 MiB L2, minus 2 MiB of DFS-wide state = 6 MiB).
-pub const DESCRIPTOR_BUDGET_BYTES: u64 = 6 << 20;
+pub(crate) const DESCRIPTOR_BUDGET_BYTES: u64 = 6 << 20;
 
 /// Pure descriptor memory for `n` concurrent writes: 77 B each (§III-B).
-pub fn descriptor_memory_bytes(n_writes: u64) -> u64 {
+pub(crate) fn descriptor_memory_bytes(n_writes: u64) -> u64 {
     n_writes * sizes::WRITE_DESCRIPTOR as u64
 }
 
 /// Maximum concurrent writes the budget sustains (§III-B: "~82 K").
-pub fn max_concurrent_writes() -> u64 {
+pub(crate) fn max_concurrent_writes() -> u64 {
     DESCRIPTOR_BUDGET_BYTES / sizes::WRITE_DESCRIPTOR as u64
 }
 
@@ -35,7 +35,7 @@ pub fn max_concurrent_writes() -> u64 {
 /// size dependence as worst-case per-packet state, which recovers the
 /// figure's qualitative shape (larger writes need more state per open
 /// request).
-pub fn worst_case_memory_bytes(n_writes: u64, size: u64) -> u64 {
+pub(crate) fn worst_case_memory_bytes(n_writes: u64, size: u64) -> u64 {
     let payload = (sizes::MTU - sizes::RDMA_HEADER) as u64;
     let pkts = size.div_ceil(payload).max(1);
     n_writes * (sizes::WRITE_DESCRIPTOR as u64 + 4 * pkts)
@@ -46,20 +46,20 @@ pub fn worst_case_memory_bytes(n_writes: u64, size: u64) -> u64 {
 // ---------------------------------------------------------------------
 
 /// Packet inter-arrival time at `rate` with `pkt_bytes` packets, in ns.
-pub fn packet_interarrival_ns(rate: Bandwidth, pkt_bytes: u32) -> f64 {
+fn packet_interarrival_ns(rate: Bandwidth, pkt_bytes: u32) -> f64 {
     rate.tx_time(pkt_bytes as u64).as_ns()
 }
 
 /// Number of HPUs needed so that handlers of mean duration `handler_ns`
 /// keep up with line rate (Fig 16 right).
-pub fn hpus_for_line_rate(handler_ns: f64, rate: Bandwidth, pkt_bytes: u32) -> u64 {
+pub(crate) fn hpus_for_line_rate(handler_ns: f64, rate: Bandwidth, pkt_bytes: u32) -> u64 {
     let inter = packet_interarrival_ns(rate, pkt_bytes);
     (handler_ns / inter).ceil() as u64
 }
 
 /// Per-handler time budget given an HPU count (§VI-C: "with 2 KiB packets
 /// and 32 HPUs, each handler should not last more than ~1310 ns").
-pub fn handler_budget_ns(n_hpus: u64, rate: Bandwidth, pkt_bytes: u32) -> f64 {
+pub(crate) fn handler_budget_ns(n_hpus: u64, rate: Bandwidth, pkt_bytes: u32) -> f64 {
     n_hpus as f64 * packet_interarrival_ns(rate, pkt_bytes)
 }
 
@@ -69,14 +69,14 @@ pub fn handler_budget_ns(n_hpus: u64, rate: Bandwidth, pkt_bytes: u32) -> f64 {
 
 /// Degree of support reported in Table III.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Support {
+pub(crate) enum Support {
     Yes,
     Partial,
     No,
 }
 
 impl Support {
-    pub fn glyph(self) -> &'static str {
+    pub(crate) fn glyph(self) -> &'static str {
         match self {
             Support::Yes => "yes",
             Support::Partial => "partial",
@@ -87,17 +87,17 @@ impl Support {
 
 /// One row of Table III.
 #[derive(Clone, Debug)]
-pub struct DfsSurveyRow {
-    pub name: &'static str,
-    pub rdma: Support,
-    pub auth: Support,
-    pub replication: Support,
-    pub erasure_coding: Support,
-    pub notes: &'static str,
+pub(crate) struct DfsSurveyRow {
+    pub(crate) name: &'static str,
+    pub(crate) rdma: Support,
+    pub(crate) auth: Support,
+    pub(crate) replication: Support,
+    pub(crate) erasure_coding: Support,
+    pub(crate) notes: &'static str,
 }
 
 /// The survey exactly as printed in Table III of the paper.
-pub fn dfs_survey() -> Vec<DfsSurveyRow> {
+pub(crate) fn dfs_survey() -> Vec<DfsSurveyRow> {
     use Support::{No, Partial, Yes};
     vec![
         DfsSurveyRow {

@@ -1,7 +1,7 @@
 //! Plain-text table rendering for the figure harnesses.
 
 /// A simple aligned text table.
-pub struct Table {
+pub(crate) struct Table {
     title: String,
     header: Vec<String>,
     rows: Vec<Vec<String>>,
@@ -9,7 +9,7 @@ pub struct Table {
 }
 
 impl Table {
-    pub fn new(title: impl Into<String>, header: &[&str]) -> Table {
+    pub(crate) fn new(title: impl Into<String>, header: &[&str]) -> Table {
         Table {
             title: title.into(),
             header: header.iter().map(|s| s.to_string()).collect(),
@@ -18,18 +18,18 @@ impl Table {
         }
     }
 
-    pub fn row(&mut self, cells: Vec<String>) -> &mut Self {
+    pub(crate) fn row(&mut self, cells: Vec<String>) -> &mut Self {
         assert_eq!(cells.len(), self.header.len(), "column count mismatch");
         self.rows.push(cells);
         self
     }
 
-    pub fn note(&mut self, n: impl Into<String>) -> &mut Self {
+    pub(crate) fn note(&mut self, n: impl Into<String>) -> &mut Self {
         self.notes.push(n.into());
         self
     }
 
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
         for row in &self.rows {
             for (w, c) in widths.iter_mut().zip(row) {
@@ -62,7 +62,7 @@ impl Table {
 }
 
 /// Format a float with sensible precision for table cells.
-pub fn f(v: f64) -> String {
+pub(crate) fn f(v: f64) -> String {
     if !v.is_finite() {
         return "-".into();
     }
@@ -78,7 +78,7 @@ pub fn f(v: f64) -> String {
 }
 
 /// Human-readable size label for a byte count.
-pub fn sz(bytes: u32) -> String {
+pub(crate) fn sz(bytes: u32) -> String {
     if bytes >= (1 << 20) && bytes.is_multiple_of(1 << 20) {
         format!("{}MiB", bytes >> 20)
     } else if bytes >= (1 << 10) {

@@ -120,7 +120,7 @@ fn contend(tenants: &[(u32, usize)], writes: usize) -> (Vec<TenantStat>, f64) {
         .flat_map(|(t, &(_, n))| std::iter::repeat_n(t, n))
         .collect();
     let mut cost = CostModel::paper();
-    cost.nic.cpu.memcpy_bw = Bandwidth::from_gbyte_per_sec(4);
+    cost.nic.memcpy_bw = Bandwidth::from_gbyte_per_sec(4);
     let spec = ClusterSpec::new(tenant_of.len(), 1, StorageMode::Plain)
         .with_window(8)
         .with_cost(cost)
