@@ -75,6 +75,8 @@ struct Sched {
     now: Time,
     seq: u64,
     dispatched: u64,
+    /// Of `dispatched`, the wakes ([`Component::wake`]).
+    wakes: u64,
     /// Rolling digest of every dispatched `(time, target, seq)`.
     order_digest: u64,
     queue: EventQueue,
@@ -137,6 +139,7 @@ impl Engine {
                 now: Time::ZERO,
                 seq: 0,
                 dispatched: 0,
+                wakes: 0,
                 order_digest: 0,
                 queue: EventQueue::new(),
             },
@@ -203,6 +206,11 @@ impl Engine {
         self.sched.dispatched
     }
 
+    /// Of [`Self::events_dispatched`], the wakes: the rest were boxed.
+    pub fn wakes_dispatched(&self) -> u64 {
+        self.sched.wakes
+    }
+
     /// Rolling 64-bit digest of the dispatch order so far: every event's
     /// `(time, target, seq)` folded in as it is dispatched. Two runs of
     /// one seeded scenario must agree on it bit for bit — determinism as
@@ -237,7 +245,10 @@ impl Engine {
             };
             match s.ev {
                 Event::Boxed(ev) => comp.handle(&mut ctx, ev),
-                Event::Wake(token) => comp.wake(&mut ctx, token),
+                Event::Wake(token) => {
+                    ctx.sched.wakes += 1;
+                    comp.wake(&mut ctx, token)
+                }
             }
         }
         if let Some(t0) = t0 {
@@ -449,6 +460,7 @@ mod tests {
         ];
         assert_eq!(*log.borrow(), expect);
         assert_eq!(e.events_dispatched(), 5, "a wake is one event");
+        assert_eq!(e.wakes_dispatched(), 2);
         assert_eq!(e.now(), Time(5_000));
     }
 
