@@ -294,13 +294,12 @@ pub struct MetaResult {
     pub result: Result<(), MetaError>,
 }
 
-/// Shared sink for completions.
+/// Shared sink for the completions of jobs that carry no oneshot slot
+/// (a job with a slot completes into its slot only).
 #[derive(Default)]
 pub struct ResultSink {
     pub writes: Vec<WriteResult>,
     pub reads: Vec<ReadResult>,
-    /// File-level read completions (every one is also delivered through
-    /// its oneshot slot, when the job carried one).
     pub file_reads: Vec<ReadCompletion>,
     pub metas: Vec<MetaResult>,
 }
@@ -821,14 +820,15 @@ impl ClientApp {
     }
 }
 
-/// The one completion delivery: fill the op's oneshot slot, when its job
-/// carried one, and append to the shared sink. (The window refill that
-/// follows a completion is [`ClientApp::dispatch`]'s.)
-fn deliver<T: Clone>(slot: Option<Rc<RefCell<Option<T>>>>, sink: &mut Vec<T>, result: T) {
-    if let Some(slot) = slot {
-        *slot.borrow_mut() = Some(result.clone());
+/// The one completion delivery: into the op's oneshot slot when its job
+/// carried one, else onto the shared sink, which plan-driven harnesses
+/// drain. (The window refill that follows a completion is
+/// [`ClientApp::dispatch`]'s.)
+fn deliver<T>(slot: Option<Rc<RefCell<Option<T>>>>, sink: &mut Vec<T>, result: T) {
+    match slot {
+        Some(slot) => *slot.borrow_mut() = Some(result),
+        None => sink.push(result),
     }
-    sink.push(result);
 }
 
 impl NicApp for ClientApp {

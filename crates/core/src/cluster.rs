@@ -7,7 +7,7 @@ use std::rc::Rc;
 
 use nadfs_host::{DmaEngine, SharedMemory};
 use nadfs_pspin::{ExecutionContext, Telemetry};
-use nadfs_rdma::{AppTimer, EcEngine, Nic, NicApp, SharedNicStats};
+use nadfs_rdma::{EcEngine, Nic, NicApp, SharedNicStats};
 use nadfs_simnet::{
     BufPool, ComponentId, CreditConfig, Dur, Engine, Fabric, FabricStats, FlowStats,
     MetricsSnapshot, NodeId, ObsHub, PacketPool, SharedFlowStats, SharedObs, SharedTenantLedgers,
@@ -637,8 +637,7 @@ impl SimCluster {
     /// Kick every client's driver at `t = now`.
     pub fn start(&mut self) {
         for &comp in &self.client_components {
-            self.engine
-                .schedule(Dur::ZERO, comp, Box::new(AppTimer { tag: KICK }));
+            self.engine.wake(Dur::ZERO, comp, Nic::timer_token(KICK));
         }
     }
 

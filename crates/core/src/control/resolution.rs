@@ -35,10 +35,11 @@ impl ControlPlane {
         let clamped = end.saturating_sub(offset) as u32;
         // Nothing committed yet: the whole (clamped) range is a hole.
         let plan = f.extents.resolve(offset, clamped, &self.failed_nodes);
-        // Sequential-scan detector over resolve traffic: two back-to-back
-        // resolves of the same file advertise the region ahead of the
-        // reader to every subscribed read cache (including other clients,
-        // which is where an advisory beats purely local detection).
+        // Sequential-scan detector over resolve traffic: the third
+        // back-to-back resolve of the same file advertises the region
+        // ahead of the reader to every subscribed read cache (including
+        // other clients, which is where an advisory beats purely local
+        // detection).
         let mut scanning = false;
         if plan.is_ok() && clamped > 0 {
             let sequential = f.scan.1 > 0 && offset == f.scan.0;

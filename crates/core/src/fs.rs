@@ -12,11 +12,12 @@
 //! completion slot ([`crate::client::WriteSlot`] /
 //! [`crate::client::ReadSlot`]); the facade then drives the event
 //! simulator in bounded slices until the slot fills. The facade reads
-//! only its slot: per-op and typed. (The driver also appends every
-//! completion to the shared [`ResultSink`], which is what plan-driven
-//! harnesses and the benchmark tally; this module never looks there.)
-//! Reads return the payload with a checksum so callers can verify
-//! end-to-end integrity against the write's checksum.
+//! only its slot: per-op and typed. A job with a slot completes into it
+//! alone; only slot-less jobs (plan-driven harnesses, the benchmark)
+//! append to the shared [`ResultSink`], so a long `FsClient` run keeps
+//! no completion, and no read's payload, past its op. Reads return the
+//! payload with a checksum so callers can verify end-to-end integrity
+//! against the write's checksum.
 //!
 //! [`ResultSink`]: crate::client::ResultSink
 
@@ -25,7 +26,7 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use nadfs_meta::{InodeAttr, InodeKind, LayoutSpec, MetaError};
-use nadfs_simnet::{MetricsSnapshot, NodeId};
+use nadfs_simnet::MetricsSnapshot;
 use nadfs_wire::Status;
 
 use crate::client::{Job, ReadCompletion, ReadProtocol, WriteProtocol, WriteResult};
@@ -91,10 +92,6 @@ impl FileHandle {
         &self.path
     }
 
-    pub fn is_closed(&self) -> bool {
-        self.closed
-    }
-
     /// This handle with a different read protocol (builder-style; the
     /// field is public too).
     pub fn with_read_protocol(mut self, p: ReadProtocol) -> FileHandle {
@@ -134,13 +131,6 @@ impl FsClient {
     /// Release the underlying cluster.
     pub fn into_cluster(self) -> SimCluster {
         self.cluster
-    }
-
-    /// Group this client into QoS tenant `t` (default: its own node id).
-    /// Subsequent DFS requests carry `t` in their headers and are
-    /// scheduled under that tenant's weight at the storage nodes.
-    pub fn set_tenant(&self, t: nadfs_simnet::TenantId) {
-        self.cluster.set_client_tenant(self.client, t);
     }
 
     /// Create every missing directory along `path`.
@@ -358,11 +348,6 @@ impl FsClient {
         self.cluster
             .run_until_slot(slot, self.op_deadline_ms)
             .ok_or(FsError::TimedOut)
-    }
-
-    /// The client node id driving this facade's operations.
-    pub fn client_node(&self) -> NodeId {
-        self.cluster.client_nodes[self.client]
     }
 
     /// One coherent [`MetricsSnapshot`] of the whole cluster: op latency

@@ -1,7 +1,8 @@
 //! The client's op table from the outside: a write in `Busy` back-off
 //! keeps its window slot, events for an op that already retired are
 //! ignored, a finished read or RPC+RDMA write leaves nothing in client
-//! memory, and a metadata-cache hit queues no one behind a shard.
+//! memory, a metadata-cache hit queues no one behind a shard, and an
+//! `FsClient` op's completion is kept nowhere but in its slot.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -10,11 +11,11 @@ use std::rc::Rc;
 use nadfs_core::client::{SharedPlan, SharedResults, KICK};
 use nadfs_core::control::SharedControl;
 use nadfs_core::{
-    ClientApp, ClusterSpec, ControlPlane, CostModel, FilePolicy, Job, LayoutSpec, MetaOp,
+    ClientApp, ClusterSpec, ControlPlane, CostModel, FilePolicy, FsClient, Job, LayoutSpec, MetaOp,
     ReadProtocol, ResultSink, SimCluster, StorageApp, StorageMode, WriteProtocol,
 };
 use nadfs_host::{SharedMemory, POLL_NOTIFY};
-use nadfs_rdma::{AppTimer, Nic, NicApp, NicCore};
+use nadfs_rdma::{Nic, NicApp, NicCore};
 use nadfs_simnet::{ComponentId, Ctx, Dur, Engine, Fabric, NodeId, ObsHub, Time};
 use nadfs_wire::{AckPkt, Frame, Status};
 
@@ -66,8 +67,9 @@ fn busy_backoff_holds_its_window_slot() {
     }
 }
 
-/// Timer tag that makes the probe replay stale events into the client.
-const INJECT: u64 = u64::MAX;
+/// Timer tag that makes the probe replay stale events into the client
+/// (above every op id the client hands out here).
+const INJECT: u64 = 1 << 32;
 
 /// Forwards everything to the client it wraps, remembers every ack, and on
 /// [`INJECT`] hands the client events no live op is waiting for.
@@ -121,8 +123,8 @@ impl Rig {
     }
 
     fn kick(&mut self, tag: u64) {
-        let timer = Box::new(AppTimer { tag });
-        self.engine.schedule(Dur::ZERO, self.client, timer);
+        let timer = Nic::timer_token(tag);
+        self.engine.wake(Dur::ZERO, self.client, timer);
         let deadline = self.engine.now() + Dur::from_ms(50);
         assert!(self.engine.run_until(deadline), "the simulation must drain");
     }
@@ -375,4 +377,27 @@ fn a_metadata_cache_hit_occupies_no_shard() {
     assert_eq!(hit.start, listed.start, "issued together");
     assert_eq!(waited(), before, "the readdir queued behind the hit");
     assert_eq!(listed.end, listed.start + nadfs_core::config::CONTROL_RTT);
+}
+
+/// An `FsClient` op completes into its own slot only: however many ops
+/// run, the shared result sink, which nothing drains in an `FsClient`
+/// run, stays empty. (It used to keep a copy of every completion, a
+/// read's payload included, for the cluster's life.)
+#[test]
+fn fs_client_ops_leave_the_result_sink_empty() {
+    let cluster = SimCluster::build(ClusterSpec::new(1, 3, StorageMode::Spin));
+    let mut fsc = FsClient::new(cluster);
+    fsc.mkdir_p("/sink").expect("mkdir");
+    let h = fsc
+        .create("/sink/f", LayoutSpec::striped(3, 4096))
+        .expect("create");
+    let data = vec![0x5A; 10_000];
+    for i in 0..8u64 {
+        fsc.write_at(&h, i * 10_000, &data).expect("write");
+        let r = fsc.read_at(&h, i * 10_000, 10_000).expect("read");
+        assert_eq!(r.data.as_ref(), &data[..]);
+    }
+    let sink = fsc.cluster.results.borrow();
+    let kept = [sink.writes.len(), sink.file_reads.len()];
+    assert_eq!(kept, [0, 0], "completions kept in the shared sink");
 }

@@ -11,12 +11,13 @@
 //!
 //! The device is not itself a [`nadfs_simnet::Component`]; it is owned by a
 //! NIC component which forwards it matching packets ([`PsPinDevice::ingest`])
-//! and its wrapped self-events ([`PsPinDevice::on_event`]).
+//! and the wakes it scheduled on the NIC ([`PsPinDevice::on_wake`]).
 //!
 //! Nothing here copies a frame: a packet stays in the box it arrived in,
 //! held in a slot arena, and the handler tasks that read it hold the slot
-//! key. The pipeline-stage event of a packet is likewise one box,
-//! re-scheduled from stage to stage.
+//! key. Nothing the device defers is boxed either: a packet's next
+//! pipeline stage, a run's end or a handler's notification waits in a
+//! slot of another arena, and the wake that fires it names the slot.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -30,17 +31,12 @@ use nadfs_simnet::{
 use nadfs_wire::{AckPkt, Frame, MsgId, Pkt, Status};
 
 use crate::config::PsPinConfig;
-use crate::handler::{ExecutionContext, HandlerArgs, HandlerKind, Op, Ops};
+use crate::handler::{ExecutionContext, HandlerArgs, HandlerKind, HostNotify, Op, Ops};
 use crate::telemetry::Telemetry;
 
-/// Wrapper for device self-events; the owning component downcasts to this
-/// and calls [`PsPinDevice::on_event`].
-pub struct PsPinEvent(pub(crate) Inner);
-
-/// `token` is a key into the held-packet arena, `run` one into the run
-/// arena.
-#[derive(Clone, Copy)]
-pub(crate) enum Inner {
+/// A pipeline step due later. `token` is a key into the held-packet arena,
+/// `run` one into the run arena.
+enum Stage {
     BufCopied { token: usize },
     AtCluster { token: usize },
     L1Copied { token: usize },
@@ -121,7 +117,7 @@ pub struct PsPinDevice {
     cfg: PsPinConfig,
     port: NodePort,
     dma: Rc<RefCell<DmaEngine>>,
-    /// Component id of the owning NIC (receives wrapped self-events).
+    /// Component id of the owning NIC (receives the device's wakes).
     owner: ComponentId,
     ctx_installed: Option<ExecutionContext>,
     clusters: Vec<Cluster>,
@@ -142,11 +138,12 @@ pub struct PsPinDevice {
     buf_pool: Option<SharedBufPool>,
     /// Boxes for packets handlers send; consumed packets' boxes return.
     pkt_pool: SharedPacketPool<Frame>,
-    /// Retired self-event boxes and op recorders, reused by the next
-    /// packet and the next run. (Boxes, because the engine schedules
-    /// `Box<dyn Any>`: keeping the allocation is the point.)
-    #[allow(clippy::vec_box)]
-    spare_events: Vec<Box<PsPinEvent>>,
+    /// Pipeline steps, and handlers' notifications for the owner (due at
+    /// the instant a handler's replay reached them), waiting for their
+    /// wakes, by slot (see [`Self::WAKES`]).
+    stages: Slab<Stage>,
+    notes: Slab<HostNotify>,
+    /// Retired op recorders, reused by the next run.
     spare_ops: Vec<Ops>,
     /// Scratch for a header run's release: the clusters its parked payload
     /// handlers went to, in first-seen order (the order they dispatch in).
@@ -155,6 +152,16 @@ pub struct PsPinDevice {
 }
 
 impl PsPinDevice {
+    /// The device wakes its owner with tokens from `WAKES` up (below
+    /// `2 * WAKES`), each naming work it deferred: a stage's slot, or a
+    /// note's with `NOTE` set. The owner hands them back through
+    /// [`Self::on_wake`].
+    pub const WAKES: u64 = 1 << 62;
+    const NOTE: u64 = 1 << 61;
+    /// The token the device's egress-gate registration wakes its owner
+    /// with; the owner calls [`Self::on_gate_wake`].
+    pub const EGRESS_WAKE: u64 = u64::MAX;
+
     pub fn new(
         cfg: PsPinConfig,
         port: NodePort,
@@ -186,7 +193,8 @@ impl PsPinDevice {
             desc_bytes_used: 0,
             buf_pool: None,
             pkt_pool: PacketPool::shared(),
-            spare_events: Vec::new(),
+            stages: Slab::new(),
+            notes: Slab::new(),
             spare_ops: Vec::new(),
             touched: Vec::new(),
             telemetry: Rc::new(RefCell::new(Telemetry::default())),
@@ -223,10 +231,6 @@ impl PsPinDevice {
         self.ctx_installed = Some(ec);
     }
 
-    pub(crate) fn has_context(&self) -> bool {
-        self.ctx_installed.is_some()
-    }
-
     /// Maximum concurrent open requests the descriptor budget allows.
     pub fn max_concurrent_requests(&self) -> u64 {
         match &self.ctx_installed {
@@ -244,7 +248,7 @@ impl PsPinDevice {
     /// the pipeline can legally reorder a small packet ahead of a large
     /// predecessor, so arrival is the only safe place to spot headers.
     pub fn ingest(&mut self, ctx: &mut Ctx<'_>, ev: Pkt) {
-        debug_assert!(self.has_context(), "ingest without installed context");
+        debug_assert!(self.ctx_installed.is_some(), "ingest without context");
         let now = ctx.now();
         let bytes = ev.pkt.wire_bytes() as u64;
         self.open_message(ctx, &ev.pkt, now);
@@ -264,8 +268,7 @@ impl PsPinDevice {
             .pipeline
             .pktbuf_copy_ns
             .record_dur_ns(dur);
-        let delay = (start + dur).since(now);
-        self.emit(ctx, delay, Inner::BufCopied { token });
+        self.defer(ctx, start + dur, Stage::BufCopied { token });
     }
 
     /// Track the message this packet belongs to; on its first packet,
@@ -320,53 +323,47 @@ impl PsPinDevice {
                 src,
             },
         );
-        self.emit(ctx, self.cfg.cleanup_timeout, Inner::CleanupCheck { msg });
+        let check = now + self.cfg.cleanup_timeout;
+        self.defer(ctx, check, Stage::CleanupCheck { msg });
     }
 
-    /// Schedule a device self-event to the owning component, in a retired
-    /// event's box when there is one.
-    fn emit(&mut self, ctx: &mut Ctx<'_>, delay: Dur, ev: Inner) {
-        let boxed = match self.spare_events.pop() {
-            Some(mut b) => {
-                b.0 = ev;
-                b
-            }
-            None => Box::new(PsPinEvent(ev)),
-        };
-        ctx.schedule(delay, self.owner, boxed);
+    /// Run `stage` at `at`: a slot of the device's, woken on the owner.
+    fn defer(&mut self, ctx: &mut Ctx<'_>, at: Time, stage: Stage) {
+        let key = self.stages.insert(stage) as u64;
+        ctx.wake_at(at, self.owner, Self::WAKES + key);
     }
 
-    /// Entry point for wrapped self-events from the owning component. A
-    /// packet's stage event moves through the pipeline in the one box.
-    pub fn on_event(&mut self, ctx: &mut Ctx<'_>, mut ev: Box<PsPinEvent>) {
-        let (delay, next) = match ev.0 {
-            Inner::BufCopied { token } => (self.on_buf_copied(), Inner::AtCluster { token }),
-            Inner::AtCluster { token } => (
-                self.on_at_cluster(ctx.now(), token),
-                Inner::L1Copied { token },
-            ),
-            Inner::L1Copied { token } => (self.on_l1_copied(ctx), Inner::HpuReady { token }),
-            Inner::HpuReady { token } => {
-                self.spare_events.push(ev);
-                return self.on_hpu_ready(ctx, token);
+    /// The owner must call this with every wake token from [`Self::WAKES`]
+    /// up. A pipeline step runs here; a handler's notification is the
+    /// owner's to act on.
+    pub fn on_wake(&mut self, ctx: &mut Ctx<'_>, token: u64) -> Option<HostNotify> {
+        let key = token - Self::WAKES;
+        if key & Self::NOTE != 0 {
+            return self.notes.remove((key - Self::NOTE) as usize);
+        }
+        let now = ctx.now();
+        let (delay, next) = match self.stages.remove(key as usize).expect("deferred stage") {
+            Stage::BufCopied { token } => (self.on_buf_copied(), Stage::AtCluster { token }),
+            Stage::AtCluster { token } => {
+                (self.on_at_cluster(now, token), Stage::L1Copied { token })
             }
-            Inner::RunDone { run } => {
-                self.spare_events.push(ev);
-                return self.on_run_done(ctx, run);
+            Stage::L1Copied { token } => (self.on_l1_copied(ctx), Stage::HpuReady { token }),
+            Stage::HpuReady { token } => {
+                self.on_hpu_ready(ctx, token);
+                return None;
             }
-            Inner::CleanupCheck { msg } => match self.on_cleanup_check(ctx, msg) {
-                // Still active: look again when the timeout could expire.
-                Some(remaining) => (remaining, ev.0),
-                None => return self.spare_events.push(ev),
+            Stage::RunDone { run } => {
+                self.on_run_done(ctx, run);
+                return None;
+            }
+            // Still active: look again when the timeout could expire.
+            Stage::CleanupCheck { msg } => match self.on_cleanup_check(ctx, msg) {
+                Some(remaining) => (remaining, Stage::CleanupCheck { msg }),
+                None => return None,
             },
         };
-        ev.0 = next;
-        ctx.schedule(delay, self.owner, ev);
-    }
-
-    /// The owner must call this whenever the egress gate wakes it.
-    pub fn on_gate_wake(&mut self, ctx: &mut Ctx<'_>) {
-        self.retry_egress(ctx);
+        self.defer(ctx, now + delay, next);
+        None
     }
 
     fn on_buf_copied(&mut self) -> Dur {
@@ -583,7 +580,7 @@ impl PsPinDevice {
                     let mut gate = self.port.egress_gate.borrow_mut();
                     if !gate.try_take() {
                         // Park: HPU blocks holding the run.
-                        gate.register_waiter(self.owner, u64::MAX);
+                        gate.register_waiter(self.owner, Self::EGRESS_WAKE);
                         self.egress_waiters.push_back(run_id);
                         return;
                     }
@@ -603,7 +600,8 @@ impl PsPinDevice {
                 }
                 Op::Notify { note } => {
                     let note = note.take().expect("notification delivered twice");
-                    ctx.schedule(run.t.since(now), self.owner, note);
+                    let key = self.notes.insert(note) as u64;
+                    ctx.wake_at(run.t, self.owner, Self::WAKES + Self::NOTE + key);
                 }
             }
             run.op += 1;
@@ -613,10 +611,11 @@ impl PsPinDevice {
         self.telemetry
             .borrow_mut()
             .record_handler(run.kind, took, run.ops.instrs);
-        self.emit(ctx, t.since(now), Inner::RunDone { run: run_id });
+        self.defer(ctx, t, Stage::RunDone { run: run_id });
     }
 
-    fn retry_egress(&mut self, ctx: &mut Ctx<'_>) {
+    /// The owner must call this whenever the egress gate wakes it.
+    pub fn on_gate_wake(&mut self, ctx: &mut Ctx<'_>) {
         // FIFO re-attempt; each may re-park (bounded by the starting count).
         let n = self.egress_waiters.len();
         for _ in 0..n {
@@ -634,7 +633,7 @@ impl PsPinDevice {
             self.port
                 .egress_gate
                 .borrow_mut()
-                .register_waiter(self.owner, u64::MAX);
+                .register_waiter(self.owner, Self::EGRESS_WAKE);
         }
     }
 
@@ -779,7 +778,7 @@ impl PsPinDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::handler::{HandlerSet, HostEvent, HostNotify};
+    use crate::handler::{HandlerSet, HostEvent};
     use bytes::Bytes;
     use nadfs_host::{DmaConfig, HostMemory};
     use nadfs_simnet::{Component, Engine, Fabric, FabricConfig, PacketEvent};
@@ -826,28 +825,16 @@ mod tests {
     }
     impl Component for TestNic {
         fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Box<dyn Any>) {
-            let dev = self.dev.as_mut().expect("device");
-            let ev = match ev.downcast::<PacketEvent<Frame>>() {
-                Ok(a) => {
-                    dev.ingest(ctx, a);
-                    return;
-                }
-                Err(e) => e,
-            };
-            let ev = match ev.downcast::<PsPinEvent>() {
-                Ok(p) => {
-                    dev.on_event(ctx, p);
-                    return;
-                }
-                Err(e) => e,
-            };
-            if ev.downcast::<HostNotify>().is_ok() {
-                return; // the cleanup handler's event: nothing to do
-            }
-            panic!("unexpected event at TestNic");
+            let a = ev.downcast::<PacketEvent<Frame>>().expect("a packet");
+            self.dev.as_mut().expect("device").ingest(ctx, a);
         }
-        fn wake(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
-            self.dev.as_mut().expect("device").on_gate_wake(ctx);
+        /// The cleanup handler's notification needs nothing done.
+        fn wake(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+            let dev = self.dev.as_mut().expect("device");
+            match token {
+                PsPinDevice::EGRESS_WAKE => dev.on_gate_wake(ctx),
+                _ => drop(dev.on_wake(ctx, token)),
+            }
         }
     }
 

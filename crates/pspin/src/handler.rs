@@ -38,9 +38,9 @@ pub(crate) enum Op {
     /// explicit flush the paper highlights under data persistence
     /// (§III-B-1).
     WaitFlush,
-    /// Hand the NIC owner's component a [`HostNotify`], in the box it is
-    /// delivered in; `None` once delivered.
-    Notify { note: Option<Box<HostNotify>> },
+    /// Hand the NIC owner's component a [`HostNotify`]; `None` once
+    /// delivered.
+    Notify { note: Option<HostNotify> },
 }
 
 /// What a handler hands the NIC it runs on, delivered as one event at the
@@ -146,8 +146,7 @@ impl Ops {
     }
 
     pub fn notify(&mut self, note: HostNotify) {
-        let note = Some(Box::new(note));
-        self.items.push(Op::Notify { note });
+        self.items.push(Op::Notify { note: Some(note) });
     }
 }
 
@@ -222,7 +221,7 @@ mod tests {
         assert!(matches!(o.items[1], Op::WaitFlush));
         match &o.items[2] {
             Op::Notify { note: Some(note) } => {
-                assert!(matches!(**note, HostNotify::Host(HostEvent::Cleanup)))
+                assert!(matches!(note, HostNotify::Host(HostEvent::Cleanup)))
             }
             other => panic!("unexpected {other:?}"),
         }

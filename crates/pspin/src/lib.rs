@@ -18,7 +18,7 @@ mod handler;
 mod telemetry;
 
 pub use config::PsPinConfig;
-pub use device::{PsPinDevice, PsPinEvent};
+pub use device::PsPinDevice;
 pub use handler::{
     ExecutionContext, HandlerArgs, HandlerKind, HandlerSet, HostEvent, HostNotify, Ops,
 };

@@ -125,11 +125,8 @@ fn try_forward(core: &mut NicCore, ctx: &mut Ctx<'_>, key: u64) {
         .dma
         .borrow_mut()
         .read(trigger_done, read_addr, read_len as usize);
-    let ev = NicEvent::ChainFwdReady {
-        addr: key,
-        chunk: chunk_idx,
-    };
-    ctx.schedule_self(ready.since(now), Box::new(ev));
+    let (addr, chunk) = (key, chunk_idx);
+    core.defer(ctx, ready, NicEvent::ChainFwdReady { addr, chunk });
 }
 
 fn try_complete(core: &mut NicCore, ctx: &mut Ctx<'_>, key: u64) {
@@ -144,8 +141,7 @@ fn try_complete(core: &mut NicCore, ctx: &mut Ctx<'_>, key: u64) {
         (all_landed && all_forwarded && !st.busy, st.flush)
     };
     if done {
-        let delay = flush.since(ctx.now()).max(Dur::ZERO);
-        ctx.schedule_self(delay, Box::new(NicEvent::ChainComplete { addr: key }));
+        core.defer(ctx, flush, NicEvent::ChainComplete { addr: key });
     }
 }
 

@@ -149,11 +149,9 @@ pub(crate) fn on_ec_write_landed(
             // be in host memory first — that is the INEC model).
             let ack_msg = MsgId::new(core.node() as u32, greq.unwrap_or(0));
             let ack = AckPkt::new(ack_msg, greq, Status::Ok);
-            let delay = flush.since(ctx.now());
-            ctx.schedule_self(delay, Box::new(NicEvent::Ack { dst: src, ack }));
+            core.defer(ctx, flush, NicEvent::Ack { dst: src, ack });
             let start = core.ec_occupy(flush, TRIGGER);
-            let ev = NicEvent::Encode(Box::new((wrh, dfs)));
-            ctx.schedule_self(start.since(ctx.now()), Box::new(ev));
+            core.defer(ctx, start, NicEvent::Encode { wrh, dfs });
         }
         EcRole::Parity {
             parity_idx,
@@ -187,11 +185,8 @@ pub(crate) fn on_ec_write_landed(
             if st.staged_count == st.k {
                 let staged = st.flush;
                 let start = core.ec_occupy(staged, TRIGGER);
-                let ev = NicEvent::Aggregate {
-                    stripe: info.stripe,
-                    parity_idx,
-                };
-                ctx.schedule_self(start.since(ctx.now()), Box::new(ev));
+                let stripe = info.stripe;
+                core.defer(ctx, start, NicEvent::Aggregate { stripe, parity_idx });
             }
         }
     }
@@ -257,7 +252,7 @@ pub(crate) fn encode(
         writes.push((coord.node as NodeId, dfs, wrh, Bytes::from(ipar)));
     }
     core.pool.borrow_mut().put(chunk_buf);
-    ctx.schedule_self(send_at.since(now), Box::new(NicEvent::Writes(writes)));
+    core.defer(ctx, send_at, NicEvent::Writes(writes));
 }
 
 /// Aggregate the staged intermediate parities for (stripe, parity_idx).
@@ -300,11 +295,8 @@ pub(crate) fn aggregate(core: &mut NicCore, ctx: &mut Ctx<'_>, stripe: u64, pari
     // Ack the client once the final parity is durable.
     let ack_msg = MsgId::new(core.node() as u32, st.greq);
     let ack = AckPkt::new(ack_msg, Some(st.greq), Status::Ok);
-    let ev = NicEvent::Ack {
-        dst: st.client,
-        ack,
-    };
-    ctx.schedule_self(write_done.since(now), Box::new(ev));
+    let dst = st.client;
+    core.defer(ctx, write_done, NicEvent::Ack { dst, ack });
 }
 
 /// The trigger of degraded gather `gather` elapsed: the packets that
@@ -473,7 +465,7 @@ pub(crate) fn start_decode(
             }
         }
     }
-    ctx.schedule_self(TRIGGER, Box::new(NicEvent::DecodeArmed { gather }));
+    core.defer(ctx, ctx.now() + TRIGGER, NicEvent::DecodeArmed { gather });
     true
 }
 
@@ -545,7 +537,7 @@ fn emit(core: &mut NicCore, ctx: &mut Ctx<'_>, gather: u64, stream: u16, idx: u3
             data: Bytes::from(buf),
         }),
     );
-    ctx.schedule_self(done.since(now), Box::new(NicEvent::SendOne(pkt)));
+    core.defer(ctx, done, NicEvent::SendOne(pkt));
     if last {
         let g = core.decodes.remove(&gather).expect("live gather");
         let chunks = g.rows.len() / g.segments.len();

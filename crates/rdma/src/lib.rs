@@ -18,4 +18,4 @@ mod nic;
 
 pub use app::NicApp;
 pub use ec_engine::{EcEngine, EC_ENCODE_BW};
-pub use nic::{AppTimer, Nic, NicConfig, NicCore, NicStats, SharedNicStats};
+pub use nic::{Nic, NicConfig, NicCore, NicStats, SharedNicStats};

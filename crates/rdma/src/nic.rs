@@ -10,7 +10,7 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use nadfs_host::{Cpu, DmaConfig, DmaEngine, HostMemory, SharedMemory};
-use nadfs_pspin::{HostNotify, PsPinConfig, PsPinDevice, PsPinEvent};
+use nadfs_pspin::{HostNotify, PsPinConfig, PsPinDevice};
 use nadfs_simnet::telemetry::phase;
 use nadfs_simnet::{
     Bandwidth, BufPool, Component, ComponentId, CreditConfig, Ctx, Dur, FlowController, IdMap,
@@ -19,9 +19,9 @@ use nadfs_simnet::{
     Trace, WrClass,
 };
 use nadfs_wire::{
-    split_payload, write_payload_caps, AckPkt, DfsHeader, Frame, GatherReadHeader, GatherReqPkt,
-    GatherSegment, HlConfigPkt, MacKey, MsgId, Pkt, ReadReqHeader, ReadReqPkt, ReadRespPkt, Rights,
-    RpcBody, SendPkt, Status, WritePkt, WriteReqHeader,
+    send_payload_caps, split_payload, write_payload_caps, AckPkt, DfsHeader, Frame,
+    GatherReadHeader, GatherReqPkt, GatherSegment, HlConfigPkt, MacKey, MsgId, Pkt, ReadReqHeader,
+    ReadReqPkt, ReadRespPkt, Rights, RpcBody, SendPkt, Status, WritePkt, WriteReqHeader,
 };
 
 use crate::app::NicApp;
@@ -49,18 +49,14 @@ impl Default for NicConfig {
     }
 }
 
-// --- internal events ----------------------------------------------------
+// --- deferred work ------------------------------------------------------
 
-/// Self-event: app timer. Also usable from outside the component (e.g.
-/// test or experiment drivers) to bootstrap the app:
-/// `engine.schedule(delay, nic_id, Box::new(AppTimer { tag }))`.
-pub struct AppTimer {
-    pub tag: u64,
-}
-
-/// Everything else the NIC schedules on itself: work deferred to the time
-/// a DMA, a flush or an engine pass it waits on is done.
+/// Work the NIC deferred to a later instant: an app timer, or what waits
+/// for a DMA, a flush or an engine pass to be done. Each waits in a slot
+/// of [`NicCore`]'s slab, and the wake that runs it carries the slot's key.
 pub(crate) enum NicEvent {
+    /// An app timer ([`NicCore::set_timer`]).
+    Timer { tag: u64 },
     /// Enqueue the packets of a response batch (read-response pacing).
     Send(Vec<Pkt>),
     /// Enqueue one packet (a rebuilt packet leaving the EC engine).
@@ -81,7 +77,10 @@ pub(crate) enum NicEvent {
     ChainComplete { addr: u64 },
     /// Encode the data chunk whose write (these headers) landed and
     /// forward intermediate parities.
-    Encode(Box<(WriteReqHeader, Option<DfsHeader>)>),
+    Encode {
+        wrh: WriteReqHeader,
+        dfs: Option<DfsHeader>,
+    },
     /// Aggregate the staged intermediate parities for (stripe, parity_idx).
     Aggregate { stripe: u64, parity_idx: u8 },
     /// The trigger of degraded gather `gather` elapsed: rebuilt packets
@@ -97,9 +96,14 @@ pub(crate) enum NicEvent {
     },
 }
 
-// Every self-event is boxed; the cold `Encode`'s headers are boxed again
-// so the hot ones (a batch of packets, a stream key) stay small.
-const _: () = assert!(std::mem::size_of::<NicEvent>() <= 64);
+/// The wake tokens a NIC answers, by range: keys of its deferred-work
+/// slab below [`PsPinDevice::WAKES`]; the PsPIN device's own from there;
+/// app timers set from outside the engine ([`Nic::timer_token`]) from `KICKS`;
+/// and at the top the two egress-gate registrations, the NIC's own queue
+/// (`EGRESS_WAKE`) and the device's parked runs
+/// ([`PsPinDevice::EGRESS_WAKE`]).
+const KICKS: u64 = 1 << 63;
+const EGRESS_WAKE: u64 = u64::MAX - 1;
 
 /// Packets per DMA read of a response stream: the batch amortizes the
 /// per-op PCIe latency so streaming runs at the read channel's bandwidth.
@@ -288,8 +292,11 @@ pub struct NicCore {
     raw_writes: IdMap<MsgId, RawWriteState>,
     sends: IdMap<MsgId, SendState>,
     pending_reads: IdMap<MsgId, PendingRead>,
-    /// Response streams in progress, by the key their self-events carry.
+    /// Response streams in progress, by the key their deferred batches
+    /// carry.
     streams: Slab<ResponseStream>,
+    /// Deferred work by slot; a slot's key is its wake token.
+    deferred: Slab<NicEvent>,
     /// Degraded gathers decoding on this NIC, by NIC-local id.
     pub(crate) decodes: IdMap<u64, DecodeGather>,
     pub(crate) next_decode: u64,
@@ -546,7 +553,7 @@ impl NicCore {
         while !self.out_q.is_empty() {
             let mut gate = self.port.egress_gate.borrow_mut();
             if !gate.try_take() {
-                gate.register_waiter(self.self_id, 0);
+                gate.register_waiter(self.self_id, EGRESS_WAKE);
                 return;
             }
             drop(gate);
@@ -628,13 +635,7 @@ impl NicCore {
         data: Bytes,
     ) -> MsgId {
         let msg = self.alloc_msg();
-        let hdr = body.wire_size();
-        let first_cap = nadfs_wire::sizes::MTU
-            - nadfs_wire::sizes::RDMA_HEADER
-            - nadfs_wire::sizes::RPC_HEADER
-            - hdr;
-        let rest_cap =
-            nadfs_wire::sizes::MTU - nadfs_wire::sizes::RDMA_HEADER - nadfs_wire::sizes::RPC_HEADER;
+        let (first_cap, rest_cap) = send_payload_caps(&body);
         let parts = split_payload(data.len() as u32, first_cap, rest_cap);
         let total = parts.len() as u32;
         let mut body = Some(body);
@@ -814,7 +815,13 @@ impl NicCore {
 
     /// Schedule an app timer.
     pub fn set_timer(&mut self, ctx: &mut Ctx<'_>, delay: Dur, tag: u64) {
-        ctx.schedule(delay, self.self_id, Box::new(AppTimer { tag }));
+        self.defer(ctx, ctx.now() + delay, NicEvent::Timer { tag });
+    }
+
+    /// Run `ev` at `at` (now, if that has passed).
+    pub(crate) fn defer(&mut self, ctx: &mut Ctx<'_>, at: Time, ev: NicEvent) {
+        let key = self.deferred.insert(ev) as u64;
+        ctx.wake_at(at, self.self_id, key);
     }
 
     // --- ingress handling -------------------------------------------------
@@ -887,8 +894,7 @@ impl NicCore {
             }
             // Plain raw write: ack the initiator once durable.
             let ack = AckPkt::new(w.msg, st.dfs.map(|d| d.greq_id), Status::Ok);
-            let ev = NicEvent::Ack { dst: st.src, ack };
-            ctx.schedule_at(st.flush, self.self_id, Box::new(ev));
+            self.defer(ctx, st.flush, NicEvent::Ack { dst: st.src, ack });
         }
     }
 
@@ -914,10 +920,7 @@ impl NicCore {
             let cap = if s.total_pkts <= 1 {
                 s.data.len()
             } else {
-                s.total_pkts as usize
-                    * (nadfs_wire::sizes::MTU
-                        - nadfs_wire::sizes::RDMA_HEADER
-                        - nadfs_wire::sizes::RPC_HEADER) as usize
+                s.total_pkts as usize * send_payload_caps(&body).1 as usize
             };
             let data = self.pool.borrow_mut().get_spare(cap);
             self.sends.insert(
@@ -1049,8 +1052,9 @@ impl NicCore {
     /// of the decode as the survivors arrive (`ec_engine::start_decode`).
     /// A plan that is neither — or whose local ranges cross the MR
     /// protection boundary one-sided reads honour — is answered
-    /// `Rejected`.
-    fn start_gather(&mut self, ctx: &mut Ctx<'_>, client: NodeId, g: &GatherReqPkt) {
+    /// `Rejected`. (The sPIN completion handler's
+    /// [`HostNotify::Gather`] lands here.)
+    pub fn start_gather(&mut self, ctx: &mut Ctx<'_>, client: NodeId, g: &GatherReqPkt) {
         let (msg, greq, grh) = (g.msg, g.dfs.greq_id, &g.grh);
         let me = self.port.node as u32;
         let local = |s: &GatherSegment| s.coord.node == me;
@@ -1189,7 +1193,6 @@ impl NicCore {
         if !more {
             self.streams.remove(key);
         }
-        let wait = ready.since(now);
         match sink {
             StreamSink::Wire {
                 dst,
@@ -1199,7 +1202,7 @@ impl NicCore {
                 slot,
             } => {
                 if more {
-                    ctx.schedule_self(wait, Box::new(NicEvent::StreamNext(key)));
+                    self.defer(ctx, ready, NicEvent::StreamNext(key));
                 }
                 if pkts.is_empty() {
                     let empty = Frame::ReadResp(ReadRespPkt {
@@ -1218,7 +1221,7 @@ impl NicCore {
                     let spans = &mut self.obs.borrow_mut().spans;
                     spans.mark_corr(greq, phase::STREAMED, ready);
                 }
-                ctx.schedule_self(wait, Box::new(NicEvent::Send(pkts)));
+                self.defer(ctx, ready, NicEvent::Send(pkts));
                 if slot && !more {
                     // Last batch queued: the next tenant-scheduled read
                     // may start.
@@ -1232,7 +1235,7 @@ impl NicCore {
                     data: whole,
                     next: more.then_some(key),
                 };
-                ctx.schedule_self(wait, Box::new(ev));
+                self.defer(ctx, ready, ev);
             }
         }
     }
@@ -1256,8 +1259,7 @@ impl NicCore {
             if p.pkts_seen == r.total_pkts {
                 let p = self.pending_reads.remove(&r.msg).expect("present");
                 if let ReadSink::Host { token, .. } = p.sink {
-                    let done = NicEvent::ReadDone { token };
-                    ctx.schedule_at(p.flush, self.self_id, Box::new(done));
+                    self.defer(ctx, p.flush, NicEvent::ReadDone { token });
                 }
                 // The read WR completed (response fully landed): its
                 // read-queue slot frees now, possibly releasing queued
@@ -1287,6 +1289,14 @@ pub struct Nic {
 }
 
 impl Nic {
+    /// The wake token that fires app timer `tag` (below 2^62) on a NIC
+    /// woken with [`nadfs_simnet::Engine::wake`]: how a harness outside the
+    /// engine starts the node software.
+    pub fn timer_token(tag: u64) -> u64 {
+        assert!(tag < 1 << 62, "timer tag out of range");
+        KICKS + tag
+    }
+
     /// Create a NIC bound to `port`; `self_id` is the component id this NIC
     /// will be installed under (reserve it first).
     pub fn new(cfg: NicConfig, port: NodePort, self_id: ComponentId, app: Box<dyn NicApp>) -> Nic {
@@ -1318,6 +1328,7 @@ impl Nic {
                 sends: IdMap::default(),
                 pending_reads: IdMap::default(),
                 streams: Slab::new(),
+                deferred: Slab::new(),
                 decodes: IdMap::default(),
                 next_decode: 0,
                 mrs: Vec::new(),
@@ -1333,49 +1344,47 @@ impl Nic {
 }
 
 impl Component for Nic {
+    /// A packet off the wire: the only boxed event a NIC receives.
     fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Box<dyn Any>) {
-        let core = &mut self.core;
-        let app = &mut *self.app;
-
-        // Five boxed event types reach a NIC; tried hottest first.
-        let ev = match ev.downcast::<PacketEvent<Frame>>() {
-            Ok(arrived) => return Self::on_packet(core, app, ctx, arrived),
-            Err(e) => e,
+        let Ok(arrived) = ev.downcast::<PacketEvent<Frame>>() else {
+            panic!("nic {}: unknown event", self.core.port.node);
         };
-        let ev = match ev.downcast::<PsPinEvent>() {
-            Ok(p) => {
-                let dev = core.pspin.as_mut().expect("pspin installed");
-                return dev.on_event(ctx, p);
-            }
-            Err(e) => e,
-        };
-        let ev = match ev.downcast::<NicEvent>() {
-            Ok(e) => return Self::on_self_event(core, app, ctx, *e),
-            Err(e) => e,
-        };
-        let ev = match ev.downcast::<AppTimer>() {
-            Ok(t) => {
-                app.on_timer(core, ctx, t.tag);
-                // Timer handlers may cancel reads (returning credit) —
-                // drain anything the freed credit admitted.
-                return core.pump(ctx);
-            }
-            Err(e) => e,
-        };
-        match ev.downcast::<HostNotify>().map(|n| *n) {
-            // The handlers validated the gather: it never reaches the host.
-            Ok(HostNotify::Gather { client, req }) => core.start_gather(ctx, client, &req),
-            Ok(HostNotify::Host(ev)) => app.on_host_notify(core, ctx, ev),
-            Err(_) => panic!("nic {}: unknown event", core.port.node),
-        }
+        Self::on_packet(&mut self.core, &mut *self.app, ctx, arrived)
     }
 
-    /// The egress gate released a credit: both the NIC's own queue and
-    /// the sPIN runs parked on it retry.
-    fn wake(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
-        self.core.pump(ctx);
-        if let Some(dev) = self.core.pspin.as_mut() {
-            dev.on_gate_wake(ctx);
+    /// Everything else, by token (the ranges are `KICKS`'s).
+    fn wake(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+        let core = &mut self.core;
+        let app = &mut *self.app;
+        match token {
+            // The egress gate released a credit: both the NIC's own queue
+            // and the sPIN runs parked on it retry.
+            EGRESS_WAKE | PsPinDevice::EGRESS_WAKE => {
+                core.pump(ctx);
+                if let Some(dev) = core.pspin.as_mut() {
+                    dev.on_gate_wake(ctx);
+                }
+            }
+            t if t >= KICKS => {
+                let tag = t - KICKS;
+                Self::on_deferred(core, app, ctx, NicEvent::Timer { tag });
+            }
+            t if t >= PsPinDevice::WAKES => {
+                let dev = core.pspin.as_mut().expect("pspin installed");
+                match dev.on_wake(ctx, t) {
+                    // The handlers validated the gather: it never reaches
+                    // the host.
+                    Some(HostNotify::Gather { client, req }) => {
+                        core.start_gather(ctx, client, &req)
+                    }
+                    Some(HostNotify::Host(ev)) => app.on_host_notify(core, ctx, ev),
+                    None => {}
+                }
+            }
+            key => {
+                let ev = core.deferred.remove(key as usize);
+                Self::on_deferred(core, app, ctx, ev.expect("deferred NIC work"));
+            }
         }
     }
 
@@ -1470,9 +1479,15 @@ impl Nic {
         core.pkts.borrow_mut().recycle(arrived);
     }
 
-    /// Deferred work this NIC scheduled on itself.
-    fn on_self_event(core: &mut NicCore, app: &mut dyn NicApp, ctx: &mut Ctx<'_>, ev: NicEvent) {
+    /// Work this NIC deferred, now due.
+    fn on_deferred(core: &mut NicCore, app: &mut dyn NicApp, ctx: &mut Ctx<'_>, ev: NicEvent) {
         match ev {
+            NicEvent::Timer { tag } => {
+                app.on_timer(core, ctx, tag);
+                // Timer handlers may cancel reads (returning credit) —
+                // drain anything the freed credit admitted.
+                core.pump(ctx);
+            }
             NicEvent::Send(pkts) => core.send_pkts(ctx, pkts),
             NicEvent::SendOne(pkt) => core.send_pkts(ctx, [pkt]),
             NicEvent::StreamNext(key) => {
@@ -1488,7 +1503,7 @@ impl Nic {
             }
             NicEvent::ChainFwdReady { addr, chunk } => chains::fwd_ready(core, ctx, addr, chunk),
             NicEvent::ChainComplete { addr } => chains::complete(core, ctx, addr),
-            NicEvent::Encode(landed) => ec_engine::encode(core, ctx, &landed.0, landed.1),
+            NicEvent::Encode { wrh, dfs } => ec_engine::encode(core, ctx, &wrh, dfs),
             NicEvent::Aggregate { stripe, parity_idx } => {
                 ec_engine::aggregate(core, ctx, stripe, parity_idx)
             }

@@ -12,8 +12,7 @@ use std::rc::Rc;
 use bytes::Bytes;
 use nadfs_gfec::ReedSolomon;
 use nadfs_host::{DmaEngine, SharedMemory};
-use nadfs_pspin::HostNotify;
-use nadfs_rdma::{AppTimer, EcEngine, Nic, NicApp, NicConfig, NicCore};
+use nadfs_rdma::{EcEngine, Nic, NicApp, NicConfig, NicCore};
 use nadfs_simnet::telemetry::phase;
 use nadfs_simnet::{
     BufPool, Component, CreditConfig, Ctx, Dur, Engine, Fabric, FabricConfig, NetPacket, NodeId,
@@ -170,8 +169,7 @@ fn build_nodes(
 }
 
 fn kick(c: &mut Cluster, node: usize, tag: u64, after: Dur) {
-    c.engine
-        .schedule(after, c.nic_ids[node], Box::new(AppTimer { tag }));
+    c.engine.wake(after, c.nic_ids[node], Nic::timer_token(tag));
 }
 
 fn run(c: &mut Cluster, ms: u64) {
@@ -833,15 +831,14 @@ fn local_plan(ranges: &[(u64, u32, u32)]) -> GatherReadHeader {
 }
 
 /// Hand this NIC's gather engine the validated gather `msg` of op 7 from
-/// node 0, the way the sPIN completion handler does.
-fn hand_off_gather(ctx: &mut Ctx<'_>, msg: MsgId, grh: GatherReadHeader) {
+/// node 0, the way the sPIN completion handler's notification does.
+fn hand_off_gather(nic: &mut NicCore, ctx: &mut Ctx<'_>, msg: MsgId, grh: GatherReadHeader) {
     let req = GatherReqPkt {
         msg,
         dfs: dfs_header(7, 0),
         grh,
     };
-    let note = HostNotify::Gather { client: 0, req };
-    ctx.schedule_self(Dur::ZERO, Box::new(note));
+    nic.start_gather(ctx, 0, &req);
 }
 
 /// The `ReadResp` packets a tap saw, in arrival order.
@@ -892,8 +889,8 @@ fn read_and_one_range_gather_stream_the_same_packets() {
         let (read, ..) = stream_rig(len as usize, move |nic, ctx| {
             nic.respond_read(ctx, 0, msg, STREAM_ADDR, len);
         });
-        let (gather, ..) = stream_rig(len as usize, move |_, ctx| {
-            hand_off_gather(ctx, msg, local_plan(&[(STREAM_ADDR, len, 0)]));
+        let (gather, ..) = stream_rig(len as usize, move |nic, ctx| {
+            hand_off_gather(nic, ctx, msg, local_plan(&[(STREAM_ADDR, len, 0)]));
         });
         let (read, gather) = (responses(&read), responses(&gather));
         assert_eq!(read.len() as u32, len.div_ceil(cap).max(1), "len {len}");
@@ -945,7 +942,7 @@ fn gather_batches_cross_ranges_and_mark_each_batch() {
     let (obs2, plan) = (obs.clone(), local_plan(&ranges));
     let (seen, _c, dma) = stream_rig(total as usize, move |nic, ctx| {
         nic.obs = obs2.clone();
-        hand_off_gather(ctx, MsgId::new(0, 1), plan.clone());
+        hand_off_gather(nic, ctx, MsgId::new(0, 1), plan.clone());
     });
     let got = responses(&seen);
     assert_eq!(got.len(), 45);

@@ -1,5 +1,5 @@
 //! The discrete-event engine: a time-ordered event queue dispatching boxed
-//! events and gate wakes to registered [`Component`]s.
+//! events and wakes to registered [`Component`]s.
 //!
 //! Determinism: events are ordered by `(time, sequence)` where the sequence
 //! number is assigned at scheduling time, so same-timestamp events run in
@@ -18,9 +18,10 @@ pub type ComponentId = usize;
 pub trait Component {
     /// Handle one event addressed to this component.
     fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Box<dyn Any>);
-    /// Handle a gate wake: a credit came back to a [`Gate`](crate::Gate)
-    /// this component waits on, with the `token` it registered. A
-    /// component that registers on a gate must implement this.
+    /// Handle a wake with the `token` it was scheduled with: a credit came
+    /// back to a [`Gate`](crate::Gate) this component waits on, or work it
+    /// deferred with [`Ctx::wake_at`] is due. A component that registers
+    /// on a gate or defers work must implement this.
     fn wake(&mut self, _ctx: &mut Ctx<'_>, token: u64) {
         panic!(
             "{} was woken (token {token}) but does not implement `wake`",
@@ -47,27 +48,20 @@ impl Ctx<'_> {
         self.sched.now
     }
 
-    /// Schedule `ev` for `target` after `delay`.
+    /// Schedule `ev` for `target` after `delay` (a packet's next hop).
     pub fn schedule(&mut self, delay: Dur, target: ComponentId, ev: Box<dyn Any>) {
         self.sched
             .push(self.sched.now + delay, target, Event::Boxed(ev));
     }
 
-    /// Schedule `ev` for `target` at absolute time `at` (clamped to now).
-    pub fn schedule_at(&mut self, at: Time, target: ComponentId, ev: Box<dyn Any>) {
+    /// Wake `target` with `token` at `at`, or now if that has passed
+    /// ([`Component::wake`]). A wake is an event like any other, ordered
+    /// by `(time, seq)`, but it needs no box: it is how a gate wakes its
+    /// waiters, and how a component defers its own work, which stays with
+    /// the component, in a slot `token` names.
+    pub fn wake_at(&mut self, at: Time, target: ComponentId, token: u64) {
         let at = at.max(self.sched.now);
-        self.sched.push(at, target, Event::Boxed(ev));
-    }
-
-    /// Wake `target` now with `token` ([`Component::wake`]). A wake is an
-    /// event like any other, ordered by `(time, seq)`, but it needs no box.
-    pub fn wake(&mut self, target: ComponentId, token: u64) {
-        self.sched.push(self.sched.now, target, Event::Wake(token));
-    }
-
-    /// Schedule an event to this component itself.
-    pub fn schedule_self(&mut self, delay: Dur, ev: Box<dyn Any>) {
-        self.schedule(delay, self.self_id, ev);
+        self.sched.push(at, target, Event::Wake(token));
     }
 }
 
@@ -223,6 +217,13 @@ impl Engine {
     pub fn schedule(&mut self, delay: Dur, target: ComponentId, ev: Box<dyn Any>) {
         self.sched
             .push(self.sched.now + delay, target, Event::Boxed(ev));
+    }
+
+    /// Wake `target` with `token` after `delay`, from outside any
+    /// component (a test or harness starting one).
+    pub fn wake(&mut self, delay: Dur, target: ComponentId, token: u64) {
+        self.sched
+            .push(self.sched.now + delay, target, Event::Wake(token));
     }
 
     /// Dispatch a single event; returns false when the queue is empty.
@@ -435,8 +436,8 @@ mod tests {
             let t = ev.downcast::<Tick>().expect("a tick").0;
             self.log.borrow_mut().push(("tick", t.into()));
             if t < 2 {
-                ctx.wake(ctx.self_id, t.into());
-                ctx.schedule_self(Dur::ZERO, Box::new(Tick(t + 1)));
+                ctx.wake_at(ctx.now(), ctx.self_id, t.into());
+                ctx.schedule(Dur::ZERO, ctx.self_id, Box::new(Tick(t + 1)));
             }
         }
         fn wake(&mut self, _ctx: &mut Ctx<'_>, token: u64) {
@@ -470,7 +471,7 @@ mod tests {
         struct Waker(ComponentId);
         impl Component for Waker {
             fn handle(&mut self, ctx: &mut Ctx<'_>, _ev: Box<dyn Any>) {
-                ctx.wake(self.0, 7);
+                ctx.wake_at(ctx.now(), self.0, 7);
             }
         }
         let mut e = Engine::new();

@@ -103,19 +103,10 @@ pub struct FabricStats {
     pub switch_holds: u64,
 }
 
-#[derive(Clone, Copy)]
-enum Dir {
-    Up,
-    Down,
-}
-
-/// Self-event: the packet at the head of a link's queue finished
-/// serializing. A link has at most one in flight, so its box is kept and
-/// re-scheduled for the next packet.
-struct TxDone {
-    node: NodeId,
-    dir: Dir,
-}
+/// Wake tokens: an ingress gate wakes the fabric with its node's id, the
+/// end of a packet's serialization with the node's id and one of these.
+const UP_DONE: u64 = 1 << 63;
+const DOWN_DONE: u64 = 1 << 62;
 
 /// One direction of a node's link: the packet events queued on it (each
 /// in the box it travels in) and whether the head is serializing.
@@ -124,7 +115,6 @@ struct Link<P: Payload> {
     busy: bool,
     /// Wire size of the packet being serialized (for the byte counters).
     tx_bytes: u64,
-    done: Option<Box<TxDone>>,
 }
 
 impl<P: Payload> Link<P> {
@@ -133,25 +123,19 @@ impl<P: Payload> Link<P> {
             q: VecDeque::new(),
             busy: false,
             tx_bytes: 0,
-            done: None,
         }
     }
 
-    /// Mark the link busy with a `bytes`-sized packet and hand out its
-    /// completion event.
-    fn start_tx(&mut self, node: NodeId, dir: Dir, bytes: u64) -> Box<TxDone> {
+    /// Mark the link busy with a `bytes`-sized packet.
+    fn start_tx(&mut self, bytes: u64) {
         self.busy = true;
         self.tx_bytes = bytes;
-        self.done
-            .take()
-            .unwrap_or_else(|| Box::new(TxDone { node, dir }))
     }
 
-    /// The head packet left the link; keep the completion event's box.
-    fn finish_tx(&mut self, done: Box<TxDone>) -> Box<PacketEvent<P>> {
+    /// The head packet left the link.
+    fn finish_tx(&mut self) -> Box<PacketEvent<P>> {
         self.busy = false;
-        self.done = Some(done);
-        self.q.pop_front().expect("TxDone with empty queue")
+        self.q.pop_front().expect("link done with empty queue")
     }
 }
 
@@ -234,8 +218,9 @@ impl<P: Payload> Fabric<P> {
             }
             return;
         }
-        let done = self.nodes[n].up.start_tx(n, Dir::Up, bytes);
-        ctx.schedule_self(self.cfg.link_bw.tx_time(bytes), done);
+        self.nodes[n].up.start_tx(bytes);
+        let at = ctx.now() + self.cfg.link_bw.tx_time(bytes);
+        ctx.wake_at(at, self.self_id, UP_DONE | n as u64);
     }
 
     fn try_start_downlink(&mut self, ctx: &mut Ctx<'_>, n: NodeId) {
@@ -254,13 +239,13 @@ impl<P: Payload> Fabric<P> {
             return;
         }
         drop(gate);
-        let done = node.down.start_tx(n, Dir::Down, bytes);
-        ctx.schedule_self(self.cfg.link_bw.tx_time(bytes), done);
+        node.down.start_tx(bytes);
+        let at = ctx.now() + self.cfg.link_bw.tx_time(bytes);
+        ctx.wake_at(at, self.self_id, DOWN_DONE | n as u64);
     }
 
-    fn on_up_tx_done(&mut self, ctx: &mut Ctx<'_>, done: Box<TxDone>) {
-        let n = done.node;
-        let mut ev = self.nodes[n].up.finish_tx(done);
+    fn on_up_tx_done(&mut self, ctx: &mut Ctx<'_>, n: NodeId) {
+        let mut ev = self.nodes[n].up.finish_tx();
         {
             let mut st = self.stats.borrow_mut();
             st.per_node[n].tx_pkts += 1;
@@ -269,13 +254,13 @@ impl<P: Payload> Fabric<P> {
         // The uplink queue freed a slot: return the egress credit.
         self.nodes[n].egress_gate.borrow_mut().release(ctx);
         ev.hop = Hop::AtSwitch;
-        ctx.schedule_self(self.cfg.link_latency + self.cfg.switch_delay, ev);
+        let hold = self.cfg.link_latency + self.cfg.switch_delay;
+        ctx.schedule(hold, self.self_id, ev);
         self.try_start_uplink(ctx, n);
     }
 
-    fn on_down_tx_done(&mut self, ctx: &mut Ctx<'_>, done: Box<TxDone>) {
-        let n = done.node;
-        let mut ev = self.nodes[n].down.finish_tx(done);
+    fn on_down_tx_done(&mut self, ctx: &mut Ctx<'_>, n: NodeId) {
+        let mut ev = self.nodes[n].down.finish_tx();
         {
             let mut st = self.stats.borrow_mut();
             st.per_node[n].rx_pkts += 1;
@@ -296,41 +281,37 @@ impl<P: Payload> Fabric<P> {
 }
 
 impl<P: Payload> Component for Fabric<P> {
+    /// A packet's hop: submitted to its uplink, or at the switch.
     fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Box<dyn Any>) {
-        let ev = match ev.downcast::<PacketEvent<P>>() {
-            Ok(p) => {
-                let n = match p.hop {
-                    Hop::Submit => {
-                        let n = p.pkt.src;
-                        debug_assert!(
-                            self.nodes[n].up.q.len() < self.cfg.up_queue_cap,
-                            "Submit without egress credit"
-                        );
-                        self.nodes[n].up.q.push_back(p);
-                        self.try_start_uplink(ctx, n);
-                        return;
-                    }
-                    Hop::AtSwitch => p.pkt.dst,
-                    Hop::Arrive => panic!("fabric: packet event past its last hop"),
-                };
-                self.nodes[n].down.q.push_back(p);
-                self.try_start_downlink(ctx, n);
-                return;
-            }
-            Err(e) => e,
+        let Ok(p) = ev.downcast::<PacketEvent<P>>() else {
+            panic!("fabric: unknown event type");
         };
-        match ev.downcast::<TxDone>() {
-            Ok(d) => match d.dir {
-                Dir::Up => self.on_up_tx_done(ctx, d),
-                Dir::Down => self.on_down_tx_done(ctx, d),
-            },
-            Err(_) => panic!("fabric: unknown event type"),
-        }
+        let n = match p.hop {
+            Hop::Submit => {
+                let n = p.pkt.src;
+                debug_assert!(
+                    self.nodes[n].up.q.len() < self.cfg.up_queue_cap,
+                    "Submit without egress credit"
+                );
+                self.nodes[n].up.q.push_back(p);
+                return self.try_start_uplink(ctx, n);
+            }
+            Hop::AtSwitch => p.pkt.dst,
+            Hop::Arrive => panic!("fabric: packet event past its last hop"),
+        };
+        self.nodes[n].down.q.push_back(p);
+        self.try_start_downlink(ctx, n);
     }
 
-    /// An ingress gate released a credit; retry that node's downlink.
-    fn wake(&mut self, ctx: &mut Ctx<'_>, node: u64) {
-        self.try_start_downlink(ctx, node as NodeId);
+    /// A link finished serializing its head packet, or an ingress gate
+    /// released a credit and that node's downlink retries.
+    fn wake(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+        let n = (token & !(UP_DONE | DOWN_DONE)) as NodeId;
+        match token & (UP_DONE | DOWN_DONE) {
+            UP_DONE => self.on_up_tx_done(ctx, n),
+            DOWN_DONE => self.on_down_tx_done(ctx, n),
+            _ => self.try_start_downlink(ctx, n),
+        }
     }
 
     fn name(&self) -> String {
@@ -361,36 +342,31 @@ mod tests {
         busy: bool,
         log: Rc<RefCell<Vec<(u64, u32)>>>,
     }
-    struct ConsumeDone;
     impl Sink {
         fn try_consume(&mut self, ctx: &mut Ctx<'_>) {
             if !self.busy && self.backlog > 0 {
                 self.busy = true;
                 self.backlog -= 1;
-                ctx.schedule_self(self.consume, Box::new(ConsumeDone));
+                ctx.wake_at(ctx.now() + self.consume, ctx.self_id, 0);
             }
         }
     }
     impl Component for Sink {
         fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Box<dyn Any>) {
-            let ev = match ev.downcast::<PacketEvent<Raw>>() {
-                Ok(a) => {
-                    assert_eq!(a.hop, Hop::Arrive);
-                    self.log
-                        .borrow_mut()
-                        .push((ctx.now().ps(), a.pkt.wire_bytes()));
-                    self.backlog += 1;
-                    self.try_consume(ctx);
-                    return;
-                }
-                Err(e) => e,
-            };
-            if ev.downcast::<ConsumeDone>().is_ok() {
-                self.busy = false;
-                let port = self.port.as_ref().unwrap().clone();
-                port.ingress_gate.borrow_mut().release(ctx);
-                self.try_consume(ctx);
-            }
+            let a = ev.downcast::<PacketEvent<Raw>>().expect("a packet");
+            assert_eq!(a.hop, Hop::Arrive);
+            self.log
+                .borrow_mut()
+                .push((ctx.now().ps(), a.pkt.wire_bytes()));
+            self.backlog += 1;
+            self.try_consume(ctx);
+        }
+        /// The packet being consumed is done with.
+        fn wake(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+            self.busy = false;
+            let port = self.port.as_ref().unwrap().clone();
+            port.ingress_gate.borrow_mut().release(ctx);
+            self.try_consume(ctx);
         }
     }
 

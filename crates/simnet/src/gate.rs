@@ -81,7 +81,7 @@ impl Gate {
         );
         self.credits += 1;
         for (who, token) in self.waiters.drain(..) {
-            ctx.wake(who, token);
+            ctx.wake_at(ctx.now(), who, token);
         }
     }
 }

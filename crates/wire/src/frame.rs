@@ -323,6 +323,13 @@ pub fn write_payload_caps(wrh: &WriteReqHeader) -> (u32, u32) {
     (first, sizes::max_payload_plain())
 }
 
+/// Per-packet payload capacity of a SEND message whose first packet
+/// carries `body`: the first packet's, then every later one's.
+pub fn send_payload_caps(body: &RpcBody) -> (u32, u32) {
+    let rest = sizes::MTU - sizes::RDMA_HEADER - sizes::RPC_HEADER;
+    (rest - body.wire_size(), rest)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -417,6 +424,26 @@ mod tests {
                 data: Bytes::from(vec![0u8; len as usize]),
             });
             assert!(pkt.wire_bytes() <= sizes::MTU);
+        }
+        // A SEND's full packets, the first and a later one, fill it exactly.
+        let rrh = ReadReqHeader { addr: 0, len: 1 };
+        let body = RpcBody::ReadReq {
+            dfs: dfs_header(),
+            rrh,
+        };
+        let (first, rest) = send_payload_caps(&body);
+        for (rpc, len) in [(Some(body), first), (None, rest)] {
+            let (msg, data) = (MsgId::new(0, 0), Bytes::from(vec![0u8; len as usize]));
+            let (pkt_idx, total_pkts, offset) = (0, 2, 0);
+            let send = SendPkt {
+                msg,
+                pkt_idx,
+                total_pkts,
+                rpc,
+                offset,
+                data,
+            };
+            assert_eq!(Frame::Send(send).wire_bytes(), sizes::MTU);
         }
     }
 

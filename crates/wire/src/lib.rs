@@ -20,8 +20,8 @@ pub mod sizes;
 pub use capability::{AuthError, Capability, Rights};
 pub use checksum::payload_checksum;
 pub use frame::{
-    split_payload, write_payload_caps, AckPkt, Frame, GatherReqPkt, HlConfigPkt, MsgId, Pkt,
-    ReadReqPkt, ReadRespPkt, RpcBody, SendPkt, Status, WritePkt,
+    send_payload_caps, split_payload, write_payload_caps, AckPkt, Frame, GatherReqPkt, HlConfigPkt,
+    MsgId, Pkt, ReadReqPkt, ReadRespPkt, RpcBody, SendPkt, Status, WritePkt,
 };
 pub use headers::{
     bcast_children, BcastStrategy, DfsHeader, DfsOp, EcInfo, EcRole, GatherCopy, GatherReadHeader,

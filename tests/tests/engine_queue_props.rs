@@ -1,8 +1,8 @@
 //! The engine's tiered event queue against a reference
 //! `BinaryHeap<(time, seq)>`: under random interleavings of `schedule`,
-//! `schedule_at`, `Ctx::wake`, `step` and `run_until` — zero-delay
-//! bursts, unboxed wakes among boxed events, equal
-//! timestamps, delays straddling the calendar's slot and horizon
+//! wakes (`Engine::wake`, `Ctx::wake_at`), `step` and `run_until` —
+//! zero-delay bursts, unboxed wakes among boxed events,
+//! equal timestamps, delays straddling the calendar's slot and horizon
 //! boundaries, timers a millisecond out, deadlines exactly on an event
 //! time — both dispatch the same events in the same order at the same
 //! times, and agree on `now()` after every operation.
@@ -16,9 +16,9 @@ use std::rc::Rc;
 use nadfs_simnet::{Component, Ctx, Dur, Engine, Time};
 use proptest::prelude::*;
 
-/// A follow-up a handled event schedules: relative (`schedule`),
-/// absolute (`schedule_at`, clamped to now), or a wake (`Ctx::wake`,
-/// due now and unboxed).
+/// A follow-up a handled event schedules: a boxed event after a delay
+/// (`schedule`), or a wake (`Ctx::wake_at`) at an absolute time (clamped
+/// to now) or now.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum When {
     After(u64),
@@ -50,9 +50,9 @@ impl Component for Probe {
                 })
             };
             match when {
-                When::After(d) => ctx.schedule_self(Dur::from_ps(d), child()),
-                When::At(t) => ctx.schedule_at(Time(t), ctx.self_id, child()),
-                When::Wake => ctx.wake(ctx.self_id, id.into()),
+                When::After(d) => ctx.schedule(Dur::from_ps(d), ctx.self_id, child()),
+                When::At(t) => ctx.wake_at(Time(t), ctx.self_id, id.into()),
+                When::Wake => ctx.wake_at(ctx.now(), ctx.self_id, id.into()),
             }
         }
     }
@@ -121,6 +121,8 @@ impl Model {
 enum Op {
     /// Schedule from outside, with follow-ups to schedule when handled.
     Schedule(u64, Vec<When>),
+    /// A wake from outside, after a delay (`Engine::wake`).
+    Wake(u64),
     Step(u8),
     /// Deadline `now + dt`.
     RunFor(u64),
@@ -162,7 +164,8 @@ fn op() -> impl Strategy<Value = Op> {
         1u8..6,
     )
         .prop_map(|(kind, d, spawn, n)| match kind {
-            0..=4 => Op::Schedule(d, spawn),
+            0..=3 => Op::Schedule(d, spawn),
+            4 => Op::Wake(d),
             5 | 6 => Op::Step(n),
             7 => Op::RunFor(d),
             8 => Op::RunToNext,
@@ -191,6 +194,11 @@ proptest! {
                     let spawn: Vec<(When, u32)> = spawn.into_iter().map(|w| (w, id())).collect();
                     model.push(model.now + d, ev_id, spawn.clone());
                     engine.schedule(Dur::from_ps(d), probe, Box::new(Ev { id: ev_id, spawn }));
+                }
+                Op::Wake(d) => {
+                    let ev_id = id();
+                    model.push(model.now + d, ev_id, Vec::new());
+                    engine.wake(Dur::from_ps(d), probe, ev_id.into());
                 }
                 Op::Step(n) => {
                     for _ in 0..n {

@@ -209,9 +209,8 @@ fn ec_cluster_with_backlog() -> (FsClient, usize) {
             )
             .expect("create");
         let data: Vec<u8> = (0..120_000u32).map(|j| (j ^ i) as u8).collect();
-        fsc.append(&h, &data).expect("write");
+        let w = fsc.append(&h, &data).expect("write");
         if victim.is_none() {
-            let w = fsc.cluster.results.borrow().writes.last().cloned().unwrap();
             let node = w.placement.data_chunks[0].node;
             victim = Some(fsc.cluster.storage_index(node as usize));
         }
@@ -299,12 +298,11 @@ fn gather_fetch_storm_respects_read_credit() {
         )
         .expect("create");
     let data: Vec<u8> = (0..256usize << 10).map(|i| (i % 251) as u8).collect();
-    fsc.append(&h, &data).expect("write");
+    let w = fsc.append(&h, &data).expect("write");
 
     // Kill a data-chunk holder and blow the cache: every offloaded read
     // below reconstructs on the coordinator NIC, gathering survivor
     // segments NIC-to-NIC.
-    let w = fsc.cluster.results.borrow().writes[0].clone();
     let victim = fsc
         .cluster
         .storage_index(w.placement.data_chunks[0].node as usize);

@@ -58,10 +58,9 @@ fn degraded_gathers_write_no_host_memory_and_return_every_buffer() {
         )
         .expect("create");
     let data = payload(seed_from_env() ^ 0x57A6, 256 << 10);
-    fsc.append(&h, &data).expect("write");
+    let w = fsc.append(&h, &data).expect("write");
     let off = h.clone().with_read_protocol(ReadProtocol::Offloaded);
 
-    let w = fsc.cluster.results.borrow().writes[0].clone();
     let victim = fsc
         .cluster
         .storage_index(w.placement.data_chunks[0].node as usize);

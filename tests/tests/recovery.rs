@@ -9,7 +9,7 @@
 //! extents that were healthy again.
 
 use nadfs_core::{
-    ClusterSpec, FilePolicy, FsClient, LayoutSpec, RepairTask, SimCluster, StorageMode,
+    ClusterSpec, FilePolicy, FsClient, LayoutSpec, RepairTask, SimCluster, StorageMode, WriteResult,
 };
 use nadfs_tests::{assert_bytes_converged, assert_hosted_conserved, seed_from_env, SplitMix};
 use nadfs_wire::{BcastStrategy, RsScheme};
@@ -24,7 +24,12 @@ fn payload(seed: u64, len: usize) -> Vec<u8> {
     v
 }
 
-fn ec_client(n_storage: usize, scheme: RsScheme) -> (FsClient, nadfs_core::FileHandle, Vec<u8>) {
+/// A one-client cluster with one RS-coded file written: the client, the
+/// file, its bytes and the write's completion.
+fn ec_client(
+    n_storage: usize,
+    scheme: RsScheme,
+) -> (FsClient, nadfs_core::FileHandle, Vec<u8>, WriteResult) {
     let mut fsc = FsClient::new(SimCluster::build(ClusterSpec::new(
         1,
         n_storage,
@@ -39,8 +44,8 @@ fn ec_client(n_storage: usize, scheme: RsScheme) -> (FsClient, nadfs_core::FileH
         )
         .expect("create");
     let data = payload(seed_from_env(), 120_000);
-    fsc.append(&h, &data).expect("write");
-    (fsc, h, data)
+    let w = fsc.append(&h, &data).expect("write");
+    (fsc, h, data, w)
 }
 
 /// The satellite-1 leak, end to end: repair re-homes shards away from a
@@ -51,10 +56,9 @@ fn ec_client(n_storage: usize, scheme: RsScheme) -> (FsClient, nadfs_core::FileH
 /// capacity-accounting leak.)
 #[test]
 fn recovery_reclaims_rehomed_shards_and_conserves_gauges() {
-    let (mut fsc, h, data) = ec_client(6, RsScheme::new(3, 2));
+    let (mut fsc, h, data, w) = ec_client(6, RsScheme::new(3, 2));
     assert_hosted_conserved(&fsc.cluster, "baseline");
 
-    let w = fsc.cluster.results.borrow().writes[0].clone();
     let victim_node = w.placement.data_chunks[0].node;
     let victim = fsc.cluster.storage_index(victim_node as usize);
     fsc.fail_storage_node(victim);
@@ -92,8 +96,7 @@ fn recovery_reclaims_rehomed_shards_and_conserves_gauges() {
 /// non-degraded path.
 #[test]
 fn recovery_before_drain_drops_tasks_and_readopts_shards() {
-    let (mut fsc, h, data) = ec_client(6, RsScheme::new(3, 2));
-    let w = fsc.cluster.results.borrow().writes[0].clone();
+    let (mut fsc, h, data, w) = ec_client(6, RsScheme::new(3, 2));
     let victim_node = w.placement.data_chunks[0].node;
     let victim = fsc.cluster.storage_index(victim_node as usize);
     fsc.fail_storage_node(victim);
@@ -139,8 +142,7 @@ fn unlink_during_outage_orphans_are_reclaimed_at_recovery() {
         )
         .expect("create");
     let data = payload(seed_from_env() ^ 0x11, 40_000);
-    fsc.append(&h, &data).expect("write");
-    let w = fsc.cluster.results.borrow().writes[0].clone();
+    let w = fsc.append(&h, &data).expect("write");
     let victim_node = w.placement.replicas[0].node;
     let victim = fsc.cluster.storage_index(victim_node as usize);
     fsc.fail_storage_node(victim);
@@ -174,8 +176,7 @@ fn unlink_during_outage_orphans_are_reclaimed_at_recovery() {
 /// degraded — its repair task stays queued.
 #[test]
 fn partial_recovery_keeps_tasks_for_still_failed_nodes() {
-    let (mut fsc, h, data) = ec_client(6, RsScheme::new(3, 2));
-    let w = fsc.cluster.results.borrow().writes[0].clone();
+    let (mut fsc, h, data, w) = ec_client(6, RsScheme::new(3, 2));
     let a_node = w.placement.data_chunks[0].node;
     let b_node = w.placement.data_chunks[1].node;
     let a = fsc.cluster.storage_index(a_node as usize);

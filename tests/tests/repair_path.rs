@@ -7,6 +7,7 @@
 
 use nadfs_core::{
     ClusterSpec, FilePolicy, FsClient, FsError, LayoutSpec, RepairOutcome, SimCluster, StorageMode,
+    WriteResult,
 };
 use nadfs_tests::{
     assert_bytes_converged, assert_hosted_conserved, drain_repairs_with_faults, seed_from_env,
@@ -24,7 +25,12 @@ fn payload(seed: u64, len: usize) -> Vec<u8> {
     v
 }
 
-fn ec_client(n_storage: usize, scheme: RsScheme) -> (FsClient, nadfs_core::FileHandle, Vec<u8>) {
+/// A one-client cluster with one RS-coded file written: the client, the
+/// file, its bytes and the write's completion.
+fn ec_client(
+    n_storage: usize,
+    scheme: RsScheme,
+) -> (FsClient, nadfs_core::FileHandle, Vec<u8>, WriteResult) {
     let mut fsc = FsClient::new(SimCluster::build(ClusterSpec::new(
         1,
         n_storage,
@@ -39,8 +45,8 @@ fn ec_client(n_storage: usize, scheme: RsScheme) -> (FsClient, nadfs_core::FileH
         )
         .expect("create");
     let data = payload(seed_from_env(), 150_000);
-    fsc.append(&h, &data).expect("write");
-    (fsc, h, data)
+    let w = fsc.append(&h, &data).expect("write");
+    (fsc, h, data, w)
 }
 
 /// Tentpole acceptance: fail a data-chunk node, drain the queue, and the
@@ -48,8 +54,7 @@ fn ec_client(n_storage: usize, scheme: RsScheme) -> (FsClient, nadfs_core::FileH
 /// byte-identical data — while the failed node is still down.
 #[test]
 fn ec_repair_rehomes_failed_shard_and_restores_direct_reads() {
-    let (mut fsc, h, data) = ec_client(6, RsScheme::new(3, 2));
-    let w = fsc.cluster.results.borrow().writes[0].clone();
+    let (mut fsc, h, data, w) = ec_client(6, RsScheme::new(3, 2));
     let victim_node = w.placement.data_chunks[0].node;
     let victim = fsc.cluster.storage_index(victim_node as usize);
     fsc.fail_storage_node(victim);
@@ -94,8 +99,7 @@ fn ec_repair_rehomes_failed_shard_and_restores_direct_reads() {
 /// failures that forces reconstruction through the repaired parity.
 #[test]
 fn repaired_parity_carries_a_second_failure_wave() {
-    let (mut fsc, h, data) = ec_client(6, RsScheme::new(3, 2));
-    let w = fsc.cluster.results.borrow().writes[0].clone();
+    let (mut fsc, h, data, w) = ec_client(6, RsScheme::new(3, 2));
     let parity_node = w.placement.parities[0].node;
     let parity_idx = fsc.cluster.storage_index(parity_node as usize);
     fsc.fail_storage_node(parity_idx);
@@ -167,6 +171,7 @@ fn degraded_read_promotes_its_extent_ahead_of_the_scan_order() {
     fsc.mkdir_p("/ec").expect("mkdir");
     let mut handles = Vec::new();
     let mut blobs = Vec::new();
+    let mut writes = Vec::new();
     for i in 0..2 {
         let h = fsc
             .create_with_policy(
@@ -176,12 +181,11 @@ fn degraded_read_promotes_its_extent_ahead_of_the_scan_order() {
             )
             .expect("create");
         let data = payload(1000 + i as u64, 60_000);
-        fsc.append(&h, &data).expect("write");
+        writes.push(fsc.append(&h, &data).expect("write"));
         handles.push(h);
         blobs.push(data);
     }
     // Find a storage node hosting a data chunk of BOTH files.
-    let writes = fsc.cluster.results.borrow().writes.clone();
     let shared: u32 = writes[0]
         .placement
         .data_chunks
@@ -260,8 +264,7 @@ fn mid_write_node_kill_enqueues_and_repairs_on_commit() {
 /// direct.
 #[test]
 fn node_kill_between_commit_and_read_converges() {
-    let (mut fsc, h, data) = ec_client(6, RsScheme::new(3, 2));
-    let w = fsc.cluster.results.borrow().writes[0].clone();
+    let (mut fsc, h, data, w) = ec_client(6, RsScheme::new(3, 2));
     let candidates: Vec<usize> = w
         .placement
         .data_chunks
@@ -300,6 +303,7 @@ fn node_kill_during_repair_still_converges() {
     fsc.mkdir_p("/ec").expect("mkdir");
     let mut handles = Vec::new();
     let mut blobs = Vec::new();
+    let mut writes = Vec::new();
     for i in 0..3 {
         let h = fsc
             .create_with_policy(
@@ -309,11 +313,10 @@ fn node_kill_during_repair_still_converges() {
             )
             .expect("create");
         let data = payload(7000 + i as u64, 40_000);
-        fsc.append(&h, &data).expect("write");
+        writes.push(fsc.append(&h, &data).expect("write"));
         handles.push(h);
         blobs.push(data);
     }
-    let writes = fsc.cluster.results.borrow().writes.clone();
     // First kill: the node holding file 0's first data chunk.
     let first = fsc
         .cluster
@@ -443,8 +446,7 @@ fn expired_read_capability_degraded_read_and_repair_are_typed() {
 /// already-healthy probes.
 #[test]
 fn recovery_before_drain_empties_the_queue() {
-    let (mut fsc, h, data) = ec_client(6, RsScheme::new(3, 2));
-    let w = fsc.cluster.results.borrow().writes[0].clone();
+    let (mut fsc, h, data, w) = ec_client(6, RsScheme::new(3, 2));
     let victim = fsc
         .cluster
         .storage_index(w.placement.data_chunks[0].node as usize);
