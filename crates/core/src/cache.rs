@@ -36,7 +36,7 @@
 //! what was asked. The overfetched bytes land in the cache, so a
 //! streaming reader alternates one fan-out miss with a run of local hits.
 //!
-//! [`MetaEvent::LayoutChanged`]: nadfs_meta::MetaEvent
+//! [`MetaEvent::LayoutChanged`]: crate::control::MetaEvent::LayoutChanged
 //! [`ReadPlan`]: nadfs_meta::ReadPlan
 
 use std::collections::BTreeMap;

@@ -8,13 +8,16 @@
 //! write response", §IV) — so the services here are shared state consulted
 //! synchronously by the drivers.
 //!
-//! The metadata service is a real hierarchical namespace
-//! ([`nadfs_meta::MetadataService`]): files live at paths, carry striped
-//! layouts (stripe width × chunk size over storage nodes), and every
-//! mutation bumps versions that drive client-cache invalidation. The
-//! seed's flat `u64 → FileMeta` API survives on top: a file's id *is* its
-//! inode number, and [`ControlPlane::create_file`] parks legacy files
-//! under `/.volatile/`.
+//! The metadata service is this type. It owns a real hierarchical
+//! namespace ([`Namespace`]): files live at paths, carry striped layouts
+//! (stripe width × chunk size over storage nodes, from a start that
+//! rotates per create), and every mutation bumps versions. It counts the
+//! round-trips clients make ([`MetaOpStats`]), and it calls back the
+//! subscribed client caches with each [`MetaEvent`] where a mutation
+//! raises it, all through one method, `ControlPlane::notify`. The seed's
+//! flat `u64 → FileMeta` API survives on top: a file's id *is* its inode
+//! number, and [`ControlPlane::create_file`] parks legacy files under
+//! `/.volatile/`.
 //!
 //! The metadata plane is **sharded**: per-file state is hash-partitioned
 //! over N [`shard::MetaShard`]s by a stateless [`router::ShardRouter`],
@@ -22,7 +25,7 @@
 //! async updates). The plane keeps three kinds of record and nothing
 //! beside them — one per file, one per storage node, one per shard — and
 //! this file only wires them together: construction, the shard doorway,
-//! the cache-callback fan-out, and the namespace operations, each of
+//! the cache callbacks, and the namespace operations, each of
 //! which is a participant set plus an apply step handed to
 //! `ControlPlane::transact`. What the records are and what is done with
 //! them lives in the submodules:
@@ -45,8 +48,8 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use nadfs_meta::{
-    ExtentMap, ExtentRecord, InodeAttr, LayoutSpec, MetaCache, MetaError, MetaEvent,
-    MetadataService, ReadPiece, ReadPlan, StripedLayout,
+    ExtentMap, ExtentRecord, InodeAttr, InodeId, LayoutSpec, MetaCache, MetaError, Namespace,
+    ReadPiece, ReadPlan, StripedLayout,
 };
 use nadfs_simnet::{IdMap, IdSet, NodeId};
 use nadfs_wire::{Capability, MacKey, ReplicaCoord, Rights, RsScheme};
@@ -75,8 +78,13 @@ pub use nadfs_meta::FilePolicy;
 /// layout, placement) services, fronting the shard set.
 pub struct ControlPlane {
     key: MacKey,
-    /// The hierarchical namespace + layout service.
-    pub meta: MetadataService,
+    /// The hierarchical namespace: paths, inodes and their versions.
+    ns: Namespace,
+    /// The round-trips clients have made, by operation.
+    meta_stats: MetaOpStats,
+    /// Rotates so consecutive creates start their stripes on different
+    /// nodes.
+    next_home: usize,
     next_legacy: u64,
     next_greq: u64,
     next_nonce: u64,
@@ -120,6 +128,54 @@ pub type SharedControl = Rc<RefCell<ControlPlane>>;
 /// iterated into an order.
 pub type FailedNodes = std::collections::HashSet<u32>; // membership only
 
+/// Control-plane round-trips, by operation. The sum is the number a
+/// perfect client cache would shrink.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct MetaOpStats {
+    pub lookups: u64,
+    pub(crate) creates: u64,
+    pub(crate) mkdirs: u64,
+    pub(crate) readdirs: u64,
+    pub(crate) renames: u64,
+    pub(crate) unlinks: u64,
+    pub(crate) attr_flushes: u64,
+    /// Read-plan resolutions (the per-read control round-trip a client
+    /// read cache exists to absorb).
+    pub resolves: u64,
+}
+
+impl MetaOpStats {
+    pub fn total(&self) -> u64 {
+        self.lookups
+            + self.creates
+            + self.mkdirs
+            + self.readdirs
+            + self.renames
+            + self.unlinks
+            + self.attr_flushes
+            + self.resolves
+    }
+}
+
+/// A callback to the client caches, delivered where a mutation raises it
+/// (`ControlPlane::notify`).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum MetaEvent {
+    /// A single path gained or changed an entry.
+    Changed { path: String },
+    /// A whole subtree moved or vanished; caches drop the prefix.
+    SubtreeGone { path: String },
+    /// `ino`'s extent map moved to `generation` (a committed write,
+    /// overwrite, or repair re-homing): anything caching data or resolved
+    /// placements tagged with an older generation must drop them.
+    /// `generation == u64::MAX` means the file's data is gone entirely
+    /// (unlink / rename-replace).
+    LayoutChanged { ino: InodeId, generation: u64 },
+    /// The control plane observed a sequential scan of `ino` and advises
+    /// caches to prefetch `[offset, offset + len)` ahead of the reader.
+    PrefetchHint { ino: InodeId, offset: u64, len: u32 },
+}
+
 /// The parent path of `path` ("/" for top-level entries and the root).
 fn parent_of(path: &str) -> &str {
     match path.rfind('/') {
@@ -142,11 +198,13 @@ impl ControlPlane {
         storage_nodes: Vec<NodeId>,
         n_shards: usize,
     ) -> SharedControl {
+        assert!(!storage_nodes.is_empty(), "need at least one storage node");
         let n_shards = n_shards.max(1);
-        let meta = MetadataService::new(storage_nodes.iter().map(|&n| n as u32).collect());
         Rc::new(RefCell::new(ControlPlane {
             key: MacKey::from_seed(key_seed),
-            meta,
+            ns: Namespace::new(),
+            meta_stats: MetaOpStats::default(),
+            next_home: 0,
             next_legacy: 1,
             next_greq: 1,
             next_nonce: 1,
@@ -168,6 +226,17 @@ impl ControlPlane {
     /// The service-shared MAC key (installed into storage-node NIC memory).
     pub fn service_key(&self) -> MacKey {
         self.key
+    }
+
+    /// The namespace, to read: every mutation goes through the
+    /// operations below, which raise its callbacks.
+    pub fn namespace(&self) -> &Namespace {
+        &self.ns
+    }
+
+    /// The round-trips clients have made so far, by operation.
+    pub fn meta_stats(&self) -> MetaOpStats {
+        self.meta_stats
     }
 
     /// Subscribe a client cache to invalidation callbacks.
@@ -220,7 +289,10 @@ impl ControlPlane {
                 self.unhost_record(rec);
             }
         }
-        self.meta.note_extents_gone(ino);
+        self.notify(MetaEvent::LayoutChanged {
+            ino,
+            generation: u64::MAX,
+        });
     }
 
     /// The shard owning `path`'s parent directory — where namespace
@@ -232,41 +304,45 @@ impl ControlPlane {
     }
 
     fn shard_of_path(&self, path: &str) -> Option<usize> {
-        Some(self.shard_of(self.meta.ns.resolve(path).ok()?))
+        Some(self.shard_of(self.ns.resolve(path).ok()?))
     }
 
-    /// Fan the metadata service's mutation events out to every registered
-    /// client cache (the callback channel).
-    fn publish_invalidations(&mut self) {
-        let events = self.meta.take_events();
-        if events.is_empty() {
-            return;
-        }
-        for cache in &self.caches {
-            let mut c = cache.borrow_mut();
-            for ev in &events {
-                match ev {
-                    MetaEvent::Changed { path } => c.invalidate_path(path),
-                    MetaEvent::SubtreeGone { path } => c.invalidate_subtree(path),
-                    // Data-generation + prefetch events: read caches only.
-                    MetaEvent::LayoutChanged { .. } | MetaEvent::PrefetchHint { .. } => {}
+    /// Call back every subscribed client cache with `ev`, where the
+    /// mutation raises it: namespace events go to the metadata caches,
+    /// data-generation and prefetch events to the read caches. Every
+    /// cache callback the control plane makes goes through here.
+    fn notify(&self, ev: MetaEvent) {
+        match ev {
+            MetaEvent::Changed { path } => {
+                for c in &self.caches {
+                    c.borrow_mut().invalidate_path(&path);
+                }
+            }
+            MetaEvent::SubtreeGone { path } => {
+                for c in &self.caches {
+                    c.borrow_mut().invalidate_subtree(&path);
+                }
+            }
+            MetaEvent::LayoutChanged { ino, generation } => {
+                for c in &self.read_caches {
+                    c.borrow_mut().note_generation(ino, generation);
+                }
+            }
+            MetaEvent::PrefetchHint { ino, offset, len } => {
+                for c in &self.read_caches {
+                    c.borrow_mut().note_hint(ino, offset, len);
                 }
             }
         }
-        for cache in &self.read_caches {
-            let mut c = cache.borrow_mut();
-            for ev in &events {
-                match ev {
-                    MetaEvent::LayoutChanged { ino, generation } => {
-                        c.note_generation(*ino, *generation);
-                    }
-                    MetaEvent::PrefetchHint { ino, offset, len } => {
-                        c.note_hint(*ino, *offset, *len);
-                    }
-                    _ => {}
-                }
-            }
-        }
+    }
+
+    /// An entry mutation at `path` bumps its parent directory's version
+    /// and nlink too: call back `Changed` for the parent.
+    fn notify_parent(&self, path: &str) {
+        let parent = parent_of(path.trim_end_matches('/'));
+        self.notify(MetaEvent::Changed {
+            path: parent.to_string(),
+        });
     }
 
     /// Create a file with the given policy (legacy flat API): parked under
@@ -274,7 +350,7 @@ impl ControlPlane {
     pub fn create_file(&mut self, size: u64, policy: FilePolicy) -> FileMeta {
         let name = format!("/.volatile/f{}", self.next_legacy);
         self.next_legacy += 1;
-        self.meta.ns.mkdir_p("/.volatile", 0).expect("legacy dir");
+        self.ns.mkdir_p("/.volatile", 0).expect("legacy dir");
         let id = self
             .create_file_at(&name, LayoutSpec::SINGLE, policy)
             .expect("fresh legacy path")
@@ -322,14 +398,18 @@ impl ControlPlane {
             [None; 2],
             MetaMutation::Create { ino: 0 },
             |cp, op| {
-                let (attr, layout) = cp.meta.create(path, spec, policy.clone(), 0)?;
+                cp.meta_stats.creates += 1;
+                let (home, layout) = cp.alloc_layout(spec);
+                let attr = cp.ns.create(path, layout.clone(), policy.clone(), 0)?;
+                cp.notify(MetaEvent::Changed { path: path.into() });
+                cp.notify_parent(path);
                 *op = MetaMutation::Create { ino: attr.ino };
                 let meta = FileMeta {
                     id: attr.ino,
                     size: attr.size,
                     cursor: attr.size,
                     policy,
-                    home: cp.home_of(&layout),
+                    home,
                     layout,
                 };
                 let state = FileState {
@@ -356,44 +436,58 @@ impl ControlPlane {
     /// Path lookup (counts as one metadata round-trip). Routed to the
     /// target's shard.
     pub fn lookup_path(&mut self, path: &str) -> Result<InodeAttr, MetaError> {
-        let r = self.meta.lookup(path);
-        let shard = r.as_ref().map(|a| self.shard_of(a.ino)).unwrap_or(0);
-        self.note_route(shard, ServiceClass::Resolve);
+        let r = self.ns.lookup(path);
+        self.note_lookup(r.as_ref().ok().map(|a| a.ino));
         r
     }
 
     /// Path lookup returning what a client cache stores: attrs + layout
-    /// for files.
+    /// for files. Counted and routed like [`Self::lookup_path`].
     pub fn lookup_entry(
         &mut self,
         path: &str,
     ) -> Result<(InodeAttr, Option<StripedLayout>), MetaError> {
-        self.lookup_path(path)?; // the counted round-trip
-        self.peek_entry(path)
+        let r = self.peek_entry(path);
+        self.note_lookup(r.as_ref().ok().map(|(a, _)| a.ino));
+        r
+    }
+
+    /// One lookup round-trip, routed to the shard of the ino it found (a
+    /// miss to shard 0).
+    fn note_lookup(&mut self, found: Option<u64>) {
+        self.meta_stats.lookups += 1;
+        let shard = found.map_or(0, |ino| self.shard_of(ino));
+        self.note_route(shard, ServiceClass::Resolve);
     }
 
     /// Uncounted lookup for cache refills: the caller already paid the
     /// round-trip (e.g. a create response) and only needs the entry.
     pub fn peek_entry(&self, path: &str) -> Result<(InodeAttr, Option<StripedLayout>), MetaError> {
-        let attr = self.meta.ns.lookup(path)?;
-        let layout = if attr.kind == nadfs_meta::InodeKind::File {
-            self.meta
-                .ns
-                .inode(attr.ino)?
-                .file()
-                .map(|f| f.layout.clone())
-        } else {
-            None
-        };
+        let attr = self.ns.lookup(path)?;
+        let layout = self.ns.inode(attr.ino)?.file().map(|f| f.layout.clone());
         Ok((attr, layout))
     }
 
     pub fn mkdir(&mut self, path: &str, now_ns: u64) -> Result<InodeAttr, MetaError> {
-        self.make_dir(path, |cp| cp.meta.mkdir(path, now_ns))
+        self.make_dir(path, |cp| {
+            let attr = cp.ns.mkdir(path, now_ns)?;
+            cp.notify(MetaEvent::Changed { path: path.into() });
+            cp.notify_parent(path);
+            Ok(attr)
+        })
     }
 
     pub fn mkdir_p(&mut self, path: &str, now_ns: u64) -> Result<InodeAttr, MetaError> {
-        self.make_dir(path, |cp| cp.meta.mkdir_p(path, now_ns))
+        self.make_dir(path, |cp| {
+            let seq = cp.ns.change_seq;
+            let attr = cp.ns.mkdir_p(path, now_ns)?;
+            if cp.ns.change_seq != seq {
+                // Idempotent re-creates mutate nothing: no callback.
+                cp.notify(MetaEvent::Changed { path: path.into() });
+                cp.notify_parent(path);
+            }
+            Ok(attr)
+        })
     }
 
     fn make_dir(
@@ -407,6 +501,7 @@ impl ControlPlane {
             [None; 2],
             MetaMutation::Mkdir { ino: 0 },
             |cp, op| {
+                cp.meta_stats.mkdirs += 1;
                 let attr = make(cp)?;
                 *op = MetaMutation::Mkdir { ino: attr.ino };
                 Ok(attr)
@@ -417,7 +512,8 @@ impl ControlPlane {
     pub fn readdir(&mut self, path: &str) -> Result<Vec<(String, InodeAttr)>, MetaError> {
         let shard = self.shard_of_path(path).unwrap_or(0);
         self.note_route(shard, ServiceClass::Resolve);
-        self.meta.readdir(path)
+        self.meta_stats.readdirs += 1;
+        self.ns.readdir(path)
     }
 
     /// Rename. Participants: the shards of both parent directories and of
@@ -430,7 +526,18 @@ impl ControlPlane {
             to: to.to_string(),
         };
         self.transact(self.route_parent(from), others, op, |cp, _| {
-            if let Some(replaced) = cp.meta.rename(from, to, now_ns)? {
+            cp.meta_stats.renames += 1;
+            let seq = cp.ns.change_seq;
+            let replaced = cp.ns.rename(from, to, now_ns)?;
+            if cp.ns.change_seq != seq {
+                // A no-op rename (same source and target) mutates nothing:
+                // don't wipe every client's cached subtree for it.
+                cp.notify(MetaEvent::SubtreeGone { path: from.into() });
+                cp.notify(MetaEvent::SubtreeGone { path: to.into() });
+                cp.notify_parent(from);
+                cp.notify_parent(to);
+            }
+            if let Some(replaced) = replaced {
                 cp.forget(replaced);
             }
             Ok(())
@@ -441,22 +548,28 @@ impl ControlPlane {
     /// dropped with it. Participants: the shards of the parent directory
     /// and of the target.
     pub fn unlink(&mut self, path: &str, now_ns: u64) -> Result<InodeAttr, MetaError> {
-        let target = self.meta.ns.resolve(path).ok();
+        let target = self.ns.resolve(path).ok();
         let others = [target.map(|ino| self.shard_of(ino)), None];
         let op = MetaMutation::Unlink {
             ino: target.unwrap_or(0),
         };
         self.transact(self.route_parent(path), others, op, |cp, _| {
-            let attr = cp.meta.unlink(path, now_ns)?;
+            cp.meta_stats.unlinks += 1;
+            let attr = cp.ns.unlink(path, now_ns)?;
+            cp.notify(MetaEvent::SubtreeGone { path: path.into() });
+            cp.notify_parent(path);
             cp.forget(attr.ino);
             Ok(attr)
         })
     }
 
-    /// Apply a client's write-back attribute flush. Applied updates
-    /// publish `Changed` events, so other clients' cached attrs for the
-    /// flushed files are invalidated. Each touched ino's flush is logged
-    /// on its owning shard; admission charges the first ino's shard.
+    /// Apply a client's write-back attribute flush (one round-trip for
+    /// the whole batch). Updates apply in inode order, so the outcome is
+    /// deterministic; one for a file that vanished in the meantime
+    /// (unlinked or replaced) is skipped and never blocks the rest. Each
+    /// applied update calls back `Changed`, so other clients' cached
+    /// attrs for the file go. Each touched ino's flush is logged on its
+    /// owning shard; admission charges the first ino's shard.
     pub fn flush_attrs(
         &mut self,
         updates: &[(u64, nadfs_meta::DirtyAttr)],
@@ -467,9 +580,21 @@ impl ControlPlane {
             let s = self.shard_of(*ino);
             self.log_apply(s, MetaMutation::AttrFlush { ino: *ino });
         }
-        let r = self.meta.flush_attrs(updates);
-        self.publish_invalidations();
-        r
+        self.meta_stats.attr_flushes += 1;
+        let mut sorted: Vec<_> = updates.iter().collect();
+        sorted.sort_by_key(|(ino, _)| *ino);
+        for (ino, d) in sorted {
+            match self.ns.append(*ino, d.appended, d.mtime_ns) {
+                Ok(_) => {
+                    if let Some(path) = self.ns.path_of(*ino) {
+                        self.notify(MetaEvent::Changed { path });
+                    }
+                }
+                Err(MetaError::NotFound) => continue, // unlinked mid-batch
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
     }
 
     /// Management service: authenticate a client and issue a capability
@@ -1143,6 +1268,130 @@ mod tests {
         assert!(cp.borrow_mut().place_write(f.id, 64).is_err());
     }
 
+    // ---- the metadata service: layouts, the ledger, callbacks ----
+
+    /// A metadata cache subscribed to `cp`, holding an entry for each of
+    /// `paths` (existing or not: the tests only ask which are left).
+    fn cache_of(cp: &SharedControl, paths: &[&str]) -> Rc<RefCell<MetaCache>> {
+        let (root, _) = cp.borrow().peek_entry("/").expect("root");
+        let cache = Rc::new(RefCell::new(MetaCache::new()));
+        for &p in paths {
+            let entry = nadfs_meta::CachedEntry::from_attr(&root, None);
+            cache.borrow_mut().insert(p, entry);
+        }
+        cp.borrow_mut().register_cache(cache.clone());
+        cache
+    }
+
+    #[test]
+    fn layouts_rotate_homes_and_cap_width() {
+        let cp = ControlPlane::new(7, vec![10, 11, 12]);
+        let mut c = cp.borrow_mut();
+        let mut create = |path: &str, width| {
+            let spec = LayoutSpec::striped(width, 1 << 16);
+            c.create_file_at(path, spec, FilePolicy::Plain)
+                .expect("create")
+        };
+        let a = create("/a", 2);
+        let b = create("/b", 2);
+        assert_eq!((a.home, a.layout.nodes), (0, vec![10, 11]));
+        assert_eq!((b.home, b.layout.nodes), (1, vec![11, 12]));
+        let wide = create("/w", 9);
+        assert_eq!(
+            wide.layout.nodes,
+            vec![12, 10, 11],
+            "width capped at cluster size"
+        );
+    }
+
+    #[test]
+    fn ops_are_counted() {
+        let cp = ControlPlane::new(7, vec![1]);
+        let mut c = cp.borrow_mut();
+        c.mkdir("/d", 0).expect("mkdir");
+        c.create_file_at("/d/f", LayoutSpec::SINGLE, FilePolicy::Plain)
+            .expect("create");
+        c.lookup_path("/d/f").expect("lookup");
+        assert!(c.lookup_path("/d/missing").is_err());
+        assert!(c.lookup_entry("/d/missing").is_err());
+        c.readdir("/d").expect("readdir");
+        c.rename("/d/f", "/d/g", 1).expect("rename");
+        c.unlink("/d/g", 2).expect("unlink");
+        let s = c.meta_stats();
+        assert_eq!(
+            (s.mkdirs, s.creates, s.readdirs, s.renames, s.unlinks),
+            (1, 1, 1, 1, 1)
+        );
+        assert_eq!(s.lookups, 3, "misses still cost a round-trip");
+        assert_eq!(s.total(), 8);
+    }
+
+    #[test]
+    fn mutations_call_back_subscribed_caches() {
+        let cp = plane();
+        cp.borrow_mut().mkdir("/a", 0).expect("mkdir");
+        let cache = cache_of(&cp, &["/", "/a", "/a/f", "/b", "/b/f", "/c"]);
+        let held = |p: &str| cache.borrow().peek(p).is_some();
+        cp.borrow_mut()
+            .create_file_at("/a/f", LayoutSpec::SINGLE, FilePolicy::Plain)
+            .expect("create");
+        // The new entry, and the parent whose version the create bumped.
+        assert!(!held("/a/f") && !held("/a"));
+        assert!(held("/"), "the grandparent did not change");
+        cp.borrow_mut().rename("/a", "/b", 1).expect("rename");
+        // Both subtrees, and the parent of each.
+        assert!(!held("/b") && !held("/b/f") && !held("/"));
+        assert!(held("/c"), "callbacks are precise");
+    }
+
+    #[test]
+    fn noop_mutations_call_back_nothing() {
+        let cp = plane();
+        cp.borrow_mut().mkdir_p("/a/b", 0).expect("mkdir");
+        cp.borrow_mut()
+            .create_file_at("/a/f", LayoutSpec::SINGLE, FilePolicy::Plain)
+            .expect("create");
+        let cache = cache_of(&cp, &["/", "/a", "/a/b", "/a/f"]);
+        cp.borrow_mut()
+            .mkdir_p("/a/b", 1)
+            .expect("idempotent re-create");
+        cp.borrow_mut()
+            .rename("/a/f", "/a/f", 2)
+            .expect("no-op rename");
+        assert_eq!(
+            cache.borrow().stats.invalidations,
+            0,
+            "no-op mutations must not wipe client caches"
+        );
+        // The round-trips still count: the client did call the service.
+        let s = cp.borrow().meta_stats();
+        assert_eq!((s.mkdirs, s.renames), (2, 1));
+    }
+
+    #[test]
+    fn attr_flush_batches_appends() {
+        let cp = plane();
+        let f = cp
+            .borrow_mut()
+            .create_file_at("/f", LayoutSpec::SINGLE, FilePolicy::Plain)
+            .expect("create");
+        let cache = cache_of(&cp, &["/f"]);
+        let update = nadfs_meta::DirtyAttr {
+            appended: 8192,
+            mtime_ns: 9,
+        };
+        cp.borrow_mut()
+            .flush_attrs(&[(f.id, update)])
+            .expect("flush");
+        let (attr, _) = cp.borrow().peek_entry("/f").expect("entry");
+        assert_eq!(attr.size, 8192);
+        assert_eq!(cp.borrow().meta_stats().attr_flushes, 1);
+        assert!(
+            cache.borrow().peek("/f").is_none(),
+            "an applied update calls back"
+        );
+    }
+
     // ---- sharded-plane tests ----
 
     fn sharded(n: usize) -> SharedControl {
@@ -1201,8 +1450,8 @@ mod tests {
         // Create files until one lands with from-parent and to-parent on
         // different shards (ino allocation is deterministic, so this
         // terminates immediately in practice).
-        let a_ino = cp.borrow().meta.ns.resolve("/a").expect("a");
-        let b_ino = cp.borrow().meta.ns.resolve("/b").expect("b");
+        let a_ino = cp.borrow().namespace().resolve("/a").expect("a");
+        let b_ino = cp.borrow().namespace().resolve("/b").expect("b");
         let (sa, sb) = (cp.borrow().shard_of(a_ino), cp.borrow().shard_of(b_ino));
         cp.borrow_mut()
             .create_file_at("/a/f", LayoutSpec::SINGLE, FilePolicy::Plain)
@@ -1234,7 +1483,7 @@ mod tests {
             .expect("create");
         let shard_of = |cp: &SharedControl, p: &str| {
             let c = cp.borrow();
-            c.shard_of(c.meta.ns.resolve(p).expect("dir"))
+            c.shard_of(c.namespace().resolve(p).expect("dir"))
         };
         let to = (0..8)
             .map(|i| format!("/b{i}"))

@@ -135,8 +135,15 @@ impl ControlPlane {
         self.nodes.iter().position(|n| n.id as u32 == id)
     }
 
-    pub(super) fn home_of(&self, layout: &StripedLayout) -> usize {
-        self.node_index(layout.nodes[0]).expect("layout node")
+    /// A new file's layout: `spec`'s stripe width in nodes (all of them,
+    /// if there are fewer), round-robin from a home that rotates per
+    /// create so load spreads. Returns the home's index with it.
+    pub(super) fn alloc_layout(&mut self, spec: LayoutSpec) -> (usize, StripedLayout) {
+        let n = self.nodes.len();
+        let home = self.next_home;
+        self.next_home = (home + 1) % n;
+        let nodes = (0..n).map(|i| self.nodes[(home + i) % n].id as u32);
+        (home, StripedLayout::new(spec, nodes.collect()))
     }
 
     /// Allocate `len` bytes on the node at `index`.
@@ -368,8 +375,10 @@ impl ControlPlane {
         }
         // Fan the generation bump out to client read caches (same
         // callback channel every namespace mutation rides).
-        self.meta.note_extent_commit(file, generation);
-        self.publish_invalidations();
+        self.notify(MetaEvent::LayoutChanged {
+            ino: file,
+            generation,
+        });
         // Overwrite-heavy files accrete fully-shadowed records; fold
         // them while the cluster is quiescent.
         self.maybe_compact(file);

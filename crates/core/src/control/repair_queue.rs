@@ -378,8 +378,18 @@ impl ControlPlane {
         {
             self.repair_queue.push_back(task);
         }
-        self.meta.note_layout_change(task.file, generation, now_ns);
-        self.publish_invalidations();
+        // Bump the inode's version so version checks see the re-homing,
+        // and call back so caches drop stale entries and stale data. A
+        // file unlinked while its repair was in flight is left alone.
+        if self.ns.append(task.file, 0, now_ns).is_ok() {
+            if let Some(path) = self.ns.path_of(task.file) {
+                self.notify(MetaEvent::Changed { path });
+            }
+            self.notify(MetaEvent::LayoutChanged {
+                ino: task.file,
+                generation,
+            });
+        }
         Ok(())
     }
 

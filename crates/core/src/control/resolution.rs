@@ -46,7 +46,7 @@ impl ControlPlane {
             f.scan = (end, if sequential { f.scan.1 + 1 } else { 1 });
             scanning = sequential && f.scan.1 >= 3;
         }
-        self.meta.stats.resolves += 1;
+        self.meta_stats.resolves += 1;
         self.note_route(shard, ServiceClass::Resolve);
         let plan = plan?;
         for piece in &plan.pieces {
@@ -56,8 +56,11 @@ impl ControlPlane {
         }
         if scanning {
             let hint_len = (clamped as u64 * 4).min(1 << 20) as u32;
-            self.meta.note_prefetch_hint(file, end, hint_len);
-            self.publish_invalidations();
+            self.notify(MetaEvent::PrefetchHint {
+                ino: file,
+                offset: end,
+                len: hint_len,
+            });
         }
         Ok(plan)
     }
@@ -128,7 +131,9 @@ impl ControlPlane {
                 self.unhost_record(rec);
             }
         }
-        self.meta.note_extent_commit(file, generation);
-        self.publish_invalidations();
+        self.notify(MetaEvent::LayoutChanged {
+            ino: file,
+            generation,
+        });
     }
 }

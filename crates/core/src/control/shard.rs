@@ -4,7 +4,7 @@
 //! [`super::router::ShardRouter`] maps to it, plus an append-only op log.
 //! Mutations are *asynchronous* (AsyncFS-style): the owning shard appends
 //! the mutation to its log and the client is acked after the append — the
-//! in-memory apply and the cache-callback fan-out happen off the ack path.
+//! in-memory apply and the cache callbacks happen off the ack path.
 //! The log is therefore the unit of durability, and (ROADMAP item 3) the
 //! natural unit of replication for a per-shard consensus group.
 //!
@@ -245,7 +245,7 @@ impl ControlPlane {
     }
 
     /// The one namespace-mutation path: route to `coordinator`, run
-    /// `apply`, log, publish the invalidations the apply queued.
+    /// `apply` (which calls back the caches itself), log.
     ///
     /// The participant set is `coordinator` plus whichever of `others`
     /// are distinct shards (at most three in all — a rename's two parent
@@ -289,7 +289,6 @@ impl ControlPlane {
             }
         }
         let r = apply(self, &mut op);
-        self.publish_invalidations();
         match (txid, &r) {
             (None, Ok(_)) => self.log_apply(coordinator, op),
             (None, Err(_)) => {}

@@ -163,16 +163,14 @@ impl FsClient {
 
     /// Open an existing file by path.
     pub fn open(&mut self, path: &str) -> Result<FileHandle, FsError> {
-        let (attr, meta) = {
+        let meta = {
             let mut control = self.cluster.control.borrow_mut();
             let (attr, _layout) = control.lookup_entry(path)?;
             if attr.kind != InodeKind::File {
                 return Err(FsError::Meta(MetaError::IsADirectory));
             }
-            let meta = control.lookup(attr.ino)?.clone();
-            (attr, meta)
+            control.lookup(attr.ino)?.clone()
         };
-        let _ = attr;
         Ok(self.handle_for(path, &meta))
     }
 

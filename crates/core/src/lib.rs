@@ -29,8 +29,8 @@ pub use client::{
 pub use cluster::{ClusterSpec, QosConfig, SimCluster, StorageMode};
 pub use config::CostModel;
 pub use control::{
-    ControlPlane, FileMeta, FilePolicy, MetaShard, RepairPlan, RepairQueue, RepairStats,
-    RepairTask, ShardRouter, ShardStats, StripeTarget, TxRecovery, WritePlacement,
+    ControlPlane, FileMeta, FilePolicy, MetaEvent, MetaOpStats, MetaShard, RepairPlan, RepairQueue,
+    RepairStats, RepairTask, ShardRouter, ShardStats, StripeTarget, TxRecovery, WritePlacement,
 };
 pub use experiments::{
     replication_latency_us, storage_goodput_gbit, write_latency_us, ReplStrategy,
@@ -41,7 +41,7 @@ pub use repair::{RepairDriver, RepairReport};
 // The metadata subsystem's vocabulary, re-exported for callers.
 pub use nadfs_meta::{
     CacheStats, ChunkCopy, ExtentMap, ExtentRecord, InodeAttr, InodeKind, LayoutSpec, MetaCache,
-    MetaError, MetaOpStats, ReadPiece, ReadPlan, StripedLayout,
+    MetaError, ReadPiece, ReadPlan, StripedLayout,
 };
 pub use storage::{StorageApp, StorageStats};
 pub use workloads::{MetaWorkload, ReadPattern, SizeDist, Workload};

@@ -125,7 +125,7 @@ impl Rig {
             self.fold("storage", &*self.stats[i].clone().borrow());
         }
         self.fold("live", (c.live_extent_bytes(), c.live_extent_shards()));
-        self.fold("meta_ops", c.meta.stats);
+        self.fold("meta_ops", c.meta_stats());
         for &f in &self.files.clone() {
             self.fold("file", (c.lookup(f), c.extent_generation(f), c.shard_of(f)));
         }

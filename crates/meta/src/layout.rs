@@ -67,12 +67,10 @@ impl StripedLayout {
         }
     }
 
-    pub fn new(spec: LayoutSpec, nodes: Vec<u32>) -> StripedLayout {
-        assert_eq!(
-            nodes.len(),
-            spec.stripe_width as usize,
-            "layout needs exactly stripe_width nodes"
-        );
+    /// `spec` bound to `nodes`: the stripe is the first `stripe_width` of
+    /// them (all of them, if there are fewer).
+    pub fn new(spec: LayoutSpec, mut nodes: Vec<u32>) -> StripedLayout {
+        nodes.truncate(spec.stripe_width as usize);
         StripedLayout {
             chunk_size: spec.chunk_size,
             nodes,

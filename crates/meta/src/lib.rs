@@ -3,15 +3,15 @@
 //! The metadata subsystem of the network-accelerated DFS: a hierarchical,
 //! versioned namespace ([`Namespace`]) with POSIX-flavored directory
 //! operations, striped per-file layouts ([`StripedLayout`]) generalizing
-//! the seed's single-node placement, a client-side metadata cache with
-//! version-based invalidation ([`MetaCache`]), and the control-node
-//! service tying them together ([`MetadataService`]).
+//! the seed's single-node placement, per-file extent maps
+//! ([`ExtentMap`]), and a client-side metadata cache with version-based
+//! invalidation ([`MetaCache`]).
 //!
 //! The paper's offload building blocks (capabilities §IV, replication §V,
 //! erasure coding §VI) assume a metadata service that resolves paths to
-//! placements; this crate is that service, and the prerequisite for
-//! sharded-metadata / in-network-coordination work (SwitchFS, AsyncFS —
-//! arXiv:2410.08618) on the roadmap.
+//! placements. This crate holds the service's parts; the service itself
+//! is `nadfs-core`'s control plane, which owns the namespace, allocates
+//! the layouts, counts the round-trips and calls back the caches.
 
 #![warn(unreachable_pub)]
 
@@ -21,7 +21,6 @@ mod extents;
 mod inode;
 mod layout;
 mod namespace;
-mod service;
 
 pub use cache::{CacheStats, CachedEntry, DirtyAttr, MetaCache};
 pub use error::MetaError;
@@ -29,4 +28,3 @@ pub use extents::{ChunkCopy, CompactionResult, ExtentMap, ExtentRecord, ReadPiec
 pub use inode::{FilePolicy, Inode, InodeAttr, InodeId, InodeKind};
 pub use layout::{LayoutSpec, StripeExtent, StripedLayout};
 pub use namespace::Namespace;
-pub use service::{MetaEvent, MetaOpStats, MetadataService};

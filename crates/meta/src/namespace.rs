@@ -176,7 +176,7 @@ impl Namespace {
     }
 
     /// List a directory: (name, attributes) in name order.
-    pub(crate) fn readdir(&self, path: &str) -> Result<Vec<(String, InodeAttr)>> {
+    pub fn readdir(&self, path: &str) -> Result<Vec<(String, InodeAttr)>> {
         let ino = self.resolve(path)?;
         let node = self.inode(ino)?;
         let dir = node.dir().ok_or(MetaError::NotADirectory)?;
@@ -274,7 +274,7 @@ impl Namespace {
 
     /// Full path of an inode, if it is still linked: walks the parent
     /// chain upward, O(depth).
-    pub(crate) fn path_of(&self, ino: InodeId) -> Option<String> {
+    pub fn path_of(&self, ino: InodeId) -> Option<String> {
         if ino == ROOT_INO {
             return Some("/".to_string());
         }
@@ -293,7 +293,7 @@ impl Namespace {
     }
 
     /// Remove a file or an *empty* directory. Returns the removed attrs.
-    pub(crate) fn unlink(&mut self, path: &str, now_ns: u64) -> Result<InodeAttr> {
+    pub fn unlink(&mut self, path: &str, now_ns: u64) -> Result<InodeAttr> {
         let (parents, name) = split_parent(path)?;
         let parent = self.resolve_parts(&parents)?;
         let target = {
@@ -320,7 +320,7 @@ impl Namespace {
 
     /// Grow a file's logical size (placement appends bytes). Returns the
     /// offset the appended extent starts at and the new version.
-    pub(crate) fn append(&mut self, ino: InodeId, len: u64, now_ns: u64) -> Result<(u64, u64)> {
+    pub fn append(&mut self, ino: InodeId, len: u64, now_ns: u64) -> Result<(u64, u64)> {
         let n = self.inode_mut(ino)?;
         if n.file().is_none() {
             return Err(MetaError::IsADirectory);

@@ -33,7 +33,7 @@ fn sharded_cluster(n_clients: usize, n_storage: usize, shards: usize) -> SimClus
 fn cross_shard_dir_pair(cl: &SimCluster, dirs: &[String]) -> Option<(String, String)> {
     let control = cl.control.borrow();
     let shard = |p: &str| {
-        let ino = control.meta.ns.resolve(p).expect("dir exists");
+        let ino = control.namespace().resolve(p).expect("dir exists");
         control.shard_of(ino)
     };
     let s0 = shard(&dirs[0]);
@@ -443,7 +443,7 @@ impl Swept {
 fn swept_ops() -> Vec<Swept> {
     let cl = sweep_fixture(4);
     let dirs: Vec<String> = (0..SWEEP_DIRS).map(|i| format!("/t{i}")).collect();
-    let ino = |p: &str| cl.control.borrow().meta.ns.resolve(p).expect("exists");
+    let ino = |p: &str| cl.control.borrow().namespace().resolve(p).expect("exists");
     let shard = |p: &str| cl.control.borrow().shard_of(ino(p));
     let files =
         |d: &str| -> Vec<String> { (0..SWEEP_FILES).map(|f| format!("{d}/f{f}")).collect() };

@@ -97,9 +97,9 @@ fn cache_reduces_control_round_trips_measurably() {
         cl.start();
         let done = cl.run_until_metas(n, 5_000);
         assert_eq!(done, n, "storm completes");
-        let lookups = cl.control.borrow().meta.stats.lookups;
+        let lookups = cl.control.borrow().meta_stats().lookups;
         let hits = cl.client_caches[0].borrow().stats.hits;
-        let total = cl.control.borrow().meta.stats.total();
+        let total = cl.control.borrow().meta_stats().total();
         (lookups, hits, total)
     };
 
@@ -165,7 +165,7 @@ fn cross_client_mutation_invalidates_cached_entries() {
     assert!(cl.client_caches[0].borrow().stats.invalidations > inv_before);
 
     // ...so its next lookup misses, round-trips, and reports NotFound.
-    let lookups_before = cl.control.borrow().meta.stats.lookups;
+    let lookups_before = cl.control.borrow().meta_stats().lookups;
     cl.submit(
         0,
         meta_job(
@@ -181,7 +181,7 @@ fn cross_client_mutation_invalidates_cached_entries() {
     let m = results.metas.iter().find(|m| m.token == 3).expect("result");
     assert!(!m.cache_hit, "stale entry is gone, lookup round-trips");
     assert_eq!(m.result, Err(MetaError::NotFound));
-    assert_eq!(cl.control.borrow().meta.stats.lookups, lookups_before + 1);
+    assert_eq!(cl.control.borrow().meta_stats().lookups, lookups_before + 1);
 
     // The moved path resolves.
     assert!(cl.control.borrow_mut().lookup_path("/moved/f").is_ok());
@@ -436,7 +436,7 @@ fn a_policy_the_cluster_cannot_place_is_refused_at_create() {
     };
     let mut fsc = FsClient::new(SimCluster::build(ClusterSpec::new(1, 4, StorageMode::Spin)));
     fsc.mkdir_p("/d").expect("mkdir");
-    let seq = fsc.cluster.control.borrow().meta.ns.change_seq;
+    let seq = fsc.cluster.control.borrow().namespace().change_seq;
     for (i, policy) in [replicated(5), replicated(0), coded(3, 2), coded(0, 2)]
         .into_iter()
         .enumerate()
@@ -455,7 +455,7 @@ fn a_policy_the_cluster_cannot_place_is_refused_at_create() {
         );
     }
     assert_eq!(
-        fsc.cluster.control.borrow().meta.ns.change_seq,
+        fsc.cluster.control.borrow().namespace().change_seq,
         seq,
         "a refused create does not touch the namespace"
     );

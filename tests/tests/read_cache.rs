@@ -49,7 +49,7 @@ fn cache_hits_are_byte_identical_and_absorb_resolves() {
 
     let r1 = fsc.read_at(&h, 10_000, 50_000).expect("read 1");
     assert!(!r1.from_cache, "cold read goes to the network");
-    let resolves_after_miss = fsc.cluster.control.borrow().meta.stats.resolves;
+    let resolves_after_miss = fsc.cluster.control.borrow().meta_stats().resolves;
     let r2 = fsc.read_at(&h, 10_000, 50_000).expect("read 2");
     assert!(r2.from_cache, "repeat read serves from cache");
     assert_eq!(r2.data.as_ref(), &data[10_000..60_000]);
@@ -65,7 +65,7 @@ fn cache_hits_are_byte_identical_and_absorb_resolves() {
     assert!(r3.from_cache);
     assert_eq!(r3.data.as_ref(), &data[25_000..35_000]);
     assert_eq!(
-        fsc.cluster.control.borrow().meta.stats.resolves,
+        fsc.cluster.control.borrow().meta_stats().resolves,
         resolves_after_miss,
         "hits never round-trip to the control plane"
     );
@@ -364,7 +364,7 @@ fn sequential_stream_reaches_steady_state_hit_rate() {
         data.len() as u64,
         "readahead fetches what the misses did not, once, and nothing past EOF"
     );
-    let resolves = fsc.cluster.control.borrow().meta.stats.resolves;
+    let resolves = fsc.cluster.control.borrow().meta_stats().resolves;
     assert!(
         resolves <= stats.misses + 2,
         "only misses resolve: {resolves} resolves for {} misses",
@@ -437,12 +437,12 @@ fn read_after_write_is_a_local_cache_hit() {
     let data = payload(seed_from_env() ^ 0x3A, 96_000);
     fsc.append(&h, &data).expect("write");
 
-    let resolves_before = fsc.cluster.control.borrow().meta.stats.resolves;
+    let resolves_before = fsc.cluster.control.borrow().meta_stats().resolves;
     let r = fsc.read_at(&h, 0, data.len() as u32).expect("read");
     assert!(r.from_cache, "read-after-write serves from the write fill");
     assert_eq!(r.data.as_ref(), &data[..], "write-through bytes identical");
     assert_eq!(
-        fsc.cluster.control.borrow().meta.stats.resolves,
+        fsc.cluster.control.borrow().meta_stats().resolves,
         resolves_before,
         "no resolve round-trip for a read-after-write"
     );
