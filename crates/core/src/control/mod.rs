@@ -477,14 +477,24 @@ impl ControlPlane {
         })
     }
 
+    /// Create every missing directory along `path`. Each level created
+    /// bumps its parent's version and nlink, so every created directory
+    /// is called back, and so is the parent of the first; an idempotent
+    /// re-create mutates nothing and calls back nothing.
     pub fn mkdir_p(&mut self, path: &str, now_ns: u64) -> Result<InodeAttr, MetaError> {
         self.make_dir(path, |cp| {
             let seq = cp.ns.change_seq;
             let attr = cp.ns.mkdir_p(path, now_ns)?;
-            if cp.ns.change_seq != seq {
-                // Idempotent re-creates mutate nothing: no callback.
-                cp.notify(MetaEvent::Changed { path: path.into() });
-                cp.notify_parent(path);
+            // One change per level created, and the created levels are
+            // the deepest ones: walk up from the leaf.
+            let created = cp.ns.change_seq - seq;
+            if created > 0 {
+                let mut dir = path;
+                for _ in 0..created {
+                    cp.notify(MetaEvent::Changed { path: dir.into() });
+                    dir = parent_of(dir.trim_end_matches('/'));
+                }
+                cp.notify(MetaEvent::Changed { path: dir.into() });
             }
             Ok(attr)
         })
@@ -1366,6 +1376,21 @@ mod tests {
         // The round-trips still count: the client did call the service.
         let s = cp.borrow().meta_stats();
         assert_eq!((s.mkdirs, s.renames), (2, 1));
+    }
+
+    #[test]
+    fn mkdir_p_calls_back_every_level_it_creates_and_their_parent() {
+        let cp = plane();
+        cp.borrow_mut().mkdir("/a", 0).expect("mkdir");
+        let cache = cache_of(&cp, &["/", "/a", "/a/b", "/a/b/c"]);
+        cp.borrow_mut().mkdir_p("/a/b/c", 1).expect("mkdir -p");
+        let held = |p: &str| cache.borrow().peek(p).is_some();
+        assert!(
+            !held("/a"),
+            "creating /a/b bumped the version and nlink of a cached /a"
+        );
+        assert!(!held("/a/b") && !held("/a/b/c"));
+        assert!(held("/"), "the root did not change");
     }
 
     #[test]
