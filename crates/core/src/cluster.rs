@@ -332,6 +332,7 @@ impl SimCluster {
                         key,
                         spec.accumulator_pool,
                         nic.core.buf_pool(),
+                        nic.core.nic_stats(),
                         obs.clone(),
                         trace.clone(),
                         nic.core.node(),
@@ -481,6 +482,11 @@ impl SimCluster {
             let pre = format!("nic.{i}.gather");
             m.counter_set(&format!("{pre}.reads"), s.gather_reads);
             m.counter_set(&format!("{pre}.auth_failures"), s.gather_auth_failures);
+            m.counter_set(
+                &format!("nic.{i}.write.auth_failures"),
+                s.write_auth_failures,
+            );
+            m.counter_set(&format!("nic.{i}.read.auth_failures"), s.read_auth_failures);
             m.counter_set(&format!("{pre}.remote_fetches"), s.gather_remote_fetches);
             m.counter_set(&format!("{pre}.bytes_streamed"), s.gather_bytes_streamed);
             m.counter_set(

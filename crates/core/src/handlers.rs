@@ -17,6 +17,7 @@ use std::rc::Rc;
 use bytes::Bytes;
 use nadfs_gfec::{Accumulator, ReedSolomon};
 use nadfs_pspin::{HandlerArgs, HandlerSet, HostEvent, HostNotify, Ops};
+use nadfs_rdma::SharedNicStats;
 use nadfs_simnet::telemetry::phase;
 use nadfs_simnet::{IdMap, IdSet, NodeId, SharedBufPool, SharedObs, SharedTrace, Time};
 use nadfs_wire::{
@@ -137,8 +138,8 @@ pub struct DfsNicState {
     /// products (shared with the PsPIN device, which returns DMA-write
     /// payloads here once their run retires).
     buf_pool: SharedBufPool,
-    /// Requests whose capability the header handler refused.
-    auth_failures: u64,
+    /// The owning NIC's counters: a refused write or gather counts there.
+    stats: SharedNicStats,
     /// Observability: span phase marks keyed by greq, the shared trace
     /// ring, and which node this context runs on.
     obs: SharedObs,
@@ -149,12 +150,14 @@ pub struct DfsNicState {
 impl DfsNicState {
     /// The context on storage node `node`, authenticating with `key`,
     /// with `accumulator_pool` accumulators, drawing accumulator and
-    /// product buffers from `buf_pool` (the owning NIC's ring) and
-    /// reporting to `obs` and `trace`.
+    /// product buffers from `buf_pool` (the owning NIC's ring), counting
+    /// refusals in `stats` (the owning NIC's) and reporting to `obs` and
+    /// `trace`.
     pub fn new(
         key: MacKey,
         accumulator_pool: usize,
         buf_pool: SharedBufPool,
+        stats: SharedNicStats,
         obs: SharedObs,
         trace: SharedTrace,
         node: NodeId,
@@ -169,7 +172,7 @@ impl DfsNicState {
             acc_free: accumulator_pool,
             gathers: IdSet::default(),
             buf_pool,
-            auth_failures: 0,
+            stats,
             obs,
             trace,
             node,
@@ -199,7 +202,6 @@ impl DfsNicState {
     ) -> Result<(), AckPkt> {
         let cap = &dfs.capability;
         if cap.verify(&self.key, now.as_ns() as u64, rights).is_err() {
-            self.auth_failures += 1;
             return Err(AckPkt::new(msg, Some(dfs.greq_id), Status::AuthFailed));
         }
         let spans = &mut self.obs.borrow_mut().spans;
@@ -241,7 +243,10 @@ fn gather_header(st: &mut DfsNicState, g: &GatherReqPkt, src: NodeId, now: Time,
         Ok(()) => {
             st.gathers.insert(g.msg);
         }
-        Err(nack) => ops.send(src, Frame::Ack(nack)),
+        Err(nack) => {
+            st.stats.borrow_mut().gather_auth_failures += 1;
+            ops.send(src, Frame::Ack(nack));
+        }
     }
 }
 
@@ -267,6 +272,7 @@ impl HandlerSet for DfsNicState {
 
         let describe = || format!("hdr-validate greq={}", dfs.greq_id);
         if let Err(nack) = self.validate(w.msg, &dfs, Rights::WRITE, a.now, describe) {
+            self.stats.borrow_mut().write_auth_failures += 1;
             self.req_table.insert(
                 w.msg,
                 Rc::new(ReqEntry {

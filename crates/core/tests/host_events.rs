@@ -130,6 +130,7 @@ fn fallback_stripes_sharing_low_bits_each_aggregate_and_ack() {
         key,
         0,
         nic.core.buf_pool(),
+        nic.core.nic_stats(),
         ObsHub::disabled(),
         Trace::disabled(),
         node,

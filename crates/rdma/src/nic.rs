@@ -223,6 +223,11 @@ pub struct NicStats {
     pub gather_reads: u64,
     /// Gather requests rejected at capability check.
     pub gather_auth_failures: u64,
+    /// Write requests the sPIN header handler rejected at capability
+    /// check.
+    pub write_auth_failures: u64,
+    /// One-sided DFS reads rejected at capability check.
+    pub read_auth_failures: u64,
     /// NIC-to-NIC segment fetches issued by gather coordinators.
     pub gather_remote_fetches: u64,
     /// Response-flow bytes streamed by gather responders.
@@ -305,9 +310,7 @@ pub struct NicCore {
     /// incoming read requests carrying a DFS header are authenticated on
     /// the NIC (the read-side analog of the sPIN write validation).
     service_key: Option<MacKey>,
-    /// Read requests whose capability the NIC rejected.
-    pub(crate) read_auth_failures: u64,
-    /// Gather/offload counters, shared with snapshot code.
+    /// Gather/offload and refusal counters, shared with snapshot code.
     pub(crate) stats: SharedNicStats,
     /// Observability: span phase marks keyed by wire-level request id,
     /// plus the shared trace ring. Both default disabled; the cluster
@@ -964,7 +967,6 @@ impl NicCore {
         if let Some(key) = self.service_key.as_ref() {
             let cap = &dfs.capability;
             if cap.verify(key, now.as_ns() as u64, Rights::READ).is_err() {
-                self.read_auth_failures += 1;
                 return Err(AckPkt::new(msg, Some(dfs.greq_id), Status::AuthFailed));
             }
         }
@@ -989,6 +991,7 @@ impl NicCore {
         if let (Some(_), Some(dfs)) = (self.service_key.as_ref(), r.dfs.as_ref()) {
             let describe = || format!("read-validate greq={} len={}", dfs.greq_id, r.rrh.len);
             if let Err(nack) = self.validate(r.msg, dfs, ctx.now(), describe) {
+                self.stats.borrow_mut().read_auth_failures += 1;
                 self.send_ack(ctx, src, nack);
                 return;
             }
@@ -1333,7 +1336,6 @@ impl Nic {
                 next_decode: 0,
                 mrs: Vec::new(),
                 service_key: None,
-                read_auth_failures: 0,
                 stats: Rc::new(RefCell::new(NicStats::default())),
                 obs: ObsHub::disabled(),
                 trace: Trace::disabled(),

@@ -250,6 +250,7 @@ mod tests {
             MacKey::from_seed(1),
             0,
             BufPool::shared(0),
+            Default::default(),
             ObsHub::disabled(),
             Trace::disabled(),
             1,

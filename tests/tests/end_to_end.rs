@@ -244,6 +244,13 @@ fn tampered_capability_rejected_on_nic_and_cpu_paths() {
         assert_eq!(c.run_until_writes(1, 1_000), 1);
         let r = c.results.borrow().writes[0].clone();
         assert_eq!(r.status, Status::AuthFailed, "{protocol:?}");
+        // The refusal shows in the snapshot, where it happened.
+        let counter = match mode {
+            StorageMode::Spin => "nic.0.write.auth_failures",
+            _ => "storage.0.auth_failures",
+        };
+        let refusals = c.metrics_snapshot().counter(counter);
+        assert_eq!(refusals, Some(1), "{protocol:?}");
     }
 }
 

@@ -338,13 +338,18 @@ fn capability_expired_reads_rejected_on_nic_and_cpu_paths() {
             "{mode:?}/{read_protocol:?} must reject expired read capabilities"
         );
         assert_eq!(fsc.open_spans(), 0, "{mode:?}/{read_protocol:?}");
-        // Storage-side accounting: the rejection happened at the server.
-        let refusals = match (mode, read_protocol) {
-            (_, ReadProtocol::Rpc) => fsc.cluster.storage_stats[0].borrow().auth_failures,
-            (StorageMode::Plain, _) => fsc.cluster.nic_stats[0].borrow().gather_auth_failures,
-            _ => continue,
+        // Storage-side accounting: the rejection happened at the server,
+        // and is counted once, by what was refused.
+        let cpu = fsc.cluster.storage_stats[0].borrow().auth_failures;
+        let nic = *fsc.cluster.nic_stats[0].borrow();
+        let refusals = match read_protocol {
+            ReadProtocol::Rpc => cpu,
+            ReadProtocol::Rdma => nic.read_auth_failures,
+            ReadProtocol::Offloaded => nic.gather_auth_failures,
         };
         assert_eq!(refusals, 1, "{mode:?}/{read_protocol:?}");
+        let all = cpu + nic.read_auth_failures + nic.gather_auth_failures + nic.write_auth_failures;
+        assert_eq!(all, 1, "{mode:?}/{read_protocol:?} counted once");
     }
 }
 
