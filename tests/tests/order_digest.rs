@@ -11,10 +11,18 @@
 //! record id: both changes move events by design. Any change to
 //! the engine, the fabric, the NIC, the PsPIN device, the handlers or the
 //! client that reorders, adds or drops a single event moves them.
+//!
+//! Beside each order digest sits a completion digest: every completion
+//! the scenario drains (writes, file reads, raw reads, metadata ops,
+//! repair tasks), by id or token, status, checksum, start and end. A
+//! change that only removes or reorders events moves the first and
+//! must leave the second alone; so each test checks the completions
+//! first, and a failure there means outcomes moved.
 
 use nadfs_core::{
-    ClusterSpec, FilePolicy, Job, LayoutSpec, MetaWorkload, ReadPattern, ReadProtocol,
-    RepairDriver, RepairOutcome, SimCluster, SizeDist, StorageMode, Workload, WriteProtocol,
+    ClusterSpec, FilePolicy, Job, LayoutSpec, MetaResult, MetaWorkload, ReadCompletion,
+    ReadPattern, ReadProtocol, ReadResult, RepairDriver, RepairOutcome, RepairResult, SimCluster,
+    SizeDist, StorageMode, Workload, WriteProtocol, WriteResult,
 };
 use nadfs_wire::{BcastStrategy, RsScheme, Status};
 
@@ -39,11 +47,69 @@ fn submit(cl: &SimCluster, files: &[u64], make: impl Fn(usize, u64) -> Vec<Job>)
     n
 }
 
-fn run_writes(cl: &mut SimCluster, n: usize) {
+/// The completions a scenario drained, folded into one value. Each
+/// completion hashes on its own and the hashes add, so completions that
+/// finish at the same instant may drain in either order.
+#[derive(Default)]
+struct Completions(u64);
+
+impl Completions {
+    /// Id or token, status, checksum, start and end, in ps; a field a
+    /// completion does not carry is 0.
+    fn add(&mut self, fields: [u64; 5]) {
+        let h = fields.into_iter().fold(0, |h, x| mix(h ^ x));
+        self.0 = self.0.wrapping_add(h);
+    }
+
+    fn writes(&mut self, ws: &[WriteResult]) {
+        for w in ws {
+            let status = w.status as u64;
+            self.add([w.greq, status, w.checksum, w.start.ps(), w.end.ps()]);
+        }
+    }
+
+    fn file_reads(&mut self, rs: &[ReadCompletion]) {
+        for r in rs {
+            let status = r.status as u64;
+            self.add([r.token, status, r.checksum, r.start.ps(), r.end.ps()]);
+        }
+    }
+
+    fn raw_reads(&mut self, rs: &[ReadResult]) {
+        for r in rs {
+            self.add([r.token, 0, r.checksum, 0, r.end.ps()]);
+        }
+    }
+
+    fn metas(&mut self, ms: &[MetaResult]) {
+        for m in ms {
+            let status = m.result.is_err() as u64;
+            self.add([m.token, status, 0, m.start.ps(), m.end.ps()]);
+        }
+    }
+
+    /// A repair task's checksum is the bytes it moved.
+    fn repairs(&mut self, rs: &[RepairResult]) {
+        for r in rs {
+            let status = r.status as u64;
+            self.add([r.token, status, r.bytes_moved, r.start.ps(), r.end.ps()]);
+        }
+    }
+}
+
+/// The splitmix64 finaliser.
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+fn run_writes(cl: &mut SimCluster, n: usize, done: &mut Completions) {
     cl.start();
     assert_eq!(cl.run_until_writes(n, DEADLINE_MS), n, "writes incomplete");
     let writes = std::mem::take(&mut cl.results.borrow_mut().writes);
     assert!(writes.iter().all(|w| w.status == Status::Ok));
+    done.writes(&writes);
 }
 
 /// The digest the engine reports and the one the snapshot publishes.
@@ -58,7 +124,7 @@ fn digest(cl: &SimCluster) -> u64 {
 }
 
 /// 4 clients x window 2, 8 x ~64 KiB sPIN-Ring k=4 writes each.
-fn spin_ring_k4() -> u64 {
+fn spin_ring_k4() -> (u64, u64) {
     let spec = ClusterSpec::new(4, 4, StorageMode::Spin).with_window(2);
     let mut cl = SimCluster::build(spec);
     let policy = FilePolicy::Replicated {
@@ -76,12 +142,13 @@ fn spin_ring_k4() -> u64 {
             .with_seed(SEED)
             .jobs_for_client(c)
     });
-    run_writes(&mut cl, n);
-    digest(&cl)
+    let mut done = Completions::default();
+    run_writes(&mut cl, n, &mut done);
+    (digest(&cl), done.0)
 }
 
 /// 2 clients x window 2, 3 x ~384 KiB sPIN-TriEC RS(6,3) writes each.
-fn spin_triec_rs63() -> u64 {
+fn spin_triec_rs63() -> (u64, u64) {
     let spec = ClusterSpec::new(2, 9, StorageMode::Spin).with_window(2);
     let mut cl = SimCluster::build(spec);
     let policy = FilePolicy::ErasureCoded {
@@ -102,13 +169,14 @@ fn spin_triec_rs63() -> u64 {
         .with_seed(SEED)
         .jobs_for_client(c)
     });
-    run_writes(&mut cl, n);
-    digest(&cl)
+    let mut done = Completions::default();
+    run_writes(&mut cl, n, &mut done);
+    (digest(&cl), done.0)
 }
 
 /// 2 clients x window 2: 16 RS(3,2) stripes preloaded each, one data
 /// node marked failed, then 24 offloaded 64 KiB reads each (cache off).
-fn offloaded_degraded_rs32() -> u64 {
+fn offloaded_degraded_rs32() -> (u64, u64) {
     let spec = ClusterSpec::new(2, 6, StorageMode::Spin).with_window(2);
     let mut cl = SimCluster::build_with(spec, |app| app.read_cache_enabled = false);
     let policy = FilePolicy::ErasureCoded {
@@ -129,7 +197,8 @@ fn offloaded_degraded_rs32() -> u64 {
         .with_seed(SEED)
         .jobs_for_client(c)
     });
-    run_writes(&mut cl, n);
+    let mut done = Completions::default();
+    run_writes(&mut cl, n, &mut done);
     let victim = cl.storage_nodes[0] as u32;
     cl.control.borrow_mut().mark_node_failed(victim);
     let n = submit(&cl, &files, |c, file| {
@@ -151,13 +220,14 @@ fn offloaded_degraded_rs32() -> u64 {
     );
     let reads = std::mem::take(&mut cl.results.borrow_mut().file_reads);
     assert!(reads.iter().all(|r| r.status == Status::Ok));
+    done.file_reads(&reads);
     let rebuilt: u64 = cl
         .nic_stats
         .iter()
         .map(|s| s.borrow().chunks_reconstructed)
         .sum();
     assert!(rebuilt > 0, "scenario must exercise NIC reconstruction");
-    digest(&cl)
+    (digest(&cl), done.0)
 }
 
 /// Writes the storage NICs NACKed `Busy` (descriptor exhaustion).
@@ -179,7 +249,7 @@ fn writes(file: u64, protocol: WriteProtocol, sizes: &SizeDist, n: usize, c: usi
 /// (one-sided on client 0 with the cache off, RPC on client 1 with
 /// cache and readahead on) reconstruct on the client CPU; then the
 /// repair driver rebuilds EC shards and clones replicas to spares.
-fn client_degraded_reads_then_repair() -> u64 {
+fn client_degraded_reads_then_repair() -> (u64, u64) {
     let spec = ClusterSpec::new(2, 6, StorageMode::Spin).with_window(2);
     let mut first = true;
     let mut cl = SimCluster::build_with(spec, |app| {
@@ -210,7 +280,8 @@ fn client_degraded_reads_then_repair() -> u64 {
         cl.submit(0, job);
         n += 1;
     }
-    run_writes(&mut cl, n);
+    let mut done = Completions::default();
+    run_writes(&mut cl, n, &mut done);
     // Files are homed round-robin: node 2 holds a data chunk of both EC
     // files and a replica of the third.
     let victim = cl.storage_nodes[2] as u32;
@@ -238,6 +309,7 @@ fn client_degraded_reads_then_repair() -> u64 {
     );
     let reads = std::mem::take(&mut cl.results.borrow_mut().file_reads);
     assert!(reads.iter().all(|r| r.status == Status::Ok));
+    done.file_reads(&reads);
     for (c, stats) in cl.client_read_stats.iter().enumerate() {
         assert!(
             stats.borrow().reconstructed_stripes > 0,
@@ -246,18 +318,19 @@ fn client_degraded_reads_then_repair() -> u64 {
     }
     let report = RepairDriver::new(0).drain(&mut cl);
     assert!(report.converged(), "{report:?}");
+    done.repairs(&report.outcomes);
     let did = |f: fn(&RepairOutcome) -> bool| report.outcomes.iter().any(|r| f(&r.outcome));
     assert!(did(|o| matches!(o, RepairOutcome::Rebuilt { .. })));
     assert!(did(|o| matches!(o, RepairOutcome::Cloned { .. })));
     assert_eq!(denied(&cl), 0, "no Busy retries in a pinned scenario");
-    digest(&cl)
+    (digest(&cl), done.0)
 }
 
 /// One client per baseline protocol at window 2, six ~48 KiB writes
 /// each, over the storage mode the protocol needs; then raw reads of
 /// what the RpcRdma client stored and a metadata mix with the cache on.
 /// The three clusters' digests fold into one value.
-fn baseline_protocols_raw_reads_and_meta() -> u64 {
+fn baseline_protocols_raw_reads_and_meta() -> (u64, u64) {
     let sizes = SizeDist::Uniform {
         min: 40 << 10,
         max: 56 << 10,
@@ -300,6 +373,8 @@ fn baseline_protocols_raw_reads_and_meta() -> u64 {
     assert_eq!(cl.run_until_writes(n, DEADLINE_MS), n, "writes incomplete");
     let written = std::mem::take(&mut cl.results.borrow_mut().writes);
     assert!(written.iter().all(|w| w.status == Status::Ok));
+    let mut done = Completions::default();
+    done.writes(&written);
     let stored: Vec<_> = written
         .iter()
         .filter(|w| w.protocol == WriteProtocol::RpcRdma)
@@ -341,6 +416,8 @@ fn baseline_protocols_raw_reads_and_meta() -> u64 {
         for r in &results.reads {
             assert_eq!(r.checksum, stored[r.token as usize].checksum);
         }
+        done.metas(&results.metas);
+        done.raw_reads(&results.reads);
     }
     let plain_digest = digest(&cl);
 
@@ -348,7 +425,7 @@ fn baseline_protocols_raw_reads_and_meta() -> u64 {
     let mut cl = SimCluster::build(ClusterSpec::new(1, 3, StorageMode::Spin).with_window(2));
     let jobs = writes(striped(&cl, "spin", 3), WriteProtocol::Spin, &sizes, 6, 0);
     let n = submit(&cl, &[0], |_, _| jobs.clone());
-    run_writes(&mut cl, n);
+    run_writes(&mut cl, n, &mut done);
     assert_eq!(denied(&cl), 0, "no Busy retries in a pinned scenario");
     let spin_digest = digest(&cl);
 
@@ -364,51 +441,72 @@ fn baseline_protocols_raw_reads_and_meta() -> u64 {
     let n = submit(&cl, &ec, |c, file| {
         writes(file, WriteProtocol::InecTriec, &sizes, 6, c)
     });
-    run_writes(&mut cl, n);
-    plain_digest ^ spin_digest.rotate_left(21) ^ digest(&cl).rotate_left(42)
+    run_writes(&mut cl, n, &mut done);
+    let order = plain_digest ^ spin_digest.rotate_left(21) ^ digest(&cl).rotate_left(42);
+    (order, done.0)
 }
 
 #[test]
 fn spin_ring_k4_order_is_pinned() {
+    let (order, done) = spin_ring_k4();
     assert_eq!(
-        spin_ring_k4(),
-        10_703_794_446_515_442_884,
+        done, 2_322_446_374_321_474_479,
+        "sPIN-Ring k=4 completions moved"
+    );
+    assert_eq!(
+        order, 10_703_794_446_515_442_884,
         "sPIN-Ring k=4 dispatch order moved"
     );
 }
 
 #[test]
 fn spin_triec_rs63_order_is_pinned() {
+    let (order, done) = spin_triec_rs63();
     assert_eq!(
-        spin_triec_rs63(),
-        18_374_524_656_414_646_274,
+        done, 7_142_380_173_105_057_540,
+        "sPIN-TriEC RS(6,3) completions moved"
+    );
+    assert_eq!(
+        order, 18_374_524_656_414_646_274,
         "sPIN-TriEC RS(6,3) dispatch order moved"
     );
 }
 
 #[test]
 fn offloaded_degraded_rs32_order_is_pinned() {
+    let (order, done) = offloaded_degraded_rs32();
     assert_eq!(
-        offloaded_degraded_rs32(),
-        1_833_058_962_939_530_739,
+        done, 3_647_600_493_982_435_447,
+        "offloaded degraded RS(3,2) read completions moved"
+    );
+    assert_eq!(
+        order, 1_833_058_962_939_530_739,
         "offloaded degraded RS(3,2) read dispatch order moved"
     );
 }
 
 #[test]
 fn client_degraded_reads_then_repair_order_is_pinned() {
+    let (order, done) = client_degraded_reads_then_repair();
     assert_eq!(
-        client_degraded_reads_then_repair(),
-        11_873_650_290_754_231_640,
+        done, 4_785_299_373_038_214_910,
+        "client-side degraded read / repair completions moved"
+    );
+    assert_eq!(
+        order, 11_873_650_290_754_231_640,
         "client-side degraded read / repair dispatch order moved"
     );
 }
 
 #[test]
 fn baseline_protocols_raw_reads_and_meta_order_is_pinned() {
+    let (order, done) = baseline_protocols_raw_reads_and_meta();
     assert_eq!(
-        baseline_protocols_raw_reads_and_meta(),
-        4_546_098_169_953_595_814,
+        done, 1_900_478_096_647_464_625,
+        "baseline-protocol / raw-read / metadata completions moved"
+    );
+    assert_eq!(
+        order, 4_546_098_169_953_595_814,
         "baseline-protocol / raw-read / metadata dispatch order moved"
     );
 }
