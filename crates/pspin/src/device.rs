@@ -3,7 +3,14 @@
 //!
 //! A packet entering the device traverses (Fig 7): packet-buffer copy →
 //! inter-cluster scheduling → L1 copy → intra-cluster scheduling → handler
-//! execution on an idle HPU. The scheduler enforces sPIN message semantics:
+//! execution on an idle HPU. The first three stages are computed when the
+//! packet arrives: the packet-buffer copy engine is one FIFO server,
+//! inter-cluster scheduling a constant delay, so each cluster's L1 copy
+//! engine sees its packets in arrival order and every finish time is known
+//! then. The packet's ingress credit goes back to the fabric as a timed
+//! credit due at its L1-copy end. Only what another component can observe
+//! stays an event: the packet ready for an HPU (after intra-cluster
+//! scheduling), and a handler run's end. The scheduler enforces sPIN message semantics:
 //! the header handler completes before any payload handler of the same
 //! message runs, and the completion handler runs only after every payload
 //! handler finished. Handlers block on NIC egress credits and on DMA
@@ -37,9 +44,6 @@ use crate::telemetry::Telemetry;
 /// A pipeline step due later. `token` is a key into the held-packet arena,
 /// `run` one into the run arena.
 enum Stage {
-    BufCopied { token: usize },
-    AtCluster { token: usize },
-    L1Copied { token: usize },
     HpuReady { token: usize },
     RunDone { run: usize },
     CleanupCheck { msg: MsgId },
@@ -240,8 +244,9 @@ impl PsPinDevice {
     }
 
     /// Ingest a packet that matched the execution context. The caller (NIC)
-    /// has already consumed an ingress credit, which the device releases
-    /// once the packet leaves the packet buffer (after L1 copy).
+    /// has already consumed an ingress credit, which the device returns,
+    /// timed for when the packet leaves the packet buffer (at its L1-copy
+    /// end).
     ///
     /// Message bookkeeping (descriptor admission, §III-B denial) happens
     /// here, at arrival order: the per-cluster copy engines further down
@@ -259,16 +264,31 @@ impl PsPinDevice {
             cluster,
             refs: 0,
         });
-        // Packet-buffer copy engine: serializing.
-        let start = now.max(self.pktbuf_engine_free);
-        let dur = self.cfg.pktbuf_copy_time(bytes);
-        self.pktbuf_engine_free = start + dur;
-        self.telemetry
-            .borrow_mut()
-            .pipeline
-            .pktbuf_copy_ns
-            .record_dur_ns(dur);
-        self.defer(ctx, start + dur, Stage::BufCopied { token });
+        // Packet-buffer copy (one engine, serializing), inter-cluster
+        // scheduling, then the copy into the cluster's L1 (one engine per
+        // cluster, serializing).
+        let cfg = &self.cfg;
+        let buf_copy = cfg.pktbuf_copy_time(bytes);
+        self.pktbuf_engine_free = now.max(self.pktbuf_engine_free) + buf_copy;
+        let inter_sched = cfg.cycles(cfg.inter_sched_cycles);
+        let at_cluster = self.pktbuf_engine_free + inter_sched;
+        let l1_copy = cfg.l1_copy_time(bytes);
+        let l1_copied = at_cluster.max(self.l1_engine_free[cluster]) + l1_copy;
+        self.l1_engine_free[cluster] = l1_copied;
+        let intra_sched = cfg.cycles(cfg.intra_sched_cycles);
+        {
+            let mut t = self.telemetry.borrow_mut();
+            let p = &mut t.pipeline;
+            p.pktbuf_copy_ns.record_dur_ns(buf_copy);
+            p.inter_sched_ns.record_dur_ns(inter_sched);
+            p.l1_copy_ns.record_dur_ns(l1_copy);
+            p.intra_sched_ns.record_dur_ns(intra_sched);
+        }
+        // In L1, the packet has left the packet buffer: the fabric may
+        // deliver the next one from then on.
+        let gate = &self.port.ingress_gate;
+        gate.borrow_mut().release_at(ctx, l1_copied);
+        self.defer(ctx, l1_copied + intra_sched, Stage::HpuReady { token });
     }
 
     /// Track the message this packet belongs to; on its first packet,
@@ -341,68 +361,18 @@ impl PsPinDevice {
         if key & Self::NOTE != 0 {
             return self.notes.remove((key - Self::NOTE) as usize);
         }
-        let now = ctx.now();
-        let (delay, next) = match self.stages.remove(key as usize).expect("deferred stage") {
-            Stage::BufCopied { token } => (self.on_buf_copied(), Stage::AtCluster { token }),
-            Stage::AtCluster { token } => {
-                (self.on_at_cluster(now, token), Stage::L1Copied { token })
+        match self.stages.remove(key as usize).expect("deferred stage") {
+            Stage::HpuReady { token } => self.on_hpu_ready(ctx, token),
+            Stage::RunDone { run } => self.on_run_done(ctx, run),
+            Stage::CleanupCheck { msg } => {
+                // Still active: look again when the timeout could expire.
+                if let Some(remaining) = self.on_cleanup_check(ctx, msg) {
+                    let at = ctx.now() + remaining;
+                    self.defer(ctx, at, Stage::CleanupCheck { msg });
+                }
             }
-            Stage::L1Copied { token } => (self.on_l1_copied(ctx), Stage::HpuReady { token }),
-            Stage::HpuReady { token } => {
-                self.on_hpu_ready(ctx, token);
-                return None;
-            }
-            Stage::RunDone { run } => {
-                self.on_run_done(ctx, run);
-                return None;
-            }
-            // Still active: look again when the timeout could expire.
-            Stage::CleanupCheck { msg } => match self.on_cleanup_check(ctx, msg) {
-                Some(remaining) => (remaining, Stage::CleanupCheck { msg }),
-                None => return None,
-            },
-        };
-        self.defer(ctx, now + delay, next);
+        }
         None
-    }
-
-    fn on_buf_copied(&mut self) -> Dur {
-        let d = self.cfg.cycles(self.cfg.inter_sched_cycles);
-        self.telemetry
-            .borrow_mut()
-            .pipeline
-            .inter_sched_ns
-            .record_dur_ns(d);
-        d
-    }
-
-    fn on_at_cluster(&mut self, now: Time, token: usize) -> Dur {
-        let (bytes, cluster) = {
-            let p = self.held.get(token).expect("held packet");
-            (p.ev.pkt.wire_bytes() as u64, p.cluster)
-        };
-        let start = now.max(self.l1_engine_free[cluster]);
-        let dur = self.cfg.l1_copy_time(bytes);
-        self.l1_engine_free[cluster] = start + dur;
-        self.telemetry
-            .borrow_mut()
-            .pipeline
-            .l1_copy_ns
-            .record_dur_ns(dur);
-        (start + dur).since(now)
-    }
-
-    fn on_l1_copied(&mut self, ctx: &mut Ctx<'_>) -> Dur {
-        // Packet left the packet buffer: return the ingress credit so the
-        // fabric can deliver the next packet.
-        self.port.ingress_gate.borrow_mut().release(ctx);
-        let d = self.cfg.cycles(self.cfg.intra_sched_cycles);
-        self.telemetry
-            .borrow_mut()
-            .pipeline
-            .intra_sched_ns
-            .record_dur_ns(d);
-        d
     }
 
     /// Drop one reference to a held packet. The last one retires it: a
@@ -578,9 +548,9 @@ impl PsPinDevice {
                 Op::Charge { cycles } => run.t += self.cfg.cycles(*cycles),
                 Op::Send { pkt } => {
                     let mut gate = self.port.egress_gate.borrow_mut();
-                    if !gate.try_take() {
+                    if !gate.try_take(now) {
                         // Park: HPU blocks holding the run.
-                        gate.register_waiter(self.owner, Self::EGRESS_WAKE);
+                        gate.register_waiter(ctx, self.owner, Self::EGRESS_WAKE);
                         self.egress_waiters.push_back(run_id);
                         return;
                     }
@@ -619,7 +589,7 @@ impl PsPinDevice {
         // FIFO re-attempt; each may re-park (bounded by the starting count).
         let n = self.egress_waiters.len();
         for _ in 0..n {
-            if self.port.egress_gate.borrow().available() == 0 {
+            if self.port.egress_gate.borrow().available(ctx.now()) == 0 {
                 break;
             }
             let Some(run_id) = self.egress_waiters.pop_front() else {
@@ -633,7 +603,7 @@ impl PsPinDevice {
             self.port
                 .egress_gate
                 .borrow_mut()
-                .register_waiter(self.owner, Self::EGRESS_WAKE);
+                .register_waiter(ctx, self.owner, Self::EGRESS_WAKE);
         }
     }
 
@@ -819,13 +789,17 @@ mod tests {
         }
     }
 
-    /// NIC owner for the device under test.
+    /// NIC owner for the device under test; logs each packet's arrival
+    /// instant and wire size.
     struct TestNic {
         dev: Option<PsPinDevice>,
+        arrivals: Rc<RefCell<Vec<(Time, u64)>>>,
     }
     impl Component for TestNic {
         fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Box<dyn Any>) {
             let a = ev.downcast::<PacketEvent<Frame>>().expect("a packet");
+            let bytes = a.pkt.wire_bytes() as u64;
+            self.arrivals.borrow_mut().push((ctx.now(), bytes));
             self.dev.as_mut().expect("device").ingest(ctx, a);
         }
         /// The cleanup handler's notification needs nothing done.
@@ -883,7 +857,7 @@ mod tests {
                     q.pop_front();
                 } else {
                     let id = ctx.self_id;
-                    port.egress_gate.borrow_mut().register_waiter(id, 0);
+                    port.egress_gate.borrow_mut().register_waiter(ctx, id, 0);
                     break;
                 }
             }
@@ -919,10 +893,19 @@ mod tests {
     struct Rig {
         engine: Engine,
         acks: Rc<RefCell<Vec<(Time, Status)>>>,
+        arrivals: Rc<RefCell<Vec<(Time, u64)>>>,
         mem: nadfs_host::SharedMemory,
     }
 
     fn build_rig(size: u32, fanout: usize, abandon: bool, cleanup_ms: u64) -> Rig {
+        let cfg = PsPinConfig {
+            cleanup_timeout: Dur::from_ms(cleanup_ms),
+            ..Default::default()
+        };
+        rig_with(cfg, size, fanout, abandon)
+    }
+
+    fn rig_with(cfg: PsPinConfig, size: u32, fanout: usize, abandon: bool) -> Rig {
         let mut e = Engine::new();
         let fid = e.reserve_id();
         let client_id = e.reserve_id();
@@ -930,10 +913,6 @@ mod tests {
         let sink_id = e.reserve_id(); // fanout target that consumes silently
         let mut fab: Fabric<Frame> = Fabric::new(FabricConfig::default(), fid);
         let cport = fab.register_node(client_id, None);
-        let cfg = PsPinConfig {
-            cleanup_timeout: Dur::from_ms(cleanup_ms),
-            ..Default::default()
-        };
         let nport = fab.register_node(nic_id, Some(cfg.pktbuf_slots));
         let sport = fab.register_node(sink_id, None);
         e.install(fid, Box::new(fab));
@@ -952,7 +931,12 @@ mod tests {
             state_bytes: 2 << 20,
             descriptor_bytes: 77,
         });
-        e.install(nic_id, Box::new(TestNic { dev: Some(dev) }));
+        let arrivals = Rc::new(RefCell::new(vec![]));
+        let nic = TestNic {
+            dev: Some(dev),
+            arrivals: arrivals.clone(),
+        };
+        e.install(nic_id, Box::new(nic));
 
         let acks = Rc::new(RefCell::new(vec![]));
         e.install(
@@ -983,6 +967,7 @@ mod tests {
         Rig {
             engine: e,
             acks,
+            arrivals,
             mem,
         }
     }
@@ -1025,5 +1010,37 @@ mod tests {
         let mut rig = build_rig(50_000, 0, true, 1);
         rig.engine.run_until(Time(Dur::from_ms(10).ps()));
         assert!(rig.acks.borrow().is_empty(), "no ack for abandoned write");
+    }
+
+    #[test]
+    fn full_packet_buffer_admits_next_packet_at_l1_copy_end() {
+        // One packet-buffer slot: the fabric delivers each packet on the
+        // credit of the one before it, which comes back when that one
+        // is in L1. Each packet meets idle copy engines, so its L1-copy
+        // end is its arrival plus the three stages.
+        let cfg = PsPinConfig {
+            pktbuf_slots: 1,
+            ..Default::default()
+        };
+        let stages = |bytes| {
+            cfg.pktbuf_copy_time(bytes)
+                + cfg.cycles(cfg.inter_sched_cycles)
+                + cfg.l1_copy_time(bytes)
+        };
+        let mut rig = rig_with(cfg.clone(), 20_000, 0, false);
+        rig.engine.run_until(Time(Dur::from_ms(5).ps()));
+        assert_eq!(rig.acks.borrow().len(), 1, "the write completes");
+        // The next packet's downlink starts at that L1-copy end: it
+        // arrives one serialisation and FabricConfig::default()'s 20 ns
+        // link latency later.
+        let link = FabricConfig::default().link_bw;
+        let arrivals = rig.arrivals.borrow();
+        assert!(arrivals.len() > 2, "a multi-packet write");
+        for w in arrivals.windows(2) {
+            let ((at, bytes), (next_at, next_bytes)) = (w[0], w[1]);
+            let l1_copied = at + stages(bytes);
+            let delivery = link.tx_time(next_bytes) + Dur::from_ns(20);
+            assert_eq!(next_at, l1_copied + delivery, "{arrivals:?}");
+        }
     }
 }

@@ -555,8 +555,8 @@ impl NicCore {
     fn pump(&mut self, ctx: &mut Ctx<'_>) {
         while !self.out_q.is_empty() {
             let mut gate = self.port.egress_gate.borrow_mut();
-            if !gate.try_take() {
-                gate.register_waiter(self.self_id, EGRESS_WAKE);
+            if !gate.try_take(ctx.now()) {
+                gate.register_waiter(ctx, self.self_id, EGRESS_WAKE);
                 return;
             }
             drop(gate);

@@ -1127,7 +1127,8 @@ impl Aftermath {
         assert_eq!(self.open_messages, 0, "reassembly state left behind");
         assert_eq!(self.stripes_open, 0, "stripe state left behind");
         let gate = self.ingress.borrow();
-        assert_eq!(gate.available(), gate.capacity(), "ingress credit");
+        let now = self.c.engine.now();
+        assert_eq!(gate.available(now), gate.capacity(), "ingress credit");
     }
 
     fn acks(&self) -> Vec<AckPkt> {
