@@ -1,16 +1,17 @@
 //! Determinism as an assertion: the engine folds every dispatched
 //! `(time, target, seq)` into `Engine::order_digest()`, and five seeded
-//! scenarios pin its value. The two write scenarios were recorded on
-//! the `BinaryHeap<Reverse<Scheduled>>` engine that preceded the tiered
-//! queue, and the baseline-protocol one on the single-`impl` client that
-//! preceded the per-op state machines; they cover the client paths the
-//! benchmark does not drive (the CPU and RDMA baselines, striped
-//! layouts, raw reads, metadata ops). The two degraded-read scenarios
-//! were re-recorded when the degraded gather became a streaming decode
-//! and the planner began rotating parities and coordinators over the
-//! record id: both changes move events by design. Any change to
-//! the engine, the fabric, the NIC, the PsPIN device, the handlers or the
-//! client that reorders, adds or drops a single event moves them.
+//! scenarios pin its value. They cover the client paths the benchmark
+//! does not drive (the CPU and RDMA baselines, striped layouts, raw
+//! reads, metadata ops) as well as the sPIN write and degraded-read
+//! paths. All five were last re-recorded when the PsPIN device began
+//! computing its packet-buffer copy, inter-cluster hop and L1 copy when a
+//! packet arrives, returning the packet's ingress credit as a timed
+//! credit: three device wakes per pSPIN packet went, and the sPIN write
+//! paths fell from 10.998 to 7.998 events per packet (Ring k=4) and from
+//! 11.065 to 8.065 (TriEC RS(6,3)), with every completion digest below
+//! unchanged. Any change to the engine, the fabric, the NIC, the PsPIN
+//! device, the handlers or the client that reorders, adds or drops a
+//! single event moves them.
 //!
 //! Beside each order digest sits a completion digest: every completion
 //! the scenario drains (writes, file reads, raw reads, metadata ops,
@@ -454,7 +455,7 @@ fn spin_ring_k4_order_is_pinned() {
         "sPIN-Ring k=4 completions moved"
     );
     assert_eq!(
-        order, 10_703_794_446_515_442_884,
+        order, 16_226_185_618_582_678_261,
         "sPIN-Ring k=4 dispatch order moved"
     );
 }
@@ -467,7 +468,7 @@ fn spin_triec_rs63_order_is_pinned() {
         "sPIN-TriEC RS(6,3) completions moved"
     );
     assert_eq!(
-        order, 18_374_524_656_414_646_274,
+        order, 9_109_671_641_781_976_520,
         "sPIN-TriEC RS(6,3) dispatch order moved"
     );
 }
@@ -480,7 +481,7 @@ fn offloaded_degraded_rs32_order_is_pinned() {
         "offloaded degraded RS(3,2) read completions moved"
     );
     assert_eq!(
-        order, 1_833_058_962_939_530_739,
+        order, 16_524_738_864_415_821_072,
         "offloaded degraded RS(3,2) read dispatch order moved"
     );
 }
@@ -493,7 +494,7 @@ fn client_degraded_reads_then_repair_order_is_pinned() {
         "client-side degraded read / repair completions moved"
     );
     assert_eq!(
-        order, 11_873_650_290_754_231_640,
+        order, 18_263_846_395_364_643_951,
         "client-side degraded read / repair dispatch order moved"
     );
 }
@@ -506,7 +507,7 @@ fn baseline_protocols_raw_reads_and_meta_order_is_pinned() {
         "baseline-protocol / raw-read / metadata completions moved"
     );
     assert_eq!(
-        order, 4_546_098_169_953_595_814,
+        order, 4_722_904_968_859_069_733,
         "baseline-protocol / raw-read / metadata dispatch order moved"
     );
 }
