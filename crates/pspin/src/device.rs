@@ -3,14 +3,18 @@
 //!
 //! A packet entering the device traverses (Fig 7): packet-buffer copy →
 //! inter-cluster scheduling → L1 copy → intra-cluster scheduling → handler
-//! execution on an idle HPU. The first three stages are computed when the
-//! packet arrives: the packet-buffer copy engine is one FIFO server,
-//! inter-cluster scheduling a constant delay, so each cluster's L1 copy
-//! engine sees its packets in arrival order and every finish time is known
-//! then. The packet's ingress credit goes back to the fabric as a timed
-//! credit due at its L1-copy end. Only what another component can observe
-//! stays an event: the packet ready for an HPU (after intra-cluster
-//! scheduling), and a handler run's end. The scheduler enforces sPIN message semantics:
+//! execution on an idle HPU.
+//!
+//! The first three stages are computed when the packet arrives. The
+//! packet-buffer copy engine is one FIFO server and inter-cluster
+//! scheduling a constant delay, so each cluster's L1 copy engine sees its
+//! packets in arrival order and every finish time is known then. The
+//! packet's ingress credit goes back to the fabric as a timed credit due
+//! at its L1-copy end. Only what another component can observe stays an
+//! event: the packet ready for an HPU (after intra-cluster scheduling),
+//! and a handler run's end.
+//!
+//! The scheduler enforces sPIN message semantics:
 //! the header handler completes before any payload handler of the same
 //! message runs, and the completion handler runs only after every payload
 //! handler finished. Handlers block on NIC egress credits and on DMA
@@ -22,9 +26,9 @@
 //!
 //! Nothing here copies a frame: a packet stays in the box it arrived in,
 //! held in a slot arena, and the handler tasks that read it hold the slot
-//! key. Nothing the device defers is boxed either: a packet's next
-//! pipeline stage, a run's end or a handler's notification waits in a
-//! slot of another arena, and the wake that fires it names the slot.
+//! key. Nothing the device defers is boxed either: a packet's readiness
+//! for an HPU, a run's end or a handler's notification waits in a slot
+//! of another arena, and the wake that fires it names the slot.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;

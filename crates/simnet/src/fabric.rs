@@ -18,7 +18,8 @@
 //!   `down_q` is full (PFC-like hold, with head-of-line blocking);
 //! * a downlink will not start serializing until the destination NIC's
 //!   ingress gate grants a credit (returned by the NIC when it has admitted
-//!   the packet into its own buffers).
+//!   the packet into its own buffers, or timed for that instant when the
+//!   NIC knows it on arrival, as a PsPIN NIC does).
 
 use std::any::Any;
 use std::cell::RefCell;
@@ -69,7 +70,8 @@ pub struct NodePort {
     pub egress_gate: SharedGate,
     /// Credits for the NIC's own ingress buffer. The fabric takes one per
     /// delivered packet; the NIC must release it once the packet has been
-    /// consumed from its ingress stage.
+    /// consumed from its ingress stage, or return it with
+    /// [`Gate::release_at`] for the instant it will have been.
     pub ingress_gate: SharedGate,
 }
 

@@ -47,12 +47,6 @@ struct Waiter {
     due: Option<Time>,
 }
 
-impl Waiter {
-    fn is(&self, who: ComponentId, token: u64) -> bool {
-        self.who == who && self.token == token
-    }
-}
-
 /// Shared handle to a gate. The simulator is single-threaded; `Rc<RefCell>`
 /// keeps sharing explicit and cheap.
 pub type SharedGate = Rc<RefCell<Gate>>;
@@ -108,7 +102,11 @@ impl Gate {
         let now = ctx.now();
         self.waiters.retain(|w| w.due.is_none_or(|t| t > now));
         self.scheduled.retain(|&(.., t)| t > now);
-        if self.waiters.iter().any(|w| w.is(who, token)) {
+        if self
+            .waiters
+            .iter()
+            .any(|w| w.who == who && w.token == token)
+        {
             return;
         }
         self.settle(now);
