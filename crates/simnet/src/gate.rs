@@ -6,13 +6,13 @@
 //! and retry when woken. Consumers call [`Gate::release`] as they drain,
 //! which wakes every registered waiter ([`Component::wake`](crate::Component::wake)).
 //!
-//! A consumer that knows, when it admits work, the instant a credit will
-//! come back returns it then with [`Gate::release_at`]: a timed credit. A
-//! take at or after that instant counts it; a waiter, whether it
-//! registered before the timed release or while the credit is pending, is
-//! woken at the instant the earliest credit comes back, once. The consumer
-//! spends no event on the release; the producer needs to learn of the
-//! credit only when it has run dry.
+//! A consumer that knows, when it admits work, the instant the credit
+//! will come back returns it right away with [`Gate::release_at`], timed
+//! for that instant: a timed credit. A take at or after that instant
+//! counts it; a waiter, whether it registered before the timed release or
+//! while the credit is pending, is woken once, at the instant the earliest
+//! credit comes back. The consumer spends no event on the release; the
+//! producer needs to learn of the credit only when it has run dry.
 //!
 //! This is the mechanism behind all lossless-network backpressure in the
 //! simulator (PFC-like pause, PsPIN packet-buffer admission, NIC egress
