@@ -23,7 +23,7 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use nadfs_gfec::ReedSolomon;
+use nadfs_gfec::RsCodecs;
 use nadfs_meta::{LayoutSpec, MetaCache, MetaError};
 use nadfs_rdma::{NicApp, NicCore};
 use nadfs_simnet::{
@@ -448,7 +448,7 @@ pub struct ClientApp {
     /// the past to exercise capability-expired reads).
     pub read_cap_expires_at_ns: u64,
     /// Cached RS codecs for client-side reconstruction (reads and repair).
-    rs_cache: IdMap<(u8, u8), ReedSolomon>,
+    codecs: RsCodecs,
     /// Shared read-path counters (exported by the cluster's metrics
     /// snapshot; the handle survives the app moving into the engine).
     pub read_stats: SharedClientReadStats,
@@ -500,7 +500,7 @@ impl ClientApp {
             abandon_every: None,
             jobs_started: 0,
             read_cap_expires_at_ns: u64::MAX / 2,
-            rs_cache: IdMap::default(),
+            codecs: RsCodecs::default(),
             read_stats: Rc::new(RefCell::new(ClientReadStats::default())),
             meta_cache,
             cache_enabled: true,
@@ -641,12 +641,7 @@ impl ClientApp {
         survivors: &[usize],
         want: &[usize],
     ) -> Result<Vec<Vec<u8>>, nadfs_gfec::RsError> {
-        let rs = self
-            .rs_cache
-            .entry((scheme.k, scheme.m))
-            .or_insert_with(|| {
-                ReedSolomon::new(scheme.k as usize, scheme.m as usize).expect("valid RS scheme")
-            });
+        let rs = self.codecs.get(scheme.k, scheme.m)?;
         let (pool, mem, clen) = (nic.buf_pool(), nic.memory(), chunk_len as usize);
         let mut p = pool.borrow_mut();
         let staged: Vec<Vec<u8>> = (0..survivors.len())

@@ -7,7 +7,7 @@ use std::rc::Rc;
 
 use nadfs_host::{DmaEngine, SharedMemory};
 use nadfs_pspin::{ExecutionContext, Telemetry};
-use nadfs_rdma::{EcEngine, Nic, NicApp, SharedNicStats};
+use nadfs_rdma::{Nic, NicApp, SharedNicStats};
 use nadfs_simnet::{
     BufPool, ComponentId, CreditConfig, Dur, Engine, Fabric, FabricStats, FlowStats,
     MetricsSnapshot, NodeId, ObsHub, PacketPool, SharedFlowStats, SharedObs, SharedTenantLedgers,
@@ -347,7 +347,7 @@ impl SimCluster {
                     );
                 }
                 StorageMode::FirmwareEc => {
-                    nic.core.enable_firmware_ec(EcEngine::new());
+                    nic.core.enable_firmware_ec();
                 }
             }
             storage_mems.push(nic.core.memory());

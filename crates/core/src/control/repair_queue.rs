@@ -301,15 +301,15 @@ impl ControlPlane {
                     });
                 }
                 survivors.truncate(k);
-                // Parity spares keep the (1 + k)-slot staging region the
-                // INEC firmware path expects for this address range,
-                // matching the original placement.
-                let chunk = chunk_len as u64;
+                // A parity spare gets a whole parity region, staging
+                // slots included, as placement gives every parity: the
+                // rebuilt coordinate keeps the layout both aggregation
+                // paths address.
                 let rebuild = self.plan_spares(&coords, |slot| {
                     if slot >= k {
-                        chunk * (1 + k as u64)
+                        scheme.parity_region(chunk_len)
                     } else {
-                        chunk
+                        chunk_len as u64
                     }
                 })?;
                 Ok(RepairPlan::EcRebuild {

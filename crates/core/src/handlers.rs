@@ -15,7 +15,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use nadfs_gfec::{Accumulator, ReedSolomon};
+use nadfs_gfec::{Accumulator, RsCodecs};
 use nadfs_pspin::{HandlerArgs, HandlerSet, HostEvent, HostNotify, Ops};
 use nadfs_rdma::SharedNicStats;
 use nadfs_simnet::telemetry::phase;
@@ -67,8 +67,6 @@ pub(crate) fn ec_ph_instrs(m: u8, bytes: usize) -> u64 {
 struct FwdStream {
     msg: MsgId,
     dst: NodeId,
-    /// WRH of the forwarded message's first packet.
-    wrh: WriteReqHeader,
 }
 
 /// Per-request NIC state — the paper's 77-byte write descriptor. Shared
@@ -125,7 +123,7 @@ pub struct DfsNicState {
     key: MacKey,
     req_table: IdMap<MsgId, Rc<ReqEntry>>,
     next_fwd_seq: u64,
-    rs_cache: IdMap<(u8, u8), ReedSolomon>,
+    codecs: RsCodecs,
     stripes: IdMap<u64, StripeState>,
     /// In-flight aggregation sequences (Fig 14), by stripe and offset.
     accs: IdMap<(u64, u32), Accumulator>,
@@ -166,7 +164,7 @@ impl DfsNicState {
             key,
             req_table: IdMap::default(),
             next_fwd_seq: 0,
-            rs_cache: IdMap::default(),
+            codecs: RsCodecs::default(),
             stripes: IdMap::default(),
             accs: IdMap::default(),
             acc_free: accumulator_pool,
@@ -177,14 +175,6 @@ impl DfsNicState {
             trace,
             node,
         }
-    }
-
-    fn rs(&mut self, scheme: RsScheme) -> &ReedSolomon {
-        self.rs_cache
-            .entry((scheme.k, scheme.m))
-            .or_insert_with(|| {
-                ReedSolomon::new(scheme.k as usize, scheme.m as usize).expect("valid RS")
-            })
     }
 
     /// Authenticate the request `msg` that `dfs` heads — signature,
@@ -212,11 +202,36 @@ impl DfsNicState {
         Ok(())
     }
 
-    fn alloc_fwd_msg(&mut self, node: NodeId) -> MsgId {
+    /// Open a stream that forwards the request to `dst` under `wrh`: send
+    /// its (empty) header packet, ahead of `data_pkts` data packets. The
+    /// header handler sends it itself because payload handlers run
+    /// concurrently on independent HPUs, and their durations depend on
+    /// payload size: only the HH can guarantee that the header leaves
+    /// first, as sPIN requires.
+    fn open_stream(
+        &mut self,
+        a: &mut HandlerArgs<'_>,
+        dst: NodeId,
+        dfs: DfsHeader,
+        wrh: WriteReqHeader,
+        data_pkts: u32,
+    ) -> FwdStream {
         // High bit namespaces NIC-originated messages away from host ones.
-        let m = MsgId::new(node as u32, 0x8000_0000_0000_0000 | self.next_fwd_seq);
+        let msg = MsgId::new(a.local as u32, 0x8000_0000_0000_0000 | self.next_fwd_seq);
         self.next_fwd_seq += 1;
-        m
+        a.ops.send(
+            dst,
+            Frame::Write(WritePkt {
+                msg,
+                pkt_idx: 0,
+                total_pkts: data_pkts + 1,
+                dfs: Some(dfs),
+                wrh: Some(wrh),
+                offset: 0,
+                data: Bytes::new(),
+            }),
+        );
+        FwdStream { msg, dst }
     }
 }
 
@@ -252,7 +267,7 @@ fn gather_header(st: &mut DfsNicState, g: &GatherReqPkt, src: NodeId, now: Time,
 
 impl HandlerSet for DfsNicState {
     /// `DFS_request_init` (Listing 1): authenticate and set up state.
-    fn header(&mut self, a: HandlerArgs<'_>) {
+    fn header(&mut self, mut a: HandlerArgs<'_>) {
         a.ops.charge_instrs(HH_INSTRS, HH_IPC);
         if let Frame::GatherReq(g) = a.frame {
             gather_header(self, g, a.src, a.now, a.ops);
@@ -271,118 +286,71 @@ impl HandlerSet for DfsNicState {
         };
 
         let describe = || format!("hdr-validate greq={}", dfs.greq_id);
-        if let Err(nack) = self.validate(w.msg, &dfs, Rights::WRITE, a.now, describe) {
-            self.stats.borrow_mut().write_auth_failures += 1;
-            self.req_table.insert(
-                w.msg,
-                Rc::new(ReqEntry {
-                    greq: dfs.greq_id,
-                    accept: false,
-                    client: dfs.client as NodeId,
-                    wrh,
-                    fwd: Vec::new(),
-                    data_pkts,
-                    fwd_sent: Cell::new(0),
-                }),
-            );
-            // DFS_request_init sends NACK if request auth fails.
-            a.ops.send(dfs.client as NodeId, Frame::Ack(nack));
-            return;
-        }
-
+        let refusal = match self.validate(w.msg, &dfs, Rights::WRITE, a.now, describe) {
+            Err(nack) => {
+                self.stats.borrow_mut().write_auth_failures += 1;
+                Some(nack)
+            }
+            // An EC header whose fields do not fit together is refused
+            // before any state is built on it.
+            Ok(()) => match &wrh.resiliency {
+                Resiliency::ErasureCode(info) if !info.is_sound() => {
+                    Some(AckPkt::new(w.msg, Some(dfs.greq_id), Status::Rejected))
+                }
+                _ => None,
+            },
+        };
         let mut fwd = Vec::new();
-        match &wrh.resiliency {
-            Resiliency::None => {}
-            Resiliency::Replicate {
-                strategy,
-                vrank,
-                coords,
-            } => {
+        match (refusal, &wrh.resiliency) {
+            // DFS_request_init sends NACK if the request is refused.
+            (Some(nack), _) => a.ops.send(dfs.client as NodeId, Frame::Ack(nack)),
+            (None, Resiliency::None) => {}
+            (
+                None,
+                Resiliency::Replicate {
+                    strategy,
+                    vrank,
+                    coords,
+                },
+            ) => {
                 // Client-driven broadcast (§V-A): the WRH carries the full
-                // coordinate list; pick our children from it. The header
-                // handler emits each forward stream's (empty) header packet
-                // itself: payload handlers run concurrently on independent
-                // HPUs, so only the HH can guarantee the header leaves
-                // first.
+                // coordinate list; pick our children from it.
                 for child in bcast_children(*strategy, *vrank, coords.len()) {
-                    let dst = coords[child as usize].node as NodeId;
-                    let msg = self.alloc_fwd_msg(a.local);
-                    let stream = FwdStream {
-                        msg,
-                        dst,
-                        wrh: WriteReqHeader {
-                            target_addr: coords[child as usize].addr,
-                            len: wrh.len,
-                            resiliency: Resiliency::Replicate {
-                                strategy: *strategy,
-                                vrank: child,
-                                coords: coords.clone(),
-                            },
+                    let coord = coords[child as usize];
+                    let child_wrh = WriteReqHeader {
+                        target_addr: coord.addr,
+                        len: wrh.len,
+                        resiliency: Resiliency::Replicate {
+                            strategy: *strategy,
+                            vrank: child,
+                            coords: coords.clone(),
                         },
                     };
-                    a.ops.send(
-                        stream.dst,
-                        Frame::Write(WritePkt {
-                            msg: stream.msg,
-                            pkt_idx: 0,
-                            total_pkts: data_pkts + 1,
-                            dfs: Some(dfs),
-                            wrh: Some(stream.wrh.clone()),
-                            offset: 0,
-                            data: Bytes::new(),
-                        }),
-                    );
-                    fwd.push(stream);
+                    fwd.push(self.open_stream(
+                        &mut a,
+                        coord.node as NodeId,
+                        dfs,
+                        child_wrh,
+                        data_pkts,
+                    ));
                 }
             }
-            Resiliency::ErasureCode(info) => match info.role {
+            (None, Resiliency::ErasureCode(info)) => match info.role {
                 EcRole::Data { chunk_idx } => {
-                    // One intermediate-parity stream per parity node. The
-                    // header handler emits an explicit (empty) header packet
-                    // for each stream: payload-handler durations depend on
-                    // payload size, so without this a short tail packet's
-                    // parity could overtake the stream header on the wire —
-                    // sPIN requires headers to arrive first.
+                    // One intermediate-parity stream per parity node, to
+                    // its parity region's base: the parity node places
+                    // what it aggregates itself.
                     for (p, coord) in info.parity_coords.iter().enumerate() {
-                        let msg = self.alloc_fwd_msg(a.local);
-                        let stream = FwdStream {
-                            msg,
-                            dst: coord.node as NodeId,
-                            wrh: WriteReqHeader {
-                                target_addr: coord.addr,
-                                len: wrh.len,
-                                resiliency: Resiliency::ErasureCode(EcInfo {
-                                    scheme: info.scheme,
-                                    role: EcRole::Parity {
-                                        parity_idx: p as u8,
-                                        src_chunk: chunk_idx,
-                                    },
-                                    stripe: info.stripe,
-                                    parity_coords: vec![*coord],
-                                }),
-                            },
-                        };
-                        a.ops.send(
-                            stream.dst,
-                            Frame::Write(WritePkt {
-                                msg: stream.msg,
-                                pkt_idx: 0,
-                                total_pkts: data_pkts + 1,
-                                dfs: Some(dfs),
-                                wrh: Some(stream.wrh.clone()),
-                                offset: 0,
-                                data: Bytes::new(),
-                            }),
-                        );
-                        fwd.push(stream);
+                        let stream_wrh = info.parity_stream(chunk_idx, p, 0, wrh.len);
+                        let dst = coord.node as NodeId;
+                        fwd.push(self.open_stream(&mut a, dst, dfs, stream_wrh, data_pkts));
                     }
                 }
                 EcRole::Parity { .. } => {
                     // Parity node: make sure the stripe state exists and
                     // decide NIC vs host aggregation for this stripe.
-                    // (A stripe of no chunks aggregates nothing: no state.)
                     let stripe = info.stripe;
-                    if info.scheme.k > 0 && !self.stripes.contains_key(&stripe) {
+                    if !self.stripes.contains_key(&stripe) {
                         let needed = wrh
                             .len
                             .div_ceil(nadfs_wire::sizes::max_payload_plain())
@@ -416,7 +384,7 @@ impl HandlerSet for DfsNicState {
             w.msg,
             Rc::new(ReqEntry {
                 greq: dfs.greq_id,
-                accept: true,
+                accept: refusal.is_none(),
                 client: dfs.client as NodeId,
                 wrh,
                 fwd,
@@ -497,13 +465,15 @@ impl HandlerSet for DfsNicState {
                     if w.data.is_empty() {
                         return; // stream-header packet: nothing to encode
                     }
+                    let Ok(rs) = self.codecs.get(info.scheme.k, m) else {
+                        return; // (a sound header names a code)
+                    };
                     // Per-packet streaming encode (§VI-B): multiply by the
                     // parity coefficient, forward the product into the next
                     // stream slot.
                     let slot = entry.next_fwd_slot();
-                    let scheme = info.scheme;
                     for (p, f) in entry.fwd.iter().enumerate() {
-                        let coef = self.rs(scheme).parity_coef(p, chunk_idx as usize);
+                        let coef = rs.parity_coef(p, chunk_idx as usize);
                         // Pooled product buffer + in-place wide-word
                         // multiply: no allocation once the ring warms up.
                         let mut ipar = self.buf_pool.borrow_mut().get_dirty(w.data.len());
@@ -537,7 +507,7 @@ impl HandlerSet for DfsNicState {
                     let chunk_len = sst.chunk_len;
                     let final_addr = sst.final_addr;
                     let staging =
-                        final_addr + (1 + src_chunk as u64) * chunk_len as u64 + w.offset as u64;
+                        final_addr + RsScheme::staging_slot(chunk_len, src_chunk) + w.offset as u64;
                     if sst.fallback {
                         // Host aggregates: stage the intermediate parity.
                         a.ops.dma_write(staging, w.data.clone());
@@ -587,25 +557,19 @@ impl HandlerSet for DfsNicState {
         if !entry.accept {
             return; // NACK already sent by the header handler
         }
-        let is_parity_stream = matches!(
-            entry.wrh.resiliency,
-            Resiliency::ErasureCode(EcInfo {
-                role: EcRole::Parity { .. },
-                ..
-            })
-        );
-        if !is_parity_stream {
+        // A parity node acks the client only when all k streams completed.
+        let Resiliency::ErasureCode(EcInfo {
+            role: EcRole::Parity { .. },
+            stripe,
+            ..
+        }) = entry.wrh.resiliency
+        else {
             // Explicit flush before acknowledging (§III-B-1).
             a.ops.wait_flush();
             let ack = AckPkt::new(a.msg, Some(entry.greq), Status::Ok);
             a.ops.send(entry.client, Frame::Ack(ack));
             return;
-        }
-        // Parity node: ack the client only when all k streams completed.
-        let Resiliency::ErasureCode(info) = &entry.wrh.resiliency else {
-            unreachable!();
         };
-        let stripe = info.stripe;
         let Some(sst) = self.stripes.get_mut(&stripe) else {
             return;
         };

@@ -27,7 +27,7 @@ use nadfs_simnet::{
 };
 use nadfs_wire::{
     bcast_children, AckPkt, DfsHeader, MacKey, MsgId, ReadReqHeader, Resiliency, Rights, RpcBody,
-    Status, WriteReqHeader,
+    RsScheme, Status, WriteReqHeader,
 };
 
 /// Observable storage-node statistics (shared with tests/harnesses).
@@ -465,7 +465,7 @@ impl NicApp for StorageApp {
                     (p.get(chunk_len as usize), p.get_dirty(chunk_len as usize))
                 };
                 for j in 0..k {
-                    let staging = final_addr + (1 + j as u64) * chunk_len as u64;
+                    let staging = final_addr + RsScheme::staging_slot(chunk_len, j);
                     mem.borrow().read_into(staging, &mut staged);
                     nadfs_gfec::gf256::xor_slice(&staged, &mut acc);
                 }

@@ -413,6 +413,25 @@ impl ReedSolomon {
     }
 }
 
+/// The codes a component has built, by scheme: one [`ReedSolomon`] per
+/// (k, m), made the first time it is asked for. A scheme taken off the wire
+/// may name no code; asking for it is an error, not a panic.
+#[derive(Debug, Default)]
+pub struct RsCodecs {
+    codes: BTreeMap<(u8, u8), ReedSolomon>,
+}
+
+impl RsCodecs {
+    /// The code RS(k, m), built on first use.
+    pub fn get(&mut self, k: u8, m: u8) -> Result<&ReedSolomon, RsError> {
+        use std::collections::btree_map::Entry;
+        Ok(match self.codes.entry((k, m)) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(v) => v.insert(ReedSolomon::new(k as usize, m as usize)?),
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

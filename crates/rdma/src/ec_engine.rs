@@ -14,6 +14,13 @@
 //! The contrast with sPIN-TriEC (per-packet streaming, no host round trips)
 //! is the entire point of Fig 15.
 //!
+//! The engine's queue is a resource of every NIC, not of INEC alone: the
+//! encode and aggregation passes occupy it on a firmware-EC NIC, and a
+//! degraded gather's decode occupies it on whichever NIC coordinates the
+//! gather, a sPIN NIC included. Only the staged-aggregation state is
+//! INEC's own ([`EcEngine`], which a NIC has once
+//! [`NicCore::enable_firmware_ec`] is called).
+//!
 //! # Degraded gathers: decode as it arrives
 //!
 //! The read side runs the paper's aggregation sequence (§VI, Fig 14)
@@ -31,12 +38,12 @@
 //! packet on its queue.
 
 use bytes::Bytes;
-use nadfs_gfec::{Accumulator, ReedSolomon, RsError};
+use nadfs_gfec::Accumulator;
 use nadfs_simnet::telemetry::phase;
 use nadfs_simnet::{Bandwidth, Ctx, Dur, IdMap, NodeId, Time};
 use nadfs_wire::{
-    AckPkt, DfsHeader, EcInfo, EcRole, Frame, GatherReconstruct, GatherSegment, MsgId,
-    ReadReqHeader, ReadRespPkt, ReplicaCoord, Resiliency, Status, WriteReqHeader,
+    AckPkt, DfsHeader, EcRole, Frame, GatherReconstruct, GatherSegment, MsgId, ReadReqHeader,
+    ReadRespPkt, ReplicaCoord, Resiliency, RsScheme, Status, WriteReqHeader,
 };
 
 use crate::nic::{NicCore, NicEvent, Ranges, ReadSink, StreamSink};
@@ -64,51 +71,20 @@ struct AggState {
     flush: Time,
 }
 
-/// The engine state on one NIC.
+/// INEC's write-path state on a firmware-EC NIC: the stripes whose
+/// intermediate parities are being staged. (The engine's queue is the
+/// NIC's, which a degraded gather's decode occupies too.)
 #[derive(Default)]
 pub struct EcEngine {
-    rs_cache: IdMap<(u8, u8), ReedSolomon>,
     agg: IdMap<(u64, u8), AggState>,
-    pub(crate) busy_until: Time,
-    /// Set on engines brought up lazily for degraded gather reads: they
-    /// leave EC write handling (the write-path encode/aggregate offload)
-    /// to the host software.
-    reads_only: bool,
     pub chunks_encoded: u64,
 }
 
 impl EcEngine {
-    pub fn new() -> EcEngine {
-        EcEngine::default()
-    }
-
-    /// A read-only engine: decodes degraded gathers but does not
-    /// hijack EC write handling from the node software.
-    pub(crate) fn for_reads() -> EcEngine {
-        EcEngine {
-            reads_only: true,
-            ..EcEngine::default()
-        }
-    }
-
-    /// The code for a scheme read off the wire, which may name none.
-    fn try_rs(&mut self, k: u8, m: u8) -> Result<&ReedSolomon, RsError> {
-        use std::collections::hash_map::Entry;
-        Ok(match self.rs_cache.entry((k, m)) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(v) => v.insert(ReedSolomon::new(k as usize, m as usize)?),
-        })
-    }
-
     /// Stripes with intermediate parities staged and their aggregation
     /// still to run (diagnostic).
     pub fn stripes_open(&self) -> usize {
         self.agg.len()
-    }
-
-    /// Does this write carry an EC role the engine should consume?
-    pub(crate) fn wants(&self, wrh: &WriteReqHeader) -> bool {
-        !self.reads_only && matches!(wrh.resiliency, Resiliency::ErasureCode(_))
     }
 }
 
@@ -130,15 +106,7 @@ pub(crate) fn on_ec_write_landed(
         return;
     };
     let greq = dfs.map(|d| d.greq_id);
-    let engine = core.ec.as_mut().expect("engine enabled");
-    let (k, m) = (info.scheme.k, info.scheme.m);
-    let sound = match info.role {
-        EcRole::Data { chunk_idx } => {
-            chunk_idx < k && info.parity_coords.len() >= m as usize && engine.try_rs(k, m).is_ok()
-        }
-        EcRole::Parity { src_chunk, .. } => src_chunk < k,
-    };
-    if !sound {
+    if !info.is_sound() {
         core.send_ack(ctx, src, AckPkt::new(msg, greq, Status::Rejected));
         return;
     }
@@ -163,6 +131,8 @@ pub(crate) fn on_ec_write_landed(
                 .copied()
                 .unwrap_or(ReplicaCoord { node: 0, addr: 0 });
             let key = (info.stripe, parity_idx);
+            let k = info.scheme.k;
+            let engine = core.ec.as_mut().expect("engine enabled");
             let st = engine.agg.entry(key).or_insert_with(|| AggState {
                 k,
                 chunk_len: wrh.len,
@@ -207,7 +177,13 @@ pub(crate) fn encode(
     let EcRole::Data { chunk_idx } = info.role else {
         return;
     };
-    let len = wrh.len;
+    let (len, m) = (wrh.len, info.scheme.m);
+    let Ok(rs) = core.codecs.get(info.scheme.k, m) else {
+        return; // (a sound header names a code)
+    };
+    let coefs: Vec<u8> = (0..m as usize)
+        .map(|p| rs.parity_coef(p, chunk_idx as usize))
+        .collect();
     // DMA-read the chunk back from host memory into a pooled
     // staging buffer (store-and-forward, no fresh allocation).
     let mut chunk_buf = core.pool.borrow_mut().get_dirty(len as usize);
@@ -215,41 +191,23 @@ pub(crate) fn encode(
         .dma
         .borrow_mut()
         .read_into(now, wrh.target_addr, &mut chunk_buf);
-    let engine = core.ec.as_mut().expect("engine enabled");
-    let (k, m) = (info.scheme.k, info.scheme.m);
     // Engine compute: m coefficient-multiplied outputs.
     let compute = EC_ENCODE_BW.tx_time(len as u64 * m as u64);
     let send_at = ready + compute;
-    engine.chunks_encoded += 1;
-    let rs = engine.try_rs(k, m).expect("checked when the chunk landed");
-    let coefs: Vec<u8> = (0..m as usize)
-        .map(|p| rs.parity_coef(p, chunk_idx as usize))
-        .collect();
+    core.ec.as_mut().expect("engine enabled").chunks_encoded += 1;
     core.ec_hold(now, send_at);
     // Build and (deferred to send_at) emit the intermediate
-    // parity writes to each parity node. Each product lands in
-    // a pooled buffer via the in-place wide-word kernel.
+    // parity writes, each to this chunk's staging slot of its parity
+    // node's region. Each product lands in a pooled buffer via the
+    // in-place wide-word kernel.
     let mut writes = Vec::new();
-    for (p, (coef, &coord)) in coefs.into_iter().zip(&info.parity_coords).enumerate() {
+    let staging = RsScheme::staging_slot(len, chunk_idx);
+    for (p, coef) in coefs.into_iter().enumerate() {
         let mut ipar = core.pool.borrow_mut().get_dirty(chunk_buf.len());
         nadfs_gfec::intermediate_parity_into(coef, &chunk_buf, &mut ipar);
-        // Staging layout at the parity node: final parity chunk
-        // at `coord.addr`, then k staging slots of chunk_len.
-        let staging = coord.addr + (1 + chunk_idx as u64) * len as u64;
-        let wrh = WriteReqHeader {
-            target_addr: staging,
-            len,
-            resiliency: Resiliency::ErasureCode(EcInfo {
-                scheme: info.scheme,
-                role: EcRole::Parity {
-                    parity_idx: p as u8,
-                    src_chunk: chunk_idx,
-                },
-                stripe: info.stripe,
-                parity_coords: vec![coord],
-            }),
-        };
-        writes.push((coord.node as NodeId, dfs, wrh, Bytes::from(ipar)));
+        let wrh = info.parity_stream(chunk_idx, p, staging, len);
+        let node = info.parity_coords[p].node as NodeId;
+        writes.push((node, dfs, wrh, Bytes::from(ipar)));
     }
     core.pool.borrow_mut().put(chunk_buf);
     core.defer(ctx, send_at, NicEvent::Writes(writes));
@@ -276,7 +234,7 @@ pub(crate) fn aggregate(core: &mut NicCore, ctx: &mut Ctx<'_>, stripe: u64, pari
     };
     let mut ready = now;
     for j in 0..st.k {
-        let staging = st.final_addr + (1 + j as u64) * st.chunk_len as u64;
+        let staging = st.final_addr + RsScheme::staging_slot(st.chunk_len, j);
         ready = core
             .dma
             .borrow_mut()
@@ -390,9 +348,9 @@ pub(crate) fn start_decode(
     let sound = copies().all(|c| c.chunk_off.checked_add(c.len).is_some_and(in_chunk))
         && want.iter().all(|w| !survivors.contains(w))
         && copies().count() <= u16::MAX as usize;
-    let engine = core.ec.get_or_insert_with(EcEngine::for_reads);
-    let rows = engine
-        .try_rs(rec.scheme.k, rec.scheme.m)
+    let rows = core
+        .codecs
+        .get(rec.scheme.k, rec.scheme.m)
         .and_then(|rs| rs.decode_rows(&survivors, &want));
     let (true, Ok(rows)) = (sound, rows) else {
         return false;

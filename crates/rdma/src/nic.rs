@@ -9,6 +9,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 use bytes::Bytes;
+use nadfs_gfec::RsCodecs;
 use nadfs_host::{Cpu, DmaConfig, DmaEngine, HostMemory, SharedMemory};
 use nadfs_pspin::{HostNotify, PsPinConfig, PsPinDevice};
 use nadfs_simnet::telemetry::phase;
@@ -21,7 +22,8 @@ use nadfs_simnet::{
 use nadfs_wire::{
     send_payload_caps, split_payload, write_payload_caps, AckPkt, DfsHeader, Frame,
     GatherReadHeader, GatherReqPkt, GatherSegment, HlConfigPkt, MacKey, MsgId, Pkt, ReadReqHeader,
-    ReadReqPkt, ReadRespPkt, Rights, RpcBody, SendPkt, Status, WritePkt, WriteReqHeader,
+    ReadReqPkt, ReadRespPkt, Resiliency, Rights, RpcBody, SendPkt, Status, WritePkt,
+    WriteReqHeader,
 };
 
 use crate::app::NicApp;
@@ -235,8 +237,8 @@ pub struct NicStats {
     /// Lost data chunks rebuilt, wholly or in part, by the on-NIC EC
     /// engine for degraded gathers.
     pub chunks_reconstructed: u64,
-    /// Time the EC engine was occupied (what its `busy_until` queue
-    /// integrates), in picoseconds.
+    /// Time the EC engine was occupied (what its queue integrates), in
+    /// picoseconds.
     pub ec_busy_ps: u64,
 }
 
@@ -269,7 +271,13 @@ pub struct NicCore {
     self_id: ComponentId,
     pspin: Option<PsPinDevice>,
     pub(crate) chains: Chains,
+    /// INEC's staged-aggregation state, on a firmware-EC NIC.
     pub(crate) ec: Option<EcEngine>,
+    /// When the EC engine's queue frees up: INEC's passes and degraded
+    /// gathers' decodes wait in it.
+    ec_busy_until: Time,
+    /// The codes the EC engine has built, by scheme.
+    pub(crate) codecs: RsCodecs,
     /// Recycled payload buffers (the NIC's packet-buffer ring): landed
     /// write payloads retire here and the EC engine / handlers draw
     /// intermediate-parity and accumulator buffers from it.
@@ -431,9 +439,10 @@ impl NicCore {
         self.pspin.as_ref()
     }
 
-    /// Enable the INEC-style firmware EC engine on this NIC.
-    pub fn enable_firmware_ec(&mut self, engine: EcEngine) {
-        self.ec = Some(engine);
+    /// Enable the INEC-style firmware EC engine on this NIC: it encodes
+    /// and aggregates the EC writes that land here.
+    pub fn enable_firmware_ec(&mut self) {
+        self.ec = Some(EcEngine::default());
     }
 
     pub fn firmware_ec(&self) -> Option<&EcEngine> {
@@ -444,10 +453,9 @@ impl NicCore {
     /// frees up if that is later (no-op if it is busy past `until`
     /// already).
     pub(crate) fn ec_hold(&mut self, from: Time, until: Time) {
-        let engine = self.ec.as_mut().expect("engine enabled");
-        let from = from.max(engine.busy_until);
+        let from = from.max(self.ec_busy_until);
         if until > from {
-            engine.busy_until = until;
+            self.ec_busy_until = until;
             self.stats.borrow_mut().ec_busy_ps += until.since(from).ps();
         }
     }
@@ -455,7 +463,7 @@ impl NicCore {
     /// Queue `work` on the EC engine, ready at `from`: it starts when the
     /// engine frees up. Returns when it is done.
     pub(crate) fn ec_occupy(&mut self, from: Time, work: Dur) -> Time {
-        let start = from.max(self.ec.as_ref().expect("engine enabled").busy_until);
+        let start = from.max(self.ec_busy_until);
         self.ec_hold(start, start + work);
         start + work
     }
@@ -890,7 +898,8 @@ impl NicCore {
         }
         if complete {
             let st = self.raw_writes.remove(&w.msg).expect("just updated");
-            let is_ec = self.ec.as_ref().is_some_and(|e| e.wants(&st.wrh));
+            let is_ec =
+                self.ec.is_some() && matches!(st.wrh.resiliency, Resiliency::ErasureCode(_));
             if is_ec {
                 ec_engine::on_ec_write_landed(self, ctx, src, w.msg, st.dfs, st.wrh, st.flush);
                 return;
@@ -1317,6 +1326,8 @@ impl Nic {
                 pspin: None,
                 chains: Chains::default(),
                 ec: None,
+                ec_busy_until: Time::ZERO,
+                codecs: RsCodecs::default(),
                 // 256 retained buffers, byte-capped by the pool's default
                 // retained-capacity budget (recycled whole-block payloads
                 // can be large); bounds pool memory like a real RX ring.

@@ -12,7 +12,7 @@ use std::rc::Rc;
 use bytes::Bytes;
 use nadfs_gfec::ReedSolomon;
 use nadfs_host::{DmaEngine, SharedMemory};
-use nadfs_rdma::{EcEngine, Nic, NicApp, NicConfig, NicCore};
+use nadfs_rdma::{Nic, NicApp, NicConfig, NicCore};
 use nadfs_simnet::telemetry::phase;
 use nadfs_simnet::{
     BufPool, Component, CreditConfig, Ctx, Dur, Engine, Fabric, FabricConfig, NetPacket, NodeId,
@@ -437,13 +437,13 @@ fn firmware_ec_builds_correct_parity_rs_2_1() {
         })
     };
     let ec_setup: Setup = Box::new(|nic: &mut NicCore| {
-        nic.enable_firmware_ec(EcEngine::new());
+        nic.enable_firmware_ec();
     });
     let ec_setup2: Setup = Box::new(|nic: &mut NicCore| {
-        nic.enable_firmware_ec(EcEngine::new());
+        nic.enable_firmware_ec();
     });
     let ec_setup3: Setup = Box::new(|nic: &mut NicCore| {
-        nic.enable_firmware_ec(EcEngine::new());
+        nic.enable_firmware_ec();
     });
     let actions: Vec<HashMap<u64, Action>> = vec![
         HashMap::from([(
@@ -1148,7 +1148,7 @@ fn send_raw(frames: Vec<Frame>) -> Aftermath {
     let left = Rc::new(Cell::new((usize::MAX, usize::MAX, u64::MAX)));
     let (ingress2, left2) = (ingress.clone(), left.clone());
     let setup: Setup = Box::new(move |nic: &mut NicCore| {
-        nic.enable_firmware_ec(EcEngine::new());
+        nic.enable_firmware_ec();
         *ingress2.borrow_mut() = Some(nic.port().ingress_gate.clone());
     });
     let send = Box::new(move |nic: &mut NicCore, ctx: &mut Ctx<'_>| {

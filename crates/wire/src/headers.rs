@@ -61,6 +61,27 @@ impl RsScheme {
     pub const fn new(k: u8, m: u8) -> RsScheme {
         RsScheme { k, m }
     }
+
+    /// Whether the scheme names a code: k, m ≥ 1 and k + m ≤ 255, the
+    /// shards GF(2^8) can tell apart.
+    pub const fn is_code(self) -> bool {
+        self.k >= 1 && self.m >= 1 && self.k as u16 + self.m as u16 <= 255
+    }
+
+    /// Bytes of a parity chunk's region on its node. The region holds the
+    /// final parity, then k staging slots of `chunk_len`: slot j holds data
+    /// chunk j's intermediate parity while the stripe aggregates in host
+    /// memory (always on the INEC engine, on a sPIN NIC only when it falls
+    /// back to the host CPU).
+    pub const fn parity_region(self, chunk_len: u32) -> u64 {
+        Self::staging_slot(chunk_len, self.k)
+    }
+
+    /// Offset of staging slot `j` within a parity region of `chunk_len`
+    /// chunks (see [`RsScheme::parity_region`]).
+    pub const fn staging_slot(chunk_len: u32, j: u8) -> u64 {
+        (1 + j as u64) * chunk_len as u64
+    }
 }
 
 /// Role of the receiving storage node in the EC write (§VI-B: "indication of
@@ -86,6 +107,48 @@ pub struct EcInfo {
     pub stripe: u64,
     /// For `EcRole::Data`: coordinates of the m parity nodes.
     pub parity_coords: Vec<ReplicaCoord>,
+}
+
+impl EcInfo {
+    /// Whether the header's fields fit together, checked before a NIC acts
+    /// on one off the wire. The scheme must name a code. A data chunk's
+    /// index must be below k, and it must name exactly m parity nodes. An
+    /// intermediate parity's source chunk must be below k and its parity
+    /// index below m.
+    pub fn is_sound(&self) -> bool {
+        let RsScheme { k, m } = self.scheme;
+        self.scheme.is_code()
+            && match self.role {
+                EcRole::Data { chunk_idx } => {
+                    chunk_idx < k && self.parity_coords.len() == m as usize
+                }
+                EcRole::Parity {
+                    parity_idx,
+                    src_chunk,
+                } => src_chunk < k && parity_idx < m,
+            }
+    }
+
+    /// The header of the intermediate-parity stream that data chunk
+    /// `src_chunk` of this stripe sends to parity node `p` (an index into
+    /// `parity_coords`): `len` bytes at `offset` into that node's parity
+    /// region, whose base the stream carries as its one coordinate.
+    pub fn parity_stream(&self, src_chunk: u8, p: usize, offset: u64, len: u32) -> WriteReqHeader {
+        let coord = self.parity_coords[p];
+        WriteReqHeader {
+            target_addr: coord.addr + offset,
+            len,
+            resiliency: Resiliency::ErasureCode(EcInfo {
+                scheme: self.scheme,
+                role: EcRole::Parity {
+                    parity_idx: p as u8,
+                    src_chunk,
+                },
+                stripe: self.stripe,
+                parity_coords: vec![coord],
+            }),
+        }
+    }
 }
 
 /// Resiliency strategy option in the WRH (§VI-B: "the write request header
