@@ -1,19 +1,23 @@
-//! What the sPIN handlers hand the storage CPU. A stripe the accumulator
-//! pool cannot cover reaches the host as one event carrying that stripe's
-//! own state (§VI-B-3), whatever its id: stripe ids come in the client's
-//! header, so two stripes may share any bits but not the whole id.
+//! What the sPIN handlers hand the storage CPU, and what they refuse to
+//! act on. A stripe the accumulator pool cannot cover reaches the host as
+//! one event carrying that stripe's own state (§VI-B-3), whatever its id:
+//! stripe ids come in the client's header, so two stripes may share any
+//! bits but not the whole id. An EC header whose fields do not fit
+//! together is refused, even under a valid capability.
 
 use std::any::Any;
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use bytes::Bytes;
+use nadfs_core::storage::SharedStorageStats;
 use nadfs_core::{CostModel, DfsNicState, StorageApp};
+use nadfs_host::SharedMemory;
 use nadfs_pspin::ExecutionContext;
 use nadfs_rdma::Nic;
 use nadfs_simnet::{
-    Component, Ctx, Dur, Engine, Fabric, NetPacket, NodeId, NodePort, ObsHub, PacketEvent, Time,
-    Trace,
+    Component, ComponentId, Ctx, Dur, Engine, Fabric, NetPacket, NodeId, NodePort, ObsHub,
+    PacketEvent, Time, Trace,
 };
 use nadfs_wire::sizes::WRITE_DESCRIPTOR;
 use nadfs_wire::{
@@ -22,11 +26,11 @@ use nadfs_wire::{
 };
 
 /// A bare client in place of a NIC: submits its frames when kicked and
-/// records the acks that come back.
+/// records every frame that comes back.
 struct Sender {
     port: NodePort,
     frames: Vec<(NodeId, Frame)>,
-    acks: Rc<RefCell<Vec<AckPkt>>>,
+    received: Rc<RefCell<Vec<Frame>>>,
 }
 
 /// Kicks a [`Sender`].
@@ -41,15 +45,94 @@ impl Component for Sender {
             }
             return;
         };
-        if let Frame::Ack(ack) = arrived.pkt.payload {
-            self.acks.borrow_mut().push(ack);
-        }
+        self.received.borrow_mut().push(arrived.pkt.payload);
         self.port.ingress_gate.borrow_mut().release(ctx);
     }
 }
 
 const K: u8 = 2;
 const CHUNK: usize = 1000;
+
+/// A sPIN storage node with `accumulators` accumulators, authenticating
+/// with `key`, and a [`Sender`] as node 0 (the client every capability
+/// names).
+struct Rig {
+    engine: Engine,
+    sender_port: Option<NodePort>,
+    sender_id: ComponentId,
+    node: NodeId,
+    mem: SharedMemory,
+    stats: SharedStorageStats,
+}
+
+impl Rig {
+    fn new(key: MacKey, accumulators: usize) -> Rig {
+        let cost = CostModel::paper();
+        let mut engine = Engine::new();
+        let [fabric_id, sender_id, storage_id] = [(); 3].map(|()| engine.reserve_id());
+        let mut fabric: Fabric<Frame> = Fabric::new(cost.fabric.clone(), fabric_id);
+        let sender_port = fabric.register_node(sender_id, None);
+        let storage_port = fabric.register_node(storage_id, Some(cost.pspin.pktbuf_slots));
+        engine.install(fabric_id, Box::new(fabric));
+
+        let node = storage_port.node;
+        let app = StorageApp::new(key, cost.fabric.link_bw);
+        let stats = app.stats.clone();
+        let mut nic = Nic::new(cost.nic.clone(), storage_port, storage_id, Box::new(app));
+        let handlers = DfsNicState::new(
+            key,
+            accumulators,
+            nic.core.buf_pool(),
+            nic.core.nic_stats(),
+            ObsHub::disabled(),
+            Trace::disabled(),
+            node,
+        );
+        let ctx = ExecutionContext {
+            handlers: Box::new(handlers),
+            state_bytes: cost.pspin_state_bytes,
+            descriptor_bytes: WRITE_DESCRIPTOR,
+        };
+        nic.core.install_pspin(cost.pspin.clone(), ctx);
+        let mem = nic.core.memory();
+        engine.install(storage_id, Box::new(nic));
+        Rig {
+            engine,
+            sender_port: Some(sender_port),
+            sender_id,
+            node,
+            mem,
+            stats,
+        }
+    }
+
+    /// Send `frames` and run for a millisecond; returns every frame that
+    /// came back.
+    fn deliver(&mut self, frames: Vec<(NodeId, Frame)>) -> Vec<Frame> {
+        let received = Rc::default();
+        let sender = Sender {
+            port: self.sender_port.take().expect("one delivery per rig"),
+            frames,
+            received: Rc::clone(&received),
+        };
+        self.engine.install(self.sender_id, Box::new(sender));
+        self.engine
+            .schedule(Dur::ZERO, self.sender_id, Box::new(Go));
+        self.engine.run_until(Time(Dur::from_ms(1).ps()));
+        received.take()
+    }
+}
+
+/// Client 0's DFS header for request `greq`, with a valid capability.
+fn dfs_header(key: &MacKey, greq: u64) -> DfsHeader {
+    DfsHeader {
+        tenant: 0,
+        greq_id: greq,
+        op: DfsOp::Write,
+        client: 0,
+        capability: Capability::issue(key, 0, 1, Rights::RW, u64::MAX, greq),
+    }
+}
 
 /// The `K` intermediate-parity streams of `stripe`, as data nodes forward
 /// them to its parity node `parity` (an empty header packet, then the
@@ -61,13 +144,7 @@ fn parity_streams(
     greq: u64,
     parity: ReplicaCoord,
 ) -> (Vec<(NodeId, Frame)>, Vec<Vec<u8>>) {
-    let dfs = DfsHeader {
-        tenant: 0,
-        greq_id: greq,
-        op: DfsOp::Write,
-        client: 0,
-        capability: Capability::issue(key, 0, 1, Rights::RW, u64::MAX, greq),
-    };
+    let dfs = dfs_header(key, greq);
     let (mut frames, mut products) = (Vec::new(), Vec::new());
     for j in 0..K {
         let msg = MsgId::new(0, greq << 8 | j as u64);
@@ -113,37 +190,9 @@ fn parity_streams(
 /// and each final parity is the XOR of its own stripe's streams.
 #[test]
 fn fallback_stripes_sharing_low_bits_each_aggregate_and_ack() {
-    let cost = CostModel::paper();
     let key = MacKey::from_seed(5);
-    let mut engine = Engine::new();
-    let [fabric_id, sender_id, storage_id] = [(); 3].map(|()| engine.reserve_id());
-    let mut fabric: Fabric<Frame> = Fabric::new(cost.fabric.clone(), fabric_id);
-    let sender_port = fabric.register_node(sender_id, None);
-    let storage_port = fabric.register_node(storage_id, Some(cost.pspin.pktbuf_slots));
-    engine.install(fabric_id, Box::new(fabric));
-
-    let node = storage_port.node;
-    let app = StorageApp::new(key, cost.fabric.link_bw);
-    let stats = app.stats.clone();
-    let mut nic = Nic::new(cost.nic.clone(), storage_port, storage_id, Box::new(app));
-    let handlers = DfsNicState::new(
-        key,
-        0,
-        nic.core.buf_pool(),
-        nic.core.nic_stats(),
-        ObsHub::disabled(),
-        Trace::disabled(),
-        node,
-    );
-    let ctx = ExecutionContext {
-        handlers: Box::new(handlers),
-        state_bytes: cost.pspin_state_bytes,
-        descriptor_bytes: WRITE_DESCRIPTOR,
-    };
-    nic.core.install_pspin(cost.pspin.clone(), ctx);
-    let mem = nic.core.memory();
-    engine.install(storage_id, Box::new(nic));
-
+    let mut rig = Rig::new(key, 0);
+    let node = rig.node;
     let stripes = [(7, 1, 0x10_000), ((1 << 32) + 7, 2, 0x80_000)];
     let mut frames = Vec::new();
     let mut expected = Vec::new();
@@ -157,25 +206,100 @@ fn fallback_stripes_sharing_low_bits_each_aggregate_and_ack() {
         let xor = (0..CHUNK).map(|i| products.iter().fold(0, |x, p| x ^ p[i]));
         expected.push((addr, xor.collect::<Vec<u8>>()));
     }
-    let acks = Rc::default();
-    let sender = Sender {
-        port: sender_port,
-        frames,
-        acks: Rc::clone(&acks),
-    };
-    engine.install(sender_id, Box::new(sender));
-    engine.schedule(Dur::ZERO, sender_id, Box::new(Go));
-    engine.run_until(Time(Dur::from_ms(1).ps()));
-
-    let mut acked: Vec<_> = acks
-        .borrow()
-        .iter()
-        .map(|a| (a.greq_id, a.status))
-        .collect();
+    let received = rig.deliver(frames);
+    let mut acked: Vec<_> = acks(&received).map(|a| (a.greq_id, a.status)).collect();
     acked.sort_by_key(|&(greq, _)| greq);
     assert_eq!(acked, [(Some(1), Status::Ok), (Some(2), Status::Ok)]);
-    assert_eq!(stats.borrow().fallback_aggregations, 2);
+    assert_eq!(rig.stats.borrow().fallback_aggregations, 2);
     for (addr, xor) in expected {
-        assert_eq!(mem.borrow().read(addr, CHUNK), xor, "parity at {addr:#x}");
+        assert_eq!(
+            rig.mem.borrow().read(addr, CHUNK),
+            xor,
+            "parity at {addr:#x}"
+        );
     }
+}
+
+/// The acks among `frames`.
+fn acks(frames: &[Frame]) -> impl Iterator<Item = &AckPkt> {
+    frames.iter().filter_map(|f| match f {
+        Frame::Ack(a) => Some(a),
+        _ => None,
+    })
+}
+
+/// One single-packet write of `CHUNK` bytes to 0x40_000 on the storage
+/// node, under a valid capability and the EC header `info`. The header
+/// handler must refuse it: one `Rejected` NACK, nothing forwarded to the
+/// parity nodes `info` names (node 0, which would record it), and nothing
+/// landed, neither at the target nor anywhere in the parity region the
+/// header could be read as naming.
+fn assert_refused(info: EcInfo) {
+    let key = MacKey::from_seed(6);
+    let mut rig = Rig::new(key, 0);
+    let target = 0x40_000;
+    let wrh = WriteReqHeader {
+        target_addr: target,
+        len: CHUNK as u32,
+        resiliency: Resiliency::ErasureCode(info),
+    };
+    let pkt = WritePkt {
+        msg: MsgId::new(0, 9),
+        pkt_idx: 0,
+        total_pkts: 1,
+        dfs: Some(dfs_header(&key, 9)),
+        wrh: Some(wrh),
+        offset: 0,
+        data: Bytes::from(vec![0xEE; CHUNK]),
+    };
+    let received = rig.deliver(vec![(rig.node, Frame::Write(pkt))]);
+    let acked: Vec<_> = acks(&received).map(|a| (a.greq_id, a.status)).collect();
+    assert_eq!(acked, [(Some(9), Status::Rejected)], "{received:?}");
+    assert_eq!(received.len(), 1, "something was forwarded: {received:?}");
+    let span = 8 * CHUNK;
+    let landed = rig.mem.borrow().read(target, span);
+    assert!(landed.iter().all(|&b| b == 0), "bytes landed");
+}
+
+/// An RS(k, m) header in `role` for stripe 3, naming `coords` parity
+/// nodes, all of them node 0 at 0x40_000.
+fn ec_info(k: u8, m: u8, role: EcRole, coords: usize) -> EcInfo {
+    EcInfo {
+        scheme: RsScheme::new(k, m),
+        role,
+        stripe: 3,
+        parity_coords: vec![
+            ReplicaCoord {
+                node: 0,
+                addr: 0x40_000,
+            };
+            coords
+        ],
+    }
+}
+
+#[test]
+fn data_chunk_naming_more_parity_nodes_than_m_is_refused() {
+    assert_refused(ec_info(2, 1, EcRole::Data { chunk_idx: 0 }, 2));
+}
+
+#[test]
+fn data_chunk_past_k_is_refused() {
+    assert_refused(ec_info(2, 1, EcRole::Data { chunk_idx: 2 }, 1));
+}
+
+#[test]
+fn data_chunk_of_a_scheme_with_no_data_chunks_is_refused() {
+    assert_refused(ec_info(0, 1, EcRole::Data { chunk_idx: 0 }, 1));
+}
+
+/// On a parity node with no accumulators the stream would be staged, at
+/// its source chunk's slot: past the region for a chunk past k.
+#[test]
+fn parity_stream_from_a_chunk_past_k_is_refused() {
+    let role = EcRole::Parity {
+        parity_idx: 0,
+        src_chunk: 2,
+    };
+    assert_refused(ec_info(2, 1, role, 1));
 }
