@@ -113,7 +113,8 @@ struct StripeState {
     /// to a CPU-based aggregation"). Decided per stripe at header time so
     /// no aggregation sequence ever splits between NIC and host.
     fallback: bool,
-    /// Accumulators reserved from the pool for this stripe.
+    /// Accumulators reserved from the pool for this stripe: they return
+    /// to it together, when the stripe's last stream completes.
     reserved: usize,
 }
 
@@ -528,7 +529,6 @@ impl HandlerSet for DfsNicState {
                     }
                     if acc.absorb(&w.data) {
                         let acc = self.accs.remove(&key).expect("present");
-                        self.acc_free += 1;
                         let parity = Bytes::from(acc.into_buf());
                         a.ops.dma_write(final_addr + w.offset as u64, parity);
                     }

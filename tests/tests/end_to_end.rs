@@ -512,3 +512,47 @@ fn accumulator_exhaustion_falls_back_to_cpu_aggregation() {
         );
     }
 }
+
+/// §VI-B-3: a stripe's accumulator reservation returns to the pool once,
+/// when the stripe completes. With a pool that covers exactly one stripe,
+/// the pool is whole again after stripe A, and of two concurrent stripes
+/// B and C one fits and the other falls back, on each parity node.
+#[test]
+fn accumulator_reservation_returns_once_per_stripe() {
+    let (size, chunk_len) = (150_000, 50_000u32);
+    let per_stripe = chunk_len.div_ceil(nadfs_wire::sizes::max_payload_plain()) as usize;
+    let spec = ClusterSpec::new(1, 5, StorageMode::Spin)
+        .with_window(2)
+        .with_accumulator_pool(per_stripe);
+    let mut c = SimCluster::build(spec);
+    let scheme = RsScheme::new(3, 2);
+    let file = c
+        .control
+        .borrow_mut()
+        .create_file(0, FilePolicy::ErasureCoded { scheme })
+        .id;
+    let write = |seed| Job::Write {
+        file,
+        size,
+        protocol: WriteProtocol::SpinTriec { interleave: true },
+        seed,
+    };
+    c.submit(0, write(1));
+    c.start();
+    assert_eq!(c.run_until_writes(1, 1_000), 1, "stripe A");
+    c.submit(0, write(2));
+    c.submit(0, write(3));
+    c.start();
+    assert_eq!(c.run_until_writes(3, 1_000), 3, "stripes B and C");
+    let results = c.results.borrow().writes.clone();
+    assert!(results.iter().all(|r| r.status == Status::Ok), "{results:?}");
+    for coord in &results[0].placement.parities {
+        let idx = c.storage_index(coord.node as usize);
+        assert_eq!(
+            c.storage_stats[idx].borrow().fallback_aggregations,
+            1,
+            "parity node {} fell back for one of B and C",
+            coord.node
+        );
+    }
+}
