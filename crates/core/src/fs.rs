@@ -383,9 +383,9 @@ pub fn default_write_protocol(mode: StorageMode, policy: &FilePolicy) -> WritePr
         // Plain-mode plain files: CPU-validated RPC writes (policy still
         // enforced, just on the host).
         (_, FilePolicy::Plain) => WriteProtocol::Rpc,
-        // EC on a cluster with no EC engine has no offload path; the
-        // firmware protocol still lands the data chunks (parity stays
-        // unwritten), so degraded reads require a capable mode.
+        // EC on a cluster with no EC engine has no write path: its NICs
+        // refuse the firmware protocol's chunks, and the write fails
+        // `Rejected`.
         (_, FilePolicy::ErasureCoded { .. }) => WriteProtocol::InecTriec,
     }
 }

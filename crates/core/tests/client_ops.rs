@@ -11,13 +11,14 @@ use std::rc::Rc;
 use nadfs_core::client::{SharedPlan, SharedResults, KICK};
 use nadfs_core::control::SharedControl;
 use nadfs_core::{
-    ClientApp, ClusterSpec, ControlPlane, CostModel, FilePolicy, FsClient, Job, LayoutSpec, MetaOp,
-    ReadProtocol, ResultSink, SimCluster, StorageApp, StorageMode, WriteProtocol,
+    ClientApp, ClusterSpec, ControlPlane, CostModel, FilePolicy, FsClient, FsError, Job,
+    LayoutSpec, MetaOp, ReadProtocol, ResultSink, SimCluster, StorageApp, StorageMode,
+    WriteProtocol,
 };
 use nadfs_host::{SharedMemory, POLL_NOTIFY};
 use nadfs_rdma::{Nic, NicApp, NicCore};
 use nadfs_simnet::{ComponentId, Ctx, Dur, Engine, Fabric, NodeId, ObsHub, Time};
-use nadfs_wire::{AckPkt, Frame, Status};
+use nadfs_wire::{AckPkt, Frame, RsScheme, Status};
 
 /// Four clients at window 2 against one storage NIC with two descriptors:
 /// `Busy` NACKs are certain. A write waiting out its back-off is still one
@@ -400,4 +401,27 @@ fn fs_client_ops_leave_the_result_sink_empty() {
     let sink = fsc.cluster.results.borrow();
     let kept = [sink.writes.len(), sink.file_reads.len()];
     assert_eq!(kept, [0, 0], "completions kept in the shared sink");
+}
+
+/// A Plain cluster's NICs have no EC engine, so an EC file's write is
+/// refused at once instead of waiting for parity acks no node will send.
+/// The refusal frees the client's window slot: a plain file's write and
+/// read then go through.
+#[test]
+fn ec_write_on_a_plain_cluster_is_refused() {
+    let cluster = SimCluster::build(ClusterSpec::new(1, 5, StorageMode::Plain));
+    let mut fsc = FsClient::new(cluster);
+    let scheme = RsScheme::new(3, 2);
+    let policy = FilePolicy::ErasureCoded { scheme };
+    let ec = fsc
+        .create_with_policy("/ec", LayoutSpec::SINGLE, policy)
+        .expect("create");
+    let refused = fsc.write_at(&ec, 0, &[0xEC; 30_000]).map(|_| ());
+    assert_eq!(refused, Err(FsError::Io(Status::Rejected)));
+    assert_eq!(fsc.open_spans(), 0, "the refused write's span is closed");
+    let plain = fsc.create("/plain", LayoutSpec::SINGLE).expect("create");
+    let data = vec![0x5A; 10_000];
+    fsc.write_at(&plain, 0, &data).expect("plain write");
+    let r = fsc.read_at(&plain, 0, 10_000).expect("read");
+    assert_eq!(r.data.as_ref(), &data[..]);
 }

@@ -847,10 +847,19 @@ impl NicCore {
         let now = ctx.now();
         if w.is_first() {
             // A first packet without its WRH is malformed; one aimed
-            // outside every MR is refused. Either way nothing of the
+            // outside every MR, or asking for a resiliency this NIC has
+            // no engine for (replication is sPIN's; EC is sPIN's or the
+            // firmware engine's), is refused. Either way nothing of the
             // message is kept and its later packets drop below.
-            let target_ok = |h: &WriteReqHeader| self.mr_ok(h.target_addr, h.len as u64);
-            let Some(wrh) = w.wrh.take().filter(target_ok) else {
+            let acceptable = |h: &WriteReqHeader| {
+                let served = match h.resiliency {
+                    Resiliency::None => true,
+                    Resiliency::Replicate { .. } => false,
+                    Resiliency::ErasureCode(_) => self.ec.is_some(),
+                };
+                served && self.mr_ok(h.target_addr, h.len as u64)
+            };
+            let Some(wrh) = w.wrh.take().filter(acceptable) else {
                 let greq = w.dfs.map(|d| d.greq_id);
                 self.send_ack(ctx, src, AckPkt::new(w.msg, greq, Status::Rejected));
                 return;
@@ -898,9 +907,7 @@ impl NicCore {
         }
         if complete {
             let st = self.raw_writes.remove(&w.msg).expect("just updated");
-            let is_ec =
-                self.ec.is_some() && matches!(st.wrh.resiliency, Resiliency::ErasureCode(_));
-            if is_ec {
+            if matches!(st.wrh.resiliency, Resiliency::ErasureCode(_)) {
                 ec_engine::on_ec_write_landed(self, ctx, src, w.msg, st.dfs, st.wrh, st.flush);
                 return;
             }
