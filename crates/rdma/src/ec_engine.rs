@@ -43,7 +43,7 @@ use nadfs_simnet::telemetry::phase;
 use nadfs_simnet::{Bandwidth, Ctx, Dur, IdMap, NodeId, Time};
 use nadfs_wire::{
     AckPkt, DfsHeader, EcRole, Frame, GatherReconstruct, GatherSegment, MsgId, ReadReqHeader,
-    ReadRespPkt, ReplicaCoord, Resiliency, RsScheme, Status, WriteReqHeader,
+    ReadRespPkt, Resiliency, RsScheme, Status, WriteReqHeader,
 };
 
 use crate::nic::{NicCore, NicEvent, Ranges, ReadSink, StreamSink};
@@ -125,11 +125,7 @@ pub(crate) fn on_ec_write_landed(
             parity_idx,
             src_chunk,
         } => {
-            let final_coord = info
-                .parity_coords
-                .first()
-                .copied()
-                .unwrap_or(ReplicaCoord { node: 0, addr: 0 });
+            let final_addr = info.parity_coords.first().map_or(0, |c| c.addr);
             let key = (info.stripe, parity_idx);
             let k = info.scheme.k;
             let engine = core.ec.as_mut().expect("engine enabled");
@@ -138,7 +134,7 @@ pub(crate) fn on_ec_write_landed(
                 chunk_len: wrh.len,
                 staged: vec![false; k as usize],
                 staged_count: 0,
-                final_addr: final_coord.addr,
+                final_addr,
                 greq: greq.unwrap_or(0),
                 client: dfs.map(|d| d.client as NodeId).unwrap_or(0),
                 flush: Time::ZERO,

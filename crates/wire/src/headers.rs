@@ -62,12 +62,6 @@ impl RsScheme {
         RsScheme { k, m }
     }
 
-    /// Whether the scheme names a code: k, m ≥ 1 and k + m ≤ 255, the
-    /// shards GF(2^8) can tell apart.
-    pub const fn is_code(self) -> bool {
-        self.k >= 1 && self.m >= 1 && self.k as u16 + self.m as u16 <= 255
-    }
-
     /// Bytes of a parity chunk's region on its node. The region holds the
     /// final parity, then k staging slots of `chunk_len`: slot j holds data
     /// chunk j's intermediate parity while the stripe aggregates in host
@@ -111,22 +105,21 @@ pub struct EcInfo {
 
 impl EcInfo {
     /// Whether the header's fields fit together, checked before a NIC acts
-    /// on one off the wire. The scheme must name a code. A data chunk's
-    /// index must be below k, and it must name exactly m parity nodes. An
+    /// on one off the wire. The scheme must name a code: k, m ≥ 1 and
+    /// k + m ≤ 255, the shards GF(2^8) can tell apart. A data chunk's index
+    /// must be below k, and it must name exactly m parity nodes. An
     /// intermediate parity's source chunk must be below k and its parity
     /// index below m.
     pub fn is_sound(&self) -> bool {
         let RsScheme { k, m } = self.scheme;
-        self.scheme.is_code()
-            && match self.role {
-                EcRole::Data { chunk_idx } => {
-                    chunk_idx < k && self.parity_coords.len() == m as usize
-                }
-                EcRole::Parity {
-                    parity_idx,
-                    src_chunk,
-                } => src_chunk < k && parity_idx < m,
-            }
+        let fits = match self.role {
+            EcRole::Data { chunk_idx } => chunk_idx < k && self.parity_coords.len() == m as usize,
+            EcRole::Parity {
+                parity_idx,
+                src_chunk,
+            } => src_chunk < k && parity_idx < m,
+        };
+        fits && m >= 1 && k as u16 + m as u16 <= 255
     }
 
     /// The header of the intermediate-parity stream that data chunk

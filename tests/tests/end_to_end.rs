@@ -545,7 +545,10 @@ fn accumulator_reservation_returns_once_per_stripe() {
     c.start();
     assert_eq!(c.run_until_writes(3, 1_000), 3, "stripes B and C");
     let results = c.results.borrow().writes.clone();
-    assert!(results.iter().all(|r| r.status == Status::Ok), "{results:?}");
+    assert!(
+        results.iter().all(|r| r.status == Status::Ok),
+        "{results:?}"
+    );
     for coord in &results[0].placement.parities {
         let idx = c.storage_index(coord.node as usize);
         assert_eq!(
