@@ -690,6 +690,37 @@ mod tests {
         all.sort_unstable();
         all.dedup();
         assert_eq!(all.len(), 5, "k+m distinct failure domains");
+
+        // Placement and repair give a parity chunk its whole region: the
+        // node's next allocation starts where the last staging slot ends
+        // (page-aligned chunks, so the allocator rounds nothing up).
+        let cp = ControlPlane::new(7, vec![4, 5, 6, 7, 8, 9]);
+        let scheme = RsScheme::new(3, 2);
+        let f = cp
+            .borrow_mut()
+            .create_file(0, FilePolicy::ErasureCoded { scheme });
+        let chunk = 4096;
+        let p = cp.borrow_mut().place_write(f.id, 3 * chunk).expect("place");
+        cp.borrow_mut().commit_write(f.id, &p, 3 * chunk);
+        let region_end = RsScheme::staging_slot(chunk, scheme.k - 1) + chunk as u64;
+        let next_on = |node: u32| {
+            let mut cp = cp.borrow_mut();
+            let index = cp.node_index(node).expect("a storage node");
+            cp.alloc_on(index, 1).addr
+        };
+        let parity = p.parities[0];
+        assert_eq!(next_on(parity.node), parity.addr + region_end, "placed");
+        cp.borrow_mut().mark_node_failed(p.parities[1].node);
+        let task = cp.borrow_mut().pop_repair().expect("queued");
+        let plan = cp.borrow_mut().plan_repair(task).expect("plan");
+        let RepairPlan::EcRebuild { rebuild, .. } = plan else {
+            panic!("EC extent plans a rebuild, got {plan:?}");
+        };
+        let [(slot, spare)] = rebuild[..] else {
+            panic!("one shard to rebuild: {rebuild:?}");
+        };
+        assert_eq!(slot, 4, "the failed parity's index");
+        assert_eq!(next_on(spare.node), spare.addr + region_end, "repaired");
     }
 
     #[test]
