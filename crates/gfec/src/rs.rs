@@ -436,6 +436,18 @@ impl RsCodecs {
 mod tests {
     use super::*;
 
+    #[test]
+    fn codecs_build_each_code_once_and_refuse_what_names_none() {
+        let mut codecs = RsCodecs::default();
+        let first: *const ReedSolomon = codecs.get(3, 2).expect("RS(3,2)");
+        let again: *const ReedSolomon = codecs.get(3, 2).expect("RS(3,2)");
+        assert_eq!(first, again, "built once");
+        for (k, m) in [(0, 1), (1, 0), (200, 56)] {
+            assert_eq!(codecs.get(k, m).unwrap_err(), RsError::InvalidParams);
+        }
+        assert_eq!(codecs.get(200, 55).expect("k + m = 255").m(), 55);
+    }
+
     fn sample_data(k: usize, n: usize, seed: u8) -> Vec<Vec<u8>> {
         (0..k)
             .map(|j| {

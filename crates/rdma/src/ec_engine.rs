@@ -72,8 +72,7 @@ struct AggState {
 }
 
 /// INEC's write-path state on a firmware-EC NIC: the stripes whose
-/// intermediate parities are being staged. (The engine's queue is the
-/// NIC's, which a degraded gather's decode occupies too.)
+/// intermediate parities are being staged.
 #[derive(Default)]
 pub struct EcEngine {
     agg: IdMap<(u64, u8), AggState>,

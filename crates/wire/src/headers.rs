@@ -331,6 +331,41 @@ mod tests {
     }
 
     #[test]
+    fn ec_header_soundness() {
+        let coord = ReplicaCoord { node: 1, addr: 0 };
+        let info = |k, m, role, coords| EcInfo {
+            scheme: RsScheme::new(k, m),
+            role,
+            stripe: 0,
+            parity_coords: vec![coord; coords],
+        };
+        let data = |chunk_idx| EcRole::Data { chunk_idx };
+        let parity = |parity_idx, src_chunk| EcRole::Parity {
+            parity_idx,
+            src_chunk,
+        };
+        for sound in [
+            info(3, 2, data(2), 2),
+            info(3, 2, parity(1, 2), 1),
+            info(200, 55, data(0), 55),
+        ] {
+            assert!(sound.is_sound(), "{sound:?}");
+        }
+        for unsound in [
+            info(3, 2, data(3), 2),      // chunk past k
+            info(3, 2, data(0), 1),      // too few parity nodes
+            info(3, 2, data(0), 3),      // too many
+            info(0, 1, data(0), 1),      // no data chunks
+            info(3, 0, data(0), 0),      // no parities
+            info(200, 56, data(0), 56),  // more shards than GF(2^8) has
+            info(3, 2, parity(2, 0), 1), // parity past m
+            info(3, 2, parity(0, 3), 1), // source chunk past k
+        ] {
+            assert!(!unsound.is_sound(), "{unsound:?}");
+        }
+    }
+
+    #[test]
     fn grh_fits_first_packet_at_max_segments() {
         // Worst case: MAX_GATHER_SEGS segments each needing a copy range.
         let grh = GatherReadHeader {
