@@ -285,11 +285,7 @@ impl ControlPlane {
                 );
                 p.chunk_len = (len as u64).div_ceil(k as u64).max(1) as u32;
                 p.data_chunks = self.place_run(home, 0, k, p.chunk_len as u64);
-                // Each parity gets its whole region: the final parity,
-                // then the staging slots where intermediate parities wait
-                // when the stripe aggregates in host memory (always on
-                // INEC, on a sPIN parity node when it falls back to its
-                // CPU).
+                // Each parity gets its whole region, staging slots too.
                 p.parities = self.place_run(home, k, m, scheme.parity_region(p.chunk_len));
                 p.primary = p.data_chunks[0];
             }

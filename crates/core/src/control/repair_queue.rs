@@ -301,10 +301,8 @@ impl ControlPlane {
                     });
                 }
                 survivors.truncate(k);
-                // A parity spare gets a whole parity region, staging
-                // slots included, as placement gives every parity: the
-                // rebuilt coordinate keeps the layout both aggregation
-                // paths address.
+                // A parity spare gets a whole parity region, as placement
+                // gives every parity.
                 let rebuild = self.plan_spares(&coords, |slot| {
                     if slot >= k {
                         scheme.parity_region(chunk_len)

@@ -95,6 +95,20 @@ impl ReqEntry {
         self.fwd_sent.set(self.fwd_sent.get() + 1);
         self.fwd_sent.get()
     }
+
+    /// Send `data`, the bytes at `offset`, down stream `f` as packet `slot`.
+    fn forward(&self, ops: &mut Ops, f: &FwdStream, slot: u32, offset: u32, data: Bytes) {
+        let pkt = WritePkt {
+            msg: f.msg,
+            pkt_idx: slot,
+            total_pkts: self.data_pkts + 1,
+            dfs: None,
+            wrh: None,
+            offset,
+            data,
+        };
+        ops.send(f.dst, Frame::Write(pkt));
+    }
 }
 
 /// Aggregation state for one stripe at a parity node.
@@ -203,12 +217,10 @@ impl DfsNicState {
         Ok(())
     }
 
-    /// Open a stream that forwards the request to `dst` under `wrh`: send
-    /// its (empty) header packet, ahead of `data_pkts` data packets. The
-    /// header handler sends it itself because payload handlers run
-    /// concurrently on independent HPUs, and their durations depend on
-    /// payload size: only the HH can guarantee that the header leaves
-    /// first, as sPIN requires.
+    /// Open a stream forwarding the request to `dst` under `wrh`: send its
+    /// (empty) header packet ahead of `data_pkts` data packets. Payload
+    /// handlers run concurrently, so only the HH can guarantee that the
+    /// header leaves first, as sPIN requires.
     fn open_stream(
         &mut self,
         a: &mut HandlerArgs<'_>,
@@ -292,8 +304,7 @@ impl HandlerSet for DfsNicState {
                 self.stats.borrow_mut().write_auth_failures += 1;
                 Some(nack)
             }
-            // An EC header whose fields do not fit together is refused
-            // before any state is built on it.
+            // So is an EC header whose fields do not fit together.
             Ok(()) => match &wrh.resiliency {
                 Resiliency::ErasureCode(info) if !info.is_sound() => {
                     Some(AckPkt::new(w.msg, Some(dfs.greq_id), Status::Rejected))
@@ -301,19 +312,19 @@ impl HandlerSet for DfsNicState {
                 _ => None,
             },
         };
-        let mut fwd = Vec::new();
-        match (refusal, &wrh.resiliency) {
+        if let Some(nack) = refusal {
             // DFS_request_init sends NACK if the request is refused.
-            (Some(nack), _) => a.ops.send(dfs.client as NodeId, Frame::Ack(nack)),
-            (None, Resiliency::None) => {}
-            (
-                None,
-                Resiliency::Replicate {
-                    strategy,
-                    vrank,
-                    coords,
-                },
-            ) => {
+            a.ops.send(dfs.client as NodeId, Frame::Ack(nack));
+        }
+        let mut fwd = Vec::new();
+        match &wrh.resiliency {
+            _ if refusal.is_some() => {}
+            Resiliency::None => {}
+            Resiliency::Replicate {
+                strategy,
+                vrank,
+                coords,
+            } => {
                 // Client-driven broadcast (§V-A): the WRH carries the full
                 // coordinate list; pick our children from it.
                 for child in bcast_children(*strategy, *vrank, coords.len()) {
@@ -336,11 +347,9 @@ impl HandlerSet for DfsNicState {
                     ));
                 }
             }
-            (None, Resiliency::ErasureCode(info)) => match info.role {
+            Resiliency::ErasureCode(info) => match info.role {
                 EcRole::Data { chunk_idx } => {
-                    // One intermediate-parity stream per parity node, to
-                    // its parity region's base: the parity node places
-                    // what it aggregates itself.
+                    // One intermediate-parity stream per parity node.
                     for (p, coord) in info.parity_coords.iter().enumerate() {
                         let stream_wrh = info.parity_stream(chunk_idx, p, 0, wrh.len);
                         let dst = coord.node as NodeId;
@@ -442,18 +451,7 @@ impl HandlerSet for DfsNicState {
                 }
                 let slot = entry.next_fwd_slot();
                 for f in &entry.fwd {
-                    a.ops.send(
-                        f.dst,
-                        Frame::Write(WritePkt {
-                            msg: f.msg,
-                            pkt_idx: slot,
-                            total_pkts: entry.data_pkts + 1,
-                            dfs: None,
-                            wrh: None,
-                            offset: w.offset,
-                            data: w.data.clone(),
-                        }),
-                    );
+                    entry.forward(a.ops, f, slot, w.offset, w.data.clone());
                 }
             }
             Resiliency::ErasureCode(info) => match info.role {
@@ -479,18 +477,7 @@ impl HandlerSet for DfsNicState {
                         // multiply: no allocation once the ring warms up.
                         let mut ipar = self.buf_pool.borrow_mut().get_dirty(w.data.len());
                         nadfs_gfec::intermediate_parity_into(coef, &w.data, &mut ipar);
-                        a.ops.send(
-                            f.dst,
-                            Frame::Write(WritePkt {
-                                msg: f.msg,
-                                pkt_idx: slot,
-                                total_pkts: entry.data_pkts + 1,
-                                dfs: None,
-                                wrh: None,
-                                offset: w.offset,
-                                data: Bytes::from(ipar),
-                            }),
-                        );
+                        entry.forward(a.ops, f, slot, w.offset, Bytes::from(ipar));
                     }
                 }
                 EcRole::Parity { src_chunk, .. } => {
@@ -511,7 +498,7 @@ impl HandlerSet for DfsNicState {
                         final_addr + RsScheme::staging_slot(chunk_len, src_chunk) + w.offset as u64;
                     if sst.fallback {
                         // Host aggregates: stage the intermediate parity.
-                        a.ops.dma_write(staging, w.data.clone());
+                        a.ops.dma_stage(staging, w.data.clone());
                         return;
                     }
                     // NIC aggregation: XOR into the accumulator for this

@@ -460,21 +460,19 @@ impl NicApp for StorageApp {
                 // the k staged buffers into the final parity chunk.
                 self.stats.borrow_mut().fallback_aggregations += 1;
                 let (pool, mem) = (nic.buf_pool(), nic.memory());
-                let (mut acc, mut staged) = {
-                    let mut p = pool.borrow_mut();
-                    (p.get(chunk_len as usize), p.get_dirty(chunk_len as usize))
-                };
+                let (mut mem, mut p) = (mem.borrow_mut(), pool.borrow_mut());
+                let len = chunk_len as usize;
+                let (mut acc, mut staged) = (p.get(len), p.get_dirty(len));
+                let slot = |j| final_addr + RsScheme::staging_slot(chunk_len, j);
                 for j in 0..k {
-                    let staging = final_addr + RsScheme::staging_slot(chunk_len, j);
-                    mem.borrow().read_into(staging, &mut staged);
+                    mem.read_into(slot(j), &mut staged);
                     nadfs_gfec::gf256::xor_slice(&staged, &mut acc);
                 }
-                mem.borrow_mut().write(final_addr, &acc);
-                {
-                    let mut p = pool.borrow_mut();
-                    p.put(staged);
-                    p.put(acc);
-                }
+                mem.write(final_addr, &acc);
+                // The staged packets' buffers go back to the ring.
+                mem.reclaim(slot(0), slot(k) - slot(0), |buf| p.put(buf));
+                p.put(staged);
+                p.put(acc);
                 let now = ctx.now();
                 let xor_cost = nic.cpu.memcpy_cost(k as u64 * chunk_len as u64);
                 let t = nic.cpu.exec(now + POLL_NOTIFY, xor_cost + POST_SEND);

@@ -413,9 +413,8 @@ impl ReedSolomon {
     }
 }
 
-/// The codes a component has built, by scheme: one [`ReedSolomon`] per
-/// (k, m), made the first time it is asked for. A scheme taken off the wire
-/// may name no code; asking for it is an error, not a panic.
+/// One [`ReedSolomon`] per (k, m), built the first time it is asked for. A
+/// scheme taken off the wire may name no code: that is an error.
 #[derive(Debug, Default)]
 pub struct RsCodecs {
     codes: BTreeMap<(u8, u8), ReedSolomon>,

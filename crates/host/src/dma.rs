@@ -98,6 +98,13 @@ impl DmaEngine {
         done
     }
 
+    /// [`Self::land`] a buffer memory keeps as it is, however few share it.
+    pub fn stage(&mut self, now: Time, addr: u64, data: &Bytes) -> Time {
+        let done = self.occupy_write(now, data.len());
+        self.mem.borrow_mut().keep(addr, data.clone());
+        done
+    }
+
     /// Queue a `len`-byte transfer on the write channel at `now`. Returns
     /// when the bytes are durable.
     fn occupy_write(&mut self, now: Time, len: usize) -> Time {

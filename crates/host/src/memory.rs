@@ -16,7 +16,8 @@
 //! CPU-side [`HostMemory::write`] are copied, into an extent memory owns
 //! and grows in place, so the buffer can go back to its pool. Memory never
 //! grows or rewrites a buffer it did not make, even once it is the last
-//! holder: that would copy a client's payload to extend it.
+//! holder: that would copy a client's payload to extend it. A staged
+//! packet is kept as it is, to be handed back by [`HostMemory::reclaim`].
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -111,9 +112,14 @@ impl HostMemory {
         if data.is_unique() {
             return self.write(addr, data);
         }
+        self.keep(addr, data.clone());
+    }
+
+    /// Store `data` at `addr` as it is, without a copy.
+    pub(crate) fn keep(&mut self, addr: u64, data: Bytes) {
         self.bytes_written += data.len() as u64;
         self.clear(addr, addr + data.len() as u64);
-        self.put_shared(addr, data.clone());
+        self.put_shared(addr, data);
     }
 
     /// Remove every byte of `[lo, hi)`: extents it covers go, extents it
@@ -261,6 +267,22 @@ impl HostMemory {
         self.clear(addr, addr + len);
     }
 
+    /// [`Self::free`], handing every buffer that held only bytes of the
+    /// range, and that no other handle shares, to `recycle`.
+    pub fn reclaim(&mut self, addr: u64, len: u64, mut recycle: impl FnMut(Vec<u8>)) {
+        let hi = addr + len;
+        while let Some((&at, e)) = self.extents.range(addr..hi).next() {
+            if at + e.len() > hi {
+                break;
+            }
+            let e = self.extents.remove(&at).expect("just found");
+            if let Ok(buf) = e.bytes.try_unwrap() {
+                recycle(buf);
+            }
+        }
+        self.clear(addr, hi);
+    }
+
     /// Total bytes ever written (diagnostic).
     pub fn bytes_written(&self) -> u64 {
         self.bytes_written
@@ -401,5 +423,26 @@ mod tests {
         assert_eq!(m.extent_count(), 2, "an empty range cuts nothing");
         m.free(0x4000, 8192);
         assert_eq!((m.extent_count(), m.resident_pages()), (0, 0));
+    }
+
+    #[test]
+    fn kept_buffers_are_stored_as_they_are_and_reclaimed_whole() {
+        let mut m = HostMemory::default();
+        let lone = Bytes::from(vec![1u8; 100]);
+        let at = lone.as_ptr();
+        m.keep(0x1000, lone);
+        assert_eq!(m.read_bytes(0x1000, 100).as_ptr(), at, "kept, not copied");
+        let shared = Bytes::from(vec![2u8; 100]);
+        m.keep(0x1000 + 100, shared.clone());
+        m.keep(0x1000 + 200, Bytes::from(vec![3u8; 100]));
+        let mut back = Vec::new();
+        m.reclaim(0x1000, 250, |buf| back.push(buf));
+        // The first is whole and unshared; the second's buffer has another
+        // handle; the third straddles the end, so only its head goes.
+        assert_eq!(back.len(), 1);
+        assert_eq!(back[0].as_ptr(), at);
+        assert_eq!(m.read(0x1000 + 248, 4), [0, 0, 3, 3]);
+        assert_eq!(m.extent_count(), 1, "the third's tail");
+        assert!(shared.is_unique(), "memory dropped its handle");
     }
 }

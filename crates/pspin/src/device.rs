@@ -561,8 +561,13 @@ impl PsPinDevice {
                     let ev = pkt.take().expect("packet sent twice");
                     ctx.schedule(run.t.since(now), self.port.fabric, ev);
                 }
-                Op::DmaWrite { addr, data } => {
-                    let done = self.dma.borrow_mut().land(run.t, *addr, data);
+                Op::DmaWrite { addr, data, staged } => {
+                    let mut dma = self.dma.borrow_mut();
+                    let done = if *staged {
+                        dma.stage(run.t, *addr, data)
+                    } else {
+                        dma.land(run.t, *addr, data)
+                    };
                     if let Some(st) = self.msgs.get_mut(&run.msg) {
                         st.dma_horizon = st.dma_horizon.max(done);
                     }

@@ -33,7 +33,11 @@ pub(crate) enum Op {
     /// once sent.
     Send { pkt: Option<Pkt> },
     /// Post a DMA write toward host memory (asynchronous).
-    DmaWrite { addr: u64, data: Bytes },
+    DmaWrite {
+        addr: u64,
+        data: Bytes,
+        staged: bool,
+    },
     /// Block until every DMA write of this *message* is durable — the
     /// explicit flush the paper highlights under data persistence
     /// (§III-B-1).
@@ -138,7 +142,15 @@ impl Ops {
     }
 
     pub fn dma_write(&mut self, addr: u64, data: Bytes) {
-        self.items.push(Op::DmaWrite { addr, data });
+        let staged = false;
+        self.items.push(Op::DmaWrite { addr, data, staged });
+    }
+
+    /// [`Self::dma_write`] a packet into a host staging area: memory keeps
+    /// its buffer, not a copy, until the host reclaims it.
+    pub fn dma_stage(&mut self, addr: u64, data: Bytes) {
+        let staged = true;
+        self.items.push(Op::DmaWrite { addr, data, staged });
     }
 
     pub fn wait_flush(&mut self) {

@@ -14,12 +14,9 @@
 //! The contrast with sPIN-TriEC (per-packet streaming, no host round trips)
 //! is the entire point of Fig 15.
 //!
-//! The engine's queue is a resource of every NIC, not of INEC alone: the
-//! encode and aggregation passes occupy it on a firmware-EC NIC, and a
-//! degraded gather's decode occupies it on whichever NIC coordinates the
-//! gather, a sPIN NIC included. Only the staged-aggregation state is
-//! INEC's own ([`EcEngine`], which a NIC has once
-//! [`NicCore::enable_firmware_ec`] is called).
+//! The engine's queue is every NIC's: a degraded gather's decode occupies
+//! it on a sPIN NIC too. Only the staged-aggregation state is INEC's own
+//! ([`EcEngine`], from [`NicCore::enable_firmware_ec`]).
 //!
 //! # Degraded gathers: decode as it arrives
 //!
@@ -71,8 +68,7 @@ struct AggState {
     flush: Time,
 }
 
-/// INEC's write-path state on a firmware-EC NIC: the stripes whose
-/// intermediate parities are being staged.
+/// The stripes whose intermediate parities INEC is staging.
 #[derive(Default)]
 pub struct EcEngine {
     agg: IdMap<(u64, u8), AggState>,

@@ -273,8 +273,7 @@ pub struct NicCore {
     pub(crate) chains: Chains,
     /// INEC's staged-aggregation state, on a firmware-EC NIC.
     pub(crate) ec: Option<EcEngine>,
-    /// When the EC engine's queue frees up: INEC's passes and degraded
-    /// gathers' decodes wait in it.
+    /// When the EC engine's queue frees up.
     ec_busy_until: Time,
     /// The codes the EC engine has built, by scheme.
     pub(crate) codecs: RsCodecs,
@@ -439,8 +438,7 @@ impl NicCore {
         self.pspin.as_ref()
     }
 
-    /// Enable the INEC-style firmware EC engine on this NIC: it encodes
-    /// and aggregates the EC writes that land here.
+    /// Enable the INEC-style firmware EC engine on this NIC.
     pub fn enable_firmware_ec(&mut self) {
         self.ec = Some(EcEngine::default());
     }
@@ -848,8 +846,7 @@ impl NicCore {
         if w.is_first() {
             // A first packet without its WRH is malformed; one aimed
             // outside every MR, or asking for a resiliency this NIC has
-            // no engine for (replication is sPIN's; EC is sPIN's or the
-            // firmware engine's), is refused. Either way nothing of the
+            // no engine for, is refused. Either way nothing of the
             // message is kept and its later packets drop below.
             let acceptable = |h: &WriteReqHeader| {
                 let served = match h.resiliency {

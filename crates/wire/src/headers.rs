@@ -62,17 +62,14 @@ impl RsScheme {
         RsScheme { k, m }
     }
 
-    /// Bytes of a parity chunk's region on its node. The region holds the
-    /// final parity, then k staging slots of `chunk_len`: slot j holds data
-    /// chunk j's intermediate parity while the stripe aggregates in host
-    /// memory (always on the INEC engine, on a sPIN NIC only when it falls
-    /// back to the host CPU).
+    /// Bytes of a parity chunk's region: the final parity, then k staging
+    /// slots of `chunk_len`, where data chunk j's intermediate parity waits
+    /// in slot j while the stripe aggregates in host memory.
     pub const fn parity_region(self, chunk_len: u32) -> u64 {
         Self::staging_slot(chunk_len, self.k)
     }
 
-    /// Offset of staging slot `j` within a parity region of `chunk_len`
-    /// chunks (see [`RsScheme::parity_region`]).
+    /// Offset of staging slot `j` in a [`RsScheme::parity_region`].
     pub const fn staging_slot(chunk_len: u32, j: u8) -> u64 {
         (1 + j as u64) * chunk_len as u64
     }
@@ -104,12 +101,9 @@ pub struct EcInfo {
 }
 
 impl EcInfo {
-    /// Whether the header's fields fit together, checked before a NIC acts
-    /// on one off the wire. The scheme must name a code: k, m ≥ 1 and
-    /// k + m ≤ 255, the shards GF(2^8) can tell apart. A data chunk's index
-    /// must be below k, and it must name exactly m parity nodes. An
-    /// intermediate parity's source chunk must be below k and its parity
-    /// index below m.
+    /// Whether the fields fit together: RS(k, m) is a code (k, m ≥ 1,
+    /// k + m ≤ 255), a data chunk is below k and names m parity nodes, an
+    /// intermediate parity is from a chunk below k to a parity below m.
     pub fn is_sound(&self) -> bool {
         let RsScheme { k, m } = self.scheme;
         let fits = match self.role {
@@ -122,10 +116,9 @@ impl EcInfo {
         fits && m >= 1 && k as u16 + m as u16 <= 255
     }
 
-    /// The header of the intermediate-parity stream that data chunk
-    /// `src_chunk` of this stripe sends to parity node `p` (an index into
-    /// `parity_coords`): `len` bytes at `offset` into that node's parity
-    /// region, whose base the stream carries as its one coordinate.
+    /// The header of the intermediate-parity stream from data chunk
+    /// `src_chunk` to parity `p`: `len` bytes at `offset` into its region,
+    /// whose base the stream carries as its one coordinate.
     pub fn parity_stream(&self, src_chunk: u8, p: usize, offset: u64, len: u32) -> WriteReqHeader {
         let coord = self.parity_coords[p];
         WriteReqHeader {
