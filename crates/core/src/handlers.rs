@@ -304,7 +304,7 @@ impl HandlerSet for DfsNicState {
                 self.stats.borrow_mut().write_auth_failures += 1;
                 Some(nack)
             }
-            // So is an EC header whose fields do not fit together.
+            // An EC header whose fields do not fit together is refused too.
             Ok(()) => match &wrh.resiliency {
                 Resiliency::ErasureCode(info) if !info.is_sound() => {
                     Some(AckPkt::new(w.msg, Some(dfs.greq_id), Status::Rejected))
@@ -338,13 +338,8 @@ impl HandlerSet for DfsNicState {
                             coords: coords.clone(),
                         },
                     };
-                    fwd.push(self.open_stream(
-                        &mut a,
-                        coord.node as NodeId,
-                        dfs,
-                        child_wrh,
-                        data_pkts,
-                    ));
+                    let dst = coord.node as NodeId;
+                    fwd.push(self.open_stream(&mut a, dst, dfs, child_wrh, data_pkts));
                 }
             }
             Resiliency::ErasureCode(info) => match info.role {
