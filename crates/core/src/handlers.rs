@@ -489,11 +489,11 @@ impl HandlerSet for DfsNicState {
                     let k = sst.k;
                     let chunk_len = sst.chunk_len;
                     let final_addr = sst.final_addr;
-                    let staging =
-                        final_addr + RsScheme::staging_slot(chunk_len, src_chunk) + w.offset as u64;
                     if sst.fallback {
                         // Host aggregates: stage the intermediate parity.
-                        a.ops.dma_stage(staging, w.data.clone());
+                        let slot = final_addr + RsScheme::staging_slot(chunk_len, src_chunk);
+                        let slot = slot..slot + chunk_len as u64;
+                        a.ops.dma_stage(slot, w.offset, w.data.clone());
                         return;
                     }
                     // NIC aggregation: XOR into the accumulator for this

@@ -469,8 +469,7 @@ impl NicApp for StorageApp {
                     nadfs_gfec::gf256::xor_slice(&staged, &mut acc);
                 }
                 mem.write(final_addr, &acc);
-                // The staged packets' buffers go back to the ring.
-                mem.reclaim(slot(0), slot(k) - slot(0), |buf| p.put(buf));
+                mem.free(slot(0), slot(k) - slot(0));
                 p.put(staged);
                 p.put(acc);
                 let now = ctx.now();

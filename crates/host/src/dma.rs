@@ -14,6 +14,8 @@
 //! eagerly; simulated time ordering is enforced by the callers acting only
 //! at/after the returned completion times.
 
+use std::ops::Range;
+
 use bytes::Bytes;
 use nadfs_simnet::{Bandwidth, Dur, Time};
 
@@ -98,10 +100,10 @@ impl DmaEngine {
         done
     }
 
-    /// [`Self::land`] a buffer memory keeps as it is, however few share it.
-    pub fn stage(&mut self, now: Time, addr: u64, data: &Bytes) -> Time {
+    /// [`Self::write`] a packet to `addr` in the host staging slot `slot`.
+    pub fn stage(&mut self, now: Time, slot: Range<u64>, addr: u64, data: &[u8]) -> Time {
         let done = self.occupy_write(now, data.len());
-        self.mem.borrow_mut().keep(addr, data.clone());
+        self.mem.borrow_mut().stage(slot, addr, data);
         done
     }
 

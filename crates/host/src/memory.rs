@@ -16,11 +16,13 @@
 //! CPU-side [`HostMemory::write`] are copied, into an extent memory owns
 //! and grows in place, so the buffer can go back to its pool. Memory never
 //! grows or rewrites a buffer it did not make, even once it is the last
-//! holder: that would copy a client's payload to extend it. A staged
-//! packet is kept as it is, to be handed back by [`HostMemory::reclaim`].
+//! holder: that would copy a client's payload to extend it. A staging
+//! slot (`HostMemory::stage`) becomes one zeroed copy when its first
+//! packet lands, and every packet staged there is copied into it in place.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -112,14 +114,23 @@ impl HostMemory {
         if data.is_unique() {
             return self.write(addr, data);
         }
-        self.keep(addr, data.clone());
-    }
-
-    /// Store `data` at `addr` as it is, without a copy.
-    pub(crate) fn keep(&mut self, addr: u64, data: Bytes) {
         self.bytes_written += data.len() as u64;
         self.clear(addr, addr + data.len() as u64);
-        self.put_shared(addr, data);
+        self.put_shared(addr, data.clone());
+    }
+
+    /// Write a copy of `data` at `addr` in the staging slot `slot`. The
+    /// slot's first packet makes all of it one zeroed copy, which its
+    /// packets, in whatever order, then overwrite in place.
+    pub(crate) fn stage(&mut self, slot: Range<u64>, addr: u64, data: &[u8]) {
+        let len = slot.end - slot.start;
+        let held = self.extents.get(&slot.start);
+        if !held.is_some_and(|e| e.owned && e.len() >= len) {
+            self.clear(slot.start, slot.end);
+            let (bytes, owned) = (Bytes::from(vec![0u8; len as usize]), true);
+            self.extents.insert(slot.start, Extent { bytes, owned });
+        }
+        self.write(addr, data);
     }
 
     /// Remove every byte of `[lo, hi)`: extents it covers go, extents it
@@ -267,22 +278,6 @@ impl HostMemory {
         self.clear(addr, addr + len);
     }
 
-    /// [`Self::free`], handing every buffer that held only bytes of the
-    /// range, and that no other handle shares, to `recycle`.
-    pub fn reclaim(&mut self, addr: u64, len: u64, mut recycle: impl FnMut(Vec<u8>)) {
-        let hi = addr + len;
-        while let Some((&at, e)) = self.extents.range(addr..hi).next() {
-            if at + e.len() > hi {
-                break;
-            }
-            let e = self.extents.remove(&at).expect("just found");
-            if let Ok(buf) = e.bytes.try_unwrap() {
-                recycle(buf);
-            }
-        }
-        self.clear(addr, hi);
-    }
-
     /// Total bytes ever written (diagnostic).
     pub fn bytes_written(&self) -> u64 {
         self.bytes_written
@@ -426,23 +421,20 @@ mod tests {
     }
 
     #[test]
-    fn kept_buffers_are_stored_as_they_are_and_reclaimed_whole() {
+    fn a_staging_slot_is_one_copy_its_packets_land_in() {
         let mut m = HostMemory::default();
-        let lone = Bytes::from(vec![1u8; 100]);
-        let at = lone.as_ptr();
-        m.keep(0x1000, lone);
-        assert_eq!(m.read_bytes(0x1000, 100).as_ptr(), at, "kept, not copied");
-        let shared = Bytes::from(vec![2u8; 100]);
-        m.keep(0x1000 + 100, shared.clone());
-        m.keep(0x1000 + 200, Bytes::from(vec![3u8; 100]));
-        let mut back = Vec::new();
-        m.reclaim(0x1000, 250, |buf| back.push(buf));
-        // The first is whole and unshared; the second's buffer has another
-        // handle; the third straddles the end, so only its head goes.
-        assert_eq!(back.len(), 1);
-        assert_eq!(back[0].as_ptr(), at);
-        assert_eq!(m.read(0x1000 + 248, 4), [0, 0, 3, 3]);
-        assert_eq!(m.extent_count(), 1, "the third's tail");
-        assert!(shared.is_unique(), "memory dropped its handle");
+        let slot = 0x1000..0x1000 + 300;
+        m.write(0x1000 + 290, &[8; 20]);
+        // Out of order, and shorter than the slot.
+        for i in [1u8, 0, 2] {
+            let lone = Bytes::from(vec![i + 1; 100]);
+            m.stage(slot.clone(), 0x1000 + i as u64 * 100, &lone);
+            assert!(lone.is_unique(), "copied, not kept");
+        }
+        assert_eq!(m.extent_count(), 2, "the slot, and the tail cut off it");
+        assert_eq!(m.read(0x1000 + 98, 4), [1, 1, 2, 2]);
+        assert_eq!(m.read(0x1000 + 298, 4), [3, 3, 8, 8]);
+        m.free(slot.start, 300);
+        assert_eq!(m.extent_count(), 1);
     }
 }

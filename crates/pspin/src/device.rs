@@ -561,12 +561,11 @@ impl PsPinDevice {
                     let ev = pkt.take().expect("packet sent twice");
                     ctx.schedule(run.t.since(now), self.port.fabric, ev);
                 }
-                Op::DmaWrite { addr, data, staged } => {
+                Op::DmaWrite { addr, data, slot } => {
                     let mut dma = self.dma.borrow_mut();
-                    let done = if *staged {
-                        dma.stage(run.t, *addr, data)
-                    } else {
-                        dma.land(run.t, *addr, data)
+                    let done = match slot {
+                        Some(slot) => dma.stage(run.t, slot.clone(), *addr, data),
+                        None => dma.land(run.t, *addr, data),
                     };
                     if let Some(st) = self.msgs.get_mut(&run.msg) {
                         st.dma_horizon = st.dma_horizon.max(done);

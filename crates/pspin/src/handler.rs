@@ -10,6 +10,8 @@
 //! so handler *duration* includes real stalls (this is how the paper's
 //! PBT IPC collapse emerges rather than being scripted).
 
+use std::ops::Range;
+
 use bytes::Bytes;
 use nadfs_simnet::{NetPacket, NodeId, PacketEvent, SharedBufPool, SharedPacketPool, Time};
 use nadfs_wire::{Frame, GatherReqPkt, MsgId, Pkt};
@@ -32,11 +34,11 @@ pub(crate) enum Op {
     /// The packet is boxed when recorded and leaves in that box; `None`
     /// once sent.
     Send { pkt: Option<Pkt> },
-    /// Post a DMA write toward host memory (asynchronous).
+    /// Post a DMA write toward host memory (asynchronous), if `slot` into it.
     DmaWrite {
         addr: u64,
         data: Bytes,
-        staged: bool,
+        slot: Option<Range<u64>>,
     },
     /// Block until every DMA write of this *message* is durable — the
     /// explicit flush the paper highlights under data persistence
@@ -142,15 +144,16 @@ impl Ops {
     }
 
     pub fn dma_write(&mut self, addr: u64, data: Bytes) {
-        let staged = false;
-        self.items.push(Op::DmaWrite { addr, data, staged });
+        let slot = None;
+        self.items.push(Op::DmaWrite { addr, data, slot });
     }
 
-    /// [`Self::dma_write`] a packet into a host staging area: memory keeps
-    /// its buffer, not a copy, until the host reclaims it.
-    pub fn dma_stage(&mut self, addr: u64, data: Bytes) {
-        let staged = true;
-        self.items.push(Op::DmaWrite { addr, data, staged });
+    /// [`Self::dma_write`] a packet `offset` bytes into the host staging
+    /// slot `slot`, which memory holds as one copy of all its packets.
+    pub fn dma_stage(&mut self, slot: Range<u64>, offset: u32, data: Bytes) {
+        let addr = slot.start + offset as u64;
+        let slot = Some(slot);
+        self.items.push(Op::DmaWrite { addr, data, slot });
     }
 
     pub fn wait_flush(&mut self) {

@@ -75,8 +75,9 @@ impl<P: Payload> PacketEvent<P> {
     }
 }
 
-/// Spare boxes beyond this are freed instead of kept.
-const MAX_SPARE_BOXES: usize = 4096;
+/// Spare boxes beyond this are freed instead of kept: more than the
+/// packets eight concurrent 1.5 MiB RS(6,3) writes keep in flight.
+const MAX_SPARE_BOXES: usize = 8192;
 
 /// Consumed packet boxes waiting for their next injection: a receiver
 /// returns the box a packet arrived in, a sender takes one instead of
