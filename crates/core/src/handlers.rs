@@ -17,12 +17,12 @@ use std::rc::Rc;
 use bytes::Bytes;
 use nadfs_gfec::{Accumulator, RsCodecs};
 use nadfs_pspin::{HandlerArgs, HandlerSet, HostEvent, HostNotify, Ops};
-use nadfs_rdma::SharedNicStats;
+use nadfs_rdma::{Access, CheckSite, RequestCheck, SharedNicStats};
 use nadfs_simnet::telemetry::phase;
 use nadfs_simnet::{IdMap, IdSet, NodeId, SharedBufPool, SharedObs, SharedTrace, Time};
 use nadfs_wire::{
     bcast_children, AckPkt, DfsHeader, EcInfo, EcRole, Frame, GatherReqPkt, MacKey, MsgId,
-    Resiliency, Rights, RsScheme, Status, WritePkt, WriteReqHeader,
+    Resiliency, RsScheme, Status, WritePkt, WriteReqHeader,
 };
 
 /// Header handler: request validation + descriptor setup. Paper: 120
@@ -135,7 +135,7 @@ struct StripeState {
 /// The handler set installed on storage-node NICs, and the execution
 /// context's state it works on in NIC memory (`task->mem`).
 pub struct DfsNicState {
-    key: MacKey,
+    check: RequestCheck,
     req_table: IdMap<MsgId, Rc<ReqEntry>>,
     next_fwd_seq: u64,
     codecs: RsCodecs,
@@ -176,7 +176,7 @@ impl DfsNicState {
         node: NodeId,
     ) -> DfsNicState {
         DfsNicState {
-            key,
+            check: RequestCheck::new(key),
             req_table: IdMap::default(),
             next_fwd_seq: 0,
             codecs: RsCodecs::default(),
@@ -192,29 +192,15 @@ impl DfsNicState {
         }
     }
 
-    /// Authenticate the request `msg` that `dfs` heads — signature,
-    /// expiry, `rights` (§IV threat model: untrusted clients, trusted
-    /// network). One that passes is marked `nic-validated` on the
-    /// originating client op's span (greq-correlated); `Err` is the NACK
-    /// to send for one that does not.
-    fn validate(
-        &mut self,
-        msg: MsgId,
-        dfs: &DfsHeader,
-        rights: Rights,
-        now: Time,
-        describe: impl FnOnce() -> String,
-    ) -> Result<(), AckPkt> {
-        let cap = &dfs.capability;
-        if cap.verify(&self.key, now.as_ns() as u64, rights).is_err() {
-            return Err(AckPkt::new(msg, Some(dfs.greq_id), Status::AuthFailed));
+    /// Where this context's request check reports at `now`.
+    fn check_site(&self, now: Time) -> CheckSite<'_> {
+        CheckSite {
+            node: self.node,
+            now,
+            obs: &self.obs,
+            trace: &self.trace,
+            stats: &self.stats,
         }
-        let spans = &mut self.obs.borrow_mut().spans;
-        spans.mark_corr_once(dfs.greq_id, phase::NIC_VALIDATED, now);
-        self.trace
-            .borrow_mut()
-            .emit_from(now, "nic", Some(self.node), describe);
-        Ok(())
     }
 
     /// Open a stream forwarding the request to `dst` under `wrh`: send its
@@ -267,14 +253,15 @@ fn gather_header(st: &mut DfsNicState, g: &GatherReqPkt, src: NodeId, now: Time,
             g.grh.total_len
         )
     };
-    match st.validate(g.msg, &g.dfs, Rights::READ, now, describe) {
+    let site = st.check_site(now);
+    match st
+        .check
+        .admit(&site, Access::Gather, g.msg, &g.dfs, describe)
+    {
         Ok(()) => {
             st.gathers.insert(g.msg);
         }
-        Err(nack) => {
-            st.stats.borrow_mut().gather_auth_failures += 1;
-            ops.send(src, Frame::Ack(nack));
-        }
+        Err(nack) => ops.send(src, Frame::Ack(nack)),
     }
 }
 
@@ -299,11 +286,12 @@ impl HandlerSet for DfsNicState {
         };
 
         let describe = || format!("hdr-validate greq={}", dfs.greq_id);
-        let refusal = match self.validate(w.msg, &dfs, Rights::WRITE, a.now, describe) {
-            Err(nack) => {
-                self.stats.borrow_mut().write_auth_failures += 1;
-                Some(nack)
-            }
+        let site = self.check_site(a.now);
+        let refusal = match self
+            .check
+            .admit(&site, Access::Write, w.msg, &dfs, describe)
+        {
+            Err(nack) => Some(nack),
             // An EC header whose fields do not fit together is refused too.
             Ok(()) => match &wrh.resiliency {
                 Resiliency::ErasureCode(info) if !info.is_sound() => {

@@ -13,9 +13,11 @@
 
 mod app;
 mod chains;
+mod check;
 mod ec_engine;
 mod nic;
 
 pub use app::NicApp;
+pub use check::{Access, CheckSite, RequestCheck};
 pub use ec_engine::{EcEngine, EC_ENCODE_BW};
 pub use nic::{Nic, NicConfig, NicCore, NicStats, SharedNicStats};
