@@ -317,12 +317,12 @@ impl SimCluster {
                 tenant_ledgers.push(ledgers);
             }
             flow_stats.push(nic.core.flow_stats());
+            nic.core.obs = obs.clone();
+            nic.core.trace = trace.clone();
             // NIC-side read validation: every storage NIC authenticates
             // DFS-level read requests against the service key before a
             // byte leaves the node (one-sided reads never touch the CPU).
             nic.core.install_service_key(key);
-            nic.core.obs = obs.clone();
-            nic.core.trace = trace.clone();
             match spec.mode {
                 StorageMode::Plain => {}
                 StorageMode::Spin => {

@@ -17,12 +17,12 @@ use std::rc::Rc;
 use bytes::Bytes;
 use nadfs_gfec::{Accumulator, RsCodecs};
 use nadfs_pspin::{HandlerArgs, HandlerSet, HostEvent, HostNotify, Ops};
-use nadfs_rdma::{Access, CheckSite, RequestCheck, SharedNicStats};
+use nadfs_rdma::{Access, RequestCheck, SharedNicStats};
 use nadfs_simnet::telemetry::phase;
-use nadfs_simnet::{IdMap, IdSet, NodeId, SharedBufPool, SharedObs, SharedTrace, Time};
+use nadfs_simnet::{IdMap, IdSet, NodeId, SharedBufPool, SharedObs, SharedTrace};
 use nadfs_wire::{
-    bcast_children, AckPkt, DfsHeader, EcInfo, EcRole, Frame, GatherReqPkt, MacKey, MsgId,
-    Resiliency, RsScheme, Status, WritePkt, WriteReqHeader,
+    bcast_children, AckPkt, DfsHeader, EcInfo, EcRole, Frame, MacKey, MsgId, Resiliency, RsScheme,
+    Status, WritePkt, WriteReqHeader,
 };
 
 /// Header handler: request validation + descriptor setup. Paper: 120
@@ -151,13 +151,8 @@ pub struct DfsNicState {
     /// products (shared with the PsPIN device, which returns DMA-write
     /// payloads here once their run retires).
     buf_pool: SharedBufPool,
-    /// The owning NIC's counters: a refused write or gather counts there.
-    stats: SharedNicStats,
-    /// Observability: span phase marks keyed by greq, the shared trace
-    /// ring, and which node this context runs on.
+    /// Observability: per-packet span phase marks, keyed by greq.
     obs: SharedObs,
-    trace: SharedTrace,
-    node: NodeId,
 }
 
 impl DfsNicState {
@@ -176,7 +171,7 @@ impl DfsNicState {
         node: NodeId,
     ) -> DfsNicState {
         DfsNicState {
-            check: RequestCheck::new(key),
+            check: RequestCheck::new(key, node, stats, obs.clone(), trace),
             req_table: IdMap::default(),
             next_fwd_seq: 0,
             codecs: RsCodecs::default(),
@@ -185,21 +180,7 @@ impl DfsNicState {
             acc_free: accumulator_pool,
             gathers: IdSet::default(),
             buf_pool,
-            stats,
             obs,
-            trace,
-            node,
-        }
-    }
-
-    /// Where this context's request check reports at `now`.
-    fn check_site(&self, now: Time) -> CheckSite<'_> {
-        CheckSite {
-            node: self.node,
-            now,
-            obs: &self.obs,
-            trace: &self.trace,
-            stats: &self.stats,
         }
     }
 
@@ -234,46 +215,32 @@ impl DfsNicState {
     }
 }
 
-fn write_pkt(frame: &Frame) -> Option<&WritePkt> {
-    match frame {
-        Frame::Write(w) => Some(w),
-        _ => None,
-    }
-}
-
-/// `DFS_gather_init`: authenticate a gather read once on the NIC and mark
-/// it valid. The completion handler hands it to the gather engine after
-/// the pipeline retires.
-fn gather_header(st: &mut DfsNicState, g: &GatherReqPkt, src: NodeId, now: Time, ops: &mut Ops) {
-    let describe = || {
-        format!(
-            "gather-validate greq={} segs={} len={}",
-            g.dfs.greq_id,
-            g.grh.segments.len(),
-            g.grh.total_len
-        )
-    };
-    let site = st.check_site(now);
-    match st
-        .check
-        .admit(&site, Access::Gather, g.msg, &g.dfs, describe)
-    {
-        Ok(()) => {
-            st.gathers.insert(g.msg);
-        }
-        Err(nack) => ops.send(src, Frame::Ack(nack)),
-    }
-}
-
 impl HandlerSet for DfsNicState {
     /// `DFS_request_init` (Listing 1): authenticate and set up state.
     fn header(&mut self, mut a: HandlerArgs<'_>) {
         a.ops.charge_instrs(HH_INSTRS, HH_IPC);
         if let Frame::GatherReq(g) = a.frame {
-            gather_header(self, g, a.src, a.now, a.ops);
+            // `DFS_gather_init`: authenticate the gather once and mark it
+            // valid; the completion handler hands it to the NIC's gather
+            // engine after the pipeline retires.
+            let describe = || {
+                format!(
+                    "gather-validate greq={} segs={} len={}",
+                    g.dfs.greq_id,
+                    g.grh.segments.len(),
+                    g.grh.total_len
+                )
+            };
+            match self
+                .check
+                .admit(a.now, Access::Gather, g.msg, &g.dfs, describe)
+            {
+                Ok(()) => _ = self.gathers.insert(g.msg),
+                Err(nack) => a.ops.send(a.src, Frame::Ack(nack)),
+            }
             return;
         }
-        let Some(w) = write_pkt(a.frame) else {
+        let Frame::Write(w) = a.frame else {
             return;
         };
         let (Some(dfs), Some(wrh)) = (w.dfs, w.wrh.clone()) else {
@@ -286,10 +253,9 @@ impl HandlerSet for DfsNicState {
         };
 
         let describe = || format!("hdr-validate greq={}", dfs.greq_id);
-        let site = self.check_site(a.now);
         let refusal = match self
             .check
-            .admit(&site, Access::Write, w.msg, &dfs, describe)
+            .admit(a.now, Access::Write, w.msg, &dfs, describe)
         {
             Err(nack) => Some(nack),
             // An EC header whose fields do not fit together is refused too.
@@ -397,7 +363,7 @@ impl HandlerSet for DfsNicState {
             a.ops.charge_instrs(PH_INSTRS * descs.max(1) as u64, PH_IPC);
             return;
         }
-        let Some(w) = write_pkt(a.frame) else {
+        let Frame::Write(w) = a.frame else {
             return;
         };
         let Some(entry) = self.req_table.get(&a.msg).cloned() else {

@@ -19,37 +19,43 @@ pub enum Access {
     Gather,
 }
 
-/// The node a check runs on, when, and where it reports: the span hub a
-/// pass is marked on, the trace ring it is noted in, and the counters a
-/// refusal counts in.
-pub struct CheckSite<'a> {
-    pub node: NodeId,
-    pub now: Time,
-    pub obs: &'a SharedObs,
-    pub trace: &'a SharedTrace,
-    pub stats: &'a SharedNicStats,
-}
-
-/// The check itself, holding the service key.
-#[derive(Clone, Debug)]
+/// The check on one node: the service key, and where the check reports
+/// (the span hub a pass is marked on, the trace ring it is noted in, and
+/// the counters a refusal counts in).
 pub struct RequestCheck {
     key: MacKey,
+    node: NodeId,
+    stats: SharedNicStats,
+    obs: SharedObs,
+    trace: SharedTrace,
 }
 
 impl RequestCheck {
-    pub fn new(key: MacKey) -> RequestCheck {
-        RequestCheck { key }
+    pub fn new(
+        key: MacKey,
+        node: NodeId,
+        stats: SharedNicStats,
+        obs: SharedObs,
+        trace: SharedTrace,
+    ) -> RequestCheck {
+        RequestCheck {
+            key,
+            node,
+            stats,
+            obs,
+            trace,
+        }
     }
 
-    /// Check request `msg`, headed by `dfs`, for `access`: its capability
-    /// must carry the service's signature, be unexpired and grant the
-    /// rights. A request that passes is marked `nic-validated` on the
-    /// originating op's span (greq-correlated) and `describe()`d on the
-    /// trace; one that does not is counted, and `Err` is the `AuthFailed`
-    /// NACK to answer it with.
+    /// Check request `msg`, headed by `dfs`, for `access` at `now`: its
+    /// capability must carry the service's signature, be unexpired and
+    /// grant the rights. A request that passes is marked `nic-validated`
+    /// on the originating op's span (greq-correlated) and `describe()`d
+    /// on the trace; one that does not is counted, and `Err` is the
+    /// `AuthFailed` NACK to answer it with.
     pub fn admit(
         &self,
-        at: &CheckSite<'_>,
+        now: Time,
         access: Access,
         msg: MsgId,
         dfs: &DfsHeader,
@@ -59,9 +65,12 @@ impl RequestCheck {
             Access::Write => Rights::WRITE,
             Access::Read | Access::Gather => Rights::READ,
         };
-        let now_ns = at.now.as_ns() as u64;
-        if dfs.capability.verify(&self.key, now_ns, rights).is_err() {
-            let mut stats = at.stats.borrow_mut();
+        if dfs
+            .capability
+            .verify(&self.key, now.as_ns() as u64, rights)
+            .is_err()
+        {
+            let mut stats = self.stats.borrow_mut();
             *match access {
                 Access::Write => &mut stats.write_auth_failures,
                 Access::Read => &mut stats.read_auth_failures,
@@ -69,11 +78,11 @@ impl RequestCheck {
             } += 1;
             return Err(AckPkt::new(msg, Some(dfs.greq_id), Status::AuthFailed));
         }
-        let spans = &mut at.obs.borrow_mut().spans;
-        spans.mark_corr_once(dfs.greq_id, phase::NIC_VALIDATED, at.now);
-        at.trace
+        let spans = &mut self.obs.borrow_mut().spans;
+        spans.mark_corr_once(dfs.greq_id, phase::NIC_VALIDATED, now);
+        self.trace
             .borrow_mut()
-            .emit_from(at.now, "nic", Some(at.node), describe);
+            .emit_from(now, "nic", Some(self.node), describe);
         Ok(())
     }
 }

@@ -18,6 +18,6 @@ mod ec_engine;
 mod nic;
 
 pub use app::NicApp;
-pub use check::{Access, CheckSite, RequestCheck};
+pub use check::{Access, RequestCheck};
 pub use ec_engine::{EcEngine, EC_ENCODE_BW};
 pub use nic::{Nic, NicConfig, NicCore, NicStats, SharedNicStats};

@@ -81,7 +81,7 @@ impl NicCore {
         class: WrClass,
     ) {
         if self.flow.try_acquire(dst, class) {
-            self.enqueue_wr(pkts, class);
+            enqueue(&mut self.egress.out_q, pkts, class);
             self.pump(ctx);
         } else {
             self.flow.note_queued();
@@ -90,50 +90,20 @@ impl NicCore {
         }
     }
 
-    /// Move an acquired WR's packets into the egress queue. Egress-completed
-    /// classes (Data/Imm/Write) carry a marker on their last packet: the
-    /// local credit returns when that packet leaves the NIC. Read-class
-    /// completion is the response: the request's pending read returns it.
-    fn enqueue_wr(&mut self, pkts: Vec<Pkt>, class: WrClass) {
-        let last = pkts.len().saturating_sub(1);
-        for (i, p) in pkts.into_iter().enumerate() {
-            let marker = if i == last && class != WrClass::Read {
-                Some(class)
-            } else {
-                None
-            };
-            self.egress.out_q.push_back((p, marker));
-        }
-    }
-
     /// Release pending WRs that now have credit, appending their packets
     /// to the egress queue (the caller pumps). FIFO within each peer/class.
     pub(super) fn release_pending(&mut self) {
-        let peers: Vec<NodeId> = self
-            .egress
-            .pending_wrs
-            .iter()
-            .filter(|(_, q)| q.iter().any(|c| !c.is_empty()))
-            .map(|(&p, _)| p)
-            .collect();
-        for peer in peers {
+        let Egress { out_q, pending_wrs } = &mut self.egress;
+        for (&peer, queues) in pending_wrs.iter_mut() {
             for class in WrClass::ALL {
-                loop {
-                    let pending = &self.egress.pending_wrs;
-                    let queue = &pending.get(&peer).expect("listed")[class.index()];
-                    if queue.is_empty() || !self.flow.can_post(peer, class) {
-                        break;
-                    }
+                let queue = &mut queues[class.index()];
+                while !queue.is_empty() && self.flow.can_post(peer, class) {
                     assert!(
                         self.flow.try_acquire(peer, class),
                         "can_post implies acquire"
                     );
-                    let pending = &mut self.egress.pending_wrs;
-                    let pkts = pending.get_mut(&peer).expect("listed")[class.index()]
-                        .pop_front()
-                        .expect("nonempty");
                     self.flow.note_released();
-                    self.enqueue_wr(pkts, class);
+                    enqueue(out_q, queue.pop_front().expect("nonempty"), class);
                 }
             }
         }
@@ -282,5 +252,21 @@ impl NicCore {
         ack.credit = grant;
         let pkt = self.pkt(peer, Frame::Ack(ack));
         self.send_pkts(ctx, [pkt]);
+    }
+}
+
+/// Move an acquired WR's packets into the egress queue. Egress-completed
+/// classes (Data/Imm/Write) carry a marker on their last packet: the
+/// local credit returns when that packet leaves the NIC. Read-class
+/// completion is the response: the request's pending read returns it.
+fn enqueue(out_q: &mut VecDeque<(Pkt, Option<WrClass>)>, pkts: Vec<Pkt>, class: WrClass) {
+    let last = pkts.len().saturating_sub(1);
+    for (i, p) in pkts.into_iter().enumerate() {
+        let marker = if i == last && class != WrClass::Read {
+            Some(class)
+        } else {
+            None
+        };
+        out_q.push_back((p, marker));
     }
 }

@@ -133,8 +133,7 @@ impl NicCore {
                     g.grh.total_len
                 )
             };
-            let site = self.check_site(ctx.now());
-            if let Err(nack) = check.admit(&site, Access::Gather, g.msg, &g.dfs, describe) {
+            if let Err(nack) = check.admit(ctx.now(), Access::Gather, g.msg, &g.dfs, describe) {
                 self.send_ack(ctx, src, nack);
                 return;
             }

@@ -29,7 +29,7 @@ use nadfs_wire::{AckPkt, DfsHeader, Frame, MacKey, Pkt, Status, WriteReqHeader};
 
 use crate::app::NicApp;
 use crate::chains::{self, Chains};
-use crate::check::{CheckSite, RequestCheck};
+use crate::check::RequestCheck;
 use crate::ec_engine::{self, EcEngine};
 use credit::CREDIT_MSG;
 use gather::Survivor;
@@ -217,20 +217,12 @@ impl NicCore {
     /// Install the service-shared MAC key: read and gather requests
     /// carrying a DFS header are then capability-checked on the NIC before
     /// any byte is streamed (bad signature, expiry, or missing READ rights
-    /// ⇒ NACK).
+    /// ⇒ NACK). The check reports to the `obs` and `trace` hubs this NIC
+    /// has when it is installed.
     pub fn install_service_key(&mut self, key: MacKey) {
-        self.check = Some(RequestCheck::new(key));
-    }
-
-    /// Where this NIC's request check reports at `now`.
-    fn check_site(&self, now: Time) -> CheckSite<'_> {
-        CheckSite {
-            node: self.port.node,
-            now,
-            obs: &self.obs,
-            trace: &self.trace,
-            stats: &self.stats,
-        }
+        let (node, stats) = (self.port.node, self.stats.clone());
+        let check = RequestCheck::new(key, node, stats, self.obs.clone(), self.trace.clone());
+        self.check = Some(check);
     }
 
     /// Whether one-sided access to `[addr, addr + len)` is permitted

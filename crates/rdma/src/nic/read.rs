@@ -271,8 +271,7 @@ impl NicCore {
         // service key.
         if let (Some(check), Some(dfs)) = (&self.check, r.dfs.as_ref()) {
             let describe = || format!("read-validate greq={} len={}", dfs.greq_id, r.rrh.len);
-            let site = self.check_site(ctx.now());
-            if let Err(nack) = check.admit(&site, Access::Read, r.msg, dfs, describe) {
+            if let Err(nack) = check.admit(ctx.now(), Access::Read, r.msg, dfs, describe) {
                 self.send_ack(ctx, src, nack);
                 return;
             }
