@@ -603,10 +603,9 @@ impl SimCluster {
                 m.counter_set(&format!("{pre}.cost_dispatched"), l.cost_dispatched);
             }
         }
-        m.counter_set(
-            "fabric.switch_holds",
-            self.fabric_stats.borrow().switch_holds,
-        );
+        let fabric = self.fabric_stats.borrow();
+        m.counter_set("fabric.switch_holds", fabric.switch_holds);
+        m.counter_set("fabric.unroutable", fabric.unroutable);
         m.counter_set("engine.events_dispatched", self.engine.events_dispatched());
         m.counter_set("engine.order_digest", self.engine.order_digest());
         // DES dispatch profile: the measured baseline for the per-packet

@@ -231,12 +231,13 @@ impl HandlerSet for DfsNicState {
                     g.grh.total_len
                 )
             };
+            let (now, src) = (a.now, a.src);
             match self
                 .check
-                .admit(a.now, Access::Gather, g.msg, &g.dfs, describe)
+                .admit(now, Access::Gather, src, g.msg, &g.dfs, describe)
             {
                 Ok(()) => _ = self.gathers.insert(g.msg),
-                Err(nack) => a.ops.send(a.src, Frame::Ack(nack)),
+                Err((to, nack)) => a.ops.send(to, Frame::Ack(nack)),
             }
             return;
         }
@@ -253,22 +254,23 @@ impl HandlerSet for DfsNicState {
         };
 
         let describe = || format!("hdr-validate greq={}", dfs.greq_id);
-        let refusal = match self
+        let checked = self
             .check
-            .admit(a.now, Access::Write, w.msg, &dfs, describe)
-        {
-            Err(nack) => Some(nack),
-            // An EC header whose fields do not fit together is refused too.
-            Ok(()) => match &wrh.resiliency {
-                Resiliency::ErasureCode(info) if !info.is_sound() => {
-                    Some(AckPkt::new(w.msg, Some(dfs.greq_id), Status::Rejected))
-                }
-                _ => None,
-            },
+            .admit(a.now, Access::Write, a.src, w.msg, &dfs, describe);
+        // An EC header whose fields do not fit together is refused too: to
+        // the client the header names, which passed the check.
+        let unfit = matches!(&wrh.resiliency, Resiliency::ErasureCode(info) if !info.is_sound());
+        let refusal = match checked {
+            Err(refusal) => Some(refusal),
+            Ok(()) if unfit => {
+                let nack = AckPkt::new(w.msg, Some(dfs.greq_id), Status::Rejected);
+                Some((dfs.client as NodeId, nack))
+            }
+            Ok(()) => None,
         };
-        if let Some(nack) = refusal {
+        if let Some((to, nack)) = refusal {
             // DFS_request_init sends NACK if the request is refused.
-            a.ops.send(dfs.client as NodeId, Frame::Ack(nack));
+            a.ops.send(to, Frame::Ack(nack));
         }
         let mut fwd = Vec::new();
         match &wrh.resiliency {

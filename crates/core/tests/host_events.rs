@@ -21,8 +21,8 @@ use nadfs_simnet::{
 };
 use nadfs_wire::sizes::WRITE_DESCRIPTOR;
 use nadfs_wire::{
-    AckPkt, Capability, DfsHeader, DfsOp, EcInfo, EcRole, Frame, MacKey, MsgId, ReplicaCoord,
-    Resiliency, Rights, RsScheme, Status, WritePkt, WriteReqHeader,
+    AckPkt, BcastStrategy, Capability, DfsHeader, DfsOp, EcInfo, EcRole, Frame, MacKey, MsgId,
+    ReplicaCoord, Resiliency, Rights, RsScheme, Status, WritePkt, WriteReqHeader,
 };
 
 /// A bare client in place of a NIC: submits its frames when kicked and
@@ -302,4 +302,88 @@ fn parity_stream_from_a_chunk_past_k_is_refused() {
         src_chunk: 2,
     };
     assert_refused(ec_info(2, 1, role, 1));
+}
+
+// --- node ids off the wire ---------------------------------------------
+
+/// A one-packet write of `CHUNK` bytes to 0x40_000 under `resiliency`,
+/// headed by `dfs`.
+fn write_frame(dfs: DfsHeader, resiliency: Resiliency) -> Frame {
+    let wrh = WriteReqHeader {
+        target_addr: 0x40_000,
+        len: CHUNK as u32,
+        resiliency,
+    };
+    Frame::Write(WritePkt {
+        msg: MsgId::new(0, dfs.greq_id),
+        pkt_idx: 0,
+        total_pkts: 1,
+        dfs: Some(dfs),
+        wrh: Some(wrh),
+        offset: 0,
+        data: Bytes::from(vec![0xEE; CHUNK]),
+    })
+}
+
+/// Client 0's header for request `greq` with `dfs.client` set to `client`
+/// and the capability `cap`.
+fn header_naming(client: u32, cap: Capability, greq: u64) -> DfsHeader {
+    DfsHeader {
+        client,
+        capability: cap,
+        ..dfs_header(&MacKey::from_seed(0), greq)
+    }
+}
+
+/// A write under a capability the service never signed, naming node 2 (no
+/// node of this fabric) as its client: the refusal goes to the sender, and
+/// nothing lands.
+#[test]
+fn forged_write_naming_an_unknown_node_is_refused_to_its_sender() {
+    let key = MacKey::from_seed(7);
+    let mut rig = Rig::new(key, 0);
+    let forged = Capability::issue(&MacKey::from_seed(8), 2, 1, Rights::RW, u64::MAX, 1);
+    let frame = write_frame(header_naming(2, forged, 11), Resiliency::None);
+    let received = rig.deliver(vec![(rig.node, frame)]);
+    let acked: Vec<_> = acks(&received).map(|a| (a.greq_id, a.status)).collect();
+    assert_eq!(acked, [(Some(11), Status::AuthFailed)], "{received:?}");
+    let landed = rig.mem.borrow().read(0x40_000, CHUNK);
+    assert!(landed.iter().all(|&b| b == 0), "bytes landed");
+}
+
+/// A valid capability held by client 0, in a header naming node 2 as the
+/// client: refused, and the refusal goes to the holder. Accepted, its
+/// completion ack would have gone to node 2.
+#[test]
+fn valid_capability_naming_another_client_is_refused_to_its_holder() {
+    let key = MacKey::from_seed(7);
+    let mut rig = Rig::new(key, 0);
+    let held = dfs_header(&key, 12).capability;
+    let frame = write_frame(header_naming(2, held, 12), Resiliency::None);
+    let received = rig.deliver(vec![(rig.node, frame)]);
+    let acked: Vec<_> = acks(&received).map(|a| (a.greq_id, a.status)).collect();
+    assert_eq!(acked, [(Some(12), Status::AuthFailed)], "{received:?}");
+    let landed = rig.mem.borrow().read(0x40_000, CHUNK);
+    assert!(landed.iter().all(|&b| b == 0), "bytes landed");
+}
+
+/// A valid Ring write whose next replica is node 99: the fabric drops the
+/// forwarded stream, and the write still lands and is acknowledged here.
+#[test]
+fn ring_write_to_an_unknown_replica_lands_and_is_acked() {
+    let key = MacKey::from_seed(7);
+    let mut rig = Rig::new(key, 0);
+    let coord = |node| ReplicaCoord {
+        node,
+        addr: 0x40_000,
+    };
+    let ring = Resiliency::Replicate {
+        strategy: BcastStrategy::Ring,
+        vrank: 0,
+        coords: vec![coord(rig.node as u32), coord(99)],
+    };
+    let received = rig.deliver(vec![(rig.node, write_frame(dfs_header(&key, 13), ring))]);
+    let acked: Vec<_> = acks(&received).map(|a| (a.greq_id, a.status)).collect();
+    assert_eq!(acked, [(Some(13), Status::Ok)], "{received:?}");
+    assert_eq!(rig.mem.borrow().read(0x40_000, CHUNK), vec![0xEE; CHUNK]);
 }

@@ -6,7 +6,7 @@
 
 use nadfs_simnet::telemetry::phase;
 use nadfs_simnet::{NodeId, SharedObs, SharedTrace, Time};
-use nadfs_wire::{AckPkt, DfsHeader, MacKey, MsgId, Rights, Status};
+use nadfs_wire::{AckPkt, AuthError, DfsHeader, MacKey, MsgId, Rights, Status};
 
 use crate::nic::SharedNicStats;
 
@@ -47,36 +47,43 @@ impl RequestCheck {
         }
     }
 
-    /// Check request `msg`, headed by `dfs`, for `access` at `now`: its
-    /// capability must carry the service's signature, be unexpired and
-    /// grant the rights. A request that passes is marked `nic-validated`
-    /// on the originating op's span (greq-correlated) and `describe()`d
-    /// on the trace; one that does not is counted, and `Err` is the
-    /// `AuthFailed` NACK to answer it with.
+    /// Check request `msg` from `src`, headed by `dfs`, for `access` at
+    /// `now`: its capability must carry the service's signature, be
+    /// unexpired, grant the rights, and be held by the client the header
+    /// names (`dfs.client`). A request that passes is marked
+    /// `nic-validated` on the originating op's span (greq-correlated) and
+    /// `describe()`d on the trace. One that does not is counted, and `Err`
+    /// is the `AuthFailed` NACK to answer it with and the node it goes to:
+    /// the capability's holder when the service signed it, else `src`. A
+    /// node id from a header that failed its check is never a destination.
     pub fn admit(
         &self,
         now: Time,
         access: Access,
+        src: NodeId,
         msg: MsgId,
         dfs: &DfsHeader,
         describe: impl FnOnce() -> String,
-    ) -> Result<(), AckPkt> {
+    ) -> Result<(), (NodeId, AckPkt)> {
         let rights = match access {
             Access::Write => Rights::WRITE,
             Access::Read | Access::Gather => Rights::READ,
         };
-        if dfs
-            .capability
-            .verify(&self.key, now.as_ns() as u64, rights)
-            .is_err()
-        {
+        let cap = &dfs.capability;
+        let verdict = cap.verify(&self.key, now.as_ns() as u64, rights);
+        if verdict.is_err() || dfs.client != cap.holder() {
             let mut stats = self.stats.borrow_mut();
             *match access {
                 Access::Write => &mut stats.write_auth_failures,
                 Access::Read => &mut stats.read_auth_failures,
                 Access::Gather => &mut stats.gather_auth_failures,
             } += 1;
-            return Err(AckPkt::new(msg, Some(dfs.greq_id), Status::AuthFailed));
+            let to = match verdict {
+                Err(AuthError::BadSignature) => src,
+                _ => cap.holder() as NodeId,
+            };
+            let nack = AckPkt::new(msg, Some(dfs.greq_id), Status::AuthFailed);
+            return Err((to, nack));
         }
         let spans = &mut self.obs.borrow_mut().spans;
         spans.mark_corr_once(dfs.greq_id, phase::NIC_VALIDATED, now);

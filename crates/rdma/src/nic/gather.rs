@@ -133,8 +133,10 @@ impl NicCore {
                     g.grh.total_len
                 )
             };
-            if let Err(nack) = check.admit(ctx.now(), Access::Gather, g.msg, &g.dfs, describe) {
-                self.send_ack(ctx, src, nack);
+            let now = ctx.now();
+            if let Err((to, nack)) = check.admit(now, Access::Gather, src, g.msg, &g.dfs, describe)
+            {
+                self.send_ack(ctx, to, nack);
                 return;
             }
         }

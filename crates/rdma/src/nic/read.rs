@@ -271,8 +271,9 @@ impl NicCore {
         // service key.
         if let (Some(check), Some(dfs)) = (&self.check, r.dfs.as_ref()) {
             let describe = || format!("read-validate greq={} len={}", dfs.greq_id, r.rrh.len);
-            if let Err(nack) = check.admit(ctx.now(), Access::Read, r.msg, dfs, describe) {
-                self.send_ack(ctx, src, nack);
+            if let Err((to, nack)) = check.admit(ctx.now(), Access::Read, src, r.msg, dfs, describe)
+            {
+                self.send_ack(ctx, to, nack);
                 return;
             }
         }

@@ -103,6 +103,9 @@ pub struct FabricStats {
     pub per_node: Vec<NodeStats>,
     /// Times an uplink had to hold because a destination queue was full.
     pub switch_holds: u64,
+    /// Packets the switch dropped because their destination is no node
+    /// it has.
+    pub unroutable: u64,
 }
 
 /// Wake tokens: an ingress gate wakes the fabric with its node's id, the
@@ -213,7 +216,8 @@ impl<P: Payload> Fabric<P> {
         let dst = head.pkt.dst;
         let bytes = head.pkt.wire_bytes() as u64;
         // PFC-like hold: don't serialize into a full destination queue.
-        if dst != n && self.nodes[dst].down.q.len() >= self.cfg.down_queue_cap {
+        let down_full = |d: &NodeState<P>| d.down.q.len() >= self.cfg.down_queue_cap;
+        if dst != n && self.nodes.get(dst).is_some_and(down_full) {
             self.stats.borrow_mut().switch_holds += 1;
             if !self.nodes[dst].hol_waiters.contains(&n) {
                 self.nodes[dst].hol_waiters.push(n);
@@ -297,6 +301,12 @@ impl<P: Payload> Component for Fabric<P> {
                 );
                 self.nodes[n].up.q.push_back(p);
                 return self.try_start_uplink(ctx, n);
+            }
+            // A destination off the wire may name no node: the switch
+            // drops the packet.
+            Hop::AtSwitch if p.pkt.dst >= self.nodes.len() => {
+                self.stats.borrow_mut().unroutable += 1;
+                return;
             }
             Hop::AtSwitch => p.pkt.dst,
             Hop::Arrive => panic!("fabric: packet event past its last hop"),
@@ -487,6 +497,30 @@ mod tests {
             "tail gaps show backpressure: {tail:?}"
         );
         assert_eq!(stats.borrow().per_node[1].rx_pkts, 64);
+    }
+
+    /// A packet for a node the fabric never registered crosses its uplink
+    /// and is dropped at the switch, counted; the sender's credit returns.
+    #[test]
+    fn packet_for_an_unknown_node_is_dropped_and_counted() {
+        let mut e = Engine::new();
+        let (fid, src_id) = (e.reserve_id(), e.reserve_id());
+        let mut fab: Fabric<Raw> = Fabric::new(FabricConfig::default(), fid);
+        let port = fab.register_node(src_id, None);
+        let stats = fab.stats();
+        e.install(fid, Box::new(fab));
+        let source = Source {
+            port: Some(port),
+            dst: 7,
+            remaining: 3,
+            size: 1000,
+        };
+        e.install(src_id, Box::new(source));
+        e.schedule(Dur::ZERO, src_id, Box::new(Kick));
+        e.run_to_completion();
+        let st = stats.borrow();
+        assert_eq!(st.unroutable, 3);
+        assert_eq!(st.per_node[0].tx_pkts, 3);
     }
 
     #[test]

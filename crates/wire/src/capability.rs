@@ -68,6 +68,11 @@ impl Capability {
         cap
     }
 
+    /// The node the capability was issued to.
+    pub fn holder(&self) -> u32 {
+        self.client
+    }
+
     /// Verify signature, expiry, and that `rights` are granted.
     pub fn verify(&self, key: &MacKey, now_ns: u64, needed: Rights) -> Result<(), AuthError> {
         if siphash24_words(key, &self.mac_input()) != self.mac {
