@@ -257,9 +257,11 @@ impl HandlerSet for DfsNicState {
         let checked = self
             .check
             .admit(a.now, Access::Write, a.src, w.msg, &dfs, describe);
-        // An EC header whose fields do not fit together is refused too: to
-        // the client the header names, which passed the check.
-        let unfit = matches!(&wrh.resiliency, Resiliency::ErasureCode(info) if !info.is_sound());
+        // An EC header whose fields do not fit together, or a range past
+        // the end of the address space, is refused too: to the client the
+        // header names, which passed the check.
+        let unfit = matches!(&wrh.resiliency, Resiliency::ErasureCode(info) if !info.is_sound())
+            || !wrh.in_range();
         let refusal = match checked {
             Err(refusal) => Some(refusal),
             Ok(()) if unfit => {
@@ -372,8 +374,10 @@ impl HandlerSet for DfsNicState {
             a.ops.charge_instrs(5, 1.0);
             return; // unknown message (e.g. cleaned up): drop
         };
-        if !entry.accept {
-            a.ops.charge_instrs(5, 1.0); // drop branch of Listing 1
+        // The drop branch of Listing 1: a refused request, or a packet
+        // whose bytes fall past its header's length.
+        if !entry.accept || w.offset as u64 + w.data.len() as u64 > entry.wrh.len as u64 {
+            a.ops.charge_instrs(5, 1.0);
             return;
         }
         // Per-packet phase mark: one `nic-pkt` mark per payload-handler run
@@ -445,6 +449,9 @@ impl HandlerSet for DfsNicState {
                     let k = sst.k;
                     let chunk_len = sst.chunk_len;
                     let final_addr = sst.final_addr;
+                    if src_chunk >= k || w.offset as u64 + bytes as u64 > chunk_len as u64 {
+                        return; // does not fit the stripe its first stream opened
+                    }
                     if sst.fallback {
                         // Host aggregates: stage the intermediate parity.
                         let slot = final_addr + RsScheme::staging_slot(chunk_len, src_chunk);

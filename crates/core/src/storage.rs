@@ -26,8 +26,8 @@ use nadfs_simnet::{
     Ctx, Dur, IdMap, NodeId, ObsHub, SharedObs, SharedTrace, Slab, TenantScheduler, Time, Trace,
 };
 use nadfs_wire::{
-    bcast_children, AckPkt, DfsHeader, MacKey, MsgId, ReadReqHeader, Resiliency, Rights, RpcBody,
-    RsScheme, Status, WriteReqHeader,
+    bcast_children, checked_range, AckPkt, DfsHeader, MacKey, MsgId, ReadReqHeader, Resiliency,
+    Rights, RpcBody, RsScheme, Status, WriteReqHeader,
 };
 
 /// Observable storage-node statistics (shared with tests/harnesses).
@@ -237,6 +237,21 @@ impl StorageApp {
         let Some(t_val) = self.validate(nic, ctx, src, msg, &dfs, Rights::WRITE) else {
             return;
         };
+        // Every range the request names must fit in the address space:
+        // the header's, the bytes it carries, and each replica's from this
+        // chunk's offset on.
+        let reach = chunk_off as u64 + wrh.len as u64;
+        let coords_fit = match &wrh.resiliency {
+            Resiliency::Replicate { coords, .. } => coords
+                .iter()
+                .all(|c| checked_range(c.addr, reach).is_some()),
+            _ => true,
+        };
+        if !wrh.in_range() || data.len() > wrh.len as usize || !coords_fit {
+            let ack = AckPkt::new(msg, Some(dfs.greq_id), Status::Rejected);
+            self.defer(nic, ctx, t_val, AfterCpu::AckClient { dst: src, ack });
+            return;
+        }
         let done = AckPkt::new(msg, Some(dfs.greq_id), Status::Ok);
 
         if !inline_data {
@@ -382,7 +397,8 @@ impl StorageApp {
                     return;
                 };
                 // Same protection boundary as the one-sided path: a read
-                // outside a registered region is rejected, not streamed.
+                // past the address space or outside a registered region is
+                // rejected, not streamed.
                 if !nic.mr_ok(rrh.addr, rrh.len as u64) {
                     let ack = AckPkt::new(msg, Some(dfs.greq_id), Status::Rejected);
                     self.defer(nic, ctx, t_val, AfterCpu::AckClient { dst: src, ack });

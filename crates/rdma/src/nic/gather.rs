@@ -26,8 +26,8 @@ use nadfs_gfec::Accumulator;
 use nadfs_simnet::telemetry::phase;
 use nadfs_simnet::{Ctx, IdMap, NodeId};
 use nadfs_wire::{
-    AckPkt, DfsHeader, Frame, GatherReadHeader, GatherReconstruct, GatherReqPkt, GatherSegment,
-    MsgId, ReadReqHeader, ReadReqPkt, Status,
+    checked_range, AckPkt, DfsHeader, Frame, GatherReadHeader, GatherReconstruct, GatherReqPkt,
+    GatherSegment, MsgId, ReadReqHeader, ReadReqPkt, Status,
 };
 
 use super::read::{Ranges, ReadSink, RespFlow, StreamSink};
@@ -148,16 +148,19 @@ impl NicCore {
     /// node) and streams them straight from host memory; a degraded plan
     /// names the k survivors of one stripe, and the lost ranges stream out
     /// of the decode as the survivors arrive (`start_decode`).
-    /// A plan that is neither — or whose local ranges cross the MR
-    /// protection boundary one-sided reads honour — is answered
-    /// `Rejected`. (The sPIN completion handler's
+    /// A plan that is neither — or that names a range past the address
+    /// space, or a local range across the MR protection boundary
+    /// one-sided reads honour — is answered `Rejected`. (The sPIN completion handler's
     /// [`nadfs_pspin::HostNotify::Gather`] lands here.)
     pub fn start_gather(&mut self, ctx: &mut Ctx<'_>, client: NodeId, g: &GatherReqPkt) {
         let (msg, greq, grh) = (g.msg, g.dfs.greq_id, &g.grh);
         let me = self.port.node as u32;
         let local = |s: &GatherSegment| s.coord.node == me;
-        let in_mrs = |s: &GatherSegment| !local(s) || self.mr_ok(s.coord.addr, s.len as u64);
-        let accepted = grh.segments.iter().all(in_mrs)
+        let fits = |s: &GatherSegment| match local(s) {
+            true => self.mr_ok(s.coord.addr, s.len as u64),
+            false => checked_range(s.coord.addr, s.len as u64).is_some(),
+        };
+        let accepted = grh.segments.iter().all(fits)
             && match &grh.reconstruct {
                 None if grh.segments.iter().all(local) => {
                     let ranges = grh.segments.iter().filter(|s| s.len > 0);

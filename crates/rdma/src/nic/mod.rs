@@ -25,7 +25,7 @@ use nadfs_simnet::{
     NodePort, ObsHub, PacketEvent, PacketPool, SharedBufPool, SharedFlowStats, SharedObs,
     SharedPacketPool, SharedTrace, Slab, Time, Trace, WrClass,
 };
-use nadfs_wire::{AckPkt, DfsHeader, Frame, MacKey, Pkt, Status, WriteReqHeader};
+use nadfs_wire::{checked_range, AckPkt, DfsHeader, Frame, MacKey, Pkt, Status, WriteReqHeader};
 
 use crate::app::NicApp;
 use crate::chains::{self, Chains};
@@ -225,17 +225,20 @@ impl NicCore {
         self.check = Some(check);
     }
 
-    /// Whether one-sided access to `[addr, addr + len)` is permitted
-    /// (always true unless MR enforcement is on). Public so software
-    /// read/write paths (e.g. the CPU-validated RPC read) enforce the
-    /// same protection boundary as the NIC's one-sided handlers.
+    /// Whether one-sided access to `[addr, addr + len)` is permitted: the
+    /// range fits in the address space and, with MR enforcement on, lies
+    /// in a registered region. Public so software read/write paths (e.g.
+    /// the CPU-validated RPC read) enforce the same protection boundary
+    /// as the NIC's one-sided handlers.
     pub fn mr_ok(&self, addr: u64, len: u64) -> bool {
-        if !self.cfg.enforce_mr {
-            return true;
-        }
-        self.mrs
-            .iter()
-            .any(|&(a, l)| addr >= a && addr + len <= a + l)
+        let Some(r) = checked_range(addr, len) else {
+            return false;
+        };
+        !self.cfg.enforce_mr
+            || self
+                .mrs
+                .iter()
+                .any(|&(a, l)| r.start >= a && r.end - a <= l)
     }
 
     /// This NIC's recycled payload-buffer ring.

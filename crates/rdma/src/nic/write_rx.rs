@@ -50,17 +50,18 @@ impl NicCore {
     pub(super) fn on_write_pkt(&mut self, ctx: &mut Ctx<'_>, src: NodeId, w: &mut WritePkt) {
         let now = ctx.now();
         if w.is_first() {
-            // A first packet without its WRH is malformed; one aimed
-            // outside every MR, or asking for a resiliency this NIC has
-            // no engine for, is refused. Either way nothing of the
-            // message is kept and its later packets drop below.
+            // A first packet without its WRH is malformed; one naming a
+            // range past the address space or outside every MR, or asking
+            // for a resiliency this NIC has no engine for, is refused.
+            // Either way nothing of the message is kept and its later
+            // packets drop below.
             let acceptable = |h: &WriteReqHeader| {
                 let served = match h.resiliency {
                     Resiliency::None => true,
                     Resiliency::Replicate { .. } => false,
                     Resiliency::ErasureCode(_) => self.ec.is_some(),
                 };
-                served && self.mr_ok(h.target_addr, h.len as u64)
+                served && h.in_range() && self.mr_ok(h.target_addr, h.len as u64)
             };
             let Some(wrh) = w.wrh.take().filter(acceptable) else {
                 let greq = w.dfs.map(|d| d.greq_id);
@@ -85,6 +86,9 @@ impl NicCore {
         let Some(st) = self.rx.raw_writes.get_mut(&w.msg) else {
             return; // message was rejected at its first packet
         };
+        if w.offset as u64 + w.data.len() as u64 > st.wrh.len as u64 {
+            return; // bytes past the header's length
+        }
         let addr = st.wrh.target_addr + w.offset as u64;
         let done = self.dma.borrow_mut().land(now, addr, &w.data);
         st.flush = st.flush.max(done);

@@ -2,6 +2,8 @@
 //! request header (WRH) with its resiliency options (§V-A, §VI), and the
 //! read request header (RRH).
 
+use std::ops::Range;
+
 use crate::capability::Capability;
 use crate::sizes;
 
@@ -164,7 +166,34 @@ pub struct WriteReqHeader {
     pub resiliency: Resiliency,
 }
 
+/// `[addr, addr + len)`, or `None` when it does not fit in the address
+/// space. An address and a length off the wire go through this before
+/// any arithmetic on them.
+pub fn checked_range(addr: u64, len: u64) -> Option<Range<u64>> {
+    Some(addr..addr.checked_add(len)?)
+}
+
 impl WriteReqHeader {
+    /// Whether every range the header names fits in the address space:
+    /// `len` bytes at the target and at each replica, and a parity
+    /// chunk's region (the final parity, then its staging slots) at each
+    /// parity coordinate and, for an intermediate parity, at the target.
+    pub fn in_range(&self) -> bool {
+        let fits = |addr, len| checked_range(addr, len).is_some();
+        let len = self.len as u64;
+        fits(self.target_addr, len)
+            && match &self.resiliency {
+                Resiliency::None => true,
+                Resiliency::Replicate { coords, .. } => coords.iter().all(|c| fits(c.addr, len)),
+                Resiliency::ErasureCode(info) => {
+                    let region = info.scheme.parity_region(self.len);
+                    let at_target =
+                        matches!(info.role, EcRole::Data { .. }) || fits(self.target_addr, region);
+                    at_target && info.parity_coords.iter().all(|c| fits(c.addr, region))
+                }
+            }
+    }
+
     pub fn wire_size(&self) -> u32 {
         let extra = match &self.resiliency {
             Resiliency::None => 0,

@@ -24,9 +24,9 @@ pub use frame::{
     MsgId, Pkt, ReadReqPkt, ReadRespPkt, RpcBody, SendPkt, Status, WritePkt,
 };
 pub use headers::{
-    bcast_children, BcastStrategy, DfsHeader, DfsOp, EcInfo, EcRole, GatherCopy, GatherReadHeader,
-    GatherReconstruct, GatherSegment, ReadReqHeader, ReplicaCoord, Resiliency, RsScheme,
-    WriteReqHeader, MAX_GATHER_SEGS,
+    bcast_children, checked_range, BcastStrategy, DfsHeader, DfsOp, EcInfo, EcRole, GatherCopy,
+    GatherReadHeader, GatherReconstruct, GatherSegment, ReadReqHeader, ReplicaCoord, Resiliency,
+    RsScheme, WriteReqHeader, MAX_GATHER_SEGS,
 };
 pub use nadfs_simnet::CreditGrant;
 pub use siphash::MacKey;
