@@ -23,10 +23,12 @@ use nadfs_simnet::{
 };
 use nadfs_wire::sizes::WRITE_DESCRIPTOR;
 use nadfs_wire::{
-    Capability, DfsHeader, DfsOp, Frame, GatherCopy, GatherReadHeader, GatherReconstruct,
-    GatherReqPkt, GatherSegment, MacKey, MsgId, ReadReqHeader, ReadReqPkt, ReplicaCoord,
-    Resiliency, Rights, RpcBody, RsScheme, SendPkt, Status, WritePkt, WriteReqHeader,
+    BcastStrategy, Capability, DfsHeader, DfsOp, EcInfo, EcRole, Frame, GatherCopy,
+    GatherReadHeader, GatherReconstruct, GatherReqPkt, GatherSegment, MacKey, MsgId, ReadReqHeader,
+    ReadReqPkt, ReplicaCoord, Resiliency, Rights, RpcBody, RsScheme, SendPkt, Status, WritePkt,
+    WriteReqHeader,
 };
+use proptest::prelude::*;
 
 const STORAGE: NodeId = 1;
 const NODES: usize = 4;
@@ -375,5 +377,244 @@ fn payload_past_its_header_length_is_dropped() {
         let mem = out.mem.borrow();
         assert_eq!(mem.read(0x40_000, 100), vec![0xAA; 100], "spin={spin}");
         assert_eq!(mem.read(0x40_000 + 4096, 100), vec![0; 100], "spin={spin}");
+    }
+}
+
+/// A frame generator for [`hostile_frames_stay_contained`].
+struct Gen(u64);
+
+impl Gen {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    fn coin(&mut self) -> bool {
+        self.next() & 1 == 1
+    }
+
+    /// A node id, of this fabric's nodes or past them.
+    fn node(&mut self) -> u32 {
+        self.below(9) as u32
+    }
+
+    /// An address well inside the space, or within 64 KiB of its end.
+    fn addr(&mut self) -> u64 {
+        match self.coin() {
+            true => u64::MAX - self.below(64 << 10),
+            false => 0x40_000 + self.below(64 << 10),
+        }
+    }
+
+    fn coord(&mut self) -> ReplicaCoord {
+        ReplicaCoord {
+            node: self.node(),
+            addr: self.addr(),
+        }
+    }
+
+    fn coords(&mut self) -> Vec<ReplicaCoord> {
+        (0..self.below(4)).map(|_| self.coord()).collect()
+    }
+
+    fn ec_info(&mut self) -> EcInfo {
+        let role = match self.coin() {
+            true => EcRole::Data {
+                chunk_idx: self.below(5) as u8,
+            },
+            false => EcRole::Parity {
+                parity_idx: self.below(4) as u8,
+                src_chunk: self.below(5) as u8,
+            },
+        };
+        EcInfo {
+            scheme: RsScheme::new(self.below(5) as u8, self.below(4) as u8),
+            role,
+            stripe: self.below(4),
+            parity_coords: self.coords(),
+        }
+    }
+
+    fn wrh(&mut self) -> WriteReqHeader {
+        let resiliency = match self.below(3) {
+            0 => Resiliency::None,
+            1 => Resiliency::Replicate {
+                strategy: match self.coin() {
+                    true => BcastStrategy::Ring,
+                    false => BcastStrategy::Pbt,
+                },
+                vrank: self.below(4) as u8,
+                coords: self.coords(),
+            },
+            _ => Resiliency::ErasureCode(self.ec_info()),
+        };
+        WriteReqHeader {
+            target_addr: self.addr(),
+            len: self.below(400) as u32,
+            resiliency,
+        }
+    }
+
+    fn data(&mut self) -> Vec<u8> {
+        vec![0xEE; self.below(300) as usize]
+    }
+}
+
+/// One case: the frames nodes 0 and 2 send, and the nodes they may make
+/// the storage node reach.
+struct Case {
+    frames: [Vec<Frame>; 2],
+    /// The senders, the holders of capabilities the service signed, and
+    /// the nodes named by headers that pass the check.
+    reachable: Vec<u32>,
+}
+
+/// Up to three frames from each sender. Node 0 presents its own valid
+/// capability, a forged one or an expired one; node 2 a forged or an
+/// expired one, never a valid one. Node 2's reads all carry a header:
+/// a header-less read is answered to any sender (the storage-peer rule
+/// is still open).
+fn case(key: &MacKey, seed: u64) -> Case {
+    let mut g = Gen(seed);
+    let mut reachable = vec![0, 2];
+    let mut frames = [Vec::new(), Vec::new()];
+    for (i, sender) in [0u32, 2].into_iter().enumerate() {
+        for seq in 0..1 + g.below(3) {
+            let greq = (sender as u64) << 32 | seq;
+            let msg = MsgId::new(sender, greq);
+            let holder = g.node();
+            let capability = match g.below(if sender == 0 { 3 } else { 2 }) {
+                0 => Capability::issue(&MacKey::from_seed(99), holder, 1, Rights::RW, u64::MAX, 0),
+                1 => {
+                    reachable.push(holder);
+                    Capability::issue(key, holder, 1, Rights::RW, 0, 0)
+                }
+                _ => cap(key, 0),
+            };
+            let valid = capability == cap(key, 0);
+            let client = if g.coin() { sender } else { g.node() };
+            let dfs = header(client, capability, greq);
+            let accepted = valid && client == 0;
+            let frame = match g.below(5) {
+                0 | 1 => {
+                    let wrh = g.wrh();
+                    if accepted {
+                        reachable.extend(
+                            match &wrh.resiliency {
+                                Resiliency::None => vec![],
+                                Resiliency::Replicate { coords, .. } => coords.clone(),
+                                Resiliency::ErasureCode(info) => info.parity_coords.clone(),
+                            }
+                            .iter()
+                            .map(|c| c.node),
+                        );
+                    }
+                    let data = g.data();
+                    if g.coin() {
+                        let offset = g.below(1 << 20) as u32;
+                        let second = write_pkt(msg, 1, 2, None, offset, g.data());
+                        frames[i].push(write_pkt(msg, 0, 2, Some((dfs, wrh)), 0, data));
+                        frames[i].push(second);
+                        continue;
+                    }
+                    write_pkt(msg, 0, 1, Some((dfs, wrh)), 0, data)
+                }
+                2 => {
+                    let dfs = (sender == 2 || g.coin()).then_some(dfs);
+                    read(dfs, msg, g.addr(), g.below(8192) as u32)
+                }
+                3 => {
+                    let segments: Vec<_> = (0..1 + g.below(3))
+                        .map(|_| {
+                            segment(g.node(), g.addr(), g.below(3000) as u32, g.below(5) as u8)
+                        })
+                        .collect();
+                    if accepted {
+                        reachable.extend(segments.iter().map(|s| s.coord.node));
+                    }
+                    let rec = g.coin().then(|| GatherReconstruct {
+                        scheme: RsScheme::new(g.below(5) as u8, g.below(4) as u8),
+                        chunk_len: g.below(3000) as u32,
+                        copy: (0..g.below(3))
+                            .map(|_| GatherCopy {
+                                chunk: g.below(6) as u8,
+                                chunk_off: g.below(3000) as u32,
+                                len: g.below(3000) as u32,
+                                dest_off: g.below(5000) as u32,
+                            })
+                            .collect(),
+                    });
+                    gather(dfs, segments, rec)
+                }
+                _ => {
+                    let body = match g.coin() {
+                        true => RpcBody::WriteReq {
+                            dfs,
+                            wrh: g.wrh(),
+                            inline_data: g.coin(),
+                            src_addr: g.addr(),
+                            chunk_off: g.next() as u32,
+                            full_len: g.below(400) as u32,
+                        },
+                        false => RpcBody::ReadReq {
+                            dfs,
+                            rrh: ReadReqHeader {
+                                addr: g.addr(),
+                                len: g.below(8192) as u32,
+                            },
+                        },
+                    };
+                    if let (true, RpcBody::WriteReq { wrh, .. }) = (accepted, &body) {
+                        if let Resiliency::Replicate { coords, .. } = &wrh.resiliency {
+                            reachable.extend(coords.iter().map(|c| c.node));
+                        }
+                    }
+                    send(msg, body, g.data())
+                }
+            };
+            frames[i].push(frame);
+        }
+    }
+    Case { frames, reachable }
+}
+
+// Hostile headers from both senders, to a sPIN and to a Plain storage
+// node: nothing panics, node 2 reads no stored bytes, and every frame
+// the storage node emits goes to a sender, to the holder of a
+// capability the service signed, or to a node an accepted header
+// names. A frame for a node the fabric does not have is dropped at the
+// switch, so the switch's count must have such a node to answer for.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn hostile_frames_stay_contained(seed in any::<u64>()) {
+        let key = MacKey::from_seed(3);
+        let Case { frames: [from_0, from_2], reachable } = case(&key, seed);
+        for spin in [true, false] {
+            let out = run(key, spin, from_0.clone(), from_2.clone());
+            prop_assert_eq!(bytes_read(&out.received[2]), 0, "node 2 read bytes");
+            for (node, got) in out.received.iter().enumerate() {
+                prop_assert!(
+                    got.is_empty() || reachable.contains(&(node as u32)),
+                    "node {} received {:?}",
+                    node,
+                    got
+                );
+            }
+            let unroutable = out.fabric.borrow().unroutable;
+            prop_assert!(
+                unroutable == 0 || reachable.iter().any(|&n| n as usize >= NODES),
+                "{} frames for no node",
+                unroutable
+            );
+        }
     }
 }
