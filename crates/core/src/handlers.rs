@@ -231,10 +231,9 @@ impl HandlerSet for DfsNicState {
                     g.grh.total_len
                 )
             };
-            let (now, src) = (a.now, a.src);
             match self
                 .check
-                .admit(now, Access::Gather, src, g.msg, &g.dfs, describe)
+                .admit(a.now, Access::Gather, a.src, g.msg, &g.dfs, describe)
             {
                 Ok(()) => _ = self.gathers.insert(g.msg),
                 Err((to, nack)) => a.ops.send(to, Frame::Ack(nack)),

@@ -133,9 +133,8 @@ impl NicCore {
                     g.grh.total_len
                 )
             };
-            let now = ctx.now();
-            if let Err((to, nack)) = check.admit(now, Access::Gather, src, g.msg, &g.dfs, describe)
-            {
+            let checked = check.admit(ctx.now(), Access::Gather, src, g.msg, &g.dfs, describe);
+            if let Err((to, nack)) = checked {
                 self.send_ack(ctx, to, nack);
                 return;
             }

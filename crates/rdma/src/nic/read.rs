@@ -271,8 +271,8 @@ impl NicCore {
         // service key.
         if let (Some(check), Some(dfs)) = (&self.check, r.dfs.as_ref()) {
             let describe = || format!("read-validate greq={} len={}", dfs.greq_id, r.rrh.len);
-            if let Err((to, nack)) = check.admit(ctx.now(), Access::Read, src, r.msg, dfs, describe)
-            {
+            let checked = check.admit(ctx.now(), Access::Read, src, r.msg, dfs, describe);
+            if let Err((to, nack)) = checked {
                 self.send_ack(ctx, to, nack);
                 return;
             }
