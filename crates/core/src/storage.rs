@@ -154,10 +154,11 @@ impl StorageApp {
     }
 
     /// The CPU wakes up, dispatches request `msg` from `src` and checks
-    /// its capability for `rights`. Returns when it is done, having
-    /// marked `cpu-validated` on the greq-correlated span and noted the
+    /// its capability for `rights`, and that the header's client is the
+    /// capability's holder. Returns when it is done, having marked
+    /// `cpu-validated` on the greq-correlated span and noted the
     /// validation on this node's storage track — or `None`, with the
-    /// `AuthFailed` NACK on its way.
+    /// `AuthFailed` NACK on its way to `src`.
     fn validate(
         &mut self,
         nic: &mut NicCore,
@@ -171,7 +172,8 @@ impl StorageApp {
         let t_val = nic.cpu.exec(now + POLL_NOTIFY, RPC_DISPATCH + VALIDATE);
         let greq = dfs.greq_id;
         let cap = &dfs.capability;
-        if cap.verify(&self.key, now.as_ns() as u64, rights).is_err() {
+        if cap.verify(&self.key, now.as_ns() as u64, rights).is_err() || dfs.client != cap.holder()
+        {
             self.stats.borrow_mut().auth_failures += 1;
             let ack = AckPkt::new(msg, Some(greq), Status::AuthFailed);
             self.defer(nic, ctx, t_val, AfterCpu::AckClient { dst: src, ack });

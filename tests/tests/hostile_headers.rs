@@ -259,6 +259,39 @@ fn forged_write_naming_another_node_reaches_only_its_sender() {
     }
 }
 
+/// A replicated RPC write under node 0's valid capability, naming the
+/// listening node 3 as its client: the storage CPU refuses it to node 0,
+/// and node 3 hears nothing (accepted, the write's ack would go there).
+#[test]
+fn rpc_write_naming_another_client_is_refused() {
+    let key = MacKey::from_seed(3);
+    let body = RpcBody::WriteReq {
+        dfs: header(3, cap(&key, 0), 1),
+        wrh: WriteReqHeader {
+            target_addr: 0x40_000,
+            len: 64,
+            resiliency: Resiliency::Replicate {
+                strategy: BcastStrategy::Ring,
+                vrank: 0,
+                coords: vec![ReplicaCoord {
+                    node: 1,
+                    addr: 0x40_000,
+                }],
+            },
+        },
+        inline_data: true,
+        src_addr: 0,
+        chunk_off: 0,
+        full_len: 64,
+    };
+    let frame = send(MsgId::new(0, 1), body, vec![0xEE; 64]);
+    for spin in [true, false] {
+        let out = run(key, spin, vec![frame.clone()], vec![]);
+        assert_eq!(acks(&out.received[0]), [(Some(1), Status::AuthFailed)]);
+        assert!(out.received[3].is_empty(), "{:?}", out.received[3]);
+    }
+}
+
 /// Client 0's header for request `greq`, under its valid capability.
 fn valid(key: &MacKey, greq: u64) -> DfsHeader {
     header(0, cap(key, 0), greq)
