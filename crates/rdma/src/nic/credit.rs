@@ -22,7 +22,7 @@ use super::{NicCore, EGRESS_WAKE};
 /// frames carrying a [`nadfs_simnet::CreditGrant`] and no app-visible
 /// completion. The receiving NIC applies the grant and swallows the frame
 /// before `on_ack`.
-pub(crate) const CREDIT_MSG: MsgId = MsgId {
+pub(super) const CREDIT_MSG: MsgId = MsgId {
     node: u32::MAX,
     seq: u64::MAX,
 };

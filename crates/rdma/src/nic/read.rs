@@ -20,7 +20,7 @@ const DMA_BATCH_PKTS: u32 = 32;
 
 /// Where the response packets of a read this node issued go.
 #[derive(Clone, Copy)]
-pub(crate) enum ReadSink {
+pub(super) enum ReadSink {
     /// Host memory at `local_addr` plus each packet's offset;
     /// `on_read_done(token)` follows the last one.
     Host { local_addr: u64, token: u64 },
@@ -42,12 +42,12 @@ struct PendingRead {
 
 /// `len` bytes of this node's memory at `addr`, landing at `dest_off` of
 /// the flow they are streamed in: `(addr, len, dest_off)`.
-pub(crate) type Range = (u64, u32, u32);
+pub(super) type Range = (u64, u32, u32);
 
 /// The ranges one response stream walks, in order, none of them empty.
 /// One range is every plain read and every local survivor; it is held
 /// inline so those streams allocate no list.
-pub(crate) enum Ranges {
+pub(super) enum Ranges {
     One(Range),
     Many(Vec<Range>),
 }
@@ -73,15 +73,15 @@ impl Ranges {
 /// The response flow of read request `msg` to `dst`: `total_pkts`
 /// `ReadResp` packets, each at its (possibly sparse) flow offset.
 #[derive(Clone, Copy)]
-pub(crate) struct RespFlow {
-    pub(crate) dst: NodeId,
-    pub(crate) msg: MsgId,
-    pub(crate) total_pkts: u32,
+pub(super) struct RespFlow {
+    pub(super) dst: NodeId,
+    pub(super) msg: MsgId,
+    pub(super) total_pkts: u32,
 }
 
 impl RespFlow {
     /// Packet `pkt_idx` of the flow: `data`, landing at `offset`.
-    pub(crate) fn frame(&self, pkt_idx: u32, offset: u32, data: Bytes) -> Frame {
+    pub(super) fn frame(&self, pkt_idx: u32, offset: u32, data: Bytes) -> Frame {
         Frame::ReadResp(ReadRespPkt {
             msg: self.msg,
             pkt_idx,
@@ -94,7 +94,7 @@ impl RespFlow {
 
 /// What is done with each batch of a response stream.
 #[derive(Clone, Copy)]
-pub(crate) enum StreamSink {
+pub(super) enum StreamSink {
     /// Cut into the packets of `flow`. A gather has the `greq` of the op
     /// it serves: every batch marks `streamed` on that op's span and
     /// counts toward `gather_bytes_streamed`. A read the read QoS
@@ -193,7 +193,7 @@ impl NicCore {
     /// flow-controlled peers. A stalled request parks in the pending
     /// queue and releases when an earlier read's response returns its
     /// credit — bounded in-flight, no wedge.
-    pub(crate) fn post_read(
+    pub(super) fn post_read(
         &mut self,
         ctx: &mut Ctx<'_>,
         dst: NodeId,
@@ -229,7 +229,7 @@ impl NicCore {
     }
 
     /// Where the response of read `msg` goes, while it is outstanding.
-    pub(crate) fn read_sink(&self, msg: MsgId) -> Option<ReadSink> {
+    pub(super) fn read_sink(&self, msg: MsgId) -> Option<ReadSink> {
         self.reads.pending.get(&msg).map(|p| p.sink)
     }
 
@@ -313,7 +313,7 @@ impl NicCore {
     /// `slot`, when admitted through it): one packet per
     /// `max_payload_plain()` bytes of each range, or a lone empty packet
     /// when there is nothing to read.
-    pub(crate) fn respond(
+    pub(super) fn respond(
         &mut self,
         ctx: &mut Ctx<'_>,
         dst: NodeId,
@@ -333,7 +333,7 @@ impl NicCore {
         self.start_stream(ctx, ranges, StreamSink::Wire { flow, greq, slot });
     }
 
-    pub(crate) fn start_stream(&mut self, ctx: &mut Ctx<'_>, ranges: Ranges, sink: StreamSink) {
+    pub(super) fn start_stream(&mut self, ctx: &mut Ctx<'_>, ranges: Ranges, sink: StreamSink) {
         let key = self.reads.streams.insert(ResponseStream {
             ranges,
             range: 0,
