@@ -1,8 +1,8 @@
 //! The storage service's request check, run on the NIC (§IV): clients are
 //! not trusted, so every DFS request's capability is verified against
 //! the key the service signs capabilities with before the NIC acts on it.
-//! The sPIN header handler checks writes and gathers with it, a NIC
-//! without PsPIN reads and gathers.
+//! The sPIN header handler checks writes and gathers with it; the NIC
+//! itself checks reads, and gathers where it has no PsPIN.
 
 use nadfs_simnet::telemetry::phase;
 use nadfs_simnet::{NodeId, SharedObs, SharedTrace, Time};
