@@ -369,33 +369,6 @@ fn abandoned_write_is_cleaned_up_and_storage_keeps_working() {
     assert_eq!(c2.run_until_writes(1, 1_000), 1);
 }
 
-#[test]
-fn raw_read_returns_written_bytes() {
-    let (mut c, r) = write_once(
-        StorageMode::Plain,
-        FilePolicy::Plain,
-        WriteProtocol::Raw,
-        100_000,
-        1,
-        77,
-    );
-    c.submit(
-        0,
-        Job::RawRead {
-            node: r.placement.primary.node as usize,
-            addr: r.placement.primary.addr,
-            len: 100_000,
-            token: 42,
-        },
-    );
-    // Wake the (now idle) client driver.
-    c.start();
-    c.run_ms(5);
-    let reads = &c.results.borrow().reads;
-    assert_eq!(reads.len(), 1);
-    assert_eq!(reads[0].token, 42);
-}
-
 /// The buffer ring closes its loop in the real TriEC path, not only in
 /// the micro-loop: intermediate-parity buffers drawn on the data nodes
 /// are consumed on the parity nodes, and with one pool per NIC the

@@ -1,7 +1,7 @@
 //! Determinism as an assertion: the engine folds every dispatched
 //! `(time, target, seq)` into `Engine::order_digest()`, and five seeded
 //! scenarios pin its value. They cover the client paths the benchmark
-//! does not drive (the CPU and RDMA baselines, striped layouts, raw
+//! does not drive (the CPU and RDMA baselines, striped layouts, RPC
 //! reads, metadata ops) as well as the sPIN write and degraded-read
 //! paths. All five were last re-recorded when the PsPIN device began
 //! computing its packet-buffer copy, inter-cluster hop and L1 copy when a
@@ -14,16 +14,16 @@
 //! single event moves them.
 //!
 //! Beside each order digest sits a completion digest: every completion
-//! the scenario drains (writes, file reads, raw reads, metadata ops,
-//! repair tasks), by id or token, status, checksum, start and end. A
+//! the scenario drains (writes, file reads, metadata ops, repair
+//! tasks), by id or token, status, checksum, start and end. A
 //! change that only removes or reorders events moves the first and
 //! must leave the second alone; so each test checks the completions
 //! first, and a failure there means outcomes moved.
 
 use nadfs_core::{
     ClusterSpec, FilePolicy, Job, LayoutSpec, MetaResult, MetaWorkload, ReadCompletion,
-    ReadPattern, ReadProtocol, ReadResult, RepairDriver, RepairOutcome, RepairResult, SimCluster,
-    SizeDist, StorageMode, Workload, WriteProtocol, WriteResult,
+    ReadPattern, ReadProtocol, RepairDriver, RepairOutcome, RepairResult, SimCluster, SizeDist,
+    StorageMode, Workload, WriteProtocol, WriteResult,
 };
 use nadfs_wire::{BcastStrategy, RsScheme, Status};
 
@@ -73,12 +73,6 @@ impl Completions {
         for r in rs {
             let status = r.status as u64;
             self.add([r.token, status, r.checksum, r.start.ps(), r.end.ps()]);
-        }
-    }
-
-    fn raw_reads(&mut self, rs: &[ReadResult]) {
-        for r in rs {
-            self.add([r.token, 0, r.checksum, 0, r.end.ps()]);
         }
     }
 
@@ -328,10 +322,10 @@ fn client_degraded_reads_then_repair() -> (u64, u64) {
 }
 
 /// One client per baseline protocol at window 2, six ~48 KiB writes
-/// each, over the storage mode the protocol needs; then raw reads of
-/// what the RpcRdma client stored and a metadata mix with the cache on.
-/// The three clusters' digests fold into one value.
-fn baseline_protocols_raw_reads_and_meta() -> (u64, u64) {
+/// each, over the storage mode the protocol needs; then CPU-served RPC
+/// reads of what the RpcRdma client stored and a metadata mix with the
+/// cache on. The three clusters' digests fold into one value.
+fn baseline_protocols_rpc_reads_and_meta() -> (u64, u64) {
     let sizes = SizeDist::Uniform {
         min: 40 << 10,
         max: 56 << 10,
@@ -383,11 +377,13 @@ fn baseline_protocols_raw_reads_and_meta() -> (u64, u64) {
     for (i, w) in stored.iter().enumerate() {
         cl.submit(
             4,
-            Job::RawRead {
-                node: w.placement.primary.node as usize,
-                addr: w.placement.primary.addr,
+            Job::Read {
+                file: plain,
+                offset: w.placement.offset,
                 len: w.size,
+                protocol: ReadProtocol::Rpc,
                 token: i as u64,
+                slot: None,
             },
         );
     }
@@ -413,12 +409,14 @@ fn baseline_protocols_raw_reads_and_meta() -> (u64, u64) {
         let results = cl.results.borrow();
         assert!(results.metas.iter().all(|m| m.result.is_ok()));
         assert!(results.metas.iter().any(|m| m.cache_hit));
-        assert_eq!(results.reads.len(), stored.len(), "raw reads incomplete");
-        for r in &results.reads {
+        let reads = &results.file_reads;
+        assert_eq!(reads.len(), stored.len(), "RPC reads incomplete");
+        for r in reads {
+            assert_eq!(r.status, Status::Ok);
             assert_eq!(r.checksum, stored[r.token as usize].checksum);
         }
         done.metas(&results.metas);
-        done.raw_reads(&results.reads);
+        done.file_reads(reads);
     }
     let plain_digest = digest(&cl);
 
@@ -500,14 +498,14 @@ fn client_degraded_reads_then_repair_order_is_pinned() {
 }
 
 #[test]
-fn baseline_protocols_raw_reads_and_meta_order_is_pinned() {
-    let (order, done) = baseline_protocols_raw_reads_and_meta();
+fn baseline_protocols_rpc_reads_and_meta_order_is_pinned() {
+    let (order, done) = baseline_protocols_rpc_reads_and_meta();
     assert_eq!(
         done, 1_900_478_096_647_464_625,
-        "baseline-protocol / raw-read / metadata completions moved"
+        "baseline-protocol / RPC-read / metadata completions moved"
     );
     assert_eq!(
         order, 4_722_904_968_859_069_733,
-        "baseline-protocol / raw-read / metadata dispatch order moved"
+        "baseline-protocol / RPC-read / metadata dispatch order moved"
     );
 }
