@@ -501,11 +501,11 @@ fn client_degraded_reads_then_repair_order_is_pinned() {
 fn baseline_protocols_rpc_reads_and_meta_order_is_pinned() {
     let (order, done) = baseline_protocols_rpc_reads_and_meta();
     assert_eq!(
-        done, 1_900_478_096_647_464_625,
+        done, 14_660_935_127_356_910_273,
         "baseline-protocol / RPC-read / metadata completions moved"
     );
     assert_eq!(
-        order, 4_722_904_968_859_069_733,
+        order, 9_272_150_818_722_624_372,
         "baseline-protocol / RPC-read / metadata dispatch order moved"
     );
 }
