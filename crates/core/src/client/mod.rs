@@ -29,10 +29,7 @@ use nadfs_rdma::{NicApp, NicCore};
 use nadfs_simnet::{
     Ctx, IdMap, NodeId, ObsHub, OpKind, SharedObs, SharedTrace, SpanId, TenantId, Time, Trace,
 };
-use nadfs_wire::{
-    payload_checksum, AckPkt, Capability, DfsHeader, DfsOp, MsgId, ReadReqHeader, Rights, RsScheme,
-    Status,
-};
+use nadfs_wire::{AckPkt, Capability, DfsHeader, DfsOp, MsgId, Rights, RsScheme, Status};
 
 use crate::cache::ReadCache;
 use crate::control::{RepairTask, SharedControl, WritePlacement};
@@ -179,13 +176,6 @@ pub enum Job {
         token: u64,
         slot: RepairSlot,
     },
-    /// One-sided read of a raw region (verification / read-path latency).
-    RawRead {
-        node: NodeId,
-        addr: u64,
-        len: u32,
-        token: u64,
-    },
     /// A metadata operation (namespace traffic).
     Meta { op: MetaOp, token: u64 },
 }
@@ -205,17 +195,6 @@ pub struct WriteResult {
     pub checksum: u64,
     /// Placement used (lets tests verify stored bytes).
     pub placement: WritePlacement,
-}
-
-/// Raw-region read completion (the legacy `Job::RawRead`).
-#[derive(Clone, Debug)]
-pub struct ReadResult {
-    pub token: u64,
-    pub end: Time,
-    /// Bytes fetched.
-    pub len: u32,
-    /// Checksum of the fetched bytes (read-back verification).
-    pub checksum: u64,
 }
 
 /// Typed completion of one file-level read.
@@ -299,7 +278,6 @@ pub struct MetaResult {
 #[derive(Default)]
 pub struct ResultSink {
     pub writes: Vec<WriteResult>,
-    pub reads: Vec<ReadResult>,
     pub file_reads: Vec<ReadCompletion>,
     pub metas: Vec<MetaResult>,
 }
@@ -326,15 +304,13 @@ enum Op {
     Repair(Box<RepairOp>),
     Meta(MetaDone),
     CacheHit(CacheHit),
-    RawRead(RawRead),
 }
 
 impl Op {
-    /// Window slots the op holds: one, except that a raw read holds none
-    /// and a background readahead holds one per read parked on it.
+    /// Window slots the op holds: one, except that a background
+    /// readahead holds one per read parked on it.
     fn window_slots(&self) -> usize {
         match self {
-            Op::RawRead(_) => 0,
             Op::Read(r) if r.background => r.waiters.len(),
             _ => 1,
         }
@@ -355,13 +331,6 @@ enum Event<'a> {
 enum Step {
     Pending(Op),
     Done(Routes),
-}
-
-/// A raw-region read waiting for its bytes at `local`.
-struct RawRead {
-    token: u64,
-    local: u64,
-    len: u32,
 }
 
 /// Every in-flight op by id, the three maps that find an op from what the
@@ -742,34 +711,8 @@ impl ClientApp {
                 self.start_read(nic, ctx, req);
             }
             Job::Repair { task, token, slot } => self.start_repair(nic, ctx, task, token, slot),
-            Job::RawRead {
-                node,
-                addr,
-                len,
-                token,
-            } => {
-                let local = nic.memory().borrow_mut().alloc(len as u64);
-                // The op id doubles as the NIC's read-done token.
-                let id = self.ops.next_id();
-                self.ops.by_token.insert(id, id);
-                nic.send_read(ctx, node, ReadReqHeader { addr, len }, None, local, id);
-                self.ops
-                    .insert(id, Op::RawRead(RawRead { token, local, len }));
-            }
             Job::Meta { op, token } => self.start_meta(nic, ctx, op, token),
         }
-    }
-
-    fn finish_raw_read(&mut self, nic: &NicCore, ctx: &Ctx<'_>, r: RawRead) -> Step {
-        let bytes = nic.memory().borrow_mut().take(r.local, r.len as usize);
-        let result = ReadResult {
-            token: r.token,
-            end: ctx.now(),
-            len: r.len,
-            checksum: payload_checksum(&bytes),
-        };
-        deliver(None, &mut self.results.borrow_mut().reads, result);
-        Step::Done(Routes::default())
     }
 
     /// Hand one event to the op it belongs to and act on its answer. A
@@ -783,10 +726,9 @@ impl ClientApp {
             Op::Write(w) => self.step_write(nic, ctx, id, w, ev),
             Op::Read(r) => self.step_read(nic, ctx, id, r, ev),
             Op::Repair(r) => self.step_repair(nic, ctx, id, r, ev),
-            // These three wait for exactly one event.
+            // These two wait for exactly one event.
             Op::Meta(m) if matches!(ev, Event::Timer) => self.finish_meta(ctx, m),
             Op::CacheHit(h) if matches!(ev, Event::Timer) => self.finish_cache_hit(nic, ctx, h),
-            Op::RawRead(r) if matches!(ev, Event::ReadDone) => self.finish_raw_read(nic, ctx, r),
             unexpected => Step::Pending(unexpected),
         };
         match step {

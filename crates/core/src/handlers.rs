@@ -223,18 +223,7 @@ impl HandlerSet for DfsNicState {
             // `DFS_gather_init`: authenticate the gather once and mark it
             // valid; the completion handler hands it to the NIC's gather
             // engine after the pipeline retires.
-            let describe = || {
-                format!(
-                    "gather-validate greq={} segs={} len={}",
-                    g.dfs.greq_id,
-                    g.grh.segments.len(),
-                    g.grh.total_len
-                )
-            };
-            match self
-                .check
-                .admit(a.now, Access::Gather, a.src, g.msg, &g.dfs, describe)
-            {
+            match self.check.admit_gather(a.now, a.src, g) {
                 Ok(()) => _ = self.gathers.insert(g.msg),
                 Err((to, nack)) => a.ops.send(to, Frame::Ack(nack)),
             }

@@ -23,8 +23,8 @@ pub mod workloads;
 pub use cache::{CachedRead, ReadCache, ReadCacheConfig, ReadCacheStats};
 pub use client::{
     ClientApp, ClientReadStats, Job, MetaOp, MetaOpKind, MetaResult, ReadCompletion, ReadProtocol,
-    ReadResult, ReadSlot, RepairOutcome, RepairResult, RepairSlot, ResultSink,
-    SharedClientReadStats, WriteProtocol, WriteResult, WriteSlot,
+    ReadSlot, RepairOutcome, RepairResult, RepairSlot, ResultSink, SharedClientReadStats,
+    WriteProtocol, WriteResult, WriteSlot,
 };
 pub use cluster::{ClusterSpec, QosConfig, SimCluster, StorageMode};
 pub use config::CostModel;

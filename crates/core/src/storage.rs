@@ -154,11 +154,12 @@ impl StorageApp {
     }
 
     /// The CPU wakes up, dispatches request `msg` from `src` and checks
-    /// its capability for `rights`, and that the header's client is the
-    /// capability's holder. Returns when it is done, having marked
-    /// `cpu-validated` on the greq-correlated span and noted the
-    /// validation on this node's storage track — or `None`, with the
-    /// `AuthFailed` NACK on its way to `src`.
+    /// its capability for `rights` under the rule the NIC applies,
+    /// [`nadfs_wire::Capability::authorize`]. Returns when it is done,
+    /// having marked `cpu-validated` on the greq-correlated span and
+    /// noted the validation on this node's storage track — or `None`,
+    /// with the `AuthFailed` NACK on its way to the node
+    /// [`nadfs_wire::Capability::refusal_to`] names.
     fn validate(
         &mut self,
         nic: &mut NicCore,
@@ -172,11 +173,11 @@ impl StorageApp {
         let t_val = nic.cpu.exec(now + POLL_NOTIFY, RPC_DISPATCH + VALIDATE);
         let greq = dfs.greq_id;
         let cap = &dfs.capability;
-        if cap.verify(&self.key, now.as_ns() as u64, rights).is_err() || dfs.client != cap.holder()
-        {
+        if let Err(e) = cap.authorize(&self.key, now.as_ns() as u64, rights, dfs.client) {
             self.stats.borrow_mut().auth_failures += 1;
+            let dst = cap.refusal_to(e, src as u32) as NodeId;
             let ack = AckPkt::new(msg, Some(greq), Status::AuthFailed);
-            self.defer(nic, ctx, t_val, AfterCpu::AckClient { dst: src, ack });
+            self.defer(nic, ctx, t_val, AfterCpu::AckClient { dst, ack });
             return None;
         }
         let spans = &mut self.obs.borrow_mut().spans;

@@ -6,7 +6,7 @@
 
 use nadfs_simnet::telemetry::phase;
 use nadfs_simnet::{NodeId, SharedObs, SharedTrace, Time};
-use nadfs_wire::{AckPkt, AuthError, DfsHeader, MacKey, MsgId, Rights, Status};
+use nadfs_wire::{AckPkt, DfsHeader, GatherReqPkt, MacKey, MsgId, Rights, Status};
 
 use crate::nic::SharedNicStats;
 
@@ -48,14 +48,11 @@ impl RequestCheck {
     }
 
     /// Check request `msg` from `src`, headed by `dfs`, for `access` at
-    /// `now`: its capability must carry the service's signature, be
-    /// unexpired, grant the rights, and be held by the client the header
-    /// names (`dfs.client`). A request that passes is marked
-    /// `nic-validated` on the originating op's span (greq-correlated) and
-    /// `describe()`d on the trace. One that does not is counted, and `Err`
-    /// is the `AuthFailed` NACK to answer it with and the node it goes to:
-    /// the capability's holder when the service signed it, else `src`. A
-    /// node id from a header that failed its check is never a destination.
+    /// `now` under [`nadfs_wire::Capability::authorize`]. A request that
+    /// passes is marked `nic-validated` on the originating op's span
+    /// (greq-correlated) and `describe()`d on the trace. One that does not
+    /// is counted, and `Err` is the `AuthFailed` NACK to answer it with and
+    /// the node it goes to, [`nadfs_wire::Capability::refusal_to`].
     pub fn admit(
         &self,
         now: Time,
@@ -70,18 +67,14 @@ impl RequestCheck {
             Access::Read | Access::Gather => Rights::READ,
         };
         let cap = &dfs.capability;
-        let verdict = cap.verify(&self.key, now.as_ns() as u64, rights);
-        if verdict.is_err() || dfs.client != cap.holder() {
+        if let Err(e) = cap.authorize(&self.key, now.as_ns() as u64, rights, dfs.client) {
             let mut stats = self.stats.borrow_mut();
             *match access {
                 Access::Write => &mut stats.write_auth_failures,
                 Access::Read => &mut stats.read_auth_failures,
                 Access::Gather => &mut stats.gather_auth_failures,
             } += 1;
-            let to = match verdict {
-                Err(AuthError::BadSignature) => src,
-                _ => cap.holder() as NodeId,
-            };
+            let to = cap.refusal_to(e, src as u32) as NodeId;
             let nack = AckPkt::new(msg, Some(dfs.greq_id), Status::AuthFailed);
             return Err((to, nack));
         }
@@ -91,5 +84,17 @@ impl RequestCheck {
             .borrow_mut()
             .emit_from(now, "nic", Some(self.node), describe);
         Ok(())
+    }
+
+    /// [`Self::admit`] gather `g` from `src`, once for the whole flow.
+    pub fn admit_gather(
+        &self,
+        now: Time,
+        src: NodeId,
+        g: &GatherReqPkt,
+    ) -> Result<(), (NodeId, AckPkt)> {
+        let (greq, segs, len) = (g.dfs.greq_id, g.grh.segments.len(), g.grh.total_len);
+        let describe = || format!("gather-validate greq={greq} segs={segs} len={len}");
+        self.admit(now, Access::Gather, src, g.msg, &g.dfs, describe)
     }
 }

@@ -32,7 +32,6 @@ use nadfs_wire::{
 
 use super::read::{Ranges, ReadSink, RespFlow, StreamSink};
 use super::{NicCore, NicEvent};
-use crate::check::Access;
 use crate::ec_engine::{EC_ENCODE_BW, TRIGGER};
 
 /// Survivor `seg` of stream `stream` of degraded gather `gather`: whose
@@ -125,16 +124,7 @@ impl NicCore {
     /// [`nadfs_pspin::HostNotify`].)
     pub(super) fn on_gather_req(&mut self, ctx: &mut Ctx<'_>, src: NodeId, g: &GatherReqPkt) {
         if let Some(check) = &self.check {
-            let describe = || {
-                format!(
-                    "gather-validate greq={} segs={} len={}",
-                    g.dfs.greq_id,
-                    g.grh.segments.len(),
-                    g.grh.total_len
-                )
-            };
-            let checked = check.admit(ctx.now(), Access::Gather, src, g.msg, &g.dfs, describe);
-            if let Err((to, nack)) = checked {
+            if let Err((to, nack)) = check.admit_gather(ctx.now(), src, g) {
                 self.send_ack(ctx, to, nack);
                 return;
             }

@@ -26,6 +26,7 @@ impl Rights {
 /// A signed capability descriptor (37 B on the wire, see [`crate::sizes`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Capability {
+    /// The node the capability was issued to: its holder.
     pub(crate) client: u32,
     pub file: u64,
     pub(crate) rights: Rights,
@@ -68,11 +69,6 @@ impl Capability {
         cap
     }
 
-    /// The node the capability was issued to.
-    pub fn holder(&self) -> u32 {
-        self.client
-    }
-
     /// Verify signature, expiry, and that `rights` are granted.
     pub fn verify(&self, key: &MacKey, now_ns: u64, needed: Rights) -> Result<(), AuthError> {
         if siphash24_words(key, &self.mac_input()) != self.mac {
@@ -87,21 +83,35 @@ impl Capability {
         Ok(())
     }
 
-    /// Verify against a specific file id as well. No storage path calls
-    /// this yet: they check signature, expiry and rights, but not that the
-    /// target belongs to `self.file`.
-    pub fn verify_for_file(
+    /// The storage service's one authorization rule: a request naming
+    /// `client` may act under this capability at `now_ns` with `needed`
+    /// rights when the capability [`verify`](Self::verify)s and `client`
+    /// is its holder, so acks and NACKs reach only the authenticated
+    /// client.
+    pub fn authorize(
         &self,
         key: &MacKey,
         now_ns: u64,
         needed: Rights,
-        file: u64,
+        client: u32,
     ) -> Result<(), AuthError> {
         self.verify(key, now_ns, needed)?;
-        if self.file != file {
-            return Err(AuthError::WrongFile);
+        if client != self.client {
+            return Err(AuthError::WrongHolder);
         }
         Ok(())
+    }
+
+    /// Where the refusal of a request `sender` sent under this capability
+    /// goes, when [`authorize`](Self::authorize) failed with `err`: to the
+    /// holder when the signature verified (the service named it), else to
+    /// `sender`. A node id from a capability the service did not sign is
+    /// never a destination.
+    pub fn refusal_to(&self, err: AuthError, sender: u32) -> u32 {
+        match err {
+            AuthError::BadSignature => sender,
+            _ => self.client,
+        }
     }
 }
 
@@ -111,7 +121,8 @@ pub enum AuthError {
     BadSignature,
     Expired,
     InsufficientRights,
-    WrongFile,
+    /// The request names a client other than the capability's holder.
+    WrongHolder,
 }
 
 impl std::fmt::Display for AuthError {
@@ -120,7 +131,7 @@ impl std::fmt::Display for AuthError {
             AuthError::BadSignature => "bad capability signature",
             AuthError::Expired => "capability expired",
             AuthError::InsufficientRights => "operation not permitted by capability",
-            AuthError::WrongFile => "capability issued for a different file",
+            AuthError::WrongHolder => "capability held by a different client",
         };
         f.write_str(s)
     }
@@ -138,7 +149,7 @@ mod tests {
     fn issue_and_verify_roundtrip() {
         let cap = Capability::issue(&key(), 7, 42, Rights::RW, 1_000_000, 99);
         assert!(cap.verify(&key(), 500_000, Rights::WRITE).is_ok());
-        assert!(cap.verify_for_file(&key(), 0, Rights::READ, 42).is_ok());
+        assert!(cap.authorize(&key(), 0, Rights::READ, 7).is_ok());
     }
 
     #[test]
@@ -189,12 +200,13 @@ mod tests {
     }
 
     #[test]
-    fn wrong_file_detected() {
+    fn wrong_holder_is_refused_to_the_holder() {
         let cap = Capability::issue(&key(), 1, 5, Rights::RW, 10, 0);
-        assert_eq!(
-            cap.verify_for_file(&key(), 0, Rights::READ, 6),
-            Err(AuthError::WrongFile)
-        );
+        let err = cap.authorize(&key(), 0, Rights::READ, 2);
+        assert_eq!(err, Err(AuthError::WrongHolder));
+        assert_eq!(cap.refusal_to(AuthError::WrongHolder, 3), 1);
+        assert_eq!(cap.refusal_to(AuthError::Expired, 3), 1);
+        assert_eq!(cap.refusal_to(AuthError::BadSignature, 3), 3);
     }
 
     #[test]

@@ -292,6 +292,33 @@ fn rpc_write_naming_another_client_is_refused() {
     }
 }
 
+/// An RPC write from node 0 under an expired capability the service
+/// signed for node 3, naming node 3: the storage CPU refuses it to the
+/// holder, node 3, as the NIC's check would, and node 0 hears nothing.
+#[test]
+fn expired_rpc_write_is_refused_to_its_holder() {
+    let key = MacKey::from_seed(3);
+    let expired = Capability::issue(&key, 3, 1, Rights::RW, 0, 0);
+    let body = RpcBody::WriteReq {
+        dfs: header(3, expired, 1),
+        wrh: WriteReqHeader {
+            target_addr: 0x40_000,
+            len: 64,
+            resiliency: Resiliency::None,
+        },
+        inline_data: true,
+        src_addr: 0,
+        chunk_off: 0,
+        full_len: 64,
+    };
+    let frame = send(MsgId::new(0, 1), body, vec![0xEE; 64]);
+    for spin in [true, false] {
+        let out = run(key, spin, vec![frame.clone()], vec![]);
+        assert_eq!(acks(&out.received[3]), [(Some(1), Status::AuthFailed)]);
+        assert!(out.received[0].is_empty(), "{:?}", out.received[0]);
+    }
+}
+
 /// Client 0's header for request `greq`, under its valid capability.
 fn valid(key: &MacKey, greq: u64) -> DfsHeader {
     header(0, cap(key, 0), greq)
