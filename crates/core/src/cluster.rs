@@ -321,8 +321,9 @@ impl SimCluster {
             nic.core.trace = trace.clone();
             // NIC-side read validation: every storage NIC authenticates
             // DFS-level read requests against the service key before a
-            // byte leaves the node (one-sided reads never touch the CPU).
-            nic.core.install_service_key(key);
+            // byte leaves the node (one-sided reads never touch the CPU),
+            // and answers header-less reads from its storage peers only.
+            nic.core.install_service_key(key, storage_nodes.clone());
             match spec.mode {
                 StorageMode::Plain => {}
                 StorageMode::Spin => {

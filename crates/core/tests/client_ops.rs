@@ -172,7 +172,8 @@ fn probe_rig(
         storage_id,
         Box::new(storage),
     );
-    nic.core.install_service_key(key);
+    let node = nic.core.node();
+    nic.core.install_service_key(key, vec![node]);
     engine.install(storage_id, Box::new(nic));
     let rig = Rig {
         engine,

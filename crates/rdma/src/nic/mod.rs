@@ -183,6 +183,9 @@ pub struct NicCore {
     /// read and gather requests carrying a DFS header are authenticated
     /// on the NIC (the read-side analog of the sPIN write validation).
     check: Option<RequestCheck>,
+    /// The storage peers installed with the key: the only senders whose
+    /// reads without a DFS header (a gather's survivor fetches) it answers.
+    peers: Vec<NodeId>,
     /// Gather/offload and refusal counters, shared with snapshot code.
     pub(crate) stats: SharedNicStats,
     /// Observability: span phase marks keyed by wire-level request id,
@@ -214,15 +217,17 @@ impl NicCore {
         self.mrs.push((addr, len));
     }
 
-    /// Install the service-shared MAC key: read and gather requests
-    /// carrying a DFS header are then capability-checked on the NIC before
-    /// any byte is streamed (bad signature, expiry, or missing READ rights
-    /// ⇒ NACK). The check reports to the `obs` and `trace` hubs this NIC
-    /// has when it is installed.
-    pub fn install_service_key(&mut self, key: MacKey) {
+    /// Install the service-shared MAC key and the service's storage
+    /// `peers`: read and gather requests carrying a DFS header are then
+    /// capability-checked on the NIC before any byte is streamed, and a
+    /// read without one is answered only to a peer; every other request
+    /// is refused `AuthFailed`. The check reports to the `obs` and `trace`
+    /// hubs this NIC has when it is installed.
+    pub fn install_service_key(&mut self, key: MacKey, peers: Vec<NodeId>) {
         let (node, stats) = (self.port.node, self.stats.clone());
         let check = RequestCheck::new(key, node, stats, self.obs.clone(), self.trace.clone());
         self.check = Some(check);
+        self.peers = peers;
     }
 
     /// Whether one-sided access to `[addr, addr + len)` is permitted: the
@@ -374,6 +379,7 @@ impl Nic {
                 deferred: Slab::new(),
                 mrs: Vec::new(),
                 check: None,
+                peers: Vec::new(),
                 stats: Rc::new(RefCell::new(NicStats::default())),
                 obs: ObsHub::disabled(),
                 trace: Trace::disabled(),

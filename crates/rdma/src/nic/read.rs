@@ -266,12 +266,23 @@ impl NicCore {
             return;
         }
         // DFS-level reads present a capability in their DFS header.
-        // Header-less reads (e.g. the RPC+RDMA data fetch from a client)
-        // are transport-level and pass through, as do nodes without the
-        // service key.
-        if let (Some(check), Some(dfs)) = (&self.check, r.dfs.as_ref()) {
-            let describe = || format!("read-validate greq={} len={}", dfs.greq_id, r.rrh.len);
-            let checked = check.admit(ctx.now(), Access::Read, src, r.msg, dfs, describe);
+        // Header-less reads are transport-level: a storage node answers
+        // them only to its peers (a gather's survivor fetches). A node
+        // without the service key answers everything (a client, whose
+        // memory the storage CPU fetches RPC+RDMA payloads from).
+        if let Some(check) = &self.check {
+            let checked = match &r.dfs {
+                Some(dfs) => {
+                    let (greq, len) = (dfs.greq_id, r.rrh.len);
+                    let describe = || format!("read-validate greq={greq} len={len}");
+                    check.admit(ctx.now(), Access::Read, src, r.msg, dfs, describe)
+                }
+                None if self.peers.contains(&src) => Ok(()),
+                None => {
+                    self.stats.borrow_mut().read_auth_failures += 1;
+                    Err((src, AckPkt::new(r.msg, None, Status::AuthFailed)))
+                }
+            };
             if let Err((to, nack)) = checked {
                 self.send_ack(ctx, to, nack);
                 return;

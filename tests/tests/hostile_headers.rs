@@ -4,9 +4,9 @@
 //! a sender without a capability read stored bytes.
 //!
 //! The rig is one storage node (node 1, sPIN or Plain, holding the service
-//! key) on a four-node fabric: node 0 sends with a valid capability of its
-//! own, node 2 without one, and node 3 only listens. Node ids 4..=8 name
-//! no node.
+//! key, and its own only storage peer) on a four-node fabric: node 0 sends
+//! with a valid capability of its own, node 2 without one, and node 3 only
+//! listens. Node ids 4..=8 name no node.
 
 use std::any::Any;
 use std::cell::RefCell;
@@ -103,7 +103,7 @@ fn run(key: MacKey, spin: bool, from_0: Vec<Frame>, from_2: Vec<Frame>) -> Outco
         }
         let app = StorageApp::new(key, cost.fabric.link_bw);
         let mut nic = Nic::new(cost.nic.clone(), port, id, Box::new(app));
-        nic.core.install_service_key(key);
+        nic.core.install_service_key(key, vec![STORAGE]);
         if spin {
             let handlers = DfsNicState::new(
                 key,
@@ -437,6 +437,22 @@ fn payload_past_its_header_length_is_dropped() {
         let mem = out.mem.borrow();
         assert_eq!(mem.read(0x40_000, 100), vec![0xAA; 100], "spin={spin}");
         assert_eq!(mem.read(0x40_000 + 4096, 100), vec![0; 100], "spin={spin}");
+    }
+}
+
+/// Node 2, which holds no capability and is no storage peer, reads the
+/// 64 bytes node 0 stored, without a DFS header: it is refused
+/// `AuthFailed` and reads nothing.
+#[test]
+fn header_less_read_from_a_non_peer_is_refused() {
+    let key = MacKey::from_seed(3);
+    let stored = write(valid(&key, 1), 0x40_000, 64);
+    let probe = read(None, MsgId::new(2, 1), 0x40_000, 64);
+    for spin in [true, false] {
+        let out = run(key, spin, vec![stored.clone()], vec![probe.clone()]);
+        let got = &out.received[2];
+        assert_eq!(acks(got), [(None, Status::AuthFailed)], "spin={spin}");
+        assert_eq!(bytes_read(got), 0, "spin={spin}");
     }
 }
 
