@@ -3,7 +3,7 @@
 //! memory, a SEND collects in a receive buffer until it is whole.
 
 use bytes::Bytes;
-use nadfs_simnet::{Ctx, IdMap, NodeId, Time};
+use nadfs_simnet::{Ctx, IdMap, NodeId, Time, DEFAULT_MAX_RETAINED_BYTES};
 use nadfs_wire::{
     send_payload_caps, AckPkt, DfsHeader, MsgId, Resiliency, RpcBody, SendPkt, Status, WritePkt,
     WriteReqHeader,
@@ -139,15 +139,27 @@ impl NicCore {
                 self.send_ack(ctx, src, AckPkt::new(s.msg, None, Status::Rejected));
                 return None;
             };
-            // Reassembly buffer from the recycled ring: capacity for the
-            // whole message up front (per-packet payload is MTU-bounded),
-            // so the extends below never reallocate and the SEND path
-            // stays off the allocator.
-            let cap = if s.total_pkts <= 1 {
-                s.data.len()
-            } else {
-                s.total_pkts as usize * send_payload_caps(&body).1 as usize
+            // The body declares what the message carries: an inline
+            // write, its header's length; any other body, nothing past
+            // this packet. A message of more packets than that is refused.
+            let declared = match &body {
+                RpcBody::WriteReq {
+                    wrh,
+                    inline_data: true,
+                    ..
+                } => wrh.len,
+                _ => 0,
             };
+            let (first, rest) = send_payload_caps(&body);
+            if s.total_pkts > 1 + declared.saturating_sub(first).div_ceil(rest) {
+                self.send_ack(ctx, src, AckPkt::new(s.msg, None, Status::Rejected));
+                return None;
+            }
+            // Reassembly buffer from the recycled ring: capacity for the
+            // declared bytes up front, so the extends below never
+            // reallocate and the SEND path stays off the allocator. Past
+            // the pool's retained budget it grows as packets land.
+            let cap = (declared as usize).min(DEFAULT_MAX_RETAINED_BYTES);
             let data = self.pool.borrow_mut().get_spare(cap);
             self.rx.sends.insert(
                 s.msg,

@@ -327,7 +327,7 @@ pub fn write_payload_caps(wrh: &WriteReqHeader) -> (u32, u32) {
 /// carries `body`: the first packet's, then every later one's.
 pub fn send_payload_caps(body: &RpcBody) -> (u32, u32) {
     let rest = sizes::MTU - sizes::RDMA_HEADER - sizes::RPC_HEADER;
-    (rest - body.wire_size(), rest)
+    (rest.saturating_sub(body.wire_size()), rest)
 }
 
 #[cfg(test)]

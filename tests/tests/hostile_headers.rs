@@ -208,10 +208,15 @@ fn gather(dfs: DfsHeader, segments: Vec<GatherSegment>, rec: Option<GatherRecons
 }
 
 fn send(msg: MsgId, body: RpcBody, data: Vec<u8>) -> Frame {
+    send_first(msg, 1, body, data)
+}
+
+/// The first packet of a SEND of `total_pkts`.
+fn send_first(msg: MsgId, total_pkts: u32, body: RpcBody, data: Vec<u8>) -> Frame {
     Frame::Send(SendPkt {
         msg,
         pkt_idx: 0,
-        total_pkts: 1,
+        total_pkts,
         rpc: Some(body),
         offset: 0,
         data: Bytes::from(data),
@@ -453,6 +458,45 @@ fn header_less_read_from_a_non_peer_is_refused() {
         let got = &out.received[2];
         assert_eq!(acks(got), [(None, Status::AuthFailed)], "spin={spin}");
         assert_eq!(bytes_read(got), 0, "spin={spin}");
+    }
+}
+
+/// Node 2, which holds no capability, opens SENDs of `u32::MAX` packets
+/// whose bodies declare one packet's worth: each is refused `Rejected` at
+/// its first packet, and no buffer is reserved for the rest.
+#[test]
+fn send_of_more_packets_than_its_body_declares_is_rejected() {
+    let key = MacKey::from_seed(3);
+    let forged = header(2, cap(&MacKey::from_seed(4), 2), 1);
+    let wrh = WriteReqHeader {
+        target_addr: 0x40_000,
+        len: 64,
+        resiliency: Resiliency::None,
+    };
+    let bodies = [
+        RpcBody::ReadReq {
+            dfs: forged,
+            rrh: ReadReqHeader {
+                addr: 0x40_000,
+                len: 64,
+            },
+        },
+        RpcBody::WriteReq {
+            dfs: forged,
+            wrh,
+            inline_data: true,
+            src_addr: 0,
+            chunk_off: 0,
+            full_len: 64,
+        },
+    ];
+    for body in bodies {
+        let frame = send_first(MsgId::new(2, 1), u32::MAX, body, vec![0xEE; 64]);
+        for spin in [true, false] {
+            let out = run(key, spin, vec![], vec![frame.clone()]);
+            let got = acks(&out.received[2]);
+            assert_eq!(got, [(None, Status::Rejected)], "spin={spin}");
+        }
     }
 }
 
