@@ -598,9 +598,8 @@ struct Case {
 
 /// Up to three frames from each sender. Node 0 presents its own valid
 /// capability, a forged one or an expired one; node 2 a forged or an
-/// expired one, never a valid one. Node 2's reads all carry a header:
-/// a header-less read is answered to any sender (the storage-peer rule
-/// is still open).
+/// expired one, never a valid one. Either's reads may carry no header,
+/// and its SENDs may claim any packet count.
 fn case(key: &MacKey, seed: u64) -> Case {
     let mut g = Gen(seed);
     let mut reachable = vec![0, 2];
@@ -647,7 +646,7 @@ fn case(key: &MacKey, seed: u64) -> Case {
                     write_pkt(msg, 0, 1, Some((dfs, wrh)), 0, data)
                 }
                 2 => {
-                    let dfs = (sender == 2 || g.coin()).then_some(dfs);
+                    let dfs = g.coin().then_some(dfs);
                     read(dfs, msg, g.addr(), g.below(8192) as u32)
                 }
                 3 => {
@@ -696,7 +695,11 @@ fn case(key: &MacKey, seed: u64) -> Case {
                             reachable.extend(coords.iter().map(|c| c.node));
                         }
                     }
-                    send(msg, body, g.data())
+                    let total_pkts = match g.coin() {
+                        true => 1,
+                        false => g.next() as u32,
+                    };
+                    send_first(msg, total_pkts, body, g.data())
                 }
             };
             frames[i].push(frame);
