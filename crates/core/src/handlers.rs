@@ -21,8 +21,8 @@ use nadfs_rdma::{Access, RequestCheck, SharedNicStats};
 use nadfs_simnet::telemetry::phase;
 use nadfs_simnet::{IdMap, IdSet, NodeId, SharedBufPool, SharedObs, SharedTrace};
 use nadfs_wire::{
-    bcast_children, AckPkt, DfsHeader, EcInfo, EcRole, Frame, MacKey, MsgId, Resiliency, RsScheme,
-    Status, WritePkt, WriteReqHeader,
+    AckPkt, DfsHeader, EcInfo, EcRole, Frame, MacKey, MsgId, Resiliency, RsScheme, Status,
+    WritePkt, WriteReqHeader,
 };
 
 /// Header handler: request validation + descriptor setup. Paper: 120
@@ -242,49 +242,24 @@ impl HandlerSet for DfsNicState {
         };
 
         let describe = || format!("hdr-validate greq={}", dfs.greq_id);
-        let checked = self
+        let well_formed = wrh.well_formed(w.data.len(), 0);
+        let (now, src) = (a.now, a.src);
+        let refusal = self
             .check
-            .admit(a.now, Access::Write, a.src, w.msg, &dfs, describe);
-        // An EC header whose fields do not fit together, or a range past
-        // the end of the address space, is refused too: to the client the
-        // header names, which passed the check.
-        let unfit = matches!(&wrh.resiliency, Resiliency::ErasureCode(info) if !info.is_sound())
-            || !wrh.in_range();
-        let refusal = match checked {
-            Err(refusal) => Some(refusal),
-            Ok(()) if unfit => {
-                let nack = AckPkt::new(w.msg, Some(dfs.greq_id), Status::Rejected);
-                Some((dfs.client as NodeId, nack))
-            }
-            Ok(()) => None,
-        };
-        if let Some((to, nack)) = refusal {
+            .admit(now, Access::Write, src, w.msg, &dfs, well_formed, describe);
+        if let Err((to, nack)) = refusal {
             // DFS_request_init sends NACK if the request is refused.
             a.ops.send(to, Frame::Ack(nack));
         }
         let mut fwd = Vec::new();
         match &wrh.resiliency {
-            _ if refusal.is_some() => {}
+            _ if refusal.is_err() => {}
             Resiliency::None => {}
-            Resiliency::Replicate {
-                strategy,
-                vrank,
-                coords,
-            } => {
+            Resiliency::Replicate { .. } => {
                 // Client-driven broadcast (§V-A): the WRH carries the full
                 // coordinate list; pick our children from it.
-                for child in bcast_children(*strategy, *vrank, coords.len()) {
-                    let coord = coords[child as usize];
-                    let child_wrh = WriteReqHeader {
-                        target_addr: coord.addr,
-                        len: wrh.len,
-                        resiliency: Resiliency::Replicate {
-                            strategy: *strategy,
-                            vrank: child,
-                            coords: coords.clone(),
-                        },
-                    };
-                    let dst = coord.node as NodeId;
+                for (node, child_wrh) in wrh.replica_children(0, wrh.len) {
+                    let dst = node as NodeId;
                     fwd.push(self.open_stream(&mut a, dst, dfs, child_wrh, data_pkts));
                 }
             }
@@ -335,7 +310,7 @@ impl HandlerSet for DfsNicState {
             w.msg,
             Rc::new(ReqEntry {
                 greq: dfs.greq_id,
-                accept: refusal.is_none(),
+                accept: refusal.is_ok(),
                 client: dfs.client as NodeId,
                 wrh,
                 fwd,

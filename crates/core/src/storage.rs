@@ -26,8 +26,8 @@ use nadfs_simnet::{
     Ctx, Dur, IdMap, NodeId, ObsHub, SharedObs, SharedTrace, Slab, TenantScheduler, Time, Trace,
 };
 use nadfs_wire::{
-    bcast_children, checked_range, AckPkt, DfsHeader, MacKey, MsgId, ReadReqHeader, Resiliency,
-    Rights, RpcBody, RsScheme, Status, WriteReqHeader,
+    AckPkt, DfsHeader, MacKey, MsgId, ReadReqHeader, Resiliency, Rights, RpcBody, RsScheme, Status,
+    WriteReqHeader,
 };
 
 /// Observable storage-node statistics (shared with tests/harnesses).
@@ -153,30 +153,41 @@ impl StorageApp {
         }
     }
 
-    /// The CPU wakes up, dispatches request `msg` from `src` and checks
-    /// its capability for `rights` under the rule the NIC applies,
-    /// [`nadfs_wire::Capability::authorize`]. Returns when it is done,
-    /// having marked `cpu-validated` on the greq-correlated span and
-    /// noted the validation on this node's storage track — or `None`,
-    /// with the `AuthFailed` NACK on its way to the node
-    /// [`nadfs_wire::Capability::refusal_to`] names.
+    /// The CPU wakes up, dispatches request `msg` from `src` and admits
+    /// it under the rule the NIC applies, [`DfsHeader::admit`]: the
+    /// capability in `body`'s header for the rights its op needs, then the
+    /// shape of the request (a write's carrying `body_len` bytes). Returns
+    /// when it is done, having marked `cpu-validated` on the
+    /// greq-correlated span and noted the validation on this node's
+    /// storage track — or `None`, with the NACK on its way to the node the
+    /// rule names.
     fn validate(
         &mut self,
         nic: &mut NicCore,
         ctx: &mut Ctx<'_>,
         src: NodeId,
         msg: MsgId,
-        dfs: &DfsHeader,
-        rights: Rights,
+        body: &RpcBody,
+        body_len: usize,
     ) -> Option<Time> {
         let now = ctx.now();
         let t_val = nic.cpu.exec(now + POLL_NOTIFY, RPC_DISPATCH + VALIDATE);
+        let (dfs, rights, well_formed) = match body {
+            RpcBody::WriteReq {
+                dfs,
+                wrh,
+                chunk_off,
+                ..
+            } => (dfs, Rights::WRITE, wrh.well_formed(body_len, *chunk_off)),
+            RpcBody::ReadReq { dfs, rrh } => (dfs, Rights::READ, rrh.well_formed()),
+        };
         let greq = dfs.greq_id;
-        let cap = &dfs.capability;
-        if let Err(e) = cap.authorize(&self.key, now.as_ns() as u64, rights, dfs.client) {
-            self.stats.borrow_mut().auth_failures += 1;
-            let dst = cap.refusal_to(e, src as u32) as NodeId;
-            let ack = AckPkt::new(msg, Some(greq), Status::AuthFailed);
+        let now_ns = now.as_ns() as u64;
+        if let Err((to, status)) = dfs.admit(&self.key, now_ns, rights, src as u32, well_formed) {
+            if status == Status::AuthFailed {
+                self.stats.borrow_mut().auth_failures += 1;
+            }
+            let (dst, ack) = (to as NodeId, AckPkt::new(msg, Some(greq), status));
             self.defer(nic, ctx, t_val, AfterCpu::AckClient { dst, ack });
             return None;
         }
@@ -222,11 +233,13 @@ impl StorageApp {
         self.defer(nic, ctx, t_ack, AfterCpu::AckClient { dst, ack });
     }
 
+    /// Serve write `msg` from `src`, admitted by the CPU at `t_val`.
     #[allow(clippy::too_many_arguments)]
     fn handle_write_req(
         &mut self,
         nic: &mut NicCore,
         ctx: &mut Ctx<'_>,
+        t_val: Time,
         src: NodeId,
         msg: MsgId,
         dfs: DfsHeader,
@@ -237,24 +250,6 @@ impl StorageApp {
         full_len: u32,
         data: Bytes,
     ) {
-        let Some(t_val) = self.validate(nic, ctx, src, msg, &dfs, Rights::WRITE) else {
-            return;
-        };
-        // Every range the request names must fit in the address space:
-        // the header's, the bytes it carries, and each replica's from this
-        // chunk's offset on.
-        let reach = chunk_off as u64 + wrh.len as u64;
-        let coords_fit = match &wrh.resiliency {
-            Resiliency::Replicate { coords, .. } => coords
-                .iter()
-                .all(|c| checked_range(c.addr, reach).is_some()),
-            _ => true,
-        };
-        if !wrh.in_range() || data.len() > wrh.len as usize || !coords_fit {
-            let ack = AckPkt::new(msg, Some(dfs.greq_id), Status::Rejected);
-            self.defer(nic, ctx, t_val, AfterCpu::AckClient { dst: src, ack });
-            return;
-        }
         let done = AckPkt::new(msg, Some(dfs.greq_id), Status::Ok);
 
         if !inline_data {
@@ -296,11 +291,7 @@ impl StorageApp {
             Resiliency::None | Resiliency::ErasureCode(_) => {
                 self.post_ack(nic, ctx, t_store, src, done);
             }
-            Resiliency::Replicate {
-                strategy,
-                vrank,
-                coords,
-            } => {
+            Resiliency::Replicate { .. } => {
                 // Ack the client once every chunk of the write landed here.
                 let landed = self.progress.entry(dfs.greq_id).or_insert(0);
                 *landed += data.len() as u32;
@@ -310,20 +301,11 @@ impl StorageApp {
                 }
                 // Forward the chunk to our children: a second CPU copy into
                 // the send staging buffer plus a post per child.
-                let children = bcast_children(*strategy, *vrank, coords.len());
-                for child in children {
+                let len = data.len() as u32;
+                for (node, child_wrh) in wrh.replica_children(chunk_off as u64, len) {
                     self.stats.borrow_mut().chunks_forwarded += 1;
                     let copy2 = nic.cpu.memcpy_cost(data.len() as u64);
                     let t_fwd = nic.cpu.exec(t_store, copy2 + POST_SEND);
-                    let child_wrh = WriteReqHeader {
-                        target_addr: coords[child as usize].addr + chunk_off as u64,
-                        len: data.len() as u32,
-                        resiliency: Resiliency::Replicate {
-                            strategy: *strategy,
-                            vrank: child,
-                            coords: coords.clone(),
-                        },
-                    };
                     let body = RpcBody::WriteReq {
                         dfs,
                         wrh: child_wrh,
@@ -332,16 +314,8 @@ impl StorageApp {
                         chunk_off,
                         full_len,
                     };
-                    self.defer(
-                        nic,
-                        ctx,
-                        t_fwd,
-                        AfterCpu::ForwardChunk {
-                            dst: coords[child as usize].node as NodeId,
-                            body,
-                            data: data.clone(),
-                        },
-                    );
+                    let (dst, data) = (node as NodeId, data.clone());
+                    self.defer(nic, ctx, t_fwd, AfterCpu::ForwardChunk { dst, body, data });
                 }
             }
         }
@@ -370,6 +344,9 @@ impl StorageApp {
         body: RpcBody,
         data: Bytes,
     ) {
+        let Some(t_val) = self.validate(nic, ctx, src, msg, &body, data.len()) else {
+            return;
+        };
         match body {
             RpcBody::WriteReq {
                 dfs,
@@ -381,6 +358,7 @@ impl StorageApp {
             } => self.handle_write_req(
                 nic,
                 ctx,
+                t_val,
                 src,
                 msg,
                 dfs,
@@ -391,22 +369,11 @@ impl StorageApp {
                 full_len,
                 data,
             ),
-            RpcBody::ReadReq { dfs, rrh } => {
-                // CPU-validated read (the RPC baseline): the CPU wakes,
-                // dispatches, verifies the capability, then posts the
-                // response stream through the NIC's read responder —
-                // zero-copy out of the storage target.
-                let Some(t_val) = self.validate(nic, ctx, src, msg, &dfs, Rights::READ) else {
-                    return;
-                };
-                // Same protection boundary as the one-sided path: a read
-                // past the address space or outside a registered region is
-                // rejected, not streamed.
-                if !nic.mr_ok(rrh.addr, rrh.len as u64) {
-                    let ack = AckPkt::new(msg, Some(dfs.greq_id), Status::Rejected);
-                    self.defer(nic, ctx, t_val, AfterCpu::AckClient { dst: src, ack });
-                    return;
-                }
+            RpcBody::ReadReq { rrh, .. } => {
+                // CPU-validated read (the RPC baseline): having verified
+                // the capability and the range, the CPU posts the response
+                // stream through the NIC's read responder — zero-copy out
+                // of the storage target.
                 self.stats.borrow_mut().rpc_reads += 1;
                 let t_post = nic.cpu.exec(t_val, POST_SEND);
                 self.defer(

@@ -1,6 +1,7 @@
 //! The storage service's request check, run on the NIC (§IV): clients are
 //! not trusted, so every DFS request's capability is verified against
-//! the key the service signs capabilities with before the NIC acts on it.
+//! the key the service signs capabilities with, and then its shape, before
+//! the NIC acts on it.
 //! The sPIN header handler checks writes and gathers with it; the NIC
 //! itself checks reads, and gathers where it has no PsPIN.
 
@@ -48,11 +49,13 @@ impl RequestCheck {
     }
 
     /// Check request `msg` from `src`, headed by `dfs`, for `access` at
-    /// `now` under [`nadfs_wire::Capability::authorize`]. A request that
+    /// `now`, its request header having judged its shape `well_formed`,
+    /// under the service's one rule, [`DfsHeader::admit`]. A request that
     /// passes is marked `nic-validated` on the originating op's span
-    /// (greq-correlated) and `describe()`d on the trace. One that does not
-    /// is counted, and `Err` is the `AuthFailed` NACK to answer it with and
-    /// the node it goes to, [`nadfs_wire::Capability::refusal_to`].
+    /// (greq-correlated) and `describe()`d on the trace. `Err` is the NACK
+    /// of one that does not and the node it goes to; a capability refusal
+    /// is counted.
+    #[allow(clippy::too_many_arguments)]
     pub fn admit(
         &self,
         now: Time,
@@ -60,23 +63,24 @@ impl RequestCheck {
         src: NodeId,
         msg: MsgId,
         dfs: &DfsHeader,
+        well_formed: bool,
         describe: impl FnOnce() -> String,
     ) -> Result<(), (NodeId, AckPkt)> {
         let rights = match access {
             Access::Write => Rights::WRITE,
             Access::Read | Access::Gather => Rights::READ,
         };
-        let cap = &dfs.capability;
-        if let Err(e) = cap.authorize(&self.key, now.as_ns() as u64, rights, dfs.client) {
-            let mut stats = self.stats.borrow_mut();
-            *match access {
-                Access::Write => &mut stats.write_auth_failures,
-                Access::Read => &mut stats.read_auth_failures,
-                Access::Gather => &mut stats.gather_auth_failures,
-            } += 1;
-            let to = cap.refusal_to(e, src as u32) as NodeId;
-            let nack = AckPkt::new(msg, Some(dfs.greq_id), Status::AuthFailed);
-            return Err((to, nack));
+        let now_ns = now.as_ns() as u64;
+        if let Err((to, status)) = dfs.admit(&self.key, now_ns, rights, src as u32, well_formed) {
+            if status == Status::AuthFailed {
+                let mut stats = self.stats.borrow_mut();
+                *match access {
+                    Access::Write => &mut stats.write_auth_failures,
+                    Access::Read => &mut stats.read_auth_failures,
+                    Access::Gather => &mut stats.gather_auth_failures,
+                } += 1;
+            }
+            return Err((to as NodeId, AckPkt::new(msg, Some(dfs.greq_id), status)));
         }
         let spans = &mut self.obs.borrow_mut().spans;
         spans.mark_corr_once(dfs.greq_id, phase::NIC_VALIDATED, now);
@@ -86,7 +90,8 @@ impl RequestCheck {
         Ok(())
     }
 
-    /// [`Self::admit`] gather `g` from `src`, once for the whole flow.
+    /// [`Self::admit`] gather `g` from `src`, once for the whole flow: the
+    /// capability, then every segment's range.
     pub fn admit_gather(
         &self,
         now: Time,
@@ -95,6 +100,7 @@ impl RequestCheck {
     ) -> Result<(), (NodeId, AckPkt)> {
         let (greq, segs, len) = (g.dfs.greq_id, g.grh.segments.len(), g.grh.total_len);
         let describe = || format!("gather-validate greq={greq} segs={segs} len={len}");
-        self.admit(now, Access::Gather, src, g.msg, &g.dfs, describe)
+        let fits = g.grh.well_formed();
+        self.admit(now, Access::Gather, src, g.msg, &g.dfs, fits, describe)
     }
 }

@@ -84,16 +84,14 @@ impl NicCore {
     }
 }
 
-/// A fully-landed EC write (message `msg` from `src`) on a firmware-EC
-/// NIC: a data chunk is acked and queued for its encode pass, an
-/// intermediate parity is staged for its aggregation. A scheme, chunk
-/// index or parity list off the wire that does not fit together is
-/// refused.
+/// A fully-landed EC write from `src` on a firmware-EC NIC, its header
+/// sound (the first packet's shape check refused any other): a data
+/// chunk is acked and queued for its encode pass, an intermediate parity
+/// is staged for its aggregation.
 pub(crate) fn on_ec_write_landed(
     core: &mut NicCore,
     ctx: &mut Ctx<'_>,
     src: NodeId,
-    msg: MsgId,
     dfs: Option<DfsHeader>,
     wrh: WriteReqHeader,
     flush: Time,
@@ -102,10 +100,6 @@ pub(crate) fn on_ec_write_landed(
         return;
     };
     let greq = dfs.map(|d| d.greq_id);
-    if !info.is_sound() {
-        core.send_ack(ctx, src, AckPkt::new(msg, greq, Status::Rejected));
-        return;
-    }
     match info.role {
         EcRole::Data { .. } => {
             // Ack the client for the durable data chunk (at flush time),

@@ -1,10 +1,11 @@
 //! # nadfs-rdma
 //!
-//! Simulated RDMA NIC for the reproduction: one-sided WRITE/READ with MR
-//! protection, SEND/RECV RPC transport, per-node egress/ingress flow
-//! control, HyperLoop-style pre-posted triggered chains, an INEC-style
-//! firmware erasure-coding engine ([`EcEngine`]), and the optional PsPIN
-//! accelerator attachment point.
+//! Simulated RDMA NIC for the reproduction: one-sided WRITE/READ under the
+//! storage service's request check ([`RequestCheck`]), SEND/RECV RPC
+//! transport, per-node egress/ingress flow control, HyperLoop-style
+//! pre-posted triggered chains, an INEC-style firmware erasure-coding
+//! engine ([`EcEngine`]), and the optional PsPIN accelerator attachment
+//! point.
 //!
 //! Each simulated node is one [`Nic`] component: the hardware core
 //! ([`NicCore`]) plus a boxed [`NicApp`] implementing the node's software.

@@ -26,8 +26,8 @@ use nadfs_gfec::Accumulator;
 use nadfs_simnet::telemetry::phase;
 use nadfs_simnet::{Ctx, IdMap, NodeId};
 use nadfs_wire::{
-    checked_range, AckPkt, DfsHeader, Frame, GatherReadHeader, GatherReconstruct, GatherReqPkt,
-    GatherSegment, MsgId, ReadReqHeader, ReadReqPkt, Status,
+    AckPkt, DfsHeader, Frame, GatherReadHeader, GatherReconstruct, GatherReqPkt, GatherSegment,
+    MsgId, ReadReqHeader, ReadReqPkt, Status,
 };
 
 use super::read::{Ranges, ReadSink, RespFlow, StreamSink};
@@ -118,53 +118,53 @@ impl NicCore {
     }
 
     /// Gather read arriving on a NIC without PsPIN: the firmware checks
-    /// the capability once for the whole flow, where it holds the service
-    /// key, then runs the gather. (With PsPIN installed the HPU header
-    /// handler checks it, and the completion handler hands it over as a
+    /// the capability and the segments' ranges once for the whole flow,
+    /// where it holds the service key (without it, the ranges alone), then
+    /// runs the gather. (With PsPIN installed the HPU header handler checks
+    /// it, and the completion handler hands it over as a
     /// [`nadfs_pspin::HostNotify`].)
     pub(super) fn on_gather_req(&mut self, ctx: &mut Ctx<'_>, src: NodeId, g: &GatherReqPkt) {
-        if let Some(check) = &self.check {
-            if let Err((to, nack)) = check.admit_gather(ctx.now(), src, g) {
-                self.send_ack(ctx, to, nack);
-                return;
+        let checked = match &self.check {
+            Some(check) => check.admit_gather(ctx.now(), src, g),
+            None if !g.grh.well_formed() => {
+                let nack = AckPkt::new(g.msg, Some(g.dfs.greq_id), Status::Rejected);
+                Err((src, nack))
             }
+            None => Ok(()),
+        };
+        if let Err((to, nack)) = checked {
+            self.send_ack(ctx, to, nack);
+            return;
         }
         self.start_gather(ctx, src, g);
     }
 
-    /// Run gather `g` from `client`, validated. A healthy plan names
+    /// Run gather `g` from `client`, admitted. A healthy plan names
     /// ranges on this node only (the client batches healthy pieces per
     /// node) and streams them straight from host memory; a degraded plan
     /// names the k survivors of one stripe, and the lost ranges stream out
     /// of the decode as the survivors arrive (`start_decode`).
-    /// A plan that is neither — or that names a range past the address
-    /// space, or a local range across the MR protection boundary
-    /// one-sided reads honour — is answered `Rejected`. (The sPIN completion handler's
-    /// [`nadfs_pspin::HostNotify::Gather`] lands here.)
+    /// A plan that is neither is answered `Rejected`. (The sPIN completion
+    /// handler's [`nadfs_pspin::HostNotify::Gather`] lands here.)
     pub fn start_gather(&mut self, ctx: &mut Ctx<'_>, client: NodeId, g: &GatherReqPkt) {
         let (msg, greq, grh) = (g.msg, g.dfs.greq_id, &g.grh);
         let me = self.port.node as u32;
         let local = |s: &GatherSegment| s.coord.node == me;
-        let fits = |s: &GatherSegment| match local(s) {
-            true => self.mr_ok(s.coord.addr, s.len as u64),
-            false => checked_range(s.coord.addr, s.len as u64).is_some(),
+        let accepted = match &grh.reconstruct {
+            None if grh.segments.iter().all(local) => {
+                let ranges = grh.segments.iter().filter(|s| s.len > 0);
+                let segs = ranges.map(|s| (s.coord.addr, s.len, s.dest_off)).collect();
+                self.respond(ctx, client, msg, Some(greq), Ranges::Many(segs), false);
+                true
+            }
+            None => false,
+            Some(rec) if rec.copy.iter().all(|c| c.len == 0) => {
+                let empty = Ranges::Many(Vec::new());
+                self.respond(ctx, client, msg, Some(greq), empty, false);
+                true
+            }
+            Some(rec) => start_decode(self, ctx, client, msg, greq, &grh.segments, rec),
         };
-        let accepted = grh.segments.iter().all(fits)
-            && match &grh.reconstruct {
-                None if grh.segments.iter().all(local) => {
-                    let ranges = grh.segments.iter().filter(|s| s.len > 0);
-                    let segs = ranges.map(|s| (s.coord.addr, s.len, s.dest_off)).collect();
-                    self.respond(ctx, client, msg, Some(greq), Ranges::Many(segs), false);
-                    true
-                }
-                None => false,
-                Some(rec) if rec.copy.iter().all(|c| c.len == 0) => {
-                    let empty = Ranges::Many(Vec::new());
-                    self.respond(ctx, client, msg, Some(greq), empty, false);
-                    true
-                }
-                Some(rec) => start_decode(self, ctx, client, msg, greq, &grh.segments, rec),
-            };
         if accepted {
             self.stats.borrow_mut().gather_reads += 1;
         } else {

@@ -25,7 +25,7 @@ use nadfs_simnet::{
     NodePort, ObsHub, PacketEvent, PacketPool, SharedBufPool, SharedFlowStats, SharedObs,
     SharedPacketPool, SharedTrace, Slab, Time, Trace, WrClass,
 };
-use nadfs_wire::{checked_range, AckPkt, DfsHeader, Frame, MacKey, Pkt, Status, WriteReqHeader};
+use nadfs_wire::{AckPkt, DfsHeader, Frame, MacKey, Pkt, Status, WriteReqHeader};
 
 use crate::app::NicApp;
 use crate::chains::{self, Chains};
@@ -41,8 +41,6 @@ pub struct NicConfig {
     /// Effective single-copy memcpy bandwidth of the host CPU behind the
     /// NIC, for buffered data paths.
     pub memcpy_bw: Bandwidth,
-    /// Enforce memory-region protection on one-sided ops.
-    pub enforce_mr: bool,
 }
 
 impl Default for NicConfig {
@@ -50,7 +48,6 @@ impl Default for NicConfig {
         NicConfig {
             dma: DmaConfig::default(),
             memcpy_bw: Bandwidth::from_gbyte_per_sec(26),
-            enforce_mr: false,
         }
     }
 }
@@ -141,7 +138,6 @@ pub type SharedNicStats = Rc<RefCell<NicStats>>;
 
 /// The hardware/firmware half of a node, exposed to the app.
 pub struct NicCore {
-    pub(crate) cfg: NicConfig,
     port: NodePort,
     pub(crate) mem: SharedMemory,
     pub(crate) dma: Rc<RefCell<DmaEngine>>,
@@ -178,7 +174,6 @@ pub struct NicCore {
     gathers: gather::Gathers,
     /// Deferred work by slot; a slot's key is its wake token.
     deferred: Slab<NicEvent>,
-    mrs: Vec<(u64, u64)>,
     /// The service's request check, where the service key is installed:
     /// read and gather requests carrying a DFS header are authenticated
     /// on the NIC (the read-side analog of the sPIN write validation).
@@ -212,11 +207,6 @@ impl NicCore {
         &self.port
     }
 
-    /// Register a memory region for one-sided access.
-    pub fn register_mr(&mut self, addr: u64, len: u64) {
-        self.mrs.push((addr, len));
-    }
-
     /// Install the service-shared MAC key and the service's storage
     /// `peers`: read and gather requests carrying a DFS header are then
     /// capability-checked on the NIC before any byte is streamed, and a
@@ -228,22 +218,6 @@ impl NicCore {
         let check = RequestCheck::new(key, node, stats, self.obs.clone(), self.trace.clone());
         self.check = Some(check);
         self.peers = peers;
-    }
-
-    /// Whether one-sided access to `[addr, addr + len)` is permitted: the
-    /// range fits in the address space and, with MR enforcement on, lies
-    /// in a registered region. Public so software read/write paths (e.g.
-    /// the CPU-validated RPC read) enforce the same protection boundary
-    /// as the NIC's one-sided handlers.
-    pub fn mr_ok(&self, addr: u64, len: u64) -> bool {
-        let Some(r) = checked_range(addr, len) else {
-            return false;
-        };
-        !self.cfg.enforce_mr
-            || self
-                .mrs
-                .iter()
-                .any(|&(a, l)| r.start >= a && r.end - a <= l)
     }
 
     /// This NIC's recycled payload-buffer ring.
@@ -354,7 +328,6 @@ impl Nic {
         let cpu = Cpu::new(cfg.memcpy_bw);
         Nic {
             core: NicCore {
-                cfg,
                 port,
                 mem,
                 dma,
@@ -377,7 +350,6 @@ impl Nic {
                 reads: read::Reads::default(),
                 gathers: gather::Gathers::default(),
                 deferred: Slab::new(),
-                mrs: Vec::new(),
                 check: None,
                 peers: Vec::new(),
                 stats: Rc::new(RefCell::new(NicStats::default())),

@@ -260,33 +260,32 @@ impl NicCore {
     }
 
     pub(super) fn on_read_req(&mut self, ctx: &mut Ctx<'_>, src: NodeId, r: &ReadReqPkt) {
-        if !self.mr_ok(r.rrh.addr, r.rrh.len as u64) {
-            let greq = r.dfs.map(|d| d.greq_id);
-            self.send_ack(ctx, src, AckPkt::new(r.msg, greq, Status::Rejected));
-            return;
-        }
         // DFS-level reads present a capability in their DFS header.
         // Header-less reads are transport-level: a storage node answers
         // them only to its peers (a gather's survivor fetches). A node
         // without the service key answers everything (a client, whose
-        // memory the storage CPU fetches RPC+RDMA payloads from).
-        if let Some(check) = &self.check {
-            let checked = match &r.dfs {
-                Some(dfs) => {
-                    let (greq, len) = (dfs.greq_id, r.rrh.len);
-                    let describe = || format!("read-validate greq={greq} len={len}");
-                    check.admit(ctx.now(), Access::Read, src, r.msg, dfs, describe)
-                }
-                None if self.peers.contains(&src) => Ok(()),
-                None => {
-                    self.stats.borrow_mut().read_auth_failures += 1;
-                    Err((src, AckPkt::new(r.msg, None, Status::AuthFailed)))
-                }
-            };
-            if let Err((to, nack)) = checked {
-                self.send_ack(ctx, to, nack);
-                return;
+        // memory the storage CPU fetches RPC+RDMA payloads from). A read
+        // checked by no capability is judged by its shape alone.
+        let fits = r.rrh.well_formed();
+        let checked = match (&self.check, &r.dfs) {
+            (Some(check), Some(dfs)) => {
+                let (greq, len) = (dfs.greq_id, r.rrh.len);
+                let describe = || format!("read-validate greq={greq} len={len}");
+                check.admit(ctx.now(), Access::Read, src, r.msg, dfs, fits, describe)
             }
+            (Some(_), None) if !self.peers.contains(&src) => {
+                self.stats.borrow_mut().read_auth_failures += 1;
+                Err((src, AckPkt::new(r.msg, None, Status::AuthFailed)))
+            }
+            _ if !fits => {
+                let greq = r.dfs.map(|d| d.greq_id);
+                Err((src, AckPkt::new(r.msg, greq, Status::Rejected)))
+            }
+            _ => Ok(()),
+        };
+        if let Err((to, nack)) = checked {
+            self.send_ack(ctx, to, nack);
+            return;
         }
         // DFS reads pass through the per-tenant scheduler when QoS is on;
         // transport-level reads (e.g. gather segment fetches) bypass it —

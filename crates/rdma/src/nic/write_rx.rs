@@ -50,18 +50,19 @@ impl NicCore {
     pub(super) fn on_write_pkt(&mut self, ctx: &mut Ctx<'_>, src: NodeId, w: &mut WritePkt) {
         let now = ctx.now();
         if w.is_first() {
-            // A first packet without its WRH is malformed; one naming a
-            // range past the address space or outside every MR, or asking
-            // for a resiliency this NIC has no engine for, is refused.
-            // Either way nothing of the message is kept and its later
-            // packets drop below.
+            // A first packet without its WRH is malformed; one of a bad
+            // shape (raw writes carry no capability, so the shape rule
+            // alone judges them), or asking for a resiliency this NIC has
+            // no engine for, is refused. Either way nothing of the message
+            // lands: its later packets drop below.
+            let body = w.data.len();
             let acceptable = |h: &WriteReqHeader| {
                 let served = match h.resiliency {
                     Resiliency::None => true,
                     Resiliency::Replicate { .. } => false,
                     Resiliency::ErasureCode(_) => self.ec.is_some(),
                 };
-                served && h.in_range() && self.mr_ok(h.target_addr, h.len as u64)
+                served && h.well_formed(body, 0)
             };
             let Some(wrh) = w.wrh.take().filter(acceptable) else {
                 let greq = w.dfs.map(|d| d.greq_id);
@@ -115,7 +116,7 @@ impl NicCore {
         if complete {
             let st = self.rx.raw_writes.remove(&w.msg).expect("just updated");
             if matches!(st.wrh.resiliency, Resiliency::ErasureCode(_)) {
-                ec_engine::on_ec_write_landed(self, ctx, src, w.msg, st.dfs, st.wrh, st.flush);
+                ec_engine::on_ec_write_landed(self, ctx, src, st.dfs, st.wrh, st.flush);
                 return;
             }
             // Plain raw write: ack the initiator once durable.

@@ -1,5 +1,5 @@
 //! End-to-end NIC behavior tests: raw writes, RPC, one-sided reads,
-//! HyperLoop chains, the firmware EC engine, MR protection, the
+//! HyperLoop chains, the firmware EC engine, the
 //! streaming decode of degraded gathers (its refusals, its survivor-NACK
 //! and client-abandon paths, and what it leaves behind on each), the
 //! response stream reads and gathers share, and malformed frames.
@@ -490,61 +490,6 @@ fn firmware_ec_builds_correct_parity_rs_2_1() {
     );
 }
 
-#[test]
-fn mr_protection_rejects_out_of_region_writes() {
-    let setups: Vec<Option<Setup>> = vec![
-        None,
-        Some(Box::new(|nic: &mut NicCore| {
-            nic.register_mr(0x1000, 0x1000);
-        })),
-    ];
-    let actions: Vec<HashMap<u64, Action>> = vec![
-        HashMap::from([
-            (
-                1u64,
-                Box::new(|nic: &mut NicCore, ctx: &mut Ctx<'_>| {
-                    let wrh = WriteReqHeader {
-                        target_addr: 0x1000,
-                        len: 100,
-                        resiliency: Resiliency::None,
-                    };
-                    nic.send_write(ctx, 1, None, wrh, Bytes::from(vec![1u8; 100]));
-                }) as Action,
-            ),
-            (
-                2u64,
-                Box::new(|nic: &mut NicCore, ctx: &mut Ctx<'_>| {
-                    let wrh = WriteReqHeader {
-                        target_addr: 0x9_000_000, // outside any MR
-                        len: 100,
-                        resiliency: Resiliency::None,
-                    };
-                    nic.send_write(ctx, 1, None, wrh, Bytes::from(vec![2u8; 100]));
-                }) as Action,
-            ),
-        ]),
-        HashMap::new(),
-    ];
-    let cfg = NicConfig {
-        enforce_mr: true,
-        ..Default::default()
-    };
-    let mut c = build(2, actions, setups, cfg);
-    kick(&mut c, 0, 1, Dur::ZERO);
-    kick(&mut c, 0, 2, Dur::from_us(5));
-    run(&mut c, 10);
-    let acks = c.records[0].acks.borrow();
-    assert_eq!(acks.len(), 2);
-    assert_eq!(acks[0].2.status, Status::Ok);
-    assert_eq!(acks[1].2.status, Status::Rejected);
-    // The rejected write must not have landed.
-    assert_eq!(
-        c.memories[1].borrow().read(0x9_000_000, 4),
-        vec![0u8; 4],
-        "rejected write leaked into memory"
-    );
-}
-
 // --- degraded gathers ------------------------------------------------------
 
 /// Chunk size of the RS(2,1) stripe the decode tests read: six packets,
@@ -590,11 +535,13 @@ fn degraded_plan(copy: Vec<GatherCopy>) -> GatherReadHeader {
 }
 
 /// Build the rig; the client's timer 1 sends `plan` (landing at
-/// 0x100_000, token 9) and then runs `after_send` on its NIC.
+/// 0x100_000, token 9) and then runs `after_send` on its NIC. From
+/// `refuse_from` on, the parity node holds the service key with itself as
+/// its only storage peer, so it refuses the coordinator's fetches.
 fn decode_rig(
     plan: GatherReadHeader,
     after_send: fn(&mut NicCore, MsgId),
-    cfg: NicConfig,
+    refuse_from: Option<Dur>,
 ) -> DecodeRig {
     let rs = ReedSolomon::new(2, 1).expect("params");
     let lost = pattern(CHUNK as usize, 11);
@@ -619,7 +566,6 @@ fn decode_rig(
                 flows.borrow_mut().push(nic.flow_stats());
                 if let Some(chunk) = chunk {
                     nic.memory().borrow_mut().write(CHUNK_ADDR, &chunk);
-                    nic.register_mr(CHUNK_ADDR, CHUNK as u64);
                 }
             }) as Setup)
         })
@@ -628,13 +574,19 @@ fn decode_rig(
         let msg = nic.send_gather(ctx, 1, dfs_header(5, 0), plan.clone(), 0x100_000, 9);
         after_send(nic, msg);
     }) as Action;
+    let guard = Box::new(|nic: &mut NicCore, _: &mut Ctx<'_>| {
+        nic.install_service_key(MacKey::from_seed(5), vec![2]);
+    }) as Action;
     let actions = vec![
         HashMap::from([(1u64, send)]),
         HashMap::new(),
-        HashMap::new(),
+        HashMap::from([(1u64, guard)]),
     ];
-    let mut c = build(3, actions, setups, cfg);
+    let mut c = build(3, actions, setups, NicConfig::default());
     kick(&mut c, 0, 1, Dur::ZERO);
+    if let Some(at) = refuse_from {
+        kick(&mut c, 2, 1, at);
+    }
     run(&mut c, 10);
     DecodeRig {
         c,
@@ -680,7 +632,7 @@ fn degraded_gather_decodes_the_wanted_range_in_nic_memory() {
             dest_off: 5_000,
         },
     ];
-    let rig = decode_rig(degraded_plan(copy), no_follow_up, NicConfig::default());
+    let rig = decode_rig(degraded_plan(copy), no_follow_up, None);
     let done: Vec<u64> = rig.c.records[0]
         .reads
         .borrow()
@@ -735,7 +687,7 @@ fn malformed_gather_plans_are_rejected_at_acceptance() {
         ("no such code", no_code),
         ("healthy but remote", remote),
     ] {
-        let rig = decode_rig(plan, no_follow_up, NicConfig::default());
+        let rig = decode_rig(plan, no_follow_up, None);
         let acks = rig.c.records[0].acks.borrow();
         assert_eq!(acks.len(), 1, "{why}");
         assert_eq!(acks[0].2.status, Status::Rejected, "{why}");
@@ -749,10 +701,10 @@ fn malformed_gather_plans_are_rejected_at_acceptance() {
     }
 }
 
-/// A survivor that refuses a fetch (the range is outside its MRs) fails
-/// the gather: the client is NACKed with the survivor's status, the
-/// accumulators of the ranges already absorbed go back to the ring, and
-/// the fetches' Read credit returns.
+/// A survivor that refuses a fetch (the coordinator is not one of its
+/// storage peers) fails the gather: the client is NACKed with the
+/// survivor's status, the accumulators of the ranges already absorbed go
+/// back to the ring, and the fetches' Read credit returns.
 #[test]
 fn survivor_nack_aborts_the_gather_and_leaks_nothing() {
     let range = |chunk_off: u32, dest_off: u32| GatherCopy {
@@ -761,18 +713,14 @@ fn survivor_nack_aborts_the_gather_and_leaks_nothing() {
         len: 4_000,
         dest_off,
     };
-    let cfg = NicConfig {
-        enforce_mr: true,
-        ..Default::default()
-    };
-    let mut plan = degraded_plan(vec![range(0, 0), range(6_000, 4_000)]);
-    // The parity node's registered region ends where this plan's first
-    // range does: it serves that one and refuses the second.
-    plan.segments[1].coord.addr += 6_000;
-    let rig = decode_rig(plan, no_follow_up, cfg);
+    let plan = degraded_plan(vec![range(0, 0), range(6_000, 4_000)]);
+    // The parity node takes the key between the two fetches (the first
+    // reaches it before 300 ns, the second after 1 µs): it serves this
+    // plan's first range and refuses the second.
+    let rig = decode_rig(plan, no_follow_up, Some(Dur::from_ns(600)));
     let acks = rig.c.records[0].acks.borrow();
     assert_eq!(acks.len(), 1);
-    assert_eq!(acks[0].2.status, Status::Rejected);
+    assert_eq!(acks[0].2.status, Status::AuthFailed);
     assert_eq!(acks[0].2.greq_id, Some(5));
     assert!(rig.c.records[0].reads.borrow().is_empty());
     assert!(
@@ -798,7 +746,7 @@ fn abandoned_gather_returns_its_buffers() {
         dest_off: 0,
     }];
     let abandon = |nic: &mut NicCore, msg: MsgId| nic.cancel_read(msg);
-    let rig = decode_rig(degraded_plan(copy), abandon, NicConfig::default());
+    let rig = decode_rig(degraded_plan(copy), abandon, None);
     assert!(rig.c.records[0].reads.borrow().is_empty());
     assert!(rig.c.records[0].acks.borrow().is_empty());
     assert_eq!(rig.c.memories[0].borrow().read(0x100_000, 8), vec![0u8; 8]);

@@ -82,37 +82,6 @@ impl Capability {
         }
         Ok(())
     }
-
-    /// The storage service's one authorization rule: a request naming
-    /// `client` may act under this capability at `now_ns` with `needed`
-    /// rights when the capability [`verify`](Self::verify)s and `client`
-    /// is its holder, so acks and NACKs reach only the authenticated
-    /// client.
-    pub fn authorize(
-        &self,
-        key: &MacKey,
-        now_ns: u64,
-        needed: Rights,
-        client: u32,
-    ) -> Result<(), AuthError> {
-        self.verify(key, now_ns, needed)?;
-        if client != self.client {
-            return Err(AuthError::WrongHolder);
-        }
-        Ok(())
-    }
-
-    /// Where the refusal of a request `sender` sent under this capability
-    /// goes, when [`authorize`](Self::authorize) failed with `err`: to the
-    /// holder when the signature verified (the service named it), else to
-    /// `sender`. A node id from a capability the service did not sign is
-    /// never a destination.
-    pub fn refusal_to(&self, err: AuthError, sender: u32) -> u32 {
-        match err {
-            AuthError::BadSignature => sender,
-            _ => self.client,
-        }
-    }
 }
 
 /// Reasons a request is rejected by the authentication policy.
@@ -121,8 +90,6 @@ pub enum AuthError {
     BadSignature,
     Expired,
     InsufficientRights,
-    /// The request names a client other than the capability's holder.
-    WrongHolder,
 }
 
 impl std::fmt::Display for AuthError {
@@ -131,7 +98,6 @@ impl std::fmt::Display for AuthError {
             AuthError::BadSignature => "bad capability signature",
             AuthError::Expired => "capability expired",
             AuthError::InsufficientRights => "operation not permitted by capability",
-            AuthError::WrongHolder => "capability held by a different client",
         };
         f.write_str(s)
     }
@@ -140,6 +106,7 @@ impl std::fmt::Display for AuthError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DfsHeader, DfsOp, Status};
 
     fn key() -> MacKey {
         MacKey::from_seed(0xDEAD)
@@ -149,7 +116,6 @@ mod tests {
     fn issue_and_verify_roundtrip() {
         let cap = Capability::issue(&key(), 7, 42, Rights::RW, 1_000_000, 99);
         assert!(cap.verify(&key(), 500_000, Rights::WRITE).is_ok());
-        assert!(cap.authorize(&key(), 0, Rights::READ, 7).is_ok());
     }
 
     #[test]
@@ -199,14 +165,26 @@ mod tests {
         assert!(rw.verify(&key(), 0, Rights::RW).is_ok());
     }
 
+    /// A request naming a client other than the holder is refused as an
+    /// expired capability is: to the holder. Only a capability whose
+    /// signature fails is refused to the sender.
     #[test]
     fn wrong_holder_is_refused_to_the_holder() {
+        let header = |client, capability| DfsHeader {
+            greq_id: 1,
+            op: DfsOp::Read,
+            client,
+            tenant: 0,
+            capability,
+        };
+        let admit = |h: DfsHeader| h.admit(&key(), 0, Rights::READ, 3, true);
         let cap = Capability::issue(&key(), 1, 5, Rights::RW, 10, 0);
-        let err = cap.authorize(&key(), 0, Rights::READ, 2);
-        assert_eq!(err, Err(AuthError::WrongHolder));
-        assert_eq!(cap.refusal_to(AuthError::WrongHolder, 3), 1);
-        assert_eq!(cap.refusal_to(AuthError::Expired, 3), 1);
-        assert_eq!(cap.refusal_to(AuthError::BadSignature, 3), 3);
+        assert_eq!(admit(header(1, cap)), Ok(()));
+        assert_eq!(admit(header(2, cap)), Err((1, Status::AuthFailed)));
+        let expired = Capability::issue(&key(), 1, 5, Rights::RW, 0, 0);
+        assert_eq!(admit(header(1, expired)), Err((1, Status::AuthFailed)));
+        let forged = Capability::issue(&MacKey::from_seed(1), 1, 5, Rights::RW, 10, 0);
+        assert_eq!(admit(header(1, forged)), Err((3, Status::AuthFailed)));
     }
 
     #[test]

@@ -32,7 +32,8 @@ pub enum Status {
     AuthFailed,
     /// NIC descriptor memory exhausted; client should retry later (§III-B).
     Busy,
-    /// Request malformed or addressed outside a registered region.
+    /// Request of a bad shape: malformed, or naming a range past the
+    /// address space (the storage service's shape rule).
     Rejected,
 }
 

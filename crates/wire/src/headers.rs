@@ -4,7 +4,9 @@
 
 use std::ops::Range;
 
-use crate::capability::Capability;
+use crate::capability::{AuthError, Capability, Rights};
+use crate::frame::Status;
+use crate::siphash::MacKey;
 use crate::sizes;
 
 /// DFS operation carried in the generic DFS header.
@@ -33,6 +35,35 @@ pub struct DfsHeader {
 impl DfsHeader {
     pub const fn wire_size() -> u32 {
         sizes::DFS_HEADER
+    }
+
+    /// The storage service's one admission rule, for a request headed by
+    /// this header that `sender` sent, needing `needed` rights at
+    /// `now_ns`, whose request header judged its shape `well_formed`. The
+    /// capability comes first: unless it verifies under `key` and its
+    /// holder is the client this header names, the request is refused
+    /// `AuthFailed`. Then the shape: a bad one is refused `Rejected`. `Err`
+    /// is where the refusal goes and its status: to the holder, or to
+    /// `sender` when the signature does not verify.
+    pub fn admit(
+        &self,
+        key: &MacKey,
+        now_ns: u64,
+        needed: Rights,
+        sender: u32,
+        well_formed: bool,
+    ) -> Result<(), (u32, Status)> {
+        let holder = self.capability.client;
+        let status = match self.capability.verify(key, now_ns, needed) {
+            // A node id from a capability the service did not sign is
+            // never a destination.
+            Err(AuthError::BadSignature) => return Err((sender, Status::AuthFailed)),
+            Err(_) => Status::AuthFailed,
+            Ok(()) if self.client != holder => Status::AuthFailed,
+            Ok(()) if !well_formed => Status::Rejected,
+            Ok(()) => return Ok(()),
+        };
+        Err((holder, status))
     }
 }
 
@@ -106,7 +137,7 @@ impl EcInfo {
     /// Whether the fields fit together: RS(k, m) is a code (k, m ≥ 1,
     /// k + m ≤ 255), a data chunk is below k and names m parity nodes, an
     /// intermediate parity is from a chunk below k to a parity below m.
-    pub fn is_sound(&self) -> bool {
+    fn is_sound(&self) -> bool {
         let RsScheme { k, m } = self.scheme;
         let fits = match self.role {
             EcRole::Data { chunk_idx } => chunk_idx < k && self.parity_coords.len() == m as usize,
@@ -169,29 +200,73 @@ pub struct WriteReqHeader {
 /// `[addr, addr + len)`, or `None` when it does not fit in the address
 /// space. An address and a length off the wire go through this before
 /// any arithmetic on them.
-pub fn checked_range(addr: u64, len: u64) -> Option<Range<u64>> {
+fn checked_range(addr: u64, len: u64) -> Option<Range<u64>> {
     Some(addr..addr.checked_add(len)?)
 }
 
 impl WriteReqHeader {
-    /// Whether every range the header names fits in the address space:
-    /// `len` bytes at the target and at each replica, and a parity
-    /// chunk's region (the final parity, then its staging slots) at each
-    /// parity coordinate and, for an intermediate parity, at the target.
-    pub fn in_range(&self) -> bool {
+    /// The shape rule of a write carrying `body` bytes, `chunk_off` bytes
+    /// into each replica's copy: the body is no longer than `len`, an EC
+    /// header is sound, and every range fits in the address space (`len`
+    /// bytes at the target, `chunk_off + len` at each replica, and a
+    /// parity chunk's region, the final parity then its staging slots, at
+    /// each parity coordinate and, for an intermediate parity, the target).
+    pub fn well_formed(&self, body: usize, chunk_off: u32) -> bool {
         let fits = |addr, len| checked_range(addr, len).is_some();
         let len = self.len as u64;
-        fits(self.target_addr, len)
+        body as u64 <= len
+            && fits(self.target_addr, len)
             && match &self.resiliency {
                 Resiliency::None => true,
-                Resiliency::Replicate { coords, .. } => coords.iter().all(|c| fits(c.addr, len)),
+                Resiliency::Replicate { coords, .. } => {
+                    let reach = chunk_off as u64 + len;
+                    coords.iter().all(|c| fits(c.addr, reach))
+                }
                 Resiliency::ErasureCode(info) => {
                     let region = info.scheme.parity_region(self.len);
                     let at_target =
                         matches!(info.role, EcRole::Data { .. }) || fits(self.target_addr, region);
-                    at_target && info.parity_coords.iter().all(|c| fits(c.addr, region))
+                    info.is_sound()
+                        && at_target
+                        && info.parity_coords.iter().all(|c| fits(c.addr, region))
                 }
             }
+    }
+
+    /// Where a replica under this header forwards `len` bytes, `offset`
+    /// bytes into each copy: for each child of its vrank in the broadcast
+    /// schedule, the child's node and header (the child's coordinate plus
+    /// the offset, the same strategy and coordinate list, and the child's
+    /// vrank). Nothing for a header that is not a replica's.
+    pub fn replica_children(
+        &self,
+        offset: u64,
+        len: u32,
+    ) -> impl Iterator<Item = (u32, WriteReqHeader)> + '_ {
+        let (strategy, vrank, coords) = match &self.resiliency {
+            Resiliency::Replicate {
+                strategy,
+                vrank,
+                coords,
+            } => (*strategy, *vrank, &coords[..]),
+            _ => (BcastStrategy::Ring, 0, &[][..]),
+        };
+        bcast_children(strategy, vrank, coords.len())
+            .into_iter()
+            .map(move |child| {
+                let coord = coords[child as usize];
+                let resiliency = Resiliency::Replicate {
+                    strategy,
+                    vrank: child,
+                    coords: coords.to_vec(),
+                };
+                let wrh = WriteReqHeader {
+                    target_addr: coord.addr + offset,
+                    len,
+                    resiliency,
+                };
+                (coord.node, wrh)
+            })
     }
 
     pub fn wire_size(&self) -> u32 {
@@ -218,6 +293,11 @@ pub struct ReadReqHeader {
 impl ReadReqHeader {
     pub(crate) const fn wire_size() -> u32 {
         sizes::RRH
+    }
+
+    /// The shape rule of a read: its range fits in the address space.
+    pub fn well_formed(&self) -> bool {
+        checked_range(self.addr, self.len as u64).is_some()
     }
 }
 
@@ -276,6 +356,13 @@ pub struct GatherReadHeader {
 }
 
 impl GatherReadHeader {
+    /// The shape rule of a gather: every segment's range fits in the
+    /// address space.
+    pub fn well_formed(&self) -> bool {
+        let fits = |s: &GatherSegment| checked_range(s.coord.addr, s.len as u64).is_some();
+        self.segments.iter().all(fits)
+    }
+
     pub(crate) fn wire_size(&self) -> u32 {
         let rec = self.reconstruct.as_ref().map_or(0, |r| {
             sizes::GRH_REC_FIXED + r.copy.len() as u32 * sizes::GATHER_COPY
@@ -289,7 +376,7 @@ impl GatherReadHeader {
 /// Ring: rank r forwards to r+1 (if any). PBT: rank r forwards to 2r+1 and
 /// 2r+2 (if present). Rank 0 is the primary storage node (the one the client
 /// writes to).
-pub fn bcast_children(strategy: BcastStrategy, vrank: u8, n: usize) -> Vec<u8> {
+fn bcast_children(strategy: BcastStrategy, vrank: u8, n: usize) -> Vec<u8> {
     let r = vrank as usize;
     let mut out = Vec::with_capacity(2);
     match strategy {
@@ -385,6 +472,102 @@ mod tests {
         ] {
             assert!(!unsound.is_sound(), "{unsound:?}");
         }
+    }
+
+    #[test]
+    fn write_shape_rule() {
+        let wrh = |target_addr, resiliency| WriteReqHeader {
+            target_addr,
+            len: 100,
+            resiliency,
+        };
+        let coord = |addr| ReplicaCoord { node: 1, addr };
+        let repl = |addr| Resiliency::Replicate {
+            strategy: BcastStrategy::Ring,
+            vrank: 0,
+            coords: vec![coord(0), coord(addr)],
+        };
+        let ec = |role, addr| {
+            Resiliency::ErasureCode(EcInfo {
+                scheme: RsScheme::new(2, 1),
+                role,
+                stripe: 0,
+                parity_coords: vec![coord(addr)],
+            })
+        };
+        let data = |chunk_idx| EcRole::Data { chunk_idx };
+        let parity = EcRole::Parity {
+            parity_idx: 0,
+            src_chunk: 1,
+        };
+        let edge = u64::MAX - 100;
+        assert!(wrh(edge, Resiliency::None).well_formed(100, 0));
+        assert!(!wrh(edge + 1, Resiliency::None).well_formed(100, 0));
+        assert!(
+            !wrh(0, Resiliency::None).well_formed(101, 0),
+            "body past len"
+        );
+        assert!(wrh(0, repl(edge - 50)).well_formed(100, 50));
+        assert!(
+            !wrh(0, repl(edge - 50)).well_formed(100, 51),
+            "replica reach"
+        );
+        assert!(wrh(0, ec(data(1), 0)).well_formed(100, 0));
+        assert!(!wrh(0, ec(data(2), 0)).well_formed(100, 0), "unsound");
+        // A parity region is the final parity and k staging slots.
+        assert!(!wrh(0, ec(data(0), edge - 199)).well_formed(100, 0));
+        assert!(wrh(edge - 200, ec(data(0), 0)).well_formed(100, 0));
+        assert!(!wrh(edge - 199, ec(parity, 0)).well_formed(100, 0));
+    }
+
+    #[test]
+    fn read_and_gather_shape_rules() {
+        let rrh = |len| ReadReqHeader {
+            addr: u64::MAX - 10,
+            len,
+        };
+        assert!(rrh(10).well_formed());
+        assert!(!rrh(11).well_formed());
+        let grh = |addr| GatherReadHeader {
+            total_len: 0,
+            segments: vec![GatherSegment {
+                coord: ReplicaCoord { node: 0, addr },
+                len: 11,
+                dest_off: 0,
+                shard: 0,
+            }],
+            reconstruct: None,
+        };
+        assert!(grh(u64::MAX - 11).well_formed());
+        assert!(!grh(u64::MAX - 10).well_formed());
+    }
+
+    /// The capability is judged before the shape: a forged capability
+    /// is refused `AuthFailed` whatever the shape, a valid one of a bad
+    /// shape `Rejected`, to its holder.
+    #[test]
+    fn admission_checks_the_capability_then_the_shape() {
+        let key = MacKey::from_seed(1);
+        let dfs = |capability| DfsHeader {
+            greq_id: 1,
+            op: DfsOp::Write,
+            client: 2,
+            tenant: 0,
+            capability,
+        };
+        let valid = dfs(Capability::issue(&key, 2, 1, Rights::RW, 10, 0));
+        let forged = dfs(Capability::issue(
+            &MacKey::from_seed(9),
+            2,
+            1,
+            Rights::RW,
+            10,
+            0,
+        ));
+        let admit = |h: DfsHeader, shape| h.admit(&key, 0, Rights::WRITE, 5, shape);
+        assert_eq!(admit(valid, true), Ok(()));
+        assert_eq!(admit(valid, false), Err((2, Status::Rejected)));
+        assert_eq!(admit(forged, false), Err((5, Status::AuthFailed)));
     }
 
     #[test]
