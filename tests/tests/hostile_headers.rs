@@ -3,10 +3,10 @@
 //! crash the node, reach a node the request did not authenticate, or let
 //! a sender without a capability read stored bytes.
 //!
-//! The rig is one storage node (node 1, sPIN or Plain, holding the service
-//! key, and its own only storage peer) on a four-node fabric: node 0 sends
-//! with a valid capability of its own, node 2 without one, and node 3 only
-//! listens. Node ids 4..=8 name no node.
+//! The rig is one storage node (node 1, sPIN, Plain or firmware-EC,
+//! holding the service key, and its own only storage peer) on a four-node
+//! fabric: node 0 sends with a valid capability of its own, node 2 without
+//! one, and node 3 only listens. Node ids 4..=8 name no node.
 
 use std::any::Any;
 use std::cell::RefCell;
@@ -16,7 +16,7 @@ use bytes::Bytes;
 use nadfs_core::{CostModel, DfsNicState, StorageApp};
 use nadfs_host::SharedMemory;
 use nadfs_pspin::ExecutionContext;
-use nadfs_rdma::Nic;
+use nadfs_rdma::{Nic, SharedNicStats};
 use nadfs_simnet::{
     Component, Ctx, Dur, Engine, Fabric, FabricStats, NetPacket, NodeId, NodePort, ObsHub,
     PacketEvent, Time, Trace,
@@ -32,6 +32,17 @@ use proptest::prelude::*;
 
 const STORAGE: NodeId = 1;
 const NODES: usize = 4;
+
+/// How the storage node takes writes: through its sPIN handlers, raw
+/// (Plain), or raw with INEC's firmware EC engine.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Mode {
+    Spin,
+    Plain,
+    FirmwareEc,
+}
+
+const MODES: [Mode; 3] = [Mode::Spin, Mode::Plain, Mode::FirmwareEc];
 
 /// A node that sends its frames when kicked and records every frame it
 /// receives, with the node it came from.
@@ -60,16 +71,17 @@ impl Component for Peer {
 }
 
 /// What a run left behind: each peer's received frames, by node, the
-/// fabric's counters and the storage node's memory.
+/// fabric's counters, and the storage node's memory and NIC counters.
 struct Outcome {
     received: Vec<Vec<(NodeId, Frame)>>,
     fabric: Rc<RefCell<FabricStats>>,
     mem: SharedMemory,
+    stats: SharedNicStats,
 }
 
-/// Run the storage node (sPIN when `spin`, else Plain) for a millisecond
-/// while node 0 sends `from_0` and node 2 sends `from_2`.
-fn run(key: MacKey, spin: bool, from_0: Vec<Frame>, from_2: Vec<Frame>) -> Outcome {
+/// Run the storage node in `mode` for a millisecond while node 0 sends
+/// `from_0` and node 2 sends `from_2`.
+fn run(key: MacKey, mode: Mode, from_0: Vec<Frame>, from_2: Vec<Frame>) -> Outcome {
     let cost = CostModel::paper();
     let mut engine = Engine::new();
     let fabric_id = engine.reserve_id();
@@ -86,7 +98,7 @@ fn run(key: MacKey, spin: bool, from_0: Vec<Frame>, from_2: Vec<Frame>) -> Outco
 
     let mut sends = [from_0, Vec::new(), from_2, Vec::new()];
     let mut received = Vec::new();
-    let mut mem = None;
+    let mut storage = None;
     for ((node, port), id) in ports.into_iter().enumerate().zip(ids) {
         let log = Rc::default();
         received.push(Rc::clone(&log));
@@ -104,7 +116,10 @@ fn run(key: MacKey, spin: bool, from_0: Vec<Frame>, from_2: Vec<Frame>) -> Outco
         let app = StorageApp::new(key, cost.fabric.link_bw);
         let mut nic = Nic::new(cost.nic.clone(), port, id, Box::new(app));
         nic.core.install_service_key(key, vec![STORAGE]);
-        if spin {
+        if mode == Mode::FirmwareEc {
+            nic.core.enable_firmware_ec();
+        }
+        if mode == Mode::Spin {
             let handlers = DfsNicState::new(
                 key,
                 4,
@@ -121,14 +136,16 @@ fn run(key: MacKey, spin: bool, from_0: Vec<Frame>, from_2: Vec<Frame>) -> Outco
             };
             nic.core.install_pspin(cost.pspin.clone(), ctx);
         }
-        mem = Some(nic.core.memory());
+        storage = Some((nic.core.memory(), nic.core.nic_stats()));
         engine.install(id, Box::new(nic));
     }
     engine.run_until(Time(Dur::from_ms(1).ps()));
+    let (mem, stats) = storage.expect("a storage node");
     Outcome {
         received: received.into_iter().map(|r| r.take()).collect(),
         fabric: fabric_stats,
-        mem: mem.expect("a storage node"),
+        mem,
+        stats,
     }
 }
 
@@ -173,10 +190,15 @@ fn write_pkt(
 
 /// A one-packet write of `len` bytes at `addr`, headed by `dfs`.
 fn write(dfs: DfsHeader, addr: u64, len: u32) -> Frame {
+    write_under(dfs, addr, len, Resiliency::None)
+}
+
+/// [`write`] under `resiliency`.
+fn write_under(dfs: DfsHeader, addr: u64, len: u32, resiliency: Resiliency) -> Frame {
     let wrh = WriteReqHeader {
         target_addr: addr,
         len,
-        resiliency: Resiliency::None,
+        resiliency,
     };
     let msg = MsgId::new(0, dfs.greq_id);
     write_pkt(msg, 0, 1, Some((dfs, wrh)), 0, vec![0xEE; len as usize])
@@ -249,16 +271,16 @@ const HIGH: u64 = u64::MAX - 100;
 fn forged_write_naming_another_node_reaches_only_its_sender() {
     let key = MacKey::from_seed(3);
     let forged = cap(&MacKey::from_seed(4), 2);
-    for spin in [true, false] {
+    for mode in MODES {
         let out = run(
             key,
-            spin,
+            mode,
             vec![write(header(2, forged, 5), 0x40_000, 64)],
             vec![],
         );
         assert!(out.received[2].is_empty(), "{:?}", out.received[2]);
         assert_eq!(out.fabric.borrow().unroutable, 0);
-        if spin {
+        if mode == Mode::Spin {
             assert_eq!(acks(&out.received[0]), [(Some(5), Status::AuthFailed)]);
         }
     }
@@ -290,8 +312,8 @@ fn rpc_write_naming_another_client_is_refused() {
         full_len: 64,
     };
     let frame = send(MsgId::new(0, 1), body, vec![0xEE; 64]);
-    for spin in [true, false] {
-        let out = run(key, spin, vec![frame.clone()], vec![]);
+    for mode in MODES {
+        let out = run(key, mode, vec![frame.clone()], vec![]);
         assert_eq!(acks(&out.received[0]), [(Some(1), Status::AuthFailed)]);
         assert!(out.received[3].is_empty(), "{:?}", out.received[3]);
     }
@@ -317,8 +339,8 @@ fn expired_rpc_write_is_refused_to_its_holder() {
         full_len: 64,
     };
     let frame = send(MsgId::new(0, 1), body, vec![0xEE; 64]);
-    for spin in [true, false] {
-        let out = run(key, spin, vec![frame.clone()], vec![]);
+    for mode in MODES {
+        let out = run(key, mode, vec![frame.clone()], vec![]);
         assert_eq!(acks(&out.received[3]), [(Some(1), Status::AuthFailed)]);
         assert!(out.received[0].is_empty(), "{:?}", out.received[0]);
     }
@@ -329,39 +351,114 @@ fn valid(key: &MacKey, greq: u64) -> DfsHeader {
     header(0, cap(key, 0), greq)
 }
 
-/// `frame`, request 1 from node 0 naming a range that ends past the
-/// address space, is refused `Rejected` on a sPIN node and a Plain one
-/// (those of `modes`), and nothing is read.
-fn assert_rejected(modes: &[bool], frame: impl Fn(&MacKey) -> Frame) {
+/// `frame`, request 1 from node 0 of a bad shape, is refused `Rejected`
+/// on a node of each of `modes`: nothing is read, and nothing lands in
+/// storage (a SEND's bytes land only in the receive buffer).
+fn assert_rejected(modes: &[Mode], frame: impl Fn(&MacKey) -> Frame) {
     let key = MacKey::from_seed(3);
-    for &spin in modes {
-        let out = run(key, spin, vec![frame(&key)], vec![]);
+    for &mode in modes {
+        let frame = frame(&key);
+        let received = match &frame {
+            Frame::Send(s) => s.data.len() as u64,
+            _ => 0,
+        };
+        let out = run(key, mode, vec![frame], vec![]);
         let got = &out.received[0];
-        assert_eq!(acks(got), [(Some(1), Status::Rejected)], "spin={spin}");
-        assert_eq!(bytes_read(got), 0, "spin={spin}");
+        assert_eq!(acks(got), [(Some(1), Status::Rejected)], "{mode:?}");
+        assert_eq!(bytes_read(got), 0, "{mode:?}");
+        assert_eq!(out.mem.borrow().bytes_written(), received, "{mode:?}");
     }
 }
 
 #[test]
 fn write_past_the_address_space_is_rejected_by_the_header_handler() {
-    assert_rejected(&[true], |key| write(valid(key, 1), HIGH, 200));
+    assert_rejected(&[Mode::Spin], |key| write(valid(key, 1), HIGH, 200));
 }
 
 #[test]
 fn raw_write_past_the_address_space_is_rejected() {
-    assert_rejected(&[false], |key| write(valid(key, 1), HIGH, 200));
+    assert_rejected(&[Mode::Plain, Mode::FirmwareEc], |key| {
+        write(valid(key, 1), HIGH, 200)
+    });
+}
+
+/// An EC data write whose header does not fit together: chunk 7 of
+/// RS(2,1).
+fn unsound_ec() -> Resiliency {
+    Resiliency::ErasureCode(EcInfo {
+        scheme: RsScheme::new(2, 1),
+        role: EcRole::Data { chunk_idx: 7 },
+        stripe: 0,
+        parity_coords: vec![ReplicaCoord {
+            node: 3,
+            addr: 0x80_000,
+        }],
+    })
+}
+
+/// Node 0's write of 64 bytes at 0x40_000 under an unsound EC header is
+/// refused before any of it lands: by the header handler, by a node with
+/// no EC engine, and by the firmware EC engine's first-packet check.
+#[test]
+fn unsound_ec_write_lands_nothing() {
+    assert_rejected(&MODES, |key| {
+        write_under(valid(key, 1), 0x40_000, 64, unsound_ec())
+    });
+}
+
+/// The same write as an RPC: the storage CPU refuses its shape as the
+/// header handler does, and stores nothing.
+#[test]
+fn unsound_ec_rpc_write_is_rejected() {
+    assert_rejected(&MODES, |key| {
+        let wrh = WriteReqHeader {
+            target_addr: 0x40_000,
+            len: 64,
+            resiliency: unsound_ec(),
+        };
+        let body = RpcBody::WriteReq {
+            dfs: valid(key, 1),
+            wrh,
+            inline_data: true,
+            src_addr: 0,
+            chunk_off: 0,
+            full_len: 64,
+        };
+        send(MsgId::new(0, 1), body, vec![0xEE; 64])
+    });
+}
+
+/// Node 2 reads under a forged capability, in range and past the
+/// address space: the capability is checked first, so both are refused
+/// `AuthFailed`, and both count as read refusals.
+#[test]
+fn forged_read_is_refused_for_its_capability_wherever_it_points() {
+    let key = MacKey::from_seed(3);
+    let forged = |greq| header(2, cap(&MacKey::from_seed(4), 2), greq);
+    let probes = vec![
+        read(Some(forged(1)), MsgId::new(2, 1), 0x40_000, 64),
+        read(Some(forged(2)), MsgId::new(2, 2), HIGH, 200),
+    ];
+    for mode in MODES {
+        let out = run(key, mode, vec![], probes.clone());
+        let got = &out.received[2];
+        let refused = [(Some(1), Status::AuthFailed), (Some(2), Status::AuthFailed)];
+        assert_eq!(acks(got), refused, "{mode:?}");
+        assert_eq!(bytes_read(got), 0, "{mode:?}");
+        assert_eq!(out.stats.borrow().read_auth_failures, 2, "{mode:?}");
+    }
 }
 
 #[test]
 fn read_past_the_address_space_is_rejected() {
-    assert_rejected(&[true, false], |key| {
+    assert_rejected(&MODES, |key| {
         read(Some(valid(key, 1)), MsgId::new(0, 1), HIGH, 200)
     });
 }
 
 #[test]
 fn gather_past_the_address_space_is_rejected() {
-    assert_rejected(&[true, false], |key| {
+    assert_rejected(&MODES, |key| {
         gather(valid(key, 1), vec![segment(1, HIGH, 200, 0)], None)
     });
 }
@@ -381,14 +478,14 @@ fn degraded_gather_past_the_address_space_is_rejected() {
         copy: vec![copy],
     };
     let survivors = vec![segment(1, 0x40_000, 300, 0), segment(0, HIGH, 300, 1)];
-    assert_rejected(&[true, false], |key| {
+    assert_rejected(&MODES, |key| {
         gather(valid(key, 1), survivors.clone(), Some(rec.clone()))
     });
 }
 
 #[test]
 fn rpc_write_past_the_address_space_is_rejected() {
-    assert_rejected(&[true, false], |key| {
+    assert_rejected(&MODES, |key| {
         let wrh = WriteReqHeader {
             target_addr: HIGH,
             len: 200,
@@ -408,7 +505,7 @@ fn rpc_write_past_the_address_space_is_rejected() {
 
 #[test]
 fn rpc_read_past_the_address_space_is_rejected() {
-    assert_rejected(&[true, false], |key| {
+    assert_rejected(&MODES, |key| {
         let rrh = ReadReqHeader {
             addr: HIGH,
             len: 200,
@@ -437,11 +534,11 @@ fn payload_past_its_header_length_is_dropped() {
         write_pkt(msg, 0, 2, first, 0, vec![0xAA; 100]),
         write_pkt(msg, 1, 2, None, 4096, vec![0xBB; 100]),
     ];
-    for spin in [true, false] {
-        let out = run(key, spin, frames.clone(), vec![]);
+    for mode in MODES {
+        let out = run(key, mode, frames.clone(), vec![]);
         let mem = out.mem.borrow();
-        assert_eq!(mem.read(0x40_000, 100), vec![0xAA; 100], "spin={spin}");
-        assert_eq!(mem.read(0x40_000 + 4096, 100), vec![0; 100], "spin={spin}");
+        assert_eq!(mem.read(0x40_000, 100), vec![0xAA; 100], "{mode:?}");
+        assert_eq!(mem.read(0x40_000 + 4096, 100), vec![0; 100], "{mode:?}");
     }
 }
 
@@ -453,11 +550,11 @@ fn header_less_read_from_a_non_peer_is_refused() {
     let key = MacKey::from_seed(3);
     let stored = write(valid(&key, 1), 0x40_000, 64);
     let probe = read(None, MsgId::new(2, 1), 0x40_000, 64);
-    for spin in [true, false] {
-        let out = run(key, spin, vec![stored.clone()], vec![probe.clone()]);
+    for mode in MODES {
+        let out = run(key, mode, vec![stored.clone()], vec![probe.clone()]);
         let got = &out.received[2];
-        assert_eq!(acks(got), [(None, Status::AuthFailed)], "spin={spin}");
-        assert_eq!(bytes_read(got), 0, "spin={spin}");
+        assert_eq!(acks(got), [(None, Status::AuthFailed)], "{mode:?}");
+        assert_eq!(bytes_read(got), 0, "{mode:?}");
     }
 }
 
@@ -492,10 +589,10 @@ fn send_of_more_packets_than_its_body_declares_is_rejected() {
     ];
     for body in bodies {
         let frame = send_first(MsgId::new(2, 1), u32::MAX, body, vec![0xEE; 64]);
-        for spin in [true, false] {
-            let out = run(key, spin, vec![], vec![frame.clone()]);
+        for mode in MODES {
+            let out = run(key, mode, vec![], vec![frame.clone()]);
             let got = acks(&out.received[2]);
-            assert_eq!(got, [(None, Status::Rejected)], "spin={spin}");
+            assert_eq!(got, [(None, Status::Rejected)], "{mode:?}");
         }
     }
 }
@@ -582,8 +679,9 @@ impl Gen {
         }
     }
 
-    fn data(&mut self) -> Vec<u8> {
-        vec![0xEE; self.below(300) as usize]
+    /// Up to 300 bytes of `tag`.
+    fn data(&mut self, tag: u8) -> Vec<u8> {
+        vec![tag; self.below(300) as usize]
     }
 }
 
@@ -594,7 +692,14 @@ struct Case {
     /// The senders, the holders of capabilities the service signed, and
     /// the nodes named by headers that pass the check.
     reachable: Vec<u32>,
+    /// Every write, raw or RPC: its message, the byte its payload is made
+    /// of (one per frame), and its target address.
+    writes: Vec<(MsgId, u8, u64)>,
 }
+
+/// How far past its target a case's write may land: its header's
+/// length and its first packet's payload are both below this.
+const WRITE_SPAN: usize = 400;
 
 /// Up to three frames from each sender. Node 0 presents its own valid
 /// capability, a forged one or an expired one; node 2 a forged or an
@@ -604,10 +709,12 @@ fn case(key: &MacKey, seed: u64) -> Case {
     let mut g = Gen(seed);
     let mut reachable = vec![0, 2];
     let mut frames = [Vec::new(), Vec::new()];
+    let mut writes = Vec::new();
     for (i, sender) in [0u32, 2].into_iter().enumerate() {
         for seq in 0..1 + g.below(3) {
             let greq = (sender as u64) << 32 | seq;
             let msg = MsgId::new(sender, greq);
+            let tag = 0xA0 + (i as u64 * 4 + seq) as u8;
             let holder = g.node();
             let capability = match g.below(if sender == 0 { 3 } else { 2 }) {
                 0 => Capability::issue(&MacKey::from_seed(99), holder, 1, Rights::RW, u64::MAX, 0),
@@ -635,10 +742,11 @@ fn case(key: &MacKey, seed: u64) -> Case {
                             .map(|c| c.node),
                         );
                     }
-                    let data = g.data();
+                    writes.push((msg, tag, wrh.target_addr));
+                    let data = g.data(tag);
                     if g.coin() {
                         let offset = g.below(1 << 20) as u32;
-                        let second = write_pkt(msg, 1, 2, None, offset, g.data());
+                        let second = write_pkt(msg, 1, 2, None, offset, g.data(tag));
                         frames[i].push(write_pkt(msg, 0, 2, Some((dfs, wrh)), 0, data));
                         frames[i].push(second);
                         continue;
@@ -690,8 +798,11 @@ fn case(key: &MacKey, seed: u64) -> Case {
                             },
                         },
                     };
-                    if let (true, RpcBody::WriteReq { wrh, .. }) = (accepted, &body) {
-                        if let Resiliency::Replicate { coords, .. } = &wrh.resiliency {
+                    if let RpcBody::WriteReq { wrh, .. } = &body {
+                        writes.push((msg, tag, wrh.target_addr));
+                        if let (true, Resiliency::Replicate { coords, .. }) =
+                            (accepted, &wrh.resiliency)
+                        {
                             reachable.extend(coords.iter().map(|c| c.node));
                         }
                     }
@@ -699,30 +810,35 @@ fn case(key: &MacKey, seed: u64) -> Case {
                         true => 1,
                         false => g.next() as u32,
                     };
-                    send_first(msg, total_pkts, body, g.data())
+                    send_first(msg, total_pkts, body, g.data(tag))
                 }
             };
             frames[i].push(frame);
         }
     }
-    Case { frames, reachable }
+    Case {
+        frames,
+        reachable,
+        writes,
+    }
 }
 
-// Hostile headers from both senders, to a sPIN and to a Plain storage
-// node: nothing panics, node 2 reads no stored bytes, and every frame
-// the storage node emits goes to a sender, to the holder of a
-// capability the service signed, or to a node an accepted header
-// names. A frame for a node the fabric does not have is dropped at the
-// switch, so the switch's count must have such a node to answer for.
+// Hostile headers from both senders, to a storage node of each mode:
+// nothing panics, node 2 reads no stored bytes, a refused write lands
+// none of its bytes, and every frame the storage node emits goes to a
+// sender, to the holder of a capability the service signed, or to a node
+// an accepted header names. A frame for a node the fabric does not have is
+// dropped at the switch, so the switch's count must have such a node to
+// answer for.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
     fn hostile_frames_stay_contained(seed in any::<u64>()) {
         let key = MacKey::from_seed(3);
-        let Case { frames: [from_0, from_2], reachable } = case(&key, seed);
-        for spin in [true, false] {
-            let out = run(key, spin, from_0.clone(), from_2.clone());
+        let Case { frames: [from_0, from_2], reachable, writes } = case(&key, seed);
+        for mode in MODES {
+            let out = run(key, mode, from_0.clone(), from_2.clone());
             prop_assert_eq!(bytes_read(&out.received[2]), 0, "node 2 read bytes");
             for (node, got) in out.received.iter().enumerate() {
                 prop_assert!(
@@ -738,6 +854,23 @@ proptest! {
                 "{} frames for no node",
                 unroutable
             );
+            let refused: Vec<MsgId> = out
+                .received
+                .iter()
+                .flatten()
+                .filter_map(|(_, f)| match f {
+                    Frame::Ack(a) if a.status != Status::Ok => Some(a.msg),
+                    _ => None,
+                })
+                .collect();
+            let mem = out.mem.borrow();
+            for &(msg, tag, target) in &writes {
+                // (Memory is read only well inside the space.)
+                if refused.contains(&msg) && target < 1 << 20 {
+                    let landed = mem.read(target, WRITE_SPAN);
+                    prop_assert!(!landed.contains(&tag), "{:?}: refused {:?} landed", mode, msg);
+                }
+            }
         }
     }
 }
