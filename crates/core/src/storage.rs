@@ -156,7 +156,7 @@ impl StorageApp {
     /// The CPU wakes up, dispatches request `msg` from `src` and admits
     /// it under the rule the NIC applies, [`DfsHeader::admit`]: the
     /// capability in `body`'s header for the rights its op needs, then the
-    /// shape of the request (a write's carrying `body_len` bytes). Returns
+    /// shape of the request (a write's carrying `data_len` bytes). Returns
     /// when it is done, having marked `cpu-validated` on the
     /// greq-correlated span and noted the validation on this node's
     /// storage track — or `None`, with the NACK on its way to the node the
@@ -168,7 +168,7 @@ impl StorageApp {
         src: NodeId,
         msg: MsgId,
         body: &RpcBody,
-        body_len: usize,
+        data_len: usize,
     ) -> Option<Time> {
         let now = ctx.now();
         let t_val = nic.cpu.exec(now + POLL_NOTIFY, RPC_DISPATCH + VALIDATE);
@@ -178,7 +178,7 @@ impl StorageApp {
                 wrh,
                 chunk_off,
                 ..
-            } => (dfs, Rights::WRITE, wrh.well_formed(body_len, *chunk_off)),
+            } => (dfs, Rights::WRITE, wrh.well_formed(data_len, *chunk_off)),
             RpcBody::ReadReq { dfs, rrh } => (dfs, Rights::READ, rrh.well_formed()),
         };
         let greq = dfs.greq_id;
