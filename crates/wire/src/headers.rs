@@ -2,8 +2,6 @@
 //! request header (WRH) with its resiliency options (§V-A, §VI), and the
 //! read request header (RRH).
 
-use std::ops::Range;
-
 use crate::capability::{AuthError, Capability, Rights};
 use crate::frame::Status;
 use crate::siphash::MacKey;
@@ -197,11 +195,10 @@ pub struct WriteReqHeader {
     pub resiliency: Resiliency,
 }
 
-/// `[addr, addr + len)`, or `None` when it does not fit in the address
-/// space. An address and a length off the wire go through this before
-/// any arithmetic on them.
-fn checked_range(addr: u64, len: u64) -> Option<Range<u64>> {
-    Some(addr..addr.checked_add(len)?)
+/// Whether `[addr, addr + len)` fits in the address space. An address and
+/// a length off the wire go through this before any arithmetic on them.
+fn fits(addr: u64, len: u64) -> bool {
+    addr.checked_add(len).is_some()
 }
 
 impl WriteReqHeader {
@@ -212,7 +209,6 @@ impl WriteReqHeader {
     /// parity chunk's region, the final parity then its staging slots, at
     /// each parity coordinate and, for an intermediate parity, the target).
     pub fn well_formed(&self, body: usize, chunk_off: u32) -> bool {
-        let fits = |addr, len| checked_range(addr, len).is_some();
         let len = self.len as u64;
         body as u64 <= len
             && fits(self.target_addr, len)
@@ -297,7 +293,7 @@ impl ReadReqHeader {
 
     /// The shape rule of a read: its range fits in the address space.
     pub fn well_formed(&self) -> bool {
-        checked_range(self.addr, self.len as u64).is_some()
+        fits(self.addr, self.len as u64)
     }
 }
 
@@ -359,8 +355,8 @@ impl GatherReadHeader {
     /// The shape rule of a gather: every segment's range fits in the
     /// address space.
     pub fn well_formed(&self) -> bool {
-        let fits = |s: &GatherSegment| checked_range(s.coord.addr, s.len as u64).is_some();
-        self.segments.iter().all(fits)
+        let seg_fits = |s: &GatherSegment| fits(s.coord.addr, s.len as u64);
+        self.segments.iter().all(seg_fits)
     }
 
     pub(crate) fn wire_size(&self) -> u32 {
