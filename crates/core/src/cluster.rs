@@ -7,15 +7,15 @@ use std::rc::Rc;
 
 use nadfs_host::{DmaEngine, SharedMemory};
 use nadfs_pspin::{ExecutionContext, Telemetry};
-use nadfs_rdma::{Nic, NicApp, SharedNicStats};
+use nadfs_rdma::{Nic, SharedNicStats};
 use nadfs_simnet::{
     BufPool, ComponentId, CreditConfig, Dur, Engine, Fabric, FabricStats, FlowStats,
-    MetricsSnapshot, NodeId, ObsHub, PacketPool, SharedFlowStats, SharedObs, SharedTenantLedgers,
-    SharedTrace, TenantId, TenantLedger, TenantScheduler, Time, Trace, DEFAULT_MAX_RETAINED_BYTES,
-    TENANT_REPAIR,
+    MetricsSnapshot, NodeId, NodePort, ObsHub, PacketPool, SharedBufPool, SharedFlowStats,
+    SharedObs, SharedPacketPool, SharedTenantLedgers, SharedTrace, TenantId, TenantLedger,
+    TenantScheduler, Time, Trace, DEFAULT_MAX_RETAINED_BYTES, TENANT_REPAIR,
 };
 use nadfs_wire::sizes::WRITE_DESCRIPTOR;
-use nadfs_wire::Frame;
+use nadfs_wire::{Frame, MacKey};
 
 use crate::client::{ClientApp, Job, ResultSink, SharedPlan, SharedResults, KICK};
 use crate::config::CostModel;
@@ -151,6 +151,130 @@ impl ClusterSpec {
     }
 }
 
+/// What every node of a cluster shares: one payload-buffer ring and one
+/// packet-box pool, and the observability hub and trace ring.
+#[derive(Clone)]
+pub struct NodeShared {
+    bufs: SharedBufPool,
+    pkts: SharedPacketPool<Frame>,
+    obs: SharedObs,
+    trace: SharedTrace,
+}
+
+impl NodeShared {
+    /// What the nodes of a cluster built per `spec` share: live hubs if
+    /// it has observability, disabled ones if not. With per-NIC pools,
+    /// nodes that only consume buffers (parity nodes, ring tails) would
+    /// overflow theirs while the nodes that only produce (data nodes,
+    /// clients) allocate every time. The buffer ring's caps (limits, not
+    /// reservations) cover each NIC's packet ring plus its accumulator
+    /// budget.
+    pub fn new(spec: &ClusterSpec) -> NodeShared {
+        let (obs, trace) = if spec.observability {
+            (ObsHub::new(SPAN_CAP), Trace::new(TRACE_CAP))
+        } else {
+            (ObsHub::disabled(), Trace::disabled())
+        };
+        let n_nics = spec.n_clients + spec.n_storage;
+        let bufs = Rc::new(RefCell::new(BufPool::with_byte_cap(
+            n_nics * (256 + spec.accumulator_pool),
+            4 * DEFAULT_MAX_RETAINED_BYTES,
+        )));
+        NodeShared {
+            bufs,
+            pkts: PacketPool::shared(),
+            obs,
+            trace,
+        }
+    }
+}
+
+/// The handles a cluster keeps of a storage node once its NIC is
+/// installed.
+pub struct StorageHandles {
+    pub mem: SharedMemory,
+    pub dma: Rc<RefCell<DmaEngine>>,
+    pub stats: SharedStorageStats,
+    pub nic_stats: SharedNicStats,
+    pub flow_stats: SharedFlowStats,
+    pub pspin_telemetry: Option<Rc<RefCell<Telemetry>>>,
+    /// The ledgers of its QoS schedulers (RPC service, then read
+    /// streams); none without QoS.
+    pub tenant_ledgers: Vec<SharedTenantLedgers>,
+}
+
+/// A storage node: the storage software on a NIC bound to `port`, to be
+/// installed as component `id`, provisioned per `spec`'s mode, cost,
+/// accumulator pool and QoS. Every storage NIC authenticates DFS-level
+/// read requests against the service `key` before a byte leaves the node
+/// (one-sided reads never touch the CPU), and answers header-less reads
+/// from its storage `peers` only. A `Spin` node runs the DFS execution
+/// context on PsPIN: the handlers, `spec.cost.pspin_state_bytes` of
+/// DFS-wide state and one write descriptor per open request (§III-B).
+pub fn storage_node(
+    spec: &ClusterSpec,
+    key: MacKey,
+    peers: Vec<NodeId>,
+    port: NodePort,
+    id: ComponentId,
+    shared: &NodeShared,
+) -> (Nic, StorageHandles) {
+    let mut app = StorageApp::new(key, spec.cost.fabric.link_bw);
+    app.obs = shared.obs.clone();
+    app.trace = shared.trace.clone();
+    let stats = app.stats.clone();
+    let mut tenant_ledgers = Vec::new();
+    let qos = &spec.qos;
+    if qos.enabled {
+        let q = TenantScheduler::new(qos.quantum, &qos.weights, qos.rpc_concurrency);
+        tenant_ledgers.push(q.ledgers_handle());
+        app.qos = Some(q);
+    }
+    let mut nic = Nic::new(spec.cost.nic.clone(), port, id, Box::new(app));
+    let core = &mut nic.core;
+    core.share_pools(shared.bufs.clone(), shared.pkts.clone());
+    core.set_credit_config(qos.credit);
+    if qos.enabled {
+        tenant_ledgers.push(core.install_read_qos(qos.quantum, &qos.weights, READ_STREAMS));
+    }
+    core.obs = shared.obs.clone();
+    core.trace = shared.trace.clone();
+    core.install_service_key(key, peers);
+    match spec.mode {
+        StorageMode::Plain => {}
+        StorageMode::Spin => {
+            // The handlers share the NIC's buffer ring so
+            // accumulator/parity buffers recycle through the device.
+            let handlers = DfsNicState::new(
+                key,
+                spec.accumulator_pool,
+                core.buf_pool(),
+                core.nic_stats(),
+                shared.obs.clone(),
+                shared.trace.clone(),
+                core.node(),
+            );
+            let context = ExecutionContext {
+                handlers: Box::new(handlers),
+                state_bytes: spec.cost.pspin_state_bytes,
+                descriptor_bytes: WRITE_DESCRIPTOR,
+            };
+            core.install_pspin(spec.cost.pspin.clone(), context);
+        }
+        StorageMode::FirmwareEc => core.enable_firmware_ec(),
+    }
+    let handles = StorageHandles {
+        mem: core.memory(),
+        dma: core.dma(),
+        stats,
+        nic_stats: core.nic_stats(),
+        flow_stats: core.flow_stats(),
+        pspin_telemetry: core.pspin().map(|d| d.telemetry()),
+        tenant_ledgers,
+    };
+    (nic, handles)
+}
+
 /// A built, runnable cluster.
 pub struct SimCluster {
     pub engine: Engine,
@@ -215,11 +339,7 @@ impl SimCluster {
         if spec.engine_profiling {
             engine.enable_profiling();
         }
-        let (obs, trace) = if spec.observability {
-            (ObsHub::new(SPAN_CAP), Trace::new(TRACE_CAP))
-        } else {
-            (ObsHub::disabled(), Trace::disabled())
-        };
+        let shared = NodeShared::new(&spec);
         let fid = engine.reserve_id();
         let client_components: Vec<_> = (0..spec.n_clients).map(|_| engine.reserve_id()).collect();
         let storage_components: Vec<_> = (0..spec.n_storage).map(|_| engine.reserve_id()).collect();
@@ -254,32 +374,21 @@ impl SimCluster {
         let mut client_read_stats = Vec::new();
         let mut client_tenants = Vec::new();
         let mut flow_stats = Vec::new();
-        // One buffer ring and one packet-box pool for the whole cluster:
-        // with per-NIC pools, nodes that only consume buffers (parity
-        // nodes, ring tails) overflow theirs while the nodes that only
-        // produce (data nodes, clients) allocate every time. The caps
-        // (limits, not reservations) cover each NIC's packet ring plus
-        // its accumulator budget.
-        let n_nics = spec.n_clients + spec.n_storage;
-        let bufs = Rc::new(RefCell::new(BufPool::with_byte_cap(
-            n_nics * (256 + spec.accumulator_pool),
-            4 * DEFAULT_MAX_RETAINED_BYTES,
-        )));
-        let pkts = PacketPool::shared();
         for (&comp, port) in client_components.iter().zip(client_ports) {
             let plan: SharedPlan = Rc::new(RefCell::new(VecDeque::new()));
             plans.push(plan.clone());
             let mut app =
                 ClientApp::new(control.clone(), results.clone(), plan, spec.client_window);
-            app.obs = obs.clone();
-            app.trace = trace.clone();
+            app.obs = shared.obs.clone();
+            app.trace = shared.trace.clone();
             tweak(&mut app);
             client_caches.push(app.meta_cache.clone());
             read_caches.push(app.read_cache.clone());
             client_read_stats.push(app.read_stats.clone());
             client_tenants.push(app.tenant.clone());
             let mut nic = Nic::new(spec.cost.nic.clone(), port, comp, Box::new(app));
-            nic.core.share_pools(bufs.clone(), pkts.clone());
+            nic.core
+                .share_pools(shared.bufs.clone(), shared.pkts.clone());
             nic.core.set_credit_config(spec.qos.credit);
             flow_stats.push(nic.core.flow_stats());
             engine.install(comp, Box::new(nic));
@@ -292,69 +401,14 @@ impl SimCluster {
         let mut nic_stats = Vec::new();
         let mut tenant_ledgers = Vec::new();
         for (&comp, port) in storage_components.iter().zip(storage_ports) {
-            let mut app = StorageApp::new(key, spec.cost.fabric.link_bw);
-            app.obs = obs.clone();
-            app.trace = trace.clone();
-            storage_stats.push(app.stats.clone());
-            let qos = &spec.qos;
-            if qos.enabled {
-                let q = TenantScheduler::new(qos.quantum, &qos.weights, qos.rpc_concurrency);
-                tenant_ledgers.push(q.ledgers_handle());
-                app.qos = Some(q);
-            }
-            let mut nic = Nic::new(
-                spec.cost.nic.clone(),
-                port,
-                comp,
-                Box::new(app) as Box<dyn NicApp>,
-            );
-            nic.core.share_pools(bufs.clone(), pkts.clone());
-            nic.core.set_credit_config(spec.qos.credit);
-            if qos.enabled {
-                let ledgers = nic
-                    .core
-                    .install_read_qos(qos.quantum, &qos.weights, READ_STREAMS);
-                tenant_ledgers.push(ledgers);
-            }
-            flow_stats.push(nic.core.flow_stats());
-            nic.core.obs = obs.clone();
-            nic.core.trace = trace.clone();
-            // NIC-side read validation: every storage NIC authenticates
-            // DFS-level read requests against the service key before a
-            // byte leaves the node (one-sided reads never touch the CPU),
-            // and answers header-less reads from its storage peers only.
-            nic.core.install_service_key(key, storage_nodes.clone());
-            match spec.mode {
-                StorageMode::Plain => {}
-                StorageMode::Spin => {
-                    // The handlers share the NIC's buffer ring so
-                    // accumulator/parity buffers recycle through the device.
-                    let handlers = DfsNicState::new(
-                        key,
-                        spec.accumulator_pool,
-                        nic.core.buf_pool(),
-                        nic.core.nic_stats(),
-                        obs.clone(),
-                        trace.clone(),
-                        nic.core.node(),
-                    );
-                    nic.core.install_pspin(
-                        spec.cost.pspin.clone(),
-                        ExecutionContext {
-                            handlers: Box::new(handlers),
-                            state_bytes: spec.cost.pspin_state_bytes,
-                            descriptor_bytes: WRITE_DESCRIPTOR,
-                        },
-                    );
-                }
-                StorageMode::FirmwareEc => {
-                    nic.core.enable_firmware_ec();
-                }
-            }
-            storage_mems.push(nic.core.memory());
-            storage_dmas.push(nic.core.dma());
-            pspin_telemetry.push(nic.core.pspin().map(|d| d.telemetry()));
-            nic_stats.push(nic.core.nic_stats());
+            let (nic, node) = storage_node(&spec, key, storage_nodes.clone(), port, comp, &shared);
+            storage_mems.push(node.mem);
+            storage_dmas.push(node.dma);
+            storage_stats.push(node.stats);
+            pspin_telemetry.push(node.pspin_telemetry);
+            nic_stats.push(node.nic_stats);
+            flow_stats.push(node.flow_stats);
+            tenant_ledgers.extend(node.tenant_ledgers);
             engine.install(comp, Box::new(nic));
         }
 
@@ -380,13 +434,13 @@ impl SimCluster {
             client_read_stats,
             nic_stats,
             flow_stats,
-            buf_pools: vec![bufs],
+            buf_pools: vec![shared.bufs],
             tenant_ledgers,
             client_tenants,
             pspin_telemetry,
             fabric_stats,
-            obs,
-            trace,
+            obs: shared.obs,
+            trace: shared.trace,
         }
     }
 

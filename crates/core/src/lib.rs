@@ -24,13 +24,16 @@ pub use cache::{CachedRead, ReadCache, ReadCacheConfig, ReadCacheStats};
 pub use client::{
     ClientApp, ClientReadStats, Job, MetaOp, MetaOpKind, MetaResult, ReadCompletion, ReadProtocol,
     ReadSlot, RepairOutcome, RepairResult, RepairSlot, ResultSink, SharedClientReadStats,
-    WriteProtocol, WriteResult, WriteSlot,
+    SharedPlan, SharedResults, WriteProtocol, WriteResult, WriteSlot, KICK,
 };
-pub use cluster::{ClusterSpec, QosConfig, SimCluster, StorageMode};
-pub use config::CostModel;
+pub use cluster::{
+    storage_node, ClusterSpec, NodeShared, QosConfig, SimCluster, StorageHandles, StorageMode,
+};
+pub use config::{CostModel, CONTROL_RTT};
 pub use control::{
     ControlPlane, FileMeta, FilePolicy, MetaEvent, MetaOpStats, MetaShard, RepairPlan, RepairQueue,
-    RepairStats, RepairTask, ShardRouter, ShardStats, StripeTarget, TxRecovery, WritePlacement,
+    RepairStats, RepairTask, ShardRouter, ShardStats, SharedControl, StripeTarget, TxRecovery,
+    WritePlacement,
 };
 pub use experiments::{
     replication_latency_us, storage_goodput_gbit, write_latency_us, ReplStrategy,
@@ -43,5 +46,5 @@ pub use nadfs_meta::{
     CacheStats, ChunkCopy, ExtentMap, ExtentRecord, InodeAttr, InodeKind, LayoutSpec, MetaCache,
     MetaError, ReadPiece, ReadPlan, StripedLayout,
 };
-pub use storage::{StorageApp, StorageStats};
+pub use storage::{SharedStorageStats, StorageApp, StorageStats};
 pub use workloads::{MetaWorkload, ReadPattern, SizeDist, Workload};

@@ -8,12 +8,10 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use nadfs_core::client::{SharedPlan, SharedResults, KICK};
-use nadfs_core::control::SharedControl;
 use nadfs_core::{
-    ClientApp, ClusterSpec, ControlPlane, CostModel, FilePolicy, FsClient, FsError, Job,
-    LayoutSpec, MetaOp, ReadProtocol, ResultSink, SimCluster, StorageApp, StorageMode,
-    WriteProtocol,
+    storage_node, ClientApp, ClusterSpec, ControlPlane, CostModel, FilePolicy, FsClient, FsError,
+    Job, LayoutSpec, MetaOp, NodeShared, ReadProtocol, ResultSink, SharedControl, SharedPlan,
+    SharedResults, SimCluster, StorageMode, WriteProtocol, KICK,
 };
 use nadfs_host::{SharedMemory, POLL_NOTIFY};
 use nadfs_rdma::{Nic, NicApp, NicCore};
@@ -165,15 +163,12 @@ fn probe_rig(
     let nic = Nic::new(cost.nic.clone(), client_port, client_id, Box::new(probe));
     let client_mem = nic.core.memory();
     engine.install(client_id, Box::new(nic));
-    let storage = StorageApp::new(key, cost.fabric.link_bw);
-    let mut nic = Nic::new(
-        cost.nic.clone(),
-        storage_port,
-        storage_id,
-        Box::new(storage),
-    );
-    let node = nic.core.node();
-    nic.core.install_service_key(key, vec![node]);
+    let spec = ClusterSpec::new(1, 1, StorageMode::Plain)
+        .with_cost(cost.clone())
+        .with_observability(false);
+    let shared = NodeShared::new(&spec);
+    let peers = vec![storage_port.node];
+    let (nic, _) = storage_node(&spec, key, peers, storage_port, storage_id, &shared);
     engine.install(storage_id, Box::new(nic));
     let rig = Rig {
         engine,
@@ -366,7 +361,7 @@ fn a_metadata_cache_hit_occupies_no_shard() {
     assert!(hit.cache_hit && !listed.cache_hit);
     assert_eq!(hit.start, listed.start, "issued together");
     assert_eq!(waited(), before, "the readdir queued behind the hit");
-    assert_eq!(listed.end, listed.start + nadfs_core::config::CONTROL_RTT);
+    assert_eq!(listed.end, listed.start + nadfs_core::CONTROL_RTT);
 }
 
 /// An `FsClient` op completes into its own slot only: however many ops

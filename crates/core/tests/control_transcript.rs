@@ -14,10 +14,9 @@ use std::cell::RefCell;
 use std::fmt::Debug;
 use std::rc::Rc;
 
-use nadfs_core::storage::SharedStorageStats;
 use nadfs_core::{
     ControlPlane, FilePolicy, LayoutSpec, MetaCache, ReadCache, ReadCacheConfig, RepairTask,
-    StorageStats, WritePlacement,
+    SharedStorageStats, StorageStats, WritePlacement,
 };
 use nadfs_meta::{CachedEntry, DirtyAttr};
 use nadfs_wire::{BcastStrategy, Rights, RsScheme};

@@ -10,16 +10,12 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use nadfs_core::storage::SharedStorageStats;
-use nadfs_core::{CostModel, DfsNicState, StorageApp};
+use nadfs_core::{storage_node, ClusterSpec, NodeShared, SharedStorageStats, StorageMode};
 use nadfs_host::SharedMemory;
-use nadfs_pspin::ExecutionContext;
-use nadfs_rdma::Nic;
 use nadfs_simnet::{
-    Component, ComponentId, Ctx, Dur, Engine, Fabric, NetPacket, NodeId, NodePort, ObsHub,
-    PacketEvent, Time, Trace,
+    Component, ComponentId, Ctx, Dur, Engine, Fabric, NetPacket, NodeId, NodePort, PacketEvent,
+    Time,
 };
-use nadfs_wire::sizes::WRITE_DESCRIPTOR;
 use nadfs_wire::{
     AckPkt, BcastStrategy, Capability, DfsHeader, DfsOp, EcInfo, EcRole, Frame, MacKey, MsgId,
     ReplicaCoord, Resiliency, Rights, RsScheme, Status, WritePkt, WriteReqHeader,
@@ -67,7 +63,10 @@ struct Rig {
 
 impl Rig {
     fn new(key: MacKey, accumulators: usize) -> Rig {
-        let cost = CostModel::paper();
+        let spec = ClusterSpec::new(1, 1, StorageMode::Spin)
+            .with_accumulator_pool(accumulators)
+            .with_observability(false);
+        let cost = &spec.cost;
         let mut engine = Engine::new();
         let [fabric_id, sender_id, storage_id] = [(); 3].map(|()| engine.reserve_id());
         let mut fabric: Fabric<Frame> = Fabric::new(cost.fabric.clone(), fabric_id);
@@ -76,25 +75,10 @@ impl Rig {
         engine.install(fabric_id, Box::new(fabric));
 
         let node = storage_port.node;
-        let app = StorageApp::new(key, cost.fabric.link_bw);
-        let stats = app.stats.clone();
-        let mut nic = Nic::new(cost.nic.clone(), storage_port, storage_id, Box::new(app));
-        let handlers = DfsNicState::new(
-            key,
-            accumulators,
-            nic.core.buf_pool(),
-            nic.core.nic_stats(),
-            ObsHub::disabled(),
-            Trace::disabled(),
-            node,
-        );
-        let ctx = ExecutionContext {
-            handlers: Box::new(handlers),
-            state_bytes: cost.pspin_state_bytes,
-            descriptor_bytes: WRITE_DESCRIPTOR,
-        };
-        nic.core.install_pspin(cost.pspin.clone(), ctx);
-        let mem = nic.core.memory();
+        let shared = NodeShared::new(&spec);
+        let (nic, handles) =
+            storage_node(&spec, key, vec![node], storage_port, storage_id, &shared);
+        let (mem, stats) = (handles.mem, handles.stats);
         engine.install(storage_id, Box::new(nic));
         Rig {
             engine,

@@ -228,38 +228,23 @@ mod tests {
     }
 
     /// Fig 4's printed capacity is the one the simulated NIC enforces: a
-    /// PsPIN device carrying the DFS context at paper cost admits exactly
-    /// `max_concurrent_writes()` open requests.
+    /// sPIN storage node as a cluster builds it, at paper cost, admits
+    /// exactly `max_concurrent_writes()` open requests.
     #[test]
     fn fig4_capacity_is_what_the_nic_enforces() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
+        use nadfs_core::{storage_node, ClusterSpec, NodeShared, StorageMode};
+        use nadfs_simnet::{Fabric, FabricConfig};
+        use nadfs_wire::{Frame, MacKey};
 
-        use nadfs_core::{CostModel, DfsNicState};
-        use nadfs_host::{DmaConfig, DmaEngine, HostMemory};
-        use nadfs_pspin::{ExecutionContext, PsPinDevice};
-        use nadfs_simnet::{BufPool, Fabric, FabricConfig, ObsHub, Trace};
-        use nadfs_wire::{sizes::WRITE_DESCRIPTOR, Frame, MacKey};
-
-        let cost = CostModel::paper();
+        let spec = ClusterSpec::new(0, 1, StorageMode::Spin)
+            .with_accumulator_pool(0)
+            .with_observability(false);
         let mut fabric: Fabric<Frame> = Fabric::new(FabricConfig::default(), 0);
         let port = fabric.register_node(1, None);
-        let dma = DmaEngine::new(DmaConfig::default(), HostMemory::new());
-        let mut dev = PsPinDevice::new(cost.pspin.clone(), port, Rc::new(RefCell::new(dma)), 1);
-        let handlers = DfsNicState::new(
-            MacKey::from_seed(1),
-            0,
-            BufPool::shared(0),
-            Default::default(),
-            ObsHub::disabled(),
-            Trace::disabled(),
-            1,
-        );
-        dev.install_context(ExecutionContext {
-            handlers: Box::new(handlers),
-            state_bytes: cost.pspin_state_bytes,
-            descriptor_bytes: WRITE_DESCRIPTOR,
-        });
+        let peers = vec![port.node];
+        let shared = NodeShared::new(&spec);
+        let (nic, _) = storage_node(&spec, MacKey::from_seed(1), peers, port, 1, &shared);
+        let dev = nic.core.pspin().expect("a sPIN storage node");
         assert_eq!(dev.max_concurrent_requests(), max_concurrent_writes());
         assert_eq!(max_concurrent_writes(), 81_707, "§III-B: ~82 K");
     }

@@ -13,15 +13,13 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use nadfs_core::{CostModel, DfsNicState, StorageApp};
+use nadfs_core::{storage_node, ClusterSpec, NodeShared, StorageMode as Mode};
 use nadfs_host::SharedMemory;
-use nadfs_pspin::ExecutionContext;
-use nadfs_rdma::{Nic, SharedNicStats};
+use nadfs_rdma::SharedNicStats;
 use nadfs_simnet::{
-    Component, Ctx, Dur, Engine, Fabric, FabricStats, NetPacket, NodeId, NodePort, ObsHub,
-    PacketEvent, Time, Trace,
+    Component, Ctx, Dur, Engine, Fabric, FabricStats, NetPacket, NodeId, NodePort, PacketEvent,
+    Time,
 };
-use nadfs_wire::sizes::WRITE_DESCRIPTOR;
 use nadfs_wire::{
     BcastStrategy, Capability, DfsHeader, DfsOp, EcInfo, EcRole, Frame, GatherCopy,
     GatherReadHeader, GatherReconstruct, GatherReqPkt, GatherSegment, MacKey, MsgId, ReadReqHeader,
@@ -33,15 +31,8 @@ use proptest::prelude::*;
 const STORAGE: NodeId = 1;
 const NODES: usize = 4;
 
-/// How the storage node takes writes: through its sPIN handlers, raw
-/// (Plain), or raw with INEC's firmware EC engine.
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Mode {
-    Spin,
-    Plain,
-    FirmwareEc,
-}
-
+/// Every way the storage node takes writes: through its sPIN handlers,
+/// raw (Plain), or raw with INEC's firmware EC engine.
 const MODES: [Mode; 3] = [Mode::Spin, Mode::Plain, Mode::FirmwareEc];
 
 /// A node that sends its frames when kicked and records every frame it
@@ -82,7 +73,11 @@ struct Outcome {
 /// Run the storage node in `mode` for a millisecond while node 0 sends
 /// `from_0` and node 2 sends `from_2`.
 fn run(key: MacKey, mode: Mode, from_0: Vec<Frame>, from_2: Vec<Frame>) -> Outcome {
-    let cost = CostModel::paper();
+    let spec = ClusterSpec::new(NODES - 1, 1, mode)
+        .with_accumulator_pool(4)
+        .with_observability(false);
+    let shared = NodeShared::new(&spec);
+    let cost = &spec.cost;
     let mut engine = Engine::new();
     let fabric_id = engine.reserve_id();
     let ids: Vec<_> = (0..NODES).map(|_| engine.reserve_id()).collect();
@@ -113,30 +108,8 @@ fn run(key: MacKey, mode: Mode, from_0: Vec<Frame>, from_2: Vec<Frame>) -> Outco
             engine.schedule(Dur::ZERO, id, Box::new(Go));
             continue;
         }
-        let app = StorageApp::new(key, cost.fabric.link_bw);
-        let mut nic = Nic::new(cost.nic.clone(), port, id, Box::new(app));
-        nic.core.install_service_key(key, vec![STORAGE]);
-        if mode == Mode::FirmwareEc {
-            nic.core.enable_firmware_ec();
-        }
-        if mode == Mode::Spin {
-            let handlers = DfsNicState::new(
-                key,
-                4,
-                nic.core.buf_pool(),
-                nic.core.nic_stats(),
-                ObsHub::disabled(),
-                Trace::disabled(),
-                STORAGE,
-            );
-            let ctx = ExecutionContext {
-                handlers: Box::new(handlers),
-                state_bytes: cost.pspin_state_bytes,
-                descriptor_bytes: WRITE_DESCRIPTOR,
-            };
-            nic.core.install_pspin(cost.pspin.clone(), ctx);
-        }
-        storage = Some((nic.core.memory(), nic.core.nic_stats()));
+        let (nic, handles) = storage_node(&spec, key, vec![STORAGE], port, id, &shared);
+        storage = Some((handles.mem, handles.nic_stats));
         engine.install(id, Box::new(nic));
     }
     engine.run_until(Time(Dur::from_ms(1).ps()));
