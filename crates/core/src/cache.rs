@@ -51,12 +51,12 @@ pub struct ReadCacheConfig {
     /// *other* files are evicted first, then the freshly-filled file's
     /// own coldest (lowest-offset) bytes are trimmed, so even a single
     /// long sequential scan stays bounded.
-    pub capacity_bytes: usize,
+    pub(crate) capacity_bytes: usize,
     /// First readahead window granted to a detected sequential stream.
-    pub readahead_init: u32,
+    pub(crate) readahead_init: u32,
     /// Ceiling the per-stream window ramps to (doubling per miss while
     /// the stream stays sequential).
-    pub readahead_max: u32,
+    pub(crate) readahead_max: u32,
 }
 
 impl Default for ReadCacheConfig {
@@ -81,16 +81,16 @@ pub struct ReadCacheStats {
     /// Lookups that had to go to the network.
     pub misses: u64,
     /// Bytes served from cache (EOF-clamped: what the caller got).
-    pub hit_bytes: u64,
+    pub(crate) hit_bytes: u64,
     /// Files dropped by generation callbacks (commit/overwrite/repair).
     pub invalidations: u64,
     /// Fills discarded because the file's generation moved while the
     /// fetch was in flight (the stale-resurrection guard).
-    pub stale_fills: u64,
+    pub(crate) stale_fills: u64,
     /// Files evicted by the capacity cap.
-    pub evictions: u64,
+    pub(crate) evictions: u64,
     /// Bytes inserted into the cache (fills, including readahead).
-    pub inserted_bytes: u64,
+    pub(crate) inserted_bytes: u64,
     /// Bytes fetched beyond what callers asked for (readahead volume).
     pub readahead_bytes: u64,
     /// Fills populated straight from a locally written payload
@@ -99,7 +99,7 @@ pub struct ReadCacheStats {
     /// Control-plane prefetch advisories received.
     pub hints: u64,
     /// Readahead plans boosted by a prefetch advisory.
-    pub hint_boosts: u64,
+    pub(crate) hint_boosts: u64,
 }
 
 impl ReadCacheStats {
@@ -164,7 +164,7 @@ struct StreamState {
 /// registered with the control plane for generation callbacks at cluster
 /// build time.
 pub struct ReadCache {
-    pub config: ReadCacheConfig,
+    pub(crate) config: ReadCacheConfig,
     pub stats: ReadCacheStats,
     /// `enforce_capacity` picks its victim by iterating this table, and
     /// the pick does not depend on the iteration order: every `touched`
@@ -324,7 +324,7 @@ impl ReadCache {
     /// this miss. Zero for random access; a multiplicatively ramping
     /// window for sequential streams. Call *after* [`Self::lookup`]
     /// missed (lookup advances the stream tracker this consults).
-    pub fn plan_readahead(&mut self, file: u64, offset: u64, len: u32) -> u32 {
+    pub(crate) fn plan_readahead(&mut self, file: u64, offset: u64, len: u32) -> u32 {
         let init = self.config.readahead_init;
         let max = self.config.readahead_max;
         if init == 0 {
@@ -365,7 +365,7 @@ impl ReadCache {
 
     /// Control-plane prefetch advisory: some client is sequentially
     /// scanning `file` and is about to need `[offset, offset + len)`.
-    pub fn note_hint(&mut self, file: u64, offset: u64, len: u32) {
+    pub(crate) fn note_hint(&mut self, file: u64, offset: u64, len: u32) {
         self.stats.hints += 1;
         self.hints.insert(file, (offset, len));
     }
@@ -373,7 +373,7 @@ impl ReadCache {
     /// Write-through population: the payload of a locally acknowledged
     /// write enters the cache under the post-commit generation, so
     /// read-after-write is a local hit without a network round trip.
-    pub fn fill_from_write(&mut self, file: u64, generation: u64, offset: u64, data: Bytes) {
+    pub(crate) fn fill_from_write(&mut self, file: u64, generation: u64, offset: u64, data: Bytes) {
         self.stats.write_fills += 1;
         let len = data.len() as u32;
         self.fill_shared(file, generation, offset, data, len);

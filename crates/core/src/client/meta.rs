@@ -139,7 +139,6 @@ impl ClientApp {
         }
         let result = MetaResult {
             token,
-            client: nic.node(),
             op: op.kind(),
             start,
             end: start,

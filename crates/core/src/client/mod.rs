@@ -82,7 +82,7 @@ pub enum MetaOp {
 }
 
 impl MetaOp {
-    pub fn kind(&self) -> MetaOpKind {
+    pub(crate) fn kind(&self) -> MetaOpKind {
         match self {
             MetaOp::Mkdir { .. } => MetaOpKind::Mkdir,
             MetaOp::Create { .. } => MetaOpKind::Create,
@@ -128,14 +128,14 @@ pub struct ClientReadStats {
     /// Degraded stripes reconstructed on the client CPU (fan-out paths).
     pub reconstructed_stripes: u64,
     /// Gather requests sent (offloaded protocol).
-    pub offloaded_reads: u64,
+    pub(crate) offloaded_reads: u64,
     /// Degraded stripes delegated to on-NIC reconstruction.
-    pub offloaded_degraded_stripes: u64,
+    pub(crate) offloaded_degraded_stripes: u64,
     /// Background readahead-tail ops spawned by the async split.
-    pub background_readaheads: u64,
+    pub(crate) background_readaheads: u64,
 }
 
-pub type SharedClientReadStats = Rc<RefCell<ClientReadStats>>;
+pub(crate) type SharedClientReadStats = Rc<RefCell<ClientReadStats>>;
 
 /// One unit of client work.
 #[derive(Clone, Debug)]
@@ -201,9 +201,7 @@ pub struct WriteResult {
 #[derive(Clone, Debug)]
 pub struct ReadCompletion {
     pub token: u64,
-    pub client: NodeId,
     pub file: u64,
-    pub protocol: ReadProtocol,
     pub offset: u64,
     /// Bytes actually returned (requests past EOF come back short).
     pub len: u32,
@@ -225,7 +223,7 @@ pub struct ReadCompletion {
 /// through the shared [`ResultSink`].
 pub type ReadSlot = Rc<RefCell<Option<ReadCompletion>>>;
 pub type WriteSlot = Rc<RefCell<Option<WriteResult>>>;
-pub type RepairSlot = Rc<RefCell<Option<RepairResult>>>;
+pub(crate) type RepairSlot = Rc<RefCell<Option<RepairResult>>>;
 
 /// What a finished repair task did.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -249,7 +247,6 @@ pub enum RepairOutcome {
 #[derive(Clone, Debug)]
 pub struct RepairResult {
     pub token: u64,
-    pub client: NodeId,
     pub task: RepairTask,
     pub status: Status,
     pub outcome: RepairOutcome,
@@ -263,7 +260,6 @@ pub struct RepairResult {
 #[derive(Clone, Debug)]
 pub struct MetaResult {
     pub token: u64,
-    pub client: NodeId,
     pub op: MetaOpKind,
     pub start: Time,
     pub end: Time,
@@ -420,16 +416,16 @@ pub struct ClientApp {
     codecs: RsCodecs,
     /// Shared read-path counters (exported by the cluster's metrics
     /// snapshot; the handle survives the app moving into the engine).
-    pub read_stats: SharedClientReadStats,
+    pub(crate) read_stats: SharedClientReadStats,
     /// Client-side metadata cache (registered with the control plane for
     /// invalidation callbacks at construction).
-    pub meta_cache: Rc<RefCell<MetaCache>>,
+    pub(crate) meta_cache: Rc<RefCell<MetaCache>>,
     /// Disable to measure the uncached baseline (every op round-trips).
     pub cache_enabled: bool,
     /// Client-side read cache + readahead, keyed by the extent-map
     /// generation (registered with the control plane for generation
     /// callbacks at construction).
-    pub read_cache: Rc<RefCell<ReadCache>>,
+    pub(crate) read_cache: Rc<RefCell<ReadCache>>,
     /// Disable to measure the uncached read path (every `read_at` pays a
     /// resolve plus the full fan-out).
     pub read_cache_enabled: bool,
@@ -438,13 +434,13 @@ pub struct ClientApp {
     pub obs: SharedObs,
     /// Shared trace ring: control-plane calls this client makes (resolve,
     /// commit, repair planning) are annotated on the `control` track.
-    pub trace: SharedTrace,
+    pub(crate) trace: SharedTrace,
     /// Tenant id stamped into DFS headers for QoS scheduling at storage
     /// nodes. `None` means "use the node id" (each client its own tenant);
     /// the handle is shared with the cluster so tests can regroup clients
     /// after the app has moved into the engine. Repair traffic overrides
     /// this with [`nadfs_simnet::TENANT_REPAIR`].
-    pub tenant: Rc<Cell<Option<TenantId>>>,
+    pub(crate) tenant: Rc<Cell<Option<TenantId>>>,
 }
 
 impl ClientApp {
@@ -728,7 +724,7 @@ impl ClientApp {
             Op::Repair(r) => self.step_repair(nic, ctx, id, r, ev),
             // These two wait for exactly one event.
             Op::Meta(m) if matches!(ev, Event::Timer) => self.finish_meta(ctx, m),
-            Op::CacheHit(h) if matches!(ev, Event::Timer) => self.finish_cache_hit(nic, ctx, h),
+            Op::CacheHit(h) if matches!(ev, Event::Timer) => self.finish_cache_hit(ctx, h),
             unexpected => Step::Pending(unexpected),
         };
         match step {

@@ -21,20 +21,20 @@ use crate::config::CACHE_PROBE;
 /// the unit the miss path consumes, and what parks on an in-flight
 /// background readahead covering its range.
 pub(super) struct ReadReq {
-    pub token: u64,
-    pub file: u64,
-    pub offset: u64,
-    pub len: u32,
-    pub protocol: ReadProtocol,
-    pub slot: Option<ReadSlot>,
-    pub span: SpanId,
-    pub start: Time,
+    pub(crate) token: u64,
+    pub(crate) file: u64,
+    pub(crate) offset: u64,
+    pub(crate) len: u32,
+    pub(crate) protocol: ReadProtocol,
+    pub(crate) slot: Option<ReadSlot>,
+    pub(crate) span: SpanId,
+    pub(crate) start: Time,
 }
 
 impl ReadReq {
     /// This request's completion record: `data` is what the caller gets
     /// (empty unless `status` is `Ok`).
-    fn completion(&self, client: NodeId, end: Time, status: Status, data: Bytes) -> ReadCompletion {
+    fn completion(&self, end: Time, status: Status, data: Bytes) -> ReadCompletion {
         let checksum = if status == Status::Ok {
             payload_checksum(&data)
         } else {
@@ -42,9 +42,7 @@ impl ReadReq {
         };
         ReadCompletion {
             token: self.token,
-            client,
             file: self.file,
-            protocol: self.protocol,
             offset: self.offset,
             len: data.len() as u32,
             start: self.start,
@@ -125,11 +123,11 @@ pub(super) struct ReadOp {
     offloaded_degraded: u32,
     /// A readahead-tail op: fills the cache, delivers no completion, and
     /// occupies no window slot of its own.
-    pub background: bool,
+    pub(crate) background: bool,
     /// Reads parked on this background op because its range covers
     /// theirs (they keep their window slots): instead of a duplicate
     /// resolve + fan-out they resume from the cache when the fill lands.
-    pub waiters: Vec<ReadReq>,
+    pub(crate) waiters: Vec<ReadReq>,
     phase: Phase,
     /// A NACKed piece never fires its read-done, so its token is reaped
     /// with the rest at retirement.
@@ -208,12 +206,12 @@ impl ClientApp {
     }
 
     /// The probe latency elapsed: deliver the cached bytes.
-    pub(super) fn finish_cache_hit(&mut self, nic: &NicCore, ctx: &Ctx<'_>, hit: CacheHit) -> Step {
+    pub(super) fn finish_cache_hit(&mut self, ctx: &Ctx<'_>, hit: CacheHit) -> Step {
         let end = ctx.now() + POLL_NOTIFY;
         self.span_end(hit.req.span, end, true);
         let completion = ReadCompletion {
             from_cache: true,
-            ..hit.req.completion(nic.node(), end, Status::Ok, hit.data)
+            ..hit.req.completion(end, Status::Ok, hit.data)
         };
         self.deliver_read(hit.req.slot, completion);
         Step::Done(Routes::default())
@@ -254,7 +252,7 @@ impl ClientApp {
             // Unknown file, failed-node range, unrecoverable stripe:
             // the read completes Rejected with no data.
             self.span_end(req.span, ctx.now(), false);
-            let completion = req.completion(nic.node(), ctx.now(), Status::Rejected, Bytes::new());
+            let completion = req.completion(ctx.now(), Status::Rejected, Bytes::new());
             self.deliver_read(req.slot, completion);
             return;
         };
@@ -718,7 +716,7 @@ impl ClientApp {
         self.span_end(r.req.span, end, ok);
         let completion = ReadCompletion {
             degraded_stripes,
-            ..r.req.completion(nic.node(), end, status, data)
+            ..r.req.completion(end, status, data)
         };
         self.deliver_read(r.req.slot, completion);
         Step::Done(r.routes)

@@ -50,7 +50,6 @@ impl ClientApp {
     /// abort).
     fn deliver_repair(
         &mut self,
-        nic: &NicCore,
         ctx: &Ctx<'_>,
         req: RepairReq,
         outcome: RepairOutcome,
@@ -63,7 +62,6 @@ impl ClientApp {
         };
         let result = RepairResult {
             token: req.token,
-            client: nic.node(),
             task: req.task,
             status,
             outcome,
@@ -113,7 +111,7 @@ impl ClientApp {
                     Err(e) => RepairOutcome::Unrepairable(e),
                     Ok(_) => RepairOutcome::AlreadyHealthy,
                 };
-                self.deliver_repair(nic, ctx, req, outcome, 0);
+                self.deliver_repair(ctx, req, outcome, 0);
                 return;
             }
         };
@@ -186,13 +184,13 @@ impl ClientApp {
         };
         match settled {
             Ok(false) => Step::Pending(Op::Repair(r)),
-            Ok(true) => self.commit_repair(nic, ctx, *r),
+            Ok(true) => self.commit_repair(ctx, *r),
             Err(status) => {
                 // A fetch NACKed, the rebuild failed or a spare write was
                 // refused: cancel outstanding reads and deliver a typed
                 // `Aborted` completion the driver can retry.
                 r.routes.msgs.iter().for_each(|m| nic.cancel_read(*m));
-                self.deliver_repair(nic, ctx, r.req, RepairOutcome::Aborted(status), 0);
+                self.deliver_repair(ctx, r.req, RepairOutcome::Aborted(status), 0);
                 Step::Done(r.routes)
             }
         }
@@ -280,7 +278,7 @@ impl ClientApp {
 
     /// Every spare write acknowledged: commit the re-homing into the
     /// extent map (generation bump + cache invalidation) and complete.
-    fn commit_repair(&mut self, nic: &NicCore, ctx: &Ctx<'_>, r: RepairOp) -> Step {
+    fn commit_repair(&mut self, ctx: &Ctx<'_>, r: RepairOp) -> Step {
         let task = r.req.task;
         let committed = self.control.borrow_mut().commit_repair(
             task,
@@ -305,7 +303,7 @@ impl ClientApp {
         if !matches!(outcome, RepairOutcome::Unrepairable(_)) {
             self.span_mark(r.req.span, phase::COMMITTED, ctx.now());
         }
-        self.deliver_repair(nic, ctx, r.req, outcome, r.bytes_moved);
+        self.deliver_repair(ctx, r.req, outcome, r.bytes_moved);
         Step::Done(r.routes)
     }
 }

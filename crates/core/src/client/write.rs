@@ -22,12 +22,12 @@ const WRITEBACK_BATCH: usize = 8;
 /// One write as asked for: [`super::Job::Write`] (seeded payload, append)
 /// and [`super::Job::WriteAt`] both become this.
 pub(super) struct WriteReq {
-    pub file: u64,
+    pub(crate) file: u64,
     /// `None` = append at the cursor.
-    pub offset: Option<u64>,
-    pub data: Bytes,
-    pub protocol: WriteProtocol,
-    pub slot: Option<WriteSlot>,
+    pub(crate) offset: Option<u64>,
+    pub(crate) data: Bytes,
+    pub(crate) protocol: WriteProtocol,
+    pub(crate) slot: Option<WriteSlot>,
 }
 
 impl WriteReq {

@@ -38,25 +38,25 @@ pub enum StorageMode {
 #[derive(Clone, Debug)]
 pub struct ClusterSpec {
     pub n_clients: usize,
-    pub n_storage: usize,
-    pub mode: StorageMode,
+    pub(crate) n_storage: usize,
+    pub(crate) mode: StorageMode,
     pub cost: CostModel,
     /// Outstanding requests each client keeps in flight.
-    pub client_window: usize,
+    pub(crate) client_window: usize,
     /// NIC accumulator pool entries for EC aggregation (§VI-B-3).
-    pub accumulator_pool: usize,
+    pub(crate) accumulator_pool: usize,
     /// Build with live observability (op spans, metrics hub, trace ring)
     /// wired through every component. On by default: everything is
     /// bounded (span/trace rings) and costs one branch per op when idle.
-    pub observability: bool,
+    pub(crate) observability: bool,
     /// Enable DES-engine dispatch profiling (host wall-clock per handler;
     /// off by default because it perturbs wall-clock benchmarks).
-    pub engine_profiling: bool,
+    pub(crate) engine_profiling: bool,
     /// Flow control budgets + per-tenant QoS.
-    pub qos: QosConfig,
+    pub(crate) qos: QosConfig,
     /// Metadata shards in the control plane (hash-partitioned namespace
     /// + extent maps; 1 = the unsharded seed behavior).
-    pub meta_shards: usize,
+    pub(crate) meta_shards: usize,
 }
 
 /// Per-tenant QoS at the storage nodes: deficit-round-robin service of
@@ -193,14 +193,14 @@ impl NodeShared {
 /// installed.
 pub struct StorageHandles {
     pub mem: SharedMemory,
-    pub dma: Rc<RefCell<DmaEngine>>,
+    pub(crate) dma: Rc<RefCell<DmaEngine>>,
     pub stats: SharedStorageStats,
     pub nic_stats: SharedNicStats,
-    pub flow_stats: SharedFlowStats,
-    pub pspin_telemetry: Option<Rc<RefCell<Telemetry>>>,
+    pub(crate) flow_stats: SharedFlowStats,
+    pub(crate) pspin_telemetry: Option<Rc<RefCell<Telemetry>>>,
     /// The ledgers of its QoS schedulers (RPC service, then read
     /// streams); none without QoS.
-    pub tenant_ledgers: Vec<SharedTenantLedgers>,
+    pub(crate) tenant_ledgers: Vec<SharedTenantLedgers>,
 }
 
 /// A storage node: the storage software on a NIC bound to `port`, to be
@@ -311,11 +311,11 @@ pub struct SimCluster {
     pub buf_pools: Vec<nadfs_simnet::SharedBufPool>,
     /// Per-tenant service ledgers of every QoS scheduling point (storage
     /// read streams + storage RPC service); empty when QoS is off.
-    pub tenant_ledgers: Vec<SharedTenantLedgers>,
+    pub(crate) tenant_ledgers: Vec<SharedTenantLedgers>,
     /// Per-client tenant-id cells (index-aligned with `client_nodes`):
     /// `None` = the client's node id. Set via [`crate::fs::FsClient`] or
     /// directly to group clients into tenants after build.
-    pub client_tenants: Vec<Rc<std::cell::Cell<Option<TenantId>>>>,
+    pub(crate) client_tenants: Vec<Rc<std::cell::Cell<Option<TenantId>>>>,
     pub pspin_telemetry: Vec<Option<Rc<RefCell<Telemetry>>>>,
     pub fabric_stats: Rc<RefCell<FabricStats>>,
     /// Shared observability hub (op spans + metrics); disabled when the
@@ -684,7 +684,7 @@ impl SimCluster {
 
     /// Export completed spans + the trace ring as Chrome trace-event JSON
     /// (loadable in Perfetto / `chrome://tracing`).
-    pub fn export_chrome_trace(&self) -> String {
+    pub(crate) fn export_chrome_trace(&self) -> String {
         let hub = self.obs.borrow();
         nadfs_simnet::telemetry::chrome_trace_json(hub.spans.done(), &self.trace.borrow())
     }

@@ -66,9 +66,10 @@ mod shard;
 use placement::NodeState;
 pub use placement::{FileMeta, StripeTarget, WritePlacement};
 pub use repair_queue::{RepairPlan, RepairQueue, RepairStats, RepairTask};
-pub use router::ShardRouter;
+pub(crate) use router::ShardRouter;
 use shard::FileState;
-pub use shard::{LogEntry, MetaMutation, MetaShard, OpLog, ServiceClass, ShardStats, TxRecovery};
+pub(crate) use shard::{MetaMutation, MetaShard, ServiceClass};
+pub use shard::{ShardStats, TxRecovery};
 
 // Policies now live with the rest of the file metadata in `nadfs-meta`;
 // re-exported here so existing call sites keep working.
@@ -126,7 +127,7 @@ pub type SharedControl = Rc<RefCell<ControlPlane>>;
 /// The one `std` hash table in the control plane, because it is the type
 /// `ExtentMap::resolve` takes. It is probed and `any()`-ed, never
 /// iterated into an order.
-pub type FailedNodes = std::collections::HashSet<u32>; // membership only
+pub(crate) type FailedNodes = std::collections::HashSet<u32>; // membership only
 
 /// Control-plane round-trips, by operation. The sum is the number a
 /// perfect client cache would shrink.

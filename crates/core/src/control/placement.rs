@@ -15,18 +15,18 @@ pub struct FileMeta {
     /// what `stat` reflects and what read planning clamps against — a
     /// write that is rejected or never acknowledged must not create
     /// phantom EOF state.
-    pub size: u64,
+    pub(crate) size: u64,
     /// The placement cursor: appends place at this offset, and it
     /// advances at *placement* time so pipelined appends never overlap.
     /// Runs ahead of `size` while writes are in flight; a rejected write
     /// leaves a permanent gap between the two (the file is sparse there
     /// if a later write commits past it).
-    pub cursor: u64,
-    pub policy: FilePolicy,
+    pub(crate) cursor: u64,
+    pub(crate) policy: FilePolicy,
     /// Index (into the storage-node list) of the stripe's first node.
-    pub home: usize,
+    pub(crate) home: usize,
     /// Where the file's bytes go.
-    pub layout: StripedLayout,
+    pub(crate) layout: StripedLayout,
 }
 
 /// One striped piece of a plain write: a concrete (node, addr) target.
@@ -41,7 +41,7 @@ pub struct StripeTarget {
 /// Placement of one write: where every byte (and parity) goes.
 #[derive(Clone, Debug)]
 pub struct WritePlacement {
-    pub greq: u64,
+    pub(crate) greq: u64,
     /// Primary target (node, address).
     pub primary: ReplicaCoord,
     /// All replica coordinates including the primary, in virtual-rank
@@ -83,7 +83,7 @@ impl WritePlacement {
 
     /// Placement for a request that was rejected before placement (the
     /// failed-job record still carries a `WritePlacement`).
-    pub fn rejected(greq: u64) -> WritePlacement {
+    pub(crate) fn rejected(greq: u64) -> WritePlacement {
         WritePlacement::empty(greq, 0, 0)
     }
 }
@@ -92,7 +92,7 @@ impl WritePlacement {
 /// is in layout order: a file's `home` and every round-robin run index
 /// into it, and [`ControlPlane::node_index`] is the one id → index scan.
 pub(super) struct NodeState {
-    pub id: NodeId,
+    pub(crate) id: NodeId,
     /// Bump allocator for write and repair placement.
     next_addr: u64,
     /// Stale copies stranded here as `(chunks, bytes)`: shards whose
@@ -100,16 +100,16 @@ pub(super) struct NodeState {
     /// was failed. The live hosted gauges are decremented at
     /// re-home/unlink time; this remembers the dead bytes still
     /// physically on the node so recovery reconciliation can reclaim them.
-    pub orphaned: (u64, u64),
+    pub(crate) orphaned: (u64, u64),
     /// The node's stats sink, attached by the cluster builder so
     /// placement decisions are observable on the nodes they land on
     /// (unit tests build planes without sinks; every ledger update
     /// degrades to a no-op there).
-    pub stats: Option<SharedStorageStats>,
+    pub(crate) stats: Option<SharedStorageStats>,
 }
 
 impl NodeState {
-    pub fn new(id: NodeId) -> NodeState {
+    pub(crate) fn new(id: NodeId) -> NodeState {
         NodeState {
             id,
             next_addr: 0x10_0000,

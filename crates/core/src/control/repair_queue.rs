@@ -16,7 +16,7 @@ pub struct RepairTask {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RepairStats {
     /// Tasks ever enqueued (dedup hits not counted).
-    pub enqueued: u64,
+    pub(crate) enqueued: u64,
     /// Tasks moved to (or inserted at) the queue front by a degraded
     /// read hit.
     pub promoted: u64,
@@ -25,7 +25,7 @@ pub struct RepairStats {
     /// Tasks pushed back for another attempt after a transient failure.
     pub requeued: u64,
     /// Shards re-homed by committed repairs.
-    pub shards_rehomed: u64,
+    pub(crate) shards_rehomed: u64,
     /// Tasks dropped by node-recovery reconciliation: their extent no
     /// longer references any failed node, so repairing them would be a
     /// no-op walk of the queue.
@@ -100,7 +100,7 @@ impl RepairQueue {
     /// rest), rebuild the dedup set, and return how many were dropped.
     /// Recovery reconciliation uses this to purge tasks made obsolete by
     /// a node coming back.
-    pub fn retain_tasks(&mut self, mut keep: impl FnMut(&RepairTask) -> bool) -> u64 {
+    pub(crate) fn retain_tasks(&mut self, mut keep: impl FnMut(&RepairTask) -> bool) -> u64 {
         let before = self.q.len();
         self.q.retain(|t| keep(t));
         self.queued = self.q.iter().copied().collect();

@@ -8,12 +8,12 @@
 
 /// Stateless ino → shard map shared by every control-plane entry point.
 #[derive(Clone, Copy, Debug)]
-pub struct ShardRouter {
+pub(crate) struct ShardRouter {
     n_shards: usize,
 }
 
 impl ShardRouter {
-    pub fn new(n_shards: usize) -> ShardRouter {
+    pub(crate) fn new(n_shards: usize) -> ShardRouter {
         ShardRouter {
             n_shards: n_shards.max(1),
         }
@@ -22,7 +22,7 @@ impl ShardRouter {
     /// The shard owning `ino`. Sequentially-allocated inos (the common
     /// namespace pattern) must spread: a bare `ino % n` would put every
     /// other create on the same shard pair, so mix first.
-    pub fn route(&self, ino: u64) -> usize {
+    pub(crate) fn route(&self, ino: u64) -> usize {
         (splitmix64(ino) % self.n_shards as u64) as usize
     }
 }

@@ -25,7 +25,7 @@ use crate::config::{MUTATE_SERVICE, RESOLVE_SERVICE};
 
 /// A namespace mutation as recorded in a shard's op log.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum MetaMutation {
+pub(crate) enum MetaMutation {
     Mkdir { ino: u64 },
     Create { ino: u64 },
     Rename { from: String, to: String },
@@ -37,7 +37,7 @@ pub enum MetaMutation {
 
 /// One record in a shard's append-only op log.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum LogEntry {
+pub(crate) enum LogEntry {
     /// A single-shard mutation: logged and acked, applied in place.
     Apply { op: MetaMutation },
     /// Cross-shard transaction phase 1: this shard is a participant.
@@ -55,12 +55,12 @@ pub enum LogEntry {
 
 /// A shard's append-only mutation log.
 #[derive(Debug, Default)]
-pub struct OpLog {
+pub(crate) struct OpLog {
     entries: Vec<LogEntry>,
 }
 
 impl OpLog {
-    pub fn append(&mut self, e: LogEntry) {
+    pub(crate) fn append(&mut self, e: LogEntry) {
         self.entries.push(e);
     }
 
@@ -70,7 +70,7 @@ impl OpLog {
 
     /// Transaction ids with an `Intent` on this shard but no terminal
     /// `Commit`/`Abort` — what recovery has to resolve.
-    pub fn dangling_intents(&self) -> Vec<u64> {
+    pub(crate) fn dangling_intents(&self) -> Vec<u64> {
         let mut dangling: Vec<u64> = Vec::new();
         for e in &self.entries {
             match e {
@@ -85,7 +85,7 @@ impl OpLog {
     }
 
     /// Whether this shard witnessed the apply of `txid` (coordinator).
-    pub fn has_applied(&self, txid: u64) -> bool {
+    pub(crate) fn has_applied(&self, txid: u64) -> bool {
         self.entries
             .iter()
             .any(|e| matches!(e, LogEntry::Applied { txid: t } if *t == txid))
@@ -100,7 +100,7 @@ pub struct ShardStats {
     /// Namespace/extent mutations routed here.
     pub mutations: u64,
     /// Read-side resolves routed here.
-    pub resolves: u64,
+    pub(crate) resolves: u64,
     /// Total simulated time ops spent queued behind this shard
     /// (admission-control wait, picoseconds).
     pub queue_wait_ps: u64,
@@ -109,42 +109,42 @@ pub struct ShardStats {
     /// Extent-map compactions run on files this shard owns.
     pub compactions: u64,
     /// Fully-shadowed extent records dropped by those compactions.
-    pub records_dropped: u64,
+    pub(crate) records_dropped: u64,
 }
 
 /// Everything the control plane holds about one file, under one key:
 /// create installs it, unlink and rename-replace remove it, and nothing
 /// about a file lives anywhere else.
 #[derive(Debug)]
-pub struct FileState {
-    pub meta: FileMeta,
+pub(crate) struct FileState {
+    pub(crate) meta: FileMeta,
     /// Committed extents (empty until the first commit).
-    pub extents: ExtentMap,
+    pub(crate) extents: ExtentMap,
     /// The map's length after its last compaction, so the next one only
     /// triggers after real growth.
-    pub compact_floor: usize,
+    pub(crate) compact_floor: usize,
     /// Sequential-scan detector over resolve traffic: where the last
     /// resolve ended, and how many have run back-to-back.
-    pub scan: (u64, u32),
+    pub(crate) scan: (u64, u32),
 }
 
 /// One metadata shard: the partition's files, its op log, and the
 /// single-server queue the admission model charges against.
 #[derive(Debug)]
-pub struct MetaShard {
-    pub id: usize,
+pub(crate) struct MetaShard {
+    pub(crate) id: usize,
     /// One record per file this shard owns, by ino.
-    pub files: IdMap<u64, FileState>,
+    pub(crate) files: IdMap<u64, FileState>,
     /// The shard's append-only mutation log.
-    pub log: OpLog,
+    pub(crate) log: OpLog,
     /// When this shard next becomes free (simulated ps) — the
     /// single-server queue behind which routed ops wait.
-    pub busy_until_ps: u64,
-    pub stats: ShardStats,
+    pub(crate) busy_until_ps: u64,
+    pub(crate) stats: ShardStats,
 }
 
 impl MetaShard {
-    pub fn new(id: usize) -> MetaShard {
+    pub(crate) fn new(id: usize) -> MetaShard {
         MetaShard {
             id,
             files: IdMap::default(),
@@ -157,7 +157,7 @@ impl MetaShard {
 
 /// Which service-time bucket a routed op occupies its shard for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ServiceClass {
+pub(crate) enum ServiceClass {
     Mutation,
     Resolve,
 }
@@ -207,7 +207,7 @@ impl ControlPlane {
     /// Forget the route an earlier call left without admitting it (write
     /// placement and commit, namespace set-up): a client op calls this
     /// before it routes, so if it routes nothing it admits nothing.
-    pub fn clear_route(&mut self) {
+    pub(crate) fn clear_route(&mut self) {
         self.last_route = None;
     }
 

@@ -371,7 +371,7 @@ impl FsClient {
 
 /// The fastest write protocol the cluster's storage mode supports for a
 /// file of this policy (the mapping tests and examples start from).
-pub fn default_write_protocol(mode: StorageMode, policy: &FilePolicy) -> WriteProtocol {
+pub(crate) fn default_write_protocol(mode: StorageMode, policy: &FilePolicy) -> WriteProtocol {
     match (mode, policy) {
         (StorageMode::Spin, FilePolicy::Plain) => WriteProtocol::Spin,
         (StorageMode::Spin, FilePolicy::Replicated { .. }) => WriteProtocol::SpinReplicated,

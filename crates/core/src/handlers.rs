@@ -134,7 +134,7 @@ struct StripeState {
 
 /// The handler set installed on storage-node NICs, and the execution
 /// context's state it works on in NIC memory (`task->mem`).
-pub struct DfsNicState {
+pub(crate) struct DfsNicState {
     check: RequestCheck,
     req_table: IdMap<MsgId, Rc<ReqEntry>>,
     next_fwd_seq: u64,
@@ -161,7 +161,7 @@ impl DfsNicState {
     /// product buffers from `buf_pool` (the owning NIC's ring), counting
     /// refusals in `stats` (the owning NIC's) and reporting to `obs` and
     /// `trace`.
-    pub fn new(
+    pub(crate) fn new(
         key: MacKey,
         accumulator_pool: usize,
         buf_pool: SharedBufPool,

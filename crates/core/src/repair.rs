@@ -62,7 +62,7 @@ pub struct RepairDriver {
     /// Attempt budget per task (transient aborts requeue until spent).
     pub max_attempts: u32,
     /// Per-operation simulation deadline in simulated milliseconds.
-    pub op_deadline_ms: u64,
+    pub(crate) op_deadline_ms: u64,
     /// Windowed bandwidth cap: at most this many committed repair bytes
     /// per [`Self::throttle_window_ms`] of simulated time. Once a window's
     /// budget is spent the driver idles the cluster to the window
@@ -147,7 +147,6 @@ impl RepairDriver {
                 // (e.g. a dead cluster): synthesize a typed abort so the
                 // caller still sees the attempt.
                 token,
-                client: cluster.client_nodes[self.client],
                 task,
                 status: Status::Rejected,
                 outcome: RepairOutcome::Aborted(Status::Rejected),

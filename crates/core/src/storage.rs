@@ -34,10 +34,10 @@ use nadfs_wire::{
 #[derive(Debug, Default)]
 pub struct StorageStats {
     pub rpc_writes: u64,
-    pub rpc_rdma_writes: u64,
+    pub(crate) rpc_rdma_writes: u64,
     /// CPU-validated reads served through the RPC read protocol.
-    pub rpc_reads: u64,
-    pub chunks_forwarded: u64,
+    pub(crate) rpc_reads: u64,
+    pub(crate) chunks_forwarded: u64,
     pub auth_failures: u64,
     pub fallback_aggregations: u64,
     pub cleanup_events: u64,
@@ -109,9 +109,9 @@ pub(crate) struct QueuedRpc {
 }
 
 /// The storage node software.
-pub struct StorageApp {
+pub(crate) struct StorageApp {
     key: MacKey,
-    pub stats: SharedStorageStats,
+    pub(crate) stats: SharedStorageStats,
     /// Network line rate, used to model the receive-copy overlap: while a
     /// long SEND is still arriving, the CPU copies the already-received
     /// prefix, so only the residual is serial after the last packet.
@@ -126,8 +126,8 @@ pub struct StorageApp {
     progress: IdMap<u64, u32>,
     /// Observability: span phase marks (greq-correlated) + trace ring.
     /// Both default disabled; the cluster build installs the live hubs.
-    pub obs: SharedObs,
-    pub trace: SharedTrace,
+    pub(crate) obs: SharedObs,
+    pub(crate) trace: SharedTrace,
     /// Per-tenant fair queueing of RPC service (None = first-come
     /// dispatch, the pre-QoS behavior): incoming write/read RPCs drain in
     /// deficit-round-robin order, each holding a service slot until the
@@ -139,7 +139,7 @@ pub struct StorageApp {
 const TAG_BASE: u64 = 0x5347_0000_0000_0000;
 
 impl StorageApp {
-    pub fn new(key: MacKey, wire_bw: nadfs_simnet::Bandwidth) -> StorageApp {
+    pub(crate) fn new(key: MacKey, wire_bw: nadfs_simnet::Bandwidth) -> StorageApp {
         StorageApp {
             key,
             stats: Rc::new(RefCell::new(StorageStats::default())),

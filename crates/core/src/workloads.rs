@@ -80,16 +80,16 @@ pub enum ReadPattern {
 /// phase over the written region (a read-after-write mix).
 #[derive(Clone, Debug)]
 pub struct Workload {
-    pub file: u64,
-    pub protocol: WriteProtocol,
-    pub sizes: SizeDist,
-    pub writes_per_client: usize,
+    pub(crate) file: u64,
+    pub(crate) protocol: WriteProtocol,
+    pub(crate) sizes: SizeDist,
+    pub(crate) writes_per_client: usize,
     /// Ranged reads appended after the writes (0 = write-only).
-    pub reads_per_client: usize,
-    pub read_protocol: ReadProtocol,
+    pub(crate) reads_per_client: usize,
+    pub(crate) read_protocol: ReadProtocol,
     /// Offset selection for the read phase.
-    pub read_pattern: ReadPattern,
-    pub seed: u64,
+    pub(crate) read_pattern: ReadPattern,
+    pub(crate) seed: u64,
 }
 
 impl Workload {
@@ -221,18 +221,18 @@ impl Workload {
 pub struct MetaWorkload {
     /// Workload root (must exist before the run; see
     /// [`MetaWorkload::prepare`]).
-    pub root: String,
-    pub dirs: usize,
-    pub files_per_dir: usize,
+    pub(crate) root: String,
+    pub(crate) dirs: usize,
+    pub(crate) files_per_dir: usize,
     /// Number of stat (lookup) ops in the storm.
-    pub stat_storm: usize,
+    pub(crate) stat_storm: usize,
     /// Fraction of files renamed after the storm, in [0, 1].
-    pub rename_frac: f64,
+    pub(crate) rename_frac: f64,
     /// Fraction of files unlinked at the end, in [0, 1].
-    pub unlink_frac: f64,
+    pub(crate) unlink_frac: f64,
     /// Stripe layout for the touched files.
-    pub layout: LayoutSpec,
-    pub seed: u64,
+    pub(crate) layout: LayoutSpec,
+    pub(crate) seed: u64,
 }
 
 impl MetaWorkload {
