@@ -36,8 +36,8 @@ use std::rc::Rc;
 
 use nadfs_host::DmaEngine;
 use nadfs_simnet::{
-    ComponentId, Ctx, Dur, IdMap, NetPacket, NodeId, NodePort, PacketPool, SharedBufPool,
-    SharedPacketPool, Slab, Time,
+    ComponentId, Ctx, Dur, IdMap, NetPacket, NodeId, NodePort, SharedBufPool, SharedPacketPool,
+    Slab, Time,
 };
 use nadfs_wire::{AckPkt, Frame, MsgId, Pkt, Status};
 
@@ -140,10 +140,10 @@ pub struct PsPinDevice {
     /// Memory accounting: descriptor bytes in use vs budget.
     desc_bytes_used: u64,
     desc_bytes_budget: u64,
-    /// When set, uniquely-owned DMA-write payloads are recycled here once
-    /// their run retires — closing the handler-side buffer loop (the NIC's
+    /// Uniquely-owned DMA-write payloads are recycled here once their run
+    /// retires — closing the handler-side buffer loop (the NIC's
     /// packet-buffer ring). The execution context shares the same pool.
-    buf_pool: Option<SharedBufPool>,
+    buf_pool: SharedBufPool,
     /// Boxes for packets handlers send; consumed packets' boxes return.
     pkt_pool: SharedPacketPool<Frame>,
     /// Pipeline steps, and handlers' notifications for the owner (due at
@@ -170,11 +170,18 @@ impl PsPinDevice {
     /// with; the owner calls [`Self::on_gate_wake`].
     pub const EGRESS_WAKE: u64 = u64::MAX;
 
+    /// A device on `port`, installed in component `owner`, landing writes
+    /// through `dma`. Retired DMA-write payloads recycle into `buf_pool`
+    /// and consumed packets' boxes into `pkt_pool` (the owning NIC's, so
+    /// handlers draw from the same ring); handler sends take their boxes
+    /// from `pkt_pool`.
     pub fn new(
         cfg: PsPinConfig,
         port: NodePort,
         dma: Rc<RefCell<DmaEngine>>,
         owner: ComponentId,
+        buf_pool: SharedBufPool,
+        pkt_pool: SharedPacketPool<Frame>,
     ) -> PsPinDevice {
         let clusters = (0..cfg.n_clusters)
             .map(|_| Cluster {
@@ -199,27 +206,14 @@ impl PsPinDevice {
             l1_engine_free,
             egress_waiters: VecDeque::new(),
             desc_bytes_used: 0,
-            buf_pool: None,
-            pkt_pool: PacketPool::shared(),
+            buf_pool,
+            pkt_pool,
             stages: Slab::new(),
             notes: Slab::new(),
             spare_ops: Vec::new(),
             touched: Vec::new(),
             telemetry: Rc::new(RefCell::new(Telemetry::default())),
         }
-    }
-
-    /// Attach the buffer pool retired DMA-write payloads recycle into
-    /// (shared with the execution-context state so handlers draw from the
-    /// same ring).
-    pub fn set_buf_pool(&mut self, pool: SharedBufPool) {
-        self.buf_pool = Some(pool);
-    }
-
-    /// Attach the packet-box pool of the owning NIC: handler sends take
-    /// their box from it, consumed packets' boxes return to it.
-    pub fn set_packet_pool(&mut self, pool: SharedPacketPool<Frame>) {
-        self.pkt_pool = pool;
     }
 
     /// Shared handle to the device telemetry (Tables I/II, Figs 7/11/16).
@@ -390,10 +384,10 @@ impl PsPinDevice {
             return;
         }
         let mut p = self.held.remove(token).expect("held packet");
-        if let (Frame::Write(w), Some(pool)) = (&mut p.ev.pkt.payload, &self.buf_pool) {
+        if let Frame::Write(w) = &mut p.ev.pkt.payload {
             if !w.data.is_empty() {
                 if let Ok(v) = std::mem::take(&mut w.data).try_unwrap() {
-                    pool.borrow_mut().put(v);
+                    self.buf_pool.borrow_mut().put(v);
                 }
             }
         }
@@ -630,7 +624,7 @@ impl PsPinDevice {
         // this NIC was the last owner of (pooled accumulators, landed
         // packet data whose frames have all been dropped) back into the
         // packet-buffer ring, and keep the recorder for the next run.
-        ops.reset(self.buf_pool.as_ref());
+        ops.reset(&self.buf_pool);
         self.spare_ops.push(ops);
         let close = matches!(kind, HandlerKind::Completion | HandlerKind::Cleanup);
         if let Some(st) = self.msgs.get_mut(&msg) {
@@ -759,7 +753,7 @@ mod tests {
     use crate::handler::{HandlerSet, HostEvent};
     use bytes::Bytes;
     use nadfs_host::{DmaConfig, HostMemory};
-    use nadfs_simnet::{Component, Engine, Fabric, FabricConfig, PacketEvent};
+    use nadfs_simnet::{BufPool, Component, Engine, Fabric, FabricConfig, PacketEvent, PacketPool};
     use nadfs_wire::{split_payload, WritePkt};
     use std::any::Any;
 
@@ -930,7 +924,8 @@ mod tests {
             DmaConfig::default(),
             mem.clone(),
         )));
-        let mut dev = PsPinDevice::new(cfg, nport, dma, nic_id);
+        let (bufs, pkts) = (BufPool::shared(256), PacketPool::shared());
+        let mut dev = PsPinDevice::new(cfg, nport, dma, nic_id, bufs, pkts);
         dev.install_context(ExecutionContext {
             handlers: Box::new(TestHandlers {
                 fanout,

@@ -104,18 +104,15 @@ impl Ops {
 
     /// Forget the recording, keeping its storage for the next run.
     /// Uniquely-owned DMA-write payloads retire into `bufs`.
-    pub(crate) fn reset(&mut self, bufs: Option<&SharedBufPool>) {
-        if let Some(bufs) = bufs {
-            let mut bufs = bufs.borrow_mut();
-            for op in self.items.drain(..) {
-                if let Op::DmaWrite { data, .. } = op {
-                    if let Ok(v) = data.try_unwrap() {
-                        bufs.put(v);
-                    }
+    pub(crate) fn reset(&mut self, bufs: &SharedBufPool) {
+        let mut bufs = bufs.borrow_mut();
+        for op in self.items.drain(..) {
+            if let Op::DmaWrite { data, .. } = op {
+                if let Ok(v) = data.try_unwrap() {
+                    bufs.put(v);
                 }
             }
         }
-        self.items.clear();
         self.instrs = 0;
     }
 

@@ -263,9 +263,9 @@ impl NicCore {
     /// shares the NIC's buffer pool, so handler DMA-write payloads recycle
     /// into the same ring the handlers allocate from.
     pub fn install_pspin(&mut self, cfg: PsPinConfig, ec: nadfs_pspin::ExecutionContext) {
-        let mut dev = PsPinDevice::new(cfg, self.port.clone(), self.dma.clone(), self.self_id);
-        dev.set_buf_pool(self.pool.clone());
-        dev.set_packet_pool(self.pkts.clone());
+        let (port, dma) = (self.port.clone(), self.dma.clone());
+        let (bufs, pkts) = (self.pool.clone(), self.pkts.clone());
+        let mut dev = PsPinDevice::new(cfg, port, dma, self.self_id, bufs, pkts);
         dev.install_context(ec);
         self.pspin = Some(dev);
     }
