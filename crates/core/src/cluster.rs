@@ -12,7 +12,7 @@ use nadfs_simnet::{
     BufPool, ComponentId, CreditConfig, Dur, Engine, Fabric, FabricStats, FlowStats,
     MetricsSnapshot, NodeId, NodePort, ObsHub, PacketPool, SharedBufPool, SharedFlowStats,
     SharedObs, SharedPacketPool, SharedTenantLedgers, SharedTrace, TenantId, TenantLedger,
-    TenantScheduler, Time, Trace, DEFAULT_MAX_RETAINED_BYTES, TENANT_REPAIR,
+    TenantScheduler, Trace, DEFAULT_MAX_RETAINED_BYTES, TENANT_REPAIR,
 };
 use nadfs_wire::sizes::WRITE_DESCRIPTOR;
 use nadfs_wire::{Frame, MacKey};
@@ -701,46 +701,46 @@ impl SimCluster {
         }
     }
 
-    /// Run until `count(results) >= n` or `deadline_ms` passes, stepping
-    /// in bounded slices so the predicate is re-checked. Returns the
-    /// final count.
+    /// Drive the engine in 50 µs slices until `done` holds, `deadline_ms`
+    /// of simulated time passes from the call, or the event queue drains.
+    /// The one wait loop: every `run_until_*` is this with its own `done`.
+    fn drive(&mut self, deadline_ms: u64, done: impl Fn(&SimCluster) -> bool) {
+        let deadline = self.engine.now() + Dur::from_ms(deadline_ms);
+        while !done(self) && self.engine.now() < deadline {
+            let target = (self.engine.now() + Dur::from_us(50)).min(deadline);
+            if self.engine.run_until(target) {
+                break; // queue drained
+            }
+        }
+    }
+
+    /// Run until `count(results) >= n`, or [`Self::drive`] stops; returns
+    /// the final count.
     fn run_until_count(
         &mut self,
         n: usize,
         deadline_ms: u64,
         count: impl Fn(&ResultSink) -> usize,
     ) -> usize {
-        let deadline = Time(Dur::from_ms(deadline_ms).ps());
-        loop {
-            if count(&self.results.borrow()) >= n {
-                break;
-            }
-            if self.engine.now() >= deadline {
-                break;
-            }
-            let target = (self.engine.now() + Dur::from_us(50)).min(deadline);
-            if self.engine.run_until(target) {
-                break; // queue drained
-            }
-        }
-        let n_done = count(&self.results.borrow());
-        n_done
+        self.drive(deadline_ms, |cl| count(&cl.results.borrow()) >= n);
+        count(&self.results.borrow())
     }
 
-    /// Run until `n` write results exist or `deadline_ms` passes.
-    /// Returns the number of results collected.
+    /// Run until `n` write results exist or `deadline_ms` of simulated
+    /// time passes from the call. Returns the number of results collected.
     pub fn run_until_writes(&mut self, n: usize, deadline_ms: u64) -> usize {
         self.run_until_count(n, deadline_ms, |r| r.writes.len())
     }
 
-    /// Run until `n` metadata results exist or `deadline_ms` passes.
-    /// Returns the number of results collected.
+    /// Run until `n` metadata results exist or `deadline_ms` of simulated
+    /// time passes from the call. Returns the number of results collected.
     pub fn run_until_metas(&mut self, n: usize, deadline_ms: u64) -> usize {
         self.run_until_count(n, deadline_ms, |r| r.metas.len())
     }
 
     /// Run until `n` file-level read completions exist or `deadline_ms`
-    /// passes. Returns the number of completions collected.
+    /// of simulated time passes from the call. Returns the number of
+    /// completions collected.
     pub fn run_until_file_reads(&mut self, n: usize, deadline_ms: u64) -> usize {
         self.run_until_count(n, deadline_ms, |r| r.file_reads.len())
     }
@@ -751,29 +751,18 @@ impl SimCluster {
         self.engine.run_until(t);
     }
 
-    /// Drive the engine in bounded slices until the oneshot `slot` fills
-    /// or `deadline_ms` of simulated time passes. `None` means timeout,
-    /// or a drained event queue with the slot still empty (the operation
-    /// can never complete). The shared wait loop under `FsClient`'s
-    /// typed operations and the repair driver.
-    pub fn run_until_slot<T: Clone>(
+    /// Run until the oneshot `slot` fills or `deadline_ms` of simulated
+    /// time passes from the call. `None` means timeout, or a drained
+    /// event queue with the slot still empty (the operation can never
+    /// complete). The wait under `FsClient`'s typed operations and the
+    /// repair driver.
+    pub fn run_until_slot<T>(
         &mut self,
         slot: &Rc<RefCell<Option<T>>>,
         deadline_ms: u64,
     ) -> Option<T> {
-        let deadline = self.engine.now() + Dur::from_ms(deadline_ms);
-        loop {
-            if let Some(v) = slot.borrow_mut().take() {
-                return Some(v);
-            }
-            if self.engine.now() >= deadline {
-                return None;
-            }
-            let target: Time = (self.engine.now() + Dur::from_us(50)).min(deadline);
-            if self.engine.run_until(target) {
-                return slot.borrow_mut().take();
-            }
-        }
+        self.drive(deadline_ms, |_| slot.borrow().is_some());
+        slot.borrow_mut().take()
     }
 
     /// Index of a storage node in `storage_*` vectors from its node id.

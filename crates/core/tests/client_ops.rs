@@ -409,3 +409,32 @@ fn ec_write_on_a_plain_cluster_is_refused() {
     let r = fsc.read_at(&plain, 0, 10_000).expect("read");
     assert_eq!(r.data.as_ref(), &data[..]);
 }
+
+/// A wait's deadline counts from the call, the way `FsClient` and the
+/// repair driver read it: once the clock has passed `D` ms,
+/// `run_until_writes(n, D)` still runs a fresh write to completion.
+#[test]
+fn a_wait_deadline_counts_from_the_call() {
+    const D_MS: u64 = 1;
+    let mut c = SimCluster::build(ClusterSpec::new(1, 1, StorageMode::Spin));
+    let file = c.control.borrow_mut().create_file(0, FilePolicy::Plain).id;
+    let write = |c: &mut SimCluster, n: usize, deadline_ms: u64| {
+        let job = Job::Write {
+            file,
+            size: 1 << 20,
+            protocol: WriteProtocol::Spin,
+            seed: n as u64,
+        };
+        c.submit(0, job);
+        c.start();
+        c.run_until_writes(n + 1, deadline_ms)
+    };
+    let mut n = 0;
+    while c.engine.now() <= Time(Dur::from_ms(D_MS).ps()) {
+        assert_eq!(write(&mut c, n, 1_000), n + 1, "write {n}");
+        n += 1;
+    }
+    let dispatched = c.engine.events_dispatched();
+    assert_eq!(write(&mut c, n, D_MS), n + 1, "a write after {D_MS} ms");
+    assert!(c.engine.events_dispatched() > dispatched);
+}
