@@ -44,30 +44,16 @@ use std::collections::BTreeMap;
 use bytes::Bytes;
 use nadfs_simnet::IdMap;
 
-/// Tuning knobs for a client's [`ReadCache`].
-#[derive(Clone, Copy, Debug)]
-pub struct ReadCacheConfig {
-    /// Cap on cached payload bytes per client: least-recently-used
-    /// *other* files are evicted first, then the freshly-filled file's
-    /// own coldest (lowest-offset) bytes are trimmed, so even a single
-    /// long sequential scan stays bounded.
-    pub(crate) capacity_bytes: usize,
-    /// First readahead window granted to a detected sequential stream.
-    pub(crate) readahead_init: u32,
-    /// Ceiling the per-stream window ramps to (doubling per miss while
-    /// the stream stays sequential).
-    pub(crate) readahead_max: u32,
-}
-
-impl Default for ReadCacheConfig {
-    fn default() -> ReadCacheConfig {
-        ReadCacheConfig {
-            capacity_bytes: 16 << 20,
-            readahead_init: 64 << 10,
-            readahead_max: 1 << 20,
-        }
-    }
-}
+/// Cap on cached payload bytes per client: least-recently-used *other*
+/// files are evicted first, then the freshly-filled file's own coldest
+/// (lowest-offset) bytes are trimmed, so even a single long sequential
+/// scan stays bounded.
+const CAPACITY_BYTES: usize = 16 << 20;
+/// First readahead window granted to a detected sequential stream.
+const READAHEAD_INIT: u32 = 64 << 10;
+/// Ceiling the per-stream window ramps to (doubling per miss while the
+/// stream stays sequential).
+const READAHEAD_MAX: u32 = 1 << 20;
 
 /// Observable cache behavior (asserted by tests, reported by benches).
 #[derive(Clone, Copy, Debug, Default)]
@@ -163,8 +149,8 @@ struct StreamState {
 /// `client/read.rs`, filled write-through by `client/write.rs`) and is
 /// registered with the control plane for generation callbacks at cluster
 /// build time.
+#[derive(Default)]
 pub struct ReadCache {
-    pub(crate) config: ReadCacheConfig,
     pub stats: ReadCacheStats,
     /// `enforce_capacity` picks its victim by iterating this table, and
     /// the pick does not depend on the iteration order: every `touched`
@@ -185,26 +171,7 @@ pub struct ReadCache {
     clock: u64,
 }
 
-impl Default for ReadCache {
-    fn default() -> ReadCache {
-        ReadCache::new(ReadCacheConfig::default())
-    }
-}
-
 impl ReadCache {
-    pub fn new(config: ReadCacheConfig) -> ReadCache {
-        ReadCache {
-            config,
-            stats: ReadCacheStats::default(),
-            files: IdMap::default(),
-            total_bytes: 0,
-            latest_gen: IdMap::default(),
-            streams: IdMap::default(),
-            hints: IdMap::default(),
-            clock: 0,
-        }
-    }
-
     /// Cached payload bytes currently held.
     pub fn cached_bytes(&self) -> usize {
         self.total_bytes
@@ -325,11 +292,6 @@ impl ReadCache {
     /// window for sequential streams. Call *after* [`Self::lookup`]
     /// missed (lookup advances the stream tracker this consults).
     pub(crate) fn plan_readahead(&mut self, file: u64, offset: u64, len: u32) -> u32 {
-        let init = self.config.readahead_init;
-        let max = self.config.readahead_max;
-        if init == 0 {
-            return 0;
-        }
         let (last_sequential, window) = {
             let s = self.streams.entry(file).or_default();
             (s.last_sequential, s.window)
@@ -337,9 +299,9 @@ impl ReadCache {
         let mut w = if !last_sequential {
             0
         } else if window == 0 {
-            init.min(max)
+            READAHEAD_INIT
         } else {
-            window.saturating_mul(2).min(max)
+            window.saturating_mul(2).min(READAHEAD_MAX)
         };
         // A control-plane prefetch advisory can grant (or widen) a window
         // even before the local stream detector warms up — e.g. when
@@ -349,7 +311,7 @@ impl ReadCache {
             let tail = offset.saturating_add(len as u64);
             let h_end = h_off.saturating_add(h_len as u64);
             if h_off <= tail && h_end > tail {
-                let boost = ((h_end - tail) as u32).min(max);
+                let boost = ((h_end - tail) as u32).min(READAHEAD_MAX);
                 if boost > w {
                     w = boost;
                     self.stats.hint_boosts += 1;
@@ -504,8 +466,7 @@ impl ReadCache {
     /// pins its whole buffer, so the footprint is bounded by the cap plus
     /// one fill.)
     fn enforce_capacity(&mut self, just_filled: u64) {
-        let cap = self.config.capacity_bytes;
-        while self.total_bytes > cap {
+        while self.total_bytes > CAPACITY_BYTES {
             let victim = self
                 .files
                 .iter()
@@ -517,7 +478,7 @@ impl ReadCache {
                 self.stats.evictions += 1;
                 continue;
             }
-            let excess = self.total_bytes - cap;
+            let excess = self.total_bytes - CAPACITY_BYTES;
             let Some(f) = self.files.get_mut(&just_filled) else {
                 return;
             };
@@ -695,11 +656,7 @@ mod tests {
 
     #[test]
     fn sequential_stream_ramps_readahead_and_random_gets_none() {
-        let mut c = ReadCache::new(ReadCacheConfig {
-            capacity_bytes: 1 << 20,
-            readahead_init: 100,
-            readahead_max: 400,
-        });
+        let mut c = ReadCache::default();
         // Random access: no window.
         assert!(c.lookup(1, 500, 50).is_none());
         assert_eq!(c.plan_readahead(1, 500, 50), 0);
@@ -707,13 +664,18 @@ mod tests {
         assert_eq!(c.plan_readahead(1, 90, 50), 0, "stream broke");
         // Sequential: 140 follows 90+50.
         assert!(c.lookup(1, 140, 50).is_none());
-        assert_eq!(c.plan_readahead(1, 140, 50), 100, "window granted");
-        assert!(c.lookup(1, 190, 50).is_none());
-        assert_eq!(c.plan_readahead(1, 190, 50), 200, "doubled");
-        assert!(c.lookup(1, 240, 50).is_none());
-        assert_eq!(c.plan_readahead(1, 240, 50), 400, "capped");
-        assert!(c.lookup(1, 290, 50).is_none());
-        assert_eq!(c.plan_readahead(1, 290, 50), 400, "stays capped");
+        assert_eq!(c.plan_readahead(1, 140, 50), READAHEAD_INIT, "granted");
+        // Each sequential miss doubles the window up to the cap.
+        let (mut off, mut window) = (190, READAHEAD_INIT);
+        while window < READAHEAD_MAX {
+            window *= 2;
+            assert!(c.lookup(1, off, 50).is_none());
+            assert_eq!(c.plan_readahead(1, off, 50), window, "doubled");
+            off += 50;
+        }
+        assert_eq!(window, READAHEAD_MAX, "capped");
+        assert!(c.lookup(1, off, 50).is_none());
+        assert_eq!(c.plan_readahead(1, off, 50), READAHEAD_MAX, "stays capped");
         // A seek resets the ramp.
         assert!(c.lookup(1, 5_000, 50).is_none());
         assert_eq!(c.plan_readahead(1, 5_000, 50), 0);
@@ -721,18 +683,17 @@ mod tests {
 
     #[test]
     fn capacity_evicts_lru_files() {
-        let mut c = ReadCache::new(ReadCacheConfig {
-            capacity_bytes: 250,
-            readahead_init: 0,
-            readahead_max: 0,
-        });
-        c.fill(1, 1, 0, &bytes(100, 1), 100);
-        c.fill(2, 1, 0, &bytes(100, 2), 100);
+        // Two fills fit under the cap, three do not.
+        const FILL: usize = CAPACITY_BYTES / 5 * 2;
+        let len = FILL as u32;
+        let mut c = ReadCache::default();
+        c.fill(1, 1, 0, &bytes(FILL, 1), len);
+        c.fill(2, 1, 0, &bytes(FILL, 2), len);
         let _ = c.lookup(1, 0, 10); // touch 1: file 2 is now LRU
-        c.fill(3, 1, 0, &bytes(100, 3), 100);
-        assert!(c.cached_bytes() <= 250);
-        assert!(c.lookup(2, 0, 100).is_none(), "LRU file evicted");
-        assert!(c.lookup(3, 0, 100).is_some(), "fresh fill kept");
+        c.fill(3, 1, 0, &bytes(FILL, 3), len);
+        assert!(c.cached_bytes() <= CAPACITY_BYTES);
+        assert!(c.lookup(2, 0, len).is_none(), "LRU file evicted");
+        assert!(c.lookup(3, 0, len).is_some(), "fresh fill kept");
         assert_eq!(c.stats.evictions, 1);
     }
 
@@ -740,13 +701,10 @@ mod tests {
     fn sequential_scan_of_twice_the_capacity_stays_bounded() {
         // A lone streaming file must still respect the cap: the bytes the
         // stream left behind are shed head-first.
-        const FILL: usize = 64 << 10;
-        let mut c = ReadCache::new(ReadCacheConfig {
-            capacity_bytes: 10 * FILL + FILL / 2,
-            readahead_init: 0,
-            readahead_max: 0,
-        });
-        let cap = c.config.capacity_bytes;
+        // The cap is ten and a half fills.
+        const FILL: usize = CAPACITY_BYTES * 2 / 21;
+        let mut c = ReadCache::default();
+        let cap = CAPACITY_BYTES;
         for i in 0..(2 * cap).div_ceil(FILL) {
             c.fill(1, 1, (i * FILL) as u64, &bytes(FILL, i as u8), FILL as u32);
             assert!(c.cached_bytes() <= cap, "fill {i}: {}", c.cached_bytes());
@@ -805,11 +763,7 @@ mod tests {
 
     #[test]
     fn prefetch_hint_boosts_readahead_once() {
-        let mut c = ReadCache::new(ReadCacheConfig {
-            capacity_bytes: 1 << 20,
-            readahead_init: 100,
-            readahead_max: 4000,
-        });
+        let mut c = ReadCache::default();
         c.note_hint(1, 0, 2000);
         assert!(c.lookup(1, 0, 50).is_none());
         // First access is not locally sequential yet, but the advisory

@@ -28,7 +28,7 @@ mod repair;
 mod storage;
 mod workloads;
 
-pub use cache::{CachedRead, ReadCache, ReadCacheConfig, ReadCacheStats};
+pub use cache::{CachedRead, ReadCache, ReadCacheStats};
 pub use client::{
     ClientApp, ClientReadStats, Job, MetaOp, MetaOpKind, MetaResult, ReadCompletion, ReadProtocol,
     ReadSlot, RepairOutcome, RepairResult, ResultSink, SharedPlan, SharedResults, WriteProtocol,

@@ -15,8 +15,8 @@ use std::fmt::Debug;
 use std::rc::Rc;
 
 use nadfs_core::{
-    ControlPlane, FilePolicy, LayoutSpec, MetaCache, ReadCache, ReadCacheConfig, RepairTask,
-    SharedStorageStats, StorageStats, WritePlacement,
+    ControlPlane, FilePolicy, LayoutSpec, MetaCache, ReadCache, RepairTask, SharedStorageStats,
+    StorageStats, WritePlacement,
 };
 use nadfs_meta::{CachedEntry, DirtyAttr};
 use nadfs_wire::{BcastStrategy, Rights, RsScheme};
@@ -65,7 +65,7 @@ impl Rig {
             .map(|_| Rc::new(RefCell::new(StorageStats::default())))
             .collect();
         let meta_cache = Rc::new(RefCell::new(MetaCache::new()));
-        let read_cache = Rc::new(RefCell::new(ReadCache::new(ReadCacheConfig::default())));
+        let read_cache = Rc::new(RefCell::new(ReadCache::default()));
         {
             let mut c = cp.borrow_mut();
             c.attach_storage_stats(stats.clone());
