@@ -314,7 +314,7 @@ pub struct SimCluster {
     pub(crate) tenant_ledgers: Vec<SharedTenantLedgers>,
     /// Per-client tenant-id cells (index-aligned with `client_nodes`):
     /// `None` = the client's node id. Set via [`crate::fs::FsClient`] or
-    /// directly to group clients into tenants after build.
+    /// [`Self::set_client_tenant`] to group clients into tenants.
     pub(crate) client_tenants: Vec<Rc<std::cell::Cell<Option<TenantId>>>>,
     pub pspin_telemetry: Vec<Option<Rc<RefCell<Telemetry>>>>,
     pub fabric_stats: Rc<RefCell<FabricStats>>,
