@@ -138,10 +138,11 @@ impl HostMemory {
             return false;
         }
         let off = (addr - e.at) as usize;
-        let bytes = e.bytes.try_mut();
-        bytes
-            .map(|b| b[off..off + data.len()].copy_from_slice(data))
-            .is_some()
+        let Some(bytes) = e.bytes.try_mut() else {
+            return false;
+        };
+        bytes[off..off + data.len()].copy_from_slice(data);
+        true
     }
 
     /// Land a DMA-written buffer at `addr`: kept as it is when other
@@ -178,15 +179,16 @@ impl HostMemory {
 
     /// Remove every byte of `[lo, hi)`, given `j`, [`Self::index`] of
     /// `hi`: extents it covers go, extents it cuts keep the parts outside
-    /// it. Returns the index at which the range now goes. What it cuts
-    /// ends just before `j`, so a range that meets nothing costs one look.
+    /// it. Returns the index at which the range now goes. The extents it
+    /// meets sit just before `j`, so a range that meets none costs one
+    /// comparison.
     fn clear(&mut self, mut j: usize, lo: u64, hi: u64) -> usize {
         let mut i = j;
         while i > 0 && self.extents[i - 1].end() > lo {
             i -= 1;
         }
         if i == j || lo >= hi {
-            return j; // an empty range cuts nothing
+            return j; // it meets nothing, or is empty and cuts nothing
         }
         let first = &mut self.extents[i];
         if first.at < lo {
