@@ -508,6 +508,71 @@ mod tests {
         assert_eq!(n.path_of(f.ino), None);
     }
 
+    /// A malformed path is `InvalidPath` however far a walk would get:
+    /// the whole path is judged before the first component is looked up.
+    #[test]
+    fn path_errors_take_precedence_over_the_walk() {
+        let mut n = ns();
+        n.mkdir("/a", 0).unwrap();
+        file(&mut n, "/file");
+        let cases: [(&str, MetaError); 5] = [
+            ("/missing/..", MetaError::InvalidPath),
+            ("/file/.", MetaError::InvalidPath),
+            ("/file/x", MetaError::NotADirectory),
+            ("a/b", MetaError::InvalidPath),
+            ("/a/..", MetaError::InvalidPath),
+        ];
+        for (path, want) in cases {
+            assert_eq!(n.lookup(path), Err(want), "lookup({path:?})");
+        }
+        let mutations: [(&str, Result<()>); 5] = [
+            (
+                "create /",
+                n.create("/", StripedLayout::single(0), FilePolicy::Plain, 1)
+                    .map(drop),
+            ),
+            ("mkdir /", n.mkdir("/", 1).map(drop)),
+            ("unlink /", n.unlink("/", 1).map(drop)),
+            ("rename / /x", n.rename("/", "/x", 1).map(drop)),
+            (
+                "rename /a /missing/..",
+                n.rename("/a", "/missing/..", 1).map(drop),
+            ),
+        ];
+        for (what, got) in mutations {
+            assert_eq!(got, Err(MetaError::InvalidPath), "{what}");
+        }
+        assert_eq!(n.change_seq, 2, "no refused mutation counts");
+    }
+
+    #[test]
+    fn doubled_and_trailing_slashes_resolve_like_single_ones() {
+        let mut n = ns();
+        n.mkdir("/a", 0).unwrap();
+        n.mkdir("/a/b", 0).unwrap();
+        let b = n.resolve("/a/b").unwrap();
+        for path in ["/a//b/", "/a//b", "/a/b/", "//a/b"] {
+            assert_eq!(n.resolve(path), Ok(b), "{path:?}");
+        }
+        assert_eq!(n.resolve("/"), Ok(ROOT_INO));
+        assert_eq!(n.resolve("//"), Ok(ROOT_INO));
+        let f = n
+            .create("/a//b/f/", StripedLayout::single(0), FilePolicy::Plain, 1)
+            .unwrap();
+        assert_eq!(n.path_of(f.ino).as_deref(), Some("/a/b/f"));
+    }
+
+    #[test]
+    fn mkdir_p_through_a_dot_fails_without_mutating() {
+        let mut n = ns();
+        n.mkdir("/a", 0).unwrap();
+        let seq = n.change_seq;
+        assert_eq!(n.mkdir_p("/a/./b", 1), Err(MetaError::InvalidPath));
+        assert_eq!(n.mkdir_p("/new/../b", 1), Err(MetaError::InvalidPath));
+        assert_eq!(n.change_seq, seq, "nothing was created before the '.'");
+        assert_eq!(n.lookup("/new"), Err(MetaError::NotFound));
+    }
+
     #[test]
     fn mkdir_p_is_idempotent() {
         let mut n = ns();
