@@ -72,10 +72,15 @@ impl ClientApp {
                         cost += CACHE_PROBE;
                         Ok(())
                     }
-                    None => {
+                    None if self.cache_enabled => {
                         cost += CONTROL_RTT;
                         let found = self.control.borrow_mut().lookup_entry(path);
                         found.map(|entry| self.cache_entry(path, entry))
+                    }
+                    // Nothing to fill: the same round-trip, no layout cloned.
+                    None => {
+                        cost += CONTROL_RTT;
+                        self.control.borrow_mut().lookup_path(path).map(drop)
                     }
                 }
             }

@@ -119,7 +119,11 @@ impl MetaCache {
     }
 
     /// Callback: a single path changed (create/unlink target, file attrs).
+    /// An empty cache (one switched off, say) returns before hashing.
     pub fn invalidate_path(&mut self, path: &str) {
+        if self.entries.is_empty() {
+            return;
+        }
         if self.entries.remove(path).is_some() {
             self.stats.invalidations += 1;
         }

@@ -6,6 +6,13 @@
 //! `change_seq`, which client caches use for invalidation. Rename follows
 //! POSIX: the target may be replaced if it is a file or an empty
 //! directory, and a directory can never be moved into its own subtree.
+//!
+//! A path is walked as borrowed components, and the inode table is keyed
+//! by the ids [`Namespace`] hands out itself, so a lookup allocates
+//! nothing and hashes with [`IdMap`]'s multiply-rotate fold rather than
+//! SipHash. A name is copied only when an entry stores it.
+
+use nadfs_simnet::IdMap;
 
 use crate::error::MetaError;
 use crate::inode::{FilePolicy, Inode, InodeAttr, InodeBody, InodeId, InodeKind, ROOT_INO};
@@ -13,40 +20,36 @@ use crate::layout::StripedLayout;
 
 type Result<T> = std::result::Result<T, MetaError>;
 
-/// Split and validate an absolute path into components.
-pub(crate) fn split_path(path: &str) -> Result<Vec<&str>> {
-    if !path.starts_with('/') {
+/// The non-empty components of `path`, borrowed from it: a doubled or
+/// trailing `/` yields nothing.
+fn parts(path: &str) -> impl Iterator<Item = &str> {
+    path.split('/').filter(|c| !c.is_empty())
+}
+
+/// The components of an absolute path. The whole path is judged before
+/// any is yielded, so a malformed path is `InvalidPath` however far a
+/// walk of it would get.
+fn components(path: &str) -> Result<impl Iterator<Item = &str>> {
+    if !path.starts_with('/') || parts(path).any(|c| c == "." || c == "..") {
         return Err(MetaError::InvalidPath);
     }
-    let mut parts = Vec::new();
-    for comp in path.split('/').skip(1) {
-        if comp.is_empty() {
-            // Allow a single trailing slash ("/a/b/"), reject "//".
-            continue;
-        }
-        if comp == "." || comp == ".." {
-            return Err(MetaError::InvalidPath);
-        }
-        parts.push(comp);
-    }
-    Ok(parts)
+    Ok(parts(path))
 }
 
-/// Parent path + final component, e.g. `/a/b/c` → (`["a","b"]`, `"c"`).
-fn split_parent(path: &str) -> Result<(Vec<&str>, String)> {
-    let mut parts = split_path(path)?;
-    let Some(last) = parts.pop() else {
+/// The parent's components and the final one, e.g. `/a/b/c` → (`a`, `b`;
+/// `c`).
+fn split_parent(path: &str) -> Result<(impl Iterator<Item = &str>, &str)> {
+    let Some(name) = components(path)?.last() else {
         return Err(MetaError::InvalidPath); // "/" has no parent entry
     };
-    Ok((parts, last.to_string()))
+    let parent = &path[..path.trim_end_matches('/').len() - name.len()];
+    Ok((parts(parent), name))
 }
-
-/// Inodes by number: probed, inserted and removed by key, never iterated.
-type Inodes = std::collections::HashMap<InodeId, Inode>; // membership only
 
 /// The namespace service state.
 pub struct Namespace {
-    inodes: Inodes,
+    /// Inodes by the number `next_ino` gave them; never iterated.
+    inodes: IdMap<InodeId, Inode>,
     next_ino: InodeId,
     /// Global mutation counter; bumped once per successful mutation.
     pub change_seq: u64,
@@ -60,7 +63,7 @@ impl Default for Namespace {
 
 impl Namespace {
     pub fn new() -> Namespace {
-        let mut inodes = Inodes::new();
+        let mut inodes = IdMap::default();
         inodes.insert(ROOT_INO, Inode::new_dir(ROOT_INO, ROOT_INO, 0));
         Namespace {
             inodes,
@@ -79,7 +82,11 @@ impl Namespace {
 
     /// Resolve a path to an inode id.
     pub fn resolve(&self, path: &str) -> Result<InodeId> {
-        let parts = split_path(path)?;
+        self.walk(components(path)?)
+    }
+
+    /// Follow already-validated components down from the root.
+    fn walk<'p>(&self, parts: impl Iterator<Item = &'p str>) -> Result<InodeId> {
         let mut cur = ROOT_INO;
         for comp in parts {
             let node = self.inode(cur)?;
@@ -131,28 +138,29 @@ impl Namespace {
     /// Create a directory. The parent must already exist.
     pub fn mkdir(&mut self, path: &str, now_ns: u64) -> Result<InodeAttr> {
         let (parents, name) = split_parent(path)?;
-        let parent = self.resolve_parts(&parents)?;
+        let parent = self.walk(parents)?;
         let ino = self.next_ino;
         self.next_ino += 1;
-        self.insert_child(parent, &name, Inode::new_dir(ino, parent, now_ns), now_ns)
+        self.insert_child(parent, name, Inode::new_dir(ino, parent, now_ns), now_ns)
     }
 
     /// Create every missing directory along `path` (like `mkdir -p`).
     pub fn mkdir_p(&mut self, path: &str, now_ns: u64) -> Result<InodeAttr> {
-        let parts = split_path(path)?;
-        let mut cur = String::new();
-        let mut attr = self.inode(ROOT_INO)?.attr.clone();
-        for comp in parts {
-            cur.push('/');
-            cur.push_str(comp);
-            attr = match self.lookup(&cur) {
-                Ok(a) if a.kind == InodeKind::Dir => a,
-                Ok(_) => return Err(MetaError::NotADirectory),
-                Err(MetaError::NotFound) => self.mkdir(&cur, now_ns)?,
-                Err(e) => return Err(e),
+        let mut cur = ROOT_INO;
+        for comp in components(path)? {
+            let dir = self.inode(cur)?.dir().ok_or(MetaError::NotADirectory)?;
+            cur = match dir.entries.get(comp) {
+                Some(&child) if self.inode(child)?.attr.kind == InodeKind::Dir => child,
+                Some(_) => return Err(MetaError::NotADirectory),
+                None => {
+                    let ino = self.next_ino;
+                    self.next_ino += 1;
+                    let child = Inode::new_dir(ino, cur, now_ns);
+                    self.insert_child(cur, comp, child, now_ns)?.ino
+                }
             };
         }
-        Ok(attr)
+        Ok(self.inode(cur)?.attr.clone())
     }
 
     /// Create a file with the given layout and policy.
@@ -164,12 +172,12 @@ impl Namespace {
         now_ns: u64,
     ) -> Result<InodeAttr> {
         let (parents, name) = split_parent(path)?;
-        let parent = self.resolve_parts(&parents)?;
+        let parent = self.walk(parents)?;
         let ino = self.next_ino;
         self.next_ino += 1;
         self.insert_child(
             parent,
-            &name,
+            name,
             Inode::new_file(ino, layout, policy, now_ns),
             now_ns,
         )
@@ -210,13 +218,13 @@ impl Namespace {
     pub fn rename(&mut self, from: &str, to: &str, now_ns: u64) -> Result<Option<InodeId>> {
         let (from_parents, from_name) = split_parent(from)?;
         let (to_parents, to_name) = split_parent(to)?;
-        let from_parent = self.resolve_parts(&from_parents)?;
-        let to_parent = self.resolve_parts(&to_parents)?;
+        let from_parent = self.walk(from_parents)?;
+        let to_parent = self.walk(to_parents)?;
 
         let moved = {
             let p = self.inode(from_parent)?;
             let dir = p.dir().ok_or(MetaError::NotADirectory)?;
-            *dir.entries.get(&from_name).ok_or(MetaError::NotFound)?
+            *dir.entries.get(from_name).ok_or(MetaError::NotFound)?
         };
 
         // A directory cannot move under itself (includes from == to dirs).
@@ -228,7 +236,7 @@ impl Namespace {
         let replaced = {
             let p = self.inode(to_parent)?;
             let dir = p.dir().ok_or(MetaError::NotADirectory)?;
-            match dir.entries.get(&to_name) {
+            match dir.entries.get(to_name) {
                 None => None,
                 Some(&t) if t == moved => return Ok(None), // no-op rename
                 Some(&t) => {
@@ -246,7 +254,7 @@ impl Namespace {
         {
             let p = self.inode_mut(from_parent)?;
             let dir = p.dir_mut().expect("dir");
-            dir.entries.remove(&from_name);
+            dir.entries.remove(from_name);
             p.attr.nlink = p.dir().expect("dir").entries.len() as u32;
         }
         if let Some(t) = replaced {
@@ -255,13 +263,13 @@ impl Namespace {
         {
             let p = self.inode_mut(to_parent)?;
             let dir = p.dir_mut().expect("dir");
-            dir.entries.insert(to_name.clone(), moved);
+            dir.entries.insert(to_name.to_string(), moved);
             p.attr.nlink = p.dir().expect("dir").entries.len() as u32;
         }
         {
             let m = self.inode_mut(moved)?;
             m.parent = to_parent;
-            m.name = to_name;
+            m.name = to_name.to_string();
         }
         self.touch(from_parent, now_ns);
         if to_parent != from_parent {
@@ -295,11 +303,11 @@ impl Namespace {
     /// Remove a file or an *empty* directory. Returns the removed attrs.
     pub fn unlink(&mut self, path: &str, now_ns: u64) -> Result<InodeAttr> {
         let (parents, name) = split_parent(path)?;
-        let parent = self.resolve_parts(&parents)?;
+        let parent = self.walk(parents)?;
         let target = {
             let p = self.inode(parent)?;
             let dir = p.dir().ok_or(MetaError::NotADirectory)?;
-            *dir.entries.get(&name).ok_or(MetaError::NotFound)?
+            *dir.entries.get(name).ok_or(MetaError::NotFound)?
         };
         if let Some(d) = self.inode(target)?.dir() {
             if !d.entries.is_empty() {
@@ -309,7 +317,7 @@ impl Namespace {
         {
             let p = self.inode_mut(parent)?;
             let dir = p.dir_mut().expect("dir");
-            dir.entries.remove(&name);
+            dir.entries.remove(name);
             p.attr.nlink = p.dir().expect("dir").entries.len() as u32;
         }
         let removed = self.inodes.remove(&target).expect("inode").attr;
@@ -332,16 +340,6 @@ impl Namespace {
         let v = n.attr.version;
         self.change_seq += 1;
         Ok((start, v))
-    }
-
-    fn resolve_parts(&self, parts: &[&str]) -> Result<InodeId> {
-        let mut cur = ROOT_INO;
-        for comp in parts {
-            let node = self.inode(cur)?;
-            let dir = node.dir().ok_or(MetaError::NotADirectory)?;
-            cur = *dir.entries.get(*comp).ok_or(MetaError::NotFound)?;
-        }
-        Ok(cur)
     }
 }
 
