@@ -744,12 +744,15 @@ impl ClientApp {
     }
 
     /// With no op in flight, nothing may still route to one.
+    /// A disabled span book correlates nothing, so its track name is not
+    /// even formatted.
     fn nothing_routed(&self, nic: &NicCore) -> bool {
         let t = &self.ops;
+        let obs = self.obs.borrow();
         t.by_greq.is_empty()
             && t.by_msg.is_empty()
             && t.by_token.is_empty()
-            && self.obs.borrow().spans.correlated_on(&Self::track(nic)) == 0
+            && (!obs.spans.enabled() || obs.spans.correlated_on(&Self::track(nic)) == 0)
     }
 }
 

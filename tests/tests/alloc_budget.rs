@@ -1,5 +1,5 @@
 //! Heap allocations per sPIN packet on the write paths, and per op on two
-//! read paths, held to a budget.
+//! read paths and on metadata ops, held to a budget.
 //!
 //! In the paper's design a NIC takes packet buffers, accumulators and
 //! intermediate parities from fixed pools in its memory (§VI-B-3) and
@@ -11,7 +11,7 @@
 //! other test threads do not leak in, and divides by the packets the
 //! storage NICs' handlers processed (`pkts_processed`). A read is a few
 //! packets and many client-side steps, so the read paths are counted per
-//! op instead.
+//! op instead, and so are metadata ops, which send no packet at all.
 //!
 //! The clusters run with observability off, as the benchmark's host-clock
 //! rows do, so the count is the data path's and not the op spans'.
@@ -20,8 +20,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use nadfs_core::{
-    ClusterSpec, FilePolicy, Job, LayoutSpec, ReadPattern, ReadProtocol, SimCluster, SizeDist,
-    StorageMode, Workload, WriteProtocol,
+    ClusterSpec, FilePolicy, Job, LayoutSpec, MetaWorkload, ReadPattern, ReadProtocol, SimCluster,
+    SizeDist, StorageMode, Workload, WriteProtocol,
 };
 use nadfs_wire::{BcastStrategy, RsScheme, Status};
 
@@ -293,5 +293,75 @@ fn offloaded_degraded_reads_stay_under_their_allocation_budget() {
     assert!(
         rate < BUDGET_DEGRADED_READ,
         "offloaded degraded reads: {rate:.2} allocations per read (budget {BUDGET_DEGRADED_READ})"
+    );
+}
+
+/// A stat on the control plane walks the path's components borrowed from
+/// it, probes inodes in an id-hashed table and copies out only the
+/// attributes, so it allocates nothing. (It allocated 1 while the
+/// namespace collected the components into a `Vec` first.)
+#[test]
+fn a_warm_stat_allocates_nothing() {
+    let cl = SimCluster::build(ClusterSpec::new(1, 2, StorageMode::Plain).with_meta_shards(4));
+    let mut control = cl.control.borrow_mut();
+    control.mkdir_p("/a/b/c", 0).expect("mkdir");
+    let layout = LayoutSpec::striped(2, BLOCK);
+    let ino = control
+        .create_file_at("/a/b/c/f", layout, FilePolicy::Plain)
+        .expect("create")
+        .id;
+    assert_eq!(control.lookup_path("/a/b/c/f").expect("stat").ino, ino);
+    let a0 = allocs();
+    for _ in 0..100 {
+        control.lookup_path("/a/b/c/f").expect("stat");
+    }
+    let stats = allocs() - a0;
+    assert_eq!(
+        stats, 0,
+        "100 stats of a 4-component path allocated {stats} times"
+    );
+}
+
+/// Allocations per metadata op allowed on a cache-off cluster, about 1.5×
+/// the rate measured when the budget was set (0.855; 4.006 while a stat
+/// collected its path into a `Vec`, cloned the file's layout for a cache
+/// that was off and, in a debug build, formatted its client's track name
+/// for a check that no span was left open). What is left is the
+/// mutations': the names they store, the layouts a create clones, the
+/// paths they call back and the op log.
+const BUDGET_META: f64 = 1.3;
+
+#[test]
+fn cache_off_metadata_ops_stay_under_their_allocation_budget() {
+    let spec = ClusterSpec::new(4, 4, StorageMode::Plain)
+        .with_meta_shards(4)
+        .with_observability(false);
+    let mut cl = SimCluster::build_with(spec, |app| app.cache_enabled = false);
+    // One round under `root`: every client's tree, stat storm and churn.
+    let mut round = |root: &str| {
+        let w = MetaWorkload::new(root).with_dirs(2, 8).with_storm(256);
+        w.prepare(&cl.control);
+        for c in 0..4 {
+            w.jobs_for_client(c)
+                .into_iter()
+                .for_each(|j| cl.submit(c, j));
+        }
+        let total = 4 * w.ops_per_client();
+        cl.start();
+        let a0 = allocs();
+        let done = cl.run_until_metas(total, 5_000);
+        let a1 = allocs();
+        assert_eq!(done, total, "metadata ops incomplete");
+        let metas = std::mem::take(&mut cl.results.borrow_mut().metas);
+        assert!(metas.iter().all(|m| m.result.is_ok()));
+        ((a1 - a0) as f64 / total as f64, total)
+    };
+    // The first round grows the engine's queues; the second is counted.
+    round("/warm");
+    let (rate, ops) = round("/m");
+    assert!(
+        rate < BUDGET_META,
+        "cache-off metadata ops: {rate:.3} allocations per op over {ops} ops \
+         (budget {BUDGET_META})"
     );
 }
