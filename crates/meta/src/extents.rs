@@ -378,18 +378,22 @@ impl ExtentMap {
         // Uncovered subranges of the request; newest records carve them
         // up first, so every byte is served by the latest write.
         let mut gaps = vec![(offset, offset + len as u64)];
+        // Scratch reused across records: a visit allocates nothing unless
+        // a record splits more gaps than any before it.
+        let mut next_gaps = Vec::new();
+        let mut segments = Vec::new();
         for (rec_id, rec) in self.records.iter().enumerate().rev() {
             if gaps.is_empty() {
                 break;
             }
             let ro = rec.offset();
             let rend = ro + rec.len() as u64;
-            let mut next_gaps = Vec::with_capacity(gaps.len());
+            next_gaps.clear();
             // All segments this record serves are collected first and
             // emitted through ONE pieces_for call: a degraded EC stripe
             // shadowed in the middle by a newer write must still fetch
             // its k survivors (and reconstruct) exactly once.
-            let mut segments = Vec::new();
+            segments.clear();
             for &(gs, ge) in &gaps {
                 let is = gs.max(ro);
                 let ie = ge.min(rend);
@@ -416,7 +420,7 @@ impl ExtentMap {
                     &mut degraded_stripes,
                 )?;
             }
-            gaps = next_gaps;
+            std::mem::swap(&mut gaps, &mut next_gaps);
         }
         for (gs, ge) in gaps {
             pieces.push(ReadPiece::Hole {
