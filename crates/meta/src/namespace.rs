@@ -26,11 +26,16 @@ fn parts(path: &str) -> impl Iterator<Item = &str> {
     path.split('/').filter(|c| !c.is_empty())
 }
 
-/// The components of an absolute path. The whole path is judged before
-/// any is yielded, so a malformed path is `InvalidPath` however far a
-/// walk of it would get.
+/// `.` and `..` are not names: a path holding either is `InvalidPath`.
+fn is_dot(comp: &str) -> bool {
+    comp == "." || comp == ".."
+}
+
+/// The components of an absolute path, judged whole before any is
+/// yielded: a mutation refuses a malformed path before it touches
+/// anything.
 fn components(path: &str) -> Result<impl Iterator<Item = &str>> {
-    if !path.starts_with('/') || parts(path).any(|c| c == "." || c == "..") {
+    if !path.starts_with('/') || parts(path).any(is_dot) {
         return Err(MetaError::InvalidPath);
     }
     Ok(parts(path))
@@ -82,24 +87,41 @@ impl Namespace {
 
     /// Resolve a path to an inode id.
     pub fn resolve(&self, path: &str) -> Result<InodeId> {
-        self.walk(components(path)?)
-    }
-
-    /// Follow already-validated components down from the root.
-    fn walk<'p>(&self, parts: impl Iterator<Item = &'p str>) -> Result<InodeId> {
-        let mut cur = ROOT_INO;
-        for comp in parts {
-            let node = self.inode(cur)?;
-            let dir = node.dir().ok_or(MetaError::NotADirectory)?;
-            cur = *dir.entries.get(comp).ok_or(MetaError::NotFound)?;
-        }
-        Ok(cur)
+        Ok(self.find(path)?.attr.ino)
     }
 
     /// `stat`: attributes of the entry at `path`.
     pub fn lookup(&self, path: &str) -> Result<InodeAttr> {
-        let ino = self.resolve(path)?;
-        Ok(self.inode(ino)?.attr.clone())
+        Ok(self.find(path)?.attr.clone())
+    }
+
+    /// The inode at an absolute `path`, in one pass over it.
+    fn find(&self, path: &str) -> Result<&Inode> {
+        if !path.starts_with('/') {
+            return Err(MetaError::InvalidPath);
+        }
+        self.walk(parts(path))
+    }
+
+    /// Walk `parts` down from the root to the inode they name. Each
+    /// component is judged as the walk reaches it, and a walk that stops
+    /// short judges the rest before it says why, so a malformed path is
+    /// `InvalidPath` however far the walk got.
+    fn walk<'p>(&self, mut parts: impl Iterator<Item = &'p str>) -> Result<&Inode> {
+        let mut node = self.inode(ROOT_INO)?;
+        while let Some(comp) = parts.next() {
+            let next = match node.dir() {
+                _ if is_dot(comp) => Err(MetaError::InvalidPath),
+                None => Err(MetaError::NotADirectory),
+                Some(dir) => dir.entries.get(comp).ok_or(MetaError::NotFound),
+            };
+            match next {
+                Ok(&ino) => node = self.inode(ino)?,
+                Err(_) if parts.any(is_dot) => return Err(MetaError::InvalidPath),
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(node)
     }
 
     fn touch(&mut self, ino: InodeId, now_ns: u64) {
@@ -138,7 +160,7 @@ impl Namespace {
     /// Create a directory. The parent must already exist.
     pub fn mkdir(&mut self, path: &str, now_ns: u64) -> Result<InodeAttr> {
         let (parents, name) = split_parent(path)?;
-        let parent = self.walk(parents)?;
+        let parent = self.walk(parents)?.attr.ino;
         let ino = self.next_ino;
         self.next_ino += 1;
         self.insert_child(parent, name, Inode::new_dir(ino, parent, now_ns), now_ns)
@@ -172,7 +194,7 @@ impl Namespace {
         now_ns: u64,
     ) -> Result<InodeAttr> {
         let (parents, name) = split_parent(path)?;
-        let parent = self.walk(parents)?;
+        let parent = self.walk(parents)?.attr.ino;
         let ino = self.next_ino;
         self.next_ino += 1;
         self.insert_child(
@@ -185,9 +207,7 @@ impl Namespace {
 
     /// List a directory: (name, attributes) in name order.
     pub fn readdir(&self, path: &str) -> Result<Vec<(String, InodeAttr)>> {
-        let ino = self.resolve(path)?;
-        let node = self.inode(ino)?;
-        let dir = node.dir().ok_or(MetaError::NotADirectory)?;
+        let dir = self.find(path)?.dir().ok_or(MetaError::NotADirectory)?;
         dir.entries
             .iter()
             .map(|(name, &child)| Ok((name.clone(), self.inode(child)?.attr.clone())))
@@ -218,8 +238,8 @@ impl Namespace {
     pub fn rename(&mut self, from: &str, to: &str, now_ns: u64) -> Result<Option<InodeId>> {
         let (from_parents, from_name) = split_parent(from)?;
         let (to_parents, to_name) = split_parent(to)?;
-        let from_parent = self.walk(from_parents)?;
-        let to_parent = self.walk(to_parents)?;
+        let from_parent = self.walk(from_parents)?.attr.ino;
+        let to_parent = self.walk(to_parents)?.attr.ino;
 
         let moved = {
             let p = self.inode(from_parent)?;
@@ -303,7 +323,7 @@ impl Namespace {
     /// Remove a file or an *empty* directory. Returns the removed attrs.
     pub fn unlink(&mut self, path: &str, now_ns: u64) -> Result<InodeAttr> {
         let (parents, name) = split_parent(path)?;
-        let parent = self.walk(parents)?;
+        let parent = self.walk(parents)?.attr.ino;
         let target = {
             let p = self.inode(parent)?;
             let dir = p.dir().ok_or(MetaError::NotADirectory)?;
