@@ -203,7 +203,7 @@ impl ClientApp {
             .map(|n| self.jobs_started.is_multiple_of(n))
             .unwrap_or(false);
         let (file, size, protocol) = (w.req.file, w.req.size(), w.req.protocol);
-        let policy = self.control.borrow().lookup(file).map(|m| m.policy.clone());
+        let policy = self.control.borrow().policy_of(file);
         let Ok(policy) = policy else {
             return Over::Refused;
         };

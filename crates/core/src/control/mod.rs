@@ -9,35 +9,36 @@
 //! synchronously by the drivers.
 //!
 //! The metadata service is this type. It owns a real hierarchical
-//! namespace ([`Namespace`]): files live at paths, carry striped layouts
-//! (stripe width × chunk size over storage nodes, from a start that
-//! rotates per create), and every mutation bumps versions. It counts the
+//! namespace ([`Namespace`]): files live at paths, and every mutation
+//! bumps versions. A file's inode owns its striped layout (stripe width ×
+//! chunk size over storage nodes, from a start that rotates per create)
+//! and its policy, and nothing else holds a copy. The plane counts the
 //! round-trips clients make ([`MetaOpStats`]), and it calls back the
-//! subscribed client caches with each [`MetaEvent`] where a mutation
-//! raises it, all through one method, `ControlPlane::notify`. The seed's
-//! flat `u64 → FileMeta` API survives on top: a file's id *is* its inode
-//! number, and [`ControlPlane::create_file`] parks legacy files under
-//! `/.volatile/`.
+//! subscribed client caches with each `MetaEvent` where a mutation
+//! raises it, all through one method, `ControlPlane::notify`; an event
+//! borrows its paths. The seed's flat `u64 → FileMeta` API survives on
+//! top: a file's id *is* its inode number, and
+//! [`ControlPlane::create_file`] parks legacy files under `/.volatile/`.
 //!
-//! The metadata plane is **sharded**: per-file state is hash-partitioned
-//! over N [`shard::MetaShard`]s by a stateless [`router::ShardRouter`],
-//! and mutations ack after a per-shard op-log append (AsyncFS-style
-//! async updates). The plane keeps three kinds of record and nothing
-//! beside them — one per file, one per storage node, one per shard — and
-//! this file only wires them together: construction, the shard doorway,
-//! the cache callbacks, and the namespace operations, each of
-//! which is a participant set plus an apply step handed to
-//! `ControlPlane::transact`. What the records are and what is done with
-//! them lives in the submodules:
+//! The metadata plane is **sharded**: a stateless [`router::ShardRouter`]
+//! maps each ino to one of N [`shard::MetaShard`]s, whose queue its ops
+//! wait in and whose op log records them, and mutations ack after that
+//! per-shard op-log append (AsyncFS-style async updates). The namespace
+//! itself is one tree, not partitioned. Beside it the plane keeps three
+//! kinds of record and nothing else — one per file, in one table keyed by
+//! ino, one per storage node, one per shard — and this file only wires
+//! them together: construction, the cache callbacks, and the namespace
+//! operations, each of which is a participant set plus an apply step
+//! handed to `ControlPlane::transact`. What the records are and what is
+//! done with them lives in the submodules:
 //!
-//! - `shard`: the per-file record (`FileState`) and the shard that owns
-//!   it; the op log; `transact`, the one mutation path (routing, 2PC
-//!   across shards, the single log append and its crash switch);
-//!   admission and recovery.
+//! - `shard`: the shard (op log, admission queue, counters);
+//!   `transact`, the one mutation path (routing, 2PC across shards, the
+//!   single log append and its crash switch); admission and recovery.
 //! - `placement`: what clients are handed ([`FileMeta`],
-//!   [`WritePlacement`], [`StripeTarget`]); the per-node record
-//!   (`NodeState`: allocator, stats sink, orphan ledger); placing and
-//!   committing writes.
+//!   [`WritePlacement`], [`StripeTarget`]); the per-file record
+//!   (`FileState`) and the per-node record (`NodeState`: allocator,
+//!   stats sink, orphan ledger); placing and committing writes.
 //! - `resolution`: read planning, the scan detector, compaction.
 //! - `repair_queue`: failure and recovery reconciliation, the repair
 //!   queue, repair planning and commit.
@@ -63,11 +64,10 @@ mod resolution;
 mod router;
 mod shard;
 
-use placement::NodeState;
+use placement::{file_node, FileState, NodeState};
 pub use placement::{FileMeta, StripeTarget, WritePlacement};
 pub use repair_queue::{RepairPlan, RepairQueue, RepairStats, RepairTask};
 pub(crate) use router::ShardRouter;
-use shard::FileState;
 pub(crate) use shard::{MetaMutation, MetaShard, ServiceClass};
 pub use shard::{ShardStats, TxRecovery};
 
@@ -98,8 +98,10 @@ pub struct ControlPlane {
     /// Client read caches subscribed to extent-generation callbacks (the
     /// same event channel; these consume `LayoutChanged`).
     read_caches: Vec<Rc<RefCell<ReadCache>>>,
-    /// The metadata shards: one record per file, the op logs, and the
-    /// per-shard admission queues.
+    /// One record per file, by ino; the file's inode holds the rest.
+    files: IdMap<u64, FileState>,
+    /// The metadata shards: the op logs and the per-shard admission
+    /// queues.
     shards: Vec<MetaShard>,
     /// Stateless ino → shard map.
     router: ShardRouter,
@@ -159,13 +161,13 @@ impl MetaOpStats {
 }
 
 /// A callback to the client caches, delivered where a mutation raises it
-/// (`ControlPlane::notify`).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum MetaEvent {
+/// (`ControlPlane::notify`). It borrows its path from the mutation.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum MetaEvent<'a> {
     /// A single path gained or changed an entry.
-    Changed { path: String },
+    Changed { path: &'a str },
     /// A whole subtree moved or vanished; caches drop the prefix.
-    SubtreeGone { path: String },
+    SubtreeGone { path: &'a str },
     /// `ino`'s extent map moved to `generation` (a committed write,
     /// overwrite, or repair re-homing): anything caching data or resolved
     /// placements tagged with an older generation must drop them.
@@ -213,6 +215,7 @@ impl ControlPlane {
             nodes: storage_nodes.into_iter().map(NodeState::new).collect(),
             caches: Vec::new(),
             read_caches: Vec::new(),
+            files: IdMap::default(),
             shards: (0..n_shards).map(MetaShard::new).collect(),
             router: ShardRouter::new(n_shards),
             last_route: None,
@@ -260,32 +263,20 @@ impl ControlPlane {
         }
     }
 
-    // ---- shard accessors (the partitioned state's only doorway) ----
-
     /// The metadata shard owning `ino`.
     pub fn shard_of(&self, ino: u64) -> usize {
         self.router.route(ino)
     }
 
-    fn file(&self, ino: u64) -> Option<&FileState> {
-        self.shards[self.router.route(ino)].files.get(&ino)
-    }
-
-    /// Every file's record, across all shards. The order is shard-major
-    /// and table order within a shard, which means nothing: every caller
-    /// either sorts what it collects (`mark_node_failed`) or folds it
-    /// commutatively (the recovery and conservation sums).
-    fn all_files(&self) -> impl Iterator<Item = (u64, &FileState)> {
-        self.shards
-            .iter()
-            .flat_map(|s| s.files.iter().map(|(&ino, f)| (ino, f)))
+    /// `file`'s policy, read from its inode.
+    pub(crate) fn policy_of(&self, file: u64) -> Result<FilePolicy, MetaError> {
+        Ok(file_node(&self.ns, file)?.1.clone())
     }
 
     /// A file or directory left the namespace (unlink, rename-replace):
     /// drop its record, un-hosting every extent, and tell the read caches.
     fn forget(&mut self, ino: u64) {
-        let s = self.router.route(ino);
-        if let Some(f) = self.shards[s].files.remove(&ino) {
+        if let Some(f) = self.files.remove(&ino) {
             for rec in f.extents.records() {
                 self.unhost_record(rec);
             }
@@ -312,16 +303,16 @@ impl ControlPlane {
     /// mutation raises it: namespace events go to the metadata caches,
     /// data-generation and prefetch events to the read caches. Every
     /// cache callback the control plane makes goes through here.
-    fn notify(&self, ev: MetaEvent) {
+    fn notify(&self, ev: MetaEvent<'_>) {
         match ev {
             MetaEvent::Changed { path } => {
                 for c in &self.caches {
-                    c.borrow_mut().invalidate_path(&path);
+                    c.borrow_mut().invalidate_path(path);
                 }
             }
             MetaEvent::SubtreeGone { path } => {
                 for c in &self.caches {
-                    c.borrow_mut().invalidate_subtree(&path);
+                    c.borrow_mut().invalidate_subtree(path);
                 }
             }
             MetaEvent::LayoutChanged { ino, generation } => {
@@ -341,9 +332,7 @@ impl ControlPlane {
     /// and nlink too: call back `Changed` for the parent.
     fn notify_parent(&self, path: &str) {
         let parent = parent_of(path.trim_end_matches('/'));
-        self.notify(MetaEvent::Changed {
-            path: parent.to_string(),
-        });
+        self.notify(MetaEvent::Changed { path: parent });
     }
 
     /// Create a file with the given policy (legacy flat API): parked under
@@ -359,15 +348,10 @@ impl ControlPlane {
         // Legacy callers pre-declare the size; advance both the committed
         // size and the cursor so the first placement appends after it,
         // matching the seed behavior.
-        let s = self.router.route(id);
-        let m = &mut self.shards[s]
-            .files
-            .get_mut(&id)
-            .expect("just created")
-            .meta;
+        let m = &mut self.files.get_mut(&id).expect("just created").meta;
         m.size = size;
         m.cursor = size;
-        m.clone()
+        *m
     }
 
     /// Create a file at `path` with a striped layout. The parent
@@ -401,26 +385,23 @@ impl ControlPlane {
             |cp, op| {
                 cp.meta_stats.creates += 1;
                 let (home, layout) = cp.alloc_layout(spec);
-                let attr = cp.ns.create(path, layout.clone(), policy.clone(), 0)?;
-                cp.notify(MetaEvent::Changed { path: path.into() });
+                let attr = cp.ns.create(path, layout, policy, 0)?;
+                cp.notify(MetaEvent::Changed { path });
                 cp.notify_parent(path);
                 *op = MetaMutation::Create { ino: attr.ino };
                 let meta = FileMeta {
                     id: attr.ino,
                     size: attr.size,
                     cursor: attr.size,
-                    policy,
                     home,
-                    layout,
                 };
                 let state = FileState {
-                    meta: meta.clone(),
+                    meta,
                     extents: ExtentMap::new(),
                     compact_floor: 0,
                     scan: (0, 0),
                 };
-                let s = cp.router.route(attr.ino);
-                cp.shards[s].files.insert(attr.ino, state);
+                cp.files.insert(attr.ino, state);
                 Ok(meta)
             },
         )
@@ -429,7 +410,8 @@ impl ControlPlane {
     /// Metadata lookup by file id. A miss is a typed error, not a panic
     /// or a silent `None`.
     pub fn lookup(&self, file: u64) -> Result<&FileMeta, MetaError> {
-        self.file(file)
+        self.files
+            .get(&file)
             .map(|f| &f.meta)
             .ok_or(MetaError::UnknownFile(file))
     }
@@ -472,7 +454,7 @@ impl ControlPlane {
     pub fn mkdir(&mut self, path: &str, now_ns: u64) -> Result<InodeAttr, MetaError> {
         self.make_dir(path, |cp| {
             let attr = cp.ns.mkdir(path, now_ns)?;
-            cp.notify(MetaEvent::Changed { path: path.into() });
+            cp.notify(MetaEvent::Changed { path });
             cp.notify_parent(path);
             Ok(attr)
         })
@@ -492,10 +474,10 @@ impl ControlPlane {
             if created > 0 {
                 let mut dir = path;
                 for _ in 0..created {
-                    cp.notify(MetaEvent::Changed { path: dir.into() });
+                    cp.notify(MetaEvent::Changed { path: dir });
                     dir = parent_of(dir.trim_end_matches('/'));
                 }
-                cp.notify(MetaEvent::Changed { path: dir.into() });
+                cp.notify(MetaEvent::Changed { path: dir });
             }
             Ok(attr)
         })
@@ -543,8 +525,8 @@ impl ControlPlane {
             if cp.ns.change_seq != seq {
                 // A no-op rename (same source and target) mutates nothing:
                 // don't wipe every client's cached subtree for it.
-                cp.notify(MetaEvent::SubtreeGone { path: from.into() });
-                cp.notify(MetaEvent::SubtreeGone { path: to.into() });
+                cp.notify(MetaEvent::SubtreeGone { path: from });
+                cp.notify(MetaEvent::SubtreeGone { path: to });
                 cp.notify_parent(from);
                 cp.notify_parent(to);
             }
@@ -567,7 +549,7 @@ impl ControlPlane {
         self.transact(self.route_parent(path), others, op, |cp, _| {
             cp.meta_stats.unlinks += 1;
             let attr = cp.ns.unlink(path, now_ns)?;
-            cp.notify(MetaEvent::SubtreeGone { path: path.into() });
+            cp.notify(MetaEvent::SubtreeGone { path });
             cp.notify_parent(path);
             cp.forget(attr.ino);
             Ok(attr)
@@ -598,7 +580,7 @@ impl ControlPlane {
             match self.ns.append(*ino, d.appended, d.mtime_ns) {
                 Ok(_) => {
                     if let Some(path) = self.ns.path_of(*ino) {
-                        self.notify(MetaEvent::Changed { path });
+                        self.notify(MetaEvent::Changed { path: &path });
                     }
                 }
                 Err(MetaError::NotFound) => continue, // unlinked mid-batch
@@ -743,7 +725,8 @@ mod tests {
             .borrow_mut()
             .create_file_at("/data/big", LayoutSpec::striped(3, 4096), FilePolicy::Plain)
             .expect("create");
-        assert_eq!(f.layout.stripe_width(), 3);
+        let width = file_node(cp.borrow().namespace(), f.id).map(|(l, _)| l.stripe_width());
+        assert_eq!(width, Ok(3));
         let p = cp.borrow_mut().place_write(f.id, 3 * 4096).expect("place");
         assert_eq!(p.stripes.len(), 3, "one extent per stripe unit");
         let mut nodes: Vec<u32> = p.stripes.iter().map(|s| s.coord.node).collect();
@@ -1329,21 +1312,21 @@ mod tests {
     fn layouts_rotate_homes_and_cap_width() {
         let cp = ControlPlane::new(7, vec![10, 11, 12]);
         let mut c = cp.borrow_mut();
+        // The home from the file's record, its nodes from its inode.
         let mut create = |path: &str, width| {
             let spec = LayoutSpec::striped(width, 1 << 16);
-            c.create_file_at(path, spec, FilePolicy::Plain)
-                .expect("create")
+            let f = c
+                .create_file_at(path, spec, FilePolicy::Plain)
+                .expect("create");
+            let (layout, _) = file_node(c.namespace(), f.id).expect("inode");
+            (f.home, layout.nodes.clone())
         };
         let a = create("/a", 2);
         let b = create("/b", 2);
-        assert_eq!((a.home, a.layout.nodes), (0, vec![10, 11]));
-        assert_eq!((b.home, b.layout.nodes), (1, vec![11, 12]));
-        let wide = create("/w", 9);
-        assert_eq!(
-            wide.layout.nodes,
-            vec![12, 10, 11],
-            "width capped at cluster size"
-        );
+        assert_eq!(a, (0, vec![10, 11]));
+        assert_eq!(b, (1, vec![11, 12]));
+        let (_, wide) = create("/w", 9);
+        assert_eq!(wide, vec![12, 10, 11], "width capped at cluster size");
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Write placement and commit: what a client is told about a file and a
 //! write ([`FileMeta`], [`WritePlacement`]), where every byte (and
-//! parity) goes, and the per-node record ([`NodeState`]) that allocates
-//! the addresses and keeps the hosted-capacity ledgers.
+//! parity) goes, the per-file record (`FileState`) and the per-node
+//! record ([`NodeState`]) that allocates the addresses and keeps the
+//! hosted-capacity ledgers.
 
 use super::*;
 
-/// A file's metadata, as handed to clients.
-#[derive(Clone, Debug)]
+/// A file's placement state, as handed to clients. Its layout and policy
+/// are not here: the file's namespace inode owns them.
+#[derive(Clone, Copy, Debug)]
 pub struct FileMeta {
     /// The file id (its inode number in the namespace).
     pub id: u64,
@@ -22,11 +24,35 @@ pub struct FileMeta {
     /// leaves a permanent gap between the two (the file is sparse there
     /// if a later write commits past it).
     pub(crate) cursor: u64,
-    pub(crate) policy: FilePolicy,
     /// Index (into the storage-node list) of the stripe's first node.
     pub(crate) home: usize,
-    /// Where the file's bytes go.
-    pub(crate) layout: StripedLayout,
+}
+
+/// What the control plane holds about one file beside its inode, in one
+/// table keyed by ino: create installs it, and unlink and rename-replace
+/// remove it.
+#[derive(Debug)]
+pub(crate) struct FileState {
+    pub(crate) meta: FileMeta,
+    /// Committed extents (empty until the first commit).
+    pub(crate) extents: ExtentMap,
+    /// The map's length after its last compaction, so the next one only
+    /// triggers after real growth.
+    pub(crate) compact_floor: usize,
+    /// Sequential-scan detector over resolve traffic: where the last
+    /// resolve ended, and how many have run back-to-back.
+    pub(crate) scan: (u64, u32),
+}
+
+/// The layout and policy `file`'s namespace inode owns. A missing inode,
+/// or a directory's, is an unknown file, as a missing record is.
+pub(super) fn file_node(
+    ns: &Namespace,
+    file: u64,
+) -> Result<(&StripedLayout, &FilePolicy), MetaError> {
+    let node = ns.inode(file).ok().and_then(|i| i.file());
+    node.map(|f| (&f.layout, &f.policy))
+        .ok_or(MetaError::UnknownFile(file))
 }
 
 /// One striped piece of a plain write: a concrete (node, addr) target.
@@ -219,10 +245,11 @@ impl ControlPlane {
         mode: PlaceMode,
     ) -> Result<WritePlacement, MetaError> {
         let shard = self.shard_of(file);
-        let f = self.shards[shard]
+        let f = self
             .files
             .get_mut(&file)
             .ok_or(MetaError::UnknownFile(file))?;
+        let (layout, policy) = file_node(&self.ns, file)?;
         let meta = &mut f.meta;
         let base = match mode {
             PlaceMode::Append => meta.cursor,
@@ -239,11 +266,11 @@ impl ControlPlane {
         };
         meta.cursor += appended;
         let home = meta.home;
-        let policy = meta.policy.clone();
+        let policy = policy.clone();
         // Striped placement: split the extent over the file's layout;
         // width-1 layouts degenerate to the seed's single-node placement.
         let extents = match policy {
-            FilePolicy::Plain => meta.layout.extents(base, len),
+            FilePolicy::Plain => layout.extents(base, len),
             _ => vec![],
         };
         self.note_route(shard, ServiceClass::Mutation);
@@ -304,7 +331,7 @@ impl ControlPlane {
     /// when an earlier placement was abandoned and never committed).
     pub fn commit_write(&mut self, file: u64, placement: &WritePlacement, len: u32) -> u64 {
         let shard = self.shard_of(file);
-        let Some(f) = self.shards[shard].files.get_mut(&file).filter(|_| len > 0) else {
+        let Some(f) = self.files.get_mut(&file).filter(|_| len > 0) else {
             return 0;
         };
         let map = &mut f.extents;
@@ -318,7 +345,7 @@ impl ControlPlane {
                 });
             }
         } else if !placement.data_chunks.is_empty() {
-            let FilePolicy::ErasureCoded { scheme } = f.meta.policy else {
+            let Ok((_, &FilePolicy::ErasureCoded { scheme })) = file_node(&self.ns, file) else {
                 panic!("EC placement on a non-EC file");
             };
             map.record(ExtentRecord::Ec {
@@ -353,7 +380,7 @@ impl ControlPlane {
             generation,
         };
         self.log_apply(shard, op);
-        let new = &self.shards[shard].files[&file].extents.records()[first_new..];
+        let new = &self.files[&file].extents.records()[first_new..];
         for (i, rec) in new.iter().enumerate() {
             // The committed shards are live on their nodes now: charge
             // the hosted-capacity gauges per coordinate.

@@ -156,9 +156,9 @@ impl ControlPlane {
         // Enqueue in sorted (file, rec) order so the repair queue — and
         // everything downstream of it (placement, bandwidth throttling
         // cut points) — is identical across runs with the same seed,
-        // regardless of the shard count.
+        // whatever order the file table iterates in.
         let mut tasks: Vec<RepairTask> = Vec::new();
-        for (file, f) in self.all_files() {
+        for (&file, f) in &self.files {
             for rec in f.extents.affected_records(node) {
                 tasks.push(RepairTask { file, rec });
             }
@@ -200,12 +200,10 @@ impl ControlPlane {
             .filter(|(_, c)| c.node == node)
             .count();
         self.repair_queue.stats.shards_readopted += readopted as u64;
-        let shards = &self.shards;
-        let router = &self.router;
+        let files = &self.files;
         let failed = &self.failed_nodes;
         let dropped = self.repair_queue.retain_tasks(|t| {
-            shards[router.route(t.file)]
-                .files
+            files
                 .get(&t.file)
                 .and_then(|f| f.extents.records().get(t.rec))
                 .is_some_and(|r| failed.iter().any(|&n| r.references_node(n)))
@@ -267,7 +265,8 @@ impl ControlPlane {
     /// nowhere to re-protect to ([`MetaError::NoSpareNode`]).
     pub fn plan_repair(&mut self, task: RepairTask) -> Result<RepairPlan, MetaError> {
         let record = self
-            .file(task.file)
+            .files
+            .get(&task.file)
             .and_then(|f| f.extents.records().get(task.rec))
             .ok_or(MetaError::UnknownFile(task.file))?;
         let coords = record.shard_coords();
@@ -334,7 +333,7 @@ impl ControlPlane {
         // errors out below — either way it stops blocking compaction.
         self.inflight_repairs.remove(&task);
         let shard = self.shard_of(task.file);
-        let map = &mut self.shards[shard]
+        let map = &mut self
             .files
             .get_mut(&task.file)
             .ok_or(MetaError::UnknownFile(task.file))?
@@ -381,7 +380,7 @@ impl ControlPlane {
         // file unlinked while its repair was in flight is left alone.
         if self.ns.append(task.file, 0, now_ns).is_ok() {
             if let Some(path) = self.ns.path_of(task.file) {
-                self.notify(MetaEvent::Changed { path });
+                self.notify(MetaEvent::Changed { path: &path });
             }
             self.notify(MetaEvent::LayoutChanged {
                 ino: task.file,

@@ -22,7 +22,7 @@ impl ControlPlane {
         len: u32,
     ) -> Result<ReadPlan, MetaError> {
         let shard = self.shard_of(file);
-        let f = self.shards[shard]
+        let f = self
             .files
             .get_mut(&file)
             .ok_or(MetaError::UnknownFile(file))?;
@@ -68,13 +68,13 @@ impl ControlPlane {
     /// The extent-map generation of `file` (bumped by commits, repair
     /// re-homing, and compaction; 0 before the first commit).
     pub fn extent_generation(&self, file: u64) -> u64 {
-        self.file(file).map_or(0, |f| f.extents.generation())
+        self.files.get(&file).map_or(0, |f| f.extents.generation())
     }
 
-    /// Every committed extent record in the cluster (see
-    /// `ControlPlane::all_files` on order).
+    /// Every committed extent record in the cluster, in the file table's
+    /// order, which means nothing: every caller counts or sums.
     pub(super) fn all_records(&self) -> impl Iterator<Item = &ExtentRecord> {
-        self.all_files().flat_map(|(_, f)| f.extents.records())
+        self.files.values().flat_map(|f| f.extents.records())
     }
 
     /// Bytes the extent maps currently place across the cluster — the
@@ -110,8 +110,7 @@ impl ControlPlane {
         {
             return;
         }
-        let shard = &mut self.shards[self.router.route(file)];
-        let Some(f) = shard.files.get_mut(&file) else {
+        let Some(f) = self.files.get_mut(&file) else {
             return;
         };
         if f.extents.len() < COMPACT_MIN.max(2 * f.compact_floor) {
@@ -124,8 +123,9 @@ impl ControlPlane {
         if result.dropped == 0 {
             return;
         }
-        shard.stats.compactions += 1;
-        shard.stats.records_dropped += result.dropped as u64;
+        let shard = &mut self.shards[self.router.route(file)].stats;
+        shard.compactions += 1;
+        shard.records_dropped += result.dropped as u64;
         for (rec, slot) in before.iter().zip(&result.remap) {
             if slot.is_none() {
                 self.unhost_record(rec);

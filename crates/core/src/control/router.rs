@@ -1,10 +1,12 @@
 //! Ino → metadata-shard routing.
 //!
-//! The namespace is hash-partitioned across shards by inode number
+//! Metadata ops are hash-partitioned across shards by inode number
 //! (SwitchFS-style fine-grained partitioning): a mixing function over the
-//! ino picks the owning shard, so directory locality does not funnel a
-//! whole subtree onto one shard while the mapping stays stateless — any
-//! client or server can compute it with no directory-service round trip.
+//! ino picks the shard whose queue and op log an op on it uses, so
+//! directory locality does not funnel a whole subtree onto one shard
+//! while the mapping stays stateless — any client or server can compute
+//! it with no directory-service round trip. The state itself (the
+//! namespace tree and the file table) is not partitioned.
 
 /// Stateless ino → shard map shared by every control-plane entry point.
 #[derive(Clone, Copy, Debug)]

@@ -1,10 +1,12 @@
 //! Metadata shards, per-shard op logs, and the one mutation path.
 //!
-//! Each shard owns one [`FileState`] record per file the
-//! [`super::router::ShardRouter`] maps to it, plus an append-only op log.
-//! Mutations are *asynchronous* (AsyncFS-style): the owning shard appends
-//! the mutation to its log and the client is acked after the append — the
-//! in-memory apply and the cache callbacks happen off the ack path.
+//! A shard models a metadata server: an append-only op log, a
+//! single-server admission queue and its counters. The
+//! [`super::router::ShardRouter`] says which shard owns an ino; the file
+//! records themselves sit in the plane's one table. Mutations are
+//! *asynchronous* (AsyncFS-style): the owning shard appends the mutation
+//! to its log and the client is acked after the append — the in-memory
+//! apply and the cache callbacks happen off the ack path.
 //! The log is therefore the unit of durability, and (ROADMAP item 3) the
 //! natural unit of replication for a per-shard consensus group.
 //!
@@ -112,29 +114,13 @@ pub struct ShardStats {
     pub(crate) records_dropped: u64,
 }
 
-/// Everything the control plane holds about one file, under one key:
-/// create installs it, unlink and rename-replace remove it, and nothing
-/// about a file lives anywhere else.
-#[derive(Debug)]
-pub(crate) struct FileState {
-    pub(crate) meta: FileMeta,
-    /// Committed extents (empty until the first commit).
-    pub(crate) extents: ExtentMap,
-    /// The map's length after its last compaction, so the next one only
-    /// triggers after real growth.
-    pub(crate) compact_floor: usize,
-    /// Sequential-scan detector over resolve traffic: where the last
-    /// resolve ended, and how many have run back-to-back.
-    pub(crate) scan: (u64, u32),
-}
-
-/// One metadata shard: the partition's files, its op log, and the
-/// single-server queue the admission model charges against.
+/// One metadata shard: its op log, the single-server queue the admission
+/// model charges against, and its counters. The files it owns are the
+/// inos [`super::router::ShardRouter`] maps to it; their records sit in
+/// the plane's one file table.
 #[derive(Debug)]
 pub(crate) struct MetaShard {
     pub(crate) id: usize,
-    /// One record per file this shard owns, by ino.
-    pub(crate) files: IdMap<u64, FileState>,
     /// The shard's append-only mutation log.
     pub(crate) log: OpLog,
     /// When this shard next becomes free (simulated ps) — the
@@ -147,7 +133,6 @@ impl MetaShard {
     pub(crate) fn new(id: usize) -> MetaShard {
         MetaShard {
             id,
-            files: IdMap::default(),
             log: OpLog::default(),
             busy_until_ps: 0,
             stats: ShardStats::default(),

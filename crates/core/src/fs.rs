@@ -31,7 +31,7 @@ use nadfs_wire::Status;
 
 use crate::client::{Job, ReadCompletion, ReadProtocol, WriteProtocol, WriteResult};
 use crate::cluster::{SimCluster, StorageMode};
-use crate::control::{FileMeta, FilePolicy};
+use crate::control::FilePolicy;
 use crate::repair::{RepairDriver, RepairReport};
 
 /// Why a file-system operation failed.
@@ -157,21 +157,21 @@ impl FsClient {
             .cluster
             .control
             .borrow_mut()
-            .create_file_at(path, spec, policy)?;
-        Ok(self.handle_for(path, &meta))
+            .create_file_at(path, spec, policy.clone())?;
+        Ok(self.handle_for(path, meta.id, &policy))
     }
 
     /// Open an existing file by path.
     pub fn open(&mut self, path: &str) -> Result<FileHandle, FsError> {
-        let meta = {
+        let (ino, policy) = {
             let mut control = self.cluster.control.borrow_mut();
-            let (attr, _layout) = control.lookup_entry(path)?;
+            let attr = control.lookup_path(path)?;
             if attr.kind != InodeKind::File {
                 return Err(FsError::Meta(MetaError::IsADirectory));
             }
-            control.lookup(attr.ino)?.clone()
+            (attr.ino, control.policy_of(attr.ino)?)
         };
-        Ok(self.handle_for(path, &meta))
+        Ok(self.handle_for(path, ino, &policy))
     }
 
     /// Write `data` at `offset` (`pwrite` semantics: overwrites in place,
@@ -327,12 +327,12 @@ impl FsClient {
         self.cluster.engine.now().as_ns() as u64
     }
 
-    fn handle_for(&self, path: &str, meta: &FileMeta) -> FileHandle {
+    fn handle_for(&self, path: &str, file: u64, policy: &FilePolicy) -> FileHandle {
         let mode = self.cluster.spec.mode;
         FileHandle {
-            file: meta.id,
+            file,
             path: path.to_string(),
-            write_protocol: default_write_protocol(mode, &meta.policy),
+            write_protocol: default_write_protocol(mode, policy),
             // One-sided reads in every mode: the storage NIC validates
             // them (the service key is installed cluster-wide).
             read_protocol: ReadProtocol::Rdma,
