@@ -562,10 +562,10 @@ fn transcript(shards: usize) -> u64 {
 
 #[test]
 fn one_shard_transcript_is_pinned() {
-    assert_eq!(transcript(1), 4748155748096490530);
+    assert_eq!(transcript(1), 14716945384190055133);
 }
 
 #[test]
 fn four_shard_transcript_is_pinned() {
-    assert_eq!(transcript(4), 9479365543919755917);
+    assert_eq!(transcript(4), 10924170194296249326);
 }
