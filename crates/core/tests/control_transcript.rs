@@ -127,6 +127,10 @@ impl Rig {
         self.fold("meta_ops", c.meta_stats());
         for &f in &self.files.clone() {
             self.fold("file", (c.lookup(f), c.extent_generation(f), c.shard_of(f)));
+            // The layout (its rotating home among them) and the policy
+            // live on the inode.
+            let inode = c.namespace().inode(f).ok().and_then(|i| i.file());
+            self.fold("inode", inode.map(|n| (&n.layout, &n.policy)));
         }
         let mc = self.meta_cache.borrow().stats;
         self.fold("meta_cache", mc);
@@ -562,10 +566,10 @@ fn transcript(shards: usize) -> u64 {
 
 #[test]
 fn one_shard_transcript_is_pinned() {
-    assert_eq!(transcript(1), 14716945384190055133);
+    assert_eq!(transcript(1), 9122688530568212463);
 }
 
 #[test]
 fn four_shard_transcript_is_pinned() {
-    assert_eq!(transcript(4), 10924170194296249326);
+    assert_eq!(transcript(4), 14095331138682930264);
 }
