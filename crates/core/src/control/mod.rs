@@ -162,7 +162,7 @@ impl MetaOpStats {
 
 /// A callback to the client caches, delivered where a mutation raises it
 /// (`ControlPlane::notify`). It borrows its path from the mutation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) enum MetaEvent<'a> {
     /// A single path gained or changed an entry.
     Changed { path: &'a str },

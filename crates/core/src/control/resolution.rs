@@ -123,9 +123,9 @@ impl ControlPlane {
         if result.dropped == 0 {
             return;
         }
-        let shard = &mut self.shards[self.router.route(file)].stats;
-        shard.compactions += 1;
-        shard.records_dropped += result.dropped as u64;
+        let stats = &mut self.shards[self.router.route(file)].stats;
+        stats.compactions += 1;
+        stats.records_dropped += result.dropped as u64;
         for (rec, slot) in before.iter().zip(&result.remap) {
             if slot.is_none() {
                 self.unhost_record(rec);
