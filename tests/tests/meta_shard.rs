@@ -580,6 +580,67 @@ fn every_append_of_a_cross_shard_transaction_is_a_survivable_crash_point() {
     }
 }
 
+#[test]
+fn one_recovery_resolves_two_transactions_left_dangling_at_once() {
+    let cl = sweep_fixture(4);
+    let mut ops = swept_ops().into_iter();
+    let (rename, unlink) = (ops.next().expect("rename"), ops.nth(1).expect("unlink"));
+    assert_eq!((rename.name, unlink.name), ("rename", "unlink"));
+    let to = rename.to.as_deref().expect("a rename");
+    let (from_dir, to_dir) = (parent_dir(&rename.path), parent_dir(to));
+
+    // Killed after both intents: no witness, so it rolls back.
+    cl.control.borrow_mut().crash_after_appends(2);
+    assert_eq!(rename.run(&cl), Err(MetaError::TxAborted));
+
+    // A cross-shard op between the two kills completes and leaves
+    // nothing to resolve.
+    {
+        let mut c = cl.control.borrow_mut();
+        let (from, to) = (format!("{from_dir}/fresh"), format!("{to_dir}/fresh"));
+        c.create_file_at(&from, LayoutSpec::SINGLE, FilePolicy::Plain)
+            .expect("create");
+        c.rename(&from, &to, 9).expect("cross-shard rename");
+    }
+
+    // Killed right after the coordinator's `Applied`: it rolls forward.
+    cl.control.borrow_mut().crash_after_appends(3);
+    assert_eq!(unlink.run(&cl), Err(MetaError::TxAborted));
+
+    let rec = cl.control.borrow_mut().recover_shards();
+    assert_eq!(
+        rec,
+        TxRecovery {
+            rolled_forward: 1,
+            rolled_back: 1
+        }
+    );
+    assert_eq!(
+        cl.control.borrow_mut().recover_shards(),
+        TxRecovery::default(),
+        "nothing left dangling"
+    );
+    let mut c = cl.control.borrow_mut();
+    assert!(
+        c.lookup_path(&rename.path).is_ok(),
+        "the rename rolled back"
+    );
+    assert!(c.lookup_path(to).is_err());
+    assert!(
+        c.lookup_path(&unlink.path).is_err(),
+        "the unlink rolled forward"
+    );
+    assert!(c.lookup_path(&format!("{to_dir}/fresh")).is_ok());
+    // 8 mkdirs, 32 creates and 32 commits, then the three transactions
+    // and the create, and one `Abort` and one `Commit` per participant
+    // that recovery resolved.
+    assert_eq!(c.shard_log_lens(), vec![16, 24, 35, 12]);
+}
+
+fn parent_dir(path: &str) -> &str {
+    &path[..path.rfind('/').expect("an absolute path")]
+}
+
 // ---------------------------------------------------------------------
 // Property: a 4-shard plane is observationally identical to a 1-shard
 // shadow under arbitrary namespace op sequences — same per-op results,
