@@ -22,19 +22,21 @@
 //!
 //! The metadata plane is **sharded**: a stateless [`router::ShardRouter`]
 //! maps each ino to one of N [`shard::MetaShard`]s, whose queue its ops
-//! wait in and whose op log records them, and mutations ack after that
-//! per-shard op-log append (AsyncFS-style async updates). The namespace
-//! itself is one tree, not partitioned. Beside it the plane keeps three
-//! kinds of record and nothing else — one per file, in one table keyed by
-//! ino, one per storage node, one per shard — and this file only wires
-//! them together: construction, the cache callbacks, and the namespace
-//! operations, each of which is a participant set plus an apply step
-//! handed to `ControlPlane::transact`. What the records are and what is
-//! done with them lives in the submodules:
+//! wait in and whose op log counts their records, and mutations ack after
+//! that per-shard op-log append (AsyncFS-style async updates). The
+//! namespace itself is one tree, not partitioned. Beside it the plane
+//! keeps three kinds of record — one per file, in one table keyed by ino,
+//! one per storage node, one per shard — and a table of the cross-shard
+//! transactions still open, which is all recovery reads. This file only
+//! wires them together: construction, the cache callbacks, and the
+//! namespace operations, each of which is a participant set plus an
+//! apply step handed to `ControlPlane::transact`. What the records are
+//! and what is done with them lives in the submodules:
 //!
-//! - `shard`: the shard (op log, admission queue, counters);
-//!   `transact`, the one mutation path (routing, 2PC across shards, the
-//!   single log append and its crash switch); admission and recovery.
+//! - `shard`: the shard (append count, admission queue, counters) and
+//!   the open-transaction table; `transact`, the one mutation path
+//!   (routing, 2PC across shards, the single log append and its crash
+//!   switch); admission and recovery.
 //! - `placement`: what clients are handed ([`FileMeta`],
 //!   [`WritePlacement`], [`StripeTarget`]); the per-file record
 //!   (`FileState`) and the per-node record (`NodeState`: allocator,
@@ -68,7 +70,7 @@ use placement::{file_node, FileState, NodeState};
 pub use placement::{FileMeta, StripeTarget, WritePlacement};
 pub use repair_queue::{RepairPlan, RepairQueue, RepairStats, RepairTask};
 pub(crate) use router::ShardRouter;
-pub(crate) use shard::{MetaMutation, MetaShard, ServiceClass};
+pub(crate) use shard::{MetaShard, OpenTx, ServiceClass};
 pub use shard::{ShardStats, TxRecovery};
 
 // Policies now live with the rest of the file metadata in `nadfs-meta`;
@@ -100,9 +102,11 @@ pub struct ControlPlane {
     read_caches: Vec<Rc<RefCell<ReadCache>>>,
     /// One record per file, by ino; the file's inode holds the rest.
     files: IdMap<u64, FileState>,
-    /// The metadata shards: the op logs and the per-shard admission
-    /// queues.
+    /// The metadata shards: their append counts and admission queues.
     shards: Vec<MetaShard>,
+    /// The cross-shard transactions not yet resolved, in txid order: what
+    /// [`ControlPlane::recover_shards`] reads.
+    open_txs: Vec<OpenTx>,
     /// Stateless ino → shard map.
     router: ShardRouter,
     /// The shard + service class of the most recent routed op — what
@@ -216,7 +220,8 @@ impl ControlPlane {
             caches: Vec::new(),
             read_caches: Vec::new(),
             files: IdMap::default(),
-            shards: (0..n_shards).map(MetaShard::new).collect(),
+            shards: vec![MetaShard::default(); n_shards],
+            open_txs: Vec::new(),
             router: ShardRouter::new(n_shards),
             last_route: None,
             crash_after: 0,
@@ -378,33 +383,27 @@ impl ControlPlane {
             return Err(MetaError::InvalidPolicy);
         }
         let parent = self.route_parent(path);
-        self.transact(
-            parent,
-            [None; 2],
-            MetaMutation::Create { ino: 0 },
-            |cp, op| {
-                cp.meta_stats.creates += 1;
-                let (home, layout) = cp.alloc_layout(spec);
-                let attr = cp.ns.create(path, layout, policy, 0)?;
-                cp.notify(MetaEvent::Changed { path });
-                cp.notify_parent(path);
-                *op = MetaMutation::Create { ino: attr.ino };
-                let meta = FileMeta {
-                    id: attr.ino,
-                    size: attr.size,
-                    cursor: attr.size,
-                    home,
-                };
-                let state = FileState {
-                    meta,
-                    extents: ExtentMap::new(),
-                    compact_floor: 0,
-                    scan: (0, 0),
-                };
-                cp.files.insert(attr.ino, state);
-                Ok(meta)
-            },
-        )
+        self.transact(parent, [None; 2], |cp| {
+            cp.meta_stats.creates += 1;
+            let (home, layout) = cp.alloc_layout(spec);
+            let attr = cp.ns.create(path, layout, policy, 0)?;
+            cp.notify(MetaEvent::Changed { path });
+            cp.notify_parent(path);
+            let meta = FileMeta {
+                id: attr.ino,
+                size: attr.size,
+                cursor: attr.size,
+                home,
+            };
+            let state = FileState {
+                meta,
+                extents: ExtentMap::new(),
+                compact_floor: 0,
+                scan: (0, 0),
+            };
+            cp.files.insert(attr.ino, state);
+            Ok(meta)
+        })
     }
 
     /// Metadata lookup by file id. A miss is a typed error, not a panic
@@ -489,17 +488,10 @@ impl ControlPlane {
         make: impl FnOnce(&mut Self) -> Result<InodeAttr, MetaError>,
     ) -> Result<InodeAttr, MetaError> {
         let parent = self.route_parent(path);
-        self.transact(
-            parent,
-            [None; 2],
-            MetaMutation::Mkdir { ino: 0 },
-            |cp, op| {
-                cp.meta_stats.mkdirs += 1;
-                let attr = make(cp)?;
-                *op = MetaMutation::Mkdir { ino: attr.ino };
-                Ok(attr)
-            },
-        )
+        self.transact(parent, [None; 2], |cp| {
+            cp.meta_stats.mkdirs += 1;
+            make(cp)
+        })
     }
 
     pub fn readdir(&mut self, path: &str) -> Result<Vec<(String, InodeAttr)>, MetaError> {
@@ -514,11 +506,7 @@ impl ControlPlane {
     /// inode, so its record goes too, exactly like an unlink).
     pub fn rename(&mut self, from: &str, to: &str, now_ns: u64) -> Result<(), MetaError> {
         let others = [Some(self.route_parent(to)), self.shard_of_path(to)];
-        let op = MetaMutation::Rename {
-            from: from.to_string(),
-            to: to.to_string(),
-        };
-        self.transact(self.route_parent(from), others, op, |cp, _| {
+        self.transact(self.route_parent(from), others, |cp| {
             cp.meta_stats.renames += 1;
             let seq = cp.ns.change_seq;
             let replaced = cp.ns.rename(from, to, now_ns)?;
@@ -543,10 +531,7 @@ impl ControlPlane {
     pub fn unlink(&mut self, path: &str, now_ns: u64) -> Result<InodeAttr, MetaError> {
         let target = self.ns.resolve(path).ok();
         let others = [target.map(|ino| self.shard_of(ino)), None];
-        let op = MetaMutation::Unlink {
-            ino: target.unwrap_or(0),
-        };
-        self.transact(self.route_parent(path), others, op, |cp, _| {
+        self.transact(self.route_parent(path), others, |cp| {
             cp.meta_stats.unlinks += 1;
             let attr = cp.ns.unlink(path, now_ns)?;
             cp.notify(MetaEvent::SubtreeGone { path });
@@ -571,7 +556,7 @@ impl ControlPlane {
         self.note_route(shard, ServiceClass::Mutation);
         for (ino, _) in updates {
             let s = self.shard_of(*ino);
-            self.log_apply(s, MetaMutation::AttrFlush { ino: *ino });
+            self.log_apply(s);
         }
         self.meta_stats.attr_flushes += 1;
         let mut sorted: Vec<_> = updates.iter().collect();

@@ -375,11 +375,7 @@ impl ControlPlane {
         let growth = (placement.offset + len as u64).saturating_sub(f.meta.size);
         f.meta.size += growth;
         self.note_route(shard, ServiceClass::Mutation);
-        let op = MetaMutation::ExtentCommit {
-            ino: file,
-            generation,
-        };
-        self.log_apply(shard, op);
+        self.log_apply(shard);
         let new = &self.files[&file].extents.records()[first_new..];
         for (i, rec) in new.iter().enumerate() {
             // The committed shards are live on their nodes now: charge

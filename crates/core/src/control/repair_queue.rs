@@ -348,11 +348,7 @@ impl ControlPlane {
         old_coords.retain(|(slot, _)| replacements.iter().any(|(s, _)| s == slot));
         map.rehome(task.rec, replacements)?;
         let generation = map.generation();
-        let op = MetaMutation::RepairRehome {
-            ino: task.file,
-            rec: task.rec,
-        };
-        self.log_apply(shard, op);
+        self.log_apply(shard);
         self.repair_queue.stats.committed += 1;
         self.repair_queue.stats.shards_rehomed += replacements.len() as u64;
         for &(_, coord) in replacements {

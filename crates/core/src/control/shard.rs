@@ -1,14 +1,18 @@
-//! Metadata shards, per-shard op logs, and the one mutation path.
+//! Metadata shards, their op-log appends, and the one mutation path.
 //!
-//! A shard models a metadata server: an append-only op log, a
-//! single-server admission queue and its counters. The
-//! [`super::router::ShardRouter`] says which shard owns an ino; the file
-//! records themselves sit in the plane's one table. Mutations are
-//! *asynchronous* (AsyncFS-style): the owning shard appends the mutation
-//! to its log and the client is acked after the append — the in-memory
-//! apply and the cache callbacks happen off the ack path.
-//! The log is therefore the unit of durability, and (ROADMAP item 3) the
-//! natural unit of replication for a per-shard consensus group.
+//! A shard models a metadata server: an op log, a single-server admission
+//! queue and its counters. The [`super::router::ShardRouter`] says which
+//! shard owns an ino; the file records themselves sit in the plane's one
+//! table. Mutations are *asynchronous* (AsyncFS-style): the owning shard
+//! appends the mutation to its log and the client is acked after the
+//! append — the in-memory apply and the cache callbacks happen off the
+//! ack path. The namespace lives in memory and survives a coordinator
+//! crash; what the log has to make durable is the outcome of each
+//! cross-shard transaction. So a shard only counts its appends (its
+//! `log_len`), and the plane keeps one table of open transactions that
+//! holds each cross-shard commit until every participant has resolved
+//! it, as Lustre's recovery logs cancel a record once the operation it
+//! protects has committed.
 //!
 //! Every namespace mutation runs through `ControlPlane::transact`: a
 //! participant set plus an apply step. One participant logs `Apply` and
@@ -16,34 +20,25 @@
 //! parent and target hash apart) run a two-phase intent/commit protocol:
 //! every participant logs an `Intent`, the coordinator applies and logs
 //! `Applied`, then all participants log `Commit`.
-//! [`ControlPlane::recover_shards`] replays the logs after a crash: a
-//! dangling intent rolls forward iff some shard logged `Applied`, and
+//! [`ControlPlane::recover_shards`] resolves the open transactions after
+//! a crash: one rolls forward iff the coordinator logged `Applied`, and
 //! rolls back otherwise. Every log record goes through
-//! `ControlPlane::append`, which is also where the fault harness's
-//! [`ControlPlane::crash_after_appends`] switch kills the coordinator.
+//! `ControlPlane::append`, which counts it, keeps the table, and is also
+//! where the fault harness's [`ControlPlane::crash_after_appends`] switch
+//! kills the coordinator.
 
 use super::*;
 use crate::config::{MUTATE_SERVICE, RESOLVE_SERVICE};
 
-/// A namespace mutation as recorded in a shard's op log.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) enum MetaMutation {
-    Mkdir { ino: u64 },
-    Create { ino: u64 },
-    Rename { from: String, to: String },
-    Unlink { ino: u64 },
-    AttrFlush { ino: u64 },
-    ExtentCommit { ino: u64, generation: u64 },
-    RepairRehome { ino: u64, rec: usize },
-}
-
-/// One record in a shard's append-only op log.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) enum LogEntry {
+/// One record a shard appends. The shard keeps only their count; the
+/// plane's table of open transactions keeps what recovery reads of the
+/// transaction records.
+#[derive(Clone, Copy, Debug)]
+enum LogEntry {
     /// A single-shard mutation: logged and acked, applied in place.
-    Apply { op: MetaMutation },
+    Apply,
     /// Cross-shard transaction phase 1: this shard is a participant.
-    Intent { txid: u64, op: MetaMutation },
+    Intent { txid: u64 },
     /// Coordinator-only marker: the transaction's mutation has been
     /// applied to the namespace (the roll-forward witness).
     Applied { txid: u64 },
@@ -55,43 +50,19 @@ pub(crate) enum LogEntry {
     Abort { txid: u64 },
 }
 
-/// A shard's append-only mutation log.
-#[derive(Debug, Default)]
-pub(crate) struct OpLog {
-    entries: Vec<LogEntry>,
-}
-
-impl OpLog {
-    pub(crate) fn append(&mut self, e: LogEntry) {
-        self.entries.push(e);
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Transaction ids with an `Intent` on this shard but no terminal
-    /// `Commit`/`Abort` — what recovery has to resolve.
-    pub(crate) fn dangling_intents(&self) -> Vec<u64> {
-        let mut dangling: Vec<u64> = Vec::new();
-        for e in &self.entries {
-            match e {
-                LogEntry::Intent { txid, .. } => dangling.push(*txid),
-                LogEntry::Commit { txid } | LogEntry::Abort { txid } => {
-                    dangling.retain(|t| t != txid);
-                }
-                _ => {}
-            }
-        }
-        dangling
-    }
-
-    /// Whether this shard witnessed the apply of `txid` (coordinator).
-    pub(crate) fn has_applied(&self, txid: u64) -> bool {
-        self.entries
-            .iter()
-            .any(|e| matches!(e, LogEntry::Applied { txid: t } if *t == txid))
-    }
+/// A cross-shard transaction that some participant has not resolved: all
+/// the plane keeps of a transaction, from its first `Intent` until its
+/// last participant logs `Commit` or `Abort`. The `Applied` witness lives
+/// as long as the entry, so a participant that has not committed yet
+/// still rolls forward after the coordinator has.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct OpenTx {
+    txid: u64,
+    /// The participants (at most three) that logged an `Intent` and no
+    /// `Commit`/`Abort` yet, in shard order.
+    pending: [Option<usize>; 3],
+    /// The coordinator logged `Applied`.
+    applied: bool,
 }
 
 /// Per-shard observable counters, exported as `meta.shard.N.*`.
@@ -114,30 +85,18 @@ pub struct ShardStats {
     pub(crate) records_dropped: u64,
 }
 
-/// One metadata shard: its op log, the single-server queue the admission
-/// model charges against, and its counters. The files it owns are the
-/// inos [`super::router::ShardRouter`] maps to it; their records sit in
-/// the plane's one file table.
-#[derive(Debug)]
+/// One metadata shard: how many records it appended, the single-server
+/// queue the admission model charges against, and its counters. The
+/// files it owns are the inos [`super::router::ShardRouter`] maps to it;
+/// their records sit in the plane's one file table.
+#[derive(Clone, Debug, Default)]
 pub(crate) struct MetaShard {
-    pub(crate) id: usize,
-    /// The shard's append-only mutation log.
-    pub(crate) log: OpLog,
+    /// Records appended to this shard's log since the plane was built.
+    log_len: usize,
     /// When this shard next becomes free (simulated ps) — the
     /// single-server queue behind which routed ops wait.
-    pub(crate) busy_until_ps: u64,
+    busy_until_ps: u64,
     pub(crate) stats: ShardStats,
-}
-
-impl MetaShard {
-    pub(crate) fn new(id: usize) -> MetaShard {
-        MetaShard {
-            id,
-            log: OpLog::default(),
-            busy_until_ps: 0,
-            stats: ShardStats::default(),
-        }
-    }
 }
 
 /// Which service-time bucket a routed op occupies its shard for.
@@ -212,9 +171,43 @@ impl ControlPlane {
     /// checked: `Err(TxAborted)` means the coordinator died with `entry`
     /// durable and nothing after it.
     fn append(&mut self, shard: usize, entry: LogEntry) -> Result<(), MetaError> {
-        let in_transaction = !matches!(entry, LogEntry::Apply { .. });
-        self.shards[shard].log.append(entry);
-        if in_transaction && self.crash_after > 0 {
+        self.shards[shard].log_len += 1;
+        let open = &mut self.open_txs;
+        let at = |open: &[OpenTx], txid| {
+            let i = open.iter().position(|tx| tx.txid == txid);
+            i.expect("a transaction logs its intents first")
+        };
+        match entry {
+            LogEntry::Apply => return Ok(()),
+            // A transaction's intents are its first records and txids
+            // only grow, so an intent extends the last entry or opens a
+            // new one, and the table stays in txid order.
+            LogEntry::Intent { txid } => match open.last_mut() {
+                Some(tx) if tx.txid == txid => {
+                    let free = tx.pending.iter_mut().find(|s| s.is_none());
+                    *free.expect("at most three participants") = Some(shard);
+                }
+                _ => open.push(OpenTx {
+                    txid,
+                    pending: [Some(shard), None, None],
+                    applied: false,
+                }),
+            },
+            LogEntry::Applied { txid } => {
+                let i = at(open, txid);
+                open[i].applied = true;
+            }
+            LogEntry::Commit { txid } | LogEntry::Abort { txid } => {
+                let i = at(open, txid);
+                let pending = &mut open[i].pending;
+                let me = pending.iter_mut().find(|s| **s == Some(shard));
+                *me.expect("a participant") = None;
+                if pending.iter().all(Option::is_none) {
+                    open.remove(i);
+                }
+            }
+        }
+        if self.crash_after > 0 {
             self.crash_after -= 1;
             if self.crash_after == 0 {
                 return Err(MetaError::TxAborted);
@@ -224,8 +217,8 @@ impl ControlPlane {
     }
 
     /// Log a single-shard mutation on `shard` (the async-ack point).
-    pub(super) fn log_apply(&mut self, shard: usize, op: MetaMutation) {
-        self.append(shard, LogEntry::Apply { op })
+    pub(super) fn log_apply(&mut self, shard: usize) {
+        self.append(shard, LogEntry::Apply)
             .expect("Apply records are outside the crash switch");
     }
 
@@ -241,16 +234,11 @@ impl ControlPlane {
     /// each when validation refused the op, so recovery has nothing to
     /// do. A crash (see `append`) leaves whatever was logged so far for
     /// [`Self::recover_shards`].
-    ///
-    /// `op` is what the log records. A create or mkdir learns its ino
-    /// only by applying, so `apply` may rewrite `op` before it is logged;
-    /// an `Intent` is logged first and records `op` as passed.
     pub(super) fn transact<T>(
         &mut self,
         coordinator: usize,
         others: [Option<usize>; 2],
-        mut op: MetaMutation,
-        apply: impl FnOnce(&mut Self, &mut MetaMutation) -> Result<T, MetaError>,
+        apply: impl FnOnce(&mut Self) -> Result<T, MetaError>,
     ) -> Result<T, MetaError> {
         let mut set = [coordinator; 3];
         let mut n = 1;
@@ -269,13 +257,12 @@ impl ControlPlane {
         });
         if let Some(txid) = txid {
             for &s in participants.iter() {
-                let op = op.clone();
-                self.append(s, LogEntry::Intent { txid, op })?;
+                self.append(s, LogEntry::Intent { txid })?;
             }
         }
-        let r = apply(self, &mut op);
+        let r = apply(self);
         match (txid, &r) {
-            (None, Ok(_)) => self.log_apply(coordinator, op),
+            (None, Ok(_)) => self.log_apply(coordinator),
             (None, Err(_)) => {}
             (Some(txid), Ok(_)) => {
                 self.append(coordinator, LogEntry::Applied { txid })?;
@@ -293,36 +280,27 @@ impl ControlPlane {
         r
     }
 
-    /// Crash recovery for the shard logs: resolve every dangling intent.
-    /// A transaction some shard witnessed as `Applied` rolls forward
-    /// (append the missing `Commit`s); one with no witness rolls back
-    /// (append `Abort`s — the namespace mutation never happened, per
-    /// the intent-before-apply protocol order).
+    /// Crash recovery for the shard logs: resolve every open transaction,
+    /// in txid order. One the coordinator witnessed as `Applied` rolls
+    /// forward (append the missing `Commit`s); one with no witness rolls
+    /// back (append `Abort`s — the namespace mutation never happened, per
+    /// the intent-before-apply protocol order). Each participant still
+    /// pending gets its record, in shard order, and the last one closes
+    /// the transaction.
     pub fn recover_shards(&mut self) -> TxRecovery {
         // This is the restart: a switch still armed belonged to the
         // process that died.
         self.crash_after = 0;
-        let mut dangling: Vec<(u64, usize)> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.log.dangling_intents().into_iter().map(|t| (t, s.id)))
-            .collect();
-        dangling.sort_unstable();
         let mut rec = TxRecovery::default();
-        for group in dangling.chunk_by(|a, b| a.0 == b.0) {
-            let txid = group[0].0;
-            let applied = self.shards.iter().any(|s| s.log.has_applied(txid));
-            if applied {
+        while let Some(&tx) = self.open_txs.first() {
+            let entry = if tx.applied {
                 rec.rolled_forward += 1;
+                LogEntry::Commit { txid: tx.txid }
             } else {
                 rec.rolled_back += 1;
-            }
-            for &(_, shard) in group {
-                let entry = if applied {
-                    LogEntry::Commit { txid }
-                } else {
-                    LogEntry::Abort { txid }
-                };
+                LogEntry::Abort { txid: tx.txid }
+            };
+            for shard in tx.pending.into_iter().flatten() {
                 self.append(shard, entry).expect("switch disarmed above");
             }
         }
@@ -336,6 +314,6 @@ impl ControlPlane {
 
     /// Per-shard op-log lengths (index = shard id).
     pub fn shard_log_lens(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.log.len()).collect()
+        self.shards.iter().map(|s| s.log_len).collect()
     }
 }
