@@ -215,24 +215,38 @@ pub fn write_then_fail_midway(
     fail_idx: usize,
     after_us: u64,
 ) -> WriteResult {
-    let slot: WriteSlot = Rc::new(RefCell::new(None));
-    fsc.cluster.submit(
-        0,
-        Job::WriteAt {
-            file: h.id(),
-            offset: Some(offset),
-            data: Bytes::from(data.to_vec()),
-            protocol: h.write_protocol,
-            slot: Some(slot.clone()),
-        },
-    );
+    let write = |slot: WriteSlot| Job::WriteAt {
+        file: h.id(),
+        offset: Some(offset),
+        data: Bytes::from(data.to_vec()),
+        protocol: h.write_protocol,
+        slot: Some(slot),
+    };
+    mutate_midway(fsc, 0, write, after_us, |fsc| {
+        fsc.fail_storage_node(fail_idx)
+    })
+}
+
+/// Submit the job `job(slot)` on `client`, run the simulation for
+/// `after_us` of simulated time (the op is in flight), apply `mutate`,
+/// then run the op to completion and return what landed in its slot. A
+/// `mutate` that submits jobs of its own starts and runs them itself.
+pub fn mutate_midway<T>(
+    fsc: &mut FsClient,
+    client: usize,
+    job: impl FnOnce(Rc<RefCell<Option<T>>>) -> Job,
+    after_us: u64,
+    mutate: impl FnOnce(&mut FsClient),
+) -> T {
+    let slot = Rc::new(RefCell::new(None));
+    fsc.cluster.submit(client, job(slot.clone()));
     fsc.cluster.start();
     let mid = fsc.cluster.engine.now() + Dur::from_us(after_us);
     fsc.cluster.engine.run_until(mid);
-    fsc.fail_storage_node(fail_idx);
+    mutate(fsc);
     fsc.cluster
         .run_until_slot(&slot, 10_000)
-        .expect("mid-write-kill write never completed")
+        .expect("the op in flight never completed")
 }
 
 /// Convenience: a repair driver whose completions feed nothing (plain

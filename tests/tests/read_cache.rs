@@ -10,11 +10,12 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use bytes::Bytes;
 use nadfs_core::{
-    ClusterSpec, FilePolicy, FsClient, FsError, Job, LayoutSpec, ReadCompletion, ReadSlot,
-    SimCluster, StorageMode, WriteProtocol,
+    ClusterSpec, FileHandle, FilePolicy, FsClient, FsError, Job, LayoutSpec, ReadCompletion,
+    ReadSlot, SimCluster, StorageMode, WriteProtocol, WriteSlot,
 };
-use nadfs_tests::seed_from_env;
+use nadfs_tests::{mutate_midway, seed_from_env};
 use nadfs_wire::{payload_checksum, RsScheme, Status};
 
 fn payload(seed: u64, len: usize) -> Vec<u8> {
@@ -570,4 +571,146 @@ fn overlapping_readaheads_park_deterministically() {
         assert_eq!(first, again, "completion lists diverged between runs");
         assert_eq!(first_digest, digest, "dispatch order diverged between runs");
     }
+}
+
+/// A client's read-cache counter, from the metrics snapshot.
+fn read_cache_counter(fsc: &FsClient, client: usize, name: &str) -> u64 {
+    let key = format!("client.{client}.read_cache.{name}");
+    fsc.metrics_snapshot().counter(&key).unwrap_or(0)
+}
+
+/// A read of `[offset, offset + len)` of `file` on `client`, as a job
+/// for [`mutate_midway`].
+fn read_job(file: u64, offset: u64, len: u32) -> impl FnOnce(ReadSlot) -> Job {
+    move |slot| Job::Read {
+        file,
+        offset,
+        len,
+        protocol: nadfs_core::ReadProtocol::Rdma,
+        token: 0x78,
+        slot: Some(slot),
+    }
+}
+
+/// A file of 1 MiB striped over four nodes, written by client 0, whose
+/// read cache is then emptied so the next read goes to the network.
+fn cold_striped_file(clients: usize) -> (FsClient, FileHandle, Vec<u8>) {
+    let spec = ClusterSpec::new(clients, 4, StorageMode::Spin);
+    let mut fsc = FsClient::new(SimCluster::build(spec));
+    fsc.mkdir_p("/s").expect("mkdir");
+    let h = fsc
+        .create("/s/f", LayoutSpec::striped(4, 64 << 10))
+        .expect("create");
+    let data = payload(0x57A1E, 1 << 20);
+    fsc.append(&h, &data).expect("write");
+    fsc.drop_read_cache();
+    (fsc, h, data)
+}
+
+/// Client 1 overwrites the file while client 0's read of it is in
+/// flight. The read completes under the plan it resolved, but its bytes
+/// are of a generation that is no longer live: client 0 must not cache
+/// them, and its next read fetches the new bytes.
+#[test]
+fn a_read_that_an_overwrite_overtakes_fills_nothing() {
+    let (mut fsc, h, data) = cold_striped_file(2);
+    let patch = payload(0x57A1F, 4096);
+    let stale_before = read_cache_counter(&fsc, 0, "stale_fills");
+    let overwrite = |fsc: &mut FsClient| {
+        let slot: WriteSlot = Rc::new(RefCell::new(None));
+        let job = Job::WriteAt {
+            file: h.id(),
+            offset: Some(0),
+            data: Bytes::from(patch.clone()),
+            protocol: h.write_protocol,
+            slot: Some(slot.clone()),
+        };
+        fsc.cluster.submit(1, job);
+        fsc.cluster.start();
+        let w = fsc
+            .cluster
+            .run_until_slot(&slot, 10_000)
+            .expect("overwrite");
+        assert_eq!(w.status, Status::Ok);
+    };
+    let r = mutate_midway(&mut fsc, 0, read_job(h.id(), 0, 1 << 20), 2, overwrite);
+    assert_eq!(r.status, Status::Ok);
+    assert!(!r.from_cache);
+    assert_eq!(r.data.as_ref(), &data[..], "served under its own plan");
+    assert_eq!(
+        read_cache_counter(&fsc, 0, "stale_fills"),
+        stale_before + 1,
+        "the overtaken fill was refused"
+    );
+    assert_eq!(fsc.cluster.read_caches[0].borrow().cached_files(), 0);
+    let next = read_on(&mut fsc.cluster, 0, h.id(), 0, 1 << 20);
+    assert!(!next.from_cache, "nothing stale was cached");
+    let mut expect = data;
+    expect[..4096].copy_from_slice(&patch);
+    assert_eq!(next.data.as_ref(), &expect[..]);
+}
+
+/// The file is unlinked while a read of it is in flight: the read's
+/// bytes must not enter the cache, and the next read of the dead file is
+/// not a cache hit.
+#[test]
+fn a_read_in_flight_at_unlink_fills_nothing() {
+    let (mut fsc, h, _) = cold_striped_file(1);
+    let stale_before = read_cache_counter(&fsc, 0, "stale_fills");
+    let unlink = |fsc: &mut FsClient| {
+        fsc.cluster
+            .control
+            .borrow_mut()
+            .unlink("/s/f", 1)
+            .expect("unlink");
+    };
+    let r = mutate_midway(&mut fsc, 0, read_job(h.id(), 0, 1 << 20), 2, unlink);
+    assert_eq!(r.status, Status::Ok);
+    assert_eq!(
+        read_cache_counter(&fsc, 0, "stale_fills"),
+        stale_before + 1,
+        "the dead file's fill was refused"
+    );
+    assert_eq!(fsc.cluster.read_caches[0].borrow().cached_files(), 0);
+    let next = read_on(&mut fsc.cluster, 0, h.id(), 0, 1 << 20);
+    assert!(!next.from_cache, "no bytes of the dead file were cached");
+    assert_eq!(next.status, Status::Rejected);
+}
+
+/// A write is in flight when its file is unlinked: its write-through
+/// leaves nothing cached for the dead ino.
+#[test]
+fn a_write_in_flight_at_unlink_caches_nothing() {
+    let (mut fsc, h, _) = cold_striped_file(1);
+    let stale_before = read_cache_counter(&fsc, 0, "stale_fills");
+    let write_fills_before = read_cache_counter(&fsc, 0, "write_fills");
+    let write = |slot: WriteSlot| Job::WriteAt {
+        file: h.id(),
+        offset: Some(0),
+        data: Bytes::from(payload(0x57A20, 64 << 10)),
+        protocol: h.write_protocol,
+        slot: Some(slot),
+    };
+    let unlink = |fsc: &mut FsClient| {
+        fsc.cluster
+            .control
+            .borrow_mut()
+            .unlink("/s/f", 1)
+            .expect("unlink");
+    };
+    let w = mutate_midway(&mut fsc, 0, write, 2, unlink);
+    assert_eq!(w.status, Status::Ok);
+    assert_eq!(
+        read_cache_counter(&fsc, 0, "write_fills"),
+        write_fills_before + 1
+    );
+    assert_eq!(
+        read_cache_counter(&fsc, 0, "stale_fills"),
+        stale_before + 1,
+        "the dead file's write-through was refused"
+    );
+    assert_eq!(fsc.cluster.read_caches[0].borrow().cached_files(), 0);
+    let next = read_on(&mut fsc.cluster, 0, h.id(), 0, 64 << 10);
+    assert!(!next.from_cache, "no bytes of the dead file were cached");
+    assert_eq!(next.status, Status::Rejected);
 }
