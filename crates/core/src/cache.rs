@@ -14,11 +14,11 @@
 //!
 //! Coherence invariants:
 //!
-//! * **Fill**: bytes enter the cache only from a completed read, tagged
-//!   with the plan's generation. Fills older than the newest generation
-//!   the cache has *heard about* (even if nothing was cached at the time)
-//!   are discarded — an invalidation racing an in-flight fetch can never
-//!   resurrect stale bytes.
+//! * **Fill**: bytes enter the cache from a completed read or write only
+//!   while their generation is the file's live one at the control plane
+//!   ([`ControlPlane::live_generation`]): a fetch that an invalidation or
+//!   an unlink overtook never resurrects stale bytes, and the cache keeps
+//!   no generation of a file it holds nothing of.
 //! * **Invalidate**: any commit, overwrite, or repair re-homing bumps the
 //!   file's generation; the control plane fans the event to every
 //!   registered cache over the same callback channel namespace mutations
@@ -37,6 +37,7 @@
 //! streaming reader alternates one fan-out miss with a run of local hits.
 //!
 //! [`MetaEvent::LayoutChanged`]: crate::control::MetaEvent::LayoutChanged
+//! [`ControlPlane::live_generation`]: crate::control::ControlPlane::live_generation
 //! [`ReadPlan`]: nadfs_meta::ReadPlan
 
 use std::collections::BTreeMap;
@@ -70,8 +71,8 @@ pub struct ReadCacheStats {
     pub(crate) hit_bytes: u64,
     /// Files dropped by generation callbacks (commit/overwrite/repair).
     pub invalidations: u64,
-    /// Fills discarded because the file's generation moved while the
-    /// fetch was in flight (the stale-resurrection guard).
+    /// Fills discarded because the file's generation moved (or the file
+    /// went) while the fetch was in flight: the stale-resurrection guard.
     pub(crate) stale_fills: u64,
     /// Files evicted by the capacity cap.
     pub(crate) evictions: u64,
@@ -159,10 +160,6 @@ pub struct ReadCache {
     files: IdMap<u64, FileCache>,
     /// Cached payload bytes over all files (the sum of their `bytes`).
     total_bytes: usize,
-    /// Newest generation heard per file — survives invalidation (and even
-    /// full eviction) so an in-flight fill from before the bump can never
-    /// re-populate stale bytes.
-    latest_gen: IdMap<u64, u64>,
     streams: IdMap<u64, StreamState>,
     /// Control-plane prefetch advisories: per file, the range some client
     /// (maybe this one) is about to scan. Consumed by the next
@@ -333,12 +330,17 @@ impl ReadCache {
     }
 
     /// Write-through population: the payload of a locally acknowledged
-    /// write enters the cache under the post-commit generation, so
-    /// read-after-write is a local hit without a network round trip.
-    pub(crate) fn fill_from_write(&mut self, file: u64, generation: u64, offset: u64, data: Bytes) {
+    /// write enters the cache under the file's `live` generation, the
+    /// post-commit one, so read-after-write is a local hit without a
+    /// network round trip. `None`: the file went while the write was in
+    /// flight, and the fill is refused.
+    pub(crate) fn fill_from_write(&mut self, file: u64, live: Option<u64>, at: u64, data: Bytes) {
         self.stats.write_fills += 1;
         let len = data.len() as u32;
-        self.fill_shared(file, generation, offset, data, len);
+        match live {
+            Some(generation) => self.fill_shared(file, generation, at, data, len),
+            None => self.stats.stale_fills += 1,
+        }
     }
 
     /// [`Self::fill_shared`] for a caller that only has the bytes on
@@ -359,8 +361,9 @@ impl ReadCache {
     /// keeps a reference to `data`'s buffer, not a copy.
     /// `requested_len` is what the fetch asked for; when `data` came back
     /// shorter, the clamp proves the committed EOF at `offset +
-    /// data.len()`. Stale fills (older than the newest generation heard
-    /// for the file) are discarded.
+    /// data.len()`. A fill older than what the cache holds of the file
+    /// is discarded; whether `generation` is still live is the caller's
+    /// to check (the client asks the control plane).
     pub fn fill_shared(
         &mut self,
         file: u64,
@@ -369,12 +372,6 @@ impl ReadCache {
         data: Bytes,
         requested_len: u32,
     ) {
-        let latest = self.latest_gen.get(&file).copied().unwrap_or(0);
-        if generation < latest {
-            self.stats.stale_fills += 1;
-            return;
-        }
-        self.latest_gen.insert(file, generation);
         let now = self.tick();
         let f = self.files.entry(file).or_insert_with(|| FileCache {
             generation,
@@ -499,34 +496,24 @@ impl ReadCache {
 
     /// Generation callback from the control plane: `file`'s extent map
     /// moved to `generation`. Drops cached data older than it;
-    /// `u64::MAX` means the file's data is gone (unlink/rename-replace).
+    /// `u64::MAX` means the file is gone (unlink/rename-replace), and its
+    /// stream and hint go too.
     pub fn note_generation(&mut self, file: u64, generation: u64) {
+        if self
+            .files
+            .get(&file)
+            .is_some_and(|f| f.generation < generation)
+        {
+            self.drop_file(file);
+            self.stats.invalidations += 1;
+        }
         if generation == u64::MAX {
-            if self.drop_file(file) {
-                self.stats.invalidations += 1;
-            }
-            // Tombstone, not removal: a fill from a read that was in
-            // flight at unlink time must still be rejected (inode ids
-            // are never reused, so the floor can stay forever).
-            self.latest_gen.insert(file, u64::MAX);
             self.streams.remove(&file);
             self.hints.remove(&file);
-            return;
-        }
-        let latest = self.latest_gen.entry(file).or_insert(0);
-        if generation > *latest {
-            *latest = generation;
-        }
-        if let Some(f) = self.files.get(&file) {
-            if f.generation < generation {
-                self.drop_file(file);
-                self.stats.invalidations += 1;
-            }
         }
     }
 
-    /// Drop every cached byte (stats survive). Generation floors survive
-    /// too: a flush must not weaken the stale-fill guard. Not counted as
+    /// Drop every cached byte (stats survive). Not counted as
     /// invalidations — that stat means generation-callback coherence
     /// traffic, and manual drops (measurements, tests) are not that.
     pub fn clear(&mut self) {
@@ -759,7 +746,7 @@ mod tests {
     #[test]
     fn write_fill_serves_read_after_write() {
         let mut c = ReadCache::default();
-        c.fill_from_write(1, 3, 0, Bytes::from(bytes(100, 6)));
+        c.fill_from_write(1, Some(3), 0, Bytes::from(bytes(100, 6)));
         let r = c.lookup(1, 0, 100).expect("read-after-write hit");
         assert_eq!(r.data, bytes(100, 6));
         assert_eq!(r.generation, 3);

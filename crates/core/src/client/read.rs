@@ -685,10 +685,16 @@ impl ClientApp {
                 // the cache under the plan's generation, so this client
                 // never re-fetches (or re-reconstructs) it while the
                 // generation holds. An EOF-clamped fetch also teaches the
-                // cache where the committed size is.
+                // cache where the committed size is. A plan a commit,
+                // re-homing or unlink overtook is not live: it fills nothing.
+                let live = self.control.borrow().live_generation(r.req.file);
                 let mut rc = self.read_cache.borrow_mut();
-                let at = r.req.offset;
-                rc.fill_shared(r.req.file, r.generation, at, fetched, r.fetch_want);
+                if live == Some(r.generation) {
+                    let at = r.req.offset;
+                    rc.fill_shared(r.req.file, r.generation, at, fetched, r.fetch_want);
+                } else {
+                    rc.stats.stale_fills += 1;
+                }
                 rc.stats.readahead_bytes += (r.fetch_len - r.serve_len) as u64;
             }
         }

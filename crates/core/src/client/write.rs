@@ -537,12 +537,13 @@ impl ClientApp {
             if self.read_cache_enabled {
                 // Write-through cache population: a read-after-write is
                 // served locally without a resolve or fan-out. The fill
-                // carries the post-commit generation, so the commit's own
-                // invalidation callback does not immediately evict it.
-                let generation = self.control.borrow().extent_generation(file);
+                // carries the live post-commit generation, so the commit's
+                // own invalidation does not evict it (an unlinked file has
+                // none).
+                let live = self.control.borrow().live_generation(file);
                 self.read_cache.borrow_mut().fill_from_write(
                     file,
-                    generation,
+                    live,
                     w.placement.offset,
                     w.req.data.clone(),
                 );

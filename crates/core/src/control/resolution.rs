@@ -66,9 +66,15 @@ impl ControlPlane {
     }
 
     /// The extent-map generation of `file` (bumped by commits, repair
-    /// re-homing, and compaction; 0 before the first commit).
+    /// re-homing, and compaction; 0 before the first commit), `None` once
+    /// the file is gone: the only one a client read cache fills under.
+    pub fn live_generation(&self, file: u64) -> Option<u64> {
+        self.files.get(&file).map(|f| f.extents.generation())
+    }
+
+    /// [`Self::live_generation`], with 0 for a file that is gone.
     pub fn extent_generation(&self, file: u64) -> u64 {
-        self.files.get(&file).map_or(0, |f| f.extents.generation())
+        self.live_generation(file).unwrap_or(0)
     }
 
     /// Every committed extent record in the cluster, in the file table's

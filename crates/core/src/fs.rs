@@ -299,8 +299,7 @@ impl FsClient {
     }
 
     /// Drop every cached byte in this client's read cache (e.g. to force
-    /// the uncached path for a measurement). Stats and generation floors
-    /// survive.
+    /// the uncached path for a measurement). Stats survive.
     pub fn drop_read_cache(&mut self) {
         self.cluster.read_caches[self.client].borrow_mut().clear();
     }
