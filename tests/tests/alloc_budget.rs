@@ -24,8 +24,8 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use nadfs_core::{
-    ClusterSpec, ControlPlane, FilePolicy, Job, LayoutSpec, MetaCache, MetaWorkload, ReadPattern,
-    ReadProtocol, SimCluster, SizeDist, StorageMode, Workload, WriteProtocol,
+    ClusterSpec, ControlPlane, FilePolicy, Job, LayoutSpec, MetaCache, MetaWorkload, ReadCache,
+    ReadPattern, ReadProtocol, SimCluster, SizeDist, StorageMode, Workload, WriteProtocol,
 };
 use nadfs_wire::{BcastStrategy, RsScheme, Status};
 
@@ -438,12 +438,14 @@ fn cache_off_metadata_ops_stay_under_their_allocation_budget() {
 
 /// History is not state: a loop that leaves the namespace as it found it
 /// leaves the heap as it found it too. On a 4-shard plane with 32 empty
-/// caches subscribed, each round creates a file, renames it across two
-/// shards and unlinks it. Once the tables have grown to the loop's
-/// working set, 3N more rounds retain not one byte. (1,500 rounds
-/// retained 1,529,280 bytes, about 1,020 a round, while every shard kept
-/// the history of its op log, each rename's two paths in every
-/// participant's intent among it.)
+/// metadata caches and 32 empty read caches subscribed, each round
+/// creates a file, renames it across two shards and unlinks it. Once the
+/// tables have grown to the loop's working set, 3N more rounds retain
+/// not one byte. (1,500 rounds retained 1,529,280 bytes, about 1,020 a
+/// round, while every shard kept the history of its op log, each
+/// rename's two paths in every participant's intent among it; and
+/// 1,671,168 bytes, about 1,110 a round, while each read cache kept a
+/// tombstone for every unlinked file.)
 #[test]
 fn net_zero_namespace_churn_retains_nothing() {
     const N: usize = 500;
@@ -451,6 +453,7 @@ fn net_zero_namespace_churn_retains_nothing() {
     let mut c = cp.borrow_mut();
     for _ in 0..32 {
         c.register_cache(Rc::new(RefCell::new(MetaCache::new())));
+        c.register_read_cache(Rc::new(RefCell::new(ReadCache::default())));
     }
     let a = c.mkdir_p("/a", 0).expect("mkdir").ino;
     let b = c.mkdir_p("/b", 0).expect("mkdir").ino;
