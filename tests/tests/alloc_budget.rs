@@ -27,6 +27,7 @@ use nadfs_core::{
     ClusterSpec, ControlPlane, FilePolicy, Job, LayoutSpec, MetaCache, MetaWorkload, ReadCache,
     ReadPattern, ReadProtocol, SimCluster, SizeDist, StorageMode, Workload, WriteProtocol,
 };
+use nadfs_meta::DirtyAttr;
 use nadfs_wire::{BcastStrategy, RsScheme, Status};
 
 const SEED: u64 = 0xA110C;
@@ -340,19 +341,22 @@ fn a_warm_stat_allocates_nothing() {
 }
 
 /// A mutation allocates what it keeps and nothing on the way. On a
-/// 4-shard plane with 32 subscribed caches, all empty, the fewest
+/// 4-shard plane over six nodes (an RS(3,2) stripe and a spare) with 32
+/// subscribed caches, all empty, the fewest
 /// allocations each op made over eight rounds: a create 3 (the new
 /// file's one layout, its name in the inode and in the directory), a
 /// mkdir 2 (the name twice), a rename across two shards 2 (the new name
-/// twice) and an unlink none. A rename made 8 while each shard's op log
-/// kept the mutation, copying the rename's two paths into every
-/// participant's intent. They were 7, 4, 12 and 2 while the caches were
-/// called back with owned paths (2 per create, mkdir and unlink, 4 per
-/// rename) and a create cloned the layout into the inode and the whole
-/// file record into its shard (2 more).
+/// twice), an unlink none, and a one-update attribute flush and a repair
+/// commit 5 each (4 of them build the file's path to call back caches
+/// that hold nothing). A rename made 8
+/// while each shard's op log kept the mutation, copying the rename's two
+/// paths into every participant's intent. They were 7, 4, 12 and 2 while
+/// the caches were called back with owned paths (2 per create, mkdir and
+/// unlink, 4 per rename) and a create cloned the layout into the inode
+/// and the whole file record into its shard (2 more).
 #[test]
 fn mutations_allocate_only_what_they_keep() {
-    let cp = ControlPlane::new_sharded(SEED, vec![10, 11, 12, 13, 14], 4);
+    let cp = ControlPlane::new_sharded(SEED, vec![10, 11, 12, 13, 14, 15], 4);
     let mut c = cp.borrow_mut();
     for _ in 0..32 {
         c.register_cache(Rc::new(RefCell::new(MetaCache::new())));
@@ -365,28 +369,54 @@ fn mutations_allocate_only_what_they_keep() {
         "a rename from /a to /b is 2PC"
     );
     let spec = LayoutSpec::striped(2, BLOCK);
-    let mut fewest = [u64::MAX; 4];
+    let rs32 = FilePolicy::ErasureCoded {
+        scheme: RsScheme::new(3, 2),
+    };
+    let mut fewest = [u64::MAX; 6];
     for i in 0..8 {
         let (f, d, g) = (format!("/a/f{i}"), format!("/a/d{i}"), format!("/b/g{i}"));
         let a0 = allocs();
-        c.create_file_at(&f, spec, FilePolicy::Plain)
-            .expect("create");
+        let ino = c
+            .create_file_at(&f, spec, FilePolicy::Plain)
+            .expect("create")
+            .id;
         let a1 = allocs();
         c.mkdir(&d, 0).expect("mkdir");
         let a2 = allocs();
         c.rename(&f, &g, 0).expect("rename");
         let a3 = allocs();
-        c.unlink(&g, 0).expect("unlink");
+        let update = DirtyAttr {
+            appended: 1,
+            mtime_ns: i,
+        };
+        c.flush_attrs(&[(ino, update)]).expect("flush");
         let a4 = allocs();
-        for (min, n) in fewest.iter_mut().zip([a1 - a0, a2 - a1, a3 - a2, a4 - a3]) {
+        c.unlink(&g, 0).expect("unlink");
+        let a5 = allocs();
+        // One erasure-coded extent loses a shard; commit its repair.
+        let e = format!("/a/e{i}");
+        let ec = c.create_file_at(&e, spec, rs32.clone()).expect("create").id;
+        let p = c.place_write(ec, 3 * 4096).expect("place");
+        c.commit_write(ec, &p, 3 * 4096);
+        let victim = p.data_chunks[0].node;
+        c.mark_node_failed(victim);
+        let task = c.pop_repair().expect("a repair is queued");
+        assert_eq!(task.file, ec);
+        let spares = c.plan_repair(task).expect("plan").replacements();
+        let a6 = allocs();
+        c.commit_repair(task, &spares, 0).expect("commit repair");
+        let a7 = allocs();
+        c.mark_node_recovered(victim);
+        c.unlink(&e, 0).expect("unlink");
+        let counts = [a1 - a0, a2 - a1, a3 - a2, a5 - a4, a4 - a3, a7 - a6];
+        for (min, n) in fewest.iter_mut().zip(counts) {
             *min = (*min).min(n);
         }
     }
-    let [create, mkdir, rename, unlink] = fewest;
     assert_eq!(
-        (create, mkdir, rename, unlink),
-        (3, 2, 2, 0),
-        "allocations per create, mkdir, rename and unlink"
+        fewest,
+        [3, 2, 2, 0, 5, 5],
+        "allocations per create, mkdir, rename, unlink, one-update flush and repair commit"
     );
 }
 
