@@ -333,6 +333,17 @@ impl ControlPlane {
         }
     }
 
+    /// Call back `Changed` for file `ino`, found by inode. Its path is
+    /// built only when some metadata cache holds an entry to drop.
+    fn notify_changed_ino(&self, ino: u64) {
+        if self.caches.iter().all(|c| c.borrow().is_empty()) {
+            return;
+        }
+        if let Some(path) = self.ns.path_of(ino) {
+            self.notify(MetaEvent::Changed { path: &path });
+        }
+    }
+
     /// An entry mutation at `path` bumps its parent directory's version
     /// and nlink too: call back `Changed` for the parent.
     fn notify_parent(&self, path: &str) {
@@ -563,11 +574,7 @@ impl ControlPlane {
         sorted.sort_by_key(|(ino, _)| *ino);
         for (ino, d) in sorted {
             match self.ns.append(*ino, d.appended, d.mtime_ns) {
-                Ok(_) => {
-                    if let Some(path) = self.ns.path_of(*ino) {
-                        self.notify(MetaEvent::Changed { path: &path });
-                    }
-                }
+                Ok(_) => self.notify_changed_ino(*ino),
                 Err(MetaError::NotFound) => continue, // unlinked mid-batch
                 Err(e) => return Err(e),
             }

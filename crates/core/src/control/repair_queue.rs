@@ -375,9 +375,7 @@ impl ControlPlane {
         // and call back so caches drop stale entries and stale data. A
         // file unlinked while its repair was in flight is left alone.
         if self.ns.append(task.file, 0, now_ns).is_ok() {
-            if let Some(path) = self.ns.path_of(task.file) {
-                self.notify(MetaEvent::Changed { path: &path });
-            }
+            self.notify_changed_ino(task.file);
             self.notify(MetaEvent::LayoutChanged {
                 ino: task.file,
                 generation,

@@ -118,10 +118,16 @@ impl MetaCache {
         false
     }
 
+    /// No cached entries (buffered attr updates aside): a callback has
+    /// nothing to drop.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
     /// Callback: a single path changed (create/unlink target, file attrs).
     /// An empty cache (one switched off, say) returns before hashing.
     pub fn invalidate_path(&mut self, path: &str) {
-        if self.entries.is_empty() {
+        if self.is_empty() {
             return;
         }
         if self.entries.remove(path).is_some() {

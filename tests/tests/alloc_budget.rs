@@ -346,9 +346,10 @@ fn a_warm_stat_allocates_nothing() {
 /// allocations each op made over eight rounds: a create 3 (the new
 /// file's one layout, its name in the inode and in the directory), a
 /// mkdir 2 (the name twice), a rename across two shards 2 (the new name
-/// twice), an unlink none, and a one-update attribute flush and a repair
-/// commit 5 each (4 of them build the file's path to call back caches
-/// that hold nothing). A rename made 8
+/// twice), an unlink none, a one-update attribute flush 1 (its updates
+/// in inode order) and a repair commit 1 (the coordinates it replaces).
+/// The flush and the repair commit made 5 each while they built the
+/// file's path to call back caches that held nothing. A rename made 8
 /// while each shard's op log kept the mutation, copying the rename's two
 /// paths into every participant's intent. They were 7, 4, 12 and 2 while
 /// the caches were called back with owned paths (2 per create, mkdir and
@@ -415,7 +416,7 @@ fn mutations_allocate_only_what_they_keep() {
     }
     assert_eq!(
         fewest,
-        [3, 2, 2, 0, 5, 5],
+        [3, 2, 2, 0, 1, 1],
         "allocations per create, mkdir, rename, unlink, one-update flush and repair commit"
     );
 }
