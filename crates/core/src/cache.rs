@@ -174,13 +174,11 @@ impl ReadCache {
         self.total_bytes
     }
 
-    /// Drop everything cached for `file`; false when nothing was.
-    fn drop_file(&mut self, file: u64) -> bool {
-        let Some(f) = self.files.remove(&file) else {
-            return false;
-        };
-        self.total_bytes -= f.bytes;
-        true
+    /// Drop everything cached for `file`.
+    fn drop_file(&mut self, file: u64) {
+        if let Some(f) = self.files.remove(&file) {
+            self.total_bytes -= f.bytes;
+        }
     }
 
     /// Number of files with cached data.

@@ -333,14 +333,13 @@ impl ControlPlane {
         }
     }
 
-    /// Call back `Changed` for file `ino`, found by inode. Its path is
-    /// built only when some metadata cache holds an entry to drop.
+    /// Call back `Changed` for file `ino`, building its path only when
+    /// some metadata cache holds an entry to drop.
     fn notify_changed_ino(&self, ino: u64) {
-        if self.caches.iter().all(|c| c.borrow().is_empty()) {
-            return;
-        }
-        if let Some(path) = self.ns.path_of(ino) {
-            self.notify(MetaEvent::Changed { path: &path });
+        if self.caches.iter().any(|c| !c.borrow().is_empty()) {
+            if let Some(path) = self.ns.path_of(ino) {
+                self.notify(MetaEvent::Changed { path: &path });
+            }
         }
     }
 

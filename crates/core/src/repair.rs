@@ -21,6 +21,9 @@ use crate::client::{Job, RepairOutcome, RepairResult, RepairSlot};
 use crate::cluster::SimCluster;
 use crate::control::RepairTask;
 
+/// Attempt budget per task: transient aborts requeue until it is spent.
+const MAX_ATTEMPTS: u32 = 3;
+
 /// What a full drain of the repair queue did.
 #[derive(Clone, Debug, Default)]
 pub struct RepairReport {
@@ -59,8 +62,6 @@ impl RepairReport {
 /// Drains the repair queue through one client's driver.
 pub struct RepairDriver {
     client: usize,
-    /// Attempt budget per task (transient aborts requeue until spent).
-    pub max_attempts: u32,
     /// Per-operation simulation deadline in simulated milliseconds.
     pub(crate) op_deadline_ms: u64,
     /// Windowed bandwidth cap: at most this many committed repair bytes
@@ -84,7 +85,6 @@ impl RepairDriver {
     pub fn new(client: usize) -> RepairDriver {
         RepairDriver {
             client,
-            max_attempts: 3,
             op_deadline_ms: 10_000,
             bandwidth_cap: None,
             throttle_window_ms: 10,
@@ -158,7 +158,7 @@ impl RepairDriver {
         if matches!(result.outcome, RepairOutcome::Aborted(_)) {
             let n = self.attempts.entry(task).or_insert(0);
             *n += 1;
-            if *n < self.max_attempts {
+            if *n < MAX_ATTEMPTS {
                 cluster.control.borrow_mut().requeue_repair(task);
             } else {
                 // Attempt budget exhausted: the task is dead — release
@@ -176,36 +176,35 @@ impl RepairDriver {
         let mut report = RepairReport::default();
         let throttled_before = self.throttled_ms;
         while let Some(r) = self.step(cluster) {
-            match &r.outcome {
-                RepairOutcome::Rebuilt { .. } | RepairOutcome::Cloned { .. } => {
-                    report.repaired += 1;
-                    report.bytes_moved += r.bytes_moved;
-                }
-                RepairOutcome::AlreadyHealthy => report.already_healthy += 1,
-                RepairOutcome::Unrepairable(_) => report.unrepairable += 1,
-                RepairOutcome::Aborted(_) => {
-                    report.aborted_attempts += 1;
-                    if self.attempts.get(&r.task).copied().unwrap_or(0) >= self.max_attempts {
-                        report.gave_up += 1;
-                    }
-                }
-            }
-            report.outcomes.push(r);
+            self.tally(&mut report, r);
         }
         report.throttled_ms = self.throttled_ms - throttled_before;
         report
     }
 
+    /// Count a completion [`Self::step`] returned into `report`, by the
+    /// one rule every drain loop keeps: an aborted attempt gave up once
+    /// its task spent the attempt budget.
+    pub fn tally(&self, report: &mut RepairReport, r: RepairResult) {
+        match &r.outcome {
+            RepairOutcome::Rebuilt { .. } | RepairOutcome::Cloned { .. } => {
+                report.repaired += 1;
+                report.bytes_moved += r.bytes_moved;
+            }
+            RepairOutcome::AlreadyHealthy => report.already_healthy += 1,
+            RepairOutcome::Unrepairable(_) => report.unrepairable += 1,
+            RepairOutcome::Aborted(_) => {
+                report.aborted_attempts += 1;
+                if self.attempts.get(&r.task).copied().unwrap_or(0) >= MAX_ATTEMPTS {
+                    report.gave_up += 1;
+                }
+            }
+        }
+        report.outcomes.push(r);
+    }
+
     /// Total simulated milliseconds this driver has idled for throttling.
     pub fn throttled_ms(&self) -> u64 {
         self.throttled_ms
-    }
-
-    /// Attempts made so far on `task` (aborted executions only; a task
-    /// that never aborted reports 0). Lets external drain loops — e.g.
-    /// the fault-injection harness interleaving kills between tasks —
-    /// apply the same gave-up accounting as [`Self::drain`].
-    pub fn attempts_for(&self, task: RepairTask) -> u32 {
-        self.attempts.get(&task).copied().unwrap_or(0)
     }
 }

@@ -28,7 +28,7 @@ use std::collections::HashMap;
 
 use nadfs_core::{
     ClusterSpec, FileHandle, FilePolicy, FsClient, LayoutSpec, QosConfig, ReadPattern,
-    ReadProtocol, RepairDriver, SimCluster, SizeDist, StorageMode, Workload,
+    ReadProtocol, RepairDriver, RepairReport, SimCluster, SizeDist, StorageMode, Workload,
 };
 use nadfs_simnet::Dur;
 use nadfs_wire::{BcastStrategy, RsScheme};
@@ -344,23 +344,14 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnReport {
                     // overflows the 4096-entry ring all by itself.
                     let mut driver = RepairDriver::new(0);
                     driver.bandwidth_cap = cfg.storm_bandwidth_cap;
-                    let (mut repaired, mut gave_up, mut steps) = (0u64, 0u64, 0u64);
+                    let mut storm = RepairReport::default();
                     while let Some(r) = driver.step(&mut fsc.cluster) {
-                        match &r.outcome {
-                            nadfs_core::RepairOutcome::Rebuilt { .. }
-                            | nadfs_core::RepairOutcome::Cloned { .. } => repaired += 1,
-                            nadfs_core::RepairOutcome::Aborted(_)
-                                if driver.attempts_for(r.task) >= driver.max_attempts =>
-                            {
-                                gave_up += 1;
-                            }
-                            _ => {}
-                        }
-                        steps += 1;
-                        if steps % 256 == 0 {
+                        driver.tally(&mut storm, r);
+                        if storm.outcomes.len() % 256 == 0 {
                             report.spans_drained += drain_spans(&fsc.cluster).len() as u64;
                         }
                     }
+                    let (repaired, gave_up) = (storm.repaired as u64, storm.gave_up as u64);
                     report.storms += 1;
                     report.repairs_committed += repaired;
                     report.repair_gave_up += gave_up;

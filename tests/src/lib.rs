@@ -175,24 +175,7 @@ pub fn drain_repairs_with_faults(fsc: &mut FsClient, plan: &mut FaultPlan) -> Re
     let mut driver = RepairDriver::new(0);
     let mut report = RepairReport::default();
     while let Some(r) = driver.step(&mut fsc.cluster) {
-        match &r.outcome {
-            nadfs_core::RepairOutcome::Rebuilt { .. }
-            | nadfs_core::RepairOutcome::Cloned { .. } => {
-                report.repaired += 1;
-                report.bytes_moved += r.bytes_moved;
-            }
-            nadfs_core::RepairOutcome::AlreadyHealthy => report.already_healthy += 1,
-            nadfs_core::RepairOutcome::Unrepairable(_) => report.unrepairable += 1,
-            nadfs_core::RepairOutcome::Aborted(_) => {
-                report.aborted_attempts += 1;
-                // Same gave-up accounting as RepairDriver::drain — without
-                // it, `report.converged()` would be vacuously true here.
-                if driver.attempts_for(r.task) >= driver.max_attempts {
-                    report.gave_up += 1;
-                }
-            }
-        }
-        report.outcomes.push(r);
+        driver.tally(&mut report, r);
         plan.note_repair(fsc);
     }
     // With NADFS_DUMP_TRACE set the timeline lands on disk before the
