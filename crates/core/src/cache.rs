@@ -327,11 +327,10 @@ impl ReadCache {
         self.hints.insert(file, (offset, len));
     }
 
-    /// Write-through population: the payload of a locally acknowledged
-    /// write enters the cache under the file's `live` generation, the
-    /// post-commit one, so read-after-write is a local hit without a
-    /// network round trip. `None`: the file went while the write was in
-    /// flight, and the fill is refused.
+    /// Write-through population: a locally acknowledged write's payload
+    /// enters the cache under the file's `live` (post-commit) generation,
+    /// so read-after-write is a local hit; `None` (the file went while the
+    /// write was in flight) refuses the fill.
     pub(crate) fn fill_from_write(&mut self, file: u64, live: Option<u64>, at: u64, data: Bytes) {
         self.stats.write_fills += 1;
         let len = data.len() as u32;
@@ -493,9 +492,8 @@ impl ReadCache {
     }
 
     /// Generation callback from the control plane: `file`'s extent map
-    /// moved to `generation`. Drops cached data older than it;
-    /// `u64::MAX` means the file is gone (unlink/rename-replace), and its
-    /// stream and hint go too.
+    /// moved to `generation`. Drops cached data older than it; `u64::MAX`
+    /// means the file is gone (unlink/rename-replace), stream and hint too.
     pub fn note_generation(&mut self, file: u64, generation: u64) {
         if self
             .files

@@ -537,9 +537,8 @@ impl ClientApp {
             if self.read_cache_enabled {
                 // Write-through cache population: a read-after-write is
                 // served locally without a resolve or fan-out. The fill
-                // carries the live post-commit generation, so the commit's
-                // own invalidation does not evict it (an unlinked file has
-                // none).
+                // carries the live post-commit generation (none once the
+                // file is unlinked), so the commit's own callback keeps it.
                 let live = self.control.borrow().live_generation(file);
                 self.read_cache.borrow_mut().fill_from_write(
                     file,

@@ -65,9 +65,8 @@ impl ControlPlane {
         Ok(plan)
     }
 
-    /// The extent-map generation of `file` (bumped by commits, repair
-    /// re-homing, and compaction; 0 before the first commit), `None` once
-    /// the file is gone: the only one a client read cache fills under.
+    /// `file`'s live extent-map generation (0 before the first commit,
+    /// bumped by every commit, re-homing and compaction), `None` once gone.
     pub fn live_generation(&self, file: u64) -> Option<u64> {
         self.files.get(&file).map(|f| f.extents.generation())
     }

@@ -182,9 +182,8 @@ impl RepairDriver {
         report
     }
 
-    /// Count a completion [`Self::step`] returned into `report`, by the
-    /// one rule every drain loop keeps: an aborted attempt gave up once
-    /// its task spent the attempt budget.
+    /// Count a completion of [`Self::step`] into `report`: an aborted
+    /// attempt gave up once its task spent the attempt budget.
     pub fn tally(&self, report: &mut RepairReport, r: RepairResult) {
         match &r.outcome {
             RepairOutcome::Rebuilt { .. } | RepairOutcome::Cloned { .. } => {

@@ -118,8 +118,7 @@ impl MetaCache {
         false
     }
 
-    /// No cached entries (buffered attr updates aside): a callback has
-    /// nothing to drop.
+    /// No cached entries (buffered attr updates aside): nothing to drop.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
