@@ -347,7 +347,11 @@ fn a_warm_stat_allocates_nothing() {
 /// file's one layout, its name in the inode and in the directory), a
 /// mkdir 2 (the name twice), a rename across two shards 2 (the new name
 /// twice), an unlink none, a one-update attribute flush 1 (its updates
-/// in inode order) and a repair commit 1 (the coordinates it replaces).
+/// in inode order), a repair commit 1 (the coordinates it replaces), a
+/// plain write's commit striped over two nodes 3 (the file's record list,
+/// and each record's shard list to charge the hosted ledger) and an
+/// RS(3,2) commit 4 (the record list, the record's data and parity
+/// coordinates, its shard list).
 /// The flush and the repair commit made 5 each while they built the
 /// file's path to call back caches that held nothing. A rename made 8
 /// while each shard's op log kept the mutation, copying the rename's two
@@ -373,7 +377,7 @@ fn mutations_allocate_only_what_they_keep() {
     let rs32 = FilePolicy::ErasureCoded {
         scheme: RsScheme::new(3, 2),
     };
-    let mut fewest = [u64::MAX; 6];
+    let mut fewest = [u64::MAX; 8];
     for i in 0..8 {
         let (f, d, g) = (format!("/a/f{i}"), format!("/a/d{i}"), format!("/b/g{i}"));
         let a0 = allocs();
@@ -394,11 +398,25 @@ fn mutations_allocate_only_what_they_keep() {
         let a4 = allocs();
         c.unlink(&g, 0).expect("unlink");
         let a5 = allocs();
+        // A plain write striped over two nodes commits two records.
+        let s = format!("/a/s{i}");
+        let plain = c
+            .create_file_at(&s, spec, FilePolicy::Plain)
+            .expect("create")
+            .id;
+        let p = c.place_write(plain, 2 * BLOCK).expect("place");
+        assert_eq!(p.stripes.len(), 2);
+        let a8 = allocs();
+        c.commit_write(plain, &p, 2 * BLOCK);
+        let a9 = allocs();
+        c.unlink(&s, 0).expect("unlink");
         // One erasure-coded extent loses a shard; commit its repair.
         let e = format!("/a/e{i}");
         let ec = c.create_file_at(&e, spec, rs32.clone()).expect("create").id;
         let p = c.place_write(ec, 3 * 4096).expect("place");
+        let a10 = allocs();
         c.commit_write(ec, &p, 3 * 4096);
+        let a11 = allocs();
         let victim = p.data_chunks[0].node;
         c.mark_node_failed(victim);
         let task = c.pop_repair().expect("a repair is queued");
@@ -409,15 +427,25 @@ fn mutations_allocate_only_what_they_keep() {
         let a7 = allocs();
         c.mark_node_recovered(victim);
         c.unlink(&e, 0).expect("unlink");
-        let counts = [a1 - a0, a2 - a1, a3 - a2, a5 - a4, a4 - a3, a7 - a6];
+        let counts = [
+            a1 - a0,
+            a2 - a1,
+            a3 - a2,
+            a5 - a4,
+            a4 - a3,
+            a7 - a6,
+            a9 - a8,
+            a11 - a10,
+        ];
         for (min, n) in fewest.iter_mut().zip(counts) {
             *min = (*min).min(n);
         }
     }
     assert_eq!(
         fewest,
-        [3, 2, 2, 0, 1, 1],
-        "allocations per create, mkdir, rename, unlink, one-update flush and repair commit"
+        [3, 2, 2, 0, 1, 1, 3, 4],
+        "allocations per create, mkdir, rename, unlink, one-update flush, repair commit, \
+         two-stripe plain commit and RS(3,2) commit"
     );
 }
 
