@@ -21,11 +21,11 @@ impl ClientApp {
     /// Flush buffered write-back attrs (one control round-trip for the
     /// whole batch). Returns true if a flush happened.
     pub(super) fn flush_writeback(&mut self) -> bool {
-        let dirty = self.meta_cache.borrow_mut().take_dirty();
+        let mut dirty = self.meta_cache.borrow_mut().take_dirty();
         if dirty.is_empty() {
             return false;
         }
-        let _ = self.control.borrow_mut().flush_attrs(&dirty);
+        let _ = self.control.borrow_mut().flush_attrs(&mut dirty);
         true
     }
 

@@ -526,7 +526,7 @@ impl ClientApp {
             } else {
                 // Write-through: an uncached client pays one attr-update
                 // round-trip per write (and never goes stale).
-                let _ = self.control.borrow_mut().flush_attrs(&[(
+                let _ = self.control.borrow_mut().flush_attrs(&mut [(
                     file,
                     nadfs_meta::DirtyAttr {
                         appended,

@@ -412,11 +412,6 @@ impl SimCluster {
             engine.install(comp, Box::new(nic));
         }
 
-        // Placement decisions are counted on the nodes they land on.
-        control
-            .borrow_mut()
-            .attach_storage_stats(storage_stats.clone());
-
         SimCluster {
             engine,
             control,
@@ -458,7 +453,9 @@ impl SimCluster {
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut hub = self.obs.borrow_mut();
         let m = &mut hub.metrics;
-        for (i, st) in self.storage_stats.iter().enumerate() {
+        let control = self.control.borrow();
+        let nodes = self.storage_stats.iter().zip(control.node_ledgers());
+        for (i, (st, l)) in nodes.enumerate() {
             let s = st.borrow();
             let pre = format!("storage.{i}");
             m.counter_set(&format!("{pre}.rpc_writes"), s.rpc_writes);
@@ -473,21 +470,21 @@ impl SimCluster {
             m.counter_set(&format!("{pre}.cleanup_events"), s.cleanup_events);
             m.counter_set(
                 &format!("{pre}.stripe_chunks_placed"),
-                s.stripe_chunks_placed,
+                l.stripe_chunks_placed,
             );
             m.counter_set(
                 &format!("{pre}.repair_chunks_hosted"),
-                s.repair_chunks_hosted,
+                l.repair_chunks_hosted,
             );
-            m.gauge_set(&format!("{pre}.chunks_hosted"), s.chunks_hosted as f64);
-            m.gauge_set(&format!("{pre}.bytes_hosted"), s.bytes_hosted as f64);
+            m.gauge_set(&format!("{pre}.chunks_hosted"), l.chunks_hosted as f64);
+            m.gauge_set(&format!("{pre}.bytes_hosted"), l.bytes_hosted as f64);
             m.counter_set(
                 &format!("{pre}.stale_chunks_reclaimed"),
-                s.stale_chunks_reclaimed,
+                l.stale_chunks_reclaimed,
             );
             m.counter_set(
                 &format!("{pre}.stale_bytes_reclaimed"),
-                s.stale_bytes_reclaimed,
+                l.stale_bytes_reclaimed,
             );
         }
         for (i, c) in self.client_caches.iter().enumerate() {

@@ -39,8 +39,8 @@
 //!   switch); admission and recovery.
 //! - `placement`: what clients are handed ([`FileMeta`],
 //!   [`WritePlacement`], [`StripeTarget`]); the per-file record
-//!   (`FileState`) and the per-node record (`NodeState`: allocator,
-//!   stats sink, orphan ledger); placing and committing writes.
+//!   (`FileState`) and the per-node record (`NodeState`: allocator and
+//!   [`NodeLedger`]); placing and committing writes.
 //! - `resolution`: read planning, the scan detector, compaction.
 //! - `repair_queue`: failure and recovery reconciliation, the repair
 //!   queue, repair planning and commit.
@@ -58,7 +58,6 @@ use nadfs_simnet::{IdMap, IdSet, NodeId};
 use nadfs_wire::{Capability, MacKey, ReplicaCoord, Rights, RsScheme};
 
 use crate::cache::ReadCache;
-use crate::storage::SharedStorageStats;
 
 mod placement;
 mod repair_queue;
@@ -66,8 +65,8 @@ mod resolution;
 mod router;
 mod shard;
 
-use placement::{file_node, FileState, NodeState};
-pub use placement::{FileMeta, StripeTarget, WritePlacement};
+use placement::{file_node, host, ledger_of, unhost, FileState, NodeState};
+pub use placement::{FileMeta, NodeLedger, StripeTarget, WritePlacement};
 pub use repair_queue::{RepairPlan, RepairQueue, RepairStats, RepairTask};
 pub(crate) use router::ShardRouter;
 pub(crate) use shard::{MetaShard, OpenTx, ServiceClass};
@@ -259,15 +258,6 @@ impl ControlPlane {
         self.read_caches.push(cache);
     }
 
-    /// Attach per-node stats sinks (one per storage node, in the order
-    /// the nodes were given).
-    pub fn attach_storage_stats(&mut self, stats: Vec<SharedStorageStats>) {
-        assert_eq!(stats.len(), self.nodes.len());
-        for (node, sink) in self.nodes.iter_mut().zip(stats) {
-            node.stats = Some(sink);
-        }
-    }
-
     /// The metadata shard owning `ino`.
     pub fn shard_of(&self, ino: u64) -> usize {
         self.router.route(ino)
@@ -395,7 +385,7 @@ impl ControlPlane {
         let parent = self.route_parent(path);
         self.transact(parent, [None; 2], |cp| {
             cp.meta_stats.creates += 1;
-            let (home, layout) = cp.alloc_layout(spec);
+            let layout = cp.alloc_layout(spec);
             let attr = cp.ns.create(path, layout, policy, 0)?;
             cp.notify(MetaEvent::Changed { path });
             cp.notify_parent(path);
@@ -403,7 +393,6 @@ impl ControlPlane {
                 id: attr.ino,
                 size: attr.size,
                 cursor: attr.size,
-                home,
             };
             let state = FileState {
                 meta,
@@ -552,26 +541,26 @@ impl ControlPlane {
     }
 
     /// Apply a client's write-back attribute flush (one round-trip for
-    /// the whole batch). Updates apply in inode order, so the outcome is
-    /// deterministic; one for a file that vanished in the meantime
-    /// (unlinked or replaced) is skipped and never blocks the rest. Each
-    /// applied update calls back `Changed`, so other clients' cached
-    /// attrs for the file go. Each touched ino's flush is logged on its
-    /// owning shard; admission charges the first ino's shard.
+    /// the whole batch). Updates apply in inode order (the batch is
+    /// sorted in place), so the outcome is deterministic; one for a file
+    /// that vanished in the meantime (unlinked or replaced) is skipped and
+    /// never blocks the rest. Each applied update calls back `Changed`,
+    /// so other clients' cached attrs for the file go. Each touched ino's
+    /// flush is logged on its owning shard; admission charges the shard
+    /// of the batch's first ino as given.
     pub fn flush_attrs(
         &mut self,
-        updates: &[(u64, nadfs_meta::DirtyAttr)],
+        updates: &mut [(u64, nadfs_meta::DirtyAttr)],
     ) -> Result<(), MetaError> {
         let shard = updates.first().map_or(0, |(ino, _)| self.shard_of(*ino));
         self.note_route(shard, ServiceClass::Mutation);
-        for (ino, _) in updates {
+        for (ino, _) in updates.iter() {
             let s = self.shard_of(*ino);
             self.log_apply(s);
         }
         self.meta_stats.attr_flushes += 1;
-        let mut sorted: Vec<_> = updates.iter().collect();
-        sorted.sort_by_key(|(ino, _)| *ino);
-        for (ino, d) in sorted {
+        updates.sort_unstable_by_key(|(ino, _)| *ino);
+        for (ino, d) in updates.iter() {
             match self.ns.append(*ino, d.appended, d.mtime_ns) {
                 Ok(_) => self.notify_changed_ino(*ino),
                 Err(MetaError::NotFound) => continue, // unlinked mid-batch
@@ -598,6 +587,7 @@ impl ControlPlane {
 
 #[cfg(test)]
 mod tests {
+    use super::placement::node_index;
     use super::*;
     use nadfs_wire::{BcastStrategy, RsScheme};
 
@@ -679,7 +669,7 @@ mod tests {
         let region_end = RsScheme::staging_slot(chunk, scheme.k - 1) + chunk as u64;
         let next_on = |node: u32| {
             let mut cp = cp.borrow_mut();
-            let index = cp.node_index(node).expect("a storage node");
+            let index = node_index(&cp.nodes, node).expect("a storage node");
             cp.alloc_on(index, 1).addr
         };
         let parity = p.parities[0];
@@ -772,7 +762,7 @@ mod tests {
             .create_file_at("/d/kept", LayoutSpec::SINGLE, FilePolicy::Plain)
             .expect("create");
         cp.borrow_mut().unlink("/d/gone", 1).expect("unlink");
-        let updates = vec![
+        let mut updates = vec![
             (
                 gone.id,
                 nadfs_meta::DirtyAttr {
@@ -789,7 +779,7 @@ mod tests {
             ),
         ];
         cp.borrow_mut()
-            .flush_attrs(&updates)
+            .flush_attrs(&mut updates)
             .expect("partial flush ok");
         assert_eq!(
             cp.borrow_mut().lookup_path("/d/kept").expect("kept").size,
@@ -1303,14 +1293,15 @@ mod tests {
     fn layouts_rotate_homes_and_cap_width() {
         let cp = ControlPlane::new(7, vec![10, 11, 12]);
         let mut c = cp.borrow_mut();
-        // The home from the file's record, its nodes from its inode.
+        // The home is the first node of the layout on the file's inode.
         let mut create = |path: &str, width| {
             let spec = LayoutSpec::striped(width, 1 << 16);
             let f = c
                 .create_file_at(path, spec, FilePolicy::Plain)
                 .expect("create");
             let (layout, _) = file_node(c.namespace(), f.id).expect("inode");
-            (f.home, layout.nodes.clone())
+            let home = node_index(&c.nodes, layout.nodes[0]).expect("a storage node");
+            (home, layout.nodes.clone())
         };
         let a = create("/a", 2);
         let b = create("/b", 2);
@@ -1412,7 +1403,7 @@ mod tests {
             mtime_ns: 9,
         };
         cp.borrow_mut()
-            .flush_attrs(&[(f.id, update)])
+            .flush_attrs(&mut [(f.id, update)])
             .expect("flush");
         let (attr, _) = cp.borrow().peek_entry("/f").expect("entry");
         assert_eq!(attr.size, 8192);

@@ -1,8 +1,8 @@
 //! Write placement and commit: what a client is told about a file and a
 //! write ([`FileMeta`], [`WritePlacement`]), where every byte (and
 //! parity) goes, the per-file record (`FileState`) and the per-node
-//! record ([`NodeState`]) that allocates the addresses and keeps the
-//! hosted-capacity ledgers.
+//! record (`NodeState`) that allocates the addresses and keeps the node's
+//! [`NodeLedger`].
 
 use super::*;
 
@@ -24,8 +24,6 @@ pub struct FileMeta {
     /// leaves a permanent gap between the two (the file is sparse there
     /// if a later write commits past it).
     pub(crate) cursor: u64,
-    /// Index (into the storage-node list) of the stripe's first node.
-    pub(crate) home: usize,
 }
 
 /// What the control plane holds about one file beside its inode, in one
@@ -114,24 +112,45 @@ impl WritePlacement {
     }
 }
 
+/// What the control plane has put on one storage node, and stranded
+/// there: placement and repair counters, the hosted gauges, and the
+/// orphan and reclaim ledgers recovery reconciles. The plane keeps it; a
+/// storage node's own counters are its `StorageStats`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct NodeLedger {
+    /// Stripe units placed on this node (striped plain writes only —
+    /// replication/EC fan-out is not counted here).
+    pub stripe_chunks_placed: u64,
+    /// Re-protected shards the repair pipeline committed to this node
+    /// (this node was chosen as the spare).
+    pub repair_chunks_hosted: u64,
+    /// Gauge: extent shards currently live on this node per the extent
+    /// maps (commit adds, re-home away / unlink / compaction subtracts).
+    pub chunks_hosted: u64,
+    /// Gauge: payload bytes behind `chunks_hosted`.
+    pub bytes_hosted: u64,
+    /// Shards garbage-collected by recovery reconciliation: the extent
+    /// was re-homed (or unlinked) while this node was down, so its copy
+    /// came back stale and was reclaimed.
+    pub stale_chunks_reclaimed: u64,
+    /// Payload bytes behind `stale_chunks_reclaimed`.
+    pub stale_bytes_reclaimed: u64,
+    /// Stale copies stranded here as `(chunks, bytes)`: shards whose
+    /// extents were re-homed (or whose file was unlinked) while the node
+    /// was failed, so nonzero only while it is. The hosted gauges drop at
+    /// re-home/unlink time; this remembers the dead bytes still
+    /// physically on the node so recovery can reclaim them.
+    pub orphaned: (u64, u64),
+}
+
 /// Everything the control plane holds about one storage node. The list
-/// is in layout order: a file's `home` and every round-robin run index
-/// into it, and [`ControlPlane::node_index`] is the one id → index scan.
+/// is in layout order: every round-robin run indexes into it, and
+/// [`node_index`] is the one id → index scan.
 pub(super) struct NodeState {
     pub(crate) id: NodeId,
     /// Bump allocator for write and repair placement.
     next_addr: u64,
-    /// Stale copies stranded here as `(chunks, bytes)`: shards whose
-    /// extents were re-homed (or whose file was unlinked) while the node
-    /// was failed. The live hosted gauges are decremented at
-    /// re-home/unlink time; this remembers the dead bytes still
-    /// physically on the node so recovery reconciliation can reclaim them.
-    pub(crate) orphaned: (u64, u64),
-    /// The node's stats sink, attached by the cluster builder so
-    /// placement decisions are observable on the nodes they land on
-    /// (unit tests build planes without sinks; every ledger update
-    /// degrades to a no-op there).
-    pub(crate) stats: Option<SharedStorageStats>,
+    pub(crate) ledger: NodeLedger,
 }
 
 impl NodeState {
@@ -139,8 +158,42 @@ impl NodeState {
         NodeState {
             id,
             next_addr: 0x10_0000,
-            orphaned: (0, 0),
-            stats: None,
+            ledger: NodeLedger::default(),
+        }
+    }
+}
+
+/// The index of the node `id` in the plane's node list.
+pub(super) fn node_index(nodes: &[NodeState], id: u32) -> Option<usize> {
+    nodes.iter().position(|n| n.id as u32 == id)
+}
+
+/// The ledger of the node `id`.
+pub(super) fn ledger_of(nodes: &mut [NodeState], id: u32) -> Option<&mut NodeLedger> {
+    let index = node_index(nodes, id)?;
+    Some(&mut nodes[index].ledger)
+}
+
+/// A shard of `bytes` became live on `node`: bump its hosted gauges.
+pub(super) fn host(nodes: &mut [NodeState], node: u32, bytes: u64) {
+    if let Some(l) = ledger_of(nodes, node) {
+        l.chunks_hosted += 1;
+        l.bytes_hosted += bytes;
+    }
+}
+
+/// A shard of `bytes` stopped being live on `node` (re-homed away, or
+/// its file unlinked). The gauges track what the extent maps currently
+/// say, so this happens at the metadata mutation — even while the node
+/// is down, when the stale physical copy is also remembered as an orphan
+/// for recovery reconciliation to reclaim.
+pub(super) fn unhost(nodes: &mut [NodeState], failed: &FailedNodes, node: u32, bytes: u64) {
+    if let Some(l) = ledger_of(nodes, node) {
+        l.chunks_hosted = l.chunks_hosted.saturating_sub(1);
+        l.bytes_hosted = l.bytes_hosted.saturating_sub(bytes);
+        if failed.contains(&node) {
+            l.orphaned.0 += 1;
+            l.orphaned.1 += bytes;
         }
     }
 }
@@ -157,19 +210,21 @@ enum PlaceMode {
 }
 
 impl ControlPlane {
-    pub(super) fn node_index(&self, id: u32) -> Option<usize> {
-        self.nodes.iter().position(|n| n.id as u32 == id)
+    /// The ledgers of the storage nodes, in the order the plane was given
+    /// them.
+    pub fn node_ledgers(&self) -> impl ExactSizeIterator<Item = NodeLedger> + '_ {
+        self.nodes.iter().map(|n| n.ledger)
     }
 
     /// A new file's layout: `spec`'s stripe width in nodes (all of them,
     /// if there are fewer), round-robin from a home that rotates per
-    /// create so load spreads. Returns the home's index with it.
-    pub(super) fn alloc_layout(&mut self, spec: LayoutSpec) -> (usize, StripedLayout) {
+    /// create so load spreads. The layout's first node is the home.
+    pub(super) fn alloc_layout(&mut self, spec: LayoutSpec) -> StripedLayout {
         let n = self.nodes.len();
         let home = self.next_home;
         self.next_home = (home + 1) % n;
         let nodes = (0..n).map(|i| self.nodes[(home + i) % n].id as u32);
-        (home, StripedLayout::new(spec, nodes.collect()))
+        StripedLayout::new(spec, nodes.collect())
     }
 
     /// Allocate `len` bytes on the node at `index`.
@@ -265,7 +320,7 @@ impl ControlPlane {
             _ => (base + len as u64).saturating_sub(meta.cursor),
         };
         meta.cursor += appended;
-        let home = meta.home;
+        let home = node_index(&self.nodes, layout.nodes[0]).expect("layout node");
         let policy = policy.clone();
         // Striped placement: split the extent over the file's layout;
         // width-1 layouts degenerate to the seed's single-node placement.
@@ -280,10 +335,8 @@ impl ControlPlane {
             FilePolicy::Plain => {
                 let mut stripes = Vec::with_capacity(extents.len());
                 for e in &extents {
-                    let index = self.node_index(e.node).expect("layout node");
-                    if let Some(stats) = &self.nodes[index].stats {
-                        stats.borrow_mut().stripe_chunks_placed += 1;
-                    }
+                    let index = node_index(&self.nodes, e.node).expect("layout node");
+                    self.nodes[index].ledger.stripe_chunks_placed += 1;
                     stripes.push(StripeTarget {
                         coord: self.alloc_on(index, e.len as u64),
                         len: e.len,
@@ -374,26 +427,26 @@ impl ControlPlane {
         // committed size the read path clamps against.
         let growth = (placement.offset + len as u64).saturating_sub(f.meta.size);
         f.meta.size += growth;
-        self.note_route(shard, ServiceClass::Mutation);
-        self.log_apply(shard);
-        let new = &self.files[&file].extents.records()[first_new..];
-        for (i, rec) in new.iter().enumerate() {
+        let (nodes, failed) = (&mut self.nodes, &self.failed_nodes);
+        for (i, rec) in map.records()[first_new..].iter().enumerate() {
             // The committed shards are live on their nodes now: charge
             // the hosted-capacity gauges per coordinate.
             let bytes = rec.shard_len() as u64;
             for (_, coord) in rec.shard_coords() {
-                self.hosted_add(coord.node, bytes);
+                host(nodes, coord.node, bytes);
             }
             // A write that raced a failure commits an extent referencing
             // an already-failed node (the placement predates
             // `mark_node_failed`, whose scan could not see this record):
             // queue it now, or the mid-write kill would leave a
             // permanently degraded extent.
-            if self.failed_nodes.iter().any(|&n| rec.references_node(n)) {
+            if rec.shard_coords().any(|(_, c)| failed.contains(&c.node)) {
                 let rec = first_new + i;
                 self.repair_queue.push_back(RepairTask { file, rec });
             }
         }
+        self.note_route(shard, ServiceClass::Mutation);
+        self.log_apply(shard);
         // Fan the generation bump out to client read caches (same
         // callback channel every namespace mutation rides).
         self.notify(MetaEvent::LayoutChanged {
@@ -406,46 +459,12 @@ impl ControlPlane {
         growth
     }
 
-    pub(super) fn node_stats(&self, node: u32) -> Option<&SharedStorageStats> {
-        self.nodes[self.node_index(node)?].stats.as_ref()
-    }
-
-    /// A shard became live on `node`: bump its hosted gauges.
-    pub(super) fn hosted_add(&self, node: u32, bytes: u64) {
-        if let Some(stats) = self.node_stats(node) {
-            let mut s = stats.borrow_mut();
-            s.chunks_hosted += 1;
-            s.bytes_hosted += bytes;
-        }
-    }
-
-    /// A shard stopped being live on `node` (re-homed away, or its file
-    /// unlinked). The gauges track what the extent maps currently say,
-    /// so this happens at the metadata mutation — even while the node is
-    /// down, when the stale physical copy is also remembered as an
-    /// orphan for recovery reconciliation to reclaim.
-    pub(super) fn hosted_sub(&mut self, node: u32, bytes: u64) {
-        let Some(index) = self.node_index(node) else {
-            return;
-        };
-        let state = &mut self.nodes[index];
-        if let Some(stats) = &state.stats {
-            let mut s = stats.borrow_mut();
-            s.chunks_hosted = s.chunks_hosted.saturating_sub(1);
-            s.bytes_hosted = s.bytes_hosted.saturating_sub(bytes);
-        }
-        if self.failed_nodes.contains(&node) {
-            state.orphaned.0 += 1;
-            state.orphaned.1 += bytes;
-        }
-    }
-
     /// Un-home one extent record's shards after the record leaves the
     /// metadata (unlink / rename-replace / compaction).
     pub(super) fn unhost_record(&mut self, rec: &ExtentRecord) {
         let bytes = rec.shard_len() as u64;
         for (_, coord) in rec.shard_coords() {
-            self.hosted_sub(coord.node, bytes);
+            unhost(&mut self.nodes, &self.failed_nodes, coord.node, bytes);
         }
     }
 }

@@ -185,14 +185,10 @@ impl ControlPlane {
         if !self.failed_nodes.remove(&node) {
             return; // not failed; nothing to reconcile
         }
-        if let Some(index) = self.node_index(node) {
-            let state = &mut self.nodes[index];
-            let (chunks, bytes) = std::mem::take(&mut state.orphaned);
-            if let Some(stats) = &state.stats {
-                let mut s = stats.borrow_mut();
-                s.stale_chunks_reclaimed += chunks;
-                s.stale_bytes_reclaimed += bytes;
-            }
+        if let Some(l) = ledger_of(&mut self.nodes, node) {
+            let (chunks, bytes) = std::mem::take(&mut l.orphaned);
+            l.stale_chunks_reclaimed += chunks;
+            l.stale_bytes_reclaimed += bytes;
         }
         let readopted = self
             .all_records()
@@ -206,20 +202,13 @@ impl ControlPlane {
             files
                 .get(&t.file)
                 .and_then(|f| f.extents.records().get(t.rec))
-                .is_some_and(|r| failed.iter().any(|&n| r.references_node(n)))
+                .is_some_and(|r| r.shard_coords().any(|(_, c)| failed.contains(&c.node)))
         });
         self.repair_queue.stats.dropped_on_recovery += dropped;
     }
 
     pub fn failed_nodes(&self) -> &FailedNodes {
         &self.failed_nodes
-    }
-
-    /// Stale copies currently stranded on `node` as `(chunks, bytes)` —
-    /// nonzero only while the node is failed.
-    pub fn orphaned_on(&self, node: u32) -> (u64, u64) {
-        self.node_index(node)
-            .map_or((0, 0), |i| self.nodes[i].orphaned)
     }
 
     /// Allocate a spare coordinate for every shard of `coords` that sits
@@ -269,7 +258,7 @@ impl ControlPlane {
             .get(&task.file)
             .and_then(|f| f.extents.records().get(task.rec))
             .ok_or(MetaError::UnknownFile(task.file))?;
-        let coords = record.shard_coords();
+        let coords: Vec<_> = record.shard_coords().collect();
         let mut survivors = coords.clone();
         survivors.retain(|(_, c)| !self.failed_nodes.contains(&c.node));
         if survivors.len() == coords.len() {
@@ -338,27 +327,24 @@ impl ControlPlane {
             .get_mut(&task.file)
             .ok_or(MetaError::UnknownFile(task.file))?
             .extents;
-        // Snapshot the coordinates being replaced BEFORE the rehome
-        // rewrites them: those copies stop being live data the moment the
-        // map points elsewhere, and the ones on failed nodes become
-        // orphans to reclaim at recovery.
         let rec = map.records().get(task.rec).ok_or(MetaError::NotFound)?;
-        let shard_bytes = rec.shard_len() as u64;
-        let mut old_coords = rec.shard_coords();
-        old_coords.retain(|(slot, _)| replacements.iter().any(|(s, _)| s == slot));
-        map.rehome(task.rec, replacements)?;
+        let bytes = rec.shard_len() as u64;
+        // The replaced copies stop being live data the moment the map
+        // points elsewhere, and the ones on failed nodes become orphans
+        // to reclaim at recovery.
+        let (nodes, failed) = (&mut self.nodes, &self.failed_nodes);
+        map.rehome(task.rec, replacements, |old| {
+            unhost(nodes, failed, old.node, bytes)
+        })?;
         let generation = map.generation();
         self.log_apply(shard);
         self.repair_queue.stats.committed += 1;
         self.repair_queue.stats.shards_rehomed += replacements.len() as u64;
         for &(_, coord) in replacements {
-            if let Some(stats) = self.node_stats(coord.node) {
-                stats.borrow_mut().repair_chunks_hosted += 1;
+            if let Some(l) = ledger_of(&mut self.nodes, coord.node) {
+                l.repair_chunks_hosted += 1;
             }
-            self.hosted_add(coord.node, shard_bytes);
-        }
-        for (_, coord) in old_coords {
-            self.hosted_sub(coord.node, shard_bytes);
+            host(&mut self.nodes, coord.node, bytes);
         }
         // A spare can itself fail while the repair's data movement is in
         // flight; the failure scan ran before this rehome so it could not

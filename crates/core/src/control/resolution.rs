@@ -83,11 +83,11 @@ impl ControlPlane {
     }
 
     /// Bytes the extent maps currently place across the cluster — the
-    /// conservation target for the hosted gauges: at any point,
-    /// `sum(bytes_hosted) == live_extent_bytes()`.
+    /// conservation target for the [`NodeLedger`] hosted gauges: at any
+    /// point, `sum(bytes_hosted) == live_extent_bytes()`.
     pub fn live_extent_bytes(&self) -> u64 {
         self.all_records()
-            .map(|r| r.shard_len() as u64 * r.shard_coords().len() as u64)
+            .map(|r| r.shard_len() as u64 * r.shard_coords().count() as u64)
             .sum()
     }
 
@@ -95,7 +95,7 @@ impl ControlPlane {
     /// conservation target for the `chunks_hosted` gauges.
     pub fn live_extent_shards(&self) -> u64 {
         self.all_records()
-            .map(|r| r.shard_coords().len() as u64)
+            .map(|r| r.shard_coords().count() as u64)
             .sum()
     }
 

@@ -314,11 +314,11 @@ impl FsClient {
     }
 
     fn flush_writeback(&mut self) {
-        let dirty = self.cluster.client_caches[self.client]
+        let mut dirty = self.cluster.client_caches[self.client]
             .borrow_mut()
             .take_dirty();
         if !dirty.is_empty() {
-            let _ = self.cluster.control.borrow_mut().flush_attrs(&dirty);
+            let _ = self.cluster.control.borrow_mut().flush_attrs(&mut dirty);
         }
     }
 

@@ -39,8 +39,8 @@ pub use cluster::{
 };
 pub use config::{CostModel, CONTROL_RTT};
 pub use control::{
-    ControlPlane, FileMeta, FilePolicy, MetaOpStats, RepairPlan, RepairQueue, RepairStats,
-    RepairTask, ShardStats, SharedControl, StripeTarget, TxRecovery, WritePlacement,
+    ControlPlane, FileMeta, FilePolicy, MetaOpStats, NodeLedger, RepairPlan, RepairQueue,
+    RepairStats, RepairTask, ShardStats, SharedControl, StripeTarget, TxRecovery, WritePlacement,
 };
 pub use experiments::{
     replication_latency_us, storage_goodput_gbit, write_latency_us, ReplStrategy,

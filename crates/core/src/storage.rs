@@ -30,7 +30,9 @@ use nadfs_wire::{
     WriteReqHeader,
 };
 
-/// Observable storage-node statistics (shared with tests/harnesses).
+/// Observable storage-node statistics: what the node's software did
+/// (shared with tests/harnesses). What the control plane placed on the
+/// node is the plane's [`crate::NodeLedger`].
 #[derive(Debug, Default)]
 pub struct StorageStats {
     pub rpc_writes: u64,
@@ -41,24 +43,6 @@ pub struct StorageStats {
     pub auth_failures: u64,
     pub fallback_aggregations: u64,
     pub cleanup_events: u64,
-    /// Stripe units the metadata service placed on this node (filled in
-    /// by the control plane at placement time; striped plain writes
-    /// only — replication/EC fan-out is counted by their own fields).
-    pub stripe_chunks_placed: u64,
-    /// Re-protected shards the repair pipeline committed to this node
-    /// (this node was chosen as the spare).
-    pub repair_chunks_hosted: u64,
-    /// Gauge: extent shards currently live on this node per the extent
-    /// maps (commit adds, re-home away / unlink / reclaim subtracts).
-    pub chunks_hosted: u64,
-    /// Gauge: payload bytes behind `chunks_hosted`.
-    pub bytes_hosted: u64,
-    /// Shards garbage-collected by recovery reconciliation: the extent
-    /// was re-homed (or unlinked) while this node was down, so its copy
-    /// came back stale and was reclaimed.
-    pub stale_chunks_reclaimed: u64,
-    /// Payload bytes behind `stale_chunks_reclaimed`.
-    pub stale_bytes_reclaimed: u64,
 }
 
 pub type SharedStorageStats = Rc<RefCell<StorageStats>>;

@@ -15,8 +15,7 @@ use std::fmt::Debug;
 use std::rc::Rc;
 
 use nadfs_core::{
-    ControlPlane, FilePolicy, LayoutSpec, MetaCache, ReadCache, RepairTask, SharedStorageStats,
-    StorageStats, WritePlacement,
+    ControlPlane, FilePolicy, LayoutSpec, MetaCache, ReadCache, RepairTask, WritePlacement,
 };
 use nadfs_meta::{CachedEntry, DirtyAttr};
 use nadfs_wire::{BcastStrategy, Rights, RsScheme};
@@ -43,7 +42,6 @@ impl Rng {
 
 struct Rig {
     cp: Rc<RefCell<ControlPlane>>,
-    stats: Vec<SharedStorageStats>,
     meta_cache: Rc<RefCell<MetaCache>>,
     read_cache: Rc<RefCell<ReadCache>>,
     digest: u64,
@@ -60,21 +58,15 @@ struct Rig {
 impl Rig {
     fn new(shards: usize) -> Rig {
         let cp = ControlPlane::new_sharded(0xC0DE, NODES.to_vec(), shards);
-        let stats: Vec<SharedStorageStats> = NODES
-            .iter()
-            .map(|_| Rc::new(RefCell::new(StorageStats::default())))
-            .collect();
         let meta_cache = Rc::new(RefCell::new(MetaCache::new()));
         let read_cache = Rc::new(RefCell::new(ReadCache::default()));
         {
             let mut c = cp.borrow_mut();
-            c.attach_storage_stats(stats.clone());
             c.register_cache(meta_cache.clone());
             c.register_read_cache(read_cache.clone());
         }
         Rig {
             cp,
-            stats,
             meta_cache,
             read_cache,
             digest: 0xCBF2_9CE4_8422_2325,
@@ -119,9 +111,8 @@ impl Rig {
         let mut failed: Vec<u32> = c.failed_nodes().iter().copied().collect();
         failed.sort_unstable();
         self.fold("failed", failed);
-        for (i, &n) in NODES.iter().enumerate() {
-            self.fold("orphaned", c.orphaned_on(n as u32));
-            self.fold("storage", &*self.stats[i].clone().borrow());
+        for l in c.node_ledgers() {
+            self.fold("node", l);
         }
         self.fold("live", (c.live_extent_bytes(), c.live_extent_shards()));
         self.fold("meta_ops", c.meta_stats());
@@ -373,11 +364,13 @@ impl Rig {
             appended: n,
             mtime_ns: 80,
         };
-        let r =
-            cp.borrow_mut()
-                .flush_attrs(&[(ec, dirty(4096)), (plain, dirty(1)), (hot, dirty(7))]);
+        let r = cp.borrow_mut().flush_attrs(&mut [
+            (ec, dirty(4096)),
+            (plain, dirty(1)),
+            (hot, dirty(7)),
+        ]);
         self.op("flush_attrs", r);
-        let r = cp.borrow_mut().flush_attrs(&[]);
+        let r = cp.borrow_mut().flush_attrs(&mut []);
         self.op("flush_attrs none", r);
         for path in ["/c/ec", "/c", "/a/b/plain"] {
             let r = cp.borrow_mut().lookup_path(path);
@@ -453,7 +446,7 @@ impl Rig {
                     self.op("subdir", r);
                 }
                 14 => {
-                    let updates: Vec<(u64, DirtyAttr)> = (0..rng.below(4))
+                    let mut updates: Vec<(u64, DirtyAttr)> = (0..rng.below(4))
                         .map(|_| {
                             let f = self.files[rng.below(self.files.len())];
                             let appended = rng.below(4096) as u64;
@@ -466,7 +459,7 @@ impl Rig {
                             )
                         })
                         .collect();
-                    let r = cp.borrow_mut().flush_attrs(&updates);
+                    let r = cp.borrow_mut().flush_attrs(&mut updates);
                     self.op("flush_attrs", r);
                 }
                 15 => {
@@ -557,8 +550,9 @@ fn transcript(shards: usize) -> u64 {
         scripted_repairs.promoted > 0 && scripted_repairs.committed > 1,
         "the scripted half must read degraded and repair: {scripted_repairs:?}"
     );
+    let victim = scripted.cp.borrow().node_ledgers().nth(2).expect("node");
     assert!(
-        scripted.stats[2].borrow().stale_chunks_reclaimed > 0,
+        victim.stale_chunks_reclaimed > 0,
         "and strand an orphan on the victim for recovery to reclaim"
     );
     scripted.digest ^ seeded.digest.rotate_left(32)

@@ -58,29 +58,16 @@ pub enum ExtentRecord {
 impl ExtentRecord {
     /// Every `(node, addr)` coordinate this record references, paired with
     /// its shard slot: EC shard index (data `0..k`, parity `k..k+m`),
-    /// replica index, or `0` for a plain extent.
-    pub fn shard_coords(&self) -> Vec<(usize, ReplicaCoord)> {
-        match self {
-            ExtentRecord::Plain { coord, .. } => vec![(0, *coord)],
-            ExtentRecord::Replicated { replicas, .. } => {
-                replicas.iter().copied().enumerate().collect()
-            }
-            ExtentRecord::Ec { data, parities, .. } => {
-                data.iter().chain(parities).copied().enumerate().collect()
-            }
-        }
-    }
-
-    /// Does any shard of this record live on `node`? (Allocation-free:
-    /// this sits in the failure-scan loop over every committed record.)
-    pub fn references_node(&self, node: u32) -> bool {
-        match self {
-            ExtentRecord::Plain { coord, .. } => coord.node == node,
-            ExtentRecord::Replicated { replicas, .. } => replicas.iter().any(|c| c.node == node),
-            ExtentRecord::Ec { data, parities, .. } => {
-                data.iter().chain(parities).any(|c| c.node == node)
-            }
-        }
+    /// replica index, or `0` for a plain extent. Borrows the record, so
+    /// a walk (a failure scan over every committed record among them)
+    /// allocates nothing.
+    pub fn shard_coords(&self) -> impl Iterator<Item = (usize, ReplicaCoord)> + '_ {
+        let (data, parities): (&[ReplicaCoord], &[ReplicaCoord]) = match self {
+            ExtentRecord::Plain { coord, .. } => (std::slice::from_ref(coord), &[]),
+            ExtentRecord::Replicated { replicas, .. } => (replicas, &[]),
+            ExtentRecord::Ec { data, parities, .. } => (data, parities),
+        };
+        data.iter().chain(parities).copied().enumerate()
     }
 
     /// Physical bytes one shard slot of this record occupies on its node:
@@ -227,27 +214,25 @@ impl ExtentMap {
         self.records
             .iter()
             .enumerate()
-            .filter(|(_, r)| r.references_node(node))
+            .filter(|(_, r)| r.shard_coords().any(|(_, c)| c.node == node))
             .map(|(i, _)| i)
             .collect()
     }
 
     /// Commit a repair: rewrite the shard slots of record `rec` to their
-    /// re-protected coordinates and bump the generation. Slot numbering
-    /// follows [`ExtentRecord::shard_coords`]. Out-of-range record or
-    /// slot ids are a typed error (a stale repair task, e.g. after the
-    /// file was truncated out from under the queue).
+    /// re-protected coordinates, handing each coordinate it replaces to
+    /// `replaced` first, and bump the generation. Slot numbering follows
+    /// [`ExtentRecord::shard_coords`]. Out-of-range record or slot ids are
+    /// a typed error (a stale repair task, e.g. after the file was
+    /// truncated out from under the queue).
     pub fn rehome(
         &mut self,
         rec: usize,
         replacements: &[(usize, ReplicaCoord)],
+        mut replaced: impl FnMut(ReplicaCoord),
     ) -> Result<(), MetaError> {
         let record = self.records.get_mut(rec).ok_or(MetaError::NotFound)?;
-        let slots = match record {
-            ExtentRecord::Plain { .. } => 1,
-            ExtentRecord::Replicated { replicas, .. } => replicas.len(),
-            ExtentRecord::Ec { data, parities, .. } => data.len() + parities.len(),
-        };
+        let slots = record.shard_coords().count();
         // Validate every slot before touching any: a rejected repair must
         // leave the record (and the generation) exactly as it was.
         if replacements.iter().any(|&(slot, _)| slot >= slots) {
@@ -266,6 +251,7 @@ impl ExtentMap {
                     }
                 }
             };
+            replaced(*target);
             *target = coord;
         }
         if !replacements.is_empty() {
@@ -961,8 +947,12 @@ mod tests {
         });
         let g0 = m.generation();
         // Re-home data shard 1 and the parity (shard 2) to spares.
-        m.rehome(0, &[(1, coord(7, 0x7000)), (2, coord(8, 0x8000))])
-            .expect("rehome");
+        let mut old = vec![];
+        m.rehome(0, &[(1, coord(7, 0x7000)), (2, coord(8, 0x8000))], |c| {
+            old.push(c)
+        })
+        .expect("rehome");
+        assert_eq!(old, [coord(2, 0x2000), coord(3, 0x3000)], "the replaced");
         assert_eq!(m.generation(), g0 + 1, "repair commit bumps generation");
         let failed: FailedSet = [2].into();
         let plan = m.resolve(0, 2000, &failed).expect("resolve");
@@ -973,19 +963,21 @@ mod tests {
         ));
         // Stale slot / record ids are typed errors, not panics.
         assert_eq!(
-            m.rehome(0, &[(5, coord(9, 0))]).unwrap_err(),
+            m.rehome(0, &[(5, coord(9, 0))], |_| {}).unwrap_err(),
             MetaError::NotFound
         );
         assert_eq!(
-            m.rehome(3, &[(0, coord(9, 0))]).unwrap_err(),
+            m.rehome(3, &[(0, coord(9, 0))], |_| {}).unwrap_err(),
             MetaError::NotFound
         );
         // A rejected batch is atomic: the valid slot is NOT applied and
         // the generation does not move.
         let g = m.generation();
         assert_eq!(
-            m.rehome(0, &[(0, coord(11, 0xB000)), (9, coord(12, 0xC000))])
-                .unwrap_err(),
+            m.rehome(0, &[(0, coord(11, 0xB000)), (9, coord(12, 0xC000))], |_| {
+                panic!("a rejected batch replaces nothing")
+            })
+            .unwrap_err(),
             MetaError::NotFound
         );
         assert_eq!(m.generation(), g, "partial application never happens");

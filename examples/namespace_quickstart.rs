@@ -67,9 +67,10 @@ fn main() {
         );
     }
     let placed: Vec<u64> = cl
-        .storage_stats
-        .iter()
-        .map(|s| s.borrow().stripe_chunks_placed)
+        .control
+        .borrow()
+        .node_ledgers()
+        .map(|l| l.stripe_chunks_placed)
         .collect();
     println!("per-node stripe chunks placed: {placed:?}");
 

@@ -601,9 +601,11 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnReport {
         let stats = fsc.cluster.control.borrow().repair_queue.stats;
         report.dropped_on_recovery = stats.dropped_on_recovery;
         report.shards_readopted = stats.shards_readopted;
-        for st in &fsc.cluster.storage_stats {
-            report.stale_chunks_reclaimed += st.borrow().stale_chunks_reclaimed;
-        }
+        let control = fsc.cluster.control.borrow();
+        report.stale_chunks_reclaimed = control
+            .node_ledgers()
+            .map(|l| l.stale_chunks_reclaimed)
+            .sum();
     }
     let _ = dump_trace_if_requested(&fsc, &format!("churn-seed-{:x}", cfg.seed));
     report

@@ -17,8 +17,8 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use nadfs_core::{
-    ClusterSpec, FileHandle, FilePolicy, FsClient, Job, LayoutSpec, RepairDriver, RepairReport,
-    RepairResult, SimCluster, StorageMode, WriteResult, WriteSlot,
+    ClusterSpec, FileHandle, FilePolicy, FsClient, Job, LayoutSpec, NodeLedger, RepairDriver,
+    RepairReport, RepairResult, SimCluster, StorageMode, WriteResult, WriteSlot,
 };
 use nadfs_simnet::Dur;
 use nadfs_wire::RsScheme;
@@ -353,16 +353,22 @@ pub fn assert_flow_conserved(cluster: &SimCluster, ctx: &str) {
     }
 }
 
+/// The control plane's ledger of storage node `i` (the cluster's
+/// storage-node order).
+pub fn node_ledger(cluster: &SimCluster, i: usize) -> NodeLedger {
+    let ledger = cluster.control.borrow().node_ledgers().nth(i);
+    ledger.expect("a storage node")
+}
+
 /// Hosted-capacity conservation: the per-node `chunks_hosted` /
 /// `bytes_hosted` gauges sum to exactly what the extent maps currently
 /// place. Violated by the pre-reconciliation recovery leak.
 pub fn assert_hosted_conserved(cluster: &SimCluster, ctx: &str) {
     let control = cluster.control.borrow();
     let (mut chunks, mut bytes) = (0u64, 0u64);
-    for st in &cluster.storage_stats {
-        let s = st.borrow();
-        chunks += s.chunks_hosted;
-        bytes += s.bytes_hosted;
+    for l in control.node_ledgers() {
+        chunks += l.chunks_hosted;
+        bytes += l.bytes_hosted;
     }
     assert_eq!(
         chunks,

@@ -282,9 +282,10 @@ fn striped_writes_land_on_distinct_nodes_with_counted_placement() {
 
     // Placement was counted on the nodes it landed on.
     let placed: Vec<u64> = cl
-        .storage_stats
-        .iter()
-        .map(|s| s.borrow().stripe_chunks_placed)
+        .control
+        .borrow()
+        .node_ledgers()
+        .map(|l| l.stripe_chunks_placed)
         .collect();
     assert_eq!(placed.iter().sum::<u64>(), 4);
     assert!(

@@ -11,7 +11,9 @@
 use nadfs_core::{
     ClusterSpec, FilePolicy, FsClient, LayoutSpec, RepairTask, SimCluster, StorageMode, WriteResult,
 };
-use nadfs_tests::{assert_bytes_converged, assert_hosted_conserved, seed_from_env, SplitMix};
+use nadfs_tests::{
+    assert_bytes_converged, assert_hosted_conserved, node_ledger, seed_from_env, SplitMix,
+};
 use nadfs_wire::{BcastStrategy, RsScheme};
 
 fn payload(seed: u64, len: usize) -> Vec<u8> {
@@ -68,24 +70,20 @@ fn recovery_reclaims_rehomed_shards_and_conserves_gauges() {
 
     // Mid-outage: the re-homed copy is orphaned on the dead node, and
     // the gauges already reflect the *new* homes.
-    let (oc, ob) = fsc.cluster.control.borrow().orphaned_on(victim_node);
+    let (oc, ob) = node_ledger(&fsc.cluster, victim).orphaned;
     assert!(oc >= 1, "re-home left a stale copy on the dead node");
     assert!(ob > 0);
     assert_hosted_conserved(&fsc.cluster, "mid-outage");
 
     fsc.recover_storage_node(victim);
-    let control = fsc.cluster.control.borrow();
+    let ledger = node_ledger(&fsc.cluster, victim);
     assert_eq!(
-        control.orphaned_on(victim_node),
+        ledger.orphaned,
         (0, 0),
         "recovery consumed the orphan ledger"
     );
-    drop(control);
-    {
-        let stats = fsc.cluster.storage_stats[victim].borrow();
-        assert_eq!(stats.stale_chunks_reclaimed, oc, "orphans became reclaims");
-        assert_eq!(stats.stale_bytes_reclaimed, ob);
-    }
+    assert_eq!(ledger.stale_chunks_reclaimed, oc, "orphans became reclaims");
+    assert_eq!(ledger.stale_bytes_reclaimed, ob);
     assert_hosted_conserved(&fsc.cluster, "post-recovery");
     assert_bytes_converged(&mut fsc, &h, &data, "post-recovery");
 }
@@ -115,9 +113,7 @@ fn recovery_before_drain_drops_tasks_and_readopts_shards() {
         assert!(stats.shards_readopted >= 1, "{stats:?}");
     }
     assert_eq!(
-        fsc.cluster.storage_stats[victim]
-            .borrow()
-            .stale_chunks_reclaimed,
+        node_ledger(&fsc.cluster, victim).stale_chunks_reclaimed,
         0,
         "nothing was re-homed"
     );
@@ -153,20 +149,15 @@ fn unlink_during_outage_orphans_are_reclaimed_at_recovery() {
         .borrow_mut()
         .unlink("/rec/gone", now)
         .expect("unlink");
-    let (oc, ob) = fsc.cluster.control.borrow().orphaned_on(victim_node);
+    let (oc, ob) = node_ledger(&fsc.cluster, victim).orphaned;
     assert!(oc >= 1, "unlink orphaned the dead node's replica");
     assert_hosted_conserved(&fsc.cluster, "unlinked during outage");
 
     fsc.recover_storage_node(victim);
-    {
-        let stats = fsc.cluster.storage_stats[victim].borrow();
-        assert_eq!(stats.stale_chunks_reclaimed, oc);
-        assert_eq!(stats.stale_bytes_reclaimed, ob);
-    }
-    assert_eq!(
-        fsc.cluster.control.borrow().orphaned_on(victim_node),
-        (0, 0)
-    );
+    let ledger = node_ledger(&fsc.cluster, victim);
+    assert_eq!(ledger.stale_chunks_reclaimed, oc);
+    assert_eq!(ledger.stale_bytes_reclaimed, ob);
+    assert_eq!(ledger.orphaned, (0, 0));
     assert_hosted_conserved(&fsc.cluster, "post-recovery");
 }
 

@@ -84,9 +84,10 @@ fn ec_repair_rehomes_failed_shard_and_restores_direct_reads() {
     assert!(gen_after > gen_before, "repair commit bumps the generation");
     let hosted: u64 = fsc
         .cluster
-        .storage_stats
-        .iter()
-        .map(|s| s.borrow().repair_chunks_hosted)
+        .control
+        .borrow()
+        .node_ledgers()
+        .map(|l| l.repair_chunks_hosted)
         .sum();
     assert_eq!(hosted, 1, "exactly one spare placement counted");
     assert!(
