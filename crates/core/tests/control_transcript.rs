@@ -560,10 +560,10 @@ fn transcript(shards: usize) -> u64 {
 
 #[test]
 fn one_shard_transcript_is_pinned() {
-    assert_eq!(transcript(1), 9122688530568212463);
+    assert_eq!(transcript(1), 8752279310750794174);
 }
 
 #[test]
 fn four_shard_transcript_is_pinned() {
-    assert_eq!(transcript(4), 14095331138682930264);
+    assert_eq!(transcript(4), 14467442943386859910);
 }
