@@ -1289,6 +1289,77 @@ mod tests {
         cache
     }
 
+    /// What node `id`'s ledger holds.
+    fn ledger(c: &ControlPlane, id: u32) -> NodeLedger {
+        c.nodes[node_index(&c.nodes, id).expect("a storage node")].ledger
+    }
+
+    /// The hosted gauges sum to what the extent maps place.
+    fn assert_conserved(c: &ControlPlane) {
+        let hosted = c.node_ledgers().fold((0, 0), |(n, b), l| {
+            (n + l.chunks_hosted, b + l.bytes_hosted)
+        });
+        assert_eq!(hosted, (c.live_extent_shards(), c.live_extent_bytes()));
+    }
+
+    #[test]
+    fn a_plane_without_a_cluster_keeps_its_node_ledger() {
+        let cp = ControlPlane::new(7, vec![4, 5, 6, 7, 8, 9]);
+        let mut c = cp.borrow_mut();
+        c.mkdir("/d", 0).expect("mkdir");
+        let scheme = RsScheme::new(3, 2);
+        let ec = FilePolicy::ErasureCoded { scheme };
+        let ec = c.create_file_at("/d/ec", LayoutSpec::SINGLE, ec);
+        let ec = ec.expect("create").id;
+        let spec = LayoutSpec::striped(2, 4096);
+        let plain = c.create_file_at("/d/p", spec, FilePolicy::Plain);
+        let plain = plain.expect("create").id;
+        let p = c.place_write(ec, 3 * 4096).expect("place");
+        c.commit_write(ec, &p, 3 * 4096);
+        let q = c.place_write(plain, 2 * 4096).expect("place");
+        c.commit_write(plain, &q, 2 * 4096);
+        assert_eq!(c.live_extent_shards(), 5 + 2);
+        assert_conserved(&c);
+        let placed: u64 = c.node_ledgers().map(|l| l.stripe_chunks_placed).sum();
+        assert_eq!(placed, 2, "two stripe units");
+
+        // A data shard's node fails and the repair re-homes the shard:
+        // the spare hosts it, and the dead node's copy is an orphan.
+        let victim = p.data_chunks[0].node;
+        c.mark_node_failed(victim);
+        let task = c.pop_repair().expect("queued");
+        assert_eq!(task.file, ec, "the lower ino is queued first");
+        let plan = c.plan_repair(task).expect("plan");
+        let [(_, spare)] = plan.replacements()[..] else {
+            panic!("one shard to rebuild: {plan:?}");
+        };
+        c.commit_repair(task, &plan.replacements(), 0)
+            .expect("commit");
+        assert_conserved(&c);
+        assert_eq!(ledger(&c, spare.node).repair_chunks_hosted, 1);
+        let orphaned = ledger(&c, victim).orphaned;
+        assert_eq!(orphaned, (1, 4096), "one chunk left on the dead node");
+
+        // Recovery reclaims exactly what the outage orphaned.
+        c.mark_node_recovered(victim);
+        let l = ledger(&c, victim);
+        assert_eq!(l.orphaned, (0, 0));
+        assert_eq!(
+            (l.stale_chunks_reclaimed, l.stale_bytes_reclaimed),
+            orphaned
+        );
+        assert_conserved(&c);
+
+        // Unlinking both files empties every gauge.
+        c.unlink("/d/ec", 0).expect("unlink");
+        c.unlink("/d/p", 0).expect("unlink");
+        assert_eq!(c.live_extent_shards(), 0);
+        assert_conserved(&c);
+        assert!(c
+            .node_ledgers()
+            .all(|l| l.chunks_hosted == 0 && l.bytes_hosted == 0));
+    }
+
     #[test]
     fn layouts_rotate_homes_and_cap_width() {
         let cp = ControlPlane::new(7, vec![10, 11, 12]);
