@@ -114,8 +114,8 @@ impl WritePlacement {
 
 /// What the control plane has put on one storage node, and stranded
 /// there: placement and repair counters, the hosted gauges, and the
-/// orphan and reclaim ledgers recovery reconciles. The plane keeps it; a
-/// storage node's own counters are its `StorageStats`.
+/// orphan and reclaim ledgers recovery reconciles. The plane keeps it;
+/// what a node's own software did, the node counts.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NodeLedger {
     /// Stripe units placed on this node (striped plain writes only —
