@@ -116,7 +116,7 @@ impl WritePlacement {
 /// there: placement and repair counters, the hosted gauges, and the
 /// orphan and reclaim ledgers recovery reconciles. The plane keeps it;
 /// what a node's own software did, the node counts.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct NodeLedger {
     /// Stripe units placed on this node (striped plain writes only —
     /// replication/EC fan-out is not counted here).
