@@ -20,6 +20,7 @@
 //! rows do, so the count is the data path's and not the op spans'.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
@@ -28,7 +29,8 @@ use nadfs_core::{
     ReadPattern, ReadProtocol, SimCluster, SizeDist, StorageMode, Workload, WriteProtocol,
 };
 use nadfs_meta::DirtyAttr;
-use nadfs_wire::{BcastStrategy, RsScheme, Status};
+use nadfs_simnet::{Component, Ctx, Dur, Engine};
+use nadfs_wire::{BcastStrategy, Capability, MacKey, Rights, RsScheme, Status};
 
 const SEED: u64 = 0xA110C;
 
@@ -348,7 +350,8 @@ fn a_warm_stat_allocates_nothing() {
 /// across two shards 2 (the new name twice), an unlink, a one-update
 /// attribute flush and a repair commit none, a plain write's commit
 /// striped over two nodes 1 (the file's record list) and an RS(3,2)
-/// commit 3 (the record list, the record's data and parity coordinates).
+/// commit 3 (the record list, the record's data and parity coordinates),
+/// and an RS(3,2) commit that compacts 32 records into one 101.
 /// The flush made 1 while it sorted a copy of its updates, the repair
 /// commit 1 while it collected the coordinates it replaces, and the two
 /// commits 3 and 4 while each new record's shard walk built a list; the
@@ -377,7 +380,7 @@ fn mutations_allocate_only_what_they_keep() {
     let rs32 = FilePolicy::ErasureCoded {
         scheme: RsScheme::new(3, 2),
     };
-    let mut fewest = [u64::MAX; 8];
+    let mut fewest = [u64::MAX; 9];
     for i in 0..8 {
         let (f, d, g) = (format!("/a/f{i}"), format!("/a/d{i}"), format!("/b/g{i}"));
         let a0 = allocs();
@@ -410,6 +413,19 @@ fn mutations_allocate_only_what_they_keep() {
         c.commit_write(plain, &p, 2 * BLOCK);
         let a9 = allocs();
         c.unlink(&s, 0).expect("unlink");
+        // 31 overwrites of one RS(3,2) extent; the 32nd commit compacts
+        // the map and drops the 31 records it shadows.
+        let o = format!("/a/o{i}");
+        let over = c.create_file_at(&o, spec, rs32.clone()).expect("create").id;
+        for _ in 0..31 {
+            let p = c.place_write_at(over, 3 * 4096, 0).expect("place");
+            c.commit_write(over, &p, 3 * 4096);
+        }
+        let p = c.place_write_at(over, 3 * 4096, 0).expect("place");
+        let a12 = allocs();
+        c.commit_write(over, &p, 3 * 4096);
+        let a13 = allocs();
+        c.unlink(&o, 0).expect("unlink");
         // One erasure-coded extent loses a shard; commit its repair.
         let e = format!("/a/e{i}");
         let ec = c.create_file_at(&e, spec, rs32.clone()).expect("create").id;
@@ -436,6 +452,7 @@ fn mutations_allocate_only_what_they_keep() {
             a7 - a6,
             a9 - a8,
             a11 - a10,
+            a13 - a12,
         ];
         for (min, n) in fewest.iter_mut().zip(counts) {
             *min = (*min).min(n);
@@ -443,9 +460,52 @@ fn mutations_allocate_only_what_they_keep() {
     }
     assert_eq!(
         fewest,
-        [3, 2, 2, 0, 0, 0, 1, 3],
+        [3, 2, 2, 0, 0, 0, 1, 3, 101],
         "allocations per create, mkdir, rename, unlink, one-update flush, repair commit, \
-         two-stripe plain commit and RS(3,2) commit"
+         two-stripe plain commit, RS(3,2) commit and compacting RS(3,2) commit"
+    );
+}
+
+/// What one capability check allocates: a MAC over the capability's
+/// five fields and two comparisons.
+#[test]
+fn a_capability_verify_allocates_nothing() {
+    let key = MacKey::from_seed(SEED);
+    let cap = Capability::issue(&key, 3, 42, Rights::RW, 1_000_000, 7);
+    let a0 = allocs();
+    assert_eq!(cap.verify(&key, 0, Rights::WRITE), Ok(()));
+    let made = allocs() - a0;
+    assert_eq!(made, 1, "one capability verify allocated {made} times");
+}
+
+/// A component that takes wakes and does nothing with them.
+struct Sink;
+
+impl Component for Sink {
+    fn handle(&mut self, _: &mut Ctx<'_>, _: Box<dyn Any>) {
+        unreachable!("only wakes are scheduled");
+    }
+    fn wake(&mut self, _: &mut Ctx<'_>, _: u64) {}
+}
+
+/// A fresh engine's cold start: 1,000 wakes 4 ns apart, spread over the
+/// event wheel's ~4 µs horizon, scheduled up front and run out. What
+/// the engine allocates for them, counted from `Engine::new`.
+#[test]
+fn a_fresh_engine_spreads_events_over_its_wheel_in_few_allocations() {
+    const EVENTS: u64 = 1_000;
+    let a0 = allocs();
+    let mut engine = Engine::new();
+    let sink = engine.add_component(Box::new(Sink));
+    for i in 1..=EVENTS {
+        engine.wake(Dur::from_ns(4 * i), sink, i);
+    }
+    engine.run_to_completion();
+    let made = allocs() - a0;
+    assert_eq!(engine.wakes_dispatched(), EVENTS);
+    assert_eq!(
+        made, 979,
+        "a fresh engine allocated {made} times for {EVENTS} wakes over its wheel"
     );
 }
 
