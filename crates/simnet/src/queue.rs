@@ -11,7 +11,11 @@
 //!
 //! * `due_now` — a FIFO for events scheduled at the current instant.
 //! * `wheel` — a calendar of 4 ns slots covering the next ~4 us: insert
-//!   and pop touch one short slot and an occupancy bitmap.
+//!   and pop touch one short slot and an occupancy bitmap. Every slot is
+//!   a list linked through one arena of nodes, and a popped node goes on
+//!   a free list that the next insert takes from, so a fresh engine grows
+//!   one vector a logarithmic number of times instead of a buffer per
+//!   slot (1,024 of them), and a warm one allocates nothing.
 //! * `far` — a binary heap for everything beyond the wheel, touched once
 //!   per timer.
 
@@ -76,20 +80,46 @@ fn slot_no(t: Time) -> u64 {
     t.0 >> SLOT_SHIFT
 }
 
+/// No node: the end of a slot's list, of the free list, or an empty slot.
+const NIL: u32 = u32::MAX;
+
+/// One arena entry: a queued event, or `None` on the free list.
+struct Node {
+    s: Option<Scheduled>,
+    next: u32,
+}
+
+/// A slot's list in the arena, first and last node.
+#[derive(Clone, Copy)]
+struct Slot {
+    head: u32,
+    tail: u32,
+}
+
 /// Calendar of the near future. Holds only events whose slot number is
 /// less than [`SLOTS`] ahead of the clock's, so each slot holds events of
 /// one slot number and the first occupied slot at or after the clock's
 /// holds the earliest.
 struct Wheel {
-    /// Each slot ascending by `(at, seq)`. Empty until first use.
-    slots: Vec<VecDeque<Scheduled>>,
+    /// Every slot's entries, linked through `next`; popped nodes go on
+    /// the free list and the next insert takes the last one freed.
+    nodes: Vec<Node>,
+    free: u32,
+    /// Each slot's list ascending by `(at, seq)`; `head` is [`NIL`] when
+    /// the slot is empty (`tail` is then stale).
+    slots: [Slot; SLOTS],
     occupied: [u64; WORDS],
 }
 
 impl Wheel {
     fn new() -> Wheel {
         Wheel {
-            slots: Vec::new(),
+            nodes: Vec::new(),
+            free: NIL,
+            slots: [Slot {
+                head: NIL,
+                tail: NIL,
+            }; SLOTS],
             occupied: [0; WORDS],
         }
     }
@@ -98,23 +128,47 @@ impl Wheel {
         slot_no(at) - slot_no(now) < SLOTS as u64
     }
 
+    fn node(&self, n: u32) -> &Scheduled {
+        self.nodes[n as usize].s.as_ref().expect("queued node")
+    }
+
     fn insert(&mut self, s: Scheduled) {
-        if self.slots.is_empty() {
-            self.slots.resize_with(SLOTS, VecDeque::new);
-        }
         let idx = slot_no(s.at) as usize % SLOTS;
-        let slot = &mut self.slots[idx];
-        // Later-scheduled events mostly land later: search from the back.
-        let mut i = slot.len();
-        while i > 0 && slot[i - 1].at > s.at {
-            i -= 1;
-        }
-        if i == slot.len() {
-            slot.push_back(s); // what `insert` would do, minus its generality
+        let at = s.at;
+        let node = Node {
+            s: Some(s),
+            next: NIL,
+        };
+        let n = if self.free == NIL {
+            self.nodes.push(node);
+            (self.nodes.len() - 1) as u32
         } else {
-            slot.insert(i, s);
+            let n = self.free;
+            self.free = std::mem::replace(&mut self.nodes[n as usize], node).next;
+            n
+        };
+        let slot = self.slots[idx];
+        if slot.head == NIL {
+            self.slots[idx] = Slot { head: n, tail: n };
+            self.occupied[idx / 64] |= 1 << (idx % 64);
+        } else if self.node(slot.tail).at <= at {
+            // Later-scheduled events mostly land later: append.
+            self.nodes[slot.tail as usize].next = n;
+            self.slots[idx].tail = n;
+        } else {
+            // Before the first entry due later; one due at the same
+            // instant was scheduled earlier and stays ahead.
+            let (mut prev, mut cur) = (NIL, slot.head);
+            while self.node(cur).at <= at {
+                (prev, cur) = (cur, self.nodes[cur as usize].next);
+            }
+            self.nodes[n as usize].next = cur;
+            if prev == NIL {
+                self.slots[idx].head = n;
+            } else {
+                self.nodes[prev as usize].next = n;
+            }
         }
-        self.occupied[idx / 64] |= 1 << (idx % 64);
     }
 
     /// Index of the first occupied slot at or after the clock's, wrapping.
@@ -140,13 +194,16 @@ impl Wheel {
     }
 
     fn peek(&self, idx: usize) -> &Scheduled {
-        self.slots[idx].front().expect("occupied slot")
+        self.node(self.slots[idx].head)
     }
 
     fn pop(&mut self, idx: usize) -> Scheduled {
-        let slot = &mut self.slots[idx];
-        let s = slot.pop_front().expect("occupied slot");
-        if slot.is_empty() {
+        let n = self.slots[idx].head;
+        let node = &mut self.nodes[n as usize];
+        let s = node.s.take().expect("occupied slot");
+        self.slots[idx].head = std::mem::replace(&mut node.next, self.free);
+        self.free = n;
+        if self.slots[idx].head == NIL {
             self.occupied[idx / 64] &= !(1 << (idx % 64));
         }
         s
@@ -237,6 +294,29 @@ mod tests {
             target: 0,
             ev,
         }
+    }
+
+    /// Within one slot an insert due earlier than the slot's tail goes
+    /// before the first entry due later and after those due at its
+    /// instant; a pop frees its node for the next insert.
+    #[test]
+    fn a_slot_keeps_time_then_seq_order_and_reuses_popped_nodes() {
+        let now = Time(1 << 30);
+        let mut q = EventQueue::new();
+        // One slot (4.096 ns wide): 3.0, 1.0, 2.0, 1.0 and 3.0 ns ahead.
+        for (seq, ps) in [3_000, 1_000, 2_000, 1_000, 3_000].into_iter().enumerate() {
+            q.push(now, entry(now + Dur::from_ps(ps), seq as u64));
+        }
+        assert_eq!(q.wheel.nodes.len(), 5);
+        let first = q.pop(now).expect("queued");
+        assert_eq!((first.at, first.seq), (now + Dur::from_ps(1_000), 1));
+        q.push(now, entry(now + Dur::from_ps(2_000), 5));
+        assert_eq!(q.wheel.nodes.len(), 5, "the freed node was reused");
+        let mut order = vec![];
+        while let Some(s) = q.pop(now) {
+            order.push(s.seq);
+        }
+        assert_eq!(order, [3, 2, 5, 0, 4]);
     }
 
     #[test]
