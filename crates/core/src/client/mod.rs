@@ -14,6 +14,7 @@
 //! one timer outstanding, so the timer tag is the op id.
 
 mod meta;
+mod payload;
 mod read;
 mod repair;
 mod write;
@@ -573,21 +574,7 @@ impl ClientApp {
     }
 
     fn payload(seed: u64, len: u32) -> Bytes {
-        // Deterministic, seed-dependent content (splitmix-ish stream).
-        let mut x = seed ^ 0x9E37_79B9_7F4A_7C15;
-        // Room for the last whole word: the buffer never reallocates, and
-        // storage memory keeps it after the write completes.
-        let mut v = Vec::with_capacity((len as usize).next_multiple_of(8));
-        while v.len() < len as usize {
-            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = x;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^= z >> 31;
-            v.extend_from_slice(&z.to_le_bytes());
-        }
-        v.truncate(len as usize);
-        Bytes::from(v)
+        Bytes::from(payload::payload(seed, len))
     }
 
     /// Rebuild the `want` shards of one stripe whose survivors were
