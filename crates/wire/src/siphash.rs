@@ -48,36 +48,31 @@ fn sipround(v: &mut [u64; 4]) {
     v[2] = v[2].rotate_left(32);
 }
 
-/// SipHash-2-4 of `data` under `key`.
-pub(crate) fn siphash24(key: &MacKey, data: &[u8]) -> u64 {
+/// The state SipHash-2-4 starts from under `key`.
+fn init(key: &MacKey) -> [u64; 4] {
     let k0 = u64::from_le_bytes(key.0[0..8].try_into().expect("key half"));
     let k1 = u64::from_le_bytes(key.0[8..16].try_into().expect("key half"));
-    let mut v = [
+    [
         k0 ^ 0x736f_6d65_7073_6575,
         k1 ^ 0x646f_7261_6e64_6f6d,
         k0 ^ 0x6c79_6765_6e65_7261,
         k1 ^ 0x7465_6462_7974_6573,
-    ];
+    ]
+}
 
-    let mut chunks = data.chunks_exact(8);
-    for chunk in &mut chunks {
-        let m = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-        v[3] ^= m;
-        sipround(&mut v);
-        sipround(&mut v);
-        v[0] ^= m;
-    }
+/// Absorb one 8-byte message block, read little-endian.
+#[inline(always)]
+fn absorb(v: &mut [u64; 4], m: u64) {
+    v[3] ^= m;
+    sipround(v);
+    sipround(v);
+    v[0] ^= m;
+}
 
-    let rem = chunks.remainder();
-    let mut last = (data.len() as u64) << 56;
-    for (i, &b) in rem.iter().enumerate() {
-        last |= (b as u64) << (8 * i);
-    }
-    v[3] ^= last;
-    sipround(&mut v);
-    sipround(&mut v);
-    v[0] ^= last;
-
+/// Absorb the last block (the length's low byte on top, the tail's
+/// bytes below) and finalise.
+fn finish(mut v: [u64; 4], last: u64) -> u64 {
+    absorb(&mut v, last);
     v[2] ^= 0xff;
     for _ in 0..4 {
         sipround(&mut v);
@@ -85,14 +80,32 @@ pub(crate) fn siphash24(key: &MacKey, data: &[u8]) -> u64 {
     v[0] ^ v[1] ^ v[2] ^ v[3]
 }
 
-/// Streaming-friendly MAC over a sequence of u64 words (used for signing
-/// fixed-layout structs without serializing them first).
-pub(crate) fn siphash24_words(key: &MacKey, words: &[u64]) -> u64 {
-    let mut buf = Vec::with_capacity(words.len() * 8);
-    for w in words {
-        buf.extend_from_slice(&w.to_le_bytes());
+/// SipHash-2-4 of `data` under `key`.
+pub(crate) fn siphash24(key: &MacKey, data: &[u8]) -> u64 {
+    let mut v = init(key);
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        absorb(
+            &mut v,
+            u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")),
+        );
     }
-    siphash24(key, &buf)
+    let mut last = (data.len() as u64) << 56;
+    for (i, &b) in chunks.remainder().iter().enumerate() {
+        last |= (b as u64) << (8 * i);
+    }
+    finish(v, last)
+}
+
+/// SipHash-2-4 of `words` laid out little-endian, without laying them
+/// out: each word is one message block (used for signing fixed-layout
+/// structs without serializing them first).
+pub(crate) fn siphash24_words(key: &MacKey, words: &[u64]) -> u64 {
+    let mut v = init(key);
+    for &w in words {
+        absorb(&mut v, w);
+    }
+    finish(v, ((words.len() * 8) as u64) << 56)
 }
 
 #[cfg(test)]
