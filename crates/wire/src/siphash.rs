@@ -80,7 +80,9 @@ fn finish(mut v: [u64; 4], last: u64) -> u64 {
     v[0] ^ v[1] ^ v[2] ^ v[3]
 }
 
-/// SipHash-2-4 of `data` under `key`.
+/// SipHash-2-4 of `data` under `key`: the byte-stream form the paper's
+/// vectors check and [`siphash24_words`] is tested against.
+#[cfg(test)]
 pub(crate) fn siphash24(key: &MacKey, data: &[u8]) -> u64 {
     let mut v = init(key);
     let mut chunks = data.chunks_exact(8);
