@@ -65,7 +65,7 @@ mod resolution;
 mod router;
 mod shard;
 
-use placement::{file_node, host, ledger_of, unhost, FileState, NodeState};
+use placement::{file_node, host, ledger_of, unhost, unhost_record, FileState, NodeState};
 pub use placement::{FileMeta, NodeLedger, StripeTarget, WritePlacement};
 pub use repair_queue::{RepairPlan, RepairQueue, RepairStats, RepairTask};
 pub(crate) use router::ShardRouter;
@@ -273,7 +273,7 @@ impl ControlPlane {
     fn forget(&mut self, ino: u64) {
         if let Some(f) = self.files.remove(&ino) {
             for rec in f.extents.records() {
-                self.unhost_record(rec);
+                unhost_record(&mut self.nodes, &self.failed_nodes, rec);
             }
         }
         self.notify(MetaEvent::LayoutChanged {

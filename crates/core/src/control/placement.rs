@@ -198,6 +198,15 @@ pub(super) fn unhost(nodes: &mut [NodeState], failed: &FailedNodes, node: u32, b
     }
 }
 
+/// Un-home one extent record's shards after the record leaves the
+/// metadata (unlink / rename-replace / compaction).
+pub(super) fn unhost_record(nodes: &mut [NodeState], failed: &FailedNodes, rec: &ExtentRecord) {
+    let bytes = rec.shard_len() as u64;
+    for (_, coord) in rec.shard_coords() {
+        unhost(nodes, failed, coord.node, bytes);
+    }
+}
+
 /// How a placement relates to the file's cursor.
 #[derive(Clone, Copy, Debug)]
 enum PlaceMode {
@@ -457,14 +466,5 @@ impl ControlPlane {
         // them while the cluster is quiescent.
         self.maybe_compact(file);
         growth
-    }
-
-    /// Un-home one extent record's shards after the record leaves the
-    /// metadata (unlink / rename-replace / compaction).
-    pub(super) fn unhost_record(&mut self, rec: &ExtentRecord) {
-        let bytes = rec.shard_len() as u64;
-        for (_, coord) in rec.shard_coords() {
-            unhost(&mut self.nodes, &self.failed_nodes, coord.node, bytes);
-        }
     }
 }

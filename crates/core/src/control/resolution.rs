@@ -121,8 +121,8 @@ impl ControlPlane {
         if f.extents.len() < COMPACT_MIN.max(2 * f.compact_floor) {
             return;
         }
-        let before: Vec<ExtentRecord> = f.extents.records().to_vec();
-        let result = f.extents.compact();
+        let (nodes, failed) = (&mut self.nodes, &self.failed_nodes);
+        let result = f.extents.compact(|rec| unhost_record(nodes, failed, rec));
         f.compact_floor = f.extents.len();
         let generation = f.extents.generation();
         if result.dropped == 0 {
@@ -131,11 +131,6 @@ impl ControlPlane {
         let stats = &mut self.shards[self.router.route(file)].stats;
         stats.compactions += 1;
         stats.records_dropped += result.dropped as u64;
-        for (rec, slot) in before.iter().zip(&result.remap) {
-            if slot.is_none() {
-                self.unhost_record(rec);
-            }
-        }
         self.notify(MetaEvent::LayoutChanged {
             ino: file,
             generation,

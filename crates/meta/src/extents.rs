@@ -262,17 +262,19 @@ impl ExtentMap {
 
     /// Drop every record whose byte range is fully shadowed by newer
     /// writes (overwrite-heavy workloads otherwise accumulate one record
-    /// per write forever, and resolution walks all of them). Survivors
-    /// keep their commit order, so resolution is byte-for-byte identical;
-    /// only the positional record ids change, reported through the
-    /// returned remap. Bumps the generation when anything was dropped —
-    /// cached plans carry record ids, so they must be recognizably stale.
-    pub fn compact(&mut self) -> CompactionResult {
+    /// per write forever, and resolution walks all of them), handing each
+    /// to `dropped` as it goes. Survivors keep their commit order, so
+    /// resolution is byte-for-byte identical; only the positional record
+    /// ids change, reported through the returned remap. Bumps the
+    /// generation when anything was dropped — cached plans carry record
+    /// ids, so they must be recognizably stale.
+    pub fn compact(&mut self, mut dropped: impl FnMut(&ExtentRecord)) -> CompactionResult {
         // Newest-first coverage walk: a record survives iff some byte of
         // its range is not covered by the union of newer records' ranges.
-        // `covered` is a sorted list of disjoint intervals.
+        // `covered` is a sorted list of disjoint, non-touching intervals;
+        // a survivor's `remap` slot is marked here and numbered below.
         let mut covered: Vec<(u64, u64)> = Vec::new();
-        let mut keep = vec![false; self.records.len()];
+        let mut remap = vec![None; self.records.len()];
         for (i, rec) in self.records.iter().enumerate().rev() {
             let (start, end) = (rec.offset(), rec.offset() + rec.len() as u64);
             let mut cursor = start;
@@ -296,49 +298,42 @@ impl ExtentMap {
             if cursor < end {
                 visible = true;
             }
-            keep[i] = visible;
-            // Merge [start, end) into the covered set.
-            let mut merged = Vec::with_capacity(covered.len() + 1);
-            let (mut ns, mut ne) = (start, end);
-            let mut placed = false;
-            for &(cs, ce) in covered.iter() {
-                if ce < ns {
-                    merged.push((cs, ce));
-                } else if cs > ne {
-                    if !placed {
-                        merged.push((ns, ne));
-                        placed = true;
-                    }
-                    merged.push((cs, ce));
-                } else {
-                    ns = ns.min(cs);
-                    ne = ne.max(ce);
-                }
+            if visible {
+                remap[i] = Some(0);
             }
-            if !placed {
-                merged.push((ns, ne));
+            // Merge [start, end) into the covered set in place: the
+            // intervals in `lo..hi` meet or touch it and become one.
+            let lo = covered.partition_point(|&(_, ce)| ce < start);
+            let hi = covered.partition_point(|&(cs, _)| cs <= end);
+            if lo == hi {
+                covered.insert(lo, (start, end));
+            } else {
+                covered[lo] = (covered[lo].0.min(start), covered[hi - 1].1.max(end));
+                covered.drain(lo + 1..hi);
             }
-            covered = merged;
         }
-        let mut remap = vec![None; self.records.len()];
         let mut next = 0usize;
-        for (i, &k) in keep.iter().enumerate() {
-            if k {
-                remap[i] = Some(next);
-                next += 1;
-            }
+        for slot in remap.iter_mut().filter(|s| s.is_some()) {
+            *slot = Some(next);
+            next += 1;
         }
-        let dropped = self.records.len() - next;
-        if dropped > 0 {
+        let n_dropped = self.records.len() - next;
+        if n_dropped > 0 {
             let mut idx = 0;
-            self.records.retain(|_| {
-                let k = keep[idx];
+            self.records.retain(|rec| {
+                let keep = remap[idx].is_some();
                 idx += 1;
-                k
+                if !keep {
+                    dropped(rec);
+                }
+                keep
             });
             self.generation += 1;
         }
-        CompactionResult { dropped, remap }
+        CompactionResult {
+            dropped: n_dropped,
+            remap,
+        }
     }
 
     /// Resolve the logical range `[offset, offset + len)` into fetchable
@@ -1048,8 +1043,11 @@ mod tests {
         });
         let before = m.resolve(0, 2200, &no_failures()).expect("resolve");
         let g0 = m.generation();
-        let res = m.compact();
+        let shadowed = m.records()[0].clone();
+        let mut gone = vec![];
+        let res = m.compact(|rec| gone.push(rec.clone()));
         assert_eq!(res.dropped, 1);
+        assert_eq!(gone, [shadowed], "the callback sees the dropped record");
         assert_eq!(res.remap, vec![None, Some(0), Some(1), Some(2)]);
         assert_eq!(m.len(), 3);
         assert!(m.generation() > g0, "dropping records bumps the generation");
@@ -1073,7 +1071,7 @@ mod tests {
         };
         assert_eq!(owner(&before), owner(&after));
         // Idempotent: nothing left to drop.
-        let res2 = m.compact();
+        let res2 = m.compact(|_| panic!("nothing is left to drop"));
         assert_eq!(res2.dropped, 0);
         assert_eq!(m.generation(), g0 + 1, "no-op compaction leaves it alone");
     }
@@ -1091,7 +1089,7 @@ mod tests {
             len: 80,
             coord: coord(2, 0),
         }); // the head and tail of record 0 still show through
-        let res = m.compact();
+        let res = m.compact(|_| {});
         assert_eq!(res.dropped, 0);
         assert_eq!(m.len(), 2);
     }

@@ -141,7 +141,8 @@ proptest! {
             });
         }
         let mut compacted = original.clone();
-        let result = compacted.compact();
+        let mut gone = Vec::new();
+        let result = compacted.compact(|rec| gone.push(rec.clone()));
         // Remap consistency: survivors keep their relative order, map to
         // identical records, and dropped count matches.
         prop_assert_eq!(result.remap.len(), original.len());
@@ -158,6 +159,15 @@ proptest! {
             }
         }
         prop_assert_eq!(expect_new, compacted.len());
+        // The callback saw exactly the dropped records, oldest first.
+        let dropped: Vec<ExtentRecord> = result
+            .remap
+            .iter()
+            .zip(original.records())
+            .filter(|(slot, _)| slot.is_none())
+            .map(|(_, rec)| rec.clone())
+            .collect();
+        prop_assert_eq!(gone, dropped);
         // Resolution equivalence over the sampled range AND the full map.
         let none = HashSet::new();
         for (off, len) in [(read_off, read_len), (0, 4_000)] {
@@ -182,7 +192,7 @@ proptest! {
         }
         // Idempotence: a second compaction finds nothing more to drop.
         let gen = compacted.generation();
-        let again = compacted.compact();
+        let again = compacted.compact(|_| panic!("nothing is left to drop"));
         prop_assert_eq!(again.dropped, 0);
         prop_assert_eq!(compacted.generation(), gen, "no-op keeps the generation");
     }

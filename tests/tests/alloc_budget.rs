@@ -351,7 +351,11 @@ fn a_warm_stat_allocates_nothing() {
 /// attribute flush and a repair commit none, a plain write's commit
 /// striped over two nodes 1 (the file's record list) and an RS(3,2)
 /// commit 3 (the record list, the record's data and parity coordinates),
-/// and an RS(3,2) commit that compacts 32 records into one 101.
+/// and an RS(3,2) commit that compacts 32 records into one 4 (the new
+/// record's coordinates, the compaction's coverage list and its remap).
+/// The compacting commit made 101 while the plane cloned every record
+/// to find the dropped ones afterwards and the compaction built a fresh
+/// coverage list for every record it visited.
 /// The flush made 1 while it sorted a copy of its updates, the repair
 /// commit 1 while it collected the coordinates it replaces, and the two
 /// commits 3 and 4 while each new record's shard walk built a list; the
@@ -460,7 +464,7 @@ fn mutations_allocate_only_what_they_keep() {
     }
     assert_eq!(
         fewest,
-        [3, 2, 2, 0, 0, 0, 1, 3, 101],
+        [3, 2, 2, 0, 0, 0, 1, 3, 4],
         "allocations per create, mkdir, rename, unlink, one-update flush, repair commit, \
          two-stripe plain commit, RS(3,2) commit and compacting RS(3,2) commit"
     );
