@@ -141,7 +141,7 @@ impl Wheel {
         };
         let n = if self.free == NIL {
             self.nodes.push(node);
-            (self.nodes.len() - 1) as u32
+            u32::try_from(self.nodes.len() - 1).expect("fewer than 2^32 events on the wheel")
         } else {
             let n = self.free;
             self.free = std::mem::replace(&mut self.nodes[n as usize], node).next;
