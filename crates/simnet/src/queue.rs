@@ -135,16 +135,18 @@ impl Wheel {
     fn insert(&mut self, s: Scheduled) {
         let idx = slot_no(s.at) as usize % SLOTS;
         let at = s.at;
-        let node = Node {
-            s: Some(s),
-            next: NIL,
-        };
-        let n = if self.free == NIL {
-            self.nodes.push(node);
+        let n = self.free;
+        let n = if n == NIL {
+            self.nodes.push(Node {
+                s: Some(s),
+                next: NIL,
+            });
             u32::try_from(self.nodes.len() - 1).expect("fewer than 2^32 events on the wheel")
         } else {
-            let n = self.free;
-            self.free = std::mem::replace(&mut self.nodes[n as usize], node).next;
+            let node = &mut self.nodes[n as usize];
+            self.free = node.next;
+            node.s = Some(s);
+            node.next = NIL;
             n
         };
         let slot = self.slots[idx];
