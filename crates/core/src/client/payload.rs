@@ -17,19 +17,10 @@ const MIX2: u64 = 0x94D0_49BB_1331_11EB;
 
 /// `len` bytes of `seed`'s stream.
 pub(super) fn payload(seed: u64, len: u32) -> Vec<u8> {
-    generate(seed, len as usize, wide_available())
+    generate(seed, len as usize, true)
 }
 
-#[cfg(target_arch = "x86_64")]
-use x86::available as wide_available;
-
-/// Whether the running CPU has the wide kernel's instructions.
-#[cfg(not(target_arch = "x86_64"))]
-fn wide_available() -> bool {
-    false
-}
-
-/// [`payload`], with the wide kernel (`wide`, where the CPU has it) or
+/// [`payload`], with the wide kernel where the CPU has it (`wide`) or
 /// the scalar loop alone.
 fn generate(seed: u64, len: usize, wide: bool) -> Vec<u8> {
     // Room for the last whole word: the buffer never reallocates, and
@@ -37,11 +28,11 @@ fn generate(seed: u64, len: usize, wide: bool) -> Vec<u8> {
     let mut v = Vec::with_capacity(len.next_multiple_of(8));
     let mut x = seed ^ GAMMA;
     #[cfg(target_arch = "x86_64")]
-    if wide {
-        // SAFETY: the caller saw AVX-512F and AVX-512DQ detected.
+    if wide && x86::available() {
+        // SAFETY: `available` saw AVX-512F and AVX-512DQ on this CPU.
         x = unsafe { x86::fill_blocks(&mut v, x) };
     }
-    let _ = wide;
+    let _ = wide; // read by the x86-64 build only
     while v.len() < len {
         x = x.wrapping_add(GAMMA);
         let mut z = x;
@@ -131,20 +122,15 @@ mod tests {
     }
 
     /// Both paths give the reference's bytes at every length up to a few
-    /// blocks past the first and at 4 KiB, 64 KiB and 1.5 MiB; the wide
-    /// one only where the CPU has AVX-512DQ.
+    /// blocks past the first and at 4 KiB, 64 KiB and 1.5 MiB (the wide
+    /// one is the scalar loop again on a CPU without AVX-512DQ).
     #[test]
     fn wide_and_scalar_paths_match_the_reference() {
-        let paths: &[bool] = if wide_available() {
-            &[false, true]
-        } else {
-            &[false]
-        };
         let lens = (0..=130).chain([4096, 65_536, 1_572_864]);
         for seed in [0, 1, 7, GAMMA, u64::MAX] {
             for len in lens.clone() {
                 let want = reference(seed, len);
-                for &path in paths {
+                for path in [false, true] {
                     let got = generate(seed, len, path);
                     assert!(got == want, "seed {seed} len {len} wide {path}");
                     assert_eq!(got.capacity(), len.next_multiple_of(8));
