@@ -56,37 +56,39 @@ const READAHEAD_INIT: u32 = 64 << 10;
 /// stream stays sequential).
 const READAHEAD_MAX: u32 = 1 << 20;
 
-/// Observable cache behavior (asserted by tests, reported by benches).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ReadCacheStats {
-    /// Lookups served entirely from client memory.
-    pub hits: u64,
-    /// Hits that had to copy: the range straddled cached spans, so the
-    /// bytes were stitched into a fresh buffer. Every other hit is a
-    /// slice of the span's own buffer.
-    pub stitched_hits: u64,
-    /// Lookups that had to go to the network.
-    pub misses: u64,
-    /// Bytes served from cache (EOF-clamped: what the caller got).
-    pub(crate) hit_bytes: u64,
-    /// Files dropped by generation callbacks (commit/overwrite/repair).
-    pub invalidations: u64,
-    /// Fills discarded because the file's generation moved (or the file
-    /// went) while the fetch was in flight: the stale-resurrection guard.
-    pub(crate) stale_fills: u64,
-    /// Files evicted by the capacity cap.
-    pub(crate) evictions: u64,
-    /// Bytes inserted into the cache (fills, including readahead).
-    pub(crate) inserted_bytes: u64,
-    /// Bytes fetched beyond what callers asked for (readahead volume).
-    pub readahead_bytes: u64,
-    /// Fills populated straight from a locally written payload
-    /// (write-through), making read-after-write a local hit.
-    pub write_fills: u64,
-    /// Control-plane prefetch advisories received.
-    pub hints: u64,
-    /// Readahead plans boosted by a prefetch advisory.
-    pub(crate) hint_boosts: u64,
+nadfs_simnet::declare_stats! {
+    /// Observable cache behavior (asserted by tests, reported by benches).
+    #[derive(Clone, Copy, Debug, Default)]
+    pub struct ReadCacheStats {
+        /// Lookups served entirely from client memory.
+        pub hits: u64 => counter,
+        /// Hits that had to copy: the range straddled cached spans, so the
+        /// bytes were stitched into a fresh buffer. Every other hit is a
+        /// slice of the span's own buffer.
+        pub stitched_hits: u64,
+        /// Lookups that had to go to the network.
+        pub misses: u64 => counter,
+        /// Bytes served from cache (EOF-clamped: what the caller got).
+        pub(crate) hit_bytes: u64 => counter,
+        /// Files dropped by generation callbacks (commit/overwrite/repair).
+        pub invalidations: u64 => counter,
+        /// Fills discarded because the file's generation moved (or the file
+        /// went) while the fetch was in flight: the stale-resurrection guard.
+        pub(crate) stale_fills: u64 => counter,
+        /// Files evicted by the capacity cap.
+        pub(crate) evictions: u64 => counter,
+        /// Bytes inserted into the cache (fills, including readahead).
+        pub(crate) inserted_bytes: u64 => counter,
+        /// Bytes fetched beyond what callers asked for (readahead volume).
+        pub readahead_bytes: u64 => counter,
+        /// Fills populated straight from a locally written payload
+        /// (write-through), making read-after-write a local hit.
+        pub write_fills: u64 => counter,
+        /// Control-plane prefetch advisories received.
+        pub hints: u64 => counter,
+        /// Readahead plans boosted by a prefetch advisory.
+        pub(crate) hint_boosts: u64 => counter,
+    }
 }
 
 impl ReadCacheStats {

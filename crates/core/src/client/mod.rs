@@ -122,18 +122,20 @@ pub enum ReadProtocol {
     Offloaded,
 }
 
-/// Client-side read-path counters, shared out of the engine so the
-/// cluster can export them after the app moves into the simulation.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ClientReadStats {
-    /// Degraded stripes reconstructed on the client CPU (fan-out paths).
-    pub reconstructed_stripes: u64,
-    /// Gather requests sent (offloaded protocol).
-    pub(crate) offloaded_reads: u64,
-    /// Degraded stripes delegated to on-NIC reconstruction.
-    pub(crate) offloaded_degraded_stripes: u64,
-    /// Background readahead-tail ops spawned by the async split.
-    pub(crate) background_readaheads: u64,
+nadfs_simnet::declare_stats! {
+    /// Client-side read-path counters, shared out of the engine so the
+    /// cluster can export them after the app moves into the simulation.
+    #[derive(Clone, Copy, Debug, Default)]
+    pub struct ClientReadStats {
+        /// Degraded stripes reconstructed on the client CPU (fan-out paths).
+        pub reconstructed_stripes: u64 => counter,
+        /// Gather requests sent (offloaded protocol).
+        pub(crate) offloaded_reads: u64 => counter,
+        /// Degraded stripes delegated to on-NIC reconstruction.
+        pub(crate) offloaded_degraded_stripes: u64 => counter,
+        /// Background readahead-tail ops spawned by the async split.
+        pub(crate) background_readaheads: u64 => counter,
+    }
 }
 
 pub(crate) type SharedClientReadStats = Rc<RefCell<ClientReadStats>>;

@@ -2,12 +2,13 @@
 //! control plane into a runnable simulation.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 use nadfs_host::{DmaEngine, SharedMemory};
 use nadfs_pspin::{ExecutionContext, Telemetry};
 use nadfs_rdma::{Nic, SharedNicStats};
+use nadfs_simnet::telemetry::StatsOut;
 use nadfs_simnet::{
     BufPool, ComponentId, CreditConfig, Dur, Engine, Fabric, FabricStats, FlowStats,
     MetricsSnapshot, NodeId, NodePort, ObsHub, PacketPool, SharedBufPool, SharedFlowStats,
@@ -445,238 +446,80 @@ impl SimCluster {
         self.client_tenants[i].set(Some(t));
     }
 
-    /// One coherent metrics snapshot: the op-span derived series already
-    /// in the hub, plus every component's stats struct registered under
-    /// stable names (`storage.<i>.*`, `client.<i>.*`, `repair.*`,
-    /// `pspin.<i>.*`, `fabric.*`, `engine.*`). Stable schema
-    /// [`nadfs_simnet::SNAPSHOT_SCHEMA`].
+    /// One coherent metrics snapshot: the op-span series already in the
+    /// hub, plus every component's stats. Each stats struct declares its
+    /// keys beside its fields ([`nadfs_simnet::declare_stats!`]); this
+    /// walk gives the prefixes: `storage.<i>.*` (`StorageStats` and the
+    /// plane's `NodeLedger`), `client.<i>.{meta_cache,read_cache,read}.*`,
+    /// `nic.<i>.{gather,write,read,ec,dma}.*`, `pspin.<i>.*` and the
+    /// cluster-wide `pspin.descriptor_peak_bytes`, `repair.*`,
+    /// `meta.shard.<i>.*`, `flow.*` and `tenant.*` (summed over every NIC
+    /// and scheduling point), `fabric.*`, `engine.*` and `spans.*`.
+    /// Stable schema [`nadfs_simnet::SNAPSHOT_SCHEMA`].
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut hub = self.obs.borrow_mut();
-        let m = &mut hub.metrics;
+        let ObsHub { spans, metrics } = &mut *hub;
+        let mut out = StatsOut::new(metrics);
         let control = self.control.borrow();
-        let nodes = self.storage_stats.iter().zip(control.node_ledgers());
-        for (i, (st, l)) in nodes.enumerate() {
-            let s = st.borrow();
-            let pre = format!("storage.{i}");
-            m.counter_set(&format!("{pre}.rpc_writes"), s.rpc_writes);
-            m.counter_set(&format!("{pre}.rpc_rdma_writes"), s.rpc_rdma_writes);
-            m.counter_set(&format!("{pre}.rpc_reads"), s.rpc_reads);
-            m.counter_set(&format!("{pre}.chunks_forwarded"), s.chunks_forwarded);
-            m.counter_set(&format!("{pre}.auth_failures"), s.auth_failures);
-            m.counter_set(
-                &format!("{pre}.fallback_aggregations"),
-                s.fallback_aggregations,
-            );
-            m.counter_set(&format!("{pre}.cleanup_events"), s.cleanup_events);
-            m.counter_set(
-                &format!("{pre}.stripe_chunks_placed"),
-                l.stripe_chunks_placed,
-            );
-            m.counter_set(
-                &format!("{pre}.repair_chunks_hosted"),
-                l.repair_chunks_hosted,
-            );
-            m.gauge_set(&format!("{pre}.chunks_hosted"), l.chunks_hosted as f64);
-            m.gauge_set(&format!("{pre}.bytes_hosted"), l.bytes_hosted as f64);
-            m.counter_set(
-                &format!("{pre}.stale_chunks_reclaimed"),
-                l.stale_chunks_reclaimed,
-            );
-            m.counter_set(
-                &format!("{pre}.stale_bytes_reclaimed"),
-                l.stale_bytes_reclaimed,
-            );
+        let clients = self.client_caches.iter().zip(&self.read_caches);
+        for (i, ((meta, read), stats)) in clients.zip(&self.client_read_stats).enumerate() {
+            out.put(format_args!("client.{i}.meta_cache"), &meta.borrow().stats);
+            out.put(format_args!("client.{i}.read_cache"), &read.borrow().stats);
+            out.put(format_args!("client.{i}.read"), &*stats.borrow());
         }
-        for (i, c) in self.client_caches.iter().enumerate() {
-            let s = c.borrow().stats;
-            let pre = format!("client.{i}.meta_cache");
-            m.counter_set(&format!("{pre}.hits"), s.hits);
-            m.counter_set(&format!("{pre}.misses"), s.misses);
-            m.counter_set(&format!("{pre}.invalidations"), s.invalidations);
-            m.counter_set(&format!("{pre}.writeback_absorbed"), s.writeback_absorbed);
-            m.counter_set(&format!("{pre}.writeback_flushes"), s.writeback_flushes);
-        }
-        for (i, c) in self.read_caches.iter().enumerate() {
-            let cache = c.borrow();
-            let s = &cache.stats;
-            let pre = format!("client.{i}.read_cache");
-            m.counter_set(&format!("{pre}.hits"), s.hits);
-            m.counter_set(&format!("{pre}.misses"), s.misses);
-            m.counter_set(&format!("{pre}.hit_bytes"), s.hit_bytes);
-            m.counter_set(&format!("{pre}.invalidations"), s.invalidations);
-            m.counter_set(&format!("{pre}.stale_fills"), s.stale_fills);
-            m.counter_set(&format!("{pre}.evictions"), s.evictions);
-            m.counter_set(&format!("{pre}.inserted_bytes"), s.inserted_bytes);
-            m.counter_set(&format!("{pre}.readahead_bytes"), s.readahead_bytes);
-            m.counter_set(&format!("{pre}.write_fills"), s.write_fills);
-            m.counter_set(&format!("{pre}.hints"), s.hints);
-            m.counter_set(&format!("{pre}.hint_boosts"), s.hint_boosts);
-        }
-        for (i, c) in self.client_read_stats.iter().enumerate() {
-            let s = *c.borrow();
-            let pre = format!("client.{i}.read");
-            m.counter_set(
-                &format!("{pre}.reconstructed_stripes"),
-                s.reconstructed_stripes,
-            );
-            m.counter_set(&format!("{pre}.offloaded_reads"), s.offloaded_reads);
-            m.counter_set(
-                &format!("{pre}.offloaded_degraded_stripes"),
-                s.offloaded_degraded_stripes,
-            );
-            m.counter_set(
-                &format!("{pre}.background_readaheads"),
-                s.background_readaheads,
-            );
-        }
-        for (i, c) in self.nic_stats.iter().enumerate() {
-            let s = *c.borrow();
-            let pre = format!("nic.{i}.gather");
-            m.counter_set(&format!("{pre}.reads"), s.gather_reads);
-            m.counter_set(&format!("{pre}.auth_failures"), s.gather_auth_failures);
-            m.counter_set(
-                &format!("nic.{i}.write.auth_failures"),
-                s.write_auth_failures,
-            );
-            m.counter_set(&format!("nic.{i}.read.auth_failures"), s.read_auth_failures);
-            m.counter_set(&format!("{pre}.remote_fetches"), s.gather_remote_fetches);
-            m.counter_set(&format!("{pre}.bytes_streamed"), s.gather_bytes_streamed);
-            m.counter_set(
-                &format!("{pre}.chunks_reconstructed"),
-                s.chunks_reconstructed,
-            );
+        let mut descriptor_peak = None;
+        for (i, ledger) in control.node_ledgers().enumerate() {
+            let node = self.storage_stats[i].borrow();
+            out.put(format_args!("storage.{i}"), &*node);
+            out.put(format_args!("storage.{i}"), &ledger);
+            out.put(format_args!("nic.{i}"), &*self.nic_stats[i].borrow());
             // Occupancy of the NIC's serial resources: a busy figure near
             // the run's length names the bottleneck.
-            m.counter_set(&format!("nic.{i}.ec.busy_ps"), s.ec_busy_ps);
-            let dma = self.storage_dmas[i].borrow();
-            m.counter_set(&format!("nic.{i}.dma.read_busy_ps"), dma.read_busy_ps);
-            m.counter_set(&format!("nic.{i}.dma.write_busy_ps"), dma.write_busy_ps);
-        }
-        // The one un-indexed pspin gauge is the cluster's: the largest
-        // descriptor footprint any storage NIC reached.
-        let mut descriptor_peak = None;
-        for (i, t) in self.pspin_telemetry.iter().enumerate() {
-            let Some(t) = t else { continue };
-            let t = t.borrow();
-            let pre = format!("pspin.{i}");
-            m.counter_set(&format!("{pre}.pkts_processed"), t.pkts_processed);
-            m.counter_set(&format!("{pre}.msgs_opened"), t.msgs_opened);
-            m.counter_set(&format!("{pre}.msgs_completed"), t.msgs_completed);
-            m.counter_set(&format!("{pre}.msgs_denied"), t.msgs_denied);
-            m.counter_set(&format!("{pre}.msgs_cleaned"), t.msgs_cleaned);
-            descriptor_peak = descriptor_peak.max(Some(t.descriptor_peak_bytes));
+            out.put(format_args!("nic.{i}.dma"), &*self.storage_dmas[i].borrow());
+            if let Some(t) = &self.pspin_telemetry[i] {
+                let t = t.borrow();
+                out.put(format_args!("pspin.{i}"), &*t);
+                descriptor_peak = descriptor_peak.max(Some(t.descriptor_peak_bytes));
+            }
         }
         if let Some(peak) = descriptor_peak {
-            m.gauge_set("pspin.descriptor_peak_bytes", peak as f64);
+            out.prefix("pspin").gauge(&["descriptor_peak_bytes"], peak);
         }
-        {
-            let r = self.control.borrow().repair_queue.stats;
-            m.counter_set("repair.enqueued", r.enqueued);
-            m.counter_set("repair.promoted", r.promoted);
-            m.counter_set("repair.committed", r.committed);
-            m.counter_set("repair.requeued", r.requeued);
-            m.counter_set("repair.shards_rehomed", r.shards_rehomed);
-            m.counter_set("repair.dropped_on_recovery", r.dropped_on_recovery);
-            m.counter_set("repair.shards_readopted", r.shards_readopted);
+        out.put("repair", &control.repair_queue.stats);
+        let lens = control.shard_log_lens();
+        for (i, s) in control.shard_stats().iter().enumerate() {
+            out.put(format_args!("meta.shard.{i}"), s);
+            out.gauge(&["log_len"], lens[i] as u64);
         }
-        {
-            // Metadata-shard counters: routing balance, queueing, and
-            // the async-commit machinery (op-log depth, 2PC traffic).
-            let control = self.control.borrow();
-            let lens = control.shard_log_lens();
-            for (i, s) in control.shard_stats().iter().enumerate() {
-                let pre = format!("meta.shard.{i}");
-                m.counter_set(&format!("{pre}.ops"), s.ops);
-                m.counter_set(&format!("{pre}.mutations"), s.mutations);
-                m.counter_set(&format!("{pre}.resolves"), s.resolves);
-                m.counter_set(&format!("{pre}.queue_wait_ps"), s.queue_wait_ps);
-                m.counter_set(&format!("{pre}.cross_shard_txns"), s.cross_shard_txns);
-                m.counter_set(&format!("{pre}.compactions"), s.compactions);
-                m.counter_set(&format!("{pre}.records_dropped"), s.records_dropped);
-                m.gauge_set(&format!("{pre}.log_len"), lens[i] as f64);
+        let mut flow = FlowStats::default();
+        for h in &self.flow_stats {
+            flow += *h.borrow();
+        }
+        out.put("flow", &flow);
+        let mut by_tenant = BTreeMap::<TenantId, TenantLedger>::new();
+        for h in &self.tenant_ledgers {
+            for (&t, &l) in h.borrow().iter() {
+                *by_tenant.entry(t).or_default() += l;
             }
         }
-        {
-            // Credit-layer counters, aggregated across every NIC: the
-            // interesting signals (stalls, queue depth churn, grant
-            // traffic) are cluster-wide.
-            let mut agg = FlowStats::default();
-            for h in &self.flow_stats {
-                let s = *h.borrow();
-                for i in 0..4 {
-                    agg.posted[i] += s.posted[i];
-                    agg.completed[i] += s.completed[i];
-                }
-                agg.queued += s.queued;
-                agg.released += s.released;
-                agg.local_stalls += s.local_stalls;
-                agg.remote_stalls += s.remote_stalls;
-                agg.granted_piggyback += s.granted_piggyback;
-                agg.granted_standalone += s.granted_standalone;
-                agg.grants_received += s.grants_received;
-            }
-            for class in nadfs_simnet::WrClass::ALL {
-                let i = class.index();
-                m.counter_set(&format!("flow.posted.{}", class.as_str()), agg.posted[i]);
-                m.counter_set(
-                    &format!("flow.completed.{}", class.as_str()),
-                    agg.completed[i],
-                );
-            }
-            m.counter_set("flow.queued", agg.queued);
-            m.counter_set("flow.released", agg.released);
-            m.counter_set("flow.local_stalls", agg.local_stalls);
-            m.counter_set("flow.remote_stalls", agg.remote_stalls);
-            m.counter_set("flow.granted_piggyback", agg.granted_piggyback);
-            m.counter_set("flow.granted_standalone", agg.granted_standalone);
-            m.counter_set("flow.grants_received", agg.grants_received);
-        }
-        {
-            // Per-tenant service ledgers, aggregated across scheduling
-            // points (read-stream + RPC schedulers of every storage node).
-            let mut by_tenant: std::collections::BTreeMap<TenantId, TenantLedger> =
-                std::collections::BTreeMap::new();
-            for h in &self.tenant_ledgers {
-                for (&t, l) in h.borrow().iter() {
-                    let e = by_tenant.entry(t).or_default();
-                    e.enqueued += l.enqueued;
-                    e.dispatched += l.dispatched;
-                    e.cost_dispatched += l.cost_dispatched;
-                }
-            }
-            for (t, l) in by_tenant {
-                let pre = if t == TENANT_REPAIR {
-                    "tenant.repair".to_string()
-                } else {
-                    format!("tenant.{t}")
-                };
-                m.counter_set(&format!("{pre}.enqueued"), l.enqueued);
-                m.counter_set(&format!("{pre}.dispatched"), l.dispatched);
-                m.counter_set(&format!("{pre}.cost_dispatched"), l.cost_dispatched);
+        for (t, l) in by_tenant {
+            match t {
+                TENANT_REPAIR => out.put("tenant.repair", &l),
+                _ => out.put(format_args!("tenant.{t}"), &l),
             }
         }
-        let fabric = self.fabric_stats.borrow();
-        m.counter_set("fabric.switch_holds", fabric.switch_holds);
-        m.counter_set("fabric.unroutable", fabric.unroutable);
-        m.counter_set("engine.events_dispatched", self.engine.events_dispatched());
-        m.counter_set("engine.order_digest", self.engine.order_digest());
-        // DES dispatch profile: the measured baseline for the per-packet
-        // boxing overhead item (ROADMAP) — dispatches and host-side busy
-        // time per component kind.
+        out.put("fabric", &*self.fabric_stats.borrow());
+        let engine = out.prefix("engine");
+        engine.counter(&["events_dispatched"], self.engine.events_dispatched());
+        engine.counter(&["order_digest"], self.engine.order_digest());
         for p in self.engine.profiles_by_kind() {
-            m.counter_set(&format!("engine.kind.{}.dispatches", p.name), p.dispatches);
-            m.counter_set(
-                &format!("engine.kind.{}.busy_host_ns", p.name),
-                p.busy_host_ns,
-            );
+            out.put(format_args!("engine.kind.{}", p.name), &p);
         }
-        let spans = &hub.spans;
-        let (open, done, dropped) = (spans.open_count(), spans.done_count(), spans.dropped());
-        let m = &mut hub.metrics;
-        m.gauge_set("spans.open", open as f64);
-        m.gauge_set("spans.done", done as f64);
-        m.gauge_set("spans.dropped", dropped as f64);
-        hub.metrics.snapshot()
+        let spans_out = out.prefix("spans");
+        spans_out.gauge(&["open"], spans.open_count() as u64);
+        spans_out.gauge(&["done"], spans.done_count() as u64);
+        spans_out.gauge(&["dropped"], spans.dropped());
+        metrics.snapshot()
     }
 
     /// Export completed spans + the trace ring as Chrome trace-event JSON

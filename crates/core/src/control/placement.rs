@@ -112,35 +112,37 @@ impl WritePlacement {
     }
 }
 
-/// What the control plane has put on one storage node, and stranded
-/// there: placement and repair counters, the hosted gauges, and the
-/// orphan and reclaim ledgers recovery reconciles. The plane keeps it;
-/// what a node's own software did, the node counts.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NodeLedger {
-    /// Stripe units placed on this node (striped plain writes only —
-    /// replication/EC fan-out is not counted here).
-    pub stripe_chunks_placed: u64,
-    /// Re-protected shards the repair pipeline committed to this node
-    /// (this node was chosen as the spare).
-    pub repair_chunks_hosted: u64,
-    /// Gauge: extent shards currently live on this node per the extent
-    /// maps (commit adds, re-home away / unlink / compaction subtracts).
-    pub chunks_hosted: u64,
-    /// Gauge: payload bytes behind `chunks_hosted`.
-    pub bytes_hosted: u64,
-    /// Shards garbage-collected by recovery reconciliation: the extent
-    /// was re-homed (or unlinked) while this node was down, so its copy
-    /// came back stale and was reclaimed.
-    pub stale_chunks_reclaimed: u64,
-    /// Payload bytes behind `stale_chunks_reclaimed`.
-    pub stale_bytes_reclaimed: u64,
-    /// Stale copies stranded here as `(chunks, bytes)`: shards whose
-    /// extents were re-homed (or whose file was unlinked) while the node
-    /// was failed, so nonzero only while it is. The hosted gauges drop at
-    /// re-home/unlink time; this remembers the dead bytes still
-    /// physically on the node so recovery can reclaim them.
-    pub orphaned: (u64, u64),
+nadfs_simnet::declare_stats! {
+    /// What the control plane has put on one storage node, and stranded
+    /// there: placement and repair counters, the hosted gauges, and the
+    /// orphan and reclaim ledgers recovery reconciles. The plane keeps it;
+    /// what a node's own software did, the node counts.
+    #[derive(Clone, Copy, Debug, Default)]
+    pub struct NodeLedger {
+        /// Stripe units placed on this node (striped plain writes only —
+        /// replication/EC fan-out is not counted here).
+        pub stripe_chunks_placed: u64 => counter,
+        /// Re-protected shards the repair pipeline committed to this node
+        /// (this node was chosen as the spare).
+        pub repair_chunks_hosted: u64 => counter,
+        /// Gauge: extent shards currently live on this node per the extent
+        /// maps (commit adds, re-home away / unlink / compaction subtracts).
+        pub chunks_hosted: u64 => gauge,
+        /// Gauge: payload bytes behind `chunks_hosted`.
+        pub bytes_hosted: u64 => gauge,
+        /// Shards garbage-collected by recovery reconciliation: the extent
+        /// was re-homed (or unlinked) while this node was down, so its copy
+        /// came back stale and was reclaimed.
+        pub stale_chunks_reclaimed: u64 => counter,
+        /// Payload bytes behind `stale_chunks_reclaimed`.
+        pub stale_bytes_reclaimed: u64 => counter,
+        /// Stale copies stranded here as `(chunks, bytes)`: shards whose
+        /// extents were re-homed (or whose file was unlinked) while the node
+        /// was failed, so nonzero only while it is. The hosted gauges drop at
+        /// re-home/unlink time; this remembers the dead bytes still
+        /// physically on the node so recovery can reclaim them.
+        pub orphaned: (u64, u64),
+    }
 }
 
 /// Everything the control plane holds about one storage node. The list

@@ -12,28 +12,30 @@ pub struct RepairTask {
     pub rec: usize,
 }
 
-/// Observable repair-pipeline counters.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RepairStats {
-    /// Tasks ever enqueued (dedup hits not counted).
-    pub(crate) enqueued: u64,
-    /// Tasks moved to (or inserted at) the queue front by a degraded
-    /// read hit.
-    pub promoted: u64,
-    /// Repairs committed into extent maps.
-    pub committed: u64,
-    /// Tasks pushed back for another attempt after a transient failure.
-    pub requeued: u64,
-    /// Shards re-homed by committed repairs.
-    pub(crate) shards_rehomed: u64,
-    /// Tasks dropped by node-recovery reconciliation: their extent no
-    /// longer references any failed node, so repairing them would be a
-    /// no-op walk of the queue.
-    pub dropped_on_recovery: u64,
-    /// Shards re-adopted at recovery: still current in the extent map
-    /// (never re-homed during the outage), so the recovered node's copy
-    /// is live data again, not garbage.
-    pub shards_readopted: u64,
+nadfs_simnet::declare_stats! {
+    /// Observable repair-pipeline counters.
+    #[derive(Clone, Copy, Debug, Default)]
+    pub struct RepairStats {
+        /// Tasks ever enqueued (dedup hits not counted).
+        pub(crate) enqueued: u64 => counter,
+        /// Tasks moved to (or inserted at) the queue front by a degraded
+        /// read hit.
+        pub promoted: u64 => counter,
+        /// Repairs committed into extent maps.
+        pub committed: u64 => counter,
+        /// Tasks pushed back for another attempt after a transient failure.
+        pub requeued: u64 => counter,
+        /// Shards re-homed by committed repairs.
+        pub(crate) shards_rehomed: u64 => counter,
+        /// Tasks dropped by node-recovery reconciliation: their extent no
+        /// longer references any failed node, so repairing them would be a
+        /// no-op walk of the queue.
+        pub dropped_on_recovery: u64 => counter,
+        /// Shards re-adopted at recovery: still current in the extent map
+        /// (never re-homed during the outage), so the recovered node's copy
+        /// is live data again, not garbage.
+        pub shards_readopted: u64 => counter,
+    }
 }
 
 /// The prioritized repair queue: FIFO for failure-scan enqueues, with

@@ -65,24 +65,26 @@ pub(crate) struct OpenTx {
     applied: bool,
 }
 
-/// Per-shard observable counters, exported as `meta.shard.N.*`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ShardStats {
-    /// Every routed operation (mutations + resolves).
-    pub ops: u64,
-    /// Namespace/extent mutations routed here.
-    pub mutations: u64,
-    /// Read-side resolves routed here.
-    pub(crate) resolves: u64,
-    /// Total simulated time ops spent queued behind this shard
-    /// (admission-control wait, picoseconds).
-    pub queue_wait_ps: u64,
-    /// Cross-shard transactions this shard coordinated.
-    pub cross_shard_txns: u64,
-    /// Extent-map compactions run on files this shard owns.
-    pub compactions: u64,
-    /// Fully-shadowed extent records dropped by those compactions.
-    pub(crate) records_dropped: u64,
+nadfs_simnet::declare_stats! {
+    /// Per-shard observable counters, exported as `meta.shard.N.*`.
+    #[derive(Clone, Copy, Debug, Default)]
+    pub struct ShardStats {
+        /// Every routed operation (mutations + resolves).
+        pub ops: u64 => counter,
+        /// Namespace/extent mutations routed here.
+        pub mutations: u64 => counter,
+        /// Read-side resolves routed here.
+        pub(crate) resolves: u64 => counter,
+        /// Total simulated time ops spent queued behind this shard
+        /// (admission-control wait, picoseconds).
+        pub queue_wait_ps: u64 => counter,
+        /// Cross-shard transactions this shard coordinated.
+        pub cross_shard_txns: u64 => counter,
+        /// Extent-map compactions run on files this shard owns.
+        pub compactions: u64 => counter,
+        /// Fully-shadowed extent records dropped by those compactions.
+        pub(crate) records_dropped: u64 => counter,
+    }
 }
 
 /// One metadata shard: how many records it appended, the single-server

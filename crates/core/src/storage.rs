@@ -30,19 +30,21 @@ use nadfs_wire::{
     WriteReqHeader,
 };
 
-/// Observable storage-node statistics: what the node's software did
-/// (shared with tests/harnesses). What the control plane placed on the
-/// node is the plane's [`crate::NodeLedger`].
-#[derive(Debug, Default)]
-pub struct StorageStats {
-    pub rpc_writes: u64,
-    pub(crate) rpc_rdma_writes: u64,
-    /// CPU-validated reads served through the RPC read protocol.
-    pub(crate) rpc_reads: u64,
-    pub(crate) chunks_forwarded: u64,
-    pub auth_failures: u64,
-    pub fallback_aggregations: u64,
-    pub cleanup_events: u64,
+nadfs_simnet::declare_stats! {
+    /// Observable storage-node statistics: what the node's software did
+    /// (shared with tests/harnesses). What the control plane placed on the
+    /// node is the plane's [`crate::NodeLedger`].
+    #[derive(Debug, Default)]
+    pub struct StorageStats {
+        pub rpc_writes: u64 => counter,
+        pub(crate) rpc_rdma_writes: u64 => counter,
+        /// CPU-validated reads served through the RPC read protocol.
+        pub(crate) rpc_reads: u64 => counter,
+        pub(crate) chunks_forwarded: u64 => counter,
+        pub auth_failures: u64 => counter,
+        pub fallback_aggregations: u64 => counter,
+        pub cleanup_events: u64 => counter,
+    }
 }
 
 pub type SharedStorageStats = Rc<RefCell<StorageStats>>;

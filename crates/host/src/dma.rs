@@ -50,20 +50,22 @@ impl Default for DmaConfig {
     }
 }
 
-/// The engine: two serializing channels over shared host memory.
-pub struct DmaEngine {
-    cfg: DmaConfig,
-    mem: SharedMemory,
-    write_busy_until: Time,
-    read_busy_until: Time,
-    pub writes_issued: u64,
-    pub reads_issued: u64,
-    pub bytes_written: u64,
-    pub bytes_read: u64,
-    /// Time each channel was occupied (what `write_busy_until` and
-    /// `read_busy_until` integrate), in picoseconds.
-    pub write_busy_ps: u64,
-    pub read_busy_ps: u64,
+nadfs_simnet::declare_stats! {
+    /// The engine: two serializing channels over shared host memory.
+    pub struct DmaEngine {
+        cfg: DmaConfig,
+        mem: SharedMemory,
+        write_busy_until: Time,
+        read_busy_until: Time,
+        pub writes_issued: u64,
+        pub reads_issued: u64,
+        pub bytes_written: u64,
+        pub bytes_read: u64,
+        /// Time each channel was occupied (what `write_busy_until` and
+        /// `read_busy_until` integrate), in picoseconds.
+        pub write_busy_ps: u64 => counter,
+        pub read_busy_ps: u64 => counter,
+    }
 }
 
 impl DmaEngine {

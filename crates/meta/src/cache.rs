@@ -50,17 +50,19 @@ pub struct DirtyAttr {
     pub mtime_ns: u64,
 }
 
-/// Observable cache behavior (asserted by tests, reported by benches).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CacheStats {
-    pub hits: u64,
-    pub misses: u64,
-    /// Entries dropped by callbacks or version checks.
-    pub invalidations: u64,
-    /// Local attr updates absorbed without a round-trip.
-    pub writeback_absorbed: u64,
-    /// Flush batches sent to the control plane.
-    pub writeback_flushes: u64,
+nadfs_simnet::declare_stats! {
+    /// Observable cache behavior (asserted by tests, reported by benches).
+    #[derive(Clone, Copy, Debug, Default)]
+    pub struct CacheStats {
+        pub hits: u64 => counter,
+        pub misses: u64 => counter,
+        /// Entries dropped by callbacks or version checks.
+        pub invalidations: u64 => counter,
+        /// Local attr updates absorbed without a round-trip.
+        pub writeback_absorbed: u64 => counter,
+        /// Flush batches sent to the control plane.
+        pub writeback_flushes: u64 => counter,
+    }
 }
 
 /// Cached entries by path. Probed by path; `invalidate_subtree`'s

@@ -34,18 +34,20 @@ pub struct PipelineStats {
     pub(crate) hpu_wait_ns: Sampler,
 }
 
-/// Device telemetry.
-#[derive(Debug, Default)]
-pub struct Telemetry {
-    /// Indexed by `HandlerKind as usize`; `None` until first recorded.
-    by_kind: [Option<KindStats>; 4],
-    pub pipeline: PipelineStats,
-    pub pkts_processed: u64,
-    pub msgs_opened: u64,
-    pub msgs_completed: u64,
-    pub msgs_denied: u64,
-    pub msgs_cleaned: u64,
-    pub descriptor_peak_bytes: u64,
+nadfs_simnet::declare_stats! {
+    /// Device telemetry.
+    #[derive(Debug, Default)]
+    pub struct Telemetry {
+        /// Indexed by `HandlerKind as usize`; `None` until first recorded.
+        by_kind: [Option<KindStats>; 4],
+        pub pipeline: PipelineStats,
+        pub pkts_processed: u64 => counter,
+        pub msgs_opened: u64 => counter,
+        pub msgs_completed: u64 => counter,
+        pub msgs_denied: u64 => counter,
+        pub msgs_cleaned: u64 => counter,
+        pub descriptor_peak_bytes: u64,
+    }
 }
 
 impl Telemetry {

@@ -108,30 +108,32 @@ pub(crate) enum NicEvent {
 const KICKS: u64 = 1 << 63;
 const EGRESS_WAKE: u64 = u64::MAX - 1;
 
-/// Offload counters shared with the metrics registry (the NIC itself is
-/// consumed by the engine at cluster build, so snapshot code holds this
-/// handle instead).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NicStats {
-    /// Gather read requests the NIC validated.
-    pub gather_reads: u64,
-    /// Gather requests rejected at capability check.
-    pub gather_auth_failures: u64,
-    /// Write requests the sPIN header handler rejected at capability
-    /// check.
-    pub write_auth_failures: u64,
-    /// One-sided DFS reads rejected at capability check.
-    pub read_auth_failures: u64,
-    /// NIC-to-NIC segment fetches issued by gather coordinators.
-    pub gather_remote_fetches: u64,
-    /// Response-flow bytes streamed by gather responders.
-    pub gather_bytes_streamed: u64,
-    /// Lost data chunks rebuilt, wholly or in part, by the on-NIC EC
-    /// engine for degraded gathers.
-    pub chunks_reconstructed: u64,
-    /// Time the EC engine was occupied (what its queue integrates), in
-    /// picoseconds.
-    pub ec_busy_ps: u64,
+nadfs_simnet::declare_stats! {
+    /// Offload counters shared with the metrics registry (the NIC itself is
+    /// consumed by the engine at cluster build, so snapshot code holds this
+    /// handle instead).
+    #[derive(Clone, Copy, Debug, Default)]
+    pub struct NicStats {
+        /// Gather read requests the NIC validated.
+        pub gather_reads: u64 => counter "gather.reads",
+        /// Gather requests rejected at capability check.
+        pub gather_auth_failures: u64 => counter "gather.auth_failures",
+        /// Write requests the sPIN header handler rejected at capability
+        /// check.
+        pub write_auth_failures: u64 => counter "write.auth_failures",
+        /// One-sided DFS reads rejected at capability check.
+        pub read_auth_failures: u64 => counter "read.auth_failures",
+        /// NIC-to-NIC segment fetches issued by gather coordinators.
+        pub gather_remote_fetches: u64 => counter "gather.remote_fetches",
+        /// Response-flow bytes streamed by gather responders.
+        pub gather_bytes_streamed: u64 => counter "gather.bytes_streamed",
+        /// Lost data chunks rebuilt, wholly or in part, by the on-NIC EC
+        /// engine for degraded gathers.
+        pub chunks_reconstructed: u64 => counter "gather.chunks_reconstructed",
+        /// Time the EC engine was occupied (what its queue integrates), in
+        /// picoseconds.
+        pub ec_busy_ps: u64 => counter "ec.busy_ps",
+    }
 }
 
 pub type SharedNicStats = Rc<RefCell<NicStats>>;

@@ -97,19 +97,21 @@ fn fold_order(digest: u64, at: Time, target: ComponentId, seq: u64) -> u64 {
     [at.0, target as u64, seq].into_iter().fold(digest, fold)
 }
 
-/// Per-component dispatch profile (see [`Engine::enable_profiling`]).
-///
-/// `busy_host_ns` is *host* wall-clock time spent inside `handle` — sim
-/// time never advances during a handler, so host time is the only
-/// meaningful measure of dispatch overhead (it is the measured baseline
-/// for the per-packet `Box<dyn Any>` boxing cost). Profiling never
-/// affects simulated behavior; results vary with host load like any
-/// wall-clock measurement.
-#[derive(Clone, Debug, Default)]
-pub struct ComponentProfile {
-    pub name: String,
-    pub dispatches: u64,
-    pub busy_host_ns: u64,
+crate::declare_stats! {
+    /// Per-component dispatch profile (see [`Engine::enable_profiling`]).
+    ///
+    /// `busy_host_ns` is *host* wall-clock time spent inside `handle` — sim
+    /// time never advances during a handler, so host time is the only
+    /// meaningful measure of dispatch overhead (it is the measured baseline
+    /// for the per-packet `Box<dyn Any>` boxing cost). Profiling never
+    /// affects simulated behavior; results vary with host load like any
+    /// wall-clock measurement.
+    #[derive(Clone, Debug, Default)]
+    pub struct ComponentProfile {
+        pub name: String,
+        pub dispatches: u64 => counter,
+        pub busy_host_ns: u64 => counter,
+    }
 }
 
 /// The simulation engine: owns all components and the event queue.

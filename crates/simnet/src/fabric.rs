@@ -98,14 +98,16 @@ pub struct NodeStats {
     pub(crate) rx_bytes: u64,
 }
 
-#[derive(Debug, Default)]
-pub struct FabricStats {
-    pub per_node: Vec<NodeStats>,
-    /// Times an uplink had to hold because a destination queue was full.
-    pub switch_holds: u64,
-    /// Packets the switch dropped because their destination is no node
-    /// it has.
-    pub unroutable: u64,
+crate::declare_stats! {
+    #[derive(Debug, Default)]
+    pub struct FabricStats {
+        pub per_node: Vec<NodeStats>,
+        /// Times an uplink had to hold because a destination queue was full.
+        pub switch_holds: u64 => counter,
+        /// Packets the switch dropped because their destination is no node
+        /// it has.
+        pub unroutable: u64 => counter,
+    }
 }
 
 /// Wake tokens: an ingress gate wakes the fabric with its node's id, the

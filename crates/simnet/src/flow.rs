@@ -161,28 +161,30 @@ impl PeerCredit {
     }
 }
 
-/// Counters for the credit layer, shared with the metrics registry (the
-/// NIC owning the controller is consumed by the engine at cluster build).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FlowStats {
-    /// WRs admitted per class (credit acquired).
-    pub posted: [u64; 4],
-    /// WRs that found no credit and went to the pending queue.
-    pub queued: u64,
-    /// Queued WRs later released by returning credit.
-    pub released: u64,
-    /// Admission failures due to exhausted local send credit.
-    pub local_stalls: u64,
-    /// Admission failures due to exhausted remote recv credit.
-    pub remote_stalls: u64,
-    /// WR completions that returned local credit, per class.
-    pub completed: [u64; 4],
-    /// Credit units granted to peers on piggybacked acks.
-    pub granted_piggyback: u64,
-    /// Credit units granted to peers in standalone credit acks.
-    pub granted_standalone: u64,
-    /// Credit units received back from peers.
-    pub grants_received: u64,
+crate::declare_stats! {
+    /// Counters for the credit layer, shared with the metrics registry (the
+    /// NIC owning the controller is consumed by the engine at cluster build).
+    #[derive(Clone, Copy, Debug, Default)]
+    pub struct FlowStats: Sum {
+        /// WRs admitted per class (credit acquired).
+        pub posted: [u64; 4] => counter per WrClass::ALL.map(WrClass::as_str),
+        /// WRs that found no credit and went to the pending queue.
+        pub queued: u64 => counter,
+        /// Queued WRs later released by returning credit.
+        pub released: u64 => counter,
+        /// Admission failures due to exhausted local send credit.
+        pub local_stalls: u64 => counter,
+        /// Admission failures due to exhausted remote recv credit.
+        pub remote_stalls: u64 => counter,
+        /// WR completions that returned local credit, per class.
+        pub completed: [u64; 4] => counter per WrClass::ALL.map(WrClass::as_str),
+        /// Credit units granted to peers on piggybacked acks.
+        pub granted_piggyback: u64 => counter,
+        /// Credit units granted to peers in standalone credit acks.
+        pub granted_standalone: u64 => counter,
+        /// Credit units received back from peers.
+        pub grants_received: u64 => counter,
+    }
 }
 
 pub type SharedFlowStats = Rc<RefCell<FlowStats>>;
@@ -369,15 +371,17 @@ pub const TENANT_REPAIR: TenantId = 0xFFFF;
 /// Weight of a tenant the scheduler has no override for.
 const DEFAULT_WEIGHT: u32 = 1;
 
-/// Per-tenant service counters at one scheduling point.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TenantLedger {
-    /// Work items enqueued for this tenant.
-    pub enqueued: u64,
-    /// Work items dispatched into service.
-    pub dispatched: u64,
-    /// Cost units (bytes) dispatched.
-    pub cost_dispatched: u64,
+crate::declare_stats! {
+    /// Per-tenant service counters at one scheduling point.
+    #[derive(Clone, Copy, Debug, Default)]
+    pub struct TenantLedger: Sum {
+        /// Work items enqueued for this tenant.
+        pub enqueued: u64 => counter,
+        /// Work items dispatched into service.
+        pub dispatched: u64 => counter,
+        /// Cost units (bytes) dispatched.
+        pub cost_dispatched: u64 => counter,
+    }
 }
 
 /// Deficit round-robin scheduler over per-tenant FIFO queues, in front of

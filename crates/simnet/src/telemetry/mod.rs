@@ -15,6 +15,7 @@
 //!   Perfetto-loadable trace-event JSON on the simulated clock.
 
 mod chrome;
+mod export;
 pub mod json;
 mod metrics;
 mod span;
@@ -24,6 +25,7 @@ use std::rc::Rc;
 
 use crate::time::Time;
 pub use chrome::chrome_trace_json;
+pub use export::{Stats, StatsOut, Tally};
 pub use metrics::{HistSummary, MetricsHub, MetricsSnapshot, SNAPSHOT_SCHEMA};
 pub use span::{phase, OpKind, OpSpan, SpanBook, SpanId};
 
