@@ -8,6 +8,7 @@
 //! sibling for a series only ever read as a mean.)
 
 use std::collections::BTreeMap;
+use std::fmt::{self, Write};
 
 use super::json;
 
@@ -193,8 +194,8 @@ impl MetricsHub {
     }
 }
 
-/// A point-in-time, name-sorted view of every registered metric, with a
-/// stable JSON serialization (`nadfs-metrics-v1`):
+/// A point-in-time view of every registered metric, with a stable JSON
+/// serialization (`nadfs-metrics-v1`):
 ///
 /// ```json
 /// {
@@ -205,6 +206,10 @@ impl MetricsHub {
 ///                            "mean":9,"p50":9,"p90":9,"p99":9}}
 /// }
 /// ```
+///
+/// Each list is sorted by name with no name twice, which the lookups'
+/// binary search relies on: [`MetricsHub::snapshot`] walks its ordered
+/// maps, and [`Self::delta`] filters a snapshot in order.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsSnapshot {
     pub schema: &'static str,
@@ -213,68 +218,64 @@ pub struct MetricsSnapshot {
     pub hists: Vec<(String, HistSummary)>,
 }
 
+/// The value under `name` in a name-sorted list.
+fn find<'a, T>(entries: &'a [(String, T)], name: &str) -> Option<&'a T> {
+    let i = entries
+        .binary_search_by(|(k, _)| k.as_str().cmp(name))
+        .ok()?;
+    Some(&entries[i].1)
+}
+
+/// Append `"name": {` and one `"key": value` line per entry, then `}`.
+fn push_section<T>(
+    s: &mut String,
+    name: &str,
+    entries: &[(String, T)],
+    value: impl Fn(&mut String, &T) -> fmt::Result,
+) {
+    s.push_str("  ");
+    json::push_str_lit(s, name);
+    s.push_str(": {");
+    for (i, (k, v)) in entries.iter().enumerate() {
+        s.push_str(if i == 0 { "\n    " } else { ",\n    " });
+        json::push_str_lit(s, k);
+        s.push_str(": ");
+        value(s, v).expect("a String takes any write");
+    }
+    if !entries.is_empty() {
+        s.push_str("\n  ");
+    }
+    s.push('}');
+}
+
 impl MetricsSnapshot {
     pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|&(_, v)| v)
+        find(&self.counters, name).copied()
     }
 
     pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.iter().find(|(k, _)| k == name).map(|&(_, v)| v)
+        find(&self.gauges, name).copied()
     }
 
     pub fn hist(&self, name: &str) -> Option<&HistSummary> {
-        self.hists.iter().find(|(k, _)| k == name).map(|(_, h)| h)
+        find(&self.hists, name)
     }
 
     /// Serialize with the stable `nadfs-metrics-v1` schema, two spaces per
     /// level.
     pub fn to_json(&self) -> String {
-        let pad1 = "  ";
-        let pad2 = "    ";
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!(
-            "{pad1}\"schema\": {},\n",
-            json::str_lit(self.schema)
-        ));
-        s.push_str(&format!("{pad1}\"counters\": {{"));
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\n{pad2}{}: {v}", json::str_lit(k)));
-        }
-        if !self.counters.is_empty() {
-            s.push_str(&format!("\n{pad1}"));
-        }
-        s.push_str("},\n");
-        s.push_str(&format!("{pad1}\"gauges\": {{"));
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "\n{pad2}{}: {}",
-                json::str_lit(k),
-                json::fmt_f64(*v)
-            ));
-        }
-        if !self.gauges.is_empty() {
-            s.push_str(&format!("\n{pad1}"));
-        }
-        s.push_str("},\n");
-        s.push_str(&format!("{pad1}\"histograms\": {{"));
-        for (i, (k, h)) in self.hists.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "\n{pad2}{}: {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
+        let mut s = format!("{{\n  \"schema\": {},\n", json::str_lit(self.schema));
+        push_section(&mut s, "counters", &self.counters, |s, v| write!(s, "{v}"));
+        s.push_str(",\n");
+        push_section(&mut s, "gauges", &self.gauges, |s, &v| {
+            s.write_str(&json::fmt_f64(v))
+        });
+        s.push_str(",\n");
+        push_section(&mut s, "histograms", &self.hists, |s, h| {
+            write!(
+                s,
+                "{{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
                  \"mean\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}}}",
-                json::str_lit(k),
                 h.count,
                 h.sum,
                 h.min,
@@ -283,12 +284,9 @@ impl MetricsSnapshot {
                 h.p50,
                 h.p90,
                 h.p99
-            ));
-        }
-        if !self.hists.is_empty() {
-            s.push_str(&format!("\n{pad1}"));
-        }
-        s.push_str("}\n}");
+            )
+        });
+        s.push_str("\n}");
         s
     }
 
@@ -417,6 +415,28 @@ mod tests {
         let zero = snap.delta(&snap);
         assert!(zero.counters.is_empty());
         assert!(zero.hists.is_empty());
+    }
+
+    #[test]
+    fn delta_against_a_snapshot_with_other_keys() {
+        let mut m = MetricsHub::new();
+        m.counter_add("b.kept", 5);
+        m.counter_add("d.gone", 9);
+        m.hist_record("h.gone", 1);
+        let before = m.snapshot();
+        let mut m = MetricsHub::new();
+        m.counter_add("a.new", 2);
+        m.counter_add("b.kept", 7);
+        m.counter_add("c.new", 3);
+        m.hist_record("g.new", 4);
+        let d = m.snapshot().delta(&before);
+        // Keys `earlier` lacks keep their whole value; keys only
+        // `earlier` has are not in the delta; the rest subtract.
+        let counters: Vec<_> = d.counters.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+        assert_eq!(counters, [("a.new", 2), ("b.kept", 2), ("c.new", 3)]);
+        assert_eq!(d.counter("d.gone"), None);
+        assert_eq!(d.hist("g.new").map(|h| h.count), Some(1));
+        assert!(d.hist("h.gone").is_none());
     }
 
     #[test]
