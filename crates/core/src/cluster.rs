@@ -459,6 +459,17 @@ impl SimCluster {
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut hub = self.obs.borrow_mut();
         let ObsHub { spans, metrics } = &mut *hub;
+        metrics.counter_set("engine.events_dispatched", self.engine.events_dispatched());
+        metrics.counter_set("engine.order_digest", self.engine.order_digest());
+        metrics.gauge_set("spans.open", spans.open_count() as f64);
+        metrics.gauge_set("spans.done", spans.done_count() as f64);
+        metrics.gauge_set("spans.dropped", spans.dropped() as f64);
+        // The one un-indexed pspin gauge is the cluster's: the largest
+        // descriptor footprint any storage NIC reached.
+        let telemetry = self.pspin_telemetry.iter().flatten();
+        if let Some(peak) = telemetry.map(|t| t.borrow().descriptor_peak_bytes).max() {
+            metrics.gauge_set("pspin.descriptor_peak_bytes", peak as f64);
+        }
         let mut out = StatsOut::new(metrics);
         let control = self.control.borrow();
         let clients = self.client_caches.iter().zip(&self.read_caches);
@@ -467,7 +478,6 @@ impl SimCluster {
             out.put(format_args!("client.{i}.read_cache"), &read.borrow().stats);
             out.put(format_args!("client.{i}.read"), &*stats.borrow());
         }
-        let mut descriptor_peak = None;
         for (i, ledger) in control.node_ledgers().enumerate() {
             let node = self.storage_stats[i].borrow();
             out.put(format_args!("storage.{i}"), &*node);
@@ -477,13 +487,8 @@ impl SimCluster {
             // the run's length names the bottleneck.
             out.put(format_args!("nic.{i}.dma"), &*self.storage_dmas[i].borrow());
             if let Some(t) = &self.pspin_telemetry[i] {
-                let t = t.borrow();
-                out.put(format_args!("pspin.{i}"), &*t);
-                descriptor_peak = descriptor_peak.max(Some(t.descriptor_peak_bytes));
+                out.put(format_args!("pspin.{i}"), &*t.borrow());
             }
-        }
-        if let Some(peak) = descriptor_peak {
-            out.prefix("pspin").gauge(&["descriptor_peak_bytes"], peak);
         }
         out.put("repair", &control.repair_queue.stats);
         let lens = control.shard_log_lens();
@@ -493,12 +498,12 @@ impl SimCluster {
         }
         let mut flow = FlowStats::default();
         for h in &self.flow_stats {
-            flow += *h.borrow();
+            flow += &*h.borrow();
         }
         out.put("flow", &flow);
         let mut by_tenant = BTreeMap::<TenantId, TenantLedger>::new();
         for h in &self.tenant_ledgers {
-            for (&t, &l) in h.borrow().iter() {
+            for (&t, l) in h.borrow().iter() {
                 *by_tenant.entry(t).or_default() += l;
             }
         }
@@ -509,16 +514,9 @@ impl SimCluster {
             }
         }
         out.put("fabric", &*self.fabric_stats.borrow());
-        let engine = out.prefix("engine");
-        engine.counter(&["events_dispatched"], self.engine.events_dispatched());
-        engine.counter(&["order_digest"], self.engine.order_digest());
         for p in self.engine.profiles_by_kind() {
             out.put(format_args!("engine.kind.{}", p.name), &p);
         }
-        let spans_out = out.prefix("spans");
-        spans_out.gauge(&["open"], spans.open_count() as u64);
-        spans_out.gauge(&["done"], spans.done_count() as u64);
-        spans_out.gauge(&["dropped"], spans.dropped());
         metrics.snapshot()
     }
 

@@ -107,7 +107,7 @@ crate::declare_stats! {
     /// affects simulated behavior; results vary with host load like any
     /// wall-clock measurement.
     #[derive(Clone, Debug, Default)]
-    pub struct ComponentProfile {
+    pub struct ComponentProfile: Sum {
         pub name: String,
         pub dispatches: u64 => counter,
         pub busy_host_ns: u64 => counter,
@@ -167,8 +167,7 @@ impl Engine {
             };
             let e = by_kind.entry(kind.to_owned()).or_default();
             e.name = kind.to_owned();
-            e.dispatches += p.dispatches;
-            e.busy_host_ns += p.busy_host_ns;
+            *e += p;
         }
         by_kind.into_values().collect()
     }

@@ -10,7 +10,7 @@ use super::MetricsHub;
 /// its key suffix (the field's name by default); an array field adds
 /// `per` and the names of its elements, one key each. A field without
 /// `=>` is not exported. `: Sum` after the struct's name also generates a
-/// field-wise `+=` ([`Tally`]), for stats the snapshot sums.
+/// `+=` that adds every exported field, for stats the snapshot sums.
 ///
 /// ```
 /// nadfs_simnet::declare_stats! {
@@ -34,12 +34,18 @@ macro_rules! declare_stats {
             $out.$kind(&[$key, name], v)
         }
     };
-    (@sum [] $name:ident $($field:ident)*) => {};
-    (@sum [Sum] $name:ident $($field:ident)*) => {
-        impl ::std::ops::AddAssign for $name {
-            fn add_assign(&mut self, o: $name) {
-                $($crate::telemetry::Tally::tally(&mut self.$field, &o.$field);)*
+    (@sum [] $($t:tt)*) => {};
+    (@sum [Sum] $name:ident $($field:ident $kind:ident [$($names:expr)?])*) => {
+        impl ::std::ops::AddAssign<&$name> for $name {
+            fn add_assign(&mut self, o: &$name) {
+                $($crate::declare_stats!(@add self.$field, o.$field $(, $names)?);)*
             }
+        }
+    };
+    (@add $a:expr, $b:expr) => { $a += $b };
+    (@add $a:expr, $b:expr, $names:expr) => {
+        for (a, b) in $a.iter_mut().zip($b) {
+            *a += b
         }
     };
     (
@@ -66,7 +72,7 @@ macro_rules! declare_stats {
                 )?)*
             }
         }
-        $crate::declare_stats!(@sum [$($sum)?] $name $($field)*);
+        $crate::declare_stats!(@sum [$($sum)?] $name $($($field $kind [$($names)?])?)*);
     };
 }
 
@@ -74,26 +80,6 @@ macro_rules! declare_stats {
 pub trait Stats {
     /// Write every exported field under the prefix `out` holds.
     fn export(&self, out: &mut StatsOut<'_>);
-}
-
-/// A field [`declare_stats!`]'s `Sum` can add: a count, or an array of
-/// counts added element by element.
-pub trait Tally {
-    fn tally(&mut self, other: &Self);
-}
-
-impl Tally for u64 {
-    fn tally(&mut self, other: &u64) {
-        *self += other;
-    }
-}
-
-impl<const N: usize> Tally for [u64; N] {
-    fn tally(&mut self, other: &[u64; N]) {
-        for (a, b) in self.iter_mut().zip(other) {
-            *a += b;
-        }
-    }
 }
 
 /// Writes stats into a [`MetricsHub`], building every key in one reused
@@ -111,40 +97,33 @@ impl<'a> StatsOut<'a> {
         }
     }
 
-    /// Make `prefix` (a `&str`, or `format_args!` for an indexed one)
-    /// the prefix of the keys that follow.
-    pub fn prefix(&mut self, prefix: impl fmt::Display) -> &mut Self {
+    /// Export every declared field of `stats` under `prefix` (a `&str`,
+    /// or `format_args!` for an indexed one), which stays the prefix of
+    /// the keys that follow.
+    pub fn put(&mut self, prefix: impl fmt::Display, stats: &impl Stats) {
         self.key.clear();
         write!(self.key, "{prefix}").expect("a String takes any write");
-        self
-    }
-
-    /// Export every declared field of `stats` under `prefix`.
-    pub fn put(&mut self, prefix: impl fmt::Display, stats: &impl Stats) {
-        stats.export(self.prefix(prefix));
+        stats.export(self);
     }
 
     /// Set counter `<prefix>.<parts joined by '.'>` to `v`.
     pub fn counter(&mut self, parts: &[&str], v: u64) {
-        let n = self.push(parts);
-        self.hub.counter_set(&self.key, v);
-        self.key.truncate(n);
+        self.set(parts, |hub, key| hub.counter_set(key, v));
     }
 
     /// Set gauge `<prefix>.<parts joined by '.'>` to `v`.
     pub fn gauge(&mut self, parts: &[&str], v: u64) {
-        let n = self.push(parts);
-        self.hub.gauge_set(&self.key, v as f64);
-        self.key.truncate(n);
+        self.set(parts, |hub, key| hub.gauge_set(key, v as f64));
     }
 
-    fn push(&mut self, parts: &[&str]) -> usize {
-        let n = self.key.len();
+    fn set(&mut self, parts: &[&str], set: impl FnOnce(&mut MetricsHub, &str)) {
+        let prefix = self.key.len();
         for p in parts {
             self.key.push('.');
             self.key.push_str(p);
         }
-        n
+        set(self.hub, &self.key);
+        self.key.truncate(prefix);
     }
 }
 
@@ -195,14 +174,15 @@ mod tests {
     }
 
     #[test]
-    fn sum_adds_every_field() {
+    fn sum_adds_every_exported_field() {
         let mut a = Probe {
             sent: 1,
             per_lane: [1, 2],
             scratch: 3,
             ..Probe::default()
         };
-        a += a;
-        assert_eq!((a.sent, a.per_lane, a.scratch), (2, [2, 4], 6));
+        let b = a;
+        a += &b;
+        assert_eq!((a.sent, a.per_lane, a.scratch), (2, [2, 4], 3));
     }
 }

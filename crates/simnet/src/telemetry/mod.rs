@@ -25,7 +25,7 @@ use std::rc::Rc;
 
 use crate::time::Time;
 pub use chrome::chrome_trace_json;
-pub use export::{Stats, StatsOut, Tally};
+pub use export::{Stats, StatsOut};
 pub use metrics::{HistSummary, MetricsHub, MetricsSnapshot, SNAPSHOT_SCHEMA};
 pub use span::{phase, OpKind, OpSpan, SpanBook, SpanId};
 
