@@ -9,6 +9,11 @@
 //! throughput, not a secret: XXH64 folds four independent 64-bit lanes
 //! per 32-byte stripe, with no dependency between the words of a stripe,
 //! where SipHash serialises four rounds behind every 8-byte word.
+//!
+//! Most of what a read returns is cold: windows of a cached working set
+//! far larger than the CPU's caches. The stripe loop therefore asks for
+//! each 64-byte line [`PREFETCH_AHEAD`] bytes before it gets there, so
+//! the loop runs at the kernel's rate rather than the memory's latency.
 
 const P1: u64 = 0x9E37_79B1_85EB_CA87;
 const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
@@ -33,16 +38,48 @@ fn word(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(bytes[..8].try_into().expect("8-byte word"))
 }
 
+#[inline(always)]
+fn stripe(v: &mut [u64; 4], s: &[u8]) {
+    v[0] = round(v[0], word(&s[0..]));
+    v[1] = round(v[1], word(&s[8..]));
+    v[2] = round(v[2], word(&s[16..]));
+    v[3] = round(v[3], word(&s[24..]));
+}
+
+/// How far ahead of the line it hashes the stripe loop prefetches. On a
+/// 2-core Xeon VM, 64 KiB windows at random offsets of a 64 MiB buffer
+/// hash at 6.8-8.5 GB/s with 4 KiB (4.3-4.9 without; 1, 2, 8 and 16 KiB
+/// were no better), and a hot 64 KiB buffer at 9-10 GB/s either way.
+const PREFETCH_AHEAD: usize = 4096;
+
+/// Ask for the cache line holding `data[at]`, if `data` reaches that far
+/// (no pointer past the end is formed). A hint only: it changes no value.
+#[inline(always)]
+fn prefetch(data: &[u8], at: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(b) = data.get(at) {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // SAFETY: SSE is part of the x86-64 baseline, and `b` is a
+        // reference into `data`; a prefetch reads nothing architecturally.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(std::ptr::from_ref(b).cast()) }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (data, at);
+}
+
 /// Checksum of a request/response payload, carried in completion records.
 pub fn payload_checksum(data: &[u8]) -> u64 {
-    let mut stripes = data.chunks_exact(32);
+    let mut lines = data.chunks_exact(64);
+    let mut stripes = lines.remainder().chunks_exact(32);
     let mut h = if data.len() >= 32 {
         let mut v = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+        for (at, line) in (PREFETCH_AHEAD..).step_by(64).zip(&mut lines) {
+            prefetch(data, at);
+            stripe(&mut v, &line[..32]);
+            stripe(&mut v, &line[32..]);
+        }
         for s in &mut stripes {
-            v[0] = round(v[0], word(&s[0..]));
-            v[1] = round(v[1], word(&s[8..]));
-            v[2] = round(v[2], word(&s[16..]));
-            v[3] = round(v[3], word(&s[24..]));
+            stripe(&mut v, s);
         }
         let h = v[0]
             .rotate_left(1)
@@ -161,6 +198,83 @@ mod tests {
             ((1 << 20) + 3, 0x503F_A627_2E7C_94A8),
         ] {
             assert_eq!(payload_checksum(&buf[..len]), want, "{len} B");
+        }
+    }
+
+    /// XXH64 as the specification states it, one byte at a time: lanes
+    /// and words are assembled from bytes by shifts, with no slicing into
+    /// lines, stripes or words and no prefetch.
+    fn xxh64_bytewise(data: &[u8]) -> u64 {
+        let le =
+            |at: usize, n: usize| (0..n).fold(0u64, |w, k| w | (data[at + k] as u64) << (8 * k));
+        let len = data.len();
+        let mut at = 0;
+        let mut h = if len >= 32 {
+            let mut v = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+            while at + 32 <= len {
+                for (lane, acc) in v.iter_mut().enumerate() {
+                    *acc = round(*acc, le(at + 8 * lane, 8));
+                }
+                at += 32;
+            }
+            let mut h = v[0]
+                .rotate_left(1)
+                .wrapping_add(v[1].rotate_left(7))
+                .wrapping_add(v[2].rotate_left(12))
+                .wrapping_add(v[3].rotate_left(18));
+            for lane in v {
+                h = (h ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4);
+            }
+            h
+        } else {
+            P5
+        };
+        h = h.wrapping_add(len as u64);
+        while at + 8 <= len {
+            h = (h ^ round(0, le(at, 8)))
+                .rotate_left(27)
+                .wrapping_mul(P1)
+                .wrapping_add(P4);
+            at += 8;
+        }
+        if at + 4 <= len {
+            h = (h ^ le(at, 4).wrapping_mul(P1))
+                .rotate_left(23)
+                .wrapping_mul(P2)
+                .wrapping_add(P3);
+            at += 4;
+        }
+        for &b in &data[at..] {
+            h = (h ^ (b as u64).wrapping_mul(P5))
+                .rotate_left(11)
+                .wrapping_mul(P1);
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(P3);
+        h ^ (h >> 32)
+    }
+
+    /// Slices that start off a word boundary, at lengths just below, at
+    /// and above the prefetch distance (and twice it), and payload-sized:
+    /// the kernel agrees with the byte-at-a-time reference on each.
+    #[test]
+    fn misaligned_long_inputs_match_the_bytewise_reference() {
+        let buf = sanity_buffer(31 + (1 << 20) + 3);
+        // The reference itself reproduces pinned values.
+        assert_eq!(xxh64_bytewise(b"abc"), 0x44BC_2CF5_AD77_0999);
+        assert_eq!(xxh64_bytewise(&buf[..222]), 0xB641_AE8C_B691_C174);
+        assert_eq!(xxh64_bytewise(&buf[..8199]), 0xCF34_5384_E912_F81F);
+        for offset in [1, 3, 7, 31] {
+            for len in [4095, 4096, 4097, 8191, (64 << 10) + 5, (1 << 20) + 3] {
+                let s = &buf[offset..offset + len];
+                assert_eq!(
+                    payload_checksum(s),
+                    xxh64_bytewise(s),
+                    "{len} B at offset {offset}"
+                );
+            }
         }
     }
 
