@@ -133,6 +133,10 @@ pub struct PsPinDevice {
     held: Slab<HeldPkt>,
     runs: Slab<HpuRun>,
     pkt_rr: usize,
+    /// Fig 7's inter- and intra-cluster scheduling latencies: constant
+    /// delays, converted from cycles once.
+    inter_sched: Dur,
+    intra_sched: Dur,
     pktbuf_engine_free: Time,
     l1_engine_free: Vec<Time>,
     /// Runs parked on egress credits, FIFO.
@@ -190,6 +194,8 @@ impl PsPinDevice {
             })
             .collect();
         let l1_engine_free = vec![Time::ZERO; cfg.n_clusters];
+        let inter_sched = cfg.cycles(cfg.inter_sched_cycles);
+        let intra_sched = cfg.cycles(cfg.intra_sched_cycles);
         PsPinDevice {
             desc_bytes_budget: cfg.total_mem_bytes(),
             cfg,
@@ -202,6 +208,8 @@ impl PsPinDevice {
             held: Slab::new(),
             runs: Slab::new(),
             pkt_rr: 0,
+            inter_sched,
+            intra_sched,
             pktbuf_engine_free: Time::ZERO,
             l1_engine_free,
             egress_waiters: VecDeque::new(),
@@ -268,12 +276,11 @@ impl PsPinDevice {
         let cfg = &self.cfg;
         let buf_copy = cfg.pktbuf_copy_time(bytes);
         self.pktbuf_engine_free = now.max(self.pktbuf_engine_free) + buf_copy;
-        let inter_sched = cfg.cycles(cfg.inter_sched_cycles);
+        let (inter_sched, intra_sched) = (self.inter_sched, self.intra_sched);
         let at_cluster = self.pktbuf_engine_free + inter_sched;
         let l1_copy = cfg.l1_copy_time(bytes);
         let l1_copied = at_cluster.max(self.l1_engine_free[cluster]) + l1_copy;
         self.l1_engine_free[cluster] = l1_copied;
-        let intra_sched = cfg.cycles(cfg.intra_sched_cycles);
         {
             let mut t = self.telemetry.borrow_mut();
             let p = &mut t.pipeline;

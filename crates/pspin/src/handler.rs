@@ -13,7 +13,9 @@
 use std::ops::Range;
 
 use bytes::Bytes;
-use nadfs_simnet::{NetPacket, NodeId, PacketEvent, SharedBufPool, SharedPacketPool, Time};
+use nadfs_simnet::{
+    round_u64, NetPacket, NodeId, PacketEvent, SharedBufPool, SharedPacketPool, Time,
+};
 use nadfs_wire::{Frame, GatherReqPkt, MsgId, Pkt};
 
 /// Which handler of the triple (plus cleanup) a record refers to.
@@ -128,7 +130,7 @@ impl Ops {
     pub fn charge_instrs(&mut self, instrs: u64, ipc: f64) {
         assert!(ipc > 0.0, "ipc must be positive");
         self.instrs += instrs;
-        let cycles = (instrs as f64 / ipc).round() as u64;
+        let cycles = round_u64(instrs as f64 / ipc);
         self.charge_cycles(cycles);
     }
 

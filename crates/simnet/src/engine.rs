@@ -8,7 +8,7 @@
 use std::any::Any;
 
 use crate::hash::fold;
-use crate::queue::{Event, EventQueue, Scheduled};
+use crate::queue::{Event, EventQueue, Popped, Scheduled};
 use crate::time::{Dur, Time};
 
 /// Index of a component registered with the [`Engine`].
@@ -229,9 +229,17 @@ impl Engine {
 
     /// Dispatch a single event; returns false when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some(s) = self.sched.queue.pop(self.sched.now) else {
-            return false;
-        };
+        match self.sched.queue.pop(self.sched.now, Time(u64::MAX)) {
+            Popped::Event(s) => {
+                self.dispatch(s);
+                true
+            }
+            Popped::Later | Popped::Empty => false,
+        }
+    }
+
+    /// Advance the clock to `s` and hand it to its component.
+    fn dispatch(&mut self, s: Scheduled) {
         debug_assert!(s.at >= self.sched.now, "time went backwards");
         self.sched.now = s.at;
         self.sched.dispatched += 1;
@@ -265,7 +273,6 @@ impl Engine {
             p.dispatches += 1;
             p.busy_host_ns += t0.elapsed().as_nanos() as u64;
         }
-        true
     }
 
     /// Run until the event queue drains.
@@ -278,14 +285,14 @@ impl Engine {
     /// `deadline` (it never moves backwards).
     pub fn run_until(&mut self, deadline: Time) -> bool {
         loop {
-            let Some(next) = self.sched.queue.next_time(self.sched.now) else {
-                return true;
-            };
-            if next > deadline {
-                self.sched.now = self.sched.now.max(deadline);
-                return false;
+            match self.sched.queue.pop(self.sched.now, deadline) {
+                Popped::Event(s) => self.dispatch(s),
+                Popped::Later => {
+                    self.sched.now = self.sched.now.max(deadline);
+                    return false;
+                }
+                Popped::Empty => return true,
             }
-            self.step();
         }
     }
 }

@@ -42,5 +42,5 @@ pub use telemetry::{
     HistSummary, MetricsHub, MetricsSnapshot, ObsHub, OpKind, OpSpan, SharedObs, SpanBook, SpanId,
     SNAPSHOT_SCHEMA,
 };
-pub use time::{achieved_gbit_per_sec, Bandwidth, Dur, Time};
+pub use time::{achieved_gbit_per_sec, round_u64, Bandwidth, Dur, Time};
 pub use trace::{SharedTrace, Trace};

@@ -212,10 +212,20 @@ impl Wheel {
     }
 }
 
-/// Where the earliest timed (not `due_now`) event sits.
-enum Timed {
+/// Where the next event sits.
+enum Tier {
+    DueNow,
     Wheel(usize),
     Far,
+}
+
+/// What [`EventQueue::pop`] found.
+pub(crate) enum Popped {
+    /// The next event in `(time, seq)` order, now removed.
+    Event(Scheduled),
+    /// The next event is due after the deadline; nothing was removed.
+    Later,
+    Empty,
 }
 
 pub(crate) struct EventQueue {
@@ -248,33 +258,33 @@ impl EventQueue {
         }
     }
 
-    fn timed_head(&self, now: Time) -> Option<(Timed, Time)> {
+    /// The earliest timed (not `due_now`) event's tier and time.
+    fn timed_head(&self, now: Time) -> Option<(Tier, Time)> {
         let wheel = self.wheel.head_slot(now).map(|i| (i, self.wheel.peek(i)));
         match (wheel, self.far.peek()) {
             (None, None) => None,
-            (Some((i, w)), Some(Reverse(f))) if w < f => Some((Timed::Wheel(i), w.at)),
-            (Some((i, w)), None) => Some((Timed::Wheel(i), w.at)),
-            (_, Some(Reverse(f))) => Some((Timed::Far, f.at)),
+            (Some((i, w)), Some(Reverse(f))) if w < f => Some((Tier::Wheel(i), w.at)),
+            (Some((i, w)), None) => Some((Tier::Wheel(i), w.at)),
+            (_, Some(Reverse(f))) => Some((Tier::Far, f.at)),
         }
     }
 
-    /// Time of the next event in `(time, seq)` order.
-    pub(crate) fn next_time(&self, now: Time) -> Option<Time> {
-        if !self.due_now.is_empty() {
-            return Some(now);
+    /// Remove and return the next event in `(time, seq)` order if it is
+    /// due by `deadline`, finding it with one look at the tiers' heads.
+    pub(crate) fn pop(&mut self, now: Time, deadline: Time) -> Popped {
+        let (tier, at) = match self.timed_head(now) {
+            Some((tier, at)) if at == now || self.due_now.is_empty() => (tier, at),
+            _ if !self.due_now.is_empty() => (Tier::DueNow, now),
+            _ => return Popped::Empty,
+        };
+        if at > deadline {
+            return Popped::Later;
         }
-        self.timed_head(now).map(|(_, at)| at)
-    }
-
-    /// Remove and return the next event in `(time, seq)` order.
-    pub(crate) fn pop(&mut self, now: Time) -> Option<Scheduled> {
-        match self.timed_head(now) {
-            Some((tier, at)) if at == now || self.due_now.is_empty() => Some(match tier {
-                Timed::Wheel(i) => self.wheel.pop(i),
-                Timed::Far => self.far.pop().expect("peeked").0,
-            }),
-            _ => self.due_now.pop_front(),
-        }
+        Popped::Event(match tier {
+            Tier::DueNow => self.due_now.pop_front().expect("non-empty"),
+            Tier::Wheel(i) => self.wheel.pop(i),
+            Tier::Far => self.far.pop().expect("peeked").0,
+        })
     }
 }
 
@@ -282,6 +292,14 @@ impl EventQueue {
 mod tests {
     use super::*;
     use crate::time::Dur;
+
+    /// The next event, however far ahead.
+    fn pop_any(q: &mut EventQueue, now: Time) -> Option<Scheduled> {
+        match q.pop(now, Time(u64::MAX)) {
+            Popped::Event(s) => Some(s),
+            Popped::Later | Popped::Empty => None,
+        }
+    }
 
     /// Odd `seq`s are wakes carrying their `seq` as the token, even ones
     /// boxed events carrying it as the payload.
@@ -310,12 +328,12 @@ mod tests {
             q.push(now, entry(now + Dur::from_ps(ps), seq as u64));
         }
         assert_eq!(q.wheel.nodes.len(), 5);
-        let first = q.pop(now).expect("queued");
+        let first = pop_any(&mut q, now).expect("queued");
         assert_eq!((first.at, first.seq), (now + Dur::from_ps(1_000), 1));
         q.push(now, entry(now + Dur::from_ps(2_000), 5));
         assert_eq!(q.wheel.nodes.len(), 5, "the freed node was reused");
         let mut order = vec![];
-        while let Some(s) = q.pop(now) {
+        while let Some(s) = pop_any(&mut q, now) {
             order.push(s.seq);
         }
         assert_eq!(order, [3, 2, 5, 0, 4]);
@@ -338,7 +356,7 @@ mod tests {
             }
             let mut clock = now;
             let mut order = Vec::new();
-            while let Some(s) = q.pop(clock) {
+            while let Some(s) = pop_any(&mut q, clock) {
                 assert_eq!(s.at, at);
                 clock = s.at;
                 let carried = match s.ev {
@@ -350,5 +368,36 @@ mod tests {
             }
             assert_eq!(order, (0..6).collect::<Vec<_>>(), "{ahead:?} ahead");
         }
+    }
+
+    /// An event due after the deadline stays queued, from every tier;
+    /// one due at the deadline pops.
+    #[test]
+    fn pop_stops_at_the_deadline_and_removes_nothing_there() {
+        let now = Time(1 << 30);
+        let mut q = EventQueue::new();
+        assert!(matches!(q.pop(now, now), Popped::Empty));
+        q.push(now, entry(now, 0));
+        assert!(
+            matches!(q.pop(now, Time(now.ps() - 1)), Popped::Later),
+            "due now, but the deadline is behind the clock"
+        );
+        for (seq, ahead) in [(1, Dur::from_ns(100)), (2, Dur::from_ms(1))] {
+            q.push(now, entry(now + ahead, seq));
+        }
+        let mut clock = now;
+        for (seq, ahead) in [(0, Dur::ZERO), (1, Dur::from_ns(100)), (2, Dur::from_ms(1))] {
+            let at = now + ahead;
+            if ahead > Dur::ZERO {
+                let before = Time(at.ps() - 1);
+                assert!(matches!(q.pop(clock, before), Popped::Later), "{seq}");
+            }
+            match q.pop(clock, at) {
+                Popped::Event(s) => assert_eq!((s.at, s.seq), (at, seq)),
+                _ => panic!("entry {seq} due at the deadline did not pop"),
+            }
+            clock = at;
+        }
+        assert!(matches!(q.pop(clock, Time(u64::MAX)), Popped::Empty));
     }
 }

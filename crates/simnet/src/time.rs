@@ -59,7 +59,7 @@ impl Dur {
     /// Build from a (possibly fractional) nanosecond count, rounding to ps.
     #[inline]
     pub fn from_ns_f64(ns: f64) -> Dur {
-        Dur((ns * 1e3).round() as u64)
+        Dur(round_u64(ns * 1e3))
     }
     #[inline]
     pub fn ps(self) -> u64 {
@@ -72,6 +72,23 @@ impl Dur {
     #[inline]
     pub fn as_us(self) -> f64 {
         self.0 as f64 / 1e6
+    }
+}
+
+const PS_PER_S: u64 = 1_000_000_000_000;
+
+/// `x.round() as u64` for every `f64` (halves away from zero; negatives
+/// and NaN to 0, saturating at `u64::MAX`), without libm's `round`.
+/// Truncation saturates the same way, and below 2⁵³ the fraction
+/// `x - trunc(x)` is exact, so comparing it with 0.5 rounds exactly; from
+/// 2⁵³ up every `f64` is an integer and the fraction is 0.
+#[inline]
+pub fn round_u64(x: f64) -> u64 {
+    let t = x as u64;
+    if x - t as f64 >= 0.5 {
+        t.saturating_add(1)
+    } else {
+        t
     }
 }
 
@@ -153,8 +170,8 @@ impl fmt::Display for Dur {
 
 /// A transmission or processing rate.
 ///
-/// Stored as bits per second; transmission times are computed with 128-bit
-/// intermediates so they are exact for all realistic rates and sizes.
+/// Stored as bits per second; transmission times are exact integer
+/// divisions, in 64 bits where the product fits and 128 bits otherwise.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Bandwidth {
     bits_per_sec: u64,
@@ -183,9 +200,20 @@ impl Bandwidth {
     #[inline]
     pub fn tx_time(self, bytes: u64) -> Dur {
         debug_assert!(self.bits_per_sec > 0);
-        let bits = bytes as u128 * 8;
-        let ps = (bits * 1_000_000_000_000u128).div_ceil(self.bits_per_sec as u128);
-        Dur(ps as u64)
+        if bytes < Self::NARROW_BYTES {
+            Dur((bytes * 8 * PS_PER_S).div_ceil(self.bits_per_sec))
+        } else {
+            Dur(self.tx_time_wide(bytes))
+        }
+    }
+
+    /// Below this many bytes `bytes × 8 × 10¹²` is under 2²⁴ × 2⁴⁰ = 2⁶⁴,
+    /// so [`Self::tx_time`] divides in 64 bits; every packet is.
+    const NARROW_BYTES: u64 = 1 << 21;
+
+    fn tx_time_wide(self, bytes: u64) -> u64 {
+        let ps = (bytes as u128 * 8 * PS_PER_S as u128).div_ceil(self.bits_per_sec as u128);
+        ps as u64
     }
 }
 
@@ -218,6 +246,78 @@ mod tests {
         // 3 bits/s: 1 byte = 8 bits -> 8/3 s, must round up.
         let bw = Bandwidth { bits_per_sec: 3 };
         assert_eq!(bw.tx_time(1).0, 8_000_000_000_000u64.div_ceil(3));
+    }
+
+    /// The 64-bit division agrees with the 128-bit one wherever it is
+    /// taken, up to the boundary, and the 128-bit one takes over there.
+    #[test]
+    fn narrow_tx_time_equals_the_wide_division() {
+        let edge = Bandwidth::NARROW_BYTES;
+        for gbit in [100, 200, 400] {
+            let bw = Bandwidth::from_gbit_per_sec(gbit);
+            for bytes in [1, 2048, 64 << 10, edge - 1, edge, edge + 1] {
+                assert_eq!(
+                    bw.tx_time(bytes).ps(),
+                    bw.tx_time_wide(bytes),
+                    "{bytes} B at {gbit} Gbit/s"
+                );
+            }
+        }
+        // The largest narrow product fits in 64 bits.
+        assert!((edge - 1).checked_mul(8 * PS_PER_S).is_some());
+        let slow = Bandwidth { bits_per_sec: 3 };
+        assert_eq!(slow.tx_time(edge - 1).ps(), slow.tx_time_wide(edge - 1));
+    }
+
+    /// `round_u64` is `f64::round` followed by the saturating cast.
+    #[test]
+    fn round_u64_is_round_then_cast() {
+        let two52 = (1u64 << 52) as f64;
+        let two53 = (1u64 << 53) as f64;
+        let two64 = 18_446_744_073_709_551_616.0_f64;
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            0.5,
+            1.5,
+            2.5,
+            0.49999999999999994,
+            0.5000000000000001,
+            1.4999999999999998,
+            two52 - 0.5,
+            two52 + 0.5,
+            two52 + 1.0,
+            two53,
+            two53 + 2.0,
+            two53 - 1.0,
+            two64,
+            two64 * 2.0,
+            two64 - 2048.0,
+            f64::MAX,
+            -0.4,
+            -0.5,
+            -1.5,
+            -two64,
+            f64::MIN,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            f64::EPSILON,
+        ];
+        // And a spread of magnitudes, halves and near-halves.
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        for _ in 0..20_000 {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let v = f64::from_bits(x);
+            cases.push(v);
+            let m = (x >> 11) as f64 / (1u64 << (x % 60)) as f64;
+            cases.extend([m, m.trunc() + 0.5, m + 0.5, m - 0.5]);
+        }
+        for v in cases {
+            assert_eq!(round_u64(v), v.round() as u64, "{v:e} ({:#x})", v.to_bits());
+        }
     }
 
     #[test]
