@@ -1,14 +1,20 @@
 //! Where the simulator's own host time goes: a SIGPROF sampler around
-//! two sPIN write storms, the shapes of the benchmark's
-//! `small_write_storm` (16 clients × window 8, 4 KiB plain writes on 4
-//! nodes) and `repl_write_ring` (8 × 4, 64 KiB Ring k = 4 writes).
+//! three storms, the shapes of the benchmark's `small_write_storm` (16
+//! clients × window 8, 4 KiB plain sPIN writes on 4 nodes),
+//! `repl_write_ring` (8 × 4, 64 KiB sPIN Ring k = 4 writes) and
+//! `read_hot_cached` (4 × 1, each client preloads a 16 MiB file of 64 KiB
+//! blocks striped over 4 nodes, then reads it in one sequential pass and
+//! then at zipfian offsets, 64 KiB at a time, through its read cache).
 //!
 //! Files are created through [`FsClient`]; each storm then runs its
-//! clients' seeded write jobs through the cluster underneath, on a fresh
+//! clients' seeded jobs through the cluster underneath, on a fresh
 //! cluster per repetition, as the benchmark does. A profiling timer
 //! (`setitimer(ITIMER_PROF)`, 1 ms of process CPU time, which the kernel
-//! delivers at its tick) raises SIGPROF; only samples taken inside
-//! `SimCluster::run_until_writes` are kept.
+//! delivers at its tick) raises SIGPROF; only samples taken inside the
+//! measured call are kept: `SimCluster::run_until_writes` for the write
+//! storms, `SimCluster::run_until_file_reads` for the read storm (its
+//! preload is not sampled). Every storm asserts that each of its ops
+//! completed `Ok`.
 //! Each keeps the interrupted PC and the return addresses a frame-pointer
 //! walk from the interrupted `rbp` finds. The libc calls are declared
 //! here (`extern "C"`), so no crate is added.
@@ -25,43 +31,59 @@
 //!
 //! Arguments: repetitions per storm (default 1) and the output directory
 //! (default `target/host-profile`). It writes one samples file per storm
-//! (`4k.txt`, `64k.txt`: a line per sample, innermost frame first, each
-//! an address in the executable's own numbering or `[library]`) and
-//! `maps.txt`, a copy of `/proc/self/maps`. Stdout depends only on the
-//! arguments; sample counts go to stderr.
+//! (`4k.txt`, `64k.txt`, `read.txt`: a line per sample, innermost frame
+//! first, each an address in the executable's own numbering or
+//! `[library]`) and `maps.txt`, a copy of `/proc/self/maps`. Stdout
+//! depends only on the arguments; sample counts go to stderr.
 
 use nadfs_core::{
-    ClusterSpec, FilePolicy, FsClient, LayoutSpec, SimCluster, SizeDist, StorageMode, Workload,
-    WriteProtocol,
+    ClusterSpec, FilePolicy, FsClient, LayoutSpec, ReadPattern, ReadProtocol, SimCluster, SizeDist,
+    StorageMode, Workload, WriteProtocol,
 };
 use nadfs_wire::{BcastStrategy, Status};
 
-/// One write storm.
+/// One storm: every client writes `writes_per_client` blocks of about
+/// `size` bytes to a file of its own, then, in a read storm, reads them.
 struct Storm {
     label: &'static str,
     clients: usize,
     window: usize,
+    layout: LayoutSpec,
     policy: FilePolicy,
     protocol: WriteProtocol,
     size: u32,
     writes_per_client: usize,
+    sampled: Sampled,
 }
 
-fn storms() -> [Storm; 2] {
+/// Which phase of a storm is sampled.
+enum Sampled {
+    /// The writes, of sizes jittered ±1/32 around the storm's size.
+    Writes,
+    /// Block-aligned reads of exactly the storm's size, `sequential` of
+    /// them then `zipfian` (exponent 1.2), after an unsampled preload of
+    /// exact blocks; the read caches start empty.
+    Reads { sequential: usize, zipfian: usize },
+}
+
+fn storms() -> [Storm; 3] {
     [
         Storm {
             label: "4k",
             clients: 16,
             window: 8,
+            layout: LayoutSpec::SINGLE,
             policy: FilePolicy::Plain,
             protocol: WriteProtocol::Spin,
             size: 4 << 10,
             writes_per_client: 1000,
+            sampled: Sampled::Writes,
         },
         Storm {
             label: "64k",
             clients: 8,
             window: 4,
+            layout: LayoutSpec::SINGLE,
             policy: FilePolicy::Replicated {
                 k: 4,
                 strategy: BcastStrategy::Ring,
@@ -69,45 +91,126 @@ fn storms() -> [Storm; 2] {
             protocol: WriteProtocol::SpinReplicated,
             size: 64 << 10,
             writes_per_client: 128,
+            sampled: Sampled::Writes,
+        },
+        Storm {
+            label: "read",
+            clients: 4,
+            window: 1,
+            layout: LayoutSpec::striped(4, 64 << 10),
+            policy: FilePolicy::Plain,
+            protocol: WriteProtocol::Spin,
+            size: 64 << 10,
+            // 16 MiB per client, the client cache's capacity.
+            writes_per_client: 256,
+            sampled: Sampled::Reads {
+                sequential: 256,
+                zipfian: 2048 - 256,
+            },
         },
     ]
 }
 
 /// Build a fresh cluster, create one file per client through
-/// [`FsClient`], and run every client's writes with `sampling` armed
-/// around the run. Returns the writes and packets the storm made.
+/// [`FsClient`], and run the storm with `sampling` armed around its
+/// sampled phase. Returns the sampled ops and the pSPIN packets the
+/// storm made.
 fn run_storm(s: &Storm, rep: usize, sampling: &impl Fn(bool)) -> (usize, u64) {
     let spec = ClusterSpec::new(s.clients, 4, StorageMode::Spin)
         .with_window(s.window)
         .with_observability(false);
     let mut fs = FsClient::new(SimCluster::build(spec));
     fs.mkdir_p("/storm").expect("mkdir");
-    let jitter = s.size / 32;
-    let sizes = SizeDist::Uniform {
-        min: s.size - jitter,
-        max: s.size + jitter,
+    let seed = rep as u64 + 1;
+    let sizes = match s.sampled {
+        Sampled::Writes => {
+            let jitter = s.size / 32;
+            SizeDist::Uniform {
+                min: s.size - jitter,
+                max: s.size + jitter,
+            }
+        }
+        Sampled::Reads { .. } => SizeDist::Fixed(s.size),
     };
+    let mut reads = Vec::new();
     for c in 0..s.clients {
         let path = format!("/storm/c{c}");
         let h = fs
-            .create_with_policy(&path, LayoutSpec::SINGLE, s.policy.clone())
+            .create_with_policy(&path, s.layout, s.policy.clone())
             .expect("create");
-        let jobs = Workload::new(h.id(), s.protocol, sizes.clone())
+        let writes = Workload::new(h.id(), s.protocol, sizes.clone())
             .with_writes(s.writes_per_client)
-            .with_seed(rep as u64 + 1)
-            .jobs_for_client(c);
-        jobs.into_iter().for_each(|j| fs.cluster.submit(c, j));
+            .with_seed(seed);
+        writes
+            .jobs_for_client(c)
+            .into_iter()
+            .for_each(|j| fs.cluster.submit(c, j));
+        if let Sampled::Reads {
+            sequential,
+            zipfian,
+        } = s.sampled
+        {
+            // The generator reads within its own write phase; the writes
+            // it lists first are the ones just submitted, so only the
+            // reads after them are kept.
+            let phase = |n, pattern| {
+                let mut jobs = writes
+                    .clone()
+                    .with_reads(n, ReadProtocol::Rdma)
+                    .with_read_pattern(pattern)
+                    .jobs_for_client(c);
+                jobs.split_off(s.writes_per_client)
+            };
+            let mut jobs = phase(sequential, ReadPattern::Sequential);
+            jobs.extend(phase(zipfian, ReadPattern::Zipfian { exponent: 1.2 }));
+            reads.push(jobs);
+        }
     }
     let total = s.clients * s.writes_per_client;
     fs.cluster.start();
-    sampling(true);
+    let sampled_writes = matches!(s.sampled, Sampled::Writes);
+    sampling(sampled_writes);
     let done = fs.cluster.run_until_writes(total, 600_000);
     sampling(false);
     assert_eq!(done, total, "{}: writes incomplete", s.label);
     let writes = std::mem::take(&mut fs.cluster.results.borrow_mut().writes);
-    assert!(writes.iter().all(|w| w.status == Status::Ok));
-    let pkts = fs.cluster.pspin_telemetry.iter().flatten();
-    (total, pkts.map(|t| t.borrow().pkts_processed).sum())
+    assert!(writes.iter().all(|w| w.status == Status::Ok), "{}", s.label);
+    let pkts = |cl: &SimCluster| {
+        let t = cl.pspin_telemetry.iter().flatten();
+        t.map(|t| t.borrow().pkts_processed).sum()
+    };
+    if sampled_writes {
+        return (total, pkts(&fs.cluster));
+    }
+    // The measured phase starts cold (miss, readahead, hit), not on the
+    // preload's write-through fills.
+    for cache in &fs.cluster.read_caches {
+        cache.borrow_mut().clear();
+    }
+    let total: usize = reads.iter().map(Vec::len).sum();
+    for (c, jobs) in reads.into_iter().enumerate() {
+        jobs.into_iter().for_each(|j| fs.cluster.submit(c, j));
+    }
+    fs.cluster.start();
+    // In segments of 1/64 of the reads, completions drained between them
+    // and only the runs sampled, as the benchmark measures.
+    let segment = total.div_ceil(64);
+    let (mut left, mut hits) = (total, 0);
+    while left > 0 {
+        let want = left.min(segment);
+        sampling(true);
+        let got = fs.cluster.run_until_file_reads(want, 600_000);
+        sampling(false);
+        assert!(got >= want, "{}: reads incomplete", s.label);
+        let reads = std::mem::take(&mut fs.cluster.results.borrow_mut().file_reads);
+        assert!(reads
+            .iter()
+            .all(|r| r.status == Status::Ok && r.len == s.size));
+        hits += reads.iter().filter(|r| r.from_cache).count();
+        left -= reads.len();
+    }
+    assert!(hits > 0, "{}: read cache never hit", s.label);
+    (total, pkts(&fs.cluster))
 }
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
@@ -118,22 +221,15 @@ fn main() {
     std::fs::create_dir_all(&out).expect("output directory");
     let sampler = sampler::Sampler::install();
     for s in storms() {
-        let (mut writes, mut pkts) = (0, 0);
+        let (mut ops, mut pkts) = (0, 0);
         for rep in 0..reps {
-            let (w, p) = run_storm(&s, rep, &|on| sampler.arm(on));
-            writes += w;
+            let (n, p) = run_storm(&s, rep, &|on| sampler.arm(on));
+            ops += n;
             pkts += p;
         }
         let path = out.join(format!("{}.txt", s.label));
         let (samples, dropped) = sampler.drain_to(&path).expect("write samples");
-        println!(
-            "{}: {reps} x {} clients x {} writes of ~{} B, {writes} writes, {pkts} pSPIN packets -> {}",
-            s.label,
-            s.clients,
-            s.writes_per_client,
-            s.size,
-            path.display()
-        );
+        println!("{} -> {}", describe(&s, reps, ops, pkts), path.display());
         eprintln!("{}: {samples} samples kept, {dropped} dropped", s.label);
     }
     std::fs::copy("/proc/self/maps", out.join("maps.txt")).expect("copy maps");
@@ -144,11 +240,29 @@ fn main() {
     // The sampler reads x86-64 Linux signal frames; elsewhere the storms
     // still run, unsampled.
     for s in storms() {
-        let (writes, pkts) = run_storm(&s, 0, &|_| {});
-        println!(
-            "{}: {writes} writes, {pkts} pSPIN packets (not sampled)",
-            s.label
-        );
+        let (ops, pkts) = run_storm(&s, 0, &|_| {});
+        println!("{} (not sampled)", describe(&s, 1, ops, pkts));
+    }
+}
+
+/// What `reps` repetitions of storm `s` did: `ops` sampled ops, `pkts`
+/// pSPIN packets (a read storm's are its preload's).
+fn describe(s: &Storm, reps: usize, ops: usize, pkts: u64) -> String {
+    let shape = format!("{}: {reps} x {} clients x", s.label, s.clients);
+    match s.sampled {
+        Sampled::Writes => format!(
+            "{shape} {} writes of ~{} B, {ops} writes, {pkts} pSPIN packets",
+            s.writes_per_client, s.size
+        ),
+        Sampled::Reads {
+            sequential,
+            zipfian,
+        } => format!(
+            "{shape} {} reads of {} B after {} B preloaded, {ops} reads, {pkts} pSPIN packets",
+            sequential + zipfian,
+            s.size,
+            s.writes_per_client as u64 * s.size as u64
+        ),
     }
 }
 
