@@ -36,7 +36,7 @@ use std::cell::RefCell;
 use std::ops::Range;
 use std::rc::Rc;
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes};
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
@@ -282,25 +282,30 @@ impl HostMemory {
     /// Read `len` bytes at `addr`; untouched bytes read as zero.
     pub fn read(&self, addr: u64, len: usize) -> Vec<u8> {
         let mut out = Vec::with_capacity(len);
-        for (off, piece) in self.pieces(addr, len) {
-            out.resize(off, 0);
-            out.extend_from_slice(piece);
-        }
-        out.resize(len, 0);
+        self.read_to(addr, len, &mut out);
         out
+    }
+
+    /// Put the `len` bytes at `addr` into `out`, in order; untouched bytes
+    /// put zeros. [`Self::read`] and [`Self::read_into`] call it with a
+    /// vector and a slice, and the client with the tail of its cache's run
+    /// (`bytes::BytesRun`), memory not yet initialised, to copy a landed
+    /// read there once.
+    pub fn read_to(&self, addr: u64, len: usize, out: &mut (impl BufMut + ?Sized)) {
+        let mut filled = 0;
+        for (off, piece) in self.pieces(addr, len) {
+            out.put_bytes(0, off - filled);
+            out.put_slice(piece);
+            filled = off + piece.len();
+        }
+        out.put_bytes(0, len - filled);
     }
 
     /// Read `out.len()` bytes at `addr` into a caller-owned buffer —
     /// the allocation-free variant of [`Self::read`] the streaming EC
     /// aggregation loops use. Untouched bytes read as zero.
-    pub fn read_into(&self, addr: u64, out: &mut [u8]) {
-        let mut filled = 0;
-        for (off, piece) in self.pieces(addr, out.len()) {
-            out[filled..off].fill(0);
-            filled = off + piece.len();
-            out[off..filled].copy_from_slice(piece);
-        }
-        out[filled..].fill(0);
+    pub fn read_into(&self, addr: u64, mut out: &mut [u8]) {
+        self.read_to(addr, out.len(), &mut out);
     }
 
     /// Read `len` bytes at `addr` as a [`Bytes`]: a slice of the stored
@@ -320,7 +325,10 @@ impl HostMemory {
     }
 
     /// [`Self::read_bytes`], then forget the range: the region's owner is
-    /// done with it.
+    /// done with it. A range that spans extents comes back as a fresh
+    /// copy, so a reader that keeps the bytes in a buffer of its own copies
+    /// them there with [`Self::read_to`] and [`Self::free`] instead, once:
+    /// the client does for every read its cache keeps.
     pub fn take(&mut self, addr: u64, len: usize) -> Bytes {
         let bytes = self.read_bytes(addr, len);
         self.free(addr, len as u64);

@@ -5,7 +5,7 @@
 //! what is inserted, removed and drained sits at the front, the middle and
 //! the end of memory's extents.
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesRun};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -134,6 +134,9 @@ proptest! {
             let mut into = vec![0xEE; p_len];
             m.read_into(BASE + p_at as u64, &mut into);
             prop_assert_eq!(&into[..], want, "read_into step {}", i);
+            let mut run = BytesRun::with_capacity(p_len);
+            let got = run.append_with(p_len, |tail| m.read_to(BASE + p_at as u64, p_len, tail));
+            prop_assert_eq!(&got.expect("fits")[..], want, "read_to step {}", i);
             prop_assert_eq!(&m.read_bytes(BASE + p_at as u64, p_len)[..], want, "read_bytes step {}", i);
             prop_assert_eq!(m.resident_pages(), model.pages(), "step {}", i);
         }
