@@ -36,13 +36,21 @@
 //! what was asked. The overfetched bytes land in the cache, so a
 //! streaming reader alternates one fan-out miss with a run of local hits.
 //!
+//! Read fills are copied once, into the file's current *run*: one
+//! allocation of fixed capacity ([`BytesRun`]) that never reallocates, so
+//! each fill is a frozen window of it. A fill that abuts the span before
+//! it in the same run joins that span without a copy, so a sequential
+//! stream is one span per run and a hit that crosses two of its fills is
+//! a slice like any other; only a hit that crosses two runs (or two
+//! write-through buffers) is stitched into a fresh buffer.
+//!
 //! [`MetaEvent::LayoutChanged`]: crate::control::MetaEvent::LayoutChanged
 //! [`ControlPlane::live_generation`]: crate::control::ControlPlane::live_generation
 //! [`ReadPlan`]: nadfs_meta::ReadPlan
 
 use std::collections::BTreeMap;
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesRun, RunTail};
 use nadfs_simnet::IdMap;
 
 /// Cap on cached payload bytes per client: least-recently-used *other*
@@ -55,6 +63,11 @@ const READAHEAD_INIT: u32 = 64 << 10;
 /// Ceiling the per-stream window ramps to (doubling per miss while the
 /// stream stays sequential).
 const READAHEAD_MAX: u32 = 1 << 20;
+/// Most bytes one run holds: two full readahead fills, so a stream at its
+/// ceiling opens a run every second fill. (16 MiB runs were a quarter
+/// slower on `read_hot_cached`: the allocator serves a block that size
+/// from a fresh mapping every time.)
+const RUN_BYTES: usize = 2 * READAHEAD_MAX as usize;
 
 nadfs_simnet::declare_stats! {
     /// Observable cache behavior (asserted by tests, reported by benches).
@@ -62,10 +75,11 @@ nadfs_simnet::declare_stats! {
     pub struct ReadCacheStats {
         /// Lookups served entirely from client memory.
         pub hits: u64 => counter,
-        /// Hits that had to copy: the range straddled cached spans, so the
-        /// bytes were stitched into a fresh buffer. Every other hit is a
-        /// slice of the span's own buffer.
-        pub stitched_hits: u64,
+        /// Hits that had to copy: the range straddled cached spans of two
+        /// buffers (two runs, or write-through payloads), so the bytes were
+        /// stitched into a fresh buffer. Every other hit is a slice of the
+        /// span's own buffer.
+        pub stitched_hits: u64 => counter,
         /// Lookups that had to go to the network.
         pub misses: u64 => counter,
         /// Bytes served from cache (EOF-clamped: what the caller got).
@@ -109,7 +123,7 @@ pub struct CachedRead {
     /// The bytes (possibly shorter than requested when the cached EOF
     /// clamps the range, exactly like a short `pread`): a slice of the
     /// cached span's buffer, or a stitched copy when the range straddles
-    /// spans.
+    /// spans of two buffers.
     pub data: Bytes,
     /// Generation of the extent map the bytes were fetched under.
     pub generation: u64,
@@ -120,10 +134,13 @@ pub struct CachedRead {
 struct FileCache {
     generation: u64,
     /// Disjoint spans keyed by start offset. Overlapping fills merge;
-    /// exactly-adjacent fills (the sequential-readahead shape) stay
-    /// separate so a long stream never re-copies what it accumulated —
-    /// lookups stitch across abutting spans.
+    /// exactly-adjacent fills join when they are windows of one buffer
+    /// (successive fills of one run, the sequential-readahead shape) and
+    /// stay separate otherwise, so nothing is re-copied to coalesce —
+    /// lookups stitch across abutting spans of two buffers.
     spans: BTreeMap<u64, Bytes>,
+    /// The run this file's read fills are copied into, if one is open.
+    run: Option<BytesRun>,
     bytes: usize,
     /// Committed size, once a clamped read has revealed it. Valid for as
     /// long as the generation holds (size only moves with a commit, and
@@ -131,6 +148,98 @@ struct FileCache {
     eof: Option<u64>,
     /// LRU clock value of the last touch.
     touched: u64,
+}
+
+impl FileCache {
+    /// Copy the `len` bytes `put` writes to the end of the file's run. A
+    /// fill that does not fit fills the run's rest and goes on in a new
+    /// run of [`RUN_BYTES`] (or of what is left of the fill, if that is
+    /// more), so every run is filled to its end.
+    fn append(&mut self, len: usize, put: impl FnOnce(&mut dyn BufMut)) -> Filled {
+        let room = self.run.as_ref().map_or(0, BytesRun::remaining);
+        if len <= room {
+            let run = self.run.as_mut().expect("an open run");
+            let head = run.append_with(len, |tail| put(tail)).expect("room");
+            return Filled::one(head);
+        }
+        let mut next = BytesRun::with_capacity((len - room).max(RUN_BYTES));
+        let filled = match self.run.as_mut().filter(|_| room > 0) {
+            None => Filled::one(next.append_with(len, |tail| put(tail)).expect("room")),
+            Some(run) => {
+                let mut rest = None;
+                let head = run.append_with(room, |head| {
+                    let split = |tail: &mut RunTail<'_>| {
+                        put(&mut Split {
+                            head,
+                            tail,
+                            left: room,
+                        })
+                    };
+                    rest = next.append_with(len - room, split);
+                });
+                Filled {
+                    head: head.expect("the open run's room"),
+                    rest: rest.expect("the new run's room"),
+                }
+            }
+        };
+        self.run = Some(next);
+        filled
+    }
+}
+
+/// The tails of two runs as one [`BufMut`]: the first `left` bytes put
+/// go to `head`, the rest to `tail`.
+struct Split<'a> {
+    head: &'a mut dyn BufMut,
+    tail: &'a mut dyn BufMut,
+    left: usize,
+}
+
+impl BufMut for Split<'_> {
+    fn put_slice(&mut self, s: &[u8]) {
+        let (head, tail) = s.split_at(s.len().min(self.left));
+        self.left -= head.len();
+        self.head.put_slice(head);
+        self.tail.put_slice(tail);
+    }
+
+    fn put_bytes(&mut self, val: u8, cnt: usize) {
+        let head = cnt.min(self.left);
+        self.left -= head;
+        self.head.put_bytes(val, head);
+        self.tail.put_bytes(val, cnt - head);
+    }
+}
+
+/// A fill's bytes as the cache keeps them: a window of one run, and a
+/// window of the next when the fill ran on into it (else empty).
+pub(crate) struct Filled {
+    head: Bytes,
+    rest: Bytes,
+}
+
+impl Filled {
+    fn one(head: Bytes) -> Filled {
+        let rest = Bytes::new();
+        Filled { head, rest }
+    }
+
+    fn len(&self) -> usize {
+        self.head.len() + self.rest.len()
+    }
+
+    /// The fill's first `n` bytes: a slice of the head window, or a copy
+    /// when they run on into the rest.
+    pub(crate) fn prefix(&self, n: usize) -> Bytes {
+        if n <= self.head.len() {
+            return self.head.slice(..n);
+        }
+        let mut data = Vec::with_capacity(n);
+        data.extend_from_slice(&self.head);
+        data.extend_from_slice(&self.rest[..n - self.head.len()]);
+        Bytes::from(data)
+    }
 }
 
 /// Per-file sequential-stream detector state.
@@ -343,7 +452,7 @@ impl ReadCache {
     }
 
     /// [`Self::fill_shared`] for a caller that only has the bytes on
-    /// loan: copies them into a buffer the cache can keep.
+    /// loan: copies them into the file's run.
     pub fn fill(
         &mut self,
         file: u64,
@@ -352,8 +461,33 @@ impl ReadCache {
         data: &[u8],
         requested_len: u32,
     ) {
-        let data = Bytes::copy_from_slice(data);
-        self.fill_shared(file, generation, offset, data, requested_len);
+        let put = |tail: &mut dyn BufMut| tail.put_slice(data);
+        self.fill_with(file, generation, offset, data.len(), requested_len, put);
+    }
+
+    /// [`Self::fill_shared`] with `len` bytes that `put` writes, in
+    /// order, to the end of the file's run: the bytes cached, or `None`,
+    /// without calling `put`, when the fill is older than what the cache
+    /// holds of the file. The read path copies a landed response in this
+    /// way, once.
+    pub(crate) fn fill_with(
+        &mut self,
+        file: u64,
+        generation: u64,
+        offset: u64,
+        len: usize,
+        requested_len: u32,
+        put: impl FnOnce(&mut dyn BufMut),
+    ) -> Option<Filled> {
+        let now = self.tick();
+        let f = self.admit(file, generation, now)?;
+        let filled = if len == 0 {
+            Filled::one(Bytes::new())
+        } else {
+            f.append(len, put)
+        };
+        self.store(file, offset, &filled, requested_len);
+        Some(filled)
     }
 
     /// Fill the cache with bytes fetched under `generation`; the cache
@@ -372,9 +506,19 @@ impl ReadCache {
         requested_len: u32,
     ) {
         let now = self.tick();
+        if self.admit(file, generation, now).is_some() {
+            self.store(file, offset, &Filled::one(data), requested_len);
+        }
+    }
+
+    /// The entry a fill of `file` at `generation` goes into, touched at
+    /// `now`; `None`, counting a stale fill, when the cache holds a newer
+    /// generation of the file.
+    fn admit(&mut self, file: u64, generation: u64, now: u64) -> Option<&mut FileCache> {
         let f = self.files.entry(file).or_insert_with(|| FileCache {
             generation,
             spans: BTreeMap::new(),
+            run: None,
             bytes: 0,
             eof: None,
             touched: now,
@@ -389,23 +533,36 @@ impl ReadCache {
             f.generation = generation;
         } else if f.generation > generation {
             self.stats.stale_fills += 1;
-            return;
+            return None;
         }
         f.touched = now;
-        if (data.len() as u32) < requested_len {
+        Some(f)
+    }
+
+    /// Cache `filled` at `offset` of `file`, which [`Self::admit`] took,
+    /// learn the EOF a clamped fetch proves, and enforce the cap.
+    fn store(&mut self, file: u64, offset: u64, filled: &Filled, requested_len: u32) {
+        let f = self.files.get_mut(&file).expect("an admitted file");
+        let len = filled.len();
+        if (len as u32) < requested_len {
             // The fetch was EOF-clamped. With data this pins the
             // committed size exactly; an empty fetch only proves
             // `size <= offset`. Either way the candidate is an upper
             // bound, so min-merging tightens toward the true size and a
             // past-EOF probe can never *loosen* a previously learned
             // (smaller, exact) EOF.
-            let cand = offset + data.len() as u64;
+            let cand = offset + len as u64;
             f.eof = Some(f.eof.map_or(cand, |e| e.min(cand)));
         }
-        if !data.is_empty() {
-            self.stats.inserted_bytes += data.len() as u64;
+        if len > 0 {
+            self.stats.inserted_bytes += len as u64;
             self.total_bytes -= f.bytes;
-            Self::insert_span(f, offset, data);
+            let rest_at = offset + filled.head.len() as u64;
+            for (at, data) in [(offset, &filled.head), (rest_at, &filled.rest)] {
+                if !data.is_empty() {
+                    Self::insert_span(f, at, data.clone());
+                }
+            }
             self.total_bytes += f.bytes;
         }
         self.enforce_capacity(file);
@@ -413,12 +570,13 @@ impl ReadCache {
 
     /// Insert `[offset, offset + data.len())`, merging any *overlapping*
     /// spans (new bytes win overlaps — at equal generation the bytes are
-    /// identical anyway). Exactly-adjacent spans are left separate:
-    /// sequential readahead fills abut their predecessor, and merging
-    /// would re-copy the whole accumulated stream on every fill. Lookups
-    /// stitch across adjacent spans instead. A fill that overlaps nothing,
-    /// or covers everything it overlaps, is stored as it came; only one
-    /// that leaves part of an old span sticking out copies.
+    /// identical anyway). An exactly-adjacent span joins the new one when
+    /// both are windows of one buffer, which costs no copy; one of another
+    /// buffer is left separate, as copying them together would re-copy a
+    /// whole accumulated stream on every fill, and lookups stitch across
+    /// it instead. A fill that overlaps nothing, or covers everything it
+    /// overlaps, is stored as it came; only one that leaves part of an old
+    /// span sticking out copies.
     fn insert_span(f: &mut FileCache, offset: u64, data: Bytes) {
         let end = offset + data.len() as u64;
         // Every span that overlaps the new range: the one starting at or
@@ -440,8 +598,8 @@ impl ReadCache {
                 tail = v.slice((end - s) as usize..);
             }
         }
-        let start = offset - head.len() as u64;
-        let span = if head.is_empty() && tail.is_empty() {
+        let mut start = offset - head.len() as u64;
+        let mut span = if head.is_empty() && tail.is_empty() {
             data
         } else {
             let mut merged = Vec::with_capacity(head.len() + data.len() + tail.len());
@@ -451,16 +609,28 @@ impl ReadCache {
             Bytes::from(merged)
         };
         f.bytes += span.len();
+        // Joins keep the sum of the span lengths, so `f.bytes` holds.
+        let end = start + span.len() as u64;
+        if let Some(joined) = f.spans.get(&end).and_then(|next| span.try_join(next)) {
+            f.spans.remove(&end);
+            span = joined;
+        }
+        let prev = f.spans.range(..start).next_back();
+        let prev = prev.filter(|(&s, v)| s + v.len() as u64 == start);
+        if let Some((s, joined)) = prev.and_then(|(&s, v)| Some((s, v.try_join(&span)?))) {
+            f.spans.remove(&s);
+            (start, span) = (s, joined);
+        }
         f.spans.insert(start, span);
     }
 
     /// Evict least-recently-touched *other* files until under the cap;
     /// if the just-filled file alone busts it, shed its coldest bytes —
     /// lowest offsets first, the bytes a forward stream left behind.
-    /// (Sequential fills stay one span each, so a long scan sheds whole
-    /// spans from its head and trims at most one. The trimmed span still
-    /// pins its whole buffer, so the footprint is bounded by the cap plus
-    /// one fill.)
+    /// (A sequential stream is one span per run, so a long scan sheds
+    /// whole spans from its head and trims at most one. The trimmed span
+    /// still pins its whole run, so the footprint is bounded by the cap
+    /// plus one run, and the room the file's open run has not filled.)
     fn enforce_capacity(&mut self, just_filled: u64) {
         while self.total_bytes > CAPACITY_BYTES {
             let victim = self
@@ -556,9 +726,10 @@ mod tests {
     #[test]
     fn adjacent_spans_stitch_and_overlapping_spans_merge() {
         let mut c = ReadCache::default();
-        c.fill(1, 1, 0, &bytes(100, 2), 100);
-        c.fill(1, 1, 100, &bytes(100, 3), 100); // adjacent: no re-copy
-        assert_eq!(c.files[&1].spans.len(), 2, "adjacent fills stay separate");
+        // Two buffers of their own, as write-through fills are.
+        c.fill_shared(1, 1, 0, Bytes::from(bytes(100, 2)), 100);
+        c.fill_shared(1, 1, 100, Bytes::from(bytes(100, 3)), 100); // no re-copy
+        assert_eq!(c.files[&1].spans.len(), 2, "adjacent buffers stay separate");
         let r = c.lookup(1, 0, 200).expect("stitched hit");
         assert_eq!(&r.data[..100], &bytes(100, 2)[..]);
         assert_eq!(&r.data[100..], &bytes(100, 3)[..]);
@@ -676,9 +847,11 @@ mod tests {
             let f = &c.files[&1];
             assert_eq!(f.bytes, c.cached_bytes(), "running total drifted");
             assert_eq!(f.spans.values().map(Bytes::len).sum::<usize>(), f.bytes);
-            // Each span pins the buffer of the one fill it came from, so
-            // the footprint is at most one fill beyond the cap.
-            assert!(f.spans.len() * FILL <= cap + FILL, "fill {i} pins too much");
+            // The spans are whole runs but for the trimmed head and the
+            // open tail, and each pins its run: the footprint is at most
+            // the cap, the head's shed bytes and the open run's room.
+            let pinned = f.spans.len() * RUN_BYTES;
+            assert!(pinned <= cap + 2 * RUN_BYTES, "fill {i} pins too much");
         }
         assert!(
             c.cached_bytes() > cap - FILL,
@@ -694,8 +867,8 @@ mod tests {
     #[test]
     fn hit_inside_one_span_is_a_slice_of_its_buffer() {
         let mut c = ReadCache::default();
-        c.fill(1, 1, 0, &bytes(100, 2), 100);
-        c.fill(1, 1, 100, &bytes(100, 3), 100);
+        c.fill_shared(1, 1, 0, Bytes::from(bytes(100, 2)), 100);
+        c.fill_shared(1, 1, 100, Bytes::from(bytes(100, 3)), 100);
         let r = c.lookup(1, 110, 50).expect("hit");
         let span = c.files[&1].spans[&100].as_ptr_range();
         assert!(span.contains(&r.data.as_ptr()), "a copy, not a slice");
@@ -705,6 +878,96 @@ mod tests {
         assert!(!span.contains(&r.data.as_ptr()));
         assert_eq!(c.stats.stitched_hits, 1);
         assert_eq!(c.stats.hits, 2);
+    }
+
+    #[test]
+    fn adjacent_fills_of_one_run_join_and_a_hit_across_them_is_a_slice() {
+        let mut c = ReadCache::default();
+        c.fill(1, 1, 0, &bytes(100, 2), 100);
+        c.fill(1, 1, 100, &bytes(100, 3), 100);
+        assert_eq!(c.files[&1].spans.len(), 1, "adjacent fills of one run join");
+        let span = c.files[&1].spans[&0].as_ptr_range();
+        let r = c.lookup(1, 50, 100).expect("hit across the fills");
+        assert!(span.contains(&r.data.as_ptr()), "a copy, not a slice");
+        assert_eq!(&r.data[..50], &bytes(100, 2)[50..]);
+        assert_eq!(&r.data[50..], &bytes(100, 3)[..50]);
+        // Fills that land in the run out of file order join nothing: the
+        // one at 200, appended after the one at 300, follows that one in
+        // the run, not the span before it in the file.
+        c.fill(1, 1, 300, &bytes(100, 5), 100);
+        c.fill(1, 1, 200, &bytes(100, 4), 100);
+        assert_eq!(c.files[&1].spans.len(), 3);
+        assert_eq!(
+            c.lookup(1, 150, 200).expect("stitched").data[50..150],
+            bytes(100, 4)
+        );
+        assert_eq!((c.stats.stitched_hits, c.stats.hits), (1, 2));
+    }
+
+    #[test]
+    fn a_fill_that_does_not_fit_fills_the_run_and_goes_on_in_a_new_one() {
+        let mut c = ReadCache::default();
+        let fill = RUN_BYTES / 4 * 3;
+        let run_len = |c: &ReadCache| c.files[&1].run.as_ref().map(BytesRun::len);
+        c.fill(1, 1, 0, &bytes(fill, 1), fill as u32);
+        // The second fill's first third ends the first run.
+        c.fill(1, 1, fill as u64, &bytes(fill, 2), fill as u32);
+        assert_eq!(run_len(&c), Some(2 * fill - RUN_BYTES));
+        let spans: Vec<(u64, usize)> = c.files[&1]
+            .spans
+            .iter()
+            .map(|(&s, v)| (s, v.len()))
+            .collect();
+        assert_eq!(
+            spans,
+            [(0, RUN_BYTES), (RUN_BYTES as u64, 2 * fill - RUN_BYTES)]
+        );
+        let r = c.lookup(1, fill as u64 - 10, 20).expect("across the fills");
+        assert_eq!(r.data[10..], bytes(fill, 2)[..10]);
+        assert_eq!(
+            c.stats.stitched_hits, 0,
+            "both fills' bytes lie in the first run"
+        );
+        let r = c
+            .lookup(1, RUN_BYTES as u64 - 10, 20)
+            .expect("across the runs");
+        let seam = RUN_BYTES - fill;
+        assert_eq!(r.data[..], bytes(fill, 2)[seam - 10..seam + 10]);
+        assert_eq!(c.stats.stitched_hits, 1);
+        // A fill longer than a run goes on in a run as long as its rest.
+        let (big, room) = (2 * RUN_BYTES, RUN_BYTES - run_len(&c).expect("open"));
+        c.fill(1, 1, 2 * fill as u64, &bytes(big, 3), big as u32);
+        let run = c.files[&1].run.as_ref().expect("a run");
+        assert_eq!((run.len(), run.remaining()), (big - room, 0));
+        let all = (2 * fill + big) as u32;
+        assert_eq!(c.lookup(1, 0, all).expect("all").data.len(), all as usize);
+    }
+
+    #[test]
+    fn a_fill_split_across_runs_serves_its_prefix_whole() {
+        let mut c = ReadCache::default();
+        let fill = RUN_BYTES / 4 * 3;
+        c.fill(1, 1, 0, &bytes(fill, 1), fill as u32);
+        let data = bytes(fill, 2);
+        let put = |tail: &mut dyn BufMut| tail.put_slice(&data);
+        let filled = c
+            .fill_with(1, 1, fill as u64, fill, fill as u32, put)
+            .expect("live");
+        let head = RUN_BYTES - fill;
+        assert_eq!((filled.head.len(), filled.rest.len()), (head, fill - head));
+        assert_eq!(filled.prefix(head)[..], data[..head]);
+        assert_eq!(
+            filled.prefix(head).as_ptr(),
+            filled.head.as_ptr(),
+            "a slice"
+        );
+        assert_eq!(filled.prefix(head + 1)[..], data[..head + 1], "a copy");
+        assert_eq!(filled.prefix(fill)[..], data[..]);
+        // A stale fill is refused before anything is written.
+        c.note_generation(1, 2);
+        let put = |_: &mut dyn BufMut| panic!("a refused fill wrote");
+        c.fill(1, 2, 0, &[1], 1);
+        assert!(c.fill_with(1, 1, 0, 5, 5, put).is_none());
     }
 
     #[test]

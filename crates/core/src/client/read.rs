@@ -3,7 +3,7 @@
 //! stripes. Its one timer is the doorbell, then the reconstruction cost.
 //! A cache hit is its own tiny op: one timer, the probe latency.
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes};
 use nadfs_host::{POLL_NOTIFY, POST_SEND};
 use nadfs_meta::{ChunkCopy, ReadPiece};
 use nadfs_rdma::NicCore;
@@ -656,47 +656,56 @@ impl ClientApp {
             }
         }
         let ok = status == Status::Ok;
-        let fetched = {
+        // Everything fetched — the caller's range, the readahead tail, and
+        // any degraded-reconstructed bytes — populates the cache under the
+        // plan's generation, so this client never re-fetches (or
+        // re-reconstructs) it while the generation holds. An EOF-clamped
+        // fetch also teaches the cache where the committed size is. A
+        // plan a commit, re-homing or unlink overtook is not live: it
+        // fills nothing.
+        let cached = ok && self.read_cache_enabled;
+        let live =
+            cached && self.control.borrow().live_generation(r.req.file) == Some(r.generation);
+        let data = {
             // The op's client-memory regions go back: its staged
-            // survivors, and its destination window, whose bytes move
-            // into the result.
+            // survivors, and its destination window, whose bytes are
+            // copied once into the file's cache run when the cache keeps
+            // them, else taken as they landed. The caller gets the first
+            // `serve_len` of them, a slice of that one buffer (a fetch
+            // only runs past `serve_len` for readahead, which only happens
+            // with the cache on).
             let mem = nic.memory();
             let mut mem = mem.borrow_mut();
             for d in &r.degraded {
                 mem.free(d.scratch, d.fetched.len() as u64 * d.chunk_len as u64);
             }
-            if ok {
-                mem.take(r.dest, r.fetch_len as usize)
+            let (dest, len, serve) = (r.dest, r.fetch_len as usize, r.serve_len as usize);
+            let filled = if live {
+                let put = |tail: &mut dyn BufMut| mem.read_to(dest, len, tail);
+                let (file, at) = (r.req.file, r.req.offset);
+                let mut rc = self.read_cache.borrow_mut();
+                rc.fill_with(file, r.generation, at, len, r.fetch_want, put)
             } else {
-                mem.free(r.dest, r.fetch_len as u64);
-                Bytes::new()
+                None
+            };
+            match filled {
+                Some(filled) => {
+                    mem.free(dest, len as u64);
+                    filled.prefix(serve)
+                }
+                None if ok => mem.take(dest, len).slice(..serve),
+                None => {
+                    mem.free(dest, len as u64);
+                    Bytes::new()
+                }
             }
         };
-        let mut data = Bytes::new();
-        if ok {
-            // The caller gets a slice of the one buffer the cache keeps.
-            // A fetch only runs past `serve_len` for readahead, which
-            // only happens with the cache on, so the slice pins nothing
-            // the cache does not already hold.
-            data = fetched.slice(..r.serve_len as usize);
-            if self.read_cache_enabled {
-                // Everything fetched — the caller's range, the readahead
-                // tail, and any degraded-reconstructed bytes — populates
-                // the cache under the plan's generation, so this client
-                // never re-fetches (or re-reconstructs) it while the
-                // generation holds. An EOF-clamped fetch also teaches the
-                // cache where the committed size is. A plan a commit,
-                // re-homing or unlink overtook is not live: it fills nothing.
-                let live = self.control.borrow().live_generation(r.req.file);
-                let mut rc = self.read_cache.borrow_mut();
-                if live == Some(r.generation) {
-                    let at = r.req.offset;
-                    rc.fill_shared(r.req.file, r.generation, at, fetched, r.fetch_want);
-                } else {
-                    rc.stats.stale_fills += 1;
-                }
-                rc.stats.readahead_bytes += (r.fetch_len - r.serve_len) as u64;
+        if cached {
+            let mut rc = self.read_cache.borrow_mut();
+            if !live {
+                rc.stats.stale_fills += 1;
             }
+            rc.stats.readahead_bytes += (r.fetch_len - r.serve_len) as u64;
         }
         if r.background {
             // Readahead tail: the cache is populated, nothing is

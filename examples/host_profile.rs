@@ -3,8 +3,9 @@
 //! clients × window 8, 4 KiB plain sPIN writes on 4 nodes),
 //! `repl_write_ring` (8 × 4, 64 KiB sPIN Ring k = 4 writes) and
 //! `read_hot_cached` (4 × 1, each client preloads a 16 MiB file of 64 KiB
-//! blocks striped over 4 nodes, then reads it in one sequential pass and
-//! then at zipfian offsets, 64 KiB at a time, through its read cache).
+//! blocks striped over 4 nodes, then reads it 64 KiB at a time through its
+//! read cache: one sequential pass of whole blocks, then at zipfian
+//! offsets, which start at any byte).
 //!
 //! Files are created through [`FsClient`]; each storm then runs its
 //! clients' seeded jobs through the cluster underneath, on a fresh
@@ -34,7 +35,9 @@
 //! (`4k.txt`, `64k.txt`, `read.txt`: a line per sample, innermost frame
 //! first, each an address in the executable's own numbering or
 //! `[library]`) and `maps.txt`, a copy of `/proc/self/maps`. Stdout
-//! depends only on the arguments; sample counts go to stderr.
+//! depends only on the arguments; sample counts go to stderr, and so do
+//! the read storm's stitched hits per repetition (hits that crossed two
+//! cached buffers and had to be copied).
 
 use nadfs_core::{
     ClusterSpec, FilePolicy, FsClient, LayoutSpec, ReadPattern, ReadProtocol, SimCluster, SizeDist,
@@ -60,9 +63,11 @@ struct Storm {
 enum Sampled {
     /// The writes, of sizes jittered ±1/32 around the storm's size.
     Writes,
-    /// Block-aligned reads of exactly the storm's size, `sequential` of
-    /// them then `zipfian` (exponent 1.2), after an unsampled preload of
-    /// exact blocks; the read caches start empty.
+    /// Reads of exactly the storm's size, after an unsampled preload of
+    /// exact blocks; the read caches start empty. First `sequential`
+    /// block-aligned ones, then `zipfian` (exponent 1.2) ones, which start
+    /// at any byte: the generator scales a continuous draw by the last
+    /// offset a read fits at.
     Reads { sequential: usize, zipfian: usize },
 }
 
@@ -210,6 +215,9 @@ fn run_storm(s: &Storm, rep: usize, sampling: &impl Fn(bool)) -> (usize, u64) {
         left -= reads.len();
     }
     assert!(hits > 0, "{}: read cache never hit", s.label);
+    let caches = fs.cluster.read_caches.iter();
+    let stitched: u64 = caches.map(|c| c.borrow().stats.stitched_hits).sum();
+    eprintln!("{}: repetition {rep}: {stitched} stitched hits", s.label);
     (total, pkts(&fs.cluster))
 }
 

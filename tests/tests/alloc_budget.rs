@@ -25,8 +25,9 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use nadfs_core::{
-    ClusterSpec, ControlPlane, FilePolicy, Job, LayoutSpec, MetaCache, MetaWorkload, ReadCache,
-    ReadPattern, ReadProtocol, SimCluster, SizeDist, StorageMode, Workload, WriteProtocol,
+    ClusterSpec, ControlPlane, FilePolicy, FsClient, Job, LayoutSpec, MetaCache, MetaWorkload,
+    ReadCache, ReadPattern, ReadProtocol, SimCluster, SizeDist, StorageMode, Workload,
+    WriteProtocol,
 };
 use nadfs_meta::DirtyAttr;
 use nadfs_simnet::{Component, Ctx, Dur, Engine};
@@ -314,6 +315,53 @@ fn offloaded_degraded_reads_stay_under_their_allocation_budget() {
         rate < BUDGET_DEGRADED_READ,
         "offloaded degraded reads: {rate:.2} allocations per read (budget {BUDGET_DEGRADED_READ})"
     );
+}
+
+/// A sequential scan of a 4 MiB file striped in 64 KiB blocks fills the
+/// client's cache with 13 fills (its misses and their readahead tails),
+/// each copied to the end of the file's current 2 MiB run. A hit across
+/// two blocks of one run is a slice of it and allocates nothing; only a
+/// hit across the two runs stitches a copy. Of the 63 hits across the
+/// block boundaries, 62 allocate nothing; it was 51 while each fill was a
+/// buffer of its own, and each of the 12 across a fill boundary then
+/// allocated its copy.
+#[test]
+fn unaligned_hits_across_fills_of_one_run_allocate_nothing() {
+    const BLOCKS: u64 = 64;
+    let spec = ClusterSpec::new(1, 4, StorageMode::Spin).with_observability(false);
+    let mut fsc = FsClient::new(SimCluster::build(spec));
+    fsc.mkdir_p("/r").expect("mkdir");
+    let h = fsc
+        .create("/r/runs", LayoutSpec::striped(4, BLOCK))
+        .expect("create");
+    let data: Vec<u8> = (0..BLOCKS * BLOCK as u64)
+        .map(|i| (i % 251) as u8)
+        .collect();
+    fsc.append(&h, &data).expect("write");
+    fsc.drop_read_cache();
+    for b in 0..BLOCKS {
+        fsc.read_at(&h, b * BLOCK as u64, BLOCK).expect("scan");
+    }
+    let cache = &fsc.cluster.read_caches[0];
+    let mut free_hits = 0;
+    for b in 1..BLOCKS {
+        let off = b * BLOCK as u64 - BLOCK as u64 / 2 - 1;
+        let stitched = cache.borrow().stats.stitched_hits;
+        let a0 = allocs();
+        let hit = cache.borrow_mut().lookup(h.id(), off, BLOCK);
+        let made = allocs() - a0;
+        assert_eq!(
+            hit.expect("cached").data[..],
+            data[off as usize..][..BLOCK as usize]
+        );
+        if cache.borrow().stats.stitched_hits == stitched {
+            assert_eq!(made, 0, "boundary {b}: a slice allocated");
+            free_hits += 1;
+        } else {
+            assert!(made > 0, "boundary {b}: a stitch copies");
+        }
+    }
+    assert_eq!(free_hits, 62, "hits across the blocks of one run");
 }
 
 /// A stat on the control plane walks the path's components borrowed from

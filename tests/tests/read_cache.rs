@@ -425,6 +425,86 @@ fn aligned_hits_are_slices_of_the_cached_spans() {
     assert_eq!(stats.stitched_hits, 0, "an aligned hit had to stitch");
 }
 
+/// A sequential scan of a 4 MiB file fills the cache with a critical
+/// block and a readahead tail per miss, and copies each fill to the end
+/// of the file's current 2 MiB run, where it joins the fill before it.
+/// Unaligned reads across every block boundary then hit with exactly the
+/// file's bytes; where the two blocks lie back to back in one run
+/// (aligned hits are slices, so their addresses show it), the hit is a
+/// slice of that run, not a stitched copy. Only the boundary between the
+/// two runs stitches, where all 12 between the scan's 13 fills did while
+/// each fill was a buffer of its own.
+#[test]
+fn unaligned_hits_across_fills_of_one_run_are_slices() {
+    const BLOCK: usize = 64 << 10;
+    const BLOCKS: usize = 64;
+    const RUN: usize = 2 << 20;
+    let mut fsc = FsClient::new(SimCluster::build(ClusterSpec::new(1, 4, StorageMode::Spin)));
+    fsc.mkdir_p("/s").expect("mkdir");
+    let h = fsc
+        .create("/s/runs", LayoutSpec::striped(4, BLOCK as u32))
+        .expect("create");
+    let data = payload(seed_from_env() ^ 0x2B5, BLOCKS * BLOCK);
+    fsc.append(&h, &data).expect("write");
+    fsc.drop_read_cache();
+
+    for b in 0..BLOCKS {
+        let r = fsc
+            .read_at(&h, (b * BLOCK) as u64, BLOCK as u32)
+            .expect("scan");
+        assert_eq!(r.data.as_ref(), &data[b * BLOCK..(b + 1) * BLOCK]);
+    }
+    let scan = fsc.read_cache_stats();
+    let snapshot = fsc.metrics_snapshot();
+    let tails = snapshot.counter("client.0.read.background_readaheads");
+    let fills = scan.misses + tails.expect("a client counter");
+    assert_eq!(fills, 13, "the scan's misses and their readahead tails");
+    // Where each block is held: an aligned hit is a slice of its span.
+    let at: Vec<usize> = (0..BLOCKS)
+        .map(|b| {
+            let r = fsc
+                .read_at(&h, (b * BLOCK) as u64, BLOCK as u32)
+                .expect("hit");
+            assert!(r.from_cache);
+            r.data.as_ptr() as usize
+        })
+        .collect();
+
+    let (mut slices, mut stitches) = (0, Vec::new());
+    for b in 0..BLOCKS - 1 {
+        let off = (b + 1) * BLOCK - BLOCK / 2 - 1;
+        let before = fsc.read_cache_stats().stitched_hits;
+        let r = fsc.read_at(&h, off as u64, BLOCK as u32).expect("straddle");
+        assert!(r.from_cache, "boundary {b}: the scan cached every block");
+        assert_eq!(r.data.as_ref(), &data[off..off + BLOCK], "boundary {b}");
+        assert_eq!(r.checksum, payload_checksum(&r.data));
+        let stitched = fsc.read_cache_stats().stitched_hits > before;
+        if at[b] + BLOCK == at[b + 1] {
+            assert!(!stitched, "boundary {b}: a hit inside one run stitched");
+            assert_eq!(
+                r.data.as_ptr() as usize,
+                at[b] + BLOCK / 2 - 1,
+                "boundary {b}"
+            );
+            slices += 1;
+        } else {
+            assert!(stitched, "boundary {b}: a hit across two runs is a copy");
+            stitches.push(b);
+        }
+    }
+    assert_eq!(
+        slices,
+        BLOCKS - 2,
+        "the fills' hits are slices of their runs"
+    );
+    assert_eq!(
+        stitches,
+        [RUN / BLOCK - 1],
+        "the one boundary between runs stitches"
+    );
+    assert_eq!(fsc.read_cache_stats().misses, scan.misses, "no re-fetch");
+}
+
 /// Write-through population: a committed write lands in the read cache
 /// under the post-commit generation, so read-after-write is a local hit
 /// (no resolve, no fan-out) and byte-identical to the written data.

@@ -11,9 +11,10 @@
 //! per-byte shadow: whatever mix of abutting, overlapping and covering
 //! fills built the spans, a lookup hits exactly when every byte of its
 //! range is cached and returns exactly those bytes — whether it was
-//! served as a slice of one span or stitched across several.
+//! served as a slice of one span (joined or not) or stitched across
+//! several.
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesRun};
 use nadfs_core::{
     ClusterSpec, FilePolicy, FsClient, LayoutSpec, ReadCache, SimCluster, StorageMode,
 };
@@ -165,10 +166,13 @@ proptest! {
 /// One step against a bare [`ReadCache`] holding a single small file.
 #[derive(Clone, Debug)]
 enum CacheStep {
-    /// Fill `[offset, offset + len)` at the current generation.
+    /// Fill `[offset, offset + len)` at the current generation, the
+    /// `way`th way in; with no offset, right after the last fill, as a
+    /// stream does (wrapping round at the end of the file).
     Fill {
-        offset: u64,
+        offset: Option<u64>,
         len: usize,
+        way: u8,
     },
     /// The file's generation moves: everything cached is invalidated.
     Invalidate,
@@ -179,12 +183,14 @@ enum CacheStep {
 }
 
 /// Fills land on a 16-byte grid so that they often abut or cover one
-/// another exactly; lookups fall anywhere.
+/// another exactly, and a third of them continue the last; lookups fall
+/// anywhere.
 fn cache_step() -> impl Strategy<Value = CacheStep> {
     (0u8..8, 0u64..1024, 1usize..256).prop_map(|(kind, offset, len)| match kind {
         0..=2 => CacheStep::Fill {
-            offset: offset / 16 * 16,
+            offset: (offset % 3 != 0).then_some(offset / 16 * 16),
             len: len.div_ceil(16) * 16,
+            way: (offset % 7 % 3) as u8,
         },
         3 => CacheStep::Invalidate,
         _ => CacheStep::Lookup {
@@ -205,18 +211,36 @@ proptest! {
         let mut cache = ReadCache::default();
         let mut shadow: Vec<Option<u8>> = vec![None; 1024 + 256];
         let mut generation = 1u64;
+        // A run the test appends its third kind of fill to, as the
+        // client appends what lands: abutting fills are abutting windows.
+        let mut run = BytesRun::with_capacity(0);
+        let mut next = 0u64;
         for (i, step) in steps.iter().enumerate() {
             match *step {
-                CacheStep::Fill { offset, len } => {
+                CacheStep::Fill { offset, len, way } => {
+                    let offset = offset.unwrap_or(if next < 1024 { next } else { 0 });
+                    next = offset + len as u64;
                     let data: Vec<u8> = (0..len).map(|b| (b ^ i.wrapping_mul(37)) as u8).collect();
                     for (slot, &b) in shadow[offset as usize..].iter_mut().zip(&data) {
                         *slot = Some(b);
                     }
-                    // Both ways in: on loan, and handing the buffer over.
-                    if i % 2 == 0 {
-                        cache.fill(FILE, generation, offset, &data, len as u32);
-                    } else {
-                        cache.fill_shared(FILE, generation, offset, Bytes::from(data), len as u32);
+                    // Three ways in: on loan (copied into the cache's run),
+                    // handing a buffer of its own over, and handing over a
+                    // window of a run, which joins the window before it
+                    // when the two abut.
+                    match way {
+                        0 => cache.fill(FILE, generation, offset, &data, len as u32),
+                        1 => {
+                            let data = Bytes::from(data);
+                            cache.fill_shared(FILE, generation, offset, data, len as u32);
+                        }
+                        _ => {
+                            if run.remaining() < len {
+                                run = BytesRun::with_capacity(1024);
+                            }
+                            let data = run.append(&data).expect("room");
+                            cache.fill_shared(FILE, generation, offset, data, len as u32);
+                        }
                     }
                 }
                 CacheStep::Invalidate => {
